@@ -1,8 +1,9 @@
-//! Criterion bench: container commit throughput and recovery replay.
+//! Criterion bench: container commit throughput, recovery replay, and the
+//! frame codec (CRC-32 alone, and one whole `Put` frame).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wv_storage::{Container, ObjectId, Version};
+use wv_storage::{frame, Container, ObjectId, Record, TxId, Version};
 
 fn filled_container(txns: u64, puts_per_txn: u64) -> Container {
     let mut c = Container::new();
@@ -72,6 +73,26 @@ fn bench_storage(c: &mut Criterion) {
             },
         );
     }
+    for len in [64usize, 1024, 8192] {
+        let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        group.bench_with_input(BenchmarkId::new("crc32", len), &data, |b, data| {
+            b.iter(|| frame::crc32(criterion::black_box(data)));
+        });
+    }
+
+    group.bench_function("encode_frame/put_1k", |b| {
+        let record = Record::Put {
+            tx: TxId(7),
+            object: ObjectId(1),
+            version: Version(9),
+            value: (0..1024).map(|i| i as u8).collect::<Vec<u8>>().into(),
+        };
+        let mut image = Vec::with_capacity(2048);
+        b.iter(|| {
+            image.clear();
+            frame::encode_into(&mut image, criterion::black_box(&record))
+        });
+    });
     group.finish();
 }
 

@@ -19,7 +19,7 @@
 //! attempt can never contaminate a live one) while keeping the operation's
 //! original wait-die age (so retries gain seniority instead of starving).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -28,7 +28,7 @@ use wv_sim::audit::{AuditLog, AuditRecord, DecisionKind, SiteInput};
 use wv_sim::telemetry::{TelemetryHub, TelemetryOptions};
 use wv_sim::trace::{SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};
 use wv_sim::{SimDuration, SimTime};
-use wv_storage::{Container, ObjectId, Version};
+use wv_storage::{Container, IdHashMap, ObjectId, Version};
 use wv_txn::Vote;
 
 use crate::error::{OpError, OpKind};
@@ -494,20 +494,20 @@ struct CacheEntry {
 /// A client node: starts operations, reacts to responses, records results.
 pub struct ClientNode {
     site: SiteId,
-    configs: HashMap<ObjectId, SuiteConfig>,
+    configs: IdHashMap<ObjectId, SuiteConfig>,
     /// Mean access cost per site (typically the mean link latency),
     /// driving cheapest-first quorum selection.
     costs: Vec<f64>,
     /// Memoized cost-sorted site orders, one per suite configuration.
-    plans: HashMap<ObjectId, QuorumPlan>,
+    plans: IdHashMap<ObjectId, QuorumPlan>,
     /// Per-site health (EWMA RTT + suspicion), indexed like `costs`.
     /// Maintained only when `options.health` is set.
     health: Vec<SiteHealth>,
     options: ClientOptions,
     next_counter: u64,
     next_timer: u64,
-    ops: HashMap<ReqId, OpState>,
-    timers: HashMap<u64, TimerEntry>,
+    ops: IdHashMap<ReqId, OpState>,
+    timers: IdHashMap<u64, TimerEntry>,
     /// Operations launched and not yet finished (excludes queued ones).
     active: usize,
     /// Submissions waiting for a pipeline slot, in submission order.
@@ -518,12 +518,12 @@ pub struct ClientNode {
     site_load: Vec<u64>,
     /// The attached weak representative's per-suite entries. Touched only
     /// when `options.weak_rep` is set.
-    cache: HashMap<ObjectId, CacheEntry>,
+    cache: IdHashMap<ObjectId, CacheEntry>,
     /// Per suite, the read currently leading a version inquiry plus the
     /// reads piggybacked on it. Touched only when `options.weak_rep` is
     /// set; entries are validated against the live op table before use,
     /// so a stale leader id can never capture a new read.
-    inquiry_leaders: HashMap<ObjectId, (ReqId, Vec<ReqId>)>,
+    inquiry_leaders: IdHashMap<ObjectId, (ReqId, Vec<ReqId>)>,
     /// Durable commit-decision log (presumed abort for anything absent).
     decisions: Container,
     decided_commit: BTreeSet<ReqId>,
@@ -554,7 +554,7 @@ pub struct ClientNode {
 }
 
 fn arm_timer(
-    timers: &mut HashMap<u64, TimerEntry>,
+    timers: &mut IdHashMap<u64, TimerEntry>,
     next_timer: &mut u64,
     req: ReqId,
     seq: u64,
@@ -654,18 +654,18 @@ impl ClientNode {
             site,
             configs: configs.into_iter().map(|c| (c.suite, c)).collect(),
             costs,
-            plans: HashMap::new(),
+            plans: IdHashMap::default(),
             health,
             options,
             next_counter: 1,
             next_timer: 1,
-            ops: HashMap::new(),
-            timers: HashMap::new(),
+            ops: IdHashMap::default(),
+            timers: IdHashMap::default(),
             active: 0,
             queue: VecDeque::new(),
             site_load,
-            cache: HashMap::new(),
-            inquiry_leaders: HashMap::new(),
+            cache: IdHashMap::default(),
+            inquiry_leaders: IdHashMap::default(),
             decisions: Container::new(),
             decided_commit: BTreeSet::new(),
             completed: Vec::new(),

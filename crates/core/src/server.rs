@@ -7,13 +7,13 @@
 //! applies fire-and-forget weak-representative updates monotonically, and
 //! resolves in-doubt transactions after a crash by asking the coordinator.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use wv_net::{Node, NodeCtx, SiteId};
 use wv_sim::trace::{SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};
 use wv_sim::{MetricsRegistry, SimDuration, SimTime};
-use wv_storage::{Container, ObjectId, TxId, Version};
+use wv_storage::{Container, IdHashMap, ObjectId, TxId, Version};
 use wv_txn::lock::{DeadlockPolicy, LockMode, LockReply, TxToken};
 use wv_txn::shard::ShardedLockManager;
 use wv_txn::Vote;
@@ -152,9 +152,9 @@ pub struct SuiteServer {
     container: Container,
     locks: ShardedLockManager,
     policy: DeadlockPolicy,
-    configs: HashMap<ObjectId, SuiteConfig>,
-    pending: HashMap<ReqId, PendingWrite>,
-    waiting: HashMap<TxToken, WaitingPrepare>,
+    configs: IdHashMap<ObjectId, SuiteConfig>,
+    pending: IdHashMap<ReqId, PendingWrite>,
+    waiting: IdHashMap<TxToken, WaitingPrepare>,
     /// How long a prepared transaction waits before probing its
     /// coordinator for the decision.
     resolve_after: SimDuration,
@@ -183,7 +183,7 @@ pub struct SuiteServer {
     /// (the default) disables it, under the same contract as `tracer`.
     telemetry: Option<wv_sim::TelemetryHub>,
     /// Open lock-wait spans of queued prepares, keyed like `waiting`.
-    waiting_spans: HashMap<TxToken, SpanId>,
+    waiting_spans: IdHashMap<TxToken, SpanId>,
     /// Group-commit sync latency; `None` (the default) flushes every
     /// prepare and commit inline, byte-identical to the classic path.
     group_commit: Option<SimDuration>,
@@ -229,7 +229,7 @@ impl SuiteServer {
     /// objects start at [`Version::INITIAL`] with empty contents.
     pub fn new(site: SiteId, configs: Vec<SuiteConfig>, policy: DeadlockPolicy) -> Self {
         let mut container = Container::new();
-        let mut map = HashMap::new();
+        let mut map = IdHashMap::default();
         let seed_configs = configs.clone();
         for cfg in configs {
             let tx = container.begin().expect("fresh container");
@@ -250,8 +250,8 @@ impl SuiteServer {
             locks: ShardedLockManager::new(policy),
             policy,
             configs: map,
-            pending: HashMap::new(),
-            waiting: HashMap::new(),
+            pending: IdHashMap::default(),
+            waiting: IdHashMap::default(),
             resolve_after: SimDuration::from_secs(5),
             checkpoint_threshold: 512,
             anti_entropy: None,
@@ -261,7 +261,7 @@ impl SuiteServer {
             stats: ServerStats::default(),
             tracer: None,
             telemetry: None,
-            waiting_spans: HashMap::new(),
+            waiting_spans: IdHashMap::default(),
             group_commit: None,
             sync_active: false,
             sync_queue: Vec::new(),

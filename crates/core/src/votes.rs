@@ -26,9 +26,11 @@ impl VoteAssignment {
     /// both are configuration bugs, not runtime conditions.
     pub fn new(entries: impl IntoIterator<Item = (SiteId, u32)>) -> Self {
         let entries: Vec<(SiteId, u32)> = entries.into_iter().collect();
-        let mut seen = std::collections::HashSet::new();
-        for (site, _) in &entries {
-            assert!(seen.insert(*site), "site {site} listed twice");
+        for (i, (site, _)) in entries.iter().enumerate() {
+            assert!(
+                entries[..i].iter().all(|(earlier, _)| earlier != site),
+                "site {site} listed twice"
+            );
         }
         let total: u32 = entries.iter().map(|(_, v)| *v).sum();
         assert!(total > 0, "a suite needs at least one vote");
@@ -92,10 +94,22 @@ impl VoteAssignment {
         self.entries.iter().map(|(s, _)| *s).collect()
     }
 
-    /// Sum of votes over `sites` (each site counted once even if repeated).
-    pub fn votes_in<'a>(&self, sites: impl IntoIterator<Item = &'a SiteId>) -> u32 {
-        let unique: std::collections::HashSet<SiteId> = sites.into_iter().copied().collect();
-        unique.iter().map(|s| self.votes_of(*s)).sum()
+    /// Sum of votes over `sites` (each site counted once even if repeated;
+    /// sites hosting nothing count zero).
+    ///
+    /// Walks the assignment, not `sites`, so repeats need no set to filter
+    /// them: an entry's votes are added once if its site occurs at all.
+    pub fn votes_in<'a, I>(&self, sites: I) -> u32
+    where
+        I: IntoIterator<Item = &'a SiteId>,
+        I::IntoIter: Clone,
+    {
+        let sites = sites.into_iter();
+        self.entries
+            .iter()
+            .filter(|(site, _)| sites.clone().any(|s| s == site))
+            .map(|(_, votes)| *votes)
+            .sum()
     }
 }
 
@@ -142,6 +156,25 @@ mod tests {
         let sites = [s(0), s(0), s(1), s(7)];
         assert_eq!(a.votes_in(&sites), 3);
         assert_eq!(a.votes_in(&[]), 0);
+    }
+
+    #[test]
+    fn votes_in_handles_assignments_wider_than_a_machine_word() {
+        // 100 entries: votes 1, 2, 3, 1, 2, 3, ... with every tenth weak.
+        let a = VoteAssignment::new((0..100u16).map(|i| {
+            let votes = if i % 10 == 9 { 0 } else { u32::from(i % 3) + 1 };
+            (s(i), votes)
+        }));
+        let all: Vec<SiteId> = (0..100).map(s).collect();
+        assert_eq!(a.votes_in(&all), a.total());
+        // Duplicates, unknown sites and members past index 64, in no order.
+        let sites = [s(99), s(70), s(500), s(3), s(70), s(64), s(3), s(65535)];
+        let expected = a.votes_of(s(99)) + a.votes_of(s(70)) + a.votes_of(s(3)) + a.votes_of(s(64));
+        assert_eq!(a.votes_of(s(99)), 0, "weak entries count nothing");
+        assert_eq!(a.votes_in(&sites), expected);
+        // Any iterator of site references works, not only slices.
+        let set: std::collections::BTreeSet<SiteId> = sites.into_iter().collect();
+        assert_eq!(a.votes_in(&set), expected);
     }
 
     #[test]

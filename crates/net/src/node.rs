@@ -79,11 +79,25 @@ pub struct NodeCtx<'a, M> {
 impl<'a, M> NodeCtx<'a, M> {
     /// Creates a context. Transports call this; protocol code receives it.
     pub fn new(now: SimTime, self_id: SiteId, rng: &'a mut DetRng) -> Self {
+        NodeCtx::with_buffer(now, self_id, rng, Vec::new())
+    }
+
+    /// Like [`NodeCtx::new`], collecting effects into `buffer` (cleared
+    /// first). A transport that hands back the vector it got from
+    /// [`NodeCtx::take_effects`] pays for its allocation once, not once
+    /// per handler call.
+    pub fn with_buffer(
+        now: SimTime,
+        self_id: SiteId,
+        rng: &'a mut DetRng,
+        mut buffer: Vec<Effect<M>>,
+    ) -> Self {
+        buffer.clear();
         NodeCtx {
             now,
             self_id,
             rng,
-            effects: Vec::new(),
+            effects: buffer,
         }
     }
 
@@ -170,6 +184,24 @@ mod tests {
         ));
         assert!(matches!(effects[3], Effect::Send { to, msg } if to == SiteId(3) && msg == 42));
         assert_eq!(ctx.pending_effects(), 0);
+    }
+
+    #[test]
+    fn a_recycled_buffer_starts_empty_and_keeps_its_allocation() {
+        let mut rng = DetRng::new(1);
+        let mut ctx: NodeCtx<'_, u32> = NodeCtx::new(SimTime::ZERO, SiteId(0), &mut rng);
+        for i in 0..16 {
+            ctx.send(SiteId(1), i);
+        }
+        let mut effects = ctx.take_effects();
+        let capacity = effects.capacity();
+        effects.truncate(3); // leftovers must not leak into the next call
+        let mut ctx = NodeCtx::with_buffer(SimTime::ZERO, SiteId(0), &mut rng, effects);
+        assert_eq!(ctx.pending_effects(), 0);
+        ctx.send(SiteId(1), 99);
+        let effects = ctx.take_effects();
+        assert_eq!(effects.len(), 1);
+        assert_eq!(effects.capacity(), capacity);
     }
 
     #[test]

@@ -111,9 +111,50 @@ impl<N: Node> Drop for NodeRunner<N> {
     }
 }
 
+/// A node with the thread-side state its handler calls need.
+struct Hosted<N: Node> {
+    node: N,
+    endpoint: Endpoint<N::Msg>,
+    rng: DetRng,
+    timers: BinaryHeap<TimerItem>,
+    timer_seq: u64,
+    time_scale: f64,
+}
+
+impl<N: Node> Hosted<N>
+where
+    N::Msg: Send + 'static,
+{
+    /// Runs one handler call and applies its effects at once: a send goes
+    /// to the endpoint and a timer onto the heap before anything else
+    /// runs, so neither waits out the loop's next blocking receive.
+    fn call(&mut self, f: impl FnOnce(&mut N, &mut NodeCtx<'_, N::Msg>)) {
+        let mut ctx = NodeCtx::new(self.endpoint.now(), self.endpoint.id(), &mut self.rng);
+        f(&mut self.node, &mut ctx);
+        for effect in ctx.take_effects() {
+            match effect {
+                Effect::Send { to, msg } => {
+                    self.endpoint.send(to, msg);
+                }
+                Effect::Timer { delay, token } => {
+                    let scaled = Duration::from_micros(
+                        (delay.as_micros() as f64 * self.time_scale).round() as u64,
+                    );
+                    self.timers.push(TimerItem {
+                        due: Instant::now() + scaled,
+                        seq: self.timer_seq,
+                        token,
+                    });
+                    self.timer_seq += 1;
+                }
+            }
+        }
+    }
+}
+
 fn run_loop<N: Node + Send>(
-    mut node: N,
-    mut endpoint: Endpoint<N::Msg>,
+    node: N,
+    endpoint: Endpoint<N::Msg>,
     cmds: Receiver<NodeCommand<N>>,
     stop: Arc<AtomicBool>,
     seed: u64,
@@ -122,57 +163,38 @@ fn run_loop<N: Node + Send>(
 where
     N::Msg: Send + 'static,
 {
-    let mut rng = DetRng::new(seed);
-    let mut timers: BinaryHeap<TimerItem> = BinaryHeap::new();
-    let mut timer_seq = 0u64;
+    let mut host = Hosted {
+        node,
+        endpoint,
+        rng: DetRng::new(seed),
+        timers: BinaryHeap::new(),
+        timer_seq: 0,
+        time_scale,
+    };
     loop {
         if stop.load(Ordering::SeqCst) {
-            return node;
+            return host.node;
         }
         // Fire due timers.
         let now = Instant::now();
-        let mut effects = Vec::new();
-        while timers.peek().is_some_and(|t| t.due <= now) {
-            let t = timers.pop().expect("peeked");
-            let mut ctx = NodeCtx::new(endpoint.now(), endpoint.id(), &mut rng);
-            node.on_timer(t.token, &mut ctx);
-            effects.extend(ctx.take_effects());
+        while host.timers.peek().is_some_and(|t| t.due <= now) {
+            let t = host.timers.pop().expect("peeked");
+            host.call(|node, ctx| node.on_timer(t.token, ctx));
         }
         // Run injected commands.
         while let Ok(cmd) = cmds.try_recv() {
-            let mut ctx = NodeCtx::new(endpoint.now(), endpoint.id(), &mut rng);
-            cmd(&mut node, &mut ctx);
-            effects.extend(ctx.take_effects());
+            host.call(cmd);
         }
         // Wait briefly for a message (bounded so timers and commands stay
         // responsive).
-        let wait = timers
+        let wait = host
+            .timers
             .peek()
             .map(|t| t.due.saturating_duration_since(Instant::now()))
             .unwrap_or(Duration::from_millis(2))
             .min(Duration::from_millis(2));
-        if let Some(env) = endpoint.recv_timeout(wait) {
-            let mut ctx = NodeCtx::new(endpoint.now(), endpoint.id(), &mut rng);
-            node.on_message(env.from, env.payload, &mut ctx);
-            effects.extend(ctx.take_effects());
-        }
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => {
-                    endpoint.send(to, msg);
-                }
-                Effect::Timer { delay, token } => {
-                    let scaled = Duration::from_micros(
-                        (delay.as_micros() as f64 * time_scale).round() as u64,
-                    );
-                    timers.push(TimerItem {
-                        due: Instant::now() + scaled,
-                        seq: timer_seq,
-                        token,
-                    });
-                    timer_seq += 1;
-                }
-            }
+        if let Some(env) = host.endpoint.recv_timeout(wait) {
+            host.call(|node, ctx| node.on_message(env.from, env.payload, ctx));
         }
     }
 }
@@ -233,6 +255,40 @@ mod tests {
         let b_node = b.stop();
         assert_eq!(b_node.got, vec![1]);
         assert_eq!(a_node.got, vec![101]);
+    }
+
+    /// A node whose handlers do nothing; commands drive it.
+    struct Idle;
+
+    impl Node for Idle {
+        type Msg = u32;
+        fn on_message(&mut self, _from: SiteId, _msg: u32, _ctx: &mut NodeCtx<'_, u32>) {}
+    }
+
+    #[test]
+    fn an_invoked_send_leaves_before_the_loop_blocks_again() {
+        let mut net = ThreadNet::<u32>::start(
+            NetConfig::uniform(2, LatencyModel::Constant(SimDuration::ZERO)),
+            11,
+            1.0,
+        );
+        let peer = net.endpoints.pop().expect("peer");
+        let runner = NodeRunner::spawn(Idle, net.endpoints.pop().expect("node"), 1, 1.0);
+        // Park the node thread inside a command so the next two are both
+        // queued before it looks at either.
+        let (start_tx, start_rx) = mpsc::channel::<()>();
+        runner.invoke(move |_, _| start_rx.recv().expect("start"));
+        runner.invoke(|_, ctx| ctx.send(SiteId(1), 7));
+        // The command after the send holds the thread until the peer has
+        // the message: the send can only arrive if it left the node when
+        // its command returned, not at the end of a loop pass.
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        runner.invoke(move |_, _| release_rx.recv().expect("release"));
+        start_tx.send(()).expect("node thread alive");
+        let got = peer.recv_timeout(Duration::from_secs(10));
+        release_tx.send(()).expect("node thread alive");
+        assert_eq!(got.map(|env| env.payload), Some(7));
+        runner.stop();
     }
 
     #[test]

@@ -113,6 +113,8 @@ pub struct Cluster<N: Node> {
     node_rngs: Vec<DetRng>,
     net_rng: DetRng,
     trace: Option<(usize, VecDeque<TraceEvent>)>,
+    /// The effects vector of the last handler call, emptied, for the next.
+    spare_effects: Vec<Effect<N::Msg>>,
 }
 
 impl<N: Node + 'static> Cluster<N>
@@ -135,6 +137,7 @@ where
             net_rng: root.fork_named("network"),
             stats: NetStats::default(),
             trace: None,
+            spare_effects: Vec::new(),
             nodes,
             config,
         };
@@ -188,12 +191,7 @@ where
             if world.down[site.index()] {
                 return;
             }
-            let mut rng = world.node_rngs[site.index()].clone();
-            let mut ctx = NodeCtx::new(sched.now(), site, &mut rng);
-            f(&mut world.nodes[site.index()], &mut ctx);
-            let effects = ctx.take_effects();
-            world.node_rngs[site.index()] = rng;
-            Self::dispatch(world, sched, site, effects);
+            Self::run_node(world, sched, site, f);
         });
     }
 
@@ -212,12 +210,7 @@ where
         sched.at(at, move |world: &mut Cluster<N>, sched| {
             if world.down[site.index()] {
                 world.down[site.index()] = false;
-                let mut rng = world.node_rngs[site.index()].clone();
-                let mut ctx = NodeCtx::new(sched.now(), site, &mut rng);
-                world.nodes[site.index()].on_recover(&mut ctx);
-                let effects = ctx.take_effects();
-                world.node_rngs[site.index()] = rng;
-                Self::dispatch(world, sched, site, effects);
+                Self::run_node(world, sched, site, |node, ctx| node.on_recover(ctx));
             }
         });
     }
@@ -273,13 +266,31 @@ where
         }
     }
 
+    /// Runs one handler call `f` of the node at `site` and routes the
+    /// effects it queued. The effects vector is recycled across calls.
+    fn run_node(
+        world: &mut Cluster<N>,
+        sched: &mut Scheduler<Cluster<N>>,
+        site: SiteId,
+        f: impl FnOnce(&mut N, &mut NodeCtx<'_, N::Msg>),
+    ) {
+        let mut rng = world.node_rngs[site.index()].clone();
+        let buffer = std::mem::take(&mut world.spare_effects);
+        let mut ctx = NodeCtx::with_buffer(sched.now(), site, &mut rng, buffer);
+        f(&mut world.nodes[site.index()], &mut ctx);
+        let mut effects = ctx.take_effects();
+        world.node_rngs[site.index()] = rng;
+        Self::dispatch(world, sched, site, &mut effects);
+        world.spare_effects = effects;
+    }
+
     fn dispatch(
         world: &mut Cluster<N>,
         sched: &mut Scheduler<Cluster<N>>,
         from: SiteId,
-        effects: Vec<Effect<N::Msg>>,
+        effects: &mut Vec<Effect<N::Msg>>,
     ) {
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => Self::route(world, sched, from, to, msg),
                 Effect::Timer { delay, token } => {
@@ -291,12 +302,7 @@ where
                         world.stats.timers_fired += 1;
                         let now = sched.now();
                         world.record(now, from, from, TraceKind::TimerFired);
-                        let mut rng = world.node_rngs[from.index()].clone();
-                        let mut ctx = NodeCtx::new(sched.now(), from, &mut rng);
-                        world.nodes[from.index()].on_timer(token, &mut ctx);
-                        let effects = ctx.take_effects();
-                        world.node_rngs[from.index()] = rng;
-                        Self::dispatch(world, sched, from, effects);
+                        Self::run_node(world, sched, from, |node, ctx| node.on_timer(token, ctx));
                     });
                 }
             }
@@ -347,12 +353,9 @@ where
             }
             world.stats.delivered += 1;
             world.record(now, from, to, TraceKind::Delivered);
-            let mut rng = world.node_rngs[to.index()].clone();
-            let mut ctx = NodeCtx::new(sched.now(), to, &mut rng);
-            world.nodes[to.index()].on_message(from, payload, &mut ctx);
-            let effects = ctx.take_effects();
-            world.node_rngs[to.index()] = rng;
-            Self::dispatch(world, sched, to, effects);
+            Self::run_node(world, sched, to, |node, ctx| {
+                node.on_message(from, payload, ctx)
+            });
         });
     }
 

@@ -369,7 +369,11 @@ impl Container {
     /// Just the committed version number of `object` — the paper's
     /// *version number inquiry*, much cheaper than shipping contents.
     pub fn read_version(&self, object: ObjectId) -> Result<Version, StorageError> {
-        Ok(self.read(object)?.version)
+        self.check_up()?;
+        Ok(self
+            .committed
+            .get(&object)
+            .map_or(Version::INITIAL, |vv| vv.version))
     }
 
     /// The phase of a live transaction, if it is live.

@@ -37,11 +37,13 @@ pub const FORMAT_VERSION: u8 = 1;
 /// Bytes before the payload: magic, version, len, crc.
 pub const HEADER_LEN: usize = 10;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-static CRC_TABLE: [u32; 256] = crc_table();
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8: `CRC_TABLES[0]`
+/// is the classic byte-at-a-time table, `CRC_TABLES[k][i]` is the CRC of
+/// byte `i` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -54,17 +56,41 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
 /// The CRC-32 checksum of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -131,17 +157,19 @@ fn encode_payload(buf: &mut Vec<u8>, r: &Record) {
 }
 
 /// Appends the frame for `r` to `buf` and returns the frame's length.
+///
+/// The payload is written once, straight into `buf` behind a placeholder
+/// header; `len` and `crc` are back-filled from the bytes in place.
 pub fn encode_into(buf: &mut Vec<u8>, r: &Record) -> usize {
-    let mut payload = Vec::new();
-    encode_payload(&mut payload, r);
-    let frame_len = HEADER_LEN + payload.len();
-    buf.reserve(frame_len);
-    buf.push(MAGIC);
-    buf.push(FORMAT_VERSION);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
-    frame_len
+    let start = buf.len();
+    buf.extend_from_slice(&[MAGIC, FORMAT_VERSION, 0, 0, 0, 0, 0, 0, 0, 0]);
+    let payload_start = start + HEADER_LEN;
+    encode_payload(buf, r);
+    let len = (buf.len() - payload_start) as u32;
+    let crc = crc32(&buf[payload_start..]);
+    buf[start + 2..start + 6].copy_from_slice(&len.to_le_bytes());
+    buf[start + 6..payload_start].copy_from_slice(&crc.to_le_bytes());
+    buf.len() - start
 }
 
 /// A byte reader over one payload; every accessor fails soft so a
@@ -245,6 +273,8 @@ pub enum ScanEnd {
 pub struct Scan {
     /// The records of the longest valid prefix, in order.
     pub records: Vec<Record>,
+    /// Byte offset in the image where each accepted record's frame starts.
+    pub offsets: Vec<usize>,
     /// Why the scan stopped.
     pub end: ScanEnd,
     /// Bytes covered by the accepted records.
@@ -254,6 +284,7 @@ pub struct Scan {
 /// Scans `image`, accepting the longest prefix of valid frames.
 pub fn scan(image: &[u8]) -> Scan {
     let mut records = Vec::new();
+    let mut offsets = Vec::new();
     let mut pos = 0usize;
     let end = loop {
         if pos == image.len() {
@@ -279,10 +310,12 @@ pub fn scan(image: &[u8]) -> Scan {
             break ScanEnd::Corrupt;
         };
         records.push(record);
+        offsets.push(pos);
         pos += HEADER_LEN + len;
     };
     Scan {
         records,
+        offsets,
         end,
         accepted_bytes: pos,
     }
@@ -326,11 +359,92 @@ mod tests {
         image
     }
 
+    /// The byte-at-a-time CRC-32 the slice-by-8 version replaced; kept as
+    /// the oracle it must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The canonical IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_offset() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..4096 + 8)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=4096 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frame_bytes_are_format_v1() {
+        assert_eq!(HEADER_LEN, 10);
+        let mut put = Vec::new();
+        let n = encode_into(
+            &mut put,
+            &Record::Put {
+                tx: TxId(7),
+                object: ObjectId(1),
+                version: Version(4),
+                value: Bytes::from_static(b"beta"),
+            },
+        );
+        #[rustfmt::skip]
+        let golden_put: [u8; 43] = [
+            0xA5, 0x01, 0x21, 0x00, 0x00, 0x00, 0xDB, 0xF5, 0x87, 0xD0,
+            0x02,
+            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x04, 0x00, 0x00, 0x00, 0x62, 0x65, 0x74, 0x61,
+        ];
+        assert_eq!(n, golden_put.len());
+        assert_eq!(put, golden_put);
+
+        // Appending after existing bytes leaves them alone and back-fills
+        // the right header.
+        let mut image = vec![0xEE; 3];
+        let n = encode_into(&mut image, &sample_records()[0]);
+        #[rustfmt::skip]
+        let golden_checkpoint: [u8; 68] = [
+            0xA5, 0x01, 0x3A, 0x00, 0x00, 0x00, 0x40, 0xD3, 0xAE, 0x83,
+            0x00,
+            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x02, 0x00, 0x00, 0x00,
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x05, 0x00, 0x00, 0x00, 0x61, 0x6C, 0x70, 0x68, 0x61,
+            0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00,
+        ];
+        assert_eq!(n, golden_checkpoint.len());
+        assert_eq!(image[..3], [0xEE; 3]);
+        assert_eq!(image[3..], golden_checkpoint);
     }
 
     #[test]

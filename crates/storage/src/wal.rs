@@ -223,13 +223,18 @@ impl Wal {
             bytes_scanned,
             poison_escaped: self.corrupted_from.is_some_and(|c| scan.accepted_bytes > c),
         };
+        // Frame encoding is canonical, so the accepted prefix of the image
+        // already is the image of the accepted records.
+        self.image.truncate(scan.accepted_bytes);
+        self.offsets = scan.offsets;
         self.records = scan.records;
         self.durable_len = self.records.len();
-        self.rebuild_image();
         self.corrupted_from = None;
         report
     }
 
+    /// Re-encodes `records` from scratch (compaction and prefix copies,
+    /// where the record list changed under the image).
     fn rebuild_image(&mut self) {
         self.image.clear();
         self.offsets.clear();
@@ -493,6 +498,36 @@ mod tests {
         assert_eq!(report.recovered, 1);
         assert_eq!(report.lost_durable, 3, "everything after the damage goes");
         assert_eq!(w.len(), 1);
+    }
+
+    #[test]
+    fn rescan_keeps_exactly_the_image_a_re_encode_would_build() {
+        let build = || {
+            let mut w = Wal::new();
+            for i in 0..4 {
+                w.append(Record::Begin { tx: TxId(i) });
+                w.append(put(i, 7, i + 1));
+            }
+            w.flush();
+            w.append(Record::Commit { tx: TxId(3) });
+            w
+        };
+        // Clean, torn mid-frame, and a flip in durable frame 5.
+        let damage: [(Option<u64>, &[u64]); 3] = [(None, &[]), (Some(4), &[]), (None, &[5])];
+        for (tear, flips) in damage {
+            let mut w = build();
+            w.crash_with_faults(tear, flips);
+            w.rescan();
+            let fresh = w.durable_prefix(w.len());
+            assert_eq!(w.image, fresh.image);
+            assert_eq!(w.offsets, fresh.offsets);
+            // Appends land on a frame boundary of the truncated image.
+            w.append(Record::Abort { tx: TxId(9) });
+            w.flush();
+            w.crash();
+            assert!(!w.rescan().corrupt);
+            assert_eq!(w.records().last(), Some(&Record::Abort { tx: TxId(9) }));
+        }
     }
 
     #[test]

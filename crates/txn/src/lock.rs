@@ -18,9 +18,9 @@
 //! front). The alternative `NoWait` policy (kill on any conflict) is kept
 //! for the E8 ablation.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use wv_storage::ObjectId;
+use wv_storage::{IdHashMap, ObjectId};
 
 /// A transaction's identity for locking purposes.
 ///
@@ -138,7 +138,7 @@ pub struct Granted {
 #[derive(Debug, Default)]
 pub struct LockManager {
     policy: DeadlockPolicy,
-    table: HashMap<ObjectId, Entry>,
+    table: IdHashMap<ObjectId, Entry>,
     stats: LockStats,
 }
 

@@ -16,9 +16,9 @@
 //! at once; the per-token suite index makes releasing them O(shards
 //! touched), not O(all shards).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use wv_storage::ObjectId;
+use wv_storage::{IdHashMap, ObjectId};
 
 use crate::lock::{DeadlockPolicy, Granted, LockManager, LockMode, LockReply, LockStats, TxToken};
 
@@ -42,11 +42,11 @@ pub fn shard_key(object: ObjectId) -> ObjectId {
 #[derive(Debug, Default)]
 pub struct ShardedLockManager {
     policy: DeadlockPolicy,
-    shards: HashMap<ObjectId, LockManager>,
+    shards: IdHashMap<ObjectId, LockManager>,
     /// Which shards each live transaction has touched (held *or* queued),
     /// so release does not scan shards the transaction never visited.
     /// BTreeSet: releases visit shards in suite order, deterministically.
-    token_suites: HashMap<TxToken, BTreeSet<ObjectId>>,
+    token_suites: IdHashMap<TxToken, BTreeSet<ObjectId>>,
 }
 
 impl ShardedLockManager {
