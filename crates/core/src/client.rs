@@ -6,14 +6,24 @@
 //!   answer; the highest version among the answers is current; contents
 //!   are fetched from the cheapest representative (weak ones included)
 //!   holding that version.
-//! * **Write**: inquiry as above to learn the current version, then
-//!   client-coordinated two-phase commit of `(current + 1, value)` at the
-//!   cheapest write quorum. The commit decision is logged durably before
-//!   any commit message leaves, so recovering participants always get a
-//!   correct answer to their decision probes (presumed abort otherwise).
-//! * **Reconfigure**: the same write path aimed at the suite's config
-//!   object, installed under the *old* configuration's write quorum —
-//!   exactly the paper's rule for changing vote assignments online.
+//! * **Write / transaction**: inquiry as above, per written suite, to
+//!   learn the current versions, then client-coordinated two-phase commit
+//!   of `(current + 1, value)` at each suite's cheapest write quorum. A
+//!   plain write is the one-install transaction. The commit decision is
+//!   logged durably before any commit message leaves, so recovering
+//!   participants always get a correct answer to their decision probes
+//!   (presumed abort otherwise).
+//! * **Reconfigure**: a transaction that installs the new configuration
+//!   under the *old* configuration's write quorum and also re-installs the
+//!   current contents at the new one's — exactly the paper's rule for
+//!   changing vote assignments online.
+//!
+//! All three run the same state machine, `Inquire | WriteInquire → Fetch |
+//! Prepare → Commit`: a planner (`enter_prepare` or
+//! `enter_reconfig_prepare`) turns the inquiry's answers into per-site
+//! prepare batches plus the outcome to report on commit, and one driver
+//! (`send_prepares`) carries them through two-phase commit. Every site
+//! choice filters or prefixes the order `rank` returns.
 //!
 //! Every attempt uses a fresh request id (so late responses from a dead
 //! attempt can never contaminate a live one) while keeping the operation's
@@ -232,8 +242,6 @@ pub struct ClientStats {
     pub timeouts: u64,
     /// Operations abandoned because the attempt budget ran out.
     pub attempts_exhausted: u64,
-    /// Configuration refreshes performed.
-    pub config_refreshes: u64,
     /// Quorum-plan cache lookups answered from the cache.
     pub plan_cache_hits: u64,
     /// Quorum-plan cache lookups that had to (re)build the plan.
@@ -314,13 +322,18 @@ impl CompletedOp {
 
 #[derive(Clone, Debug)]
 enum Phase {
+    /// Read or reconfiguration: collecting the suite's version quorum.
     Inquire {
         versions: BTreeMap<SiteId, Version>,
-        max_gen: u64,
         /// The optimistic-fetch target, if one was contacted.
         guess: Option<SiteId>,
         /// The optimistic fetch's answer, if it arrived before the quorum.
         early: Option<(SiteId, Version, Bytes)>,
+    },
+    /// Write or transaction: collecting a version quorum for every
+    /// written suite (one answer map per entry of [`OpState::writes`]).
+    WriteInquire {
+        per_suite: Vec<BTreeMap<SiteId, Version>>,
     },
     Fetch {
         current: Version,
@@ -329,14 +342,14 @@ enum Phase {
         /// The hedge target contacted for this leg, if the hedge fired.
         hedged: Option<SiteId>,
     },
+    /// Prepares out to `participants`, in the order they were sent.
     Prepare {
-        new_version: Version,
-        quorum: Vec<SiteId>,
+        participants: Vec<SiteId>,
         yes: BTreeSet<SiteId>,
     },
-    CommitWait {
-        new_version: Version,
-        quorum: Vec<SiteId>,
+    /// Commit decided, waiting for every participant's ack.
+    Commit {
+        participants: Vec<SiteId>,
         acked: BTreeSet<SiteId>,
         resends: u32,
     },
@@ -349,44 +362,25 @@ enum Phase {
         /// The read whose inquiry this one joined.
         leader: ReqId,
     },
-    /// Transaction: collecting version quorums for every suite.
-    MultiInquire {
-        per_suite: BTreeMap<ObjectId, BTreeMap<SiteId, Version>>,
-    },
-    /// Transaction: prepares out to the participant union.
-    MultiPrepare {
-        versions: Vec<(ObjectId, Version)>,
-        participants: Vec<SiteId>,
-        yes: BTreeSet<SiteId>,
-    },
-    /// Transaction: commit decided, waiting for every participant's ack.
-    MultiCommit {
-        versions: Vec<(ObjectId, Version)>,
-        participants: Vec<SiteId>,
-        acked: BTreeSet<SiteId>,
-        resends: u32,
-    },
 }
 
 #[derive(Clone, Debug)]
 struct OpState {
     kind: OpKind,
+    /// The first written suite for transactions.
     suite: ObjectId,
-    /// Value for writes.
-    payload: Option<Bytes>,
+    /// The `(suite, value)` installs of a write (one entry) or transaction;
+    /// empty for reads and reconfigurations.
+    writes: Vec<(ObjectId, Bytes)>,
     /// Requested change for reconfigurations.
     change: Option<(VoteAssignment, QuorumSpec)>,
-    /// The evolved config, decided when the prepare is built.
-    new_config: Option<SuiteConfig>,
-    /// The per-suite values of a multi-suite transaction.
-    multi_payloads: Vec<(ObjectId, Bytes)>,
-    /// The per-site versions seen during a reconfiguration's inquiry, so
-    /// the prepare can bring stale new-quorum members current.
-    reconfig_versions: BTreeMap<SiteId, Version>,
-    /// The data version a reconfiguration re-publishes the contents at
-    /// (current + 1). The bump makes the reconfiguration conflict with —
-    /// and therefore serialise against — any concurrent data write.
-    reconfig_bump: Option<Version>,
+    /// The sites that answered a reconfiguration's inquiry: the pool its
+    /// old- and new-configuration write quorums are drawn from.
+    reconfig_responders: Vec<SiteId>,
+    /// What the prepare in flight reports, and the configuration it
+    /// installs (reconfigurations only), once every participant acks the
+    /// commit. Set by [`ClientNode::send_prepares`].
+    on_commit: Option<(OpSuccess, Option<SuiteConfig>)>,
     started: SimTime,
     /// When the current attempt's inquiry went out; responses arriving
     /// during the inquiry phase are RTT samples relative to this.
@@ -463,10 +457,9 @@ pub const CLIENT_TIMER_TAG: u64 = 1 << 63;
 /// Every cheapest-first decision — the optimistic-fetch target, the fetch
 /// candidate order, the write quorum — is a filter or prefix of this one
 /// sorted order, so caching it removes the per-decision cost sort from the
-/// hot path. Keyed implicitly on the policy (only [`QuorumPolicy::
-/// CheapestFirst`] consults it; the random ablation draws fresh costs per
-/// decision and must bypass) and invalidated whenever the client adopts a
-/// new configuration.
+/// hot path. Keyed implicitly on the policy (the random ablation draws
+/// fresh costs per decision and bypasses it) and invalidated whenever the
+/// client adopts a new configuration.
 #[derive(Clone, Debug)]
 struct QuorumPlan {
     generation: u64,
@@ -544,28 +537,18 @@ pub struct ClientNode {
     /// Windowed per-site telemetry; `None` (the default) disables it,
     /// same contract as `tracer` and `audit`.
     telemetry: Option<TelemetryHub>,
-    /// Scratch for auditing: the rotation cursor the last
-    /// [`Self::decision_order`] call decided under (0 outside the
-    /// load-balanced policy).
-    last_cursor: u64,
-    /// Scratch for auditing: whether the last [`Self::reorder_by_health`]
-    /// call actually changed the order.
-    last_reroute: bool,
 }
 
-fn arm_timer(
-    timers: &mut IdHashMap<u64, TimerEntry>,
-    next_timer: &mut u64,
-    req: ReqId,
-    seq: u64,
-    kind: TimerKind,
-    delay: SimDuration,
-    ctx: &mut NodeCtx<'_, Msg>,
-) {
-    let token = CLIENT_TIMER_TAG | *next_timer;
-    *next_timer += 1;
-    timers.insert(token, TimerEntry { req, seq, kind });
-    ctx.set_timer(delay, token);
+/// One decision's site ranking: every site of the suite's assignment (weak
+/// included), best first. Each choice the client makes — optimistic-fetch
+/// target, fetch candidates, write quorum — is a filter or prefix of
+/// `order`; the other two fields say how it came about, for the audit log.
+struct Ranked {
+    order: Arc<[SiteId]>,
+    /// The load-balanced rotation cursor decided under (0 otherwise).
+    cursor: u64,
+    /// Whether health demotion changed the cost order.
+    rerouted: bool,
 }
 
 fn site_cost(costs: &[f64], site: SiteId) -> f64 {
@@ -596,39 +579,12 @@ fn rotate_cost_ties(order: &[SiteId], costs: &[f64], rr: u64) -> Arc<[SiteId]> {
     Arc::from(out)
 }
 
-/// Sites reporting `current`, sorted cheapest-first.
-fn current_holders(
-    versions: &BTreeMap<SiteId, Version>,
-    current: Version,
-    costs: &[f64],
-) -> Vec<SiteId> {
-    let mut candidates: Vec<SiteId> = versions
-        .iter()
-        .filter(|(_, v)| **v == current)
-        .map(|(s, _)| *s)
-        .collect();
-    candidates.sort_by(|a, b| {
-        site_cost(costs, *a)
-            .partial_cmp(&site_cost(costs, *b))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(b))
-    });
-    candidates
-}
-
-/// Sites reporting `current`, as an order-preserving filter of the cached
-/// plan — identical to [`current_holders`] because the plan already holds
-/// every site sorted by `(cost, id)`.
-fn holders_in_plan_order(
-    versions: &BTreeMap<SiteId, Version>,
-    current: Version,
-    order: &[SiteId],
-) -> Vec<SiteId> {
-    order
-        .iter()
-        .copied()
-        .filter(|s| versions.get(s) == Some(&current))
-        .collect()
+/// `(cost, site id)` order: the ranking every policy sorts by.
+fn by_cost(costs: &[f64], a: SiteId, b: SiteId) -> std::cmp::Ordering {
+    site_cost(costs, a)
+        .partial_cmp(&site_cost(costs, b))
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.cmp(&b))
 }
 
 impl ClientNode {
@@ -673,8 +629,6 @@ impl ClientNode {
             tracer: None,
             audit: None,
             telemetry: None,
-            last_cursor: 0,
-            last_reroute: false,
         }
     }
 
@@ -866,34 +820,23 @@ impl ClientNode {
     /// Closes the current phase span; still-open RPCs and legs end with
     /// `loose` (they never answered, or their answer no longer matters).
     fn trace_close_phase(&mut self, req: ReqId, now: SimTime, outcome: SpanOutcome) {
-        let loose = match outcome {
-            SpanOutcome::Ok => SpanOutcome::Lost,
-            SpanOutcome::Timeout => SpanOutcome::Timeout,
-            _ => SpanOutcome::Unanswered,
-        };
         let Some(tr) = self.tracer.as_mut() else {
             return;
         };
-        let Some(t) = self.ops.get_mut(&req).and_then(|st| st.trace.as_mut()) else {
-            return;
-        };
-        for (_, id) in t.rpcs.drain(..) {
-            tr.end(id, now, loose);
-        }
-        for (_, id) in t.legs.drain(..) {
-            tr.end(id, now, loose);
-        }
-        if let Some(p) = t.phase.take() {
-            tr.end(p, now, outcome);
+        if let Some(st) = self.ops.get_mut(&req) {
+            Self::close_phase_spans(tr, st, now, outcome);
         }
     }
 
-    /// Closes the phase span of an attempt whose `OpState` is already out
-    /// of the map (a retry in flight); the root stays open.
+    /// [`Self::trace_close_phase`] for an attempt whose `OpState` is
+    /// already out of the map (a retry in flight); the root stays open.
     fn trace_close_attempt(&mut self, st: &mut OpState, now: SimTime, outcome: SpanOutcome) {
-        let Some(tr) = self.tracer.as_mut() else {
-            return;
-        };
+        if let Some(tr) = self.tracer.as_mut() {
+            Self::close_phase_spans(tr, st, now, outcome);
+        }
+    }
+
+    fn close_phase_spans(tr: &mut Tracer, st: &mut OpState, now: SimTime, outcome: SpanOutcome) {
         let Some(t) = st.trace.as_mut() else {
             return;
         };
@@ -902,10 +845,7 @@ impl ClientNode {
             SpanOutcome::Timeout => SpanOutcome::Timeout,
             _ => SpanOutcome::Unanswered,
         };
-        for (_, id) in t.rpcs.drain(..) {
-            tr.end(id, now, loose);
-        }
-        for (_, id) in t.legs.drain(..) {
+        for (_, id) in t.rpcs.drain(..).chain(t.legs.drain(..)) {
             tr.end(id, now, loose);
         }
         if let Some(p) = t.phase.take() {
@@ -1156,34 +1096,25 @@ impl ClientNode {
     }
 
     /// The memoized cost-sorted site order for `suite`'s current
-    /// configuration, or `None` when the policy draws fresh costs per
-    /// decision (random ablation) and the cache must be bypassed.
+    /// configuration.
     ///
     /// A plan built for an older generation is rebuilt (and counted as a
     /// miss), so a stale entry can never leak into a decision even if an
     /// invalidation point were missed.
-    fn cached_site_order(&mut self, suite: ObjectId) -> Option<Arc<[SiteId]>> {
-        if self.options.quorum_policy == QuorumPolicy::Random {
-            return None;
-        }
-        let cfg = self.configs.get(&suite)?;
+    fn cached_site_order(&mut self, suite: ObjectId) -> Arc<[SiteId]> {
+        let cfg = &self.configs[&suite];
         let generation = cfg.generation;
         if let Some(plan) = self.plans.get(&suite) {
             if plan.generation == generation {
                 self.stats.plan_cache_hits += 1;
                 // A refcount bump, not a `Vec` clone: the order is shared
                 // with the cache for the decision's lifetime.
-                return Some(Arc::clone(&plan.site_order));
+                return Arc::clone(&plan.site_order);
             }
         }
         self.stats.plan_cache_misses += 1;
         let mut site_order = cfg.assignment.all_sites();
-        site_order.sort_by(|a, b| {
-            site_cost(&self.costs, *a)
-                .partial_cmp(&site_cost(&self.costs, *b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
-        });
+        site_order.sort_by(|a, b| by_cost(&self.costs, *a, *b));
         let site_order: Arc<[SiteId]> = Arc::from(site_order);
         self.plans.insert(
             suite,
@@ -1193,28 +1124,37 @@ impl ClientNode {
                 rr: wv_sim::derive_seed(LB_SALT ^ u64::from(self.site.0), generation),
             },
         );
-        Some(site_order)
+        site_order
     }
 
-    /// The site order one decision should use: the cached plan as-is for
-    /// cheapest-first, the plan with its cost-ties rotated for the
-    /// load-balanced policy (each decision advances the rotation), `None`
-    /// for the random ablation.
-    fn decision_order(&mut self, suite: ObjectId) -> Option<Arc<[SiteId]>> {
-        self.last_cursor = 0;
-        self.last_reroute = false;
-        let order = self.cached_site_order(suite)?;
-        if self.options.quorum_policy != QuorumPolicy::LoadBalanced {
-            return Some(order);
-        }
-        let rr = {
-            let plan = self.plans.get_mut(&suite).expect("plan just built");
-            let rr = plan.rr;
-            plan.rr = plan.rr.wrapping_add(1);
-            rr
+    /// Ranks `suite`'s sites for one decision — the single seam every site
+    /// choice goes through. The cached plan as-is for cheapest-first, the
+    /// plan with its cost-ties rotated for load-balanced (each decision
+    /// advances the rotation), a sort by this decision's fresh cost draw
+    /// for the random ablation; then suspected sites are demoted.
+    fn rank(&mut self, suite: ObjectId, ctx: &mut NodeCtx<'_, Msg>) -> Ranked {
+        let (order, cursor) = match self.options.quorum_policy {
+            QuorumPolicy::CheapestFirst => (self.cached_site_order(suite), 0),
+            QuorumPolicy::LoadBalanced => {
+                let order = self.cached_site_order(suite);
+                let plan = self.plans.get_mut(&suite).expect("plan just built");
+                let rr = plan.rr;
+                plan.rr = rr.wrapping_add(1);
+                (rotate_cost_ties(&order, &self.costs, rr), rr)
+            }
+            QuorumPolicy::Random => {
+                let costs = self.effective_costs(ctx);
+                let mut order = self.configs[&suite].assignment.all_sites();
+                order.sort_by(|a, b| by_cost(&costs, *a, *b));
+                (Arc::from(order), 0)
+            }
         };
-        self.last_cursor = rr;
-        Some(rotate_cost_ties(&order, &self.costs, rr))
+        let (order, rerouted) = self.reorder_by_health(order);
+        Ranked {
+            order,
+            cursor,
+            rerouted,
+        }
     }
 
     /// Folds one RTT sample into a site's EWMA (no-op with health off).
@@ -1278,25 +1218,25 @@ impl ClientNode {
     /// sites are demoted behind every unsuspected one, stably, so the
     /// cost ranking survives within each group. When every site is
     /// suspected the order is left alone — routing around everyone is
-    /// routing nowhere. Counts a reroute whenever the demotion changed
-    /// the order a decision actually used.
-    fn reorder_by_health(&mut self, order: Arc<[SiteId]>) -> Arc<[SiteId]> {
+    /// routing nowhere. Returns the order and whether the demotion changed
+    /// it, counting a reroute when it did.
+    fn reorder_by_health(&mut self, order: Arc<[SiteId]>) -> (Arc<[SiteId]>, bool) {
         if self.options.health.is_none() {
             // Shared order passes through untouched — no per-op clone.
-            return order;
+            return (order, false);
         }
         let suspected =
             |s: SiteId| -> bool { self.health.get(s.index()).is_some_and(|h| h.suspected) };
         let mut reordered: Vec<SiteId> = order.iter().copied().filter(|&s| !suspected(s)).collect();
         if reordered.is_empty() || reordered.len() == order.len() {
-            return order;
+            return (order, false);
         }
         reordered.extend(order.iter().copied().filter(|&s| suspected(s)));
-        if reordered[..] != order[..] {
+        let rerouted = reordered[..] != order[..];
+        if rerouted {
             self.stats.reroutes += 1;
-            self.last_reroute = true;
         }
-        Arc::from(reordered)
+        (Arc::from(reordered), rerouted)
     }
 
     /// Stable lowercase name of the active quorum policy, for the audit
@@ -1312,18 +1252,15 @@ impl ClientNode {
     /// Appends one decision to the audit log (no-op with auditing off).
     /// Reads only planner state that is already computed — never the RNG,
     /// never the effect queue — so auditing cannot perturb the protocol.
-    /// `considered` is the candidate order the decision ranked; per-site
-    /// inputs are captured for exactly those sites, in that order.
-    #[allow(clippy::too_many_arguments)]
+    /// Per-site inputs are captured for exactly the sites the decision
+    /// ranked, in that order.
     fn audit_decision(
         &mut self,
         kind: DecisionKind,
         req: ReqId,
         suite: ObjectId,
         chosen: &[SiteId],
-        considered: &[SiteId],
-        cursor: u64,
-        rerouted: bool,
+        ranked: &Ranked,
         now: SimTime,
     ) {
         if self.audit.is_none() {
@@ -1331,7 +1268,8 @@ impl ClientNode {
         }
         let health_on = self.options.health.is_some();
         let to_fixed = |v: f64, scale: f64| (v.clamp(0.0, 1e15) * scale).round() as u64;
-        let inputs: Vec<SiteInput> = considered
+        let inputs: Vec<SiteInput> = ranked
+            .order
             .iter()
             .map(|&s| {
                 let h = self.health.get(s.index()).filter(|_| health_on);
@@ -1354,23 +1292,45 @@ impl ClientNode {
             suite.0,
             policy,
             generation,
-            cursor,
-            rerouted,
+            ranked.cursor,
+            ranked.rerouted,
             chosen.iter().map(|s| s.0).collect(),
             inputs,
             now,
         );
     }
 
+    /// Audits a follow-up choice (hedge, failover) that takes the next site
+    /// of an order an earlier decision already recorded: `site` alone is
+    /// both what was considered and what was chosen.
+    fn audit_next_site(
+        &mut self,
+        kind: DecisionKind,
+        req: ReqId,
+        suite: ObjectId,
+        site: SiteId,
+        now: SimTime,
+    ) {
+        if self.audit.is_none() {
+            return;
+        }
+        let only = Ranked {
+            order: Arc::from([site]),
+            cursor: 0,
+            rerouted: false,
+        };
+        self.audit_decision(kind, req, suite, &only.order, &only, now);
+    }
+
     /// The timeout for a phase contacting `sites`: with health tracking
     /// on, a multiple of the slowest contacted site's EWMA RTT clamped to
     /// `[min_timeout, phase_timeout]`; otherwise the fixed phase timeout.
-    fn phase_delay(&self, sites: &[SiteId]) -> SimDuration {
+    fn phase_delay(&self, sites: impl IntoIterator<Item = SiteId>) -> SimDuration {
         let Some(h) = self.options.health.as_ref() else {
             return self.options.phase_timeout;
         };
         let max_rtt = sites
-            .iter()
+            .into_iter()
             .filter_map(|s| self.health.get(s.index()))
             .map(|sh| sh.rtt_ms)
             .fold(0.0_f64, f64::max);
@@ -1446,6 +1406,20 @@ impl ClientNode {
         std::mem::take(&mut self.completed)
     }
 
+    fn arm_timer(
+        &mut self,
+        req: ReqId,
+        seq: u64,
+        kind: TimerKind,
+        delay: SimDuration,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        let token = CLIENT_TIMER_TAG | self.next_timer;
+        self.next_timer += 1;
+        self.timers.insert(token, TimerEntry { req, seq, kind });
+        ctx.set_timer(delay, token);
+    }
+
     fn fresh_req(&mut self) -> ReqId {
         let c = self.next_counter;
         self.next_counter += 1;
@@ -1494,17 +1468,18 @@ impl ClientNode {
 
     /// Starts a quorum read. Returns the operation's first request id.
     pub fn start_read(&mut self, suite: ObjectId, ctx: &mut NodeCtx<'_, Msg>) -> ReqId {
-        self.start_op(OpKind::Read, suite, None, None, ctx)
+        self.start_op(OpKind::Read, suite, Vec::new(), None, ctx)
     }
 
-    /// Starts a quorum write of `value`.
+    /// Starts a quorum write of `value`: the one-install transaction.
     pub fn start_write(
         &mut self,
         suite: ObjectId,
         value: impl Into<Bytes>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) -> ReqId {
-        self.start_op(OpKind::Write, suite, Some(value.into()), None, ctx)
+        let writes = vec![(suite, value.into())];
+        self.start_op(OpKind::Write, suite, writes, None, ctx)
     }
 
     /// Starts a multi-suite atomic transaction: every `(suite, value)`
@@ -1523,41 +1498,7 @@ impl ClientNode {
                 "duplicate suite {suite} in transaction"
             );
         }
-        let req = self.fresh_req();
-        let started = ctx.now();
-        let primary = writes[0].0;
-        if writes.iter().any(|(s, _)| !self.configs.contains_key(s)) {
-            self.completed.push(CompletedOp {
-                req,
-                kind: OpKind::Transaction,
-                suite: primary,
-                outcome: Err(OpError::UnknownSuite),
-                started,
-                finished: started,
-                attempts: 0,
-            });
-            return req;
-        }
-        let st = OpState {
-            kind: OpKind::Transaction,
-            suite: primary,
-            payload: None,
-            change: None,
-            new_config: None,
-            multi_payloads: writes,
-            reconfig_versions: BTreeMap::new(),
-            reconfig_bump: None,
-            started,
-            attempt_started: started,
-            attempts: 0,
-            lock_ts: req.counter(),
-            seq: 0,
-            phase: Phase::RefreshConfig, // placeholder; begin_attempt resets
-            trace: None,
-        };
-        self.ops.insert(req, st);
-        self.submit(req, ctx);
-        req
+        self.start_op(OpKind::Transaction, writes[0].0, writes, None, ctx)
     }
 
     /// Starts a reconfiguration to `(assignment, quorum)`.
@@ -1568,26 +1509,22 @@ impl ClientNode {
         quorum: QuorumSpec,
         ctx: &mut NodeCtx<'_, Msg>,
     ) -> ReqId {
-        self.start_op(
-            OpKind::Reconfigure,
-            suite,
-            None,
-            Some((assignment, quorum)),
-            ctx,
-        )
+        let change = Some((assignment, quorum));
+        self.start_op(OpKind::Reconfigure, suite, Vec::new(), change, ctx)
     }
 
     fn start_op(
         &mut self,
         kind: OpKind,
         suite: ObjectId,
-        payload: Option<Bytes>,
+        writes: Vec<(ObjectId, Bytes)>,
         change: Option<(VoteAssignment, QuorumSpec)>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) -> ReqId {
         let req = self.fresh_req();
         let started = ctx.now();
-        if !self.configs.contains_key(&suite) {
+        let known = |s: &ObjectId| self.configs.contains_key(s);
+        if !known(&suite) || !writes.iter().all(|(s, _)| known(s)) {
             self.completed.push(CompletedOp {
                 req,
                 kind,
@@ -1602,12 +1539,10 @@ impl ClientNode {
         let st = OpState {
             kind,
             suite,
-            payload,
+            writes,
             change,
-            new_config: None,
-            multi_payloads: Vec::new(),
-            reconfig_versions: BTreeMap::new(),
-            reconfig_bump: None,
+            reconfig_responders: Vec::new(),
+            on_commit: None,
             started,
             attempt_started: started,
             attempts: 0,
@@ -1666,8 +1601,8 @@ impl ClientNode {
                     ls.suite == suite && matches!(ls.phase, Phase::Inquire { .. })
                 });
             if live {
-                let sites = self.configs[&suite].assignment.all_sites();
-                let delay = self.phase_delay(&sites);
+                let sites = self.configs[&suite].assignment.entries();
+                let delay = self.phase_delay(sites.iter().map(|(s, _)| *s));
                 let Some(st) = self.ops.get_mut(&req) else {
                     return true;
                 };
@@ -1682,42 +1617,40 @@ impl ClientNode {
                     .expect("entry just read")
                     .1
                     .push(req);
-                arm_timer(
-                    &mut self.timers,
-                    &mut self.next_timer,
-                    req,
-                    seq,
-                    TimerKind::PhaseTimeout,
-                    delay,
-                    ctx,
-                );
+                self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
                 return true;
             }
         }
         false
     }
 
+    /// The `(suite, site)` pairs one attempt of `st` inquires of, in send
+    /// order: every representative of every written suite — or, for reads
+    /// and reconfigurations (which carry no writes), of the op's suite.
+    fn inquiry_targets<'a>(
+        &'a self,
+        st: &'a OpState,
+    ) -> impl Iterator<Item = (ObjectId, SiteId)> + 'a {
+        let own = st.writes.is_empty().then_some(st.suite);
+        let suites = st.writes.iter().map(|(s, _)| *s).chain(own);
+        suites.flat_map(|suite| {
+            let entries = self.configs[&suite].assignment.entries();
+            entries.iter().map(move |(site, _)| (suite, *site))
+        })
+    }
+
     fn begin_attempt(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
-        if self
-            .ops
-            .get(&req)
-            .is_some_and(|st| st.kind == OpKind::Transaction)
-        {
-            self.begin_multi_attempt(req, ctx);
-            return;
-        }
         // Cache tier: a live lease serves locally, and a read arriving
         // while another read's inquiry is in flight coalesces onto it.
         // Entirely skipped with `weak_rep` off.
         if self.options.weak_rep.is_some() && self.try_cache_read(req, ctx) {
             return;
         }
-        let (suite, is_read) = {
-            let Some(st) = self.ops.get(&req) else {
-                return;
-            };
-            (st.suite, st.kind == OpKind::Read)
+        let Some(st) = self.ops.get(&req) else {
+            return;
         };
+        let (suite, is_read, installs) = (st.suite, st.kind == OpKind::Read, st.writes.len());
+        let delay = self.phase_delay(self.inquiry_targets(st).map(|(_, site)| site));
         // With a warm cache entry the local copy plays the optimistic
         // fetch's part — pre-seeded into `early` below, so the inquiry
         // quorum can confirm it without any speculative ReadReq.
@@ -1728,77 +1661,36 @@ impl ClientNode {
         } else {
             None
         };
-        let wants_guess = is_read && self.options.optimistic_fetch && cached_early.is_none();
-        // Optimistic fetch: race a content read to the cheapest host
+        // Optimistic fetch: race a content read to the best-ranked host
         // against the inquiry; a current answer completes the read at
-        // max(inquiry, fetch) instead of inquiry + fetch. The cheapest host
-        // is the first entry of the cached plan.
-        let guess = if wants_guess {
-            match self.decision_order(suite) {
-                Some(order) => {
-                    let ranked = self.reorder_by_health(order);
-                    let g = ranked.first().copied();
-                    if self.audit.is_some() {
-                        let chosen: Vec<SiteId> = g.into_iter().collect();
-                        let (cursor, rerouted) = (self.last_cursor, self.last_reroute);
-                        self.audit_decision(
-                            DecisionKind::OptimisticFetch,
-                            req,
-                            suite,
-                            &chosen,
-                            &ranked,
-                            cursor,
-                            rerouted,
-                            ctx.now(),
-                        );
-                    }
-                    g
-                }
-                None => {
-                    let eff_costs = self.effective_costs(ctx);
-                    let g = self.configs[&suite]
-                        .assignment
-                        .all_sites()
-                        .into_iter()
-                        .min_by(|a, b| {
-                            site_cost(&eff_costs, *a)
-                                .partial_cmp(&site_cost(&eff_costs, *b))
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(a.cmp(b))
-                        });
-                    if self.audit.is_some() {
-                        let chosen: Vec<SiteId> = g.into_iter().collect();
-                        let all = self.configs[&suite].assignment.all_sites();
-                        self.audit_decision(
-                            DecisionKind::OptimisticFetch,
-                            req,
-                            suite,
-                            &chosen,
-                            &all,
-                            0,
-                            false,
-                            ctx.now(),
-                        );
-                    }
-                    g
-                }
+        // max(inquiry, fetch) instead of inquiry + fetch.
+        let guess = if is_read && self.options.optimistic_fetch && cached_early.is_none() {
+            let ranked = self.rank(suite, ctx);
+            let guess = ranked.order.first().copied();
+            if self.audit.is_some() {
+                let kind = DecisionKind::OptimisticFetch;
+                self.audit_decision(kind, req, suite, guess.as_slice(), &ranked, ctx.now());
             }
+            guess
         } else {
             None
         };
-        let sites = self.configs[&suite].assignment.all_sites();
-        let delay = self.phase_delay(&sites);
         let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
         st.attempts += 1;
         st.seq += 1;
         st.attempt_started = ctx.now();
-        st.phase = Phase::Inquire {
-            versions: BTreeMap::new(),
-            max_gen: 0,
-            guess,
-            early: cached_early,
+        st.phase = if installs == 0 {
+            Phase::Inquire {
+                versions: BTreeMap::new(),
+                guess,
+                early: cached_early,
+            }
+        } else {
+            Phase::WriteInquire {
+                per_suite: vec![BTreeMap::new(); installs],
+            }
         };
         let seq = st.seq;
         if is_read && self.options.weak_rep.is_some() {
@@ -1810,228 +1702,137 @@ impl ClientNode {
         }
         if self.tracer.is_some() {
             self.trace_begin_phase(req, SpanKind::Inquiry, ctx.now());
-            for site in &sites {
-                self.trace_add_rpc(req, *site, ctx.now());
+            let sites: Vec<SiteId> = self
+                .inquiry_targets(&self.ops[&req])
+                .map(|(_, site)| site)
+                .collect();
+            for site in sites {
+                self.trace_add_rpc(req, site, ctx.now());
             }
             if let Some(target) = guess {
                 self.trace_add_leg(req, target, SpanKind::Rpc, ctx.now());
             }
         }
-        for site in sites {
+        for (suite, site) in self.inquiry_targets(&self.ops[&req]) {
             ctx.send(site, Msg::VersionReq { suite, req });
         }
         if let Some(target) = guess {
             self.note_load_at(target, suite, ctx.now());
             ctx.send(target, Msg::ReadReq { suite, req });
         }
-        arm_timer(
-            &mut self.timers,
-            &mut self.next_timer,
-            req,
-            seq,
-            TimerKind::PhaseTimeout,
-            delay,
-            ctx,
-        );
+        self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
     }
 
-    fn begin_multi_attempt(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
-        let Some(st) = self.ops.get_mut(&req) else {
+    /// Plans a write's or transaction's prepare once every written suite
+    /// has its inquiry quorum: per suite, the new version is the highest
+    /// answer plus one and the install set is the best-ranked write quorum
+    /// among the responders.
+    fn enter_prepare(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+        let Some(st) = self.ops.get(&req) else {
             return;
         };
-        st.attempts += 1;
-        st.seq += 1;
-        let suites: Vec<ObjectId> = st.multi_payloads.iter().map(|(s, _)| *s).collect();
-        st.phase = Phase::MultiInquire {
-            per_suite: suites.iter().map(|s| (*s, BTreeMap::new())).collect(),
+        let (kind, installs) = (st.kind, st.writes.len());
+        let mut batches: Vec<(SiteId, Vec<PrepareWrite>)> = Vec::new();
+        // A plain write reports its version alone; a transaction also
+        // reports every suite's (its first suite's as `version`).
+        let mut on_commit = OpSuccess {
+            version: Version::INITIAL,
+            value: None,
+            multi: Vec::new(),
         };
-        let seq = st.seq;
-        if self.tracer.is_some() {
-            self.trace_begin_phase(req, SpanKind::Inquiry, ctx.now());
-            for suite in &suites {
-                for site in self.configs[suite].assignment.all_sites() {
-                    self.trace_add_rpc(req, site, ctx.now());
+        for i in 0..installs {
+            let suite = self.ops[&req].writes[i].0;
+            let ranked = self.rank(suite, ctx);
+            let st = &self.ops[&req];
+            let Phase::WriteInquire { per_suite } = &st.phase else {
+                return;
+            };
+            let answers = &per_suite[i];
+            let cfg = &self.configs[&suite];
+            // Restricting the ranked order to the responders preserves it,
+            // so the greedy prefix (which skips zero-vote sites) is the
+            // best write quorum among them.
+            let responders: Vec<SiteId> = ranked
+                .order
+                .iter()
+                .copied()
+                .filter(|s| answers.contains_key(s))
+                .collect();
+            let Some(quorum) =
+                cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &responders)
+            else {
+                // Cannot happen once the vote threshold passed; be defensive.
+                return;
+            };
+            let current = answers.values().copied().max().unwrap_or(Version::INITIAL);
+            let install = PrepareWrite {
+                suite,
+                object: data_object(suite),
+                version: current.next(),
+                value: st.writes[i].1.clone(),
+                generation: cfg.generation,
+            };
+            if i == 0 {
+                on_commit.version = install.version;
+            }
+            if kind == OpKind::Transaction {
+                on_commit.multi.push((suite, install.version));
+            }
+            for site in &quorum {
+                match batches.iter_mut().find(|(s, _)| s == site) {
+                    Some((_, batch)) => batch.push(install.clone()),
+                    None => batches.push((*site, vec![install.clone()])),
                 }
             }
-        }
-        for suite in suites {
-            for site in self.configs[&suite].assignment.all_sites() {
-                ctx.send(site, Msg::VersionReq { suite, req });
+            if self.audit.is_some() {
+                let decision = match kind {
+                    OpKind::Transaction => DecisionKind::TxnQuorum,
+                    _ => DecisionKind::WriteQuorum,
+                };
+                self.audit_decision(decision, req, suite, &quorum, &ranked, ctx.now());
             }
         }
-        arm_timer(
-            &mut self.timers,
-            &mut self.next_timer,
-            req,
-            seq,
-            TimerKind::PhaseTimeout,
-            self.options.phase_timeout,
-            ctx,
-        );
+        // Send order is behaviour (the net samples one latency per send):
+        // a single quorum goes out best-ranked first, a union of several in
+        // site order.
+        if installs > 1 {
+            batches.sort_by_key(|(site, _)| *site);
+        }
+        let timeout = self.phase_delay(batches.iter().map(|(site, _)| *site));
+        self.send_prepares(req, batches, (on_commit, None), timeout, ctx);
     }
 
-    /// Records a version answer for a transaction and, once every suite
-    /// has its quorum, fans the prepares out to the participant union.
-    fn on_multi_version_resp(
+    /// The one two-phase-commit launch: sends each site its prepare batch
+    /// (in the order given — the planners decide it), enters
+    /// [`Phase::Prepare`] and arms `timeout`. `on_commit` is what the op
+    /// reports, and the configuration it adopts, once every participant
+    /// has acknowledged the commit.
+    fn send_prepares(
         &mut self,
-        from: SiteId,
-        suite: ObjectId,
         req: ReqId,
-        version: Version,
-        generation: u64,
+        batches: Vec<(SiteId, Vec<PrepareWrite>)>,
+        on_commit: (OpSuccess, Option<SuiteConfig>),
+        timeout: SimDuration,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
-        self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, version.0);
-        let my_gen = self.configs.get(&suite).map_or(0, |c| c.generation);
-        if generation > my_gen {
-            self.enter_refresh(req, from, ctx);
-            return;
-        }
-        let ready = {
-            let Some(st) = self.ops.get_mut(&req) else {
-                return;
-            };
-            let Phase::MultiInquire { per_suite } = &mut st.phase else {
-                return;
-            };
-            let Some(answers) = per_suite.get_mut(&suite) else {
-                return; // a suite this transaction does not touch
-            };
-            answers.insert(from, version);
-            per_suite.iter().all(|(s, answers)| {
-                let cfg = &self.configs[s];
-                let responders: Vec<SiteId> = answers.keys().copied().collect();
-                cfg.assignment.votes_in(&responders) >= cfg.quorum.read.max(cfg.quorum.write)
-            })
-        };
-        if ready {
-            self.enter_multi_prepare(req, ctx);
-        }
-    }
-
-    fn enter_multi_prepare(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
-        use std::collections::BTreeMap as Map;
-        // Pull the per-suite cached orders up front (they need `&mut self`,
-        // which the planning block below borrows immutably).
-        let touched: Vec<ObjectId> = {
-            let Some(st) = self.ops.get(&req) else {
-                return;
-            };
-            st.multi_payloads.iter().map(|(s, _)| *s).collect()
-        };
-        let mut orders: Map<ObjectId, Arc<[SiteId]>> = Map::new();
-        let mut cursors: Map<ObjectId, u64> = Map::new();
-        for suite in &touched {
-            if let Some(order) = self.decision_order(*suite) {
-                orders.insert(*suite, order);
-                cursors.insert(*suite, self.last_cursor);
-            }
-        }
-        // Random ablation: one fresh cost draw covers the whole transaction,
-        // exactly as before the plan cache existed.
-        let costs = if orders.len() == touched.len() {
-            Vec::new()
-        } else {
-            self.effective_costs(ctx)
-        };
-        // Plan per-suite: new version and cheapest write quorum.
-        let plan = {
-            let Some(st) = self.ops.get(&req) else {
-                return;
-            };
-            let Phase::MultiInquire { per_suite } = &st.phase else {
-                return;
-            };
-            let mut plan: Vec<(ObjectId, Version, Vec<SiteId>, Bytes, u64)> = Vec::new();
-            for (suite, payload) in &st.multi_payloads {
-                let answers = &per_suite[suite];
-                let cfg = &self.configs[suite];
-                let current = answers.values().copied().max().unwrap_or(Version::INITIAL);
-                let strong: Vec<SiteId> = answers
-                    .keys()
-                    .copied()
-                    .filter(|s| cfg.assignment.votes_of(*s) > 0)
-                    .collect();
-                let quorum = match orders.get(suite) {
-                    Some(order) => {
-                        let in_order: Vec<SiteId> = order
-                            .iter()
-                            .copied()
-                            .filter(|s| strong.contains(s))
-                            .collect();
-                        cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &in_order)
-                    }
-                    None => cheapest_quorum(&cfg.assignment, cfg.quorum.write, &strong, |s| {
-                        site_cost(&costs, s)
-                    }),
-                };
-                let Some(quorum) = quorum else {
-                    return; // wait for more responders (threshold race)
-                };
-                plan.push((
-                    *suite,
-                    current.next(),
-                    quorum,
-                    payload.clone(),
-                    cfg.generation,
-                ));
-            }
-            plan
-        };
-        if self.audit.is_some() {
-            for (suite, _version, quorum, _payload, _generation) in &plan {
-                let considered: Vec<SiteId> = orders
-                    .get(suite)
-                    .map_or_else(|| quorum.clone(), |o| o.to_vec());
-                let cursor = cursors.get(suite).copied().unwrap_or(0);
-                self.audit_decision(
-                    DecisionKind::TxnQuorum,
-                    req,
-                    *suite,
-                    quorum,
-                    &considered,
-                    cursor,
-                    false,
-                    ctx.now(),
-                );
-            }
-        }
-        // Group the prepare entries per participant site.
-        let mut per_site: Map<SiteId, Vec<PrepareWrite>> = Map::new();
-        for (suite, version, quorum, value, generation) in &plan {
-            for site in quorum {
-                per_site.entry(*site).or_default().push(PrepareWrite {
-                    suite: *suite,
-                    object: data_object(*suite),
-                    version: *version,
-                    value: value.clone(),
-                    generation: *generation,
-                });
-            }
-        }
-        let participants: Vec<SiteId> = per_site.keys().copied().collect();
-        let versions: Vec<(ObjectId, Version)> = plan.iter().map(|(s, v, ..)| (*s, *v)).collect();
         let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
+        st.on_commit = Some(on_commit);
         st.seq += 1;
-        let seq = st.seq;
-        let lock_ts = st.lock_ts;
-        let home_suite = st.suite;
-        st.phase = Phase::MultiPrepare {
-            versions,
-            participants: participants.clone(),
+        let (seq, lock_ts, suite) = (st.seq, st.lock_ts, st.suite);
+        st.phase = Phase::Prepare {
+            participants: batches.iter().map(|(site, _)| *site).collect(),
             yes: BTreeSet::new(),
         };
         if self.tracer.is_some() {
-            self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
             self.trace_begin_phase(req, SpanKind::Prepare, ctx.now());
-            for site in &participants {
+            for (site, _) in &batches {
                 self.trace_add_rpc(req, *site, ctx.now());
             }
         }
-        for (site, writes) in per_site {
-            self.note_load_at(site, home_suite, ctx.now());
+        for (site, writes) in batches {
+            self.note_load_at(site, suite, ctx.now());
             ctx.send(
                 site,
                 Msg::Prepare {
@@ -2041,15 +1842,16 @@ impl ClientNode {
                 },
             );
         }
-        arm_timer(
-            &mut self.timers,
-            &mut self.next_timer,
-            req,
-            seq,
-            TimerKind::PhaseTimeout,
-            self.options.phase_timeout,
-            ctx,
-        );
+        self.arm_timer(req, seq, TimerKind::PhaseTimeout, timeout, ctx);
+    }
+
+    /// Whether `req` has used up its attempt budget (counted when so): the
+    /// caller completes it with its error instead of trying again.
+    fn attempts_exhausted(&mut self, req: ReqId) -> bool {
+        let max = self.options.max_attempts;
+        let exhausted = self.ops.get(&req).is_some_and(|st| st.attempts >= max);
+        self.stats.attempts_exhausted += u64::from(exhausted);
+        exhausted
     }
 
     /// Ends the current attempt with `err`, retrying if budget remains.
@@ -2057,26 +1859,14 @@ impl ClientNode {
         // A failing coalesced-inquiry leader must not strand its
         // followers; restart them on fresh attempts of their own.
         self.leader_abandoned(req, ctx);
+        if self.attempts_exhausted(req) {
+            self.complete(req, Err(err), ctx);
+            return;
+        }
         let Some(mut st) = self.ops.remove(&req) else {
             return;
         };
-        let span_outcome = op_err_outcome(&err);
-        if st.attempts >= self.options.max_attempts {
-            self.trace_finish_op(&mut st, ctx.now(), span_outcome);
-            self.stats.attempts_exhausted += 1;
-            self.completed.push(CompletedOp {
-                req,
-                kind: st.kind,
-                suite: st.suite,
-                outcome: Err(err),
-                started: st.started,
-                finished: ctx.now(),
-                attempts: st.attempts,
-            });
-            self.op_finished(ctx);
-            return;
-        }
-        self.trace_close_attempt(&mut st, ctx.now(), span_outcome);
+        self.trace_close_attempt(&mut st, ctx.now(), op_err_outcome(&err));
         // Fresh request id for the next attempt; late traffic for the old
         // id will find no operation and be ignored.
         self.stats.retries += 1;
@@ -2086,15 +1876,7 @@ impl ClientNode {
         let attempts = st.attempts;
         self.ops.insert(new_req, st);
         let delay = self.retry_delay(new_req, attempts);
-        arm_timer(
-            &mut self.timers,
-            &mut self.next_timer,
-            new_req,
-            seq,
-            TimerKind::Retry,
-            delay,
-            ctx,
-        );
+        self.arm_timer(new_req, seq, TimerKind::Retry, delay, ctx);
     }
 
     /// Capped exponential backoff with deterministic jitter. `backoff` is
@@ -2119,24 +1901,13 @@ impl ClientNode {
     /// Restart after adopting a fresh configuration (no backoff — the
     /// config is new information, not a suspected conflict).
     fn restart_op(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+        if self.attempts_exhausted(req) {
+            self.complete(req, Err(OpError::Conflict), ctx);
+            return;
+        }
         let Some(mut st) = self.ops.remove(&req) else {
             return;
         };
-        if st.attempts >= self.options.max_attempts {
-            self.trace_finish_op(&mut st, ctx.now(), SpanOutcome::Conflict);
-            self.stats.attempts_exhausted += 1;
-            self.completed.push(CompletedOp {
-                req,
-                kind: st.kind,
-                suite: st.suite,
-                outcome: Err(OpError::Conflict),
-                started: st.started,
-                finished: ctx.now(),
-                attempts: st.attempts,
-            });
-            self.op_finished(ctx);
-            return;
-        }
         self.trace_close_attempt(&mut st, ctx.now(), SpanOutcome::Stale);
         let new_req = self.fresh_req();
         self.ops.insert(new_req, st);
@@ -2176,30 +1947,18 @@ impl ClientNode {
         let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
+        let suite = st.suite;
         // If a prepare was in flight, clean it up before refreshing.
-        match &st.phase {
-            Phase::Prepare { quorum, .. } => {
-                let suite = st.suite;
-                for site in quorum.clone() {
-                    ctx.send(site, Msg::Abort { suite, req });
-                }
+        if let Phase::Prepare { participants, .. } = &st.phase {
+            for site in participants {
+                ctx.send(*site, Msg::Abort { suite, req });
             }
-            Phase::MultiPrepare { participants, .. } => {
-                let suite = st.suite;
-                for site in participants.clone() {
-                    ctx.send(site, Msg::Abort { suite, req });
-                }
-            }
-            _ => {}
         }
         st.seq += 1;
         st.phase = Phase::RefreshConfig;
-        let suite = st.suite;
         let seq = st.seq;
         ctx.send(ask, Msg::ConfigReq { suite, req });
-        arm_timer(
-            &mut self.timers,
-            &mut self.next_timer,
+        self.arm_timer(
             req,
             seq,
             TimerKind::PhaseTimeout,
@@ -2248,16 +2007,15 @@ impl ClientNode {
                 current: Version,
                 candidates: Vec<SiteId>,
             },
-            ToPrepare {
-                current: Version,
-                responders: Vec<SiteId>,
-            },
+            ToPrepare,
         }
-        let my_gen = self.configs.get(&suite).map_or(0, |c| c.generation);
+        let Some(my_gen) = self.configs.get(&suite).map(|c| c.generation) else {
+            return;
+        };
         // A version answer arriving during the inquiry phase measures one
         // round trip; feed it to the health tracker.
         if let Some(st) = self.ops.get(&req) {
-            if matches!(st.phase, Phase::Inquire { .. }) {
+            if matches!(st.phase, Phase::Inquire { .. } | Phase::WriteInquire { .. }) {
                 let rtt = ctx.now().since(st.attempt_started);
                 self.note_rtt(from, rtt.as_millis_f64());
                 if let Some(t) = self.telemetry.as_mut() {
@@ -2267,121 +2025,111 @@ impl ClientNode {
         }
         self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, version.0);
         // Fetch-candidate ranking is only needed on paths that fetch
-        // (reads and reconfigurations); writes rank sites in `enter_prepare`.
-        let wants_holders = self
-            .ops
-            .get(&req)
-            .is_some_and(|st| matches!(st.kind, OpKind::Read | OpKind::Reconfigure));
-        let plan = if wants_holders {
-            self.decision_order(suite)
-                .map(|o| self.reorder_by_health(o))
+        // (reads and reconfigurations); writes rank sites in `enter_prepare`
+        // — so a late answer for one must not probe the plan cache or draw.
+        let fetches = |st: &OpState| matches!(st.kind, OpKind::Read | OpKind::Reconfigure);
+        let ranked = if self.ops.get(&req).is_some_and(fetches) {
+            Some(self.rank(suite, ctx))
         } else {
             None
         };
-        let eff_costs = if wants_holders && plan.is_none() {
-            self.effective_costs(ctx)
-        } else {
-            Vec::new()
-        };
-        let holders = |versions: &BTreeMap<SiteId, Version>, current: Version| match &plan {
-            Some(order) => holders_in_plan_order(versions, current, order),
-            None => current_holders(versions, current, &eff_costs),
+        // Sites reporting `current`, best-ranked first.
+        let holders = |versions: &BTreeMap<SiteId, Version>, current: Version| -> Vec<SiteId> {
+            let order = ranked.iter().flat_map(|r| r.order.iter().copied());
+            order
+                .filter(|s| versions.get(s) == Some(&current))
+                .collect()
         };
         let next = {
             let Some(st) = self.ops.get_mut(&req) else {
                 return;
             };
-            let Phase::Inquire {
-                versions,
-                max_gen,
-                guess,
-                early,
-            } = &mut st.phase
-            else {
-                return;
-            };
-            if generation > my_gen {
-                Next::Refresh
-            } else {
-                versions.insert(from, version);
-                *max_gen = (*max_gen).max(generation);
-                let cfg = &self.configs[&suite];
-                let responders: Vec<SiteId> = versions.keys().copied().collect();
-                let votes = cfg.assignment.votes_in(&responders);
-                if votes < Self::inquiry_threshold(st.kind, cfg) {
-                    Next::Wait
-                } else {
-                    // Quorum reached: the highest version among the answers
-                    // is current (read/write intersection guarantees it).
+            match &mut st.phase {
+                Phase::Inquire { .. } | Phase::WriteInquire { .. } if generation > my_gen => {
+                    Next::Refresh
+                }
+                Phase::WriteInquire { per_suite } => {
+                    let Some(i) = st.writes.iter().position(|(s, _)| *s == suite) else {
+                        return; // a suite this operation does not write
+                    };
+                    per_suite[i].insert(from, version);
+                    // Every written suite needs its inquiry quorum.
+                    let ready = st
+                        .writes
+                        .iter()
+                        .zip(per_suite.iter())
+                        .all(|((s, _), answers)| {
+                            let cfg = &self.configs[s];
+                            cfg.assignment.votes_in(answers.keys())
+                                >= Self::inquiry_threshold(st.kind, cfg)
+                        });
+                    if ready {
+                        Next::ToPrepare
+                    } else {
+                        Next::Wait
+                    }
+                }
+                Phase::Inquire {
+                    versions,
+                    guess,
+                    early,
+                } => {
+                    versions.insert(from, version);
+                    let cfg = &self.configs[&suite];
+                    let votes = cfg.assignment.votes_in(versions.keys());
+                    // Once a quorum has answered, the highest version among
+                    // the answers is current (read/write intersection
+                    // guarantees it).
                     let current = versions.values().copied().max().unwrap_or(Version::INITIAL);
-                    match st.kind {
-                        OpKind::Read => {
-                            // The optimistic fetch wins if it proved
-                            // current (or newer — a racing commit). With
-                            // the cache tier on, `early` may instead hold
-                            // the attached weak representative's entry
-                            // (`guess` is `None` then), which the quorum
-                            // has just confirmed the same way.
-                            if let Some((source, v, val)) = early.clone() {
-                                if v >= current {
-                                    Next::EarlyHit {
-                                        source,
-                                        version: v,
-                                        value: val,
-                                        from_cache: guess.is_none(),
-                                        current,
-                                        candidates: if self.options.weak_rep.is_some() {
-                                            holders(versions, current)
-                                        } else {
-                                            Vec::new()
-                                        },
-                                    }
+                    if votes < Self::inquiry_threshold(st.kind, cfg) {
+                        Next::Wait
+                    } else if st.kind == OpKind::Read {
+                        // The optimistic fetch wins if it proved current
+                        // (or newer — a racing commit). With the cache
+                        // tier on, `early` may instead hold the attached
+                        // weak representative's entry (`guess` is `None`
+                        // then), which the quorum has just confirmed the
+                        // same way.
+                        match early.clone().filter(|(_, v, _)| *v >= current) {
+                            Some((source, version, value)) => Next::EarlyHit {
+                                source,
+                                version,
+                                value,
+                                from_cache: guess.is_none(),
+                                current,
+                                candidates: if self.options.weak_rep.is_some() {
+                                    holders(versions, current)
                                 } else {
-                                    Next::ToFetch {
-                                        current,
-                                        candidates: holders(versions, current),
-                                    }
-                                }
-                            } else {
-                                Next::ToFetch {
-                                    current,
-                                    candidates: holders(versions, current),
-                                }
-                            }
+                                    Vec::new()
+                                },
+                            },
+                            None => Next::ToFetch {
+                                current,
+                                candidates: holders(versions, current),
+                            },
                         }
-                        OpKind::Write => Next::ToPrepare {
-                            current,
-                            responders,
-                        },
-                        OpKind::Reconfigure => {
-                            // The reconfiguration transaction also brings
-                            // stale members of the *new* write quorum
-                            // current (the paper's rule for adding votes),
-                            // so the responders must additionally be able
-                            // to form that quorum, and the current
-                            // contents must be fetched first.
-                            let new_feasible = st
-                                .change
-                                .as_ref()
-                                .map(|(assignment, quorum)| {
-                                    assignment.votes_in(&responders) >= quorum.write
-                                })
-                                .unwrap_or(false);
-                            if !new_feasible {
-                                Next::Wait
-                            } else {
-                                st.reconfig_versions = versions.clone();
-                                Next::ToFetch {
-                                    current,
-                                    candidates: holders(versions, current),
-                                }
+                    } else {
+                        // The reconfiguration transaction also brings stale
+                        // members of the *new* write quorum current (the
+                        // paper's rule for adding votes), so the responders
+                        // must additionally be able to form that quorum,
+                        // and the current contents must be fetched first.
+                        let new_feasible =
+                            st.change.as_ref().is_some_and(|(assignment, quorum)| {
+                                assignment.votes_in(versions.keys()) >= quorum.write
+                            });
+                        if !new_feasible {
+                            Next::Wait
+                        } else {
+                            st.reconfig_responders = versions.keys().copied().collect();
+                            Next::ToFetch {
+                                current,
+                                candidates: holders(versions, current),
                             }
-                        }
-                        OpKind::Transaction => {
-                            unreachable!("transactions use MultiInquire")
                         }
                     }
                 }
+                _ => return,
             }
         };
         match next {
@@ -2413,31 +2161,16 @@ impl ClientNode {
                 candidates,
             } => {
                 self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
-                if self.audit.is_some() {
-                    let considered: Vec<SiteId> = plan
-                        .as_deref()
-                        .map_or_else(|| candidates.clone(), <[SiteId]>::to_vec);
-                    let (cursor, rerouted) = (self.last_cursor, self.last_reroute);
-                    self.audit_decision(
-                        DecisionKind::FetchPlan,
-                        req,
-                        suite,
-                        &candidates,
-                        &considered,
-                        cursor,
-                        rerouted,
-                        ctx.now(),
-                    );
+                if let Some(ranked) = ranked.as_ref().filter(|_| self.audit.is_some()) {
+                    let kind = DecisionKind::FetchPlan;
+                    self.audit_decision(kind, req, suite, &candidates, ranked, ctx.now());
                 }
                 self.settle_followers(suite, req, current, &candidates, ctx);
                 self.enter_fetch(req, suite, current, candidates, ctx)
             }
-            Next::ToPrepare {
-                current,
-                responders,
-            } => {
+            Next::ToPrepare => {
                 self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
-                self.enter_prepare(req, suite, current, responders, ctx)
+                self.enter_prepare(req, ctx)
             }
         }
     }
@@ -2503,13 +2236,7 @@ impl ClientNode {
         candidates: Vec<SiteId>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
-        let first = candidates[0];
-        let delay = self.phase_delay(&[first]);
-        let hedge = if candidates.len() > 1 {
-            self.hedge_delay(first)
-        } else {
-            None
-        };
+        let (first, more) = (candidates[0], candidates.len() > 1);
         let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
@@ -2521,35 +2248,31 @@ impl ClientNode {
             idx: 0,
             hedged: None,
         };
-        if self.tracer.is_some() {
-            self.trace_begin_phase(req, SpanKind::Fetch, ctx.now());
-            self.trace_add_leg(req, first, SpanKind::Rpc, ctx.now());
-        }
-        self.note_load_at(first, suite, ctx.now());
-        ctx.send(first, Msg::ReadReq { suite, req });
-        arm_timer(
-            &mut self.timers,
-            &mut self.next_timer,
-            req,
-            seq,
-            TimerKind::PhaseTimeout,
-            delay,
-            ctx,
-        );
-        // The hedge shares the phase's seq: firing neither advances the
-        // phase nor counts as a timeout.
+        self.trace_begin_phase(req, SpanKind::Fetch, ctx.now());
+        self.launch_leg(req, suite, first, seq, more, ctx);
+    }
+
+    /// Sends one fetch leg to `site` and arms its timers: the phase
+    /// timeout, and — when `more` candidates remain to hedge to — the
+    /// hedge. The hedge shares the phase's seq: firing neither advances
+    /// the phase nor counts as a timeout.
+    fn launch_leg(
+        &mut self,
+        req: ReqId,
+        suite: ObjectId,
+        site: SiteId,
+        seq: u64,
+        more: bool,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        let delay = self.phase_delay([site]);
+        let hedge = self.hedge_delay(site).filter(|hd| more && *hd < delay);
+        self.trace_add_leg(req, site, SpanKind::Rpc, ctx.now());
+        self.note_load_at(site, suite, ctx.now());
+        ctx.send(site, Msg::ReadReq { suite, req });
+        self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
         if let Some(hd) = hedge {
-            if hd < delay {
-                arm_timer(
-                    &mut self.timers,
-                    &mut self.next_timer,
-                    req,
-                    seq,
-                    TimerKind::Hedge,
-                    hd,
-                    ctx,
-                );
-            }
+            self.arm_timer(req, seq, TimerKind::Hedge, hd, ctx);
         }
     }
 
@@ -2582,18 +2305,7 @@ impl ClientNode {
         };
         self.stats.hedges_fired += 1;
         self.trace_add_leg(req, launched.0, SpanKind::Hedge, ctx.now());
-        if self.audit.is_some() {
-            self.audit_decision(
-                DecisionKind::Hedge,
-                req,
-                launched.1,
-                &[launched.0],
-                &[launched.0],
-                0,
-                false,
-                ctx.now(),
-            );
-        }
+        self.audit_next_site(DecisionKind::Hedge, req, launched.1, launched.0, ctx.now());
         self.note_load_at(launched.0, launched.1, ctx.now());
         ctx.send(
             launched.0,
@@ -2604,126 +2316,7 @@ impl ClientNode {
         );
     }
 
-    fn enter_prepare(
-        &mut self,
-        req: ReqId,
-        suite: ObjectId,
-        current: Version,
-        responders: Vec<SiteId>,
-        ctx: &mut NodeCtx<'_, Msg>,
-    ) {
-        // Build the prepare parameters from the op kind and the current
-        // configuration, then switch phase and fan out.
-        let cfg = self.configs[&suite].clone();
-        let (object, version, value) = {
-            let Some(st) = self.ops.get_mut(&req) else {
-                return;
-            };
-            debug_assert_eq!(st.kind, OpKind::Write, "only writes prepare here");
-            (
-                data_object(suite),
-                current.next(),
-                st.payload.clone().expect("write carries a payload"),
-            )
-        };
-        let new_config: Option<SuiteConfig> = None;
-        let strong_responders: Vec<SiteId> = responders
-            .iter()
-            .copied()
-            .filter(|s| cfg.assignment.votes_of(*s) > 0)
-            .collect();
-        let ranked = self
-            .decision_order(suite)
-            .map(|o| self.reorder_by_health(o));
-        let quorum = match &ranked {
-            Some(order) => {
-                // The cached plan already ranks every site; restricting it
-                // to the strong responders preserves the cost order (health
-                // reordering only moves suspected sites to the back), so
-                // the greedy prefix matches a fresh `cheapest_quorum` among
-                // the unsuspected sites exactly.
-                let in_order: Vec<SiteId> = order
-                    .iter()
-                    .copied()
-                    .filter(|s| strong_responders.contains(s))
-                    .collect();
-                cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &in_order)
-            }
-            None => {
-                let costs = self.effective_costs(ctx);
-                cheapest_quorum(&cfg.assignment, cfg.quorum.write, &strong_responders, |s| {
-                    site_cost(&costs, s)
-                })
-            }
-        };
-        let Some(quorum) = quorum else {
-            // Cannot happen once the vote threshold passed; be defensive.
-            return;
-        };
-        if self.audit.is_some() {
-            let considered: Vec<SiteId> = ranked
-                .as_deref()
-                .map_or_else(|| strong_responders.clone(), <[SiteId]>::to_vec);
-            let (cursor, rerouted) = (self.last_cursor, self.last_reroute);
-            self.audit_decision(
-                DecisionKind::WriteQuorum,
-                req,
-                suite,
-                &quorum,
-                &considered,
-                cursor,
-                rerouted,
-                ctx.now(),
-            );
-        }
-        let delay = self.phase_delay(&quorum);
-        let Some(st) = self.ops.get_mut(&req) else {
-            return;
-        };
-        st.new_config = new_config;
-        st.seq += 1;
-        let seq = st.seq;
-        let lock_ts = st.lock_ts;
-        st.phase = Phase::Prepare {
-            new_version: version,
-            quorum: quorum.clone(),
-            yes: BTreeSet::new(),
-        };
-        if self.tracer.is_some() {
-            self.trace_begin_phase(req, SpanKind::Prepare, ctx.now());
-            for site in &quorum {
-                self.trace_add_rpc(req, *site, ctx.now());
-            }
-        }
-        for site in &quorum {
-            self.note_load_at(*site, suite, ctx.now());
-            ctx.send(
-                *site,
-                Msg::Prepare {
-                    req,
-                    writes: vec![PrepareWrite {
-                        suite,
-                        object,
-                        version,
-                        value: value.clone(),
-                        generation: cfg.generation,
-                    }],
-                    lock_ts,
-                },
-            );
-        }
-        arm_timer(
-            &mut self.timers,
-            &mut self.next_timer,
-            req,
-            seq,
-            TimerKind::PhaseTimeout,
-            delay,
-            ctx,
-        );
-    }
-
-    /// Fans out a reconfiguration prepare: the new configuration goes to a
+    /// Plans a reconfiguration's prepare: the new configuration goes to a
     /// write quorum of the *old* configuration, and the current contents
     /// are re-published one version up to that quorum plus the *new*
     /// configuration's cheapest write quorum — one atomic batch per
@@ -2739,57 +2332,37 @@ impl ClientNode {
         current_value: Bytes,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
-        use std::collections::BTreeMap as Map;
         self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
-        let old_cfg = self.configs[&suite].clone();
-        // Reconfiguration bypasses the plan cache: it ranks sites under two
-        // assignments at once (the old one for the config quorum and the
-        // not-yet-adopted new one for the data copies), and committing it
-        // invalidates the plan anyway. Reconfigs are rare; the fresh sort
-        // is not on any hot path.
+        let old_cfg = &self.configs[&suite];
+        // Reconfiguration ranks sites itself rather than through `rank`: it
+        // needs them under two assignments at once (the old one for the
+        // config quorum and the not-yet-adopted new one for the data
+        // copies), and committing it invalidates the cached plan anyway.
+        // Reconfigs are rare; the fresh sorts are not on any hot path.
         let costs = self.effective_costs(ctx);
-        // Build the new configuration.
-        let (new_cfg, inquiry_versions) = {
-            let Some(st) = self.ops.get_mut(&req) else {
+        let Some(st) = self.ops.get(&req) else {
+            return;
+        };
+        let (assignment, quorum) = st.change.clone().expect("reconfigure carries a change");
+        let new_cfg = match old_cfg.evolve(assignment, quorum) {
+            Ok(next) => next,
+            Err(e) => {
+                self.complete(req, Err(OpError::IllegalConfig(e)), ctx);
                 return;
-            };
-            let (assignment, quorum) = st.change.clone().expect("reconfigure carries a change");
-            match old_cfg.evolve(assignment, quorum) {
-                Ok(next) => (next, st.reconfig_versions.clone()),
-                Err(e) => {
-                    self.complete(req, Err(OpError::IllegalConfig(e)), ctx);
-                    return;
-                }
             }
         };
-        let responders: Vec<SiteId> = inquiry_versions.keys().copied().collect();
+        let responders = &st.reconfig_responders;
+        let cheapest_among_responders = |cfg: &SuiteConfig| {
+            cheapest_quorum(&cfg.assignment, cfg.quorum.write, responders, |s| {
+                site_cost(&costs, s)
+            })
+        };
         // Old-config write quorum for the config object.
-        let old_strong: Vec<SiteId> = responders
-            .iter()
-            .copied()
-            .filter(|s| old_cfg.assignment.votes_of(*s) > 0)
-            .collect();
-        let Some(config_quorum) = cheapest_quorum(
-            &old_cfg.assignment,
-            old_cfg.quorum.write,
-            &old_strong,
-            |s| site_cost(&costs, s),
-        ) else {
+        let Some(config_quorum) = cheapest_among_responders(old_cfg) else {
             return; // defensive: threshold already passed
         };
         // New-config write quorum for the data copies.
-        let new_strong: Vec<SiteId> = new_cfg
-            .assignment
-            .strong_sites()
-            .into_iter()
-            .filter(|s| responders.contains(s))
-            .collect();
-        let Some(data_quorum) = cheapest_quorum(
-            &new_cfg.assignment,
-            new_cfg.quorum.write,
-            &new_strong,
-            |s| site_cost(&costs, s),
-        ) else {
+        let Some(data_quorum) = cheapest_among_responders(&new_cfg) else {
             // The responders cannot form a write quorum under the new
             // configuration; installing it would strand the data. Fail the
             // attempt and retry when more sites answer.
@@ -2802,8 +2375,8 @@ impl ClientNode {
             );
             return;
         };
-        // Assemble per-site batches.
-        let mut per_site: Map<SiteId, Vec<PrepareWrite>> = Map::new();
+        // Assemble per-site batches, in site order.
+        let mut per_site: BTreeMap<SiteId, Vec<PrepareWrite>> = BTreeMap::new();
         let config_bytes = Bytes::from(new_cfg.encode());
         for site in &config_quorum {
             per_site.entry(*site).or_default().push(PrepareWrite {
@@ -2837,46 +2410,19 @@ impl ClientNode {
                 generation: old_cfg.generation,
             });
         }
-        let participants: Vec<SiteId> = per_site.keys().copied().collect();
-        let Some(st) = self.ops.get_mut(&req) else {
-            return;
+        // The operation reports the configuration generation it installed,
+        // and via `multi` the data version its bump consumed, so history
+        // checkers can account for it.
+        let on_commit = OpSuccess {
+            version: Version(new_cfg.generation),
+            value: None,
+            multi: vec![(suite, bump)],
         };
-        st.new_config = Some(new_cfg.clone());
-        st.reconfig_bump = Some(bump);
-        st.seq += 1;
-        let seq = st.seq;
-        let lock_ts = st.lock_ts;
-        st.phase = Phase::Prepare {
-            new_version: Version(new_cfg.generation),
-            quorum: participants.clone(),
-            yes: BTreeSet::new(),
-        };
-        if self.tracer.is_some() {
-            self.trace_begin_phase(req, SpanKind::Prepare, ctx.now());
-            for site in &participants {
-                self.trace_add_rpc(req, *site, ctx.now());
-            }
-        }
-        for (site, writes) in per_site {
-            self.note_load_at(site, suite, ctx.now());
-            ctx.send(
-                site,
-                Msg::Prepare {
-                    req,
-                    writes,
-                    lock_ts,
-                },
-            );
-        }
-        arm_timer(
-            &mut self.timers,
-            &mut self.next_timer,
-            req,
-            seq,
-            TimerKind::PhaseTimeout,
-            self.options.phase_timeout,
-            ctx,
-        );
+        // The fixed ceiling, not the adaptive `phase_delay`: E9's healing
+        // and quarantine arms pin this timeout as it has always been.
+        let timeout = self.options.phase_timeout;
+        let batches = per_site.into_iter().collect();
+        self.send_prepares(req, batches, (on_commit, Some(new_cfg)), timeout, ctx);
     }
 
     fn on_read_resp(
@@ -3019,45 +2565,8 @@ impl ClientNode {
                 seq,
                 more,
             } => {
-                let delay = self.phase_delay(&[site]);
-                let hedge = if more { self.hedge_delay(site) } else { None };
-                self.trace_add_leg(req, site, SpanKind::Rpc, ctx.now());
-                if self.audit.is_some() {
-                    self.audit_decision(
-                        DecisionKind::FetchFailover,
-                        req,
-                        suite,
-                        &[site],
-                        &[site],
-                        0,
-                        false,
-                        ctx.now(),
-                    );
-                }
-                self.note_load_at(site, suite, ctx.now());
-                ctx.send(site, Msg::ReadReq { suite, req });
-                arm_timer(
-                    &mut self.timers,
-                    &mut self.next_timer,
-                    req,
-                    seq,
-                    TimerKind::PhaseTimeout,
-                    delay,
-                    ctx,
-                );
-                if let Some(hd) = hedge {
-                    if hd < delay {
-                        arm_timer(
-                            &mut self.timers,
-                            &mut self.next_timer,
-                            req,
-                            seq,
-                            TimerKind::Hedge,
-                            hd,
-                            ctx,
-                        );
-                    }
-                }
+                self.audit_next_site(DecisionKind::FetchFailover, req, suite, site, ctx.now());
+                self.launch_leg(req, suite, site, seq, more, ctx);
             }
         }
     }
@@ -3084,22 +2593,18 @@ impl ClientNode {
             let Some(st) = self.ops.get_mut(&req) else {
                 return;
             };
-            let (quorum, yes) = match &mut st.phase {
-                Phase::Prepare { quorum, yes, .. } => (quorum, yes),
-                Phase::MultiPrepare {
-                    participants, yes, ..
-                } => (participants, yes),
-                _ => return,
+            let Phase::Prepare { participants, yes } = &mut st.phase else {
+                return;
             };
-            if !quorum.contains(&from) {
+            if !participants.contains(&from) {
                 Next::Ignore
             } else {
                 match vote {
-                    Vote::No => Next::AbortAll(quorum.clone()),
+                    Vote::No => Next::AbortAll(participants.clone()),
                     Vote::Yes => {
                         yes.insert(from);
-                        if yes.len() == quorum.len() {
-                            Next::Decided(quorum.clone())
+                        if yes.len() == participants.len() {
+                            Next::Decided(participants.clone())
                         } else {
                             Next::Ignore
                         }
@@ -3109,13 +2614,13 @@ impl ClientNode {
         };
         match next {
             Next::Ignore => {}
-            Next::AbortAll(quorum) => {
-                for site in quorum {
+            Next::AbortAll(participants) => {
+                for site in participants {
                     ctx.send(site, Msg::Abort { suite, req });
                 }
                 self.fail_attempt(req, OpError::Conflict, ctx);
             }
-            Next::Decided(quorum) => {
+            Next::Decided(participants) => {
                 // Decide commit — durably, *before* any commit message
                 // leaves, so decision probes always get the truth.
                 let tx = self.decisions.begin().expect("decision log is up");
@@ -3124,53 +2629,27 @@ impl ClientNode {
                     .expect("stage decision");
                 self.decisions.commit(tx).expect("commit decision");
                 self.decided_commit.insert(req);
-                let delay = self.phase_delay(&quorum);
-                let seq = {
-                    let st = self.ops.get_mut(&req).expect("op is live");
-                    st.seq += 1;
-                    match &st.phase {
-                        Phase::Prepare { new_version, .. } => {
-                            let new_version = *new_version;
-                            st.phase = Phase::CommitWait {
-                                new_version,
-                                quorum: quorum.clone(),
-                                acked: BTreeSet::new(),
-                                resends: 0,
-                            };
-                        }
-                        Phase::MultiPrepare { versions, .. } => {
-                            let versions = versions.clone();
-                            st.phase = Phase::MultiCommit {
-                                versions,
-                                participants: quorum.clone(),
-                                acked: BTreeSet::new(),
-                                resends: 0,
-                            };
-                        }
-                        _ => unreachable!("checked above"),
-                    }
-                    st.seq
+                let delay = self.phase_delay(participants.iter().copied());
+                let st = self.ops.get_mut(&req).expect("op is live");
+                st.seq += 1;
+                let seq = st.seq;
+                st.phase = Phase::Commit {
+                    participants: participants.clone(),
+                    acked: BTreeSet::new(),
+                    resends: 0,
                 };
                 if self.tracer.is_some() {
                     self.trace_decision_logged(req, ctx.now());
                     self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
                     self.trace_begin_phase(req, SpanKind::Commit, ctx.now());
-                    for site in &quorum {
+                    for site in &participants {
                         self.trace_add_rpc(req, *site, ctx.now());
                     }
                 }
-                for site in &quorum {
+                for site in &participants {
                     ctx.send(*site, Msg::Commit { suite, req });
                 }
-                arm_timer(
-                    &mut self.timers,
-                    &mut self.next_timer,
-                    req,
-                    seq,
-                    TimerKind::PhaseTimeout,
-                    delay,
-                    ctx,
-                );
+                self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
             }
         }
     }
@@ -3187,62 +2666,27 @@ impl ClientNode {
             return; // abort acks need no bookkeeping
         }
         self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, 1);
-        let finished = {
-            let Some(st) = self.ops.get_mut(&req) else {
-                return;
-            };
-            match &mut st.phase {
-                Phase::CommitWait {
-                    new_version,
-                    quorum,
-                    acked,
-                    ..
-                } => {
-                    if !quorum.contains(&from) {
-                        return;
-                    }
-                    acked.insert(from);
-                    if acked.len() == quorum.len() {
-                        let version = *new_version;
-                        let adopt = st.new_config.take();
-                        let push = self.options.push_weak_on_write && st.kind == OpKind::Write;
-                        let payload = st.payload.clone();
-                        // A reconfiguration reports the data version its
-                        // bump consumed via `multi`, so history checkers
-                        // can account for it.
-                        let multi = match (st.kind, st.reconfig_bump) {
-                            (OpKind::Reconfigure, Some(bump)) => vec![(st.suite, bump)],
-                            _ => Vec::new(),
-                        };
-                        Some((version, adopt, push, payload, multi))
-                    } else {
-                        None
-                    }
-                }
-                Phase::MultiCommit {
-                    versions,
-                    participants,
-                    acked,
-                    ..
-                } => {
-                    if !participants.contains(&from) {
-                        return;
-                    }
-                    acked.insert(from);
-                    if acked.len() == participants.len() {
-                        let versions = versions.clone();
-                        let version = versions[0].1;
-                        Some((version, None, false, None, versions))
-                    } else {
-                        None
-                    }
-                }
-                _ => return,
-            }
-        };
-        let Some((version, adopt, push, payload, multi)) = finished else {
+        let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
+        let Phase::Commit {
+            participants,
+            acked,
+            ..
+        } = &mut st.phase
+        else {
+            return;
+        };
+        if !participants.contains(&from) {
+            return;
+        }
+        acked.insert(from);
+        if acked.len() < participants.len() {
+            return;
+        }
+        let (success, adopt) = st.on_commit.take().expect("a prepare sets on_commit");
+        let push = (self.options.push_weak_on_write && st.kind == OpKind::Write)
+            .then(|| st.writes[0].1.clone());
         // Adopt the configuration this operation just installed, and drop
         // the quorum plan built against the superseded one.
         if let Some(next) = adopt {
@@ -3254,33 +2698,24 @@ impl ClientNode {
         // leases) so no later cache serve can return overwritten data.
         if self.options.weak_rep.is_some() {
             self.cache.remove(&suite);
-            for (s, _) in &multi {
+            for (s, _) in &success.multi {
                 self.cache.remove(s);
             }
         }
         // Optionally push the fresh value to weak representatives.
-        if push {
-            let value = payload.expect("write payload");
+        if let Some(value) = push {
             for site in self.configs[&suite].assignment.weak_sites() {
                 ctx.send(
                     site,
                     Msg::UpdateWeak {
                         suite,
-                        version,
+                        version: success.version,
                         value: value.clone(),
                     },
                 );
             }
         }
-        self.complete(
-            req,
-            Ok(OpSuccess {
-                version,
-                value: None,
-                multi,
-            }),
-            ctx,
-        );
+        self.complete(req, Ok(success), ctx);
     }
 
     fn on_config_resp(
@@ -3295,7 +2730,6 @@ impl ClientNode {
             .get(&suite)
             .is_none_or(|c| config.generation > c.generation);
         if newer {
-            self.stats.config_refreshes += 1;
             self.configs.insert(suite, config);
             // The cached quorum plan ranks the old membership; rebuild it
             // lazily against the adopted configuration.
@@ -3334,26 +2768,30 @@ impl ClientNode {
                 // The sites that never answered this phase feed the
                 // suspicion tracker alongside the phase transition itself.
                 Phase::Inquire { versions, .. } => {
-                    let silent: Vec<SiteId> = self
-                        .configs
-                        .get(&suite)
-                        .map(|cfg| {
-                            cfg.assignment
-                                .all_sites()
-                                .into_iter()
-                                .filter(|s| !versions.contains_key(s))
-                                .collect()
-                        })
-                        .unwrap_or_default();
+                    let sites = self.configs[&suite].assignment.entries().iter();
+                    let silent = sites
+                        .map(|(s, _)| *s)
+                        .filter(|s| !versions.contains_key(s))
+                        .collect();
                     (Next::FailUnavailable(st.kind), silent)
                 }
-                Phase::RefreshConfig | Phase::MultiInquire { .. } => {
+                Phase::WriteInquire { per_suite } => {
+                    let mut silent = Vec::new();
+                    for ((s, _), answers) in st.writes.iter().zip(per_suite.iter()) {
+                        for (site, _) in self.configs[s].assignment.entries() {
+                            if !answers.contains_key(site) && !silent.contains(site) {
+                                silent.push(*site);
+                            }
+                        }
+                    }
+                    (Next::FailUnavailable(st.kind), silent)
+                }
+                // A piggybacked read whose leader never resolved fails the
+                // attempt and retries independently (the retry leads its
+                // own inquiry if none is in flight by then).
+                Phase::RefreshConfig | Phase::Piggyback { .. } => {
                     (Next::FailUnavailable(st.kind), Vec::new())
                 }
-                // A piggybacked read whose leader never resolved: fail
-                // the attempt and retry independently (the retry leads
-                // its own inquiry if none is in flight by then).
-                Phase::Piggyback { .. } => (Next::FailUnavailable(st.kind), Vec::new()),
                 Phase::Fetch {
                     candidates,
                     idx,
@@ -3371,17 +2809,7 @@ impl ClientNode {
                     }
                     (Next::NextCandidate, silent)
                 }
-                Phase::Prepare { quorum, yes, .. } => {
-                    let silent = quorum
-                        .iter()
-                        .copied()
-                        .filter(|s| !yes.contains(s))
-                        .collect();
-                    (Next::AbortAndFail(quorum.clone(), suite, st.kind), silent)
-                }
-                Phase::MultiPrepare {
-                    participants, yes, ..
-                } => {
+                Phase::Prepare { participants, yes } => {
                     let silent = participants
                         .iter()
                         .copied()
@@ -3392,30 +2820,10 @@ impl ClientNode {
                         silent,
                     )
                 }
-                Phase::CommitWait {
-                    quorum,
-                    acked,
-                    resends,
-                    ..
-                } => {
-                    let missing: Vec<SiteId> = quorum
-                        .iter()
-                        .copied()
-                        .filter(|s| !acked.contains(s))
-                        .collect();
-                    if *resends >= self.options.commit_resend_limit {
-                        (Next::GiveUpIndeterminate, missing)
-                    } else {
-                        *resends += 1;
-                        st.seq += 1;
-                        (Next::ResendCommit(missing.clone(), suite, st.seq), missing)
-                    }
-                }
-                Phase::MultiCommit {
+                Phase::Commit {
                     participants,
                     acked,
                     resends,
-                    ..
                 } => {
                     let missing: Vec<SiteId> = participants
                         .iter()
@@ -3451,9 +2859,7 @@ impl ClientNode {
                 for site in missing {
                     ctx.send(site, Msg::Commit { suite, req });
                 }
-                arm_timer(
-                    &mut self.timers,
-                    &mut self.next_timer,
+                self.arm_timer(
                     req,
                     seq,
                     TimerKind::PhaseTimeout,
@@ -3476,16 +2882,7 @@ impl ClientNode {
                 req,
                 version,
                 generation,
-            } => {
-                if matches!(
-                    self.ops.get(&req).map(|st| &st.phase),
-                    Some(Phase::MultiInquire { .. })
-                ) {
-                    self.on_multi_version_resp(from, suite, req, version, generation, ctx);
-                } else {
-                    self.on_version_resp(from, suite, req, version, generation, ctx);
-                }
-            }
+            } => self.on_version_resp(from, suite, req, version, generation, ctx),
             Msg::ReadResp {
                 suite,
                 req,
@@ -3514,9 +2911,10 @@ impl ClientNode {
                     }
                     RefuseReason::Disk => self.stats.refused_disk += 1,
                 }
-                let in_prepare = self.ops.get(&req).is_some_and(|st| {
-                    matches!(st.phase, Phase::Prepare { .. } | Phase::MultiPrepare { .. })
-                });
+                let in_prepare = self
+                    .ops
+                    .get(&req)
+                    .is_some_and(|st| matches!(st.phase, Phase::Prepare { .. }));
                 if in_prepare {
                     // A refused prepare is a no vote: the coordinator
                     // aborts the round and retries on a healthier quorum.
@@ -4571,7 +3969,7 @@ mod tests {
         assert_eq!(c.stats.suspicions_raised, 0, "one strike is not enough");
         c.note_unanswered(&[SiteId(0)]);
         assert_eq!(c.stats.suspicions_raised, 1);
-        let order = c.reorder_by_health(Arc::from(vec![SiteId(0), SiteId(1), SiteId(2)]));
+        let (order, _) = c.reorder_by_health(Arc::from(vec![SiteId(0), SiteId(1), SiteId(2)]));
         assert_eq!(
             &order[..],
             [SiteId(1), SiteId(2), SiteId(0)],
@@ -4580,7 +3978,7 @@ mod tests {
         assert_eq!(c.stats.reroutes, 1);
         // Any message from the site clears the suspicion.
         c.note_response(SiteId(0));
-        let order = c.reorder_by_health(Arc::from(vec![SiteId(0), SiteId(1), SiteId(2)]));
+        let (order, _) = c.reorder_by_health(Arc::from(vec![SiteId(0), SiteId(1), SiteId(2)]));
         assert_eq!(&order[..], [SiteId(0), SiteId(1), SiteId(2)]);
         assert_eq!(c.stats.reroutes, 1, "no reroute when nothing moved");
     }
@@ -4592,7 +3990,7 @@ mod tests {
             c.note_unanswered(&[SiteId(0), SiteId(1), SiteId(2)]);
         }
         assert_eq!(c.stats.suspicions_raised, 3);
-        let order = c.reorder_by_health(Arc::from(vec![SiteId(0), SiteId(1), SiteId(2)]));
+        let (order, _) = c.reorder_by_health(Arc::from(vec![SiteId(0), SiteId(1), SiteId(2)]));
         assert_eq!(&order[..], [SiteId(0), SiteId(1), SiteId(2)]);
         assert_eq!(c.stats.reroutes, 0);
     }
@@ -4602,17 +4000,17 @@ mod tests {
         let mut c = health_client();
         // EWMA seeds at 2x the static one-way cost: site 2 starts at 60ms.
         assert_eq!(
-            c.phase_delay(&[SiteId(0), SiteId(2)]),
+            c.phase_delay([SiteId(0), SiteId(2)]),
             SimDuration::from_millis_f64(60.0 * 6.0)
         );
         // Clamped below by min_timeout (site 0: 20ms RTT * 6 = 120ms)…
-        assert_eq!(c.phase_delay(&[SiteId(0)]), SimDuration::from_millis(300));
+        assert_eq!(c.phase_delay([SiteId(0)]), SimDuration::from_millis(300));
         // …and above by the fixed phase timeout.
         c.note_rtt(SiteId(2), 1e7);
-        assert_eq!(c.phase_delay(&[SiteId(2)]), c.options.phase_timeout);
+        assert_eq!(c.phase_delay([SiteId(2)]), c.options.phase_timeout);
         // Health off: always the fixed phase timeout.
         let fixed = client();
-        assert_eq!(fixed.phase_delay(&[SiteId(0)]), fixed.options.phase_timeout);
+        assert_eq!(fixed.phase_delay([SiteId(0)]), fixed.options.phase_timeout);
     }
 
     #[test]
@@ -4910,5 +4308,249 @@ mod tests {
         );
         assert_eq!(c.stats.cache_hits, 0);
         assert!(c.cache.is_empty());
+    }
+
+    // ---- one write path: writes, transactions, the ranking seam ----
+
+    /// Delivers `from`'s version answer at `at_ms`, returning what the
+    /// client sent and armed in response.
+    #[allow(clippy::type_complexity)]
+    fn answer_version(
+        c: &mut ClientNode,
+        rng: &mut DetRng,
+        at_ms: u64,
+        from: u16,
+        req: ReqId,
+        version: u64,
+    ) -> (Vec<(SiteId, Msg)>, Vec<(SimDuration, u64)>) {
+        let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms), CLIENT, rng);
+        let msg = Msg::VersionResp {
+            suite: SUITE,
+            req,
+            version: Version(version),
+            generation: 1,
+        };
+        c.handle(SiteId(from), msg, &mut ctx);
+        split_effects(&mut ctx)
+    }
+
+    #[test]
+    fn one_suite_transaction_sends_exactly_what_a_write_sends() {
+        // Site costs are not monotone in site id, so cost order (1, 2, 0)
+        // and site order differ: the quorum must leave cheapest-first.
+        let twin = || {
+            let costs = vec![30.0, 10.0, 20.0, 1.0];
+            ClientNode::new(CLIENT, vec![config()], costs, ClientOptions::default())
+        };
+        let (mut w, mut t) = (twin(), twin());
+        let (mut rng_w, mut rng_t) = (DetRng::new(40), DetRng::new(40));
+        let mut ctx_w = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng_w);
+        let mut ctx_t = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng_t);
+        let req = w.start_write(SUITE, &b"v"[..], &mut ctx_w);
+        let writes = vec![(SUITE, Bytes::from_static(b"v"))];
+        assert_eq!(t.start_transaction(writes, &mut ctx_t), req);
+        assert_eq!(split_effects(&mut ctx_w), split_effects(&mut ctx_t));
+        for from in 0..3u16 {
+            let sent_w = answer_version(&mut w, &mut rng_w, 5, from, req, 0);
+            let sent_t = answer_version(&mut t, &mut rng_t, 5, from, req, 0);
+            assert_eq!(sent_w, sent_t);
+            if from == 1 {
+                let targets: Vec<SiteId> = sent_w.0.iter().map(|(to, _)| *to).collect();
+                assert_eq!(targets, vec![SiteId(1), SiteId(0)], "cost order");
+            }
+        }
+        let drive = |c: &mut ClientNode, rng: &mut DetRng, from: u16, msg: Msg| {
+            let mut ctx = NodeCtx::new(SimTime::from_millis(9), CLIENT, rng);
+            c.handle(SiteId(from), msg, &mut ctx);
+            split_effects(&mut ctx)
+        };
+        let vote = Msg::PrepareVote {
+            suite: SUITE,
+            req,
+            vote: Vote::Yes,
+        };
+        let ack = Msg::Ack {
+            suite: SUITE,
+            req,
+            committed: true,
+        };
+        for msg in [vote, ack] {
+            for from in [0u16, 1] {
+                let sent_w = drive(&mut w, &mut rng_w, from, msg.clone());
+                assert_eq!(sent_w, drive(&mut t, &mut rng_t, from, msg.clone()));
+            }
+        }
+        // Same wire traffic; only the report differs — a transaction
+        // lists its per-suite versions, a plain write does not.
+        let (ok_w, ok_t) = (&w.completed[0].outcome, &t.completed[0].outcome);
+        assert_eq!(ok_w.as_ref().expect("write commits").multi, vec![]);
+        let multi = &ok_t.as_ref().expect("transaction commits").multi;
+        assert_eq!(multi, &vec![(SUITE, Version(1))]);
+    }
+
+    #[test]
+    fn transactions_get_adaptive_timeouts_and_raise_suspicion() {
+        // Four equal votes, r = w = 3: two answers are not a quorum.
+        let assignment = VoteAssignment::equal(4);
+        let cfg = SuiteConfig::new(SUITE, assignment, QuorumSpec::new(3, 3)).expect("legal");
+        let options = ClientOptions {
+            health: Some(HealthOptions::default()),
+            ..ClientOptions::default()
+        };
+        let costs = vec![10.0, 20.0, 30.0, 40.0, 1.0];
+        let mut c = ClientNode::new(SiteId(4), vec![cfg], costs, options);
+        let mut rng = DetRng::new(41);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, SiteId(4), &mut rng);
+        let mut req = c.start_transaction(vec![(SUITE, Bytes::from_static(b"v"))], &mut ctx);
+        // The inquiry timer adapts to the slowest site's RTT estimate
+        // (seeded at 2 x 40 ms) instead of the fixed 5 s ceiling.
+        let mut timer = split_effects(&mut ctx).1[0];
+        assert_eq!(timer.0, SimDuration::from_millis_f64(80.0 * 6.0));
+        // Two inquiries in which only sites 1 and 2 answer, site 2 slowly.
+        for (round, at_ms) in [(1, 1_000), (2, 3_000)] {
+            answer_version(&mut c, &mut rng, at_ms + 10, 1, req, 0);
+            answer_version(&mut c, &mut rng, at_ms + 400, 2, req, 0);
+            assert!(c.completed.is_empty() && c.ops.contains_key(&req));
+            let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms + 500), SiteId(4), &mut rng);
+            c.handle_timer(timer.1, &mut ctx);
+            let retry = split_effects(&mut ctx).1[0];
+            let suspected: Vec<bool> = c.health[..4].iter().map(|h| h.suspected).collect();
+            assert_eq!(suspected, [round == 2, false, false, round == 2]);
+            let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms + 1_000), SiteId(4), &mut rng);
+            c.handle_timer(retry.1, &mut ctx);
+            let (sends, timers) = split_effects(&mut ctx);
+            (req, timer) = match sends[0].1 {
+                Msg::VersionReq { req, .. } => (req, timers[0]),
+                ref other => panic!("expected a fresh inquiry, got {other:?}"),
+            };
+        }
+        // Site 2's slow answers were RTT samples: the timer now tracks it.
+        let slowest = c.health[2].rtt_ms;
+        assert!(slowest > 80.0);
+        assert_eq!(timer.0, SimDuration::from_millis_f64(slowest * 6.0));
+        assert_eq!(c.stats.suspicions_raised, 2);
+        // The cheapest site now ranks behind every unsuspected one, so the
+        // next write quorum is drawn from the others.
+        let mut ctx = NodeCtx::new(SimTime::from_millis(5_000), SiteId(4), &mut rng);
+        let ranked = c.rank(SUITE, &mut ctx);
+        assert_eq!(
+            ranked.order[..],
+            [SiteId(1), SiteId(2), SiteId(0), SiteId(3)]
+        );
+        assert!(ranked.rerouted);
+        let mut prepared = Vec::new();
+        for from in [1, 2, 3] {
+            prepared = answer_version(&mut c, &mut rng, 5_010, from, req, 0).0;
+        }
+        let targets: Vec<SiteId> = prepared.iter().map(|(to, _)| *to).collect();
+        assert_eq!(targets, vec![SiteId(1), SiteId(2), SiteId(3)]);
+        assert!(matches!(prepared[0].1, Msg::Prepare { .. }));
+    }
+
+    #[test]
+    fn late_version_answer_for_a_preparing_write_costs_no_probe_and_no_draw() {
+        for policy in [QuorumPolicy::CheapestFirst, QuorumPolicy::Random] {
+            let options = ClientOptions {
+                quorum_policy: policy,
+                ..ClientOptions::default()
+            };
+            let mut c =
+                ClientNode::new(CLIENT, vec![config()], vec![10.0, 20.0, 30.0, 1.0], options);
+            let mut rng = DetRng::new(42);
+            let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+            let req = c.start_write(SUITE, &b"w"[..], &mut ctx);
+            drop(ctx);
+            answer_version(&mut c, &mut rng, 5, 0, req, 0);
+            let (prepares, _) = answer_version(&mut c, &mut rng, 5, 1, req, 0);
+            assert!(matches!(prepares[0].1, Msg::Prepare { .. }));
+            let probes = c.stats.plan_cache_hits + c.stats.plan_cache_misses;
+            let mut untouched = rng.clone();
+            // The third site's answer lands after the write moved on.
+            let (sends, timers) = answer_version(&mut c, &mut rng, 6, 2, req, 0);
+            assert!(sends.is_empty() && timers.is_empty());
+            assert_eq!(c.stats.plan_cache_hits + c.stats.plan_cache_misses, probes);
+            assert_eq!(rng.u64(), untouched.u64(), "{policy:?} drew from the RNG");
+        }
+    }
+
+    /// Oracle: sites reporting `current`, sorted cheapest-first — the sort
+    /// [`ClientNode::rank`]'s order replaces with a filter.
+    fn current_holders(
+        versions: &BTreeMap<SiteId, Version>,
+        current: Version,
+        costs: &[f64],
+    ) -> Vec<SiteId> {
+        let mut candidates: Vec<SiteId> = versions
+            .iter()
+            .filter(|(_, v)| **v == current)
+            .map(|(s, _)| *s)
+            .collect();
+        candidates.sort_by(|a, b| by_cost(costs, *a, *b));
+        candidates
+    }
+
+    #[test]
+    fn every_choice_is_a_filter_or_prefix_of_rank() {
+        let assignment = VoteAssignment::new([
+            (SiteId(0), 2),
+            (SiteId(1), 1),
+            (SiteId(2), 1),
+            (SiteId(3), 0),
+            (SiteId(4), 1),
+        ]);
+        let cfg =
+            SuiteConfig::new(SUITE, assignment.clone(), QuorumSpec::new(3, 3)).expect("legal");
+        let mut pick = DetRng::new(43);
+        for case in 0..300u64 {
+            let policy = [QuorumPolicy::CheapestFirst, QuorumPolicy::Random][(case % 2) as usize];
+            let options = ClientOptions {
+                quorum_policy: policy,
+                ..ClientOptions::default()
+            };
+            // Coarse costs, so ties (broken by site id) occur too.
+            let mut costs: Vec<f64> = (0..6).map(|_| pick.below(4) as f64).collect();
+            let mut c = ClientNode::new(SiteId(5), vec![cfg.clone()], costs.clone(), options);
+            let mut rng = DetRng::new(case);
+            if policy == QuorumPolicy::Random {
+                // The ablation ranks by this decision's draw instead.
+                let mut draw = rng.clone();
+                costs = (0..6).map(|_| draw.f64()).collect();
+            }
+            let mut ctx = NodeCtx::new(SimTime::ZERO, SiteId(5), &mut rng);
+            let order = c.rank(SUITE, &mut ctx).order;
+            // Optimistic-fetch target: the cheapest site.
+            let cheapest = assignment
+                .all_sites()
+                .into_iter()
+                .min_by(|a, b| by_cost(&costs, *a, *b));
+            assert_eq!(order.first().copied(), cheapest);
+            // A random subset of responders at random versions.
+            let mut versions = BTreeMap::new();
+            for site in assignment.all_sites() {
+                if pick.chance(0.7) {
+                    versions.insert(site, Version(pick.below(2)));
+                }
+            }
+            // Fetch candidates: the current holders, cheapest-first.
+            let current = versions.values().copied().max().unwrap_or(Version::INITIAL);
+            let holders: Vec<SiteId> = order
+                .iter()
+                .copied()
+                .filter(|s| versions.get(s) == Some(&current))
+                .collect();
+            assert_eq!(holders, current_holders(&versions, current, &costs));
+            // Write quorum: the cheapest among the strong responders.
+            let responders: Vec<SiteId> = versions.keys().copied().collect();
+            let in_order: Vec<SiteId> = order
+                .iter()
+                .copied()
+                .filter(|s| versions.contains_key(s))
+                .collect();
+            assert_eq!(
+                cheapest_quorum_presorted(&assignment, 3, &in_order),
+                cheapest_quorum(&assignment, 3, &responders, |s| site_cost(&costs, s)),
+                "case {case}: costs {costs:?}, responders {responders:?}"
+            );
+        }
     }
 }

@@ -78,15 +78,6 @@ impl SiteSpec {
             is_client: true,
         }
     }
-
-    /// A site that is both a voting server and a client.
-    pub fn server_and_client(votes: u32) -> Self {
-        SiteSpec {
-            hosts_rep: true,
-            votes,
-            is_client: true,
-        }
-    }
 }
 
 /// Builder for a [`Harness`].
@@ -1051,11 +1042,6 @@ impl Harness {
     /// Immutable access to the underlying cluster (experiments).
     pub fn cluster(&self) -> &Cluster<SystemNode> {
         &self.sim.world
-    }
-
-    /// Mutable access to the underlying cluster (experiments).
-    pub fn cluster_mut(&mut self) -> &mut Cluster<SystemNode> {
-        &mut self.sim.world
     }
 }
 
