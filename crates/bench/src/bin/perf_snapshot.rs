@@ -21,13 +21,16 @@
 //! throughputs and compares them against the committed `BENCH_core.json`,
 //! failing only on a >5× drop — coarse enough to ride out runner noise,
 //! tight enough to catch an accidental O(n²) or a debug build sneaking
-//! into the pipeline.
+//! into the pipeline. The `retained` section (log sizes the client
+//! workload leaves behind) is an exact function of the seed, so there the
+//! check is equality: a log that starts growing with the ops served
+//! fails it at once.
 
 use std::time::Instant;
 
 use wv_bench::{runner, topo};
 use wv_core::client::{ClientOptions, ClientStats};
-use wv_core::harness::{HarnessBuilder, SiteSpec};
+use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::NetConfig;
 use wv_sim::{LatencyModel, MetricsRegistry, Scheduler, Sim, SimDuration};
@@ -37,6 +40,8 @@ use wv_sim::{LatencyModel, MetricsRegistry, Scheduler, Sim, SimDuration};
 const MAX_REGRESSION: f64 = 5.0;
 /// Runs per headline wall-clock rate; the median is reported.
 const MEDIAN_RUNS: usize = 5;
+/// Rounds of the fixed client workload the snapshot reports on.
+const ROUNDS: usize = 1_000;
 
 /// Per-client op budget for the E15 multi-suite cells the snapshot
 /// replays (virtual-time, deterministic). The full E15 budget: at this
@@ -111,17 +116,22 @@ fn trial_throughput(workers: usize, trials: usize) -> (f64, Vec<(u64, u64)>) {
     (rate, out)
 }
 
-/// Client operations/sec, plan-cache counters, and the virtual-time
-/// latency histograms over the E1 measurement workload (write / miss-read
-/// / hit-read rounds on one live cluster). With `traced` the same workload
-/// runs with span recording on; the final element is the recorded trace
-/// (empty untraced). With `audited` the quorum-decision audit log and
+/// One run of the E1 measurement workload.
+struct ClientRun {
+    ops_per_sec: f64,
+    /// Virtual-time latency histograms per op shape.
+    latencies: MetricsRegistry,
+    /// The cluster as the workload left it: client counters, the trace,
+    /// and what every log retained are read off it.
+    harness: Harness,
+}
+
+/// Client operations/sec and the virtual-time latency histograms over the
+/// E1 measurement workload (write / miss-read / hit-read rounds on one
+/// live cluster). With `traced` the same workload runs with span
+/// recording on. With `audited` the quorum-decision audit log and
 /// windowed telemetry ride along too — the fully instrumented arm.
-fn client_ops(
-    rounds: usize,
-    traced: bool,
-    audited: bool,
-) -> (f64, u64, u64, MetricsRegistry, Vec<wv_sim::SpanRecord>) {
+fn client_ops(rounds: usize, traced: bool, audited: bool) -> ClientRun {
     let mut h = topo::example_1(7);
     if traced {
         h.enable_tracing();
@@ -150,18 +160,46 @@ fn client_ops(
         h.advance(SimDuration::from_secs(2));
         ops += 3;
     }
-    let rate = ops as f64 / t.elapsed().as_secs_f64();
-    let stats = h
-        .client_stats(h.default_client())
-        .expect("default client exists");
-    let trace = if traced { h.take_trace() } else { Vec::new() };
-    (
-        rate,
-        stats.plan_cache_hits,
-        stats.plan_cache_misses,
-        reg,
-        trace,
-    )
+    ClientRun {
+        ops_per_sec: ops as f64 / t.elapsed().as_secs_f64(),
+        latencies: reg,
+        harness: h,
+    }
+}
+
+/// What the logs hold once the client workload is over, as `(key, count)`
+/// rows of the snapshot's `retained` section: WAL image bytes summed over
+/// the voting representatives and over the weak ones, and the client's
+/// decision log in records and in objects. Counts, not timings — exact
+/// functions of the seed and the round count.
+fn retained(h: &Harness) -> [(&'static str, usize); 4] {
+    let suite = h.suite_id();
+    let (mut strong, mut weak) = (0, 0);
+    for (i, node) in h.cluster().nodes.iter().enumerate() {
+        let Some(server) = node.as_server() else {
+            continue;
+        };
+        let site = wv_net::SiteId::from(i);
+        let is_weak = server
+            .config(suite)
+            .is_some_and(|cfg| cfg.assignment.is_weak(site));
+        let bytes = server.container().wal().image_bytes();
+        if is_weak {
+            weak += bytes;
+        } else {
+            strong += bytes;
+        }
+    }
+    let decisions = h.cluster().nodes[h.default_client().index()]
+        .as_client()
+        .expect("default client exists")
+        .decision_log();
+    [
+        ("server_wal_image_bytes", strong),
+        ("weak_rep_wal_image_bytes", weak),
+        ("decision_log_records", decisions.wal().len()),
+        ("decision_log_objects", decisions.len()),
+    ]
 }
 
 /// Critical-path extraction throughput over a real trace: spans consumed
@@ -325,10 +363,10 @@ fn check_against_baseline() -> ! {
         ("sim_events_per_sec", median_of_runs(sim_events_per_sec)),
         (
             "ops_per_sec",
-            median_of_runs(|| client_ops(200, false, false).0),
+            median_of_runs(|| client_ops(200, false, false).ops_per_sec),
         ),
         ("critpath_spans_per_sec", {
-            let trace = client_ops(200, true, false).4;
+            let trace = client_ops(200, true, false).harness.take_trace();
             median_of_runs(|| critpath_spans_per_sec(&trace))
         }),
         // Virtual-time, so this one is deterministic: a drop past the
@@ -358,12 +396,19 @@ fn check_against_baseline() -> ! {
         );
         failed |= now < floor;
     }
+    for (key, now) in retained(&client_ops(ROUNDS, false, false).harness) {
+        let committed = json_number(&doc, key)
+            .unwrap_or_else(|| panic!("BENCH_core.json has no numeric \"{key}\""));
+        let same = now as f64 == committed;
+        let verdict = if same { "ok" } else { "FAIL" };
+        println!("perf-check {key}: committed {committed:.0}, fresh {now}, exact — {verdict}");
+        failed |= !same;
+    }
     std::process::exit(i32::from(failed));
 }
 
 fn main() {
     const TRIALS: usize = 192;
-    const ROUNDS: usize = 1_000;
     const FAULT_ROUNDS: usize = 250;
     const HEALING_TRIALS: usize = 4;
     const PIPE_OPS: usize = 64;
@@ -381,9 +426,20 @@ fn main() {
         seq_out, par_out,
         "parallel trial results must be bit-identical to sequential"
     );
-    let ops_per_sec = median_of_runs(|| client_ops(ROUNDS, false, false).0);
-    let (_, hits, misses, reg, _) = client_ops(ROUNDS, false, false);
+    let ops_per_sec = median_of_runs(|| client_ops(ROUNDS, false, false).ops_per_sec);
+    let ClientRun {
+        latencies: reg,
+        harness,
+        ..
+    } = client_ops(ROUNDS, false, false);
+    let stats = harness
+        .client_stats(harness.default_client())
+        .expect("default client exists");
+    let (hits, misses) = (stats.plan_cache_hits, stats.plan_cache_misses);
     let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
+    let retained_json = retained(&harness)
+        .map(|(key, count)| format!("    \"{key}\": {count}"))
+        .join(",\n");
     // Virtual-time pipelining curve: deterministic, so the ≥2× window
     // speedup is a hard promise, not a flaky wall-clock observation.
     let depth1_vsec = pipelined_ops_per_vsec(1, PIPE_OPS);
@@ -414,8 +470,8 @@ fn main() {
     );
     let (wal_records_per_batch, wal_suites_per_batch) =
         wv_bench::e15::wal_batch_summary(MULTI_SUITE_OPS);
-    let ops_per_sec_traced = median_of_runs(|| client_ops(ROUNDS, true, false).0);
-    let trace = client_ops(ROUNDS, true, false).4;
+    let ops_per_sec_traced = median_of_runs(|| client_ops(ROUNDS, true, false).ops_per_sec);
+    let trace = client_ops(ROUNDS, true, false).harness.take_trace();
     let spans_recorded = trace.len();
     let trace_overhead = ops_per_sec / ops_per_sec_traced;
     assert!(
@@ -425,7 +481,7 @@ fn main() {
     // Analytics layer: full instrumentation (trace + audit + telemetry)
     // vs tracing alone, and critical-path extraction throughput over the
     // trace the workload just produced.
-    let ops_per_sec_instrumented = median_of_runs(|| client_ops(ROUNDS, true, true).0);
+    let ops_per_sec_instrumented = median_of_runs(|| client_ops(ROUNDS, true, true).ops_per_sec);
     let audit_overhead = ops_per_sec_traced / ops_per_sec_instrumented;
     assert!(
         audit_overhead <= MAX_AUDIT_OVERHEAD,
@@ -442,7 +498,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \
-         \"schema\": \"wv-perf-snapshot/7\",\n  \
+         \"schema\": \"wv-perf-snapshot/8\",\n  \
          \"median_runs\": {MEDIAN_RUNS},\n  \
          \"sim_events_per_sec\": {events_per_sec:.0},\n  \
          \"trials\": {{\n    \
@@ -460,6 +516,10 @@ fn main() {
          \"plan_cache_hits\": {hits},\n    \
          \"plan_cache_misses\": {misses},\n    \
          \"plan_cache_hit_rate\": {hit_rate:.4}\n  \
+         }},\n  \
+         \"retained\": {{\n    \
+         \"workload\": \"what the logs hold after the client workload: WAL image bytes of the voting and the weak representatives, the client's decision log\",\n\
+         {retained_json}\n  \
          }},\n  \
          \"throughput\": {{\n    \
          \"workload\": \"example-1 closed loop, {PIPE_OPS} reads enqueued at once, virtual-time rate\",\n    \

@@ -44,6 +44,7 @@ use wv_txn::Vote;
 use crate::error::{OpError, OpKind};
 use crate::msg::{Msg, PrepareWrite, RefuseReason, ReqId};
 use crate::quorum::{cheapest_quorum, cheapest_quorum_presorted, QuorumSpec};
+use crate::server::CHECKPOINT_RECORDS;
 use crate::suite::{config_object, data_object, SuiteConfig};
 use crate::votes::VoteAssignment;
 
@@ -517,9 +518,16 @@ pub struct ClientNode {
     /// set; entries are validated against the live op table before use,
     /// so a stale leader id can never capture a new read.
     inquiry_leaders: IdHashMap<ObjectId, (ReqId, Vec<ReqId>)>,
-    /// Durable commit-decision log (presumed abort for anything absent).
+    /// Durable commit-decision log (presumed abort for anything absent):
+    /// one object per decided request id, forgotten at compaction once
+    /// the decision is retired.
     decisions: Container,
-    decided_commit: BTreeSet<ReqId>,
+    /// Commit decisions some participant may still ask about: logged but
+    /// not yet acked by every participant. A full set of acks retires the
+    /// entry — nobody can be in doubt any more, so presumed abort is the
+    /// truthful answer from then on. After a recovery it holds whatever
+    /// the compacted log retained.
+    unretired: BTreeSet<ReqId>,
     /// Finished operations, in completion order. Harnesses drain this.
     pub completed: Vec<CompletedOp>,
     /// Counters.
@@ -623,7 +631,7 @@ impl ClientNode {
             cache: IdHashMap::default(),
             inquiry_leaders: IdHashMap::default(),
             decisions: Container::new(),
-            decided_commit: BTreeSet::new(),
+            unretired: BTreeSet::new(),
             completed: Vec::new(),
             stats: ClientStats::default(),
             tracer: None,
@@ -661,6 +669,11 @@ impl ClientNode {
     /// Whether decision auditing is on.
     pub fn audit_enabled(&self) -> bool {
         self.audit.is_some()
+    }
+
+    /// The durable commit-decision log, read-only (tests and benches).
+    pub fn decision_log(&self) -> &Container {
+        &self.decisions
     }
 
     /// Drains the recorded decisions (empty when auditing is off).
@@ -2579,17 +2592,14 @@ impl ClientNode {
         vote: Vote,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
-        enum Next {
-            Ignore,
-            AbortAll(Vec<SiteId>),
-            Decided(Vec<SiteId>),
-        }
         let vote_detail = match vote {
             Vote::Yes => 1,
             Vote::No => 0,
         };
         self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, vote_detail);
-        let next = {
+        // A no vote or the last yes ends the prepare phase either way, so
+        // the participant list moves out with it.
+        let participants = {
             let Some(st) = self.ops.get_mut(&req) else {
                 return;
             };
@@ -2597,60 +2607,66 @@ impl ClientNode {
                 return;
             };
             if !participants.contains(&from) {
-                Next::Ignore
-            } else {
-                match vote {
-                    Vote::No => Next::AbortAll(participants.clone()),
-                    Vote::Yes => {
-                        yes.insert(from);
-                        if yes.len() == participants.len() {
-                            Next::Decided(participants.clone())
-                        } else {
-                            Next::Ignore
-                        }
-                    }
+                return;
+            }
+            if vote == Vote::Yes {
+                yes.insert(from);
+                if yes.len() < participants.len() {
+                    return;
                 }
             }
+            std::mem::take(participants)
         };
-        match next {
-            Next::Ignore => {}
-            Next::AbortAll(participants) => {
-                for site in participants {
-                    ctx.send(site, Msg::Abort { suite, req });
-                }
-                self.fail_attempt(req, OpError::Conflict, ctx);
+        if vote == Vote::No {
+            for site in participants {
+                ctx.send(site, Msg::Abort { suite, req });
             }
-            Next::Decided(participants) => {
-                // Decide commit — durably, *before* any commit message
-                // leaves, so decision probes always get the truth.
-                let tx = self.decisions.begin().expect("decision log is up");
-                self.decisions
-                    .stage_put(tx, ObjectId(req.0), Version(1), Bytes::new())
-                    .expect("stage decision");
-                self.decisions.commit(tx).expect("commit decision");
-                self.decided_commit.insert(req);
-                let delay = self.phase_delay(participants.iter().copied());
-                let st = self.ops.get_mut(&req).expect("op is live");
-                st.seq += 1;
-                let seq = st.seq;
-                st.phase = Phase::Commit {
-                    participants: participants.clone(),
-                    acked: BTreeSet::new(),
-                    resends: 0,
-                };
-                if self.tracer.is_some() {
-                    self.trace_decision_logged(req, ctx.now());
-                    self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
-                    self.trace_begin_phase(req, SpanKind::Commit, ctx.now());
-                    for site in &participants {
-                        self.trace_add_rpc(req, *site, ctx.now());
-                    }
-                }
-                for site in &participants {
-                    ctx.send(*site, Msg::Commit { suite, req });
-                }
-                self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
+            self.fail_attempt(req, OpError::Conflict, ctx);
+            return;
+        }
+        // Decide commit — durably, *before* any commit message leaves, so
+        // decision probes always get the truth.
+        self.log_commit_decision(req);
+        let delay = self.phase_delay(participants.iter().copied());
+        if self.tracer.is_some() {
+            self.trace_decision_logged(req, ctx.now());
+            self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
+            self.trace_begin_phase(req, SpanKind::Commit, ctx.now());
+            for site in &participants {
+                self.trace_add_rpc(req, *site, ctx.now());
             }
+        }
+        for site in &participants {
+            ctx.send(*site, Msg::Commit { suite, req });
+        }
+        let st = self.ops.get_mut(&req).expect("op is live");
+        st.seq += 1;
+        let seq = st.seq;
+        st.phase = Phase::Commit {
+            participants,
+            acked: BTreeSet::new(),
+            resends: 0,
+        };
+        self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
+    }
+
+    /// Logs and flushes the commit decision for `req`, then compacts the
+    /// log once it reaches the servers' checkpoint threshold. Compaction
+    /// forgets every retired decision but the newest: that one carries
+    /// the request-counter high-water mark [`Self::handle_recover`] reads.
+    fn log_commit_decision(&mut self, req: ReqId) {
+        let tx = self.decisions.begin().expect("decision log is up");
+        self.decisions
+            .stage_put(tx, ObjectId(req.0), Version(1), Bytes::new())
+            .expect("stage decision");
+        self.decisions.commit(tx).expect("commit decision");
+        self.unretired.insert(req);
+        if self.decisions.wal().len() >= CHECKPOINT_RECORDS {
+            let newest = self.decisions.objects().last();
+            let unretired = &self.unretired;
+            self.decisions
+                .checkpoint_retaining(|o| Some(o) == newest || unretired.contains(&ReqId(o.0)))
+                .expect("decision log is up");
         }
     }
 
@@ -2684,6 +2700,9 @@ impl ClientNode {
         if acked.len() < participants.len() {
             return;
         }
+        // Every participant has applied the commit durably: none can be in
+        // doubt about `req` again, so the decision is retired.
+        self.unretired.remove(&req);
         let (success, adopt) = st.on_commit.take().expect("a prepare sets on_commit");
         let push = (self.options.push_weak_on_write && st.kind == OpKind::Write)
             .then(|| st.writes[0].1.clone());
@@ -2935,13 +2954,14 @@ impl ClientNode {
             Msg::StaleConfig { req, .. } => self.enter_refresh(req, from, ctx),
             Msg::ConfigResp { suite, req, config } => self.on_config_resp(suite, req, config, ctx),
             Msg::DecisionReq { suite, req } => {
-                // Presumed abort: only a durably logged commit answers yes,
-                // and an id with no live operation answers abort. An
-                // operation still collecting votes answers *nothing* — a
-                // recovering participant probing mid-vote must keep its
-                // prepared state (its durable yes may yet count towards a
-                // commit) and re-probe after the decision lands.
-                let msg = if self.decided_commit.contains(&req) {
+                // Presumed abort: only a durably logged commit that some
+                // participant has yet to ack answers yes, and an id with
+                // no live operation answers abort. An operation still
+                // collecting votes answers *nothing* — a recovering
+                // participant probing mid-vote must keep its prepared
+                // state (its durable yes may yet count towards a commit)
+                // and re-probe after the decision lands.
+                let msg = if self.unretired.contains(&req) {
                     Msg::Commit { suite, req }
                 } else if self.ops.contains_key(&req) {
                     return;
@@ -2990,17 +3010,19 @@ impl ClientNode {
         self.active = 0;
         self.cache.clear();
         self.inquiry_leaders.clear();
-        self.decided_commit.clear();
+        self.unretired.clear();
         self.decisions.crash();
     }
 
     /// Recovery: reload the durable decision log.
     pub fn handle_recover(&mut self) {
         self.decisions.recover();
-        self.decided_commit = self.decisions.objects().map(|o| ReqId(o.0)).collect();
+        // Which of the retained decisions were acked is volatile knowledge:
+        // all of them answer commit again, which is still the truth.
+        self.unretired = self.decisions.objects().map(|o| ReqId(o.0)).collect();
         // Never reuse counters from before the crash: request ids must stay
         // unique. The decision log's largest counter bounds what was used.
-        if let Some(max) = self.decided_commit.iter().map(|r| r.counter()).max() {
+        if let Some(max) = self.unretired.iter().map(|r| r.counter()).max() {
             self.next_counter = self.next_counter.max(max + 1);
         }
     }
@@ -3192,7 +3214,7 @@ mod tests {
         let out = effects(&mut ctx);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|(_, m)| matches!(m, Msg::Commit { .. })));
-        assert!(c.decided_commit.contains(&req));
+        assert!(matches!(probe(&mut c, &mut rng, req), Msg::Commit { .. }));
         // Acks complete the op.
         for s in 0..2u16 {
             let mut ctx = NodeCtx::new(SimTime::from_millis(30), CLIENT, &mut rng);
@@ -3424,29 +3446,127 @@ mod tests {
         assert!(matches!(out[0].1, Msg::Abort { .. }));
     }
 
+    /// Drives one write through its inquiry and a unanimous prepare:
+    /// returns the request id with the commit decided, logged, and out to
+    /// the participants (sites 0 and 1) but acked by neither.
+    fn decided_write(c: &mut ClientNode, rng: &mut DetRng) -> ReqId {
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, rng);
+        let req = c.start_write(SUITE, &b"new"[..], &mut ctx);
+        for s in 0..2u16 {
+            let resp = Msg::VersionResp {
+                suite: SUITE,
+                req,
+                version: Version(0),
+                generation: 1,
+            };
+            c.handle(SiteId(s), resp, &mut ctx);
+        }
+        for s in 0..2u16 {
+            let vote = Msg::PrepareVote {
+                suite: SUITE,
+                req,
+                vote: Vote::Yes,
+            };
+            c.handle(SiteId(s), vote, &mut ctx);
+        }
+        let commits = effects(&mut ctx)
+            .iter()
+            .filter(|(_, m)| matches!(m, Msg::Commit { .. }))
+            .count();
+        assert_eq!(commits, 2, "decided: commit out to both participants");
+        req
+    }
+
+    fn ack(c: &mut ClientNode, rng: &mut DetRng, from: u16, req: ReqId) {
+        let mut ctx = NodeCtx::new(SimTime::from_millis(30), CLIENT, rng);
+        let ack = Msg::Ack {
+            suite: SUITE,
+            req,
+            committed: true,
+        };
+        c.handle(SiteId(from), ack, &mut ctx);
+    }
+
+    /// The coordinator's answer to a participant's decision probe.
+    fn probe(c: &mut ClientNode, rng: &mut DetRng, req: ReqId) -> Msg {
+        let mut ctx = NodeCtx::new(SimTime::from_millis(40), CLIENT, rng);
+        c.handle(SiteId(0), Msg::DecisionReq { suite: SUITE, req }, &mut ctx);
+        let mut out = effects(&mut ctx);
+        assert_eq!(out.len(), 1, "one answer per probe");
+        out.remove(0).1
+    }
+
+    /// Enough fully acked writes to push the decision log through at
+    /// least one compaction; returns the last request id used.
+    fn acked_writes_through_a_compaction(c: &mut ClientNode, rng: &mut DetRng) -> ReqId {
+        let mut last = None;
+        for _ in 0..CHECKPOINT_RECORDS {
+            let req = decided_write(c, rng);
+            ack(c, rng, 0, req);
+            ack(c, rng, 1, req);
+            last = Some(req);
+        }
+        assert!(
+            c.decision_log().wal().len() < CHECKPOINT_RECORDS,
+            "the decision log compacts"
+        );
+        last.expect("wrote")
+    }
+
     #[test]
-    fn decision_log_survives_crash() {
+    fn unacked_decision_answers_commit_across_crash_and_compaction() {
         let mut c = client();
         let mut rng = DetRng::new(7);
-        // Manufacture a decided commit.
-        let req = ReqId::new(5, CLIENT);
-        let tx = c.decisions.begin().expect("up");
-        c.decisions
-            .stage_put(tx, ObjectId(req.0), Version(1), Bytes::new())
-            .expect("stage");
-        c.decisions.commit(tx).expect("commit");
-        c.decided_commit.insert(req);
+        // One participant acks, the other never does: the decision must
+        // stay answerable for as long as the client lives.
+        let req = decided_write(&mut c, &mut rng);
+        ack(&mut c, &mut rng, 0, req);
+        assert!(matches!(probe(&mut c, &mut rng, req), Msg::Commit { .. }));
         c.handle_crash();
-        assert!(c.decided_commit.is_empty());
         c.handle_recover();
-        assert!(c.decided_commit.contains(&req));
-        // And the answer to a probe is commit.
-        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
-        c.handle(SiteId(0), Msg::DecisionReq { suite: SUITE, req }, &mut ctx);
-        let out = effects(&mut ctx);
-        assert!(matches!(out[0].1, Msg::Commit { .. }));
-        // Counters moved past anything in the log.
-        assert!(c.next_counter > 5);
+        assert!(matches!(probe(&mut c, &mut rng, req), Msg::Commit { .. }));
+        // Compaction forgets the acked traffic around it, not this one...
+        acked_writes_through_a_compaction(&mut c, &mut rng);
+        assert!(matches!(probe(&mut c, &mut rng, req), Msg::Commit { .. }));
+        // ...and the compacted log still carries it over a crash.
+        c.handle_crash();
+        c.handle_recover();
+        assert!(matches!(probe(&mut c, &mut rng, req), Msg::Commit { .. }));
+    }
+
+    #[test]
+    fn fully_acked_decision_is_retired_to_presumed_abort() {
+        let mut c = client();
+        let mut rng = DetRng::new(9);
+        let req = decided_write(&mut c, &mut rng);
+        ack(&mut c, &mut rng, 0, req);
+        ack(&mut c, &mut rng, 1, req);
+        assert_eq!(c.completed.len(), 1);
+        assert!(matches!(probe(&mut c, &mut rng, req), Msg::Abort { .. }));
+    }
+
+    #[test]
+    fn recovery_never_reissues_a_counter_once_every_decision_is_retired() {
+        let mut c = client();
+        let mut rng = DetRng::new(10);
+        let last = acked_writes_through_a_compaction(&mut c, &mut rng);
+        // Every decision is retired, so the last compaction kept one (the
+        // high-water mark); less than a threshold's worth ride behind it.
+        let retained = c.decision_log().len();
+        assert!(
+            (1..=1 + CHECKPOINT_RECORDS / 3).contains(&retained),
+            "retained {retained} decisions"
+        );
+        c.handle_crash();
+        // A process restart forgets the in-memory counter; only the
+        // decision log can keep request ids unique.
+        c.next_counter = 1;
+        c.handle_recover();
+        let fresh = decided_write(&mut c, &mut rng);
+        assert!(
+            fresh.counter() > last.counter(),
+            "{fresh:?} reuses a counter at or below {last:?}"
+        );
     }
 
     #[test]

@@ -2106,4 +2106,79 @@ mod tests {
         h.stop_anti_entropy();
         h.run_until_quiet(1_000_000);
     }
+
+    /// Per log in the cluster (each site's container, then its client's
+    /// decision log): WAL records, WAL image bytes, committed objects.
+    fn retained(h: &Harness) -> Vec<(usize, usize, usize)> {
+        let nodes = h.cluster().nodes.iter();
+        nodes
+            .flat_map(|n| {
+                let server = n.as_server().map(|s| s.container());
+                let decisions = n.as_client().map(|c| c.decision_log());
+                [server, decisions].into_iter().flatten()
+            })
+            .map(|c| (c.wal().len(), c.wal().image_bytes(), c.len()))
+            .collect()
+    }
+
+    #[test]
+    fn every_log_is_flat_in_the_ops_served() {
+        use crate::server::CHECKPOINT_RECORDS;
+        const PAYLOAD: usize = 64;
+        // One interval plus the longest single append (begin, put,
+        // prepare, outcome); a frame is its payload plus < 64 bytes.
+        const RECORDS: usize = CHECKPOINT_RECORDS + 4;
+        const BYTES: usize = RECORDS * (PAYLOAD + 64);
+        let mut h = HarnessBuilder::new()
+            .seed(15)
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::client_with_weak())
+            .site(SiteSpec::client_with_weak())
+            .quorum(QuorumSpec::new(2, 2))
+            .build()
+            .expect("legal");
+        let suite = h.suite_id();
+        let workstations = [SiteId(3), SiteId(4)];
+        // A write, then a read by each workstation: the read finds the
+        // local weak representative stale, fetches from a server and
+        // refreshes it — one decision, two participant commits and two
+        // weak installs per round.
+        let rounds = |h: &mut Harness, n: usize| {
+            for i in 0..n {
+                let writer = workstations[i % 2];
+                h.write_from(writer, suite, vec![i as u8; PAYLOAD])
+                    .expect("write");
+                for w in workstations {
+                    h.read_from(w, suite).expect("read");
+                }
+            }
+            h.run_until_quiet(1_000_000);
+            retained(h)
+        };
+        let n = CHECKPOINT_RECORDS / 2;
+        let after_n = rounds(&mut h, n);
+        let after_4n = rounds(&mut h, 3 * n);
+        assert_eq!(after_n.len(), 3 + 2 * 2, "servers, then rep + log each");
+        for (log, (a, b)) in after_n.iter().zip(&after_4n).enumerate() {
+            for (records, bytes, _) in [a, b] {
+                assert!(*records < RECORDS, "log {log}: {records} records");
+                assert!(*bytes < BYTES, "log {log}: {bytes} image bytes");
+            }
+            // Live state: a representative holds the same objects whatever
+            // it has served; a decision log (the second log of each
+            // workstation) holds what one interval logged, not the history.
+            if [4, 6].contains(&log) {
+                assert!(a.2.max(b.2) <= 1 + CHECKPOINT_RECORDS / 3, "decisions");
+            } else {
+                assert_eq!(a.2, b.2, "representative {log}");
+            }
+        }
+        let weak_installs: u64 = workstations
+            .iter()
+            .map(|w| h.server_stats(*w).expect("weak rep").weak_updates)
+            .sum();
+        assert!(weak_installs as usize >= 4 * n, "{weak_installs} refreshes");
+    }
 }

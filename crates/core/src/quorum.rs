@@ -176,7 +176,7 @@ pub fn cheapest_quorum(
             // Drop any member made redundant by later cheaper picks — with
             // prefix-greedy this only removes sites whose votes are not
             // needed for the threshold (possible with unequal votes).
-            prune_redundant(assignment, needed, &mut chosen);
+            prune_redundant(assignment, needed, votes, &mut chosen);
             return Some(chosen);
         }
     }
@@ -204,7 +204,7 @@ pub fn cheapest_quorum_presorted(
         chosen.push(s);
         votes += assignment.votes_of(s);
         if votes >= needed {
-            prune_redundant(assignment, needed, &mut chosen);
+            prune_redundant(assignment, needed, votes, &mut chosen);
             return Some(chosen);
         }
     }
@@ -213,19 +213,19 @@ pub fn cheapest_quorum_presorted(
 
 /// Removes members (most expensive first is irrelevant here — any
 /// redundant member may go) whose removal keeps the set at or above the
-/// threshold.
-fn prune_redundant(assignment: &VoteAssignment, needed: u32, set: &mut Vec<SiteId>) {
+/// threshold. `votes` is the total the distinct sites of `set` hold.
+fn prune_redundant(
+    assignment: &VoteAssignment,
+    needed: u32,
+    mut votes: u32,
+    set: &mut Vec<SiteId>,
+) {
     let mut i = 0;
     while i < set.len() {
-        let without: Vec<SiteId> = set
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, s)| s)
-            .collect();
-        if assignment.votes_in(&without) >= needed {
+        let held = assignment.votes_of(set[i]);
+        if votes - held >= needed {
             set.remove(i);
+            votes -= held;
         } else {
             i += 1;
         }
@@ -458,6 +458,49 @@ mod tests {
                         let rest: Vec<SiteId> = q.iter().copied().filter(|s| s != drop).collect();
                         assert!(a.votes_in(&rest) < needed, "seed {seed}");
                     }
+                }
+            }
+        }
+
+        /// The pruning rule stated directly: a member goes when the
+        /// rest of the set, re-summed from scratch, still reaches the
+        /// threshold. `prune_redundant` must agree while only keeping a
+        /// running total.
+        fn prune_by_resumming(a: &VoteAssignment, needed: u32, set: &mut Vec<SiteId>) {
+            let mut i = 0;
+            while i < set.len() {
+                let mut without = set.clone();
+                without.remove(i);
+                if a.votes_in(&without) >= needed {
+                    set.remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+
+        #[test]
+        fn pruning_by_running_total_matches_resumming() {
+            for seed in 0..512u64 {
+                let mut rng = DetRng::new(0x9a11e ^ seed);
+                // Unequal votes, zero-vote sites included.
+                let a = random_assignment(&mut rng);
+                // A random subset of the hosting sites in a random order,
+                // below, at and above every threshold.
+                let mut set: Vec<SiteId> = a
+                    .all_sites()
+                    .into_iter()
+                    .filter(|_| rng.chance(0.7))
+                    .collect();
+                for i in (1..set.len()).rev() {
+                    set.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                for needed in 1..=a.total() {
+                    let mut expect = set.clone();
+                    prune_by_resumming(&a, needed, &mut expect);
+                    let mut got = set.clone();
+                    prune_redundant(&a, needed, a.votes_in(&set), &mut got);
+                    assert_eq!(got, expect, "seed {seed}, needed {needed}, set {set:?}");
                 }
             }
         }

@@ -32,6 +32,11 @@ pub const REPAIR_TIMER_TAG: u64 = 1 << 62;
 /// repair ticks (bit 62), client timers (bit 63), and raw request ids.
 pub const WAL_SYNC_TIMER_TAG: u64 = 1 << 61;
 
+/// WAL records at which a log is compacted: a server's container (the
+/// default [`SuiteServer::set_checkpoint_threshold`] overrides) and a
+/// client's decision log alike.
+pub(crate) const CHECKPOINT_RECORDS: usize = 512;
+
 /// Server-side counters for the experiments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
@@ -253,7 +258,7 @@ impl SuiteServer {
             pending: IdHashMap::default(),
             waiting: IdHashMap::default(),
             resolve_after: SimDuration::from_secs(5),
-            checkpoint_threshold: 512,
+            checkpoint_threshold: CHECKPOINT_RECORDS,
             anti_entropy: None,
             repair_epoch: 0,
             repair_cursor: 0,
@@ -577,11 +582,30 @@ impl SuiteServer {
         }
     }
 
+    /// Compacts the log once it reaches the threshold. Every path that
+    /// appends to the container ends here, so the log is bounded by live
+    /// state whichever mix of traffic a representative sees — a weak one
+    /// only ever sees refreshes, a contended one mostly aborts.
     fn maybe_checkpoint(&mut self) {
         if self.container.wal().len() >= self.checkpoint_threshold {
             self.container.checkpoint().expect("server container is up");
             self.stats.checkpoints += 1;
         }
+    }
+
+    /// Installs `(version, value)` at `object` as one local transaction —
+    /// state handed over by a peer or pushed at a weak representative, not
+    /// voted on. False when an injected I/O error kept it off the log.
+    fn install(&mut self, object: ObjectId, version: Version, value: Bytes) -> bool {
+        let Ok(tx) = self.container.begin() else {
+            return false;
+        };
+        self.container
+            .stage_put(tx, object, version, value)
+            .expect("stage into fresh tx");
+        self.container.commit(tx).expect("commit local install");
+        self.maybe_checkpoint();
+        true
     }
 
     /// This server's site.
@@ -897,6 +921,7 @@ impl SuiteServer {
         self.sync_queue.retain(|d| d.req() != req);
         if let Some(p) = self.pending.remove(&req) {
             self.container.abort(p.tx).expect("abort prepared tx");
+            self.maybe_checkpoint();
             if let Some(tr) = self.tracer.as_mut() {
                 tr.event(SpanKind::Apply, p.suite.0, req.0, None, None, 0, ctx.now());
             }
@@ -978,13 +1003,9 @@ impl SuiteServer {
             // decides supersedes the pulled copy anyway.
             return;
         }
-        let Ok(tx) = self.container.begin() else {
+        if !self.install(object, version, bytes) {
             return; // injected I/O error: the next probe round retries
-        };
-        self.container
-            .stage_put(tx, object, version, bytes)
-            .expect("stage repaired config");
-        self.container.commit(tx).expect("commit repaired config");
+        }
         self.configs.insert(suite, cfg);
         if self.quarantined && self.quarantine_pending.contains_key(&suite) {
             let peers: BTreeSet<SiteId> = self.peers_of(suite).into_iter().collect();
@@ -1105,16 +1126,12 @@ impl SuiteServer {
                     .unwrap_or(Version::INITIAL);
                 // Monotonic install: never regress the cache, and never
                 // overwrite while a write transaction holds the object.
-                if version > committed && self.locks.exclusive_holder(object).is_none() {
-                    let Ok(tx) = self.container.begin() else {
-                        // An injected I/O error dropped this
-                        // fire-and-forget refresh; a later push retries.
-                        return;
-                    };
-                    self.container
-                        .stage_put(tx, object, version, value)
-                        .expect("stage weak update");
-                    self.container.commit(tx).expect("commit weak update");
+                // An injected I/O error drops this fire-and-forget
+                // refresh; a later push retries.
+                if version > committed
+                    && self.locks.exclusive_holder(object).is_none()
+                    && self.install(object, version, value)
+                {
                     self.stats.weak_updates += 1;
                 }
             }
@@ -1360,11 +1377,7 @@ impl SuiteServer {
                         // An in-doubt transaction still holds the object;
                         // the next probe round pulls again.
                         false
-                    } else if let Ok(tx) = self.container.begin() {
-                        self.container
-                            .stage_put(tx, object, version, value)
-                            .expect("stage repair");
-                        self.container.commit(tx).expect("commit repair");
+                    } else if self.install(object, version, value) {
                         self.stats.repairs_completed += 1;
                         if let Some(tr) = self.tracer.as_mut() {
                             tr.event(
@@ -2069,6 +2082,112 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn abort_of_an_already_committed_req_keeps_the_version_and_acks() {
+        // What a retired decision's presumed-abort answer meets at a
+        // participant that applied the commit long ago: nothing to undo.
+        let mut s = server();
+        let mut rng = DetRng::new(15);
+        let r = req(1);
+        for msg in [
+            prepare_msg(r, 1, b"kept"),
+            Msg::Commit {
+                suite: SUITE,
+                req: r,
+            },
+        ] {
+            let mut ctx = ctx_pair(&mut rng);
+            s.handle(CLIENT, msg, &mut ctx);
+        }
+        let aborts = s.stats.aborts;
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(
+            CLIENT,
+            Msg::Abort {
+                suite: SUITE,
+                req: r,
+            },
+            &mut ctx,
+        );
+        let out = sent(&mut ctx);
+        assert!(matches!(
+            &out[0].1,
+            Msg::Ack {
+                committed: false,
+                ..
+            }
+        ));
+        assert_eq!(s.stats.aborts, aborts, "nothing was aborted");
+        assert_eq!(s.data_version(SUITE), Version(1));
+        assert_eq!(s.data_value(SUITE), Bytes::from_static(b"kept"));
+    }
+
+    /// The log never outgrows one checkpoint interval plus the longest
+    /// single append (begin, put, prepare, outcome).
+    fn assert_log_bounded(s: &SuiteServer) {
+        let records = s.container().wal().len();
+        assert!(
+            records < CHECKPOINT_RECORDS + 4,
+            "log unbounded: {records} records"
+        );
+    }
+
+    #[test]
+    fn log_stays_bounded_when_every_prepare_aborts() {
+        let mut s = server();
+        let mut rng = DetRng::new(22);
+        let mut after_n = None;
+        for i in 1..=4 * CHECKPOINT_RECORDS as u64 {
+            let r = req(i);
+            for msg in [
+                prepare_msg(r, 1, b"doomed"),
+                Msg::Abort {
+                    suite: SUITE,
+                    req: r,
+                },
+            ] {
+                let mut ctx = ctx_pair(&mut rng);
+                s.handle(CLIENT, msg, &mut ctx);
+            }
+            assert_log_bounded(&s);
+            if i == CHECKPOINT_RECORDS as u64 {
+                after_n = Some((s.container().wal().image_bytes(), s.container().len()));
+            }
+        }
+        // Every prepare writes the same bytes, so N and 4N rounds land on
+        // the same point of the compaction cycle.
+        let after_4n = (s.container().wal().image_bytes(), s.container().len());
+        assert_eq!(Some(after_4n), after_n);
+        assert!(s.stats.checkpoints >= 4, "{}", s.stats.checkpoints);
+        assert_eq!(s.data_version(SUITE), Version(0));
+        assert_eq!(s.pending_writes(), 0);
+    }
+
+    #[test]
+    fn log_stays_bounded_under_weak_refreshes_alone() {
+        // A weak representative sees no prepares at all — only pushes.
+        let mut s = server();
+        let mut rng = DetRng::new(23);
+        for i in 1..=4 * CHECKPOINT_RECORDS as u64 {
+            let mut ctx = ctx_pair(&mut rng);
+            s.handle(
+                CLIENT,
+                Msg::UpdateWeak {
+                    suite: SUITE,
+                    version: Version(i),
+                    value: Bytes::from_static(b"refreshed"),
+                },
+                &mut ctx,
+            );
+            assert_log_bounded(&s);
+        }
+        assert_eq!(s.stats.weak_updates, 4 * CHECKPOINT_RECORDS as u64);
+        assert_eq!(
+            s.data_version(SUITE),
+            Version(4 * CHECKPOINT_RECORDS as u64)
+        );
     }
 
     #[test]

@@ -463,7 +463,21 @@ impl Container {
     /// anyway). Recovery time becomes proportional to live state instead
     /// of history length.
     pub fn checkpoint(&mut self) -> Result<(), StorageError> {
+        self.checkpoint_retaining(|_| true)
+    }
+
+    /// [`Container::checkpoint`] that also *forgets*: committed objects
+    /// for which `keep` answers false are dropped from the container and
+    /// left out of the checkpoint record, so neither memory nor the log
+    /// holds them afterwards. For logs whose entries stop mattering (a
+    /// coordinator's acknowledged decisions); staged writes of live
+    /// transactions are never dropped.
+    pub fn checkpoint_retaining(
+        &mut self,
+        mut keep: impl FnMut(ObjectId) -> bool,
+    ) -> Result<(), StorageError> {
         self.check_up()?;
+        self.committed.retain(|object, _| keep(*object));
         let mut records = Vec::with_capacity(1 + self.live.len() * 3);
         records.push(Record::Checkpoint {
             state: self
@@ -803,6 +817,36 @@ mod tests {
         c.recover();
         let t2 = c.begin().expect("begin");
         assert!(t2.0 > t1.0, "tx id {t2:?} reused after checkpoint");
+    }
+
+    #[test]
+    fn checkpoint_retaining_forgets_unkept_objects_in_memory_and_on_disk() {
+        let mut c = Container::new();
+        for i in 0..6u64 {
+            let tx = c.begin().expect("begin");
+            c.stage_put(tx, ObjectId(i), Version(1), b("decided"))
+                .expect("stage");
+            c.commit(tx).expect("commit");
+        }
+        // A prepared transaction's staged write is not committed state:
+        // the filter must not touch it.
+        let pending = c.begin().expect("begin");
+        c.stage_put(pending, ObjectId(1), Version(2), b("promised"))
+            .expect("stage");
+        c.prepare(pending).expect("prepare");
+        c.checkpoint_retaining(|o| o.0 % 2 == 0)
+            .expect("checkpoint");
+        let kept = |c: &Container| c.objects().collect::<Vec<_>>();
+        assert_eq!(kept(&c), [ObjectId(0), ObjectId(2), ObjectId(4)]);
+        assert_eq!(c.wal().len(), 1 + 3, "checkpoint + the prepared tx");
+        c.crash();
+        c.recover();
+        assert_eq!(kept(&c), [ObjectId(0), ObjectId(2), ObjectId(4)]);
+        assert_eq!(c.in_doubt(), vec![pending]);
+        c.commit(pending).expect("commit resolved in-doubt");
+        assert_eq!(c.read(ObjectId(1)).expect("read").version, Version(2));
+        // The tx-id counter outlives the forgotten history.
+        assert!(c.begin().expect("begin").0 > pending.0);
     }
 
     #[test]
