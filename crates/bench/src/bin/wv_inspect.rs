@@ -7,15 +7,17 @@
 //! wv-inspect explain FILE [--op ID]
 //! wv-inspect slo FILE [--target-ms N] [--window-ms N]
 //! wv-inspect chrome FILE
+//! wv-inspect text FILE
 //! ```
 //!
 //! `FILE` is a replay artifact (one JSON object with `"trace"` /
 //! `"audit"` arrays, e.g. `results/e9_repro.json`), raw trace or audit
 //! JSONL, or `-` for stdin; the shape is auto-detected. `capture` runs a
-//! fresh instrumented Example-1 workload and writes `trace.jsonl`,
-//! `audit.jsonl`, and `telemetry.txt` into `--out` (default
-//! `inspect_out`). All reports are pure functions of their input, so
-//! they are byte-identical across hosts and worker counts.
+//! fresh instrumented Example-1 workload and writes `trace.jsonl` and
+//! `audit.jsonl` into `--out` (default `inspect_out`); `text` renders a
+//! trace as per-operation waterfalls. All reports are pure functions of
+//! their input, so they are byte-identical across hosts and worker
+//! counts.
 
 use std::io::Read as _;
 use std::process::exit;
@@ -27,6 +29,7 @@ fn usage() -> ! {
          \x20      wv-inspect explain FILE [--op ID]\n\
          \x20      wv-inspect slo FILE [--target-ms N] [--window-ms N]\n\
          \x20      wv-inspect chrome FILE\n\
+         \x20      wv-inspect text FILE\n\
          FILE: replay artifact or JSONL; '-' reads stdin"
     );
     exit(2);
@@ -125,12 +128,7 @@ fn main() {
             std::fs::create_dir_all(&out).expect("create output dir");
             std::fs::write(format!("{out}/trace.jsonl"), &cap.trace_jsonl).expect("write trace");
             std::fs::write(format!("{out}/audit.jsonl"), &cap.audit_jsonl).expect("write audit");
-            std::fs::write(format!("{out}/telemetry.txt"), &cap.telemetry)
-                .expect("write telemetry");
-            println!(
-                "captured {} trial(s): {out}/trace.jsonl {out}/audit.jsonl {out}/telemetry.txt",
-                trials
-            );
+            println!("captured {trials} trial(s): {out}/trace.jsonl {out}/audit.jsonl");
         }
         "critpath" => {
             let (pos, _) = parse_flags(rest, &[]);
@@ -167,6 +165,11 @@ fn main() {
             let (pos, _) = parse_flags(rest, &[]);
             let [file] = pos.as_slice() else { usage() };
             println!("{}", wv_bench::inspect::chrome_trace(&ingest(file).spans));
+        }
+        "text" => {
+            let (pos, _) = parse_flags(rest, &[]);
+            let [file] = pos.as_slice() else { usage() };
+            print!("{}", wv_bench::tracefmt::waterfall(&ingest(file).spans));
         }
         _ => usage(),
     }

@@ -56,7 +56,7 @@ const MAX_ATTEMPTS: u32 = 4;
 /// Anti-entropy probe interval for the healing arm.
 const REPAIR_INTERVAL: SimDuration = SimDuration::from_millis(500);
 /// Trials in the full report.
-const TRIALS: usize = 24;
+pub const TRIALS: usize = 24;
 /// Seed-derivation label for the per-trial failure schedule.
 const FAILURE_LABEL: u64 = 0xE10_FA11;
 
@@ -324,7 +324,7 @@ fn pct(x: f64) -> String {
 
 /// Builds the E10 report with an explicit trial count (the smoke tests
 /// use a small one).
-pub fn run_with(trials: usize) -> String {
+pub fn run(trials: usize) -> String {
     let (off, on) = measure(0xE10, trials);
     let mut out = String::new();
     out.push_str("## E10 — Self-healing under crash/recovery churn\n\n");
@@ -449,11 +449,6 @@ pub fn run_with(trials: usize) -> String {
     out
 }
 
-/// Builds the full E10 report.
-pub fn run() -> String {
-    run_with(TRIALS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,7 +476,7 @@ mod tests {
 
     #[test]
     fn the_report_carries_both_verdicts() {
-        let report = run_with(4);
+        let report = run(4);
         assert!(report.contains("Post-recovery operation availability"));
         assert_eq!(
             report.matches("(strictly better: **yes**)").count(),

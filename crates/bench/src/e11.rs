@@ -7,7 +7,7 @@
 //! `N × k`. Throughput is measured in *virtual* time — committed
 //! operations per simulated second — which makes every cell of the sweep
 //! a deterministic function of its seed and lets the report double as a
-//! worker-count invariance fixture (`crates/bench/tests/e11_determinism.rs`).
+//! worker-count invariance fixture (`crates/chaos/tests/determinism.rs`).
 //!
 //! Two claims under test:
 //!
@@ -40,7 +40,7 @@ const CLIENTS: [usize; 4] = [1, 2, 4, 8];
 /// Pipeline depths (outstanding-op windows) per curve.
 const DEPTHS: [usize; 3] = [1, 4, 8];
 /// Reads each client issues per trial in the full report.
-const OPS_PER_CLIENT: usize = 32;
+pub const OPS_PER_CLIENT: usize = 32;
 /// Master seed for the sweep.
 const MASTER_SEED: u64 = 0xE11;
 
@@ -168,7 +168,7 @@ fn cell(cells: &[Cell], policy: usize, depth: usize, clients: usize) -> &Cell {
 
 /// Builds the E11 report with an explicit per-client read budget (the
 /// smoke tests use a small one).
-pub fn run_with(ops_per_client: usize) -> String {
+pub fn run(ops_per_client: usize) -> String {
     let cells = measure(MASTER_SEED, ops_per_client);
     let total: u64 = cells.iter().map(|c| c.ops_ok).sum();
     let expected: u64 = cells
@@ -246,11 +246,6 @@ pub fn run_with(ops_per_client: usize) -> String {
     out
 }
 
-/// Builds the full E11 report.
-pub fn run() -> String {
-    run_with(OPS_PER_CLIENT)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,7 +286,7 @@ mod tests {
 
     #[test]
     fn the_report_carries_both_verdicts() {
-        let report = run_with(6);
+        let report = run(6);
         assert!(report.contains("## E11 — Closed-loop throughput saturation"));
         assert_eq!(
             report.matches(": **yes**").count(),

@@ -20,7 +20,7 @@
 //! Throughput is committed operations per *virtual* second, so every
 //! cell is a pure function of its seed and the report doubles as a
 //! worker-count invariance fixture
-//! (`crates/bench/tests/e13_determinism.rs`). After the measured
+//! (`crates/chaos/tests/determinism.rs`). After the measured
 //! window, a warm-cache *probe* (pure reads) isolates the steady-state
 //! cost of a read in each mode: network messages per read and data
 //! fetch rounds per read.
@@ -46,7 +46,7 @@ const LINK: SimDuration = SimDuration::from_millis(25);
 /// Pipeline depths (outstanding-op windows) per curve.
 const DEPTHS: [usize; 2] = [1, 4];
 /// Operations each client issues per trial in the full report.
-const OPS_PER_CLIENT: usize = 128;
+pub const OPS_PER_CLIENT: usize = 128;
 /// Every 64th operation is a write (the rest read): read-dominant.
 const WRITE_EVERY: usize = 64;
 /// Pure reads per client in the warm-cache probe phase.
@@ -310,7 +310,7 @@ fn cell(cells: &[Cell], mode: usize, depth: usize) -> &Cell {
 
 /// Builds the E13 report with an explicit per-client op budget (the
 /// smoke tests use a small one).
-pub fn run_with(ops_per_client: usize) -> String {
+pub fn run(ops_per_client: usize) -> String {
     let cells = measure(MASTER_SEED, ops_per_client);
     let mut out = String::new();
     out.push_str("## E13 — Weak-representative cache tier under read-dominant load\n\n");
@@ -418,23 +418,6 @@ pub fn run_with(ops_per_client: usize) -> String {
     out
 }
 
-/// Builds the full E13 report.
-pub fn run() -> String {
-    run_with(OPS_PER_CLIENT)
-}
-
-/// Virtual-time cache-tier throughput for the perf snapshot: (uncached,
-/// validated, long-lease) committed ops per virtual second at the depth-4
-/// cells of the sweep. Deterministic — no wall clock anywhere.
-pub fn throughput_summary(ops_per_client: usize) -> (f64, f64, f64) {
-    let cells = measure(MASTER_SEED, ops_per_client);
-    (
-        cell(&cells, 0, 4).ops_per_vsec,
-        cell(&cells, 1, 4).ops_per_vsec,
-        cell(&cells, LEASE_LONG, 4).ops_per_vsec,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,7 +444,7 @@ mod tests {
 
     #[test]
     fn the_report_carries_all_three_verdicts() {
-        let report = run_with(64);
+        let report = run(64);
         assert!(report.contains("## E13 — Weak-representative cache tier"));
         assert_eq!(
             report.matches(": **yes**").count(),

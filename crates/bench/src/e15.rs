@@ -8,7 +8,7 @@
 //! on the commit lock. Aggregate throughput is committed operations
 //! per **virtual** second, so each cell is a deterministic function of
 //! its seed and the sweep doubles as a worker-count invariance fixture
-//! (`crates/bench/tests/e15_determinism.rs`).
+//! (`crates/chaos/tests/determinism.rs`).
 //!
 //! Three claims under test:
 //!
@@ -57,7 +57,7 @@ const READ_EVERY: usize = 8;
 /// Operations each client issues per trial in the full report: enough
 /// load that every shard of the widest split runs at its saturated
 /// commit rate (the single-suite arm saturates far earlier).
-const OPS_PER_CLIENT: usize = 64;
+pub const OPS_PER_CLIENT: usize = 64;
 /// Contention makes same-suite writers retry; give them budget enough
 /// that every operation eventually commits even at 6 writers × 1 suite.
 const MAX_ATTEMPTS: u32 = 512;
@@ -283,7 +283,7 @@ fn scaling(cells: &[Cell], suites: usize, skew: usize, servers: usize) -> f64 {
 
 /// Builds the E15 report with an explicit per-client op budget (the
 /// smoke tests use a small one).
-pub fn run_with(ops_per_client: usize) -> String {
+pub fn run(ops_per_client: usize) -> String {
     let cells = measure(MASTER_SEED, ops_per_client);
     let total: u64 = cells.iter().map(|c| c.ops_ok).sum();
     let expected = (cells.len() * CLIENTS * ops_per_client) as u64;
@@ -388,34 +388,7 @@ pub fn run_with(ops_per_client: usize) -> String {
     out
 }
 
-/// Builds the full E15 report.
-pub fn run() -> String {
-    run_with(OPS_PER_CLIENT)
-}
-
-/// Virtual-time multi-suite throughput for the perf snapshot:
-/// `(single-suite ops/vsec, 8-suite ops/vsec)` at the balanced-skew,
-/// smallest-cluster cells of the sweep. Deterministic — no wall clock.
-pub fn scaling_summary(ops_per_client: usize) -> (f64, f64) {
-    let servers = SERVER_COUNTS[0];
-    let one = run_cell(
-        wv_sim::derive_seed(MASTER_SEED, 0),
-        1,
-        BALANCED,
-        servers,
-        ops_per_client,
-    );
-    let eight = run_cell(
-        wv_sim::derive_seed(MASTER_SEED, 1),
-        8,
-        BALANCED,
-        servers,
-        ops_per_client,
-    );
-    (one.ops_per_vsec, eight.ops_per_vsec)
-}
-
-/// Cross-suite WAL batching under group commit, for the perf snapshot:
+/// Cross-suite WAL batching under group commit:
 /// `(records per sync, distinct suites per sync)` summed across the
 /// replicas of an 8-suite primary cluster replaying the balanced
 /// workload with a 5 ms group-commit window. Suites per sync > 1 means
@@ -557,7 +530,7 @@ mod tests {
 
     #[test]
     fn the_report_carries_all_three_verdicts() {
-        let report = run_with(OPS_PER_CLIENT);
+        let report = run(OPS_PER_CLIENT);
         assert!(report.contains("## E15 — Multi-suite sharded keyspace"));
         assert_eq!(
             report.matches(": **yes**").count(),

@@ -17,7 +17,7 @@ use wv_core::harness::Harness;
 use wv_sim::audit::AuditRecord;
 use wv_sim::json::Value;
 use wv_sim::trace::{SpanOutcome, SpanRecord, OPEN_END};
-use wv_sim::{SimDuration, TelemetryOptions};
+use wv_sim::SimDuration;
 
 use crate::{runner, topo};
 
@@ -256,12 +256,10 @@ pub struct Capture {
     pub trace_jsonl: String,
     /// Concatenated per-trial audit JSONL, trials in index order.
     pub audit_jsonl: String,
-    /// Concatenated per-trial telemetry renders, trials in index order.
-    pub telemetry: String,
 }
 
-/// Runs an instrumented Example-1 workload and exports all three
-/// analytics products.
+/// Runs an instrumented Example-1 workload and exports both analytics
+/// products.
 ///
 /// Trials fan out on the worker pool and merge in index order, so the
 /// exported bytes are identical for any `WV_TRIAL_THREADS` — the
@@ -271,23 +269,16 @@ pub fn capture_e1(master_seed: u64, trials: usize, rounds: u32) -> Capture {
         let mut h = topo::example_1(seed);
         h.enable_tracing();
         h.enable_audit();
-        h.enable_telemetry(TelemetryOptions::default());
         drive_rounds(&mut h, rounds);
-        let telemetry = h
-            .telemetry_snapshot()
-            .map(|s| s.render())
-            .unwrap_or_default();
-        (h.take_trace_jsonl(), h.take_audit_jsonl(), telemetry)
+        (h.take_trace_jsonl(), h.take_audit_jsonl())
     });
     let mut cap = Capture {
         trace_jsonl: String::new(),
         audit_jsonl: String::new(),
-        telemetry: String::new(),
     };
-    for (i, (trace, audit, telemetry)) in per.into_iter().enumerate() {
+    for (trace, audit) in per {
         cap.trace_jsonl.push_str(&trace);
         cap.audit_jsonl.push_str(&audit);
-        cap.telemetry.push_str(&format!("trial {i}\n{telemetry}"));
     }
     cap
 }
@@ -370,9 +361,6 @@ mod tests {
         let slo = slo_report(&spans, 500, 4000);
         assert!(slo.contains("== SLO burn summary"), "{slo}");
         assert!(slo.contains("overall:"), "{slo}");
-
-        assert!(!cap.telemetry.is_empty());
-        assert!(cap.telemetry.contains("window_us="), "{}", cap.telemetry);
     }
 
     #[test]

@@ -1,24 +1,12 @@
 //! Experiment regenerators for the paper's evaluation.
 //!
 //! One module per experiment (see `DESIGN.md` §4 for the index); each
-//! exposes `run() -> String` producing the markdown report that the
-//! matching binary in `src/bin/` prints. Reports put the paper's number,
-//! the closed-form prediction, and the simulated measurement side by side.
-//!
-//! | id | binary | regenerates |
-//! |----|--------|-------------|
-//! | E1 | `e1_example_suites` | the paper's three example file suites table |
-//! | E2 | `e2_quorum_spectrum` | read/write cost and availability across the (r, w) spectrum |
-//! | E3 | `e3_weak_representatives` | weak-representative cache hit ratio and read latency |
-//! | E4 | `e4_vote_tuning` | optimal vote assignment vs workload read fraction |
-//! | E5 | `e5_availability` | blocking probability vs per-site availability |
-//! | E6 | `e6_baselines` | weighted voting vs ROWA / primary copy / majority consensus |
-//! | E7 | `e7_reconfiguration` | online vote/quorum changes under load |
-//! | E8 | `e8_txn_scaling` | write contention and deadlock-policy ablation |
-//! | E10 | `e10_self_healing` | self-healing (health tracking, hedging, anti-entropy) vs classic clients under crash/recovery churn |
-//! | E11 | `e11_throughput` | closed-loop saturation: pipelined clients and load-balanced quorum selection |
-//! | E13 | `e13_cache_tier` | weak-representative cache tier: validated and lease modes under read-dominant zipfian load |
-//! | E15 | `e15_multi_suite` | multi-suite sharded keyspace: aggregate throughput scaling and hot-key saturation under zipfian multi-key load |
+//! exposes `run` producing the markdown report committed under
+//! `results/`. Reports put the paper's number, the closed-form
+//! prediction, and the simulated measurement side by side. The registry
+//! of experiments, and the `wv-exp` binary that regenerates them, live
+//! in `wv_chaos::experiments` (E9 and E14 are built on the chaos engine,
+//! which depends on this crate).
 
 #![warn(missing_docs)]
 

@@ -76,17 +76,10 @@ mod tests {
 
     #[test]
     fn chunking_is_worker_independent() {
-        // Same request at 1 worker and at the ambient pool size.
         let a = VoteAssignment::equal(5);
         let up = [0.9; 5];
-        let ambient = availability(&a, 3, &up, 50_000, 7);
-        let forced = {
-            std::env::set_var("WV_TRIAL_THREADS", "1");
-            let v = availability(&a, 3, &up, 50_000, 7);
-            std::env::remove_var("WV_TRIAL_THREADS");
-            v
-        };
-        assert_eq!(ambient.to_bits(), forced.to_bits());
+        let at = |workers| runner::with_workers(workers, || availability(&a, 3, &up, 50_000, 7));
+        assert_eq!(at(1).to_bits(), at(8).to_bits());
     }
 
     #[test]

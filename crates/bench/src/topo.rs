@@ -5,7 +5,6 @@
 //! quoted access cost; an inquiry or fetch round trip then costs exactly
 //! the paper's number.
 
-use wv_core::client::ClientOptions;
 use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
@@ -40,12 +39,6 @@ pub fn client_star(access: &[f64], client_self: Option<f64>) -> NetConfig {
 /// representative (65 ms local access), and a second workstation with its
 /// own weak representative. `r = w = 1`.
 pub fn example_1(seed: u64) -> Harness {
-    example_1_with_options(seed, ClientOptions::default())
-}
-
-/// [`example_1`] with explicit client options — the throughput snapshots
-/// run the same topology at several pipeline depths.
-pub fn example_1_with_options(seed: u64, options: ClientOptions) -> Harness {
     // Sites: 0 = file server (1 vote), 1 = other workstation (weak),
     // 2 = client workstation (weak).
     let net = {
@@ -60,7 +53,6 @@ pub fn example_1_with_options(seed: u64, options: ClientOptions) -> Harness {
         .site(SiteSpec::server(0))
         .site(SiteSpec::client_with_weak())
         .quorum(QuorumSpec::new(1, 1))
-        .client_options(options)
         .net(net)
         .build()
         .expect("example 1 is legal")
@@ -137,5 +129,48 @@ mod tests {
             let r = h.read(suite).expect("read");
             assert_eq!(r.value[0], i as u8);
         }
+    }
+
+    /// What 1000 write / miss-read / hit-read rounds leave behind on
+    /// Example 1 is an exact function of the seed. A log that starts
+    /// growing with the ops served, or a plan cache that stops hitting,
+    /// moves one of these counts.
+    #[test]
+    fn a_thousand_rounds_retain_seed_exact_logs_and_miss_the_plan_cache_once() {
+        let mut h = example_1(7);
+        let suite = h.suite_id();
+        for i in 0..1_000 {
+            h.write(suite, format!("round-{i}").into_bytes())
+                .expect("write succeeds");
+            for _ in 0..2 {
+                h.advance(SimDuration::from_secs(2));
+                h.read(suite).expect("read succeeds");
+            }
+            h.advance(SimDuration::from_secs(2));
+        }
+        let (mut strong, mut weak) = (0, 0);
+        for (i, node) in h.cluster().nodes.iter().enumerate() {
+            let Some(server) = node.as_server() else {
+                continue;
+            };
+            let is_weak = server
+                .config(suite)
+                .is_some_and(|cfg| cfg.assignment.is_weak(SiteId::from(i)));
+            *if is_weak { &mut weak } else { &mut strong } +=
+                server.container().wal().image_bytes();
+        }
+        let client = h.cluster().nodes[h.default_client().index()]
+            .as_client()
+            .expect("default client exists");
+        let decisions = client.decision_log();
+        assert_eq!(
+            (strong, weak, decisions.wal().len(), decisions.len()),
+            (11_870, 12_797, 436, 146),
+            "(voting WAL bytes, weak WAL bytes, decision-log records, objects)"
+        );
+        assert_eq!(
+            (client.stats.plan_cache_hits, client.stats.plan_cache_misses),
+            (7_999, 1)
+        );
     }
 }

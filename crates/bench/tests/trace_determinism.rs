@@ -4,18 +4,9 @@
 //! stamped from virtual time and merged in site order inside each trial,
 //! and trials are merged in index order, so the concatenated JSONL export
 //! of a traced experiment is **byte-identical for any worker count**.
-//!
-//! The sweep lives in a single `#[test]` because the worker override is a
-//! process-global environment variable (see `determinism.rs`).
 
+use wv_bench::runner::with_workers;
 use wv_sim::SimDuration;
-
-fn with_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
-    std::env::set_var("WV_TRIAL_THREADS", workers.to_string());
-    let out = f();
-    std::env::remove_var("WV_TRIAL_THREADS");
-    out
-}
 
 /// One traced E1 trial: drive write/read rounds on the paper's Example 1
 /// cluster and export the trial's full span record.

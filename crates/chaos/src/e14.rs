@@ -43,7 +43,7 @@ const OUTAGE_MS: u64 = 400;
 /// The swept fault rates, in permille per slot.
 pub const RATES_PERMILLE: &[u32] = &[0, 150, 400, 800];
 /// Trials per cell in the full report.
-const TRIALS: usize = 12;
+pub const TRIALS: usize = 12;
 /// Seed-derivation label for the fault timeline.
 const FAULT_LABEL: u64 = 0xE14_FA17;
 
@@ -252,7 +252,7 @@ fn pct(x: f64) -> String {
 }
 
 /// Builds the E14 report with an explicit per-cell trial count.
-pub fn run_with(trials: usize) -> String {
+pub fn run(trials: usize) -> String {
     let cells = measure(0xE14, trials);
     let mut out = String::new();
     out.push_str("## E14 — Availability and read tail latency under faulty disks\n\n");
@@ -348,11 +348,6 @@ pub fn run_with(trials: usize) -> String {
     out
 }
 
-/// Builds the full E14 report.
-pub fn run() -> String {
-    run_with(TRIALS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,6 +405,6 @@ mod tests {
 
     #[test]
     fn the_report_is_deterministic() {
-        assert_eq!(run_with(2), run_with(2));
+        assert_eq!(run(2), run(2));
     }
 }

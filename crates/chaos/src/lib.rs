@@ -1,6 +1,6 @@
 //! Chaos campaign engine for the weighted-voting stack.
 //!
-//! Four pieces, layered:
+//! Five pieces, layered:
 //!
 //! * [`schedule`] — a fault-schedule DSL: seeded, sorted timelines of
 //!   operations, crashes, partitions, link-loss bursts, delay spikes,
@@ -15,6 +15,9 @@
 //! * [`campaign`] + [`shrink`] — fan thousands of seeds over the
 //!   deterministic parallel trial runner, then delta-debug any failure
 //!   down to a minimal reproducer.
+//! * [`experiments`] — the registry of every report under `results/`
+//!   (this crate's E9 and E14 and `wv-bench`'s twelve) behind the one
+//!   `wv-exp` regenerator.
 //!
 //! Everything is deterministic: a campaign report is bit-identical at
 //! any worker count, and a shrunk artifact replays its violation
@@ -25,6 +28,7 @@
 pub mod campaign;
 pub mod e14;
 pub mod exec;
+pub mod experiments;
 pub mod oracle;
 pub mod report;
 pub mod schedule;

@@ -48,26 +48,19 @@ use wv_bench::table::Table;
 
 use crate::campaign::{run_campaign, trial_schedule, CampaignConfig};
 use crate::exec::run_schedule_instrumented;
+use crate::experiments::Report;
 use crate::oracle::check_trial;
 use crate::schedule::{ClusterSpec, EventKind, Schedule, ScheduleParams};
 use crate::shrink::{shrink, DEFAULT_BUDGET};
 
+/// Trials per healthy arm in the committed report.
+pub const TRIALS: usize = 1200;
 /// Master seed for the healthy campaign.
 pub const HEALTHY_SEED: u64 = 0xE9;
 /// Master seed for the broken-quorum campaign.
 pub const BROKEN_SEED: u64 = 0xBAD;
 /// Trials for the broken-quorum campaign (it only needs one failure).
 pub const BROKEN_TRIALS: usize = 64;
-
-/// Everything E9 produced: the rendered report plus the replay artifact.
-#[derive(Clone, Debug)]
-pub struct E9Output {
-    /// The markdown report.
-    pub report: String,
-    /// The shrunk reproducer artifact (JSON), when the broken campaign
-    /// failed as expected.
-    pub artifact: Option<String>,
-}
 
 fn describe_event(e: &EventKind) -> String {
     match e {
@@ -118,8 +111,10 @@ fn describe_event(e: &EventKind) -> String {
     }
 }
 
-/// Runs both campaigns and renders the report.
-pub fn run(trials: usize) -> E9Output {
+/// Runs every campaign and renders the report; the artifact is the
+/// shrunk reproducer (JSON), present when the broken campaign failed as
+/// expected.
+pub fn run(trials: usize) -> Report {
     let mut out = String::new();
     out.push_str("## E9 — Chaos campaign: deterministic fault schedules at scale\n\n");
 
@@ -616,12 +611,12 @@ pub fn run(trials: usize) -> E9Output {
             out.push_str("\n### Quorum decisions of the reproducer\n\n```text\n");
             out.push_str(&wv_bench::inspect::explain_report(&audit, None));
             out.push_str("```\n");
-            artifact = Some(with_trace);
+            artifact = Some(("e9_repro.json", with_trace));
         }
     }
 
-    E9Output {
-        report: out,
+    Report {
+        markdown: out,
         artifact,
     }
 }
@@ -635,25 +630,23 @@ mod tests {
         // Small trial count: this is the smoke version of the full run.
         let a = run(16);
         let b = run(16);
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.artifact, b.artifact);
-        assert!(a.artifact.is_some(), "broken campaign yields an artifact");
-        assert!(a.report.contains("Minimal reproducer"));
+        assert_eq!(a, b);
+        let (_, artifact) = a.artifact.expect("broken campaign yields an artifact");
+        assert!(a.markdown.contains("Minimal reproducer"));
         // The artifact carries the traced replay of the shrunk schedule
         // and still parses (the replayer ignores the extra key).
-        let artifact = a.artifact.as_deref().unwrap();
         assert!(artifact.contains("\"trace\":["), "artifact embeds trace");
         assert!(artifact.contains("\"kind\":"), "trace has span records");
-        assert!(Schedule::from_json(artifact).is_some());
+        assert!(Schedule::from_json(&artifact).is_some());
         // The plain, self-healing, group-commit, cache-tier, faulty-disk,
         // and multi-suite arms all come back clean.
-        assert!(a.report.contains("### Self-healing arm"));
-        assert!(a.report.contains("### Group-commit arm"));
-        assert!(a.report.contains("### Cache-tier arm"));
-        assert!(a.report.contains("### Faulty-disk arm"));
-        assert!(a.report.contains("### Multi-suite arm"));
+        assert!(a.markdown.contains("### Self-healing arm"));
+        assert!(a.markdown.contains("### Group-commit arm"));
+        assert!(a.markdown.contains("### Cache-tier arm"));
+        assert!(a.markdown.contains("### Faulty-disk arm"));
+        assert!(a.markdown.contains("### Multi-suite arm"));
         assert_eq!(
-            a.report.matches("Invariant violations: **0**").count(),
+            a.markdown.matches("Invariant violations: **0**").count(),
             6,
             "all six healthy arms must be violation-free"
         );

@@ -1,20 +1,33 @@
-//! Worker-count invariance of the chaos campaign.
+//! Worker-count invariance of every experiment report.
 //!
-//! A campaign fans seeds over `wv_bench::runner::run_trials`, whose
-//! contract is bit-identical output at any worker count. These tests pin
-//! that contract at the campaign level — failures, coverage counters, and
-//! the rendered E9 report — in a single `#[test]` per sweep, because the
-//! worker override is a process-global environment variable and the test
-//! harness runs `#[test]` functions concurrently.
+//! Trials fan out over `wv_bench::runner`, whose contract is
+//! bit-identical output at any worker count: each trial's seed is a pure
+//! function of `(master_seed, trial_index)` and results merge in trial
+//! order. These tests pin that contract on the whole pipeline — report
+//! text and artifact included — for every row of the registry, and on a
+//! campaign's failure list.
 
+use wv_bench::runner::with_workers;
+use wv_chaos::experiments::{Size, EXPERIMENTS};
 use wv_chaos::schedule::ClusterSpec;
 use wv_chaos::{run_campaign, CampaignConfig};
 
-fn with_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
-    std::env::set_var("WV_TRIAL_THREADS", workers.to_string());
-    let out = f();
-    std::env::remove_var("WV_TRIAL_THREADS");
-    out
+#[test]
+fn every_report_is_byte_identical_at_1_2_and_8_workers() {
+    for e in &EXPERIMENTS {
+        let one = with_workers(1, || e.run(Size::Smoke));
+        for workers in [2, 8] {
+            let many = with_workers(workers, || e.run(Size::Smoke));
+            assert!(one == many, "{}: {workers} workers diverged", e.id);
+        }
+        let heading = format!("## {} ", e.id.to_uppercase());
+        assert!(
+            one.markdown.starts_with(&heading),
+            "{}: a report opens with its heading:\n{}",
+            e.id,
+            one.markdown
+        );
+    }
 }
 
 #[test]
@@ -41,23 +54,4 @@ fn a_broken_campaign_is_bit_identical_at_1_2_and_8_workers() {
     assert_eq!(one, two, "2 workers diverged from sequential");
     assert_eq!(one, eight, "8 workers diverged from sequential");
     assert!(!one.0.is_empty(), "sanity: the broken spec found failures");
-}
-
-#[test]
-fn the_e9_report_bytes_are_identical_at_1_and_4_workers() {
-    let one = with_workers(1, || wv_chaos::report::run(16));
-    let four = with_workers(4, || wv_chaos::report::run(16));
-    assert_eq!(one.report, four.report);
-    assert_eq!(one.artifact, four.artifact);
-}
-
-#[test]
-fn the_e14_report_bytes_are_identical_at_1_2_and_8_workers() {
-    // The disk-fault sweep carries per-trial latency samples as well as
-    // counters, so this also pins the sample-aggregation order.
-    let one = with_workers(1, || wv_chaos::e14::run_with(3));
-    let two = with_workers(2, || wv_chaos::e14::run_with(3));
-    let eight = with_workers(8, || wv_chaos::e14::run_with(3));
-    assert_eq!(one, two, "2 workers diverged from sequential");
-    assert_eq!(one, eight, "8 workers diverged from sequential");
 }

@@ -35,7 +35,6 @@ use std::sync::Arc;
 use bytes::Bytes;
 use wv_net::{Node, NodeCtx, SiteId};
 use wv_sim::audit::{AuditLog, AuditRecord, DecisionKind, SiteInput};
-use wv_sim::telemetry::{TelemetryHub, TelemetryOptions};
 use wv_sim::trace::{SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};
 use wv_sim::{SimDuration, SimTime};
 use wv_storage::{Container, IdHashMap, ObjectId, Version};
@@ -542,9 +541,6 @@ pub struct ClientNode {
     /// that is already computed, so an audited run stays
     /// message-identical to an unaudited one.
     audit: Option<AuditLog>,
-    /// Windowed per-site telemetry; `None` (the default) disables it,
-    /// same contract as `tracer` and `audit`.
-    telemetry: Option<TelemetryHub>,
 }
 
 /// One decision's site ranking: every site of the suite's assignment (weak
@@ -636,7 +632,6 @@ impl ClientNode {
             stats: ClientStats::default(),
             tracer: None,
             audit: None,
-            telemetry: None,
         }
     }
 
@@ -679,24 +674,6 @@ impl ClientNode {
     /// Drains the recorded decisions (empty when auditing is off).
     pub fn take_audit(&mut self) -> Vec<AuditRecord> {
         self.audit.as_mut().map(AuditLog::take).unwrap_or_default()
-    }
-
-    /// Turns on windowed telemetry. Idempotent; windows accumulate until
-    /// drained with [`Self::take_telemetry`].
-    pub fn enable_telemetry(&mut self, options: TelemetryOptions) {
-        if self.telemetry.is_none() {
-            self.telemetry = Some(TelemetryHub::new(options));
-        }
-    }
-
-    /// Whether telemetry collection is on.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
-    /// Takes the telemetry hub for merging (None when telemetry is off).
-    pub fn take_telemetry(&mut self) -> Option<TelemetryHub> {
-        self.telemetry.take()
     }
 
     // ---- tracing hooks -------------------------------------------------
@@ -1404,16 +1381,6 @@ impl ClientNode {
         }
     }
 
-    /// [`Self::note_load`] plus a telemetry request mark: every call site
-    /// that counts load also counts a windowed request, attributed to the
-    /// suite the request serves.
-    fn note_load_at(&mut self, site: SiteId, suite: ObjectId, now: SimTime) {
-        self.note_load(site);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.note_suite_request(site.0, suite.0, now);
-        }
-    }
-
     /// Drains and returns the finished-operation log.
     pub fn take_completed(&mut self) -> Vec<CompletedOp> {
         std::mem::take(&mut self.completed)
@@ -1730,7 +1697,7 @@ impl ClientNode {
             ctx.send(site, Msg::VersionReq { suite, req });
         }
         if let Some(target) = guess {
-            self.note_load_at(target, suite, ctx.now());
+            self.note_load(target);
             ctx.send(target, Msg::ReadReq { suite, req });
         }
         self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
@@ -1833,7 +1800,7 @@ impl ClientNode {
         };
         st.on_commit = Some(on_commit);
         st.seq += 1;
-        let (seq, lock_ts, suite) = (st.seq, st.lock_ts, st.suite);
+        let (seq, lock_ts) = (st.seq, st.lock_ts);
         st.phase = Phase::Prepare {
             participants: batches.iter().map(|(site, _)| *site).collect(),
             yes: BTreeSet::new(),
@@ -1845,7 +1812,7 @@ impl ClientNode {
             }
         }
         for (site, writes) in batches {
-            self.note_load_at(site, suite, ctx.now());
+            self.note_load(site);
             ctx.send(
                 site,
                 Msg::Prepare {
@@ -2031,9 +1998,6 @@ impl ClientNode {
             if matches!(st.phase, Phase::Inquire { .. } | Phase::WriteInquire { .. }) {
                 let rtt = ctx.now().since(st.attempt_started);
                 self.note_rtt(from, rtt.as_millis_f64());
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.note_rtt(from.0, rtt, ctx.now());
-                }
             }
         }
         self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, version.0);
@@ -2281,7 +2245,7 @@ impl ClientNode {
         let delay = self.phase_delay([site]);
         let hedge = self.hedge_delay(site).filter(|hd| more && *hd < delay);
         self.trace_add_leg(req, site, SpanKind::Rpc, ctx.now());
-        self.note_load_at(site, suite, ctx.now());
+        self.note_load(site);
         ctx.send(site, Msg::ReadReq { suite, req });
         self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
         if let Some(hd) = hedge {
@@ -2319,7 +2283,7 @@ impl ClientNode {
         self.stats.hedges_fired += 1;
         self.trace_add_leg(req, launched.0, SpanKind::Hedge, ctx.now());
         self.audit_next_site(DecisionKind::Hedge, req, launched.1, launched.0, ctx.now());
-        self.note_load_at(launched.0, launched.1, ctx.now());
+        self.note_load(launched.0);
         ctx.send(
             launched.0,
             Msg::ReadReq {
@@ -2910,16 +2874,10 @@ impl ClientNode {
             } => self.on_read_resp(from, suite, req, version, value, ctx),
             Msg::Busy { req, .. } => {
                 self.stats.refused_busy += 1;
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.note_refusal(from.0, ctx.now());
-                }
                 self.trace_end_leg(req, from, ctx.now(), SpanOutcome::Refused, 0);
                 self.try_next_candidate(req, Some(from), ctx)
             }
             Msg::Refused { suite, req, reason } => {
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.note_refusal(from.0, ctx.now());
-                }
                 match reason {
                     RefuseReason::Quarantined => {
                         self.stats.refused_quarantined += 1;

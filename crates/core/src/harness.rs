@@ -28,7 +28,7 @@ use wv_storage::{ObjectId, Version};
 use wv_txn::lock::DeadlockPolicy;
 
 use crate::client::{ClientNode, ClientOptions, CompletedOp};
-use crate::directory::{Directory, DirectoryCache, DirectoryCacheStats};
+use crate::directory::{Directory, DirectoryCache};
 use crate::error::OpError;
 use crate::node::SystemNode;
 use crate::quorum::QuorumSpec;
@@ -536,31 +536,6 @@ impl Harness {
         }
     }
 
-    /// Atomic read-modify-write: reads the current value, applies `f`,
-    /// and writes the result — retrying the whole cycle if a concurrent
-    /// writer slips in between (the version check at prepare time detects
-    /// the race, exactly like a CAS loop).
-    pub fn read_modify_write(
-        &mut self,
-        client: SiteId,
-        suite: ObjectId,
-        mut f: impl FnMut(&[u8]) -> Vec<u8>,
-        max_rounds: u32,
-    ) -> Result<WriteResult, OpError> {
-        for _ in 0..max_rounds.max(1) {
-            let r = self.read_from(client, suite)?;
-            let new = f(&r.value);
-            match self.write_from(client, suite, new) {
-                Ok(w) => return Ok(w),
-                // A concurrent writer advanced the version between our
-                // read and our prepare; re-read and try again.
-                Err(OpError::Conflict) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(OpError::Conflict)
-    }
-
     /// Changes the suite's vote assignment and quorums online, from a
     /// specific client, under the old configuration's write quorum.
     pub fn reconfigure_from(
@@ -603,29 +578,6 @@ impl Harness {
         self.dir_cache
             .resolve(path, &self.directory)
             .map(|(suite, _)| suite)
-    }
-
-    /// Directory-cache hit/miss/invalidation counters.
-    pub fn directory_cache_stats(&self) -> DirectoryCacheStats {
-        self.dir_cache.stats()
-    }
-
-    /// Reads by directory path from the default client. Panics on an
-    /// unbound path (the directory is construction-time state).
-    pub fn read_named(&mut self, path: &str) -> Result<ReadResult, OpError> {
-        let suite = self
-            .resolve(path)
-            .unwrap_or_else(|| panic!("unbound directory path {path:?}"));
-        self.read(suite)
-    }
-
-    /// Writes by directory path from the default client. Panics on an
-    /// unbound path.
-    pub fn write_named(&mut self, path: &str, value: Vec<u8>) -> Result<WriteResult, OpError> {
-        let suite = self
-            .resolve(path)
-            .unwrap_or_else(|| panic!("unbound directory path {path:?}"));
-        self.write(suite, value)
     }
 
     /// Starts an operation and steps the simulation until it completes.
@@ -911,15 +863,6 @@ impl Harness {
             .map(|s| s.stats)
     }
 
-    /// The metrics registry of the server at `site` — histograms such as
-    /// `wal_batch_size` live here (None if the site hosts no
-    /// representative).
-    pub fn server_metrics(&self, site: SiteId) -> Option<&wv_sim::MetricsRegistry> {
-        self.sim.world.nodes[site.index()]
-            .as_server()
-            .map(|s| s.metrics())
-    }
-
     /// Per-site data-request counters of the client at `site` — the load
     /// its quorum policy placed on each representative.
     pub fn client_site_load(&self, site: SiteId) -> Option<Vec<u64>> {
@@ -1006,39 +949,6 @@ impl Harness {
         wv_sim::audit::to_jsonl(&self.take_audit())
     }
 
-    /// Turns on windowed telemetry at every node. Clients record request
-    /// counts, refusals, and RTT samples; servers record repair installs
-    /// and quarantine state.
-    pub fn enable_telemetry(&mut self, options: wv_sim::TelemetryOptions) {
-        for node in &mut self.sim.world.nodes {
-            if let Some(c) = node.as_client_mut() {
-                c.enable_telemetry(options);
-            }
-            if let Some(s) = node.as_server_mut() {
-                s.enable_telemetry(options);
-            }
-        }
-    }
-
-    /// Drains every node's telemetry, merges the hubs in site order, and
-    /// returns the combined snapshot (None when telemetry is off).
-    pub fn telemetry_snapshot(&mut self) -> Option<wv_sim::TelemetrySnapshot> {
-        let mut merged: Option<wv_sim::TelemetryHub> = None;
-        for node in &mut self.sim.world.nodes {
-            let taken = [
-                node.as_client_mut().and_then(ClientNode::take_telemetry),
-                node.as_server_mut().and_then(SuiteServer::take_telemetry),
-            ];
-            for hub in taken.into_iter().flatten() {
-                match merged.as_mut() {
-                    Some(m) => m.merge(&hub),
-                    None => merged = Some(hub),
-                }
-            }
-        }
-        merged.map(|mut m| m.snapshot())
-    }
-
     /// Immutable access to the underlying cluster (experiments).
     pub fn cluster(&self) -> &Cluster<SystemNode> {
         &self.sim.world
@@ -1078,11 +988,12 @@ mod tests {
         // Default bindings exist alongside the explicit ones.
         assert_eq!(h.resolve("tenant0/app0/suite-1"), Some(ObjectId(1)));
         assert_eq!(h.resolve("nonexistent/path"), None);
-        h.write_named("tenant0/app0/prod", b"a".to_vec())
-            .expect("write");
-        let r = h.read_named("tenant0/app0/prod").expect("read");
+        let prod = h.resolve("tenant0/app0/prod").expect("bound");
+        h.write(prod, b"a".to_vec()).expect("write");
+        let prod = h.resolve("tenant0/app0/prod").expect("bound");
+        let r = h.read(prod).expect("read");
         assert_eq!(&r.value[..], b"a");
-        let s = h.directory_cache_stats();
+        let s = h.dir_cache.stats();
         assert_eq!((s.hits, s.misses), (1, 2), "second prod resolve hits");
         // Cache suite 2's binding, then reconfigure suite 1: only suite
         // 1's cached bindings drop, and the authority adopts the new
@@ -1105,17 +1016,17 @@ mod tests {
             w.version.0,
             "authority adopted the committed generation"
         );
-        let s = h.directory_cache_stats();
+        let s = h.dir_cache.stats();
         assert_eq!(s.invalidations, 2, "both suite-1 bindings dropped");
         // Re-resolving misses and still routes reads correctly.
         assert_eq!(h.resolve("tenant0/app0/prod"), Some(ObjectId(1)));
-        assert_eq!(h.directory_cache_stats().misses, 4);
-        let r = h.read_named("tenant0/app0/prod").expect("read");
+        assert_eq!(h.dir_cache.stats().misses, 4);
+        let r = h.read(ObjectId(1)).expect("read");
         assert_eq!(&r.value[..], b"a", "contents survive reconfiguration");
         // Suite 2's cached binding was untouched: resolving it hits.
-        let hits_before = h.directory_cache_stats().hits;
+        let hits_before = h.dir_cache.stats().hits;
         assert_eq!(h.resolve("tenant0/app1/prod"), Some(ObjectId(2)));
-        assert_eq!(h.directory_cache_stats().hits, hits_before + 1);
+        assert_eq!(h.dir_cache.stats().hits, hits_before + 1);
     }
 
     #[test]
@@ -1164,13 +1075,11 @@ mod tests {
     }
 
     #[test]
-    fn audit_and_telemetry_never_change_outcomes() {
+    fn auditing_never_changes_outcomes() {
         use wv_sim::audit::DecisionKind;
-        use wv_sim::TelemetryOptions;
         let mut plain = three_server_harness(23);
         let mut observed = three_server_harness(23);
         observed.enable_audit();
-        observed.enable_telemetry(TelemetryOptions::default());
         let suite = plain.suite_id();
         for i in 0..6u8 {
             let a = plain.write(suite, vec![i]).expect("write");
@@ -1186,7 +1095,6 @@ mod tests {
             plain.take_audit().is_empty(),
             "auditing off records nothing"
         );
-        assert!(plain.telemetry_snapshot().is_none());
         let records = observed.take_audit();
         assert!(!records.is_empty(), "audited run records decisions");
         assert!(records
@@ -1200,17 +1108,8 @@ mod tests {
             assert!(r.inputs.len() >= r.chosen.len());
             assert_eq!(r.policy, "cheapest_first");
         }
-        let snap = observed
-            .telemetry_snapshot()
-            .expect("telemetry hub present");
-        let requests: u64 = (0..3)
-            .flat_map(|s| snap.windows(s).iter())
-            .map(|w| w.requests)
-            .sum();
-        assert!(requests > 0, "telemetry saw client requests");
-        // A second drain is empty / gone until re-enabled.
+        // A second drain is empty.
         assert!(observed.take_audit().is_empty());
-        assert!(observed.telemetry_snapshot().is_none());
     }
 
     #[test]
@@ -1354,8 +1253,9 @@ mod tests {
         // The histogram mirrors the counters.
         let hist = SiteId::all(3)
             .find_map(|s| {
-                h.server_metrics(s)
-                    .and_then(|m| m.histogram("wal_batch_size"))
+                h.cluster().nodes[s.index()]
+                    .as_server()
+                    .and_then(|sv| sv.metrics().histogram("wal_batch_size"))
             })
             .expect("at least one server recorded a batch");
         assert!(!hist.is_empty());
@@ -1753,32 +1653,6 @@ mod tests {
             .transaction(client, vec![(ObjectId(99), b"x".to_vec())])
             .expect_err("unknown");
         assert_eq!(err, OpError::UnknownSuite);
-    }
-
-    #[test]
-    fn read_modify_write_applies_a_function_atomically() {
-        let mut h = three_server_harness(44);
-        let suite = h.suite_id();
-        h.write(suite, 5u64.to_le_bytes().to_vec()).expect("init");
-        let client = h.default_client();
-        for _ in 0..4 {
-            h.read_modify_write(
-                client,
-                suite,
-                |old| {
-                    let mut v = [0u8; 8];
-                    v.copy_from_slice(old);
-                    (u64::from_le_bytes(v) + 10).to_le_bytes().to_vec()
-                },
-                5,
-            )
-            .expect("rmw");
-        }
-        let r = h.read(suite).expect("read");
-        let mut v = [0u8; 8];
-        v.copy_from_slice(&r.value);
-        assert_eq!(u64::from_le_bytes(v), 45);
-        assert_eq!(r.version, Version(5), "init + 4 increments");
     }
 
     #[test]

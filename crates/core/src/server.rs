@@ -48,8 +48,6 @@ pub struct ServerStats {
     pub busy: u64,
     /// Prepares received.
     pub prepares: u64,
-    /// Yes votes sent.
-    pub votes_yes: u64,
     /// No votes sent.
     pub votes_no: u64,
     /// Writes committed.
@@ -62,8 +60,6 @@ pub struct ServerStats {
     pub weak_updates: u64,
     /// Crash recoveries performed.
     pub recoveries: u64,
-    /// In-doubt decision probes sent to coordinators.
-    pub decision_probes: u64,
     /// Log compactions performed.
     pub checkpoints: u64,
     /// Anti-entropy pulls sent (on recovery and on periodic probes).
@@ -184,9 +180,6 @@ pub struct SuiteServer {
     /// The tracer never reads the RNG and never emits effects, so enabling
     /// it cannot perturb the protocol.
     tracer: Option<Tracer>,
-    /// Windowed telemetry (repair installs, quarantine state); `None`
-    /// (the default) disables it, under the same contract as `tracer`.
-    telemetry: Option<wv_sim::TelemetryHub>,
     /// Open lock-wait spans of queued prepares, keyed like `waiting`.
     waiting_spans: IdHashMap<TxToken, SpanId>,
     /// Group-commit sync latency; `None` (the default) flushes every
@@ -265,7 +258,6 @@ impl SuiteServer {
             refresh_clients: Vec::new(),
             stats: ServerStats::default(),
             tracer: None,
-            telemetry: None,
             waiting_spans: IdHashMap::default(),
             group_commit: None,
             sync_active: false,
@@ -296,20 +288,6 @@ impl SuiteServer {
     /// Drains the recorded spans (empty when tracing is off).
     pub fn take_trace(&mut self) -> Vec<SpanRecord> {
         self.tracer.as_mut().map(Tracer::take).unwrap_or_default()
-    }
-
-    /// Turns on windowed telemetry (repair installs and quarantine
-    /// state). Idempotent; windows accumulate until drained with
-    /// [`Self::take_telemetry`].
-    pub fn enable_telemetry(&mut self, options: wv_sim::TelemetryOptions) {
-        if self.telemetry.is_none() {
-            self.telemetry = Some(wv_sim::TelemetryHub::new(options));
-        }
-    }
-
-    /// Takes the telemetry hub for merging (None when telemetry is off).
-    pub fn take_telemetry(&mut self) -> Option<wv_sim::TelemetryHub> {
-        self.telemetry.take()
     }
 
     /// Overrides the in-doubt probe interval.
@@ -747,7 +725,6 @@ impl SuiteServer {
         // Probe the coordinator if the decision takes too long.
         ctx.set_timer(self.resolve_after, w.req.0);
         self.note_serving();
-        self.stats.votes_yes += 1;
         ctx.send(
             w.from,
             Msg::PrepareVote {
@@ -845,7 +822,6 @@ impl SuiteServer {
                 Deferred::Vote { to, suite, req } => {
                     ctx.set_timer(self.resolve_after, req.0);
                     self.note_serving();
-                    self.stats.votes_yes += 1;
                     ctx.send(
                         to,
                         Msg::PrepareVote {
@@ -970,9 +946,6 @@ impl SuiteServer {
                 if let Some(tr) = self.tracer.as_mut() {
                     tr.end(id, ctx.now(), SpanOutcome::Ok);
                 }
-            }
-            if let Some(t) = self.telemetry.as_mut() {
-                t.mark_quarantined(self.site.0, false, ctx.now());
             }
             // Re-announce: a fresh gossip epoch resumes normal probing
             // (and the suppressed cache pushes).
@@ -1190,7 +1163,6 @@ impl SuiteServer {
                 if self.pending.contains_key(&req) {
                     // Duplicate prepare (network duplication); re-vote yes.
                     self.note_serving();
-                    self.stats.votes_yes += 1;
                     ctx.send(
                         from,
                         Msg::PrepareVote {
@@ -1390,9 +1362,6 @@ impl SuiteServer {
                                 ctx.now(),
                             );
                         }
-                        if let Some(t) = self.telemetry.as_mut() {
-                            t.note_repair(self.site.0, ctx.now());
-                        }
                         true
                     } else {
                         // Injected I/O error: the peer's state was not
@@ -1436,7 +1405,6 @@ impl SuiteServer {
         }
         let req = ReqId(token);
         if let Some(p) = self.pending.get(&req) {
-            self.stats.decision_probes += 1;
             ctx.send(
                 req.coordinator(),
                 Msg::DecisionReq {
@@ -1529,9 +1497,6 @@ impl SuiteServer {
                     let id = tr.start(SpanKind::Quarantine, 0, 0, None, None, hosted, ctx.now());
                     self.quarantine_span = Some(id);
                 }
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.mark_quarantined(self.site.0, true, ctx.now());
-                }
             }
             // (Re)build the confirmation ledger from scratch: anything
             // absorbed before this recovery is void, the damage is new.
@@ -1569,7 +1534,6 @@ impl SuiteServer {
                     suite,
                 },
             );
-            self.stats.decision_probes += 1;
             ctx.send(req.coordinator(), Msg::DecisionReq { suite, req });
             ctx.set_timer(self.resolve_after, req.0);
         }

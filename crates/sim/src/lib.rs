@@ -20,7 +20,6 @@
 //! * [`trace`] — deterministic per-operation spans stamped from sim time.
 //! * [`metrics`] — mergeable counters, gauges, and latency histograms.
 //! * [`audit`] — quorum-decision audit records: why each plan was chosen.
-//! * [`telemetry`] — windowed per-site time-series rings in sim time.
 //! * [`json`] — the minimal integer-only JSON used by every artifact.
 //! * [`vlog`] — verbosity-gated structured logging for bins.
 //!
@@ -49,7 +48,6 @@ pub mod metrics;
 pub mod rng;
 pub mod sched;
 pub mod stats;
-pub mod telemetry;
 pub mod time;
 pub mod trace;
 pub mod vlog;
@@ -61,6 +59,5 @@ pub use metrics::{MetricsRegistry, Percentiles};
 pub use rng::{derive_seed, DetRng};
 pub use sched::{Scheduler, Sim};
 pub use stats::{Histogram, SampleSet, Summary};
-pub use telemetry::{SiteWindow, TelemetryHub, TelemetryOptions, TelemetrySnapshot};
 pub use time::{SimDuration, SimTime};
 pub use trace::{SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};

@@ -123,5 +123,5 @@ fn main() {
             ex.paper_read
         );
     }
-    println!("\nRun `cargo run -p wv-bench --bin e1_example_suites` for the full table.");
+    println!("\nRun `cargo run -p wv-chaos --bin wv-exp -- e1` for the full table.");
 }
