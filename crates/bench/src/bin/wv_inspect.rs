@@ -1,5 +1,5 @@
-//! Trace-analytics CLI: critical paths, decision explains, SLO burn,
-//! and Chrome-trace export over deterministic run artifacts.
+//! Trace-analytics CLI: critical paths, decision and retry explains, SLO
+//! burn, and Chrome-trace export over deterministic run artifacts.
 //!
 //! ```text
 //! wv-inspect capture [--seed N] [--trials N] [--rounds N] [--out DIR]
@@ -146,10 +146,13 @@ fn main() {
                 .rev()
                 .find(|(n, _)| n == "op")
                 .map(|(_, v)| parse_int(v));
-            print!(
-                "{}",
-                wv_bench::inspect::explain_report(&ingest(file).audit, op)
-            );
+            let input = ingest(file);
+            if !input.audit.is_empty() {
+                print!("{}", wv_bench::inspect::explain_report(&input.audit, op));
+            }
+            if !input.spans.is_empty() {
+                print!("{}", wv_bench::inspect::retry_report(&input.spans, op));
+            }
         }
         "slo" => {
             let (pos, flags) = parse_flags(rest, &["target-ms", "window-ms"]);

@@ -9,10 +9,16 @@
 //! suspicion-aware quorum planning, hedged reads, and background
 //! anti-entropy repair.
 //!
-//! The claim under test: healing strictly improves operation
-//! availability in the windows an outage disturbs — from a
-//! representative's crash through shortly past its recovery — and
-//! strictly improves tail (p99) read latency overall. Both arms of
+//! The claim under test: healing strictly improves tail (p99) read
+//! latency overall, and costs no operation availability in the windows
+//! an outage disturbs — from a representative's crash through shortly
+//! past its recovery. (Availability used to be the headline: the classic
+//! arm lost operations that met a commit lock, were turned away and
+//! burned their four attempts on phase timeouts, and routing around
+//! suspects saved some of them. Reads are now held at the lock and
+//! writes stand in line, in both arms, so what still fails is what no
+//! routing can save: a quorum that stays down longer than the whole
+//! retry budget.) Both arms of
 //! each trial share one failure schedule (derived from the trial seed
 //! alone), so the comparison is paired, and trials fan out over
 //! [`runner::run_trials`] — the report is bit-identical at any worker
@@ -427,10 +433,10 @@ pub fn run(trials: usize) -> String {
     out.push_str(&format!(
         "Post-recovery operation availability (ops started between a crash \
          and 2 s past its recovery), healing off → on: **{} → {}** \
-         (strictly better: **{}**).\n\n",
+         (no worse: **{}**).\n\n",
         pct(off.post_recovery_availability()),
         pct(on.post_recovery_availability()),
-        if on.post_recovery_availability() > off.post_recovery_availability() {
+        if on.post_recovery_availability() >= off.post_recovery_availability() {
             "yes"
         } else {
             "NO"
@@ -454,10 +460,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn healing_strictly_improves_recovery_availability_and_tail_latency() {
+    fn healing_improves_tail_latency_at_no_cost_in_availability() {
         let (off, on) = measure(0xE10, 8);
         assert!(
-            on.post_recovery_availability() > off.post_recovery_availability(),
+            on.post_recovery_availability() >= off.post_recovery_availability(),
             "post-recovery availability: off {} vs on {}",
             off.post_recovery_availability(),
             on.post_recovery_availability()
@@ -478,10 +484,8 @@ mod tests {
     fn the_report_carries_both_verdicts() {
         let report = run(4);
         assert!(report.contains("Post-recovery operation availability"));
-        assert_eq!(
-            report.matches("(strictly better: **yes**)").count(),
-            2,
-            "both strict-improvement verdicts must hold:\n{report}"
-        );
+        assert!(report.contains("(no worse: **yes**)"), "{report}");
+        assert!(report.contains("(strictly better: **yes**)"), "{report}");
+        assert!(!report.contains("**NO**"), "{report}");
     }
 }

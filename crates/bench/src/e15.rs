@@ -4,8 +4,8 @@
 //! cluster whose keyspace is split into 1, 2, 4, or 8 file suites, at
 //! two skews (uniform and zipfian) and two cluster sizes. Every server
 //! shards its lock table by suite, so writes to *different* suites
-//! never queue behind one another — only same-suite writers serialize
-//! on the commit lock. Aggregate throughput is committed operations
+//! never queue behind one another — only same-suite writers stand in
+//! one commit-lock line. Aggregate throughput is committed operations
 //! per **virtual** second, so each cell is a deterministic function of
 //! its seed and the sweep doubles as a worker-count invariance fixture
 //! (`crates/chaos/tests/determinism.rs`).
@@ -13,9 +13,11 @@
 //! Three claims under test:
 //!
 //! 1. **Sharding buys aggregate throughput.** Under a balanced suite
-//!    choice, splitting one suite into 8 turns a single lock queue
+//!    choice, splitting one suite into 8 turns a single lock line
 //!    into 8 parallel ones: aggregate ops/vsec scales ≥6× on the
-//!    primary cluster.
+//!    primary cluster. What it no longer buys is attempts: a contended
+//!    suite commits once per lock hold, not once per retry lottery, so
+//!    every width costs one attempt per operation.
 //! 2. **Hot keys saturate their shard.** Under zipfian skew
 //!    (popularity ∝ 1/(rank+1)) the hottest suite absorbs over a
 //!    third of the traffic, so the same 8-way split scales visibly
@@ -58,18 +60,18 @@ const READ_EVERY: usize = 8;
 /// load that every shard of the widest split runs at its saturated
 /// commit rate (the single-suite arm saturates far earlier).
 pub const OPS_PER_CLIENT: usize = 64;
-/// Contention makes same-suite writers retry; give them budget enough
-/// that every operation eventually commits even at 6 writers × 1 suite.
+/// Attempt budget: generous, so that a retry storm would show up in
+/// `attempts_per_op` rather than as failed operations.
 const MAX_ATTEMPTS: u32 = 512;
-/// Short, tightly-capped retry backoff: conflicts should re-queue on
-/// the suite's lock promptly, so measured throughput reflects lock
-/// serialization rather than idle backoff time.
+/// Short, tightly-capped retry backoff: an operation that does give way
+/// should rejoin its suite's line promptly, so measured throughput
+/// reflects lock serialization rather than idle backoff time.
 const BACKOFF: SimDuration = SimDuration::from_millis(5);
 /// Backoff ceiling (before jitter).
 const BACKOFF_CAP: SimDuration = SimDuration::from_millis(80);
-/// Phase timeout: an uncontended write round trip is ~150 ms, so a
-/// prepare parked deep in a busy suite's lock queue recycles after
-/// 600 ms instead of idling out the default 5 s timer.
+/// Phase timeout: an uncontended write round trip is ~150 ms. A prepare
+/// standing in a busy suite's line does not time out; this only paces
+/// how often its coordinator re-asks.
 const PHASE_TIMEOUT: SimDuration = SimDuration::from_millis(300);
 /// Master seed for the sweep.
 const MASTER_SEED: u64 = 0xE15;
@@ -297,8 +299,8 @@ pub fn run(ops_per_client: usize) -> String {
          split into 1, 2, 4, or 8 suites, choosing the suite per op \
          balanced (per-client round-robin stride) or zipfian \
          (popularity ∝ 1/(rank+1)). Servers shard \
-         their lock tables by suite, so only same-suite writers queue on \
-         a commit lock. Throughput is committed operations per \
+         their lock tables by suite, so only same-suite writers stand in \
+         one commit-lock line. Throughput is committed operations per \
          **virtual** second. {total}/{expected} operations committed.\n\n",
         SERVER_COUNTS,
         LINK.as_millis() * 2,
@@ -354,11 +356,13 @@ pub fn run(ops_per_client: usize) -> String {
         "Splitting the keyspace into 8 suites multiplies balanced-skew \
          aggregate throughput by **{primary:.1}×** on the {}-server \
          cluster (≥6× required: **{}**), and {secondary:.1}× on the \
-         {}-server cluster, whose wider w = {} write quorums pay more \
-         cross-replica lock conflicts per commit.\n\n",
+         {}-server cluster: a write holds its suite's lock for one vote \
+         and one commit round whether w = {} or {}, so a wider quorum \
+         costs messages, not lock time.\n\n",
         SERVER_COUNTS[0],
         if primary >= 6.0 { "yes" } else { "NO" },
         SERVER_COUNTS[1],
+        SERVER_COUNTS[0] / 2 + 1,
         SERVER_COUNTS[1] / 2 + 1,
     ));
     let uni8 = scaling(&cells, 8, BALANCED, SERVER_COUNTS[0]);
@@ -377,13 +381,19 @@ pub fn run(ops_per_client: usize) -> String {
             "NO"
         }
     ));
+    let worst = cells
+        .iter()
+        .map(|c| c.attempts_per_op)
+        .fold(0.0_f64, f64::max);
     let a1 = cell(&cells, 1, BALANCED, SERVER_COUNTS[0]).attempts_per_op;
-    let a8 = cell(&cells, 8, BALANCED, SERVER_COUNTS[0]).attempts_per_op;
     out.push_str(&format!(
-        "Same-suite contention is visible in the retry budget: one \
-         shared suite costs **{a1:.2}** attempts per committed op, eight \
-         suites cost **{a8:.2}** (sharding cuts retries: **{}**).\n",
-        if a8 < a1 { "yes" } else { "NO" }
+        "Same-suite contention is not paid in retries: {CLIENTS} clients on \
+         one shared suite spend **{a1:.2}** attempts per committed op, \
+         and no cell of the sweep spends more than **{worst:.2}** — \
+         contended prepares stand in line at the representatives and \
+         commit once per lock hold (≤1.05 attempts per op in every cell \
+         required: **{}**).\n",
+        if worst <= 1.05 { "yes" } else { "NO" }
     ));
     out
 }
@@ -441,12 +451,14 @@ mod tests {
             eight.ops_per_vsec,
             one.ops_per_vsec
         );
-        assert!(
-            eight.attempts_per_op < one.attempts_per_op,
-            "sharding must cut the retry tax: {} vs {}",
-            eight.attempts_per_op,
-            one.attempts_per_op
-        );
+        for cell in [&one, &eight] {
+            assert!(
+                cell.attempts_per_op <= 1.05,
+                "contention must not be paid in retries: {} attempts/op on {} suite(s)",
+                cell.attempts_per_op,
+                cell.suites
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 
+use wv_core::client::RetryCause;
 use wv_core::harness::Harness;
 use wv_sim::audit::AuditRecord;
 use wv_sim::json::Value;
@@ -141,6 +142,27 @@ pub fn explain_report(records: &[AuditRecord], op: Option<u64>) -> String {
             None => String::new(),
         }
     ));
+    out
+}
+
+/// Ranks what ended attempts short of their operation — "why did this op
+/// take so many attempts" — from the outcome each attempt's last phase
+/// span closed with, optionally for one operation only.
+pub fn retry_report(spans: &[SpanRecord], op: Option<u64>) -> String {
+    let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
+    for s in spans.iter().filter(|s| op.is_none_or(|want| want == s.op)) {
+        if let Some(cause) = RetryCause::of_span(s.kind, s.outcome) {
+            *counts.entry(cause.name()).or_insert(0) += 1;
+        }
+    }
+    let mut ranked: Vec<(&str, u64)> = counts.into_iter().collect();
+    ranked.sort_by_key(|&(name, n)| (std::cmp::Reverse(n), name));
+    let mut out = String::from("== attempts that ended early, by cause ==\n");
+    for (name, n) in &ranked {
+        out.push_str(&format!("{n:>8}  {name}\n"));
+    }
+    let total: u64 = ranked.iter().map(|(_, n)| n).sum();
+    out.push_str(&format!("{total} attempt(s) ended early\n"));
     out
 }
 
@@ -381,5 +403,48 @@ mod tests {
         let first = &events[0];
         assert_eq!(first.get("ph").and_then(Value::as_str), Some("X"));
         assert!(first.get("ts").and_then(Value::as_int).is_some());
+    }
+    #[test]
+    fn retry_report_ranks_the_causes_a_contended_trace_records() {
+        use wv_core::harness::SiteSpec;
+        use wv_core::quorum::QuorumSpec;
+        use wv_sim::SimTime;
+        // Four clients write one suite at once on no-wait servers: every
+        // prepare that meets the commit lock is voted down and retried.
+        let mut b = Harness::builder()
+            .seed(7)
+            .quorum(QuorumSpec::majority(3))
+            .deadlock_policy(wv_txn::lock::DeadlockPolicy::NoWait);
+        for _ in 0..3 {
+            b = b.site(SiteSpec::server(1));
+        }
+        for _ in 0..4 {
+            b = b.client();
+        }
+        let mut h = b.build().expect("legal");
+        h.enable_tracing();
+        let suite = h.suite_id();
+        for c in h.clients().to_vec() {
+            h.enqueue_write(c, suite, b"w".to_vec(), SimTime::ZERO);
+        }
+        h.run_until_quiet(1_000_000);
+        let retries: u64 = h
+            .clients()
+            .iter()
+            .map(|&c| h.client_stats(c).expect("client").retries)
+            .sum();
+        assert!(retries > 0, "no contention, nothing to rank");
+        let spans = h.take_trace();
+        let report = retry_report(&spans, None);
+        assert!(report.starts_with("== attempts that ended early, by cause ==\n"));
+        assert!(
+            report.contains(&format!("{retries:>8}  vote_no\n")),
+            "{report}"
+        );
+        assert!(report.ends_with(&format!("{retries} attempt(s) ended early\n")));
+        // One op's share: the first attempt's request id names it.
+        let op = spans.iter().find(|s| s.kind.is_op_root()).expect("ops").op;
+        let one = retry_report(&spans, Some(op));
+        assert!(one.len() <= report.len());
     }
 }

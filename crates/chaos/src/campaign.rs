@@ -62,14 +62,19 @@ pub struct Coverage {
     pub trials_with_cross_suite_txn: u64,
     /// Cross-suite transactions started across all trials.
     pub cross_suite_txns: u64,
-    /// Trials where at least one operation was quorum-blocked.
+    /// Trials where at least one attempt was quorum-blocked: its inquiry
+    /// timed out short of a quorum, whether or not a retry got through.
     pub trials_with_quorum_block: u64,
     /// Operations attempted across all trials.
     pub ops_total: u64,
     /// Operations that succeeded.
     pub ops_ok: u64,
-    /// Operations that failed `Unavailable` (quorum-blocked).
+    /// Operations the progress invariant judged (they met no fault).
+    pub ops_quiet: u64,
+    /// Operations that failed `Unavailable` (quorum-blocked to the end).
     pub quorum_blocked: u64,
+    /// Attempts retried after a quorum-blocked inquiry.
+    pub attempts_quorum_blocked: u64,
     /// Operations that ended in doubt.
     pub indeterminate: u64,
     /// Phase timeouts across all clients and trials.
@@ -139,9 +144,12 @@ impl Coverage {
         self.trials_with_reconfigure += u64::from(c.reconfigures > 0);
         self.trials_with_cross_suite_txn += u64::from(c.cross_suite_txns > 0);
         self.cross_suite_txns += c.cross_suite_txns;
-        self.trials_with_quorum_block += u64::from(c.quorum_blocked > 0);
+        self.trials_with_quorum_block +=
+            u64::from(c.quorum_blocked + c.attempts_quorum_blocked > 0);
+        self.attempts_quorum_blocked += c.attempts_quorum_blocked;
         self.ops_total += c.ops_ok + c.ops_failed;
         self.ops_ok += c.ops_ok;
+        self.ops_quiet += c.ops_quiet;
         self.quorum_blocked += c.quorum_blocked;
         self.indeterminate += c.indeterminate;
         self.timeouts += c.timeouts;

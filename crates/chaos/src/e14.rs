@@ -335,13 +335,14 @@ pub fn run(trials: usize) -> String {
          rate, availability healing off → on: **{} → {}**; a quarantined \
          replica without anti-entropy stays vote-less until the end of \
          the trial, so the healing arm holds the availability line as \
-         the fault rate climbs. The non-zero p99 at rate 0 is \
-         reader–writer contention, not disk damage: a read issued while \
-         a write holds its prepare locks is refused busy everywhere and \
-         backs off, and the health-tracked arm reroutes around the \
-         locked replicas faster — that is why its tail sits lower at \
-         every rate, while the climb *within* each arm is the disk-fault \
-         signal.\n",
+         the fault rate climbs. At rate 0 both tails sit at one read \
+         round trip plus a lock hold: a read that meets a write's commit \
+         lock is held at the representative and answered at the \
+         release, so reader–writer contention no longer costs a phase \
+         timeout and the whole climb *within* each arm is the disk-fault \
+         signal. The healing arm's tail sits lower at every faulty rate \
+         because its adaptive timeouts give up on a refusing or \
+         recovering replica sooner.\n",
         pct(top_off.availability()),
         pct(top_on.availability()),
     ));

@@ -7,9 +7,9 @@
 //! [`TrialRun`] — the merged operation log, final reads, replica states,
 //! and coverage counters — which [`crate::oracle`] judges.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
-use wv_core::client::{ClientOptions, CompletedOp, HealthOptions, WeakRepOptions};
+use wv_core::client::{ClientOptions, CompletedOp, HealthOptions, RetryCause, WeakRepOptions};
 use wv_core::harness::SiteSpec;
 use wv_core::{Harness, OpError, OpKind, QuorumSpec, VoteAssignment};
 use wv_net::sim_net::NetStats;
@@ -27,6 +27,52 @@ const QUIESCE_CAP: u64 = 5_000_000;
 /// How long the quiesce phase lets in-flight retries ride after the last
 /// scheduled event before the final reads.
 const SETTLE: SimDuration = SimDuration::from_secs(30);
+
+/// How long past a server's recovery its outage still counts as a fault
+/// window: the recovered representative is catching up and its in-doubt
+/// transactions are being resolved.
+const RECOVERY_SLACK: SimDuration = SimDuration::from_secs(2);
+
+/// What can be wrong with the cluster, for [`TrialRun::fault_windows`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Fault {
+    Down(usize),
+    Partition,
+    Loss,
+    Delay,
+    Duplication,
+    /// Injected disk trouble still pending, or the quarantine it caused.
+    Disk(usize),
+}
+
+/// The intervals during which some fault was active.
+#[derive(Default)]
+struct FaultWindows {
+    open: BTreeMap<Fault, SimTime>,
+    closed: Vec<(SimTime, SimTime)>,
+}
+
+impl FaultWindows {
+    /// `fault` is active from `at` (or from when it first became so).
+    fn open(&mut self, fault: Fault, at: SimTime) {
+        self.open.entry(fault).or_insert(at);
+    }
+
+    /// `fault` stops mattering at `until`.
+    fn close(&mut self, fault: Fault, until: SimTime) {
+        if let Some(from) = self.open.remove(&fault) {
+            self.closed.push((from, until));
+        }
+    }
+
+    fn set(&mut self, fault: Fault, active: bool, at: SimTime) {
+        if active {
+            self.open(fault, at);
+        } else {
+            self.close(fault, at);
+        }
+    }
+}
 
 /// Per-trial counters: which faults the schedule actually applied and
 /// what the protocol did under them. The campaign aggregates these into
@@ -57,14 +103,20 @@ pub struct TrialCoverage {
     /// every fifth write tag becomes a two-suite atomic transaction).
     pub cross_suite_txns: u64,
     /// Operations that failed `Unavailable` — a quorum could not be
-    /// assembled (the paper's "blocked" outcome).
+    /// assembled (the paper's "blocked" outcome) on their last attempt.
     pub quorum_blocked: u64,
+    /// Attempts retried because their inquiry timed out short of a
+    /// quorum: the same outcome, met and survived.
+    pub attempts_quorum_blocked: u64,
     /// Operations that ended `Indeterminate`.
     pub indeterminate: u64,
     /// Operations that failed for any reason.
     pub ops_failed: u64,
     /// Operations that succeeded.
     pub ops_ok: u64,
+    /// Operations that ran entirely outside every fault window: the ones
+    /// the oracle's progress invariant judges.
+    pub ops_quiet: u64,
     /// Phase timeouts observed across all clients.
     pub timeouts: u64,
     /// Attempt retries across all clients.
@@ -182,6 +234,12 @@ pub struct TrialRun {
     pub coverage: TrialCoverage,
     /// Transport counters at end of run.
     pub net: NetStats,
+    /// When the cluster was not whole: a server down (until
+    /// [`RECOVERY_SLACK`] past its recovery), a partition, a loss, delay
+    /// or duplication dial off zero, a disk stalled, refusing or
+    /// quarantined. The oracle's progress invariant judges only
+    /// operations that ran entirely outside these windows.
+    pub fault_windows: Vec<(SimTime, SimTime)>,
     /// `Some(bound)` when the cluster ran the client cache tier: the
     /// oracle's staleness-bound invariant lets cache-served reads lag the
     /// committed frontier by at most this much. Validated mode's bound is
@@ -306,6 +364,18 @@ fn run_schedule_inner(
     }
     let mut txn_records: Vec<TxnRecord> = Vec::new();
     let mut read_rr = 0usize;
+    let mut faults = FaultWindows::default();
+    // Disk trouble is over when the servers say so: injected errors are
+    // consumed by whatever next touches the disk, and a quarantine heals
+    // when the last peer has been pulled from. Looked at between events.
+    let disk_trouble = |h: &Harness, faults: &mut FaultWindows| {
+        for (site, node) in h.cluster().nodes.iter().enumerate().take(spec.servers) {
+            let troubled = node
+                .as_server()
+                .is_some_and(|sv| sv.is_quarantined() || sv.container().disk_faults_armed());
+            faults.set(Fault::Disk(site), troubled, h.now());
+        }
+    };
 
     for event in &schedule.events {
         // Advance to the event's instant, letting in-flight work run.
@@ -314,6 +384,7 @@ fn run_schedule_inner(
             h.advance(target.since(h.now()));
         }
         let at = h.now();
+        disk_trouble(&h, &mut faults);
         match &event.kind {
             EventKind::Write { client, payload } => {
                 coverage.writes += 1;
@@ -352,14 +423,17 @@ fn run_schedule_inner(
             }
             EventKind::Crash { site } => {
                 coverage.crashes += 1;
+                faults.open(Fault::Down(*site), at);
                 h.crash(SiteId(*site as u16));
             }
             EventKind::Recover { site } => {
                 coverage.recoveries += 1;
+                faults.close(Fault::Down(*site), at + RECOVERY_SLACK);
                 h.recover(SiteId(*site as u16));
             }
             EventKind::Partition { group_a } => {
                 coverage.partitions += 1;
+                faults.open(Fault::Partition, at);
                 let a: Vec<SiteId> = group_a
                     .iter()
                     .filter(|&&s| s < total)
@@ -373,18 +447,22 @@ fn run_schedule_inner(
             }
             EventKind::Heal => {
                 coverage.heals += 1;
+                faults.close(Fault::Partition, at);
                 h.heal();
             }
             EventKind::LossBurst { permille } => {
                 coverage.loss_bursts += 1;
+                faults.set(Fault::Loss, *permille > 0, at);
                 h.set_drop_all(f64::from(*permille) / 1000.0);
             }
             EventKind::DelaySpike { extra_ms } => {
                 coverage.delay_spikes += 1;
+                faults.set(Fault::Delay, *extra_ms > 0, at);
                 h.set_extra_delay(SimDuration::from_millis(*extra_ms));
             }
             EventKind::Duplication { permille } => {
                 coverage.duplications += 1;
+                faults.set(Fault::Duplication, *permille > 0, at);
                 h.set_duplicate_prob(f64::from(*permille) / 1000.0);
             }
             EventKind::Reconfigure {
@@ -428,7 +506,9 @@ fn run_schedule_inner(
             EventKind::DiskStall { site, ms } => {
                 if spec.disk_faults {
                     coverage.disk_stalls += 1;
-                    h.disk_stall(SiteId(*site as u16), SimDuration::from_millis(*ms));
+                    let stall = SimDuration::from_millis(*ms);
+                    faults.closed.push((at, at + stall));
+                    h.disk_stall(SiteId(*site as u16), stall);
                 }
             }
         }
@@ -436,6 +516,13 @@ fn run_schedule_inner(
 
     // Quiesce: clear every dial, reconnect and revive everyone, let
     // in-flight retries ride, then drain.
+    disk_trouble(&h, &mut faults);
+    let end = h.now();
+    for (fault, from) in std::mem::take(&mut faults.open) {
+        let slack = matches!(fault, Fault::Down(_) | Fault::Disk(_));
+        let until = if slack { end + RECOVERY_SLACK } else { end };
+        faults.closed.push((from, until));
+    }
     h.set_drop_all(0.0);
     h.set_extra_delay(SimDuration::ZERO);
     h.set_duplicate_prob(0.0);
@@ -532,6 +619,8 @@ fn run_schedule_inner(
         if let Some(stats) = h.client_stats(c) {
             coverage.timeouts += stats.timeouts;
             coverage.retries += stats.retries;
+            coverage.attempts_quorum_blocked +=
+                stats.retry_causes[RetryCause::TimeoutInquire as usize];
             coverage.attempts_exhausted += stats.attempts_exhausted;
             coverage.suspicions_raised += stats.suspicions_raised;
             coverage.reroutes += stats.reroutes;
@@ -557,6 +646,7 @@ fn run_schedule_inner(
         }
     }
     for op in &ops {
+        coverage.ops_quiet += u64::from(crate::oracle::ran_quiet(op, &faults.closed));
         match &op.outcome {
             Ok(_) => coverage.ops_ok += 1,
             Err(e) => {
@@ -589,6 +679,7 @@ fn run_schedule_inner(
             quiesced,
             coverage,
             net,
+            fault_windows: faults.closed,
             // Validated mode: the bound is zero — a cache serve carries
             // the same quorum evidence as a classic read.
             cache_lease: spec.cache_tier.then_some(SimDuration::ZERO),

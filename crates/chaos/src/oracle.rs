@@ -73,6 +73,19 @@
 //!     committed without their client learning so) but count against
 //!     each touched suite's version-gap and replica-bound budgets.
 //!
+//! Over the whole log, against the trial's fault windows
+//! ([`check_progress`]):
+//!
+//! 14. **Progress** — an operation that started and finished while the
+//!     cluster was whole (no server down or freshly recovered, no
+//!     partition, no loss, delay or duplication dial, no disk trouble)
+//!     finished, and within [`QUIET_ATTEMPTS`] attempts. Contention alone
+//!     is not an excuse: contended commits stand in line at the
+//!     representatives instead of retrying. A reconfiguration is a
+//!     read-modify-write of the whole suite and legitimately restarts on
+//!     every write or rival reconfiguration it loses to, so its bound is
+//!     the client's whole budget: it must not *fail*.
+//!
 //! Multi-suite trials run invariants 1–11 *per suite*: versions are
 //! per-suite counters, so the log is partitioned by suite first, with
 //! committed cross-suite transactions exploded into one synthetic write
@@ -213,6 +226,18 @@ pub enum Violation {
     },
     /// The run failed to drain its event queue within the quiesce budget.
     NoQuiesce,
+    /// An operation that ran entirely outside every fault window needed
+    /// more attempts than [`QUIET_ATTEMPTS`], or failed.
+    SlowProgress {
+        /// What kind of operation.
+        kind: OpKind,
+        /// When it started (virtual ms), to find it in a replay.
+        started_ms: u64,
+        /// The attempts it took.
+        attempts: u32,
+        /// Whether it failed outright.
+        failed: bool,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -295,6 +320,16 @@ impl fmt::Display for Violation {
             Violation::NoQuiesce => {
                 write!(f, "event queue failed to drain within the quiesce budget")
             }
+            Violation::SlowProgress {
+                kind,
+                started_ms,
+                attempts,
+                failed,
+            } => write!(
+                f,
+                "no fault active, yet the {kind:?} started at {started_ms} ms {} {attempts} attempt(s)",
+                if *failed { "failed after" } else { "needed" }
+            ),
         }
     }
 }
@@ -322,8 +357,45 @@ impl Violation {
             Violation::CrossSuitePartialCommit { .. } => "cross_suite_partial_commit",
             Violation::CrossSuiteAbortLeak { .. } => "cross_suite_abort_leak",
             Violation::NoQuiesce => "no_quiesce",
+            Violation::SlowProgress { .. } => "slow_progress",
         }
     }
+
+    /// True for the progress invariant (14): the history is consistent,
+    /// the system was just slower than it has any excuse to be.
+    pub fn is_progress(&self) -> bool {
+        matches!(self, Violation::SlowProgress { .. })
+    }
+}
+
+/// Attempts an operation may take when no fault is active while it runs.
+pub const QUIET_ATTEMPTS: u32 = 4;
+
+/// Whether `op` started and finished outside every fault window — the
+/// operations invariant 14 judges.
+pub fn ran_quiet(op: &CompletedOp, fault_windows: &[(SimTime, SimTime)]) -> bool {
+    fault_windows
+        .iter()
+        .all(|(from, until)| op.finished < *from || op.started > *until)
+}
+
+/// Checks invariant 14 over a completion log: every operation that ran
+/// entirely outside `fault_windows` finished within [`QUIET_ATTEMPTS`]
+/// attempts (a reconfiguration: finished at all).
+pub fn check_progress(ops: &[CompletedOp], fault_windows: &[(SimTime, SimTime)]) -> Vec<Violation> {
+    ops.iter()
+        .filter(|op| ran_quiet(op, fault_windows))
+        .filter(|op| match op.kind {
+            OpKind::Reconfigure => op.outcome.is_err(),
+            _ => op.outcome.is_err() || op.attempts > QUIET_ATTEMPTS,
+        })
+        .map(|op| Violation::SlowProgress {
+            kind: op.kind,
+            started_ms: op.started.as_micros() / 1000,
+            attempts: op.attempts,
+            failed: op.outcome.is_err(),
+        })
+        .collect()
 }
 
 /// Checks invariants 1–7 over a completion log.
@@ -706,6 +778,9 @@ pub fn check_no_poison(run: &TrialRun) -> Vec<Violation> {
 /// run invariants 1–11 over each partition, and add the cross-suite
 /// atomicity check (13).
 ///
+/// Either way the progress invariant (14) judges the whole log against
+/// the trial's fault windows.
+///
 /// A run that failed to quiesce yields [`Violation::NoQuiesce`] and skips
 /// the convergence checks (there is no settled final state to judge).
 pub fn check_trial(run: &TrialRun, strict: bool) -> Vec<Violation> {
@@ -715,6 +790,7 @@ pub fn check_trial(run: &TrialRun, strict: bool) -> Vec<Violation> {
             violations.extend(check_staleness_bound(&run.ops, lease));
         }
         violations.extend(check_no_poison(run));
+        violations.extend(check_progress(&run.ops, &run.fault_windows));
         if run.quiesced {
             violations.extend(check_convergence(run));
         } else {
@@ -741,6 +817,7 @@ pub fn check_trial(run: &TrialRun, strict: bool) -> Vec<Violation> {
     }
     violations.extend(check_no_poison(run));
     violations.extend(check_cross_suite(run));
+    violations.extend(check_progress(&run.ops, &run.fault_windows));
     if !run.quiesced {
         violations.push(Violation::NoQuiesce);
     }
@@ -929,6 +1006,66 @@ mod tests {
         );
     }
 
+    #[test]
+    fn progress_is_demanded_only_of_operations_that_met_no_fault() {
+        let windows = [
+            (SimTime::from_millis(1_000), SimTime::from_millis(2_000)),
+            (SimTime::from_millis(5_000), SimTime::from_millis(6_000)),
+        ];
+        let slow = |started_ms: u64, finished_ms: u64| CompletedOp {
+            attempts: QUIET_ATTEMPTS + 1,
+            ..write_ok(1, started_ms, finished_ms)
+        };
+        // Touching a window at either end, or spanning one, excuses an op.
+        let excused = [
+            slow(500, 1_000),
+            slow(1_500, 1_600),
+            slow(2_000, 3_000),
+            slow(900, 6_500),
+        ];
+        assert!(check_progress(&excused, &windows).is_empty());
+        // Between the windows there is no excuse: not for retrying...
+        let violation = |attempts: u32, failed: bool| Violation::SlowProgress {
+            kind: OpKind::Write,
+            started_ms: 2_001,
+            attempts,
+            failed,
+        };
+        assert_eq!(
+            check_progress(&[slow(2_001, 4_999)], &windows),
+            vec![violation(5, false)]
+        );
+        let at_the_bound = CompletedOp {
+            attempts: QUIET_ATTEMPTS,
+            ..slow(2_001, 4_999)
+        };
+        assert!(check_progress(&[at_the_bound], &windows).is_empty());
+        // ...and not for failing, however few attempts it took.
+        let failed = CompletedOp {
+            started: SimTime::from_millis(2_001),
+            ..write_in_doubt(2_001, 4_000)
+        };
+        assert_eq!(
+            check_progress(&[failed], &windows),
+            vec![violation(3, true)]
+        );
+        // A reconfiguration restarts on every write it loses to; it only
+        // must not fail.
+        let reconfigure = |outcome| CompletedOp {
+            kind: OpKind::Reconfigure,
+            outcome,
+            ..slow(2_001, 4_999)
+        };
+        let won = reconfigure(write_ok(2, 0, 0).outcome);
+        let lost = reconfigure(Err(OpError::Conflict));
+        assert!(check_progress(&[won], &windows).is_empty());
+        assert!(matches!(
+            check_progress(&[lost], &windows)[..],
+            [Violation::SlowProgress { failed: true, .. }]
+        ));
+        assert!(violation(5, false).is_progress() && !Violation::NoQuiesce.is_progress());
+    }
+
     /// A quiesced run whose single client acked the given ops, read back
     /// `final_state`, and left the given per-server replicas behind.
     fn quiet_run(
@@ -955,6 +1092,7 @@ mod tests {
             quiesced: true,
             coverage: crate::exec::TrialCoverage::default(),
             net: Default::default(),
+            fault_windows: Vec::new(),
             cache_lease: None,
         }
     }
@@ -1104,6 +1242,7 @@ mod tests {
             quiesced: true,
             coverage: crate::exec::TrialCoverage::default(),
             net: Default::default(),
+            fault_windows: Vec::new(),
             cache_lease: None,
         }
     }

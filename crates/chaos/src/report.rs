@@ -46,10 +46,10 @@
 
 use wv_bench::table::Table;
 
-use crate::campaign::{run_campaign, trial_schedule, CampaignConfig};
+use crate::campaign::{run_campaign, trial_schedule, CampaignConfig, CampaignReport, TrialFailure};
 use crate::exec::run_schedule_instrumented;
 use crate::experiments::Report;
-use crate::oracle::check_trial;
+use crate::oracle::{check_trial, QUIET_ATTEMPTS};
 use crate::schedule::{ClusterSpec, EventKind, Schedule, ScheduleParams};
 use crate::shrink::{shrink, DEFAULT_BUDGET};
 
@@ -111,6 +111,37 @@ fn describe_event(e: &EventKind) -> String {
     }
 }
 
+/// The verdict of one healthy arm: trials that broke a safety invariant,
+/// trials that broke the progress invariant — its own line, so that a
+/// slow system can never hide behind a consistent one or the reverse —
+/// and the table of whatever was found.
+fn push_verdict(out: &mut String, report: &CampaignReport) {
+    let trials_with = |progress: bool| {
+        let broke = |f: &&TrialFailure| f.violations.iter().any(|v| v.is_progress() == progress);
+        report.failures.iter().filter(broke).count()
+    };
+    out.push_str(&format!(
+        "Invariant violations: **{}**.\n\n",
+        trials_with(false)
+    ));
+    out.push_str(&format!(
+        "Progress violations (of the {} operations that met no fault window, those that \
+         needed more than {QUIET_ATTEMPTS} attempts or failed): **{}**.\n\n",
+        report.coverage.ops_quiet,
+        trials_with(true)
+    ));
+    if !report.clean() {
+        let mut t = Table::new("Violations", &["trial seed", "violation"]);
+        for f in &report.failures {
+            for v in &f.violations {
+                t.row(&[format!("0x{:016x}", f.seed), v.to_string()]);
+            }
+        }
+        out.push_str(&t.to_markdown());
+        out.push('\n');
+    }
+}
+
 /// Runs every campaign and renders the report; the artifact is the
 /// shrunk reproducer (JSON), present when the broken campaign failed as
 /// expected.
@@ -130,20 +161,7 @@ pub fn run(trials: usize) -> Report {
         "### Shipped protocol: {} seeded trials, 5 servers (majority quorums), 2 clients\n\n",
         report.trials
     ));
-    out.push_str(&format!(
-        "Invariant violations: **{}**.\n\n",
-        report.failures.len()
-    ));
-    if !report.clean() {
-        let mut t = Table::new("Violations", &["trial seed", "violation"]);
-        for f in &report.failures {
-            for v in &f.violations {
-                t.row(&[format!("0x{:016x}", f.seed), v.to_string()]);
-            }
-        }
-        out.push_str(&t.to_markdown());
-        out.push('\n');
-    }
+    push_verdict(&mut out, &report);
     let c = report.coverage;
     let mut t = Table::new(
         "Fault coverage (a green run only counts if the faults actually fired)",
@@ -178,13 +196,17 @@ pub fn run(trials: usize) -> Report {
         c.trials_with_reconfigure.to_string(),
     ]);
     t.row(&[
-        "trials with a quorum-blocked operation".into(),
+        "trials with a quorum-blocked attempt".into(),
         c.trials_with_quorum_block.to_string(),
     ]);
     t.row(&["operations attempted".into(), c.ops_total.to_string()]);
     t.row(&["operations committed".into(), c.ops_ok.to_string()]);
     t.row(&[
-        "operations quorum-blocked".into(),
+        "attempts quorum-blocked and retried".into(),
+        c.attempts_quorum_blocked.to_string(),
+    ]);
+    t.row(&[
+        "operations quorum-blocked to the end".into(),
         c.quorum_blocked.to_string(),
     ]);
     t.row(&[
@@ -225,20 +247,7 @@ pub fn run(trials: usize) -> Report {
         "### Self-healing arm: the same {} trials with anti-entropy repair and health-tracked clients\n\n",
         report.trials
     ));
-    out.push_str(&format!(
-        "Invariant violations: **{}**.\n\n",
-        report.failures.len()
-    ));
-    if !report.clean() {
-        let mut t = Table::new("Violations", &["trial seed", "violation"]);
-        for f in &report.failures {
-            for v in &f.violations {
-                t.row(&[format!("0x{:016x}", f.seed), v.to_string()]);
-            }
-        }
-        out.push_str(&t.to_markdown());
-        out.push('\n');
-    }
+    push_verdict(&mut out, &report);
     let h = report.coverage;
     let mut t = Table::new(
         "Self-healing activity (oracle also checks repair provenance + version bounds)",
@@ -281,20 +290,7 @@ pub fn run(trials: usize) -> Report {
         "### Group-commit arm: the same {} trials with batched WAL syncs on every server\n\n",
         report.trials
     ));
-    out.push_str(&format!(
-        "Invariant violations: **{}**.\n\n",
-        report.failures.len()
-    ));
-    if !report.clean() {
-        let mut t = Table::new("Violations", &["trial seed", "violation"]);
-        for f in &report.failures {
-            for v in &f.violations {
-                t.row(&[format!("0x{:016x}", f.seed), v.to_string()]);
-            }
-        }
-        out.push_str(&t.to_markdown());
-        out.push('\n');
-    }
+    push_verdict(&mut out, &report);
     let g = report.coverage;
     let mut t = Table::new(
         "Group-commit activity (votes and acks leave only after their records are durable)",
@@ -332,20 +328,7 @@ pub fn run(trials: usize) -> Report {
         "### Cache-tier arm: the same {} trials with a validated weak representative on every client\n\n",
         report.trials
     ));
-    out.push_str(&format!(
-        "Invariant violations: **{}**.\n\n",
-        report.failures.len()
-    ));
-    if !report.clean() {
-        let mut t = Table::new("Violations", &["trial seed", "violation"]);
-        for f in &report.failures {
-            for v in &f.violations {
-                t.row(&[format!("0x{:016x}", f.seed), v.to_string()]);
-            }
-        }
-        out.push_str(&t.to_markdown());
-        out.push('\n');
-    }
+    push_verdict(&mut out, &report);
     let w = report.coverage;
     let mut t = Table::new(
         "Cache-tier activity (oracle also checks the staleness bound on every cache serve)",
@@ -384,20 +367,7 @@ pub fn run(trials: usize) -> Report {
         "### Faulty-disk arm: the same {} trials with torn writes, bit flips, I/O errors, and stalls injected\n\n",
         report.trials
     ));
-    out.push_str(&format!(
-        "Invariant violations: **{}**.\n\n",
-        report.failures.len()
-    ));
-    if !report.clean() {
-        let mut t = Table::new("Violations", &["trial seed", "violation"]);
-        for f in &report.failures {
-            for v in &f.violations {
-                t.row(&[format!("0x{:016x}", f.seed), v.to_string()]);
-            }
-        }
-        out.push_str(&t.to_markdown());
-        out.push('\n');
-    }
+    push_verdict(&mut out, &report);
     let d = report.coverage;
     let mut t = Table::new(
         "Faulty-disk activity (oracle also checks the no-poisoned-read tripwires)",
@@ -459,20 +429,7 @@ pub fn run(trials: usize) -> Report {
         "### Multi-suite arm: the same {} trials sharded across 4 suites with cross-suite transactions\n\n",
         report.trials
     ));
-    out.push_str(&format!(
-        "Invariant violations: **{}**.\n\n",
-        report.failures.len()
-    ));
-    if !report.clean() {
-        let mut t = Table::new("Violations", &["trial seed", "violation"]);
-        for f in &report.failures {
-            for v in &f.violations {
-                t.row(&[format!("0x{:016x}", f.seed), v.to_string()]);
-            }
-        }
-        out.push_str(&t.to_markdown());
-        out.push('\n');
-    }
+    push_verdict(&mut out, &report);
     let m = report.coverage;
     let mut t = Table::new(
         "Multi-suite activity (oracle judges every suite separately, plus cross-suite atomicity)",
@@ -593,7 +550,7 @@ pub fn run(trials: usize) -> Report {
                 "trace-bearing artifact must stay parseable"
             );
             out.push_str(&format!(
-                "Replay artifact: `results/e9_repro.json` ({} bytes); parsing and replaying it reproduces the same {} violation(s): **{}**. The artifact embeds the replay's {}-span operation trace (render with `trace2txt`), its {}-decision quorum audit log (render with `wv-inspect explain`), and its {}-frame critical-path profile.\n",
+                "Replay artifact: `results/e9_repro.json` ({} bytes); parsing and replaying it reproduces the same {} violation(s): **{}**. The artifact embeds the replay's {}-span operation trace (render with `wv-inspect text`), its {}-decision quorum audit log (render with `wv-inspect explain`), and its {}-frame critical-path profile.\n",
                 with_trace.len(),
                 shrunk.violations.len(),
                 if replayed == shrunk.violations { "yes" } else { "NO" },
@@ -649,6 +606,11 @@ mod tests {
             a.markdown.matches("Invariant violations: **0**").count(),
             6,
             "all six healthy arms must be violation-free"
+        );
+        assert_eq!(
+            a.markdown.matches("attempts or failed): **0**").count(),
+            6,
+            "and none of them slow where no fault was active"
         );
     }
 }

@@ -6,13 +6,18 @@
 //!   answer; the highest version among the answers is current; contents
 //!   are fetched from the cheapest representative (weak ones included)
 //!   holding that version.
-//! * **Write / transaction**: inquiry as above, per written suite, to
-//!   learn the current versions, then client-coordinated two-phase commit
-//!   of `(current + 1, value)` at each suite's cheapest write quorum. A
-//!   plain write is the one-install transaction. The commit decision is
-//!   logged durably before any commit message leaves, so recovering
-//!   participants always get a correct answer to their decision probes
-//!   (presumed abort otherwise).
+//! * **Write / transaction**: inquiry as above, per written suite, for a
+//!   *floor* `current + 1`, then client-coordinated two-phase commit at
+//!   each suite's cheapest write quorum. Each participant assigns the
+//!   version under its commit lock (`max(floor, committed + 1)`) and
+//!   reports it with its vote; the coordinator commits at the highest. A
+//!   prepare that finds the lock taken stands in line at the
+//!   representative ([`Msg::Busy`] says so) and the coordinator keeps its
+//!   place, re-asking now and then. A plain write is the one-install
+//!   transaction. The commit decision — versions included — is logged
+//!   durably before any commit message leaves, so recovering participants
+//!   always get a correct answer to their decision probes (presumed abort
+//!   otherwise).
 //! * **Reconfigure**: a transaction that installs the new configuration
 //!   under the *old* configuration's write quorum and also re-installs the
 //!   current contents at the new one's — exactly the paper's rule for
@@ -27,7 +32,8 @@
 //!
 //! Every attempt uses a fresh request id (so late responses from a dead
 //! attempt can never contaminate a live one) while keeping the operation's
-//! original wait-die age (so retries gain seniority instead of starving).
+//! original age in the commit-lock lines (so retries gain seniority
+//! instead of starving).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -270,8 +276,8 @@ pub struct ClientStats {
     /// Reads that coalesced onto another read's in-flight version inquiry
     /// for the same suite instead of fanning out their own `VersionReq`s.
     pub piggybacked_inquiries: u64,
-    /// `Busy` answers received (transient commit-lock conflicts; the
-    /// client retries the next candidate immediately).
+    /// `Busy` notices received: a prepare of ours joined a commit-lock
+    /// line, or was asked to give way to an older one.
     pub refused_busy: u64,
     /// `Refused(Quarantined)` answers: the site surrendered its votes
     /// over disk corruption. Treated as long-dead — suspicion slams to
@@ -279,6 +285,85 @@ pub struct ClientStats {
     pub refused_quarantined: u64,
     /// `Refused(Disk)` answers: transient I/O errors or sync stalls.
     pub refused_disk: u64,
+    /// `retries` by what ended the attempt, indexed by [`RetryCause`].
+    pub retry_causes: [u64; RetryCause::ALL.len()],
+}
+
+/// What ended an attempt short of completing its operation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RetryCause {
+    /// The prepare held a commit lock an older prepare waits for while
+    /// itself standing in another site's line, and gave way.
+    GaveWay,
+    /// A participant voted no.
+    VoteNo,
+    /// A site refused to serve: the prepare, or every fetch candidate.
+    Refused,
+    /// The configuration had moved on; restarted on the fresh one.
+    StaleConfig,
+    /// The inquiry (or a configuration refresh) timed out.
+    TimeoutInquire,
+    /// Every fetch candidate timed out.
+    TimeoutFetch,
+    /// A participant stayed silent through the prepare.
+    TimeoutPrepare,
+}
+
+impl RetryCause {
+    /// Every cause, in [`ClientStats::retry_causes`] order.
+    pub const ALL: [RetryCause; 7] = [
+        RetryCause::GaveWay,
+        RetryCause::VoteNo,
+        RetryCause::Refused,
+        RetryCause::StaleConfig,
+        RetryCause::TimeoutInquire,
+        RetryCause::TimeoutFetch,
+        RetryCause::TimeoutPrepare,
+    ];
+
+    /// Stable lowercase name.
+    pub fn name(self) -> &'static str {
+        match self {
+            RetryCause::GaveWay => "gave_way",
+            RetryCause::VoteNo => "vote_no",
+            RetryCause::Refused => "refused",
+            RetryCause::StaleConfig => "stale_config",
+            RetryCause::TimeoutInquire => "timeout_inquire",
+            RetryCause::TimeoutFetch => "timeout_fetch",
+            RetryCause::TimeoutPrepare => "timeout_prepare",
+        }
+    }
+
+    /// The cause a trace records for an attempt whose last phase span,
+    /// of kind `phase`, closed with `outcome`: the inverse of what
+    /// [`ClientNode`] stamps on it. `None` for spans that are not the
+    /// early end of an attempt.
+    pub fn of_span(phase: SpanKind, outcome: SpanOutcome) -> Option<RetryCause> {
+        let timed_out = match phase {
+            SpanKind::Inquiry => RetryCause::TimeoutInquire,
+            SpanKind::Fetch => RetryCause::TimeoutFetch,
+            SpanKind::Prepare => RetryCause::TimeoutPrepare,
+            _ => return None,
+        };
+        if outcome == SpanOutcome::Timeout {
+            return Some(timed_out);
+        }
+        RetryCause::ALL.into_iter().find(|c| c.outcome() == outcome)
+    }
+
+    /// The outcome the attempt's last phase span closes with; together
+    /// with the span's kind it names the cause in a trace.
+    fn outcome(self) -> SpanOutcome {
+        match self {
+            RetryCause::GaveWay => SpanOutcome::GaveWay,
+            RetryCause::VoteNo => SpanOutcome::Conflict,
+            RetryCause::Refused => SpanOutcome::Refused,
+            RetryCause::StaleConfig => SpanOutcome::Stale,
+            RetryCause::TimeoutInquire | RetryCause::TimeoutFetch | RetryCause::TimeoutPrepare => {
+                SpanOutcome::Timeout
+            }
+        }
+    }
 }
 
 /// What a finished operation produced.
@@ -324,6 +409,9 @@ impl CompletedOp {
 enum Phase {
     /// Read or reconfiguration: collecting the suite's version quorum.
     Inquire {
+        /// The configuration generation the inquiry went out under, which
+        /// is the one its answers may be counted under.
+        generation: u64,
         versions: BTreeMap<SiteId, Version>,
         /// The optimistic-fetch target, if one was contacted.
         guess: Option<SiteId>,
@@ -345,13 +433,24 @@ enum Phase {
     /// Prepares out to `participants`, in the order they were sent.
     Prepare {
         participants: Vec<SiteId>,
-        yes: BTreeSet<SiteId>,
+        /// What each yes vote staged.
+        yes: BTreeMap<SiteId, Vec<(ObjectId, Version)>>,
+        /// Sites where the prepare stands in a commit-lock line, and
+        /// whether each has said so since it was last (re-)asked.
+        in_line: BTreeMap<SiteId, bool>,
+        /// A participant holding this prepare staged has an older one
+        /// waiting behind it.
+        give_way: bool,
+        /// Re-asks sent; each doubles the interval to the next.
+        asks: u32,
     },
     /// Commit decided, waiting for every participant's ack.
     Commit {
         participants: Vec<SiteId>,
         acked: BTreeSet<SiteId>,
         resends: u32,
+        /// The decided version of every object, as logged.
+        versions: Vec<(ObjectId, Version)>,
     },
     RefreshConfig,
     /// Cache-tier read waiting on another read's in-flight version
@@ -386,7 +485,8 @@ struct OpState {
     /// during the inquiry phase are RTT samples relative to this.
     attempt_started: SimTime,
     attempts: u32,
-    /// Wait-die age: the counter of the operation's *first* request id.
+    /// Age in the commit-lock lines: the counter of the operation's
+    /// *first* request id.
     lock_ts: u64,
     /// Phase sequence; timers carry the value current when set and are
     /// ignored if the operation has moved on.
@@ -1067,7 +1167,8 @@ impl ClientNode {
                 self.grant_lease(suite, ctx.now());
                 self.serve_from_cache(f, suite, ctx);
             } else if candidates.is_empty() {
-                self.fail_attempt(f, OpError::Unavailable { kind: OpKind::Read }, ctx);
+                let err = OpError::Unavailable { kind: OpKind::Read };
+                self.fail_attempt(f, err, RetryCause::TimeoutInquire, ctx);
             } else {
                 // The follower's cache can't serve this version; fetch it
                 // (the miss is counted when the fetch completes).
@@ -1663,6 +1764,7 @@ impl ClientNode {
         st.attempt_started = ctx.now();
         st.phase = if installs == 0 {
             Phase::Inquire {
+                generation: self.configs[&suite].generation,
                 versions: BTreeMap::new(),
                 guess,
                 early: cached_early,
@@ -1693,8 +1795,11 @@ impl ClientNode {
                 self.trace_add_leg(req, target, SpanKind::Rpc, ctx.now());
             }
         }
+        // A writer's answer is only a floor for the version assigned
+        // under the commit lock, so it need not wait for one.
+        let floor = installs > 0;
         for (suite, site) in self.inquiry_targets(&self.ops[&req]) {
-            ctx.send(site, Msg::VersionReq { suite, req });
+            ctx.send(site, Msg::VersionReq { suite, req, floor });
         }
         if let Some(target) = guess {
             self.note_load(target);
@@ -1704,9 +1809,9 @@ impl ClientNode {
     }
 
     /// Plans a write's or transaction's prepare once every written suite
-    /// has its inquiry quorum: per suite, the new version is the highest
-    /// answer plus one and the install set is the best-ranked write quorum
-    /// among the responders.
+    /// has its inquiry quorum: per suite, the version's floor is the
+    /// highest answer plus one and the install set is the best-ranked
+    /// write quorum among the responders.
     fn enter_prepare(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
         let Some(st) = self.ops.get(&req) else {
             return;
@@ -1779,18 +1884,21 @@ impl ClientNode {
             batches.sort_by_key(|(site, _)| *site);
         }
         let timeout = self.phase_delay(batches.iter().map(|(site, _)| *site));
-        self.send_prepares(req, batches, (on_commit, None), timeout, ctx);
+        self.send_prepares(req, batches, true, (on_commit, None), timeout, ctx);
     }
 
     /// The one two-phase-commit launch: sends each site its prepare batch
     /// (in the order given — the planners decide it), enters
-    /// [`Phase::Prepare`] and arms `timeout`. `on_commit` is what the op
-    /// reports, and the configuration it adopts, once every participant
-    /// has acknowledged the commit.
+    /// [`Phase::Prepare`] and arms `timeout`. `rebase` says the versions
+    /// are floors for the participants to assign above, not exact.
+    /// `on_commit` is what the op reports (at the planned versions; the
+    /// decision corrects them), and the configuration it adopts, once
+    /// every participant has acknowledged the commit.
     fn send_prepares(
         &mut self,
         req: ReqId,
         batches: Vec<(SiteId, Vec<PrepareWrite>)>,
+        rebase: bool,
         on_commit: (OpSuccess, Option<SuiteConfig>),
         timeout: SimDuration,
         ctx: &mut NodeCtx<'_, Msg>,
@@ -1803,7 +1911,10 @@ impl ClientNode {
         let (seq, lock_ts) = (st.seq, st.lock_ts);
         st.phase = Phase::Prepare {
             participants: batches.iter().map(|(site, _)| *site).collect(),
-            yes: BTreeSet::new(),
+            yes: BTreeMap::new(),
+            in_line: BTreeMap::new(),
+            give_way: false,
+            asks: 0,
         };
         if self.tracer.is_some() {
             self.trace_begin_phase(req, SpanKind::Prepare, ctx.now());
@@ -1819,6 +1930,7 @@ impl ClientNode {
                     req,
                     writes,
                     lock_ts,
+                    rebase,
                 },
             );
         }
@@ -1834,8 +1946,21 @@ impl ClientNode {
         exhausted
     }
 
-    /// Ends the current attempt with `err`, retrying if budget remains.
-    fn fail_attempt(&mut self, req: ReqId, err: OpError, ctx: &mut NodeCtx<'_, Msg>) {
+    /// Counts an attempt that ended for `cause` and will be tried again.
+    fn note_retry(&mut self, cause: RetryCause) {
+        self.stats.retries += 1;
+        self.stats.retry_causes[cause as usize] += 1;
+    }
+
+    /// Ends the current attempt for `cause`, retrying if budget remains
+    /// and failing the operation with `err` otherwise.
+    fn fail_attempt(
+        &mut self,
+        req: ReqId,
+        err: OpError,
+        cause: RetryCause,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
         // A failing coalesced-inquiry leader must not strand its
         // followers; restart them on fresh attempts of their own.
         self.leader_abandoned(req, ctx);
@@ -1846,10 +1971,10 @@ impl ClientNode {
         let Some(mut st) = self.ops.remove(&req) else {
             return;
         };
-        self.trace_close_attempt(&mut st, ctx.now(), op_err_outcome(&err));
+        self.trace_close_attempt(&mut st, ctx.now(), cause.outcome());
         // Fresh request id for the next attempt; late traffic for the old
         // id will find no operation and be ignored.
-        self.stats.retries += 1;
+        self.note_retry(cause);
         let new_req = self.fresh_req();
         st.seq += 1;
         let seq = st.seq;
@@ -1888,7 +2013,8 @@ impl ClientNode {
         let Some(mut st) = self.ops.remove(&req) else {
             return;
         };
-        self.trace_close_attempt(&mut st, ctx.now(), SpanOutcome::Stale);
+        self.trace_close_attempt(&mut st, ctx.now(), RetryCause::StaleConfig.outcome());
+        self.note_retry(RetryCause::StaleConfig);
         let new_req = self.fresh_req();
         self.ops.insert(new_req, st);
         self.begin_attempt(new_req, ctx);
@@ -1971,6 +2097,7 @@ impl ClientNode {
         enum Next {
             Wait,
             Refresh,
+            Restart,
             EarlyHit {
                 source: SiteId,
                 version: Version,
@@ -2046,10 +2173,20 @@ impl ClientNode {
                         Next::Wait
                     }
                 }
+                // This client adopted a new configuration while the
+                // inquiry was out. Answers given under the old geometry
+                // say nothing about a quorum of the new one — its write
+                // quorums need not intersect the sites that answered
+                // before the change — so the evidence is discarded whole.
+                Phase::Inquire {
+                    generation: asked_under,
+                    ..
+                } if *asked_under != my_gen => Next::Restart,
                 Phase::Inquire {
                     versions,
                     guess,
                     early,
+                    ..
                 } => {
                     versions.insert(from, version);
                     let cfg = &self.configs[&suite];
@@ -2112,6 +2249,11 @@ impl ClientNode {
         match next {
             Next::Wait => {}
             Next::Refresh => self.enter_refresh(req, from, ctx),
+            Next::Restart => {
+                self.leader_abandoned(req, ctx);
+                self.trace_close_phase(req, ctx.now(), SpanOutcome::Stale);
+                self.restart_op(req, ctx);
+            }
             Next::EarlyHit {
                 source,
                 version,
@@ -2343,13 +2485,10 @@ impl ClientNode {
             // The responders cannot form a write quorum under the new
             // configuration; installing it would strand the data. Fail the
             // attempt and retry when more sites answer.
-            self.fail_attempt(
-                req,
-                OpError::Unavailable {
-                    kind: OpKind::Reconfigure,
-                },
-                ctx,
-            );
+            let err = OpError::Unavailable {
+                kind: OpKind::Reconfigure,
+            };
+            self.fail_attempt(req, err, RetryCause::TimeoutInquire, ctx);
             return;
         };
         // Assemble per-site batches, in site order.
@@ -2399,7 +2538,14 @@ impl ClientNode {
         // and quarantine arms pin this timeout as it has always been.
         let timeout = self.options.phase_timeout;
         let batches = per_site.into_iter().collect();
-        self.send_prepares(req, batches, (on_commit, Some(new_cfg)), timeout, ctx);
+        self.send_prepares(
+            req,
+            batches,
+            false,
+            (on_commit, Some(new_cfg)),
+            timeout,
+            ctx,
+        );
     }
 
     fn on_read_resp(
@@ -2490,6 +2636,11 @@ impl ClientNode {
     /// must not burn it. `None` means a phase timeout, which always
     /// refers to the current leg.
     fn try_next_candidate(&mut self, req: ReqId, from: Option<SiteId>, ctx: &mut NodeCtx<'_, Msg>) {
+        // What ends the attempt if this was the last candidate.
+        let cause = match from {
+            Some(_) => RetryCause::Refused,
+            None => RetryCause::TimeoutFetch,
+        };
         enum Next {
             Exhausted,
             Try {
@@ -2535,7 +2686,7 @@ impl ClientNode {
             }
         };
         match next {
-            Next::Exhausted => self.fail_attempt(req, OpError::Conflict, ctx),
+            Next::Exhausted => self.fail_attempt(req, OpError::Conflict, cause, ctx),
             Next::Try {
                 site,
                 suite,
@@ -2548,49 +2699,66 @@ impl ClientNode {
         }
     }
 
+    /// One participant's answer to a prepare: what it staged with its yes
+    /// vote, or why the attempt ends (a no vote, a refusal).
     fn on_prepare_vote(
         &mut self,
         from: SiteId,
         suite: ObjectId,
         req: ReqId,
-        vote: Vote,
+        vote: Result<Vec<(ObjectId, Version)>, RetryCause>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
-        let vote_detail = match vote {
-            Vote::Yes => 1,
-            Vote::No => 0,
-        };
+        let vote_detail = u64::from(vote.is_ok());
         self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, vote_detail);
-        // A no vote or the last yes ends the prepare phase either way, so
-        // the participant list moves out with it.
-        let participants = {
+        // The last yes ends the prepare phase: the participant list moves
+        // out with it, and every object commits at the highest version
+        // any participant staged for it.
+        let (participants, versions) = {
             let Some(st) = self.ops.get_mut(&req) else {
                 return;
             };
-            let Phase::Prepare { participants, yes } = &mut st.phase else {
+            let Phase::Prepare {
+                participants, yes, ..
+            } = &mut st.phase
+            else {
                 return;
             };
             if !participants.contains(&from) {
                 return;
             }
-            if vote == Vote::Yes {
-                yes.insert(from);
-                if yes.len() < participants.len() {
-                    return;
+            let staged = match vote {
+                Ok(staged) => staged,
+                Err(cause) => return self.abort_prepare(req, OpError::Conflict, cause, ctx),
+            };
+            yes.insert(from, staged);
+            if yes.len() < participants.len() {
+                return;
+            }
+            let mut versions: Vec<(ObjectId, Version)> = Vec::new();
+            for &(object, version) in yes.values().flatten() {
+                match versions.iter_mut().find(|(o, _)| *o == object) {
+                    Some((_, v)) => *v = version.max(*v),
+                    None => versions.push((object, version)),
                 }
             }
-            std::mem::take(participants)
-        };
-        if vote == Vote::No {
-            for site in participants {
-                ctx.send(site, Msg::Abort { suite, req });
+            // What the op reports follows the decision.
+            let decided = |s: ObjectId| {
+                let object = data_object(s);
+                versions.iter().find(|(o, _)| *o == object).map(|(_, v)| *v)
+            };
+            let (success, _) = st.on_commit.as_mut().expect("a prepare sets on_commit");
+            if st.kind != OpKind::Reconfigure {
+                success.version = decided(st.suite).unwrap_or(success.version);
             }
-            self.fail_attempt(req, OpError::Conflict, ctx);
-            return;
-        }
+            for (s, v) in &mut success.multi {
+                *v = decided(*s).unwrap_or(*v);
+            }
+            (std::mem::take(participants), versions)
+        };
         // Decide commit — durably, *before* any commit message leaves, so
         // decision probes always get the truth.
-        self.log_commit_decision(req);
+        self.log_commit_decision(req, &versions);
         let delay = self.phase_delay(participants.iter().copied());
         if self.tracer.is_some() {
             self.trace_decision_logged(req, ctx.now());
@@ -2601,7 +2769,15 @@ impl ClientNode {
             }
         }
         for site in &participants {
-            ctx.send(*site, Msg::Commit { suite, req });
+            let versions = versions.clone();
+            ctx.send(
+                *site,
+                Msg::Commit {
+                    suite,
+                    req,
+                    versions,
+                },
+            );
         }
         let st = self.ops.get_mut(&req).expect("op is live");
         st.seq += 1;
@@ -2610,18 +2786,179 @@ impl ClientNode {
             participants,
             acked: BTreeSet::new(),
             resends: 0,
+            versions,
         };
         self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
     }
 
-    /// Logs and flushes the commit decision for `req`, then compacts the
-    /// log once it reaches the servers' checkpoint threshold. Compaction
+    /// Ends an attempt that is still preparing: every participant is told
+    /// to abort (one standing in a line leaves it), then the attempt
+    /// fails for `cause`.
+    fn abort_prepare(
+        &mut self,
+        req: ReqId,
+        err: OpError,
+        cause: RetryCause,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        let Some(st) = self.ops.get(&req) else {
+            return;
+        };
+        let Phase::Prepare { participants, .. } = &st.phase else {
+            return;
+        };
+        let suite = st.suite;
+        for site in participants {
+            ctx.send(*site, Msg::Abort { suite, req });
+        }
+        self.fail_attempt(req, err, cause, ctx);
+    }
+
+    /// A participant's notice about the commit-lock line it keeps for one
+    /// of our prepares (see [`Msg::Busy`]).
+    fn on_busy(&mut self, from: SiteId, req: ReqId, give_way: bool, ctx: &mut NodeCtx<'_, Msg>) {
+        self.stats.refused_busy += 1;
+        let Some(st) = self.ops.get_mut(&req) else {
+            return;
+        };
+        let Phase::Prepare {
+            participants,
+            yes,
+            in_line,
+            give_way: asked,
+            ..
+        } = &mut st.phase
+        else {
+            return;
+        };
+        if !participants.contains(&from) {
+            return;
+        }
+        if give_way {
+            *asked = true;
+        } else if !yes.contains_key(&from) {
+            in_line.insert(from, true);
+        }
+        // Holding a lock an older prepare waits for is harmless while this
+        // one waits for nothing — it finishes. Holding it while standing
+        // in another site's line is how a deadlock closes: give way.
+        if *asked && in_line.keys().any(|s| !yes.contains_key(s)) {
+            self.abort_prepare(req, OpError::Conflict, RetryCause::GaveWay, ctx);
+        }
+    }
+
+    /// The prepare phase's timer fired. While every participant yet to
+    /// vote has said it keeps our place in its line, keep waiting: re-ask
+    /// them (an empty prepare, which a site that lost the line answers
+    /// No). A participant that said nothing since it was last asked is
+    /// down or cut off, and the attempt fails as any timed-out phase
+    /// does. Returns false when it did.
+    ///
+    /// A prepare that holds nothing yet harms nobody by waiting, so its
+    /// re-asks thin out (the interval doubles, up to 4x): a long healthy
+    /// line costs few messages. Once some participant has voted, its
+    /// promise keeps a commit lock — and the reads and prepares behind it
+    /// — waiting on this coordinator, which then looks every timeout.
+    fn keep_place_in_line(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) -> bool {
+        const MAX_DOUBLINGS: u32 = 2;
+        let Some(st) = self.ops.get_mut(&req) else {
+            return false;
+        };
+        let lock_ts = st.lock_ts;
+        let Phase::Prepare {
+            participants,
+            yes,
+            in_line,
+            asks,
+            ..
+        } = &mut st.phase
+        else {
+            return false;
+        };
+        let waiting: Vec<SiteId> = participants
+            .iter()
+            .copied()
+            .filter(|s| !yes.contains_key(s))
+            .collect();
+        if !waiting.iter().all(|s| in_line.get(s) == Some(&true)) {
+            return false;
+        }
+        for heard in in_line.values_mut() {
+            *heard = false;
+        }
+        *asks += 1;
+        let doublings = if yes.is_empty() {
+            (*asks).min(MAX_DOUBLINGS)
+        } else {
+            0
+        };
+        st.seq += 1;
+        let seq = st.seq;
+        for &site in &waiting {
+            ctx.send(
+                site,
+                Msg::Prepare {
+                    req,
+                    writes: Vec::new(),
+                    lock_ts,
+                    rebase: false, // nothing to re-base
+                },
+            );
+        }
+        let delay = self.phase_delay(waiting) * (1u64 << doublings);
+        self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
+        true
+    }
+
+    /// Tells a participant how `req` ended, if it has. Presumed abort:
+    /// only a durably logged commit that some participant has yet to ack
+    /// answers commit (at the versions logged), and an id with no live
+    /// operation answers abort. An operation still collecting votes
+    /// answers *nothing* — a recovering participant probing mid-vote must
+    /// keep its prepared state (its durable yes may yet count towards a
+    /// commit) and re-probe after the decision lands.
+    fn answer_decision_probe(
+        &mut self,
+        from: SiteId,
+        suite: ObjectId,
+        req: ReqId,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        let msg = if self.unretired.contains(&req) {
+            let logged = self.decisions.read(ObjectId(req.0));
+            let record = logged.expect("decision log is up").value;
+            let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+            let versions = record
+                .chunks_exact(16)
+                .map(|c| (ObjectId(word(&c[..8])), Version(word(&c[8..]))))
+                .collect();
+            Msg::Commit {
+                suite,
+                req,
+                versions,
+            }
+        } else if self.ops.contains_key(&req) {
+            return;
+        } else {
+            Msg::Abort { suite, req }
+        };
+        ctx.send(from, msg);
+    }
+
+    /// Logs and flushes the commit decision for `req` — the version every
+    /// object commits at — then compacts the log once it reaches the
+    /// servers' checkpoint threshold. Compaction
     /// forgets every retired decision but the newest: that one carries
     /// the request-counter high-water mark [`Self::handle_recover`] reads.
-    fn log_commit_decision(&mut self, req: ReqId) {
+    fn log_commit_decision(&mut self, req: ReqId, versions: &[(ObjectId, Version)]) {
+        let mut record = Vec::with_capacity(versions.len() * 16);
+        for (object, version) in versions {
+            record.extend_from_slice(&object.0.to_le_bytes());
+            record.extend_from_slice(&version.0.to_le_bytes());
+        }
         let tx = self.decisions.begin().expect("decision log is up");
         self.decisions
-            .stage_put(tx, ObjectId(req.0), Version(1), Bytes::new())
+            .stage_put(tx, ObjectId(req.0), Version(1), record)
             .expect("stage decision");
         self.decisions.commit(tx).expect("commit decision");
         self.unretired.insert(req);
@@ -2737,9 +3074,14 @@ impl ClientNode {
         enum Next {
             FailUnavailable(OpKind),
             NextCandidate,
-            AbortAndFail(Vec<SiteId>, ObjectId, OpKind),
-            ResendCommit(Vec<SiteId>, ObjectId, u64),
+            AbortAndFail(OpKind),
+            ResendCommit(Vec<SiteId>, ObjectId, u64, Vec<(ObjectId, Version)>),
             GiveUpIndeterminate,
+        }
+        // A prepare standing in line at every site yet to vote is not
+        // timing out: the timer only paces the re-asks.
+        if self.keep_place_in_line(req, ctx) {
+            return;
         }
         let (next, silent) = {
             let Some(st) = self.ops.get_mut(&req) else {
@@ -2792,21 +3134,24 @@ impl ClientNode {
                     }
                     (Next::NextCandidate, silent)
                 }
-                Phase::Prepare { participants, yes } => {
+                Phase::Prepare {
+                    participants,
+                    yes,
+                    in_line,
+                    ..
+                } => {
                     let silent = participants
                         .iter()
                         .copied()
-                        .filter(|s| !yes.contains(s))
+                        .filter(|s| !yes.contains_key(s) && in_line.get(s) != Some(&true))
                         .collect();
-                    (
-                        Next::AbortAndFail(participants.clone(), suite, st.kind),
-                        silent,
-                    )
+                    (Next::AbortAndFail(st.kind), silent)
                 }
                 Phase::Commit {
                     participants,
                     acked,
                     resends,
+                    versions,
                 } => {
                     let missing: Vec<SiteId> = participants
                         .iter()
@@ -2818,7 +3163,9 @@ impl ClientNode {
                     } else {
                         *resends += 1;
                         st.seq += 1;
-                        (Next::ResendCommit(missing.clone(), suite, st.seq), missing)
+                        let again =
+                            Next::ResendCommit(missing.clone(), suite, st.seq, versions.clone());
+                        (again, missing)
                     }
                 }
             }
@@ -2826,21 +3173,28 @@ impl ClientNode {
         self.note_unanswered(&silent);
         match next {
             Next::FailUnavailable(kind) => {
-                self.fail_attempt(req, OpError::Unavailable { kind }, ctx)
+                let err = OpError::Unavailable { kind };
+                self.fail_attempt(req, err, RetryCause::TimeoutInquire, ctx)
             }
             Next::NextCandidate => {
                 self.trace_timeout_legs(req, ctx.now());
                 self.try_next_candidate(req, None, ctx)
             }
-            Next::AbortAndFail(quorum, suite, kind) => {
-                for site in quorum {
-                    ctx.send(site, Msg::Abort { suite, req });
-                }
-                self.fail_attempt(req, OpError::Unavailable { kind }, ctx);
+            Next::AbortAndFail(kind) => {
+                let err = OpError::Unavailable { kind };
+                self.abort_prepare(req, err, RetryCause::TimeoutPrepare, ctx);
             }
-            Next::ResendCommit(missing, suite, seq) => {
+            Next::ResendCommit(missing, suite, seq, versions) => {
                 for site in missing {
-                    ctx.send(site, Msg::Commit { suite, req });
+                    let versions = versions.clone();
+                    ctx.send(
+                        site,
+                        Msg::Commit {
+                            suite,
+                            req,
+                            versions,
+                        },
+                    );
                 }
                 self.arm_timer(
                     req,
@@ -2872,18 +3226,14 @@ impl ClientNode {
                 version,
                 value,
             } => self.on_read_resp(from, suite, req, version, value, ctx),
-            Msg::Busy { req, .. } => {
-                self.stats.refused_busy += 1;
-                self.trace_end_leg(req, from, ctx.now(), SpanOutcome::Refused, 0);
-                self.try_next_candidate(req, Some(from), ctx)
-            }
+            Msg::Busy { req, give_way, .. } => self.on_busy(from, req, give_way, ctx),
             Msg::Refused { suite, req, reason } => {
                 match reason {
                     RefuseReason::Quarantined => {
                         self.stats.refused_quarantined += 1;
                         // The site said so itself: its votes are gone until
-                        // repair. Unlike Busy this is long-lived, so demote
-                        // it now instead of accruing timeout suspicion.
+                        // repair. This is long-lived, so demote it now
+                        // instead of accruing timeout suspicion.
                         self.mark_quarantined(from);
                     }
                     RefuseReason::Disk => self.stats.refused_disk += 1,
@@ -2895,13 +3245,30 @@ impl ClientNode {
                 if in_prepare {
                     // A refused prepare is a no vote: the coordinator
                     // aborts the round and retries on a healthier quorum.
-                    self.on_prepare_vote(from, suite, req, Vote::No, ctx);
+                    self.on_prepare_vote(from, suite, req, Err(RetryCause::Refused), ctx);
                 } else {
                     self.trace_end_leg(req, from, ctx.now(), SpanOutcome::Refused, 0);
                     self.try_next_candidate(req, Some(from), ctx)
                 }
             }
-            Msg::PrepareVote { suite, req, vote } => {
+            Msg::PrepareVote {
+                suite,
+                req,
+                vote,
+                staged,
+            } => {
+                let vote = match vote {
+                    // A promise to an attempt this client has given up —
+                    // its abort was lost, and the prepare stood in line
+                    // all the same. Left to the participant's own probe
+                    // timer it would hold the commit lock, and everyone
+                    // in line behind it, for nothing: answer it now.
+                    Vote::Yes if !self.ops.contains_key(&req) => {
+                        return self.answer_decision_probe(from, suite, req, ctx)
+                    }
+                    Vote::Yes => Ok(staged),
+                    Vote::No => Err(RetryCause::VoteNo),
+                };
                 self.on_prepare_vote(from, suite, req, vote, ctx)
             }
             Msg::Ack {
@@ -2909,25 +3276,17 @@ impl ClientNode {
                 req,
                 committed,
             } => self.on_ack(from, suite, req, committed, ctx),
-            Msg::StaleConfig { req, .. } => self.enter_refresh(req, from, ctx),
-            Msg::ConfigResp { suite, req, config } => self.on_config_resp(suite, req, config, ctx),
-            Msg::DecisionReq { suite, req } => {
-                // Presumed abort: only a durably logged commit that some
-                // participant has yet to ack answers yes, and an id with
-                // no live operation answers abort. An operation still
-                // collecting votes answers *nothing* — a recovering
-                // participant probing mid-vote must keep its prepared
-                // state (its durable yes may yet count towards a commit)
-                // and re-probe after the decision lands.
-                let msg = if self.unretired.contains(&req) {
-                    Msg::Commit { suite, req }
-                } else if self.ops.contains_key(&req) {
-                    return;
-                } else {
-                    Msg::Abort { suite, req }
-                };
-                ctx.send(from, msg);
+            // Only a prepare is ever answered so — and a re-sent or
+            // duplicated one can be answered after the decision, when
+            // no reply may send the operation anywhere but forward.
+            Msg::StaleConfig { req, .. } => {
+                let preparing = |st: &OpState| matches!(st.phase, Phase::Prepare { .. });
+                if self.ops.get(&req).is_some_and(preparing) {
+                    self.enter_refresh(req, from, ctx)
+                }
             }
+            Msg::ConfigResp { suite, req, config } => self.on_config_resp(suite, req, config, ctx),
+            Msg::DecisionReq { suite, req } => self.answer_decision_probe(from, suite, req, ctx),
             // The anti-entropy daemon pushing committed state at an
             // attached weak representative (a no-op with the tier off).
             Msg::UpdateWeak {
@@ -3155,6 +3514,7 @@ mod tests {
                 suite: SUITE,
                 req,
                 vote: Vote::Yes,
+                staged: Vec::new(),
             },
             &mut ctx,
         );
@@ -3166,6 +3526,7 @@ mod tests {
                 suite: SUITE,
                 req,
                 vote: Vote::Yes,
+                staged: Vec::new(),
             },
             &mut ctx,
         );
@@ -3219,6 +3580,7 @@ mod tests {
                 suite: SUITE,
                 req,
                 vote: Vote::No,
+                staged: Vec::new(),
             },
             &mut ctx,
         );
@@ -3346,37 +3708,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_fetch_moves_to_next_candidate() {
-        let mut c = client();
-        let mut rng = DetRng::new(4);
-        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
-        let req = c.start_read(SUITE, &mut ctx);
-        let _ = effects(&mut ctx);
-        // Two sites answer, both current at v1 -> candidates [0, 1].
-        for s in 0..2u16 {
-            let mut ctx = NodeCtx::new(SimTime::from_millis(5), CLIENT, &mut rng);
-            c.handle(
-                SiteId(s),
-                Msg::VersionResp {
-                    suite: SUITE,
-                    req,
-                    version: Version(1),
-                    generation: 1,
-                },
-                &mut ctx,
-            );
-            let _ = effects(&mut ctx);
-        }
-        // Site 0 is busy; the client tries site 1.
-        let mut ctx = NodeCtx::new(SimTime::from_millis(8), CLIENT, &mut rng);
-        c.handle(SiteId(0), Msg::Busy { suite: SUITE, req }, &mut ctx);
-        let out = effects(&mut ctx);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, SiteId(1));
-        assert!(matches!(out[0].1, Msg::ReadReq { .. }));
-    }
-
-    #[test]
     fn unknown_suite_fails_immediately() {
         let mut c = client();
         let mut rng = DetRng::new(5);
@@ -3404,9 +3735,262 @@ mod tests {
         assert!(matches!(out[0].1, Msg::Abort { .. }));
     }
 
-    /// Drives one write through its inquiry and a unanimous prepare:
-    /// returns the request id with the commit decided, logged, and out to
-    /// the participants (sites 0 and 1) but acked by neither.
+    /// A write through its inquiry and into its prepare, out to sites 0
+    /// and 1 with the floor 1.
+    fn preparing_write(c: &mut ClientNode, rng: &mut DetRng) -> ReqId {
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, rng);
+        let req = c.start_write(SUITE, &b"new"[..], &mut ctx);
+        for s in 0..2u16 {
+            let resp = Msg::VersionResp {
+                suite: SUITE,
+                req,
+                version: Version(0),
+                generation: 1,
+            };
+            c.handle(SiteId(s), resp, &mut ctx);
+        }
+        req
+    }
+
+    /// Delivers `msg` for the suite at `at_ms`; returns sends and timers.
+    #[allow(clippy::type_complexity)]
+    fn deliver(
+        c: &mut ClientNode,
+        rng: &mut DetRng,
+        at_ms: u64,
+        from: u16,
+        msg: Msg,
+    ) -> (Vec<(SiteId, Msg)>, Vec<(SimDuration, u64)>) {
+        let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms), CLIENT, rng);
+        c.handle(SiteId(from), msg, &mut ctx);
+        split_effects(&mut ctx)
+    }
+
+    /// Fires the newest armed timer at `at_ms`.
+    #[allow(clippy::type_complexity)]
+    fn fire_newest_timer(
+        c: &mut ClientNode,
+        rng: &mut DetRng,
+        at_ms: u64,
+    ) -> (Vec<(SiteId, Msg)>, Vec<(SimDuration, u64)>) {
+        let token = CLIENT_TIMER_TAG | (c.next_timer - 1);
+        let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms), CLIENT, rng);
+        c.handle_timer(token, &mut ctx);
+        split_effects(&mut ctx)
+    }
+
+    fn yes(req: ReqId, version: u64) -> Msg {
+        Msg::PrepareVote {
+            suite: SUITE,
+            req,
+            vote: Vote::Yes,
+            staged: vec![(data_object(SUITE), Version(version))],
+        }
+    }
+
+    fn busy(req: ReqId, give_way: bool) -> Msg {
+        Msg::Busy {
+            suite: SUITE,
+            req,
+            give_way,
+        }
+    }
+
+    fn aborts(sends: &[(SiteId, Msg)]) -> Vec<SiteId> {
+        let is_abort = |(to, m): &(SiteId, Msg)| matches!(m, Msg::Abort { .. }).then_some(*to);
+        sends.iter().filter_map(is_abort).collect()
+    }
+
+    #[test]
+    fn busy_keeps_the_place_in_line_and_reasks_until_the_site_falls_silent() {
+        let mut c = client();
+        let mut rng = DetRng::new(4);
+        let req = preparing_write(&mut c, &mut rng);
+        let timeout = c.options.phase_timeout;
+        let reasked = |sends: &[(SiteId, Msg)]| -> Vec<SiteId> {
+            let empty = |m: &Msg| matches!(m, Msg::Prepare { req: r, writes, .. } if *r == req && writes.is_empty());
+            assert!(sends.iter().all(|(_, m)| empty(m)), "{sends:?}");
+            sends.iter().map(|(to, _)| *to).collect()
+        };
+        assert!(deliver(&mut c, &mut rng, 10, 0, busy(req, false))
+            .0
+            .is_empty());
+        assert!(deliver(&mut c, &mut rng, 10, 1, busy(req, false))
+            .0
+            .is_empty());
+        assert_eq!(c.stats.refused_busy, 2);
+        // The phase timer fires with both sites known to keep our place:
+        // not a timeout. Both are re-asked, with an empty prepare, and
+        // since the prepare holds nothing yet the next look is twice as
+        // far away, then four times.
+        for (at_ms, factor) in [(5_000, 2), (15_000, 4), (35_000, 4)] {
+            let (sends, timers) = fire_newest_timer(&mut c, &mut rng, at_ms);
+            assert_eq!(reasked(&sends), vec![SiteId(0), SiteId(1)]);
+            let delays: Vec<SimDuration> = timers.iter().map(|(d, _)| *d).collect();
+            assert_eq!(delays, vec![timeout * factor]);
+            deliver(&mut c, &mut rng, at_ms + 10, 0, busy(req, false));
+            deliver(&mut c, &mut rng, at_ms + 10, 1, busy(req, false));
+        }
+        assert_eq!((c.stats.timeouts, c.stats.retries), (0, 0));
+        // Site 0 votes. Its promise now keeps a lock waiting on us, so
+        // site 1 alone is re-asked, and every timeout.
+        deliver(&mut c, &mut rng, 40_000, 0, yes(req, 1));
+        let (sends, timers) = fire_newest_timer(&mut c, &mut rng, 55_000);
+        assert_eq!(reasked(&sends), vec![SiteId(1)]);
+        assert_eq!(timers[0].0, timeout);
+        // This time nothing comes back — the site crashed and its line
+        // with it. The next timer is the classic timeout: abort
+        // everywhere, retry under a fresh request id.
+        let (sends, _) = fire_newest_timer(&mut c, &mut rng, 60_000);
+        assert_eq!(aborts(&sends), vec![SiteId(0), SiteId(1)]);
+        assert_eq!((c.stats.timeouts, c.stats.retries), (1, 1));
+        assert_eq!(c.stats.retry_causes[RetryCause::TimeoutPrepare as usize], 1);
+        assert!(!c.ops.contains_key(&req));
+        assert_eq!(c.in_flight(), 1);
+    }
+
+    #[test]
+    fn a_site_that_lost_the_line_answers_the_reask_with_no() {
+        let mut c = client();
+        let mut rng = DetRng::new(4);
+        let req = preparing_write(&mut c, &mut rng);
+        deliver(&mut c, &mut rng, 10, 0, busy(req, false));
+        deliver(&mut c, &mut rng, 10, 1, busy(req, false));
+        let (sends, _) = fire_newest_timer(&mut c, &mut rng, 5_000);
+        assert_eq!(sends.len(), 2, "both sites are re-asked");
+        let no = Msg::PrepareVote {
+            suite: SUITE,
+            req,
+            vote: Vote::No,
+            staged: Vec::new(),
+        };
+        let (sends, _) = deliver(&mut c, &mut rng, 5_010, 1, no);
+        assert_eq!(aborts(&sends), vec![SiteId(0), SiteId(1)]);
+        assert_eq!(c.stats.retry_causes[RetryCause::VoteNo as usize], 1);
+    }
+
+    #[test]
+    fn a_give_way_notice_aborts_only_a_prepare_that_waits_elsewhere() {
+        let mut rng = DetRng::new(4);
+        // Notice first, then the news of a line at the other site.
+        let mut c = client();
+        let req = preparing_write(&mut c, &mut rng);
+        deliver(&mut c, &mut rng, 10, 0, yes(req, 1));
+        let (sends, _) = deliver(&mut c, &mut rng, 11, 0, busy(req, true));
+        assert!(
+            sends.is_empty(),
+            "holding a lock somebody older wants is no reason to abort"
+        );
+        let (sends, _) = deliver(&mut c, &mut rng, 12, 1, busy(req, false));
+        assert_eq!(aborts(&sends), vec![SiteId(0), SiteId(1)]);
+        assert_eq!(c.stats.retry_causes[RetryCause::GaveWay as usize], 1);
+        assert_eq!(c.stats.retries, 1);
+        assert!(!c.ops.contains_key(&req));
+        // The other way round.
+        let mut c = client();
+        let req = preparing_write(&mut c, &mut rng);
+        assert!(deliver(&mut c, &mut rng, 10, 1, busy(req, false))
+            .0
+            .is_empty());
+        let (sends, _) = deliver(&mut c, &mut rng, 11, 0, busy(req, true));
+        assert_eq!(aborts(&sends), vec![SiteId(0), SiteId(1)]);
+        // A prepare whose line has since moved — the site voted — waits
+        // for nothing and finishes.
+        let mut c = client();
+        let req = preparing_write(&mut c, &mut rng);
+        deliver(&mut c, &mut rng, 10, 1, busy(req, false));
+        deliver(&mut c, &mut rng, 60, 1, yes(req, 1));
+        assert!(deliver(&mut c, &mut rng, 61, 1, busy(req, true))
+            .0
+            .is_empty());
+        let (sends, _) = deliver(&mut c, &mut rng, 62, 0, yes(req, 1));
+        assert!(sends.iter().all(|(_, m)| matches!(m, Msg::Commit { .. })));
+        assert_eq!((sends.len(), c.stats.retries), (2, 0));
+    }
+
+    #[test]
+    fn a_yes_vote_for_an_attempt_given_up_is_answered_like_a_decision_probe() {
+        let mut c = client();
+        let mut rng = DetRng::new(4);
+        // Site 0 votes no; the attempt is aborted and retried. Site 1's
+        // abort is lost, its prepare stands in line regardless and is
+        // eventually staged: the yes comes back for a request nobody
+        // runs any more. It must not hold the lock until its probe timer.
+        let req = preparing_write(&mut c, &mut rng);
+        let no = Msg::PrepareVote {
+            suite: SUITE,
+            req,
+            vote: Vote::No,
+            staged: Vec::new(),
+        };
+        deliver(&mut c, &mut rng, 10, 0, no);
+        let (sends, _) = deliver(&mut c, &mut rng, 900, 1, yes(req, 1));
+        assert_eq!(sends.len(), 1);
+        assert!(matches!(
+            &sends[0],
+            (SiteId(1), Msg::Abort { req: r, .. }) if *r == req
+        ));
+        // A decision that is logged and not yet retired answers commit,
+        // at the versions it named.
+        let mut c = client();
+        let req = decided_write(&mut c, &mut rng);
+        c.handle_crash();
+        c.handle_recover();
+        let (sends, _) = deliver(&mut c, &mut rng, 900, 1, yes(req, 1));
+        assert_eq!(sends.len(), 1);
+        assert!(decides_version_3(&sends[0].1));
+    }
+
+    #[test]
+    fn replies_that_arrive_after_the_decision_are_ignored() {
+        let mut c = client();
+        let mut rng = DetRng::new(4);
+        let req = decided_write(&mut c, &mut rng);
+        // A re-asked or duplicated prepare can be answered after the
+        // votes that decided the write. None of these may send the
+        // decided operation anywhere but forward.
+        let stale = Msg::StaleConfig {
+            suite: SUITE,
+            req,
+            generation: 2,
+        };
+        let no = Msg::PrepareVote {
+            suite: SUITE,
+            req,
+            vote: Vote::No,
+            staged: Vec::new(),
+        };
+        let refused = Msg::Refused {
+            suite: SUITE,
+            req,
+            reason: RefuseReason::Disk,
+        };
+        for late in [
+            stale,
+            no,
+            refused,
+            busy(req, true),
+            busy(req, false),
+            yes(req, 9),
+        ] {
+            let (sends, timers) = deliver(&mut c, &mut rng, 25, 1, late.clone());
+            assert!(
+                sends.is_empty() && timers.is_empty(),
+                "{late:?} moved a decided op"
+            );
+            assert!(matches!(c.ops[&req].phase, Phase::Commit { .. }));
+        }
+        ack(&mut c, &mut rng, 0, req);
+        ack(&mut c, &mut rng, 1, req);
+        let done = c.completed[0].outcome.as_ref().expect("committed once");
+        assert_eq!(done.version, Version(3));
+        assert_eq!(c.stats.retries, 0);
+    }
+
+    /// Drives one write through its inquiry and a unanimous prepare —
+    /// site 0 staged version 1, site 1 (ahead) version 3 — and returns
+    /// the request id with the commit decided at version 3, logged, and
+    /// out to both participants but acked by neither.
     fn decided_write(c: &mut ClientNode, rng: &mut DetRng) -> ReqId {
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, rng);
         let req = c.start_write(SUITE, &b"new"[..], &mut ctx);
@@ -3419,20 +4003,19 @@ mod tests {
             };
             c.handle(SiteId(s), resp, &mut ctx);
         }
-        for s in 0..2u16 {
-            let vote = Msg::PrepareVote {
-                suite: SUITE,
-                req,
-                vote: Vote::Yes,
-            };
-            c.handle(SiteId(s), vote, &mut ctx);
-        }
+        c.handle(SiteId(0), yes(req, 1), &mut ctx);
+        c.handle(SiteId(1), yes(req, 3), &mut ctx);
         let commits = effects(&mut ctx)
             .iter()
-            .filter(|(_, m)| matches!(m, Msg::Commit { .. }))
+            .filter(|(_, m)| decides_version_3(m))
             .count();
         assert_eq!(commits, 2, "decided: commit out to both participants");
         req
+    }
+
+    /// A commit naming version 3 for the suite's data, and nothing else.
+    fn decides_version_3(m: &Msg) -> bool {
+        matches!(m, Msg::Commit { versions, .. } if versions[..] == [(data_object(SUITE), Version(3))])
     }
 
     fn ack(c: &mut ClientNode, rng: &mut DetRng, from: u16, req: ReqId) {
@@ -3475,21 +4058,22 @@ mod tests {
     fn unacked_decision_answers_commit_across_crash_and_compaction() {
         let mut c = client();
         let mut rng = DetRng::new(7);
-        // One participant acks, the other never does: the decision must
-        // stay answerable for as long as the client lives.
+        // One participant acks, the other never does: the decision —
+        // with the version it named — must stay answerable for as long
+        // as the client lives.
         let req = decided_write(&mut c, &mut rng);
         ack(&mut c, &mut rng, 0, req);
-        assert!(matches!(probe(&mut c, &mut rng, req), Msg::Commit { .. }));
+        assert!(decides_version_3(&probe(&mut c, &mut rng, req)));
         c.handle_crash();
         c.handle_recover();
-        assert!(matches!(probe(&mut c, &mut rng, req), Msg::Commit { .. }));
+        assert!(decides_version_3(&probe(&mut c, &mut rng, req)));
         // Compaction forgets the acked traffic around it, not this one...
         acked_writes_through_a_compaction(&mut c, &mut rng);
-        assert!(matches!(probe(&mut c, &mut rng, req), Msg::Commit { .. }));
+        assert!(decides_version_3(&probe(&mut c, &mut rng, req)));
         // ...and the compacted log still carries it over a crash.
         c.handle_crash();
         c.handle_recover();
-        assert!(matches!(probe(&mut c, &mut rng, req), Msg::Commit { .. }));
+        assert!(decides_version_3(&probe(&mut c, &mut rng, req)));
     }
 
     #[test]
@@ -3548,7 +4132,8 @@ mod tests {
             Msg::PrepareVote {
                 suite: SUITE,
                 req: ghost,
-                vote: Vote::Yes,
+                vote: Vote::No,
+                staged: Vec::new(),
             },
             &mut ctx,
         );
@@ -3561,8 +4146,51 @@ mod tests {
             },
             &mut ctx,
         );
+        // (A stale *yes* is answered: the participant is holding a lock
+        // for it — see `a_yes_vote_for_an_attempt_given_up_…`.)
         assert!(effects(&mut ctx).is_empty());
         assert_eq!(c.completed.len(), 0);
+    }
+
+    #[test]
+    fn answers_given_under_a_superseded_configuration_are_not_counted_under_the_new_one() {
+        // Generation 1 is r = 2, w = 2 over three sites; generation 2 is
+        // r = 1, w = 3. A read's inquiry goes out under generation 1 and
+        // site 2, which missed the last write, answers v0. Then this
+        // client adopts generation 2 (its own reconfiguration finished,
+        // or another op's refresh brought it). Under generation 2 one
+        // vote is a read quorum — but not one given before the change,
+        // when a write quorum was two sites that need not include it.
+        let mut c = client();
+        let mut rng = DetRng::new(8);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        let req = c.start_read(SUITE, &mut ctx);
+        let _ = effects(&mut ctx);
+        let answer = |req: ReqId, version: u64, generation: u64| Msg::VersionResp {
+            suite: SUITE,
+            req,
+            version: Version(version),
+            generation,
+        };
+        assert!(deliver(&mut c, &mut rng, 5, 2, answer(req, 0, 1))
+            .0
+            .is_empty());
+        let next = config()
+            .evolve(config().assignment, QuorumSpec::new(1, 3))
+            .expect("legal");
+        let mut ctx = NodeCtx::new(SimTime::from_millis(6), CLIENT, &mut rng);
+        c.on_config_resp(SUITE, ReqId::new(99, CLIENT), next, &mut ctx);
+        // The next answer finds the geometry changed: nothing collected
+        // so far counts, and the read asks everybody again.
+        let (sends, _) = deliver(&mut c, &mut rng, 7, 1, answer(req, 0, 1));
+        assert!(c.completed.is_empty(), "completed on pre-change evidence");
+        let asked: Vec<SiteId> = sends
+            .iter()
+            .filter(|(_, m)| matches!(m, Msg::VersionReq { req: r, .. } if *r != req))
+            .map(|(to, _)| *to)
+            .collect();
+        assert_eq!(asked, vec![SiteId(0), SiteId(1), SiteId(2)]);
+        assert_eq!(c.stats.retry_causes[RetryCause::StaleConfig as usize], 1);
     }
 
     #[test]
@@ -4446,6 +5074,7 @@ mod tests {
             suite: SUITE,
             req,
             vote: Vote::Yes,
+            staged: Vec::new(),
         };
         let ack = Msg::Ack {
             suite: SUITE,

@@ -179,7 +179,9 @@ impl HarnessBuilder {
         self
     }
 
-    /// Overrides the deadlock policy (default wait-die).
+    /// Overrides the servers' deadlock policy. It reaches the commit locks
+    /// in one way: `NoWait` votes a prepare down at once where the default
+    /// makes it stand in line (see [`SuiteServer::new`]).
     pub fn deadlock_policy(mut self, policy: DeadlockPolicy) -> Self {
         self.policy = policy;
         self
@@ -2054,5 +2056,69 @@ mod tests {
             .map(|w| h.server_stats(*w).expect("weak rep").weak_updates)
             .sum();
         assert!(weak_installs as usize >= 4 * n, "{weak_installs} refreshes");
+    }
+
+    #[test]
+    fn a_hot_suite_commits_every_write_in_one_or_two_attempts() {
+        // The benchmark's `sim-hot` shape: 3 servers, 8 clients x depth 8,
+        // one suite, 512 writes enqueued at once. A retry lottery on the
+        // commit lock pays dozens of attempts per write here; the line
+        // at the representatives pays about one.
+        use crate::client::RetryCause;
+        const CLIENTS: usize = 8;
+        let mut b = HarnessBuilder::new()
+            .seed(17)
+            .quorum(QuorumSpec::new(2, 2))
+            .net(NetConfig::uniform(
+                3 + CLIENTS,
+                LatencyModel::ShiftedExponential {
+                    base: SimDuration::from_millis(20),
+                    tail_mean: SimDuration::from_millis(5),
+                },
+            ))
+            .client_options(ClientOptions {
+                phase_timeout: SimDuration::from_millis(300),
+                backoff: SimDuration::from_millis(5),
+                backoff_cap: SimDuration::from_millis(80),
+                max_attempts: 512,
+                commit_resend_limit: 512,
+                pipeline_depth: Some(8),
+                ..ClientOptions::default()
+            })
+            .group_commit(SimDuration::from_millis(5));
+        for _ in 0..3 {
+            b = b.site(SiteSpec::server(1));
+        }
+        for _ in 0..CLIENTS {
+            b = b.client();
+        }
+        let mut h = b.build().expect("legal");
+        let suite = h.suite_id();
+        let clients = h.clients().to_vec();
+        for i in 0..512 {
+            let value = format!("w{i}").into_bytes();
+            h.enqueue_write(clients[i % CLIENTS], suite, value, SimTime::ZERO);
+        }
+        h.run_until_quiet(10_000_000);
+        let mut attempts = Vec::new();
+        let mut versions = Vec::new();
+        for &c in &clients {
+            for op in h.drain_completed(c) {
+                attempts.push(op.attempts);
+                versions.push(op.outcome.expect("no fault, no failure").version.0);
+            }
+            let stats = h.client_stats(c).expect("client");
+            let by_cause: u64 = stats.retry_causes.iter().sum();
+            assert_eq!(by_cause, stats.retries, "every retry has a cause");
+            let timed_out = RetryCause::TimeoutPrepare as usize;
+            assert_eq!(stats.retry_causes[timed_out], 0, "a line is not a timeout");
+        }
+        versions.sort_unstable();
+        assert_eq!(versions, (1..=512).collect::<Vec<u64>>());
+        let max = attempts.iter().copied().max().expect("ops");
+        let mean = attempts.iter().map(|&a| f64::from(a)).sum::<f64>() / 512.0;
+        assert!(max <= 4, "an op took {max} attempts");
+        assert!(mean <= 1.5, "mean {mean} attempts per write");
+        assert!(h.now() < SimTime::from_secs(45), "makespan {:?}", h.now());
     }
 }

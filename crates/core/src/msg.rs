@@ -17,9 +17,8 @@ use crate::suite::SuiteConfig;
 /// Identifies one operation attempt, unique across the cluster.
 ///
 /// Layout: `counter << 16 | client_site`. The counter-major ordering makes
-/// req ids usable directly as wait-die timestamps (earlier operations are
-/// "older"), and the low bits let a recovering participant find its
-/// coordinator.
+/// req ids usable directly as lock ages (earlier operations are "older"),
+/// and the low bits let a recovering participant find its coordinator.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ReqId(pub u64);
 
@@ -80,6 +79,12 @@ pub enum Msg {
         suite: ObjectId,
         /// Operation attempt.
         req: ReqId,
+        /// A writer's inquiry: the answer is only a floor for the version
+        /// the representatives assign under the commit lock, so it is
+        /// given at once from committed state. A reader's inquiry
+        /// (`false`) that meets a commit lock is held until the lock is
+        /// released — its answer must not miss a decided write.
+        floor: bool,
     },
 
     /// Representative's answer: committed version plus config generation.
@@ -113,17 +118,25 @@ pub enum Msg {
         /// The contents.
         value: Bytes,
     },
-    /// The object is commit-locked by an in-flight write; retry shortly.
+    /// Notice to a prepare's coordinator about the commit-lock line at
+    /// this representative; the vote still follows. Reads are never
+    /// answered `Busy`: one that meets a commit lock is held and answered
+    /// when the lock is released.
     Busy {
-        /// The suite that was busy.
+        /// The (primary) suite of the prepare.
         suite: ObjectId,
-        /// The turned-away operation.
+        /// The preparing operation.
         req: ReqId,
+        /// `false`: the prepare joined a line and keeps its place — wait,
+        /// and re-ask if no vote comes. `true`: the prepare holds its
+        /// locks here and an *older* prepare now waits behind it — give
+        /// way (abort) if it is itself waiting in another site's line,
+        /// since that is the only way the two can deadlock.
+        give_way: bool,
     },
     /// The representative cannot serve at all right now — its disk is
-    /// degraded. Unlike [`Msg::Busy`] (a transient lock conflict worth an
-    /// immediate retry elsewhere), a refusal tells the client something is
-    /// wrong with the *site*: treat it as a non-vote and route around it.
+    /// degraded. A refusal tells the client something is wrong with the
+    /// *site*: treat it as a non-vote and route around it.
     Refused {
         /// The suite the request targeted.
         suite: ObjectId,
@@ -138,15 +151,24 @@ pub enum Msg {
     /// this site if told to commit. Ordinary writes carry one entry for
     /// the suite's data object; reconfigurations target the config
     /// object; multi-suite transactions batch one entry per suite this
-    /// site serves.
+    /// site serves. An empty `writes` is the coordinator re-asking about
+    /// a prepare it already sent: answered with the vote, a `Busy` while
+    /// still in line, or No when the site no longer knows the request.
     Prepare {
         /// The preparing operation.
         req: ReqId,
         /// The staged installs, applied all-or-nothing at this site.
         writes: Vec<PrepareWrite>,
-        /// Wait-die age of the *operation* (first attempt's counter), so a
-        /// retried write keeps its seniority and cannot be starved.
+        /// Age of the *operation* (first attempt's counter): commit-lock
+        /// lines are ordered by it, so a retried write keeps its
+        /// seniority and cannot be starved.
         lock_ts: u64,
+        /// Blind installs (writes, transactions): each entry's version is
+        /// a floor, and the representative stages `max(floor, committed +
+        /// 1)` once it holds the lock. `false` for a reconfiguration,
+        /// whose re-published contents are a read-modify-write: its
+        /// versions are exact and a stale one votes No.
+        rebase: bool,
     },
     /// Participant's vote on a prepare.
     PrepareVote {
@@ -156,6 +178,8 @@ pub enum Msg {
         req: ReqId,
         /// Yes or no.
         vote: Vote,
+        /// What a Yes vote staged, per object (empty on a No).
+        staged: Vec<(ObjectId, Version)>,
     },
     /// Coordinator decision: commit.
     Commit {
@@ -163,6 +187,11 @@ pub enum Msg {
         suite: ObjectId,
         /// The decided operation.
         req: ReqId,
+        /// The version each object commits at: the highest any
+        /// participant staged. A participant that staged lower re-stamps
+        /// first; one whose committed version already reaches the named
+        /// one is seeing a replay and drops the staging instead.
+        versions: Vec<(ObjectId, Version)>,
     },
     /// Coordinator decision: abort. Also sent on timeouts; idempotent.
     Abort {
@@ -321,7 +350,11 @@ mod tests {
         let suite = ObjectId(1);
         let req = ReqId::new(1, SiteId(0));
         let msgs = [
-            Msg::VersionReq { suite, req },
+            Msg::VersionReq {
+                suite,
+                req,
+                floor: false,
+            },
             Msg::VersionResp {
                 suite,
                 req,
@@ -329,7 +362,11 @@ mod tests {
                 generation: 1,
             },
             Msg::ReadReq { suite, req },
-            Msg::Busy { suite, req },
+            Msg::Busy {
+                suite,
+                req,
+                give_way: false,
+            },
             Msg::Refused {
                 suite,
                 req,
@@ -340,7 +377,11 @@ mod tests {
                 req,
                 reason: RefuseReason::Disk,
             },
-            Msg::Commit { suite, req },
+            Msg::Commit {
+                suite,
+                req,
+                versions: Vec::new(),
+            },
             Msg::Ack {
                 suite,
                 req,
@@ -371,5 +412,16 @@ mod tests {
                 "message must belong to exactly one side: {m:?}"
             );
         }
+    }
+    #[test]
+    fn a_message_stays_within_nine_words() {
+        // Every hop moves one of these by value; the commit-line fields
+        // (a vote's staged versions, a decision's named ones) ride in
+        // variants that had room.
+        assert!(
+            std::mem::size_of::<Msg>() <= 72,
+            "{}",
+            std::mem::size_of::<Msg>()
+        );
     }
 }

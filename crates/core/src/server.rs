@@ -2,12 +2,26 @@
 //!
 //! One [`SuiteServer`] runs per hosting site (strong or weak). It serves
 //! version inquiries and content reads from committed state, participates
-//! in client-coordinated two-phase commit for writes (staging the new
-//! version under an exclusive lock, voting, then installing or discarding),
-//! applies fire-and-forget weak-representative updates monotonically, and
-//! resolves in-doubt transactions after a crash by asking the coordinator.
+//! in client-coordinated two-phase commit for writes (taking each object's
+//! commit lock in turn, assigning the new version under it, voting, then
+//! installing or discarding), applies fire-and-forget weak-representative
+//! updates monotonically, and resolves in-doubt transactions after a crash
+//! by asking the coordinator.
+//!
+//! # The commit-lock line
+//!
+//! Every prepare collects its commit locks in object order. A lock that
+//! is taken makes the prepare stand in that object's *line*, ordered by
+//! `(lock_ts, req)`; a release hands the lock to the oldest waiter. An
+//! older prepare never waits behind a younger one for long: a younger
+//! holder still collecting locks here is aborted on the spot, one that
+//! is already staged gets a [`Msg::Busy`] give-way notice for its
+//! coordinator, which aborts if the prepare is itself in line elsewhere.
+//! Reads and readers' inquiries that meet a commit lock are held and
+//! answered from committed state the instant the lock is released, before
+//! the next holder is granted. DESIGN.md §7.2 has the deadlock argument.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use wv_net::{Node, NodeCtx, SiteId};
@@ -44,7 +58,8 @@ pub struct ServerStats {
     pub inquiries: u64,
     /// Content reads served.
     pub reads: u64,
-    /// Reads turned away because the object was commit-locked.
+    /// Reads and readers' inquiries that met a commit lock (each was held
+    /// and answered when the lock was released).
     pub busy: u64,
     /// Prepares received.
     pub prepares: u64,
@@ -96,19 +111,55 @@ pub struct ServerStats {
     pub served_while_quarantined: u64,
 }
 
+/// A prepare that holds all its commit locks and is staged in the
+/// container: promised (or about to be, behind a group-commit sync).
 #[derive(Clone, Debug)]
 struct PendingWrite {
     tx: TxId,
     token: TxToken,
-    objects: Vec<ObjectId>,
+    /// The objects staged, each at the version the vote reports.
+    staged: Vec<(ObjectId, Version)>,
     suite: ObjectId,
 }
 
+/// A prepare still collecting its commit locks.
 #[derive(Clone, Debug)]
-struct WaitingPrepare {
+struct Collecting {
     from: SiteId,
-    req: ReqId,
+    token: TxToken,
+    /// In object order: `writes[..held]` are locked, and the prepare
+    /// stands in the line of `writes[held]`'s object.
     writes: Vec<PrepareWrite>,
+    rebase: bool,
+    held: usize,
+    /// Open lock-wait span, from the first line joined, when tracing.
+    span: Option<SpanId>,
+}
+
+impl Collecting {
+    fn suite(&self) -> ObjectId {
+        self.writes.first().map_or(ObjectId(0), |pw| pw.suite)
+    }
+}
+
+/// A read or reader's inquiry that met a commit lock.
+#[derive(Clone, Copy, Debug)]
+struct HeldRead {
+    from: SiteId,
+    suite: ObjectId,
+    req: ReqId,
+    /// `ReadReq` (contents wanted) rather than `VersionReq`.
+    contents: bool,
+}
+
+/// Everything waiting for one object's commit lock.
+#[derive(Debug, Default)]
+struct Line {
+    /// Prepares, oldest first.
+    prepares: BTreeSet<TxToken>,
+    /// Answered from committed state when the lock is released, before
+    /// the oldest prepare is granted.
+    reads: Vec<HeldRead>,
 }
 
 /// A response held back until the in-flight group-commit sync lands. The
@@ -130,6 +181,7 @@ enum Deferred {
         to: SiteId,
         suite: ObjectId,
         req: ReqId,
+        versions: Vec<(ObjectId, Version)>,
     },
 }
 
@@ -155,7 +207,10 @@ pub struct SuiteServer {
     policy: DeadlockPolicy,
     configs: IdHashMap<ObjectId, SuiteConfig>,
     pending: IdHashMap<ReqId, PendingWrite>,
-    waiting: IdHashMap<TxToken, WaitingPrepare>,
+    collecting: IdHashMap<ReqId, Collecting>,
+    /// Per commit-locked object, who waits for it. An entry exists only
+    /// while the object is locked.
+    lines: IdHashMap<ObjectId, Line>,
     /// How long a prepared transaction waits before probing its
     /// coordinator for the decision.
     resolve_after: SimDuration,
@@ -180,8 +235,6 @@ pub struct SuiteServer {
     /// The tracer never reads the RNG and never emits effects, so enabling
     /// it cannot perturb the protocol.
     tracer: Option<Tracer>,
-    /// Open lock-wait spans of queued prepares, keyed like `waiting`.
-    waiting_spans: IdHashMap<TxToken, SpanId>,
     /// Group-commit sync latency; `None` (the default) flushes every
     /// prepare and commit inline, byte-identical to the classic path.
     group_commit: Option<SimDuration>,
@@ -225,6 +278,9 @@ impl SuiteServer {
     /// Each suite's configuration is committed into the container (the
     /// replicated prefix) at a version equal to its generation; data
     /// objects start at [`Version::INITIAL`] with empty contents.
+    /// `policy` reaches the commit locks in one way: under
+    /// [`DeadlockPolicy::NoWait`] a prepare that meets a taken lock votes
+    /// No at once instead of joining the line (the E8 ablation).
     pub fn new(site: SiteId, configs: Vec<SuiteConfig>, policy: DeadlockPolicy) -> Self {
         let mut container = Container::new();
         let mut map = IdHashMap::default();
@@ -249,7 +305,8 @@ impl SuiteServer {
             policy,
             configs: map,
             pending: IdHashMap::default(),
-            waiting: IdHashMap::default(),
+            collecting: IdHashMap::default(),
+            lines: IdHashMap::default(),
             resolve_after: SimDuration::from_secs(5),
             checkpoint_threshold: CHECKPOINT_RECORDS,
             anti_entropy: None,
@@ -258,7 +315,6 @@ impl SuiteServer {
             refresh_clients: Vec::new(),
             stats: ServerStats::default(),
             tracer: None,
-            waiting_spans: IdHashMap::default(),
             group_commit: None,
             sync_active: false,
             sync_queue: Vec::new(),
@@ -625,87 +681,258 @@ impl SuiteServer {
         self.configs.get(&suite).map_or(0, |c| c.generation)
     }
 
-    /// Completes a prepare whose locks are (now) all held: version-check
-    /// every entry, stage them into one atomic transaction, promise, vote.
-    fn finish_prepare(&mut self, w: WaitingPrepare, token: TxToken, ctx: &mut NodeCtx<'_, Msg>) {
-        let suite = w.writes.first().map(|pw| pw.suite).unwrap_or(ObjectId(0));
-        let stale = w.writes.iter().any(|pw| {
+    /// The first entry of `writes` built against a configuration this
+    /// server has since superseded, with the generation it holds now.
+    fn superseded(&self, writes: &[PrepareWrite]) -> Option<(ObjectId, u64)> {
+        writes.iter().find_map(|pw| {
+            let mine = self.generation_of(pw.suite);
+            (pw.generation < mine).then_some((pw.suite, mine))
+        })
+    }
+
+    fn vote_no(&mut self, to: SiteId, suite: ObjectId, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+        self.stats.votes_no += 1;
+        ctx.send(
+            to,
+            Msg::PrepareVote {
+                suite,
+                req,
+                vote: Vote::No,
+                staged: Vec::new(),
+            },
+        );
+    }
+
+    fn vote_yes(&mut self, to: SiteId, suite: ObjectId, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+        let staged = self
+            .pending
+            .get(&req)
+            .map_or_else(Vec::new, |p| p.staged.clone());
+        self.note_serving();
+        ctx.send(
+            to,
+            Msg::PrepareVote {
+                suite,
+                req,
+                vote: Vote::Yes,
+                staged,
+            },
+        );
+    }
+
+    /// Takes `req`'s commit locks in object order until it meets one that
+    /// is held — `req` then stands in that object's line — or holds them
+    /// all and is staged and voted on. Returns the objects whose locks
+    /// this step released, for [`Self::hand_off`].
+    fn collect(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) -> Vec<ObjectId> {
+        loop {
+            let Some(c) = self.collecting.get_mut(&req) else {
+                return Vec::new();
+            };
+            let Some(object) = c.writes.get(c.held).map(|pw| pw.object) else {
+                break;
+            };
+            // A lock released but not yet handed off (its line is still
+            // being served) is not free: the oldest in line gets it.
+            let holder = self.locks.exclusive_holder(object);
+            let awaited = self
+                .lines
+                .get(&object)
+                .is_some_and(|l| !l.prepares.is_empty());
+            if holder.is_some() || awaited {
+                return self.join_line(req, object, holder, ctx);
+            }
+            let reply = self.locks.lock(c.token, object, LockMode::Exclusive);
+            debug_assert_eq!(reply, LockReply::Granted, "nothing waits inside the table");
+            c.held += 1;
+        }
+        let c = self.collecting.remove(&req).expect("present above");
+        if let (Some(id), Some(tr)) = (c.span, self.tracer.as_mut()) {
+            tr.end(id, ctx.now(), SpanOutcome::Ok);
+        }
+        self.finish_prepare(c, ctx)
+    }
+
+    /// `req` cannot have `object`'s lock yet: stand in the object's line
+    /// and tell the coordinator, or — under the no-wait ablation — vote
+    /// No at once. An older `req` makes a younger `holder` give way.
+    fn join_line(
+        &mut self,
+        req: ReqId,
+        object: ObjectId,
+        holder: Option<TxToken>,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) -> Vec<ObjectId> {
+        if self.policy == DeadlockPolicy::NoWait {
+            return self.drop_collecting(req, true, ctx);
+        }
+        let c = self.collecting.get_mut(&req).expect("caller holds it");
+        let (from, token, suite) = (c.from, c.token, c.suite());
+        if c.span.is_none() {
+            if let Some(tr) = self.tracer.as_mut() {
+                let kind = SpanKind::LockWait;
+                c.span = Some(tr.start(kind, suite.0, req.0, None, Some(from.0), 0, ctx.now()));
+            }
+        }
+        self.lines.entry(object).or_default().prepares.insert(token);
+        ctx.send(
+            from,
+            Msg::Busy {
+                suite,
+                req,
+                give_way: false,
+            },
+        );
+        let Some(holder) = holder.filter(|h| token < *h) else {
+            return Vec::new();
+        };
+        // Older waits for younger: the one edge a deadlock needs. A
+        // holder still collecting here is waiting for another lock at
+        // this very site and gives way on the spot; a staged one has
+        // every lock it wants here, so only its coordinator knows whether
+        // it waits anywhere else.
+        let younger = ReqId(holder.id);
+        if self.collecting.contains_key(&younger) {
+            return self.drop_collecting(younger, true, ctx);
+        }
+        if let Some(p) = self.pending.get(&younger) {
+            ctx.send(
+                younger.coordinator(),
+                Msg::Busy {
+                    suite: p.suite,
+                    req: younger,
+                    give_way: true,
+                },
+            );
+        }
+        Vec::new()
+    }
+
+    /// Forgets a prepare that is still collecting: it leaves the line it
+    /// stands in and gives back exactly the locks it holds — the reads
+    /// held behind the lock it was waiting for belong to that lock's
+    /// real holder. `vote_no` tells its coordinator so.
+    fn drop_collecting(
+        &mut self,
+        req: ReqId,
+        vote_no: bool,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) -> Vec<ObjectId> {
+        let Some(c) = self.collecting.remove(&req) else {
+            return Vec::new();
+        };
+        if let Some(line) = c
+            .writes
+            .get(c.held)
+            .and_then(|pw| self.lines.get_mut(&pw.object))
+        {
+            line.prepares.remove(&c.token);
+        }
+        if let (Some(id), Some(tr)) = (c.span, self.tracer.as_mut()) {
+            tr.end(id, ctx.now(), SpanOutcome::Conflict);
+        }
+        if vote_no {
+            self.vote_no(c.from, c.suite(), req, ctx);
+        }
+        self.locks.release_all(c.token);
+        c.writes[..c.held].iter().map(|pw| pw.object).collect()
+    }
+
+    /// Completes a prepare that holds all its locks: re-check what may
+    /// have changed while it waited, assign the versions, stage every
+    /// entry into one atomic transaction, promise, vote. A prepare that
+    /// cannot be staged gives its locks back (returned for
+    /// [`Self::hand_off`]).
+    fn finish_prepare(&mut self, c: Collecting, ctx: &mut NodeCtx<'_, Msg>) -> Vec<ObjectId> {
+        let (suite, req) = (c.suite(), ReqId(c.token.id));
+        let unlock = |s: &mut Self| {
+            s.locks.release_all(c.token);
+            c.writes.iter().map(|pw| pw.object).collect()
+        };
+        // The generation is checked again now that the locks are held,
+        // not only when the prepare arrived: a write that waited behind a
+        // reconfiguration was planned on the superseded geometry, and
+        // re-basing its version would hide exactly the conflict the
+        // reconfiguration's version bump exists to raise.
+        if let Some((suite, generation)) = self.superseded(&c.writes) {
+            self.stats.stale_config += 1;
+            ctx.send(
+                c.from,
+                Msg::StaleConfig {
+                    suite,
+                    req,
+                    generation,
+                },
+            );
+            return unlock(self);
+        }
+        // The version is assigned under the lock. A blind install takes
+        // the first free one at or above the floor its client carried, so
+        // it is never stale; a reconfiguration's versions are exact, and
+        // one a concurrent writer already installed votes no — voting yes
+        // would let the coordinator regress it.
+        let mut staged = Vec::with_capacity(c.writes.len());
+        for pw in &c.writes {
             let committed = self
                 .container
                 .read_version(pw.object)
                 .unwrap_or(Version::INITIAL);
-            // A concurrent writer already installed this or a later
-            // version; voting yes would let the coordinator regress it.
-            pw.version <= committed
-        });
-        if stale {
-            for g in self.locks.release_all(token) {
-                self.resume_waiter(g.tx, ctx);
+            if c.rebase {
+                staged.push((pw.object, pw.version.max(committed.next())));
+            } else if pw.version <= committed {
+                self.vote_no(c.from, suite, req, ctx);
+                return unlock(self);
+            } else {
+                staged.push((pw.object, pw.version));
             }
-            self.stats.votes_no += 1;
+        }
+        let Ok(tx) = self.container.begin() else {
+            // An injected I/O error kept the prepare record off the log.
+            // Nothing was promised; release the locks and tell the
+            // coordinator the disk (not the data) said no.
+            self.stats.disk_refusals += 1;
             ctx.send(
-                w.from,
-                Msg::PrepareVote {
+                c.from,
+                Msg::Refused {
                     suite,
-                    req: w.req,
-                    vote: Vote::No,
+                    req,
+                    reason: RefuseReason::Disk,
                 },
             );
-            return;
-        }
-        let tx = match self.container.begin() {
-            Ok(tx) => tx,
-            Err(_) => {
-                // An injected I/O error kept the prepare record off the
-                // log. Nothing was promised; release the locks and tell
-                // the coordinator the disk (not the data) said no.
-                for g in self.locks.release_all(token) {
-                    self.resume_waiter(g.tx, ctx);
-                }
-                self.stats.disk_refusals += 1;
-                ctx.send(
-                    w.from,
-                    Msg::Refused {
-                        suite,
-                        req: w.req,
-                        reason: RefuseReason::Disk,
-                    },
-                );
-                return;
-            }
+            return unlock(self);
         };
-        for pw in &w.writes {
+        for (pw, (_, version)) in c.writes.iter().zip(&staged) {
             self.container
-                .stage_put(tx, pw.object, pw.version, pw.value.clone())
+                .stage_put(tx, pw.object, *version, pw.value.clone())
                 .expect("stage into fresh tx");
         }
         if self.group_commit.is_some() {
             self.container
-                .prepare_with_note_unflushed(tx, w.req.0)
+                .prepare_with_note_unflushed(tx, req.0)
                 .expect("prepare fresh tx");
         } else {
             self.container
-                .prepare_with_note(tx, w.req.0)
+                .prepare_with_note(tx, req.0)
                 .expect("prepare fresh tx");
         }
         if let Some(tr) = self.tracer.as_mut() {
-            let staged = w.writes.first().map(|pw| pw.version.0).unwrap_or(0);
+            let version = staged.first().map_or(0, |(_, v)| v.0);
             tr.event(
                 SpanKind::WalWrite,
                 suite.0,
-                w.req.0,
+                req.0,
                 None,
-                Some(w.from.0),
-                staged,
+                Some(c.from.0),
+                version,
                 ctx.now(),
             );
         }
         self.pending.insert(
-            w.req,
+            req,
             PendingWrite {
                 tx,
-                token,
-                objects: w.writes.iter().map(|pw| pw.object).collect(),
+                token: c.token,
+                staged,
                 suite,
             },
         );
@@ -714,25 +941,93 @@ impl SuiteServer {
             // decision-probe timer that guards it) waits for the sync.
             self.defer(
                 Deferred::Vote {
-                    to: w.from,
+                    to: c.from,
                     suite,
-                    req: w.req,
+                    req,
                 },
                 ctx,
             );
-            return;
+        } else {
+            // Probe the coordinator if the decision takes too long.
+            ctx.set_timer(self.resolve_after, req.0);
+            self.vote_yes(c.from, suite, req, ctx);
         }
-        // Probe the coordinator if the decision takes too long.
-        ctx.set_timer(self.resolve_after, w.req.0);
+        Vec::new()
+    }
+
+    /// The commit locks of `freed` were just released: answer the reads
+    /// held behind each from committed state — at this instant no decided
+    /// write is hidden — and only then hand the lock to the oldest
+    /// prepare in line, which goes on collecting. Whatever that releases
+    /// in turn is handed off the same way.
+    fn hand_off(&mut self, freed: Vec<ObjectId>, ctx: &mut NodeCtx<'_, Msg>) {
+        let mut freed = VecDeque::from(freed);
+        while let Some(object) = freed.pop_front() {
+            let Some(line) = self.lines.get_mut(&object) else {
+                continue;
+            };
+            for r in std::mem::take(&mut line.reads) {
+                self.answer_read(r, ctx);
+            }
+            let line = self.lines.get_mut(&object).expect("present above");
+            let Some(next) = line.prepares.pop_first() else {
+                self.lines.remove(&object);
+                continue;
+            };
+            let reply = self.locks.lock(next, object, LockMode::Exclusive);
+            debug_assert_eq!(reply, LockReply::Granted, "the lock was just released");
+            let req = ReqId(next.id);
+            self.collecting
+                .get_mut(&req)
+                .expect("a prepare in line is collecting")
+                .held += 1;
+            freed.extend(self.collect(req, ctx));
+        }
+    }
+
+    /// Holds `read` behind the commit lock on its suite's data, if there
+    /// is one; [`Self::hand_off`] answers it at the release.
+    fn hold_if_locked(&mut self, read: HeldRead) -> bool {
+        let object = data_object(read.suite);
+        let locked = self.locks.exclusive_holder(object).is_some();
+        if locked {
+            self.stats.busy += 1;
+            self.lines.entry(object).or_default().reads.push(read);
+        }
+        locked
+    }
+
+    /// Answers a version inquiry or content read from committed state.
+    fn answer_read(&mut self, r: HeldRead, ctx: &mut NodeCtx<'_, Msg>) {
+        let HeldRead {
+            from,
+            suite,
+            req,
+            contents,
+        } = r;
         self.note_serving();
-        ctx.send(
-            w.from,
-            Msg::PrepareVote {
+        let msg = if contents {
+            self.stats.reads += 1;
+            let vv = self
+                .container
+                .read(data_object(suite))
+                .expect("server container is up");
+            Msg::ReadResp {
                 suite,
-                req: w.req,
-                vote: Vote::Yes,
-            },
-        );
+                req,
+                version: vv.version,
+                value: vv.value,
+            }
+        } else {
+            self.stats.inquiries += 1;
+            Msg::VersionResp {
+                suite,
+                req,
+                version: self.data_version(suite),
+                generation: self.generation_of(suite),
+            }
+        };
+        ctx.send(from, msg);
     }
 
     /// Arms the sync-completion timer for the batch now accumulating.
@@ -754,7 +1049,7 @@ impl SuiteServer {
     /// Completes one group-commit sync: applies deferred commit decisions
     /// (still unflushed), makes the whole batch durable with a single WAL
     /// flush, and only then releases the responses and the commit locks.
-    /// Prepares resumed by those lock releases defer into the next batch.
+    /// Prepares granted by those lock releases defer into the next batch.
     fn run_sync(&mut self, ctx: &mut NodeCtx<'_, Msg>) {
         let batch = std::mem::take(&mut self.sync_queue);
         if batch.is_empty() {
@@ -764,30 +1059,15 @@ impl SuiteServer {
         }
         // Apply commit decisions before the flush so their Commit records
         // ride the same durable write as the batch's Prepare records. The
-        // commit locks stay held until after the flush: reads keep
-        // answering Busy, so no observer sees un-durable state.
+        // commit locks stay held until after the flush: reads stay held,
+        // so no observer sees un-durable state.
         let mut unlocks = Vec::new();
         for d in &batch {
-            let Deferred::Commit { req, .. } = d else {
-                continue;
-            };
-            let Some(p) = self.pending.remove(req) else {
-                // Duplicate commit; the first already applied. Ack only.
-                continue;
-            };
-            self.container
-                .commit_unflushed(p.tx)
-                .expect("commit prepared tx");
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.event(SpanKind::Apply, p.suite.0, req.0, None, None, 1, ctx.now());
+            // A duplicate commit finds nothing pending: the first already
+            // applied. Ack only.
+            if let Deferred::Commit { req, versions, .. } = d {
+                unlocks.extend(self.install_decision(*req, versions, ctx));
             }
-            for object in &p.objects {
-                if let Some(suite) = suite_of_config_object(*object) {
-                    self.reload_config(suite);
-                }
-            }
-            self.stats.commits += 1;
-            unlocks.push(p.token);
         }
         self.container.flush().expect("server container is up");
         self.stats.wal_batches += 1;
@@ -821,17 +1101,9 @@ impl SuiteServer {
             match d {
                 Deferred::Vote { to, suite, req } => {
                     ctx.set_timer(self.resolve_after, req.0);
-                    self.note_serving();
-                    ctx.send(
-                        to,
-                        Msg::PrepareVote {
-                            suite,
-                            req,
-                            vote: Vote::Yes,
-                        },
-                    );
+                    self.vote_yes(to, suite, req, ctx);
                 }
-                Deferred::Commit { to, suite, req } => {
+                Deferred::Commit { to, suite, req, .. } => {
                     ctx.send(
                         to,
                         Msg::Ack {
@@ -843,12 +1115,10 @@ impl SuiteServer {
                 }
             }
         }
-        // `sync_active` is still set, so prepares resumed here defer
+        // `sync_active` is still set, so prepares granted here defer
         // without arming a timer of their own.
-        for token in unlocks {
-            for g in self.locks.release_all(token) {
-                self.resume_waiter(g.tx, ctx);
-            }
+        for p in unlocks {
+            self.unlock(&p, ctx);
         }
         self.maybe_checkpoint();
         self.sync_active = false;
@@ -857,37 +1127,71 @@ impl SuiteServer {
         }
     }
 
-    fn resume_waiter(&mut self, token: TxToken, ctx: &mut NodeCtx<'_, Msg>) {
-        if let Some(w) = self.waiting.remove(&token) {
-            if let Some(id) = self.waiting_spans.remove(&token) {
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.end(id, ctx.now(), SpanOutcome::Ok);
-                }
-            }
-            self.finish_prepare(w, token, ctx);
-        }
+    /// Releases a staged prepare's commit locks and hands them off.
+    fn unlock(&mut self, p: &PendingWrite, ctx: &mut NodeCtx<'_, Msg>) {
+        self.locks.release_all(p.token);
+        self.hand_off(p.staged.iter().map(|(object, _)| *object).collect(), ctx);
     }
 
-    fn apply_commit(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) -> bool {
-        let Some(p) = self.pending.remove(&req) else {
-            return false;
-        };
-        self.container.commit(p.tx).expect("commit prepared tx");
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.event(SpanKind::Apply, p.suite.0, req.0, None, None, 1, ctx.now());
-        }
-        for object in &p.objects {
-            if let Some(suite) = suite_of_config_object(*object) {
-                self.reload_config(suite);
+    /// Applies a commit decision to `req`'s staging — flushed, or left
+    /// for the group-commit sync in flight — and returns the prepare for
+    /// the caller to unlock; `None` when nothing is pending (a duplicate).
+    ///
+    /// `versions` is what the coordinator decided each object commits at:
+    /// a lower staging is re-stamped first. A named version this site has
+    /// *already committed* marks a replay — the network duplicated the
+    /// prepare, it arrived after its write had finished here, was staged
+    /// again one version up and is now answered from an unretired
+    /// decision — and the staging is dropped, or old contents would
+    /// reappear under a new version.
+    fn install_decision(
+        &mut self,
+        req: ReqId,
+        versions: &[(ObjectId, Version)],
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) -> Option<PendingWrite> {
+        let p = self.pending.remove(&req)?;
+        let named = |object: ObjectId| versions.iter().find(|(o, _)| *o == object).map(|(_, v)| *v);
+        let replay = p.staged.iter().any(|(object, _)| {
+            let committed = self.container.read_version(*object);
+            named(*object).is_some_and(|v| v <= committed.unwrap_or(Version::INITIAL))
+        });
+        if replay {
+            self.container.abort(p.tx).expect("abort prepared tx");
+        } else {
+            for (object, staged) in &p.staged {
+                if let Some(version) = named(*object).filter(|v| v != staged) {
+                    self.container
+                        .restamp(p.tx, *object, version)
+                        .expect("restamp prepared tx");
+                }
             }
+            if self.group_commit.is_some() {
+                self.container.commit_unflushed(p.tx)
+            } else {
+                self.container.commit(p.tx)
+            }
+            .expect("commit prepared tx");
+            for (object, _) in &p.staged {
+                if let Some(suite) = suite_of_config_object(*object) {
+                    self.reload_config(suite);
+                }
+            }
+            self.stats.commits += 1;
         }
-        self.maybe_checkpoint();
-        self.stats.commits += 1;
-        let granted = self.locks.release_all(p.token);
-        for g in granted {
-            self.resume_waiter(g.tx, ctx);
+        if let Some(tr) = self.tracer.as_mut() {
+            let applied = u64::from(!replay);
+            tr.event(
+                SpanKind::Apply,
+                p.suite.0,
+                req.0,
+                None,
+                None,
+                applied,
+                ctx.now(),
+            );
         }
-        true
+        Some(p)
     }
 
     fn apply_abort(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
@@ -902,25 +1206,12 @@ impl SuiteServer {
                 tr.event(SpanKind::Apply, p.suite.0, req.0, None, None, 0, ctx.now());
             }
             self.stats.aborts += 1;
-            let granted = self.locks.release_all(p.token);
-            for g in granted {
-                self.resume_waiter(g.tx, ctx);
-            }
-            return;
-        }
-        // Abort of a queued (not yet prepared) request.
-        if let Some((&token, _)) = self.waiting.iter().find(|(_, w)| w.req == req) {
-            self.waiting.remove(&token);
-            if let Some(id) = self.waiting_spans.remove(&token) {
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.end(id, ctx.now(), SpanOutcome::Conflict);
-                }
-            }
-            let granted = self.locks.release_all(token);
-            for g in granted {
-                self.resume_waiter(g.tx, ctx);
-            }
+            self.unlock(&p, ctx);
+        } else if self.collecting.contains_key(&req) {
+            // Abort of a prepare still in line.
             self.stats.aborts += 1;
+            let freed = self.drop_collecting(req, false, ctx);
+            self.hand_off(freed, ctx);
         }
     }
 
@@ -1002,7 +1293,7 @@ impl SuiteServer {
     /// delegate.
     pub fn handle(&mut self, from: SiteId, msg: Msg, ctx: &mut NodeCtx<'_, Msg>) {
         match msg {
-            Msg::VersionReq { suite, req } => {
+            Msg::VersionReq { suite, req, floor } => {
                 // A quarantined replica's committed state may have
                 // regressed; answering a version inquiry would let a
                 // reader count its vote toward a quorum that misses a
@@ -1018,31 +1309,25 @@ impl SuiteServer {
                     );
                     return;
                 }
+                let read = HeldRead {
+                    from,
+                    suite,
+                    req,
+                    contents: false,
+                };
                 // An exclusive holder has a superseding version staged;
-                // answering with the committed one would let a reader
+                // answering a reader with the committed one would let it
                 // assemble a quorum that misses a decided write. Across a
                 // reconfiguration that is fatal: the re-publication may be
                 // in doubt at exactly the representative bridging the old
-                // and new quorum geometries. Refuse, as ReadReq does — in
-                // the paper, obtaining a version number and setting the
-                // read lock are one step.
-                if self.locks.exclusive_holder(data_object(suite)).is_some() {
-                    self.stats.busy += 1;
-                    ctx.send(from, Msg::Busy { suite, req });
-                    return;
+                // and new quorum geometries. In the paper, obtaining a
+                // version number and setting the read lock are one step;
+                // here the reader waits for the release. A writer's
+                // inquiry only wants a floor for the version it will be
+                // assigned under that same lock, and is answered at once.
+                if floor || !self.hold_if_locked(read) {
+                    self.answer_read(read, ctx);
                 }
-                self.note_serving();
-                self.stats.inquiries += 1;
-                let version = self.data_version(suite);
-                ctx.send(
-                    from,
-                    Msg::VersionResp {
-                        suite,
-                        req,
-                        version,
-                        generation: self.generation_of(suite),
-                    },
-                );
             }
             Msg::ReadReq { suite, req } => {
                 if self.quarantined {
@@ -1056,24 +1341,15 @@ impl SuiteServer {
                     );
                     return;
                 }
-                let object = data_object(suite);
-                if self.locks.exclusive_holder(object).is_some() {
-                    self.stats.busy += 1;
-                    ctx.send(from, Msg::Busy { suite, req });
-                    return;
-                }
-                self.note_serving();
-                self.stats.reads += 1;
-                let vv = self.container.read(object).expect("server container is up");
-                ctx.send(
+                let read = HeldRead {
                     from,
-                    Msg::ReadResp {
-                        suite,
-                        req,
-                        version: vv.version,
-                        value: vv.value,
-                    },
-                );
+                    suite,
+                    req,
+                    contents: true,
+                };
+                if !self.hold_if_locked(read) {
+                    self.answer_read(read, ctx);
+                }
             }
             Msg::ConfigReq { suite, req } => {
                 if let Some(cfg) = self.configs.get(&suite) {
@@ -1110,8 +1386,9 @@ impl SuiteServer {
             }
             Msg::Prepare {
                 req,
-                writes,
+                mut writes,
                 lock_ts,
+                rebase,
             } => {
                 self.stats.prepares += 1;
                 let suite = writes.first().map(|pw| pw.suite).unwrap_or(ObjectId(0));
@@ -1126,6 +1403,32 @@ impl SuiteServer {
                             reason: RefuseReason::Quarantined,
                         },
                     );
+                    return;
+                }
+                // A prepare this site already knows — the coordinator
+                // re-asking, or a network duplicate — is answered from
+                // where it stands and never staged or queued twice.
+                if let Some(p) = self.pending.get(&req) {
+                    let suite = p.suite;
+                    // A vote still behind the sync leaves with the flush.
+                    if !self.sync_queue.iter().any(|d| d.req() == req) {
+                        self.vote_yes(from, suite, req, ctx);
+                    }
+                    return;
+                }
+                if let Some(c) = self.collecting.get(&req) {
+                    // It stands where it stood, but the notices sent then
+                    // may have been lost: say it all again.
+                    let object = c.writes[c.held].object;
+                    let holder = self.locks.exclusive_holder(object);
+                    let freed = self.join_line(req, object, holder, ctx);
+                    self.hand_off(freed, ctx);
+                    return;
+                }
+                // A re-ask about a prepare this site no longer knows: it
+                // crashed since, and the line died with it.
+                if writes.is_empty() {
+                    self.vote_no(from, suite, req, ctx);
                     return;
                 }
                 // An injected sync stall holds the WAL device: the prepare
@@ -1144,90 +1447,41 @@ impl SuiteServer {
                     );
                     return;
                 }
-                // Configuration staleness check per entry.
-                for pw in &writes {
-                    let my_gen = self.generation_of(pw.suite);
-                    if pw.generation < my_gen {
-                        self.stats.stale_config += 1;
-                        ctx.send(
-                            from,
-                            Msg::StaleConfig {
-                                suite: pw.suite,
-                                req,
-                                generation: my_gen,
-                            },
-                        );
-                        return;
-                    }
-                }
-                if self.pending.contains_key(&req) {
-                    // Duplicate prepare (network duplication); re-vote yes.
-                    self.note_serving();
+                // Configuration staleness check per entry, before waiting
+                // for anything (and again once the locks are held).
+                if let Some((suite, generation)) = self.superseded(&writes) {
+                    self.stats.stale_config += 1;
                     ctx.send(
                         from,
-                        Msg::PrepareVote {
+                        Msg::StaleConfig {
                             suite,
                             req,
-                            vote: Vote::Yes,
+                            generation,
                         },
                     );
                     return;
                 }
-                let token = TxToken::new(lock_ts, req.0);
-                // Acquire every object's commit lock, all-or-nothing.
-                // Single-object prepares may queue (the common case); a
-                // batch that cannot take everything immediately votes no
-                // rather than holding some locks while waiting on others.
-                let single = writes.len() == 1;
-                let mut all_granted = true;
-                let mut queued = false;
-                for pw in &writes {
-                    match self.locks.lock(token, pw.object, LockMode::Exclusive) {
-                        LockReply::Granted => {}
-                        LockReply::Queued if single => {
-                            queued = true;
-                        }
-                        LockReply::Queued | LockReply::Aborted => {
-                            all_granted = false;
-                            break;
-                        }
-                    }
-                }
-                let waiting = WaitingPrepare { from, req, writes };
-                if queued {
-                    if let Some(tr) = self.tracer.as_mut() {
-                        let id = tr.start(
-                            SpanKind::LockWait,
-                            suite.0,
-                            req.0,
-                            None,
-                            Some(from.0),
-                            0,
-                            ctx.now(),
-                        );
-                        self.waiting_spans.insert(token, id);
-                    }
-                    self.waiting.insert(token, waiting);
-                    return;
-                }
-                if all_granted {
-                    self.finish_prepare(waiting, token, ctx);
-                } else {
-                    for g in self.locks.release_all(token) {
-                        self.resume_waiter(g.tx, ctx);
-                    }
-                    self.stats.votes_no += 1;
-                    ctx.send(
+                // One global acquisition order within the site.
+                writes.sort_by_key(|pw| pw.object);
+                self.collecting.insert(
+                    req,
+                    Collecting {
                         from,
-                        Msg::PrepareVote {
-                            suite,
-                            req,
-                            vote: Vote::No,
-                        },
-                    );
-                }
+                        token: TxToken::new(lock_ts, req.0),
+                        writes,
+                        rebase,
+                        held: 0,
+                        span: None,
+                    },
+                );
+                let freed = self.collect(req, ctx);
+                self.hand_off(freed, ctx);
             }
-            Msg::Commit { suite, req } => {
+            Msg::Commit {
+                suite,
+                req,
+                versions,
+            } => {
                 if self.group_commit.is_some() {
                     // Both the apply and the ack wait for the sync so the
                     // Commit record is durable before the coordinator can
@@ -1238,12 +1492,16 @@ impl SuiteServer {
                             to: from,
                             suite,
                             req,
+                            versions,
                         },
                         ctx,
                     );
                     return;
                 }
-                self.apply_commit(req, ctx);
+                if let Some(p) = self.install_decision(req, &versions, ctx) {
+                    self.maybe_checkpoint();
+                    self.unlock(&p, ctx);
+                }
                 // Idempotent ack either way: a duplicate commit means the
                 // decision was commit.
                 ctx.send(
@@ -1421,10 +1679,12 @@ impl SuiteServer {
         self.container.crash();
         self.locks = ShardedLockManager::new(self.policy);
         self.pending.clear();
-        self.waiting.clear();
-        // Lock-wait spans of the cleared queue stay open in the record;
-        // an open span at a crashed site is itself evidence.
-        self.waiting_spans.clear();
+        // The lines die with the site: held reads go unanswered, and a
+        // waiting prepare's coordinator finds out when it re-asks.
+        // Lock-wait spans stay open in the record; an open span at a
+        // crashed site is itself evidence.
+        self.collecting.clear();
+        self.lines.clear();
         self.configs.clear();
         // Orphan any in-flight repair tick; recovery arms a fresh epoch.
         self.repair_epoch += 1;
@@ -1514,11 +1774,11 @@ impl SuiteServer {
         for (tx, note) in self.container.in_doubt_notes() {
             let req = ReqId(note);
             let token = TxToken::new(req.0, req.0);
-            let objects = self.container.staged_objects(tx);
-            let Some(&object) = objects.first() else {
+            let staged = self.container.staged(tx);
+            let Some(&(object, _)) = staged.first() else {
                 continue;
             };
-            for obj in &objects {
+            for (obj, _) in &staged {
                 // The lock table is empty at this point; grants are
                 // unconditional.
                 let reply = self.locks.lock(token, *obj, LockMode::Exclusive);
@@ -1530,7 +1790,7 @@ impl SuiteServer {
                 PendingWrite {
                     tx,
                     token,
-                    objects,
+                    staged,
                     suite,
                 },
             );
@@ -1620,7 +1880,56 @@ mod tests {
                 generation: 1,
             }],
             lock_ts: r.0,
+            rebase: true,
         }
+    }
+
+    /// Delivers `msg` from the client and returns what the server sent.
+    fn deliver(s: &mut SuiteServer, rng: &mut DetRng, msg: Msg) -> Vec<(SiteId, Msg)> {
+        let mut ctx = ctx_pair(rng);
+        s.handle(CLIENT, msg, &mut ctx);
+        sent(&mut ctx)
+    }
+
+    /// The decision for `r`: the suite's data commits at `version`.
+    fn commit_msg(r: ReqId, version: u64) -> Msg {
+        Msg::Commit {
+            suite: SUITE,
+            req: r,
+            versions: vec![(data_object(SUITE), Version(version))],
+        }
+    }
+
+    fn abort_msg(r: ReqId) -> Msg {
+        Msg::Abort {
+            suite: SUITE,
+            req: r,
+        }
+    }
+
+    /// The yes votes in `out`, as `(request, version staged for the data)`.
+    fn yes_votes(out: &[(SiteId, Msg)]) -> Vec<(ReqId, u64)> {
+        out.iter()
+            .filter_map(|(_, m)| match m {
+                Msg::PrepareVote {
+                    req,
+                    vote: Vote::Yes,
+                    staged,
+                    ..
+                } => Some((*req, staged[0].1 .0)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The `Busy` notices in `out`, as `(request, give_way)`.
+    fn notices(out: &[(SiteId, Msg)]) -> Vec<(ReqId, bool)> {
+        out.iter()
+            .filter_map(|(_, m)| match m {
+                Msg::Busy { req, give_way, .. } => Some((*req, *give_way)),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -1633,6 +1942,7 @@ mod tests {
             Msg::VersionReq {
                 suite: SUITE,
                 req: req(1),
+                floor: false,
             },
             &mut ctx,
         );
@@ -1669,6 +1979,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: r,
+                versions: Vec::new(),
             },
             &mut ctx,
         );
@@ -1686,134 +1997,445 @@ mod tests {
     }
 
     #[test]
-    fn stale_version_prepare_votes_no() {
+    fn blind_installs_take_their_version_under_the_lock_and_exact_ones_can_be_stale() {
         let mut s = server();
         let mut rng = DetRng::new(3);
-        let r1 = req(1);
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(CLIENT, prepare_msg(r1, 1, b"a"), &mut ctx);
-        let _ = sent(&mut ctx);
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(
-            CLIENT,
-            Msg::Commit {
-                suite: SUITE,
-                req: r1,
-            },
-            &mut ctx,
-        );
-        let _ = sent(&mut ctx);
-        // A second writer that still thinks the version is 0 prepares v1.
-        let r2 = req(2);
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(CLIENT, prepare_msg(r2, 1, b"b"), &mut ctx);
-        let out = sent(&mut ctx);
+        let (r1, r2, r3) = (req(1), req(2), req(3));
+        deliver(&mut s, &mut rng, prepare_msg(r1, 1, b"a"));
+        deliver(&mut s, &mut rng, commit_msg(r1, 1));
+        // A second writer whose inquiry still saw version 0 carries the
+        // floor 1: it is staged one above what is committed, not refused.
+        let out = deliver(&mut s, &mut rng, prepare_msg(r2, 1, b"b"));
+        assert_eq!(yes_votes(&out), vec![(r2, 2)]);
+        // A floor above the committed version is kept.
+        deliver(&mut s, &mut rng, abort_msg(r2));
+        let out = deliver(&mut s, &mut rng, prepare_msg(r2, 7, b"b"));
+        assert_eq!(yes_votes(&out), vec![(r2, 7)]);
+        deliver(&mut s, &mut rng, abort_msg(r2));
+        // A reconfiguration re-publishes what it read: its version is
+        // exact, and one somebody already installed votes no.
+        let Msg::Prepare {
+            writes, lock_ts, ..
+        } = prepare_msg(r3, 1, b"c")
+        else {
+            unreachable!()
+        };
+        let exact = Msg::Prepare {
+            req: r3,
+            writes,
+            lock_ts,
+            rebase: false,
+        };
+        let out = deliver(&mut s, &mut rng, exact);
         assert!(matches!(&out[0].1, Msg::PrepareVote { vote: Vote::No, .. }));
         assert_eq!(s.data_value(SUITE), Bytes::from_static(b"a"));
+        assert_eq!(s.stats.votes_no, 1);
     }
 
     #[test]
-    fn reads_are_turned_away_while_commit_locked() {
+    fn a_lagging_participants_vote_reports_its_version_and_its_commit_installs_the_named_one() {
         let mut s = server();
         let mut rng = DetRng::new(4);
         let r = req(1);
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(CLIENT, prepare_msg(r, 1, b"x"), &mut ctx);
-        let _ = sent(&mut ctx);
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(
-            CLIENT,
-            Msg::ReadReq {
-                suite: SUITE,
-                req: req(2),
-            },
-            &mut ctx,
+        let out = deliver(&mut s, &mut rng, prepare_msg(r, 1, b"late"));
+        assert_eq!(yes_votes(&out), vec![(r, 1)]);
+        // Another participant staged 3; the decision names it.
+        let flushes = s.container.wal().flushes();
+        deliver(&mut s, &mut rng, commit_msg(r, 3));
+        assert_eq!(s.data_version(SUITE), Version(3));
+        assert_eq!(s.data_value(SUITE), Bytes::from_static(b"late"));
+        assert_eq!(
+            s.container.wal().flushes(),
+            flushes + 1,
+            "the re-stamp rides the commit"
         );
-        let out = sent(&mut ctx);
-        assert!(matches!(&out[0].1, Msg::Busy { .. }));
-        assert_eq!(s.stats.busy, 1);
-        // Version inquiries are turned away too: the committed version is
-        // about to be superseded, and serving it would let a reader build
-        // a quorum that misses the staged write (fatal across a
-        // reconfiguration, where quorum geometry changes underneath it).
+        // The re-stamped version is what the log replays.
+        s.handle_crash();
         let mut ctx = ctx_pair(&mut rng);
-        s.handle(
-            CLIENT,
-            Msg::VersionReq {
-                suite: SUITE,
-                req: req(3),
-            },
-            &mut ctx,
-        );
-        assert!(matches!(&sent(&mut ctx)[0].1, Msg::Busy { .. }));
-        assert_eq!(s.stats.busy, 2);
-        // After abort the read proceeds.
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(
-            CLIENT,
-            Msg::Abort {
-                suite: SUITE,
-                req: r,
-            },
-            &mut ctx,
-        );
-        let _ = sent(&mut ctx);
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(
-            CLIENT,
-            Msg::ReadReq {
-                suite: SUITE,
-                req: req(4),
-            },
-            &mut ctx,
-        );
-        assert!(matches!(&sent(&mut ctx)[0].1, Msg::ReadResp { .. }));
+        s.handle_recover(&mut ctx);
+        assert_eq!(s.data_version(SUITE), Version(3));
+        assert_eq!(s.data_value(SUITE), Bytes::from_static(b"late"));
     }
 
     #[test]
-    fn conflicting_prepare_from_younger_writer_votes_no() {
+    fn a_duplicate_prepare_after_its_write_finished_is_dropped_by_the_named_version() {
         let mut s = server();
         let mut rng = DetRng::new(5);
-        let older = req(1);
-        let younger = req(2);
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(CLIENT, prepare_msg(older, 1, b"old"), &mut ctx);
-        let _ = sent(&mut ctx);
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(CLIENT, prepare_msg(younger, 1, b"young"), &mut ctx);
-        let out = sent(&mut ctx);
-        assert!(matches!(&out[0].1, Msg::PrepareVote { vote: Vote::No, .. }));
+        let r = req(1);
+        deliver(&mut s, &mut rng, prepare_msg(r, 1, b"once"));
+        deliver(&mut s, &mut rng, commit_msg(r, 1));
+        deliver(&mut s, &mut rng, prepare_msg(req(2), 2, b"twice"));
+        deliver(&mut s, &mut rng, commit_msg(req(2), 2));
+        // The network delivers a duplicate of the first prepare now. The
+        // site no longer knows the request, so it is staged again, one
+        // above what is committed.
+        let out = deliver(&mut s, &mut rng, prepare_msg(r, 1, b"once"));
+        assert_eq!(yes_votes(&out), vec![(r, 3)]);
+        // Its decision is still unretired at the coordinator and answers
+        // the probe with what was decided: version 1, long committed
+        // here. Installing the staging would bring "once" back as
+        // version 3.
+        let commits = s.stats.commits;
+        let out = deliver(&mut s, &mut rng, commit_msg(r, 1));
+        assert!(matches!(
+            &out[0].1,
+            Msg::Ack {
+                committed: true,
+                ..
+            }
+        ));
+        assert_eq!(s.data_version(SUITE), Version(2));
+        assert_eq!(s.data_value(SUITE), Bytes::from_static(b"twice"));
+        assert_eq!(s.pending_writes(), 0);
+        assert_eq!(s.stats.commits, commits);
+        // The lock is free again.
+        let out = deliver(&mut s, &mut rng, prepare_msg(req(3), 1, b"next"));
+        assert_eq!(yes_votes(&out), vec![(req(3), 3)]);
     }
 
     #[test]
-    fn older_writer_queues_and_resumes_after_commit() {
-        let mut s = server();
+    fn the_line_hands_the_lock_to_the_oldest_waiter_at_every_site() {
+        // Two representatives, one holder, three waiters that reach the
+        // two sites in different orders: both lines must hand the lock
+        // off in the same order — oldest first — or the waiters would
+        // end up holding one site each.
         let mut rng = DetRng::new(6);
-        let younger = req(5);
-        let older = req(1); // smaller counter = older
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(CLIENT, prepare_msg(younger, 1, b"young"), &mut ctx);
-        let _ = sent(&mut ctx);
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(CLIENT, prepare_msg(older, 1, b"old"), &mut ctx);
-        // Older waits: no vote yet.
-        assert!(sent(&mut ctx).is_empty());
-        // Commit the younger one; the older resumes, but its version is now
-        // stale, so it votes no.
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(
-            CLIENT,
+        let holder = req(2);
+        for arrivals in [[9, 5, 7], [7, 9, 5]] {
+            let mut s = server();
+            let out = deliver(&mut s, &mut rng, prepare_msg(holder, 1, b"h"));
+            assert_eq!(yes_votes(&out), vec![(holder, 1)]);
+            for n in arrivals {
+                // The holder is older than every waiter: each is told it
+                // stands in line, nobody is asked to give way.
+                let out = deliver(&mut s, &mut rng, prepare_msg(req(n), 1, b"w"));
+                assert_eq!(notices(&out), vec![(req(n), false)]);
+                assert_eq!(out.len(), 1);
+            }
+            let mut order = Vec::new();
+            let mut committing = (holder, 1);
+            for _ in 0..3 {
+                let out = deliver(&mut s, &mut rng, commit_msg(committing.0, committing.1));
+                let granted = yes_votes(&out);
+                assert_eq!(granted.len(), 1, "one release, one grant: {out:?}");
+                committing = granted[0];
+                order.push(committing);
+            }
+            assert_eq!(order, vec![(req(5), 2), (req(7), 3), (req(9), 4)]);
+        }
+    }
+
+    #[test]
+    fn an_older_prepare_makes_a_younger_holder_give_way() {
+        let cfg2 = SuiteConfig::new(
+            ObjectId(2),
+            VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1), (SiteId(2), 1)]),
+            QuorumSpec::new(2, 2),
+        )
+        .expect("legal");
+        let configs = vec![test_config(), cfg2];
+        let mut s = SuiteServer::new(SiteId(0), configs, DeadlockPolicy::WaitDie);
+        let mut rng = DetRng::new(7);
+        let write = |suite: u64| PrepareWrite {
+            suite: ObjectId(suite),
+            object: data_object(ObjectId(suite)),
+            version: Version(1),
+            value: Bytes::from_static(b"v"),
+            generation: 1,
+        };
+        let prepare = |r: ReqId, suites: &[u64]| Msg::Prepare {
+            req: r,
+            writes: suites.iter().map(|&su| write(su)).collect(),
+            lock_ts: r.counter(),
+            rebase: true,
+        };
+        // Suite 2 is held by an old transaction; a young one takes suite
+        // 1 and stands in suite 2's line: it is still collecting.
+        let (old, young, older) = (req(2), req(5), req(1));
+        deliver(&mut s, &mut rng, prepare(old, &[2]));
+        let out = deliver(&mut s, &mut rng, prepare(young, &[2, 1]));
+        assert_eq!(notices(&out), vec![(young, false)]);
+        // An older prepare wants suite 1. Waiting behind a holder that is
+        // itself waiting at this very site could deadlock, so the young
+        // one is aborted on the spot with a no vote and the lock goes to
+        // the older one at once.
+        let out = deliver(&mut s, &mut rng, prepare(older, &[1]));
+        assert!(out.iter().any(|(_, m)| matches!(
+            m,
+            Msg::PrepareVote { req, vote: Vote::No, .. } if *req == young
+        )));
+        assert_eq!(yes_votes(&out), vec![(older, 1)]);
+        // The young prepare left suite 2's line too: releasing suite 2
+        // grants nothing.
+        let out = deliver(
+            &mut s,
+            &mut rng,
+            Msg::Abort {
+                suite: ObjectId(2),
+                req: old,
+            },
+        );
+        assert!(yes_votes(&out).is_empty());
+        assert_eq!(s.pending_writes(), 1);
+        // A holder that has everything it wants here is staged, and only
+        // its coordinator knows whether it waits anywhere else: it gets a
+        // notice and stays prepared.
+        let oldest = ReqId::new(0, CLIENT);
+        let out = deliver(&mut s, &mut rng, prepare(oldest, &[1]));
+        assert_eq!(notices(&out), vec![(oldest, false), (older, true)]);
+        assert_eq!(s.pending_writes(), 1);
+        assert!(yes_votes(&out).is_empty());
+        // A younger arrival asks nothing of the holder.
+        let out = deliver(&mut s, &mut rng, prepare(req(8), &[1]));
+        assert_eq!(notices(&out), vec![(req(8), false)]);
+    }
+
+    #[test]
+    fn no_wait_votes_no_instead_of_joining_a_line() {
+        let mut s = SuiteServer::new(SiteId(0), vec![test_config()], DeadlockPolicy::NoWait);
+        let mut rng = DetRng::new(8);
+        deliver(&mut s, &mut rng, prepare_msg(req(5), 1, b"held"));
+        for n in [1, 9] {
+            let out = deliver(&mut s, &mut rng, prepare_msg(req(n), 1, b"w"));
+            assert!(matches!(&out[0].1, Msg::PrepareVote { vote: Vote::No, .. }));
+            assert_eq!(out.len(), 1);
+        }
+        let out = deliver(&mut s, &mut rng, commit_msg(req(5), 1));
+        assert!(yes_votes(&out).is_empty(), "nobody waited");
+    }
+
+    fn read_msg(n: u64) -> Msg {
+        Msg::ReadReq {
+            suite: SUITE,
+            req: req(n),
+        }
+    }
+
+    fn inquiry_msg(n: u64, floor: bool) -> Msg {
+        Msg::VersionReq {
+            suite: SUITE,
+            req: req(n),
+            floor,
+        }
+    }
+
+    #[test]
+    fn held_reads_are_answered_at_the_release_before_the_next_grant() {
+        let mut s = server();
+        let mut rng = DetRng::new(9);
+        deliver(&mut s, &mut rng, prepare_msg(req(1), 1, b"x"));
+        // A read and a reader's inquiry meet the commit lock: the
+        // committed version is about to be superseded, and serving it
+        // would let a reader build a quorum that misses the staged write
+        // (fatal across a reconfiguration, where quorum geometry changes
+        // underneath it). They are held, not turned away.
+        assert!(deliver(&mut s, &mut rng, read_msg(10)).is_empty());
+        assert!(deliver(&mut s, &mut rng, inquiry_msg(11, false)).is_empty());
+        assert_eq!(s.stats.busy, 2);
+        // A writer's inquiry only wants a floor and is answered at once.
+        let out = deliver(&mut s, &mut rng, inquiry_msg(12, true));
+        assert!(matches!(
+            &out[0].1,
+            Msg::VersionResp { version, .. } if *version == Version(0)
+        ));
+        assert_eq!(s.stats.busy, 2);
+        deliver(&mut s, &mut rng, prepare_msg(req(2), 1, b"y"));
+        // The release answers both from the just-committed state, and
+        // only then grants the lock to the prepare in line.
+        let out = deliver(&mut s, &mut rng, commit_msg(req(1), 1));
+        assert!(matches!(
+            &out[0].1,
+            Msg::ReadResp { req: r, version, .. } if *r == req(10) && *version == Version(1)
+        ));
+        assert!(matches!(
+            &out[1].1,
+            Msg::VersionResp { req: r, version, .. } if *r == req(11) && *version == Version(1)
+        ));
+        assert_eq!(yes_votes(&out[2..]), vec![(req(2), 2)]);
+        assert_eq!((s.stats.reads, s.stats.inquiries), (1, 2));
+        // The next holder hides the next write the same way; an abort
+        // releases the reads with what was committed before.
+        assert!(deliver(&mut s, &mut rng, read_msg(13)).is_empty());
+        let out = deliver(&mut s, &mut rng, abort_msg(req(2)));
+        assert!(matches!(
+            &out[0].1,
+            Msg::ReadResp { req: r, version, .. } if *r == req(13) && *version == Version(1)
+        ));
+        assert!(matches!(
+            &deliver(&mut s, &mut rng, read_msg(14))[0].1,
+            Msg::ReadResp { .. }
+        ));
+    }
+
+    #[test]
+    fn a_prepare_aborted_in_line_releases_only_what_it_held() {
+        let mut s = server();
+        let mut rng = DetRng::new(10);
+        deliver(&mut s, &mut rng, prepare_msg(req(1), 1, b"x"));
+        assert!(deliver(&mut s, &mut rng, read_msg(10)).is_empty());
+        deliver(&mut s, &mut rng, prepare_msg(req(2), 1, b"y"));
+        // The waiter gives up. It held nothing: the read stays held
+        // behind the real holder, whose write may be decided already.
+        let out = deliver(&mut s, &mut rng, abort_msg(req(2)));
+        assert_eq!(out.len(), 1, "the ack and nothing else: {out:?}");
+        assert!(matches!(
+            &out[0].1,
+            Msg::Ack {
+                committed: false,
+                ..
+            }
+        ));
+        assert_eq!(s.stats.aborts, 1);
+        let out = deliver(&mut s, &mut rng, commit_msg(req(1), 1));
+        assert!(matches!(
+            &out[0].1,
+            Msg::ReadResp { version, .. } if *version == Version(1)
+        ));
+        assert!(
+            yes_votes(&out).is_empty(),
+            "the aborted prepare left the line"
+        );
+    }
+
+    #[test]
+    fn the_generation_is_checked_again_when_the_lock_is_granted() {
+        let mut s = server();
+        let cfg2 = s
+            .config(SUITE)
+            .expect("configured")
+            .evolve(
+                VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1), (SiteId(2), 1)]),
+                QuorumSpec::new(1, 3),
+            )
+            .expect("legal");
+        let mut rng = DetRng::new(11);
+        // A reconfiguration holds the suite: the new configuration plus
+        // the contents re-published one version up.
+        let reconf = req(1);
+        let republish = |object: ObjectId, version: u64, value: Bytes| PrepareWrite {
+            suite: SUITE,
+            object,
+            version: Version(version),
+            value,
+            generation: 1,
+        };
+        let msg = Msg::Prepare {
+            req: reconf,
+            writes: vec![
+                republish(
+                    config_object(SUITE),
+                    cfg2.generation,
+                    Bytes::from(cfg2.encode()),
+                ),
+                republish(data_object(SUITE), 1, Bytes::new()),
+            ],
+            lock_ts: reconf.counter(),
+            rebase: false,
+        };
+        assert!(!yes_votes(&deliver(&mut s, &mut rng, msg)).is_empty());
+        // A write planned on generation 1 arrives while that is still the
+        // generation in force, and waits.
+        let out = deliver(&mut s, &mut rng, prepare_msg(req(2), 1, b"old geometry"));
+        assert_eq!(notices(&out), vec![(req(2), false)]);
+        // The reconfiguration commits. The waiting write would re-base
+        // above its bump and commit at a write quorum of the superseded
+        // geometry; the check at the grant sends it back for the new one.
+        let out = deliver(
+            &mut s,
+            &mut rng,
             Msg::Commit {
                 suite: SUITE,
-                req: younger,
+                req: reconf,
+                versions: vec![
+                    (data_object(SUITE), Version(1)),
+                    (config_object(SUITE), Version(2)),
+                ],
             },
-            &mut ctx,
         );
-        let out = sent(&mut ctx);
-        assert_eq!(out.len(), 2, "ack plus resumed vote");
-        assert!(
-            matches!(&out[0].1, Msg::PrepareVote { vote: Vote::No, req, .. } if *req == older)
-                || matches!(&out[1].1, Msg::PrepareVote { vote: Vote::No, req, .. } if *req == older)
+        assert!(out.iter().any(|(_, m)| matches!(
+            m,
+            Msg::StaleConfig { req: r, generation: 2, .. } if *r == req(2)
+        )));
+        assert!(yes_votes(&out).is_empty());
+        assert_eq!((s.stats.stale_config, s.pending_writes()), (1, 0));
+        // It gave the lock back.
+        let mut fresh = prepare_msg(req(3), 1, b"new geometry");
+        if let Msg::Prepare { writes, .. } = &mut fresh {
+            writes[0].generation = 2;
+        }
+        assert_eq!(
+            yes_votes(&deliver(&mut s, &mut rng, fresh)),
+            vec![(req(3), 2)]
+        );
+    }
+
+    /// What the coordinator sends when it re-asks about `r`.
+    fn reask_msg(r: ReqId) -> Msg {
+        Msg::Prepare {
+            req: r,
+            writes: Vec::new(),
+            lock_ts: r.0,
+            rebase: true,
+        }
+    }
+
+    #[test]
+    fn a_reask_is_answered_from_where_the_prepare_stands_and_a_crash_drops_the_lines() {
+        let mut s = server();
+        let mut rng = DetRng::new(12);
+        deliver(&mut s, &mut rng, prepare_msg(req(1), 1, b"held"));
+        deliver(&mut s, &mut rng, prepare_msg(req(2), 1, b"waits"));
+        assert!(deliver(&mut s, &mut rng, read_msg(10)).is_empty());
+        // Staged: the vote again. In line: still in line, and not twice.
+        assert_eq!(
+            yes_votes(&deliver(&mut s, &mut rng, reask_msg(req(1)))),
+            vec![(req(1), 1)]
+        );
+        assert_eq!(
+            notices(&deliver(&mut s, &mut rng, reask_msg(req(2)))),
+            vec![(req(2), false)]
+        );
+        assert_eq!(s.stats.prepares, 4);
+        // The site crashes. The promise survives; the line, and the read
+        // held behind the lock, do not.
+        s.handle_crash();
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle_recover(&mut ctx);
+        let _ = sent(&mut ctx);
+        assert_eq!(
+            yes_votes(&deliver(&mut s, &mut rng, reask_msg(req(1)))),
+            vec![(req(1), 1)]
+        );
+        let out = deliver(&mut s, &mut rng, reask_msg(req(2)));
+        assert!(matches!(&out[0].1, Msg::PrepareVote { vote: Vote::No, .. }));
+        let out = deliver(&mut s, &mut rng, commit_msg(req(1), 1));
+        assert_eq!(out.len(), 1, "nothing was waiting any more: {out:?}");
+    }
+
+    #[test]
+    fn the_lock_wait_span_covers_the_time_in_line() {
+        let mut s = server();
+        s.enable_tracing();
+        let mut rng = DetRng::new(13);
+        deliver(&mut s, &mut rng, prepare_msg(req(1), 1, b"x"));
+        deliver(&mut s, &mut rng, prepare_msg(req(2), 1, b"y"));
+        deliver(&mut s, &mut rng, prepare_msg(req(3), 1, b"z"));
+        let mut ctx = ctx_at(SimTime::from_millis(40), &mut rng);
+        s.handle(CLIENT, commit_msg(req(1), 1), &mut ctx);
+        let mut ctx = ctx_at(SimTime::from_millis(50), &mut rng);
+        s.handle(CLIENT, abort_msg(req(3)), &mut ctx);
+        let waits: Vec<(u64, Option<u64>, SpanOutcome)> = s
+            .take_trace()
+            .iter()
+            .filter(|sp| sp.kind == SpanKind::LockWait)
+            .map(|sp| (sp.op, sp.duration_us(), sp.outcome))
+            .collect();
+        assert_eq!(
+            waits,
+            vec![
+                (req(2).0, Some(40_000), SpanOutcome::Ok),
+                (req(3).0, Some(50_000), SpanOutcome::Conflict),
+            ]
         );
     }
 
@@ -1849,6 +2471,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: older,
+                versions: Vec::new(),
             },
             &mut ctx,
         );
@@ -1914,6 +2537,7 @@ mod tests {
                     generation: 1,
                 }],
                 lock_ts: r0.0,
+                rebase: false,
             },
             &mut ctx,
         );
@@ -1924,6 +2548,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: r0,
+                versions: Vec::new(),
             },
             &mut ctx,
         );
@@ -1983,6 +2608,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: r,
+                versions: Vec::new(),
             },
             &mut ctx,
         );
@@ -2060,6 +2686,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: r,
+                versions: Vec::new(),
             },
         ] {
             let mut ctx = ctx_pair(&mut rng);
@@ -2174,6 +2801,7 @@ mod tests {
                         generation: 1,
                     }],
                     lock_ts: r.0,
+                    rebase: true,
                 },
                 &mut ctx,
             );
@@ -2184,6 +2812,7 @@ mod tests {
                 Msg::Commit {
                     suite: SUITE,
                     req: r,
+                    versions: Vec::new(),
                 },
                 &mut ctx,
             );
@@ -2228,6 +2857,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: r,
+                versions: Vec::new(),
             },
             &mut ctx,
         );
@@ -2460,6 +3090,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: r,
+                versions: Vec::new(),
             },
             &mut ctx,
         );
@@ -2516,6 +3147,7 @@ mod tests {
                         generation: 1,
                     }],
                     lock_ts: r.0,
+                    rebase: true,
                 },
                 &mut ctx,
             );
@@ -2540,47 +3172,31 @@ mod tests {
     }
 
     #[test]
-    fn reads_stay_busy_while_commit_awaits_sync() {
+    fn held_reads_are_not_answered_before_the_flush() {
         let mut s = gc_server();
         let mut rng = DetRng::new(42);
         let r = req(1);
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(CLIENT, prepare_msg(r, 1, b"x"), &mut ctx);
-        let _ = sent(&mut ctx);
+        deliver(&mut s, &mut rng, prepare_msg(r, 1, b"x"));
         let _ = fire_sync(&mut s, &mut rng);
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(
-            CLIENT,
-            Msg::Commit {
-                suite: SUITE,
-                req: r,
-            },
-            &mut ctx,
-        );
-        let _ = sent(&mut ctx);
+        assert!(deliver(&mut s, &mut rng, commit_msg(r, 1)).is_empty());
         // The commit is applied only at sync time and holds its lock until
         // then, so no reader can observe un-durable state.
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(
-            CLIENT,
-            Msg::ReadReq {
-                suite: SUITE,
-                req: req(2),
-            },
-            &mut ctx,
-        );
-        assert!(matches!(&sent(&mut ctx)[0].1, Msg::Busy { .. }));
-        let _ = fire_sync(&mut s, &mut rng);
-        let mut ctx = ctx_pair(&mut rng);
-        s.handle(
-            CLIENT,
-            Msg::ReadReq {
-                suite: SUITE,
-                req: req(3),
-            },
-            &mut ctx,
-        );
-        let out = sent(&mut ctx);
+        assert!(deliver(&mut s, &mut rng, read_msg(2)).is_empty());
+        let flushes = s.container.wal().flushes();
+        let out = fire_sync(&mut s, &mut rng);
+        assert_eq!(s.container.wal().flushes(), flushes + 1);
+        assert!(matches!(
+            &out[0].1,
+            Msg::Ack {
+                committed: true,
+                ..
+            }
+        ));
+        assert!(matches!(
+            &out[1].1,
+            Msg::ReadResp { version, .. } if *version == Version(1)
+        ));
+        let out = deliver(&mut s, &mut rng, read_msg(3));
         assert!(matches!(
             &out[0].1,
             Msg::ReadResp { version, .. } if *version == Version(1)
@@ -2702,6 +3318,7 @@ mod tests {
             Msg::VersionReq {
                 suite: SUITE,
                 req: req(1),
+                floor: false,
             },
             Msg::ReadReq {
                 suite: SUITE,
@@ -2797,6 +3414,7 @@ mod tests {
             Msg::VersionReq {
                 suite: SUITE,
                 req: req(1),
+                floor: false,
             },
             &mut ctx,
         );
@@ -2941,6 +3559,7 @@ mod tests {
                         generation: 1,
                     }],
                     lock_ts: r2.0,
+                    rebase: true,
                 },
                 &mut ctx,
             );
@@ -2971,6 +3590,7 @@ mod tests {
                 Msg::Commit {
                     suite: SUITE,
                     req: r1,
+                    versions: Vec::new(),
                 },
                 &mut ctx,
             );

@@ -177,11 +177,13 @@ pub enum SpanOutcome {
     Unanswered,
     /// Superseded — e.g. a hedge that lost its race.
     Lost,
+    /// A prepare that gave way to an older one rather than deadlock.
+    GaveWay,
 }
 
 impl SpanOutcome {
     /// Every variant, in declaration order; see [`SpanKind::ALL`].
-    pub const ALL: [SpanOutcome; 9] = [
+    pub const ALL: [SpanOutcome; 10] = [
         SpanOutcome::Open,
         SpanOutcome::Ok,
         SpanOutcome::Err,
@@ -191,6 +193,7 @@ impl SpanOutcome {
         SpanOutcome::Refused,
         SpanOutcome::Unanswered,
         SpanOutcome::Lost,
+        SpanOutcome::GaveWay,
     ];
 
     /// Stable lowercase name used in the JSONL form.
@@ -205,6 +208,7 @@ impl SpanOutcome {
             SpanOutcome::Refused => "refused",
             SpanOutcome::Unanswered => "unanswered",
             SpanOutcome::Lost => "lost",
+            SpanOutcome::GaveWay => "gave_way",
         }
     }
 
@@ -603,7 +607,7 @@ mod tests {
         }
     }
 
-    const N_OUTCOMES: usize = 9;
+    const N_OUTCOMES: usize = 10;
     fn outcome_slot(o: SpanOutcome) -> usize {
         match o {
             SpanOutcome::Open => 0,
@@ -615,6 +619,7 @@ mod tests {
             SpanOutcome::Refused => 6,
             SpanOutcome::Unanswered => 7,
             SpanOutcome::Lost => 8,
+            SpanOutcome::GaveWay => 9,
         }
     }
 

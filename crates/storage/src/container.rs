@@ -346,6 +346,37 @@ impl Container {
         Ok(())
     }
 
+    /// Re-stamps the write `tx` staged for `object` with `version`,
+    /// keeping its contents: a second `Put` on a prepared transaction,
+    /// which replay applies last-wins. A 2PC participant calls this when
+    /// the decision names a higher version than it staged, just before
+    /// the commit whose flush carries both records; a crash in between
+    /// recovers the transaction in doubt at whichever version was
+    /// durable, and the decision re-stamps it again. Deliberately not
+    /// routed through [`Container::begin`]: an injected I/O error may
+    /// refuse new work, never a decided outcome. An object `tx` never
+    /// staged is [`StorageError::WrongPhase`].
+    pub fn restamp(
+        &mut self,
+        tx: TxId,
+        object: ObjectId,
+        version: Version,
+    ) -> Result<(), StorageError> {
+        self.check_up()?;
+        let st = self.live.get_mut(&tx).ok_or(StorageError::UnknownTx(tx))?;
+        let Some(vv) = st.writes.get_mut(&object) else {
+            return Err(StorageError::WrongPhase { tx, op: "restamp" });
+        };
+        vv.version = version;
+        self.wal.append(Record::Put {
+            tx,
+            object,
+            version,
+            value: vv.value.clone(),
+        });
+        Ok(())
+    }
+
     /// Aborts `tx`: staged writes are discarded.
     pub fn abort(&mut self, tx: TxId) -> Result<(), StorageError> {
         self.check_up()?;
@@ -400,11 +431,12 @@ impl Container {
             .collect()
     }
 
-    /// The staged writes of a live transaction (for recovery inspection).
-    pub fn staged_objects(&self, tx: TxId) -> Vec<ObjectId> {
+    /// The objects a live transaction staged, each with the version it
+    /// would install (for recovery inspection).
+    pub fn staged(&self, tx: TxId) -> Vec<(ObjectId, Version)> {
         self.live
             .get(&tx)
-            .map(|st| st.writes.keys().copied().collect())
+            .map(|st| st.writes.iter().map(|(o, vv)| (*o, vv.version)).collect())
             .unwrap_or_default()
     }
 
@@ -449,6 +481,12 @@ impl Container {
     /// The disk-fault injector for this container.
     pub fn disk_faults(&mut self) -> &mut DiskFaults {
         &mut self.faults
+    }
+
+    /// Whether injected disk damage or I/O errors are still pending (see
+    /// [`DiskFaults::is_armed`]).
+    pub fn disk_faults_armed(&self) -> bool {
+        self.faults.is_armed()
     }
 
     /// True while crashed (between [`Container::crash`] and recovery).
@@ -683,6 +721,55 @@ mod tests {
         c.commit(tx).expect("commit");
         assert_eq!(c.read(ObjectId(1)).expect("r").version, Version(3));
         assert!(c.in_doubt().is_empty());
+    }
+
+    #[test]
+    fn restamp_survives_crashes_and_ignores_injected_io_errors() {
+        let mut c = Container::new();
+        let tx = c.begin().expect("begin");
+        c.stage_put(tx, ObjectId(1), Version(3), b("promise"))
+            .expect("stage");
+        c.prepare(tx).expect("prepare");
+        c.crash();
+        c.recover();
+        assert_eq!(c.staged(tx), vec![(ObjectId(1), Version(3))]);
+        // The decision names version 5. New work is refused by the disk,
+        // the decided outcome is not.
+        c.disk_faults().inject_io_errors(1);
+        c.restamp(tx, ObjectId(1), Version(5)).expect("restamp");
+        assert_eq!(c.begin().unwrap_err(), StorageError::Io);
+        // An unflushed re-stamp is lost with the crash; the decision
+        // would re-stamp it again.
+        c.crash();
+        c.recover();
+        assert_eq!(c.staged(tx), vec![(ObjectId(1), Version(3))]);
+        c.restamp(tx, ObjectId(1), Version(5)).expect("restamp");
+        c.flush().expect("flush");
+        c.crash();
+        c.recover();
+        assert_eq!(c.in_doubt(), vec![tx]);
+        assert_eq!(c.staged(tx), vec![(ObjectId(1), Version(5))]);
+        assert!(matches!(
+            c.restamp(tx, ObjectId(2), Version(5)),
+            Err(StorageError::WrongPhase { .. })
+        ));
+        c.disk_faults().inject_io_errors(1);
+        c.commit(tx)
+            .expect("a decided commit never fails on an injected error");
+        let vv = c.read(ObjectId(1)).expect("r");
+        assert_eq!((vv.version, vv.value), (Version(5), b("promise")));
+        // A checkpoint re-journals the last stamp only.
+        let tx = c.begin().unwrap_err();
+        assert_eq!(tx, StorageError::Io);
+        let tx = c.begin().expect("begin");
+        c.stage_put(tx, ObjectId(1), Version(6), b("next"))
+            .expect("stage");
+        c.prepare(tx).expect("prepare");
+        c.restamp(tx, ObjectId(1), Version(8)).expect("restamp");
+        c.checkpoint().expect("checkpoint");
+        c.crash();
+        c.recover();
+        assert_eq!(c.staged(tx), vec![(ObjectId(1), Version(8))]);
     }
 
     #[test]

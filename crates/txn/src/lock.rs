@@ -291,8 +291,8 @@ impl LockManager {
 
     /// The transaction holding `object` in `Exclusive` mode, if any.
     ///
-    /// Suite servers use this to turn reads away (`Busy`) while a write
-    /// sits at its commit point.
+    /// Suite servers use this to hold reads, and to line up prepares,
+    /// while a write sits at its commit point.
     pub fn exclusive_holder(&self, object: ObjectId) -> Option<TxToken> {
         self.table.get(&object)?.holders.iter().find_map(|(tx, m)| {
             if *m == LockMode::Exclusive {
