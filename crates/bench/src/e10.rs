@@ -93,7 +93,7 @@ pub struct ArmSummary {
     /// Operations that committed.
     pub ops_ok: u64,
     /// Operations attempted in disturbed windows (a representative's
-    /// crash through [`RECOVERY_WINDOW`] past its recovery).
+    /// crash through `RECOVERY_WINDOW` past its recovery).
     pub post_total: u64,
     /// ... of which committed.
     pub post_ok: u64,
@@ -128,7 +128,7 @@ impl ArmSummary {
     }
 
     /// Committed fraction of operations started in a disturbed window:
-    /// between a representative's crash and [`RECOVERY_WINDOW`] past its
+    /// between a representative's crash and `RECOVERY_WINDOW` past its
     /// recovery.
     pub fn post_recovery_availability(&self) -> f64 {
         self.post_ok as f64 / self.post_total.max(1) as f64

@@ -52,7 +52,7 @@ const POLICIES: [(QuorumPolicy, &str); 2] = [
 
 /// One grid point of the sweep.
 pub struct Cell {
-    /// Quorum policy index into [`POLICIES`].
+    /// Quorum policy index into `POLICIES`.
     pub policy: usize,
     /// Outstanding-op window per client.
     pub depth: usize,
@@ -63,7 +63,7 @@ pub struct Cell {
     /// Committed operations per *virtual* second, across all clients.
     pub ops_per_vsec: f64,
     /// Data requests (fetches, prepares) each server answered, summed
-    /// over all clients; length [`SERVERS`].
+    /// over all clients; length `SERVERS`.
     pub server_load: Vec<u64>,
 }
 

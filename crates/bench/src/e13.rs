@@ -102,7 +102,7 @@ fn zipf_suite(rng: &mut DetRng) -> usize {
 
 /// One grid point of the sweep.
 pub struct Cell {
-    /// Cache mode index into [`MODES`].
+    /// Cache mode index into `MODES`.
     pub mode: usize,
     /// Outstanding-op window per client.
     pub depth: usize,

@@ -104,7 +104,7 @@ fn zipf_suite(rng: &mut DetRng, n: usize) -> usize {
 pub struct Cell {
     /// Suite count (keyspace shards).
     pub suites: usize,
-    /// Skew index into [`SKEWS`].
+    /// Skew index into `SKEWS`.
     pub skew: usize,
     /// Voting representatives in the cluster.
     pub servers: usize,
@@ -404,7 +404,8 @@ pub fn run(ops_per_client: usize) -> String {
 /// workload with a 5 ms group-commit window. Suites per sync > 1 means
 /// one durable flush is absorbing concurrent writes to *different*
 /// suites — the cross-suite half of the batching win. Deterministic.
-pub fn wal_batch_summary(ops_per_client: usize) -> (f64, f64) {
+#[cfg(test)]
+fn wal_batch_summary(ops_per_client: usize) -> (f64, f64) {
     let servers = SERVER_COUNTS[0];
     let suites: Vec<ObjectId> = (1..=8).map(ObjectId).collect();
     let seed = wv_sim::derive_seed(MASTER_SEED, 2);

@@ -88,19 +88,6 @@ pub fn example_3(seed: u64) -> Harness {
         .expect("example 3 is legal")
 }
 
-/// An `n`-replica equal-vote cluster with uniform 100 ms access and a
-/// single client, parameterised by quorum.
-pub fn equal_cluster(n: usize, quorum: QuorumSpec, seed: u64) -> Harness {
-    let mut b = HarnessBuilder::new().seed(seed).quorum(quorum);
-    for _ in 0..n {
-        b = b.site(SiteSpec::server(1));
-    }
-    b.client()
-        .net(client_star(&vec![100.0; n], None))
-        .build()
-        .expect("legal equal cluster")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

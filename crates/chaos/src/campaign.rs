@@ -408,6 +408,45 @@ mod tests {
     }
 
     #[test]
+    fn an_every_feature_campaign_is_clean_and_every_feature_fires() {
+        // Every arm's feature at once over one set of fault timelines:
+        // the single-feature campaigns above never compose them. It is
+        // also the one oracle-checked run in which anti-entropy gossip
+        // refreshes attached weak representatives (repair × cache tier).
+        let cfg = CampaignConfig {
+            master_seed: 0xA11,
+            trials: 256,
+            spec: ClusterSpec::majority(5, 2)
+                .with_repair()
+                .with_group_commit()
+                .with_cache_tier()
+                .with_disk_faults()
+                .with_suites(4),
+            params: ScheduleParams::default(),
+        };
+        let report = run_campaign(&cfg);
+        assert!(
+            report.clean(),
+            "composed features must not break invariants; failures: {:?}",
+            report
+                .failures
+                .iter()
+                .map(|f| (f.seed, f.violations.clone()))
+                .collect::<Vec<_>>()
+        );
+        let c = &report.coverage;
+        for (feature, fired) in [
+            ("cache_hits", c.cache_hits),
+            ("repairs_completed", c.repairs_completed),
+            ("wal_batches", c.wal_batches),
+            ("quarantines", c.quarantines),
+            ("cross_suite_txns", c.cross_suite_txns),
+        ] {
+            assert!(fired > 0, "{feature} never fired in 256 composed trials");
+        }
+    }
+
+    #[test]
     fn a_broken_quorum_campaign_finds_violations() {
         // r + w = N: read and write quorums need not intersect, so once
         // crashes or partitions steer readers away from the writers'

@@ -235,7 +235,7 @@ pub struct TrialRun {
     /// Transport counters at end of run.
     pub net: NetStats,
     /// When the cluster was not whole: a server down (until
-    /// [`RECOVERY_SLACK`] past its recovery), a partition, a loss, delay
+    /// `RECOVERY_SLACK` past its recovery), a partition, a loss, delay
     /// or duplication dial off zero, a disk stalled, refusing or
     /// quarantined. The oracle's progress invariant judges only
     /// operations that ran entirely outside these windows.
@@ -471,10 +471,8 @@ fn run_schedule_inner(
                 write_quorum,
             } => {
                 coverage.reconfigures += 1;
-                // Reconfigurations always target the first suite: the
-                // directory adopts the new generation for it and the
-                // sibling suites keep their configs — exactly the
-                // per-suite invalidation the directory cache promises.
+                // Reconfigurations always target the first suite; the
+                // sibling suites keep their configs.
                 h.enqueue_reconfigure(
                     clients[client % clients.len()],
                     suites[0],

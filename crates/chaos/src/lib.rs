@@ -12,7 +12,7 @@
 //! * [`oracle`] — the history oracle: the consistency invariants
 //!   weighted voting promises, checked over that evidence and returned
 //!   as structured [`oracle::Violation`]s.
-//! * [`campaign`] + [`shrink`] — fan thousands of seeds over the
+//! * [`campaign`] + [`mod@shrink`] — fan thousands of seeds over the
 //!   deterministic parallel trial runner, then delta-debug any failure
 //!   down to a minimal reproducer.
 //! * [`experiments`] — the registry of every report under `results/`

@@ -290,13 +290,6 @@ pub struct Schedule {
     pub events: Vec<FaultEvent>,
 }
 
-impl Schedule {
-    /// Virtual time of the last event (ms), or 0 for an empty schedule.
-    pub fn duration_ms(&self) -> u64 {
-        self.events.last().map_or(0, |e| e.at_ms)
-    }
-}
-
 /// Tunables for the schedule generator.
 #[derive(Clone, Copy, Debug)]
 pub struct ScheduleParams {

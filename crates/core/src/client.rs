@@ -70,9 +70,6 @@ pub struct ClientOptions {
     pub max_attempts: u32,
     /// Commit resend rounds before reporting [`OpError::Indeterminate`].
     pub commit_resend_limit: u32,
-    /// After a successful read fetched from elsewhere, refresh the weak
-    /// representative co-located with this client.
-    pub update_local_weak: bool,
     /// After a successful write, push the new value to every weak
     /// representative of the suite (the paper's background-update option).
     pub push_weak_on_write: bool,
@@ -140,7 +137,7 @@ impl WeakRepOptions {
     }
 }
 
-/// Tunables for the client's self-healing layer.
+/// Switches on the client's self-healing layer.
 ///
 /// The health tracker keeps, per site, an EWMA of observed round-trip
 /// times and an accrual-style suspicion score: every response resets the
@@ -148,40 +145,29 @@ impl WeakRepOptions {
 /// marks the site *suspected*. Suspected sites are demoted to the back of
 /// every cost-ranked order (fetch candidates, optimistic-fetch target,
 /// write quorums) until they answer again.
-#[derive(Clone, Debug)]
-pub struct HealthOptions {
-    /// EWMA smoothing factor: weight of the newest RTT sample, in (0, 1].
-    pub rtt_alpha: f64,
-    /// Suspicion score at which a site becomes suspected.
-    pub suspicion_threshold: f64,
-    /// How much one unanswered phase adds to a site's suspicion.
-    pub suspicion_step: f64,
-    /// Adaptive phase timeout = multiplier × the slowest contacted site's
-    /// EWMA RTT, clamped to `[min_timeout, phase_timeout]`.
-    pub timeout_multiplier: f64,
-    /// Floor for the adaptive timeout, so a run of fast responses cannot
-    /// collapse the timeout to nothing.
-    pub min_timeout: SimDuration,
-    /// Hedged reads: after an adaptive delay, contact the next-cheapest
-    /// fetch candidate instead of waiting for the full phase timeout.
-    pub hedge: bool,
-    /// The hedge fires after multiplier × the fetch target's EWMA RTT.
-    pub hedge_multiplier: f64,
-}
+///
+/// The layer has one tuning in use, fixed by the constants beside
+/// `SiteHealth`, so this type has no fields. It stays a type, and
+/// [`ClientOptions::health`] an `Option` of it, because the benchmark
+/// package builds `HealthOptions::default()` and may not be edited.
+#[derive(Clone, Debug, Default)]
+pub struct HealthOptions {}
 
-impl Default for HealthOptions {
-    fn default() -> Self {
-        HealthOptions {
-            rtt_alpha: 0.3,
-            suspicion_threshold: 2.0,
-            suspicion_step: 1.0,
-            timeout_multiplier: 6.0,
-            min_timeout: SimDuration::from_millis(300),
-            hedge: true,
-            hedge_multiplier: 3.0,
-        }
-    }
-}
+/// EWMA smoothing factor: weight of the newest RTT sample.
+const RTT_ALPHA: f64 = 0.3;
+/// Suspicion score at which a site becomes suspected.
+const SUSPICION_THRESHOLD: f64 = 2.0;
+/// How much one unanswered phase adds to a site's suspicion.
+const SUSPICION_STEP: f64 = 1.0;
+/// Adaptive phase timeout = this × the slowest contacted site's EWMA RTT,
+/// clamped to `[MIN_TIMEOUT, phase_timeout]`.
+const TIMEOUT_MULTIPLIER: f64 = 6.0;
+/// Floor for the adaptive timeout, so a run of fast responses cannot
+/// collapse the timeout to nothing.
+const MIN_TIMEOUT: SimDuration = SimDuration::from_millis(300);
+/// A hedged read contacts the next-cheapest fetch candidate after this ×
+/// the fetch target's EWMA RTT instead of waiting out the phase timeout.
+const HEDGE_MULTIPLIER: f64 = 3.0;
 
 /// Per-site health state kept by the client's tracker.
 #[derive(Clone, Copy, Debug)]
@@ -222,7 +208,6 @@ impl Default for ClientOptions {
             backoff_cap: SimDuration::from_secs(2),
             max_attempts: 6,
             commit_resend_limit: 5,
-            update_local_weak: true,
             push_weak_on_write: false,
             optimistic_fetch: true,
             quorum_policy: QuorumPolicy::CheapestFirst,
@@ -761,11 +746,6 @@ impl ClientNode {
         }
     }
 
-    /// Whether decision auditing is on.
-    pub fn audit_enabled(&self) -> bool {
-        self.audit.is_some()
-    }
-
     /// The durable commit-decision log, read-only (tests and benches).
     pub fn decision_log(&self) -> &Container {
         &self.decisions
@@ -806,50 +786,39 @@ impl ClientNode {
         });
     }
 
+    /// The tracer and the open spans of operation `req`: `None` when
+    /// tracing is off or the operation is not (or no longer) in flight.
+    fn op_spans(&mut self, req: ReqId) -> Option<(&mut Tracer, &mut OpTrace)> {
+        let tr = self.tracer.as_mut()?;
+        let t = self.ops.get_mut(&req)?.trace.as_mut()?;
+        Some((tr, t))
+    }
+
     /// Opens a phase span under the op's root, defensively closing any
     /// phase still open (a retry abandoning a half-finished phase).
     fn trace_begin_phase(&mut self, req: ReqId, kind: SpanKind, now: SimTime) {
-        let Some(tr) = self.tracer.as_mut() else {
+        let Some((tr, t)) = self.op_spans(req) else {
             return;
         };
-        let Some(t) = self.ops.get_mut(&req).and_then(|st| st.trace.as_mut()) else {
-            return;
-        };
-        for (_, id) in t.rpcs.drain(..) {
-            tr.end(id, now, SpanOutcome::Unanswered);
-        }
-        for (_, id) in t.legs.drain(..) {
-            tr.end(id, now, SpanOutcome::Unanswered);
-        }
-        if let Some(p) = t.phase.take() {
-            tr.end(p, now, SpanOutcome::Unanswered);
-        }
+        Self::close_phase_spans(tr, t, now, SpanOutcome::Unanswered);
         t.phase = Some(tr.start(kind, t.suite, t.op, Some(t.root), None, 0, now));
     }
 
     /// Opens a per-site request/response span under the current phase.
     fn trace_add_rpc(&mut self, req: ReqId, site: SiteId, now: SimTime) {
-        let Some(tr) = self.tracer.as_mut() else {
-            return;
-        };
-        let Some(t) = self.ops.get_mut(&req).and_then(|st| st.trace.as_mut()) else {
-            return;
-        };
-        let id = tr.start(SpanKind::Rpc, t.suite, t.op, t.phase, Some(site.0), 0, now);
-        t.rpcs.push((site, id));
+        if let Some((tr, t)) = self.op_spans(req) {
+            let id = tr.start(SpanKind::Rpc, t.suite, t.op, t.phase, Some(site.0), 0, now);
+            t.rpcs.push((site, id));
+        }
     }
 
     /// Opens a content-fetch leg (`kind` is `Rpc` for a regular leg,
     /// `Hedge` for a hedge) under the current phase.
     fn trace_add_leg(&mut self, req: ReqId, site: SiteId, kind: SpanKind, now: SimTime) {
-        let Some(tr) = self.tracer.as_mut() else {
-            return;
-        };
-        let Some(t) = self.ops.get_mut(&req).and_then(|st| st.trace.as_mut()) else {
-            return;
-        };
-        let id = tr.start(kind, t.suite, t.op, t.phase, Some(site.0), 0, now);
-        t.legs.push((site, id));
+        if let Some((tr, t)) = self.op_spans(req) {
+            let id = tr.start(kind, t.suite, t.op, t.phase, Some(site.0), 0, now);
+            t.legs.push((site, id));
+        }
     }
 
     /// Closes the open request/response span aimed at `site`, if any.
@@ -861,10 +830,7 @@ impl ClientNode {
         outcome: SpanOutcome,
         detail: u64,
     ) {
-        let Some(tr) = self.tracer.as_mut() else {
-            return;
-        };
-        let Some(t) = self.ops.get_mut(&req).and_then(|st| st.trace.as_mut()) else {
+        let Some((tr, t)) = self.op_spans(req) else {
             return;
         };
         if let Some(pos) = t.rpcs.iter().position(|(s, _)| *s == site) {
@@ -882,10 +848,7 @@ impl ClientNode {
         outcome: SpanOutcome,
         detail: u64,
     ) {
-        let Some(tr) = self.tracer.as_mut() else {
-            return;
-        };
-        let Some(t) = self.ops.get_mut(&req).and_then(|st| st.trace.as_mut()) else {
+        let Some((tr, t)) = self.op_spans(req) else {
             return;
         };
         if let Some(pos) = t.legs.iter().position(|(s, _)| *s == site) {
@@ -896,40 +859,30 @@ impl ClientNode {
 
     /// Closes every open leg with `outcome` (phase timeout hit the fetch).
     fn trace_timeout_legs(&mut self, req: ReqId, now: SimTime) {
-        let Some(tr) = self.tracer.as_mut() else {
-            return;
-        };
-        let Some(t) = self.ops.get_mut(&req).and_then(|st| st.trace.as_mut()) else {
-            return;
-        };
-        for (_, id) in t.legs.drain(..) {
-            tr.end(id, now, SpanOutcome::Timeout);
+        if let Some((tr, t)) = self.op_spans(req) {
+            for (_, id) in t.legs.drain(..) {
+                tr.end(id, now, SpanOutcome::Timeout);
+            }
         }
     }
 
     /// Closes the current phase span; still-open RPCs and legs end with
     /// `loose` (they never answered, or their answer no longer matters).
     fn trace_close_phase(&mut self, req: ReqId, now: SimTime, outcome: SpanOutcome) {
-        let Some(tr) = self.tracer.as_mut() else {
-            return;
-        };
-        if let Some(st) = self.ops.get_mut(&req) {
-            Self::close_phase_spans(tr, st, now, outcome);
+        if let Some((tr, t)) = self.op_spans(req) {
+            Self::close_phase_spans(tr, t, now, outcome);
         }
     }
 
     /// [`Self::trace_close_phase`] for an attempt whose `OpState` is
     /// already out of the map (a retry in flight); the root stays open.
     fn trace_close_attempt(&mut self, st: &mut OpState, now: SimTime, outcome: SpanOutcome) {
-        if let Some(tr) = self.tracer.as_mut() {
-            Self::close_phase_spans(tr, st, now, outcome);
+        if let (Some(tr), Some(t)) = (self.tracer.as_mut(), st.trace.as_mut()) {
+            Self::close_phase_spans(tr, t, now, outcome);
         }
     }
 
-    fn close_phase_spans(tr: &mut Tracer, st: &mut OpState, now: SimTime, outcome: SpanOutcome) {
-        let Some(t) = st.trace.as_mut() else {
-            return;
-        };
+    fn close_phase_spans(tr: &mut Tracer, t: &mut OpTrace, now: SimTime, outcome: SpanOutcome) {
         let loose = match outcome {
             SpanOutcome::Ok => SpanOutcome::Lost,
             SpanOutcome::Timeout => SpanOutcome::Timeout,
@@ -952,37 +905,13 @@ impl ClientNode {
         }
     }
 
-    /// Records the durable decision-log append as an instantaneous
-    /// write-ahead-log event under the op's root.
-    fn trace_decision_logged(&mut self, req: ReqId, now: SimTime) {
-        let Some(tr) = self.tracer.as_mut() else {
-            return;
-        };
-        let Some(t) = self.ops.get(&req).and_then(|st| st.trace.as_ref()) else {
-            return;
-        };
-        tr.event(
-            SpanKind::WalWrite,
-            t.suite,
-            t.op,
-            Some(t.root),
-            None,
-            0,
-            now,
-        );
-    }
-
-    /// Records an instantaneous cache-tier event (`CacheHit` on a local
-    /// serve, `CacheRefresh` on a fill from the network) under the op's
-    /// root span.
-    fn trace_cache_event(&mut self, req: ReqId, kind: SpanKind, detail: u64, now: SimTime) {
-        let Some(tr) = self.tracer.as_mut() else {
-            return;
-        };
-        let Some(t) = self.ops.get(&req).and_then(|st| st.trace.as_ref()) else {
-            return;
-        };
-        tr.event(kind, t.suite, t.op, Some(t.root), None, detail, now);
+    /// Records an instantaneous event under the op's root span: `WalWrite`
+    /// for the durable decision-log append, `CacheHit` on a local serve,
+    /// `CacheRefresh` on a fill from the network.
+    fn trace_event(&mut self, req: ReqId, kind: SpanKind, detail: u64, now: SimTime) {
+        if let Some((tr, t)) = self.op_spans(req) {
+            tr.event(kind, t.suite, t.op, Some(t.root), None, detail, now);
+        }
     }
 
     // ---- attached weak representative (cache tier) ---------------------
@@ -1089,7 +1018,7 @@ impl ClientNode {
         };
         let (version, value) = (entry.version, entry.value.clone());
         self.stats.cache_hits += 1;
-        self.trace_cache_event(req, SpanKind::CacheHit, version.0, ctx.now());
+        self.trace_event(req, SpanKind::CacheHit, version.0, ctx.now());
         self.complete(
             req,
             Ok(OpSuccess {
@@ -1250,14 +1179,11 @@ impl ClientNode {
 
     /// Folds one RTT sample into a site's EWMA (no-op with health off).
     fn note_rtt(&mut self, site: SiteId, rtt_ms: f64) {
-        let Some(h) = self.options.health.as_ref() else {
-            return;
-        };
-        if !rtt_ms.is_finite() || rtt_ms < 0.0 {
+        if self.options.health.is_none() || !rtt_ms.is_finite() || rtt_ms < 0.0 {
             return;
         }
         if let Some(sh) = self.health.get_mut(site.index()) {
-            sh.rtt_ms = h.rtt_alpha * rtt_ms + (1.0 - h.rtt_alpha) * sh.rtt_ms;
+            sh.rtt_ms = RTT_ALPHA * rtt_ms + (1.0 - RTT_ALPHA) * sh.rtt_ms;
         }
     }
 
@@ -1276,11 +1202,11 @@ impl ClientNode {
     /// to the threshold so every cost-ranked order demotes it at once —
     /// the refusal is long-lived, unlike a timeout's soft evidence.
     fn mark_quarantined(&mut self, site: SiteId) {
-        let Some(h) = self.options.health.clone() else {
+        if self.options.health.is_none() {
             return;
-        };
+        }
         if let Some(sh) = self.health.get_mut(site.index()) {
-            sh.suspicion = sh.suspicion.max(h.suspicion_threshold);
+            sh.suspicion = sh.suspicion.max(SUSPICION_THRESHOLD);
             if !sh.suspected {
                 sh.suspected = true;
                 self.stats.suspicions_raised += 1;
@@ -1291,13 +1217,13 @@ impl ClientNode {
     /// A phase timed out with these sites still silent: bump their
     /// suspicion, marking them suspected at the threshold.
     fn note_unanswered(&mut self, sites: &[SiteId]) {
-        let Some(h) = self.options.health.clone() else {
+        if self.options.health.is_none() {
             return;
-        };
+        }
         for &site in sites {
             if let Some(sh) = self.health.get_mut(site.index()) {
-                sh.suspicion += h.suspicion_step;
-                if !sh.suspected && sh.suspicion >= h.suspicion_threshold {
+                sh.suspicion += SUSPICION_STEP;
+                if !sh.suspected && sh.suspicion >= SUSPICION_THRESHOLD {
                     sh.suspected = true;
                     self.stats.suspicions_raised += 1;
                 }
@@ -1415,11 +1341,11 @@ impl ClientNode {
 
     /// The timeout for a phase contacting `sites`: with health tracking
     /// on, a multiple of the slowest contacted site's EWMA RTT clamped to
-    /// `[min_timeout, phase_timeout]`; otherwise the fixed phase timeout.
+    /// `[MIN_TIMEOUT, phase_timeout]`; otherwise the fixed phase timeout.
     fn phase_delay(&self, sites: impl IntoIterator<Item = SiteId>) -> SimDuration {
-        let Some(h) = self.options.health.as_ref() else {
+        if self.options.health.is_none() {
             return self.options.phase_timeout;
-        };
+        }
         let max_rtt = sites
             .into_iter()
             .filter_map(|s| self.health.get(s.index()))
@@ -1428,25 +1354,20 @@ impl ClientNode {
         if max_rtt <= 0.0 {
             return self.options.phase_timeout;
         }
-        SimDuration::from_millis_f64(max_rtt * h.timeout_multiplier)
-            .max(h.min_timeout)
+        SimDuration::from_millis_f64(max_rtt * TIMEOUT_MULTIPLIER)
+            .max(MIN_TIMEOUT)
             .min(self.options.phase_timeout)
     }
 
     /// When (relative to now) the hedge for a fetch aimed at `target`
-    /// should fire, or `None` when hedging is off.
+    /// should fire, or `None` when health tracking is off.
     fn hedge_delay(&self, target: SiteId) -> Option<SimDuration> {
-        let h = self.options.health.as_ref()?;
-        if !h.hedge {
-            return None;
-        }
+        self.options.health.as_ref()?;
         let rtt = self.health.get(target.index())?.rtt_ms;
         if rtt <= 0.0 {
             return None;
         }
-        Some(
-            SimDuration::from_millis_f64(rtt * h.hedge_multiplier).max(SimDuration::from_micros(1)),
-        )
+        Some(SimDuration::from_millis_f64(rtt * HEDGE_MULTIPLIER).max(SimDuration::from_micros(1)))
     }
 
     /// The client's site.
@@ -1507,26 +1428,18 @@ impl ClientNode {
         ReqId::new(c, self.site)
     }
 
-    /// Launches a freshly submitted operation, or queues it when the
-    /// pipeline window is full. With no window configured this is exactly
-    /// the classic immediate launch.
+    /// Queues a freshly submitted operation and launches whatever the
+    /// pipeline window admits: with no window configured, or a free slot,
+    /// that is this operation, at once.
     fn submit(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
-        if let Some(depth) = self.options.pipeline_depth {
-            if self.active >= depth {
-                self.queue.push_back(req);
-                return;
-            }
-        }
-        self.active += 1;
-        self.trace_op_start(req, ctx.now());
-        self.begin_attempt(req, ctx);
+        self.queue.push_back(req);
+        self.launch_queued(ctx);
     }
 
-    /// Fills freed pipeline slots from the submission queue, in order.
+    /// Fills free pipeline slots from the submission queue, in order. The
+    /// queue is empty whenever a slot is left free.
     fn launch_queued(&mut self, ctx: &mut NodeCtx<'_, Msg>) {
-        let Some(depth) = self.options.pipeline_depth else {
-            return;
-        };
+        let depth = self.options.pipeline_depth.unwrap_or(usize::MAX);
         while self.active < depth {
             let Some(req) = self.queue.pop_front() else {
                 return;
@@ -2264,7 +2177,7 @@ impl ClientNode {
             } => {
                 if from_cache {
                     self.stats.cache_hits += 1;
-                    self.trace_cache_event(req, SpanKind::CacheHit, version.0, ctx.now());
+                    self.trace_event(req, SpanKind::CacheHit, version.0, ctx.now());
                     self.grant_lease(suite, ctx.now());
                 } else {
                     self.stats.reads_cache_hit += 1;
@@ -2314,11 +2227,10 @@ impl ClientNode {
             self.enter_reconfig_prepare(req, suite, version, value, ctx);
             return;
         }
+        // A read fetched from elsewhere refreshes the weak representative
+        // co-located with this client.
         let cfg = &self.configs[&suite];
-        if self.options.update_local_weak
-            && cfg.assignment.is_weak(self.site)
-            && source != self.site
-        {
+        if cfg.assignment.is_weak(self.site) && source != self.site {
             ctx.send(
                 self.site,
                 Msg::UpdateWeak {
@@ -2332,7 +2244,7 @@ impl ClientNode {
         // weak representative (and re-arms the lease in lease mode).
         if self.options.weak_rep.is_some() {
             if source != self.site {
-                self.trace_cache_event(req, SpanKind::CacheRefresh, version.0, ctx.now());
+                self.trace_event(req, SpanKind::CacheRefresh, version.0, ctx.now());
             }
             self.fill_cache(suite, version, &value, ctx.now());
         }
@@ -2761,7 +2673,7 @@ impl ClientNode {
         self.log_commit_decision(req, &versions);
         let delay = self.phase_delay(participants.iter().copied());
         if self.tracer.is_some() {
-            self.trace_decision_logged(req, ctx.now());
+            self.trace_event(req, SpanKind::WalWrite, 0, ctx.now());
             self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
             self.trace_begin_phase(req, SpanKind::Commit, ctx.now());
             for site in &participants {

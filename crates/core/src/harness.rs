@@ -28,7 +28,6 @@ use wv_storage::{ObjectId, Version};
 use wv_txn::lock::DeadlockPolicy;
 
 use crate::client::{ClientNode, ClientOptions, CompletedOp};
-use crate::directory::{Directory, DirectoryCache};
 use crate::error::OpError;
 use crate::node::SystemNode;
 use crate::quorum::QuorumSpec;
@@ -85,7 +84,6 @@ pub struct HarnessBuilder {
     specs: Vec<SiteSpec>,
     quorum: QuorumSpec,
     suites: Vec<ObjectId>,
-    names: Vec<(String, ObjectId)>,
     seed: u64,
     net: Option<NetConfig>,
     options: ClientOptions,
@@ -108,7 +106,6 @@ impl HarnessBuilder {
             specs: Vec::new(),
             quorum: QuorumSpec::new(1, 1),
             suites: vec![ObjectId(1)],
-            names: Vec::new(),
             seed: 0,
             net: None,
             options: ClientOptions::default(),
@@ -148,15 +145,6 @@ impl HarnessBuilder {
     pub fn suites(mut self, suites: impl IntoIterator<Item = ObjectId>) -> Self {
         self.suites = suites.into_iter().collect();
         assert!(!self.suites.is_empty(), "need at least one suite");
-        self
-    }
-
-    /// Binds a directory path (e.g. `"tenant0/app0/prod"`) to a suite,
-    /// on top of the default `tenant0/app0/suite-<id>` binding every
-    /// hosted suite receives. The suite must be among the builder's
-    /// [`HarnessBuilder::suites`].
-    pub fn name(mut self, path: impl Into<String>, suite: ObjectId) -> Self {
-        self.names.push((path.into(), suite));
         self
     }
 
@@ -355,31 +343,10 @@ impl HarnessBuilder {
                 });
             }
         }
-        // The directory layer: every hosted suite gets a default
-        // hierarchical binding, then the builder's explicit names go on
-        // top. Pure facade-side bookkeeping — building it reads nothing
-        // from the simulation, so event streams are untouched.
-        let mut directory = Directory::new();
-        for cfg in &configs {
-            directory
-                .register(&format!("tenant0/app0/suite-{}", cfg.suite.0), cfg.clone())
-                .expect("default binding is well-formed");
-        }
-        for (path, suite) in &self.names {
-            let cfg = configs
-                .iter()
-                .find(|c| c.suite == *suite)
-                .unwrap_or_else(|| panic!("named suite {suite:?} is not hosted"));
-            directory
-                .register(path, cfg.clone())
-                .unwrap_or_else(|e| panic!("bad directory binding: {e}"));
-        }
         Ok(Harness {
             sim,
             suites: self.suites,
             clients,
-            directory,
-            dir_cache: DirectoryCache::new(),
         })
     }
 }
@@ -424,11 +391,6 @@ pub struct Harness {
     sim: Sim<Cluster<SystemNode>>,
     suites: Vec<ObjectId>,
     clients: Vec<SiteId>,
-    /// Authoritative name → suite-config registry; kept current by the
-    /// facade's blocking [`Harness::reconfigure_from`].
-    directory: Directory,
-    /// The facade's memo of resolved names, invalidated on adoption.
-    dir_cache: DirectoryCache,
 }
 
 impl Harness {
@@ -547,39 +509,17 @@ impl Harness {
         assignment: VoteAssignment,
         quorum: QuorumSpec,
     ) -> Result<WriteResult, OpError> {
-        let dir_assignment = assignment.clone();
         let done = self.run_op(client, move |c, ctx| {
             c.start_reconfigure(suite, assignment, quorum, ctx);
         })?;
         match done.outcome {
-            Ok(ok) => {
-                // The committed config version *is* the new generation:
-                // adopt it into the directory and drop the cached
-                // bindings for this suite (and only this suite).
-                self.directory
-                    .adopt(suite, dir_assignment, quorum, ok.version.0);
-                self.dir_cache.invalidate_suite(suite);
-                Ok(WriteResult {
-                    version: ok.version,
-                    latency: done.finished.since(done.started),
-                    attempts: done.attempts,
-                })
-            }
+            Ok(ok) => Ok(WriteResult {
+                version: ok.version,
+                latency: done.finished.since(done.started),
+                attempts: done.attempts,
+            }),
             Err(e) => Err(e),
         }
-    }
-
-    /// The authoritative directory of name → suite bindings.
-    pub fn directory(&self) -> &Directory {
-        &self.directory
-    }
-
-    /// Resolves a directory path to its suite through the facade's
-    /// cache, falling back to the authority on a miss.
-    pub fn resolve(&mut self, path: &str) -> Option<ObjectId> {
-        self.dir_cache
-            .resolve(path, &self.directory)
-            .map(|(suite, _)| suite)
     }
 
     /// Starts an operation and steps the simulation until it completes.
@@ -974,64 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn directory_resolves_named_ops_and_invalidates_on_adoption() {
-        let mut h = HarnessBuilder::new()
-            .seed(77)
-            .site(SiteSpec::server(1))
-            .site(SiteSpec::server(1))
-            .site(SiteSpec::server(1))
-            .client()
-            .quorum(QuorumSpec::new(2, 2))
-            .suites([ObjectId(1), ObjectId(2)])
-            .name("tenant0/app0/prod", ObjectId(1))
-            .name("tenant0/app1/prod", ObjectId(2))
-            .build()
-            .expect("legal configuration");
-        // Default bindings exist alongside the explicit ones.
-        assert_eq!(h.resolve("tenant0/app0/suite-1"), Some(ObjectId(1)));
-        assert_eq!(h.resolve("nonexistent/path"), None);
-        let prod = h.resolve("tenant0/app0/prod").expect("bound");
-        h.write(prod, b"a".to_vec()).expect("write");
-        let prod = h.resolve("tenant0/app0/prod").expect("bound");
-        let r = h.read(prod).expect("read");
-        assert_eq!(&r.value[..], b"a");
-        let s = h.dir_cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 2), "second prod resolve hits");
-        // Cache suite 2's binding, then reconfigure suite 1: only suite
-        // 1's cached bindings drop, and the authority adopts the new
-        // generation.
-        assert_eq!(h.resolve("tenant0/app1/prod"), Some(ObjectId(2)));
-        let client = h.default_client();
-        let w = h
-            .reconfigure_from(
-                client,
-                ObjectId(1),
-                VoteAssignment::new([(SiteId(0), 2), (SiteId(1), 1), (SiteId(2), 1)]),
-                QuorumSpec::new(2, 3),
-            )
-            .expect("reconfigure");
-        assert_eq!(
-            h.directory()
-                .resolve("tenant0/app0/prod")
-                .unwrap()
-                .generation,
-            w.version.0,
-            "authority adopted the committed generation"
-        );
-        let s = h.dir_cache.stats();
-        assert_eq!(s.invalidations, 2, "both suite-1 bindings dropped");
-        // Re-resolving misses and still routes reads correctly.
-        assert_eq!(h.resolve("tenant0/app0/prod"), Some(ObjectId(1)));
-        assert_eq!(h.dir_cache.stats().misses, 4);
-        let r = h.read(ObjectId(1)).expect("read");
-        assert_eq!(&r.value[..], b"a", "contents survive reconfiguration");
-        // Suite 2's cached binding was untouched: resolving it hits.
-        let hits_before = h.dir_cache.stats().hits;
-        assert_eq!(h.resolve("tenant0/app1/prod"), Some(ObjectId(2)));
-        assert_eq!(h.dir_cache.stats().hits, hits_before + 1);
-    }
-
-    #[test]
     fn tracing_records_spans_without_changing_outcomes() {
         use wv_sim::trace::{from_jsonl, to_jsonl, SpanKind, SpanOutcome};
         let mut plain = three_server_harness(11);
@@ -1252,15 +1134,6 @@ mod tests {
             records > batches,
             "expected a multi-record batch: {records} records over {batches} batches"
         );
-        // The histogram mirrors the counters.
-        let hist = SiteId::all(3)
-            .find_map(|s| {
-                h.cluster().nodes[s.index()]
-                    .as_server()
-                    .and_then(|sv| sv.metrics().histogram("wal_batch_size"))
-            })
-            .expect("at least one server recorded a batch");
-        assert!(!hist.is_empty());
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! * [`votes`] — vote assignments over sites.
 //! * [`quorum`] — quorum specifications, legality, and quorum-set math.
 //! * [`suite`] — the replicated suite configuration (the paper's "prefix").
-//! * [`directory`] — hierarchical names over suites: the authoritative
-//!   registry plus a client-side cache invalidated on adoption.
 //! * [`msg`] — the wire protocol between clients and suite servers.
 //! * [`server`] — the representative server: container + locks + voting.
 //! * [`client`] — client-side read/write/reconfigure state machines.
@@ -51,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod directory;
 pub mod error;
 pub mod harness;
 pub mod msg;
@@ -61,7 +58,6 @@ pub mod server;
 pub mod suite;
 pub mod votes;
 
-pub use directory::{Directory, DirectoryCache};
 pub use error::{OpError, OpKind};
 pub use harness::{Harness, HarnessBuilder, SiteSpec};
 pub use quorum::QuorumSpec;

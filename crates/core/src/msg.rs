@@ -313,11 +313,6 @@ impl Msg {
                 | Msg::RepairState { .. }
         )
     }
-
-    /// True for messages handled by a client node.
-    pub fn is_client_bound(&self) -> bool {
-        !self.is_server_bound()
-    }
 }
 
 #[cfg(test)]
@@ -345,74 +340,6 @@ mod tests {
         let _ = ReqId::new(1 << 48, SiteId(0));
     }
 
-    #[test]
-    fn direction_classification_is_total() {
-        let suite = ObjectId(1);
-        let req = ReqId::new(1, SiteId(0));
-        let msgs = [
-            Msg::VersionReq {
-                suite,
-                req,
-                floor: false,
-            },
-            Msg::VersionResp {
-                suite,
-                req,
-                version: Version(0),
-                generation: 1,
-            },
-            Msg::ReadReq { suite, req },
-            Msg::Busy {
-                suite,
-                req,
-                give_way: false,
-            },
-            Msg::Refused {
-                suite,
-                req,
-                reason: RefuseReason::Quarantined,
-            },
-            Msg::Refused {
-                suite,
-                req,
-                reason: RefuseReason::Disk,
-            },
-            Msg::Commit {
-                suite,
-                req,
-                versions: Vec::new(),
-            },
-            Msg::Ack {
-                suite,
-                req,
-                committed: true,
-            },
-            Msg::DecisionReq { suite, req },
-            Msg::UpdateWeak {
-                suite,
-                version: Version(1),
-                value: Bytes::new(),
-            },
-            Msg::RepairPull {
-                suite,
-                have: Version(0),
-                full: false,
-            },
-            Msg::RepairState {
-                suite,
-                version: Version(1),
-                value: Bytes::new(),
-                config: None,
-            },
-        ];
-        for m in msgs {
-            assert_ne!(
-                m.is_server_bound(),
-                m.is_client_bound(),
-                "message must belong to exactly one side: {m:?}"
-            );
-        }
-    }
     #[test]
     fn a_message_stays_within_nine_words() {
         // Every hop moves one of these by value; the commit-line fields

@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use bytes::Bytes;
 use wv_net::{Node, NodeCtx, SiteId};
 use wv_sim::trace::{SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};
-use wv_sim::{MetricsRegistry, SimDuration, SimTime};
+use wv_sim::{SimDuration, SimTime};
 use wv_storage::{Container, IdHashMap, ObjectId, TxId, Version};
 use wv_txn::lock::{DeadlockPolicy, LockMode, LockReply, TxToken};
 use wv_txn::shard::ShardedLockManager;
@@ -245,8 +245,6 @@ pub struct SuiteServer {
     /// Sync timers cannot be cancelled; a crash bumps this epoch so an
     /// orphaned in-flight sync dies quietly when its timer fires.
     sync_epoch: u64,
-    /// Batched-sync observability (`wal_batch_size` histogram).
-    metrics: MetricsRegistry,
     /// Set when recovery detected interior WAL corruption: acknowledged
     /// state may have regressed, so this replica has surrendered its votes
     /// (inquiries, reads, and prepares all refuse) until anti-entropy
@@ -319,7 +317,6 @@ impl SuiteServer {
             sync_active: false,
             sync_queue: Vec::new(),
             sync_epoch: 0,
-            metrics: MetricsRegistry::new(),
             quarantined: false,
             quarantine_pending: BTreeMap::new(),
             stall_until: None,
@@ -373,11 +370,6 @@ impl SuiteServer {
         self.repair_epoch += 1;
     }
 
-    /// Whether the repair daemon is configured.
-    pub fn anti_entropy_enabled(&self) -> bool {
-        self.anti_entropy.is_some()
-    }
-
     /// Registers client sites whose attached weak representatives the
     /// gossip rounds refresh ([`Msg::UpdateWeak`] pushes of committed
     /// state). The clients install monotonically, so a stale push is
@@ -394,17 +386,6 @@ impl SuiteServer {
     pub fn set_group_commit(&mut self, latency: SimDuration) {
         assert!(latency > SimDuration::ZERO, "sync latency must be positive");
         self.group_commit = Some(latency);
-    }
-
-    /// Whether group commit is configured.
-    pub fn group_commit_enabled(&self) -> bool {
-        self.group_commit.is_some()
-    }
-
-    /// Batched-sync observability: the `wal_batch_size` histogram plus
-    /// whatever later layers record. Empty unless group commit is on.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Arms the periodic repair timer. Each call starts a fresh epoch,
@@ -690,6 +671,21 @@ impl SuiteServer {
         })
     }
 
+    /// Tells `to` this site will not serve `req`, and why.
+    fn refuse(
+        &mut self,
+        to: SiteId,
+        suite: ObjectId,
+        req: ReqId,
+        reason: RefuseReason,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        if reason == RefuseReason::Disk {
+            self.stats.disk_refusals += 1;
+        }
+        ctx.send(to, Msg::Refused { suite, req, reason });
+    }
+
     fn vote_no(&mut self, to: SiteId, suite: ObjectId, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
         self.stats.votes_no += 1;
         ctx.send(
@@ -890,15 +886,7 @@ impl SuiteServer {
             // An injected I/O error kept the prepare record off the log.
             // Nothing was promised; release the locks and tell the
             // coordinator the disk (not the data) said no.
-            self.stats.disk_refusals += 1;
-            ctx.send(
-                c.from,
-                Msg::Refused {
-                    suite,
-                    req,
-                    reason: RefuseReason::Disk,
-                },
-            );
+            self.refuse(c.from, suite, req, RefuseReason::Disk, ctx);
             return unlock(self);
         };
         for (pw, (_, version)) in c.writes.iter().zip(&staged) {
@@ -1078,10 +1066,6 @@ impl SuiteServer {
             .collect::<BTreeSet<ObjectId>>()
             .len() as u64;
         self.stats.wal_batch_suites += batch_suites;
-        self.metrics
-            .observe_ms("wal_batch_size", batch.len() as f64);
-        self.metrics
-            .observe_ms("wal_batch_suites", batch_suites as f64);
         if let Some(tr) = self.tracer.as_mut() {
             // A batch can span suites; the flush itself is suite 0 (not
             // scoped), with the absorbed-suite count in the server stats.
@@ -1299,14 +1283,7 @@ impl SuiteServer {
                 // reader count its vote toward a quorum that misses a
                 // decided write. Its votes are surrendered until repair.
                 if self.quarantined {
-                    ctx.send(
-                        from,
-                        Msg::Refused {
-                            suite,
-                            req,
-                            reason: RefuseReason::Quarantined,
-                        },
-                    );
+                    self.refuse(from, suite, req, RefuseReason::Quarantined, ctx);
                     return;
                 }
                 let read = HeldRead {
@@ -1331,14 +1308,7 @@ impl SuiteServer {
             }
             Msg::ReadReq { suite, req } => {
                 if self.quarantined {
-                    ctx.send(
-                        from,
-                        Msg::Refused {
-                            suite,
-                            req,
-                            reason: RefuseReason::Quarantined,
-                        },
-                    );
+                    self.refuse(from, suite, req, RefuseReason::Quarantined, ctx);
                     return;
                 }
                 let read = HeldRead {
@@ -1395,14 +1365,7 @@ impl SuiteServer {
                 // A quarantined replica must not promise an install it may
                 // not be able to keep durable; its vote is surrendered.
                 if self.quarantined {
-                    ctx.send(
-                        from,
-                        Msg::Refused {
-                            suite,
-                            req,
-                            reason: RefuseReason::Quarantined,
-                        },
-                    );
+                    self.refuse(from, suite, req, RefuseReason::Quarantined, ctx);
                     return;
                 }
                 // A prepare this site already knows — the coordinator
@@ -1436,15 +1399,7 @@ impl SuiteServer {
                 // front rather than promise on a stuck disk. Reads keep
                 // serving — committed state is intact.
                 if self.stalled(ctx.now()) {
-                    self.stats.disk_refusals += 1;
-                    ctx.send(
-                        from,
-                        Msg::Refused {
-                            suite,
-                            req,
-                            reason: RefuseReason::Disk,
-                        },
-                    );
+                    self.refuse(from, suite, req, RefuseReason::Disk, ctx);
                     return;
                 }
                 // Configuration staleness check per entry, before waiting
@@ -3047,7 +3002,7 @@ mod tests {
         let mut ctx = ctx_pair(&mut rng);
         s.handle_timer(REPAIR_TIMER_TAG | 1, &mut ctx);
         assert!(sent(&mut ctx).is_empty());
-        assert!(!s.anti_entropy_enabled());
+        assert!(s.anti_entropy.is_none());
     }
 
     fn gc_server() -> SuiteServer {
@@ -3111,8 +3066,6 @@ mod tests {
         // Two single-suite batches: one distinct suite each.
         assert_eq!(s.stats.wal_batch_suites, 2);
         assert_eq!(s.stats.commits, 1);
-        let h = s.metrics().histogram("wal_batch_size").expect("recorded");
-        assert_eq!(h.len(), 2);
     }
 
     #[test]
@@ -3167,8 +3120,6 @@ mod tests {
         assert_eq!(s.stats.wal_batched_records, 2);
         // The single flush absorbed writes to two distinct suites.
         assert_eq!(s.stats.wal_batch_suites, 2);
-        let h = s.metrics().histogram("wal_batch_suites").expect("recorded");
-        assert_eq!(h.len(), 1);
     }
 
     #[test]

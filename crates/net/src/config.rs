@@ -37,39 +37,6 @@ impl NetConfig {
         }
     }
 
-    /// The paper's two-level topology: sites in the same group talk at
-    /// `intra` latency, sites in different groups at `inter` latency.
-    ///
-    /// `group_of[s]` gives the network group of site `s`. Self-links use
-    /// `local`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group_of.len() != sites`.
-    pub fn clustered(
-        sites: usize,
-        group_of: &[usize],
-        local: LatencyModel,
-        intra: LatencyModel,
-        inter: LatencyModel,
-    ) -> Self {
-        assert_eq!(group_of.len(), sites, "one group per site required");
-        let mut cfg = NetConfig::uniform(sites, intra.clone());
-        for a in 0..sites {
-            for b in 0..sites {
-                let model = if a == b {
-                    local.clone()
-                } else if group_of[a] == group_of[b] {
-                    intra.clone()
-                } else {
-                    inter.clone()
-                };
-                cfg.latency[a][b] = model;
-            }
-        }
-        cfg
-    }
-
     /// Number of sites in the network.
     pub fn sites(&self) -> usize {
         self.sites
@@ -200,15 +167,6 @@ impl Partition {
         a == b || self.group_of[a.index()] == self.group_of[b.index()]
     }
 
-    /// The sites in the same group as `s`, including `s` itself.
-    pub fn reachable_from(&self, s: SiteId) -> Vec<SiteId> {
-        let g = self.group_of[s.index()];
-        (0..self.group_of.len())
-            .filter(|&i| self.group_of[i] == g)
-            .map(SiteId::from)
-            .collect()
-    }
-
     /// Number of sites covered.
     pub fn sites(&self) -> usize {
         self.group_of.len()
@@ -237,22 +195,6 @@ mod tests {
             }
         }
         assert_eq!(cfg.sites(), 3);
-    }
-
-    #[test]
-    fn clustered_matches_paper_topology() {
-        // Sites 0,1 on network A; site 2 across the internetwork.
-        let cfg = NetConfig::clustered(
-            3,
-            &[0, 0, 1],
-            LatencyModel::constant_millis(75),
-            LatencyModel::constant_millis(100),
-            LatencyModel::constant_millis(750),
-        );
-        assert_eq!(cfg.mean_latency_ms(SiteId(0), SiteId(0)), 75.0);
-        assert_eq!(cfg.mean_latency_ms(SiteId(0), SiteId(1)), 100.0);
-        assert_eq!(cfg.mean_latency_ms(SiteId(1), SiteId(2)), 750.0);
-        assert_eq!(cfg.mean_latency_ms(SiteId(2), SiteId(0)), 750.0);
     }
 
     #[test]
@@ -313,7 +255,6 @@ mod tests {
                 assert!(p.connected(a, b));
             }
         }
-        assert_eq!(p.reachable_from(SiteId(1)).len(), 4);
     }
 
     #[test]
@@ -325,7 +266,6 @@ mod tests {
         // Site 4 was unnamed: isolated, but still reaches itself.
         assert!(!p.connected(SiteId(4), SiteId(0)));
         assert!(p.connected(SiteId(4), SiteId(4)));
-        assert_eq!(p.reachable_from(SiteId(4)), vec![SiteId(4)]);
     }
 
     #[test]

@@ -124,16 +124,6 @@ impl<'a, M> NodeCtx<'a, M> {
         self.effects.push(Effect::Send { to, msg });
     }
 
-    /// Queues a message to every site in `to`, cloning the payload.
-    pub fn broadcast(&mut self, to: &[SiteId], msg: &M)
-    where
-        M: Clone,
-    {
-        for &site in to {
-            self.send(site, msg.clone());
-        }
-    }
-
     /// Requests a timer callback after `delay` carrying `token`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.effects.push(Effect::Timer { delay, token });
@@ -173,7 +163,8 @@ mod tests {
         assert_eq!(ctx.self_id(), SiteId(2));
         ctx.send(SiteId(0), 10);
         ctx.set_timer(SimDuration::from_millis(30), 77);
-        ctx.broadcast(&[SiteId(1), SiteId(3)], &42);
+        ctx.send(SiteId(1), 42);
+        ctx.send(SiteId(3), 42);
         assert_eq!(ctx.pending_effects(), 4);
         let effects = ctx.take_effects();
         assert_eq!(effects.len(), 4);

@@ -17,41 +17,11 @@
 //! * **Message order** between a pair of sites is not preserved when the
 //!   link's latency model is non-constant — exactly like a datagram network.
 
-use std::collections::VecDeque;
-
 use wv_sim::{DetRng, FailureSchedule, Scheduler, Sim, SimTime};
 
 use crate::config::{NetConfig, Partition};
 use crate::node::{Effect, Node, NodeCtx};
 use crate::site::SiteId;
-
-/// What happened to one message or timer, for the optional trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Delivered to the destination's handler.
-    Delivered,
-    /// Dropped at send time: sender and destination partitioned.
-    DroppedPartition,
-    /// Dropped at send time by link loss.
-    DroppedLink,
-    /// Dropped at delivery time: destination down.
-    DroppedDown,
-    /// A timer fired at the site.
-    TimerFired,
-}
-
-/// One entry in the transport trace ring buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When it happened (virtual time).
-    pub at: SimTime,
-    /// Sender (equals `to` for timer events).
-    pub from: SiteId,
-    /// Destination.
-    pub to: SiteId,
-    /// What happened.
-    pub kind: TraceKind,
-}
 
 /// Transport counters, useful for assertions and experiment reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -112,7 +82,6 @@ pub struct Cluster<N: Node> {
     down: Vec<bool>,
     node_rngs: Vec<DetRng>,
     net_rng: DetRng,
-    trace: Option<(usize, VecDeque<TraceEvent>)>,
     /// The effects vector of the last handler call, emptied, for the next.
     spare_effects: Vec<Effect<N::Msg>>,
 }
@@ -136,7 +105,6 @@ where
             node_rngs: (0..sites).map(|i| root.fork(i as u64 + 1)).collect(),
             net_rng: root.fork_named("network"),
             stats: NetStats::default(),
-            trace: None,
             spare_effects: Vec::new(),
             nodes,
             config,
@@ -147,31 +115,6 @@ where
     /// True if `site` is currently crashed.
     pub fn is_down(&self, site: SiteId) -> bool {
         self.down[site.index()]
-    }
-
-    /// Turns on transport tracing, keeping the most recent `capacity`
-    /// events. Call before (or during) a run; the trace is a debugging
-    /// aid and does not affect execution.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        assert!(capacity > 0, "trace capacity must be positive");
-        self.trace = Some((capacity, VecDeque::with_capacity(capacity)));
-    }
-
-    /// The recorded trace, oldest first (empty when tracing is off).
-    pub fn trace(&self) -> Vec<TraceEvent> {
-        self.trace
-            .as_ref()
-            .map(|(_, q)| q.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    fn record(&mut self, at: SimTime, from: SiteId, to: SiteId, kind: TraceKind) {
-        if let Some((cap, q)) = &mut self.trace {
-            if q.len() == *cap {
-                q.pop_front();
-            }
-            q.push_back(TraceEvent { at, from, to, kind });
-        }
     }
 
     /// Schedules a driver-initiated call into the node at `site`.
@@ -300,8 +243,6 @@ where
                             return;
                         }
                         world.stats.timers_fired += 1;
-                        let now = sched.now();
-                        world.record(now, from, from, TraceKind::TimerFired);
                         Self::run_node(world, sched, from, |node, ctx| node.on_timer(token, ctx));
                     });
                 }
@@ -317,15 +258,12 @@ where
         msg: N::Msg,
     ) {
         world.stats.sent += 1;
-        let now = sched.now();
         if !world.partition.connected(from, to) {
             world.stats.dropped_partition += 1;
-            world.record(now, from, to, TraceKind::DroppedPartition);
             return;
         }
         if world.config.sample_drop(from, to, &mut world.net_rng) {
             world.stats.dropped_link += 1;
-            world.record(now, from, to, TraceKind::DroppedLink);
             return;
         }
         if world.net_rng.chance(world.config.duplicate_prob) {
@@ -345,36 +283,14 @@ where
         payload: N::Msg,
     ) {
         sched.after(latency, move |world: &mut Cluster<N>, sched| {
-            let now = sched.now();
             if world.down[to.index()] {
                 world.stats.dropped_down += 1;
-                world.record(now, from, to, TraceKind::DroppedDown);
                 return;
             }
             world.stats.delivered += 1;
-            world.record(now, from, to, TraceKind::Delivered);
             Self::run_node(world, sched, to, |node, ctx| {
                 node.on_message(from, payload, ctx)
             });
-        });
-    }
-
-    /// Delivers `msg` twice, as if the network had duplicated it.
-    ///
-    /// Tests use this to exercise idempotence of protocol handlers at a
-    /// chosen instant, independent of [`NetConfig::duplicate_prob`].
-    pub fn inject_duplicate(
-        sched: &mut Scheduler<Cluster<N>>,
-        at: SimTime,
-        from: SiteId,
-        to: SiteId,
-        msg: N::Msg,
-    ) {
-        sched.at(at, move |world: &mut Cluster<N>, sched| {
-            let latency = world.config.sample_latency(from, to, &mut world.net_rng);
-            Self::schedule_delivery(sched, from, to, latency, msg.clone());
-            let latency2 = world.config.sample_latency(from, to, &mut world.net_rng);
-            Self::schedule_delivery(sched, from, to, latency2, msg);
         });
     }
 }
@@ -670,17 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn inject_duplicate_delivers_twice() {
-        let mut sim = two_nodes(3);
-        Cluster::inject_duplicate(sim.scheduler(), SimTime::ZERO, SiteId(0), SiteId(1), 11u32);
-        sim.run();
-        assert_eq!(
-            sim.world.nodes[1].received,
-            vec![(SiteId(0), 11), (SiteId(0), 11)]
-        );
-    }
-
-    #[test]
     fn same_seed_same_run() {
         let run = |seed: u64| {
             let mut cfg = NetConfig::uniform(
@@ -712,68 +617,6 @@ mod tests {
         };
         assert_eq!(run(99), run(99));
         assert_ne!(run(99).0, run(100).0);
-    }
-
-    #[test]
-    fn trace_records_deliveries_drops_and_timers() {
-        let mut sim = two_nodes(5);
-        sim.world.enable_trace(8);
-        Cluster::set_partition_at(
-            sim.scheduler(),
-            SimTime::ZERO,
-            Partition::isolate(2, SiteId(1)),
-        );
-        Cluster::invoke(
-            sim.scheduler(),
-            SimTime::from_millis(1),
-            SiteId(0),
-            |_n, ctx| {
-                ctx.send(SiteId(1), 1); // dropped: partition
-                ctx.send(SiteId(0), 2); // delivered (self link)
-                ctx.set_timer(SimDuration::from_millis(3), 9); // timer
-            },
-        );
-        sim.run();
-        let trace = sim.world.trace();
-        assert!(trace
-            .iter()
-            .any(|e| e.kind == TraceKind::DroppedPartition && e.to == SiteId(1)));
-        assert!(trace
-            .iter()
-            .any(|e| e.kind == TraceKind::Delivered && e.to == SiteId(0)));
-        assert!(trace.iter().any(|e| e.kind == TraceKind::TimerFired));
-        // Ordered oldest-first by time.
-        for pair in trace.windows(2) {
-            assert!(pair[0].at <= pair[1].at);
-        }
-    }
-
-    #[test]
-    fn trace_ring_buffer_keeps_only_the_tail() {
-        let mut sim = two_nodes(1);
-        sim.world.enable_trace(3);
-        for i in 0..10u64 {
-            Cluster::invoke(
-                sim.scheduler(),
-                SimTime::from_millis(i),
-                SiteId(0),
-                |_n, ctx| ctx.send(SiteId(1), 0),
-            );
-        }
-        sim.run();
-        let trace = sim.world.trace();
-        assert_eq!(trace.len(), 3, "capacity bound respected");
-        assert!(trace.iter().all(|e| e.kind == TraceKind::Delivered));
-    }
-
-    #[test]
-    fn trace_is_empty_when_disabled() {
-        let mut sim = two_nodes(1);
-        Cluster::invoke(sim.scheduler(), SimTime::ZERO, SiteId(0), |_n, ctx| {
-            ctx.send(SiteId(1), 0)
-        });
-        sim.run();
-        assert!(sim.world.trace().is_empty());
     }
 
     #[test]

@@ -119,45 +119,6 @@ impl LatencyModel {
     }
 }
 
-/// The paper's testbed access-latency constants, for convenience.
-///
-/// These reproduce the numbers in the "three example file suites" table:
-/// a weak representative on the local machine answers in 65 ms, the local
-/// file system in 75 ms, a server on the same local network in 100 ms, and
-/// a server across the internetwork in 750 ms.
-pub mod paper {
-    use super::LatencyModel;
-
-    /// Access latency of a weak representative held on the local machine.
-    pub const LOCAL_WEAK_MS: u64 = 65;
-    /// Access latency of the local file system.
-    pub const LOCAL_FS_MS: u64 = 75;
-    /// Access latency of a file server on the same local network.
-    pub const SAME_NET_MS: u64 = 100;
-    /// Access latency of a file server across the internetwork.
-    pub const CROSS_NET_MS: u64 = 750;
-
-    /// Constant model for a local weak representative.
-    pub fn local_weak() -> LatencyModel {
-        LatencyModel::constant_millis(LOCAL_WEAK_MS)
-    }
-
-    /// Constant model for the local file system.
-    pub fn local_fs() -> LatencyModel {
-        LatencyModel::constant_millis(LOCAL_FS_MS)
-    }
-
-    /// Constant model for a same-network file server.
-    pub fn same_net() -> LatencyModel {
-        LatencyModel::constant_millis(SAME_NET_MS)
-    }
-
-    /// Constant model for a cross-network file server.
-    pub fn cross_net() -> LatencyModel {
-        LatencyModel::constant_millis(CROSS_NET_MS)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,13 +207,5 @@ mod tests {
         let frac = slow as f64 / n as f64;
         assert!((frac - 0.25).abs() < 0.02, "slow fraction {frac}");
         assert!((m.mean_millis() - 25.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn paper_constants_match_table() {
-        assert_eq!(paper::local_weak().mean_millis(), 65.0);
-        assert_eq!(paper::local_fs().mean_millis(), 75.0);
-        assert_eq!(paper::same_net().mean_millis(), 100.0);
-        assert_eq!(paper::cross_net().mean_millis(), 750.0);
     }
 }

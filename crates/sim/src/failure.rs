@@ -135,38 +135,6 @@ impl FailureSchedule {
     pub fn windows(&self, site: usize) -> &[OutageWindow] {
         self.outages.get(site).map_or(&[], |v| v.as_slice())
     }
-
-    /// Fraction of `[0, horizon)` during which `site` is down.
-    pub fn downtime_fraction(&self, site: usize, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        let down: u64 = self
-            .windows(site)
-            .iter()
-            .map(|w| {
-                let from = w.from.min(horizon);
-                let until = w.until.min(horizon);
-                until.since(from).as_micros()
-            })
-            .sum();
-        down as f64 / horizon.as_micros() as f64
-    }
-
-    /// The next instant at or after `t` when `site`'s availability changes,
-    /// or `None` if it never changes again. Lets simulations schedule
-    /// crash/recover events exactly.
-    pub fn next_transition(&self, site: usize, t: SimTime) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
-        for w in self.windows(site) {
-            for edge in [w.from, w.until] {
-                if edge >= t {
-                    best = Some(best.map_or(edge, |b| b.min(edge)));
-                }
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -218,7 +186,9 @@ mod tests {
         let mttr = SimDuration::from_secs(10);
         let s = FailureSchedule::mttf_mttr(4, mttf, mttr, horizon, &mut rng);
         for site in 0..4 {
-            let frac = s.downtime_fraction(site, horizon);
+            // The generator clips its windows at the horizon.
+            let down: u64 = s.windows(site).iter().map(|w| w.length().as_micros()).sum();
+            let frac = down as f64 / horizon.as_micros() as f64;
             // Long-run unavailability should approach mttr/(mttf+mttr) = 0.1.
             assert!((frac - 0.1).abs() < 0.03, "site {site} downtime {frac}");
         }
@@ -294,35 +264,6 @@ mod tests {
                 assert!(pair[0].until <= pair[1].from, "overlapping outages");
             }
         }
-    }
-
-    #[test]
-    fn next_transition_finds_edges() {
-        let mut s = FailureSchedule::none(1);
-        s.add_outage(0, SimTime::from_millis(10), SimTime::from_millis(20));
-        s.add_outage(0, SimTime::from_millis(40), SimTime::from_millis(50));
-        assert_eq!(
-            s.next_transition(0, SimTime::ZERO),
-            Some(SimTime::from_millis(10))
-        );
-        assert_eq!(
-            s.next_transition(0, SimTime::from_millis(15)),
-            Some(SimTime::from_millis(20))
-        );
-        assert_eq!(
-            s.next_transition(0, SimTime::from_millis(25)),
-            Some(SimTime::from_millis(40))
-        );
-        assert_eq!(s.next_transition(0, SimTime::from_millis(60)), None);
-    }
-
-    #[test]
-    fn downtime_fraction_truncates_at_horizon() {
-        let mut s = FailureSchedule::none(1);
-        s.add_outage(0, SimTime::from_millis(50), SimTime::from_millis(150));
-        let frac = s.downtime_fraction(0, SimTime::from_millis(100));
-        assert!((frac - 0.5).abs() < 1e-9);
-        assert_eq!(s.downtime_fraction(0, SimTime::ZERO), 0.0);
     }
 
     #[test]

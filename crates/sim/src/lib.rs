@@ -15,10 +15,9 @@
 //! * [`rng::DetRng`] — seeded, forkable random streams.
 //! * [`dist::LatencyModel`] — the delay distributions used to model links
 //!   and storage devices.
-//! * [`stats`] — streaming statistics and sample sets for reporting.
+//! * [`stats`] — exact sample sets for reporting.
 //! * [`failure`] — crash/recovery schedules for availability experiments.
 //! * [`trace`] — deterministic per-operation spans stamped from sim time.
-//! * [`metrics`] — mergeable counters, gauges, and latency histograms.
 //! * [`audit`] — quorum-decision audit records: why each plan was chosen.
 //! * [`json`] — the minimal integer-only JSON used by every artifact.
 //! * [`vlog`] — verbosity-gated structured logging for bins.
@@ -44,7 +43,6 @@ pub mod audit;
 pub mod dist;
 pub mod failure;
 pub mod json;
-pub mod metrics;
 pub mod rng;
 pub mod sched;
 pub mod stats;
@@ -55,9 +53,8 @@ pub mod vlog;
 pub use audit::{AuditLog, AuditRecord, DecisionKind, SiteInput};
 pub use dist::LatencyModel;
 pub use failure::{FailureSchedule, OutageWindow};
-pub use metrics::{MetricsRegistry, Percentiles};
 pub use rng::{derive_seed, DetRng};
 pub use sched::{Scheduler, Sim};
-pub use stats::{Histogram, SampleSet, Summary};
+pub use stats::SampleSet;
 pub use time::{SimDuration, SimTime};
 pub use trace::{SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};

@@ -98,16 +98,6 @@ impl DetRng {
         }
     }
 
-    /// Draws a uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        let span = hi - lo;
-        if span == u64::MAX {
-            return self.next();
-        }
-        lo + self.below(span + 1)
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
@@ -150,24 +140,6 @@ impl DetRng {
         } else {
             let idx = self.below(items.len() as u64) as usize;
             Some(&items[idx])
-        }
-    }
-
-    /// Produces a uniformly random permutation of `0..n` (Fisher–Yates).
-    pub fn permutation(&mut self, n: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            v.swap(i, j);
-        }
-        v
-    }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
         }
     }
 
@@ -300,24 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn permutation_is_a_bijection() {
-        let mut r = DetRng::new(17);
-        let p = r.permutation(100);
-        let mut seen = [false; 100];
-        for &i in &p {
-            assert!(!seen[i]);
-            seen[i] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn below_and_range_bounds() {
+    fn below_stays_below_its_bound() {
         let mut r = DetRng::new(19);
         for _ in 0..1000 {
             assert!(r.below(7) < 7);
-            let x = r.range_inclusive(3, 5);
-            assert!((3..=5).contains(&x));
         }
     }
 

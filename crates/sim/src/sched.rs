@@ -232,11 +232,6 @@ impl<W> Sim<W> {
         }
         n
     }
-
-    /// Consumes the simulation, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
 }
 
 #[cfg(test)]

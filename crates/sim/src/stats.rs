@@ -1,47 +1,8 @@
 //! Statistics collection for experiment reporting.
 //!
-//! Two collectors cover every reporting need in the repository:
-//!
-//! * [`SampleSet`] keeps every observation and answers exact quantiles —
-//!   right for per-operation latencies, where runs produce at most a few
-//!   million points.
-//! * [`Histogram`] keeps fixed log-spaced buckets with O(1) memory — right
-//!   for long-running throughput simulations.
-//!
-//! Both produce a [`Summary`] for table printing.
-
-/// Point statistics of an observed distribution.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: u64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Minimum observation (0 if empty).
-    pub min: f64,
-    /// Maximum observation (0 if empty).
-    pub max: f64,
-    /// Median (exact for [`SampleSet`], interpolated for [`Histogram`]).
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-}
-
-impl Summary {
-    fn empty() -> Summary {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            min: 0.0,
-            max: 0.0,
-            p50: 0.0,
-            p95: 0.0,
-            p99: 0.0,
-        }
-    }
-}
+//! [`SampleSet`] keeps every observation and answers exact quantiles —
+//! right for per-operation latencies, where runs produce at most a few
+//! million points.
 
 /// An exact collector that retains every observation.
 #[derive(Clone, Debug, Default)]
@@ -132,27 +93,6 @@ impl SampleSet {
         self.values[idx.min(self.values.len() - 1)]
     }
 
-    /// Produces a [`Summary`] of the recorded observations.
-    pub fn summary(&mut self) -> Summary {
-        if self.values.is_empty() {
-            return Summary::empty();
-        }
-        let mean = self.mean();
-        let p50 = self.quantile(0.50);
-        let p95 = self.quantile(0.95);
-        let p99 = self.quantile(0.99);
-        // `quantile` sorted the values; min/max are the ends.
-        Summary {
-            count: self.values.len() as u64,
-            mean,
-            min: self.values[0],
-            max: *self.values.last().expect("non-empty"),
-            p50,
-            p95,
-            p99,
-        }
-    }
-
     /// Read-only view of the raw observations (unspecified order).
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -162,172 +102,6 @@ impl SampleSet {
     pub fn merge(&mut self, other: &SampleSet) {
         self.values.extend_from_slice(&other.values);
         self.sorted = false;
-    }
-}
-
-/// A constant-memory histogram with log-spaced buckets.
-///
-/// Buckets span `[min_value, max_value]` geometrically; observations outside
-/// the range clamp into the first/last bucket. Quantiles are answered by
-/// linear interpolation inside the winning bucket, giving a relative error
-/// bounded by the bucket width ratio.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    min_value: f64,
-    growth: f64,
-    counts: Vec<u64>,
-    total: u64,
-    sum: f64,
-    observed_min: f64,
-    observed_max: f64,
-}
-
-impl Histogram {
-    /// Creates a histogram covering `[min_value, max_value]` with
-    /// `buckets` log-spaced buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_value <= 0`, `max_value <= min_value`, or
-    /// `buckets == 0`; histogram geometry is a programming decision, not a
-    /// runtime input.
-    pub fn new(min_value: f64, max_value: f64, buckets: usize) -> Self {
-        assert!(min_value > 0.0, "log-spaced buckets need min_value > 0");
-        assert!(max_value > min_value, "empty histogram range");
-        assert!(buckets > 0, "need at least one bucket");
-        let growth = (max_value / min_value).powf(1.0 / buckets as f64);
-        Histogram {
-            min_value,
-            growth,
-            counts: vec![0; buckets],
-            total: 0,
-            sum: 0.0,
-            observed_min: f64::INFINITY,
-            observed_max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// A histogram suited to millisecond latencies from 0.01 ms to 100 s.
-    pub fn for_latency_ms() -> Self {
-        Histogram::new(0.01, 100_000.0, 280)
-    }
-
-    fn bucket_of(&self, v: f64) -> usize {
-        if v <= self.min_value {
-            return 0;
-        }
-        let idx = (v / self.min_value).ln() / self.growth.ln();
-        (idx as usize).min(self.counts.len() - 1)
-    }
-
-    fn bucket_bounds(&self, idx: usize) -> (f64, f64) {
-        let lo = self.min_value * self.growth.powi(idx as i32);
-        (lo, lo * self.growth)
-    }
-
-    /// Records one observation. Non-finite values are ignored.
-    pub fn record(&mut self, v: f64) {
-        if !v.is_finite() {
-            return;
-        }
-        let idx = self.bucket_of(v);
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += v;
-        self.observed_min = self.observed_min.min(v);
-        self.observed_max = self.observed_max.max(v);
-    }
-
-    /// Number of observations recorded.
-    pub fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// True if no observations have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Arithmetic mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
-    /// Approximate quantile, or `None` when the histogram holds fewer than
-    /// two observations (see [`SampleSet::try_quantile`] for the rationale).
-    pub fn try_quantile(&self, q: f64) -> Option<f64> {
-        if self.total < 2 {
-            return None;
-        }
-        Some(self.quantile(q))
-    }
-
-    /// Approximate quantile; `q` in `[0, 1]`.
-    ///
-    /// Returns 0 on an empty histogram; prefer [`Histogram::try_quantile`]
-    /// when the caller can distinguish "no data" from a genuine zero.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if cum + c >= target {
-                let (lo, hi) = self.bucket_bounds(idx);
-                let within = (target - cum) as f64 / c as f64;
-                let est = lo + (hi - lo) * within;
-                // Never report outside what was actually observed.
-                return est.clamp(self.observed_min, self.observed_max);
-            }
-            cum += c;
-        }
-        self.observed_max
-    }
-
-    /// Produces a [`Summary`]; quantiles are interpolated.
-    pub fn summary(&self) -> Summary {
-        if self.total == 0 {
-            return Summary::empty();
-        }
-        Summary {
-            count: self.total,
-            mean: self.mean(),
-            min: self.observed_min,
-            max: self.observed_max,
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-        }
-    }
-
-    /// Merges another histogram with identical geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms were built with different geometry.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.counts.len(), other.counts.len(), "geometry mismatch");
-        assert!(
-            (self.min_value - other.min_value).abs() < f64::EPSILON
-                && (self.growth - other.growth).abs() < f64::EPSILON,
-            "geometry mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.observed_min = self.observed_min.min(other.observed_min);
-        self.observed_max = self.observed_max.max(other.observed_max);
     }
 }
 
@@ -346,10 +120,6 @@ mod tests {
         assert_eq!(s.quantile(0.5), 3.0);
         assert_eq!(s.quantile(0.0), 1.0);
         assert_eq!(s.quantile(1.0), 5.0);
-        let sum = s.summary();
-        assert_eq!(sum.min, 1.0);
-        assert_eq!(sum.max, 5.0);
-        assert_eq!(sum.count, 5);
     }
 
     #[test]
@@ -360,15 +130,6 @@ mod tests {
         s.record(2.0);
         assert_eq!(s.len(), 1);
         assert_eq!(s.mean(), 2.0);
-    }
-
-    #[test]
-    fn sample_set_empty_summary_is_zeroed() {
-        let mut s = SampleSet::new();
-        let sum = s.summary();
-        assert_eq!(sum.count, 0);
-        assert_eq!(sum.mean, 0.0);
-        assert_eq!(sum.p99, 0.0);
     }
 
     #[test]
@@ -392,67 +153,10 @@ mod tests {
         assert_eq!(a.mean(), 2.0);
     }
 
-    #[test]
-    fn histogram_mean_is_exact() {
-        let mut h = Histogram::for_latency_ms();
-        for v in [65.0, 75.0, 100.0, 750.0] {
-            h.record(v);
-        }
-        assert_eq!(h.len(), 4);
-        assert!((h.mean() - 247.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_close() {
-        let mut h = Histogram::for_latency_ms();
-        for i in 1..=1000 {
-            h.record(i as f64);
-        }
-        let p50 = h.quantile(0.5);
-        let p99 = h.quantile(0.99);
-        assert!((p50 - 500.0).abs() / 500.0 < 0.05, "p50 {p50}");
-        assert!((p99 - 990.0).abs() / 990.0 < 0.05, "p99 {p99}");
-        assert_eq!(h.quantile(0.0).round(), 1.0);
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let mut h = Histogram::new(1.0, 10.0, 4);
-        h.record(0.001);
-        h.record(1e9);
-        assert_eq!(h.len(), 2);
-        let s = h.summary();
-        assert_eq!(s.min, 0.001);
-        assert_eq!(s.max, 1e9);
-        // Quantiles stay within observed bounds despite clamped buckets.
-        assert!(h.quantile(0.5) >= 0.001 && h.quantile(0.5) <= 1e9);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new(1.0, 100.0, 10);
-        let mut b = Histogram::new(1.0, 100.0, 10);
-        a.record(2.0);
-        b.record(50.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert!((a.mean() - 26.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "geometry mismatch")]
-    fn histogram_merge_rejects_mismatched_geometry() {
-        let mut a = Histogram::new(1.0, 100.0, 10);
-        let b = Histogram::new(1.0, 100.0, 20);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = Histogram::for_latency_ms();
-        assert!(h.is_empty());
-        assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.summary().count, 0);
+    /// Everything a report reads off a sample set, for whole-set equality.
+    fn points(s: &mut SampleSet) -> (usize, f64, [f64; 5]) {
+        let qs = [0.0, 0.5, 0.95, 0.99, 1.0].map(|q| s.quantile(q));
+        (s.len(), s.mean(), qs)
     }
 
     #[test]
@@ -467,18 +171,8 @@ mod tests {
         left.merge(&filled);
         let mut right = filled.clone();
         right.merge(&SampleSet::new());
-        assert_eq!(left.summary(), right.summary());
+        assert_eq!(points(&mut left), points(&mut right));
         assert_eq!(left.len(), 3);
-
-        let mut hf = Histogram::new(1.0, 100.0, 10);
-        hf.record(2.0);
-        hf.record(60.0);
-        let mut hl = Histogram::new(1.0, 100.0, 10);
-        hl.merge(&hf);
-        let mut hr = hf.clone();
-        hr.merge(&Histogram::new(1.0, 100.0, 10));
-        assert_eq!(hl.summary(), hr.summary());
-        assert_eq!(hl.len(), 2);
 
         // Merging two empties stays empty and quantile-less.
         let mut ee = SampleSet::new();
@@ -501,15 +195,6 @@ mod tests {
         assert_eq!(a.try_quantile(0.0), Some(10.0));
         assert_eq!(a.try_quantile(1.0), Some(30.0));
         assert_eq!(a.quantile(0.5), 10.0); // nearest-rank on n=2
-
-        let mut ha = Histogram::new(1.0, 100.0, 10);
-        let mut hb = Histogram::new(1.0, 100.0, 10);
-        ha.record(10.0);
-        hb.record(30.0);
-        assert_eq!(ha.try_quantile(0.5), None);
-        ha.merge(&hb);
-        let q = ha.try_quantile(0.5).expect("two samples after merge");
-        assert!((10.0..=30.0).contains(&q), "p50 {q} outside observed range");
     }
 
     #[test]
@@ -519,18 +204,14 @@ mod tests {
         let chunks: [&[f64]; 3] = [&[5.0, 2.0], &[], &[8.0, 2.0, 11.0]];
         let build = |order: &[usize]| {
             let mut s = SampleSet::new();
-            let mut h = Histogram::for_latency_ms();
             for &i in order {
                 let mut cs = SampleSet::new();
-                let mut ch = Histogram::for_latency_ms();
                 for &v in chunks[i] {
                     cs.record(v);
-                    ch.record(v);
                 }
                 s.merge(&cs);
-                h.merge(&ch);
             }
-            (s.summary(), h.summary())
+            points(&mut s)
         };
         let forward = build(&[0, 1, 2]);
         for order in [[2, 1, 0], [1, 2, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2]] {
@@ -547,12 +228,5 @@ mod tests {
         s.record(43.0);
         assert_eq!(s.try_quantile(0.0), Some(42.0));
         assert_eq!(s.try_quantile(1.0), Some(43.0));
-
-        let mut h = Histogram::for_latency_ms();
-        assert_eq!(h.try_quantile(0.5), None);
-        h.record(10.0);
-        assert_eq!(h.try_quantile(0.5), None);
-        h.record(20.0);
-        assert!(h.try_quantile(0.5).is_some());
     }
 }

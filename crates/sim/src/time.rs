@@ -63,11 +63,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -254,8 +249,6 @@ mod tests {
         let b = SimTime::from_millis(75);
         assert_eq!(b.since(a), SimDuration::from_millis(65));
         assert_eq!(a.since(b), SimDuration::ZERO);
-        assert_eq!(a.checked_since(b), None);
-        assert_eq!(b.checked_since(a), Some(SimDuration::from_millis(65)));
     }
 
     #[test]

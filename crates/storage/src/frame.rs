@@ -1,6 +1,6 @@
 //! Checksummed on-disk framing for WAL records.
 //!
-//! Each [`Record`](crate::Record) is encoded as one frame:
+//! Each [`Record`] is encoded as one frame:
 //!
 //! ```text
 //! +-------+---------+------------+------------+----------------+

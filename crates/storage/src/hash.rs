@@ -7,7 +7,7 @@
 //! [`IdHashMap`]:
 //!
 //! * only for keys the program generates — names arriving from outside
-//!   (the directory's path map) keep the default hasher;
+//!   keep the default hasher;
 //! * never let iteration order reach an output: sort, or be
 //!   order-insensitive, exactly as with the default hasher.
 //!

@@ -44,11 +44,6 @@ impl Version {
     pub fn next(self) -> Version {
         Version(self.0.checked_add(1).expect("version counter overflow"))
     }
-
-    /// True if this version strictly supersedes `other`.
-    pub fn is_newer_than(self, other: Version) -> bool {
-        self.0 > other.0
-    }
 }
 
 impl fmt::Debug for Version {
@@ -100,10 +95,6 @@ mod tests {
         let v0 = Version::INITIAL;
         let v1 = v0.next();
         let v2 = v1.next();
-        assert!(v1.is_newer_than(v0));
-        assert!(v2.is_newer_than(v1));
-        assert!(!v1.is_newer_than(v1));
-        assert!(!v0.is_newer_than(v2));
         assert_eq!(v2, Version(2));
         assert!(v0 < v1 && v1 < v2);
     }

@@ -10,7 +10,7 @@
 //! records would occupy on a real platter, framed and checksummed by
 //! [`crate::frame`]. The image is what disk faults damage: a torn write
 //! persists a partial prefix of the volatile tail, a bit flip corrupts a
-//! durable byte. Damage is reconciled by [`Wal::rescan`], which accepts
+//! durable byte. Damage is reconciled by `Wal::rescan`, which accepts
 //! the longest valid frame prefix and reports what was lost — the scanning
 //! recovery `Container::recover_from` is built on.
 //!
@@ -91,7 +91,7 @@ impl Record {
     }
 }
 
-/// What [`Wal::rescan`] found while reconciling the byte image.
+/// What `Wal::rescan` found while reconciling the byte image.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanReport {
     /// Records accepted by the scan (the new log length).

@@ -1,4 +1,4 @@
-//! Transaction substrate: locking and atomic multi-container commit.
+//! Transaction substrate: locking and the two-phase commit vote.
 //!
 //! Gifford's weighted voting runs *inside* transactions supplied by the
 //! underlying file system (Violet). This crate supplies that machinery:
@@ -12,10 +12,8 @@
 //! * [`shard`] — a suite-sharded wrapper around the lock manager: one
 //!   table per suite so disjoint suites never contend, with the flat
 //!   table's grant order preserved exactly.
-//! * [`twopc`] — pure coordinator/participant state machines for two-phase
-//!   commit, used by the suite servers to install a write at a quorum of
-//!   containers atomically, plus a synchronous helper for co-located
-//!   containers.
+//! * [`twopc`] — the vote a two-phase commit participant answers a
+//!   prepare with; the client in `wv-core` is the coordinator.
 
 #![warn(missing_docs)]
 
@@ -25,4 +23,4 @@ pub mod twopc;
 
 pub use lock::{DeadlockPolicy, LockManager, LockMode, LockReply, TxToken};
 pub use shard::{shard_key, ShardedLockManager};
-pub use twopc::{commit_across, Coordinator, Decision, Vote};
+pub use twopc::Vote;

@@ -142,14 +142,6 @@ impl ShardedLockManager {
         total
     }
 
-    /// Per-suite counters, in suite order.
-    pub fn per_suite_stats(&self) -> Vec<(ObjectId, LockStats)> {
-        let mut out: Vec<(ObjectId, LockStats)> =
-            self.shards.iter().map(|(k, s)| (*k, s.stats())).collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
-    }
-
     /// How many suite shards have been materialised.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -256,7 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_aggregate_and_break_down_per_suite() {
+    fn stats_aggregate_across_suites() {
         let mut lm = ShardedLockManager::new(DeadlockPolicy::WaitDie);
         lm.lock(t(5), ObjectId(1), LockMode::Exclusive);
         lm.lock(t(1), ObjectId(1), LockMode::Shared); // queued
@@ -268,12 +260,6 @@ mod tests {
         assert_eq!(total.queued, 1);
         assert_eq!(total.aborted, 1);
         assert_eq!(total.promoted, 1);
-        let per = lm.per_suite_stats();
-        assert_eq!(per.len(), 2);
-        assert_eq!(per[0].0, ObjectId(1));
-        assert_eq!(per[0].1.promoted, 1);
-        assert_eq!(per[1].0, ObjectId(2));
-        assert_eq!(per[1].1.granted, 1);
         assert!(!lm.is_quiescent());
         lm.release_all(t(1));
         assert!(lm.is_quiescent());

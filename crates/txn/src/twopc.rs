@@ -1,12 +1,11 @@
-//! Two-phase commit: pure state machines plus a co-located helper.
+//! The two-phase commit vote vocabulary.
 //!
-//! The suite servers in `wv-core` drive the [`Coordinator`] over the
-//! network; because it is a pure state machine (feed votes, read the
-//! decision), its correctness is testable without any transport.
-
-use std::collections::BTreeMap;
-
-use wv_storage::{Container, StorageError, TxId};
+//! The coordinator is the client in `wv-core`: it sends the prepares,
+//! tallies each participant's [`Vote`], logs the commit decision and
+//! tells the participants (`send_prepares` → `on_prepare_vote` →
+//! `log_commit_decision` in `wv_core::client`). The suite servers are the
+//! participants. This module holds the one type both sides and the wire
+//! protocol share.
 
 /// A participant's vote.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -15,262 +14,4 @@ pub enum Vote {
     Yes,
     /// The participant cannot commit.
     No,
-}
-
-/// The coordinator's decision.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Decision {
-    /// All participants voted yes: commit everywhere.
-    Commit,
-    /// Some participant voted no, failed, or timed out: abort everywhere.
-    Abort,
-}
-
-/// The coordinator state machine for one distributed transaction.
-///
-/// Generic over the participant id type `P` so it is usable with site ids,
-/// container indices, or anything else hashable.
-///
-/// # Examples
-///
-/// ```
-/// use wv_txn::{Coordinator, Decision, Vote};
-///
-/// let mut c = Coordinator::new(vec!["a", "b"]);
-/// assert_eq!(c.record_vote("a", Vote::Yes), None);
-/// assert_eq!(c.record_vote("b", Vote::Yes), Some(Decision::Commit));
-/// assert_eq!(c.decision(), Some(Decision::Commit));
-/// ```
-#[derive(Clone, Debug)]
-pub struct Coordinator<P: Ord> {
-    votes: BTreeMap<P, Option<Vote>>,
-    decision: Option<Decision>,
-}
-
-impl<P: Ord + Copy> Coordinator<P> {
-    /// A coordinator awaiting votes from `participants`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `participants` is empty — a transaction with no
-    /// participants has nothing to decide.
-    pub fn new(participants: impl IntoIterator<Item = P>) -> Self {
-        let votes: BTreeMap<P, Option<Vote>> =
-            participants.into_iter().map(|p| (p, None)).collect();
-        assert!(!votes.is_empty(), "two-phase commit needs participants");
-        Coordinator {
-            votes,
-            decision: None,
-        }
-    }
-
-    /// Records a vote. Returns the decision if this vote settles it.
-    ///
-    /// Votes from unknown participants and re-votes after a decision are
-    /// ignored (duplicate-delivery tolerance).
-    pub fn record_vote(&mut self, from: P, vote: Vote) -> Option<Decision> {
-        if self.decision.is_some() {
-            return self.decision;
-        }
-        let effective = match self.votes.get_mut(&from) {
-            None => return None, // unknown participant: ignore
-            Some(slot) => {
-                // First vote wins; a contradictory duplicate must not flip
-                // anything, so the decision logic uses the recorded vote.
-                if slot.is_none() {
-                    *slot = Some(vote);
-                }
-                slot.expect("just ensured set")
-            }
-        };
-        if effective == Vote::No {
-            self.decision = Some(Decision::Abort);
-        } else if self.votes.values().all(|v| *v == Some(Vote::Yes)) {
-            self.decision = Some(Decision::Commit);
-        }
-        self.decision
-    }
-
-    /// Forces an abort (vote timeout or participant crash).
-    ///
-    /// Idempotent; returns the decision in force. Aborting after a commit
-    /// decision is ignored — the decision is immutable once reached.
-    pub fn force_abort(&mut self) -> Decision {
-        if self.decision.is_none() {
-            self.decision = Some(Decision::Abort);
-        }
-        self.decision.expect("just set")
-    }
-
-    /// The decision, if reached.
-    pub fn decision(&self) -> Option<Decision> {
-        self.decision
-    }
-
-    /// Participants that have not voted yet.
-    pub fn outstanding(&self) -> Vec<P> {
-        self.votes
-            .iter()
-            .filter(|(_, v)| v.is_none())
-            .map(|(p, _)| *p)
-            .collect()
-    }
-
-    /// All participants.
-    pub fn participants(&self) -> Vec<P> {
-        self.votes.keys().copied().collect()
-    }
-}
-
-/// Atomically commits transactions across co-located containers.
-///
-/// This is the one-process fast path (all representatives in reach of one
-/// call stack): prepare everything, then commit everything, aborting all if
-/// any prepare fails. Returns the decision.
-///
-/// # Panics
-///
-/// Panics if `containers` and `txs` have different lengths.
-pub fn commit_across(containers: &mut [&mut Container], txs: &[TxId]) -> Decision {
-    assert_eq!(containers.len(), txs.len(), "one tx per container");
-    let mut prepared = Vec::new();
-    let mut ok = true;
-    for (c, &tx) in containers.iter_mut().zip(txs) {
-        match c.prepare(tx) {
-            Ok(()) => prepared.push(true),
-            Err(StorageError::Crashed) | Err(_) => {
-                prepared.push(false);
-                ok = false;
-                break;
-            }
-        }
-    }
-    if ok {
-        for (c, &tx) in containers.iter_mut().zip(txs) {
-            c.commit(tx).expect("prepared transaction must commit");
-        }
-        Decision::Commit
-    } else {
-        for ((c, &tx), was_prepared) in containers
-            .iter_mut()
-            .zip(txs)
-            .zip(prepared.into_iter().chain(std::iter::repeat(false)))
-        {
-            // Abort what we prepared and anything still active; ignore
-            // containers that already failed.
-            if was_prepared || c.phase(tx).is_some() {
-                let _ = c.abort(tx);
-            }
-        }
-        Decision::Abort
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bytes::Bytes;
-    use wv_storage::{ObjectId, Version};
-
-    #[test]
-    fn unanimous_yes_commits() {
-        let mut c = Coordinator::new([1, 2, 3]);
-        assert_eq!(c.record_vote(1, Vote::Yes), None);
-        assert_eq!(c.outstanding(), vec![2, 3]);
-        assert_eq!(c.record_vote(2, Vote::Yes), None);
-        assert_eq!(c.record_vote(3, Vote::Yes), Some(Decision::Commit));
-        assert_eq!(c.decision(), Some(Decision::Commit));
-    }
-
-    #[test]
-    fn any_no_aborts_immediately() {
-        let mut c = Coordinator::new([1, 2, 3]);
-        assert_eq!(c.record_vote(2, Vote::No), Some(Decision::Abort));
-        // Later yes votes cannot resurrect it.
-        assert_eq!(c.record_vote(1, Vote::Yes), Some(Decision::Abort));
-        assert_eq!(c.record_vote(3, Vote::Yes), Some(Decision::Abort));
-    }
-
-    #[test]
-    fn duplicate_votes_are_idempotent() {
-        let mut c = Coordinator::new([1, 2]);
-        assert_eq!(c.record_vote(1, Vote::Yes), None);
-        assert_eq!(c.record_vote(1, Vote::Yes), None);
-        // A contradictory duplicate is ignored: first vote wins.
-        assert_eq!(c.record_vote(1, Vote::No), None);
-        assert_eq!(c.record_vote(2, Vote::Yes), Some(Decision::Commit));
-    }
-
-    #[test]
-    fn unknown_participant_is_ignored() {
-        let mut c = Coordinator::new([1]);
-        assert_eq!(c.record_vote(9, Vote::No), None);
-        assert_eq!(c.record_vote(1, Vote::Yes), Some(Decision::Commit));
-    }
-
-    #[test]
-    fn force_abort_before_decision() {
-        let mut c = Coordinator::new([1, 2]);
-        c.record_vote(1, Vote::Yes);
-        assert_eq!(c.force_abort(), Decision::Abort);
-        assert_eq!(c.record_vote(2, Vote::Yes), Some(Decision::Abort));
-    }
-
-    #[test]
-    fn force_abort_after_commit_is_ignored() {
-        let mut c = Coordinator::new([1]);
-        assert_eq!(c.record_vote(1, Vote::Yes), Some(Decision::Commit));
-        assert_eq!(c.force_abort(), Decision::Commit);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs participants")]
-    fn empty_participant_set_rejected() {
-        let _: Coordinator<u32> = Coordinator::new([]);
-    }
-
-    fn staged(containers: &mut [Container]) -> Vec<TxId> {
-        containers
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| {
-                let tx = c.begin().expect("begin");
-                c.stage_put(tx, ObjectId(7), Version(1), Bytes::from(format!("site{i}")))
-                    .expect("stage");
-                tx
-            })
-            .collect()
-    }
-
-    #[test]
-    fn commit_across_installs_everywhere() {
-        let mut containers = vec![Container::new(), Container::new(), Container::new()];
-        let txs = staged(&mut containers);
-        let mut refs: Vec<&mut Container> = containers.iter_mut().collect();
-        assert_eq!(commit_across(&mut refs, &txs), Decision::Commit);
-        for c in &containers {
-            assert_eq!(c.read_version(ObjectId(7)).expect("read"), Version(1));
-        }
-    }
-
-    #[test]
-    fn commit_across_aborts_all_when_one_participant_fails() {
-        let mut containers = vec![Container::new(), Container::new(), Container::new()];
-        let txs = staged(&mut containers);
-        // Second participant crashes before prepare.
-        containers[1].crash();
-        let mut refs: Vec<&mut Container> = containers.iter_mut().collect();
-        assert_eq!(commit_across(&mut refs, &txs), Decision::Abort);
-        containers[1].recover();
-        for c in &containers {
-            assert_eq!(c.read_version(ObjectId(7)).expect("read"), Version(0));
-            assert!(c.in_doubt().is_empty(), "no dangling prepared state");
-        }
-    }
-
-    #[test]
-    fn participants_accessor() {
-        let c = Coordinator::new(["x", "y"]);
-        assert_eq!(c.participants(), vec!["x", "y"]);
-    }
 }

@@ -10,7 +10,7 @@
 //! * [`sim`] (`wv-sim`) — the discrete-event kernel.
 //! * [`net`] (`wv-net`) — simulated and thread transports.
 //! * [`storage`] (`wv-storage`) — write-ahead-logged containers.
-//! * [`txn`] (`wv-txn`) — locking and two-phase commit.
+//! * [`txn`] (`wv-txn`) — locking and the two-phase commit vote.
 //! * [`baselines`] (`wv-baselines`) — ROWA, primary copy, majority
 //!   consensus.
 //! * [`analysis`] (`wv-analysis`) — closed-form latency and availability
@@ -40,8 +40,8 @@
 //! ```
 //!
 //! The runnable binaries in `examples/` walk through the paper's
-//! scenarios; `crates/bench/src/bin/` regenerates every table and figure
-//! (see `DESIGN.md` and `EXPERIMENTS.md`).
+//! scenarios; `wv-exp` (in `crates/chaos`) regenerates every table and
+//! figure (see `DESIGN.md` and `EXPERIMENTS.md`).
 
 #![warn(missing_docs)]
 

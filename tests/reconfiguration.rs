@@ -20,7 +20,6 @@ fn promoting_a_weak_representative_brings_it_current() {
         .client_options(weighted_voting::core::client::ClientOptions {
             // No cache fills: the weak representative must be brought
             // current by the reconfiguration itself, not by read traffic.
-            update_local_weak: false,
             optimistic_fetch: false,
             ..Default::default()
         })
