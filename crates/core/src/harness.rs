@@ -1706,48 +1706,6 @@ mod tests {
         assert_eq!(h.value_at(SiteId(2), suite).as_deref(), Some(&b"fresh"[..]));
     }
 
-    #[test]
-    fn weak_rep_none_matches_the_classic_client_exactly() {
-        // The paired-harness pin for the cache tier: an explicit
-        // `weak_rep: None` replays the classic client's history bit for
-        // bit — same versions, same virtual-time latencies, same wire
-        // traffic, same counters.
-        let mut classic = three_server_harness(74);
-        let mut pinned = HarnessBuilder::new()
-            .seed(74)
-            .site(SiteSpec::server(1))
-            .site(SiteSpec::server(1))
-            .site(SiteSpec::server(1))
-            .client()
-            .quorum(QuorumSpec::new(2, 2))
-            .client_options(ClientOptions {
-                weak_rep: None,
-                ..ClientOptions::default()
-            })
-            .build()
-            .expect("legal");
-        let suite = classic.suite_id();
-        for i in 0..5u8 {
-            let wa = classic.write(suite, vec![i]).expect("write");
-            let wb = pinned.write(suite, vec![i]).expect("write");
-            assert_eq!(wa.version, wb.version);
-            assert_eq!(wa.latency, wb.latency, "weak_rep off must not shift time");
-            let ra = classic.read(suite).expect("read");
-            let rb = pinned.read(suite).expect("read");
-            assert_eq!(ra.version, rb.version);
-            assert_eq!(ra.latency, rb.latency);
-        }
-        assert_eq!(
-            classic.net_stats(),
-            pinned.net_stats(),
-            "identical wire history"
-        );
-        assert_eq!(
-            classic.client_stats(SiteId(3)),
-            pinned.client_stats(SiteId(3))
-        );
-    }
-
     fn cache_tier_harness(seed: u64, wr: crate::client::WeakRepOptions) -> Harness {
         HarnessBuilder::new()
             .seed(seed)

@@ -12,7 +12,8 @@
 //!
 //! Every prepare collects its commit locks in object order. A lock that
 //! is taken makes the prepare stand in that object's *line*, ordered by
-//! `(lock_ts, req)`; a release hands the lock to the oldest waiter. An
+//! `(lock_ts, req)`; a release hands the lock to the oldest waiter.
+//! Holder and line are one entry of the site's [`LockTable`]. An
 //! older prepare never waits behind a younger one for long: a younger
 //! holder still collecting locks here is aborted on the spot, one that
 //! is already staged gets a [`Msg::Busy`] give-way notice for its
@@ -28,8 +29,7 @@ use wv_net::{Node, NodeCtx, SiteId};
 use wv_sim::trace::{SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};
 use wv_sim::{SimDuration, SimTime};
 use wv_storage::{Container, IdHashMap, ObjectId, TxId, Version};
-use wv_txn::lock::{DeadlockPolicy, LockMode, LockReply, TxToken};
-use wv_txn::shard::ShardedLockManager;
+use wv_txn::lock::{DeadlockPolicy, LockMode, LockReply, LockTable, TxToken};
 use wv_txn::Vote;
 
 use crate::msg::{Msg, PrepareWrite, RefuseReason, ReqId};
@@ -152,16 +152,6 @@ struct HeldRead {
     contents: bool,
 }
 
-/// Everything waiting for one object's commit lock.
-#[derive(Debug, Default)]
-struct Line {
-    /// Prepares, oldest first.
-    prepares: BTreeSet<TxToken>,
-    /// Answered from committed state when the lock is released, before
-    /// the oldest prepare is granted.
-    reads: Vec<HeldRead>,
-}
-
 /// A response held back until the in-flight group-commit sync lands. The
 /// WAL record backing it is already appended (volatile); the response may
 /// only leave once that record is durable.
@@ -203,14 +193,15 @@ impl Deferred {
 pub struct SuiteServer {
     site: SiteId,
     container: Container,
-    locks: ShardedLockManager,
-    policy: DeadlockPolicy,
+    /// The commit locks, each with the line of prepares waiting for it.
+    locks: LockTable,
     configs: IdHashMap<ObjectId, SuiteConfig>,
     pending: IdHashMap<ReqId, PendingWrite>,
     collecting: IdHashMap<ReqId, Collecting>,
-    /// Per commit-locked object, who waits for it. An entry exists only
-    /// while the object is locked.
-    lines: IdHashMap<ObjectId, Line>,
+    /// Per commit-locked object, the reads held behind the lock: answered
+    /// from committed state when it is released, before the oldest
+    /// prepare in line is granted.
+    held_reads: IdHashMap<ObjectId, Vec<HeldRead>>,
     /// How long a prepared transaction waits before probing its
     /// coordinator for the decision.
     resolve_after: SimDuration,
@@ -276,9 +267,9 @@ impl SuiteServer {
     /// Each suite's configuration is committed into the container (the
     /// replicated prefix) at a version equal to its generation; data
     /// objects start at [`Version::INITIAL`] with empty contents.
-    /// `policy` reaches the commit locks in one way: under
-    /// [`DeadlockPolicy::NoWait`] a prepare that meets a taken lock votes
-    /// No at once instead of joining the line (the E8 ablation).
+    /// `policy` goes to the lock table: under [`DeadlockPolicy::NoWait`]
+    /// it turns away a prepare that meets a taken lock, which votes No at
+    /// once instead of joining the line (the E8 ablation).
     pub fn new(site: SiteId, configs: Vec<SuiteConfig>, policy: DeadlockPolicy) -> Self {
         let mut container = Container::new();
         let mut map = IdHashMap::default();
@@ -299,12 +290,11 @@ impl SuiteServer {
         SuiteServer {
             site,
             container,
-            locks: ShardedLockManager::new(policy),
-            policy,
+            locks: LockTable::new(policy),
             configs: map,
             pending: IdHashMap::default(),
             collecting: IdHashMap::default(),
-            lines: IdHashMap::default(),
+            held_reads: IdHashMap::default(),
             resolve_after: SimDuration::from_secs(5),
             checkpoint_threshold: CHECKPOINT_RECORDS,
             anti_entropy: None,
@@ -729,18 +719,14 @@ impl SuiteServer {
                 break;
             };
             // A lock released but not yet handed off (its line is still
-            // being served) is not free: the oldest in line gets it.
-            let holder = self.locks.exclusive_holder(object);
-            let awaited = self
-                .lines
-                .get(&object)
-                .is_some_and(|l| !l.prepares.is_empty());
-            if holder.is_some() || awaited {
-                return self.join_line(req, object, holder, ctx);
+            // being served) is not free: the table keeps it for the
+            // oldest in line.
+            match self.locks.lock(c.token, object, LockMode::Exclusive) {
+                LockReply::Granted => c.held += 1,
+                LockReply::Queued => return self.wait_in_line(req, object, ctx),
+                // The no-wait ablation: never stand in line.
+                LockReply::Aborted => return self.drop_collecting(req, true, ctx),
             }
-            let reply = self.locks.lock(c.token, object, LockMode::Exclusive);
-            debug_assert_eq!(reply, LockReply::Granted, "nothing waits inside the table");
-            c.held += 1;
         }
         let c = self.collecting.remove(&req).expect("present above");
         if let (Some(id), Some(tr)) = (c.span, self.tracer.as_mut()) {
@@ -749,19 +735,14 @@ impl SuiteServer {
         self.finish_prepare(c, ctx)
     }
 
-    /// `req` cannot have `object`'s lock yet: stand in the object's line
-    /// and tell the coordinator, or — under the no-wait ablation — vote
-    /// No at once. An older `req` makes a younger `holder` give way.
-    fn join_line(
+    /// `req` stands in `object`'s line: tell the coordinator, and if
+    /// `req` is older than the lock's holder make the younger give way.
+    fn wait_in_line(
         &mut self,
         req: ReqId,
         object: ObjectId,
-        holder: Option<TxToken>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) -> Vec<ObjectId> {
-        if self.policy == DeadlockPolicy::NoWait {
-            return self.drop_collecting(req, true, ctx);
-        }
         let c = self.collecting.get_mut(&req).expect("caller holds it");
         let (from, token, suite) = (c.from, c.token, c.suite());
         if c.span.is_none() {
@@ -770,7 +751,6 @@ impl SuiteServer {
                 c.span = Some(tr.start(kind, suite.0, req.0, None, Some(from.0), 0, ctx.now()));
             }
         }
-        self.lines.entry(object).or_default().prepares.insert(token);
         ctx.send(
             from,
             Msg::Busy {
@@ -779,7 +759,7 @@ impl SuiteServer {
                 give_way: false,
             },
         );
-        let Some(holder) = holder.filter(|h| token < *h) else {
+        let Some(holder) = self.locks.holder(object).filter(|h| token < *h) else {
             return Vec::new();
         };
         // Older waits for younger: the one edge a deadlock needs. A
@@ -817,12 +797,8 @@ impl SuiteServer {
         let Some(c) = self.collecting.remove(&req) else {
             return Vec::new();
         };
-        if let Some(line) = c
-            .writes
-            .get(c.held)
-            .and_then(|pw| self.lines.get_mut(&pw.object))
-        {
-            line.prepares.remove(&c.token);
+        if let Some(pw) = c.writes.get(c.held) {
+            self.locks.leave(c.token, pw.object);
         }
         if let (Some(id), Some(tr)) = (c.span, self.tracer.as_mut()) {
             tr.end(id, ctx.now(), SpanOutcome::Conflict);
@@ -830,8 +806,7 @@ impl SuiteServer {
         if vote_no {
             self.vote_no(c.from, c.suite(), req, ctx);
         }
-        self.locks.release_all(c.token);
-        c.writes[..c.held].iter().map(|pw| pw.object).collect()
+        self.locks.release_all(c.token)
     }
 
     /// Completes a prepare that holds all its locks: re-check what may
@@ -841,10 +816,7 @@ impl SuiteServer {
     /// [`Self::hand_off`]).
     fn finish_prepare(&mut self, c: Collecting, ctx: &mut NodeCtx<'_, Msg>) -> Vec<ObjectId> {
         let (suite, req) = (c.suite(), ReqId(c.token.id));
-        let unlock = |s: &mut Self| {
-            s.locks.release_all(c.token);
-            c.writes.iter().map(|pw| pw.object).collect()
-        };
+        let unlock = |s: &mut Self| s.locks.release_all(c.token);
         // The generation is checked again now that the locks are held,
         // not only when the prepare arrived: a write that waited behind a
         // reconfiguration was planned on the superseded geometry, and
@@ -951,19 +923,12 @@ impl SuiteServer {
     fn hand_off(&mut self, freed: Vec<ObjectId>, ctx: &mut NodeCtx<'_, Msg>) {
         let mut freed = VecDeque::from(freed);
         while let Some(object) = freed.pop_front() {
-            let Some(line) = self.lines.get_mut(&object) else {
-                continue;
-            };
-            for r in std::mem::take(&mut line.reads) {
+            for r in self.held_reads.remove(&object).unwrap_or_default() {
                 self.answer_read(r, ctx);
             }
-            let line = self.lines.get_mut(&object).expect("present above");
-            let Some(next) = line.prepares.pop_first() else {
-                self.lines.remove(&object);
+            let Some(next) = self.locks.hand_off(object) else {
                 continue;
             };
-            let reply = self.locks.lock(next, object, LockMode::Exclusive);
-            debug_assert_eq!(reply, LockReply::Granted, "the lock was just released");
             let req = ReqId(next.id);
             self.collecting
                 .get_mut(&req)
@@ -977,10 +942,10 @@ impl SuiteServer {
     /// is one; [`Self::hand_off`] answers it at the release.
     fn hold_if_locked(&mut self, read: HeldRead) -> bool {
         let object = data_object(read.suite);
-        let locked = self.locks.exclusive_holder(object).is_some();
+        let locked = self.locks.holder(object).is_some();
         if locked {
             self.stats.busy += 1;
-            self.lines.entry(object).or_default().reads.push(read);
+            self.held_reads.entry(object).or_default().push(read);
         }
         locked
     }
@@ -1113,8 +1078,8 @@ impl SuiteServer {
 
     /// Releases a staged prepare's commit locks and hands them off.
     fn unlock(&mut self, p: &PendingWrite, ctx: &mut NodeCtx<'_, Msg>) {
-        self.locks.release_all(p.token);
-        self.hand_off(p.staged.iter().map(|(object, _)| *object).collect(), ctx);
+        let freed = self.locks.release_all(p.token);
+        self.hand_off(freed, ctx);
     }
 
     /// Applies a commit decision to `req`'s staging — flushed, or left
@@ -1246,7 +1211,7 @@ impl SuiteServer {
         let Some(cfg) = SuiteConfig::decode(&bytes) else {
             return;
         };
-        if self.locks.exclusive_holder(object).is_some() {
+        if self.locks.holder(object).is_some() {
             // An in-flight reconfiguration holds the object; whatever it
             // decides supersedes the pulled copy anyway.
             return;
@@ -1278,48 +1243,22 @@ impl SuiteServer {
     pub fn handle(&mut self, from: SiteId, msg: Msg, ctx: &mut NodeCtx<'_, Msg>) {
         match msg {
             Msg::VersionReq { suite, req, floor } => {
-                // A quarantined replica's committed state may have
-                // regressed; answering a version inquiry would let a
-                // reader count its vote toward a quorum that misses a
-                // decided write. Its votes are surrendered until repair.
-                if self.quarantined {
-                    self.refuse(from, suite, req, RefuseReason::Quarantined, ctx);
-                    return;
-                }
                 let read = HeldRead {
                     from,
                     suite,
                     req,
                     contents: false,
                 };
-                // An exclusive holder has a superseding version staged;
-                // answering a reader with the committed one would let it
-                // assemble a quorum that misses a decided write. Across a
-                // reconfiguration that is fatal: the re-publication may be
-                // in doubt at exactly the representative bridging the old
-                // and new quorum geometries. In the paper, obtaining a
-                // version number and setting the read lock are one step;
-                // here the reader waits for the release. A writer's
-                // inquiry only wants a floor for the version it will be
-                // assigned under that same lock, and is answered at once.
-                if floor || !self.hold_if_locked(read) {
-                    self.answer_read(read, ctx);
-                }
+                self.serve_read(read, floor, ctx);
             }
             Msg::ReadReq { suite, req } => {
-                if self.quarantined {
-                    self.refuse(from, suite, req, RefuseReason::Quarantined, ctx);
-                    return;
-                }
                 let read = HeldRead {
                     from,
                     suite,
                     req,
                     contents: true,
                 };
-                if !self.hold_if_locked(read) {
-                    self.answer_read(read, ctx);
-                }
+                self.serve_read(read, false, ctx);
             }
             Msg::ConfigReq { suite, req } => {
                 if let Some(cfg) = self.configs.get(&suite) {
@@ -1337,137 +1276,18 @@ impl SuiteServer {
                 suite,
                 version,
                 value,
-            } => {
-                let object = data_object(suite);
-                let committed = self
-                    .container
-                    .read_version(object)
-                    .unwrap_or(Version::INITIAL);
-                // Monotonic install: never regress the cache, and never
-                // overwrite while a write transaction holds the object.
-                // An injected I/O error drops this fire-and-forget
-                // refresh; a later push retries.
-                if version > committed
-                    && self.locks.exclusive_holder(object).is_none()
-                    && self.install(object, version, value)
-                {
-                    self.stats.weak_updates += 1;
-                }
-            }
+            } => self.on_update_weak(suite, version, value),
             Msg::Prepare {
                 req,
-                mut writes,
+                writes,
                 lock_ts,
                 rebase,
-            } => {
-                self.stats.prepares += 1;
-                let suite = writes.first().map(|pw| pw.suite).unwrap_or(ObjectId(0));
-                // A quarantined replica must not promise an install it may
-                // not be able to keep durable; its vote is surrendered.
-                if self.quarantined {
-                    self.refuse(from, suite, req, RefuseReason::Quarantined, ctx);
-                    return;
-                }
-                // A prepare this site already knows — the coordinator
-                // re-asking, or a network duplicate — is answered from
-                // where it stands and never staged or queued twice.
-                if let Some(p) = self.pending.get(&req) {
-                    let suite = p.suite;
-                    // A vote still behind the sync leaves with the flush.
-                    if !self.sync_queue.iter().any(|d| d.req() == req) {
-                        self.vote_yes(from, suite, req, ctx);
-                    }
-                    return;
-                }
-                if let Some(c) = self.collecting.get(&req) {
-                    // It stands where it stood, but the notices sent then
-                    // may have been lost: say it all again.
-                    let object = c.writes[c.held].object;
-                    let holder = self.locks.exclusive_holder(object);
-                    let freed = self.join_line(req, object, holder, ctx);
-                    self.hand_off(freed, ctx);
-                    return;
-                }
-                // A re-ask about a prepare this site no longer knows: it
-                // crashed since, and the line died with it.
-                if writes.is_empty() {
-                    self.vote_no(from, suite, req, ctx);
-                    return;
-                }
-                // An injected sync stall holds the WAL device: the prepare
-                // record could not become durable in time, so refuse up
-                // front rather than promise on a stuck disk. Reads keep
-                // serving — committed state is intact.
-                if self.stalled(ctx.now()) {
-                    self.refuse(from, suite, req, RefuseReason::Disk, ctx);
-                    return;
-                }
-                // Configuration staleness check per entry, before waiting
-                // for anything (and again once the locks are held).
-                if let Some((suite, generation)) = self.superseded(&writes) {
-                    self.stats.stale_config += 1;
-                    ctx.send(
-                        from,
-                        Msg::StaleConfig {
-                            suite,
-                            req,
-                            generation,
-                        },
-                    );
-                    return;
-                }
-                // One global acquisition order within the site.
-                writes.sort_by_key(|pw| pw.object);
-                self.collecting.insert(
-                    req,
-                    Collecting {
-                        from,
-                        token: TxToken::new(lock_ts, req.0),
-                        writes,
-                        rebase,
-                        held: 0,
-                        span: None,
-                    },
-                );
-                let freed = self.collect(req, ctx);
-                self.hand_off(freed, ctx);
-            }
+            } => self.on_prepare(from, req, writes, lock_ts, rebase, ctx),
             Msg::Commit {
                 suite,
                 req,
                 versions,
-            } => {
-                if self.group_commit.is_some() {
-                    // Both the apply and the ack wait for the sync so the
-                    // Commit record is durable before the coordinator can
-                    // forget the decision. Duplicates defer too; run_sync
-                    // finds nothing pending and just re-acks.
-                    self.defer(
-                        Deferred::Commit {
-                            to: from,
-                            suite,
-                            req,
-                            versions,
-                        },
-                        ctx,
-                    );
-                    return;
-                }
-                if let Some(p) = self.install_decision(req, &versions, ctx) {
-                    self.maybe_checkpoint();
-                    self.unlock(&p, ctx);
-                }
-                // Idempotent ack either way: a duplicate commit means the
-                // decision was commit.
-                ctx.send(
-                    from,
-                    Msg::Ack {
-                        suite,
-                        req,
-                        committed: true,
-                    },
-                );
-            }
+            } => self.on_commit(from, suite, req, versions, ctx),
             Msg::Abort { suite, req } => {
                 self.apply_abort(req, ctx);
                 ctx.send(
@@ -1480,118 +1300,317 @@ impl SuiteServer {
                 );
             }
             Msg::RepairPull { suite, have, full } => {
-                if !self.configs.contains_key(&suite) {
-                    return;
-                }
-                // A quarantined replica must not seed peers: its committed
-                // state is exactly what is under suspicion.
-                if self.quarantined {
-                    return;
-                }
-                // A full pull's answer is the puller's proof that this
-                // peer's state is wholly absorbed — but a prepared,
-                // undecided write on the suite means the committed answer
-                // may be missing a version that in fact committed: the
-                // quarantined puller itself may have applied that commit
-                // before losing its log, and healing without it would let
-                // the same version number commit twice. Stay silent; the
-                // puller's next probe round retries after the doubt
-                // resolves.
-                if full && self.pending.values().any(|p| p.suite == suite) {
-                    return;
-                }
-                let version = self.data_version(suite);
-                // A `full` pull (a quarantined peer rebuilding) is always
-                // answered — the answer itself is the puller's evidence it
-                // absorbed this peer's state, even when nothing is newer.
-                if full || version > have {
-                    self.stats.repair_serves += 1;
-                    // A full pull rebuilds a replica that may have lost
-                    // everything, geometry included: ship the committed
-                    // configuration object alongside the data so the
-                    // puller rejoins under the current quorum assignment
-                    // rather than whatever generation its seed manifest
-                    // remembers.
-                    let config = if full {
-                        self.container
-                            .read(config_object(suite))
-                            .ok()
-                            .map(|vv| (vv.version, vv.value))
-                    } else {
-                        None
-                    };
-                    ctx.send(
-                        from,
-                        Msg::RepairState {
-                            suite,
-                            version,
-                            value: self.data_value(suite),
-                            config,
-                        },
-                    );
-                }
+                self.on_repair_pull(from, suite, have, full, ctx);
             }
             Msg::RepairState {
                 suite,
                 version,
                 value,
                 config,
-            } => {
-                if !self.configs.contains_key(&suite) {
-                    return;
-                }
-                // Absorb the peer's configuration first: if this replica
-                // rejoined on its seed manifest after losing the log, the
-                // data below must be judged under the current geometry,
-                // and the quarantine ledger must drain against the
-                // current peer set, not the manifest's.
-                if let Some((cfg_version, cfg_bytes)) = config {
-                    self.absorb_repair_config(suite, cfg_version, cfg_bytes);
-                }
-                let object = data_object(suite);
-                let committed = self
-                    .container
-                    .read_version(object)
-                    .unwrap_or(Version::INITIAL);
-                // Same monotonic rule as weak updates: only strictly newer
-                // committed state, and never underneath a commit lock. The
-                // sender only ships committed state, so repair can neither
-                // resurrect an undecided write nor regress a version.
-                let absorbed = if version > committed {
-                    if self.locks.exclusive_holder(object).is_some() {
-                        // An in-doubt transaction still holds the object;
-                        // the next probe round pulls again.
-                        false
-                    } else if self.install(object, version, value) {
-                        self.stats.repairs_completed += 1;
-                        if let Some(tr) = self.tracer.as_mut() {
-                            tr.event(
-                                SpanKind::RepairInstall,
-                                suite.0,
-                                0,
-                                None,
-                                Some(from.0),
-                                version.0,
-                                ctx.now(),
-                            );
-                        }
-                        true
-                    } else {
-                        // Injected I/O error: the peer's state was not
-                        // absorbed, so it stays on the pending list.
-                        false
-                    }
-                } else {
-                    // Already at or past the peer's state.
-                    true
-                };
-                if absorbed {
-                    self.confirm_repair(suite, from, ctx);
-                }
-            }
+            } => self.on_repair_state(from, suite, version, value, config, ctx),
             // Client-bound messages that a composite node may mis-route
             // here are ignored.
             _ => {}
+        }
+    }
+
+    /// Serves a version inquiry (`floor` marks a writer's) or a content
+    /// read: refused under quarantine, held behind a commit lock, or
+    /// answered from committed state.
+    fn serve_read(&mut self, read: HeldRead, floor: bool, ctx: &mut NodeCtx<'_, Msg>) {
+        // A quarantined replica's committed state may have
+        // regressed; answering a version inquiry would let a
+        // reader count its vote toward a quorum that misses a
+        // decided write. Its votes are surrendered until repair.
+        if self.quarantined {
+            self.refuse(
+                read.from,
+                read.suite,
+                read.req,
+                RefuseReason::Quarantined,
+                ctx,
+            );
+            return;
+        }
+        // An exclusive holder has a superseding version staged;
+        // answering a reader with the committed one would let it
+        // assemble a quorum that misses a decided write. Across a
+        // reconfiguration that is fatal: the re-publication may be
+        // in doubt at exactly the representative bridging the old
+        // and new quorum geometries. In the paper, obtaining a
+        // version number and setting the read lock are one step;
+        // here the reader waits for the release. A writer's
+        // inquiry only wants a floor for the version it will be
+        // assigned under that same lock, and is answered at once.
+        if floor || !self.hold_if_locked(read) {
+            self.answer_read(read, ctx);
+        }
+    }
+
+    /// A fire-and-forget refresh pushed at a weak representative.
+    fn on_update_weak(&mut self, suite: ObjectId, version: Version, value: Bytes) {
+        let object = data_object(suite);
+        let committed = self
+            .container
+            .read_version(object)
+            .unwrap_or(Version::INITIAL);
+        // Monotonic install: never regress the cache, and never
+        // overwrite while a write transaction holds the object.
+        // An injected I/O error drops this fire-and-forget
+        // refresh; a later push retries.
+        if version > committed
+            && self.locks.holder(object).is_none()
+            && self.install(object, version, value)
+        {
+            self.stats.weak_updates += 1;
+        }
+    }
+
+    /// Phase one of a commit: answer a prepare this site already knows
+    /// from where it stands, else check it and start collecting its locks.
+    fn on_prepare(
+        &mut self,
+        from: SiteId,
+        req: ReqId,
+        mut writes: Vec<PrepareWrite>,
+        lock_ts: u64,
+        rebase: bool,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        self.stats.prepares += 1;
+        let suite = writes.first().map(|pw| pw.suite).unwrap_or(ObjectId(0));
+        // A quarantined replica must not promise an install it may
+        // not be able to keep durable; its vote is surrendered.
+        if self.quarantined {
+            self.refuse(from, suite, req, RefuseReason::Quarantined, ctx);
+            return;
+        }
+        // A prepare this site already knows — the coordinator
+        // re-asking, or a network duplicate — is answered from
+        // where it stands and never staged or queued twice.
+        if let Some(p) = self.pending.get(&req) {
+            let suite = p.suite;
+            // A vote still behind the sync leaves with the flush.
+            if !self.sync_queue.iter().any(|d| d.req() == req) {
+                self.vote_yes(from, suite, req, ctx);
+            }
+            return;
+        }
+        if self.collecting.contains_key(&req) {
+            // It stands where it stood, but the notices sent then
+            // may have been lost: say it all again.
+            let freed = self.collect(req, ctx);
+            self.hand_off(freed, ctx);
+            return;
+        }
+        // A re-ask about a prepare this site no longer knows: it
+        // crashed since, and the line died with it.
+        if writes.is_empty() {
+            self.vote_no(from, suite, req, ctx);
+            return;
+        }
+        // An injected sync stall holds the WAL device: the prepare
+        // record could not become durable in time, so refuse up
+        // front rather than promise on a stuck disk. Reads keep
+        // serving — committed state is intact.
+        if self.stalled(ctx.now()) {
+            self.refuse(from, suite, req, RefuseReason::Disk, ctx);
+            return;
+        }
+        // Configuration staleness check per entry, before waiting
+        // for anything (and again once the locks are held).
+        if let Some((suite, generation)) = self.superseded(&writes) {
+            self.stats.stale_config += 1;
+            ctx.send(
+                from,
+                Msg::StaleConfig {
+                    suite,
+                    req,
+                    generation,
+                },
+            );
+            return;
+        }
+        // One global acquisition order within the site.
+        writes.sort_by_key(|pw| pw.object);
+        self.collecting.insert(
+            req,
+            Collecting {
+                from,
+                token: TxToken::new(lock_ts, req.0),
+                writes,
+                rebase,
+                held: 0,
+                span: None,
+            },
+        );
+        let freed = self.collect(req, ctx);
+        self.hand_off(freed, ctx);
+    }
+
+    /// The coordinator decided commit: apply, release, ack.
+    fn on_commit(
+        &mut self,
+        from: SiteId,
+        suite: ObjectId,
+        req: ReqId,
+        versions: Vec<(ObjectId, Version)>,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        if self.group_commit.is_some() {
+            // Both the apply and the ack wait for the sync so the
+            // Commit record is durable before the coordinator can
+            // forget the decision. Duplicates defer too; run_sync
+            // finds nothing pending and just re-acks.
+            self.defer(
+                Deferred::Commit {
+                    to: from,
+                    suite,
+                    req,
+                    versions,
+                },
+                ctx,
+            );
+            return;
+        }
+        if let Some(p) = self.install_decision(req, &versions, ctx) {
+            self.maybe_checkpoint();
+            self.unlock(&p, ctx);
+        }
+        // Idempotent ack either way: a duplicate commit means the
+        // decision was commit.
+        ctx.send(
+            from,
+            Msg::Ack {
+                suite,
+                req,
+                committed: true,
+            },
+        );
+    }
+
+    /// An anti-entropy pull: answer a stale or rebuilding peer with
+    /// committed state.
+    fn on_repair_pull(
+        &mut self,
+        from: SiteId,
+        suite: ObjectId,
+        have: Version,
+        full: bool,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        if !self.configs.contains_key(&suite) {
+            return;
+        }
+        // A quarantined replica must not seed peers: its committed
+        // state is exactly what is under suspicion.
+        if self.quarantined {
+            return;
+        }
+        // A full pull's answer is the puller's proof that this
+        // peer's state is wholly absorbed — but a prepared,
+        // undecided write on the suite means the committed answer
+        // may be missing a version that in fact committed: the
+        // quarantined puller itself may have applied that commit
+        // before losing its log, and healing without it would let
+        // the same version number commit twice. Stay silent; the
+        // puller's next probe round retries after the doubt
+        // resolves.
+        if full && self.pending.values().any(|p| p.suite == suite) {
+            return;
+        }
+        let version = self.data_version(suite);
+        // A `full` pull (a quarantined peer rebuilding) is always
+        // answered — the answer itself is the puller's evidence it
+        // absorbed this peer's state, even when nothing is newer.
+        if full || version > have {
+            self.stats.repair_serves += 1;
+            // A full pull rebuilds a replica that may have lost
+            // everything, geometry included: ship the committed
+            // configuration object alongside the data so the
+            // puller rejoins under the current quorum assignment
+            // rather than whatever generation its seed manifest
+            // remembers.
+            let config = if full {
+                self.container
+                    .read(config_object(suite))
+                    .ok()
+                    .map(|vv| (vv.version, vv.value))
+            } else {
+                None
+            };
+            ctx.send(
+                from,
+                Msg::RepairState {
+                    suite,
+                    version,
+                    value: self.data_value(suite),
+                    config,
+                },
+            );
+        }
+    }
+
+    /// A peer's answer to a repair pull: absorb what is strictly newer.
+    fn on_repair_state(
+        &mut self,
+        from: SiteId,
+        suite: ObjectId,
+        version: Version,
+        value: Bytes,
+        config: Option<(Version, Bytes)>,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        if !self.configs.contains_key(&suite) {
+            return;
+        }
+        // Absorb the peer's configuration first: if this replica
+        // rejoined on its seed manifest after losing the log, the
+        // data below must be judged under the current geometry,
+        // and the quarantine ledger must drain against the
+        // current peer set, not the manifest's.
+        if let Some((cfg_version, cfg_bytes)) = config {
+            self.absorb_repair_config(suite, cfg_version, cfg_bytes);
+        }
+        let object = data_object(suite);
+        let committed = self
+            .container
+            .read_version(object)
+            .unwrap_or(Version::INITIAL);
+        // Same monotonic rule as weak updates: only strictly newer
+        // committed state, and never underneath a commit lock. The
+        // sender only ships committed state, so repair can neither
+        // resurrect an undecided write nor regress a version.
+        let absorbed = if version > committed {
+            if self.locks.holder(object).is_some() {
+                // An in-doubt transaction still holds the object;
+                // the next probe round pulls again.
+                false
+            } else if self.install(object, version, value) {
+                self.stats.repairs_completed += 1;
+                if let Some(tr) = self.tracer.as_mut() {
+                    tr.event(
+                        SpanKind::RepairInstall,
+                        suite.0,
+                        0,
+                        None,
+                        Some(from.0),
+                        version.0,
+                        ctx.now(),
+                    );
+                }
+                true
+            } else {
+                // Injected I/O error: the peer's state was not
+                // absorbed, so it stays on the pending list.
+                false
+            }
+        } else {
+            // Already at or past the peer's state.
+            true
+        };
+        if absorbed {
+            self.confirm_repair(suite, from, ctx);
         }
     }
 
@@ -1632,14 +1651,14 @@ impl SuiteServer {
     /// Crash: volatile state is lost; the container keeps its durable log.
     pub fn handle_crash(&mut self) {
         self.container.crash();
-        self.locks = ShardedLockManager::new(self.policy);
+        self.locks.clear();
         self.pending.clear();
         // The lines die with the site: held reads go unanswered, and a
         // waiting prepare's coordinator finds out when it re-asks.
         // Lock-wait spans stay open in the record; an open span at a
         // crashed site is itself evidence.
         self.collecting.clear();
-        self.lines.clear();
+        self.held_reads.clear();
         self.configs.clear();
         // Orphan any in-flight repair tick; recovery arms a fresh epoch.
         self.repair_epoch += 1;
@@ -2143,6 +2162,73 @@ mod tests {
         // A younger arrival asks nothing of the holder.
         let out = deliver(&mut s, &mut rng, prepare(req(8), &[1]));
         assert_eq!(notices(&out), vec![(req(8), false)]);
+    }
+
+    #[test]
+    fn a_lock_freed_but_awaited_goes_to_the_oldest_in_line_not_to_whoever_asks_first() {
+        let suite2 = ObjectId(2);
+        let mut cfg2 = test_config();
+        cfg2.suite = suite2;
+        let mut s = SuiteServer::new(
+            SiteId(0),
+            vec![test_config(), cfg2],
+            DeadlockPolicy::WaitDie,
+        );
+        let mut rng = DetRng::new(17);
+        let prepare = |r: ReqId, suites: &[ObjectId]| Msg::Prepare {
+            req: r,
+            writes: suites
+                .iter()
+                .map(|&suite| PrepareWrite {
+                    suite,
+                    object: data_object(suite),
+                    version: Version(1),
+                    value: Bytes::from_static(b"v"),
+                    generation: 1,
+                })
+                .collect(),
+            lock_ts: r.counter(),
+            rebase: true,
+        };
+        // One transaction holds both suites. A young prepare wants both
+        // and stands in suite 1's line; an older one wants suite 2 only.
+        let (holder, young, older) = (req(1), req(5), req(3));
+        let out = deliver(&mut s, &mut rng, prepare(holder, &[SUITE, suite2]));
+        assert_eq!(yes_votes(&out), vec![(holder, 1)]);
+        let out = deliver(&mut s, &mut rng, prepare(young, &[SUITE, suite2]));
+        assert_eq!(notices(&out), vec![(young, false)]);
+        let out = deliver(&mut s, &mut rng, prepare(older, &[suite2]));
+        assert_eq!(notices(&out), vec![(older, false)]);
+        // The commit frees both locks at once. Suite 1 is handed off
+        // first and the young prepare goes on to ask for suite 2 before
+        // that one is: it is free, but owed to the older prepare in its
+        // line, so the young one stands behind it.
+        let out = deliver(
+            &mut s,
+            &mut rng,
+            Msg::Commit {
+                suite: SUITE,
+                req: holder,
+                versions: vec![
+                    (data_object(SUITE), Version(1)),
+                    (data_object(suite2), Version(1)),
+                ],
+            },
+        );
+        assert_eq!(notices(&out), vec![(young, false)]);
+        assert_eq!(yes_votes(&out), vec![(older, 2)]);
+        // Only the older prepare's commit lets the young one have it.
+        let out = deliver(
+            &mut s,
+            &mut rng,
+            Msg::Commit {
+                suite: suite2,
+                req: older,
+                versions: vec![(data_object(suite2), Version(2))],
+            },
+        );
+        assert_eq!(yes_votes(&out), vec![(young, 2)]);
+        assert_eq!(s.pending_writes(), 1);
     }
 
     #[test]

@@ -36,13 +36,6 @@ pub fn config_object(suite: ObjectId) -> ObjectId {
     ObjectId(suite.0 | CONFIG_TAG)
 }
 
-/// The suite any object belongs to: itself for data objects, the tagged
-/// suite for config objects. This is the lock-shard key — see
-/// `wv_txn::shard::shard_key`, which must agree with it.
-pub fn suite_of(object: ObjectId) -> ObjectId {
-    ObjectId(object.0 & !CONFIG_TAG)
-}
-
 /// True if `object` is a config object, and if so, for which suite.
 pub fn suite_of_config_object(object: ObjectId) -> Option<ObjectId> {
     if object.0 & CONFIG_TAG != 0 {
@@ -190,12 +183,6 @@ mod tests {
         assert_ne!(cfg, suite);
         assert_eq!(suite_of_config_object(cfg), Some(suite));
         assert_eq!(suite_of_config_object(suite), None);
-        // Both object kinds belong to the suite, and the lock-shard key
-        // in wv-txn agrees with this mapping bit for bit.
-        assert_eq!(suite_of(suite), suite);
-        assert_eq!(suite_of(cfg), suite);
-        assert_eq!(wv_txn::shard::shard_key(suite), suite_of(suite));
-        assert_eq!(wv_txn::shard::shard_key(cfg), suite_of(cfg));
     }
 
     #[test]

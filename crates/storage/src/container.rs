@@ -279,14 +279,7 @@ impl Container {
     /// `note` that recovery reports back via [`Container::in_doubt_notes`]
     /// (suite servers store the coordinating request id there).
     pub fn prepare_with_note(&mut self, tx: TxId, note: u64) -> Result<(), StorageError> {
-        self.check_up()?;
-        let st = self.live.get_mut(&tx).ok_or(StorageError::UnknownTx(tx))?;
-        if st.phase != TxPhase::Active {
-            return Err(StorageError::WrongPhase { tx, op: "prepare" });
-        }
-        st.phase = TxPhase::Prepared;
-        st.note = note;
-        self.wal.append(Record::Prepare { tx, note });
+        self.prepare_with_note_unflushed(tx, note)?;
         self.wal.flush();
         Ok(())
     }
@@ -313,13 +306,8 @@ impl Container {
     /// Works from both phases — committing an unprepared transaction is the
     /// local one-phase path.
     pub fn commit(&mut self, tx: TxId) -> Result<(), StorageError> {
-        self.check_up()?;
-        let st = self.live.remove(&tx).ok_or(StorageError::UnknownTx(tx))?;
-        self.wal.append(Record::Commit { tx });
+        self.commit_unflushed(tx)?;
         self.wal.flush();
-        for (obj, vv) in st.writes {
-            self.committed.insert(obj, vv);
-        }
         Ok(())
     }
 

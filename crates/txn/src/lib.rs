@@ -1,26 +1,23 @@
-//! Transaction substrate: locking and the two-phase commit vote.
+//! Transaction substrate: the commit-lock table and the commit vote.
 //!
 //! Gifford's weighted voting runs *inside* transactions supplied by the
-//! underlying file system (Violet). This crate supplies that machinery:
+//! underlying file system (Violet). What a representative needs of them
+//! is small, and this crate is all of it:
 //!
-//! * [`lock`] — a strict two-phase lock manager with the three modes the
-//!   paper's system used: `Shared` for readers, `IntendWrite` for writers
-//!   during the transaction body (compatible with readers, conflicting
-//!   with other writers), and `Exclusive` taken at commit point. Deadlocks
-//!   are handled by wait-die (with a no-wait variant for the ablation
-//!   bench).
-//! * [`shard`] — a suite-sharded wrapper around the lock manager: one
-//!   table per suite so disjoint suites never contend, with the flat
-//!   table's grant order preserved exactly.
+//! * [`lock`] — the commit-lock table every suite server runs: one
+//!   exclusive lock per object, held to the decision, with an age-ordered
+//!   line of waiters behind it. Readers take no lock.
 //! * [`twopc`] — the vote a two-phase commit participant answers a
 //!   prepare with; the client in `wv-core` is the coordinator.
 
 #![warn(missing_docs)]
 
 pub mod lock;
-pub mod shard;
 pub mod twopc;
 
-pub use lock::{DeadlockPolicy, LockManager, LockMode, LockReply, TxToken};
-pub use shard::{shard_key, ShardedLockManager};
+pub use lock::{DeadlockPolicy, LockMode, LockReply, LockTable, TxToken};
 pub use twopc::Vote;
+
+/// [`LockTable`] under the name the frozen `benchmark/` imports. Locks are
+/// per object, so there was never anything to shard.
+pub type ShardedLockManager = LockTable;

@@ -10,7 +10,8 @@
 //! * [`sim`] (`wv-sim`) — the discrete-event kernel.
 //! * [`net`] (`wv-net`) — simulated and thread transports.
 //! * [`storage`] (`wv-storage`) — write-ahead-logged containers.
-//! * [`txn`] (`wv-txn`) — locking and the two-phase commit vote.
+//! * [`txn`] (`wv-txn`) — the commit-lock table and the two-phase commit
+//!   vote.
 //! * [`baselines`] (`wv-baselines`) — ROWA, primary copy, majority
 //!   consensus.
 //! * [`analysis`] (`wv-analysis`) — closed-form latency and availability
