@@ -2,8 +2,10 @@
 //!
 //! The paper discusses operation cost in representative accesses; on a
 //! message-passing substrate each access is a request/response pair. For a
-//! suite with `h` hosting sites (strong + weak) and write quorum size
-//! `|W|` (sites, not votes):
+//! suite with `h` inquired hosts — every voting representative, plus
+//! each weak one cheap enough to be chosen as a fetch source ahead of
+//! some voting one (a workstation's own copy; another workstation's is
+//! not asked) — and write quorum size `|W|` (sites, not votes):
 //!
 //! * a **write** exchanges exactly `2h + 4|W|` messages — an inquiry and
 //!   answer per host, then prepare/vote and commit/ack per quorum member;

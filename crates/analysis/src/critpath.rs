@@ -12,6 +12,12 @@
 //! segments exactly partition `[root.start, root.end]`: every
 //! microsecond of operation latency is blamed on exactly one span.
 //!
+//! A write's root closes when the write is reported — at its commit
+//! decision — and the commit round's spans hang under that root but begin
+//! where it ends. A child that finishes after the cursor never gated
+//! anything, so the commit round is off the critical path by
+//! construction: a write's blame is inquiry, prepare and lock wait.
+//!
 //! Blame is attributed to a **site × phase** cell. For RPC and hedge
 //! spans the blamed site is the *peer* (the remote representative whose
 //! reply we were waiting on); for everything else it is the recording
@@ -378,6 +384,30 @@ mod tests {
         assert!(op.segments.iter().all(|s| s.kind != SpanKind::Hedge));
         let sum: u64 = op.segments.iter().map(|s| s.dur_us).sum();
         assert_eq!(sum, 40);
+    }
+
+    #[test]
+    fn a_commit_round_behind_a_root_closed_at_the_decision_is_off_the_path() {
+        // write [0,100], reported at its decision; the commit round hangs
+        // under the root and runs [100,150].
+        let spans = vec![
+            span(0, NO_PARENT, SpanKind::Write, 3, NO_PEER, 7, 0, 100),
+            span(1, 0, SpanKind::Inquiry, 3, NO_PEER, 7, 0, 40),
+            span(2, 0, SpanKind::Prepare, 3, NO_PEER, 7, 40, 100),
+            span(3, 2, SpanKind::Rpc, 3, 1, 7, 40, 100),
+            span(4, 0, SpanKind::Commit, 3, NO_PEER, 7, 100, 150),
+            span(5, 4, SpanKind::Rpc, 3, 1, 7, 100, 150),
+        ];
+        let profile = extract(&spans);
+        let op = &profile.ops[0];
+        assert_eq!(op.total_us, 100);
+        let got: Vec<(u32, u64, u64)> = op
+            .segments
+            .iter()
+            .map(|s| (s.span_id, s.start_us, s.dur_us))
+            .collect();
+        assert_eq!(got, vec![(1, 0, 40), (3, 40, 60)]);
+        assert!(profile.blame().keys().all(|(_, k)| *k != SpanKind::Commit));
     }
 
     #[test]

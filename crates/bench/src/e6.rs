@@ -272,9 +272,10 @@ pub fn run() -> String {
         "Three replicas + one client on a shared topology: the client sits \
          nearest backup 1 (80 ms access), other accesses cost 100 ms, and \
          primary-to-backup propagation links are slow (800 ms) so \
-         asynchronous lag is visible. Voting writes include all three \
-         protocol rounds; baselines use their native (cheaper, weaker) \
-         write paths.\n\n",
+         asynchronous lag is visible. Voting writes count the two rounds \
+         on the caller's path (inquire, prepare; the commit round \
+         finishes behind the report); baselines use their native write \
+         paths.\n\n",
     );
     // Every (scenario, system) probe builds its own cluster with a fixed
     // seed, so the whole grid fans out over the worker pool at once.

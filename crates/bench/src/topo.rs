@@ -157,7 +157,7 @@ mod tests {
         );
         assert_eq!(
             (client.stats.plan_cache_hits, client.stats.plan_cache_misses),
-            (7_999, 1)
+            (6_999, 1)
         );
     }
 }

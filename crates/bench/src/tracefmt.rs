@@ -202,8 +202,9 @@ mod tests {
         SimTime::from_micros(us)
     }
 
-    /// A handcrafted two-node write trace: inquiry fan-out, prepare,
-    /// commit, plus a server lock wait and WAL write.
+    /// A handcrafted two-node write trace: inquiry fan-out, prepare, the
+    /// root closing at the commit decision with the commit round behind
+    /// it, plus a server lock wait and WAL write.
     fn sample() -> Vec<SpanRecord> {
         let mut client = Tracer::new(3);
         let root = client.start(SpanKind::Write, 1, 0x30001, None, None, 0, t(0));
@@ -243,9 +244,9 @@ mod tests {
             t(300_000),
         );
         let c0 = client.start(SpanKind::Rpc, 1, 0x30001, Some(com), Some(0), 0, t(300_000));
+        client.end(root, t(300_000), SpanOutcome::Ok);
         client.end_with_detail(c0, t(450_000), SpanOutcome::Ok, 1);
         client.end(com, t(450_000), SpanOutcome::Ok);
-        client.end(root, t(450_000), SpanOutcome::Ok);
 
         let mut server = Tracer::new(0);
         let lw = server.start(SpanKind::LockWait, 1, 0x30001, None, Some(3), 0, t(160_000));

@@ -17,18 +17,20 @@
 //!   transaction. The commit decision — versions included — is logged
 //!   durably before any commit message leaves, so recovering participants
 //!   always get a correct answer to their decision probes (presumed abort
-//!   otherwise).
+//!   otherwise). That record is the commit point: the operation is
+//!   reported there and the commit round finishes behind it as a
+//!   `CommitTail` (see `reports_at_decision` for the two exceptions).
 //! * **Reconfigure**: a transaction that installs the new configuration
 //!   under the *old* configuration's write quorum and also re-installs the
 //!   current contents at the new one's — exactly the paper's rule for
 //!   changing vote assignments online.
 //!
 //! All three run the same state machine, `Inquire | WriteInquire → Fetch |
-//! Prepare → Commit`: a planner (`enter_prepare` or
-//! `enter_reconfig_prepare`) turns the inquiry's answers into per-site
-//! prepare batches plus the outcome to report on commit, and one driver
-//! (`send_prepares`) carries them through two-phase commit. Every site
-//! choice filters or prefixes the order `rank` returns.
+//! Prepare`, and a decided prepare leaves a commit tail: a planner
+//! (`enter_prepare` or `enter_reconfig_prepare`) turns the inquiry's
+//! answers into per-site prepare batches plus the outcome to report, and
+//! one driver (`send_prepares`) carries them through two-phase commit.
+//! Every site choice filters or prefixes the order `rank` returns.
 //!
 //! Every attempt uses a fresh request id (so late responses from a dead
 //! attempt can never contaminate a live one) while keeping the operation's
@@ -68,7 +70,9 @@ pub struct ClientOptions {
     pub backoff_cap: SimDuration,
     /// Attempts per operation before reporting failure.
     pub max_attempts: u32,
-    /// Commit resend rounds before reporting [`OpError::Indeterminate`].
+    /// Commit resend rounds before a commit tail stops resending and
+    /// leaves the participants it could not reach to their decision
+    /// probes. The outcome is decided either way.
     pub commit_resend_limit: u32,
     /// After a successful write, push the new value to every weak
     /// representative of the suite (the paper's background-update option).
@@ -227,9 +231,10 @@ pub struct ClientStats {
     pub reads_fetched: u64,
     /// Attempts that failed and were retried.
     pub retries: u64,
-    /// Phase timeouts that fired against a live operation (each marks a
-    /// protocol round that did not complete in time, whatever happened
-    /// next — retry, candidate switch, commit resend, or failure).
+    /// Phase timeouts that fired against a live operation or its commit
+    /// tail (each marks a protocol round that did not complete in time,
+    /// whatever happened next — retry, candidate switch, commit resend,
+    /// or failure).
     pub timeouts: u64,
     /// Operations abandoned because the attempt budget ran out.
     pub attempts_exhausted: u64,
@@ -429,14 +434,10 @@ enum Phase {
         /// Re-asks sent; each doubles the interval to the next.
         asks: u32,
     },
-    /// Commit decided, waiting for every participant's ack.
-    Commit {
-        participants: Vec<SiteId>,
-        acked: BTreeSet<SiteId>,
-        resends: u32,
-        /// The decided version of every object, as logged.
-        versions: Vec<(ObjectId, Version)>,
-    },
+    /// Decided, and one of the operations that report at the last ack:
+    /// parked until its [`CommitTail`] ends. Nothing a server says moves
+    /// it.
+    Decided,
     RefreshConfig,
     /// Cache-tier read waiting on another read's in-flight version
     /// inquiry for the same suite (the piggybacked/coalesced inquiry).
@@ -481,6 +482,16 @@ struct OpState {
     trace: Option<OpTrace>,
 }
 
+impl OpState {
+    /// The suites the operation inquires of and, unless it is a read,
+    /// installs at: every written suite — or, for reads and
+    /// reconfigurations (which carry no writes), the op's suite.
+    fn suites(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        let own = self.writes.is_empty().then_some(self.suite);
+        self.writes.iter().map(|(s, _)| *s).chain(own)
+    }
+}
+
 /// Span bookkeeping for one traced operation. Lives inside [`OpState`] so
 /// it follows the operation across retries (which change the request id).
 /// `None` whenever tracing is disabled — the untraced path allocates and
@@ -504,12 +515,56 @@ struct OpTrace {
     legs: Vec<(SiteId, SpanId)>,
 }
 
+/// The commit round of a decided operation, keyed by its request id: what
+/// is left to do once the outcome is durable in the decision log. Acks,
+/// commit resends, decision retirement, the push to weak representatives
+/// and configuration adoption all work on tails, for every kind of
+/// operation; a client crash drops them with the operations, and the
+/// recovered decision log answers the participants' probes.
+#[derive(Debug)]
+struct CommitTail {
+    suite: ObjectId,
+    participants: Vec<SiteId>,
+    acked: BTreeSet<SiteId>,
+    resends: u32,
+    /// The decided version of every object, as logged.
+    versions: Vec<(ObjectId, Version)>,
+    /// What the operation reports, and the configuration it adopts, when
+    /// the tail ends; `None` for one already reported at the decision
+    /// (see [`reports_at_decision`]).
+    then: Option<(OpSuccess, Option<SuiteConfig>)>,
+    /// The written version and value, for the weak representatives at
+    /// the last ack ([`ClientOptions::push_weak_on_write`]).
+    push: Option<(Version, Bytes)>,
+    /// The commit phase span and its per-site RPC spans. They hang under
+    /// the op's root but begin where a root closed at the decision ends,
+    /// so they lie off its critical path.
+    trace: Option<OpTrace>,
+}
+
+/// Whether an operation of `kind` installing at a suite configured `cfg`
+/// is reported at its commit decision instead of at the last ack.
+///
+/// Every participant holds its commit lock from its yes vote until it
+/// applies the decision, holds readers behind it, and takes it again
+/// before serving if it recovers in doubt; so with `r + w > N` a read
+/// that starts after the decision cannot assemble a quorum that misses
+/// the write. A *writer* that starts after the report is versioned above
+/// the unapplied write only by standing in line behind it at a shared
+/// representative (its floor inquiry is answered at once, from committed
+/// state), which needs `2w > N`; where write quorums need not intersect
+/// the report waits for the acks. So does a reconfiguration: the client
+/// adopts the new geometry at the last ack.
+fn reports_at_decision(kind: OpKind, cfg: &SuiteConfig) -> bool {
+    matches!(kind, OpKind::Write | OpKind::Transaction)
+        && 2 * cfg.quorum.write > cfg.assignment.total()
+}
+
 /// Maps an operation error to the span outcome recorded for it.
 fn op_err_outcome(err: &OpError) -> SpanOutcome {
     match err {
         OpError::Conflict => SpanOutcome::Conflict,
         OpError::Unavailable { .. } => SpanOutcome::Timeout,
-        OpError::Indeterminate => SpanOutcome::Timeout,
         _ => SpanOutcome::Err,
     }
 }
@@ -523,6 +578,9 @@ enum TimerKind {
     /// hedged request timing out alongside the original — can never reach
     /// the timeout bookkeeping and double-count `ClientStats::timeouts`.
     Hedge,
+    /// A commit tail's round went unacknowledged; `seq` is unused (a
+    /// tail has one timer out at a time, and request ids never repeat).
+    CommitResend,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -585,6 +643,8 @@ pub struct ClientNode {
     next_counter: u64,
     next_timer: u64,
     ops: IdHashMap<ReqId, OpState>,
+    /// Commit rounds still collecting acks, by the decided request id.
+    tails: IdHashMap<ReqId, CommitTail>,
     timers: IdHashMap<u64, TimerEntry>,
     /// Operations launched and not yet finished (excludes queued ones).
     active: usize,
@@ -705,6 +765,7 @@ impl ClientNode {
             next_counter: 1,
             next_timer: 1,
             ops: IdHashMap::default(),
+            tails: IdHashMap::default(),
             timers: IdHashMap::default(),
             active: 0,
             queue: VecDeque::new(),
@@ -733,8 +794,16 @@ impl ClientNode {
         self.tracer.is_some()
     }
 
-    /// Drains the recorded spans (empty when tracing is off).
+    /// Drains the recorded spans (empty when tracing is off). Whatever
+    /// is still in flight — a commit tail, usually — goes on untraced:
+    /// its span handles index the drained buffer.
     pub fn take_trace(&mut self) -> Vec<SpanRecord> {
+        for st in self.ops.values_mut() {
+            st.trace = None;
+        }
+        for tail in self.tails.values_mut() {
+            tail.trace = None;
+        }
         self.tracer.as_mut().map(Tracer::take).unwrap_or_default()
     }
 
@@ -830,9 +899,19 @@ impl ClientNode {
         outcome: SpanOutcome,
         detail: u64,
     ) {
-        let Some((tr, t)) = self.op_spans(req) else {
-            return;
-        };
+        if let Some((tr, t)) = self.op_spans(req) {
+            Self::end_rpc_span(tr, t, site, now, outcome, detail);
+        }
+    }
+
+    fn end_rpc_span(
+        tr: &mut Tracer,
+        t: &mut OpTrace,
+        site: SiteId,
+        now: SimTime,
+        outcome: SpanOutcome,
+        detail: u64,
+    ) {
         if let Some(pos) = t.rpcs.iter().position(|(s, _)| *s == site) {
             let (_, id) = t.rpcs.remove(pos);
             tr.end_with_detail(id, now, outcome, detail);
@@ -1595,8 +1674,7 @@ impl ClientNode {
                     ls.suite == suite && matches!(ls.phase, Phase::Inquire { .. })
                 });
             if live {
-                let sites = self.configs[&suite].assignment.entries();
-                let delay = self.phase_delay(sites.iter().map(|(s, _)| *s));
+                let delay = self.phase_delay(self.inquiry_set(OpKind::Read, suite));
                 let Some(st) = self.ops.get_mut(&req) else {
                     return true;
                 };
@@ -1618,18 +1696,43 @@ impl ClientNode {
         false
     }
 
+    /// The representatives of `suite` whose answer to an inquiry by an
+    /// operation of `kind` can matter, in send (declaration) order. Every
+    /// voting one, always: first-`r`-of-`N` latency and the health signal
+    /// depend on asking them all. A zero-vote one only if it precedes
+    /// some voting one in the plan's static `(cost, site id)` order — it
+    /// could then be chosen as the fetch source ahead of a voting copy,
+    /// as a workstation's own copy is over its self-link and another
+    /// workstation's is not. A reconfiguration asks everyone: its
+    /// responders must be able to form the *new* write quorum, which may
+    /// promote a weak copy. Whoever is not asked is never called silent.
+    fn inquiry_set(&self, kind: OpKind, suite: ObjectId) -> impl Iterator<Item = SiteId> + '_ {
+        let entries = self.configs[&suite].assignment.entries();
+        let costs = &self.costs;
+        let voting = entries.iter().filter(|(_, votes)| *votes > 0);
+        let last_voting = voting
+            .map(|(site, _)| *site)
+            .max_by(|a, b| by_cost(costs, *a, *b));
+        let matters = move |site: SiteId, votes: u32| {
+            votes > 0
+                || kind == OpKind::Reconfigure
+                || last_voting.is_some_and(|last| by_cost(costs, site, last).is_lt())
+        };
+        let asked = entries
+            .iter()
+            .filter(move |(site, votes)| matters(*site, *votes));
+        asked.map(|(site, _)| *site)
+    }
+
     /// The `(suite, site)` pairs one attempt of `st` inquires of, in send
-    /// order: every representative of every written suite — or, for reads
-    /// and reconfigurations (which carry no writes), of the op's suite.
+    /// order: the inquiry set of every suite it touches.
     fn inquiry_targets<'a>(
         &'a self,
         st: &'a OpState,
     ) -> impl Iterator<Item = (ObjectId, SiteId)> + 'a {
-        let own = st.writes.is_empty().then_some(st.suite);
-        let suites = st.writes.iter().map(|(s, _)| *s).chain(own);
-        suites.flat_map(|suite| {
-            let entries = self.configs[&suite].assignment.entries();
-            entries.iter().map(move |(site, _)| (suite, *site))
+        st.suites().flat_map(move |suite| {
+            let set = self.inquiry_set(st.kind, suite);
+            set.map(move |site| (suite, site))
         })
     }
 
@@ -2669,17 +2772,26 @@ impl ClientNode {
             (std::mem::take(participants), versions)
         };
         // Decide commit — durably, *before* any commit message leaves, so
-        // decision probes always get the truth.
+        // decision probes always get the truth. This is the commit point.
         self.log_commit_decision(req, &versions);
         let delay = self.phase_delay(participants.iter().copied());
-        if self.tracer.is_some() {
-            self.trace_event(req, SpanKind::WalWrite, 0, ctx.now());
-            self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
-            self.trace_begin_phase(req, SpanKind::Commit, ctx.now());
-            for site in &participants {
-                self.trace_add_rpc(req, *site, ctx.now());
+        let now = ctx.now();
+        self.trace_event(req, SpanKind::WalWrite, 0, now);
+        let trace = self.op_spans(req).map(|(tr, t)| {
+            Self::close_phase_spans(tr, t, now, SpanOutcome::Ok);
+            let phase = tr.start(SpanKind::Commit, t.suite, t.op, Some(t.root), None, 0, now);
+            let rpc = |site: &SiteId| {
+                let peer = Some(site.0);
+                let id = tr.start(SpanKind::Rpc, t.suite, t.op, Some(phase), peer, 0, now);
+                (*site, id)
+            };
+            OpTrace {
+                phase: Some(phase),
+                rpcs: participants.iter().map(rpc).collect(),
+                legs: Vec::new(),
+                ..*t
             }
-        }
+        });
         for site in &participants {
             let versions = versions.clone();
             ctx.send(
@@ -2692,15 +2804,57 @@ impl ClientNode {
             );
         }
         let st = self.ops.get_mut(&req).expect("op is live");
-        st.seq += 1;
-        let seq = st.seq;
-        st.phase = Phase::Commit {
+        st.seq += 1; // the prepare's timers are stale
+        st.phase = Phase::Decided;
+        let mut then = st.on_commit.take();
+        let (success, _) = then.as_ref().expect("a prepare sets on_commit");
+        let push = (self.options.push_weak_on_write && st.kind == OpKind::Write)
+            .then(|| (success.version, st.writes[0].1.clone()));
+        let at_decision = st
+            .suites()
+            .all(|s| reports_at_decision(st.kind, &self.configs[&s]));
+        let report = then.take_if(|_| at_decision);
+        let tail = CommitTail {
+            suite,
             participants,
             acked: BTreeSet::new(),
             resends: 0,
             versions,
+            then,
+            push,
+            trace,
         };
-        self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
+        self.tails.insert(req, tail);
+        self.arm_timer(req, 0, TimerKind::CommitResend, delay, ctx);
+        if let Some(outcome) = report {
+            self.report(req, suite, outcome, ctx);
+        }
+    }
+
+    /// Reports a committed operation: adopts the configuration it
+    /// installed (dropping the quorum plan built against the superseded
+    /// one), drops the attached weak representative's entry — and lease —
+    /// for every suite it wrote, so no later cache serve can return
+    /// overwritten data, and completes it. Here and nowhere later: an
+    /// entry a read validates after the report is newer than the write.
+    fn report(
+        &mut self,
+        req: ReqId,
+        suite: ObjectId,
+        (success, adopt): (OpSuccess, Option<SuiteConfig>),
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        if let Some(next) = adopt {
+            self.configs.insert(suite, next);
+            self.plans.remove(&suite);
+        }
+        if self.options.weak_rep.is_some() {
+            self.cache.remove(&suite);
+            for (s, _) in &success.multi {
+                self.cache.remove(s);
+            }
+        }
+        self.complete(req, Ok(success), ctx);
     }
 
     /// Ends an attempt that is still preparing: every participant is told
@@ -2883,71 +3037,103 @@ impl ClientNode {
         }
     }
 
-    fn on_ack(
-        &mut self,
-        from: SiteId,
-        suite: ObjectId,
-        req: ReqId,
-        committed: bool,
-        ctx: &mut NodeCtx<'_, Msg>,
-    ) {
+    /// A participant applied the decision; the last ack ends the tail.
+    fn on_ack(&mut self, from: SiteId, req: ReqId, committed: bool, ctx: &mut NodeCtx<'_, Msg>) {
         if !committed {
             return; // abort acks need no bookkeeping
         }
-        self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, 1);
-        let Some(st) = self.ops.get_mut(&req) else {
+        let Some(tail) = self.tails.get_mut(&req) else {
             return;
         };
-        let Phase::Commit {
-            participants,
-            acked,
-            ..
-        } = &mut st.phase
-        else {
+        if !tail.participants.contains(&from) {
+            return;
+        }
+        if let (Some(tr), Some(t)) = (self.tracer.as_mut(), tail.trace.as_mut()) {
+            Self::end_rpc_span(tr, t, from, ctx.now(), SpanOutcome::Ok, 1);
+        }
+        tail.acked.insert(from);
+        if tail.acked.len() == tail.participants.len() {
+            self.end_tail(req, true, ctx);
+        }
+    }
+
+    /// A commit round went unanswered: send the decision again to whoever
+    /// has not acked, up to the resend limit. Past it the tail ends with
+    /// the decision left unretired — the participants it could not reach
+    /// resolve through their own decision probes, as they would after a
+    /// client crash. The outcome was decided either way, so this is never
+    /// reported as doubt.
+    fn on_commit_timeout(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+        let Some(tail) = self.tails.get_mut(&req) else {
             return;
         };
-        if !participants.contains(&from) {
-            return;
-        }
-        acked.insert(from);
-        if acked.len() < participants.len() {
-            return;
-        }
-        // Every participant has applied the commit durably: none can be in
-        // doubt about `req` again, so the decision is retired.
-        self.unretired.remove(&req);
-        let (success, adopt) = st.on_commit.take().expect("a prepare sets on_commit");
-        let push = (self.options.push_weak_on_write && st.kind == OpKind::Write)
-            .then(|| st.writes[0].1.clone());
-        // Adopt the configuration this operation just installed, and drop
-        // the quorum plan built against the superseded one.
-        if let Some(next) = adopt {
-            self.configs.insert(suite, next);
-            self.plans.remove(&suite);
-        }
-        // A local commit supersedes the attached weak representative's
-        // entry for every suite it touched: drop the entries (and their
-        // leases) so no later cache serve can return overwritten data.
-        if self.options.weak_rep.is_some() {
-            self.cache.remove(&suite);
-            for (s, _) in &success.multi {
-                self.cache.remove(s);
-            }
-        }
-        // Optionally push the fresh value to weak representatives.
-        if let Some(value) = push {
-            for site in self.configs[&suite].assignment.weak_sites() {
+        let acked = &tail.acked;
+        let missing: Vec<SiteId> = tail
+            .participants
+            .iter()
+            .copied()
+            .filter(|s| !acked.contains(s))
+            .collect();
+        let again = tail.resends < self.options.commit_resend_limit;
+        if again {
+            tail.resends += 1;
+            for site in &missing {
                 ctx.send(
-                    site,
-                    Msg::UpdateWeak {
-                        suite,
-                        version: success.version,
-                        value: value.clone(),
+                    *site,
+                    Msg::Commit {
+                        suite: tail.suite,
+                        req,
+                        versions: tail.versions.clone(),
                     },
                 );
             }
         }
-        self.complete(req, Ok(success), ctx);
+        self.stats.timeouts += 1;
+        self.note_unanswered(&missing);
+        if again {
+            let delay = self.options.phase_timeout;
+            self.arm_timer(req, 0, TimerKind::CommitResend, delay, ctx);
+        } else {
+            self.end_tail(req, false, ctx);
+        }
+    }
+
+    /// Ends `req`'s commit tail and reports the operation if that is
+    /// still to do. `acked` says every participant has applied the commit
+    /// durably: none can be in doubt about `req` again, so the decision
+    /// is retired, and the weak representatives are sent the written
+    /// value if the options ask for it.
+    fn end_tail(&mut self, req: ReqId, acked: bool, ctx: &mut NodeCtx<'_, Msg>) {
+        let Some(mut tail) = self.tails.remove(&req) else {
+            return;
+        };
+        if let (Some(tr), Some(t)) = (self.tracer.as_mut(), tail.trace.as_mut()) {
+            let outcome = if acked {
+                SpanOutcome::Ok
+            } else {
+                SpanOutcome::Timeout
+            };
+            Self::close_phase_spans(tr, t, ctx.now(), outcome);
+        }
+        let suite = tail.suite;
+        if acked {
+            self.unretired.remove(&req);
+            if let Some((version, value)) = tail.push {
+                for site in self.configs[&suite].assignment.weak_sites() {
+                    ctx.send(
+                        site,
+                        Msg::UpdateWeak {
+                            suite,
+                            version,
+                            value: value.clone(),
+                        },
+                    );
+                }
+            }
+        }
+        if let Some(then) = tail.then {
+            self.report(req, suite, then, ctx);
+        }
     }
 
     fn on_config_resp(
@@ -2987,8 +3173,6 @@ impl ClientNode {
             FailUnavailable(OpKind),
             NextCandidate,
             AbortAndFail(OpKind),
-            ResendCommit(Vec<SiteId>, ObjectId, u64, Vec<(ObjectId, Version)>),
-            GiveUpIndeterminate,
         }
         // A prepare standing in line at every site yet to vote is not
         // timing out: the timer only paces the re-asks.
@@ -2996,28 +3180,24 @@ impl ClientNode {
             return;
         }
         let (next, silent) = {
-            let Some(st) = self.ops.get_mut(&req) else {
+            let Some(st) = self.ops.get(&req) else {
                 return;
             };
-            self.stats.timeouts += 1;
-            let suite = st.suite;
-            match &mut st.phase {
-                // The sites that never answered this phase feed the
-                // suspicion tracker alongside the phase transition itself.
+            match &st.phase {
+                // The sites that were asked and never answered this phase
+                // feed the suspicion tracker alongside the phase
+                // transition itself.
                 Phase::Inquire { versions, .. } => {
-                    let sites = self.configs[&suite].assignment.entries().iter();
-                    let silent = sites
-                        .map(|(s, _)| *s)
-                        .filter(|s| !versions.contains_key(s))
-                        .collect();
+                    let asked = self.inquiry_set(st.kind, st.suite);
+                    let silent = asked.filter(|s| !versions.contains_key(s)).collect();
                     (Next::FailUnavailable(st.kind), silent)
                 }
                 Phase::WriteInquire { per_suite } => {
                     let mut silent = Vec::new();
                     for ((s, _), answers) in st.writes.iter().zip(per_suite.iter()) {
-                        for (site, _) in self.configs[s].assignment.entries() {
-                            if !answers.contains_key(site) && !silent.contains(site) {
-                                silent.push(*site);
+                        for site in self.inquiry_set(st.kind, *s) {
+                            if !answers.contains_key(&site) && !silent.contains(&site) {
+                                silent.push(site);
                             }
                         }
                     }
@@ -3059,29 +3239,11 @@ impl ClientNode {
                         .collect();
                     (Next::AbortAndFail(st.kind), silent)
                 }
-                Phase::Commit {
-                    participants,
-                    acked,
-                    resends,
-                    versions,
-                } => {
-                    let missing: Vec<SiteId> = participants
-                        .iter()
-                        .copied()
-                        .filter(|s| !acked.contains(s))
-                        .collect();
-                    if *resends >= self.options.commit_resend_limit {
-                        (Next::GiveUpIndeterminate, missing)
-                    } else {
-                        *resends += 1;
-                        st.seq += 1;
-                        let again =
-                            Next::ResendCommit(missing.clone(), suite, st.seq, versions.clone());
-                        (again, missing)
-                    }
-                }
+                // Its commit tail keeps the timer; none is armed here.
+                Phase::Decided => return,
             }
         };
+        self.stats.timeouts += 1;
         self.note_unanswered(&silent);
         match next {
             Next::FailUnavailable(kind) => {
@@ -3096,27 +3258,6 @@ impl ClientNode {
                 let err = OpError::Unavailable { kind };
                 self.abort_prepare(req, err, RetryCause::TimeoutPrepare, ctx);
             }
-            Next::ResendCommit(missing, suite, seq, versions) => {
-                for site in missing {
-                    let versions = versions.clone();
-                    ctx.send(
-                        site,
-                        Msg::Commit {
-                            suite,
-                            req,
-                            versions,
-                        },
-                    );
-                }
-                self.arm_timer(
-                    req,
-                    seq,
-                    TimerKind::PhaseTimeout,
-                    self.options.phase_timeout,
-                    ctx,
-                );
-            }
-            Next::GiveUpIndeterminate => self.complete(req, Err(OpError::Indeterminate), ctx),
         }
     }
 
@@ -3175,7 +3316,7 @@ impl ClientNode {
                     // all the same. Left to the participant's own probe
                     // timer it would hold the commit lock, and everyone
                     // in line behind it, for nothing: answer it now.
-                    Vote::Yes if !self.ops.contains_key(&req) => {
+                    Vote::Yes if !self.ops.contains_key(&req) && !self.tails.contains_key(&req) => {
                         return self.answer_decision_probe(from, suite, req, ctx)
                     }
                     Vote::Yes => Ok(staged),
@@ -3183,11 +3324,7 @@ impl ClientNode {
                 };
                 self.on_prepare_vote(from, suite, req, vote, ctx)
             }
-            Msg::Ack {
-                suite,
-                req,
-                committed,
-            } => self.on_ack(from, suite, req, committed, ctx),
+            Msg::Ack { req, committed, .. } => self.on_ack(from, req, committed, ctx),
             // Only a prepare is ever answered so — and a re-sent or
             // duplicated one can be answered after the decision, when
             // no reply may send the operation anywhere but forward.
@@ -3216,13 +3353,12 @@ impl ClientNode {
         let Some(entry) = self.timers.remove(&token) else {
             return;
         };
-        let Some(st) = self.ops.get(&entry.req) else {
-            return;
-        };
-        if st.seq != entry.seq {
-            return; // stale timer from a finished phase
-        }
+        // An operation's timer is stale once its phase has moved on; a
+        // tail's only once the tail is gone.
+        let current = |st: &OpState| st.seq == entry.seq;
         match entry.kind {
+            TimerKind::CommitResend => self.on_commit_timeout(entry.req, ctx),
+            _ if !self.ops.get(&entry.req).is_some_and(current) => {}
             TimerKind::Retry => self.begin_attempt(entry.req, ctx),
             TimerKind::PhaseTimeout => self.on_phase_timeout(entry.req, ctx),
             TimerKind::Hedge => self.on_hedge(entry.req, ctx),
@@ -3234,6 +3370,7 @@ impl ClientNode {
     /// restarts with a cold cache and no leases.
     pub fn handle_crash(&mut self) {
         self.ops.clear();
+        self.tails.clear();
         self.timers.clear();
         self.queue.clear();
         self.active = 0;
@@ -3446,7 +3583,11 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|(_, m)| matches!(m, Msg::Commit { .. })));
         assert!(matches!(probe(&mut c, &mut rng, req), Msg::Commit { .. }));
-        // Acks complete the op.
+        // That was the commit point: the write is reported, 21 ms in.
+        assert_eq!(c.completed.len(), 1);
+        assert_eq!(c.completed[0].latency(), SimDuration::from_millis(21));
+        assert_eq!(c.in_flight(), 0);
+        // The acks end the commit round behind it and retire the decision.
         for s in 0..2u16 {
             let mut ctx = NodeCtx::new(SimTime::from_millis(30), CLIENT, &mut rng);
             c.handle(
@@ -3462,6 +3603,8 @@ mod tests {
         assert_eq!(c.completed.len(), 1);
         let ok = c.completed[0].outcome.as_ref().expect("success");
         assert_eq!(ok.version, Version(1));
+        assert!(c.tails.is_empty());
+        assert!(matches!(probe(&mut c, &mut rng, req), Msg::Abort { .. }));
     }
 
     #[test]
@@ -3890,10 +4033,12 @@ mod tests {
                 sends.is_empty() && timers.is_empty(),
                 "{late:?} moved a decided op"
             );
-            assert!(matches!(c.ops[&req].phase, Phase::Commit { .. }));
+            assert!(c.tails.contains_key(&req) && !c.ops.contains_key(&req));
         }
         ack(&mut c, &mut rng, 0, req);
         ack(&mut c, &mut rng, 1, req);
+        assert!(c.tails.is_empty());
+        assert_eq!(c.completed.len(), 1, "reported once, at the decision");
         let done = c.completed[0].outcome.as_ref().expect("committed once");
         assert_eq!(done.version, Version(3));
         assert_eq!(c.stats.retries, 0);
@@ -3997,6 +4142,118 @@ mod tests {
         ack(&mut c, &mut rng, 1, req);
         assert_eq!(c.completed.len(), 1);
         assert!(matches!(probe(&mut c, &mut rng, req), Msg::Abort { .. }));
+    }
+
+    #[test]
+    fn a_tail_out_of_resends_reports_nothing_twice_and_leaves_the_decision_answerable() {
+        let mut c = client();
+        let mut rng = DetRng::new(17);
+        let req = decided_write(&mut c, &mut rng);
+        ack(&mut c, &mut rng, 0, req);
+        // Site 1 never acks. Every round sends it the decision again...
+        let limit = u64::from(c.options.commit_resend_limit);
+        for round in 1..=limit {
+            let (sends, timers) = fire_newest_timer(&mut c, &mut rng, 5_000 * round);
+            assert_eq!(sends.len(), 1, "{sends:?}");
+            assert!(sends[0].0 == SiteId(1) && decides_version_3(&sends[0].1));
+            assert_eq!(timers.len(), 1);
+        }
+        // ...until the budget is spent: the tail ends, silently.
+        let (sends, timers) = fire_newest_timer(&mut c, &mut rng, 5_000 * (limit + 1));
+        assert!(sends.is_empty() && timers.is_empty());
+        assert!(c.tails.is_empty());
+        assert_eq!(c.stats.timeouts, limit + 1);
+        // The write was committed and was reported so, once.
+        assert_eq!(c.completed.len(), 1);
+        let done = c.completed[0].outcome.as_ref().expect("never in doubt");
+        assert_eq!(done.version, Version(3));
+        // Site 1 resolves through its own probes, whenever it comes back.
+        assert!(decides_version_3(&probe(&mut c, &mut rng, req)));
+        c.handle_crash();
+        c.handle_recover();
+        assert!(decides_version_3(&probe(&mut c, &mut rng, req)));
+        acked_writes_through_a_compaction(&mut c, &mut rng);
+        assert!(decides_version_3(&probe(&mut c, &mut rng, req)));
+    }
+
+    #[test]
+    fn the_report_frees_the_pipeline_slot_and_the_acks_launch_nothing() {
+        let mut c = ClientNode::new(
+            CLIENT,
+            vec![config()],
+            vec![10.0, 20.0, 30.0, 1.0],
+            ClientOptions {
+                pipeline_depth: Some(1),
+                ..ClientOptions::default()
+            },
+        );
+        let mut rng = DetRng::new(18);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        let first = c.start_write(SUITE, &b"1"[..], &mut ctx);
+        let second = c.start_write(SUITE, &b"2"[..], &mut ctx);
+        let _third = c.start_write(SUITE, &b"3"[..], &mut ctx);
+        let _ = effects(&mut ctx);
+        assert_eq!((c.active, c.queued()), (1, 2));
+        answer_version(&mut c, &mut rng, 5, 0, first, 0);
+        answer_version(&mut c, &mut rng, 5, 1, first, 0);
+        deliver(&mut c, &mut rng, 10, 0, yes(first, 1));
+        // The last yes decides, reports, and hands the slot to the second
+        // write in the same turn.
+        let (sends, _) = deliver(&mut c, &mut rng, 10, 1, yes(first, 1));
+        assert_eq!(c.completed.len(), 1);
+        let launched = |m: &Msg| matches!(m, Msg::VersionReq { req, .. } if *req == second);
+        assert_eq!(sends.iter().filter(|(_, m)| launched(m)).count(), 3);
+        assert_eq!((c.active, c.queued()), (1, 1));
+        // The slot was freed once: the acks free nothing and launch nothing.
+        for site in 0..2 {
+            let ack = Msg::Ack {
+                suite: SUITE,
+                req: first,
+                committed: true,
+            };
+            let (sends, timers) = deliver(&mut c, &mut rng, 20, site, ack);
+            assert!(sends.is_empty() && timers.is_empty(), "{sends:?}");
+        }
+        assert!(c.tails.is_empty());
+        assert_eq!((c.active, c.queued(), c.completed.len()), (1, 1, 1));
+    }
+
+    #[test]
+    fn the_report_drops_the_writers_leased_entry_and_the_last_ack_drops_nothing() {
+        let mut c = cache_client(Some(SimDuration::from_secs(60)));
+        let mut rng = DetRng::new(19);
+        let old = Bytes::from_static(b"old");
+        c.fill_cache(SUITE, Version(2), &old, SimTime::ZERO);
+        let write = decided_write(&mut c, &mut rng);
+        assert_eq!(c.completed.len(), 1, "reported at the decision");
+        // The writer's own read right after the report is not served the
+        // overwritten entry, lease or no lease: it goes to the quorum...
+        let mut ctx = NodeCtx::new(SimTime::from_millis(1), CLIENT, &mut rng);
+        let read = c.start_read(SUITE, &mut ctx);
+        assert_eq!(c.completed.len(), 1);
+        assert!(!effects(&mut ctx).is_empty());
+        // ...which vouches for version 3, and the fetch fills the entry
+        // and arms its lease — all before the write's acks are in.
+        answer_version(&mut c, &mut rng, 5, 0, read, 3);
+        answer_version(&mut c, &mut rng, 5, 1, read, 3);
+        let new = Msg::ReadResp {
+            suite: SUITE,
+            req: read,
+            version: Version(3),
+            value: Bytes::from_static(b"new"),
+        };
+        deliver(&mut c, &mut rng, 9, 0, new);
+        assert_eq!(c.completed.len(), 2);
+        // The acks must not wipe an entry newer than the write they end.
+        ack(&mut c, &mut rng, 0, write);
+        ack(&mut c, &mut rng, 1, write);
+        assert!(c.tails.is_empty());
+        let mut ctx = NodeCtx::new(SimTime::from_millis(40), CLIENT, &mut rng);
+        c.start_read(SUITE, &mut ctx);
+        assert!(effects(&mut ctx).is_empty(), "served inside the lease");
+        let served = c.completed[2].outcome.as_ref().expect("served");
+        assert_eq!(served.version, Version(3));
+        assert_eq!(served.value.as_deref(), Some(&b"new"[..]));
     }
 
     #[test]

@@ -455,7 +455,11 @@ impl Harness {
         self.write_from(self.default_client(), suite, value)
     }
 
-    /// Writes the suite from a specific client.
+    /// Writes the suite from a specific client. Returns when the write is
+    /// reported, which is what a caller experiences: at its commit
+    /// decision, with the commit round still on its way to the
+    /// representatives. Settle first ([`Harness::advance`],
+    /// [`Harness::run_until_quiet`]) to inspect them.
     pub fn write_from(
         &mut self,
         client: SiteId,
@@ -477,7 +481,8 @@ impl Harness {
 
     /// Atomically writes several suites: every `(suite, value)` commits or
     /// none does, even under crashes (the decision is a single durable
-    /// record at the coordinating client).
+    /// record at the coordinating client). Returns, like
+    /// [`Harness::write_from`], when that record is written.
     pub fn transaction(
         &mut self,
         client: SiteId,
@@ -1212,6 +1217,7 @@ mod tests {
         let client = h.default_client();
         // w = 3 installs v1 everywhere and seeds every site's RTT EWMA.
         h.write(suite, b"v1".to_vec()).expect("write");
+        h.run_until_quiet(10_000); // everywhere: let the commit round land
         let _ = h.take_trace();
         // s0 (the optimistic-fetch guess) is already down when the read
         // starts, so the fetch goes to s1 — which dies after answering
@@ -1268,6 +1274,9 @@ mod tests {
         let mut h = three_server_harness(9);
         let suite = h.suite_id();
         h.write(suite, b"x".to_vec()).expect("write");
+        // The write is reported at its commit decision; the replicas
+        // apply it when the commit round lands.
+        h.run_until_quiet(10_000);
         let versions: Vec<Version> = SiteId::all(3)
             .map(|s| h.version_at(s, suite).expect("server"))
             .collect();
@@ -1648,11 +1657,163 @@ mod tests {
         assert_eq!(w.version, Version(2), "config generation moved to 2");
         // Writes now install everywhere.
         h.write(suite, b"after".to_vec()).expect("write");
+        h.run_until_quiet(10_000); // let the commit round land
         for s in SiteId::all(3) {
             assert_eq!(h.value_at(s, suite).expect("server"), &b"after"[..]);
         }
         let r = h.read(suite).expect("read");
         assert_eq!(&r.value[..], b"after");
+    }
+
+    // ---- the commit point is the decision (DESIGN.md §7.2) ----
+
+    /// Three one-vote servers, `r = w = 2`, a writer (site 3) on 100 ms
+    /// links — its write's inquiry is answered at 200 ms and its votes
+    /// are in, so it is decided and reported, at 400 ms — and a reader
+    /// (site 4) `reader_ms` from every server.
+    fn writer_and_reader(seed: u64, reader_ms: u64) -> (Harness, SiteId, SiteId) {
+        let (writer, reader) = (SiteId(3), SiteId(4));
+        let mut net = NetConfig::uniform(5, LatencyModel::constant_millis(100));
+        for server in SiteId::all(3) {
+            net.set_link_symmetric(reader, server, LatencyModel::constant_millis(reader_ms));
+        }
+        let h = HarnessBuilder::new()
+            .seed(seed)
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .client()
+            .client()
+            .quorum(QuorumSpec::new(2, 2))
+            .net(net)
+            .build()
+            .expect("legal configuration");
+        (h, writer, reader)
+    }
+
+    fn reported_at(h: &mut Harness, client: SiteId) -> SimDuration {
+        let done = h.drain_completed(client);
+        assert_eq!(done.len(), 1, "{done:?}");
+        assert_eq!(done[0].outcome.as_ref().expect("ok").version, Version(1));
+        done[0].latency()
+    }
+
+    #[test]
+    fn a_read_after_the_report_waits_out_a_lost_commit_and_never_sees_the_old_version() {
+        let (mut h, writer, reader) = writer_and_reader(41, 100);
+        let suite = h.suite_id();
+        h.enqueue_write(writer, suite, b"new".to_vec(), h.now());
+        // The writer is cut off just as the last vote lands: it decides
+        // and reports, and its first Commit to both participants is lost.
+        h.advance(SimDuration::from_millis(399));
+        h.partition(Partition::isolate(5, writer));
+        h.advance(SimDuration::from_millis(2));
+        h.heal();
+        assert_eq!(reported_at(&mut h, writer), SimDuration::from_millis(400));
+        assert!(SiteId::all(3).all(|s| h.version_at(s, suite) == Some(Version(0))));
+        // A read that starts after the report is held behind the two
+        // participants' commit locks — the third replica's old version
+        // alone is no quorum — until the writer sends the decision again.
+        let r = h.read_from(reader, suite).expect("read");
+        assert_eq!((r.version, &r.value[..]), (Version(1), &b"new"[..]));
+        assert!(r.latency > SimDuration::from_secs(5), "{:?}", r.latency);
+        let held: u64 = SiteId::all(3)
+            .map(|s| h.server_stats(s).expect("server").busy)
+            .sum();
+        assert!(held >= 2, "held {held}");
+    }
+
+    #[test]
+    fn a_participant_back_in_doubt_after_the_report_holds_the_reader_until_its_probe_is_answered() {
+        // The reader is close: it would have its answer long before the
+        // writer can have answered anybody's probe.
+        let (mut h, writer, reader) = writer_and_reader(42, 10);
+        let suite = h.suite_id();
+        h.enqueue_write(writer, suite, b"new".to_vec(), h.now());
+        // s1 crashes with its yes vote on the wire and misses the Commit.
+        h.advance(SimDuration::from_millis(350));
+        h.crash(SiteId(1));
+        h.advance(SimDuration::from_millis(200));
+        assert_eq!(reported_at(&mut h, writer), SimDuration::from_millis(400));
+        assert_eq!(h.version_at(SiteId(0), suite), Some(Version(1)));
+        // The one replica that applied the write goes down, and s1 comes
+        // back in doubt: a reader's quorum is now s1 and s2, which never
+        // heard of the write.
+        h.crash(SiteId(0));
+        h.recover(SiteId(1));
+        assert_eq!(h.version_at(SiteId(1), suite), Some(Version(0)));
+        // s1 took its commit lock again before serving: the reader waits
+        // there until the writer has answered s1's DecisionReq.
+        let r = h.read_from(reader, suite).expect("read");
+        assert_eq!((r.version, &r.value[..]), (Version(1), &b"new"[..]));
+        assert_eq!(r.attempts, 1);
+        assert_eq!(h.version_at(SiteId(1), suite), Some(Version(1)));
+        assert!(h.server_stats(SiteId(1)).expect("server").busy >= 1);
+    }
+
+    #[test]
+    fn where_write_quorums_need_not_intersect_the_report_waits_for_the_ack() {
+        // r = 3, w = 1, and two clients that rank different sites
+        // cheapest: A (site 3) installs at s0, B (site 4) at s1. B hears
+        // from s0 before a Commit that A sends at the same instant gets
+        // there — and a writer's floor inquiry is answered at once, from
+        // committed state. Only A's ack says s0 has applied the write.
+        let mut net = NetConfig::uniform(5, LatencyModel::constant_millis(100));
+        net.set_link_symmetric(SiteId(3), SiteId(0), LatencyModel::constant_millis(50));
+        net.set_link_symmetric(SiteId(4), SiteId(1), LatencyModel::constant_millis(10));
+        net.set_link_symmetric(SiteId(4), SiteId(0), LatencyModel::constant_millis(20));
+        let mut h = HarnessBuilder::new()
+            .seed(43)
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .client()
+            .client()
+            .quorum(QuorumSpec::new(3, 1))
+            .net(net)
+            .build()
+            .expect("legal configuration");
+        let suite = h.suite_id();
+        let first = h.write_from(SiteId(3), suite, b"a".to_vec()).expect("a");
+        let second = h.write_from(SiteId(4), suite, b"b".to_vec()).expect("b");
+        assert_eq!((first.version, second.version), (Version(1), Version(2)));
+        // Inquiry 200 ms, prepare at s0 100 ms, commit and ack 100 ms.
+        assert_eq!(first.latency, SimDuration::from_millis(400));
+        h.run_until_quiet(10_000);
+        assert_eq!(h.version_at(SiteId(0), suite), Some(Version(1)));
+        assert_eq!(h.version_at(SiteId(1), suite), Some(Version(2)));
+    }
+
+    #[test]
+    fn a_reconfiguration_reports_and_adopts_at_the_last_ack() {
+        let mut h = three_server_harness(44);
+        let (suite, client) = (h.suite_id(), h.default_client());
+        let generation = |h: &Harness| {
+            let c = h.cluster().nodes[client.index()].as_client();
+            let c = c.expect("client");
+            (
+                c.decision_log().len(),
+                c.config(suite).expect("known").generation,
+            )
+        };
+        // Inquiry, fetch and prepare take 200 ms each: decided at 600 ms,
+        // acked at 800.
+        h.enqueue_reconfigure(
+            client,
+            suite,
+            VoteAssignment::equal(3),
+            QuorumSpec::new(1, 3),
+            h.now(),
+        );
+        h.advance(SimDuration::from_millis(650));
+        assert_eq!(generation(&h), (1, 1), "decided, not adopted");
+        assert!(h.drain_completed(client).is_empty(), "nor reported");
+        h.advance(SimDuration::from_millis(200));
+        assert_eq!(generation(&h), (1, 2));
+        let done = h.drain_completed(client);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].latency(), SimDuration::from_millis(800));
+        assert_eq!(done[0].outcome.as_ref().expect("ok").version, Version(2));
     }
 
     #[test]

@@ -113,7 +113,7 @@ fn main() {
         let r = h.read(suite).expect("read");
 
         println!(
-            "  write: {:>7}   (paper: {} ms per quorum access; ours pays 3 rounds)",
+            "  write: {:>7}   (paper: {} ms per quorum access; ours pays 2 rounds before it reports)",
             format!("{}", w.latency),
             ex.paper_write
         );

@@ -26,6 +26,8 @@ fn write_message_count_is_exact() {
         let suite = h.suite_id();
         let before = h.net_stats().sent;
         h.write(suite, b"count me".to_vec()).expect("write");
+        // Reported at the commit decision: the acks are still to come.
+        h.advance(SimDuration::from_secs(1));
         let sent = h.net_stats().sent - before;
         // Equal votes: the write quorum has exactly w sites.
         assert_eq!(
@@ -93,4 +95,41 @@ fn weak_representative_adds_one_host_and_cache_fill() {
     h.read(suite).expect("read hit");
     let hit_sent = h.net_stats().sent - before;
     assert_eq!(hit_sent, 2 * 2 + 2, "hit path");
+}
+
+#[test]
+fn a_read_inquires_the_servers_and_its_own_workstation_only() {
+    // 3 voting servers + 3 workstations. A workstation's own copy (75 ms
+    // self-link against 100 ms to a server) can be the fetch source and
+    // is asked; the other workstations' copies cost what a server costs,
+    // can never be chosen ahead of one, and are not: 2 × (servers + 1)
+    // inquiry messages per read, not 2 × (servers + workstations).
+    let mut b = HarnessBuilder::new().seed(17).quorum(QuorumSpec::new(2, 2));
+    for _ in 0..3 {
+        b = b.site(SiteSpec::server(1));
+    }
+    for _ in 0..3 {
+        b = b.site(SiteSpec::client_with_weak());
+    }
+    let mut h = b.build().expect("legal");
+    let suite = h.suite_id();
+    h.write(suite, b"x".to_vec()).expect("prime");
+    h.advance(SimDuration::from_secs(1));
+    // Miss: the optimistic fetch finds the own copy stale, a server is
+    // fetched from, and one UpdateWeak fills the own copy.
+    let before = h.net_stats().sent;
+    h.read(suite).expect("read miss");
+    let miss_sent = h.net_stats().sent - before;
+    assert_eq!(miss_sent, 2 * (3 + 1) + 2 + 2 + 1, "miss path");
+    h.advance(SimDuration::from_secs(1));
+    let before = h.net_stats().sent;
+    h.read(suite).expect("read hit");
+    let hit_sent = h.net_stats().sent - before;
+    assert_eq!(hit_sent, 2 * (3 + 1) + 2, "hit path");
+    // A write asks the same four and installs at two servers.
+    let before = h.net_stats().sent;
+    h.write(suite, b"y".to_vec()).expect("write");
+    h.advance(SimDuration::from_secs(1));
+    let sent = h.net_stats().sent - before;
+    assert_eq!(sent, write_messages(3 + 1, 2));
 }
