@@ -7,8 +7,11 @@
 //! some voting one (a workstation's own copy; another workstation's is
 //! not asked) — and write quorum size `|W|` (sites, not votes):
 //!
-//! * a **write** exchanges exactly `2h + 4|W|` messages — an inquiry and
-//!   answer per host, then prepare/vote and commit/ack per quorum member;
+//! * a **write** exchanges exactly `4|W|` messages — prepare/vote and
+//!   commit/ack per quorum member, one quorum access and nothing else —
+//!   where any two write quorums intersect (`2w > N`); where they need
+//!   not, and on any retry, an inquiry and answer per host come first:
+//!   `2h + 4|W|`;
 //! * a **read** exchanges `2h + 2` messages when the optimistic fetch wins
 //!   and up to `2h + 4` when the inquiry quorum settles first and a
 //!   redundant explicit fetch goes out (both fetches are answered).
@@ -16,9 +19,15 @@
 //! `tests/message_costs.rs` checks these formulas against the transport's
 //! actual counters.
 
-/// Exact message count of a successful write.
-pub fn write_messages(hosts: usize, write_quorum_sites: usize) -> u64 {
-    (2 * hosts + 4 * write_quorum_sites) as u64
+/// Exact message count of a successful write's one quorum access.
+pub fn write_messages(write_quorum_sites: usize) -> u64 {
+    (4 * write_quorum_sites) as u64
+}
+
+/// Exact message count of the inquiry round a write adds in front of
+/// [`write_messages`] where write quorums need not intersect.
+pub fn inquiry_messages(hosts: usize) -> u64 {
+    (2 * hosts) as u64
 }
 
 /// Inclusive bounds on the message count of a successful read with the
@@ -39,9 +48,9 @@ mod tests {
 
     #[test]
     fn formulas_scale_linearly() {
-        assert_eq!(write_messages(3, 2), 14);
-        assert_eq!(write_messages(3, 3), 18);
-        assert_eq!(write_messages(5, 3), 22);
+        assert_eq!(write_messages(2), 8);
+        assert_eq!(write_messages(3), 12);
+        assert_eq!(inquiry_messages(5) + write_messages(2), 18);
         assert_eq!(read_messages_bounds(3), (8, 10));
         assert_eq!(read_messages_sequential(3), 8);
     }

@@ -10,9 +10,12 @@
 //!   current (the common case for read-mostly suites). The *verified*
 //!   latency also waits for the cheapest read quorum of version answers:
 //!   `max(min-max read quorum cost, fetch cost)`.
-//! * A **write** learns the current version from the cheapest read quorum
-//!   (in parallel with nothing else) and installs at the cheapest write
-//!   quorum; with pipelining the paper charges
+//! * A **write** is one access of the cheapest write quorum — the
+//!   paper's charge — where any two write quorums intersect (`2w > N`):
+//!   the representatives assign the version under their commit locks, and
+//!   nobody is asked for it first. Where write quorums need not intersect
+//!   it also learns the current version from the cheapest read quorum;
+//!   with pipelining the paper charges
 //!   `max(inquiry, min-max write quorum cost)`.
 
 use wv_core::quorum::minimal_quorums;
@@ -48,10 +51,16 @@ pub fn read_latency_verified(model: &SystemModel) -> f64 {
     read_latency_optimistic(model).max(quorum_cost(model, model.quorum.read))
 }
 
-/// Write latency: the slower of the version inquiry and the installation
-/// at the cheapest write quorum.
+/// Write latency: the installation at the cheapest write quorum — and,
+/// where write quorums need not intersect, the version inquiry if that is
+/// slower.
 pub fn write_latency(model: &SystemModel) -> f64 {
-    quorum_cost(model, model.quorum.read).max(quorum_cost(model, model.quorum.write))
+    let install = quorum_cost(model, model.quorum.write);
+    if 2 * model.quorum.write > model.assignment.total() {
+        install
+    } else {
+        install.max(quorum_cost(model, model.quorum.read))
+    }
 }
 
 #[cfg(test)]
@@ -115,5 +124,21 @@ mod tests {
         );
         assert!((read_latency_verified(&m) - 20.0).abs() < EPS);
         assert!((write_latency(&m) - 20.0).abs() < EPS);
+    }
+
+    #[test]
+    fn a_write_pays_for_the_inquiry_only_where_write_quorums_need_not_intersect() {
+        use wv_core::quorum::QuorumSpec;
+        use wv_core::votes::VoteAssignment;
+
+        let costs = vec![10.0, 20.0, 30.0, 40.0, 500.0];
+        let at = |r, w| {
+            let quorum = QuorumSpec::new(r, w);
+            SystemModel::with_uniform_up(VoteAssignment::equal(5), quorum, costs.clone(), 0.99)
+        };
+        // r = 4, w = 3: any two write quorums share a site; one access.
+        assert!((write_latency(&at(4, 3)) - 30.0).abs() < EPS);
+        // r = 5, w = 1: they need not, and the inquiry asks everyone.
+        assert!((write_latency(&at(5, 1)) - 500.0).abs() < EPS);
     }
 }

@@ -272,10 +272,13 @@ pub fn run() -> String {
         "Three replicas + one client on a shared topology: the client sits \
          nearest backup 1 (80 ms access), other accesses cost 100 ms, and \
          primary-to-backup propagation links are slow (800 ms) so \
-         asynchronous lag is visible. Voting writes count the two rounds \
-         on the caller's path (inquire, prepare; the commit round \
-         finishes behind the report); baselines use their native write \
-         paths.\n\n",
+         asynchronous lag is visible. A voting write is one quorum access \
+         on the caller's path (the prepare round; the commit round \
+         finishes behind the report); with replica 0 down the table \
+         shows the *first* write after the crash, which finds its quorum \
+         member silent a round trip after the other's vote and widens to \
+         the third replica — the writes after it route around the site \
+         at no cost. Baselines use their native write paths.\n\n",
     );
     // Every (scenario, system) probe builds its own cluster with a fixed
     // seed, so the whole grid fans out over the worker pool at once.

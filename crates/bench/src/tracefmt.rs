@@ -206,34 +206,16 @@ mod tests {
     /// root closing at the commit decision with the commit round behind
     /// it, plus a server lock wait and WAL write.
     fn sample() -> Vec<SpanRecord> {
+        // A direct write: prepare at the write quorum {s0, s1}, reported at
+        // the decision, the commit round trailing the root.
         let mut client = Tracer::new(3);
         let root = client.start(SpanKind::Write, 1, 0x30001, None, None, 0, t(0));
-        let inq = client.start(SpanKind::Inquiry, 1, 0x30001, Some(root), None, 0, t(0));
-        let r0 = client.start(SpanKind::Rpc, 1, 0x30001, Some(inq), Some(0), 0, t(0));
-        let r1 = client.start(SpanKind::Rpc, 1, 0x30001, Some(inq), Some(1), 0, t(0));
-        client.end_with_detail(r0, t(150_000), SpanOutcome::Ok, 4);
-        client.end_with_detail(r1, t(152_000), SpanOutcome::Ok, 4);
-        client.end(inq, t(152_000), SpanOutcome::Ok);
-        let prep = client.start(
-            SpanKind::Prepare,
-            1,
-            0x30001,
-            Some(root),
-            None,
-            0,
-            t(152_000),
-        );
-        let p0 = client.start(
-            SpanKind::Rpc,
-            1,
-            0x30001,
-            Some(prep),
-            Some(0),
-            0,
-            t(152_000),
-        );
-        client.end_with_detail(p0, t(300_000), SpanOutcome::Ok, 1);
-        client.end(prep, t(300_000), SpanOutcome::Ok);
+        let prep = client.start(SpanKind::Prepare, 1, 0x30001, Some(root), None, 0, t(0));
+        let p0 = client.start(SpanKind::Rpc, 1, 0x30001, Some(prep), Some(0), 0, t(0));
+        let p1 = client.start(SpanKind::Rpc, 1, 0x30001, Some(prep), Some(1), 0, t(0));
+        client.end_with_detail(p1, t(148_000), SpanOutcome::Ok, 1);
+        client.end_with_detail(p0, t(150_000), SpanOutcome::Ok, 1);
+        client.end(prep, t(150_000), SpanOutcome::Ok);
         let com = client.start(
             SpanKind::Commit,
             1,
@@ -241,17 +223,19 @@ mod tests {
             Some(root),
             None,
             0,
-            t(300_000),
+            t(150_000),
         );
-        let c0 = client.start(SpanKind::Rpc, 1, 0x30001, Some(com), Some(0), 0, t(300_000));
-        client.end(root, t(300_000), SpanOutcome::Ok);
-        client.end_with_detail(c0, t(450_000), SpanOutcome::Ok, 1);
-        client.end(com, t(450_000), SpanOutcome::Ok);
+        let c0 = client.start(SpanKind::Rpc, 1, 0x30001, Some(com), Some(0), 0, t(150_000));
+        let c1 = client.start(SpanKind::Rpc, 1, 0x30001, Some(com), Some(1), 0, t(150_000));
+        client.end(root, t(150_000), SpanOutcome::Ok);
+        client.end_with_detail(c1, t(298_000), SpanOutcome::Ok, 1);
+        client.end_with_detail(c0, t(300_000), SpanOutcome::Ok, 1);
+        client.end(com, t(300_000), SpanOutcome::Ok);
 
         let mut server = Tracer::new(0);
-        let lw = server.start(SpanKind::LockWait, 1, 0x30001, None, Some(3), 0, t(160_000));
-        server.end(lw, t(220_000), SpanOutcome::Ok);
-        server.event(SpanKind::WalWrite, 1, 0x30001, None, Some(3), 5, t(228_000));
+        let lw = server.start(SpanKind::LockWait, 1, 0x30001, None, Some(3), 0, t(10_000));
+        server.end(lw, t(70_000), SpanOutcome::Ok);
+        server.event(SpanKind::WalWrite, 1, 0x30001, None, Some(3), 5, t(78_000));
         server.event(SpanKind::RepairPull, 1, 0, None, Some(1), 4, t(500_000));
 
         let mut merged = Vec::new();

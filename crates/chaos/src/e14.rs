@@ -336,11 +336,12 @@ pub fn run(trials: usize) -> String {
          replica without anti-entropy stays vote-less until the end of \
          the trial, so the healing arm holds the availability line as \
          the fault rate climbs. At rate 0 both tails sit at one read \
-         round trip plus a lock hold: a read that meets a write's commit \
-         lock is held at the representative and answered at the \
-         release, so reader–writer contention no longer costs a phase \
-         timeout and the whole climb *within* each arm is the disk-fault \
-         signal. The healing arm's tail sits lower at every faulty rate \
+         round trip: a write asks nobody for a version first, so its \
+         commit locks are taken and gone again before this workload's \
+         next read is due, and a read that does meet one is held at the \
+         representative and answered at the release. Reader–writer \
+         contention costs no phase timeout, and the whole climb *within* \
+         each arm is the disk-fault signal. The healing arm's tail sits lower at every faulty rate \
          because its adaptive timeouts give up on a refusing or \
          recovering replica sooner.\n",
         pct(top_off.availability()),

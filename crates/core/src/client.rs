@@ -6,12 +6,18 @@
 //!   answer; the highest version among the answers is current; contents
 //!   are fetched from the cheapest representative (weak ones included)
 //!   holding that version.
-//! * **Write / transaction**: inquiry as above, per written suite, for a
-//!   *floor* `current + 1`, then client-coordinated two-phase commit at
-//!   each suite's cheapest write quorum. Each participant assigns the
-//!   version under its commit lock (`max(floor, committed + 1)`) and
-//!   reports it with its vote; the coordinator commits at the highest. A
-//!   prepare that finds the lock taken stands in line at the
+//! * **Write / transaction**: client-coordinated two-phase commit at each
+//!   written suite's cheapest write quorum — one quorum access. Each
+//!   participant assigns the version under its commit lock
+//!   (`max(floor, committed + 1)`) and reports it with its vote; the
+//!   coordinator commits at the highest. Where write quorums intersect
+//!   (`one_access`) that is the whole write: the first attempt goes
+//!   straight to prepare with the lowest floor, and widens to the next
+//!   sites in rank order if a participant stays silent. A retry, a write
+//!   that would prepare at a site remembered silent, and a geometry whose
+//!   write quorums need not intersect first run the inquiry above, per written
+//!   suite, for a floor `current + 1` and a quorum of sites that just
+//!   answered. A prepare that finds the lock taken stands in line at the
 //!   representative ([`Msg::Busy`] says so) and the coordinator keeps its
 //!   place, re-asking now and then. A plain write is the one-install
 //!   transaction. The commit decision — versions included — is logged
@@ -19,17 +25,18 @@
 //!   always get a correct answer to their decision probes (presumed abort
 //!   otherwise). That record is the commit point: the operation is
 //!   reported there and the commit round finishes behind it as a
-//!   `CommitTail` (see `reports_at_decision` for the two exceptions).
+//!   `CommitTail` (`one_access` again; the exceptions wait for the acks).
 //! * **Reconfigure**: a transaction that installs the new configuration
 //!   under the *old* configuration's write quorum and also re-installs the
 //!   current contents at the new one's — exactly the paper's rule for
 //!   changing vote assignments online.
 //!
-//! All three run the same state machine, `Inquire | WriteInquire → Fetch |
-//! Prepare`, and a decided prepare leaves a commit tail: a planner
+//! All three run the same state machine, `[Inquire | WriteInquire →] Fetch
+//! | Prepare`, and a decided prepare leaves a commit tail: a planner
 //! (`enter_prepare` or `enter_reconfig_prepare`) turns the inquiry's
-//! answers into per-site prepare batches plus the outcome to report, and
-//! one driver (`send_prepares`) carries them through two-phase commit.
+//! answers — or, for a direct write, the ranking alone — into per-site
+//! prepare batches plus the outcome to report, and one driver
+//! (`send_prepares`) carries them through two-phase commit.
 //! Every site choice filters or prefixes the order `rank` returns.
 //!
 //! Every attempt uses a fresh request id (so late responses from a dead
@@ -169,9 +176,11 @@ const TIMEOUT_MULTIPLIER: f64 = 6.0;
 /// Floor for the adaptive timeout, so a run of fast responses cannot
 /// collapse the timeout to nothing.
 const MIN_TIMEOUT: SimDuration = SimDuration::from_millis(300);
-/// A hedged read contacts the next-cheapest fetch candidate after this ×
-/// the fetch target's EWMA RTT instead of waiting out the phase timeout.
-const HEDGE_MULTIPLIER: f64 = 3.0;
+/// A site is late once a request has waited this × its EWMA RTT for an
+/// answer — well before the phase timeout: a hedged read then contacts
+/// the next-cheapest fetch candidate, and a write takes a site that owes
+/// it an answer that long for silent (see `ClientNode::is_silent`).
+const LATE_MULTIPLIER: f64 = 3.0;
 
 /// Per-site health state kept by the client's tracker.
 #[derive(Clone, Copy, Debug)]
@@ -184,6 +193,9 @@ struct SiteHealth {
     suspicion: f64,
     /// Whether the score has crossed the threshold.
     suspected: bool,
+    /// When the oldest inquiry or prepare the site has left unanswered
+    /// went out; any message from the site clears it.
+    owes_since: Option<SimTime>,
 }
 
 /// Selection policy for quorum members and fetch targets.
@@ -433,6 +445,11 @@ enum Phase {
         give_way: bool,
         /// Re-asks sent; each doubles the interval to the next.
         asks: u32,
+        /// A direct attempt's write quorum per written suite (in
+        /// [`OpState::writes`] order): no inquiry vouched for these sites,
+        /// so the first yes arms [`TimerKind::Widen`]. Empty after an
+        /// inquiry, and once that timer has fired.
+        unprobed: Vec<Vec<SiteId>>,
     },
     /// Decided, and one of the operations that report at the last ack:
     /// parked until its [`CommitTail`] ends. Nothing a server says moves
@@ -531,7 +548,7 @@ struct CommitTail {
     versions: Vec<(ObjectId, Version)>,
     /// What the operation reports, and the configuration it adopts, when
     /// the tail ends; `None` for one already reported at the decision
-    /// (see [`reports_at_decision`]).
+    /// (see [`one_access`]).
     then: Option<(OpSuccess, Option<SuiteConfig>)>,
     /// The written version and value, for the weak representatives at
     /// the last ack ([`ClientOptions::push_weak_on_write`]).
@@ -543,21 +560,85 @@ struct CommitTail {
 }
 
 /// Whether an operation of `kind` installing at a suite configured `cfg`
-/// is reported at its commit decision instead of at the last ack.
+/// is one quorum access: a blind install where any two write quorums share
+/// a representative (`2w > N`). Two things follow from it, and from
+/// nothing else.
 ///
-/// Every participant holds its commit lock from its yes vote until it
-/// applies the decision, holds readers behind it, and takes it again
-/// before serving if it recovers in doubt; so with `r + w > N` a read
-/// that starts after the decision cannot assemble a quorum that misses
-/// the write. A *writer* that starts after the report is versioned above
-/// the unapplied write only by standing in line behind it at a shared
-/// representative (its floor inquiry is answered at once, from committed
-/// state), which needs `2w > N`; where write quorums need not intersect
-/// the report waits for the acks. So does a reconfiguration: the client
-/// adopts the new geometry at the last ack.
-fn reports_at_decision(kind: OpKind, cfg: &SuiteConfig) -> bool {
+/// *It needs no inquiry.* The shared representative has applied the
+/// previous write or still holds its commit lock, in which case the new
+/// prepare stands in line behind it; either way it stages above that
+/// write, and the coordinator commits at the highest version any
+/// participant staged. So the first attempt goes straight to prepare
+/// ([`ClientNode::may_go_direct`] and [`ClientNode::enter_prepare`] add the
+/// two conditions that are not about the geometry).
+///
+/// *It is reported at its commit decision*, not at the last ack. Every
+/// participant holds its commit lock from its yes vote until it applies
+/// the decision, holds readers behind it, and takes it again before
+/// serving if it recovers in doubt; so with `r + w > N` a read that starts
+/// after the decision cannot assemble a quorum that misses the write, and
+/// a *writer* that starts after the report is versioned above the
+/// unapplied write by the argument above.
+///
+/// Where write quorums need not intersect, the only evidence the next
+/// writer has of this write is what a read quorum answers: it inquires
+/// first, and the report waits for the acks. So does a reconfiguration:
+/// its versions are exact (a read-modify-write), and the client adopts the
+/// new geometry at the last ack.
+fn one_access(kind: OpKind, cfg: &SuiteConfig) -> bool {
     matches!(kind, OpKind::Write | OpKind::Transaction)
         && 2 * cfg.quorum.write > cfg.assignment.total()
+}
+
+/// What a planner hands the two-phase-commit driver
+/// ([`ClientNode::send_prepares`]).
+struct PreparePlan {
+    /// Each participant's prepare batch, in send order.
+    batches: Vec<(SiteId, Vec<PrepareWrite>)>,
+    /// The versions are floors for the participants to assign above, not
+    /// exact.
+    rebase: bool,
+    /// See [`Phase::Prepare`].
+    unprobed: Vec<Vec<SiteId>>,
+    /// What the op reports (at the planned versions; the decision corrects
+    /// them), and the configuration it adopts, once it is committed.
+    on_commit: (OpSuccess, Option<SuiteConfig>),
+    /// The prepare phase's timeout.
+    timeout: SimDuration,
+}
+
+/// A re-ask: an empty prepare, which a site answers from where `req`
+/// stands with it — its vote, `Busy` again, or No if it no longer knows it.
+fn reask(req: ReqId, lock_ts: u64) -> Msg {
+    Msg::Prepare {
+        req,
+        writes: Vec::new(),
+        lock_ts,
+        rebase: false, // nothing to re-base
+    }
+}
+
+/// The audit log's name for a write quorum chosen by an operation of `kind`.
+fn quorum_decision(kind: OpKind) -> DecisionKind {
+    match kind {
+        OpKind::Transaction => DecisionKind::TxnQuorum,
+        _ => DecisionKind::WriteQuorum,
+    }
+}
+
+/// Adds `install` to the prepare batch of each of `sites`, opening one for
+/// a site that has none yet.
+fn add_to_batches(
+    batches: &mut Vec<(SiteId, Vec<PrepareWrite>)>,
+    sites: &[SiteId],
+    install: &PrepareWrite,
+) {
+    for site in sites {
+        match batches.iter_mut().find(|(s, _)| s == site) {
+            Some((_, batch)) => batch.push(install.clone()),
+            None => batches.push((*site, vec![install.clone()])),
+        }
+    }
 }
 
 /// Maps an operation error to the span outcome recorded for it.
@@ -578,6 +659,10 @@ enum TimerKind {
     /// hedged request timing out alongside the original — can never reach
     /// the timeout bookkeeping and double-count `ClientStats::timeouts`.
     Hedge,
+    /// A direct prepare's first yes is one round trip old and some
+    /// participant has still said nothing. Shares the phase's `seq`, like
+    /// a hedge: firing is not a timeout.
+    Widen,
     /// A commit tail's round went unacknowledged; `seq` is unused (a
     /// tail has one timer out at a time, and request ids never repeat).
     CommitResend,
@@ -639,6 +724,11 @@ pub struct ClientNode {
     /// Per-site health (EWMA RTT + suspicion), indexed like `costs`.
     /// Maintained only when `options.health` is set.
     health: Vec<SiteHealth>,
+    /// Sites that let a phase time out, or were widened away from, and
+    /// have sent nothing since; indexed like `costs`. A write on a suite
+    /// that would prepare at such a site inquires first (see
+    /// [`Self::enter_prepare`]).
+    silent: Vec<bool>,
     options: ClientOptions,
     next_counter: u64,
     next_timer: u64,
@@ -704,6 +794,15 @@ fn site_cost(costs: &[f64], site: SiteId) -> f64 {
     costs.get(site.index()).copied().unwrap_or(f64::MAX)
 }
 
+/// The round trip the static costs (one-way means) expect of the slowest
+/// of `sites`.
+fn round_trip<'a>(costs: &[f64], sites: impl Iterator<Item = &'a SiteId>) -> SimDuration {
+    let slowest = sites
+        .filter_map(|s| costs.get(s.index()))
+        .fold(0.0_f64, |a, c| a.max(*c));
+    SimDuration::from_millis_f64(2.0 * slowest.clamp(0.0, 1e12))
+}
+
 /// Seed salt for the load-balanced rotation cursor.
 const LB_SALT: u64 = 0x10AD_BA1A_7C3D_5EED;
 
@@ -752,15 +851,18 @@ impl ClientNode {
                 rtt_ms: 2.0 * c.clamp(0.0, 1e12),
                 suspicion: 0.0,
                 suspected: false,
+                owes_since: None,
             })
             .collect();
         let site_load = vec![0; costs.len()];
+        let silent = vec![false; costs.len()];
         ClientNode {
             site,
             configs: configs.into_iter().map(|c| (c.suite, c)).collect(),
             costs,
             plans: IdHashMap::default(),
             health,
+            silent,
             options,
             next_counter: 1,
             next_timer: 1,
@@ -1266,14 +1368,30 @@ impl ClientNode {
         }
     }
 
-    /// Any response from a site proves it alive: reset its suspicion.
+    /// Any message from a site proves it alive: it is no longer silent,
+    /// and its suspicion resets.
     fn note_response(&mut self, site: SiteId) {
+        if let Some(silent) = self.silent.get_mut(site.index()) {
+            *silent = false;
+        }
         if self.options.health.is_none() {
             return;
         }
         if let Some(sh) = self.health.get_mut(site.index()) {
             sh.suspicion = 0.0;
             sh.suspected = false;
+            sh.owes_since = None;
+        }
+    }
+
+    /// An inquiry or a prepare — a request whose answer is due a round
+    /// trip from now — goes out to `site` (no-op with health off).
+    fn note_asked(&mut self, site: SiteId, now: SimTime) {
+        if self.options.health.is_none() {
+            return;
+        }
+        if let Some(sh) = self.health.get_mut(site.index()) {
+            sh.owes_since.get_or_insert(now);
         }
     }
 
@@ -1293,9 +1411,15 @@ impl ClientNode {
         }
     }
 
-    /// A phase timed out with these sites still silent: bump their
-    /// suspicion, marking them suspected at the threshold.
+    /// A phase timed out, or a direct prepare widened, with these sites
+    /// still silent: remember them so, and bump their suspicion, marking
+    /// them suspected at the threshold.
     fn note_unanswered(&mut self, sites: &[SiteId]) {
+        for &site in sites {
+            if let Some(silent) = self.silent.get_mut(site.index()) {
+                *silent = true;
+            }
+        }
         if self.options.health.is_none() {
             return;
         }
@@ -1446,7 +1570,7 @@ impl ClientNode {
         if rtt <= 0.0 {
             return None;
         }
-        Some(SimDuration::from_millis_f64(rtt * HEDGE_MULTIPLIER).max(SimDuration::from_micros(1)))
+        Some(SimDuration::from_millis_f64(rtt * LATE_MULTIPLIER).max(SimDuration::from_micros(1)))
     }
 
     /// The client's site.
@@ -1736,6 +1860,22 @@ impl ClientNode {
         })
     }
 
+    /// Whether this attempt of `st` may skip the inquiry and go straight to
+    /// prepare: the first attempt of a one-access operation (see
+    /// [`one_access`]). A retry inquires: its predecessor met a conflict, a
+    /// stale configuration or a dead site, the inquiry finds the way
+    /// around each, and one-round blind retries would outrun a
+    /// reconfiguration's exact-version read-modify-write for as long as
+    /// they kept coming. [`Self::enter_prepare`] adds the condition that
+    /// is about the sites: none it would prepare at is silent.
+    fn may_go_direct(&self, st: &OpState) -> bool {
+        st.attempts == 0
+            && !st.writes.is_empty()
+            && st
+                .suites()
+                .all(|suite| one_access(st.kind, &self.configs[&suite]))
+    }
+
     fn begin_attempt(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
         // Cache tier: a live lease serves locally, and a read arriving
         // while another read's inquiry is in flight coalesces onto it.
@@ -1746,6 +1886,10 @@ impl ClientNode {
         let Some(st) = self.ops.get(&req) else {
             return;
         };
+        if self.may_go_direct(st) && self.enter_prepare(req, ctx) {
+            return;
+        }
+        let st = &self.ops[&req];
         let (suite, is_read, installs) = (st.suite, st.kind == OpKind::Read, st.writes.len());
         let delay = self.phase_delay(self.inquiry_targets(st).map(|(_, site)| site));
         // With a warm cache entry the local copy plays the optimistic
@@ -1811,6 +1955,15 @@ impl ClientNode {
                 self.trace_add_leg(req, target, SpanKind::Rpc, ctx.now());
             }
         }
+        if self.options.health.is_some() {
+            let asked: Vec<SiteId> = self
+                .inquiry_targets(&self.ops[&req])
+                .map(|(_, site)| site)
+                .collect();
+            for site in asked {
+                self.note_asked(site, ctx.now());
+            }
+        }
         // A writer's answer is only a floor for the version assigned
         // under the commit lock, so it need not wait for one.
         let floor = installs > 0;
@@ -1824,15 +1977,71 @@ impl ClientNode {
         self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
     }
 
-    /// Plans a write's or transaction's prepare once every written suite
-    /// has its inquiry quorum: per suite, the version's floor is the
-    /// highest answer plus one and the install set is the best-ranked
-    /// write quorum among the responders.
-    fn enter_prepare(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+    /// Plans a write's or transaction's prepare and launches it. After an
+    /// inquiry (every written suite has its quorum of answers): per suite,
+    /// the version's floor is the highest answer plus one and the install
+    /// set is the best-ranked write quorum among the responders. On a
+    /// direct attempt nobody was asked: the floor is the lowest there is —
+    /// the participants assign above what they hold — and the install set
+    /// is the best-ranked write quorum outright.
+    ///
+    /// A direct attempt is not launched (`false`) while a site it would
+    /// prepare at is silent (see [`Self::is_silent`]): the inquiry was
+    /// also a liveness probe — prepares went only to sites that had just
+    /// answered — so a write that knows better keeps it, and is routed
+    /// around the site for free.
+    fn enter_prepare(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) -> bool {
         let Some(st) = self.ops.get(&req) else {
-            return;
+            return false;
         };
         let (kind, installs) = (st.kind, st.writes.len());
+        let direct = !matches!(st.phase, Phase::WriteInquire { .. });
+        // Per written suite: the ranking decided under, the install set,
+        // and the version floor.
+        let mut planned: Vec<(Ranked, Vec<SiteId>, Version)> = Vec::with_capacity(installs);
+        for i in 0..installs {
+            let suite = self.ops[&req].writes[i].0;
+            let ranked = self.rank(suite, ctx);
+            let cfg = &self.configs[&suite];
+            let (quorum, current) = match &self.ops[&req].phase {
+                Phase::WriteInquire { per_suite } => {
+                    let answers = &per_suite[i];
+                    // Restricting the ranked order to the responders
+                    // preserves it, so the greedy prefix (which skips
+                    // zero-vote sites) is the best write quorum among them.
+                    let responders: Vec<SiteId> = ranked
+                        .order
+                        .iter()
+                        .copied()
+                        .filter(|s| answers.contains_key(s))
+                        .collect();
+                    let quorum =
+                        cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &responders);
+                    let current = answers.values().copied().max();
+                    (quorum, current.unwrap_or(Version::INITIAL))
+                }
+                _ => {
+                    let quorum =
+                        cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &ranked.order);
+                    (quorum, Version::INITIAL)
+                }
+            };
+            let Some(quorum) = quorum else {
+                // Cannot happen: the inquiry's vote threshold passed, and a
+                // legal configuration's sites reach `w`; be defensive.
+                return false;
+            };
+            if direct && quorum.iter().any(|s| self.is_silent(*s, ctx.now())) {
+                return false;
+            }
+            planned.push((ranked, quorum, current));
+        }
+        let st = self.ops.get_mut(&req).expect("present above");
+        if direct {
+            st.attempts += 1;
+            st.attempt_started = ctx.now();
+        }
+        let mut unprobed: Vec<Vec<SiteId>> = Vec::new();
         let mut batches: Vec<(SiteId, Vec<PrepareWrite>)> = Vec::new();
         // A plain write reports its version alone; a transaction also
         // reports every suite's (its first suite's as `version`).
@@ -1841,37 +2050,14 @@ impl ClientNode {
             value: None,
             multi: Vec::new(),
         };
-        for i in 0..installs {
-            let suite = self.ops[&req].writes[i].0;
-            let ranked = self.rank(suite, ctx);
-            let st = &self.ops[&req];
-            let Phase::WriteInquire { per_suite } = &st.phase else {
-                return;
-            };
-            let answers = &per_suite[i];
-            let cfg = &self.configs[&suite];
-            // Restricting the ranked order to the responders preserves it,
-            // so the greedy prefix (which skips zero-vote sites) is the
-            // best write quorum among them.
-            let responders: Vec<SiteId> = ranked
-                .order
-                .iter()
-                .copied()
-                .filter(|s| answers.contains_key(s))
-                .collect();
-            let Some(quorum) =
-                cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &responders)
-            else {
-                // Cannot happen once the vote threshold passed; be defensive.
-                return;
-            };
-            let current = answers.values().copied().max().unwrap_or(Version::INITIAL);
+        for (i, (ranked, quorum, current)) in planned.into_iter().enumerate() {
+            let (suite, value) = self.ops[&req].writes[i].clone();
             let install = PrepareWrite {
                 suite,
                 object: data_object(suite),
                 version: current.next(),
-                value: st.writes[i].1.clone(),
-                generation: cfg.generation,
+                value,
+                generation: self.configs[&suite].generation,
             };
             if i == 0 {
                 on_commit.version = install.version;
@@ -1879,18 +2065,13 @@ impl ClientNode {
             if kind == OpKind::Transaction {
                 on_commit.multi.push((suite, install.version));
             }
-            for site in &quorum {
-                match batches.iter_mut().find(|(s, _)| s == site) {
-                    Some((_, batch)) => batch.push(install.clone()),
-                    None => batches.push((*site, vec![install.clone()])),
-                }
-            }
+            add_to_batches(&mut batches, &quorum, &install);
             if self.audit.is_some() {
-                let decision = match kind {
-                    OpKind::Transaction => DecisionKind::TxnQuorum,
-                    _ => DecisionKind::WriteQuorum,
-                };
+                let decision = quorum_decision(kind);
                 self.audit_decision(decision, req, suite, &quorum, &ranked, ctx.now());
+            }
+            if direct {
+                unprobed.push(quorum);
             }
         }
         // Send order is behaviour (the net samples one latency per send):
@@ -1899,46 +2080,56 @@ impl ClientNode {
         if installs > 1 {
             batches.sort_by_key(|(site, _)| *site);
         }
-        let timeout = self.phase_delay(batches.iter().map(|(site, _)| *site));
-        self.send_prepares(req, batches, true, (on_commit, None), timeout, ctx);
+        let plan = PreparePlan {
+            timeout: self.phase_delay(batches.iter().map(|(site, _)| *site)),
+            batches,
+            rebase: true,
+            unprobed,
+            on_commit: (on_commit, None),
+        };
+        self.send_prepares(req, plan, ctx);
+        true
     }
 
-    /// The one two-phase-commit launch: sends each site its prepare batch
-    /// (in the order given — the planners decide it), enters
-    /// [`Phase::Prepare`] and arms `timeout`. `rebase` says the versions
-    /// are floors for the participants to assign above, not exact.
-    /// `on_commit` is what the op reports (at the planned versions; the
-    /// decision corrects them), and the configuration it adopts, once
-    /// every participant has acknowledged the commit.
-    fn send_prepares(
-        &mut self,
-        req: ReqId,
-        batches: Vec<(SiteId, Vec<PrepareWrite>)>,
-        rebase: bool,
-        on_commit: (OpSuccess, Option<SuiteConfig>),
-        timeout: SimDuration,
-        ctx: &mut NodeCtx<'_, Msg>,
-    ) {
+    /// The one two-phase-commit launch: sends each site its prepare batch,
+    /// enters [`Phase::Prepare`] and arms the plan's timeout.
+    fn send_prepares(&mut self, req: ReqId, plan: PreparePlan, ctx: &mut NodeCtx<'_, Msg>) {
         let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
-        st.on_commit = Some(on_commit);
+        st.on_commit = Some(plan.on_commit);
         st.seq += 1;
-        let (seq, lock_ts) = (st.seq, st.lock_ts);
+        let seq = st.seq;
         st.phase = Phase::Prepare {
-            participants: batches.iter().map(|(site, _)| *site).collect(),
+            participants: plan.batches.iter().map(|(site, _)| *site).collect(),
             yes: BTreeMap::new(),
             in_line: BTreeMap::new(),
             give_way: false,
             asks: 0,
+            unprobed: plan.unprobed,
         };
+        self.trace_begin_phase(req, SpanKind::Prepare, ctx.now());
+        self.send_batches(req, plan.batches, plan.rebase, ctx);
+        self.arm_timer(req, seq, TimerKind::PhaseTimeout, plan.timeout, ctx);
+    }
+
+    /// Sends each site its prepare batch under `req`'s open prepare phase,
+    /// in the order given — the planners decide it.
+    fn send_batches(
+        &mut self,
+        req: ReqId,
+        batches: Vec<(SiteId, Vec<PrepareWrite>)>,
+        rebase: bool,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        let lock_ts = self.ops[&req].lock_ts;
         if self.tracer.is_some() {
-            self.trace_begin_phase(req, SpanKind::Prepare, ctx.now());
             for (site, _) in &batches {
                 self.trace_add_rpc(req, *site, ctx.now());
             }
         }
         for (site, writes) in batches {
+            self.note_asked(site, ctx.now());
             self.note_load(site);
             ctx.send(
                 site,
@@ -1950,7 +2141,6 @@ impl ClientNode {
                 },
             );
         }
-        self.arm_timer(req, seq, TimerKind::PhaseTimeout, timeout, ctx);
     }
 
     /// Whether `req` has used up its attempt budget (counted when so): the
@@ -1995,8 +2185,17 @@ impl ClientNode {
         st.seq += 1;
         let seq = st.seq;
         let attempts = st.attempts;
+        // Another operation won a race this attempt lost: an older
+        // prepare took a lock it was still collecting for, or a write
+        // committed under a reconfiguration's exact version. The winner
+        // needs about as long to finish as this attempt got, and trying
+        // again sooner loses the same race to it.
+        let lost = match cause {
+            RetryCause::VoteNo | RetryCause::GaveWay => ctx.now().since(st.attempt_started),
+            _ => SimDuration::ZERO,
+        };
         self.ops.insert(new_req, st);
-        let delay = self.retry_delay(new_req, attempts);
+        let delay = self.retry_delay(new_req, attempts).max(lost);
         self.arm_timer(new_req, seq, TimerKind::Retry, delay, ctx);
     }
 
@@ -2061,7 +2260,15 @@ impl ClientNode {
         }
     }
 
-    fn enter_refresh(&mut self, req: ReqId, ask: SiteId, ctx: &mut NodeCtx<'_, Msg>) {
+    /// Asks `ask` for the configuration of `stale` — the suite it said
+    /// has moved on, which for a transaction need not be its first.
+    fn enter_refresh(
+        &mut self,
+        req: ReqId,
+        stale: ObjectId,
+        ask: SiteId,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
         // A coalesced-inquiry leader that leaves for a config refresh
         // hands its followers back to fresh attempts first.
         self.leader_abandoned(req, ctx);
@@ -2079,7 +2286,7 @@ impl ClientNode {
         st.seq += 1;
         st.phase = Phase::RefreshConfig;
         let seq = st.seq;
-        ctx.send(ask, Msg::ConfigReq { suite, req });
+        ctx.send(ask, Msg::ConfigReq { suite: stale, req });
         self.arm_timer(
             req,
             seq,
@@ -2264,7 +2471,7 @@ impl ClientNode {
         };
         match next {
             Next::Wait => {}
-            Next::Refresh => self.enter_refresh(req, from, ctx),
+            Next::Refresh => self.enter_refresh(req, suite, from, ctx),
             Next::Restart => {
                 self.leader_abandoned(req, ctx);
                 self.trace_close_phase(req, ctx.now(), SpanOutcome::Stale);
@@ -2305,7 +2512,7 @@ impl ClientNode {
             }
             Next::ToPrepare => {
                 self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
-                self.enter_prepare(req, ctx)
+                self.enter_prepare(req, ctx);
             }
         }
     }
@@ -2549,18 +2756,17 @@ impl ClientNode {
             value: None,
             multi: vec![(suite, bump)],
         };
-        // The fixed ceiling, not the adaptive `phase_delay`: E9's healing
-        // and quarantine arms pin this timeout as it has always been.
-        let timeout = self.options.phase_timeout;
-        let batches = per_site.into_iter().collect();
-        self.send_prepares(
-            req,
-            batches,
-            false,
-            (on_commit, Some(new_cfg)),
-            timeout,
-            ctx,
-        );
+        let plan = PreparePlan {
+            batches: per_site.into_iter().collect(),
+            rebase: false,
+            unprobed: Vec::new(),
+            on_commit: (on_commit, Some(new_cfg)),
+            // The fixed ceiling, not the adaptive `phase_delay`: E9's
+            // healing and quarantine arms pin this timeout as it has
+            // always been.
+            timeout: self.options.phase_timeout,
+        };
+        self.send_prepares(req, plan, ctx);
     }
 
     fn on_read_resp(
@@ -2719,17 +2925,54 @@ impl ClientNode {
     fn on_prepare_vote(
         &mut self,
         from: SiteId,
-        suite: ObjectId,
         req: ReqId,
         vote: Result<Vec<(ObjectId, Version)>, RetryCause>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
         let vote_detail = u64::from(vote.is_ok());
         self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, vote_detail);
-        // The last yes ends the prepare phase: the participant list moves
-        // out with it, and every object commits at the highest version
-        // any participant staged for it.
-        let (participants, versions) = {
+        let Some(st) = self.ops.get_mut(&req) else {
+            return;
+        };
+        let rtt = ctx.now().since(st.attempt_started);
+        let Phase::Prepare {
+            participants,
+            yes,
+            unprobed,
+            ..
+        } = &mut st.phase
+        else {
+            return;
+        };
+        if !participants.contains(&from) {
+            return;
+        }
+        let staged = match vote {
+            Ok(staged) => staged,
+            Err(cause) => return self.abort_prepare(req, OpError::Conflict, cause, ctx),
+        };
+        let first = yes.is_empty();
+        yes.insert(from, staged);
+        if yes.len() == participants.len() {
+            return self.decide(req, ctx);
+        }
+        // A direct attempt sent its prepares to sites nothing vouched for.
+        // Its first yes holds a commit lock, and the reads behind it, for
+        // as long as the slowest participant takes; one that has said
+        // nothing a round trip from now is widened away from.
+        if first && !unprobed.is_empty() {
+            let waiting = participants.iter().filter(|s| !yes.contains_key(s));
+            let delay = rtt.max(round_trip(&self.costs, waiting));
+            let seq = st.seq;
+            self.arm_timer(req, seq, TimerKind::Widen, delay, ctx);
+        }
+    }
+
+    /// Every participant voted yes: the prepare phase ends. The
+    /// participant list moves out with it, and every object commits at the
+    /// highest version any participant staged for it.
+    fn decide(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+        let (suite, participants, versions) = {
             let Some(st) = self.ops.get_mut(&req) else {
                 return;
             };
@@ -2739,17 +2982,6 @@ impl ClientNode {
             else {
                 return;
             };
-            if !participants.contains(&from) {
-                return;
-            }
-            let staged = match vote {
-                Ok(staged) => staged,
-                Err(cause) => return self.abort_prepare(req, OpError::Conflict, cause, ctx),
-            };
-            yes.insert(from, staged);
-            if yes.len() < participants.len() {
-                return;
-            }
             let mut versions: Vec<(ObjectId, Version)> = Vec::new();
             for &(object, version) in yes.values().flatten() {
                 match versions.iter_mut().find(|(o, _)| *o == object) {
@@ -2769,7 +3001,7 @@ impl ClientNode {
             for (s, v) in &mut success.multi {
                 *v = decided(*s).unwrap_or(*v);
             }
-            (std::mem::take(participants), versions)
+            (st.suite, std::mem::take(participants), versions)
         };
         // Decide commit — durably, *before* any commit message leaves, so
         // decision probes always get the truth. This is the commit point.
@@ -2810,9 +3042,7 @@ impl ClientNode {
         let (success, _) = then.as_ref().expect("a prepare sets on_commit");
         let push = (self.options.push_weak_on_write && st.kind == OpKind::Write)
             .then(|| (success.version, st.writes[0].1.clone()));
-        let at_decision = st
-            .suites()
-            .all(|s| reports_at_decision(st.kind, &self.configs[&s]));
+        let at_decision = st.suites().all(|s| one_access(st.kind, &self.configs[&s]));
         let report = then.take_if(|_| at_decision);
         let tail = CommitTail {
             suite,
@@ -2961,28 +3191,153 @@ impl ClientNode {
         st.seq += 1;
         let seq = st.seq;
         for &site in &waiting {
-            ctx.send(
-                site,
-                Msg::Prepare {
-                    req,
-                    writes: Vec::new(),
-                    lock_ts,
-                    rebase: false, // nothing to re-base
-                },
-            );
+            ctx.send(site, reask(req, lock_ts));
         }
         let delay = self.phase_delay(waiting) * (1u64 << doublings);
         self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
         true
     }
 
+    /// A direct prepare's first yes is a round trip old. Participants that
+    /// have neither voted nor said they keep our place in their line are
+    /// taken for silent — what an inquiry would have found out before
+    /// anything was locked: they are told to abort, dropped, and replaced
+    /// by the next voting sites in rank order until every written suite
+    /// has its `w` votes again. The decision is then taken over the
+    /// widened set. A dropped site's late yes is answered as a decision
+    /// probe is (see [`Self::handle`]), so it ends holding the decided
+    /// contents or nothing.
+    ///
+    /// Widens once: a silent replacement leaves the attempt to the phase
+    /// timeout, and the retry inquires. (So a site once dropped is never
+    /// asked again under the same request id: its abort and a second
+    /// prepare could swap on the wire, and its vote would promise a
+    /// staging the abort has since undone.) Where too few sites are left
+    /// to widen to, nothing is dropped — the laggard may yet answer.
+    fn on_widen(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+        let Some(st) = self.ops.get_mut(&req) else {
+            return;
+        };
+        let Phase::Prepare {
+            participants,
+            yes,
+            in_line,
+            unprobed,
+            ..
+        } = &mut st.phase
+        else {
+            return;
+        };
+        let quorums = std::mem::take(unprobed);
+        let said_nothing = |s: &SiteId| !yes.contains_key(s) && !in_line.contains_key(s);
+        let silent: Vec<SiteId> = participants.iter().copied().filter(said_nothing).collect();
+        if silent.is_empty() {
+            return;
+        }
+        // A site already preparing some suite of this request cannot be
+        // handed another: a second prepare under the same id is a re-ask.
+        let taken = participants.clone();
+        let (kind, suite) = (st.kind, st.suite);
+        // Per written suite: the members kept, then the next in rank order
+        // until the votes are covered; the additions merge per site as
+        // `enter_prepare` batches them.
+        let mut added: Vec<(SiteId, Vec<PrepareWrite>)> = Vec::new();
+        let mut decisions: Vec<(ObjectId, Vec<SiteId>, Ranked)> = Vec::new();
+        for (i, quorum) in quorums.iter().enumerate() {
+            let (suite, value) = self.ops[&req].writes[i].clone();
+            let ranked = self.rank(suite, ctx);
+            let cfg = &self.configs[&suite];
+            let kept = || quorum.iter().filter(|s| !silent.contains(s));
+            let mut votes = cfg.assignment.votes_in(kept());
+            let mut next: Vec<SiteId> = Vec::new();
+            for &site in ranked.order.iter() {
+                if votes >= cfg.quorum.write {
+                    break;
+                }
+                let held = cfg.assignment.votes_of(site);
+                if held > 0 && !taken.contains(&site) && !self.is_silent(site, ctx.now()) {
+                    votes += held;
+                    next.push(site);
+                }
+            }
+            if votes < cfg.quorum.write {
+                return;
+            }
+            let install = PrepareWrite {
+                suite,
+                object: data_object(suite),
+                version: Version::INITIAL.next(),
+                value,
+                generation: cfg.generation,
+            };
+            add_to_batches(&mut added, &next, &install);
+            if self.audit.is_some() {
+                decisions.push((suite, kept().chain(&next).copied().collect(), ranked));
+            }
+        }
+        if quorums.len() > 1 {
+            added.sort_by_key(|(site, _)| *site);
+        }
+        for (suite, chosen, ranked) in decisions {
+            let decision = quorum_decision(kind);
+            self.audit_decision(decision, req, suite, &chosen, &ranked, ctx.now());
+        }
+        self.note_unanswered(&silent);
+        for &site in &silent {
+            self.trace_end_rpc(req, site, ctx.now(), SpanOutcome::Unanswered, 0);
+            ctx.send(site, Msg::Abort { suite, req });
+        }
+        let Some(Phase::Prepare {
+            participants, yes, ..
+        }) = self.ops.get_mut(&req).map(|st| &mut st.phase)
+        else {
+            return;
+        };
+        participants.retain(|s| !silent.contains(s));
+        participants.extend(added.iter().map(|(site, _)| *site));
+        if yes.len() == participants.len() {
+            // The sites kept cover the votes by themselves, and have all
+            // voted already.
+            return self.decide(req, ctx);
+        }
+        self.send_batches(req, added, true, ctx);
+    }
+
+    /// Whether `site` is taken for silent (see [`Self::enter_prepare`]): it
+    /// let a phase time out, or was widened away from, and has sent
+    /// nothing since — or, with health tracking on, it is late with an
+    /// answer right now. The reads' inquiries ask every voting site all
+    /// the time, so under traffic that finds a dead site about a round
+    /// trip after it died, before any write has been sent into it.
+    fn is_silent(&self, site: SiteId, now: SimTime) -> bool {
+        let late = |sh: &SiteHealth| {
+            let owed = sh.owes_since.map(|t| now.since(t).as_millis_f64());
+            owed.is_some_and(|ms| ms > sh.rtt_ms * LATE_MULTIPLIER)
+        };
+        self.silent.get(site.index()).is_some_and(|s| *s)
+            || (self.options.health.is_some() && self.health.get(site.index()).is_some_and(late))
+    }
+
+    /// Whether `site`'s yes vote on `req` can still matter: it is a
+    /// participant of the prepare in flight, or of the commit tail.
+    fn counts_on(&self, req: ReqId, site: SiteId) -> bool {
+        let preparing = |st: &OpState| matches!(&st.phase, Phase::Prepare { participants, .. } if participants.contains(&site));
+        self.ops.get(&req).is_some_and(preparing)
+            || (self.tails.get(&req)).is_some_and(|tail| tail.participants.contains(&site))
+    }
+
     /// Tells a participant how `req` ended, if it has. Presumed abort:
     /// only a durably logged commit that some participant has yet to ack
     /// answers commit (at the versions logged), and an id with no live
-    /// operation answers abort. An operation still collecting votes
-    /// answers *nothing* — a recovering participant probing mid-vote must
-    /// keep its prepared state (its durable yes may yet count towards a
-    /// commit) and re-probe after the decision lands.
+    /// operation answers abort — as does one whose prepare no longer
+    /// counts on `from` (it was widened away from). An operation still
+    /// collecting votes has no answer yet — a recovering participant
+    /// probing mid-vote must keep its prepared state (its durable yes may
+    /// yet count towards a commit) and re-probe after the decision lands.
+    /// But only a staged prepare probes: if `from`'s yes is what is still
+    /// missing, it was lost on the way, and the commit locks behind it
+    /// wait for this coordinator's next look, which may be thinned out far
+    /// (see [`Self::keep_place_in_line`]). It is asked again at once.
     fn answer_decision_probe(
         &mut self,
         from: SiteId,
@@ -3003,8 +3358,14 @@ impl ClientNode {
                 req,
                 versions,
             }
-        } else if self.ops.contains_key(&req) {
-            return;
+        } else if self.counts_on(req, from) {
+            let Some(st) = self.ops.get(&req) else {
+                return;
+            };
+            match &st.phase {
+                Phase::Prepare { yes, .. } if !yes.contains_key(&from) => reask(req, st.lock_ts),
+                _ => return,
+            }
         } else {
             Msg::Abort { suite, req }
         };
@@ -3280,7 +3641,7 @@ impl ClientNode {
                 value,
             } => self.on_read_resp(from, suite, req, version, value, ctx),
             Msg::Busy { req, give_way, .. } => self.on_busy(from, req, give_way, ctx),
-            Msg::Refused { suite, req, reason } => {
+            Msg::Refused { req, reason, .. } => {
                 match reason {
                     RefuseReason::Quarantined => {
                         self.stats.refused_quarantined += 1;
@@ -3298,7 +3659,7 @@ impl ClientNode {
                 if in_prepare {
                     // A refused prepare is a no vote: the coordinator
                     // aborts the round and retries on a healthier quorum.
-                    self.on_prepare_vote(from, suite, req, Err(RetryCause::Refused), ctx);
+                    self.on_prepare_vote(from, req, Err(RetryCause::Refused), ctx);
                 } else {
                     self.trace_end_leg(req, from, ctx.now(), SpanOutcome::Refused, 0);
                     self.try_next_candidate(req, Some(from), ctx)
@@ -3311,27 +3672,29 @@ impl ClientNode {
                 staged,
             } => {
                 let vote = match vote {
-                    // A promise to an attempt this client has given up —
-                    // its abort was lost, and the prepare stood in line
-                    // all the same. Left to the participant's own probe
-                    // timer it would hold the commit lock, and everyone
-                    // in line behind it, for nothing: answer it now.
-                    Vote::Yes if !self.ops.contains_key(&req) && !self.tails.contains_key(&req) => {
+                    // A promise nobody counts on: to an attempt this
+                    // client has given up, or from a site it widened away
+                    // from — the abort was lost or overtaken, and the
+                    // prepare was staged all the same. Left to the
+                    // participant's own probe timer it would hold the
+                    // commit lock, and everyone in line behind it, for
+                    // nothing: answer it now.
+                    Vote::Yes if !self.counts_on(req, from) => {
                         return self.answer_decision_probe(from, suite, req, ctx)
                     }
                     Vote::Yes => Ok(staged),
                     Vote::No => Err(RetryCause::VoteNo),
                 };
-                self.on_prepare_vote(from, suite, req, vote, ctx)
+                self.on_prepare_vote(from, req, vote, ctx)
             }
             Msg::Ack { req, committed, .. } => self.on_ack(from, req, committed, ctx),
             // Only a prepare is ever answered so — and a re-sent or
             // duplicated one can be answered after the decision, when
             // no reply may send the operation anywhere but forward.
-            Msg::StaleConfig { req, .. } => {
+            Msg::StaleConfig { suite, req, .. } => {
                 let preparing = |st: &OpState| matches!(st.phase, Phase::Prepare { .. });
                 if self.ops.get(&req).is_some_and(preparing) {
-                    self.enter_refresh(req, from, ctx)
+                    self.enter_refresh(req, suite, from, ctx)
                 }
             }
             Msg::ConfigResp { suite, req, config } => self.on_config_resp(suite, req, config, ctx),
@@ -3362,6 +3725,7 @@ impl ClientNode {
             TimerKind::Retry => self.begin_attempt(entry.req, ctx),
             TimerKind::PhaseTimeout => self.on_phase_timeout(entry.req, ctx),
             TimerKind::Hedge => self.on_hedge(entry.req, ctx),
+            TimerKind::Widen => self.on_widen(entry.req, ctx),
         }
     }
 
@@ -3376,6 +3740,10 @@ impl ClientNode {
         self.active = 0;
         self.cache.clear();
         self.inquiry_leaders.clear();
+        self.silent.fill(false);
+        for sh in &mut self.health {
+            sh.owes_since = None;
+        }
         self.unretired.clear();
         self.decisions.crash();
     }
@@ -3519,42 +3887,31 @@ mod tests {
         assert_eq!(c.in_flight(), 0);
     }
 
+    /// Puts `c`'s writes on the inquiry path, the way a phase that timed
+    /// out on site 1 — a member of the cheapest write quorum — does,
+    /// until site 1 is heard from again.
+    fn site_1_fell_silent(c: &mut ClientNode) {
+        c.note_unanswered(&[SiteId(1)]);
+    }
+
     #[test]
     fn write_runs_two_phase_commit_over_cheapest_quorum() {
         let mut c = client();
         let mut rng = DetRng::new(2);
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
         let req = c.start_write(SUITE, &b"new"[..], &mut ctx);
-        let _ = effects(&mut ctx);
-        // All three answer with v0.
-        for s in 0..3u16 {
-            let mut ctx = NodeCtx::new(SimTime::from_millis(5), CLIENT, &mut rng);
-            c.handle(
-                SiteId(s),
-                Msg::VersionResp {
-                    suite: SUITE,
-                    req,
-                    version: Version(0),
-                    generation: 1,
-                },
-                &mut ctx,
-            );
-            let out = effects(&mut ctx);
-            if s < 1 {
-                assert!(out.is_empty());
-            } else if s == 1 {
-                // Quorum (2 votes) reached: prepare goes to the two
-                // cheapest sites, 0 (cost 10) and 1 (cost 20).
-                assert_eq!(out.len(), 2);
-                let targets: Vec<SiteId> = out.iter().map(|(t, _)| *t).collect();
-                assert_eq!(targets, vec![SiteId(0), SiteId(1)]);
-                assert!(out.iter().all(|(_, m)| matches!(
-                    m,
-                    Msg::Prepare { writes, .. }
-                        if writes.len() == 1 && writes[0].version == Version(1)
-                )));
-            }
-        }
+        // Write quorums intersect (w = 2 of 3): nobody is asked for a
+        // version. The prepare goes straight to the two cheapest sites, 0
+        // (cost 10) and 1 (cost 20), with the lowest floor there is — the
+        // participants assign above what they hold.
+        let out = effects(&mut ctx);
+        let targets: Vec<SiteId> = out.iter().map(|(t, _)| *t).collect();
+        assert_eq!(targets, vec![SiteId(0), SiteId(1)]);
+        assert!(out.iter().all(|(_, m)| matches!(
+            m,
+            Msg::Prepare { writes, rebase: true, .. }
+                if writes.len() == 1 && writes[0].version == Version(1)
+        )));
         // Votes arrive; on the second yes the commit is decided and logged.
         let mut ctx = NodeCtx::new(SimTime::from_millis(20), CLIENT, &mut rng);
         c.handle(
@@ -3614,20 +3971,6 @@ mod tests {
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
         let req = c.start_write(SUITE, &b"w"[..], &mut ctx);
         let _ = effects(&mut ctx);
-        for s in 0..2u16 {
-            let mut ctx = NodeCtx::new(SimTime::from_millis(5), CLIENT, &mut rng);
-            c.handle(
-                SiteId(s),
-                Msg::VersionResp {
-                    suite: SUITE,
-                    req,
-                    version: Version(0),
-                    generation: 1,
-                },
-                &mut ctx,
-            );
-            let _ = effects(&mut ctx);
-        }
         let mut ctx = NodeCtx::new(SimTime::from_millis(10), CLIENT, &mut rng);
         c.handle(
             SiteId(0),
@@ -3660,20 +4003,6 @@ mod tests {
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
         let req = c.start_write(SUITE, &b"w"[..], &mut ctx);
         let _ = effects(&mut ctx);
-        for s in 0..2u16 {
-            let mut ctx = NodeCtx::new(SimTime::from_millis(5), CLIENT, &mut rng);
-            c.handle(
-                SiteId(s),
-                Msg::VersionResp {
-                    suite: SUITE,
-                    req,
-                    version: Version(0),
-                    generation: 1,
-                },
-                &mut ctx,
-            );
-            let _ = effects(&mut ctx);
-        }
         // One quorum member refuses: its disk is quarantined. The round
         // aborts exactly as on a no vote and a retry is scheduled.
         let mut ctx = NodeCtx::new(SimTime::from_millis(10), CLIENT, &mut rng);
@@ -3790,9 +4119,11 @@ mod tests {
         assert!(matches!(out[0].1, Msg::Abort { .. }));
     }
 
-    /// A write through its inquiry and into its prepare, out to sites 0
-    /// and 1 with the floor 1.
+    /// A write through its inquiry — site 1 fell silent earlier, and
+    /// answers now — and into its prepare, out to sites 0 and 1 with the
+    /// floor 1.
     fn preparing_write(c: &mut ClientNode, rng: &mut DetRng) -> ReqId {
+        site_1_fell_silent(c);
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, rng);
         let req = c.start_write(SUITE, &b"new"[..], &mut ctx);
         for s in 0..2u16 {
@@ -3997,6 +4328,30 @@ mod tests {
     }
 
     #[test]
+    fn a_probe_from_a_participant_whose_yes_is_missing_gets_it_asked_again() {
+        let mut c = client();
+        let mut rng = DetRng::new(16);
+        let req = preparing_write(&mut c, &mut rng);
+        deliver(&mut c, &mut rng, 10, 0, busy(req, false));
+        deliver(&mut c, &mut rng, 10, 1, busy(req, false));
+        // Site 1 probes: only a staged prepare does, so it has voted and
+        // the vote was lost — while this coordinator believes it in line
+        // and may not look again for four phase timeouts.
+        let probe = Msg::DecisionReq { suite: SUITE, req };
+        let (sends, _) = deliver(&mut c, &mut rng, 5_100, 1, probe.clone());
+        assert_eq!(sends.len(), 1);
+        assert!(matches!(
+            &sends[0],
+            (SiteId(1), Msg::Prepare { req: r, writes, .. }) if *r == req && writes.is_empty()
+        ));
+        // Its answer is counted; a probe from a site that has voted still
+        // gets no answer before the decision.
+        deliver(&mut c, &mut rng, 5_300, 1, yes(req, 1));
+        let (sends, _) = deliver(&mut c, &mut rng, 10_100, 1, probe);
+        assert!(sends.is_empty(), "{sends:?}");
+    }
+
+    #[test]
     fn replies_that_arrive_after_the_decision_are_ignored() {
         let mut c = client();
         let mut rng = DetRng::new(4);
@@ -4044,22 +4399,13 @@ mod tests {
         assert_eq!(c.stats.retries, 0);
     }
 
-    /// Drives one write through its inquiry and a unanimous prepare —
-    /// site 0 staged version 1, site 1 (ahead) version 3 — and returns
-    /// the request id with the commit decided at version 3, logged, and
-    /// out to both participants but acked by neither.
+    /// Drives one write through a unanimous prepare — site 0 staged
+    /// version 1, site 1 (ahead) version 3 — and returns the request id
+    /// with the commit decided at version 3, logged, and out to both
+    /// participants but acked by neither.
     fn decided_write(c: &mut ClientNode, rng: &mut DetRng) -> ReqId {
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, rng);
         let req = c.start_write(SUITE, &b"new"[..], &mut ctx);
-        for s in 0..2u16 {
-            let resp = Msg::VersionResp {
-                suite: SUITE,
-                req,
-                version: Version(0),
-                generation: 1,
-            };
-            c.handle(SiteId(s), resp, &mut ctx);
-        }
         c.handle(SiteId(0), yes(req, 1), &mut ctx);
         c.handle(SiteId(1), yes(req, 3), &mut ctx);
         let commits = effects(&mut ctx)
@@ -4194,15 +4540,13 @@ mod tests {
         let _third = c.start_write(SUITE, &b"3"[..], &mut ctx);
         let _ = effects(&mut ctx);
         assert_eq!((c.active, c.queued()), (1, 2));
-        answer_version(&mut c, &mut rng, 5, 0, first, 0);
-        answer_version(&mut c, &mut rng, 5, 1, first, 0);
         deliver(&mut c, &mut rng, 10, 0, yes(first, 1));
         // The last yes decides, reports, and hands the slot to the second
-        // write in the same turn.
+        // write in the same turn: its prepares leave beside the commits.
         let (sends, _) = deliver(&mut c, &mut rng, 10, 1, yes(first, 1));
         assert_eq!(c.completed.len(), 1);
-        let launched = |m: &Msg| matches!(m, Msg::VersionReq { req, .. } if *req == second);
-        assert_eq!(sends.iter().filter(|(_, m)| launched(m)).count(), 3);
+        let launched = |m: &Msg| matches!(m, Msg::Prepare { req, .. } if *req == second);
+        assert_eq!(sends.iter().filter(|(_, m)| launched(m)).count(), 2);
         assert_eq!((c.active, c.queued()), (1, 1));
         // The slot was freed once: the acks free nothing and launch nothing.
         for site in 0..2 {
@@ -5211,10 +5555,10 @@ mod tests {
 
     #[test]
     fn one_suite_transaction_sends_exactly_what_a_write_sends() {
-        // Site costs are not monotone in site id, so cost order (1, 2, 0)
+        // Site costs are not monotone in site id, so cost order (2, 1, 0)
         // and site order differ: the quorum must leave cheapest-first.
         let twin = || {
-            let costs = vec![30.0, 10.0, 20.0, 1.0];
+            let costs = vec![30.0, 20.0, 10.0, 1.0];
             ClientNode::new(CLIENT, vec![config()], costs, ClientOptions::default())
         };
         let (mut w, mut t) = (twin(), twin());
@@ -5224,16 +5568,12 @@ mod tests {
         let req = w.start_write(SUITE, &b"v"[..], &mut ctx_w);
         let writes = vec![(SUITE, Bytes::from_static(b"v"))];
         assert_eq!(t.start_transaction(writes, &mut ctx_t), req);
-        assert_eq!(split_effects(&mut ctx_w), split_effects(&mut ctx_t));
-        for from in 0..3u16 {
-            let sent_w = answer_version(&mut w, &mut rng_w, 5, from, req, 0);
-            let sent_t = answer_version(&mut t, &mut rng_t, 5, from, req, 0);
-            assert_eq!(sent_w, sent_t);
-            if from == 1 {
-                let targets: Vec<SiteId> = sent_w.0.iter().map(|(to, _)| *to).collect();
-                assert_eq!(targets, vec![SiteId(1), SiteId(0)], "cost order");
-            }
-        }
+        // Both go straight to prepare, and leave cheapest-first.
+        let (sent_w, sent_t) = (split_effects(&mut ctx_w), split_effects(&mut ctx_t));
+        assert_eq!(sent_w, sent_t);
+        let targets: Vec<SiteId> = sent_w.0.iter().map(|(to, _)| *to).collect();
+        assert_eq!(targets, vec![SiteId(2), SiteId(1)], "cost order");
+        assert!(matches!(sent_w.0[0].1, Msg::Prepare { .. }));
         let drive = |c: &mut ClientNode, rng: &mut DetRng, from: u16, msg: Msg| {
             let mut ctx = NodeCtx::new(SimTime::from_millis(9), CLIENT, rng);
             c.handle(SiteId(from), msg, &mut ctx);
@@ -5251,7 +5591,7 @@ mod tests {
             committed: true,
         };
         for msg in [vote, ack] {
-            for from in [0u16, 1] {
+            for from in [1u16, 2] {
                 let sent_w = drive(&mut w, &mut rng_w, from, msg.clone());
                 assert_eq!(sent_w, drive(&mut t, &mut rng_t, from, msg.clone()));
             }
@@ -5274,40 +5614,81 @@ mod tests {
             ..ClientOptions::default()
         };
         let costs = vec![10.0, 20.0, 30.0, 40.0, 1.0];
-        let mut c = ClientNode::new(SiteId(4), vec![cfg], costs, options);
+        let me = SiteId(4);
+        let mut c = ClientNode::new(me, vec![cfg], costs, options);
         let mut rng = DetRng::new(41);
-        let mut ctx = NodeCtx::new(SimTime::ZERO, SiteId(4), &mut rng);
-        let mut req = c.start_transaction(vec![(SUITE, Bytes::from_static(b"v"))], &mut ctx);
-        // The inquiry timer adapts to the slowest site's RTT estimate
-        // (seeded at 2 x 40 ms) instead of the fixed 5 s ceiling.
-        let mut timer = split_effects(&mut ctx).1[0];
-        assert_eq!(timer.0, SimDuration::from_millis_f64(80.0 * 6.0));
+        let mut ctx = NodeCtx::new(SimTime::ZERO, me, &mut rng);
+        let req = c.start_transaction(vec![(SUITE, Bytes::from_static(b"v"))], &mut ctx);
+        // Straight to prepare at the three cheapest sites. The timer adapts
+        // to the slowest participant's RTT estimate (seeded at 2 x 30 ms)
+        // instead of the fixed 5 s ceiling.
+        let (sends, timers) = split_effects(&mut ctx);
+        let targets: Vec<SiteId> = sends.iter().map(|(to, _)| *to).collect();
+        assert_eq!(targets, vec![SiteId(0), SiteId(1), SiteId(2)]);
+        let phase = timers[0];
+        assert_eq!(phase.0, SimDuration::from_millis_f64(60.0 * 6.0));
+        // Sites 0 and 3 are dead. The first yes gives the others one more
+        // round trip — the slowest one's own, where that is longer...
+        let at = |ms: u64| SimTime::from_millis(ms);
+        let mut ctx = NodeCtx::new(at(10), me, &mut rng);
+        c.handle(SiteId(1), yes(req, 1), &mut ctx);
+        let widen = split_effects(&mut ctx).1[0];
+        assert_eq!(widen.0, SimDuration::from_millis(60));
+        let mut ctx = NodeCtx::new(at(50), me, &mut rng);
+        c.handle(SiteId(2), yes(req, 1), &mut ctx);
+        assert!(split_effects(&mut ctx).1.is_empty(), "one widen timer");
+        // ...then site 0 is widened away from, towards site 3.
+        let mut ctx = NodeCtx::new(at(70), me, &mut rng);
+        c.handle_timer(widen.1, &mut ctx);
+        let (sends, timers) = split_effects(&mut ctx);
+        assert_eq!(aborts(&sends), vec![SiteId(0)]);
+        assert!(matches!(&sends[1], (SiteId(3), Msg::Prepare { req: r, .. }) if *r == req));
+        assert!(timers.is_empty() && c.ops.contains_key(&req));
+        assert_eq!((c.health[0].suspicion, c.stats.timeouts), (1.0, 0));
+        // Site 3 says nothing either: the phase times out, and from here
+        // on every attempt inquires, of all four, on a timer that adapts
+        // to the slowest of them (2 x 40 ms).
+        let mut ctx = NodeCtx::new(at(360), me, &mut rng);
+        c.handle_timer(phase.1, &mut ctx);
+        let (sends, timers) = split_effects(&mut ctx);
+        assert_eq!(aborts(&sends), vec![SiteId(1), SiteId(2), SiteId(3)]);
+        let mut retry = timers[0];
+        // Fires the retry timer at `at_ms`: the fresh inquiry's request id
+        // and its phase timer.
+        let inquire_again = |c: &mut ClientNode, rng: &mut DetRng, retry: u64, at_ms: u64| {
+            let mut ctx = NodeCtx::new(at(at_ms), me, rng);
+            c.handle_timer(retry, &mut ctx);
+            let (sends, timers) = split_effects(&mut ctx);
+            assert_eq!(sends.len(), 4);
+            match sends[0].1 {
+                Msg::VersionReq { req, .. } => (req, timers[0]),
+                ref other => panic!("expected a fresh inquiry, got {other:?}"),
+            }
+        };
         // Two inquiries in which only sites 1 and 2 answer, site 2 slowly.
         for (round, at_ms) in [(1, 1_000), (2, 3_000)] {
+            let (req, timer) = inquire_again(&mut c, &mut rng, retry.1, at_ms);
+            if round == 1 {
+                assert_eq!(timer.0, SimDuration::from_millis_f64(80.0 * 6.0));
+            }
             answer_version(&mut c, &mut rng, at_ms + 10, 1, req, 0);
             answer_version(&mut c, &mut rng, at_ms + 400, 2, req, 0);
             assert!(c.completed.is_empty() && c.ops.contains_key(&req));
-            let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms + 500), SiteId(4), &mut rng);
-            c.handle_timer(timer.1, &mut ctx);
-            let retry = split_effects(&mut ctx).1[0];
             let suspected: Vec<bool> = c.health[..4].iter().map(|h| h.suspected).collect();
             assert_eq!(suspected, [round == 2, false, false, round == 2]);
-            let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms + 1_000), SiteId(4), &mut rng);
-            c.handle_timer(retry.1, &mut ctx);
-            let (sends, timers) = split_effects(&mut ctx);
-            (req, timer) = match sends[0].1 {
-                Msg::VersionReq { req, .. } => (req, timers[0]),
-                ref other => panic!("expected a fresh inquiry, got {other:?}"),
-            };
+            let mut ctx = NodeCtx::new(at(at_ms + 500), me, &mut rng);
+            c.handle_timer(timer.1, &mut ctx);
+            retry = split_effects(&mut ctx).1[0];
         }
+        assert_eq!(c.stats.suspicions_raised, 2);
+        let (req, timer) = inquire_again(&mut c, &mut rng, retry.1, 5_000);
         // Site 2's slow answers were RTT samples: the timer now tracks it.
         let slowest = c.health[2].rtt_ms;
         assert!(slowest > 80.0);
         assert_eq!(timer.0, SimDuration::from_millis_f64(slowest * 6.0));
-        assert_eq!(c.stats.suspicions_raised, 2);
         // The cheapest site now ranks behind every unsuspected one, so the
         // next write quorum is drawn from the others.
-        let mut ctx = NodeCtx::new(SimTime::from_millis(5_000), SiteId(4), &mut rng);
+        let mut ctx = NodeCtx::new(at(5_000), me, &mut rng);
         let ranked = c.rank(SUITE, &mut ctx);
         assert_eq!(
             ranked.order[..],
@@ -5324,6 +5705,163 @@ mod tests {
     }
 
     #[test]
+    fn a_transaction_widens_per_suite_and_the_additions_merge_per_site() {
+        // Suite 1 lives at sites {0, 1, 2, 4} — site 0 with two votes of
+        // the five, r = w = 3 — and suite 2 at {2, 3, 4}, r = w = 2: the
+        // transaction's write quorums are {0, 1} and {2, 3}.
+        let other = ObjectId(2);
+        let votes = |v: &[(u16, u32)]| VoteAssignment::new(v.iter().map(|(s, n)| (SiteId(*s), *n)));
+        let cfg1 = votes(&[(0, 2), (1, 1), (2, 1), (4, 1)]);
+        let cfg1 = SuiteConfig::new(SUITE, cfg1, QuorumSpec::new(3, 3)).expect("legal");
+        let cfg2 = votes(&[(2, 1), (3, 1), (4, 1)]);
+        let cfg2 = SuiteConfig::new(other, cfg2, QuorumSpec::new(2, 2)).expect("legal");
+        let me = SiteId(5);
+        let costs = vec![10.0, 20.0, 30.0, 40.0, 50.0, 1.0];
+        let mut c = ClientNode::new(me, vec![cfg1, cfg2], costs, ClientOptions::default());
+        let mut rng = DetRng::new(44);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, me, &mut rng);
+        let value = Bytes::from_static(b"v");
+        let req = c.start_transaction(vec![(SUITE, value.clone()), (other, value)], &mut ctx);
+        let (sends, _) = split_effects(&mut ctx);
+        let targets: Vec<SiteId> = sends.iter().map(|(to, _)| *to).collect();
+        assert_eq!(targets, vec![SiteId(0), SiteId(1), SiteId(2), SiteId(3)]);
+        // Sites 0 and 2 vote; 1 and 3 say nothing. The first yes gives the
+        // slowest of the others its own round trip (2 x 40 ms).
+        let vote = |object| Msg::PrepareVote {
+            suite: SUITE,
+            req,
+            vote: Vote::Yes,
+            staged: vec![(object, Version(1))],
+        };
+        let mut ctx = NodeCtx::new(SimTime::from_millis(20), me, &mut rng);
+        c.handle(SiteId(0), vote(data_object(SUITE)), &mut ctx);
+        let widen = split_effects(&mut ctx).1[0];
+        assert_eq!(widen.0, SimDuration::from_millis(80));
+        let mut ctx = NodeCtx::new(SimTime::from_millis(60), me, &mut rng);
+        c.handle(SiteId(2), vote(data_object(other)), &mut ctx);
+        // Each suite replaces its silent member by the next site in its
+        // own rank order that is not already preparing something for this
+        // request — site 2 ranks ahead of 4 for suite 1, and is taken —
+        // and site 4, chosen twice, gets one prepare carrying both.
+        let mut ctx = NodeCtx::new(SimTime::from_millis(100), me, &mut rng);
+        c.handle_timer(widen.1, &mut ctx);
+        let (sends, timers) = split_effects(&mut ctx);
+        assert_eq!(aborts(&sends), vec![SiteId(1), SiteId(3)]);
+        assert!(timers.is_empty(), "widens once");
+        let prepares: Vec<&(SiteId, Msg)> = sends
+            .iter()
+            .filter(|(_, m)| matches!(m, Msg::Prepare { .. }))
+            .collect();
+        assert_eq!(prepares.len(), 1);
+        let Msg::Prepare { writes, rebase, .. } = &prepares[0].1 else {
+            unreachable!()
+        };
+        assert_eq!(prepares[0].0, SiteId(4));
+        let suites: Vec<ObjectId> = writes.iter().map(|pw| pw.suite).collect();
+        assert_eq!((suites, *rebase), (vec![SUITE, other], true));
+        // Both dropped sites are remembered silent; the decision is taken
+        // over the widened set.
+        assert!(c.is_silent(SiteId(1), SimTime::from_millis(100)));
+        let both = Msg::PrepareVote {
+            suite: SUITE,
+            req,
+            vote: Vote::Yes,
+            staged: vec![
+                (data_object(SUITE), Version(1)),
+                (data_object(other), Version(1)),
+            ],
+        };
+        let mut ctx = NodeCtx::new(SimTime::from_millis(200), me, &mut rng);
+        c.handle(SiteId(4), both, &mut ctx);
+        let (sends, _) = split_effects(&mut ctx);
+        let commits: Vec<SiteId> = sends
+            .iter()
+            .filter(|(_, m)| matches!(m, Msg::Commit { .. }))
+            .map(|(to, _)| *to)
+            .collect();
+        assert_eq!(commits, vec![SiteId(0), SiteId(2), SiteId(4)]);
+        assert_eq!(c.completed.len(), 1);
+    }
+
+    #[test]
+    fn with_health_tracking_a_site_late_with_an_answer_is_taken_for_silent() {
+        // Reads ask every voting site all the time, so a client that keeps
+        // score of round trips finds a dead site without sending a write
+        // into it: site 1 owes this read an answer.
+        let mut c = health_client();
+        let mut rng = DetRng::new(45);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        let read = c.start_read(SUITE, &mut ctx);
+        drop(ctx);
+        answer_version(&mut c, &mut rng, 20, 0, read, 0);
+        answer_version(&mut c, &mut rng, 60, 2, read, 0);
+        let first_sends = |c: &mut ClientNode, rng: &mut DetRng, at_ms: u64| {
+            let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms), CLIENT, rng);
+            c.start_write(SUITE, &b"w"[..], &mut ctx);
+            split_effects(&mut ctx).0
+        };
+        // Three round trips (seeded at 2 x 20 ms) are not yet up...
+        let sends = first_sends(&mut c, &mut rng, 100);
+        assert!(matches!(sends[0].1, Msg::Prepare { .. }), "{sends:?}");
+        // ...now they are, and the write asks first.
+        let sends = first_sends(&mut c, &mut rng, 130);
+        assert!(matches!(sends[0].1, Msg::VersionReq { .. }), "{sends:?}");
+        assert_eq!(sends.len(), 3);
+        // Whatever site 1 says next pays the debt.
+        let ack = Msg::Ack {
+            suite: SUITE,
+            req: read,
+            committed: false,
+        };
+        deliver(&mut c, &mut rng, 140, 1, ack);
+        let sends = first_sends(&mut c, &mut rng, 150);
+        assert!(matches!(sends[0].1, Msg::Prepare { .. }), "{sends:?}");
+        // Without health tracking nothing is late before a timeout says so.
+        let mut c = client();
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        c.start_read(SUITE, &mut ctx);
+        drop(ctx);
+        let sends = first_sends(&mut c, &mut rng, 4_000);
+        assert!(matches!(sends[0].1, Msg::Prepare { .. }), "{sends:?}");
+    }
+
+    #[test]
+    fn a_lost_race_is_not_retried_sooner_than_the_lost_attempt_lasted() {
+        // A no vote 700 ms into the attempt: whoever won the race needs
+        // about that long to finish, and the 40 ms backoff would only lose
+        // it the same race again.
+        let mut c = client();
+        let mut rng = DetRng::new(46);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        let req = c.start_write(SUITE, &b"w"[..], &mut ctx);
+        drop(ctx);
+        let no = |req| Msg::PrepareVote {
+            suite: SUITE,
+            req,
+            vote: Vote::No,
+            staged: Vec::new(),
+        };
+        let (_, timers) = deliver(&mut c, &mut rng, 700, 0, no(req));
+        assert_eq!(timers[0].0, SimDuration::from_millis(700));
+        // A refusal is no race lost: the backoff alone (40 ms and jitter).
+        let mut c = client();
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        let req = c.start_write(SUITE, &b"w"[..], &mut ctx);
+        drop(ctx);
+        let refused = Msg::Refused {
+            suite: SUITE,
+            req,
+            reason: RefuseReason::Disk,
+        };
+        let (_, timers) = deliver(&mut c, &mut rng, 700, 0, refused);
+        assert!(
+            timers[0].0 < SimDuration::from_millis(61),
+            "{:?}",
+            timers[0].0
+        );
+    }
+
+    #[test]
     fn late_version_answer_for_a_preparing_write_costs_no_probe_and_no_draw() {
         for policy in [QuorumPolicy::CheapestFirst, QuorumPolicy::Random] {
             let options = ClientOptions {
@@ -5333,6 +5871,8 @@ mod tests {
             let mut c =
                 ClientNode::new(CLIENT, vec![config()], vec![10.0, 20.0, 30.0, 1.0], options);
             let mut rng = DetRng::new(42);
+            // The write inquires: site 1 let an earlier phase time out.
+            site_1_fell_silent(&mut c);
             let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
             let req = c.start_write(SUITE, &b"w"[..], &mut ctx);
             drop(ctx);

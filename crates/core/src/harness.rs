@@ -1668,9 +1668,9 @@ mod tests {
     // ---- the commit point is the decision (DESIGN.md §7.2) ----
 
     /// Three one-vote servers, `r = w = 2`, a writer (site 3) on 100 ms
-    /// links — its write's inquiry is answered at 200 ms and its votes
-    /// are in, so it is decided and reported, at 400 ms — and a reader
-    /// (site 4) `reader_ms` from every server.
+    /// links — its write goes straight to prepare and its votes are in,
+    /// so it is decided and reported, at 200 ms — and a reader (site 4)
+    /// `reader_ms` from every server.
     fn writer_and_reader(seed: u64, reader_ms: u64) -> (Harness, SiteId, SiteId) {
         let (writer, reader) = (SiteId(3), SiteId(4));
         let mut net = NetConfig::uniform(5, LatencyModel::constant_millis(100));
@@ -1705,11 +1705,11 @@ mod tests {
         h.enqueue_write(writer, suite, b"new".to_vec(), h.now());
         // The writer is cut off just as the last vote lands: it decides
         // and reports, and its first Commit to both participants is lost.
-        h.advance(SimDuration::from_millis(399));
+        h.advance(SimDuration::from_millis(199));
         h.partition(Partition::isolate(5, writer));
         h.advance(SimDuration::from_millis(2));
         h.heal();
-        assert_eq!(reported_at(&mut h, writer), SimDuration::from_millis(400));
+        assert_eq!(reported_at(&mut h, writer), SimDuration::from_millis(200));
         assert!(SiteId::all(3).all(|s| h.version_at(s, suite) == Some(Version(0))));
         // A read that starts after the report is held behind the two
         // participants' commit locks — the third replica's old version
@@ -1731,10 +1731,10 @@ mod tests {
         let suite = h.suite_id();
         h.enqueue_write(writer, suite, b"new".to_vec(), h.now());
         // s1 crashes with its yes vote on the wire and misses the Commit.
-        h.advance(SimDuration::from_millis(350));
+        h.advance(SimDuration::from_millis(150));
         h.crash(SiteId(1));
         h.advance(SimDuration::from_millis(200));
-        assert_eq!(reported_at(&mut h, writer), SimDuration::from_millis(400));
+        assert_eq!(reported_at(&mut h, writer), SimDuration::from_millis(200));
         assert_eq!(h.version_at(SiteId(0), suite), Some(Version(1)));
         // The one replica that applied the write goes down, and s1 comes
         // back in doubt: a reader's quorum is now s1 and s2, which never
@@ -1814,6 +1814,345 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].latency(), SimDuration::from_millis(800));
         assert_eq!(done[0].outcome.as_ref().expect("ok").version, Version(2));
+    }
+
+    // ---- one quorum access per write: the hazards (DESIGN.md §7.2) ----
+
+    use crate::client::RetryCause;
+
+    /// Three one-vote servers, `r = w = 2`, and two clients, sites 3 and
+    /// 4, on the links `net` sets up over uniform 100 ms ones.
+    fn two_clients(seed: u64, net: impl FnOnce(&mut NetConfig)) -> Harness {
+        let mut cfg = NetConfig::uniform(5, LatencyModel::constant_millis(100));
+        net(&mut cfg);
+        HarnessBuilder::new()
+            .seed(seed)
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .client()
+            .client()
+            .quorum(QuorumSpec::new(2, 2))
+            .net(cfg)
+            .build()
+            .expect("legal configuration")
+    }
+
+    fn ms(n: u64) -> SimDuration {
+        SimDuration::from_millis(n)
+    }
+
+    fn pending_at(h: &Harness, site: SiteId) -> usize {
+        let server = h.cluster().nodes[site.index()].as_server();
+        server.expect("server").pending_writes()
+    }
+
+    fn inquiries(h: &Harness) -> u64 {
+        SiteId::all(3)
+            .map(|s| h.server_stats(s).expect("server").inquiries)
+            .sum()
+    }
+
+    #[test]
+    fn a_write_started_after_a_report_stands_in_line_behind_the_unapplied_write() {
+        // B (site 4) sits 10 ms from the servers. A's write is reported at
+        // 200 ms, its Commit lands at 300; B's write starts in between and
+        // asks nobody for a version. Its prepares meet A's commit locks at
+        // both members of the one write quorum there is to pick, stand in
+        // line, and are staged above what A's commit installs.
+        let (a, b) = (SiteId(3), SiteId(4));
+        let mut h = two_clients(45, |net| {
+            for server in SiteId::all(3) {
+                net.set_link_symmetric(b, server, LatencyModel::constant_millis(10));
+            }
+        });
+        let suite = h.suite_id();
+        h.enqueue_write(a, suite, b"a".to_vec(), h.now());
+        h.advance(ms(201));
+        assert_eq!(reported_at(&mut h, a), ms(200));
+        assert_eq!(
+            h.version_at(SiteId(0), suite),
+            Some(Version(0)),
+            "unapplied"
+        );
+        let second = h.write_from(b, suite, b"b".to_vec()).expect("b");
+        assert_eq!((second.version, second.attempts), (Version(2), 1));
+        // 10 ms out, 89 ms in line until A's Commit lands, 10 ms back.
+        assert_eq!(second.latency, ms(109));
+        h.run_until_quiet(10_000);
+        assert_eq!(h.version_at(SiteId(0), suite), Some(Version(2)));
+        assert_eq!(h.value_at(SiteId(1), suite).as_deref(), Some(&b"b"[..]));
+    }
+
+    #[test]
+    fn a_lagging_participant_installs_the_version_the_commit_names() {
+        // A ranks {s0, s1} cheapest, B {s1, s2}: s2 misses A's write, and
+        // stages B's one version too low.
+        let (a, b) = (SiteId(3), SiteId(4));
+        let mut h = two_clients(46, |net| {
+            net.set_link_symmetric(a, SiteId(2), LatencyModel::constant_millis(200));
+            net.set_link_symmetric(b, SiteId(0), LatencyModel::constant_millis(200));
+        });
+        let suite = h.suite_id();
+        h.write_from(a, suite, b"a".to_vec()).expect("a");
+        h.run_until_quiet(10_000);
+        assert_eq!(h.version_at(SiteId(2), suite), Some(Version(0)));
+        let before = inquiries(&h);
+        let second = h.write_from(b, suite, b"b".to_vec()).expect("b");
+        assert_eq!((second.version, second.attempts), (Version(2), 1));
+        assert_eq!(inquiries(&h), before, "nobody was asked");
+        h.run_until_quiet(10_000);
+        for s in [SiteId(1), SiteId(2)] {
+            assert_eq!(h.version_at(s, suite), Some(Version(2)), "{s}");
+            assert_eq!(h.value_at(s, suite).as_deref(), Some(&b"b"[..]));
+        }
+    }
+
+    #[test]
+    fn a_stale_generation_met_at_the_grant_restarts_with_an_inquiry() {
+        let (a, b) = (SiteId(3), SiteId(4));
+        let mut h = two_clients(47, |_| {});
+        let suite = h.suite_id();
+        h.reconfigure_from(b, suite, VoteAssignment::equal(3), QuorumSpec::new(1, 3))
+            .expect("reconfigure");
+        h.run_until_quiet(10_000);
+        // A still plans on generation 1, and goes straight to prepare: the
+        // grant is where it learns better. The retry asks everyone first.
+        let before = inquiries(&h);
+        let w = h.write_from(a, suite, b"a".to_vec()).expect("a");
+        assert_eq!(w.attempts, 2);
+        // The reconfiguration's re-publication took version 1.
+        assert_eq!(w.version, Version(2));
+        assert_eq!(inquiries(&h), before + 3);
+        let stats = h.client_stats(a).expect("client");
+        assert_eq!(stats.retries, 1);
+        assert_eq!(stats.retry_causes[RetryCause::StaleConfig as usize], 1);
+        h.run_until_quiet(10_000);
+        assert!(SiteId::all(3).all(|s| h.version_at(s, suite) == Some(Version(2))));
+    }
+
+    #[test]
+    fn a_refresh_asks_for_the_configuration_of_the_suite_that_moved_on() {
+        // Client B reconfigures the transaction's *second* suite. The
+        // refresh has to ask for that one: asking for the first again
+        // learns nothing, and burns every attempt on `StaleConfig`.
+        let (first, second) = (ObjectId(1), ObjectId(2));
+        let mut h = HarnessBuilder::new()
+            .seed(48)
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .client()
+            .client()
+            .quorum(QuorumSpec::new(2, 2))
+            .suites([first, second])
+            .build()
+            .expect("legal configuration");
+        let (a, b) = (SiteId(3), SiteId(4));
+        h.reconfigure_from(b, second, VoteAssignment::equal(3), QuorumSpec::new(1, 3))
+            .expect("reconfigure");
+        h.run_until_quiet(10_000);
+        let writes = vec![(first, b"x".to_vec()), (second, b"y".to_vec())];
+        let t = h.transaction(a, writes).expect("commits");
+        assert_eq!(t.attempts, 2);
+        assert_eq!(t.versions, vec![(first, Version(1)), (second, Version(2))]);
+        let stats = h.client_stats(a).expect("client");
+        assert_eq!(stats.retry_causes[RetryCause::StaleConfig as usize], 1);
+    }
+
+    #[test]
+    fn a_direct_write_widens_past_a_silent_participant_in_one_attempt() {
+        let mut h = three_server_harness(49);
+        let (suite, client) = (h.suite_id(), h.default_client());
+        h.crash(SiteId(1));
+        // Prepares out at 0 to {s0, s1}; s0's yes is back at 200 ms, and
+        // s1 gets that round trip again. At 400 ms it is dropped for s2,
+        // whose yes decides the write at 600 — three round trips, not the
+        // 5 s phase timeout, and one attempt.
+        let w = h.write(suite, b"w".to_vec()).expect("write");
+        assert_eq!((w.version, w.attempts, w.latency), (Version(1), 1, ms(600)));
+        let stats = h.client_stats(client).expect("client");
+        assert_eq!((stats.timeouts, stats.retries), (0, 0));
+        // s0's commit lock went with the Commit, 700 ms in.
+        h.advance(ms(101));
+        assert_eq!(pending_at(&h, SiteId(0)), 0);
+        assert_eq!(h.version_at(SiteId(2), suite), Some(Version(1)));
+    }
+
+    /// [`a_direct_write_widens_past_a_silent_participant_in_one_attempt`]
+    /// with s1 alive and only *heard* late — its answers take `back_ms` to
+    /// reach the client — so it is dropped at 400 ms holding a commit
+    /// lock. `lose_abort` cuts it off while the abort goes out. Returns
+    /// the settled harness.
+    fn widened_away_from_a_late_site(back_ms: u64, lose_abort: bool) -> Harness {
+        let (s1, client) = (SiteId(1), SiteId(3));
+        let mut net = NetConfig::uniform(4, LatencyModel::constant_millis(100));
+        net.set_link(s1, client, LatencyModel::constant_millis(back_ms));
+        let mut h = HarnessBuilder::new()
+            .seed(50)
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .client()
+            .quorum(QuorumSpec::new(2, 2))
+            .net(net)
+            .build()
+            .expect("legal configuration");
+        let suite = h.suite_id();
+        h.enqueue_write(client, suite, b"w".to_vec(), h.now());
+        h.advance(ms(399));
+        assert_eq!(pending_at(&h, s1), 1, "staged, its yes on the wire");
+        if lose_abort {
+            h.partition(Partition::isolate(4, s1));
+        }
+        h.advance(ms(2));
+        h.heal();
+        h.advance(ms(300));
+        assert_eq!(reported_at(&mut h, client), ms(600));
+        h.advance(SimDuration::from_secs(20));
+        h
+    }
+
+    #[test]
+    fn a_site_widened_away_from_ends_with_the_decision_or_nothing_and_never_a_lock() {
+        // Where s1's late yes finds the write when it gets to the client:
+        // still preparing (answered Abort), decided and unretired (answered
+        // Commit: one more holder of the same version and value), or
+        // retired (presumed abort). With the abort delivered s1 has let
+        // go before any of that, and holds nothing.
+        for (back_ms, lose_abort, holds) in [
+            (350, false, false),
+            (350, true, false),
+            (600, false, false),
+            (600, true, true),
+            (900, false, false),
+            (900, true, false),
+        ] {
+            let mut h = widened_away_from_a_late_site(back_ms, lose_abort);
+            let suite = h.suite_id();
+            let case = format!("answers take {back_ms} ms, abort lost: {lose_abort}");
+            assert_eq!(pending_at(&h, SiteId(1)), 0, "{case}");
+            let expected = if holds { Version(1) } else { Version(0) };
+            assert_eq!(h.version_at(SiteId(1), suite), Some(expected), "{case}");
+            if holds {
+                assert_eq!(h.value_at(SiteId(1), suite).as_deref(), Some(&b"w"[..]));
+            }
+            // Nothing it held stands in the next write's way.
+            let next = h.write(suite, b"next".to_vec()).expect("next");
+            assert_eq!((next.version, next.attempts), (Version(2), 1), "{case}");
+        }
+    }
+
+    #[test]
+    fn a_site_widened_away_from_whose_yes_is_lost_resolves_through_its_own_probe() {
+        // s1 is cut off from 50 ms to 450 ms: its yes and the abort are
+        // both lost, and it keeps its promise until its probe timer asks.
+        for decision_retired in [true, false] {
+            let mut h = three_server_harness(51);
+            let (suite, client) = (h.suite_id(), h.default_client());
+            h.enqueue_write(client, suite, b"w".to_vec(), h.now());
+            h.advance(ms(50));
+            h.partition(Partition::isolate(4, SiteId(1)));
+            h.advance(ms(400));
+            h.heal();
+            if !decision_retired {
+                // s2 votes and dies before the Commit: its ack never
+                // comes, so the tail keeps the decision answerable.
+                h.advance(ms(100));
+                h.crash(SiteId(2));
+            }
+            h.advance(ms(4_000));
+            assert_eq!(reported_at(&mut h, client), ms(600));
+            assert_eq!(pending_at(&h, SiteId(1)), 1, "in doubt, and locked");
+            h.advance(ms(2_000));
+            assert_eq!(pending_at(&h, SiteId(1)), 0);
+            let expected = if decision_retired { 0 } else { 1 };
+            assert_eq!(h.version_at(SiteId(1), suite), Some(Version(expected)));
+        }
+    }
+
+    #[test]
+    fn a_silent_site_makes_writes_inquire_until_it_is_heard_from_again() {
+        // Messages of an inquiry of `h` hosts, and of the one quorum
+        // access at `w` sites (`wv_analysis::cost`).
+        let inquiry_messages = |h: u64| 2 * h;
+        let write_messages = |w: u64| 4 * w;
+        let mut h = three_server_harness(52);
+        let suite = h.suite_id();
+        let sent_by = |h: &mut Harness, value: &[u8]| {
+            let before = h.net_stats().sent;
+            h.write(suite, value.to_vec()).expect("write");
+            h.advance(SimDuration::from_secs(1));
+            h.net_stats().sent - before
+        };
+        assert_eq!(sent_by(&mut h, b"direct"), write_messages(2));
+        // The next write widens away from s1, and remembers.
+        h.crash(SiteId(1));
+        sent_by(&mut h, b"widened");
+        // While s1 is silent the write asks first, and so installs at the
+        // sites that answered: three asked, two answers.
+        assert_eq!(
+            sent_by(&mut h, b"inquired"),
+            inquiry_messages(3) - 1 + write_messages(2)
+        );
+        // Back up is not heard from: this write still asks first — and
+        // s1's answer is the message that restores the direct path.
+        h.recover(SiteId(1));
+        assert_eq!(
+            sent_by(&mut h, b"inquired again"),
+            inquiry_messages(3) + write_messages(2)
+        );
+        assert_eq!(sent_by(&mut h, b"direct again"), write_messages(2));
+    }
+
+    #[test]
+    fn a_participant_that_crashes_between_apply_and_flush_takes_nothing_back() {
+        // Group commit, 50 ms window. The writer's prepares land at 100 ms,
+        // the votes leave with the flush at 150, the write is decided at
+        // 250, the Commit is applied — and the commit locks released — at
+        // 350; its record would be durable, and the ack sent, at 400.
+        let (writer, reader) = (SiteId(3), SiteId(4));
+        let mut net = NetConfig::uniform(5, LatencyModel::constant_millis(100));
+        for server in SiteId::all(3) {
+            net.set_link_symmetric(reader, server, LatencyModel::constant_millis(5));
+        }
+        let mut h = HarnessBuilder::new()
+            .seed(53)
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .client()
+            .client()
+            .quorum(QuorumSpec::new(2, 2))
+            .group_commit(ms(50))
+            .net(net)
+            .build()
+            .expect("legal configuration");
+        let suite = h.suite_id();
+        h.enqueue_write(writer, suite, b"new".to_vec(), h.now());
+        h.advance(ms(355));
+        assert_eq!(reported_at(&mut h, writer), ms(250));
+        // A reader sees the applied, not yet durable, version...
+        let seen = h.read_from(reader, suite).expect("read");
+        assert_eq!((seen.version, seen.latency), (Version(1), ms(10)));
+        // ...and both sites that applied it crash before their flush.
+        h.crash(SiteId(0));
+        h.crash(SiteId(1));
+        h.recover(SiteId(0));
+        h.recover(SiteId(1));
+        assert_eq!(h.version_at(SiteId(0), suite), Some(Version(0)));
+        assert_eq!(pending_at(&h, SiteId(0)), 1, "back in doubt");
+        // They took their locks again before serving, so the reader is
+        // held — s2's version 0 alone is no quorum — until the writer,
+        // which has had no ack and still holds the decision, answers
+        // their probes: commit.
+        let again = h.read_from(reader, suite).expect("read");
+        assert!(again.version >= seen.version, "{:?}", again.version);
+        assert_eq!(&again.value[..], b"new");
+        assert_eq!(again.attempts, 1);
+        h.run_until_quiet(10_000);
+        assert_eq!(h.version_at(SiteId(0), suite), Some(Version(1)));
+        assert_eq!(h.version_at(SiteId(1), suite), Some(Version(1)));
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub struct ServerStats {
 }
 
 /// A prepare that holds all its commit locks and is staged in the
-/// container: promised (or about to be, behind a group-commit sync).
+/// container: promised (or about to be, behind the sync of its record).
 #[derive(Clone, Debug)]
 struct PendingWrite {
     tx: TxId,
@@ -152,9 +152,10 @@ struct HeldRead {
     contents: bool,
 }
 
-/// A response held back until the in-flight group-commit sync lands. The
-/// WAL record backing it is already appended (volatile); the response may
-/// only leave once that record is durable.
+/// A response held back until its WAL record is durable: the record is
+/// appended (volatile) and the response leaves with the sync that flushes
+/// it — the group-commit window's, or this very step's when no window is
+/// configured.
 #[derive(Clone, Debug)]
 enum Deferred {
     /// A Yes vote whose prepare record awaits the flush.
@@ -163,28 +164,27 @@ enum Deferred {
         suite: ObjectId,
         req: ReqId,
     },
-    /// A commit decision to apply at flush time: the commit record joins
-    /// the batch and the ack leaves after the single durable write. The
-    /// object's commit lock stays held meanwhile, so no read can observe
-    /// the not-yet-durable install.
-    Commit {
+    /// The ack of a commit decision already applied — and its commit locks
+    /// already handed on — whose commit record awaits the flush. Until it
+    /// is durable a crash puts the participant back in doubt, so the
+    /// coordinator must not yet retire the decision.
+    Ack {
         to: SiteId,
         suite: ObjectId,
         req: ReqId,
-        versions: Vec<(ObjectId, Version)>,
     },
 }
 
 impl Deferred {
     fn req(&self) -> ReqId {
         match self {
-            Deferred::Vote { req, .. } | Deferred::Commit { req, .. } => *req,
+            Deferred::Vote { req, .. } | Deferred::Ack { req, .. } => *req,
         }
     }
 
     fn suite(&self) -> ObjectId {
         match self {
-            Deferred::Vote { suite, .. } | Deferred::Commit { suite, .. } => *suite,
+            Deferred::Vote { suite, .. } | Deferred::Ack { suite, .. } => *suite,
         }
     }
 }
@@ -226,8 +226,9 @@ pub struct SuiteServer {
     /// The tracer never reads the RNG and never emits effects, so enabling
     /// it cannot perturb the protocol.
     tracer: Option<Tracer>,
-    /// Group-commit sync latency; `None` (the default) flushes every
-    /// prepare and commit inline, byte-identical to the classic path.
+    /// The group-commit window: how long a sync collects records before
+    /// its one flush. `None` (the default) is no window — every record's
+    /// sync runs in the step that appended it.
     group_commit: Option<SimDuration>,
     /// Whether a durable sync is in flight right now.
     sync_active: bool,
@@ -368,11 +369,11 @@ impl SuiteServer {
         self.refresh_clients = sites;
     }
 
-    /// Enables group commit: WAL appends for prepares and commit applies
-    /// are left volatile and batched into one durable sync that completes
-    /// `latency` after the first record queues. Responses (votes, acks)
-    /// leave only once their records are durable, so the promise a reply
-    /// carries is exactly as strong as on the classic path.
+    /// Enables group commit: the durable sync behind every prepare and
+    /// commit record completes `latency` after the first record queues and
+    /// covers whatever was appended meanwhile with one flush. With or
+    /// without it, a response (vote, ack) leaves only once its record is
+    /// durable, so the promise a reply carries is equally strong.
     pub fn set_group_commit(&mut self, latency: SimDuration) {
         assert!(latency > SimDuration::ZERO, "sync latency must be positive");
         self.group_commit = Some(latency);
@@ -866,15 +867,9 @@ impl SuiteServer {
                 .stage_put(tx, pw.object, *version, pw.value.clone())
                 .expect("stage into fresh tx");
         }
-        if self.group_commit.is_some() {
-            self.container
-                .prepare_with_note_unflushed(tx, req.0)
-                .expect("prepare fresh tx");
-        } else {
-            self.container
-                .prepare_with_note(tx, req.0)
-                .expect("prepare fresh tx");
-        }
+        self.container
+            .prepare_with_note_unflushed(tx, req.0)
+            .expect("prepare fresh tx");
         if let Some(tr) = self.tracer.as_mut() {
             let version = staged.first().map_or(0, |(_, v)| v.0);
             tr.event(
@@ -896,22 +891,16 @@ impl SuiteServer {
                 suite,
             },
         );
-        if self.group_commit.is_some() {
-            // The prepare record is still volatile; the yes vote (and the
-            // decision-probe timer that guards it) waits for the sync.
-            self.defer(
-                Deferred::Vote {
-                    to: c.from,
-                    suite,
-                    req,
-                },
-                ctx,
-            );
-        } else {
-            // Probe the coordinator if the decision takes too long.
-            ctx.set_timer(self.resolve_after, req.0);
-            self.vote_yes(c.from, suite, req, ctx);
-        }
+        // The prepare record is still volatile; the yes vote (and the
+        // decision-probe timer that guards it) waits for the sync.
+        self.defer(
+            Deferred::Vote {
+                to: c.from,
+                suite,
+                req,
+            },
+            ctx,
+        );
         Vec::new()
     }
 
@@ -983,76 +972,43 @@ impl SuiteServer {
         ctx.send(from, msg);
     }
 
-    /// Arms the sync-completion timer for the batch now accumulating.
-    fn arm_sync(&mut self, ctx: &mut NodeCtx<'_, Msg>) {
-        let latency = self.group_commit.expect("group commit enabled");
-        self.sync_active = true;
-        ctx.set_timer(latency, WAL_SYNC_TIMER_TAG | self.sync_epoch);
-    }
-
-    /// Queues a response behind the durable sync, starting one if none is
-    /// in flight. Records arriving while a sync runs ride the next batch.
+    /// Queues a response behind the durable sync of its record. With a
+    /// group-commit window the sync completes one window after the first
+    /// record queued, and whatever queues meanwhile rides it; with none it
+    /// runs now, so no timer is scheduled.
     fn defer(&mut self, d: Deferred, ctx: &mut NodeCtx<'_, Msg>) {
         self.sync_queue.push(d);
-        if !self.sync_active {
-            self.arm_sync(ctx);
+        match self.group_commit {
+            None => self.run_sync(ctx),
+            Some(window) if !self.sync_active => {
+                self.sync_active = true;
+                ctx.set_timer(window, WAL_SYNC_TIMER_TAG | self.sync_epoch);
+            }
+            Some(_) => {}
         }
     }
 
-    /// Completes one group-commit sync: applies deferred commit decisions
-    /// (still unflushed), makes the whole batch durable with a single WAL
-    /// flush, and only then releases the responses and the commit locks.
-    /// Prepares granted by those lock releases defer into the next batch.
+    /// One durable sync: a single WAL flush covers every record appended
+    /// so far — prepares staged and commit decisions applied alike — and
+    /// only then do the queued responses leave, in arrival order.
     fn run_sync(&mut self, ctx: &mut NodeCtx<'_, Msg>) {
-        let batch = std::mem::take(&mut self.sync_queue);
+        self.sync_active = false;
+        let mut batch = std::mem::take(&mut self.sync_queue);
         if batch.is_empty() {
             // Everything queued was aborted away before the sync fired.
-            self.sync_active = false;
             return;
         }
-        // Apply commit decisions before the flush so their Commit records
-        // ride the same durable write as the batch's Prepare records. The
-        // commit locks stay held until after the flush: reads stay held,
-        // so no observer sees un-durable state.
-        let mut unlocks = Vec::new();
-        for d in &batch {
-            // A duplicate commit finds nothing pending: the first already
-            // applied. Ack only.
-            if let Deferred::Commit { req, versions, .. } = d {
-                unlocks.extend(self.install_decision(*req, versions, ctx));
-            }
-        }
         self.container.flush().expect("server container is up");
-        self.stats.wal_batches += 1;
-        self.stats.wal_batched_records += batch.len() as u64;
-        let batch_suites = batch
-            .iter()
-            .map(|d| d.suite())
-            .collect::<BTreeSet<ObjectId>>()
-            .len() as u64;
-        self.stats.wal_batch_suites += batch_suites;
-        if let Some(tr) = self.tracer.as_mut() {
-            // A batch can span suites; the flush itself is suite 0 (not
-            // scoped), with the absorbed-suite count in the server stats.
-            tr.event(
-                SpanKind::WalBatch,
-                0,
-                0,
-                None,
-                None,
-                batch.len() as u64,
-                ctx.now(),
-            );
-        }
-        // Everything in the batch is durable; release responses in queue
-        // (arrival) order.
-        for d in batch {
+        let mut applied = false;
+        for d in batch.drain(..) {
             match d {
                 Deferred::Vote { to, suite, req } => {
+                    // Probe the coordinator if the decision takes too long.
                     ctx.set_timer(self.resolve_after, req.0);
                     self.vote_yes(to, suite, req, ctx);
                 }
-                Deferred::Commit { to, suite, req, .. } => {
+                Deferred::Ack { to, suite, req } => {
+                    applied = true;
                     ctx.send(
                         to,
                         Msg::Ack {
@@ -1064,15 +1020,33 @@ impl SuiteServer {
                 }
             }
         }
-        // `sync_active` is still set, so prepares granted here defer
-        // without arming a timer of their own.
-        for p in unlocks {
-            self.unlock(&p, ctx);
+        // Nothing above queues anything: the emptied queue keeps its
+        // allocation for the next record.
+        self.sync_queue = batch;
+        // Only a finished transaction gives compaction anything to drop.
+        if applied {
+            self.maybe_checkpoint();
         }
-        self.maybe_checkpoint();
-        self.sync_active = false;
-        if !self.sync_queue.is_empty() {
-            self.arm_sync(ctx);
+    }
+
+    /// Counts and traces the batch a group-commit window's sync is about
+    /// to cover.
+    fn note_batch(&mut self, now: SimTime) {
+        let batch = &self.sync_queue;
+        if batch.is_empty() {
+            return;
+        }
+        let first_of_its_suite =
+            |(i, d): &(usize, &Deferred)| !batch[..*i].iter().any(|e| e.suite() == d.suite());
+        let suites = batch.iter().enumerate().filter(first_of_its_suite).count();
+        let records = batch.len() as u64;
+        self.stats.wal_batches += 1;
+        self.stats.wal_batched_records += records;
+        self.stats.wal_batch_suites += suites as u64;
+        if let Some(tr) = self.tracer.as_mut() {
+            // A batch can span suites; the flush itself is suite 0 (not
+            // scoped), with the absorbed-suite count in the server stats.
+            tr.event(SpanKind::WalBatch, 0, 0, None, None, records, now);
         }
     }
 
@@ -1082,9 +1056,10 @@ impl SuiteServer {
         self.hand_off(freed, ctx);
     }
 
-    /// Applies a commit decision to `req`'s staging — flushed, or left
-    /// for the group-commit sync in flight — and returns the prepare for
-    /// the caller to unlock; `None` when nothing is pending (a duplicate).
+    /// Applies a commit decision to `req`'s staging, leaving the commit
+    /// record for the sync that carries the ack, and returns the prepare
+    /// for the caller to unlock; `None` when nothing is pending (a
+    /// duplicate).
     ///
     /// `versions` is what the coordinator decided each object commits at:
     /// a lower staging is re-stamped first. A named version this site has
@@ -1115,12 +1090,9 @@ impl SuiteServer {
                         .expect("restamp prepared tx");
                 }
             }
-            if self.group_commit.is_some() {
-                self.container.commit_unflushed(p.tx)
-            } else {
-                self.container.commit(p.tx)
-            }
-            .expect("commit prepared tx");
+            self.container
+                .commit_unflushed(p.tx)
+                .expect("commit prepared tx");
             for (object, _) in &p.staged {
                 if let Some(suite) = suite_of_config_object(*object) {
                     self.reload_config(suite);
@@ -1145,8 +1117,7 @@ impl SuiteServer {
 
     fn apply_abort(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
         // Purge any deferred response for this request: a queued yes vote
-        // must not escape after the abort, and a queued commit apply for
-        // an aborted tx would be a protocol error upstream anyway.
+        // must not escape after the abort.
         self.sync_queue.retain(|d| d.req() != req);
         if let Some(p) = self.pending.remove(&req) {
             self.container.abort(p.tx).expect("abort prepared tx");
@@ -1448,7 +1419,18 @@ impl SuiteServer {
         self.hand_off(freed, ctx);
     }
 
-    /// The coordinator decided commit: apply, release, ack.
+    /// The coordinator decided commit: apply and release now, ack once the
+    /// commit record is durable.
+    ///
+    /// The commit locks are handed on *at apply*: the decision is final
+    /// whatever happens to this site, so the reads held behind the lock
+    /// and the next prepare in line need not wait out the flush. What
+    /// they see is not yet durable here, and that is safe because the ack
+    /// is: until it leaves the coordinator keeps the decision, a crash in
+    /// between recovers this site with its durable prepare record — in
+    /// doubt, the lock re-taken before it serves anything — and its probe
+    /// is answered `Commit` again. A prepare granted off this release
+    /// stages above the applied version and rides the same flush.
     fn on_commit(
         &mut self,
         from: SiteId,
@@ -1457,36 +1439,13 @@ impl SuiteServer {
         versions: Vec<(ObjectId, Version)>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
-        if self.group_commit.is_some() {
-            // Both the apply and the ack wait for the sync so the
-            // Commit record is durable before the coordinator can
-            // forget the decision. Duplicates defer too; run_sync
-            // finds nothing pending and just re-acks.
-            self.defer(
-                Deferred::Commit {
-                    to: from,
-                    suite,
-                    req,
-                    versions,
-                },
-                ctx,
-            );
-            return;
-        }
         if let Some(p) = self.install_decision(req, &versions, ctx) {
-            self.maybe_checkpoint();
             self.unlock(&p, ctx);
         }
-        // Idempotent ack either way: a duplicate commit means the
-        // decision was commit.
-        ctx.send(
-            from,
-            Msg::Ack {
-                suite,
-                req,
-                committed: true,
-            },
-        );
+        // Idempotent ack either way: a duplicate commit means the decision
+        // was commit — but the first one's record may still be volatile.
+        let to = from;
+        self.defer(Deferred::Ack { to, suite, req }, ctx);
     }
 
     /// An anti-entropy pull: answer a stale or rebuilding peer with
@@ -1631,6 +1590,7 @@ impl SuiteServer {
             // A crash bumps `sync_epoch`, so a sync armed before it lands
             // here and dies without flushing post-recovery state early.
             if self.sync_active && (token & !WAL_SYNC_TIMER_TAG) == self.sync_epoch {
+                self.note_batch(ctx.now());
                 self.run_sync(ctx);
             }
             return;
@@ -3124,7 +3084,8 @@ mod tests {
             }
         ));
         assert_eq!(s.container.wal().flushes(), base + 1);
-        // The commit decision defers the same way.
+        // The commit decision is applied on arrival; only its ack waits
+        // for the record to be durable.
         let mut ctx = ctx_pair(&mut rng);
         s.handle(
             CLIENT,
@@ -3136,7 +3097,8 @@ mod tests {
             &mut ctx,
         );
         assert!(sent(&mut ctx).is_empty(), "ack waits for the sync");
-        assert_eq!(s.data_version(SUITE), Version(0), "apply waits too");
+        assert_eq!(s.data_version(SUITE), Version(1), "apply does not");
+        assert_eq!(s.container.wal().flushes(), base + 1, "still volatile");
         let out = fire_sync(&mut s, &mut rng);
         assert!(matches!(
             &out[0].1,
@@ -3145,7 +3107,6 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(s.data_version(SUITE), Version(1));
         assert_eq!(s.container.wal().flushes(), base + 2);
         assert_eq!(s.stats.wal_batches, 2);
         assert_eq!(s.stats.wal_batched_records, 2);
@@ -3209,34 +3170,48 @@ mod tests {
     }
 
     #[test]
-    fn held_reads_are_not_answered_before_the_flush() {
+    fn held_reads_are_answered_at_apply_and_a_crash_before_the_flush_takes_nothing_back() {
         let mut s = gc_server();
         let mut rng = DetRng::new(42);
         let r = req(1);
         deliver(&mut s, &mut rng, prepare_msg(r, 1, b"x"));
         let _ = fire_sync(&mut s, &mut rng);
-        assert!(deliver(&mut s, &mut rng, commit_msg(r, 1)).is_empty());
-        // The commit is applied only at sync time and holds its lock until
-        // then, so no reader can observe un-durable state.
-        assert!(deliver(&mut s, &mut rng, read_msg(2)).is_empty());
+        assert!(deliver(&mut s, &mut rng, read_msg(2)).is_empty(), "held");
+        // The decision is final whatever happens to this site, so the
+        // commit lock is handed on when it is applied: the held read is
+        // answered now, from state the flush has yet to make durable.
         let flushes = s.container.wal().flushes();
+        let out = deliver(&mut s, &mut rng, commit_msg(r, 1));
+        assert_eq!(out.len(), 1, "the ack waits for the flush: {out:?}");
+        assert!(matches!(
+            &out[0].1,
+            Msg::ReadResp { version, .. } if *version == Version(1)
+        ));
+        assert_eq!(s.container.wal().flushes(), flushes);
+        // A crash before the flush loses the commit record, not the
+        // prepare's: the site recovers in doubt and takes the lock back
+        // before it serves anything, so nobody is shown version 0 again.
+        s.handle_crash();
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle_recover(&mut ctx);
+        let out = sent(&mut ctx);
+        assert!(matches!(&out[0], (CLIENT, Msg::DecisionReq { req, .. }) if *req == r));
+        assert_eq!((s.pending_writes(), s.data_version(SUITE)), (1, Version(0)));
+        assert!(deliver(&mut s, &mut rng, read_msg(3)).is_empty(), "held");
+        // No ack left, so the coordinator still has the decision, and its
+        // answer puts back what the first reader saw.
+        let out = deliver(&mut s, &mut rng, commit_msg(r, 1));
+        assert!(matches!(
+            &out[0].1,
+            Msg::ReadResp { version, .. } if *version == Version(1)
+        ));
         let out = fire_sync(&mut s, &mut rng);
-        assert_eq!(s.container.wal().flushes(), flushes + 1);
         assert!(matches!(
             &out[0].1,
             Msg::Ack {
                 committed: true,
                 ..
             }
-        ));
-        assert!(matches!(
-            &out[1].1,
-            Msg::ReadResp { version, .. } if *version == Version(1)
-        ));
-        let out = deliver(&mut s, &mut rng, read_msg(3));
-        assert!(matches!(
-            &out[0].1,
-            Msg::ReadResp { version, .. } if *version == Version(1)
         ));
     }
 

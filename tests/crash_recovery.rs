@@ -31,8 +31,8 @@ fn crash_during_write(at_ms: u64, recover_after_ms: u64, seed: u64) -> (bool, u6
     let start = h.now();
     h.enqueue_write(client, suite, b"in flight".to_vec(), start);
     // Let the write progress partway, then crash a participant. With
-    // 100 ms links (50 ms one-way), inquiry completes ~100 ms, prepares
-    // land ~200 ms, commits ~300 ms.
+    // 100 ms links the prepares land at 100 ms, the votes at 200 ms and
+    // the commits at 300 ms.
     h.advance(SimDuration::from_millis(at_ms));
     h.crash(SiteId(0));
     h.advance(SimDuration::from_millis(recover_after_ms));
@@ -70,21 +70,25 @@ fn crash_before_prepare_lands_is_retried_or_fails_clean() {
 
 #[test]
 fn crash_between_prepare_and_commit_resolves_via_decision_probe() {
-    // Crash right as prepares land (~210 ms): the crashed site holds a
-    // prepared-in-doubt transaction. On recovery it probes the client,
-    // which answers from its durable decision log.
-    let (write_ok, read_v, versions) = crash_during_write(210, 30_000, 77);
-    // The client retried against the remaining sites, so the write should
-    // eventually commit (two healthy sites form a quorum).
+    // Crash right after the prepares land (110 ms): the crashed site
+    // holds a prepared-in-doubt transaction, its yes vote on the wire. On
+    // recovery it probes the client, which answers from its durable
+    // decision log.
+    let (write_ok, read_v, versions) = crash_during_write(110, 30_000, 77);
+    // Both votes reach the client, or its retry goes to the surviving
+    // sites: either way the write commits.
     assert!(write_ok, "write should commit via the surviving quorum");
     assert_eq!(read_v, 2);
-    // After recovery + resolution, nothing is left in doubt anywhere and
-    // the recovered site either has the value (it committed its in-doubt
-    // txn) or cleanly aborted it (version stays 1 or reaches 2 via the
-    // retry quorum).
-    for v in versions {
-        assert!(v == 1 || v == 2, "impossible version {v}");
+    // After recovery + resolution nothing is left in doubt: each member
+    // of the static write quorum {0, 1} — the recovered site included —
+    // either has the value (it committed its in-doubt txn) or cleanly
+    // aborted it. Site 2 is outside that quorum: the paper's out-of-date
+    // representative, at whatever a retry or nothing left it.
+    for v in &versions[..2] {
+        assert!(*v == 1 || *v == 2, "impossible version {v}");
     }
+    assert!(versions[2] <= 2, "impossible version {}", versions[2]);
+    assert!(versions.iter().filter(|v| **v == 2).count() >= 2);
 }
 
 #[test]
