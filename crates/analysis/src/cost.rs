@@ -11,7 +11,8 @@
 //!   commit/ack per quorum member, one quorum access and nothing else —
 //!   where any two write quorums intersect (`2w > N`); where they need
 //!   not, and on any retry, an inquiry and answer per host come first:
-//!   `2h + 4|W|`;
+//!   `2h + 4|W|`; the `k` writes one client has outstanding on a suite
+//!   leave as one train, which is one such access: `4|W| / k` each;
 //! * a **read** exchanges `2h + 2` messages when the optimistic fetch wins
 //!   and up to `2h + 4` when the inquiry quorum settles first and a
 //!   redundant explicit fetch goes out (both fetches are answered).
@@ -22,6 +23,12 @@
 /// Exact message count of a successful write's one quorum access.
 pub fn write_messages(write_quorum_sites: usize) -> u64 {
     (4 * write_quorum_sites) as u64
+}
+
+/// Messages per write of a train of `members` writes: the whole train is
+/// one quorum access, [`write_messages`], whatever its length.
+pub fn train_messages_per_write(write_quorum_sites: usize, members: usize) -> f64 {
+    write_messages(write_quorum_sites) as f64 / members as f64
 }
 
 /// Exact message count of the inquiry round a write adds in front of
@@ -51,6 +58,8 @@ mod tests {
         assert_eq!(write_messages(2), 8);
         assert_eq!(write_messages(3), 12);
         assert_eq!(inquiry_messages(5) + write_messages(2), 18);
+        assert_eq!(train_messages_per_write(2, 1), 8.0);
+        assert_eq!(train_messages_per_write(3, 8), 1.5);
         assert_eq!(read_messages_bounds(3), (8, 10));
         assert_eq!(read_messages_sequential(3), 8);
     }

@@ -47,6 +47,8 @@ pub struct PathSegment {
     pub start_us: u64,
     /// Interval length, microseconds.
     pub dur_us: u64,
+    /// The blamed span's `detail` (for a ride: the op that carried it).
+    pub detail: u64,
     /// Ancestor chain from the op root down to (and including) the
     /// blamed span, as stable span-kind names.
     pub stack: Vec<&'static str>,
@@ -147,9 +149,15 @@ impl Profile {
         let mut out =
             String::from("op         kind          total_us  gated_by            gate_us  share\n");
         for op in &self.ops {
+            // A write that waited for, then rode, another's prepare was
+            // gated by that write, not by a site.
+            let name = |g: &PathSegment| match g.kind {
+                SpanKind::Ride if g.detail != 0 => format!("rode {:#x}", g.detail),
+                _ => format!("{}@s{}", g.kind.name(), g.site),
+            };
             let (gate_name, gate_us) = op
                 .gate()
-                .map(|g| (format!("{}@s{}", g.kind.name(), g.site), g.dur_us))
+                .map(|g| (name(g), g.dur_us))
                 .unwrap_or_else(|| (String::from("-"), 0));
             out.push_str(&format!(
                 "{:<10} {:<13} {:>8}  {gate_name:<18} {gate_us:>8} {:>6}\n",
@@ -270,6 +278,7 @@ fn segment(span: &SpanRecord, start_us: u64, dur_us: u64, stack: &[&'static str]
         site,
         start_us,
         dur_us,
+        detail: span.detail,
         stack: stack.to_vec(),
     }
 }
@@ -277,6 +286,21 @@ fn segment(span: &SpanRecord, start_us: u64, dur_us: u64, stack: &[&'static str]
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_ridden_write_is_gated_by_the_write_that_carried_it() {
+        let ride = SpanRecord {
+            detail: 0x2a0003,
+            ..span(1, 0, SpanKind::Ride, 3, NO_PEER, 7, 5, 100)
+        };
+        let spans = vec![
+            span(0, NO_PARENT, SpanKind::Write, 3, NO_PEER, 7, 0, 100),
+            ride,
+        ];
+        let report = extract(&spans).render_ops();
+        assert!(report.contains("rode 0x2a0003"), "{report}");
+        assert!(extract(&spans).folded().contains("write;ride@s3 95"));
+    }
 
     #[allow(clippy::too_many_arguments)]
     fn span(

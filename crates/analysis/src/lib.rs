@@ -19,7 +19,10 @@ pub mod model;
 pub mod optimal;
 
 pub use availability::{quorum_availability, simulate_quorum_availability};
-pub use cost::{inquiry_messages, read_messages_bounds, read_messages_sequential, write_messages};
+pub use cost::{
+    inquiry_messages, read_messages_bounds, read_messages_sequential, train_messages_per_write,
+    write_messages,
+};
 pub use critpath::{extract, OpPath, PathSegment, Profile};
 pub use latency::{read_latency_optimistic, read_latency_verified, write_latency};
 pub use model::SystemModel;

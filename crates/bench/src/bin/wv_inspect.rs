@@ -152,6 +152,7 @@ fn main() {
             }
             if !input.spans.is_empty() {
                 print!("{}", wv_bench::inspect::retry_report(&input.spans, op));
+                print!("{}", wv_bench::inspect::ride_report(&input.spans, op));
             }
         }
         "slo" => {

@@ -17,7 +17,7 @@ use wv_core::client::RetryCause;
 use wv_core::harness::Harness;
 use wv_sim::audit::AuditRecord;
 use wv_sim::json::Value;
-use wv_sim::trace::{SpanOutcome, SpanRecord, OPEN_END};
+use wv_sim::trace::{SpanKind, SpanOutcome, SpanRecord, OPEN_END};
 use wv_sim::SimDuration;
 
 use crate::{runner, topo};
@@ -163,6 +163,29 @@ pub fn retry_report(spans: &[SpanRecord], op: Option<u64>) -> String {
     }
     let total: u64 = ranked.iter().map(|(_, n)| n).sum();
     out.push_str(&format!("{total} attempt(s) ended early\n"));
+    out
+}
+
+/// Names the write each ridden write left with — "which prepare was this
+/// write's" — from the ride spans, optionally for one operation only. A
+/// write that carried its own train, or went alone, is not listed.
+pub fn ride_report(spans: &[SpanRecord], op: Option<u64>) -> String {
+    let ridden =
+        |s: &&SpanRecord| s.kind == SpanKind::Ride && s.outcome == SpanOutcome::Ok && s.detail != 0;
+    let mut out = String::from("== writes that rode another's prepare ==\n");
+    let mut shown = 0usize;
+    for s in spans.iter().filter(ridden) {
+        if op.is_some_and(|want| want != s.op) {
+            continue;
+        }
+        shown += 1;
+        let waited = s.duration_us().unwrap_or(0);
+        out.push_str(&format!(
+            "op {:#x} rode op {:#x} ({waited}us from launch to report)\n",
+            s.op, s.detail
+        ));
+    }
+    out.push_str(&format!("{shown} write(s) ridden\n"));
     out
 }
 
@@ -446,5 +469,40 @@ mod tests {
         let op = spans.iter().find(|s| s.kind.is_op_root()).expect("ops").op;
         let one = retry_report(&spans, Some(op));
         assert!(one.len() <= report.len());
+    }
+
+    #[test]
+    fn ride_report_names_the_carrier_of_every_ridden_write() {
+        use wv_core::harness::SiteSpec;
+        use wv_core::quorum::QuorumSpec;
+        // Three writes of one client launched together: the first goes
+        // alone, the third carries the second.
+        let mut b = Harness::builder().seed(8).quorum(QuorumSpec::majority(3));
+        for _ in 0..3 {
+            b = b.site(SiteSpec::server(1));
+        }
+        let mut h = b.client().build().expect("legal");
+        h.enable_tracing();
+        let (suite, client) = (h.suite_id(), h.default_client());
+        for value in [b"a", b"b", b"c"] {
+            h.enqueue_write(client, suite, value.to_vec(), h.now());
+        }
+        h.run_until_quiet(100_000);
+        let stats = h.client_stats(client).expect("client");
+        assert_eq!((stats.trains, stats.writes_ridden), (2, 1));
+        let spans = h.take_trace();
+        let roots: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.kind.is_op_root())
+            .map(|s| s.op)
+            .collect();
+        let report = ride_report(&spans, None);
+        let line = format!("op {:#x} rode op {:#x} (", roots[1], roots[2]);
+        assert!(report.contains(&line), "{report}");
+        assert!(report.ends_with("1 write(s) ridden\n"), "{report}");
+        assert!(ride_report(&spans, Some(roots[0])).ends_with("0 write(s) ridden\n"));
+        // The critical path blames the carrier, not an empty root.
+        let gates = critpath_report(&spans);
+        assert!(gates.contains(&format!("rode {:#x}", roots[2])), "{gates}");
     }
 }

@@ -26,6 +26,9 @@
 //!   otherwise). That record is the commit point: the operation is
 //!   reported there and the commit round finishes behind it as a
 //!   `CommitTail` (`one_access` again; the exceptions wait for the acks).
+//!   The writes a client launches on a suite while such a first attempt
+//!   of its own is in flight leave together when it ends, as one train:
+//!   one prepare, one lock hold, consecutive versions (`trains`).
 //! * **Reconfigure**: a transaction that installs the new configuration
 //!   under the *old* configuration's write quorum and also re-installs the
 //!   current contents at the new one's — exactly the paper's rule for
@@ -281,12 +284,12 @@ pub struct ClientStats {
     /// `Busy` notices received: a prepare of ours joined a commit-lock
     /// line, or was asked to give way to an older one.
     pub refused_busy: u64,
-    /// `Refused(Quarantined)` answers: the site surrendered its votes
-    /// over disk corruption. Treated as long-dead — suspicion slams to
-    /// the threshold so routing demotes the site at once.
-    pub refused_quarantined: u64,
-    /// `Refused(Disk)` answers: transient I/O errors or sync stalls.
-    pub refused_disk: u64,
+    /// Writes decided: each is one prepare, one commit-lock hold and one
+    /// decision record, whatever it carried.
+    pub trains: u64,
+    /// Writes that rode another's prepare — a write train — and were
+    /// reported with it, at the versions below its own.
+    pub writes_ridden: u64,
     /// `retries` by what ended the attempt, indexed by [`RetryCause`].
     pub retry_causes: [u64; RetryCause::ALL.len()],
 }
@@ -464,6 +467,9 @@ enum Phase {
         /// The read whose inquiry this one joined.
         leader: ReqId,
     },
+    /// A write parked behind a direct attempt ([`ClientNode::trains`]) or
+    /// riding a carrier ([`OpState::riders`]): no message, no timer.
+    Riding,
 }
 
 #[derive(Clone, Debug)]
@@ -474,15 +480,18 @@ struct OpState {
     /// The `(suite, value)` installs of a write (one entry) or transaction;
     /// empty for reads and reconfigurations.
     writes: Vec<(ObjectId, Bytes)>,
-    /// Requested change for reconfigurations.
-    change: Option<(VoteAssignment, QuorumSpec)>,
-    /// The sites that answered a reconfiguration's inquiry: the pool its
-    /// old- and new-configuration write quorums are drawn from.
-    reconfig_responders: Vec<SiteId>,
+    /// What only a reconfiguration carries; boxed, so that every queued
+    /// read and write is not sized for it.
+    reconfig: Option<Box<Reconfig>>,
+    /// The train this write carries: the writes parked with it when it
+    /// left, oldest first. Its prepare takes a version for each and
+    /// installs its own value, the youngest. They stay with the
+    /// *operation* — a retry re-keys them along — and are reported with it.
+    riders: Vec<ReqId>,
     /// What the prepare in flight reports, and the configuration it
     /// installs (reconfigurations only), once every participant acks the
     /// commit. Set by [`ClientNode::send_prepares`].
-    on_commit: Option<(OpSuccess, Option<SuiteConfig>)>,
+    on_commit: Option<Outcome>,
     started: SimTime,
     /// When the current attempt's inquiry went out; responses arriving
     /// during the inquiry phase are RTT samples relative to this.
@@ -499,7 +508,23 @@ struct OpState {
     trace: Option<OpTrace>,
 }
 
+/// What a committed operation reports, and the configuration it adopts.
+type Outcome = (OpSuccess, Option<Box<SuiteConfig>>);
+
+/// A reconfiguration's share of [`OpState`]: the requested change, and the
+/// sites that answered its inquiry — the pool both write quorums come from.
+#[derive(Clone, Debug)]
+struct Reconfig {
+    change: (VoteAssignment, QuorumSpec),
+    responders: Vec<SiteId>,
+}
+
 impl OpState {
+    /// The versions the install consumes: its own and one per rider.
+    fn span(&self) -> u32 {
+        1 + self.riders.len() as u32
+    }
+
     /// The suites the operation inquires of and, unless it is a read,
     /// installs at: every written suite — or, for reads and
     /// reconfigurations (which carry no writes), the op's suite.
@@ -549,7 +574,7 @@ struct CommitTail {
     /// What the operation reports, and the configuration it adopts, when
     /// the tail ends; `None` for one already reported at the decision
     /// (see [`one_access`]).
-    then: Option<(OpSuccess, Option<SuiteConfig>)>,
+    then: Option<Outcome>,
     /// The written version and value, for the weak representatives at
     /// the last ack ([`ClientOptions::push_weak_on_write`]).
     push: Option<(Version, Bytes)>,
@@ -602,7 +627,7 @@ struct PreparePlan {
     unprobed: Vec<Vec<SiteId>>,
     /// What the op reports (at the planned versions; the decision corrects
     /// them), and the configuration it adopts, once it is committed.
-    on_commit: (OpSuccess, Option<SuiteConfig>),
+    on_commit: Outcome,
     /// The prepare phase's timeout.
     timeout: SimDuration,
 }
@@ -752,6 +777,11 @@ pub struct ClientNode {
     /// set; entries are validated against the live op table before use,
     /// so a stale leader id can never capture a new read.
     inquiry_leaders: IdHashMap<ObjectId, (ReqId, Vec<ReqId>)>,
+    /// Per suite, the marker — the request id of a write's direct first
+    /// attempt in flight — and the writes parked behind it, oldest first.
+    /// They leave as one train when that *attempt* ends, decided or failed
+    /// ([`Self::depart`]): a write waiting to retry holds nobody up.
+    trains: IdHashMap<ObjectId, (ReqId, Vec<ReqId>)>,
     /// Durable commit-decision log (presumed abort for anything absent):
     /// one object per decided request id, forgotten at compaction once
     /// the decision is retired.
@@ -874,6 +904,7 @@ impl ClientNode {
             site_load,
             cache: IdHashMap::default(),
             inquiry_leaders: IdHashMap::default(),
+            trains: IdHashMap::default(),
             decisions: Container::new(),
             unretired: BTreeSet::new(),
             completed: Vec::new(),
@@ -1706,8 +1737,11 @@ impl ClientNode {
         quorum: QuorumSpec,
         ctx: &mut NodeCtx<'_, Msg>,
     ) -> ReqId {
-        let change = Some((assignment, quorum));
-        self.start_op(OpKind::Reconfigure, suite, Vec::new(), change, ctx)
+        let reconfig = Some(Box::new(Reconfig {
+            change: (assignment, quorum),
+            responders: Vec::new(),
+        }));
+        self.start_op(OpKind::Reconfigure, suite, Vec::new(), reconfig, ctx)
     }
 
     fn start_op(
@@ -1715,7 +1749,7 @@ impl ClientNode {
         kind: OpKind,
         suite: ObjectId,
         writes: Vec<(ObjectId, Bytes)>,
-        change: Option<(VoteAssignment, QuorumSpec)>,
+        reconfig: Option<Box<Reconfig>>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) -> ReqId {
         let req = self.fresh_req();
@@ -1737,8 +1771,8 @@ impl ClientNode {
             kind,
             suite,
             writes,
-            change,
-            reconfig_responders: Vec::new(),
+            reconfig,
+            riders: Vec::new(),
             on_commit: None,
             started,
             attempt_started: started,
@@ -1876,6 +1910,48 @@ impl ClientNode {
                 .all(|suite| one_access(st.kind, &self.configs[&suite]))
     }
 
+    /// Whether the prepare of attempt `req` has stalled: a participant has
+    /// neither voted nor said `Busy` [`LATE_MULTIPLIER`] of its round trips
+    /// after it was asked. A line is no stall — the wait behind a live
+    /// site's lock is what a train amortizes — but silence is what a crash
+    /// or a partition looks like, and a write launched into a whole cluster
+    /// must not wait out the timeout of an attempt sent into a broken one.
+    fn stalled(&self, req: ReqId, now: SimTime) -> bool {
+        let Some(Phase::Prepare {
+            participants,
+            yes,
+            in_line,
+            ..
+        }) = self.ops.get(&req).map(|st| &st.phase)
+        else {
+            return false;
+        };
+        let answered = |s: &&SiteId| yes.contains_key(s) || in_line.contains_key(s);
+        let owed = round_trip(&self.costs, participants.iter().filter(|s| !answered(s)));
+        let waited = now.since(self.ops[&req].attempt_started).as_millis_f64();
+        owed > SimDuration::ZERO && waited > owed.as_millis_f64() * LATE_MULTIPLIER
+    }
+
+    /// Attempt `req` on `suite` has ended (or stalled). If it held the
+    /// marker, the writes parked behind it leave now, as one train: the
+    /// youngest carries it — installing its value alone linearizes them,
+    /// all being outstanding together — at the age of the oldest.
+    fn depart(&mut self, suite: ObjectId, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+        if self.trains.get(&suite).map(|(marker, _)| *marker) != Some(req) {
+            return;
+        }
+        let mut riders = self.trains.remove(&suite).expect("just looked up").1;
+        let Some(carrier) = riders.pop() else {
+            return;
+        };
+        self.trace_close_phase(carrier, ctx.now(), SpanOutcome::Ok);
+        let oldest = riders.iter().map(|r| self.ops[r].lock_ts).min();
+        let st = self.ops.get_mut(&carrier).expect("a parked write is live");
+        st.lock_ts = oldest.map_or(st.lock_ts, |ts| ts.min(st.lock_ts));
+        st.riders = riders;
+        self.begin_attempt(carrier, ctx);
+    }
+
     fn begin_attempt(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
         // Cache tier: a live lease serves locally, and a read arriving
         // while another read's inquiry is in flight coalesces onto it.
@@ -1886,7 +1962,26 @@ impl ClientNode {
         let Some(st) = self.ops.get(&req) else {
             return;
         };
+        let (suite, first_write) = (st.suite, st.kind == OpKind::Write && st.attempts == 0);
+        if let Some((marker, parked)) = self.trains.get_mut(&suite).filter(|_| first_write) {
+            // Behind a direct attempt of this client's the write parks — its
+            // pipeline slot stays taken — and leaves when that attempt ends:
+            // at once, with whoever is parked already, if it has stalled.
+            let (marker, now) = (*marker, ctx.now());
+            parked.push(req);
+            self.ops.get_mut(&req).expect("just looked up").phase = Phase::Riding;
+            if let Some((tr, t)) = self.op_spans(req) {
+                t.phase = Some(tr.start(SpanKind::Ride, t.suite, t.op, Some(t.root), None, 0, now));
+            }
+            if self.stalled(marker, now) {
+                self.depart(suite, marker, ctx);
+            }
+            return;
+        }
         if self.may_go_direct(st) && self.enter_prepare(req, ctx) {
+            if first_write {
+                self.trains.insert(suite, (req, Vec::new()));
+            }
             return;
         }
         let st = &self.ops[&req];
@@ -1994,7 +2089,7 @@ impl ClientNode {
         let Some(st) = self.ops.get(&req) else {
             return false;
         };
-        let (kind, installs) = (st.kind, st.writes.len());
+        let (kind, installs, span) = (st.kind, st.writes.len(), st.span());
         let direct = !matches!(st.phase, Phase::WriteInquire { .. });
         // Per written suite: the ranking decided under, the install set,
         // and the version floor.
@@ -2055,9 +2150,10 @@ impl ClientNode {
             let install = PrepareWrite {
                 suite,
                 object: data_object(suite),
-                version: current.next(),
+                version: Version(current.0 + u64::from(span)),
                 value,
                 generation: self.configs[&suite].generation,
+                span,
             };
             if i == 0 {
                 on_commit.version = install.version;
@@ -2194,9 +2290,11 @@ impl ClientNode {
             RetryCause::VoteNo | RetryCause::GaveWay => ctx.now().since(st.attempt_started),
             _ => SimDuration::ZERO,
         };
+        let suite = st.suite;
         self.ops.insert(new_req, st);
         let delay = self.retry_delay(new_req, attempts).max(lost);
         self.arm_timer(new_req, seq, TimerKind::Retry, delay, ctx);
+        self.depart(suite, req, ctx);
     }
 
     /// Capped exponential backoff with deterministic jitter. `backoff` is
@@ -2241,23 +2339,49 @@ impl ClientNode {
         outcome: Result<OpSuccess, OpError>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
-        if let Some(mut st) = self.ops.remove(&req) {
-            let span_outcome = match &outcome {
-                Ok(_) => SpanOutcome::Ok,
-                Err(e) => op_err_outcome(e),
+        let Some(mut st) = self.ops.remove(&req) else {
+            return;
+        };
+        let span_outcome = match &outcome {
+            Ok(_) => SpanOutcome::Ok,
+            Err(e) => op_err_outcome(e),
+        };
+        // A train's riders are reported before their carrier, oldest
+        // first, at the versions below its own; they made its attempts.
+        // If it failed instead, each goes on alone with its own budget.
+        let riders = std::mem::take(&mut st.riders);
+        let carried = outcome.as_ref().ok().map(|s| s.version);
+        let carrier = st.trace.as_ref().map_or(0, |t| t.op);
+        let below = (1..=riders.len() as u64).rev();
+        for (rider, below) in riders.into_iter().zip(below) {
+            if let Some((tr, t)) = self.op_spans(rider) {
+                let ride = t.phase.take().expect("opened when it parked");
+                tr.end_with_detail(ride, ctx.now(), span_outcome, carrier);
+            }
+            let Some(version) = carried else {
+                self.begin_attempt(rider, ctx);
+                continue;
             };
-            self.trace_finish_op(&mut st, ctx.now(), span_outcome);
-            self.completed.push(CompletedOp {
-                req,
-                kind: st.kind,
-                suite: st.suite,
-                outcome,
-                started: st.started,
-                finished: ctx.now(),
-                attempts: st.attempts,
-            });
-            self.op_finished(ctx);
+            self.ops.get_mut(&rider).expect("a rider is live").attempts = st.attempts;
+            let success = OpSuccess {
+                version: Version(version.0 - below),
+                value: None,
+                multi: Vec::new(),
+            };
+            self.complete(rider, Ok(success), ctx);
         }
+        self.trace_finish_op(&mut st, ctx.now(), span_outcome);
+        self.completed.push(CompletedOp {
+            req,
+            kind: st.kind,
+            suite: st.suite,
+            outcome,
+            started: st.started,
+            finished: ctx.now(),
+            attempts: st.attempts,
+        });
+        self.op_finished(ctx);
+        self.depart(st.suite, req, ctx);
     }
 
     /// Asks `ask` for the configuration of `stale` — the suite it said
@@ -2294,6 +2418,7 @@ impl ClientNode {
             self.options.phase_timeout,
             ctx,
         );
+        self.depart(suite, req, ctx);
     }
 
     /// Votes needed before leaving the inquiry phase.
@@ -2451,14 +2576,12 @@ impl ClientNode {
                         // paper's rule for adding votes), so the responders
                         // must additionally be able to form that quorum,
                         // and the current contents must be fetched first.
-                        let new_feasible =
-                            st.change.as_ref().is_some_and(|(assignment, quorum)| {
-                                assignment.votes_in(versions.keys()) >= quorum.write
-                            });
-                        if !new_feasible {
+                        let reconfig = st.reconfig.as_mut().expect("a reconfiguration");
+                        let (assignment, quorum) = &reconfig.change;
+                        if assignment.votes_in(versions.keys()) < quorum.write {
                             Next::Wait
                         } else {
-                            st.reconfig_responders = versions.keys().copied().collect();
+                            reconfig.responders = versions.keys().copied().collect();
                             Next::ToFetch {
                                 current,
                                 candidates: holders(versions, current),
@@ -2684,7 +2807,8 @@ impl ClientNode {
         let Some(st) = self.ops.get(&req) else {
             return;
         };
-        let (assignment, quorum) = st.change.clone().expect("reconfigure carries a change");
+        let reconfig = st.reconfig.as_ref().expect("a reconfiguration");
+        let (assignment, quorum) = reconfig.change.clone();
         let new_cfg = match old_cfg.evolve(assignment, quorum) {
             Ok(next) => next,
             Err(e) => {
@@ -2692,7 +2816,7 @@ impl ClientNode {
                 return;
             }
         };
-        let responders = &st.reconfig_responders;
+        let responders = &reconfig.responders;
         let cheapest_among_responders = |cfg: &SuiteConfig| {
             cheapest_quorum(&cfg.assignment, cfg.quorum.write, responders, |s| {
                 site_cost(&costs, s)
@@ -2723,6 +2847,7 @@ impl ClientNode {
                 version: Version(new_cfg.generation),
                 value: config_bytes.clone(),
                 generation: old_cfg.generation,
+                span: 1,
             });
         }
         // Re-publish the contents one version up, through the old write
@@ -2746,6 +2871,7 @@ impl ClientNode {
                 version: bump,
                 value: current_value.clone(),
                 generation: old_cfg.generation,
+                span: 1,
             });
         }
         // The operation reports the configuration generation it installed,
@@ -2760,7 +2886,7 @@ impl ClientNode {
             batches: per_site.into_iter().collect(),
             rebase: false,
             unprobed: Vec::new(),
-            on_commit: (on_commit, Some(new_cfg)),
+            on_commit: (on_commit, Some(Box::new(new_cfg))),
             // The fixed ceiling, not the adaptive `phase_delay`: E9's
             // healing and quarantine arms pin this timeout as it has
             // always been.
@@ -3036,6 +3162,10 @@ impl ClientNode {
             );
         }
         let st = self.ops.get_mut(&req).expect("op is live");
+        if st.kind == OpKind::Write {
+            self.stats.trains += 1;
+            self.stats.writes_ridden += st.riders.len() as u64;
+        }
         st.seq += 1; // the prepare's timers are stale
         st.phase = Phase::Decided;
         let mut then = st.on_commit.take();
@@ -3071,11 +3201,11 @@ impl ClientNode {
         &mut self,
         req: ReqId,
         suite: ObjectId,
-        (success, adopt): (OpSuccess, Option<SuiteConfig>),
+        (success, adopt): Outcome,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
         if let Some(next) = adopt {
-            self.configs.insert(suite, next);
+            self.configs.insert(suite, *next);
             self.plans.remove(&suite);
         }
         if self.options.weak_rep.is_some() {
@@ -3237,7 +3367,7 @@ impl ClientNode {
         // A site already preparing some suite of this request cannot be
         // handed another: a second prepare under the same id is a re-ask.
         let taken = participants.clone();
-        let (kind, suite) = (st.kind, st.suite);
+        let (kind, suite, span) = (st.kind, st.suite, st.span());
         // Per written suite: the members kept, then the next in rank order
         // until the votes are covered; the additions merge per site as
         // `enter_prepare` batches them.
@@ -3266,9 +3396,10 @@ impl ClientNode {
             let install = PrepareWrite {
                 suite,
                 object: data_object(suite),
-                version: Version::INITIAL.next(),
+                version: Version(Version::INITIAL.0 + u64::from(span)),
                 value,
                 generation: cfg.generation,
+                span,
             };
             add_to_batches(&mut added, &next, &install);
             if self.audit.is_some() {
@@ -3600,8 +3731,9 @@ impl ClientNode {
                         .collect();
                     (Next::AbortAndFail(st.kind), silent)
                 }
-                // Its commit tail keeps the timer; none is armed here.
-                Phase::Decided => return,
+                // No timer is armed here: a commit tail keeps its own, and a
+                // riding write has none.
+                Phase::Decided | Phase::Riding => return,
             }
         };
         self.stats.timeouts += 1;
@@ -3642,15 +3774,11 @@ impl ClientNode {
             } => self.on_read_resp(from, suite, req, version, value, ctx),
             Msg::Busy { req, give_way, .. } => self.on_busy(from, req, give_way, ctx),
             Msg::Refused { req, reason, .. } => {
-                match reason {
-                    RefuseReason::Quarantined => {
-                        self.stats.refused_quarantined += 1;
-                        // The site said so itself: its votes are gone until
-                        // repair. This is long-lived, so demote it now
-                        // instead of accruing timeout suspicion.
-                        self.mark_quarantined(from);
-                    }
-                    RefuseReason::Disk => self.stats.refused_disk += 1,
+                if reason == RefuseReason::Quarantined {
+                    // The site said so itself: its votes are gone until
+                    // repair. This is long-lived, so demote it now
+                    // instead of accruing timeout suspicion.
+                    self.mark_quarantined(from);
                 }
                 let in_prepare = self
                     .ops
@@ -3740,6 +3868,7 @@ impl ClientNode {
         self.active = 0;
         self.cache.clear();
         self.inquiry_leaders.clear();
+        self.trains.clear();
         self.silent.fill(false);
         for sh in &mut self.health {
             sh.owes_since = None;
@@ -3817,6 +3946,15 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn a_queued_operation_stays_within_44_words() {
+        // Every queued submission sits in `ops` as a whole `OpState` — ten
+        // thousand a batch on a read-heavy workload — so its size is heap
+        // high water. What only a reconfiguration uses is boxed.
+        let size = std::mem::size_of::<OpState>();
+        assert!(size <= 352, "{size}");
     }
 
     #[test]
@@ -4024,7 +4162,6 @@ mod tests {
         );
         assert_eq!(c.completed.len(), 0);
         assert_eq!(c.in_flight(), 1, "retry pending");
-        assert_eq!(c.stats.refused_quarantined, 1);
     }
 
     #[test]
@@ -4063,7 +4200,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, SiteId(1));
         assert!(matches!(out[0].1, Msg::ReadReq { .. }));
-        assert_eq!(c.stats.refused_disk, 1);
     }
 
     #[test]
@@ -4087,7 +4223,6 @@ mod tests {
         let _ = effects(&mut ctx);
         // One refusal is enough — no timeout accrual needed.
         assert_eq!(c.stats.suspicions_raised, 1);
-        assert_eq!(c.stats.refused_quarantined, 1);
         assert!(c.health[0].suspected, "site 0 demoted");
     }
 
@@ -5795,10 +5930,20 @@ mod tests {
         drop(ctx);
         answer_version(&mut c, &mut rng, 20, 0, read, 0);
         answer_version(&mut c, &mut rng, 60, 2, read, 0);
+        // Site 0 then votes no, which ends a direct attempt: the next write
+        // must plan for itself, not park behind this one.
         let first_sends = |c: &mut ClientNode, rng: &mut DetRng, at_ms: u64| {
             let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms), CLIENT, rng);
-            c.start_write(SUITE, &b"w"[..], &mut ctx);
-            split_effects(&mut ctx).0
+            let req = c.start_write(SUITE, &b"w"[..], &mut ctx);
+            let sends = split_effects(&mut ctx).0;
+            let no = Msg::PrepareVote {
+                suite: SUITE,
+                req,
+                vote: Vote::No,
+                staged: Vec::new(),
+            };
+            c.handle(SiteId(0), no, &mut ctx);
+            sends
         };
         // Three round trips (seeded at 2 x 20 ms) are not yet up...
         let sends = first_sends(&mut c, &mut rng, 100);
@@ -5887,6 +6032,283 @@ mod tests {
             assert_eq!(c.stats.plan_cache_hits + c.stats.plan_cache_misses, probes);
             assert_eq!(rng.u64(), untouched.u64(), "{policy:?} drew from the RNG");
         }
+    }
+
+    // ---- write trains: the hazards (DESIGN.md §7.2) ----
+
+    /// Starts one write per payload at `at_ms`; returns their request ids
+    /// and what left the client.
+    fn launch(
+        c: &mut ClientNode,
+        rng: &mut DetRng,
+        at_ms: u64,
+        payloads: &[&'static [u8]],
+    ) -> (Vec<ReqId>, Vec<(SiteId, Msg)>) {
+        let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms), CLIENT, rng);
+        let reqs = payloads
+            .iter()
+            .map(|p| c.start_write(SUITE, *p, &mut ctx))
+            .collect();
+        (reqs, split_effects(&mut ctx).0)
+    }
+
+    /// The data prepares among `sends`: `(to, req, lock_ts, install)`.
+    fn prepares(sends: &[(SiteId, Msg)]) -> Vec<(SiteId, ReqId, u64, PrepareWrite)> {
+        let one = |(to, m): &(SiteId, Msg)| match m {
+            Msg::Prepare {
+                req,
+                writes,
+                lock_ts,
+                ..
+            } if !writes.is_empty() => Some((*to, *req, *lock_ts, writes[0].clone())),
+            _ => None,
+        };
+        sends.iter().filter_map(one).collect()
+    }
+
+    /// `(request id, version, attempts)` of every operation reported, in
+    /// report order.
+    fn reported(c: &ClientNode) -> Vec<(ReqId, Option<u64>, u32)> {
+        let one = |op: &CompletedOp| {
+            let version = op.outcome.as_ref().ok().map(|s| s.version.0);
+            (op.req, version, op.attempts)
+        };
+        c.completed.iter().map(one).collect()
+    }
+
+    /// Three writes launched together, the first decided at version 5:
+    /// the train of the other two is preparing. Returns their ids.
+    fn train_preparing(c: &mut ClientNode, rng: &mut DetRng) -> Vec<ReqId> {
+        let (w, sends) = launch(c, rng, 0, &[b"a", b"b", b"c"]);
+        assert_eq!(prepares(&sends).len(), 2, "the first alone: {sends:?}");
+        deliver(c, rng, 10, 0, yes(w[0], 5));
+        let (sends, _) = deliver(c, rng, 20, 1, yes(w[0], 5));
+        let train = prepares(&sends);
+        assert_eq!(train.len(), 2, "one prepare per participant: {sends:?}");
+        for (_, req, lock_ts, install) in &train {
+            // The youngest carries, at the age of the oldest, and consumes
+            // a version for each: the floor is two above nothing.
+            assert_eq!((*req, *lock_ts), (w[2], w[1].counter()));
+            assert_eq!((install.span, install.version), (2, Version(2)));
+            assert_eq!(&install.value[..], b"c");
+        }
+        w
+    }
+
+    #[test]
+    fn writes_launched_behind_a_direct_attempt_leave_as_one_train_when_it_ends() {
+        let mut c = client();
+        let mut rng = DetRng::new(60);
+        let w = train_preparing(&mut c, &mut rng);
+        // Riders are never reported before the decision...
+        assert_eq!(reported(&c), vec![(w[0], Some(5), 1)]);
+        deliver(&mut c, &mut rng, 30, 0, yes(w[2], 7));
+        assert_eq!(c.completed.len(), 1);
+        // ...and then before their carrier, oldest first, at the versions
+        // below its own: completion order is version order.
+        let (sends, _) = deliver(&mut c, &mut rng, 40, 1, yes(w[2], 7));
+        assert_eq!(
+            reported(&c),
+            vec![(w[0], Some(5), 1), (w[1], Some(6), 1), (w[2], Some(7), 1)]
+        );
+        assert!(prepares(&sends).is_empty(), "nobody was left behind");
+        assert_eq!((c.stats.trains, c.stats.writes_ridden), (2, 1));
+        assert_eq!((c.in_flight(), c.trains.len()), (0, 0));
+    }
+
+    #[test]
+    fn a_train_that_gives_way_retries_as_one_train() {
+        let mut c = client();
+        let mut rng = DetRng::new(61);
+        let w = train_preparing(&mut c, &mut rng);
+        // It holds site 0's lock, stands in site 1's line, and an older
+        // prepare arrives behind it at site 0.
+        deliver(&mut c, &mut rng, 30, 0, yes(w[2], 7));
+        deliver(&mut c, &mut rng, 30, 1, busy(w[2], false));
+        let (sends, _) = deliver(&mut c, &mut rng, 40, 0, busy(w[2], true));
+        assert_eq!(aborts(&sends), vec![SiteId(0), SiteId(1)]);
+        assert!(prepares(&sends).is_empty(), "the rider stays with it");
+        // The retry is one inquiry and one prepare of the same span.
+        let (sends, _) = fire_newest_timer(&mut c, &mut rng, 100);
+        let asked = |m: &Msg| matches!(m, Msg::VersionReq { .. });
+        assert_eq!(sends.iter().filter(|(_, m)| asked(m)).count(), 3);
+        assert_eq!(sends.len(), 3);
+        let retry = *c.ops.keys().max().expect("the retry");
+        answer_version(&mut c, &mut rng, 110, 0, retry, 5);
+        let (sends, _) = answer_version(&mut c, &mut rng, 120, 1, retry, 5);
+        let again = prepares(&sends);
+        assert_eq!(again.len(), 2, "{sends:?}");
+        for (_, req, lock_ts, install) in &again {
+            assert_eq!((*req, *lock_ts), (retry, w[1].counter()));
+            assert_eq!((install.span, install.version), (2, Version(7)));
+        }
+        deliver(&mut c, &mut rng, 130, 0, yes(retry, 7));
+        deliver(&mut c, &mut rng, 140, 1, yes(retry, 7));
+        assert_eq!(reported(&c)[1..], [(w[1], Some(6), 2), (retry, Some(7), 2)]);
+    }
+
+    #[test]
+    fn a_widened_train_asks_the_replacement_for_its_whole_span() {
+        // Site 0 lags far behind and site 1 stays silent: the replacement,
+        // site 2, is the only participant that knows the current version,
+        // 9, and must stage the train's two versions above *that*.
+        let mut c = client();
+        let mut rng = DetRng::new(62);
+        let w = train_preparing(&mut c, &mut rng);
+        let (_, timers) = deliver(&mut c, &mut rng, 30, 0, yes(w[2], 2));
+        let mut ctx = NodeCtx::new(SimTime::from_millis(70), CLIENT, &mut rng);
+        c.handle_timer(timers[0].1, &mut ctx);
+        let (sends, _) = split_effects(&mut ctx);
+        assert_eq!(aborts(&sends), vec![SiteId(1)]);
+        let (to, req, _, install) = prepares(&sends).remove(0);
+        assert_eq!((to, req), (SiteId(2), w[2]));
+        // What `SuiteServer::finish_prepare` stages for it.
+        let staged = install.version.0.max(9 + u64::from(install.span));
+        deliver(&mut c, &mut rng, 80, 2, yes(w[2], staged));
+        assert_eq!(
+            reported(&c)[1..],
+            [(w[1], Some(10), 1), (w[2], Some(11), 1)]
+        );
+    }
+
+    #[test]
+    fn a_carrier_out_of_attempts_fails_alone_and_its_riders_go_on() {
+        let options = ClientOptions {
+            max_attempts: 1,
+            ..ClientOptions::default()
+        };
+        let mut c = ClientNode::new(CLIENT, vec![config()], vec![10.0, 20.0, 30.0, 1.0], options);
+        let mut rng = DetRng::new(63);
+        let w = train_preparing(&mut c, &mut rng);
+        let no = Msg::PrepareVote {
+            suite: SUITE,
+            req: w[2],
+            vote: Vote::No,
+            staged: Vec::new(),
+        };
+        // The rider starts over at once: a train of one, its own age, its
+        // own budget.
+        let (sends, _) = deliver(&mut c, &mut rng, 30, 0, no);
+        let alone = prepares(&sends);
+        assert_eq!(alone.len(), 2, "{sends:?}");
+        for (_, req, lock_ts, install) in &alone {
+            assert_eq!((*req, *lock_ts, install.span), (w[1], w[1].counter(), 1));
+        }
+        deliver(&mut c, &mut rng, 40, 0, yes(w[1], 6));
+        deliver(&mut c, &mut rng, 50, 1, yes(w[1], 6));
+        assert_eq!(reported(&c)[1..], [(w[2], None, 1), (w[1], Some(6), 1)]);
+    }
+
+    #[test]
+    fn only_a_first_direct_write_is_parked_behind_and_only_a_first_write_parks() {
+        let other = ObjectId(2);
+        let both = |quorum| {
+            let votes = VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1), (SiteId(2), 1)]);
+            let second = SuiteConfig::new(other, votes, QuorumSpec::new(2, 2)).expect("legal");
+            let first = SuiteConfig { quorum, ..config() };
+            let costs = vec![10.0, 20.0, 30.0, 1.0];
+            ClientNode::new(CLIENT, vec![first, second], costs, ClientOptions::default())
+        };
+        let mut rng = DetRng::new(64);
+        let sent_by_a_write = |c: &mut ClientNode, rng: &mut DetRng| {
+            let (_, sends) = launch(c, rng, 50, &[b"w"]);
+            sends.len()
+        };
+        // Behind a transaction, a reconfiguration, a write that is waiting
+        // to retry, and a write that inquires first because write quorums
+        // need not intersect, a write sends what it sends alone.
+        let mut c = both(QuorumSpec::new(2, 2));
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        c.start_transaction(vec![(SUITE, Bytes::from_static(b"t"))], &mut ctx);
+        drop(ctx);
+        assert_eq!(sent_by_a_write(&mut c, &mut rng), 2);
+        let mut c = both(QuorumSpec::new(2, 2));
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        c.start_reconfigure(
+            SUITE,
+            VoteAssignment::equal(3),
+            QuorumSpec::new(1, 3),
+            &mut ctx,
+        );
+        drop(ctx);
+        assert_eq!(sent_by_a_write(&mut c, &mut rng), 2);
+        let mut c = both(QuorumSpec::new(2, 2));
+        let (w, _) = launch(&mut c, &mut rng, 0, &[b"first"]);
+        let no = Msg::PrepareVote {
+            suite: SUITE,
+            req: w[0],
+            vote: Vote::No,
+            staged: Vec::new(),
+        };
+        deliver(&mut c, &mut rng, 10, 0, no);
+        assert_eq!(sent_by_a_write(&mut c, &mut rng), 2);
+        let mut c = both(QuorumSpec::new(3, 1));
+        launch(&mut c, &mut rng, 0, &[b"first"]);
+        assert_eq!(
+            sent_by_a_write(&mut c, &mut rng),
+            3,
+            "an inquiry of its own"
+        );
+        assert!(c.trains.is_empty());
+        // Behind a direct write, a write to another suite, a transaction
+        // and a reconfiguration go out at once; a write to the suite parks.
+        let mut c = both(QuorumSpec::new(2, 2));
+        launch(&mut c, &mut rng, 0, &[b"first"]);
+        let mut ctx = NodeCtx::new(SimTime::from_millis(10), CLIENT, &mut rng);
+        c.start_write(other, &b"elsewhere"[..], &mut ctx);
+        c.start_transaction(vec![(SUITE, Bytes::from_static(b"t"))], &mut ctx);
+        c.start_reconfigure(
+            SUITE,
+            VoteAssignment::equal(3),
+            QuorumSpec::new(1, 3),
+            &mut ctx,
+        );
+        assert_eq!(split_effects(&mut ctx).0.len(), 2 + 2 + 3);
+        assert_eq!(sent_by_a_write(&mut c, &mut rng), 0);
+        assert_eq!(c.trains.len(), 2, "one marker per suite");
+    }
+
+    #[test]
+    fn a_crash_with_a_train_preparing_reports_nothing_and_presumes_abort() {
+        let mut c = client();
+        let mut rng = DetRng::new(65);
+        let w = train_preparing(&mut c, &mut rng);
+        launch(&mut c, &mut rng, 25, &[b"parked"]);
+        c.handle_crash();
+        c.handle_recover();
+        assert!(c.trains.is_empty() && c.ops.is_empty());
+        assert_eq!(reported(&c), vec![(w[0], Some(5), 1)]);
+        let abort = Msg::Abort {
+            suite: SUITE,
+            req: w[2],
+        };
+        assert_eq!(probe(&mut c, &mut rng, w[2]), abort);
+    }
+
+    #[test]
+    fn a_write_does_not_park_behind_an_attempt_a_participant_left_unanswered() {
+        // Site 1 says nothing. Three of its round trips (2 x 20 ms each)
+        // after the prepares left, the attempt has stalled: the next write
+        // to come takes the parked one along, and the marker with it.
+        let mut c = client();
+        let mut rng = DetRng::new(66);
+        let (w, _) = launch(&mut c, &mut rng, 0, &[b"a", b"b"]);
+        deliver(&mut c, &mut rng, 20, 0, busy(w[0], false));
+        let (late, sends) = launch(&mut c, &mut rng, 120, &[b"c"]);
+        assert!(sends.is_empty(), "parked: a line is not a stall");
+        let (later, sends) = launch(&mut c, &mut rng, 121, &[b"d"]);
+        let train = prepares(&sends);
+        assert_eq!(train.len(), 2, "{sends:?}");
+        for (_, req, lock_ts, install) in &train {
+            assert_eq!(
+                (*req, *lock_ts, install.span),
+                (later[0], w[1].counter(), 3)
+            );
+        }
+        // The stalled attempt goes on alone, and ends as it would have.
+        assert_eq!(c.trains[&SUITE], (later[0], Vec::new()));
+        assert!(c.ops[&late[0]].riders.is_empty() && c.ops[&w[0]].riders.is_empty());
+        assert_eq!(c.ops[&later[0]].riders, vec![w[1], late[0]]);
     }
 
     /// Oracle: sites reporting `current`, sorted cheapest-first — the sort

@@ -2389,12 +2389,115 @@ mod tests {
         assert!(weak_installs as usize >= 4 * n, "{weak_installs} refreshes");
     }
 
+    // ---- write trains: the hazards (DESIGN.md §7.2) ----
+
+    fn prepares(h: &Harness) -> u64 {
+        SiteId::all(3)
+            .map(|s| h.server_stats(s).expect("server").prepares)
+            .sum()
+    }
+
+    /// `(version, latency)` per completion, in report order.
+    fn reports(h: &mut Harness, client: SiteId) -> Vec<(u64, SimDuration)> {
+        let done = h.drain_completed(client);
+        let one = |op: &CompletedOp| (op.outcome.as_ref().expect("ok").version.0, op.latency());
+        done.iter().map(one).collect()
+    }
+
+    #[test]
+    fn three_writes_launched_together_take_two_lock_holds_and_three_versions() {
+        let mut h = three_server_harness(54);
+        let (suite, client) = (h.suite_id(), h.default_client());
+        h.write(suite, b"before".to_vec()).expect("write");
+        h.run_until_quiet(10_000);
+        let before = prepares(&h);
+        for value in [b"a", b"b", b"c"] {
+            h.enqueue_write(client, suite, value.to_vec(), h.now());
+        }
+        h.run_until_quiet(10_000);
+        // The first is decided a round trip in; the other two left then,
+        // on one prepare, and are reported a round trip later — the older
+        // first, one version apart.
+        assert_eq!(
+            reports(&mut h, client),
+            vec![(2, ms(200)), (3, ms(400)), (4, ms(400))]
+        );
+        assert_eq!(prepares(&h), before + 2 * 2, "two prepares at two sites");
+        let stats = h.client_stats(client).expect("client");
+        assert_eq!((stats.trains, stats.writes_ridden), (3, 1));
+        let seen = h.read(suite).expect("read");
+        assert_eq!((seen.version, &seen.value[..]), (Version(4), &b"c"[..]));
+    }
+
+    #[test]
+    fn writes_parked_behind_an_attempt_leave_when_it_ends_not_when_its_operation_does() {
+        let mut h = three_server_harness(55);
+        let (suite, client) = (h.suite_id(), h.default_client());
+        // The first write's prepares are lost to a partition; two more
+        // park behind it (a tenth of a second in, nobody is late yet).
+        h.partition(Partition::isolate(4, client));
+        h.enqueue_write(client, suite, b"lost".to_vec(), h.now());
+        h.advance(ms(100));
+        h.enqueue_write(client, suite, b"b".to_vec(), h.now());
+        h.enqueue_write(client, suite, b"c".to_vec(), h.now());
+        h.advance(ms(900));
+        h.heal();
+        // It times out 5 s in and retries 40 to 60 ms later. The parked
+        // two leave at the timeout — asking first, their sites having just
+        // been silent — and a write launched while the first is waiting to
+        // retry goes out at once.
+        h.advance(ms(3_999));
+        let sent = h.net_stats().sent;
+        h.advance(ms(2));
+        assert_eq!(h.net_stats().sent, sent + 2 + 3, "two aborts, one inquiry");
+        h.advance(ms(9));
+        h.enqueue_write(client, suite, b"d".to_vec(), h.now());
+        h.advance(ms(1));
+        assert_eq!(
+            h.net_stats().sent,
+            sent + 2 + 3 + 3,
+            "an inquiry of its own"
+        );
+        h.run_until_quiet(100_000);
+        let mut done = reports(&mut h, client);
+        assert_eq!(done[..2], [(1, ms(5_300)), (2, ms(5_300))]);
+        done.sort_unstable();
+        assert_eq!(done.iter().map(|d| d.0).collect::<Vec<_>>(), [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_client_crash_with_a_train_prepared_consumes_no_version() {
+        let mut h = three_server_harness(56);
+        let (suite, client) = (h.suite_id(), h.default_client());
+        for value in [b"a", b"b", b"c"] {
+            h.enqueue_write(client, suite, value.to_vec(), h.now());
+        }
+        // The train's prepares are staged 300 ms in; its coordinator dies.
+        h.advance(ms(350));
+        assert_eq!(
+            (pending_at(&h, SiteId(0)), pending_at(&h, SiteId(1))),
+            (1, 1)
+        );
+        h.crash(client);
+        h.advance(ms(650));
+        h.recover(client);
+        h.advance(SimDuration::from_secs(20));
+        // Only the first write was ever reported; the participants' probes
+        // were answered by presumed abort, and the versions the train would
+        // have taken are the next writer's.
+        assert_eq!(reports(&mut h, client), vec![(1, ms(200))]);
+        assert!(SiteId::all(3).all(|s| pending_at(&h, s) == 0));
+        let next = h.write(suite, b"next".to_vec()).expect("next");
+        assert_eq!((next.version, next.attempts), (Version(2), 1));
+    }
+
     #[test]
     fn a_hot_suite_commits_every_write_in_one_or_two_attempts() {
         // The benchmark's `sim-hot` shape: 3 servers, 8 clients x depth 8,
         // one suite, 512 writes enqueued at once. A retry lottery on the
         // commit lock pays dozens of attempts per write here; the line
-        // at the representatives pays about one.
+        // at the representatives pays about one, and a client's eight
+        // outstanding writes share one place in it.
         use crate::client::RetryCause;
         const CLIENTS: usize = 8;
         let mut b = HarnessBuilder::new()
@@ -2450,6 +2553,8 @@ mod tests {
         let mean = attempts.iter().map(|&a| f64::from(a)).sum::<f64>() / 512.0;
         assert!(max <= 4, "an op took {max} attempts");
         assert!(mean <= 1.5, "mean {mean} attempts per write");
-        assert!(h.now() < SimTime::from_secs(45), "makespan {:?}", h.now());
+        // A client's window is one train: 9.3 s, against 36.6 s at one
+        // write per lock hold.
+        assert!(h.now() < SimTime::from_secs(12), "makespan {:?}", h.now());
     }
 }

@@ -53,6 +53,11 @@ pub struct PrepareWrite {
     pub value: Bytes,
     /// The coordinator's configuration generation for this suite.
     pub generation: u64,
+    /// How many consecutive versions the install consumes: the length of
+    /// the write train it carries (1 for a write alone). A re-basing
+    /// participant stages `max(version, committed + span)`, and the
+    /// train's other members are reported at the `span - 1` versions below.
+    pub span: u32,
 }
 
 /// Why a representative refused to serve (see [`Msg::Refused`]).
@@ -165,7 +170,7 @@ pub enum Msg {
         lock_ts: u64,
         /// Blind installs (writes, transactions): each entry's version is
         /// a floor, and the representative stages `max(floor, committed +
-        /// 1)` once it holds the lock. `false` for a reconfiguration,
+        /// span)` once it holds the lock. `false` for a reconfiguration,
         /// whose re-published contents are a read-modify-write: its
         /// versions are exact and a stale one votes No.
         rebase: bool,

@@ -65,22 +65,6 @@ impl QuorumSpec {
         QuorumSpec { read: m, write: m }
     }
 
-    /// Read-one / write-all: `r = 1, w = N`.
-    pub const fn read_one_write_all(total: u32) -> Self {
-        QuorumSpec {
-            read: 1,
-            write: total,
-        }
-    }
-
-    /// Read-all / write-one: `r = N, w = 1` — the write-optimised extreme.
-    pub const fn read_all_write_one(total: u32) -> Self {
-        QuorumSpec {
-            read: total,
-            write: 1,
-        }
-    }
-
     /// Checks legality against `assignment`.
     pub fn validate(&self, assignment: &VoteAssignment) -> Result<(), QuorumError> {
         let total = assignment.total();
@@ -91,16 +75,6 @@ impl QuorumSpec {
             return Err(QuorumError::NoIntersection { total });
         }
         Ok(())
-    }
-
-    /// True if `sites` carry enough votes to read.
-    pub fn is_read_quorum(&self, assignment: &VoteAssignment, sites: &[SiteId]) -> bool {
-        assignment.votes_in(sites) >= self.read
-    }
-
-    /// True if `sites` carry enough votes to write.
-    pub fn is_write_quorum(&self, assignment: &VoteAssignment, sites: &[SiteId]) -> bool {
-        assignment.votes_in(sites) >= self.write
     }
 }
 
@@ -283,30 +257,10 @@ mod tests {
     fn canned_specs() {
         assert_eq!(QuorumSpec::majority(5), QuorumSpec::new(3, 3));
         assert_eq!(QuorumSpec::majority(4), QuorumSpec::new(3, 3));
-        assert_eq!(QuorumSpec::read_one_write_all(7), QuorumSpec::new(1, 7));
-        assert_eq!(QuorumSpec::read_all_write_one(7), QuorumSpec::new(7, 1));
         let a = VoteAssignment::equal(7);
         QuorumSpec::majority(7)
             .validate(&a)
             .expect("majority legal");
-        QuorumSpec::read_one_write_all(7)
-            .validate(&a)
-            .expect("rowa legal");
-        QuorumSpec::read_all_write_one(7)
-            .validate(&a)
-            .expect("rawo legal");
-    }
-
-    #[test]
-    fn quorum_membership() {
-        let a = VoteAssignment::new([(s(0), 2), (s(1), 1), (s(2), 1)]);
-        let q = QuorumSpec::new(2, 3);
-        assert!(q.is_read_quorum(&a, &[s(0)]));
-        assert!(!q.is_read_quorum(&a, &[s(1)]));
-        assert!(q.is_read_quorum(&a, &[s(1), s(2)]));
-        assert!(q.is_write_quorum(&a, &[s(0), s(1)]));
-        assert!(!q.is_write_quorum(&a, &[s(1), s(2)]));
-        assert!(q.is_write_quorum(&a, &[s(0), s(1), s(2)]));
     }
 
     #[test]

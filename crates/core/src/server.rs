@@ -836,7 +836,8 @@ impl SuiteServer {
             return unlock(self);
         }
         // The version is assigned under the lock. A blind install takes
-        // the first free one at or above the floor its client carried, so
+        // the first free ones at or above the floor its client carried —
+        // as many as its train has members, ending at the one staged — so
         // it is never stale; a reconfiguration's versions are exact, and
         // one a concurrent writer already installed votes no — voting yes
         // would let the coordinator regress it.
@@ -847,7 +848,8 @@ impl SuiteServer {
                 .read_version(pw.object)
                 .unwrap_or(Version::INITIAL);
             if c.rebase {
-                staged.push((pw.object, pw.version.max(committed.next())));
+                let free = committed.0 + u64::from(pw.span);
+                staged.push((pw.object, pw.version.max(Version(free))));
             } else if pw.version <= committed {
                 self.vote_no(c.from, suite, req, ctx);
                 return unlock(self);
@@ -1812,6 +1814,7 @@ mod tests {
                 version: Version(version),
                 value: Bytes::from_static(value),
                 generation: 1,
+                span: 1,
             }],
             lock_ts: r.0,
             rebase: true,
@@ -2076,6 +2079,7 @@ mod tests {
             version: Version(1),
             value: Bytes::from_static(b"v"),
             generation: 1,
+            span: 1,
         };
         let prepare = |r: ReqId, suites: &[u64]| Msg::Prepare {
             req: r,
@@ -2145,6 +2149,7 @@ mod tests {
                     version: Version(1),
                     value: Bytes::from_static(b"v"),
                     generation: 1,
+                    span: 1,
                 })
                 .collect(),
             lock_ts: r.counter(),
@@ -2319,6 +2324,7 @@ mod tests {
             version: Version(version),
             value,
             generation: 1,
+            span: 1,
         };
         let msg = Msg::Prepare {
             req: reconf,
@@ -2536,6 +2542,7 @@ mod tests {
                     version: Version(cfg2.generation),
                     value: Bytes::from(cfg2.encode()),
                     generation: 1,
+                    span: 1,
                 }],
                 lock_ts: r0.0,
                 rebase: false,
@@ -2800,6 +2807,7 @@ mod tests {
                         version: Version(i),
                         value: Bytes::from(format!("v{i}")),
                         generation: 1,
+                        span: 1,
                     }],
                     lock_ts: r.0,
                     rebase: true,
@@ -3145,6 +3153,7 @@ mod tests {
                         version: Version(1),
                         value: Bytes::from_static(b"v"),
                         generation: 1,
+                        span: 1,
                     }],
                     lock_ts: r.0,
                     rebase: true,
@@ -3569,6 +3578,7 @@ mod tests {
                         version: Version(1),
                         value: Bytes::from_static(b"second"),
                         generation: 1,
+                        span: 1,
                     }],
                     lock_ts: r2.0,
                     rebase: true,

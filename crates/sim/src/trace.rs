@@ -84,6 +84,9 @@ pub enum SpanKind {
     /// interior corruption, closed when a full repair pull completes.
     /// `detail` is the number of suites awaiting confirmation at entry.
     Quarantine,
+    /// A write waiting for, then riding, another write's prepare (a write
+    /// train); `detail` is the op id of the write that carried it.
+    Ride,
 }
 
 impl SpanKind {
@@ -92,7 +95,7 @@ impl SpanKind {
     /// emitted by `to_jsonl` and then rejected by `from_jsonl`; the
     /// exhaustive-match guard in the round-trip test turns a forgotten
     /// entry into a test failure instead of a silent import error.
-    pub const ALL: [SpanKind; 20] = [
+    pub const ALL: [SpanKind; 21] = [
         SpanKind::Read,
         SpanKind::Write,
         SpanKind::Reconfigure,
@@ -113,6 +116,7 @@ impl SpanKind {
         SpanKind::CacheRefresh,
         SpanKind::DiskRecovery,
         SpanKind::Quarantine,
+        SpanKind::Ride,
     ];
 
     /// Stable lowercase name used in the JSONL form.
@@ -138,6 +142,7 @@ impl SpanKind {
             SpanKind::CacheRefresh => "cache_refresh",
             SpanKind::DiskRecovery => "disk_recovery",
             SpanKind::Quarantine => "quarantine",
+            SpanKind::Ride => "ride",
         }
     }
 
@@ -581,7 +586,7 @@ mod tests {
     // One arm per variant, no wildcard: adding a `SpanKind` is a compile
     // error here until it gets a slot, and the round-trip test below then
     // forces that slot to exist in `ALL` (bump `N_KINDS` alongside).
-    const N_KINDS: usize = 20;
+    const N_KINDS: usize = 21;
     fn kind_slot(k: SpanKind) -> usize {
         match k {
             SpanKind::Read => 0,
@@ -604,6 +609,7 @@ mod tests {
             SpanKind::CacheRefresh => 17,
             SpanKind::DiskRecovery => 18,
             SpanKind::Quarantine => 19,
+            SpanKind::Ride => 20,
         }
     }
 

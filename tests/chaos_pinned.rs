@@ -1,6 +1,7 @@
 //! Pinned chaos seeds: trials of the E9 campaign (`wv-exp e9 --trials N`)
 //! that broke an invariant or the progress bound at some point while the
-//! write path was being taken from two quorum accesses to one. The seeds
+//! write path was being taken from two quorum accesses to one, and then
+//! from one write per commit-lock hold to one train. The seeds
 //! are campaign *trial* seeds, exactly as the report's violation tables
 //! print them; each is replayed in all six arms of the campaign, the one
 //! that showed it included.
@@ -109,4 +110,18 @@ fn a_lost_race_waits_out_the_winner() {
 #[test]
 fn a_probe_from_a_participant_whose_yes_was_lost_gets_it_asked_again() {
     replays_clean(&[0xc2c6_dcdd_2a15_bdf5]);
+}
+
+/// Shipped and cache-tier arms (first seed), multi-suite arm (second). A
+/// write launched into a healed cluster parked behind a direct attempt of
+/// its client that one participant had left unanswered since the
+/// partition, left three seconds later with the phase timeout, carrying
+/// the writes parked before it, straight into the crowd the heal had let
+/// loose, and needed five attempts — until a write stopped parking behind
+/// an attempt that has stalled, and took the marker over instead. The
+/// second seed is the one ISSUE 22 reports for a variant of that rule in
+/// which one answer from any participant vouched for all of them.
+#[test]
+fn a_write_does_not_wait_out_a_stalled_attempt_of_its_own_client() {
+    replays_clean(&[0x3411_a3d9_e446_d04a, 0x364c_2353_a48d_39b6]);
 }

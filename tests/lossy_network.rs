@@ -88,8 +88,10 @@ fn duplication_dialed_in_mid_run_never_double_applies_a_write() {
         h.set_duplicate_prob(if phase == 1 { 0.6 } else { 0.0 });
         // Overlapping traffic: enqueue a burst without waiting in between,
         // so duplicated prepares and commits interleave with live ones.
+        // (Writes launched while one is preparing share the next prepare,
+        // so a burst of eight is only a few rounds of messages.)
         let start = h.now();
-        for i in 0..4u32 {
+        for i in 0..BURST {
             let at = start + SimDuration::from_millis(u64::from(i) * 40);
             h.enqueue_write(client, suite, payload(phase, i), at);
         }
@@ -108,8 +110,10 @@ fn duplication_dialed_in_mid_run_never_double_applies_a_write() {
     assert!(dup > 20, "duplication was actually exercised: {dup}");
     let r = h.read(suite).expect("final read");
     assert_eq!(r.version, Version(expected));
-    assert_eq!(r.value, payload(2, 3));
+    assert_eq!(r.value, payload(2, BURST - 1));
 }
+
+const BURST: u32 = 8;
 
 fn payload(phase: u32, i: u32) -> Vec<u8> {
     format!("p{phase}i{i}").into_bytes()

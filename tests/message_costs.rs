@@ -2,7 +2,8 @@
 //! message-cost model.
 
 use weighted_voting::analysis::{
-    inquiry_messages, read_messages_bounds, read_messages_sequential, write_messages,
+    inquiry_messages, read_messages_bounds, read_messages_sequential, train_messages_per_write,
+    write_messages,
 };
 use weighted_voting::core::client::ClientOptions;
 use weighted_voting::prelude::*;
@@ -46,6 +47,26 @@ fn write_message_count_is_exact() {
             expected += inquiry_messages(servers);
         }
         assert_eq!(sent, expected, "servers={servers} r={r} w={w}");
+    }
+}
+
+#[test]
+fn a_train_costs_its_members_one_quorum_access_between_them() {
+    // Nine writes of one client launched together: the first goes alone,
+    // the other eight leave together when it is decided.
+    for (servers, w) in [(3usize, 2usize), (5, 3)] {
+        let mut h = cluster(servers, QuorumSpec::majority(servers as u32), true, 8);
+        let (suite, client) = (h.suite_id(), h.default_client());
+        let before = h.net_stats().sent;
+        for i in 0..9u8 {
+            h.enqueue_write(client, suite, vec![i], h.now());
+        }
+        h.run_until_quiet(100_000);
+        let sent = (h.net_stats().sent - before) as f64;
+        let expected = train_messages_per_write(w, 1) + 8.0 * train_messages_per_write(w, 8);
+        assert_eq!(sent, expected, "servers={servers}");
+        let stats = h.client_stats(client).expect("client");
+        assert_eq!((stats.trains, stats.writes_ridden), (2, 7));
     }
 }
 
