@@ -117,6 +117,9 @@ pub struct ArmSummary {
     pub version_collect_ms: f64,
     /// Mean data-movement (content fetch) phase duration, traced, ms.
     pub data_move_ms: f64,
+    /// How many reads ran that phase: the rest got their contents with
+    /// the inquiry.
+    pub data_moves: u64,
     /// Mean server-side lock-wait duration, traced, ms.
     pub lock_wait_ms: f64,
 }
@@ -285,6 +288,7 @@ fn summarize(trials: Vec<TrialOut>) -> ArmSummary {
         timeouts: 0,
         version_collect_ms: 0.0,
         data_move_ms: 0.0,
+        data_moves: 0,
         lock_wait_ms: 0.0,
     };
     let mut lat = SampleSet::new();
@@ -311,6 +315,7 @@ fn summarize(trials: Vec<TrialOut>) -> ArmSummary {
     s.read_p99_ms = lat.try_quantile(0.99).unwrap_or(0.0);
     s.version_collect_ms = mean_ms(inq.0, inq.1);
     s.data_move_ms = mean_ms(fetch.0, fetch.1);
+    s.data_moves = fetch.1;
     s.lock_wait_ms = mean_ms(lock.0, lock.1);
     s
 }
@@ -402,9 +407,9 @@ pub fn run(trials: usize) -> String {
         format!("{:.1}", on.version_collect_ms),
     ]);
     t.row(&[
-        "data move (content fetch)".into(),
-        format!("{:.1}", off.data_move_ms),
-        format!("{:.1}", on.data_move_ms),
+        "data move (separate content fetch; × how many)".into(),
+        format!("{:.1} × {}", off.data_move_ms, off.data_moves),
+        format!("{:.1} × {}", on.data_move_ms, on.data_moves),
     ]);
     t.row(&[
         "lock wait (server-side)".into(),

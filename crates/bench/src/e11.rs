@@ -15,8 +15,9 @@
 //!    completes ~`k` reads per round trip, so deepening the window from
 //!    1 to 8 multiplies per-client throughput, at every client count.
 //! 2. **Load-balanced selection spreads the work.** With equal-cost
-//!    representatives, `CheapestFirst` sends every fetch to the
-//!    lowest-id server; `LoadBalanced` rotates across the cost tie and
+//!    representatives, `CheapestFirst` asks the lowest-id server for
+//!    the contents in every read's inquiry; `LoadBalanced` rotates
+//!    across the cost tie, one step per attempt, and
 //!    keeps every server busy without giving up quorum minimality —
 //!    visible in the per-site data-request counters, at identical
 //!    quorum cost.
@@ -62,8 +63,9 @@ pub struct Cell {
     pub ops_ok: u64,
     /// Committed operations per *virtual* second, across all clients.
     pub ops_per_vsec: f64,
-    /// Data requests (fetches, prepares) each server answered, summed
-    /// over all clients; length `SERVERS`.
+    /// Data requests (inquiries that asked for the contents too, fetches,
+    /// prepares) each server answered, summed over all clients; length
+    /// `SERVERS`.
     pub server_load: Vec<u64>,
 }
 
@@ -203,6 +205,16 @@ pub fn run(ops_per_client: usize) -> String {
         out.push_str(&t.to_markdown());
         out.push('\n');
     }
+    out.push_str(
+        "The load-balanced rows sit below the cheapest-first ones for a \
+         reason that is not load: the seeding write installs at two of the \
+         three replicas and nothing repairs the third, so the read whose \
+         rotated first host is that replica — one in three — is sent stale \
+         contents with its version answer and pays a fetch round. A read \
+         whose first host merely answers last does not: its contents land \
+         in the same instant and end the fetch they raced. Cheapest-first \
+         always asks site 0, which the write reached.\n\n",
+    );
     let deepest = CLIENTS[CLIENTS.len() - 1];
     let mut t = Table::new(
         format!("Per-server data requests (8 clients, depth 8, {ops_per_client} reads each)"),

@@ -6,7 +6,8 @@
 //! each of the cache tier's modes:
 //!
 //! - **uncached** — the classic client; every read runs a version
-//!   inquiry plus a data fetch.
+//!   inquiry, and the answer of the representative asked for the
+//!   contents brings them.
 //! - **validated** — reads serve from the local copy once a
 //!   version-inquiry quorum confirms it current: zero data RPCs,
 //!   exactly as fresh as a classic read. Within a pipelined window the
@@ -22,8 +23,8 @@
 //! worker-count invariance fixture
 //! (`crates/chaos/tests/determinism.rs`). After the measured
 //! window, a warm-cache *probe* (pure reads) isolates the steady-state
-//! cost of a read in each mode: network messages per read and data
-//! fetch rounds per read.
+//! cost of a read in each mode: network messages per read and reads
+//! whose contents crossed the wire.
 
 use wv_core::client::{ClientOptions, CompletedOp, WeakRepOptions};
 use wv_core::harness::{Harness, SiteSpec};
@@ -122,7 +123,8 @@ pub struct Cell {
     pub probe_reads: u64,
     /// Network messages the probe put on the wire (both directions).
     pub probe_msgs: u64,
-    /// Data fetch rounds the probe's reads needed.
+    /// Probe reads whose contents crossed the wire: with a version answer
+    /// or in a fetch round.
     pub probe_fetches: u64,
 }
 
@@ -245,10 +247,14 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
     // Probe: pure zipfian reads against a warm cache — the steady-state
     // per-read cost of each mode.
     let sent_base = h.net_stats().sent;
-    let fetch_base: u64 = client_sites
-        .iter()
-        .map(|&c| h.client_stats(c).expect("client exists").reads_fetched)
-        .sum();
+    let moved = |h: &Harness| -> u64 {
+        let stats = client_sites.iter().map(|&c| h.client_stats(c));
+        stats
+            .map(|s| s.expect("client exists"))
+            .map(|s| s.reads_contents_with_inquiry + s.reads_fetched)
+            .sum()
+    };
+    let fetch_base = moved(&h);
     let t = h.now();
     for (ci, &c) in client_sites.iter().enumerate() {
         for &s in &probes[ci] {
@@ -260,11 +266,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
         .filter(|op| op.outcome.is_ok())
         .count() as u64;
     let probe_msgs = h.net_stats().sent - sent_base;
-    let probe_fetches = client_sites
-        .iter()
-        .map(|&c| h.client_stats(c).expect("client exists").reads_fetched)
-        .sum::<u64>()
-        - fetch_base;
+    let probe_fetches = moved(&h) - fetch_base;
 
     Cell {
         mode,
@@ -385,9 +387,10 @@ pub fn run(ops_per_client: usize) -> String {
         .all(|&d| cell(&cells, 1, d).probe_fetches == 0 && cell(&cells, 1, d).probe_reads > 0);
     out.push_str(&format!(
         "Validated-mode reads against a warm cache performed **0 data \
-         fetches** — the version-inquiry quorum confirms the local copy \
-         and the contents never cross the wire (cache hits cost zero \
-         data RPCs: **{}**).\n\n",
+         fetches** — the version-inquiry quorum confirms the local copy, \
+         no version answer carries contents (the inquiry names the cached \
+         version) and none cross the wire (cache hits cost zero data \
+         moves: **{}**).\n\n",
         if validated_fetchless { "yes" } else { "NO" }
     ));
     let lease_worst = DEPTHS

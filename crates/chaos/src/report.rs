@@ -347,7 +347,8 @@ pub fn run(trials: usize) -> Report {
     out.push_str(&format!(
         "Of the arm's successful reads, {} were served from the local \
          weak representative after a version-inquiry quorum confirmed \
-         currency and {} fell through to a data fetch; every cache serve \
+         currency and {} had the contents moved to them, with a version \
+         answer or by a fetch; every cache serve \
          satisfied the staleness bound (validated mode: exactly as fresh \
          as a classic read).\n\n",
         w.cache_hits, w.cache_misses

@@ -3,9 +3,13 @@
 //! A [`ClientNode`] coordinates reads, writes, and reconfigurations:
 //!
 //! * **Read**: version inquiries to every representative until `r` votes
-//!   answer; the highest version among the answers is current; contents
-//!   are fetched from the cheapest representative (weak ones included)
-//!   holding that version.
+//!   answer; the highest version among the answers is current. The
+//!   contents are asked for in the same round — a content read of a
+//!   zero-vote copy ranked first, and the best-ranked voting
+//!   representative's inquiry naming the version from which it wants them
+//!   sent along — and complete the read once the quorum proves them
+//!   current; failing that they are fetched from the cheapest
+//!   representative (weak ones included) holding the current version.
 //! * **Write / transaction**: client-coordinated two-phase commit at each
 //!   written suite's cheapest write quorum — one quorum access. Each
 //!   participant assigns the version under its commit lock
@@ -87,10 +91,13 @@ pub struct ClientOptions {
     /// After a successful write, push the new value to every weak
     /// representative of the suite (the paper's background-update option).
     pub push_weak_on_write: bool,
-    /// Fetch contents from the cheapest representative *in parallel* with
-    /// the version inquiry, completing immediately if it proves current —
-    /// the paper's validated-cache read. When off, the fetch starts only
-    /// after the inquiry quorum settles.
+    /// Ask for the contents *in the same round* as the version inquiry,
+    /// completing as soon as the quorum proves them current — the paper's
+    /// validated-cache read: a content read to a zero-vote copy ranked
+    /// first (the workstation's own), and the inquiry to the best-ranked
+    /// voting representative asking for the contents too if its copy is
+    /// newer than the reader's. When off, the fetch starts only after the
+    /// inquiry quorum settles.
     pub optimistic_fetch: bool,
     /// How quorum members and fetch targets are chosen.
     pub quorum_policy: QuorumPolicy,
@@ -157,8 +164,8 @@ impl WeakRepOptions {
 /// times and an accrual-style suspicion score: every response resets the
 /// score, every unanswered phase bumps it, and crossing the threshold
 /// marks the site *suspected*. Suspected sites are demoted to the back of
-/// every cost-ranked order (fetch candidates, optimistic-fetch target,
-/// write quorums) until they answer again.
+/// every cost-ranked order (fetch candidates, who is asked for the
+/// contents alongside an inquiry, write quorums) until they answer again.
 ///
 /// The layer has one tuning in use, fixed by the constants beside
 /// `SiteHealth`, so this type has no fields. It stays a type, and
@@ -214,7 +221,7 @@ pub enum QuorumPolicy {
     /// representatives instead of hammering the one with the lowest id.
     /// The rotated order stays sorted by cost, so every quorum it yields
     /// is still minimal-cost; only tie-breaks move. Rotation is seeded via
-    /// [`wv_sim::derive_seed`] and advances once per decision — no RNG
+    /// [`wv_sim::derive_seed`] and advances once per attempt — no RNG
     /// draws, so runs stay bit-identical at any worker count.
     LoadBalanced,
 }
@@ -240,10 +247,15 @@ impl Default for ClientOptions {
 /// Client-side counters for the experiments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClientStats {
-    /// Reads completed by the optimistic parallel fetch (cache hits).
+    /// Reads that needed no separate fetch round: the contents that
+    /// completed them were asked for alongside the version inquiry.
     pub reads_cache_hit: u64,
     /// Reads that needed a separate fetch round (cache misses).
     pub reads_fetched: u64,
+    /// Of `reads_cache_hit`, the reads whose contents came with a voting
+    /// representative's version answer ([`Msg::VersionResp::value`]): the
+    /// copy the reader already held was not current, or it held none.
+    pub reads_contents_with_inquiry: u64,
     /// Attempts that failed and were retried.
     pub retries: u64,
     /// Phase timeouts that fired against a live operation or its commit
@@ -418,9 +430,15 @@ enum Phase {
         /// is the one its answers may be counted under.
         generation: u64,
         versions: BTreeMap<SiteId, Version>,
-        /// The optimistic-fetch target, if one was contacted.
+        /// The zero-vote copy sent a content read alongside the inquiry,
+        /// if one ranks first.
         guess: Option<SiteId>,
-        /// The optimistic fetch's answer, if it arrived before the quorum.
+        /// The voting representative whose inquiry asked for the contents
+        /// too ([`Msg::VersionReq::contents_from`]), if one was asked.
+        contents: Option<SiteId>,
+        /// The newest contents to hand before the quorum: the attached
+        /// cache entry, `guess`'s answer, or what came with `contents`'s.
+        /// Believed only once the quorum's highest version is no higher.
         early: Option<(SiteId, Version, Bytes)>,
     },
     /// Write or transaction: collecting a version quorum for every
@@ -552,8 +570,9 @@ struct OpTrace {
     /// Open per-site request/response spans of the current phase
     /// (version inquiries, prepares, commit acks).
     rpcs: Vec<(SiteId, SpanId)>,
-    /// Open content-fetch legs: the optimistic fetch, the current fetch
-    /// candidate, and any hedge — closed by the `ReadResp` they provoke.
+    /// Open content legs: the sites asked for the contents alongside the
+    /// inquiry, the current fetch candidate, and any hedge — closed by the
+    /// contents they provoke.
     legs: Vec<(SiteId, SpanId)>,
 }
 
@@ -707,8 +726,9 @@ pub const CLIENT_TIMER_TAG: u64 = 1 << 63;
 /// A memoized quorum plan: the suite's sites in `(cost, site id)` order,
 /// valid for one configuration generation.
 ///
-/// Every cheapest-first decision — the optimistic-fetch target, the fetch
-/// candidate order, the write quorum — is a filter or prefix of this one
+/// Every cheapest-first decision — who is asked for the contents alongside
+/// an inquiry, the fetch candidate order, the write quorum — is a filter or
+/// prefix of this one
 /// sorted order, so caching it removes the per-decision cost sort from the
 /// hot path. Keyed implicitly on the policy (the random ablation draws
 /// fresh costs per decision and bypasses it) and invalidated whenever the
@@ -721,7 +741,7 @@ struct QuorumPlan {
     /// of a per-op `Vec` clone.
     site_order: Arc<[SiteId]>,
     /// Round-robin cursor for [`QuorumPolicy::LoadBalanced`]: seeded from
-    /// `(site, generation)` via `derive_seed`, advanced once per decision.
+    /// `(site, generation)` via `derive_seed`, advanced once per attempt.
     rr: u64,
 }
 
@@ -777,6 +797,12 @@ pub struct ClientNode {
     /// set; entries are validated against the live op table before use,
     /// so a stale leader id can never capture a new read.
     inquiry_leaders: IdHashMap<ObjectId, (ReqId, Vec<ReqId>)>,
+    /// Per suite, the version this client last saw at, or pushed to, the
+    /// zero-vote representative on its own site. Only a hint — the push
+    /// may have been dropped, the copy may have lost its state — and only
+    /// ever read to pick [`Msg::VersionReq::contents_from`]: too high costs
+    /// the read a fetch round, too low moves contents it did not need.
+    local_hints: IdHashMap<ObjectId, Version>,
     /// Per suite, the marker — the request id of a write's direct first
     /// attempt in flight — and the writes parked behind it, oldest first.
     /// They leave as one train when that *attempt* ends, decided or failed
@@ -809,9 +835,10 @@ pub struct ClientNode {
 }
 
 /// One decision's site ranking: every site of the suite's assignment (weak
-/// included), best first. Each choice the client makes — optimistic-fetch
-/// target, fetch candidates, write quorum — is a filter or prefix of
-/// `order`; the other two fields say how it came about, for the audit log.
+/// included), best first. Each choice the client makes — who is asked for
+/// the contents alongside an inquiry, fetch candidates, write quorum — is a
+/// filter or prefix of `order`; the other two fields say how it came
+/// about, for the audit log.
 struct Ranked {
     order: Arc<[SiteId]>,
     /// The load-balanced rotation cursor decided under (0 otherwise).
@@ -904,6 +931,7 @@ impl ClientNode {
             site_load,
             cache: IdHashMap::default(),
             inquiry_leaders: IdHashMap::default(),
+            local_hints: IdHashMap::default(),
             trains: IdHashMap::default(),
             decisions: Container::new(),
             unretired: BTreeSet::new(),
@@ -1361,17 +1389,16 @@ impl ClientNode {
 
     /// Ranks `suite`'s sites for one decision — the single seam every site
     /// choice goes through. The cached plan as-is for cheapest-first, the
-    /// plan with its cost-ties rotated for load-balanced (each decision
-    /// advances the rotation), a sort by this decision's fresh cost draw
-    /// for the random ablation; then suspected sites are demoted.
+    /// plan with its cost-ties rotated for load-balanced (each attempt
+    /// advances the rotation, see [`Self::begin_attempt`]), a sort by this
+    /// decision's fresh cost draw for the random ablation; then suspected
+    /// sites are demoted.
     fn rank(&mut self, suite: ObjectId, ctx: &mut NodeCtx<'_, Msg>) -> Ranked {
         let (order, cursor) = match self.options.quorum_policy {
             QuorumPolicy::CheapestFirst => (self.cached_site_order(suite), 0),
             QuorumPolicy::LoadBalanced => {
                 let order = self.cached_site_order(suite);
-                let plan = self.plans.get_mut(&suite).expect("plan just built");
-                let rr = plan.rr;
-                plan.rr = rr.wrapping_add(1);
+                let rr = self.plans[&suite].rr;
                 (rotate_cost_ties(&order, &self.costs, rr), rr)
             }
             QuorumPolicy::Random => {
@@ -1953,6 +1980,16 @@ impl ClientNode {
     }
 
     fn begin_attempt(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+        if self.options.quorum_policy == QuorumPolicy::LoadBalanced {
+            // One step of the rotation per attempt, however many answers
+            // then rank: a step per ranking would visit only every k-th of
+            // the tied sites when each operation happens to rank k times.
+            for suite in self.ops.get(&req).into_iter().flat_map(OpState::suites) {
+                if let Some(plan) = self.plans.get_mut(&suite) {
+                    plan.rr = plan.rr.wrapping_add(1);
+                }
+            }
+        }
         // Cache tier: a live lease serves locally, and a read arriving
         // while another read's inquiry is in flight coalesces onto it.
         // Entirely skipped with `weak_rep` off.
@@ -1987,9 +2024,8 @@ impl ClientNode {
         let st = &self.ops[&req];
         let (suite, is_read, installs) = (st.suite, st.kind == OpKind::Read, st.writes.len());
         let delay = self.phase_delay(self.inquiry_targets(st).map(|(_, site)| site));
-        // With a warm cache entry the local copy plays the optimistic
-        // fetch's part — pre-seeded into `early` below, so the inquiry
-        // quorum can confirm it without any speculative ReadReq.
+        // A warm cache entry is pre-seeded into `early` below, so the
+        // inquiry quorum can confirm it without any contents moving.
         let cached_early = if is_read && self.options.weak_rep.is_some() {
             self.cache
                 .get(&suite)
@@ -1997,20 +2033,36 @@ impl ClientNode {
         } else {
             None
         };
-        // Optimistic fetch: race a content read to the best-ranked host
-        // against the inquiry; a current answer completes the read at
-        // max(inquiry, fetch) instead of inquiry + fetch.
-        let guess = if is_read && self.options.optimistic_fetch && cached_early.is_none() {
+        // The contents are asked for in the inquiry's own round, so a read
+        // completes at max(inquiry, contents) instead of inquiry + fetch:
+        // a zero-vote copy ranked first (the workstation's own) is sent a
+        // content read, unless the cache entry plays its part, and the
+        // best-ranked voting host's inquiry asks for the contents too.
+        let (guess, contents) = if is_read && self.options.optimistic_fetch {
             let ranked = self.rank(suite, ctx);
-            let guess = ranked.order.first().copied();
+            let assignment = &self.configs[&suite].assignment;
+            let weak = |s: &SiteId| assignment.is_weak(*s);
+            let first = ranked.order.first().copied();
+            let guess = first.filter(|s| cached_early.is_none() && weak(s));
+            let contents = ranked.order.iter().copied().find(|s| !weak(s));
             if self.audit.is_some() {
                 let kind = DecisionKind::OptimisticFetch;
-                self.audit_decision(kind, req, suite, guess.as_slice(), &ranked, ctx.now());
+                let asked: Vec<SiteId> = guess.into_iter().chain(contents).collect();
+                self.audit_decision(kind, req, suite, &asked, &ranked, ctx.now());
             }
-            guess
+            (guess, contents)
         } else {
-            None
+            (None, None)
         };
+        // ...if that host's copy is newer than the one the reader holds:
+        // the cache entry (exactly), or what its own site's copy is thought
+        // to hold. A reader holding nothing asks unconditionally.
+        let contents_from = contents.map(|_| {
+            let hint = self.local_hints.get(&suite);
+            let cached = cached_early.as_ref().map(|(_, version, _)| version);
+            let held = cached.or(hint.filter(|_| guess == Some(self.site)));
+            held.map_or(Version::INITIAL, |version| version.next())
+        });
         let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
@@ -2022,6 +2074,7 @@ impl ClientNode {
                 generation: self.configs[&suite].generation,
                 versions: BTreeMap::new(),
                 guess,
+                contents,
                 early: cached_early,
             }
         } else {
@@ -2046,7 +2099,7 @@ impl ClientNode {
             for site in sites {
                 self.trace_add_rpc(req, site, ctx.now());
             }
-            if let Some(target) = guess {
+            for target in guess.into_iter().chain(contents) {
                 self.trace_add_leg(req, target, SpanKind::Rpc, ctx.now());
             }
         }
@@ -2063,10 +2116,19 @@ impl ClientNode {
         // under the commit lock, so it need not wait for one.
         let floor = installs > 0;
         for (suite, site) in self.inquiry_targets(&self.ops[&req]) {
-            ctx.send(site, Msg::VersionReq { suite, req, floor });
+            let contents_from = contents_from.filter(|_| contents == Some(site));
+            let inquiry = Msg::VersionReq {
+                suite,
+                req,
+                floor,
+                contents_from,
+            };
+            ctx.send(site, inquiry);
+        }
+        for target in guess.into_iter().chain(contents) {
+            self.note_load(target);
         }
         if let Some(target) = guess {
-            self.note_load(target);
             ctx.send(target, Msg::ReadReq { suite, req });
         }
         self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
@@ -2450,9 +2512,9 @@ impl ClientNode {
                 source: SiteId,
                 version: Version,
                 value: Bytes,
-                /// True when the early answer was the attached weak
-                /// representative's entry rather than an optimistic RPC.
-                from_cache: bool,
+                /// The early answer is the one the content read sent to
+                /// `guess` brought.
+                guessed: bool,
                 current: Version,
                 /// Current holders, for settling piggybacked reads that
                 /// need a fetch (computed only with the cache tier on).
@@ -2467,6 +2529,9 @@ impl ClientNode {
         let Some(my_gen) = self.configs.get(&suite).map(|c| c.generation) else {
             return;
         };
+        if from == self.site {
+            self.local_hints.insert(suite, version);
+        }
         // A version answer arriving during the inquiry phase measures one
         // round trip; feed it to the health tracker.
         if let Some(st) = self.ops.get(&req) {
@@ -2546,18 +2611,15 @@ impl ClientNode {
                     if votes < Self::inquiry_threshold(st.kind, cfg) {
                         Next::Wait
                     } else if st.kind == OpKind::Read {
-                        // The optimistic fetch wins if it proved current
-                        // (or newer — a racing commit). With the cache
-                        // tier on, `early` may instead hold the attached
-                        // weak representative's entry (`guess` is `None`
-                        // then), which the quorum has just confirmed the
-                        // same way.
+                        // The contents to hand win if they proved current
+                        // (or newer — a racing commit), whoever they came
+                        // from: this is the one completion test of a read.
                         match early.clone().filter(|(_, v, _)| *v >= current) {
                             Some((source, version, value)) => Next::EarlyHit {
                                 source,
                                 version,
                                 value,
-                                from_cache: guess.is_none(),
+                                guessed: *guess == Some(source),
                                 current,
                                 candidates: if self.options.weak_rep.is_some() {
                                     holders(versions, current)
@@ -2604,18 +2666,26 @@ impl ClientNode {
                 source,
                 version,
                 value,
-                from_cache,
+                guessed,
                 current,
                 candidates,
             } => {
-                if from_cache {
+                // The attached entry itself, not something newer that
+                // came with its own site's version answer.
+                let cached =
+                    |e: &CacheEntry| !guessed && source == self.site && e.version >= version;
+                if self.cache.get(&suite).is_some_and(cached) {
                     self.stats.cache_hits += 1;
                     self.trace_event(req, SpanKind::CacheHit, version.0, ctx.now());
                     self.grant_lease(suite, ctx.now());
                 } else {
                     self.stats.reads_cache_hit += 1;
+                    self.stats.reads_contents_with_inquiry += u64::from(!guessed);
                     if self.options.weak_rep.is_some() {
                         self.stats.cache_misses += 1;
+                        // Filled before the followers are settled: they
+                        // complete from it now, in the leader's one round.
+                        self.fill_cache(suite, version, &value, ctx.now());
                     }
                 }
                 self.settle_followers(suite, req, current, &candidates, ctx);
@@ -2672,6 +2742,7 @@ impl ClientNode {
                     value: value.clone(),
                 },
             );
+            self.local_hints.insert(suite, version);
         }
         // Cache tier: every quorum-backed read refreshes the attached
         // weak representative (and re-arms the lease in lease mode).
@@ -2704,6 +2775,16 @@ impl ClientNode {
         let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
+        // The site asked for the contents alongside the inquiry, if it has
+        // yet to answer: the fetch races what it may still send.
+        let racing = match &st.phase {
+            Phase::Inquire {
+                contents: Some(site),
+                versions,
+                ..
+            } if !versions.contains_key(site) => Some(*site),
+            _ => None,
+        };
         st.seq += 1;
         let seq = st.seq;
         st.phase = Phase::Fetch {
@@ -2713,6 +2794,9 @@ impl ClientNode {
             hedged: None,
         };
         self.trace_begin_phase(req, SpanKind::Fetch, ctx.now());
+        if let Some(site) = racing {
+            self.trace_add_leg(req, site, SpanKind::Rpc, ctx.now());
+        }
         self.launch_leg(req, suite, first, seq, more, ctx);
     }
 
@@ -2895,13 +2979,15 @@ impl ClientNode {
         self.send_prepares(req, plan, ctx);
     }
 
-    fn on_read_resp(
+    /// Contents arrive from `from`: a content read's answer, or
+    /// (`with_inquiry`) what its version answer carried.
+    fn on_contents(
         &mut self,
         from: SiteId,
-        suite: ObjectId,
         req: ReqId,
         version: Version,
         value: Bytes,
+        with_inquiry: bool,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
         enum Disposition {
@@ -2910,14 +2996,14 @@ impl ClientNode {
             StaleFromCandidate,
             StaleStray,
         }
-        let disposition = {
+        let (suite, disposition) = {
             let Some(st) = self.ops.get_mut(&req) else {
                 return;
             };
-            match &mut st.phase {
-                // The optimistic fetch answered before the inquiry quorum:
-                // hold the value until the quorum tells us what's current.
-                Phase::Inquire { guess, early, .. } if *guess == Some(from) => {
+            let disposition = match &mut st.phase {
+                // Asked for alongside the inquiry and here before its quorum:
+                // hold the newest until the quorum tells us what's current.
+                Phase::Inquire { guess, early, .. } if with_inquiry || *guess == Some(from) => {
                     let keep = early.as_ref().is_none_or(|(_, v, _)| version > *v);
                     if keep {
                         *early = Some((from, version, value.clone()));
@@ -2937,14 +3023,15 @@ impl ClientNode {
                     } else if candidates.get(*idx) == Some(&from) {
                         Disposition::StaleFromCandidate
                     } else {
-                        // A stale answer from some other site (typically
-                        // the optimistic-fetch target landing late) says
-                        // nothing about the candidate we actually asked.
+                        // A stale answer to something else (typically what
+                        // was asked alongside the inquiry, landing late)
+                        // says nothing about the fetch we actually sent.
                         Disposition::StaleStray
                     }
                 }
                 _ => return,
-            }
+            };
+            (st.suite, disposition)
         };
         match disposition {
             Disposition::StoredEarly => {
@@ -2963,7 +3050,14 @@ impl ClientNode {
                 if via_hedge {
                     self.stats.hedge_wins += 1;
                 }
-                self.stats.reads_fetched += 1;
+                if with_inquiry {
+                    // Sent in the inquiry's own round and only late for
+                    // its quorum: no fetch round brought these.
+                    self.stats.reads_cache_hit += 1;
+                    self.stats.reads_contents_with_inquiry += 1;
+                } else {
+                    self.stats.reads_fetched += 1;
+                }
                 if self.options.weak_rep.is_some()
                     && self.ops.get(&req).is_some_and(|st| st.kind == OpKind::Read)
                 {
@@ -3620,6 +3714,9 @@ impl ClientNode {
                             value: value.clone(),
                         },
                     );
+                    if site == self.site {
+                        self.local_hints.insert(suite, version);
+                    }
                 }
             }
         }
@@ -3765,13 +3862,23 @@ impl ClientNode {
                 req,
                 version,
                 generation,
-            } => self.on_version_resp(from, suite, req, version, generation, ctx),
+                value,
+            } => {
+                // Any contents go where a content read's answer goes —
+                // held until a quorum proves them current, or ending a
+                // fetch already begun — and the answer is then a version
+                // answer like any other.
+                if let Some(value) = value {
+                    self.on_contents(from, req, version, value, true, ctx);
+                }
+                self.on_version_resp(from, suite, req, version, generation, ctx)
+            }
             Msg::ReadResp {
-                suite,
                 req,
                 version,
                 value,
-            } => self.on_read_resp(from, suite, req, version, value, ctx),
+                ..
+            } => self.on_contents(from, req, version, value, false, ctx),
             Msg::Busy { req, give_way, .. } => self.on_busy(from, req, give_way, ctx),
             Msg::Refused { req, reason, .. } => {
                 if reason == RefuseReason::Quarantined {
@@ -3868,6 +3975,7 @@ impl ClientNode {
         self.active = 0;
         self.cache.clear();
         self.inquiry_leaders.clear();
+        self.local_hints.clear();
         self.trains.clear();
         self.silent.fill(false);
         for sh in &mut self.health {
@@ -3938,6 +4046,16 @@ mod tests {
         )
     }
 
+    /// The sites whose inquiry asks for the contents too, each with the
+    /// version from which it wants them.
+    fn contents_asked(sends: &[(SiteId, Msg)]) -> Vec<(SiteId, Version)> {
+        let asked = |(to, m): &(SiteId, Msg)| match m {
+            Msg::VersionReq { contents_from, .. } => contents_from.map(|from| (*to, from)),
+            _ => None,
+        };
+        sends.iter().filter_map(asked).collect()
+    }
+
     fn effects(ctx: &mut NodeCtx<'_, Msg>) -> Vec<(SiteId, Msg)> {
         ctx.take_effects()
             .into_iter()
@@ -3964,16 +4082,12 @@ mod tests {
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
         let req = c.start_read(SUITE, &mut ctx);
         let out = effects(&mut ctx);
-        assert_eq!(out.len(), 4, "three inquiries plus the optimistic fetch");
-        let inquiries = out
-            .iter()
-            .filter(|(_, m)| matches!(m, Msg::VersionReq { .. }))
-            .count();
-        assert_eq!(inquiries, 3);
-        // The optimistic fetch goes to the cheapest site (0, cost 10).
-        assert!(out
-            .iter()
-            .any(|(to, m)| *to == SiteId(0) && matches!(m, Msg::ReadReq { .. })));
+        assert_eq!(out.len(), 3, "three inquiries and nothing else");
+        assert!(out.iter().all(|(_, m)| matches!(m, Msg::VersionReq { .. })));
+        // The inquiry to the cheapest site (0, cost 10), and only that one,
+        // asks for the contents too — whatever they are, the reader
+        // holding nothing.
+        assert_eq!(contents_asked(&out), [(SiteId(0), Version::INITIAL)]);
         // Sites 1 and 2 answer: site 1 has v2, site 2 has v1. Current = v2.
         let mut ctx = NodeCtx::new(SimTime::from_millis(10), CLIENT, &mut rng);
         c.handle(
@@ -3983,6 +4097,7 @@ mod tests {
                 req,
                 version: Version(2),
                 generation: 1,
+                value: None,
             },
             &mut ctx,
         );
@@ -3995,6 +4110,7 @@ mod tests {
                 req,
                 version: Version(1),
                 generation: 1,
+                value: None,
             },
             &mut ctx,
         );
@@ -4180,6 +4296,7 @@ mod tests {
                     req,
                     version: Version(1),
                     generation: 1,
+                    value: None,
                 },
                 &mut ctx,
             );
@@ -4267,6 +4384,7 @@ mod tests {
                 req,
                 version: Version(0),
                 generation: 1,
+                value: None,
             };
             c.handle(SiteId(s), resp, &mut ctx);
         }
@@ -4772,6 +4890,7 @@ mod tests {
                 req: ghost,
                 version: Version(9),
                 generation: 1,
+                value: None,
             },
             &mut ctx,
         );
@@ -4819,6 +4938,7 @@ mod tests {
             req,
             version: Version(version),
             generation,
+            value: None,
         };
         assert!(deliver(&mut c, &mut rng, 5, 2, answer(req, 0, 1))
             .0
@@ -4829,8 +4949,17 @@ mod tests {
         let mut ctx = NodeCtx::new(SimTime::from_millis(6), CLIENT, &mut rng);
         c.on_config_resp(SUITE, ReqId::new(99, CLIENT), next, &mut ctx);
         // The next answer finds the geometry changed: nothing collected
-        // so far counts, and the read asks everybody again.
-        let (sends, _) = deliver(&mut c, &mut rng, 7, 1, answer(req, 0, 1));
+        // so far counts — not the contents this one brings either, which
+        // one vote of generation 2 would otherwise call current — and the
+        // read asks everybody again.
+        let with_contents = Msg::VersionResp {
+            suite: SUITE,
+            req,
+            version: Version(0),
+            generation: 1,
+            value: Some(Bytes::new()),
+        };
+        let (sends, _) = deliver(&mut c, &mut rng, 7, 0, with_contents);
         assert!(c.completed.is_empty(), "completed on pre-change evidence");
         let asked: Vec<SiteId> = sends
             .iter()
@@ -4848,6 +4977,8 @@ mod tests {
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
         let req = c.start_read(SUITE, &mut ctx);
         let _ = effects(&mut ctx);
+        // The answer carries the contents it was asked for, too: under a
+        // configuration this client has not seen they prove nothing.
         let mut ctx = NodeCtx::new(SimTime::from_millis(5), CLIENT, &mut rng);
         c.handle(
             SiteId(0),
@@ -4856,6 +4987,7 @@ mod tests {
                 req,
                 version: Version(4),
                 generation: 3,
+                value: Some(Bytes::from_static(b"under generation 3")),
             },
             &mut ctx,
         );
@@ -4880,16 +5012,32 @@ mod tests {
             &mut ctx,
         );
         let out = effects(&mut ctx);
-        // Restarted: fresh inquiries to all sites under the new config,
-        // plus the optimistic fetch.
-        assert_eq!(out.len(), 4);
-        assert_eq!(
-            out.iter()
-                .filter(|(_, m)| matches!(m, Msg::VersionReq { .. }))
-                .count(),
-            3
-        );
+        // Restarted: fresh inquiries to all sites under the new config.
+        assert_eq!(out.len(), 3);
+        let Some((_, Msg::VersionReq { req: again, .. })) = out.first() else {
+            panic!("{out:?}");
+        };
+        assert!(out
+            .iter()
+            .all(|(_, m)| matches!(m, Msg::VersionReq { req, .. } if req == again)));
         assert_eq!(c.config(SUITE).expect("cfg").generation, 3);
+        // The contents went with the attempt that received them: a read
+        // quorum (r = 1 now) that settles without any has to fetch.
+        let mut ctx = NodeCtx::new(SimTime::from_millis(14), CLIENT, &mut rng);
+        let answer = Msg::VersionResp {
+            suite: SUITE,
+            req: *again,
+            version: Version(4),
+            generation: 3,
+            value: None,
+        };
+        c.handle(SiteId(1), answer, &mut ctx);
+        let out = effects(&mut ctx);
+        assert!(c.completed.is_empty());
+        assert!(
+            matches!(out[..], [(SiteId(1), Msg::ReadReq { .. })]),
+            "{out:?}"
+        );
     }
 
     #[test]
@@ -4916,6 +5064,7 @@ mod tests {
                     req,
                     version: Version(1),
                     generation: 1,
+                    value: None,
                 },
                 &mut ctx,
             );
@@ -5041,6 +5190,7 @@ mod tests {
                     req,
                     version: Version(1),
                     generation: 1,
+                    value: None,
                 },
                 &mut ctx,
             );
@@ -5089,13 +5239,9 @@ mod tests {
             for i in 0..6u64 {
                 let mut ctx = NodeCtx::new(SimTime::from_millis(i), CLIENT, &mut rng);
                 let _ = c.start_read(SUITE, &mut ctx);
-                let fetch: Vec<SiteId> = effects(&mut ctx)
-                    .into_iter()
-                    .filter(|(_, m)| matches!(m, Msg::ReadReq { .. }))
-                    .map(|(to, _)| to)
-                    .collect();
-                assert_eq!(fetch.len(), 1, "one optimistic fetch per read");
-                targets.push(fetch[0]);
+                let asked = contents_asked(&effects(&mut ctx));
+                assert_eq!(asked.len(), 1, "one site asked for the contents per read");
+                targets.push(asked[0].0);
             }
             (targets, c.stats.plan_cache_misses, c.stats.plan_cache_hits)
         };
@@ -5119,10 +5265,8 @@ mod tests {
         for i in 0..6u64 {
             let mut ctx = NodeCtx::new(SimTime::from_millis(i), CLIENT, &mut rng);
             let _ = c.start_read(SUITE, &mut ctx);
-            for (to, m) in effects(&mut ctx) {
-                if matches!(m, Msg::ReadReq { .. }) {
-                    assert_ne!(to, SiteId(2), "rotation must stay within cost ties");
-                }
+            for (to, _) in contents_asked(&effects(&mut ctx)) {
+                assert_ne!(to, SiteId(2), "rotation must stay within cost ties");
             }
         }
     }
@@ -5160,6 +5304,7 @@ mod tests {
                     req: first,
                     version: Version(1),
                     generation: 1,
+                    value: None,
                 },
                 &mut ctx,
             );
@@ -5193,7 +5338,8 @@ mod tests {
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
         let _ = c.start_read(SUITE, &mut ctx);
         let _ = effects(&mut ctx);
-        // One optimistic fetch to the cheapest site; inquiries are free.
+        // The inquiry that asks the cheapest site for the contents too is
+        // a data request; the bare inquiries are free.
         assert_eq!(c.site_load(), &[1, 0, 0, 0]);
     }
 
@@ -5247,6 +5393,7 @@ mod tests {
                     req,
                     version: Version(2),
                     generation: 1,
+                    value: None,
                 },
                 &mut ctx,
             );
@@ -5434,9 +5581,11 @@ mod tests {
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
         let req = c.start_read(SUITE, &mut ctx);
         let out = effects(&mut ctx);
-        // A warm cache stands in for the optimistic fetch: inquiries only.
+        // A warm cache stands in for the content read: inquiries only, one
+        // asking for the contents should they be newer than the entry.
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|(_, m)| matches!(m, Msg::VersionReq { .. })));
+        assert_eq!(contents_asked(&out), [(SiteId(0), Version(3))]);
         // The quorum confirms v2 is current: the read completes locally.
         for s in 0..2u16 {
             let mut ctx = NodeCtx::new(SimTime::from_millis(10), CLIENT, &mut rng);
@@ -5447,6 +5596,7 @@ mod tests {
                     req,
                     version: Version(2),
                     generation: 1,
+                    value: None,
                 },
                 &mut ctx,
             );
@@ -5477,8 +5627,9 @@ mod tests {
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
         let req = c.start_read(SUITE, &mut ctx);
         let _ = effects(&mut ctx);
-        // The quorum reports v2: the local copy is behind, so fetch.
-        for s in 0..2u16 {
+        // The quorum reports v2 before the site asked for anything newer
+        // than v1 has answered: the local copy is behind, so fetch.
+        for s in 1..3u16 {
             let mut ctx = NodeCtx::new(SimTime::from_millis(10), CLIENT, &mut rng);
             c.handle(
                 SiteId(s),
@@ -5487,13 +5638,14 @@ mod tests {
                     req,
                     version: Version(2),
                     generation: 1,
+                    value: None,
                 },
                 &mut ctx,
             );
         }
         let mut ctx = NodeCtx::new(SimTime::from_millis(30), CLIENT, &mut rng);
         c.handle(
-            SiteId(0),
+            SiteId(1),
             Msg::ReadResp {
                 suite: SUITE,
                 req,
@@ -5505,6 +5657,7 @@ mod tests {
         assert_eq!(c.completed.len(), 1);
         assert_eq!(c.stats.cache_hits, 0);
         assert_eq!(c.stats.cache_misses, 1);
+        assert_eq!(c.stats.reads_fetched, 1);
         // The fetch refreshed the local copy for the next read.
         assert_eq!(c.cache.get(&SUITE).map(|e| e.version), Some(Version(2)));
     }
@@ -5575,6 +5728,7 @@ mod tests {
                     req: leader,
                     version: Version(1),
                     generation: 1,
+                    value: None,
                 },
                 &mut ctx,
             );
@@ -5603,6 +5757,7 @@ mod tests {
                     req,
                     version: Version(1),
                     generation: 1,
+                    value: None,
                 },
                 &mut ctx,
             );
@@ -5677,15 +5832,7 @@ mod tests {
         req: ReqId,
         version: u64,
     ) -> (Vec<(SiteId, Msg)>, Vec<(SimDuration, u64)>) {
-        let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms), CLIENT, rng);
-        let msg = Msg::VersionResp {
-            suite: SUITE,
-            req,
-            version: Version(version),
-            generation: 1,
-        };
-        c.handle(SiteId(from), msg, &mut ctx);
-        split_effects(&mut ctx)
+        deliver(c, rng, at_ms, from, answer(req, version, None))
     }
 
     #[test]
@@ -6309,6 +6456,250 @@ mod tests {
         assert_eq!(c.trains[&SUITE], (later[0], Vec::new()));
         assert!(c.ops[&late[0]].riders.is_empty() && c.ops[&w[0]].riders.is_empty());
         assert_eq!(c.ops[&later[0]].riders, vec![w[1], late[0]]);
+    }
+
+    // ---- one-round reads: the contents come with a version answer ----
+
+    /// `req`'s version answer: `version`, carrying `value` if one is given.
+    fn answer(req: ReqId, version: u64, value: Option<&'static [u8]>) -> Msg {
+        Msg::VersionResp {
+            suite: SUITE,
+            req,
+            version: Version(version),
+            generation: 1,
+            value: value.map(Bytes::from_static),
+        }
+    }
+
+    fn read_resp(req: ReqId, version: u64, value: &'static [u8]) -> Msg {
+        Msg::ReadResp {
+            suite: SUITE,
+            req,
+            version: Version(version),
+            value: Bytes::from_static(value),
+        }
+    }
+
+    fn read_at(c: &mut ClientNode, rng: &mut DetRng, at_ms: u64) -> (ReqId, Vec<(SiteId, Msg)>) {
+        let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms), CLIENT, rng);
+        let req = c.start_read(SUITE, &mut ctx);
+        (req, effects(&mut ctx))
+    }
+
+    fn fetched_from(sends: &[(SiteId, Msg)]) -> Vec<SiteId> {
+        let fetch = |(to, m): &(SiteId, Msg)| matches!(m, Msg::ReadReq { .. }).then_some(*to);
+        sends.iter().filter_map(fetch).collect()
+    }
+
+    /// What the `i`-th completed operation read: version and contents.
+    fn read_back(c: &ClientNode, i: usize) -> (u64, Vec<u8>) {
+        let ok = c.completed[i].outcome.as_ref().expect("success");
+        (ok.version.0, ok.value.as_ref().expect("a read").to_vec())
+    }
+
+    #[test]
+    fn contents_are_never_believed_on_their_own() {
+        // The site asked for the contents answers first, at v3. Nothing
+        // says v3 is current until a read quorum has spoken, and its
+        // second member knows of v4: the read fetches, and returns v4.
+        let (mut c, mut rng) = (client(), DetRng::new(41));
+        let (req, _) = read_at(&mut c, &mut rng, 0);
+        let (sends, _) = deliver(&mut c, &mut rng, 20, 0, answer(req, 3, Some(b"three")));
+        assert!(sends.is_empty() && c.completed.is_empty(), "one vote");
+        let (sends, _) = deliver(&mut c, &mut rng, 40, 1, answer(req, 4, None));
+        assert_eq!(fetched_from(&sends), [SiteId(1)]);
+        deliver(&mut c, &mut rng, 80, 1, read_resp(req, 4, b"four"));
+        assert_eq!(read_back(&c, 0), (4, b"four".to_vec()));
+        let moved = (c.stats.reads_contents_with_inquiry, c.stats.reads_fetched);
+        assert_eq!(moved, (0, 1));
+    }
+
+    #[test]
+    fn contents_that_prove_current_complete_the_read_in_its_one_round() {
+        let (mut c, mut rng) = (client(), DetRng::new(42));
+        let (req, _) = read_at(&mut c, &mut rng, 0);
+        deliver(&mut c, &mut rng, 20, 0, answer(req, 3, Some(b"three")));
+        // Delivered twice, the answer still counts once and changes nothing.
+        let (sends, _) = deliver(&mut c, &mut rng, 21, 0, answer(req, 3, Some(b"three")));
+        assert!(sends.is_empty() && c.completed.is_empty(), "still one vote");
+        let (sends, _) = deliver(&mut c, &mut rng, 40, 2, answer(req, 2, None));
+        assert!(sends.is_empty(), "nothing left to fetch: {sends:?}");
+        assert_eq!(read_back(&c, 0), (3, b"three".to_vec()));
+        assert_eq!(c.completed[0].latency(), SimDuration::from_millis(40));
+        let stats = c.stats;
+        let hits = (stats.reads_cache_hit, stats.reads_contents_with_inquiry);
+        assert_eq!((hits, stats.reads_fetched), ((1, 1), 0));
+        assert_eq!(c.in_flight(), 0);
+    }
+
+    #[test]
+    fn late_contents_end_a_fetch_only_if_they_are_current() {
+        let (mut c, mut rng) = (client(), DetRng::new(43));
+        // The quorum settles on v2 before the site asked for the contents
+        // has answered: a fetch leg goes to the cheapest holder.
+        let settle = |c: &mut ClientNode, rng: &mut DetRng, at_ms: u64| {
+            let (req, _) = read_at(c, rng, at_ms);
+            deliver(c, rng, at_ms + 20, 1, answer(req, 2, None));
+            let (sends, _) = deliver(c, rng, at_ms + 30, 2, answer(req, 2, None));
+            assert_eq!(fetched_from(&sends), [SiteId(1)]);
+            req
+        };
+        // Its late answer below v2 is ignored, and does not burn the
+        // candidate being fetched from: that one's answer completes.
+        let req = settle(&mut c, &mut rng, 0);
+        let (sends, timers) = deliver(&mut c, &mut rng, 35, 0, answer(req, 1, Some(b"one")));
+        assert!(sends.is_empty() && timers.is_empty() && c.completed.is_empty());
+        deliver(&mut c, &mut rng, 60, 1, read_resp(req, 2, b"two"));
+        assert_eq!(read_back(&c, 0), (2, b"two".to_vec()));
+        assert_eq!(c.stats.reads_fetched, 1);
+        // At v2 or above it ends the fetch there and then, and the reply
+        // to the leg it made redundant finds no operation.
+        let req = settle(&mut c, &mut rng, 100);
+        deliver(&mut c, &mut rng, 135, 0, answer(req, 2, Some(b"two")));
+        assert_eq!(read_back(&c, 1), (2, b"two".to_vec()));
+        assert_eq!(c.completed[1].latency(), SimDuration::from_millis(35));
+        let (sends, _) = deliver(&mut c, &mut rng, 160, 1, read_resp(req, 2, b"two"));
+        assert!(sends.is_empty());
+        assert_eq!(c.completed.len(), 2);
+        let stats = c.stats;
+        let hits = (stats.reads_cache_hit, stats.reads_contents_with_inquiry);
+        assert_eq!((hits, stats.reads_fetched), ((1, 1), 1));
+    }
+
+    #[test]
+    fn only_a_read_asks_for_the_contents_and_of_one_site_only() {
+        let mut rng = DetRng::new(44);
+        // A writer's inquiry wants a floor, a reconfiguration's contents
+        // are a read-modify-write fetched from a proven holder: no `Some`.
+        let mut c = client();
+        site_1_fell_silent(&mut c);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        c.start_write(SUITE, b"w".to_vec(), &mut ctx);
+        c.start_reconfigure(SUITE, config().assignment, QuorumSpec::new(1, 3), &mut ctx);
+        let sends = effects(&mut ctx);
+        assert_eq!(sends.len(), 6, "{sends:?}");
+        assert_eq!(contents_asked(&sends), []);
+        // With the contents not asked for until the quorum has settled,
+        // nobody is asked alongside the inquiry either.
+        let sequential = ClientOptions {
+            optimistic_fetch: false,
+            ..ClientOptions::default()
+        };
+        let mut c = ClientNode::new(
+            CLIENT,
+            vec![config()],
+            vec![10.0, 20.0, 30.0, 1.0],
+            sequential,
+        );
+        let (_, sends) = read_at(&mut c, &mut rng, 0);
+        assert_eq!((sends.len(), contents_asked(&sends)), (3, vec![]));
+        assert_eq!(c.site_load(), &[0, 0, 0, 0]);
+    }
+
+    /// A workstation: the three voting sites and a zero-vote copy on the
+    /// client's own site, cheapest of all.
+    fn workstation() -> ClientNode {
+        let sites = [(SiteId(0), 1), (SiteId(1), 1), (SiteId(2), 1), (CLIENT, 0)];
+        let cfg = SuiteConfig::new(SUITE, VoteAssignment::new(sites), QuorumSpec::new(2, 2));
+        let costs = vec![10.0, 20.0, 30.0, 1.0];
+        ClientNode::new(
+            CLIENT,
+            vec![cfg.expect("legal")],
+            costs,
+            ClientOptions::default(),
+        )
+    }
+
+    #[test]
+    fn what_the_own_copy_is_thought_to_hold_is_only_a_hint() {
+        let (mut c, mut rng) = (workstation(), DetRng::new(45));
+        // Nothing known of the own copy yet: the cheapest server is asked
+        // for whatever it has, beside the content read of the own copy.
+        let (req, sends) = read_at(&mut c, &mut rng, 0);
+        assert_eq!(fetched_from(&sends), [CLIENT]);
+        assert_eq!(contents_asked(&sends), [(SiteId(0), Version::INITIAL)]);
+        deliver(&mut c, &mut rng, 2, CLIENT.0, answer(req, 1, None));
+        deliver(&mut c, &mut rng, 2, CLIENT.0, read_resp(req, 1, b"one"));
+        deliver(&mut c, &mut rng, 20, 0, answer(req, 2, Some(b"two")));
+        let (sends, _) = deliver(&mut c, &mut rng, 40, 1, answer(req, 2, None));
+        assert_eq!(read_back(&c, 0), (2, b"two".to_vec()));
+        let pushed = |(to, m): &(SiteId, Msg)| {
+            *to == CLIENT && matches!(m, Msg::UpdateWeak { version, .. } if *version == Version(2))
+        };
+        assert!(sends.iter().all(pushed) && sends.len() == 1, "{sends:?}");
+        // v2 was pushed at the own copy, so the next read asks from v3 —
+        // but the own copy dropped the push (its disk hiccuped, say) and
+        // still holds v1. The server, at v2, sends nothing; the own copy
+        // sends v1; the quorum says v2: the read falls back to the fetch
+        // round and returns v2, never the stale copy.
+        let (req, sends) = read_at(&mut c, &mut rng, 100);
+        assert_eq!(contents_asked(&sends), [(SiteId(0), Version(3))]);
+        deliver(&mut c, &mut rng, 102, CLIENT.0, read_resp(req, 1, b"one"));
+        deliver(&mut c, &mut rng, 102, CLIENT.0, answer(req, 1, None));
+        // Meanwhile the hint has followed the own copy's own answer.
+        let (other, sends) = read_at(&mut c, &mut rng, 103);
+        assert_eq!(contents_asked(&sends), [(SiteId(0), Version(2))]);
+        deliver(&mut c, &mut rng, 120, 0, answer(req, 2, None));
+        assert!(c.completed.len() == 1, "completed on the hint's say-so");
+        let (sends, _) = deliver(&mut c, &mut rng, 140, 1, answer(req, 2, None));
+        assert_eq!(fetched_from(&sends), [SiteId(0)]);
+        deliver(&mut c, &mut rng, 160, 0, read_resp(req, 2, b"two"));
+        assert_eq!(read_back(&c, 1), (2, b"two".to_vec()));
+        assert_eq!(c.stats.reads_fetched, 1);
+        assert!(c.ops.contains_key(&other));
+        // A crash forgets every hint with the operations.
+        c.handle_crash();
+        c.handle_recover();
+        let (_, sends) = read_at(&mut c, &mut rng, 1_000);
+        assert_eq!(contents_asked(&sends), [(SiteId(0), Version::INITIAL)]);
+    }
+
+    #[test]
+    fn a_window_of_reads_behind_a_stale_entry_completes_in_the_leaders_round() {
+        let mut c = ClientNode::new(
+            CLIENT,
+            vec![config()],
+            vec![10.0, 20.0, 30.0, 1.0],
+            ClientOptions {
+                weak_rep: Some(WeakRepOptions::validated()),
+                pipeline_depth: Some(4),
+                ..ClientOptions::default()
+            },
+        );
+        c.fill_cache(
+            SUITE,
+            Version(1),
+            &Bytes::from_static(b"one"),
+            SimTime::ZERO,
+        );
+        let mut rng = DetRng::new(46);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        let leader = c.start_read(SUITE, &mut ctx);
+        for _ in 0..3 {
+            c.start_read(SUITE, &mut ctx);
+        }
+        // One inquiry for the four of them, asking from one above the entry.
+        let sends = effects(&mut ctx);
+        assert_eq!(sends.len(), 3);
+        assert_eq!(contents_asked(&sends), [(SiteId(0), Version(2))]);
+        assert_eq!(c.stats.piggybacked_inquiries, 3);
+        // The entry is stale. The leader's contents fill it before the
+        // followers are settled, so they complete from it there and then:
+        // one contents-bearing answer, no fetch by anybody.
+        let (sends, _) = deliver(&mut c, &mut rng, 20, 0, answer(leader, 2, Some(b"two")));
+        assert!(sends.is_empty());
+        let (sends, _) = deliver(&mut c, &mut rng, 40, 1, answer(leader, 2, None));
+        assert!(sends.is_empty(), "{sends:?}");
+        assert_eq!(c.completed.len(), 4);
+        for i in 0..4 {
+            assert_eq!(read_back(&c, i), (2, b"two".to_vec()));
+            assert_eq!(c.completed[i].finished, SimTime::from_millis(40));
+        }
+        let stats = c.stats;
+        assert_eq!((stats.cache_misses, stats.cache_hits), (1, 3));
+        let moved = (stats.reads_contents_with_inquiry, stats.reads_fetched);
+        assert_eq!(moved, (1, 0));
+        assert_eq!(c.cache.get(&SUITE).map(|e| e.version), Some(Version(2)));
     }
 
     /// Oracle: sites reporting `current`, sorted cheapest-first — the sort

@@ -2234,11 +2234,12 @@ mod tests {
             assert_eq!(r.value, b"hot".to_vec());
         }
         let stats = h.client_stats(SiteId(3)).expect("client");
-        // The first read fetched and filled the cache; every later read
-        // was quorum-confirmed and served locally, with zero data rpcs.
+        // The first read's contents came with its inquiry and filled the
+        // cache; every later read was quorum-confirmed and served locally.
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.cache_hits, 3);
-        assert_eq!(stats.reads_fetched, 1, "one data fetch across four reads");
+        let moved = (stats.reads_contents_with_inquiry, stats.reads_fetched);
+        assert_eq!(moved, (1, 0), "one data move across four reads, no fetch");
     }
 
     #[test]

@@ -90,6 +90,14 @@ pub enum Msg {
         /// (`false`) that meets a commit lock is held until the lock is
         /// released — its answer must not miss a decided write.
         floor: bool,
+        /// "Send the contents with your answer if your committed version
+        /// is at least this": a read asks it of the best-ranked voting
+        /// representative, naming one above the version of the copy it
+        /// already holds, so the contents move — once — in the round that
+        /// discovers the reader's copy is not current. `None` from
+        /// everyone else: the other sites of a read's inquiry, a writer,
+        /// a reconfiguration.
+        contents_from: Option<Version>,
     },
 
     /// Representative's answer: committed version plus config generation.
@@ -102,6 +110,11 @@ pub enum Msg {
         version: Version,
         /// The representative's configuration generation for the suite.
         generation: u64,
+        /// The contents at `version`, when the inquiry asked for them and
+        /// `version` reached the threshold it named. They prove nothing
+        /// about currency on their own: the reader completes with them
+        /// only once a read quorum's highest version is no higher.
+        value: Option<Bytes>,
     },
 
     // ---- content read ----
@@ -348,8 +361,8 @@ mod tests {
     #[test]
     fn a_message_stays_within_nine_words() {
         // Every hop moves one of these by value; the commit-line fields
-        // (a vote's staged versions, a decision's named ones) ride in
-        // variants that had room.
+        // (a vote's staged versions, a decision's named ones) and a version
+        // answer's optional contents ride in variants that had room.
         assert!(
             std::mem::size_of::<Msg>() <= 72,
             "{}",

@@ -56,7 +56,8 @@ pub(crate) const CHECKPOINT_RECORDS: usize = 512;
 pub struct ServerStats {
     /// Version inquiries answered.
     pub inquiries: u64,
-    /// Content reads served.
+    /// Content reads served: `ReadReq`s answered, and inquiries whose
+    /// answer carried the contents too.
     pub reads: u64,
     /// Reads and readers' inquiries that met a commit lock (each was held
     /// and answered when the lock was released).
@@ -150,6 +151,9 @@ struct HeldRead {
     req: ReqId,
     /// `ReadReq` (contents wanted) rather than `VersionReq`.
     contents: bool,
+    /// A `VersionReq`'s [`Msg::VersionReq::contents_from`]: judged when the
+    /// inquiry is answered, which for one held here is at the release.
+    contents_from: Option<Version>,
 }
 
 /// A response held back until its WAL record is durable: the record is
@@ -941,13 +945,16 @@ impl SuiteServer {
         locked
     }
 
-    /// Answers a version inquiry or content read from committed state.
+    /// Answers a version inquiry or content read from committed state. An
+    /// inquiry's answer carries the contents too when it named a threshold
+    /// and the committed version reaches it.
     fn answer_read(&mut self, r: HeldRead, ctx: &mut NodeCtx<'_, Msg>) {
         let HeldRead {
             from,
             suite,
             req,
             contents,
+            contents_from,
         } = r;
         self.note_serving();
         let msg = if contents {
@@ -964,11 +971,15 @@ impl SuiteServer {
             }
         } else {
             self.stats.inquiries += 1;
+            let version = self.data_version(suite);
+            let newer = contents_from.filter(|threshold| version >= *threshold);
+            self.stats.reads += u64::from(newer.is_some());
             Msg::VersionResp {
                 suite,
                 req,
-                version: self.data_version(suite),
+                version,
                 generation: self.generation_of(suite),
+                value: newer.map(|_| self.data_value(suite)),
             }
         };
         ctx.send(from, msg);
@@ -1215,12 +1226,18 @@ impl SuiteServer {
     /// delegate.
     pub fn handle(&mut self, from: SiteId, msg: Msg, ctx: &mut NodeCtx<'_, Msg>) {
         match msg {
-            Msg::VersionReq { suite, req, floor } => {
+            Msg::VersionReq {
+                suite,
+                req,
+                floor,
+                contents_from,
+            } => {
                 let read = HeldRead {
                     from,
                     suite,
                     req,
                     contents: false,
+                    contents_from,
                 };
                 self.serve_read(read, floor, ctx);
             }
@@ -1230,6 +1247,7 @@ impl SuiteServer {
                     suite,
                     req,
                     contents: true,
+                    contents_from: None,
                 };
                 self.serve_read(read, false, ctx);
             }
@@ -1880,6 +1898,7 @@ mod tests {
                 suite: SUITE,
                 req: req(1),
                 floor: false,
+                contents_from: None,
             },
             &mut ctx,
         );
@@ -2222,6 +2241,7 @@ mod tests {
             suite: SUITE,
             req: req(n),
             floor,
+            contents_from: None,
         }
     }
 
@@ -2271,6 +2291,63 @@ mod tests {
             &deliver(&mut s, &mut rng, read_msg(14))[0].1,
             Msg::ReadResp { .. }
         ));
+    }
+
+    fn conditional_inquiry(n: u64, from: u64) -> Msg {
+        Msg::VersionReq {
+            suite: SUITE,
+            req: req(n),
+            floor: false,
+            contents_from: Some(Version(from)),
+        }
+    }
+
+    /// The version and, if any, the contents of the one answer in `out`.
+    fn version_answer(out: &[(SiteId, Msg)]) -> (u64, Option<&[u8]>) {
+        match out {
+            [(_, Msg::VersionResp { version, value, .. })] => (version.0, value.as_deref()),
+            other => panic!("not one version answer: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_inquiry_gets_the_contents_too_from_the_version_it_names() {
+        let mut s = server();
+        let mut rng = DetRng::new(31);
+        install(&mut s, 3, b"three");
+        // The reader holds v3 already (asks from v4): a bare version answer.
+        let out = deliver(&mut s, &mut rng, conditional_inquiry(10, 4));
+        assert_eq!(version_answer(&out), (3, None));
+        // It holds v2, or nothing at all: the contents come along.
+        let out = deliver(&mut s, &mut rng, conditional_inquiry(11, 3));
+        assert_eq!(version_answer(&out), (3, Some(&b"three"[..])));
+        let out = deliver(&mut s, &mut rng, conditional_inquiry(12, 0));
+        assert_eq!(version_answer(&out), (3, Some(&b"three"[..])));
+        // Nobody who did not ask is sent any.
+        let out = deliver(&mut s, &mut rng, inquiry_msg(13, false));
+        assert_eq!(version_answer(&out), (3, None));
+        assert_eq!((s.stats.reads, s.stats.inquiries), (2, 4));
+    }
+
+    #[test]
+    fn a_conditional_inquiry_held_behind_a_commit_lock_is_judged_at_the_release() {
+        // The reader holds v0 and asks from v1 while v1 is staged here. On
+        // arrival the committed version is still 0 — below the threshold,
+        // and about to be superseded: the inquiry is held like any
+        // reader's, and both the version and whether the contents go with
+        // it are read when the lock is released.
+        let mut s = server();
+        let mut rng = DetRng::new(32);
+        deliver(&mut s, &mut rng, prepare_msg(req(1), 1, b"decided"));
+        assert!(deliver(&mut s, &mut rng, conditional_inquiry(10, 1)).is_empty());
+        let out = deliver(&mut s, &mut rng, commit_msg(req(1), 1));
+        assert_eq!(version_answer(&out[..1]), (1, Some(&b"decided"[..])));
+        // An abort releases it with what was committed before: still
+        // nothing the reader lacks.
+        deliver(&mut s, &mut rng, prepare_msg(req(2), 2, b"dropped"));
+        assert!(deliver(&mut s, &mut rng, conditional_inquiry(11, 2)).is_empty());
+        let out = deliver(&mut s, &mut rng, abort_msg(req(2)));
+        assert_eq!(version_answer(&out[..1]), (1, None));
     }
 
     #[test]
@@ -3340,6 +3417,7 @@ mod tests {
                 suite: SUITE,
                 req: req(1),
                 floor: false,
+                contents_from: None,
             },
             Msg::ReadReq {
                 suite: SUITE,
@@ -3436,6 +3514,7 @@ mod tests {
                 suite: SUITE,
                 req: req(1),
                 floor: false,
+                contents_from: None,
             },
             &mut ctx,
         );

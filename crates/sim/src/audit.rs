@@ -27,7 +27,8 @@ use std::collections::BTreeMap;
 /// Which planner decision a record describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DecisionKind {
-    /// The pre-inquiry guess of which site will serve the data fetch.
+    /// The sites a read asks for the contents alongside its inquiry: a
+    /// zero-vote copy ranked first, then the best-ranked voting site.
     OptimisticFetch,
     /// The ordered fetch candidate list built after version inquiry.
     FetchPlan,

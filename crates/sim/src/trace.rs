@@ -48,7 +48,8 @@ pub enum SpanKind {
     /// Version-number collection across a read quorum (quorum assembly).
     Inquiry,
     /// One site's request/response leg; `peer` is the site, `detail` the
-    /// version it reported (or the vote it cast, under a prepare).
+    /// version it reported (or the vote it cast, under a prepare; or, for
+    /// a leg that asked for contents, the version of those it brought).
     Rpc,
     /// Data move from a current representative.
     Fetch,

@@ -1,7 +1,8 @@
 //! Pinned chaos seeds: trials of the E9 campaign (`wv-exp e9 --trials N`)
 //! that broke an invariant or the progress bound at some point while the
 //! write path was being taken from two quorum accesses to one, and then
-//! from one write per commit-lock hold to one train. The seeds
+//! from one write per commit-lock hold to one train — and, last, two that
+//! break under the one-line mutation of the one-round read. The seeds
 //! are campaign *trial* seeds, exactly as the report's violation tables
 //! print them; each is replayed in all six arms of the campaign, the one
 //! that showed it included.
@@ -124,4 +125,14 @@ fn a_probe_from_a_participant_whose_yes_was_lost_gets_it_asked_again() {
 #[test]
 fn a_write_does_not_wait_out_a_stalled_attempt_of_its_own_client() {
     replays_clean(&[0x3411_a3d9_e446_d04a, 0x364c_2353_a48d_39b6]);
+}
+
+/// One-round reads: contents that come with a version answer are held
+/// until a read quorum's highest version is no higher. Believing the
+/// first contents-bearing answer on its own returned v3 after v4 was
+/// acknowledged (sixteen reads of the first trial, in the shipped arm;
+/// 248 stale reads over 1,200 trials).
+#[test]
+fn contents_that_came_with_a_version_answer_wait_for_the_read_quorum() {
+    replays_clean(&[0x391f_050c_cc26_4772, 0xae62_443f_0d2c_70a4]);
 }
