@@ -416,12 +416,8 @@ mod tests {
         let cfg = CampaignConfig {
             master_seed: 0xA11,
             trials: 256,
-            spec: ClusterSpec::majority(5, 2)
-                .with_repair()
-                .with_group_commit()
-                .with_cache_tier()
-                .with_disk_faults()
-                .with_suites(4),
+            spec: (crate::report::ARMS.iter())
+                .fold(ClusterSpec::majority(5, 2), |s, a| (a.spec)(s)),
             params: ScheduleParams::default(),
         };
         let report = run_campaign(&cfg);

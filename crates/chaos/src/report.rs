@@ -46,7 +46,9 @@
 
 use wv_bench::table::Table;
 
-use crate::campaign::{run_campaign, trial_schedule, CampaignConfig, CampaignReport, TrialFailure};
+use crate::campaign::{
+    run_campaign, trial_schedule, CampaignConfig, CampaignReport, Coverage, TrialFailure,
+};
 use crate::exec::run_schedule_instrumented;
 use crate::experiments::Report;
 use crate::oracle::{check_trial, QUIET_ATTEMPTS};
@@ -142,6 +144,199 @@ fn push_verdict(out: &mut String, report: &CampaignReport) {
     }
 }
 
+/// One line of an arm's table: the counter's name, and where to read it.
+type Row = (&'static str, fn(&Coverage) -> u64);
+
+/// One healthy campaign of the report: the shipped cluster with one
+/// feature switched on. No feature flag reaches the schedule generator, so
+/// every arm replays the same fault timelines — any difference between two
+/// arms is the feature.
+pub(crate) struct Arm {
+    /// The section heading; `{}` stands for the trial count.
+    heading: &'static str,
+    /// Switches the arm's feature on.
+    pub(crate) spec: fn(ClusterSpec) -> ClusterSpec,
+    /// The activity table — a green run only counts if the feature
+    /// actually ran — its title and its rows.
+    table: &'static str,
+    rows: &'static [Row],
+    /// The closing paragraph, from the shipped arm's coverage and its own.
+    closing: fn(&Coverage, &Coverage) -> String,
+}
+
+/// The six healthy arms, in report order; the first is the shipped
+/// protocol itself, which the others are compared with.
+pub(crate) static ARMS: [Arm; 6] = [
+    Arm {
+        heading: "Shipped protocol: {} seeded trials, 5 servers (majority quorums), 2 clients",
+        spec: |spec| spec,
+        table: "Fault coverage (a green run only counts if the faults actually fired)",
+        rows: &[
+            ("trials with a server crash", |c| c.trials_with_crash),
+            ("trials with a mid-run recovery", |c| c.trials_with_recovery),
+            ("trials with a partition", |c| c.trials_with_partition),
+            ("trials with a link-loss burst", |c| c.trials_with_loss),
+            ("trials with a delay spike", |c| c.trials_with_delay),
+            ("trials with message duplication", |c| {
+                c.trials_with_duplication
+            }),
+            ("trials with a live reconfiguration", |c| {
+                c.trials_with_reconfigure
+            }),
+            ("trials with a quorum-blocked attempt", |c| {
+                c.trials_with_quorum_block
+            }),
+            ("operations attempted", |c| c.ops_total),
+            ("operations committed", |c| c.ops_ok),
+            ("attempts quorum-blocked and retried", |c| {
+                c.attempts_quorum_blocked
+            }),
+            ("operations quorum-blocked to the end", |c| c.quorum_blocked),
+            ("operations ending in doubt", |c| c.indeterminate),
+            ("phase timeouts", |c| c.timeouts),
+            ("attempt retries", |c| c.retries),
+            ("attempt budgets exhausted", |c| c.attempts_exhausted),
+            ("messages dropped by link loss", |c| c.dropped_link),
+            ("messages duplicated", |c| c.duplicated_msgs),
+        ],
+        closing: |_, c| {
+            let all = c.all_fault_kinds_exercised();
+            let all = if all { "yes" } else { "no" };
+            format!("Every fault kind exercised: **{all}**.")
+        },
+    },
+    Arm {
+        heading: "Self-healing arm: the same {} trials with anti-entropy repair and health-tracked clients",
+        spec: ClusterSpec::with_repair,
+        table: "Self-healing activity (oracle also checks repair provenance + version bounds)",
+        rows: &[
+            ("anti-entropy repairs completed", |h| h.repairs_completed),
+            ("suspicions raised", |h| h.suspicions_raised),
+            ("quorum plans rerouted around suspects", |h| h.reroutes),
+            ("hedged fetches fired", |h| h.hedges_fired),
+            ("hedged fetches won", |h| h.hedge_wins),
+            ("phase timeouts", |h| h.timeouts),
+            ("operations committed", |h| h.ops_ok),
+        ],
+        closing: |c, h| {
+            format!(
+                "Operations committed, healing off → on: {} → {}. Adaptive timeouts \
+                 fail fast when a quorum is genuinely unreachable (partitions), so \
+                 the healing arm trades commits-after-long-waits for latency; the \
+                 invariants hold either way, and E10 measures the flip side — \
+                 availability and latency under pure crash/recovery churn.",
+                c.ops_ok, h.ops_ok
+            )
+        },
+    },
+    Arm {
+        heading: "Group-commit arm: the same {} trials with batched WAL syncs on every server",
+        spec: ClusterSpec::with_group_commit,
+        table: "Group-commit activity (votes and acks leave only after their records are durable)",
+        rows: &[
+            ("WAL sync batches", |g| g.wal_batches),
+            ("records made durable by those batches", |g| {
+                g.wal_batched_records
+            }),
+            ("operations committed", |g| g.ops_ok),
+            ("phase timeouts", |g| g.timeouts),
+        ],
+        closing: |_, g| {
+            format!(
+                "Batched syncs covered {} records in {} flushes across the \
+                 campaign; crash-recovery semantics are unchanged because a \
+                 response never leaves before its records hit the durable \
+                 prefix, and a crash mid-window loses only records nobody was \
+                 promised.",
+                g.wal_batched_records, g.wal_batches
+            )
+        },
+    },
+    Arm {
+        heading: "Cache-tier arm: the same {} trials with a validated weak representative on every client",
+        spec: ClusterSpec::with_cache_tier,
+        table: "Cache-tier activity (oracle also checks the staleness bound on every cache serve)",
+        rows: &[
+            ("cache hits", |w| w.cache_hits),
+            ("cache misses", |w| w.cache_misses),
+            ("piggybacked inquiries", |w| w.piggybacked_inquiries),
+            ("operations committed", |w| w.ops_ok),
+            ("phase timeouts", |w| w.timeouts),
+        ],
+        closing: |_, w| {
+            format!(
+                "Of the arm's successful reads, {} were served from the local \
+                 weak representative after a version-inquiry quorum confirmed \
+                 currency and {} had the contents moved to them, with a version \
+                 answer or by a fetch; every cache serve \
+                 satisfied the staleness bound (validated mode: exactly as fresh \
+                 as a classic read).",
+                w.cache_hits, w.cache_misses
+            )
+        },
+    },
+    // Self-healing too, so that quarantined replicas can come back. Every
+    // schedule carries the disk-fault timeline already; the flag decides
+    // whether the executor applies it.
+    Arm {
+        heading: "Faulty-disk arm: the same {} trials with torn writes, bit flips, I/O errors, and stalls injected",
+        spec: |spec| spec.with_repair().with_disk_faults(),
+        table: "Faulty-disk activity (oracle also checks the no-poisoned-read tripwires)",
+        rows: &[
+            ("trials with a disk fault", |d| d.trials_with_disk_fault),
+            ("torn writes injected", |d| d.torn_writes),
+            ("bit flips injected", |d| d.bit_flips),
+            ("I/O errors injected", |d| d.io_errors),
+            ("disk stalls injected", |d| d.disk_stalls),
+            ("torn tails truncated at recovery", |d| d.torn_truncations),
+            ("corrupt records detected", |d| d.corrupt_records_detected),
+            ("replicas quarantined", |d| d.quarantines),
+            ("quarantines healed by full pulls", |d| {
+                d.requarantine_repairs
+            }),
+            ("poison escapes (tripwire)", |d| d.poison_escapes),
+            ("served while quarantined (tripwire)", |d| {
+                d.served_while_quarantined
+            }),
+            ("operations committed", |d| d.ops_ok),
+        ],
+        closing: |_, d| {
+            format!(
+                "Every detected interior corruption quarantined its replica \
+                 ({} detected, {} quarantines across the campaign); both \
+                 no-poisoned-read tripwires stayed at zero, so no corrupt frame \
+                 survived the checksum scan and no quarantined replica answered \
+                 a request before anti-entropy rebuilt it from its peers.",
+                d.corrupt_records_detected, d.quarantines
+            )
+        },
+    },
+    Arm {
+        heading: "Multi-suite arm: the same {} trials sharded across 4 suites with cross-suite transactions",
+        spec: |spec| spec.with_suites(4),
+        table: "Multi-suite activity (oracle judges every suite separately, plus cross-suite atomicity)",
+        rows: &[
+            ("trials with a cross-suite transaction", |m| {
+                m.trials_with_cross_suite_txn
+            }),
+            ("cross-suite transactions started", |m| m.cross_suite_txns),
+            ("operations committed", |m| m.ops_ok),
+            ("operations ending in doubt", |m| m.indeterminate),
+            ("phase timeouts", |m| m.timeouts),
+        ],
+        closing: |_, m| {
+            format!(
+                "Disjoint suites never contend on a shared lock table, so the \
+                 sharded arm replays the identical fault timelines with per-suite \
+                 version counters; {} cross-suite transaction(s) rode the \
+                 existing two-phase commit with locks acquired in global suite \
+                 order, and no suite committed a branch whose sibling aborted.",
+                m.cross_suite_txns
+            )
+        },
+    },
+];
+
 /// Runs every campaign and renders the report; the artifact is the
 /// shrunk reproducer (JSON), present when the broken campaign failed as
 /// expected.
@@ -149,317 +344,27 @@ pub fn run(trials: usize) -> Report {
     let mut out = String::new();
     out.push_str("## E9 — Chaos campaign: deterministic fault schedules at scale\n\n");
 
-    // Campaign 1: the shipped protocol.
-    let healthy = CampaignConfig {
-        master_seed: HEALTHY_SEED,
-        trials,
-        spec: ClusterSpec::majority(5, 2),
-        params: ScheduleParams::default(),
-    };
-    let report = run_campaign(&healthy);
-    out.push_str(&format!(
-        "### Shipped protocol: {} seeded trials, 5 servers (majority quorums), 2 clients\n\n",
-        report.trials
-    ));
-    push_verdict(&mut out, &report);
-    let c = report.coverage;
-    let mut t = Table::new(
-        "Fault coverage (a green run only counts if the faults actually fired)",
-        &["counter", "value"],
-    );
-    t.row(&[
-        "trials with a server crash".into(),
-        c.trials_with_crash.to_string(),
-    ]);
-    t.row(&[
-        "trials with a mid-run recovery".into(),
-        c.trials_with_recovery.to_string(),
-    ]);
-    t.row(&[
-        "trials with a partition".into(),
-        c.trials_with_partition.to_string(),
-    ]);
-    t.row(&[
-        "trials with a link-loss burst".into(),
-        c.trials_with_loss.to_string(),
-    ]);
-    t.row(&[
-        "trials with a delay spike".into(),
-        c.trials_with_delay.to_string(),
-    ]);
-    t.row(&[
-        "trials with message duplication".into(),
-        c.trials_with_duplication.to_string(),
-    ]);
-    t.row(&[
-        "trials with a live reconfiguration".into(),
-        c.trials_with_reconfigure.to_string(),
-    ]);
-    t.row(&[
-        "trials with a quorum-blocked attempt".into(),
-        c.trials_with_quorum_block.to_string(),
-    ]);
-    t.row(&["operations attempted".into(), c.ops_total.to_string()]);
-    t.row(&["operations committed".into(), c.ops_ok.to_string()]);
-    t.row(&[
-        "attempts quorum-blocked and retried".into(),
-        c.attempts_quorum_blocked.to_string(),
-    ]);
-    t.row(&[
-        "operations quorum-blocked to the end".into(),
-        c.quorum_blocked.to_string(),
-    ]);
-    t.row(&[
-        "operations ending in doubt".into(),
-        c.indeterminate.to_string(),
-    ]);
-    t.row(&["phase timeouts".into(), c.timeouts.to_string()]);
-    t.row(&["attempt retries".into(), c.retries.to_string()]);
-    t.row(&[
-        "attempt budgets exhausted".into(),
-        c.attempts_exhausted.to_string(),
-    ]);
-    t.row(&[
-        "messages dropped by link loss".into(),
-        c.dropped_link.to_string(),
-    ]);
-    t.row(&["messages duplicated".into(), c.duplicated_msgs.to_string()]);
-    out.push_str(&t.to_markdown());
-    out.push('\n');
-    out.push_str(&format!(
-        "Every fault kind exercised: **{}**.\n\n",
-        if c.all_fault_kinds_exercised() {
-            "yes"
-        } else {
-            "no"
+    // Campaign 1: the healthy arms.
+    let mut shipped = None;
+    for arm in &ARMS {
+        let report = run_campaign(&CampaignConfig {
+            master_seed: HEALTHY_SEED,
+            trials,
+            spec: (arm.spec)(ClusterSpec::majority(5, 2)),
+            params: ScheduleParams::default(),
+        });
+        let heading = arm.heading.replace("{}", &report.trials.to_string());
+        out.push_str(&format!("### {heading}\n\n"));
+        push_verdict(&mut out, &report);
+        let mut t = Table::new(arm.table, &["counter", "value"]);
+        for (counter, value) in arm.rows {
+            t.row(&[counter.to_string(), value(&report.coverage).to_string()]);
         }
-    ));
-
-    // Campaign 1b: the same trials with the self-healing layer on. The
-    // repair flag never reaches the schedule generator, so both arms
-    // replay identical fault timelines — any difference is the layer.
-    let healing = CampaignConfig {
-        spec: ClusterSpec::majority(5, 2).with_repair(),
-        ..healthy
-    };
-    let report = run_campaign(&healing);
-    out.push_str(&format!(
-        "### Self-healing arm: the same {} trials with anti-entropy repair and health-tracked clients\n\n",
-        report.trials
-    ));
-    push_verdict(&mut out, &report);
-    let h = report.coverage;
-    let mut t = Table::new(
-        "Self-healing activity (oracle also checks repair provenance + version bounds)",
-        &["counter", "value"],
-    );
-    t.row(&[
-        "anti-entropy repairs completed".into(),
-        h.repairs_completed.to_string(),
-    ]);
-    t.row(&["suspicions raised".into(), h.suspicions_raised.to_string()]);
-    t.row(&[
-        "quorum plans rerouted around suspects".into(),
-        h.reroutes.to_string(),
-    ]);
-    t.row(&["hedged fetches fired".into(), h.hedges_fired.to_string()]);
-    t.row(&["hedged fetches won".into(), h.hedge_wins.to_string()]);
-    t.row(&["phase timeouts".into(), h.timeouts.to_string()]);
-    t.row(&["operations committed".into(), h.ops_ok.to_string()]);
-    out.push_str(&t.to_markdown());
-    out.push('\n');
-    out.push_str(&format!(
-        "Operations committed, healing off → on: {} → {}. Adaptive timeouts \
-         fail fast when a quorum is genuinely unreachable (partitions), so \
-         the healing arm trades commits-after-long-waits for latency; the \
-         invariants hold either way, and E10 measures the flip side — \
-         availability and latency under pure crash/recovery churn.\n\n",
-        c.ops_ok, h.ops_ok
-    ));
-
-    // Campaign 1c: the same trials again with WAL group commit on. The
-    // flag never reaches the schedule generator either, so the fault
-    // timelines are identical; the oracle must stay clean over the
-    // batched durability path.
-    let batched = CampaignConfig {
-        spec: ClusterSpec::majority(5, 2).with_group_commit(),
-        ..healthy
-    };
-    let report = run_campaign(&batched);
-    out.push_str(&format!(
-        "### Group-commit arm: the same {} trials with batched WAL syncs on every server\n\n",
-        report.trials
-    ));
-    push_verdict(&mut out, &report);
-    let g = report.coverage;
-    let mut t = Table::new(
-        "Group-commit activity (votes and acks leave only after their records are durable)",
-        &["counter", "value"],
-    );
-    t.row(&["WAL sync batches".into(), g.wal_batches.to_string()]);
-    t.row(&[
-        "records made durable by those batches".into(),
-        g.wal_batched_records.to_string(),
-    ]);
-    t.row(&["operations committed".into(), g.ops_ok.to_string()]);
-    t.row(&["phase timeouts".into(), g.timeouts.to_string()]);
-    out.push_str(&t.to_markdown());
-    out.push('\n');
-    out.push_str(&format!(
-        "Batched syncs covered {} records in {} flushes across the \
-         campaign; crash-recovery semantics are unchanged because a \
-         response never leaves before its records hit the durable \
-         prefix, and a crash mid-window loses only records nobody was \
-         promised.\n\n",
-        g.wal_batched_records, g.wal_batches
-    ));
-
-    // Campaign 1d: the same trials once more with a validated-mode weak
-    // representative on every client. The flag never reaches the
-    // schedule generator, so the fault timelines are identical; the
-    // oracle adds the staleness-bound invariant for this arm (validated
-    // mode = zero-length lease, so cache serves must be exactly fresh).
-    let cached = CampaignConfig {
-        spec: ClusterSpec::majority(5, 2).with_cache_tier(),
-        ..healthy
-    };
-    let report = run_campaign(&cached);
-    out.push_str(&format!(
-        "### Cache-tier arm: the same {} trials with a validated weak representative on every client\n\n",
-        report.trials
-    ));
-    push_verdict(&mut out, &report);
-    let w = report.coverage;
-    let mut t = Table::new(
-        "Cache-tier activity (oracle also checks the staleness bound on every cache serve)",
-        &["counter", "value"],
-    );
-    t.row(&["cache hits".into(), w.cache_hits.to_string()]);
-    t.row(&["cache misses".into(), w.cache_misses.to_string()]);
-    t.row(&[
-        "piggybacked inquiries".into(),
-        w.piggybacked_inquiries.to_string(),
-    ]);
-    t.row(&["operations committed".into(), w.ops_ok.to_string()]);
-    t.row(&["phase timeouts".into(), w.timeouts.to_string()]);
-    out.push_str(&t.to_markdown());
-    out.push('\n');
-    out.push_str(&format!(
-        "Of the arm's successful reads, {} were served from the local \
-         weak representative after a version-inquiry quorum confirmed \
-         currency and {} had the contents moved to them, with a version \
-         answer or by a fetch; every cache serve \
-         satisfied the staleness bound (validated mode: exactly as fresh \
-         as a classic read).\n\n",
-        w.cache_hits, w.cache_misses
-    ));
-
-    // Campaign 1e: the same trials with the schedule's disk faults
-    // actually injected, plus self-healing so quarantined replicas can
-    // come back. Every schedule already carries the disk-fault timeline;
-    // the arm flag decides whether the executor applies it, so this arm
-    // and the four above replay byte-identical schedules.
-    let faulty = CampaignConfig {
-        spec: ClusterSpec::majority(5, 2).with_repair().with_disk_faults(),
-        ..healthy
-    };
-    let report = run_campaign(&faulty);
-    out.push_str(&format!(
-        "### Faulty-disk arm: the same {} trials with torn writes, bit flips, I/O errors, and stalls injected\n\n",
-        report.trials
-    ));
-    push_verdict(&mut out, &report);
-    let d = report.coverage;
-    let mut t = Table::new(
-        "Faulty-disk activity (oracle also checks the no-poisoned-read tripwires)",
-        &["counter", "value"],
-    );
-    t.row(&[
-        "trials with a disk fault".into(),
-        d.trials_with_disk_fault.to_string(),
-    ]);
-    t.row(&["torn writes injected".into(), d.torn_writes.to_string()]);
-    t.row(&["bit flips injected".into(), d.bit_flips.to_string()]);
-    t.row(&["I/O errors injected".into(), d.io_errors.to_string()]);
-    t.row(&["disk stalls injected".into(), d.disk_stalls.to_string()]);
-    t.row(&[
-        "torn tails truncated at recovery".into(),
-        d.torn_truncations.to_string(),
-    ]);
-    t.row(&[
-        "corrupt records detected".into(),
-        d.corrupt_records_detected.to_string(),
-    ]);
-    t.row(&["replicas quarantined".into(), d.quarantines.to_string()]);
-    t.row(&[
-        "quarantines healed by full pulls".into(),
-        d.requarantine_repairs.to_string(),
-    ]);
-    t.row(&[
-        "poison escapes (tripwire)".into(),
-        d.poison_escapes.to_string(),
-    ]);
-    t.row(&[
-        "served while quarantined (tripwire)".into(),
-        d.served_while_quarantined.to_string(),
-    ]);
-    t.row(&["operations committed".into(), d.ops_ok.to_string()]);
-    out.push_str(&t.to_markdown());
-    out.push('\n');
-    out.push_str(&format!(
-        "Every detected interior corruption quarantined its replica \
-         ({} detected, {} quarantines across the campaign); both \
-         no-poisoned-read tripwires stayed at zero, so no corrupt frame \
-         survived the checksum scan and no quarantined replica answered \
-         a request before anti-entropy rebuilt it from its peers.\n\n",
-        d.corrupt_records_detected, d.quarantines
-    ));
-
-    // Campaign 1f: the same trials with the keyspace sharded across four
-    // suites. The suites flag never reaches the schedule generator, so
-    // the fault timelines are identical; the executor routes writes by
-    // payload tag, round-robins reads, and turns every fifth write tag
-    // into a cross-suite atomic transaction. The oracle judges each
-    // suite's history separately and adds the atomicity invariant.
-    let sharded = CampaignConfig {
-        spec: ClusterSpec::majority(5, 2).with_suites(4),
-        ..healthy
-    };
-    let report = run_campaign(&sharded);
-    out.push_str(&format!(
-        "### Multi-suite arm: the same {} trials sharded across 4 suites with cross-suite transactions\n\n",
-        report.trials
-    ));
-    push_verdict(&mut out, &report);
-    let m = report.coverage;
-    let mut t = Table::new(
-        "Multi-suite activity (oracle judges every suite separately, plus cross-suite atomicity)",
-        &["counter", "value"],
-    );
-    t.row(&[
-        "trials with a cross-suite transaction".into(),
-        m.trials_with_cross_suite_txn.to_string(),
-    ]);
-    t.row(&[
-        "cross-suite transactions started".into(),
-        m.cross_suite_txns.to_string(),
-    ]);
-    t.row(&["operations committed".into(), m.ops_ok.to_string()]);
-    t.row(&[
-        "operations ending in doubt".into(),
-        m.indeterminate.to_string(),
-    ]);
-    t.row(&["phase timeouts".into(), m.timeouts.to_string()]);
-    out.push_str(&t.to_markdown());
-    out.push('\n');
-    out.push_str(&format!(
-        "Disjoint suites never contend on a shared lock table, so the \
-         sharded arm replays the identical fault timelines with per-suite \
-         version counters; {} cross-suite transaction(s) rode the \
-         existing two-phase commit with locks acquired in global suite \
-         order, and no suite committed a branch whose sibling aborted.\n\n",
-        m.cross_suite_txns
-    ));
+        out.push_str(&t.to_markdown());
+        let shipped = shipped.get_or_insert(report.coverage);
+        let closing = (arm.closing)(shipped, &report.coverage);
+        out.push_str(&format!("\n{closing}\n\n"));
+    }
 
     // Campaign 2: break quorum intersection, find it, shrink it.
     out.push_str(

@@ -38,13 +38,14 @@
 //!   current contents at the new one's — exactly the paper's rule for
 //!   changing vote assignments online.
 //!
-//! All three run the same state machine, `[Inquire | WriteInquire →] Fetch
-//! | Prepare`, and a decided prepare leaves a commit tail: a planner
-//! (`enter_prepare` or `enter_reconfig_prepare`) turns the inquiry's
-//! answers — or, for a direct write, the ranking alone — into per-site
-//! prepare batches plus the outcome to report, and one driver
-//! (`send_prepares`) carries them through two-phase commit.
-//! Every site choice filters or prefixes the order `rank` returns.
+//! All three run the same state machine, `[Inquire →] Fetch | Prepare`,
+//! and a decided prepare leaves a commit tail: `enter_prepare` or
+//! `enter_reconfig_prepare` turns the inquiry's answers — or, for a direct
+//! write, the ranking alone — into per-site prepare batches plus the
+//! outcome to report, and one driver (`send_prepares`) carries them
+//! through two-phase commit. Which sites an operation uses is not decided
+//! here: the state machine asks its `Planner` (`crate::planner`), which
+//! keeps what is known about sites, and tells it what it saw.
 //!
 //! Every attempt uses a fresh request id (so late responses from a dead
 //! attempt can never contaminate a live one) while keeping the operation's
@@ -52,11 +53,10 @@
 //! instead of starving).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
 
 use bytes::Bytes;
 use wv_net::{Node, NodeCtx, SiteId};
-use wv_sim::audit::{AuditLog, AuditRecord, DecisionKind, SiteInput};
+use wv_sim::audit::{AuditLog, AuditRecord, DecisionKind};
 use wv_sim::trace::{SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};
 use wv_sim::{SimDuration, SimTime};
 use wv_storage::{Container, IdHashMap, ObjectId, Version};
@@ -64,7 +64,8 @@ use wv_txn::Vote;
 
 use crate::error::{OpError, OpKind};
 use crate::msg::{Msg, PrepareWrite, RefuseReason, ReqId};
-use crate::quorum::{cheapest_quorum, cheapest_quorum_presorted, QuorumSpec};
+use crate::planner::{Planner, Ranked, LATE_MULTIPLIER};
+use crate::quorum::QuorumSpec;
 use crate::server::CHECKPOINT_RECORDS;
 use crate::suite::{config_object, data_object, SuiteConfig};
 use crate::votes::VoteAssignment;
@@ -167,46 +168,12 @@ impl WeakRepOptions {
 /// every cost-ranked order (fetch candidates, who is asked for the
 /// contents alongside an inquiry, write quorums) until they answer again.
 ///
-/// The layer has one tuning in use, fixed by the constants beside
-/// `SiteHealth`, so this type has no fields. It stays a type, and
+/// The layer has one tuning in use, fixed by the constants of
+/// `crate::planner`, so this type has no fields. It stays a type, and
 /// [`ClientOptions::health`] an `Option` of it, because the benchmark
 /// package builds `HealthOptions::default()` and may not be edited.
 #[derive(Clone, Debug, Default)]
 pub struct HealthOptions {}
-
-/// EWMA smoothing factor: weight of the newest RTT sample.
-const RTT_ALPHA: f64 = 0.3;
-/// Suspicion score at which a site becomes suspected.
-const SUSPICION_THRESHOLD: f64 = 2.0;
-/// How much one unanswered phase adds to a site's suspicion.
-const SUSPICION_STEP: f64 = 1.0;
-/// Adaptive phase timeout = this × the slowest contacted site's EWMA RTT,
-/// clamped to `[MIN_TIMEOUT, phase_timeout]`.
-const TIMEOUT_MULTIPLIER: f64 = 6.0;
-/// Floor for the adaptive timeout, so a run of fast responses cannot
-/// collapse the timeout to nothing.
-const MIN_TIMEOUT: SimDuration = SimDuration::from_millis(300);
-/// A site is late once a request has waited this × its EWMA RTT for an
-/// answer — well before the phase timeout: a hedged read then contacts
-/// the next-cheapest fetch candidate, and a write takes a site that owes
-/// it an answer that long for silent (see `ClientNode::is_silent`).
-const LATE_MULTIPLIER: f64 = 3.0;
-
-/// Per-site health state kept by the client's tracker.
-#[derive(Clone, Copy, Debug)]
-struct SiteHealth {
-    /// EWMA of observed round-trip times, in milliseconds. Seeded from
-    /// the static cost (a one-way mean) so the first adaptive decisions
-    /// are sane before any sample arrives.
-    rtt_ms: f64,
-    /// Accrual suspicion score; reset by any response.
-    suspicion: f64,
-    /// Whether the score has crossed the threshold.
-    suspected: bool,
-    /// When the oldest inquiry or prepare the site has left unanswered
-    /// went out; any message from the site clears it.
-    owes_since: Option<SimTime>,
-}
 
 /// Selection policy for quorum members and fetch targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -424,12 +391,14 @@ impl CompletedOp {
 
 #[derive(Clone, Debug)]
 enum Phase {
-    /// Read or reconfiguration: collecting the suite's version quorum.
+    /// Collecting a version quorum for every suite of [`OpState::suites`].
     Inquire {
-        /// The configuration generation the inquiry went out under, which
-        /// is the one its answers may be counted under.
+        /// The generation of the op's suite the inquiry went out under. A
+        /// read's or a reconfiguration's answers may be counted under that
+        /// one only; a writer's are floors, its prepare carries the
+        /// generation and the representative re-checks it at the grant.
         generation: u64,
-        versions: BTreeMap<SiteId, Version>,
+        answers: Vec<(ObjectId, SiteId, Version)>,
         /// The zero-vote copy sent a content read alongside the inquiry,
         /// if one ranks first.
         guess: Option<SiteId>,
@@ -440,11 +409,6 @@ enum Phase {
         /// cache entry, `guess`'s answer, or what came with `contents`'s.
         /// Believed only once the quorum's highest version is no higher.
         early: Option<(SiteId, Version, Bytes)>,
-    },
-    /// Write or transaction: collecting a version quorum for every
-    /// written suite (one answer map per entry of [`OpState::writes`]).
-    WriteInquire {
-        per_suite: Vec<BTreeMap<SiteId, Version>>,
     },
     Fetch {
         current: Version,
@@ -547,9 +511,30 @@ impl OpState {
     /// installs at: every written suite — or, for reads and
     /// reconfigurations (which carry no writes), the op's suite.
     fn suites(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        let own = self.writes.is_empty().then_some(self.suite);
-        self.writes.iter().map(|(s, _)| *s).chain(own)
+        suites_of(&self.writes, self.suite)
     }
+}
+
+/// [`OpState::suites`] over its two fields, for where the rest of the
+/// operation is mutably borrowed.
+fn suites_of(writes: &[(ObjectId, Bytes)], own: ObjectId) -> impl Iterator<Item = ObjectId> + '_ {
+    let own = writes.is_empty().then_some(own);
+    writes.iter().map(|(s, _)| *s).chain(own)
+}
+
+/// An inquiry's answers: one per `(suite, site)`, as they arrived.
+type Answers = [(ObjectId, SiteId, Version)];
+
+/// What `site` answered an inquiry about `suite`, if it has.
+fn answer_of(answers: &Answers, suite: ObjectId, site: SiteId) -> Option<Version> {
+    let of = answers.iter().find(|(o, s, _)| (*o, *s) == (suite, site));
+    of.map(|(_, _, version)| *version)
+}
+
+/// The sites that answered an inquiry about `suite`.
+fn answered(answers: &Answers, suite: ObjectId) -> impl Iterator<Item = &SiteId> + Clone {
+    let about = answers.iter().filter(move |(o, _, _)| *o == suite);
+    about.map(|(_, site, _)| site)
 }
 
 /// Span bookkeeping for one traced operation. Lives inside [`OpState`] so
@@ -723,28 +708,6 @@ struct TimerEntry {
 /// composite node can route timer callbacks unambiguously.
 pub const CLIENT_TIMER_TAG: u64 = 1 << 63;
 
-/// A memoized quorum plan: the suite's sites in `(cost, site id)` order,
-/// valid for one configuration generation.
-///
-/// Every cheapest-first decision — who is asked for the contents alongside
-/// an inquiry, the fetch candidate order, the write quorum — is a filter or
-/// prefix of this one
-/// sorted order, so caching it removes the per-decision cost sort from the
-/// hot path. Keyed implicitly on the policy (the random ablation draws
-/// fresh costs per decision and bypasses it) and invalidated whenever the
-/// client adopts a new configuration.
-#[derive(Clone, Debug)]
-struct QuorumPlan {
-    generation: u64,
-    /// All sites of the assignment (weak included), cheapest-first.
-    /// Shared, so handing it to a decision is one refcount bump instead
-    /// of a per-op `Vec` clone.
-    site_order: Arc<[SiteId]>,
-    /// Round-robin cursor for [`QuorumPolicy::LoadBalanced`]: seeded from
-    /// `(site, generation)` via `derive_seed`, advanced once per attempt.
-    rr: u64,
-}
-
 /// One suite's entry in the client's attached weak representative: the
 /// newest committed `(version, contents)` a quorum has vouched for, plus
 /// the lease deadline when lease mode granted one.
@@ -761,19 +724,8 @@ struct CacheEntry {
 pub struct ClientNode {
     site: SiteId,
     configs: IdHashMap<ObjectId, SuiteConfig>,
-    /// Mean access cost per site (typically the mean link latency),
-    /// driving cheapest-first quorum selection.
-    costs: Vec<f64>,
-    /// Memoized cost-sorted site orders, one per suite configuration.
-    plans: IdHashMap<ObjectId, QuorumPlan>,
-    /// Per-site health (EWMA RTT + suspicion), indexed like `costs`.
-    /// Maintained only when `options.health` is set.
-    health: Vec<SiteHealth>,
-    /// Sites that let a phase time out, or were widened away from, and
-    /// have sent nothing since; indexed like `costs`. A write on a suite
-    /// that would prepare at such a site inquires first (see
-    /// [`Self::enter_prepare`]).
-    silent: Vec<bool>,
+    /// What is known about sites, and every choice among them.
+    planner: Planner,
     options: ClientOptions,
     next_counter: u64,
     next_timer: u64,
@@ -785,10 +737,6 @@ pub struct ClientNode {
     active: usize,
     /// Submissions waiting for a pipeline slot, in submission order.
     queue: VecDeque<ReqId>,
-    /// Per-site counters of data requests actually sent (fetch legs,
-    /// hedges, prepares), indexed like `costs` — the load the policy
-    /// choice distributes.
-    site_load: Vec<u64>,
     /// The attached weak representative's per-suite entries. Touched only
     /// when `options.weak_rep` is set.
     cache: IdHashMap<ObjectId, CacheEntry>,
@@ -834,64 +782,6 @@ pub struct ClientNode {
     audit: Option<AuditLog>,
 }
 
-/// One decision's site ranking: every site of the suite's assignment (weak
-/// included), best first. Each choice the client makes — who is asked for
-/// the contents alongside an inquiry, fetch candidates, write quorum — is a
-/// filter or prefix of `order`; the other two fields say how it came
-/// about, for the audit log.
-struct Ranked {
-    order: Arc<[SiteId]>,
-    /// The load-balanced rotation cursor decided under (0 otherwise).
-    cursor: u64,
-    /// Whether health demotion changed the cost order.
-    rerouted: bool,
-}
-
-fn site_cost(costs: &[f64], site: SiteId) -> f64 {
-    costs.get(site.index()).copied().unwrap_or(f64::MAX)
-}
-
-/// The round trip the static costs (one-way means) expect of the slowest
-/// of `sites`.
-fn round_trip<'a>(costs: &[f64], sites: impl Iterator<Item = &'a SiteId>) -> SimDuration {
-    let slowest = sites
-        .filter_map(|s| costs.get(s.index()))
-        .fold(0.0_f64, |a, c| a.max(*c));
-    SimDuration::from_millis_f64(2.0 * slowest.clamp(0.0, 1e12))
-}
-
-/// Seed salt for the load-balanced rotation cursor.
-const LB_SALT: u64 = 0x10AD_BA1A_7C3D_5EED;
-
-/// Rotates each maximal run of equal-cost sites in a cost-sorted order by
-/// `rr` positions. The result is still sorted by `(cost)` — only the
-/// tie-break order inside each run changes — so a greedy quorum over it is
-/// exactly as cheap as over the input.
-fn rotate_cost_ties(order: &[SiteId], costs: &[f64], rr: u64) -> Arc<[SiteId]> {
-    let mut out: Vec<SiteId> = Vec::with_capacity(order.len());
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i + 1;
-        while j < order.len() && site_cost(costs, order[j]) == site_cost(costs, order[i]) {
-            j += 1;
-        }
-        let run = &order[i..j];
-        let k = (rr % run.len() as u64) as usize;
-        out.extend_from_slice(&run[k..]);
-        out.extend_from_slice(&run[..k]);
-        i = j;
-    }
-    Arc::from(out)
-}
-
-/// `(cost, site id)` order: the ranking every policy sorts by.
-fn by_cost(costs: &[f64], a: SiteId, b: SiteId) -> std::cmp::Ordering {
-    site_cost(costs, a)
-        .partial_cmp(&site_cost(costs, b))
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.cmp(&b))
-}
-
 impl ClientNode {
     /// Creates a client at `site` knowing `configs`, with per-site costs.
     pub fn new(
@@ -900,26 +790,10 @@ impl ClientNode {
         costs: Vec<f64>,
         options: ClientOptions,
     ) -> Self {
-        // Seed each site's RTT estimate from its static cost (a one-way
-        // mean latency, so the round trip is roughly twice that).
-        let health = costs
-            .iter()
-            .map(|c| SiteHealth {
-                rtt_ms: 2.0 * c.clamp(0.0, 1e12),
-                suspicion: 0.0,
-                suspected: false,
-                owes_since: None,
-            })
-            .collect();
-        let site_load = vec![0; costs.len()];
-        let silent = vec![false; costs.len()];
         ClientNode {
             site,
             configs: configs.into_iter().map(|c| (c.suite, c)).collect(),
-            costs,
-            plans: IdHashMap::default(),
-            health,
-            silent,
+            planner: Planner::new(site, costs, &options),
             options,
             next_counter: 1,
             next_timer: 1,
@@ -928,7 +802,6 @@ impl ClientNode {
             timers: IdHashMap::default(),
             active: 0,
             queue: VecDeque::new(),
-            site_load,
             cache: IdHashMap::default(),
             inquiry_leaders: IdHashMap::default(),
             local_hints: IdHashMap::default(),
@@ -1346,289 +1219,41 @@ impl ClientNode {
         }
     }
 
-    /// Per-decision costs: real costs for cheapest-first, fresh random
-    /// draws for the random-policy ablation.
-    fn effective_costs(&self, ctx: &mut NodeCtx<'_, Msg>) -> Vec<f64> {
-        match self.options.quorum_policy {
-            QuorumPolicy::CheapestFirst | QuorumPolicy::LoadBalanced => self.costs.clone(),
-            QuorumPolicy::Random => (0..self.costs.len()).map(|_| ctx.rng().f64()).collect(),
-        }
-    }
-
-    /// The memoized cost-sorted site order for `suite`'s current
-    /// configuration.
-    ///
-    /// A plan built for an older generation is rebuilt (and counted as a
-    /// miss), so a stale entry can never leak into a decision even if an
-    /// invalidation point were missed.
-    fn cached_site_order(&mut self, suite: ObjectId) -> Arc<[SiteId]> {
-        let cfg = &self.configs[&suite];
-        let generation = cfg.generation;
-        if let Some(plan) = self.plans.get(&suite) {
-            if plan.generation == generation {
-                self.stats.plan_cache_hits += 1;
-                // A refcount bump, not a `Vec` clone: the order is shared
-                // with the cache for the decision's lifetime.
-                return Arc::clone(&plan.site_order);
-            }
-        }
-        self.stats.plan_cache_misses += 1;
-        let mut site_order = cfg.assignment.all_sites();
-        site_order.sort_by(|a, b| by_cost(&self.costs, *a, *b));
-        let site_order: Arc<[SiteId]> = Arc::from(site_order);
-        self.plans.insert(
-            suite,
-            QuorumPlan {
-                generation,
-                site_order: Arc::clone(&site_order),
-                rr: wv_sim::derive_seed(LB_SALT ^ u64::from(self.site.0), generation),
-            },
-        );
-        site_order
-    }
-
-    /// Ranks `suite`'s sites for one decision — the single seam every site
-    /// choice goes through. The cached plan as-is for cheapest-first, the
-    /// plan with its cost-ties rotated for load-balanced (each attempt
-    /// advances the rotation, see [`Self::begin_attempt`]), a sort by this
-    /// decision's fresh cost draw for the random ablation; then suspected
-    /// sites are demoted.
+    /// Ranks `suite`'s sites for one decision ([`Planner::rank`]).
     fn rank(&mut self, suite: ObjectId, ctx: &mut NodeCtx<'_, Msg>) -> Ranked {
-        let (order, cursor) = match self.options.quorum_policy {
-            QuorumPolicy::CheapestFirst => (self.cached_site_order(suite), 0),
-            QuorumPolicy::LoadBalanced => {
-                let order = self.cached_site_order(suite);
-                let rr = self.plans[&suite].rr;
-                (rotate_cost_ties(&order, &self.costs, rr), rr)
-            }
-            QuorumPolicy::Random => {
-                let costs = self.effective_costs(ctx);
-                let mut order = self.configs[&suite].assignment.all_sites();
-                order.sort_by(|a, b| by_cost(&costs, *a, *b));
-                (Arc::from(order), 0)
-            }
-        };
-        let (order, rerouted) = self.reorder_by_health(order);
-        Ranked {
-            order,
-            cursor,
-            rerouted,
-        }
-    }
-
-    /// Folds one RTT sample into a site's EWMA (no-op with health off).
-    fn note_rtt(&mut self, site: SiteId, rtt_ms: f64) {
-        if self.options.health.is_none() || !rtt_ms.is_finite() || rtt_ms < 0.0 {
-            return;
-        }
-        if let Some(sh) = self.health.get_mut(site.index()) {
-            sh.rtt_ms = RTT_ALPHA * rtt_ms + (1.0 - RTT_ALPHA) * sh.rtt_ms;
-        }
-    }
-
-    /// Any message from a site proves it alive: it is no longer silent,
-    /// and its suspicion resets.
-    fn note_response(&mut self, site: SiteId) {
-        if let Some(silent) = self.silent.get_mut(site.index()) {
-            *silent = false;
-        }
-        if self.options.health.is_none() {
-            return;
-        }
-        if let Some(sh) = self.health.get_mut(site.index()) {
-            sh.suspicion = 0.0;
-            sh.suspected = false;
-            sh.owes_since = None;
-        }
-    }
-
-    /// An inquiry or a prepare — a request whose answer is due a round
-    /// trip from now — goes out to `site` (no-op with health off).
-    fn note_asked(&mut self, site: SiteId, now: SimTime) {
-        if self.options.health.is_none() {
-            return;
-        }
-        if let Some(sh) = self.health.get_mut(site.index()) {
-            sh.owes_since.get_or_insert(now);
-        }
-    }
-
-    /// A site announced its own quarantine: slam its suspicion straight
-    /// to the threshold so every cost-ranked order demotes it at once —
-    /// the refusal is long-lived, unlike a timeout's soft evidence.
-    fn mark_quarantined(&mut self, site: SiteId) {
-        if self.options.health.is_none() {
-            return;
-        }
-        if let Some(sh) = self.health.get_mut(site.index()) {
-            sh.suspicion = sh.suspicion.max(SUSPICION_THRESHOLD);
-            if !sh.suspected {
-                sh.suspected = true;
-                self.stats.suspicions_raised += 1;
-            }
-        }
-    }
-
-    /// A phase timed out, or a direct prepare widened, with these sites
-    /// still silent: remember them so, and bump their suspicion, marking
-    /// them suspected at the threshold.
-    fn note_unanswered(&mut self, sites: &[SiteId]) {
-        for &site in sites {
-            if let Some(silent) = self.silent.get_mut(site.index()) {
-                *silent = true;
-            }
-        }
-        if self.options.health.is_none() {
-            return;
-        }
-        for &site in sites {
-            if let Some(sh) = self.health.get_mut(site.index()) {
-                sh.suspicion += SUSPICION_STEP;
-                if !sh.suspected && sh.suspicion >= SUSPICION_THRESHOLD {
-                    sh.suspected = true;
-                    self.stats.suspicions_raised += 1;
-                }
-            }
-        }
-    }
-
-    /// Applies health knowledge to a cost-ranked site order: suspected
-    /// sites are demoted behind every unsuspected one, stably, so the
-    /// cost ranking survives within each group. When every site is
-    /// suspected the order is left alone — routing around everyone is
-    /// routing nowhere. Returns the order and whether the demotion changed
-    /// it, counting a reroute when it did.
-    fn reorder_by_health(&mut self, order: Arc<[SiteId]>) -> (Arc<[SiteId]>, bool) {
-        if self.options.health.is_none() {
-            // Shared order passes through untouched — no per-op clone.
-            return (order, false);
-        }
-        let suspected =
-            |s: SiteId| -> bool { self.health.get(s.index()).is_some_and(|h| h.suspected) };
-        let mut reordered: Vec<SiteId> = order.iter().copied().filter(|&s| !suspected(s)).collect();
-        if reordered.is_empty() || reordered.len() == order.len() {
-            return (order, false);
-        }
-        reordered.extend(order.iter().copied().filter(|&s| suspected(s)));
-        let rerouted = reordered[..] != order[..];
-        if rerouted {
-            self.stats.reroutes += 1;
-        }
-        (Arc::from(reordered), rerouted)
-    }
-
-    /// Stable lowercase name of the active quorum policy, for the audit
-    /// log and its human-readable explain.
-    fn policy_name(&self) -> &'static str {
-        match self.options.quorum_policy {
-            QuorumPolicy::CheapestFirst => "cheapest_first",
-            QuorumPolicy::Random => "random",
-            QuorumPolicy::LoadBalanced => "load_balanced",
-        }
+        let cfg = &self.configs[&suite];
+        self.planner.rank(cfg, ctx.rng(), &mut self.stats)
     }
 
     /// Appends one decision to the audit log (no-op with auditing off).
     /// Reads only planner state that is already computed — never the RNG,
     /// never the effect queue — so auditing cannot perturb the protocol.
-    /// Per-site inputs are captured for exactly the sites the decision
-    /// ranked, in that order.
+    /// A follow-up choice (hedge, failover) has no ranking of its own.
     fn audit_decision(
         &mut self,
         kind: DecisionKind,
         req: ReqId,
         suite: ObjectId,
         chosen: &[SiteId],
-        ranked: &Ranked,
+        ranked: Option<&Ranked>,
         now: SimTime,
     ) {
-        if self.audit.is_none() {
+        let Some(log) = self.audit.as_mut() else {
             return;
-        }
-        let health_on = self.options.health.is_some();
-        let to_fixed = |v: f64, scale: f64| (v.clamp(0.0, 1e15) * scale).round() as u64;
-        let inputs: Vec<SiteInput> = ranked
-            .order
-            .iter()
-            .map(|&s| {
-                let h = self.health.get(s.index()).filter(|_| health_on);
-                SiteInput {
-                    site: s.0,
-                    cost_us: to_fixed(site_cost(&self.costs, s), 1000.0),
-                    rtt_us: h.map_or(0, |sh| to_fixed(sh.rtt_ms, 1000.0)),
-                    suspicion_milli: h.map_or(0, |sh| to_fixed(sh.suspicion, 1000.0)),
-                    suspected: h.is_some_and(|sh| sh.suspected),
-                    load: self.site_load.get(s.index()).copied().unwrap_or(0),
-                }
-            })
-            .collect();
-        let policy = self.policy_name();
-        let generation = self.configs.get(&suite).map_or(0, |c| c.generation);
-        let log = self.audit.as_mut().expect("checked above");
+        };
+        let (policy, inputs) = self.planner.audit_inputs(ranked, chosen);
         log.record(
             kind,
             req.0,
             suite.0,
             policy,
-            generation,
-            ranked.cursor,
-            ranked.rerouted,
+            self.configs.get(&suite).map_or(0, |c| c.generation),
+            ranked.map_or(0, |r| r.cursor),
+            ranked.is_some_and(|r| r.rerouted),
             chosen.iter().map(|s| s.0).collect(),
             inputs,
             now,
         );
-    }
-
-    /// Audits a follow-up choice (hedge, failover) that takes the next site
-    /// of an order an earlier decision already recorded: `site` alone is
-    /// both what was considered and what was chosen.
-    fn audit_next_site(
-        &mut self,
-        kind: DecisionKind,
-        req: ReqId,
-        suite: ObjectId,
-        site: SiteId,
-        now: SimTime,
-    ) {
-        if self.audit.is_none() {
-            return;
-        }
-        let only = Ranked {
-            order: Arc::from([site]),
-            cursor: 0,
-            rerouted: false,
-        };
-        self.audit_decision(kind, req, suite, &only.order, &only, now);
-    }
-
-    /// The timeout for a phase contacting `sites`: with health tracking
-    /// on, a multiple of the slowest contacted site's EWMA RTT clamped to
-    /// `[MIN_TIMEOUT, phase_timeout]`; otherwise the fixed phase timeout.
-    fn phase_delay(&self, sites: impl IntoIterator<Item = SiteId>) -> SimDuration {
-        if self.options.health.is_none() {
-            return self.options.phase_timeout;
-        }
-        let max_rtt = sites
-            .into_iter()
-            .filter_map(|s| self.health.get(s.index()))
-            .map(|sh| sh.rtt_ms)
-            .fold(0.0_f64, f64::max);
-        if max_rtt <= 0.0 {
-            return self.options.phase_timeout;
-        }
-        SimDuration::from_millis_f64(max_rtt * TIMEOUT_MULTIPLIER)
-            .max(MIN_TIMEOUT)
-            .min(self.options.phase_timeout)
-    }
-
-    /// When (relative to now) the hedge for a fetch aimed at `target`
-    /// should fire, or `None` when health tracking is off.
-    fn hedge_delay(&self, target: SiteId) -> Option<SimDuration> {
-        self.options.health.as_ref()?;
-        let rtt = self.health.get(target.index())?.rtt_ms;
-        if rtt <= 0.0 {
-            return None;
-        }
-        Some(SimDuration::from_millis_f64(rtt * LATE_MULTIPLIER).max(SimDuration::from_micros(1)))
     }
 
     /// The client's site.
@@ -1654,14 +1279,8 @@ impl ClientNode {
     /// Per-site counters of data requests (fetch legs, hedges, prepares)
     /// this client sent, indexed by site — the load the selection policy
     /// distributes across representatives.
-    pub fn site_load(&self) -> &[u64] {
-        &self.site_load
-    }
-
-    fn note_load(&mut self, site: SiteId) {
-        if let Some(c) = self.site_load.get_mut(site.index()) {
-            *c += 1;
-        }
+    pub fn site_load(&self) -> Vec<u64> {
+        self.planner.site_load()
     }
 
     /// Drains and returns the finished-operation log.
@@ -1859,7 +1478,10 @@ impl ClientNode {
                     ls.suite == suite && matches!(ls.phase, Phase::Inquire { .. })
                 });
             if live {
-                let delay = self.phase_delay(self.inquiry_set(OpKind::Read, suite));
+                let asked = self
+                    .planner
+                    .inquiry_set(OpKind::Read, &self.configs[&suite]);
+                let delay = self.planner.phase_delay(asked);
                 let Some(st) = self.ops.get_mut(&req) else {
                     return true;
                 };
@@ -1881,42 +1503,14 @@ impl ClientNode {
         false
     }
 
-    /// The representatives of `suite` whose answer to an inquiry by an
-    /// operation of `kind` can matter, in send (declaration) order. Every
-    /// voting one, always: first-`r`-of-`N` latency and the health signal
-    /// depend on asking them all. A zero-vote one only if it precedes
-    /// some voting one in the plan's static `(cost, site id)` order — it
-    /// could then be chosen as the fetch source ahead of a voting copy,
-    /// as a workstation's own copy is over its self-link and another
-    /// workstation's is not. A reconfiguration asks everyone: its
-    /// responders must be able to form the *new* write quorum, which may
-    /// promote a weak copy. Whoever is not asked is never called silent.
-    fn inquiry_set(&self, kind: OpKind, suite: ObjectId) -> impl Iterator<Item = SiteId> + '_ {
-        let entries = self.configs[&suite].assignment.entries();
-        let costs = &self.costs;
-        let voting = entries.iter().filter(|(_, votes)| *votes > 0);
-        let last_voting = voting
-            .map(|(site, _)| *site)
-            .max_by(|a, b| by_cost(costs, *a, *b));
-        let matters = move |site: SiteId, votes: u32| {
-            votes > 0
-                || kind == OpKind::Reconfigure
-                || last_voting.is_some_and(|last| by_cost(costs, site, last).is_lt())
-        };
-        let asked = entries
-            .iter()
-            .filter(move |(site, votes)| matters(*site, *votes));
-        asked.map(|(site, _)| *site)
-    }
-
     /// The `(suite, site)` pairs one attempt of `st` inquires of, in send
-    /// order: the inquiry set of every suite it touches.
+    /// order: the [`Planner::inquiry_set`] of every suite it touches.
     fn inquiry_targets<'a>(
         &'a self,
         st: &'a OpState,
     ) -> impl Iterator<Item = (ObjectId, SiteId)> + 'a {
         st.suites().flat_map(move |suite| {
-            let set = self.inquiry_set(st.kind, suite);
+            let set = self.planner.inquiry_set(st.kind, &self.configs[&suite]);
             set.map(move |site| (suite, site))
         })
     }
@@ -1927,7 +1521,7 @@ impl ClientNode {
     /// stale configuration or a dead site, the inquiry finds the way
     /// around each, and one-round blind retries would outrun a
     /// reconfiguration's exact-version read-modify-write for as long as
-    /// they kept coming. [`Self::enter_prepare`] adds the condition that
+    /// they kept coming. [`Planner::direct_quorum`] adds the condition that
     /// is about the sites: none it would prepare at is silent.
     fn may_go_direct(&self, st: &OpState) -> bool {
         st.attempts == 0
@@ -1954,7 +1548,8 @@ impl ClientNode {
             return false;
         };
         let answered = |s: &&SiteId| yes.contains_key(s) || in_line.contains_key(s);
-        let owed = round_trip(&self.costs, participants.iter().filter(|s| !answered(s)));
+        let unanswered = participants.iter().filter(|s| !answered(s));
+        let owed = self.planner.round_trip(unanswered);
         let waited = now.since(self.ops[&req].attempt_started).as_millis_f64();
         owed > SimDuration::ZERO && waited > owed.as_millis_f64() * LATE_MULTIPLIER
     }
@@ -1980,15 +1575,8 @@ impl ClientNode {
     }
 
     fn begin_attempt(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
-        if self.options.quorum_policy == QuorumPolicy::LoadBalanced {
-            // One step of the rotation per attempt, however many answers
-            // then rank: a step per ranking would visit only every k-th of
-            // the tied sites when each operation happens to rank k times.
-            for suite in self.ops.get(&req).into_iter().flat_map(OpState::suites) {
-                if let Some(plan) = self.plans.get_mut(&suite) {
-                    plan.rr = plan.rr.wrapping_add(1);
-                }
-            }
+        for suite in self.ops.get(&req).into_iter().flat_map(OpState::suites) {
+            self.planner.step(suite);
         }
         // Cache tier: a live lease serves locally, and a read arriving
         // while another read's inquiry is in flight coalesces onto it.
@@ -2023,7 +1611,10 @@ impl ClientNode {
         }
         let st = &self.ops[&req];
         let (suite, is_read, installs) = (st.suite, st.kind == OpKind::Read, st.writes.len());
-        let delay = self.phase_delay(self.inquiry_targets(st).map(|(_, site)| site));
+        let targets = self.inquiry_targets(st).count();
+        let delay = self
+            .planner
+            .phase_delay(self.inquiry_targets(st).map(|(_, site)| site));
         // A warm cache entry is pre-seeded into `early` below, so the
         // inquiry quorum can confirm it without any contents moving.
         let cached_early = if is_read && self.options.weak_rep.is_some() {
@@ -2040,15 +1631,12 @@ impl ClientNode {
         // best-ranked voting host's inquiry asks for the contents too.
         let (guess, contents) = if is_read && self.options.optimistic_fetch {
             let ranked = self.rank(suite, ctx);
-            let assignment = &self.configs[&suite].assignment;
-            let weak = |s: &SiteId| assignment.is_weak(*s);
-            let first = ranked.order.first().copied();
-            let guess = first.filter(|s| cached_early.is_none() && weak(s));
-            let contents = ranked.order.iter().copied().find(|s| !weak(s));
+            let (own, contents) = ranked.content_sources(&self.configs[&suite].assignment);
+            let guess = own.filter(|_| cached_early.is_none());
             if self.audit.is_some() {
                 let kind = DecisionKind::OptimisticFetch;
                 let asked: Vec<SiteId> = guess.into_iter().chain(contents).collect();
-                self.audit_decision(kind, req, suite, &asked, &ranked, ctx.now());
+                self.audit_decision(kind, req, suite, &asked, Some(&ranked), ctx.now());
             }
             (guess, contents)
         } else {
@@ -2069,18 +1657,12 @@ impl ClientNode {
         st.attempts += 1;
         st.seq += 1;
         st.attempt_started = ctx.now();
-        st.phase = if installs == 0 {
-            Phase::Inquire {
-                generation: self.configs[&suite].generation,
-                versions: BTreeMap::new(),
-                guess,
-                contents,
-                early: cached_early,
-            }
-        } else {
-            Phase::WriteInquire {
-                per_suite: vec![BTreeMap::new(); installs],
-            }
+        st.phase = Phase::Inquire {
+            generation: self.configs[&suite].generation,
+            answers: Vec::with_capacity(targets),
+            guess,
+            contents,
+            early: cached_early,
         };
         let seq = st.seq;
         if is_read && self.options.weak_rep.is_some() {
@@ -2103,14 +1685,10 @@ impl ClientNode {
                 self.trace_add_leg(req, target, SpanKind::Rpc, ctx.now());
             }
         }
-        if self.options.health.is_some() {
-            let asked: Vec<SiteId> = self
-                .inquiry_targets(&self.ops[&req])
-                .map(|(_, site)| site)
-                .collect();
-            for site in asked {
-                self.note_asked(site, ctx.now());
-            }
+        let st = &self.ops[&req];
+        for suite in st.suites() {
+            let cfg = &self.configs[&suite];
+            self.planner.asked_inquiry(st.kind, cfg, ctx.now());
         }
         // A writer's answer is only a floor for the version assigned
         // under the commit lock, so it need not wait for one.
@@ -2126,7 +1704,7 @@ impl ClientNode {
             ctx.send(site, inquiry);
         }
         for target in guess.into_iter().chain(contents) {
-            self.note_load(target);
+            self.planner.load(target);
         }
         if let Some(target) = guess {
             ctx.send(target, Msg::ReadReq { suite, req });
@@ -2143,16 +1721,13 @@ impl ClientNode {
     /// is the best-ranked write quorum outright.
     ///
     /// A direct attempt is not launched (`false`) while a site it would
-    /// prepare at is silent (see [`Self::is_silent`]): the inquiry was
-    /// also a liveness probe — prepares went only to sites that had just
-    /// answered — so a write that knows better keeps it, and is routed
-    /// around the site for free.
+    /// prepare at is silent (see [`Planner::direct_quorum`]).
     fn enter_prepare(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) -> bool {
         let Some(st) = self.ops.get(&req) else {
             return false;
         };
         let (kind, installs, span) = (st.kind, st.writes.len(), st.span());
-        let direct = !matches!(st.phase, Phase::WriteInquire { .. });
+        let direct = !matches!(st.phase, Phase::Inquire { .. });
         // Per written suite: the ranking decided under, the install set,
         // and the version floor.
         let mut planned: Vec<(Ranked, Vec<SiteId>, Version)> = Vec::with_capacity(installs);
@@ -2161,37 +1736,20 @@ impl ClientNode {
             let ranked = self.rank(suite, ctx);
             let cfg = &self.configs[&suite];
             let (quorum, current) = match &self.ops[&req].phase {
-                Phase::WriteInquire { per_suite } => {
-                    let answers = &per_suite[i];
-                    // Restricting the ranked order to the responders
-                    // preserves it, so the greedy prefix (which skips
-                    // zero-vote sites) is the best write quorum among them.
-                    let responders: Vec<SiteId> = ranked
-                        .order
-                        .iter()
-                        .copied()
-                        .filter(|s| answers.contains_key(s))
-                        .collect();
-                    let quorum =
-                        cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &responders);
-                    let current = answers.values().copied().max();
-                    (quorum, current.unwrap_or(Version::INITIAL))
+                Phase::Inquire { answers, .. } => {
+                    let of_suite = answers.iter().filter(|(o, _, _)| *o == suite);
+                    let current = of_suite.map(|(_, _, version)| *version).max();
+                    let vouched = |s| answer_of(answers, suite, s).is_some();
+                    (ranked.write_quorum(cfg, vouched), current)
                 }
-                _ => {
-                    let quorum =
-                        cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &ranked.order);
-                    (quorum, Version::INITIAL)
-                }
+                _ => (self.planner.direct_quorum(&ranked, cfg, ctx.now()), None),
             };
+            // After an inquiry there always is one: its vote threshold
+            // passed, and a legal configuration's sites reach `w`.
             let Some(quorum) = quorum else {
-                // Cannot happen: the inquiry's vote threshold passed, and a
-                // legal configuration's sites reach `w`; be defensive.
                 return false;
             };
-            if direct && quorum.iter().any(|s| self.is_silent(*s, ctx.now())) {
-                return false;
-            }
-            planned.push((ranked, quorum, current));
+            planned.push((ranked, quorum, current.unwrap_or(Version::INITIAL)));
         }
         let st = self.ops.get_mut(&req).expect("present above");
         if direct {
@@ -2226,7 +1784,7 @@ impl ClientNode {
             add_to_batches(&mut batches, &quorum, &install);
             if self.audit.is_some() {
                 let decision = quorum_decision(kind);
-                self.audit_decision(decision, req, suite, &quorum, &ranked, ctx.now());
+                self.audit_decision(decision, req, suite, &quorum, Some(&ranked), ctx.now());
             }
             if direct {
                 unprobed.push(quorum);
@@ -2239,7 +1797,9 @@ impl ClientNode {
             batches.sort_by_key(|(site, _)| *site);
         }
         let plan = PreparePlan {
-            timeout: self.phase_delay(batches.iter().map(|(site, _)| *site)),
+            timeout: self
+                .planner
+                .phase_delay(batches.iter().map(|(site, _)| *site)),
             batches,
             rebase: true,
             unprobed,
@@ -2287,8 +1847,8 @@ impl ClientNode {
             }
         }
         for (site, writes) in batches {
-            self.note_asked(site, ctx.now());
-            self.note_load(site);
+            self.planner.asked(site, ctx.now());
+            self.planner.load(site);
             ctx.send(
                 site,
                 Msg::Prepare {
@@ -2483,18 +2043,6 @@ impl ClientNode {
         self.depart(suite, req, ctx);
     }
 
-    /// Votes needed before leaving the inquiry phase.
-    fn inquiry_threshold(kind: OpKind, cfg: &SuiteConfig) -> u32 {
-        match kind {
-            OpKind::Read => cfg.quorum.read,
-            // Writers need the inquiry quorum *and* enough responders to
-            // form a write quorum.
-            OpKind::Write | OpKind::Reconfigure | OpKind::Transaction => {
-                cfg.quorum.read.max(cfg.quorum.write)
-            }
-        }
-    }
-
     fn on_version_resp(
         &mut self,
         from: SiteId,
@@ -2535,9 +2083,9 @@ impl ClientNode {
         // A version answer arriving during the inquiry phase measures one
         // round trip; feed it to the health tracker.
         if let Some(st) = self.ops.get(&req) {
-            if matches!(st.phase, Phase::Inquire { .. } | Phase::WriteInquire { .. }) {
+            if matches!(st.phase, Phase::Inquire { .. }) {
                 let rtt = ctx.now().since(st.attempt_started);
-                self.note_rtt(from, rtt.as_millis_f64());
+                self.planner.rtt(from, rtt.as_millis_f64());
             }
         }
         self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, version.0);
@@ -2550,108 +2098,114 @@ impl ClientNode {
         } else {
             None
         };
-        // Sites reporting `current`, best-ranked first.
-        let holders = |versions: &BTreeMap<SiteId, Version>, current: Version| -> Vec<SiteId> {
-            let order = ranked.iter().flat_map(|r| r.order.iter().copied());
-            order
-                .filter(|s| versions.get(s) == Some(&current))
-                .collect()
-        };
         let next = {
             let Some(st) = self.ops.get_mut(&req) else {
                 return;
             };
-            match &mut st.phase {
-                Phase::Inquire { .. } | Phase::WriteInquire { .. } if generation > my_gen => {
-                    Next::Refresh
-                }
-                Phase::WriteInquire { per_suite } => {
-                    let Some(i) = st.writes.iter().position(|(s, _)| *s == suite) else {
-                        return; // a suite this operation does not write
-                    };
-                    per_suite[i].insert(from, version);
-                    // Every written suite needs its inquiry quorum.
-                    let ready = st
-                        .writes
-                        .iter()
-                        .zip(per_suite.iter())
-                        .all(|((s, _), answers)| {
-                            let cfg = &self.configs[s];
-                            cfg.assignment.votes_in(answers.keys())
-                                >= Self::inquiry_threshold(st.kind, cfg)
-                        });
-                    if ready {
-                        Next::ToPrepare
-                    } else {
-                        Next::Wait
-                    }
-                }
+            let OpState {
+                kind,
+                suite: own,
+                writes,
+                reconfig,
+                phase,
+                ..
+            } = st;
+            let Phase::Inquire {
+                generation: asked_under,
+                answers,
+                guess,
+                early,
+                ..
+            } = phase
+            else {
+                return;
+            };
+            if generation > my_gen {
+                Next::Refresh
+            } else if !suites_of(writes, *own).any(|s| s == suite) {
+                return; // a suite this operation does not touch
+            } else if writes.is_empty() && *asked_under != my_gen {
                 // This client adopted a new configuration while the
                 // inquiry was out. Answers given under the old geometry
                 // say nothing about a quorum of the new one — its write
                 // quorums need not intersect the sites that answered
                 // before the change — so the evidence is discarded whole.
-                Phase::Inquire {
-                    generation: asked_under,
-                    ..
-                } if *asked_under != my_gen => Next::Restart,
-                Phase::Inquire {
-                    versions,
-                    guess,
-                    early,
-                    ..
-                } => {
-                    versions.insert(from, version);
-                    let cfg = &self.configs[&suite];
-                    let votes = cfg.assignment.votes_in(versions.keys());
-                    // Once a quorum has answered, the highest version among
-                    // the answers is current (read/write intersection
-                    // guarantees it).
-                    let current = versions.values().copied().max().unwrap_or(Version::INITIAL);
-                    if votes < Self::inquiry_threshold(st.kind, cfg) {
+                // A writer's answers are only floors: it goes on, and the
+                // representatives judge the generation its prepare names.
+                Next::Restart
+            } else {
+                // A duplicated answer replaces the one it repeats.
+                let place = answers
+                    .iter_mut()
+                    .find(|(o, s, _)| (*o, *s) == (suite, from));
+                match place {
+                    Some(entry) => entry.2 = version,
+                    None => answers.push((suite, from, version)),
+                }
+                // Every suite needs its inquiry quorum — and whoever
+                // installs, enough responders to form a write quorum.
+                let ready = suites_of(writes, *own).all(|s| {
+                    let cfg = &self.configs[&s];
+                    let threshold = match kind {
+                        OpKind::Read => cfg.quorum.read,
+                        _ => cfg.quorum.read.max(cfg.quorum.write),
+                    };
+                    cfg.assignment.votes_in(answered(answers, s)) >= threshold
+                });
+                // Once a quorum has answered, the highest version among
+                // the answers is current (read/write intersection
+                // guarantees it).
+                let versions = answers.iter().map(|(_, _, version)| *version);
+                let current = versions.max().unwrap_or(Version::INITIAL);
+                // Sites reporting `current`, best-ranked first.
+                let holders = || {
+                    let holds = |s| answer_of(answers, suite, s) == Some(current);
+                    ranked.as_ref().map_or(Vec::new(), |r| r.among(holds))
+                };
+                if !ready {
+                    Next::Wait
+                } else if !writes.is_empty() {
+                    Next::ToPrepare
+                } else if *kind == OpKind::Read {
+                    // The contents to hand win if they proved current
+                    // (or newer — a racing commit), whoever they came
+                    // from: this is the one completion test of a read.
+                    match early.clone().filter(|(_, v, _)| *v >= current) {
+                        Some((source, version, value)) => Next::EarlyHit {
+                            source,
+                            version,
+                            value,
+                            guessed: *guess == Some(source),
+                            current,
+                            candidates: if self.options.weak_rep.is_some() {
+                                holders()
+                            } else {
+                                Vec::new()
+                            },
+                        },
+                        None => Next::ToFetch {
+                            current,
+                            candidates: holders(),
+                        },
+                    }
+                } else {
+                    // The reconfiguration transaction also brings stale
+                    // members of the *new* write quorum current (the
+                    // paper's rule for adding votes), so the responders
+                    // must additionally be able to form that quorum,
+                    // and the current contents must be fetched first.
+                    let reconfig = reconfig.as_mut().expect("a reconfiguration");
+                    let (assignment, quorum) = &reconfig.change;
+                    if assignment.votes_in(answered(answers, suite)) < quorum.write {
                         Next::Wait
-                    } else if st.kind == OpKind::Read {
-                        // The contents to hand win if they proved current
-                        // (or newer — a racing commit), whoever they came
-                        // from: this is the one completion test of a read.
-                        match early.clone().filter(|(_, v, _)| *v >= current) {
-                            Some((source, version, value)) => Next::EarlyHit {
-                                source,
-                                version,
-                                value,
-                                guessed: *guess == Some(source),
-                                current,
-                                candidates: if self.options.weak_rep.is_some() {
-                                    holders(versions, current)
-                                } else {
-                                    Vec::new()
-                                },
-                            },
-                            None => Next::ToFetch {
-                                current,
-                                candidates: holders(versions, current),
-                            },
-                        }
                     } else {
-                        // The reconfiguration transaction also brings stale
-                        // members of the *new* write quorum current (the
-                        // paper's rule for adding votes), so the responders
-                        // must additionally be able to form that quorum,
-                        // and the current contents must be fetched first.
-                        let reconfig = st.reconfig.as_mut().expect("a reconfiguration");
-                        let (assignment, quorum) = &reconfig.change;
-                        if assignment.votes_in(versions.keys()) < quorum.write {
-                            Next::Wait
-                        } else {
-                            reconfig.responders = versions.keys().copied().collect();
-                            Next::ToFetch {
-                                current,
-                                candidates: holders(versions, current),
-                            }
+                        reconfig.responders = answered(answers, suite).copied().collect();
+                        Next::ToFetch {
+                            current,
+                            candidates: holders(),
                         }
                     }
                 }
-                _ => return,
             }
         };
         match next {
@@ -2696,10 +2250,8 @@ impl ClientNode {
                 candidates,
             } => {
                 self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
-                if let Some(ranked) = ranked.as_ref().filter(|_| self.audit.is_some()) {
-                    let kind = DecisionKind::FetchPlan;
-                    self.audit_decision(kind, req, suite, &candidates, ranked, ctx.now());
-                }
+                let kind = DecisionKind::FetchPlan;
+                self.audit_decision(kind, req, suite, &candidates, ranked.as_ref(), ctx.now());
                 self.settle_followers(suite, req, current, &candidates, ctx);
                 self.enter_fetch(req, suite, current, candidates, ctx)
             }
@@ -2780,9 +2332,9 @@ impl ClientNode {
         let racing = match &st.phase {
             Phase::Inquire {
                 contents: Some(site),
-                versions,
+                answers,
                 ..
-            } if !versions.contains_key(site) => Some(*site),
+            } if answer_of(answers, suite, *site).is_none() => Some(*site),
             _ => None,
         };
         st.seq += 1;
@@ -2813,10 +2365,11 @@ impl ClientNode {
         more: bool,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
-        let delay = self.phase_delay([site]);
-        let hedge = self.hedge_delay(site).filter(|hd| more && *hd < delay);
+        let delay = self.planner.phase_delay([site]);
+        let hedge = self.planner.hedge_delay(site);
+        let hedge = hedge.filter(|hd| more && *hd < delay);
         self.trace_add_leg(req, site, SpanKind::Rpc, ctx.now());
-        self.note_load(site);
+        self.planner.load(site);
         ctx.send(site, Msg::ReadReq { suite, req });
         self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
         if let Some(hd) = hedge {
@@ -2853,8 +2406,15 @@ impl ClientNode {
         };
         self.stats.hedges_fired += 1;
         self.trace_add_leg(req, launched.0, SpanKind::Hedge, ctx.now());
-        self.audit_next_site(DecisionKind::Hedge, req, launched.1, launched.0, ctx.now());
-        self.note_load(launched.0);
+        self.audit_decision(
+            DecisionKind::Hedge,
+            req,
+            launched.1,
+            &[launched.0],
+            None,
+            ctx.now(),
+        );
+        self.planner.load(launched.0);
         ctx.send(
             launched.0,
             Msg::ReadReq {
@@ -2882,12 +2442,6 @@ impl ClientNode {
     ) {
         self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
         let old_cfg = &self.configs[&suite];
-        // Reconfiguration ranks sites itself rather than through `rank`: it
-        // needs them under two assignments at once (the old one for the
-        // config quorum and the not-yet-adopted new one for the data
-        // copies), and committing it invalidates the cached plan anyway.
-        // Reconfigs are rare; the fresh sorts are not on any hot path.
-        let costs = self.effective_costs(ctx);
         let Some(st) = self.ops.get(&req) else {
             return;
         };
@@ -2900,18 +2454,15 @@ impl ClientNode {
                 return;
             }
         };
-        let responders = &reconfig.responders;
-        let cheapest_among_responders = |cfg: &SuiteConfig| {
-            cheapest_quorum(&cfg.assignment, cfg.quorum.write, responders, |s| {
-                site_cost(&costs, s)
-            })
-        };
-        // Old-config write quorum for the config object.
-        let Some(config_quorum) = cheapest_among_responders(old_cfg) else {
+        // The old configuration's write quorum for the config object, the
+        // new one's for the data copies.
+        let among = &reconfig.responders;
+        let [config_quorum, data_quorum] =
+            (self.planner).reconfig_quorums(among, [old_cfg, &new_cfg], ctx.rng());
+        let Some(config_quorum) = config_quorum else {
             return; // defensive: threshold already passed
         };
-        // New-config write quorum for the data copies.
-        let Some(data_quorum) = cheapest_among_responders(&new_cfg) else {
+        let Some(data_quorum) = data_quorum else {
             // The responders cannot form a write quorum under the new
             // configuration; installing it would strand the data. Fail the
             // attempt and retry when more sites answer.
@@ -3134,7 +2685,14 @@ impl ClientNode {
                 seq,
                 more,
             } => {
-                self.audit_next_site(DecisionKind::FetchFailover, req, suite, site, ctx.now());
+                self.audit_decision(
+                    DecisionKind::FetchFailover,
+                    req,
+                    suite,
+                    &[site],
+                    None,
+                    ctx.now(),
+                );
                 self.launch_leg(req, suite, site, seq, more, ctx);
             }
         }
@@ -3182,7 +2740,7 @@ impl ClientNode {
         // nothing a round trip from now is widened away from.
         if first && !unprobed.is_empty() {
             let waiting = participants.iter().filter(|s| !yes.contains_key(s));
-            let delay = rtt.max(round_trip(&self.costs, waiting));
+            let delay = rtt.max(self.planner.round_trip(waiting));
             let seq = st.seq;
             self.arm_timer(req, seq, TimerKind::Widen, delay, ctx);
         }
@@ -3226,7 +2784,7 @@ impl ClientNode {
         // Decide commit — durably, *before* any commit message leaves, so
         // decision probes always get the truth. This is the commit point.
         self.log_commit_decision(req, &versions);
-        let delay = self.phase_delay(participants.iter().copied());
+        let delay = self.planner.phase_delay(participants.iter().copied());
         let now = ctx.now();
         self.trace_event(req, SpanKind::WalWrite, 0, now);
         let trace = self.op_spans(req).map(|(tr, t)| {
@@ -3300,7 +2858,7 @@ impl ClientNode {
     ) {
         if let Some(next) = adopt {
             self.configs.insert(suite, *next);
-            self.plans.remove(&suite);
+            self.planner.forget(suite);
         }
         if self.options.weak_rep.is_some() {
             self.cache.remove(&suite);
@@ -3417,7 +2975,7 @@ impl ClientNode {
         for &site in &waiting {
             ctx.send(site, reask(req, lock_ts));
         }
-        let delay = self.phase_delay(waiting) * (1u64 << doublings);
+        let delay = self.planner.phase_delay(waiting) * (1u64 << doublings);
         self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
         true
     }
@@ -3472,21 +3030,11 @@ impl ClientNode {
             let ranked = self.rank(suite, ctx);
             let cfg = &self.configs[&suite];
             let kept = || quorum.iter().filter(|s| !silent.contains(s));
-            let mut votes = cfg.assignment.votes_in(kept());
-            let mut next: Vec<SiteId> = Vec::new();
-            for &site in ranked.order.iter() {
-                if votes >= cfg.quorum.write {
-                    break;
-                }
-                let held = cfg.assignment.votes_of(site);
-                if held > 0 && !taken.contains(&site) && !self.is_silent(site, ctx.now()) {
-                    votes += held;
-                    next.push(site);
-                }
-            }
-            if votes < cfg.quorum.write {
+            let votes = cfg.assignment.votes_in(kept());
+            let widened = (self.planner).widen(&ranked, cfg, votes, &taken, ctx.now());
+            let Some(next) = widened else {
                 return;
-            }
+            };
             let install = PrepareWrite {
                 suite,
                 object: data_object(suite),
@@ -3505,9 +3053,9 @@ impl ClientNode {
         }
         for (suite, chosen, ranked) in decisions {
             let decision = quorum_decision(kind);
-            self.audit_decision(decision, req, suite, &chosen, &ranked, ctx.now());
+            self.audit_decision(decision, req, suite, &chosen, Some(&ranked), ctx.now());
         }
-        self.note_unanswered(&silent);
+        self.planner.unanswered(&silent, &mut self.stats);
         for &site in &silent {
             self.trace_end_rpc(req, site, ctx.now(), SpanOutcome::Unanswered, 0);
             ctx.send(site, Msg::Abort { suite, req });
@@ -3526,21 +3074,6 @@ impl ClientNode {
             return self.decide(req, ctx);
         }
         self.send_batches(req, added, true, ctx);
-    }
-
-    /// Whether `site` is taken for silent (see [`Self::enter_prepare`]): it
-    /// let a phase time out, or was widened away from, and has sent
-    /// nothing since — or, with health tracking on, it is late with an
-    /// answer right now. The reads' inquiries ask every voting site all
-    /// the time, so under traffic that finds a dead site about a round
-    /// trip after it died, before any write has been sent into it.
-    fn is_silent(&self, site: SiteId, now: SimTime) -> bool {
-        let late = |sh: &SiteHealth| {
-            let owed = sh.owes_since.map(|t| now.since(t).as_millis_f64());
-            owed.is_some_and(|ms| ms > sh.rtt_ms * LATE_MULTIPLIER)
-        };
-        self.silent.get(site.index()).is_some_and(|s| *s)
-            || (self.options.health.is_some() && self.health.get(site.index()).is_some_and(late))
     }
 
     /// Whether `site`'s yes vote on `req` can still matter: it is a
@@ -3675,7 +3208,7 @@ impl ClientNode {
             }
         }
         self.stats.timeouts += 1;
-        self.note_unanswered(&missing);
+        self.planner.unanswered(&missing, &mut self.stats);
         if again {
             let delay = self.options.phase_timeout;
             self.arm_timer(req, 0, TimerKind::CommitResend, delay, ctx);
@@ -3738,9 +3271,7 @@ impl ClientNode {
             .is_none_or(|c| config.generation > c.generation);
         if newer {
             self.configs.insert(suite, config);
-            // The cached quorum plan ranks the old membership; rebuild it
-            // lazily against the adopted configuration.
-            self.plans.remove(&suite);
+            self.planner.forget(suite);
             // An adopted configuration also invalidates the attached weak
             // representative's entry and any live lease on it: the entry
             // was vouched for under quorums that no longer govern.
@@ -3776,18 +3307,11 @@ impl ClientNode {
                 // The sites that were asked and never answered this phase
                 // feed the suspicion tracker alongside the phase
                 // transition itself.
-                Phase::Inquire { versions, .. } => {
-                    let asked = self.inquiry_set(st.kind, st.suite);
-                    let silent = asked.filter(|s| !versions.contains_key(s)).collect();
-                    (Next::FailUnavailable(st.kind), silent)
-                }
-                Phase::WriteInquire { per_suite } => {
+                Phase::Inquire { answers, .. } => {
                     let mut silent = Vec::new();
-                    for ((s, _), answers) in st.writes.iter().zip(per_suite.iter()) {
-                        for site in self.inquiry_set(st.kind, *s) {
-                            if !answers.contains_key(&site) && !silent.contains(&site) {
-                                silent.push(site);
-                            }
+                    for (suite, site) in self.inquiry_targets(st) {
+                        if answer_of(answers, suite, site).is_none() && !silent.contains(&site) {
+                            silent.push(site);
                         }
                     }
                     (Next::FailUnavailable(st.kind), silent)
@@ -3834,7 +3358,7 @@ impl ClientNode {
             }
         };
         self.stats.timeouts += 1;
-        self.note_unanswered(&silent);
+        self.planner.unanswered(&silent, &mut self.stats);
         match next {
             Next::FailUnavailable(kind) => {
                 let err = OpError::Unavailable { kind };
@@ -3855,7 +3379,7 @@ impl ClientNode {
     /// delegate.
     pub fn handle(&mut self, from: SiteId, msg: Msg, ctx: &mut NodeCtx<'_, Msg>) {
         // Any message from a site is proof of life for the health tracker.
-        self.note_response(from);
+        self.planner.heard(from);
         match msg {
             Msg::VersionResp {
                 suite,
@@ -3885,7 +3409,7 @@ impl ClientNode {
                     // The site said so itself: its votes are gone until
                     // repair. This is long-lived, so demote it now
                     // instead of accruing timeout suspicion.
-                    self.mark_quarantined(from);
+                    self.planner.quarantined(from, &mut self.stats);
                 }
                 let in_prepare = self
                     .ops
@@ -3977,10 +3501,7 @@ impl ClientNode {
         self.inquiry_leaders.clear();
         self.local_hints.clear();
         self.trains.clear();
-        self.silent.fill(false);
-        for sh in &mut self.health {
-            sh.owes_since = None;
-        }
+        self.planner.crash();
         self.unretired.clear();
         self.decisions.crash();
     }
@@ -4145,7 +3666,14 @@ mod tests {
     /// out on site 1 — a member of the cheapest write quorum — does,
     /// until site 1 is heard from again.
     fn site_1_fell_silent(c: &mut ClientNode) {
-        c.note_unanswered(&[SiteId(1)]);
+        c.planner.unanswered(&[SiteId(1)], &mut c.stats);
+    }
+
+    /// What the planner holds against `site`: its suspicion score in
+    /// thousandths, and whether it is suspected.
+    fn suspicion(c: &ClientNode, site: u16) -> (u64, bool) {
+        let (_, inputs) = c.planner.audit_inputs(None, &[SiteId(site)]);
+        (inputs[0].suspicion_milli, inputs[0].suspected)
     }
 
     #[test]
@@ -4340,7 +3868,7 @@ mod tests {
         let _ = effects(&mut ctx);
         // One refusal is enough — no timeout accrual needed.
         assert_eq!(c.stats.suspicions_raised, 1);
-        assert!(c.health[0].suspected, "site 0 demoted");
+        assert!(suspicion(&c, 0).1, "site 0 demoted");
     }
 
     #[test]
@@ -4971,6 +4499,86 @@ mod tests {
     }
 
     #[test]
+    fn a_writers_floors_are_not_bound_to_the_generation_they_were_asked_under() {
+        // The rule above is a reader's. A writer's answers are floors for
+        // the version its participants assign under their commit locks,
+        // and the generation is judged there too: the prepare names the
+        // one the client holds when it leaves. So a write that adopts a
+        // configuration mid-inquiry goes on with what it has collected.
+        let mut c = client();
+        site_1_fell_silent(&mut c);
+        let mut rng = DetRng::new(8);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        let req = c.start_write(SUITE, &b"w"[..], &mut ctx);
+        assert!(matches!(effects(&mut ctx)[0].1, Msg::VersionReq { .. }));
+        assert!(answer_version(&mut c, &mut rng, 5, 0, req, 4).0.is_empty());
+        let next = config()
+            .evolve(config().assignment, QuorumSpec::new(2, 2))
+            .expect("legal");
+        let mut ctx = NodeCtx::new(SimTime::from_millis(6), CLIENT, &mut rng);
+        c.on_config_resp(SUITE, ReqId::new(99, CLIENT), next, &mut ctx);
+        let (sends, _) = answer_version(&mut c, &mut rng, 7, 2, req, 3);
+        let sent: Vec<(SiteId, ReqId, u64, u64)> = prepares(&sends)
+            .into_iter()
+            .map(|(to, r, _, install)| (to, r, install.generation, install.version.0))
+            .collect();
+        assert_eq!(sent, [(SiteId(0), req, 2, 5), (SiteId(2), req, 2, 5)]);
+        assert_eq!(c.stats.retries, 0);
+    }
+
+    #[test]
+    fn a_transactions_inquiry_counts_each_answer_once_and_under_its_own_suite() {
+        // Three suites on the same three sites; the transaction writes the
+        // first two, and inquires because site 1 is remembered silent.
+        let suites = [SUITE, ObjectId(2), ObjectId(3)];
+        let configs = suites.map(|s| SuiteConfig {
+            suite: s,
+            ..config()
+        });
+        let options = ClientOptions {
+            health: Some(HealthOptions::default()),
+            ..ClientOptions::default()
+        };
+        let costs = vec![10.0, 20.0, 30.0, 1.0];
+        let mut c = ClientNode::new(CLIENT, configs.to_vec(), costs, options);
+        site_1_fell_silent(&mut c);
+        let mut rng = DetRng::new(8);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        let writes = vec![(suites[0], Bytes::new()), (suites[1], Bytes::new())];
+        let req = c.start_transaction(writes, &mut ctx);
+        let (sends, timers) = split_effects(&mut ctx);
+        assert_eq!(sends.len(), 6, "both suites ask all three sites");
+        let about = |suite: ObjectId, version: u64| Msg::VersionResp {
+            suite,
+            req,
+            version: Version(version),
+            generation: 1,
+            value: None,
+        };
+        // Site 0 answers about each written suite twice, and about a suite
+        // the transaction does not touch: two answers, the newer of each.
+        for (suite, version) in [(0, 1), (2, 9), (1, 1), (0, 2), (1, 2)] {
+            let (sends, _) = deliver(&mut c, &mut rng, 5, 0, about(suites[suite], version));
+            assert!(sends.is_empty(), "one site is no quorum of either suite");
+        }
+        let Phase::Inquire { answers, .. } = &c.ops[&req].phase else {
+            panic!("still inquiring");
+        };
+        let two = Version(2);
+        assert_eq!(
+            answers[..],
+            [(SUITE, SiteId(0), two), (suites[1], SiteId(0), two)]
+        );
+        // The timeout holds sites 1 and 2 silent — asked about both suites,
+        // each once.
+        let mut ctx = NodeCtx::new(SimTime::from_millis(400), CLIENT, &mut rng);
+        c.handle_timer(timers[0].1, &mut ctx);
+        assert_eq!(suspicion(&c, 0), (0, false));
+        assert_eq!(suspicion(&c, 1), (2000, true), "and once before");
+        assert_eq!(suspicion(&c, 2), (1000, false));
+    }
+
+    #[test]
     fn newer_generation_in_inquiry_triggers_refresh() {
         let mut c = client();
         let mut rng = DetRng::new(9);
@@ -5044,161 +4652,24 @@ mod tests {
     fn plan_cache_serves_repeat_decisions_and_invalidates_on_adoption() {
         let mut c = client();
         let mut rng = DetRng::new(11);
-        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        let counted = |c: &ClientNode| (c.stats.plan_cache_misses, c.stats.plan_cache_hits);
         // First decision (the optimistic-fetch guess) builds the plan.
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
         let req = c.start_read(SUITE, &mut ctx);
-        let _ = effects(&mut ctx);
-        assert_eq!(c.stats.plan_cache_misses, 1);
-        assert_eq!(c.stats.plan_cache_hits, 0);
-        let cached = c.plans.get(&SUITE).expect("plan built");
-        assert_eq!(cached.generation, 1);
-        // Cheapest-first over costs [10, 20, 30]: 0 before 1 before 2.
-        assert_eq!(&cached.site_order[..], [SiteId(0), SiteId(1), SiteId(2)]);
+        assert_eq!(counted(&c), (1, 0));
         // Every inquiry response ranks fetch candidates from the cache.
-        for s in 0..2u16 {
-            let mut ctx = NodeCtx::new(SimTime::from_millis(5), CLIENT, &mut rng);
-            c.handle(
-                SiteId(s),
-                Msg::VersionResp {
-                    suite: SUITE,
-                    req,
-                    version: Version(1),
-                    generation: 1,
-                    value: None,
-                },
-                &mut ctx,
-            );
-            let _ = effects(&mut ctx);
-        }
-        assert_eq!(c.stats.plan_cache_misses, 1);
-        assert_eq!(c.stats.plan_cache_hits, 2);
-        // Adopting a newer configuration drops the plan; the next decision
-        // rebuilds it against the new generation.
+        answer_version(&mut c, &mut rng, 5, 0, req, 1);
+        answer_version(&mut c, &mut rng, 5, 1, req, 1);
+        assert_eq!(counted(&c), (1, 2));
+        // Adopting a newer configuration drops the plan
+        // (`Planner::forget`); the next decision rebuilds it.
         let cfg2 = config()
             .evolve(VoteAssignment::equal(3), QuorumSpec::new(1, 3))
             .expect("legal");
         let mut ctx = NodeCtx::new(SimTime::from_millis(9), CLIENT, &mut rng);
-        c.handle(
-            SiteId(0),
-            Msg::ConfigResp {
-                suite: SUITE,
-                req,
-                config: cfg2,
-            },
-            &mut ctx,
-        );
-        let _ = effects(&mut ctx);
-        assert!(
-            c.plans.get(&SUITE).is_none_or(|p| p.generation == 2),
-            "stale generation-1 plan must not survive adoption"
-        );
-        // The next decision rebuilds the plan against generation 2.
-        let mut ctx = NodeCtx::new(SimTime::from_millis(20), CLIENT, &mut rng);
+        c.on_config_resp(SUITE, req, cfg2, &mut ctx);
         let _ = c.start_read(SUITE, &mut ctx);
-        let _ = effects(&mut ctx);
-        assert_eq!(c.stats.plan_cache_misses, 2, "rebuild counts as a miss");
-        assert_eq!(c.plans.get(&SUITE).expect("rebuilt").generation, 2);
-    }
-
-    #[test]
-    fn plan_cache_is_per_suite_and_adoption_never_evicts_siblings() {
-        // Two suites on the same client: plans are keyed by (suite,
-        // generation), so adopting a new configuration for one suite must
-        // leave the sibling's cached plan untouched — same generation,
-        // same shared site-order allocation.
-        const SUITE2: ObjectId = ObjectId(2);
-        let cfg2 = SuiteConfig::new(
-            SUITE2,
-            VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1), (SiteId(2), 1)]),
-            QuorumSpec::new(2, 2),
-        )
-        .expect("legal");
-        let mut c = ClientNode::new(
-            CLIENT,
-            vec![config(), cfg2],
-            vec![10.0, 20.0, 30.0, 1.0],
-            ClientOptions::default(),
-        );
-        let mut rng = DetRng::new(21);
-        for (i, suite) in [SUITE, SUITE2, SUITE, SUITE2].into_iter().enumerate() {
-            let mut ctx = NodeCtx::new(SimTime::from_millis(i as u64), CLIENT, &mut rng);
-            let _ = c.start_read(suite, &mut ctx);
-            let _ = effects(&mut ctx);
-        }
-        assert_eq!(c.stats.plan_cache_misses, 2, "one build per suite");
-        assert_eq!(c.stats.plan_cache_hits, 2, "repeat decisions hit per suite");
-        let sibling_order = Arc::clone(&c.plans.get(&SUITE2).expect("plan").site_order);
-        // Suite 1 adopts generation 2 (e.g. a ConfigResp from a refresh).
-        let adopted = config()
-            .evolve(VoteAssignment::equal(3), QuorumSpec::new(1, 3))
-            .expect("legal");
-        let mut ctx = NodeCtx::new(SimTime::from_millis(9), CLIENT, &mut rng);
-        c.handle(
-            SiteId(0),
-            Msg::ConfigResp {
-                suite: SUITE,
-                req: ReqId(999),
-                config: adopted,
-            },
-            &mut ctx,
-        );
-        let _ = effects(&mut ctx);
-        assert!(
-            !c.plans.contains_key(&SUITE),
-            "adopted suite's plan dropped"
-        );
-        let sibling = c.plans.get(&SUITE2).expect("sibling survives");
-        assert_eq!(sibling.generation, 1);
-        assert!(
-            Arc::ptr_eq(&sibling.site_order, &sibling_order),
-            "sibling plan's shared order allocation is untouched"
-        );
-        // Next decisions: suite 1 rebuilds (miss, generation 2); suite 2
-        // still hits its generation-1 plan.
-        let mut ctx = NodeCtx::new(SimTime::from_millis(20), CLIENT, &mut rng);
-        let _ = c.start_read(SUITE, &mut ctx);
-        let _ = effects(&mut ctx);
-        let mut ctx = NodeCtx::new(SimTime::from_millis(21), CLIENT, &mut rng);
-        let _ = c.start_read(SUITE2, &mut ctx);
-        let _ = effects(&mut ctx);
-        assert_eq!(c.stats.plan_cache_misses, 3);
-        assert_eq!(c.stats.plan_cache_hits, 3);
-        assert_eq!(c.plans.get(&SUITE).expect("rebuilt").generation, 2);
-    }
-
-    #[test]
-    fn random_policy_bypasses_plan_cache() {
-        let mut c = ClientNode::new(
-            CLIENT,
-            vec![config()],
-            vec![10.0, 20.0, 30.0, 1.0],
-            ClientOptions {
-                quorum_policy: QuorumPolicy::Random,
-                ..ClientOptions::default()
-            },
-        );
-        let mut rng = DetRng::new(12);
-        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
-        let req = c.start_read(SUITE, &mut ctx);
-        let _ = effects(&mut ctx);
-        for s in 0..2u16 {
-            let mut ctx = NodeCtx::new(SimTime::from_millis(5), CLIENT, &mut rng);
-            c.handle(
-                SiteId(s),
-                Msg::VersionResp {
-                    suite: SUITE,
-                    req,
-                    version: Version(1),
-                    generation: 1,
-                    value: None,
-                },
-                &mut ctx,
-            );
-            let _ = effects(&mut ctx);
-        }
-        assert!(c.plans.is_empty(), "random ablation must not memoize costs");
-        assert_eq!(c.stats.plan_cache_hits, 0);
-        assert_eq!(c.stats.plan_cache_misses, 0);
+        assert_eq!(counted(&c), (2, 2), "rebuild counts as a miss");
     }
 
     // ---- load-balanced selection, pipelining, per-site load ----
@@ -5213,21 +4684,6 @@ mod tests {
                 ..ClientOptions::default()
             },
         )
-    }
-
-    #[test]
-    fn rotate_cost_ties_rotates_only_within_equal_cost_runs() {
-        let costs = vec![5.0, 5.0, 5.0, 9.0];
-        let order = [SiteId(0), SiteId(1), SiteId(2), SiteId(3)];
-        let r0 = rotate_cost_ties(&order, &costs, 0);
-        assert_eq!(&r0[..], order);
-        let r1 = rotate_cost_ties(&order, &costs, 1);
-        assert_eq!(&r1[..], [SiteId(1), SiteId(2), SiteId(0), SiteId(3)]);
-        let r2 = rotate_cost_ties(&order, &costs, 2);
-        assert_eq!(&r2[..], [SiteId(2), SiteId(0), SiteId(1), SiteId(3)]);
-        // The cursor wraps around the run length.
-        let r3 = rotate_cost_ties(&order, &costs, 3);
-        assert_eq!(&r3[..], order);
     }
 
     #[test]
@@ -5340,7 +4796,7 @@ mod tests {
         let _ = effects(&mut ctx);
         // The inquiry that asks the cheapest site for the contents too is
         // a data request; the bare inquiries are free.
-        assert_eq!(c.site_load(), &[1, 0, 0, 0]);
+        assert_eq!(c.site_load(), [1, 0, 0, 0]);
     }
 
     // ---- health tracking, hedging, adaptive timeouts, backoff ----
@@ -5457,73 +4913,10 @@ mod tests {
         c.handle_timer(phase_token, &mut ctx);
         assert_eq!(c.stats.timeouts, 1, "one phase, one timeout, hedge or not");
         // Both silent sites picked up suspicion.
-        assert!(c.health[1].suspicion > 0.0);
-        assert!(c.health[2].suspicion > 0.0);
+        assert!(suspicion(&c, 1).0 > 0);
+        assert!(suspicion(&c, 2).0 > 0);
         // The operation moved on to the next candidate rather than dying.
         assert_eq!(c.in_flight(), 1);
-    }
-
-    #[test]
-    fn suspected_sites_are_demoted_and_cleared_by_any_response() {
-        let mut c = health_client();
-        c.note_unanswered(&[SiteId(0)]);
-        assert_eq!(c.stats.suspicions_raised, 0, "one strike is not enough");
-        c.note_unanswered(&[SiteId(0)]);
-        assert_eq!(c.stats.suspicions_raised, 1);
-        let (order, _) = c.reorder_by_health(Arc::from(vec![SiteId(0), SiteId(1), SiteId(2)]));
-        assert_eq!(
-            &order[..],
-            [SiteId(1), SiteId(2), SiteId(0)],
-            "suspected site demoted, cost order kept within groups"
-        );
-        assert_eq!(c.stats.reroutes, 1);
-        // Any message from the site clears the suspicion.
-        c.note_response(SiteId(0));
-        let (order, _) = c.reorder_by_health(Arc::from(vec![SiteId(0), SiteId(1), SiteId(2)]));
-        assert_eq!(&order[..], [SiteId(0), SiteId(1), SiteId(2)]);
-        assert_eq!(c.stats.reroutes, 1, "no reroute when nothing moved");
-    }
-
-    #[test]
-    fn routing_around_everyone_is_routing_nowhere() {
-        let mut c = health_client();
-        for _ in 0..2 {
-            c.note_unanswered(&[SiteId(0), SiteId(1), SiteId(2)]);
-        }
-        assert_eq!(c.stats.suspicions_raised, 3);
-        let (order, _) = c.reorder_by_health(Arc::from(vec![SiteId(0), SiteId(1), SiteId(2)]));
-        assert_eq!(&order[..], [SiteId(0), SiteId(1), SiteId(2)]);
-        assert_eq!(c.stats.reroutes, 0);
-    }
-
-    #[test]
-    fn adaptive_phase_timeout_tracks_the_slowest_contacted_site() {
-        let mut c = health_client();
-        // EWMA seeds at 2x the static one-way cost: site 2 starts at 60ms.
-        assert_eq!(
-            c.phase_delay([SiteId(0), SiteId(2)]),
-            SimDuration::from_millis_f64(60.0 * 6.0)
-        );
-        // Clamped below by min_timeout (site 0: 20ms RTT * 6 = 120ms)…
-        assert_eq!(c.phase_delay([SiteId(0)]), SimDuration::from_millis(300));
-        // …and above by the fixed phase timeout.
-        c.note_rtt(SiteId(2), 1e7);
-        assert_eq!(c.phase_delay([SiteId(2)]), c.options.phase_timeout);
-        // Health off: always the fixed phase timeout.
-        let fixed = client();
-        assert_eq!(fixed.phase_delay([SiteId(0)]), fixed.options.phase_timeout);
-    }
-
-    #[test]
-    fn rtt_samples_fold_into_the_ewma() {
-        let mut c = health_client();
-        // Site 1 seeds at 40ms; one 10ms sample with alpha 0.3 gives 31ms.
-        c.note_rtt(SiteId(1), 10.0);
-        assert!((c.health[1].rtt_ms - 31.0).abs() < 1e-9);
-        // Garbage samples are dropped.
-        c.note_rtt(SiteId(1), f64::NAN);
-        c.note_rtt(SiteId(1), -5.0);
-        assert!((c.health[1].rtt_ms - 31.0).abs() < 1e-9);
     }
 
     #[test]
@@ -5926,7 +5319,7 @@ mod tests {
         assert_eq!(aborts(&sends), vec![SiteId(0)]);
         assert!(matches!(&sends[1], (SiteId(3), Msg::Prepare { req: r, .. }) if *r == req));
         assert!(timers.is_empty() && c.ops.contains_key(&req));
-        assert_eq!((c.health[0].suspicion, c.stats.timeouts), (1.0, 0));
+        assert_eq!((suspicion(&c, 0).0, c.stats.timeouts), (1000, 0));
         // Site 3 says nothing either: the phase times out, and from here
         // on every attempt inquires, of all four, on a timer that adapts
         // to the slowest of them (2 x 40 ms).
@@ -5956,7 +5349,7 @@ mod tests {
             answer_version(&mut c, &mut rng, at_ms + 10, 1, req, 0);
             answer_version(&mut c, &mut rng, at_ms + 400, 2, req, 0);
             assert!(c.completed.is_empty() && c.ops.contains_key(&req));
-            let suspected: Vec<bool> = c.health[..4].iter().map(|h| h.suspected).collect();
+            let suspected = [0, 1, 2, 3].map(|site| suspicion(&c, site).1);
             assert_eq!(suspected, [round == 2, false, false, round == 2]);
             let mut ctx = NodeCtx::new(at(at_ms + 500), me, &mut rng);
             c.handle_timer(timer.1, &mut ctx);
@@ -5965,17 +5358,14 @@ mod tests {
         assert_eq!(c.stats.suspicions_raised, 2);
         let (req, timer) = inquire_again(&mut c, &mut rng, retry.1, 5_000);
         // Site 2's slow answers were RTT samples: the timer now tracks it.
-        let slowest = c.health[2].rtt_ms;
-        assert!(slowest > 80.0);
-        assert_eq!(timer.0, SimDuration::from_millis_f64(slowest * 6.0));
+        assert!(timer.0 > SimDuration::from_millis_f64(80.0 * 6.0));
+        assert_eq!(timer.0, c.planner.phase_delay([SiteId(2)]));
         // The cheapest site now ranks behind every unsuspected one, so the
         // next write quorum is drawn from the others.
         let mut ctx = NodeCtx::new(at(5_000), me, &mut rng);
         let ranked = c.rank(SUITE, &mut ctx);
-        assert_eq!(
-            ranked.order[..],
-            [SiteId(1), SiteId(2), SiteId(0), SiteId(3)]
-        );
+        let order = ranked.among(|_| true);
+        assert_eq!(order, [SiteId(1), SiteId(2), SiteId(0), SiteId(3)]);
         assert!(ranked.rerouted);
         let mut prepared = Vec::new();
         for from in [1, 2, 3] {
@@ -6043,7 +5433,7 @@ mod tests {
         assert_eq!((suites, *rebase), (vec![SUITE, other], true));
         // Both dropped sites are remembered silent; the decision is taken
         // over the widened set.
-        assert!(c.is_silent(SiteId(1), SimTime::from_millis(100)));
+        assert!(c.planner.is_silent(SiteId(1), SimTime::from_millis(100)));
         let both = Msg::PrepareVote {
             suite: SUITE,
             req,
@@ -6593,7 +5983,7 @@ mod tests {
         );
         let (_, sends) = read_at(&mut c, &mut rng, 0);
         assert_eq!((sends.len(), contents_asked(&sends)), (3, vec![]));
-        assert_eq!(c.site_load(), &[0, 0, 0, 0]);
+        assert_eq!(c.site_load(), [0, 0, 0, 0]);
     }
 
     /// A workstation: the three voting sites and a zero-vote copy on the
@@ -6700,86 +6090,5 @@ mod tests {
         let moved = (stats.reads_contents_with_inquiry, stats.reads_fetched);
         assert_eq!(moved, (1, 0));
         assert_eq!(c.cache.get(&SUITE).map(|e| e.version), Some(Version(2)));
-    }
-
-    /// Oracle: sites reporting `current`, sorted cheapest-first — the sort
-    /// [`ClientNode::rank`]'s order replaces with a filter.
-    fn current_holders(
-        versions: &BTreeMap<SiteId, Version>,
-        current: Version,
-        costs: &[f64],
-    ) -> Vec<SiteId> {
-        let mut candidates: Vec<SiteId> = versions
-            .iter()
-            .filter(|(_, v)| **v == current)
-            .map(|(s, _)| *s)
-            .collect();
-        candidates.sort_by(|a, b| by_cost(costs, *a, *b));
-        candidates
-    }
-
-    #[test]
-    fn every_choice_is_a_filter_or_prefix_of_rank() {
-        let assignment = VoteAssignment::new([
-            (SiteId(0), 2),
-            (SiteId(1), 1),
-            (SiteId(2), 1),
-            (SiteId(3), 0),
-            (SiteId(4), 1),
-        ]);
-        let cfg =
-            SuiteConfig::new(SUITE, assignment.clone(), QuorumSpec::new(3, 3)).expect("legal");
-        let mut pick = DetRng::new(43);
-        for case in 0..300u64 {
-            let policy = [QuorumPolicy::CheapestFirst, QuorumPolicy::Random][(case % 2) as usize];
-            let options = ClientOptions {
-                quorum_policy: policy,
-                ..ClientOptions::default()
-            };
-            // Coarse costs, so ties (broken by site id) occur too.
-            let mut costs: Vec<f64> = (0..6).map(|_| pick.below(4) as f64).collect();
-            let mut c = ClientNode::new(SiteId(5), vec![cfg.clone()], costs.clone(), options);
-            let mut rng = DetRng::new(case);
-            if policy == QuorumPolicy::Random {
-                // The ablation ranks by this decision's draw instead.
-                let mut draw = rng.clone();
-                costs = (0..6).map(|_| draw.f64()).collect();
-            }
-            let mut ctx = NodeCtx::new(SimTime::ZERO, SiteId(5), &mut rng);
-            let order = c.rank(SUITE, &mut ctx).order;
-            // Optimistic-fetch target: the cheapest site.
-            let cheapest = assignment
-                .all_sites()
-                .into_iter()
-                .min_by(|a, b| by_cost(&costs, *a, *b));
-            assert_eq!(order.first().copied(), cheapest);
-            // A random subset of responders at random versions.
-            let mut versions = BTreeMap::new();
-            for site in assignment.all_sites() {
-                if pick.chance(0.7) {
-                    versions.insert(site, Version(pick.below(2)));
-                }
-            }
-            // Fetch candidates: the current holders, cheapest-first.
-            let current = versions.values().copied().max().unwrap_or(Version::INITIAL);
-            let holders: Vec<SiteId> = order
-                .iter()
-                .copied()
-                .filter(|s| versions.get(s) == Some(&current))
-                .collect();
-            assert_eq!(holders, current_holders(&versions, current, &costs));
-            // Write quorum: the cheapest among the strong responders.
-            let responders: Vec<SiteId> = versions.keys().copied().collect();
-            let in_order: Vec<SiteId> = order
-                .iter()
-                .copied()
-                .filter(|s| versions.contains_key(s))
-                .collect();
-            assert_eq!(
-                cheapest_quorum_presorted(&assignment, 3, &in_order),
-                cheapest_quorum(&assignment, 3, &responders, |s| site_cost(&costs, s)),
-                "case {case}: costs {costs:?}, responders {responders:?}"
-            );
-        }
     }
 }

@@ -28,7 +28,7 @@ use wv_storage::{ObjectId, Version};
 use wv_txn::lock::DeadlockPolicy;
 
 use crate::client::{ClientNode, ClientOptions, CompletedOp};
-use crate::error::OpError;
+use crate::error::{OpError, OpKind};
 use crate::node::SystemNode;
 use crate::quorum::QuorumSpec;
 use crate::server::SuiteServer;
@@ -436,7 +436,7 @@ impl Harness {
 
     /// Reads the suite from a specific client.
     pub fn read_from(&mut self, client: SiteId, suite: ObjectId) -> Result<ReadResult, OpError> {
-        let done = self.run_op(client, move |c, ctx| {
+        let done = self.run_op(client, OpKind::Read, move |c, ctx| {
             c.start_read(suite, ctx);
         })?;
         match done.outcome {
@@ -466,7 +466,7 @@ impl Harness {
         suite: ObjectId,
         value: Vec<u8>,
     ) -> Result<WriteResult, OpError> {
-        let done = self.run_op(client, move |c, ctx| {
+        let done = self.run_op(client, OpKind::Write, move |c, ctx| {
             c.start_write(suite, value, ctx);
         })?;
         match done.outcome {
@@ -488,7 +488,7 @@ impl Harness {
         client: SiteId,
         writes: Vec<(ObjectId, Vec<u8>)>,
     ) -> Result<TransactionResult, OpError> {
-        let done = self.run_op(client, move |c, ctx| {
+        let done = self.run_op(client, OpKind::Transaction, move |c, ctx| {
             let writes = writes
                 .into_iter()
                 .map(|(s, v)| (s, bytes::Bytes::from(v)))
@@ -514,7 +514,7 @@ impl Harness {
         assignment: VoteAssignment,
         quorum: QuorumSpec,
     ) -> Result<WriteResult, OpError> {
-        let done = self.run_op(client, move |c, ctx| {
+        let done = self.run_op(client, OpKind::Reconfigure, move |c, ctx| {
             c.start_reconfigure(suite, assignment, quorum, ctx);
         })?;
         match done.outcome {
@@ -527,10 +527,12 @@ impl Harness {
         }
     }
 
-    /// Starts an operation and steps the simulation until it completes.
+    /// Starts an operation of `kind` and steps the simulation until it
+    /// completes.
     fn run_op(
         &mut self,
         client: SiteId,
+        kind: OpKind,
         start: impl FnOnce(&mut ClientNode, &mut wv_net::NodeCtx<'_, crate::msg::Msg>) + 'static,
     ) -> Result<CompletedOp, OpError> {
         assert!(
@@ -561,9 +563,7 @@ impl Harness {
                 break;
             }
             if !self.sim.step() {
-                return Err(OpError::Unavailable {
-                    kind: crate::error::OpKind::Read,
-                });
+                return Err(OpError::Unavailable { kind });
             }
         }
         let c = self.sim.world.nodes[client.index()]
@@ -815,7 +815,7 @@ impl Harness {
     pub fn client_site_load(&self, site: SiteId) -> Option<Vec<u64>> {
         self.sim.world.nodes[site.index()]
             .as_client()
-            .map(|c| c.site_load().to_vec())
+            .map(ClientNode::site_load)
     }
 
     /// Silences every representative's anti-entropy probe from now on.
@@ -1307,6 +1307,30 @@ mod tests {
         h.crash(SiteId(2));
         let err = h.write(suite, b"nope".to_vec()).expect_err("no quorum");
         assert!(matches!(err, OpError::Unavailable { .. }));
+    }
+
+    #[test]
+    fn an_operation_issued_at_a_client_that_is_down_is_unavailable_under_its_own_kind() {
+        let mut h = three_server_harness(11);
+        let (suite, client) = (h.suite_id(), h.default_client());
+        h.crash(client);
+        let (assignment, quorum) = (VoteAssignment::equal(3), QuorumSpec::majority(3));
+        let failed = [
+            h.read_from(client, suite).err(),
+            h.write_from(client, suite, b"w".to_vec()).err(),
+            h.transaction(client, vec![(suite, b"t".to_vec())]).err(),
+            h.reconfigure_from(client, suite, assignment, quorum).err(),
+        ];
+        let kinds = [
+            OpKind::Read,
+            OpKind::Write,
+            OpKind::Transaction,
+            OpKind::Reconfigure,
+        ];
+        assert_eq!(
+            failed,
+            kinds.map(|kind| Some(OpError::Unavailable { kind }))
+        );
     }
 
     #[test]

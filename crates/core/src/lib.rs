@@ -17,7 +17,10 @@
 //! * [`suite`] — the replicated suite configuration (the paper's "prefix").
 //! * [`msg`] — the wire protocol between clients and suite servers.
 //! * [`server`] — the representative server: container + locks + voting.
-//! * [`client`] — client-side read/write/reconfigure state machines.
+//! * [`client`] — the client-side protocol: one state machine for reads,
+//!   writes, transactions and reconfigurations. Which sites an operation
+//!   uses it asks of `planner`, a private module holding what is known
+//!   about sites (costs, health, silence, load, the plan cache, the policy).
 //! * [`node`] — the combined node type hosting servers and clients.
 //! * [`harness`] — a synchronous facade over a simulated cluster; the API
 //!   the examples and experiments drive.
@@ -53,6 +56,7 @@ pub mod error;
 pub mod harness;
 pub mod msg;
 pub mod node;
+mod planner;
 pub mod quorum;
 pub mod server;
 pub mod suite;
