@@ -72,9 +72,10 @@ fn mode_weak_rep(m: usize) -> Option<WeakRepOptions> {
 }
 
 /// Advances the simulation in short steps until `expected` operations
-/// have completed, collecting them. (`run_until_quiet` would also drain
-/// every stale phase-timeout timer — each op arms one seconds out — and
-/// fling the virtual clock far past any live lease between phases.)
+/// have completed, collecting them. (`run_until_quiet` would also run
+/// every orphaned timer wake-up — the scheduler event a cancelled phase
+/// timeout, seconds out, leaves behind — and fling the virtual clock far
+/// past any live lease between phases.)
 fn collect_ops(h: &mut Harness, clients: &[SiteId], expected: usize) -> Vec<CompletedOp> {
     let mut done = Vec::new();
     let mut guard = 0u32;

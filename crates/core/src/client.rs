@@ -482,8 +482,9 @@ struct OpState {
     /// Age in the commit-lock lines: the counter of the operation's
     /// *first* request id.
     lock_ts: u64,
-    /// Phase sequence; timers carry the value current when set and are
-    /// ignored if the operation has moved on.
+    /// Phase sequence; timers carry the value current when set, are
+    /// cancelled when it moves on ([`OpState::end_phase`]), and would be
+    /// ignored if they fired after.
     seq: u64,
     phase: Phase,
     /// Span bookkeeping; `None` unless tracing is enabled.
@@ -512,6 +513,30 @@ impl OpState {
     /// reconfigurations (which carry no writes), the op's suite.
     fn suites(&self) -> impl Iterator<Item = ObjectId> + '_ {
         suites_of(&self.writes, self.suite)
+    }
+
+    /// Cancels the timers the current phase armed under `req`, which it is
+    /// ending or leaving. (A retry's backoff is not a phase's: it fires.)
+    fn cancel_timers(&self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+        use TimerKind::{Hedge, PhaseTimeout, Widen};
+        let kinds: &[TimerKind] = match self.phase {
+            Phase::Inquire { .. } | Phase::RefreshConfig | Phase::Piggyback { .. } => {
+                &[PhaseTimeout]
+            }
+            Phase::Fetch { .. } => &[PhaseTimeout, Hedge],
+            Phase::Prepare { .. } => &[PhaseTimeout, Widen],
+            Phase::Decided | Phase::Riding => &[],
+        };
+        for &kind in kinds {
+            ctx.cancel_timer(timer_token(req, self.seq, kind));
+        }
+    }
+
+    /// Ends the current phase: its timers are cancelled, and `seq` moves
+    /// on so that none armed under it counts any more.
+    fn end_phase(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+        self.cancel_timers(req, ctx);
+        self.seq += 1;
     }
 }
 
@@ -679,6 +704,9 @@ fn op_err_outcome(err: &OpError) -> SpanOutcome {
     }
 }
 
+/// What a timer is for. Its token names it: the request id, the phase
+/// `seq` it was armed under and the kind ([`timer_token`]), so a phase
+/// that ends cancels its own ([`OpState::cancel_timers`]).
 #[derive(Clone, Copy, Debug)]
 enum TimerKind {
     PhaseTimeout,
@@ -697,16 +725,30 @@ enum TimerKind {
     CommitResend,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct TimerEntry {
-    req: ReqId,
-    seq: u64,
-    kind: TimerKind,
+impl TimerKind {
+    const ALL: [TimerKind; 5] = [
+        TimerKind::PhaseTimeout,
+        TimerKind::Retry,
+        TimerKind::Hedge,
+        TimerKind::Widen,
+        TimerKind::CommitResend,
+    ];
 }
 
 /// Tag bit distinguishing client timer tokens from server ones, so a
 /// composite node can route timer callbacks unambiguously.
 pub const CLIENT_TIMER_TAG: u64 = 1 << 63;
+
+/// The bits of a phase `seq` a timer token keeps. Every phase cancels its
+/// timers when it ends, so none is pending this many phases on.
+const TOKEN_SEQ_MASK: u64 = (1 << 12) - 1;
+
+/// The token of `req`'s `kind` timer armed under phase `seq`: below the
+/// tag, the request counter (48 bits), the seq's low 12 bits and the kind
+/// (3 bits).
+fn timer_token(req: ReqId, seq: u64, kind: TimerKind) -> u64 {
+    CLIENT_TIMER_TAG | req.counter() << 15 | (seq & TOKEN_SEQ_MASK) << 3 | kind as u64
+}
 
 /// One suite's entry in the client's attached weak representative: the
 /// newest committed `(version, contents)` a quorum has vouched for, plus
@@ -728,11 +770,9 @@ pub struct ClientNode {
     planner: Planner,
     options: ClientOptions,
     next_counter: u64,
-    next_timer: u64,
     ops: IdHashMap<ReqId, OpState>,
     /// Commit rounds still collecting acks, by the decided request id.
     tails: IdHashMap<ReqId, CommitTail>,
-    timers: IdHashMap<u64, TimerEntry>,
     /// Operations launched and not yet finished (excludes queued ones).
     active: usize,
     /// Submissions waiting for a pipeline slot, in submission order.
@@ -796,10 +836,8 @@ impl ClientNode {
             planner: Planner::new(site, costs, &options),
             options,
             next_counter: 1,
-            next_timer: 1,
             ops: IdHashMap::default(),
             tails: IdHashMap::default(),
-            timers: IdHashMap::default(),
             active: 0,
             queue: VecDeque::new(),
             cache: IdHashMap::default(),
@@ -1288,20 +1326,6 @@ impl ClientNode {
         std::mem::take(&mut self.completed)
     }
 
-    fn arm_timer(
-        &mut self,
-        req: ReqId,
-        seq: u64,
-        kind: TimerKind,
-        delay: SimDuration,
-        ctx: &mut NodeCtx<'_, Msg>,
-    ) {
-        let token = CLIENT_TIMER_TAG | self.next_timer;
-        self.next_timer += 1;
-        self.timers.insert(token, TimerEntry { req, seq, kind });
-        ctx.set_timer(delay, token);
-    }
-
     fn fresh_req(&mut self) -> ReqId {
         let c = self.next_counter;
         self.next_counter += 1;
@@ -1425,7 +1449,7 @@ impl ClientNode {
             attempts: 0,
             lock_ts: req.counter(),
             seq: 0,
-            phase: Phase::RefreshConfig, // placeholder; begin_attempt resets
+            phase: Phase::Riding, // no message, no timer yet; begin_attempt resets
             trace: None,
         };
         self.ops.insert(req, st);
@@ -1453,7 +1477,7 @@ impl ClientNode {
                     return true;
                 };
                 st.attempts += 1;
-                st.seq += 1;
+                st.end_phase(req, ctx);
                 st.attempt_started = ctx.now();
                 self.serve_from_cache(req, suite, ctx);
                 return true;
@@ -1486,7 +1510,7 @@ impl ClientNode {
                     return true;
                 };
                 st.attempts += 1;
-                st.seq += 1;
+                st.end_phase(req, ctx);
                 st.attempt_started = ctx.now();
                 st.phase = Phase::Piggyback { leader };
                 let seq = st.seq;
@@ -1496,7 +1520,7 @@ impl ClientNode {
                     .expect("entry just read")
                     .1
                     .push(req);
-                self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
+                ctx.set_timer(delay, timer_token(req, seq, TimerKind::PhaseTimeout));
                 return true;
             }
         }
@@ -1655,7 +1679,7 @@ impl ClientNode {
             return;
         };
         st.attempts += 1;
-        st.seq += 1;
+        st.end_phase(req, ctx);
         st.attempt_started = ctx.now();
         st.phase = Phase::Inquire {
             generation: self.configs[&suite].generation,
@@ -1709,7 +1733,7 @@ impl ClientNode {
         if let Some(target) = guess {
             ctx.send(target, Msg::ReadReq { suite, req });
         }
-        self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
+        ctx.set_timer(delay, timer_token(req, seq, TimerKind::PhaseTimeout));
     }
 
     /// Plans a write's or transaction's prepare and launches it. After an
@@ -1816,7 +1840,7 @@ impl ClientNode {
             return;
         };
         st.on_commit = Some(plan.on_commit);
-        st.seq += 1;
+        st.end_phase(req, ctx);
         let seq = st.seq;
         st.phase = Phase::Prepare {
             participants: plan.batches.iter().map(|(site, _)| *site).collect(),
@@ -1828,7 +1852,7 @@ impl ClientNode {
         };
         self.trace_begin_phase(req, SpanKind::Prepare, ctx.now());
         self.send_batches(req, plan.batches, plan.rebase, ctx);
-        self.arm_timer(req, seq, TimerKind::PhaseTimeout, plan.timeout, ctx);
+        ctx.set_timer(plan.timeout, timer_token(req, seq, TimerKind::PhaseTimeout));
     }
 
     /// Sends each site its prepare batch under `req`'s open prepare phase,
@@ -1900,7 +1924,7 @@ impl ClientNode {
         // id will find no operation and be ignored.
         self.note_retry(cause);
         let new_req = self.fresh_req();
-        st.seq += 1;
+        st.end_phase(req, ctx);
         let seq = st.seq;
         let attempts = st.attempts;
         // Another operation won a race this attempt lost: an older
@@ -1915,7 +1939,7 @@ impl ClientNode {
         let suite = st.suite;
         self.ops.insert(new_req, st);
         let delay = self.retry_delay(new_req, attempts).max(lost);
-        self.arm_timer(new_req, seq, TimerKind::Retry, delay, ctx);
+        ctx.set_timer(delay, timer_token(new_req, seq, TimerKind::Retry));
         self.depart(suite, req, ctx);
     }
 
@@ -1950,6 +1974,7 @@ impl ClientNode {
         };
         self.trace_close_attempt(&mut st, ctx.now(), RetryCause::StaleConfig.outcome());
         self.note_retry(RetryCause::StaleConfig);
+        st.cancel_timers(req, ctx);
         let new_req = self.fresh_req();
         self.ops.insert(new_req, st);
         self.begin_attempt(new_req, ctx);
@@ -1964,6 +1989,7 @@ impl ClientNode {
         let Some(mut st) = self.ops.remove(&req) else {
             return;
         };
+        st.cancel_timers(req, ctx);
         let span_outcome = match &outcome {
             Ok(_) => SpanOutcome::Ok,
             Err(e) => op_err_outcome(e),
@@ -2029,16 +2055,13 @@ impl ClientNode {
                 ctx.send(*site, Msg::Abort { suite, req });
             }
         }
-        st.seq += 1;
+        st.end_phase(req, ctx);
         st.phase = Phase::RefreshConfig;
         let seq = st.seq;
         ctx.send(ask, Msg::ConfigReq { suite: stale, req });
-        self.arm_timer(
-            req,
-            seq,
-            TimerKind::PhaseTimeout,
+        ctx.set_timer(
             self.options.phase_timeout,
-            ctx,
+            timer_token(req, seq, TimerKind::PhaseTimeout),
         );
         self.depart(suite, req, ctx);
     }
@@ -2337,7 +2360,7 @@ impl ClientNode {
             } if answer_of(answers, suite, *site).is_none() => Some(*site),
             _ => None,
         };
-        st.seq += 1;
+        st.end_phase(req, ctx);
         let seq = st.seq;
         st.phase = Phase::Fetch {
             current,
@@ -2371,9 +2394,9 @@ impl ClientNode {
         self.trace_add_leg(req, site, SpanKind::Rpc, ctx.now());
         self.planner.load(site);
         ctx.send(site, Msg::ReadReq { suite, req });
-        self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
+        ctx.set_timer(delay, timer_token(req, seq, TimerKind::PhaseTimeout));
         if let Some(hd) = hedge {
-            self.arm_timer(req, seq, TimerKind::Hedge, hd, ctx);
+            ctx.set_timer(hd, timer_token(req, seq, TimerKind::Hedge));
         }
     }
 
@@ -2665,15 +2688,16 @@ impl ClientNode {
             if *idx >= candidates.len() {
                 Next::Exhausted
             } else {
-                st.seq += 1;
                 // The new leg starts unhedged; a duplicate ReadReq to the
                 // previous hedge target is harmless (reads are idempotent).
                 *hedged = None;
+                let (site, more) = (candidates[*idx], *idx + 1 < candidates.len());
+                st.end_phase(req, ctx);
                 Next::Try {
-                    site: candidates[*idx],
+                    site,
                     suite,
                     seq: st.seq,
-                    more: *idx + 1 < candidates.len(),
+                    more,
                 }
             }
         };
@@ -2742,7 +2766,7 @@ impl ClientNode {
             let waiting = participants.iter().filter(|s| !yes.contains_key(s));
             let delay = rtt.max(self.planner.round_trip(waiting));
             let seq = st.seq;
-            self.arm_timer(req, seq, TimerKind::Widen, delay, ctx);
+            ctx.set_timer(delay, timer_token(req, seq, TimerKind::Widen));
         }
     }
 
@@ -2818,7 +2842,7 @@ impl ClientNode {
             self.stats.trains += 1;
             self.stats.writes_ridden += st.riders.len() as u64;
         }
-        st.seq += 1; // the prepare's timers are stale
+        st.end_phase(req, ctx);
         st.phase = Phase::Decided;
         let mut then = st.on_commit.take();
         let (success, _) = then.as_ref().expect("a prepare sets on_commit");
@@ -2837,7 +2861,7 @@ impl ClientNode {
             trace,
         };
         self.tails.insert(req, tail);
-        self.arm_timer(req, 0, TimerKind::CommitResend, delay, ctx);
+        ctx.set_timer(delay, timer_token(req, 0, TimerKind::CommitResend));
         if let Some(outcome) = report {
             self.report(req, suite, outcome, ctx);
         }
@@ -2970,13 +2994,13 @@ impl ClientNode {
         } else {
             0
         };
-        st.seq += 1;
+        st.end_phase(req, ctx);
         let seq = st.seq;
         for &site in &waiting {
             ctx.send(site, reask(req, lock_ts));
         }
         let delay = self.planner.phase_delay(waiting) * (1u64 << doublings);
-        self.arm_timer(req, seq, TimerKind::PhaseTimeout, delay, ctx);
+        ctx.set_timer(delay, timer_token(req, seq, TimerKind::PhaseTimeout));
         true
     }
 
@@ -3211,7 +3235,7 @@ impl ClientNode {
         self.planner.unanswered(&missing, &mut self.stats);
         if again {
             let delay = self.options.phase_timeout;
-            self.arm_timer(req, 0, TimerKind::CommitResend, delay, ctx);
+            ctx.set_timer(delay, timer_token(req, 0, TimerKind::CommitResend));
         } else {
             self.end_tail(req, false, ctx);
         }
@@ -3226,6 +3250,7 @@ impl ClientNode {
         let Some(mut tail) = self.tails.remove(&req) else {
             return;
         };
+        ctx.cancel_timer(timer_token(req, 0, TimerKind::CommitResend));
         if let (Some(tr), Some(t)) = (self.tracer.as_mut(), tail.trace.as_mut()) {
             let outcome = if acked {
                 SpanOutcome::Ok
@@ -3472,19 +3497,21 @@ impl ClientNode {
 
     /// Timer dispatch. Exposed so composite nodes can delegate.
     pub fn handle_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_, Msg>) {
-        let Some(entry) = self.timers.remove(&token) else {
+        let Some(&kind) = TimerKind::ALL.get((token & 0b111) as usize) else {
             return;
         };
+        let req = ReqId::new((token & !CLIENT_TIMER_TAG) >> 15, self.site);
         // An operation's timer is stale once its phase has moved on; a
-        // tail's only once the tail is gone.
-        let current = |st: &OpState| st.seq == entry.seq;
-        match entry.kind {
-            TimerKind::CommitResend => self.on_commit_timeout(entry.req, ctx),
-            _ if !self.ops.get(&entry.req).is_some_and(current) => {}
-            TimerKind::Retry => self.begin_attempt(entry.req, ctx),
-            TimerKind::PhaseTimeout => self.on_phase_timeout(entry.req, ctx),
-            TimerKind::Hedge => self.on_hedge(entry.req, ctx),
-            TimerKind::Widen => self.on_widen(entry.req, ctx),
+        // tail's only once the tail is gone. Either is cancelled then, so
+        // what fires is stale only if armed before a crash.
+        let current = |st: &OpState| st.seq & TOKEN_SEQ_MASK == (token >> 3) & TOKEN_SEQ_MASK;
+        match kind {
+            TimerKind::CommitResend => self.on_commit_timeout(req, ctx),
+            _ if !self.ops.get(&req).is_some_and(current) => {}
+            TimerKind::Retry => self.begin_attempt(req, ctx),
+            TimerKind::PhaseTimeout => self.on_phase_timeout(req, ctx),
+            TimerKind::Hedge => self.on_hedge(req, ctx),
+            TimerKind::Widen => self.on_widen(req, ctx),
         }
     }
 
@@ -3494,7 +3521,6 @@ impl ClientNode {
     pub fn handle_crash(&mut self) {
         self.ops.clear();
         self.tails.clear();
-        self.timers.clear();
         self.queue.clear();
         self.active = 0;
         self.cache.clear();
@@ -3933,14 +3959,26 @@ mod tests {
         split_effects(&mut ctx)
     }
 
-    /// Fires the newest armed timer at `at_ms`.
+    /// Fires `req`'s current phase timeout at `at_ms`.
     #[allow(clippy::type_complexity)]
-    fn fire_newest_timer(
+    fn fire_phase_timer(
         c: &mut ClientNode,
         rng: &mut DetRng,
         at_ms: u64,
+        req: ReqId,
     ) -> (Vec<(SiteId, Msg)>, Vec<(SimDuration, u64)>) {
-        let token = CLIENT_TIMER_TAG | (c.next_timer - 1);
+        let token = timer_token(req, c.ops[&req].seq, TimerKind::PhaseTimeout);
+        fire_timer(c, rng, at_ms, token)
+    }
+
+    /// Fires the timer `token` at `at_ms`.
+    #[allow(clippy::type_complexity)]
+    fn fire_timer(
+        c: &mut ClientNode,
+        rng: &mut DetRng,
+        at_ms: u64,
+        token: u64,
+    ) -> (Vec<(SiteId, Msg)>, Vec<(SimDuration, u64)>) {
         let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms), CLIENT, rng);
         c.handle_timer(token, &mut ctx);
         split_effects(&mut ctx)
@@ -3991,7 +4029,7 @@ mod tests {
         // since the prepare holds nothing yet the next look is twice as
         // far away, then four times.
         for (at_ms, factor) in [(5_000, 2), (15_000, 4), (35_000, 4)] {
-            let (sends, timers) = fire_newest_timer(&mut c, &mut rng, at_ms);
+            let (sends, timers) = fire_phase_timer(&mut c, &mut rng, at_ms, req);
             assert_eq!(reasked(&sends), vec![SiteId(0), SiteId(1)]);
             let delays: Vec<SimDuration> = timers.iter().map(|(d, _)| *d).collect();
             assert_eq!(delays, vec![timeout * factor]);
@@ -4002,13 +4040,13 @@ mod tests {
         // Site 0 votes. Its promise now keeps a lock waiting on us, so
         // site 1 alone is re-asked, and every timeout.
         deliver(&mut c, &mut rng, 40_000, 0, yes(req, 1));
-        let (sends, timers) = fire_newest_timer(&mut c, &mut rng, 55_000);
+        let (sends, timers) = fire_phase_timer(&mut c, &mut rng, 55_000, req);
         assert_eq!(reasked(&sends), vec![SiteId(1)]);
         assert_eq!(timers[0].0, timeout);
         // This time nothing comes back — the site crashed and its line
         // with it. The next timer is the classic timeout: abort
         // everywhere, retry under a fresh request id.
-        let (sends, _) = fire_newest_timer(&mut c, &mut rng, 60_000);
+        let (sends, _) = fire_timer(&mut c, &mut rng, 60_000, timers[0].1);
         assert_eq!(aborts(&sends), vec![SiteId(0), SiteId(1)]);
         assert_eq!((c.stats.timeouts, c.stats.retries), (1, 1));
         assert_eq!(c.stats.retry_causes[RetryCause::TimeoutPrepare as usize], 1);
@@ -4023,7 +4061,7 @@ mod tests {
         let req = preparing_write(&mut c, &mut rng);
         deliver(&mut c, &mut rng, 10, 0, busy(req, false));
         deliver(&mut c, &mut rng, 10, 1, busy(req, false));
-        let (sends, _) = fire_newest_timer(&mut c, &mut rng, 5_000);
+        let (sends, _) = fire_phase_timer(&mut c, &mut rng, 5_000, req);
         assert_eq!(sends.len(), 2, "both sites are re-asked");
         let no = Msg::PrepareVote {
             suite: SUITE,
@@ -4279,14 +4317,15 @@ mod tests {
         ack(&mut c, &mut rng, 0, req);
         // Site 1 never acks. Every round sends it the decision again...
         let limit = u64::from(c.options.commit_resend_limit);
+        let resend = timer_token(req, 0, TimerKind::CommitResend);
         for round in 1..=limit {
-            let (sends, timers) = fire_newest_timer(&mut c, &mut rng, 5_000 * round);
+            let (sends, timers) = fire_timer(&mut c, &mut rng, 5_000 * round, resend);
             assert_eq!(sends.len(), 1, "{sends:?}");
             assert!(sends[0].0 == SiteId(1) && decides_version_3(&sends[0].1));
-            assert_eq!(timers.len(), 1);
+            assert_eq!(timers, vec![(c.options.phase_timeout, resend)]);
         }
         // ...until the budget is spent: the tail ends, silently.
-        let (sends, timers) = fire_newest_timer(&mut c, &mut rng, 5_000 * (limit + 1));
+        let (sends, timers) = fire_timer(&mut c, &mut rng, 5_000 * (limit + 1), resend);
         assert!(sends.is_empty() && timers.is_empty());
         assert!(c.tails.is_empty());
         assert_eq!(c.stats.timeouts, limit + 1);
@@ -4821,6 +4860,7 @@ mod tests {
             match e {
                 wv_net::node::Effect::Send { to, msg } => sends.push((to, msg)),
                 wv_net::node::Effect::Timer { delay, token } => timers.push((delay, token)),
+                wv_net::node::Effect::Cancel { .. } => {}
             }
         }
         (sends, timers)
@@ -5662,11 +5702,11 @@ mod tests {
         // prepare arrives behind it at site 0.
         deliver(&mut c, &mut rng, 30, 0, yes(w[2], 7));
         deliver(&mut c, &mut rng, 30, 1, busy(w[2], false));
-        let (sends, _) = deliver(&mut c, &mut rng, 40, 0, busy(w[2], true));
+        let (sends, timers) = deliver(&mut c, &mut rng, 40, 0, busy(w[2], true));
         assert_eq!(aborts(&sends), vec![SiteId(0), SiteId(1)]);
         assert!(prepares(&sends).is_empty(), "the rider stays with it");
         // The retry is one inquiry and one prepare of the same span.
-        let (sends, _) = fire_newest_timer(&mut c, &mut rng, 100);
+        let (sends, _) = fire_timer(&mut c, &mut rng, 100, timers[0].1);
         let asked = |m: &Msg| matches!(m, Msg::VersionReq { .. });
         assert_eq!(sends.iter().filter(|(_, m)| asked(m)).count(), 3);
         assert_eq!(sends.len(), 3);

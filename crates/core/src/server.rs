@@ -215,8 +215,10 @@ pub struct SuiteServer {
     /// Anti-entropy probe interval; `None` (the default) disables the
     /// repair daemon entirely.
     anti_entropy: Option<SimDuration>,
-    /// Timers cannot be cancelled, so repair ticks are validated against
-    /// this epoch; a crash or a stop bumps it, orphaning in-flight ticks.
+    /// Repair ticks are validated against this epoch; a crash or a stop
+    /// bumps it, orphaning in-flight ticks. (A crash has no context to
+    /// cancel a timer with, and a tick set before it fires after the
+    /// recovery.)
     repair_epoch: u64,
     /// Round-robin position over peers for periodic probes.
     repair_cursor: usize,
@@ -238,8 +240,8 @@ pub struct SuiteServer {
     sync_active: bool,
     /// Responses (and commit applies) awaiting the in-flight sync.
     sync_queue: Vec<Deferred>,
-    /// Sync timers cannot be cancelled; a crash bumps this epoch so an
-    /// orphaned in-flight sync dies quietly when its timer fires.
+    /// A crash bumps this epoch so an orphaned in-flight sync dies quietly
+    /// when its timer fires: the crash has no context to cancel it with.
     sync_epoch: u64,
     /// Set when recovery detected interior WAL corruption: acknowledged
     /// state may have regressed, so this replica has surrendered its votes
@@ -1022,6 +1024,10 @@ impl SuiteServer {
                 }
                 Deferred::Ack { to, suite, req } => {
                     applied = true;
+                    // The commit is durable: the vote's probe has nothing
+                    // left to ask. (Not sooner — a crash before this flush
+                    // puts the prepare back in doubt, probe and all.)
+                    ctx.cancel_timer(req.0);
                     ctx.send(
                         to,
                         Msg::Ack {
@@ -1133,7 +1139,9 @@ impl SuiteServer {
         // must not escape after the abort.
         self.sync_queue.retain(|d| d.req() != req);
         if let Some(p) = self.pending.remove(&req) {
+            // The abort record is flushed here, so the probe is done.
             self.container.abort(p.tx).expect("abort prepared tx");
+            ctx.cancel_timer(req.0);
             self.maybe_checkpoint();
             if let Some(tr) = self.tracer.as_mut() {
                 tr.event(SpanKind::Apply, p.suite.0, req.0, None, None, 0, ctx.now());
@@ -3368,6 +3376,46 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn a_commit_applied_but_not_yet_durable_keeps_its_probe() {
+        use wv_net::node::Effect;
+        let cancels = |effects: &[Effect<Msg>], r: ReqId| {
+            let of = |e: &Effect<Msg>| matches!(e, Effect::Cancel { token } if *token == r.0);
+            effects.iter().any(of)
+        };
+        let mut s = gc_server();
+        let mut rng = DetRng::new(45);
+        let r = req(1);
+        deliver(&mut s, &mut rng, prepare_msg(r, 1, b"x"));
+        // The yes vote leaves with the sync, and arms its decision probe.
+        let sync = WAL_SYNC_TIMER_TAG | s.sync_epoch;
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle_timer(sync, &mut ctx);
+        let armed = |e: &Effect<Msg>| matches!(e, Effect::Timer { token, .. } if *token == r.0);
+        assert!(ctx.take_effects().iter().any(armed));
+        // The commit is applied at once; its record waits for the next
+        // sync, and the probe stays armed.
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(CLIENT, commit_msg(r, 1), &mut ctx);
+        assert!(!cancels(&ctx.take_effects(), r));
+        assert_eq!(s.data_version(SUITE), Version(1));
+        // A crash before that sync puts the prepare back in doubt, and the
+        // probe armed with the vote still has its question to ask.
+        s.handle_crash();
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle_recover(&mut ctx);
+        assert_eq!(s.pending_writes(), 1);
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle_timer(r.0, &mut ctx);
+        let out = sent(&mut ctx);
+        assert!(matches!(out[..], [(CLIENT, Msg::DecisionReq { req, .. })] if req == r));
+        // Once the commit is durable, the probe is done.
+        deliver(&mut s, &mut rng, commit_msg(r, 1));
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle_timer(WAL_SYNC_TIMER_TAG | s.sync_epoch, &mut ctx);
+        assert!(cancels(&ctx.take_effects(), r));
     }
 
     // ---- disk faults and quarantine ----

@@ -7,7 +7,8 @@
 //! * [`SiteId`] and [`NetConfig`] — sites, per-link latency models, drop
 //!   probabilities, and [`Partition`]s.
 //! * [`Node`] / [`NodeCtx`] — the event-driven protocol-node abstraction:
-//!   a node reacts to messages and timers and emits sends and new timers.
+//!   a node reacts to messages and timers and emits sends, new timers and
+//!   cancels of timers it no longer needs.
 //!   Protocol code written against this trait runs unchanged on both
 //!   transports.
 //! * [`sim_net`] — the deterministic transport: nodes live in a

@@ -21,9 +21,11 @@ pub trait Node {
 
     /// Called when a timer set through [`NodeCtx::set_timer`] expires.
     ///
-    /// `token` is the value passed to `set_timer`. Timers cannot be
-    /// cancelled; nodes are expected to carry a generation counter in the
-    /// token (or in their state) and ignore stale expirations. The default
+    /// `token` is the value passed to `set_timer`. A timer whose firing
+    /// would change nothing may be cancelled ([`NodeCtx::cancel_timer`]);
+    /// one that is not still fires, so nodes carry a generation counter in
+    /// the token (or in their state) and ignore stale expirations. A
+    /// timer set before a crash fires after the recovery. The default
     /// implementation ignores all timers.
     fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_, Self::Msg>) {
         let _ = (token, ctx);
@@ -60,6 +62,11 @@ pub enum Effect<M> {
         /// How long until the timer fires.
         delay: SimDuration,
         /// Opaque value handed back to `on_timer`.
+        token: u64,
+    },
+    /// Drop every timer set with `token` that has yet to fire.
+    Cancel {
+        /// The token the timers were set with.
         token: u64,
     },
 }
@@ -129,6 +136,13 @@ impl<'a, M> NodeCtx<'a, M> {
         self.effects.push(Effect::Timer { delay, token });
     }
 
+    /// Cancels every timer set with `token` that has yet to fire (not one
+    /// set with it later). A cancelled timer never fires, so a node
+    /// cancels only timers whose firing would change nothing.
+    pub fn cancel_timer(&mut self, token: u64) {
+        self.effects.push(Effect::Cancel { token });
+    }
+
     /// Drains the collected effects. Transports call this once the handler
     /// returns.
     pub fn take_effects(&mut self) -> Vec<Effect<M>> {
@@ -165,9 +179,11 @@ mod tests {
         ctx.set_timer(SimDuration::from_millis(30), 77);
         ctx.send(SiteId(1), 42);
         ctx.send(SiteId(3), 42);
-        assert_eq!(ctx.pending_effects(), 4);
+        ctx.cancel_timer(77);
+        assert_eq!(ctx.pending_effects(), 5);
         let effects = ctx.take_effects();
-        assert_eq!(effects.len(), 4);
+        assert_eq!(effects.len(), 5);
+        assert!(matches!(effects[4], Effect::Cancel { token: 77 }));
         assert!(matches!(effects[0], Effect::Send { to, msg } if to == SiteId(0) && msg == 10));
         assert!(matches!(
             effects[1],

@@ -7,7 +7,7 @@
 //! `ClientNode` that regenerate the paper's tables under `sim_net` also
 //! serve real concurrent threads here.
 
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,32 +22,6 @@ use crate::thread_net::Endpoint;
 /// state, report results through a captured channel).
 pub type NodeCommand<N> =
     Box<dyn FnOnce(&mut N, &mut NodeCtx<'_, <N as Node>::Msg>) + Send + 'static>;
-
-struct TimerItem {
-    due: Instant,
-    seq: u64,
-    token: u64,
-}
-
-impl PartialEq for TimerItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-
-impl Eq for TimerItem {}
-
-impl PartialOrd for TimerItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimerItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
 
 /// A node running on its own thread, attached to a thread-net endpoint.
 pub struct NodeRunner<N: Node> {
@@ -111,13 +85,50 @@ impl<N: Node> Drop for NodeRunner<N> {
     }
 }
 
+/// A node's timers that have yet to fire: by due instant, ties in the
+/// order they were set, and by token, so that a cancel takes O(log n).
+#[derive(Default)]
+struct Timers {
+    due: BTreeMap<(Instant, u64), u64>,
+    by_token: BTreeMap<(u64, u64), Instant>,
+    next_seq: u64,
+}
+
+impl Timers {
+    fn set(&mut self, due: Instant, token: u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.due.insert((due, seq), token);
+        self.by_token.insert((token, seq), due);
+    }
+
+    /// Removes every timer set with `token`.
+    fn cancel(&mut self, token: u64) {
+        while let Some((&key, &due)) = self.by_token.range((token, 0)..=(token, u64::MAX)).next() {
+            self.by_token.remove(&key);
+            self.due.remove(&(due, key.1));
+        }
+    }
+
+    /// Removes the earliest timer if it is due by `now`; returns its token.
+    fn pop_due(&mut self, now: Instant) -> Option<u64> {
+        let first = self.due.first_entry().filter(|e| e.key().0 <= now)?;
+        let ((_, seq), token) = first.remove_entry();
+        self.by_token.remove(&(token, seq));
+        Some(token)
+    }
+
+    fn next_due(&self) -> Option<Instant> {
+        self.due.first_key_value().map(|((due, _), _)| *due)
+    }
+}
+
 /// A node with the thread-side state its handler calls need.
 struct Hosted<N: Node> {
     node: N,
     endpoint: Endpoint<N::Msg>,
     rng: DetRng,
-    timers: BinaryHeap<TimerItem>,
-    timer_seq: u64,
+    timers: Timers,
     time_scale: f64,
 }
 
@@ -126,7 +137,7 @@ where
     N::Msg: Send + 'static,
 {
     /// Runs one handler call and applies its effects at once: a send goes
-    /// to the endpoint and a timer onto the heap before anything else
+    /// to the endpoint and a timer into `timers` before anything else
     /// runs, so neither waits out the loop's next blocking receive.
     fn call(&mut self, f: impl FnOnce(&mut N, &mut NodeCtx<'_, N::Msg>)) {
         let mut ctx = NodeCtx::new(self.endpoint.now(), self.endpoint.id(), &mut self.rng);
@@ -140,13 +151,9 @@ where
                     let scaled = Duration::from_micros(
                         (delay.as_micros() as f64 * self.time_scale).round() as u64,
                     );
-                    self.timers.push(TimerItem {
-                        due: Instant::now() + scaled,
-                        seq: self.timer_seq,
-                        token,
-                    });
-                    self.timer_seq += 1;
+                    self.timers.set(Instant::now() + scaled, token);
                 }
+                Effect::Cancel { token } => self.timers.cancel(token),
             }
         }
     }
@@ -167,8 +174,7 @@ where
         node,
         endpoint,
         rng: DetRng::new(seed),
-        timers: BinaryHeap::new(),
-        timer_seq: 0,
+        timers: Timers::default(),
         time_scale,
     };
     loop {
@@ -177,9 +183,8 @@ where
         }
         // Fire due timers.
         let now = Instant::now();
-        while host.timers.peek().is_some_and(|t| t.due <= now) {
-            let t = host.timers.pop().expect("peeked");
-            host.call(|node, ctx| node.on_timer(t.token, ctx));
+        while let Some(token) = host.timers.pop_due(now) {
+            host.call(|node, ctx| node.on_timer(token, ctx));
         }
         // Run injected commands.
         while let Ok(cmd) = cmds.try_recv() {
@@ -189,8 +194,8 @@ where
         // responsive).
         let wait = host
             .timers
-            .peek()
-            .map(|t| t.due.saturating_duration_since(Instant::now()))
+            .next_due()
+            .map(|due| due.saturating_duration_since(Instant::now()))
             .unwrap_or(Duration::from_millis(2))
             .min(Duration::from_millis(2));
         if let Some(env) = host.endpoint.recv_timeout(wait) {
@@ -306,6 +311,41 @@ mod tests {
         std::thread::sleep(Duration::from_millis(80));
         assert!(flag.load(Ordering::SeqCst), "timer did not fire");
         r.stop();
+    }
+
+    /// Records the tokens of the timers that fire.
+    #[derive(Default)]
+    struct Alarms(Vec<u64>);
+
+    impl Node for Alarms {
+        type Msg = u32;
+        fn on_message(&mut self, _from: SiteId, _msg: u32, _ctx: &mut NodeCtx<'_, u32>) {}
+        fn on_timer(&mut self, token: u64, _ctx: &mut NodeCtx<'_, u32>) {
+            self.0.push(token);
+        }
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_fires_and_one_set_later_with_its_token_does() {
+        let mut net = ThreadNet::<u32>::start(
+            NetConfig::uniform(1, LatencyModel::constant_millis(1)),
+            9,
+            0.01,
+        );
+        let ep = net.endpoints.pop().expect("ep");
+        let r = NodeRunner::spawn(Alarms::default(), ep, 1, 0.01);
+        // 10 virtual seconds at scale 0.01 = 100 real ms.
+        r.invoke(|_, ctx| {
+            ctx.set_timer(SimDuration::from_secs(10), 7);
+            ctx.set_timer(SimDuration::from_secs(15), 7);
+            ctx.set_timer(SimDuration::from_secs(20), 8);
+        });
+        r.invoke(|_, ctx| {
+            ctx.cancel_timer(7);
+            ctx.set_timer(SimDuration::from_secs(30), 7);
+        });
+        std::thread::sleep(Duration::from_millis(600));
+        assert_eq!(r.stop().0, vec![8, 7]);
     }
 
     #[test]

@@ -14,14 +14,50 @@
 //! * **Crashed sites** receive neither messages nor timers. `Node::on_crash`
 //!   runs at the crash instant (discard volatile state); `Node::on_recover`
 //!   runs at the recovery instant and may send messages and set timers.
+//!   A timer set before the crash and due after the recovery fires.
+//! * **Timers** fire exactly where an event scheduled when they were set
+//!   would run. They wait in their site's queue, with a scheduler event
+//!   (a wake-up) due no later than the earliest; a cancelled one leaves
+//!   the queue at once, so it moves no other event. A wake-up whose timer
+//!   was cancelled runs as a no-op.
 //! * **Message order** between a pair of sites is not preserved when the
 //!   link's latency model is non-constant — exactly like a datagram network.
 
-use wv_sim::{DetRng, FailureSchedule, Scheduler, Sim, SimTime};
+use std::collections::VecDeque;
+
+use wv_sim::{DetRng, FailureSchedule, Scheduler, Sim, SimTime, Ticket};
 
 use crate::config::{NetConfig, Partition};
 use crate::node::{Effect, Node, NodeCtx};
 use crate::site::SiteId;
+
+/// Where a timer fires: its instant, then the place it took when set.
+type Place = (SimTime, Ticket);
+
+/// One site's pending timers, and the wake-ups scheduled for them.
+#[derive(Default)]
+struct SiteTimers {
+    /// `(place, token)`, earliest first. A site holds a handful — its
+    /// operations in flight — so a cancel scans them: cheaper, at that
+    /// size, than keeping them in ordered maps (DESIGN.md §8).
+    due: VecDeque<(Place, u64)>,
+    /// The places of the wake-ups yet to run. Each was scheduled before
+    /// every one already waiting, so the last is the next to run, and it
+    /// is never later than the earliest timer.
+    wakes: Vec<Place>,
+}
+
+impl SiteTimers {
+    /// Books a wake-up at `place` unless one runs at or before it, and
+    /// says whether it did: the caller then schedules it.
+    fn book_wake(&mut self, place: Place) -> bool {
+        let needed = self.wakes.last().is_none_or(|next| place < *next);
+        if needed {
+            self.wakes.push(place);
+        }
+        needed
+    }
+}
 
 /// Transport counters, useful for assertions and experiment reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -80,6 +116,7 @@ pub struct Cluster<N: Node> {
     /// Transport counters.
     pub stats: NetStats,
     down: Vec<bool>,
+    timers: Vec<SiteTimers>,
     node_rngs: Vec<DetRng>,
     net_rng: DetRng,
     /// The effects vector of the last handler call, emptied, for the next.
@@ -102,6 +139,7 @@ where
         let cluster = Cluster {
             partition: Partition::whole(sites),
             down: vec![false; sites],
+            timers: (0..sites).map(|_| SiteTimers::default()).collect(),
             node_rngs: (0..sites).map(|i| root.fork(i as u64 + 1)).collect(),
             net_rng: root.fork_named("network"),
             stats: NetStats::default(),
@@ -237,17 +275,44 @@ where
             match effect {
                 Effect::Send { to, msg } => Self::route(world, sched, from, to, msg),
                 Effect::Timer { delay, token } => {
-                    sched.after(delay, move |world: &mut Cluster<N>, sched| {
-                        if world.down[from.index()] {
-                            world.stats.timers_dropped += 1;
-                            return;
-                        }
-                        world.stats.timers_fired += 1;
-                        Self::run_node(world, sched, from, |node, ctx| node.on_timer(token, ctx));
-                    });
+                    let place = (sched.now() + delay, sched.ticket());
+                    let timers = &mut world.timers[from.index()];
+                    let at = timers.due.partition_point(|(p, _)| *p < place);
+                    timers.due.insert(at, (place, token));
+                    if timers.book_wake(place) {
+                        Self::wake_at(sched, from, place);
+                    }
+                }
+                Effect::Cancel { token } => {
+                    world.timers[from.index()].due.retain(|(_, t)| *t != token);
                 }
             }
         }
+    }
+
+    /// Schedules a wake-up of `site`'s timers at `place`: it fires the
+    /// timer there unless that was cancelled, then sees that the site's
+    /// new earliest timer has a wake-up at or before it.
+    fn wake_at(sched: &mut Scheduler<Cluster<N>>, site: SiteId, place: Place) {
+        sched.at_ticket(place.0, place.1, move |world: &mut Cluster<N>, sched| {
+            let timers = &mut world.timers[site.index()];
+            let this = timers.wakes.pop();
+            debug_assert_eq!(this, Some(place), "wake-ups run latest-scheduled first");
+            if let Some(&(_, token)) = timers.due.front().filter(|(p, _)| *p == place) {
+                timers.due.pop_front();
+                if world.down[site.index()] {
+                    world.stats.timers_dropped += 1;
+                } else {
+                    world.stats.timers_fired += 1;
+                    Self::run_node(world, sched, site, |node, ctx| node.on_timer(token, ctx));
+                }
+            }
+            let timers = &mut world.timers[site.index()];
+            let first = timers.due.front().map(|(p, _)| *p);
+            if let Some(next) = first.filter(|p| timers.book_wake(*p)) {
+                Self::wake_at(sched, site, next);
+            }
+        });
     }
 
     fn route(
@@ -617,6 +682,161 @@ mod tests {
         };
         assert_eq!(run(99), run(99));
         assert_ne!(run(99).0, run(100).0);
+    }
+
+    /// One handler call: where, when, and what it was for.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Call {
+        Invoke,
+        Msg(SiteId, u32),
+        Timer(u64),
+    }
+
+    type Log = std::rc::Rc<std::cell::RefCell<Vec<(SimTime, SiteId, Call)>>>;
+
+    /// A node that, on every call, draws from its own stream what to do:
+    /// send, set timers — often with a token still pending — and cancel
+    /// one. With `cancel` off it never cancels through the transport, and
+    /// instead ignores the firings it would have cancelled, as a node
+    /// ignores a stale timer: without drawing, sending or logging.
+    struct Toy {
+        cancel: bool,
+        /// Per token, the firings still to come, in the order they come:
+        /// the instant, and whether it was cancelled.
+        pending: std::collections::BTreeMap<u64, Vec<(SimTime, bool)>>,
+        ignored: u64,
+        budget: u32,
+        log: Log,
+    }
+
+    impl Toy {
+        fn act(&mut self, ctx: &mut NodeCtx<'_, u32>) {
+            if self.budget == 0 {
+                return;
+            }
+            self.budget -= 1;
+            if ctx.rng().chance(0.6) {
+                let to = SiteId(ctx.rng().below(3) as u16);
+                let payload = ctx.rng().below(100) as u32;
+                ctx.send(to, payload);
+            }
+            for _ in 0..ctx.rng().below(3) {
+                let delay = SimDuration::from_millis(ctx.rng().below(6));
+                let token = ctx.rng().below(4);
+                let due = ctx.now() + delay;
+                let firings = self.pending.entry(token).or_default();
+                // Same-token timers fire by instant, then in the order set.
+                let at = firings.partition_point(|(t, _)| *t <= due);
+                firings.insert(at, (due, false));
+                ctx.set_timer(delay, token);
+            }
+            if ctx.rng().chance(0.4) {
+                let token = ctx.rng().below(4);
+                let firings = self.pending.entry(token).or_default();
+                if self.cancel {
+                    firings.clear();
+                    ctx.cancel_timer(token);
+                } else {
+                    firings.iter_mut().for_each(|f| f.1 = true);
+                }
+            }
+        }
+    }
+
+    impl Node for Toy {
+        type Msg = u32;
+
+        fn on_message(&mut self, from: SiteId, msg: u32, ctx: &mut NodeCtx<'_, u32>) {
+            let call = (ctx.now(), ctx.self_id(), Call::Msg(from, msg));
+            self.log.borrow_mut().push(call);
+            self.act(ctx);
+        }
+
+        fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_, u32>) {
+            let firings = self.pending.get_mut(&token).expect("a timer was set");
+            // Firings due while the site was down were dropped.
+            firings.retain(|(due, _)| *due >= ctx.now());
+            let (due, cancelled) = firings.remove(0);
+            assert_eq!(due, ctx.now(), "a timer fires at its instant");
+            assert!(!(self.cancel && cancelled), "a cancelled timer fired");
+            if cancelled {
+                self.ignored += 1;
+                return;
+            }
+            let call = (ctx.now(), ctx.self_id(), Call::Timer(token));
+            self.log.borrow_mut().push(call);
+            self.act(ctx);
+        }
+    }
+
+    /// What a run did: its log, the cancelled firings its nodes ignored,
+    /// the transport's counters, and the wake-ups that found their timer
+    /// cancelled.
+    fn toy_run(seed: u64, cancel: bool) -> (Vec<(SimTime, SiteId, Call)>, u64, NetStats, u64) {
+        let log = Log::default();
+        let toy = |_| Toy {
+            cancel,
+            pending: Default::default(),
+            ignored: 0,
+            budget: 300,
+            log: log.clone(),
+        };
+        let cfg = NetConfig::uniform(3, LatencyModel::constant_millis(1));
+        let mut sim = Cluster::sim((0..3).map(toy).collect(), cfg, seed);
+        let mut control = 0;
+        for i in 0..30u64 {
+            let site = SiteId((i % 3) as u16);
+            let at = SimTime::from_millis(i / 3);
+            Cluster::invoke(sim.scheduler(), at, site, |n, ctx| {
+                let call = (ctx.now(), ctx.self_id(), Call::Invoke);
+                n.log.borrow_mut().push(call);
+                n.act(ctx);
+            });
+            control += 1;
+        }
+        // Off the millisecond grid the calls run on, so nothing fires at
+        // the instant of a crash or a recovery.
+        for (site, from, until) in [(1u16, 7_500, 12_500), (2, 20_500, 21_500)] {
+            let at = SimTime::from_micros;
+            Cluster::crash_at(sim.scheduler(), at(from), SiteId(site));
+            Cluster::recover_at(sim.scheduler(), at(until), SiteId(site));
+            control += 2;
+        }
+        sim.run();
+        let s = sim.world.stats;
+        let calls = s.delivered + s.dropped_down + s.timers_fired + s.timers_dropped;
+        let orphans = sim.scheduler().executed() - calls - control;
+        let ignored = sim.world.nodes.iter().map(|n| n.ignored).sum();
+        let log = log.take();
+        (log, ignored, s, orphans)
+    }
+
+    #[test]
+    fn cancelling_removes_exactly_the_cancelled_firings_and_moves_nothing_else() {
+        let (mut ties, mut orphans, mut dropped) = (0, 0, 0);
+        for seed in 0..24 {
+            let (with, none_ignored, cancelled, orphaned) = toy_run(seed, true);
+            let (without, ignored, plain, no_orphans) = toy_run(seed, false);
+            assert_eq!(with, without, "seed {seed}: every live call, in order");
+            assert_eq!((none_ignored, no_orphans), (0, 0), "seed {seed}");
+            assert!(ignored > 0, "seed {seed}: nothing was cancelled");
+            let live = plain.timers_fired - ignored;
+            assert_eq!(cancelled.timers_fired, live, "seed {seed}");
+            assert!(cancelled.timers_dropped <= plain.timers_dropped);
+            assert_eq!(
+                (cancelled.sent, cancelled.delivered),
+                (plain.sent, plain.delivered)
+            );
+            ties += with.windows(2).filter(|w| w[0].0 == w[1].0).count();
+            orphans += orphaned;
+            dropped += cancelled.timers_dropped;
+        }
+        // What the runs had to cover: calls tied on an instant, cancelled
+        // wake-ups, and timers due at a down site.
+        assert!(
+            ties > 1_000 && orphans > 100 && dropped > 10,
+            "{ties} {orphans} {dropped}"
+        );
     }
 
     #[test]

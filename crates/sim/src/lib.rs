@@ -54,7 +54,7 @@ pub use audit::{AuditLog, AuditRecord, DecisionKind, SiteInput};
 pub use dist::LatencyModel;
 pub use failure::{FailureSchedule, OutageWindow};
 pub use rng::{derive_seed, DetRng};
-pub use sched::{Scheduler, Sim};
+pub use sched::{Scheduler, Sim, Ticket};
 pub use stats::SampleSet;
 pub use time::{SimDuration, SimTime};
 pub use trace::{SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};

@@ -16,6 +16,11 @@ use crate::time::{SimDuration, SimTime};
 /// An action to execute at a scheduled instant.
 pub type Action<W> = Box<dyn FnOnce(&mut W, &mut Scheduler<W>)>;
 
+/// A place in the event order, taken by [`Scheduler::ticket`]. Tickets
+/// order as the places they took.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Ticket(u64);
+
 struct Scheduled<W> {
     at: SimTime,
     seq: u64,
@@ -122,14 +127,35 @@ impl<W> Scheduler<W> {
         self.push(self.now, Box::new(action));
     }
 
+    /// Takes the next place in the event order for an action scheduled
+    /// into it later ([`Scheduler::at_ticket`]): among actions due at one
+    /// instant, after those scheduled before and before those after.
+    pub fn ticket(&mut self) -> Ticket {
+        let seq = self.seq;
+        self.seq += 1;
+        Ticket(seq)
+    }
+
+    /// Schedules `action` to run at `at` in the place `ticket` took. A
+    /// ticket is used once, for an instant no earlier than the current one.
+    pub fn at_ticket(
+        &mut self,
+        at: SimTime,
+        Ticket(seq): Ticket,
+        action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
+    ) {
+        debug_assert!(at >= self.now, "scheduling into the past");
+        let action = Box::new(action);
+        self.heap.push(Scheduled { at, seq, action });
+    }
+
     /// Enqueues an already-boxed action at a time known to be `>= now`.
     ///
     /// Taking `Action<W>` (not `impl FnOnce`) keeps one monomorphic copy of
     /// the push path per world type instead of one per closure type.
     fn push(&mut self, at: SimTime, action: Action<W>) {
         debug_assert!(at >= self.now, "scheduling into the past");
-        let seq = self.seq;
-        self.seq += 1;
+        let Ticket(seq) = self.ticket();
         self.heap.push(Scheduled { at, seq, action });
     }
 
@@ -341,6 +367,41 @@ mod tests {
         }
         assert_eq!(sim.run(), 1000);
         assert!(sim.world.windows(2).all(|p| p[0] < p[1]));
+    }
+
+    #[test]
+    fn a_ticket_runs_in_the_place_it_took() {
+        let mut sim = Sim::new(Vec::<&'static str>::new());
+        let at = SimTime::from_millis(5);
+        let s = sim.scheduler();
+        s.at(at, |w: &mut Vec<_>, _| w.push("before"));
+        let ticket = s.ticket();
+        s.at(at, |w: &mut Vec<_>, _| w.push("after"));
+        s.at(SimTime::from_millis(1), move |_, s| {
+            // Scheduled last, and in the middle all the same.
+            s.at_ticket(at, ticket, |w: &mut Vec<_>, _| w.push("ticket"));
+        });
+        sim.run();
+        assert_eq!(sim.world, vec!["before", "ticket", "after"]);
+    }
+
+    #[test]
+    fn a_ticket_unused_leaves_every_other_place_alone() {
+        let order = |skip: bool| {
+            let mut sim = Sim::new(Vec::<u32>::new());
+            for i in 0..6u32 {
+                let at = SimTime::from_millis(u64::from(i % 2));
+                let ticket = sim.scheduler().ticket();
+                if !(skip && i == 2) {
+                    sim.scheduler()
+                        .at_ticket(at, ticket, move |w: &mut Vec<u32>, _| w.push(i));
+                }
+            }
+            sim.run();
+            sim.world
+        };
+        assert_eq!(order(false), vec![0, 2, 4, 1, 3, 5]);
+        assert_eq!(order(true), vec![0, 4, 1, 3, 5]);
     }
 
     #[test]
