@@ -18,8 +18,8 @@
 //! anything, so the commit round is off the critical path by
 //! construction: a write's blame is inquiry, prepare and lock wait.
 //!
-//! Blame is attributed to a **site × phase** cell. For RPC and hedge
-//! spans the blamed site is the *peer* (the remote representative whose
+//! Blame is attributed to a **site × phase** cell. For RPC spans the
+//! blamed site is the *peer* (the remote representative whose
 //! reply we were waiting on); for everything else it is the recording
 //! site. Aggregated over a run this yields a folded-stack profile
 //! (flamegraph-compatible: `write;prepare;rpc@s2 350`) and a blame table
@@ -41,7 +41,7 @@ pub struct PathSegment {
     pub span_id: u32,
     /// Kind of the blamed span.
     pub kind: SpanKind,
-    /// Site the interval is charged to (the peer for RPC/hedge spans).
+    /// Site the interval is charged to (the peer for RPC spans).
     pub site: u16,
     /// Interval start, virtual microseconds.
     pub start_us: u64,
@@ -269,7 +269,7 @@ fn walk(
 
 fn segment(span: &SpanRecord, start_us: u64, dur_us: u64, stack: &[&'static str]) -> PathSegment {
     let site = match span.kind {
-        SpanKind::Rpc | SpanKind::Hedge if span.peer != NO_PEER => span.peer,
+        SpanKind::Rpc if span.peer != NO_PEER => span.peer,
         _ => span.site,
     };
     PathSegment {
@@ -395,17 +395,17 @@ mod tests {
             span(0, NO_PARENT, SpanKind::Read, 0, NO_PEER, 1, 0, OPEN_END),
             // Background repair (op 0, not an op root): ignored.
             span(1, NO_PARENT, SpanKind::RepairPull, 2, NO_PEER, 0, 0, 50),
-            // A closed op whose hedge span is still open: the open child
+            // A closed op with an rpc span still open: the open child
             // cannot appear on the path.
             span(2, NO_PARENT, SpanKind::Read, 0, NO_PEER, 2, 100, 140),
-            span(3, 2, SpanKind::Hedge, 0, 1, 2, 110, OPEN_END),
+            span(3, 2, SpanKind::Rpc, 0, 1, 2, 110, OPEN_END),
             span(4, 2, SpanKind::Fetch, 0, NO_PEER, 2, 100, 135),
         ];
         let profile = extract(&spans);
         assert_eq!(profile.ops.len(), 1);
         let op = &profile.ops[0];
         assert_eq!(op.op, 2);
-        assert!(op.segments.iter().all(|s| s.kind != SpanKind::Hedge));
+        assert!(op.segments.iter().all(|s| s.span_id != 3));
         let sum: u64 = op.segments.iter().map(|s| s.dur_us).sum();
         assert_eq!(sum, 40);
     }

@@ -6,8 +6,7 @@
 //! off* arm runs the classic client (fixed phase timeouts, cost-ranked
 //! quorum plans, no repair). The *healing on* arm enables the
 //! self-healing layer: per-site health tracking with adaptive timeouts,
-//! suspicion-aware quorum planning, hedged reads, and background
-//! anti-entropy repair.
+//! suspicion-aware quorum planning, and background anti-entropy repair.
 //!
 //! The claim under test: healing strictly improves tail (p99) read
 //! latency overall, and costs no operation availability in the windows
@@ -76,8 +75,6 @@ struct TrialOut {
     repairs: u64,
     suspicions: u64,
     reroutes: u64,
-    hedges_fired: u64,
-    hedge_wins: u64,
     timeouts: u64,
     /// Traced phase totals: (summed duration in µs, span count) for
     /// version collection, data movement, and server-side lock waits.
@@ -107,10 +104,6 @@ pub struct ArmSummary {
     pub suspicions: u64,
     /// Quorum plans reordered around suspects.
     pub reroutes: u64,
-    /// Hedged fetches launched.
-    pub hedges_fired: u64,
-    /// Reads won by the hedge target.
-    pub hedge_wins: u64,
     /// Phase timeouts.
     pub timeouts: u64,
     /// Mean version-collection (inquiry) phase duration, traced, ms.
@@ -212,8 +205,6 @@ fn run_arm(seed: u64, healing: bool) -> TrialOut {
         repairs: 0,
         suspicions: 0,
         reroutes: 0,
-        hedges_fired: 0,
-        hedge_wins: 0,
         timeouts: 0,
         inquiry_us: (0, 0),
         fetch_us: (0, 0),
@@ -253,8 +244,6 @@ fn run_arm(seed: u64, healing: bool) -> TrialOut {
     if let Some(stats) = h.client_stats(client) {
         out.suspicions = stats.suspicions_raised;
         out.reroutes = stats.reroutes;
-        out.hedges_fired = stats.hedges_fired;
-        out.hedge_wins = stats.hedge_wins;
         out.timeouts = stats.timeouts;
     }
     for site in 0..SERVERS {
@@ -283,8 +272,6 @@ fn summarize(trials: Vec<TrialOut>) -> ArmSummary {
         repairs: 0,
         suspicions: 0,
         reroutes: 0,
-        hedges_fired: 0,
-        hedge_wins: 0,
         timeouts: 0,
         version_collect_ms: 0.0,
         data_move_ms: 0.0,
@@ -301,8 +288,6 @@ fn summarize(trials: Vec<TrialOut>) -> ArmSummary {
         s.repairs += t.repairs;
         s.suspicions += t.suspicions;
         s.reroutes += t.reroutes;
-        s.hedges_fired += t.hedges_fired;
-        s.hedge_wins += t.hedge_wins;
         s.timeouts += t.timeouts;
         inq = (inq.0 + t.inquiry_us.0, inq.1 + t.inquiry_us.1);
         fetch = (fetch.0 + t.fetch_us.0, fetch.1 + t.fetch_us.1);
@@ -431,8 +416,6 @@ pub fn run(trials: usize) -> String {
         "quorum plans rerouted around suspects".into(),
         on.reroutes.to_string(),
     ]);
-    t.row(&["hedged fetches fired".into(), on.hedges_fired.to_string()]);
-    t.row(&["hedged fetches won".into(), on.hedge_wins.to_string()]);
     out.push_str(&t.to_markdown());
     out.push('\n');
     out.push_str(&format!(

@@ -177,7 +177,7 @@ pub fn waterfall(spans: &[SpanRecord]) -> String {
         out.push('\n');
     }
     // Per-kind span census, so a glance at the tail answers "did this
-    // run hedge / repair / group-commit at all?" without scrolling.
+    // run repair / group-commit / a write train at all?" without scrolling.
     if !spans.is_empty() {
         let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
         for s in spans {

@@ -91,10 +91,6 @@ pub struct Coverage {
     pub suspicions_raised: u64,
     /// Quorum plans reordered around suspected sites.
     pub reroutes: u64,
-    /// Hedged fetches launched.
-    pub hedges_fired: u64,
-    /// Reads won by the hedge target.
-    pub hedge_wins: u64,
     /// Anti-entropy repairs installed across all servers and trials.
     pub repairs_completed: u64,
     /// Group-commit WAL sync batches flushed across all servers and trials.
@@ -107,8 +103,6 @@ pub struct Coverage {
     pub cache_misses: u64,
     /// Lease-mode reads that found their lease expired.
     pub lease_expiries: u64,
-    /// Version inquiries answered by piggybacking on an in-flight one.
-    pub piggybacked_inquiries: u64,
     /// Trials that injected at least one disk fault (any kind).
     pub trials_with_disk_fault: u64,
     /// Torn-write arms injected across all trials.
@@ -159,15 +153,12 @@ impl Coverage {
         self.duplicated_msgs += c.duplicated_msgs;
         self.suspicions_raised += c.suspicions_raised;
         self.reroutes += c.reroutes;
-        self.hedges_fired += c.hedges_fired;
-        self.hedge_wins += c.hedge_wins;
         self.repairs_completed += c.repairs_completed;
         self.wal_batches += c.wal_batches;
         self.wal_batched_records += c.wal_batched_records;
         self.cache_hits += c.cache_hits;
         self.cache_misses += c.cache_misses;
         self.lease_expiries += c.lease_expiries;
-        self.piggybacked_inquiries += c.piggybacked_inquiries;
         self.trials_with_disk_fault +=
             u64::from(c.torn_writes + c.bit_flips + c.io_errors + c.disk_stalls > 0);
         self.torn_writes += c.torn_writes;

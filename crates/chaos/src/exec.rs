@@ -131,10 +131,6 @@ pub struct TrialCoverage {
     pub suspicions_raised: u64,
     /// Quorum plans reordered around suspected sites.
     pub reroutes: u64,
-    /// Hedged fetches launched.
-    pub hedges_fired: u64,
-    /// Reads won by the hedge target.
-    pub hedge_wins: u64,
     /// Anti-entropy repairs installed across all servers.
     pub repairs_completed: u64,
     /// Group-commit sync batches across all servers (0 with batching off).
@@ -147,8 +143,6 @@ pub struct TrialCoverage {
     pub cache_misses: u64,
     /// Leases found expired at read time.
     pub lease_expiries: u64,
-    /// Reads that coalesced onto another read's in-flight inquiry.
-    pub piggybacked_inquiries: u64,
     /// Torn-write arms applied (only counted when the arm injects them).
     pub torn_writes: u64,
     /// Bit-flip arms applied.
@@ -622,12 +616,9 @@ fn run_schedule_inner(
             coverage.attempts_exhausted += stats.attempts_exhausted;
             coverage.suspicions_raised += stats.suspicions_raised;
             coverage.reroutes += stats.reroutes;
-            coverage.hedges_fired += stats.hedges_fired;
-            coverage.hedge_wins += stats.hedge_wins;
             coverage.cache_hits += stats.cache_hits;
             coverage.cache_misses += stats.cache_misses;
             coverage.lease_expiries += stats.lease_expiries;
-            coverage.piggybacked_inquiries += stats.piggybacked_inquiries;
         }
     }
     for s in 0..spec.servers {

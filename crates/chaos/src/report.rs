@@ -213,8 +213,6 @@ pub(crate) static ARMS: [Arm; 6] = [
             ("anti-entropy repairs completed", |h| h.repairs_completed),
             ("suspicions raised", |h| h.suspicions_raised),
             ("quorum plans rerouted around suspects", |h| h.reroutes),
-            ("hedged fetches fired", |h| h.hedges_fired),
-            ("hedged fetches won", |h| h.hedge_wins),
             ("phase timeouts", |h| h.timeouts),
             ("operations committed", |h| h.ops_ok),
         ],
@@ -259,7 +257,6 @@ pub(crate) static ARMS: [Arm; 6] = [
         rows: &[
             ("cache hits", |w| w.cache_hits),
             ("cache misses", |w| w.cache_misses),
-            ("piggybacked inquiries", |w| w.piggybacked_inquiries),
             ("operations committed", |w| w.ops_ok),
             ("phase timeouts", |w| w.timeouts),
         ],

@@ -42,7 +42,7 @@ pub struct ClusterSpec {
     /// (fault-injection only — lets `r + w = N` clusters exist).
     pub unchecked_quorums: bool,
     /// Run the self-healing layer: anti-entropy repair on every server
-    /// plus client health tracking/hedging. Never consulted by the
+    /// plus client health tracking. Never consulted by the
     /// schedule generator, so repair-on and repair-off arms replay the
     /// exact same fault timeline.
     pub repair: bool,

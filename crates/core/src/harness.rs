@@ -1188,11 +1188,11 @@ mod tests {
     }
 
     #[test]
-    fn hedged_read_beats_a_crashed_primary_in_a_live_trial() {
+    fn a_read_fails_over_when_its_fetch_candidate_crashes_mid_fetch() {
         use crate::client::{HealthOptions, QuorumPolicy};
-        use wv_sim::trace::{SpanKind, SpanOutcome};
+        use wv_sim::trace::{SpanKind, SpanOutcome, SpanRecord};
         // Asymmetric links from the client (site 3): s0 closest, then s1,
-        // with s2 far enough that only the hedge reaches it in time.
+        // then s2.
         let mut net = NetConfig::uniform(4, LatencyModel::constant_millis(50));
         net.set_link_symmetric(SiteId(3), SiteId(0), LatencyModel::constant_millis(10));
         net.set_link_symmetric(SiteId(3), SiteId(1), LatencyModel::constant_millis(20));
@@ -1219,10 +1219,11 @@ mod tests {
         h.write(suite, b"v1".to_vec()).expect("write");
         h.run_until_quiet(10_000); // everywhere: let the commit round land
         let _ = h.take_trace();
-        // s0 (the optimistic-fetch guess) is already down when the read
-        // starts, so the fetch goes to s1 — which dies after answering
-        // the version inquiry but before the fetch reaches it. The hedge
-        // fires at 3× s1's EWMA RTT and s2 serves the read.
+        // s0 (asked for the contents with its inquiry) is already down
+        // when the read starts, so the fetch goes to s1 — which dies after
+        // answering the version inquiry but before the fetch reaches it.
+        // The leg's phase timeout moves the fetch on to s2, within the
+        // same attempt.
         h.crash(SiteId(0));
         h.enqueue_read(client, suite, h.now());
         h.advance(SimDuration::from_millis(100));
@@ -1231,18 +1232,22 @@ mod tests {
         let done = h.drain_completed(client);
         assert_eq!(done.len(), 1);
         let op = &done[0];
-        let ok = op.outcome.as_ref().expect("hedge completed the read");
+        let ok = op.outcome.as_ref().expect("failed over");
         assert_eq!(ok.version, Version(1));
         assert_eq!(ok.value.as_deref(), Some(&b"v1"[..]));
+        assert_eq!(op.attempts, 1, "a failover is not a retry");
         let stats = h.client_stats(client).expect("client");
-        assert_eq!(stats.hedges_fired, 1, "{stats:?}");
-        assert_eq!(stats.hedge_wins, 1, "the hedge leg answered first");
-        // The hedge span records the win: aimed at s2, closed Ok.
+        assert_eq!((stats.timeouts, stats.retries), (1, 0), "{stats:?}");
+        assert_eq!(stats.reads_fetched, 1);
+        // The fetch phase's legs: s1's timed out, s2's brought the contents.
         let spans = h.take_trace();
-        let hedge: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Hedge).collect();
-        assert_eq!(hedge.len(), 1);
-        assert_eq!(hedge[0].peer, SiteId(2).0);
-        assert_eq!(hedge[0].outcome, SpanOutcome::Ok);
+        let fetch = spans.iter().find(|s| s.kind == SpanKind::Fetch);
+        let fetch = fetch.expect("a fetch phase");
+        let under = |s: &&SpanRecord| (s.site, s.parent) == (fetch.site, fetch.id);
+        let legs: Vec<_> = spans.iter().filter(under).collect();
+        let leg = |site: SiteId| legs.iter().find(|s| s.peer == site.0).map(|s| s.outcome);
+        assert_eq!(leg(SiteId(1)), Some(SpanOutcome::Timeout));
+        assert_eq!(leg(SiteId(2)), Some(SpanOutcome::Ok));
     }
 
     #[test]

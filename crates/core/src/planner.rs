@@ -34,7 +34,8 @@ const SUSPICION_THRESHOLD: f64 = 2.0;
 const TIMEOUT_MULTIPLIER: f64 = 6.0;
 const MIN_TIMEOUT: SimDuration = SimDuration::from_millis(300);
 /// A site is late once a request has waited this × its round trip: a
-/// read then hedges to the next candidate, a write takes it for silent.
+/// write takes it for silent, and the writes parked behind a prepare it
+/// holds up stop waiting for that prepare.
 pub(crate) const LATE_MULTIPLIER: f64 = 3.0;
 /// Seed salt for the load-balanced rotation cursor.
 const LB_SALT: u64 = 0x10AD_BA1A_7C3D_5EED;
@@ -55,7 +56,7 @@ struct Site {
     owes_since: Option<SimTime>,
     /// It let a phase time out, or was widened away from; nothing since.
     silent: bool,
-    /// Data requests sent to it (fetch legs, hedges, prepares).
+    /// Data requests sent to it (fetch legs, prepares).
     load: u64,
 }
 
@@ -377,7 +378,7 @@ impl Planner {
         self.suspect(site, |score| score.max(SUSPICION_THRESHOLD), stats);
     }
 
-    /// A data request (fetch leg, hedge, prepare) goes out to `site`.
+    /// A data request (fetch leg, prepare) goes out to `site`.
     pub(crate) fn load(&mut self, site: SiteId) {
         if let Some(s) = self.sites.get_mut(site.index()) {
             s.load += 1;
@@ -402,13 +403,6 @@ impl Planner {
         }
         let adaptive = SimDuration::from_millis_f64(max_rtt * TIMEOUT_MULTIPLIER);
         adaptive.max(MIN_TIMEOUT).min(self.phase_timeout)
-    }
-
-    /// How long a fetch from `target` waits before it hedges, if it does.
-    pub(crate) fn hedge_delay(&self, target: SiteId) -> Option<SimDuration> {
-        let rtt = self.sites.get(target.index())?.rtt_ms;
-        let late = SimDuration::from_millis_f64(rtt * LATE_MULTIPLIER);
-        (self.health && rtt > 0.0).then_some(late.max(SimDuration::from_micros(1)))
     }
 
     /// The round trip the static costs expect of the slowest of `sites`.
@@ -482,7 +476,7 @@ impl Planner {
 
     /// The audit log's inputs: the policy's stable name and, for the sites
     /// ranked and in that order, what there was to go on. A follow-up
-    /// choice (hedge, failover) `chose` the next site of an order already
+    /// choice (a fetch failover) `chose` the next site of an order already
     /// recorded, and considered nothing else.
     pub(crate) fn audit_inputs(
         &self,
@@ -647,10 +641,9 @@ mod tests {
         // …and above by the fixed phase timeout.
         p.rtt(SiteId(2), 1e7);
         assert_eq!(p.phase_delay([SiteId(2)]), p.phase_timeout);
-        // Health off: always the fixed phase timeout, and no hedge.
+        // Health off: always the fixed phase timeout.
         let fixed = planner(QuorumPolicy::CheapestFirst, false, &[10.0]);
         assert_eq!(fixed.phase_delay([SiteId(0)]), fixed.phase_timeout);
-        assert_eq!(fixed.hedge_delay(SiteId(0)), None);
     }
 
     #[test]

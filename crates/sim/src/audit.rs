@@ -2,9 +2,8 @@
 //!
 //! Tracing (see [`crate::trace`]) records *what happened*; the audit log
 //! records *why the planner chose it*. Every plan decision — the
-//! optimistic fetch guess, the ordered fetch candidate list, a hedge
-//! firing, a failover to the next candidate, a write or transaction
-//! quorum — appends one [`AuditRecord`] carrying the decision's inputs
+//! optimistic fetch guess, the ordered fetch candidate list, a failover
+//! to the next candidate, a write or transaction quorum — appends one [`AuditRecord`] carrying the decision's inputs
 //! (policy, plan generation, per-site cost, health EWMA, suspicion,
 //! load) and the chosen sites.
 //!
@@ -32,8 +31,6 @@ pub enum DecisionKind {
     OptimisticFetch,
     /// The ordered fetch candidate list built after version inquiry.
     FetchPlan,
-    /// A hedged read fired at the next candidate.
-    Hedge,
     /// Fetch moved to the next candidate after a refusal or timeout.
     FetchFailover,
     /// The site set assembled for a write quorum.
@@ -45,10 +42,9 @@ pub enum DecisionKind {
 impl DecisionKind {
     /// Every variant, in declaration order; [`DecisionKind::from_name`]
     /// searches this table (see `SpanKind::ALL` for the rationale).
-    pub const ALL: [DecisionKind; 6] = [
+    pub const ALL: [DecisionKind; 5] = [
         DecisionKind::OptimisticFetch,
         DecisionKind::FetchPlan,
-        DecisionKind::Hedge,
         DecisionKind::FetchFailover,
         DecisionKind::WriteQuorum,
         DecisionKind::TxnQuorum,
@@ -59,7 +55,6 @@ impl DecisionKind {
         match self {
             DecisionKind::OptimisticFetch => "optimistic_fetch",
             DecisionKind::FetchPlan => "fetch_plan",
-            DecisionKind::Hedge => "hedge",
             DecisionKind::FetchFailover => "fetch_failover",
             DecisionKind::WriteQuorum => "write_quorum",
             DecisionKind::TxnQuorum => "txn_quorum",
@@ -336,7 +331,7 @@ mod tests {
             t(1500),
         );
         log.record(
-            DecisionKind::Hedge,
+            DecisionKind::FetchFailover,
             0x2a_0007,
             3,
             "load_balanced",

@@ -53,8 +53,6 @@ pub enum SpanKind {
     Rpc,
     /// Data move from a current representative.
     Fetch,
-    /// A hedged read racing the primary fetch.
-    Hedge,
     /// 2PC prepare phase as seen by the coordinator.
     Prepare,
     /// 2PC commit phase (decision logged, waiting for acks).
@@ -96,7 +94,7 @@ impl SpanKind {
     /// emitted by `to_jsonl` and then rejected by `from_jsonl`; the
     /// exhaustive-match guard in the round-trip test turns a forgotten
     /// entry into a test failure instead of a silent import error.
-    pub const ALL: [SpanKind; 21] = [
+    pub const ALL: [SpanKind; 20] = [
         SpanKind::Read,
         SpanKind::Write,
         SpanKind::Reconfigure,
@@ -104,7 +102,6 @@ impl SpanKind {
         SpanKind::Inquiry,
         SpanKind::Rpc,
         SpanKind::Fetch,
-        SpanKind::Hedge,
         SpanKind::Prepare,
         SpanKind::Commit,
         SpanKind::LockWait,
@@ -130,7 +127,6 @@ impl SpanKind {
             SpanKind::Inquiry => "inquiry",
             SpanKind::Rpc => "rpc",
             SpanKind::Fetch => "fetch",
-            SpanKind::Hedge => "hedge",
             SpanKind::Prepare => "prepare",
             SpanKind::Commit => "commit",
             SpanKind::LockWait => "lock_wait",
@@ -181,7 +177,8 @@ pub enum SpanOutcome {
     Refused,
     /// Outstanding when its phase ended; the reply never arrived.
     Unanswered,
-    /// Superseded — e.g. a hedge that lost its race.
+    /// Still outstanding when its phase completed without it — e.g. an
+    /// inquiry a quorum no longer needed.
     Lost,
     /// A prepare that gave way to an older one rather than deadlock.
     GaveWay,
@@ -563,7 +560,7 @@ mod tests {
         let rpc = tr.start(SpanKind::Rpc, 9, 0x1_0002, Some(root), Some(4), 0, t(5));
         tr.end_with_detail(rpc, t(80), SpanOutcome::Refused, 3);
         tr.end(root, t(90), SpanOutcome::Err);
-        let open = tr.start(SpanKind::Hedge, 9, 0x1_0002, Some(root), None, 0, t(95));
+        let open = tr.start(SpanKind::Fetch, 9, 0x1_0002, Some(root), None, 0, t(95));
         assert!(tr.is_open(open));
 
         let text = to_jsonl(tr.records());
@@ -587,7 +584,7 @@ mod tests {
     // One arm per variant, no wildcard: adding a `SpanKind` is a compile
     // error here until it gets a slot, and the round-trip test below then
     // forces that slot to exist in `ALL` (bump `N_KINDS` alongside).
-    const N_KINDS: usize = 21;
+    const N_KINDS: usize = 20;
     fn kind_slot(k: SpanKind) -> usize {
         match k {
             SpanKind::Read => 0,
@@ -597,20 +594,19 @@ mod tests {
             SpanKind::Inquiry => 4,
             SpanKind::Rpc => 5,
             SpanKind::Fetch => 6,
-            SpanKind::Hedge => 7,
-            SpanKind::Prepare => 8,
-            SpanKind::Commit => 9,
-            SpanKind::LockWait => 10,
-            SpanKind::WalWrite => 11,
-            SpanKind::WalBatch => 12,
-            SpanKind::Apply => 13,
-            SpanKind::RepairPull => 14,
-            SpanKind::RepairInstall => 15,
-            SpanKind::CacheHit => 16,
-            SpanKind::CacheRefresh => 17,
-            SpanKind::DiskRecovery => 18,
-            SpanKind::Quarantine => 19,
-            SpanKind::Ride => 20,
+            SpanKind::Prepare => 7,
+            SpanKind::Commit => 8,
+            SpanKind::LockWait => 9,
+            SpanKind::WalWrite => 10,
+            SpanKind::WalBatch => 11,
+            SpanKind::Apply => 12,
+            SpanKind::RepairPull => 13,
+            SpanKind::RepairInstall => 14,
+            SpanKind::CacheHit => 15,
+            SpanKind::CacheRefresh => 16,
+            SpanKind::DiskRecovery => 17,
+            SpanKind::Quarantine => 18,
+            SpanKind::Ride => 19,
         }
     }
 

@@ -9,7 +9,7 @@
 //! stale reads).
 
 use weighted_voting::chaos::check_log;
-use weighted_voting::core::client::CompletedOp;
+use weighted_voting::core::client::{CompletedOp, WeakRepOptions};
 use weighted_voting::core::error::OpKind;
 use weighted_voting::prelude::*;
 
@@ -136,4 +136,52 @@ fn history_stays_single_across_a_partition() {
         "expected base + 6 writes, got {}",
         r.version
     );
+}
+
+#[test]
+fn a_pipelined_cache_tier_read_takes_its_freshness_from_its_own_round() {
+    // Three one-vote servers, r = w = 2, a reader and a writer. Every
+    // link is 5 ms except s1 → reader and s2 → reader, at 100 ms: the
+    // reader's inquiry quorum waits on one of those two answers.
+    let (reader, writer) = (SiteId(3), SiteId(4));
+    let mut net = NetConfig::uniform(5, LatencyModel::constant_millis(5));
+    for slow in [SiteId(1), SiteId(2)] {
+        net.set_link(slow, reader, LatencyModel::constant_millis(100));
+    }
+    let mut h = HarnessBuilder::new()
+        .seed(404)
+        .site(SiteSpec::server(1))
+        .site(SiteSpec::server(1))
+        .site(SiteSpec::server(1))
+        .client()
+        .client()
+        .quorum(QuorumSpec::majority(3))
+        .net(net)
+        .client_options(ClientOptions {
+            pipeline_depth: Some(4),
+            weak_rep: Some(WeakRepOptions::validated()),
+            ..ClientOptions::default()
+        })
+        .build()
+        .expect("legal cluster");
+    let suite = h.suite_id();
+    h.enqueue_write(writer, suite, b"v1".to_vec(), h.now());
+    h.run_until_quiet(1_000_000);
+    // The reader reads; the writer's v2 is reported while that read's
+    // inquiry is still out; then the reader reads again.
+    let t0 = h.now();
+    let at = |ms| t0 + SimDuration::from_millis(ms);
+    h.enqueue_read(reader, suite, at(0));
+    h.enqueue_write(writer, suite, b"v2".to_vec(), at(8));
+    h.enqueue_read(reader, suite, at(30));
+    h.run_until_quiet(1_000_000);
+    let mut ops = h.drain_completed(writer);
+    let reported = ops.last().expect("the second write").finished;
+    assert!(reported < at(30), "{ops:#?}");
+    ops.extend(h.drain_completed(reader));
+    let violations = check_log(&ops, None, false);
+    assert!(violations.is_empty(), "{violations:?}\nops: {ops:#?}");
+    let second = ops.last().expect("the second read");
+    let version = second.outcome.as_ref().expect("read").version;
+    assert_eq!(version, Version(2), "answers from before it started");
 }
