@@ -8,8 +8,9 @@
 //!
 //! * a **replay artifact** (`results/e9_repro.json` style): one JSON
 //!   object whose `"trace"` / `"audit"` keys hold arrays of records;
-//! * **raw JSONL**: one record per line, as exported by
-//!   `Harness::take_trace_jsonl` / `take_audit_jsonl`.
+//! * **raw JSONL**: one record per line, as [`wv_sim::trace::to_jsonl`] /
+//!   [`wv_sim::audit::to_jsonl`] export what `Harness::take_recorded`
+//!   drains.
 
 use std::collections::BTreeMap;
 
@@ -42,9 +43,12 @@ pub fn ingest(input: &str) -> Result<Ingested, String> {
         if let Value::Object(_) = doc {
             let mut out = Ingested::default();
             if let Some(Value::Array(items)) = doc.get("trace") {
-                let jsonl: Vec<String> = items.iter().map(Value::to_json).collect();
-                out.spans = wv_sim::trace::from_jsonl(&jsonl.join("\n"))
-                    .map_err(|e| format!("artifact trace: {e}"))?;
+                for (i, item) in items.iter().enumerate() {
+                    out.spans.push(
+                        SpanRecord::from_value(item)
+                            .ok_or_else(|| format!("artifact trace record {i}: malformed"))?,
+                    );
+                }
             }
             if let Some(Value::Array(items)) = doc.get("audit") {
                 for (i, item) in items.iter().enumerate() {
@@ -313,9 +317,10 @@ pub fn capture_e1(master_seed: u64, trials: usize, rounds: u32) -> Capture {
     let per = runner::run_trials(master_seed, trials, |seed| {
         let mut h = topo::example_1(seed);
         h.enable_tracing();
-        h.enable_audit();
         drive_rounds(&mut h, rounds);
-        (h.take_trace_jsonl(), h.take_audit_jsonl())
+        let (spans, decisions) = h.take_recorded();
+        let trace = wv_sim::trace::to_jsonl(&spans);
+        (trace, wv_sim::audit::to_jsonl(&decisions))
     });
     let mut cap = Capture {
         trace_jsonl: String::new(),

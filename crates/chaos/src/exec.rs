@@ -305,21 +305,10 @@ pub fn run_schedule(spec: &ClusterSpec, schedule: &Schedule) -> TrialRun {
     run_schedule_inner(spec, schedule, false).0
 }
 
-/// [`run_schedule`] with span recording on: also returns the merged
-/// operation trace. Recording never touches the protocol (the harness
-/// test suite pins this), so the [`TrialRun`] is identical to the
-/// untraced replay's.
-pub fn run_schedule_traced(
-    spec: &ClusterSpec,
-    schedule: &Schedule,
-) -> (TrialRun, Vec<wv_sim::SpanRecord>) {
-    let (run, trace, _) = run_schedule_inner(spec, schedule, true);
-    (run, trace)
-}
-
-/// [`run_schedule_traced`] plus the quorum-decision audit log: the full
-/// evidence bundle for a replay artifact. Instrumentation never touches
-/// the protocol, so the [`TrialRun`] is identical to the untraced
+/// [`run_schedule`] with recording on: also returns the merged operation
+/// trace and quorum-decision log — the full evidence bundle for a replay
+/// artifact. Recording never touches the protocol (the harness test suite
+/// pins this), so the [`TrialRun`] is identical to the unrecorded
 /// replay's.
 pub fn run_schedule_instrumented(
     spec: &ClusterSpec,
@@ -336,7 +325,6 @@ fn run_schedule_inner(
     let mut h = build_harness(spec, schedule.seed);
     if traced {
         h.enable_tracing();
-        h.enable_audit();
     }
     let mut coverage = TrialCoverage::default();
     let mut sent_payloads: HashSet<Vec<u8>> = HashSet::new();
@@ -652,8 +640,7 @@ fn run_schedule_inner(
     coverage.dropped_link = net.dropped_link;
     coverage.duplicated_msgs = net.duplicated;
 
-    let trace = if traced { h.take_trace() } else { Vec::new() };
-    let audit = if traced { h.take_audit() } else { Vec::new() };
+    let (trace, audit) = h.take_recorded();
     (
         TrialRun {
             seed: schedule.seed,

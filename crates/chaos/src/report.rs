@@ -421,14 +421,8 @@ pub fn run(trials: usize) -> Report {
             let (spec2, schedule2) = Schedule::from_json(&text).expect("artifact round-trips");
             let (rerun, trace, audit) = run_schedule_instrumented(&spec2, &schedule2);
             let replayed = check_trial(&rerun, false);
-            let span_objs: Vec<String> = wv_sim::trace::to_jsonl(&trace)
-                .lines()
-                .map(str::to_string)
-                .collect();
-            let audit_objs: Vec<String> = wv_sim::audit::to_jsonl(&audit)
-                .lines()
-                .map(str::to_string)
-                .collect();
+            let span_objs: Vec<String> = trace.iter().map(|s| s.to_value().to_json()).collect();
+            let audit_objs: Vec<String> = audit.iter().map(|r| r.to_value().to_json()).collect();
             // The critical-path profile of the reproducer, folded-stack
             // form: which site and phase each microsecond of the
             // violating ops waited on.

@@ -56,8 +56,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use wv_net::{Node, NodeCtx, SiteId};
-use wv_sim::audit::{AuditLog, AuditRecord, DecisionKind};
-use wv_sim::trace::{SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};
+use wv_sim::audit::{AuditRecord, DecisionKind};
+use wv_sim::trace::{Recorder, SpanKind, SpanOutcome, SpanRecord};
 use wv_sim::{SimDuration, SimTime};
 use wv_storage::{Container, IdHashMap, ObjectId, Version};
 use wv_txn::Vote;
@@ -468,8 +468,6 @@ struct OpState {
     /// ignored if they fired after.
     seq: u64,
     phase: Phase,
-    /// Span bookkeeping; `None` unless tracing is enabled.
-    trace: Option<OpTrace>,
 }
 
 /// What a committed operation reports, and the configuration it adopts.
@@ -525,6 +523,19 @@ fn suites_of(writes: &[(ObjectId, Bytes)], own: ObjectId) -> impl Iterator<Item 
     writes.iter().map(|(s, _)| *s).chain(own)
 }
 
+/// The `(suite, site)` pairs one attempt of `st` inquires of, in send
+/// order: the [`Planner::inquiry_set`] of every suite it touches.
+fn inquiry_targets<'a>(
+    planner: &'a Planner,
+    configs: &'a IdHashMap<ObjectId, SuiteConfig>,
+    st: &'a OpState,
+) -> impl Iterator<Item = (ObjectId, SiteId)> + 'a {
+    st.suites().flat_map(move |suite| {
+        let set = planner.inquiry_set(st.kind, &configs[&suite]);
+        set.map(move |site| (suite, site))
+    })
+}
+
 /// An inquiry's answers: one per `(suite, site)`, as they arrived.
 type Answers = [(ObjectId, SiteId, Version)];
 
@@ -538,30 +549,6 @@ fn answer_of(answers: &Answers, suite: ObjectId, site: SiteId) -> Option<Version
 fn answered(answers: &Answers, suite: ObjectId) -> impl Iterator<Item = &SiteId> + Clone {
     let about = answers.iter().filter(move |(o, _, _)| *o == suite);
     about.map(|(_, site, _)| site)
-}
-
-/// Span bookkeeping for one traced operation. Lives inside [`OpState`] so
-/// it follows the operation across retries (which change the request id).
-/// `None` whenever tracing is disabled — the untraced path allocates and
-/// touches nothing.
-#[derive(Clone, Debug)]
-struct OpTrace {
-    /// The op's identity in the trace: the *first* attempt's request id,
-    /// stable across retries.
-    op: u64,
-    /// The suite the op targets, stamped on every span under the root.
-    suite: u64,
-    /// The root span, open from start to completion.
-    root: SpanId,
-    /// The current phase span (inquiry / fetch / prepare / commit).
-    phase: Option<SpanId>,
-    /// Open per-site request/response spans of the current phase
-    /// (version inquiries, prepares, commit acks).
-    rpcs: Vec<(SiteId, SpanId)>,
-    /// Open content legs: the sites asked for the contents alongside the
-    /// inquiry, and the current fetch candidate — closed by the contents
-    /// they provoke.
-    legs: Vec<(SiteId, SpanId)>,
 }
 
 /// The commit round of a decided operation, keyed by its request id: what
@@ -585,10 +572,6 @@ struct CommitTail {
     /// The written version and value, for the weak representatives at
     /// the last ack ([`ClientOptions::push_weak_on_write`]).
     push: Option<(Version, Bytes)>,
-    /// The commit phase span and its per-site RPC spans. They hang under
-    /// the op's root but begin where a root closed at the decision ends,
-    /// so they lie off its critical path.
-    trace: Option<OpTrace>,
 }
 
 /// Whether an operation of `kind` installing at a suite configured `cfg`
@@ -670,6 +653,16 @@ fn add_to_batches(
             Some((_, batch)) => batch.push(install.clone()),
             None => batches.push((*site, vec![install.clone()])),
         }
+    }
+}
+
+/// The root span of an operation of `kind`.
+fn root_kind(kind: OpKind) -> SpanKind {
+    match kind {
+        OpKind::Read => SpanKind::Read,
+        OpKind::Write => SpanKind::Write,
+        OpKind::Reconfigure => SpanKind::Reconfigure,
+        OpKind::Transaction => SpanKind::Transaction,
     }
 }
 
@@ -777,16 +770,8 @@ pub struct ClientNode {
     pub completed: Vec<CompletedOp>,
     /// Counters.
     pub stats: ClientStats,
-    /// Deterministic span recorder; `None` (the default) disables tracing
-    /// and leaves the classic path byte-for-byte untouched. A tracer only
-    /// ever reads the virtual clock — never the RNG, never the effects —
-    /// so a traced run stays message-identical to an untraced one.
-    tracer: Option<Tracer>,
-    /// Quorum-decision audit log; `None` (the default) disables auditing
-    /// under the same contract as `tracer`: hooks read only planner state
-    /// that is already computed, so an audited run stays
-    /// message-identical to an unaudited one.
-    audit: Option<AuditLog>,
+    /// Spans and quorum decisions, off by default (see [`Recorder`]).
+    recorder: Recorder,
 }
 
 impl ClientNode {
@@ -814,220 +799,26 @@ impl ClientNode {
             unretired: BTreeSet::new(),
             completed: Vec::new(),
             stats: ClientStats::default(),
-            tracer: None,
-            audit: None,
+            recorder: Recorder::new(site.0),
         }
     }
 
-    /// Turns on span recording. Idempotent; spans accumulate until drained
-    /// with [`Self::take_trace`].
+    /// Turns on recording of spans and quorum decisions. Idempotent; both
+    /// accumulate until drained with [`Self::take_recorded`].
     pub fn enable_tracing(&mut self) {
-        if self.tracer.is_none() {
-            self.tracer = Some(Tracer::new(self.site.0));
-        }
+        self.recorder.enable();
     }
 
-    /// Whether span recording is on.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer.is_some()
-    }
-
-    /// Drains the recorded spans (empty when tracing is off). Whatever
-    /// is still in flight — a commit tail, usually — goes on untraced:
-    /// its span handles index the drained buffer.
-    pub fn take_trace(&mut self) -> Vec<SpanRecord> {
-        for st in self.ops.values_mut() {
-            st.trace = None;
-        }
-        for tail in self.tails.values_mut() {
-            tail.trace = None;
-        }
-        self.tracer.as_mut().map(Tracer::take).unwrap_or_default()
-    }
-
-    /// Turns on quorum-decision auditing. Idempotent; records accumulate
-    /// until drained with [`Self::take_audit`].
-    pub fn enable_audit(&mut self) {
-        if self.audit.is_none() {
-            self.audit = Some(AuditLog::new(self.site.0));
-        }
+    /// Drains the recorded spans and decisions (empty when recording is
+    /// off). Whatever is still in flight — a commit tail, usually — goes
+    /// on untraced.
+    pub fn take_recorded(&mut self) -> (Vec<SpanRecord>, Vec<AuditRecord>) {
+        self.recorder.take()
     }
 
     /// The durable commit-decision log, read-only (tests and benches).
     pub fn decision_log(&self) -> &Container {
         &self.decisions
-    }
-
-    /// Drains the recorded decisions (empty when auditing is off).
-    pub fn take_audit(&mut self) -> Vec<AuditRecord> {
-        self.audit.as_mut().map(AuditLog::take).unwrap_or_default()
-    }
-
-    // ---- tracing hooks -------------------------------------------------
-    //
-    // Every hook is a no-op when `tracer` is `None`; none of them touch
-    // the RNG or emit effects, so tracing cannot perturb the protocol.
-
-    /// Opens the root span for a newly started operation.
-    fn trace_op_start(&mut self, req: ReqId, now: SimTime) {
-        let Some(tr) = self.tracer.as_mut() else {
-            return;
-        };
-        let Some(st) = self.ops.get_mut(&req) else {
-            return;
-        };
-        let kind = match st.kind {
-            OpKind::Read => SpanKind::Read,
-            OpKind::Write => SpanKind::Write,
-            OpKind::Reconfigure => SpanKind::Reconfigure,
-            OpKind::Transaction => SpanKind::Transaction,
-        };
-        let root = tr.start(kind, st.suite.0, req.0, None, None, 0, now);
-        st.trace = Some(OpTrace {
-            op: req.0,
-            suite: st.suite.0,
-            root,
-            phase: None,
-            rpcs: Vec::new(),
-            legs: Vec::new(),
-        });
-    }
-
-    /// The tracer and the open spans of operation `req`: `None` when
-    /// tracing is off or the operation is not (or no longer) in flight.
-    fn op_spans(&mut self, req: ReqId) -> Option<(&mut Tracer, &mut OpTrace)> {
-        let tr = self.tracer.as_mut()?;
-        let t = self.ops.get_mut(&req)?.trace.as_mut()?;
-        Some((tr, t))
-    }
-
-    /// Opens a phase span under the op's root, defensively closing any
-    /// phase still open (a retry abandoning a half-finished phase).
-    fn trace_begin_phase(&mut self, req: ReqId, kind: SpanKind, now: SimTime) {
-        let Some((tr, t)) = self.op_spans(req) else {
-            return;
-        };
-        Self::close_phase_spans(tr, t, now, SpanOutcome::Unanswered);
-        t.phase = Some(tr.start(kind, t.suite, t.op, Some(t.root), None, 0, now));
-    }
-
-    /// Opens a per-site request/response span under the current phase.
-    fn trace_add_rpc(&mut self, req: ReqId, site: SiteId, now: SimTime) {
-        if let Some((tr, t)) = self.op_spans(req) {
-            let id = tr.start(SpanKind::Rpc, t.suite, t.op, t.phase, Some(site.0), 0, now);
-            t.rpcs.push((site, id));
-        }
-    }
-
-    /// Opens a content leg under the current phase.
-    fn trace_add_leg(&mut self, req: ReqId, site: SiteId, now: SimTime) {
-        if let Some((tr, t)) = self.op_spans(req) {
-            let id = tr.start(SpanKind::Rpc, t.suite, t.op, t.phase, Some(site.0), 0, now);
-            t.legs.push((site, id));
-        }
-    }
-
-    /// Closes the open request/response span aimed at `site`, if any.
-    fn trace_end_rpc(
-        &mut self,
-        req: ReqId,
-        site: SiteId,
-        now: SimTime,
-        outcome: SpanOutcome,
-        detail: u64,
-    ) {
-        if let Some((tr, t)) = self.op_spans(req) {
-            Self::end_rpc_span(tr, t, site, now, outcome, detail);
-        }
-    }
-
-    fn end_rpc_span(
-        tr: &mut Tracer,
-        t: &mut OpTrace,
-        site: SiteId,
-        now: SimTime,
-        outcome: SpanOutcome,
-        detail: u64,
-    ) {
-        if let Some(pos) = t.rpcs.iter().position(|(s, _)| *s == site) {
-            let (_, id) = t.rpcs.remove(pos);
-            tr.end_with_detail(id, now, outcome, detail);
-        }
-    }
-
-    /// Closes the open fetch leg aimed at `site`, if any.
-    fn trace_end_leg(
-        &mut self,
-        req: ReqId,
-        site: SiteId,
-        now: SimTime,
-        outcome: SpanOutcome,
-        detail: u64,
-    ) {
-        let Some((tr, t)) = self.op_spans(req) else {
-            return;
-        };
-        if let Some(pos) = t.legs.iter().position(|(s, _)| *s == site) {
-            let (_, id) = t.legs.remove(pos);
-            tr.end_with_detail(id, now, outcome, detail);
-        }
-    }
-
-    /// Closes every open leg with `outcome` (phase timeout hit the fetch).
-    fn trace_timeout_legs(&mut self, req: ReqId, now: SimTime) {
-        if let Some((tr, t)) = self.op_spans(req) {
-            for (_, id) in t.legs.drain(..) {
-                tr.end(id, now, SpanOutcome::Timeout);
-            }
-        }
-    }
-
-    /// Closes the current phase span; still-open RPCs and legs end with
-    /// `loose` (they never answered, or their answer no longer matters).
-    fn trace_close_phase(&mut self, req: ReqId, now: SimTime, outcome: SpanOutcome) {
-        if let Some((tr, t)) = self.op_spans(req) {
-            Self::close_phase_spans(tr, t, now, outcome);
-        }
-    }
-
-    /// [`Self::trace_close_phase`] for an attempt whose `OpState` is
-    /// already out of the map (a retry in flight); the root stays open.
-    fn trace_close_attempt(&mut self, st: &mut OpState, now: SimTime, outcome: SpanOutcome) {
-        if let (Some(tr), Some(t)) = (self.tracer.as_mut(), st.trace.as_mut()) {
-            Self::close_phase_spans(tr, t, now, outcome);
-        }
-    }
-
-    fn close_phase_spans(tr: &mut Tracer, t: &mut OpTrace, now: SimTime, outcome: SpanOutcome) {
-        let loose = match outcome {
-            SpanOutcome::Ok => SpanOutcome::Lost,
-            SpanOutcome::Timeout => SpanOutcome::Timeout,
-            _ => SpanOutcome::Unanswered,
-        };
-        for (_, id) in t.rpcs.drain(..).chain(t.legs.drain(..)) {
-            tr.end(id, now, loose);
-        }
-        if let Some(p) = t.phase.take() {
-            tr.end(p, now, outcome);
-        }
-    }
-
-    /// Closes the phase and root spans of an operation that just finished
-    /// (the `OpState` is already out of the map).
-    fn trace_finish_op(&mut self, st: &mut OpState, now: SimTime, outcome: SpanOutcome) {
-        self.trace_close_attempt(st, now, outcome);
-        if let (Some(tr), Some(t)) = (self.tracer.as_mut(), st.trace.as_ref()) {
-            tr.end(t.root, now, outcome);
-        }
-    }
-
-    /// Records an instantaneous event under the op's root span: `WalWrite`
-    /// for the durable decision-log append, `CacheHit` on a local serve,
-    /// `CacheRefresh` on a fill from the network.
-    fn trace_event(&mut self, req: ReqId, kind: SpanKind, detail: u64, now: SimTime) {
-        if let Some((tr, t)) = self.op_spans(req) {
-            tr.event(kind, t.suite, t.op, Some(t.root), None, detail, now);
-        }
     }
 
     // ---- attached weak representative (cache tier) ---------------------
@@ -1112,17 +903,8 @@ impl ClientNode {
             }
         };
         if installed {
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.event(
-                    SpanKind::CacheRefresh,
-                    suite.0,
-                    0,
-                    None,
-                    Some(from.0),
-                    version.0,
-                    now,
-                );
-            }
+            let kind = SpanKind::CacheRefresh;
+            (self.recorder).event(kind, suite.0, 0, Some(from.0), version.0, now);
         }
     }
 
@@ -1134,7 +916,7 @@ impl ClientNode {
         };
         let (version, value) = (entry.version, entry.value.clone());
         self.stats.cache_hits += 1;
-        self.trace_event(req, SpanKind::CacheHit, version.0, ctx.now());
+        (self.recorder).op_event(req.0, SpanKind::CacheHit, version.0, ctx.now());
         self.complete(
             req,
             Ok(OpSuccess {
@@ -1152,35 +934,37 @@ impl ClientNode {
         self.planner.rank(cfg, ctx.rng(), &mut self.stats)
     }
 
-    /// Appends one decision to the audit log (no-op with auditing off).
-    /// Reads only planner state that is already computed — never the RNG,
-    /// never the effect queue — so auditing cannot perturb the protocol.
-    /// A follow-up choice (a fetch failover) has no ranking of its own.
+    /// Records one decision, with the planner's inputs to it. Reads only
+    /// planner state that is already computed — never the RNG, never the
+    /// effect queue — so recording cannot perturb the protocol. A
+    /// follow-up choice (a fetch failover) has no ranking of its own.
     fn audit_decision(
         &mut self,
         kind: DecisionKind,
         req: ReqId,
         suite: ObjectId,
-        chosen: &[SiteId],
+        chosen: impl IntoIterator<Item = SiteId>,
         ranked: Option<&Ranked>,
         now: SimTime,
     ) {
-        let Some(log) = self.audit.as_mut() else {
-            return;
-        };
-        let (policy, inputs) = self.planner.audit_inputs(ranked, chosen);
-        log.record(
-            kind,
-            req.0,
-            suite.0,
-            policy,
-            self.configs.get(&suite).map_or(0, |c| c.generation),
-            ranked.map_or(0, |r| r.cursor),
-            ranked.is_some_and(|r| r.rerouted),
-            chosen.iter().map(|s| s.0).collect(),
-            inputs,
-            now,
-        );
+        let (planner, configs) = (&self.planner, &self.configs);
+        self.recorder.decision(now, || {
+            let chosen: Vec<SiteId> = chosen.into_iter().collect();
+            let (policy, inputs) = planner.audit_inputs(ranked, &chosen);
+            AuditRecord {
+                at_us: 0, // stamped by the recorder, as is `site`
+                op: req.0,
+                site: 0,
+                suite: suite.0,
+                kind,
+                policy: policy.to_string(),
+                generation: configs.get(&suite).map_or(0, |c| c.generation),
+                cursor: ranked.map_or(0, |r| r.cursor),
+                rerouted: ranked.is_some_and(|r| r.rerouted),
+                chosen: chosen.iter().map(|s| s.0).collect(),
+                inputs,
+            }
+        });
     }
 
     /// The client's site.
@@ -1241,7 +1025,8 @@ impl ClientNode {
                 continue; // lost to a crash while queued
             }
             self.active += 1;
-            self.trace_op_start(req, ctx.now());
+            let st = &self.ops[&req];
+            (self.recorder).op(req.0, root_kind(st.kind), st.suite.0, ctx.now());
             self.begin_attempt(req, ctx);
         }
     }
@@ -1339,7 +1124,6 @@ impl ClientNode {
             lock_ts: req.counter(),
             seq: 0,
             phase: Phase::Riding, // no message, no timer yet; begin_attempt resets
-            trace: None,
         };
         self.ops.insert(req, st);
         self.submit(req, ctx);
@@ -1371,18 +1155,6 @@ impl ClientNode {
         st.attempt_started = ctx.now();
         self.serve_from_cache(req, suite, ctx);
         true
-    }
-
-    /// The `(suite, site)` pairs one attempt of `st` inquires of, in send
-    /// order: the [`Planner::inquiry_set`] of every suite it touches.
-    fn inquiry_targets<'a>(
-        &'a self,
-        st: &'a OpState,
-    ) -> impl Iterator<Item = (ObjectId, SiteId)> + 'a {
-        st.suites().flat_map(move |suite| {
-            let set = self.planner.inquiry_set(st.kind, &self.configs[&suite]);
-            set.map(move |site| (suite, site))
-        })
     }
 
     /// Whether this attempt of `st` may skip the inquiry and go straight to
@@ -1436,7 +1208,7 @@ impl ClientNode {
         let Some(carrier) = riders.pop() else {
             return;
         };
-        self.trace_close_phase(carrier, ctx.now(), SpanOutcome::Ok);
+        (self.recorder).close_phase(carrier.0, SpanOutcome::Ok, ctx.now());
         let oldest = riders.iter().map(|r| self.ops[r].lock_ts).min();
         let st = self.ops.get_mut(&carrier).expect("a parked write is live");
         st.lock_ts = oldest.map_or(st.lock_ts, |ts| ts.min(st.lock_ts));
@@ -1464,9 +1236,7 @@ impl ClientNode {
             let (marker, now) = (*marker, ctx.now());
             parked.push(req);
             self.ops.get_mut(&req).expect("just looked up").phase = Phase::Riding;
-            if let Some((tr, t)) = self.op_spans(req) {
-                t.phase = Some(tr.start(SpanKind::Ride, t.suite, t.op, Some(t.root), None, 0, now));
-            }
+            (self.recorder).phase(req.0, SpanKind::Ride, [], [], now);
             if self.stalled(marker, now) {
                 self.depart(suite, marker, ctx);
             }
@@ -1480,10 +1250,8 @@ impl ClientNode {
         }
         let st = &self.ops[&req];
         let (suite, is_read, installs) = (st.suite, st.kind == OpKind::Read, st.writes.len());
-        let targets = self.inquiry_targets(st).count();
-        let delay = self
-            .planner
-            .phase_delay(self.inquiry_targets(st).map(|(_, site)| site));
+        let sites = || inquiry_targets(&self.planner, &self.configs, st).map(|(_, site)| site);
+        let (targets, delay) = (sites().count(), self.planner.phase_delay(sites()));
         // A warm cache entry is pre-seeded into `early` below, so the
         // inquiry quorum can confirm it without any contents moving.
         let cached_early = if is_read && self.options.weak_rep.is_some() {
@@ -1502,11 +1270,9 @@ impl ClientNode {
             let ranked = self.rank(suite, ctx);
             let (own, contents) = ranked.content_sources(&self.configs[&suite].assignment);
             let guess = own.filter(|_| cached_early.is_none());
-            if self.audit.is_some() {
-                let kind = DecisionKind::OptimisticFetch;
-                let asked: Vec<SiteId> = guess.into_iter().chain(contents).collect();
-                self.audit_decision(kind, req, suite, &asked, Some(&ranked), ctx.now());
-            }
+            let kind = DecisionKind::OptimisticFetch;
+            let asked = guess.into_iter().chain(contents);
+            self.audit_decision(kind, req, suite, asked, Some(&ranked), ctx.now());
             (guess, contents)
         } else {
             (None, None)
@@ -1534,20 +1300,10 @@ impl ClientNode {
             early: cached_early,
         };
         let seq = st.seq;
-        if self.tracer.is_some() {
-            self.trace_begin_phase(req, SpanKind::Inquiry, ctx.now());
-            let sites: Vec<SiteId> = self
-                .inquiry_targets(&self.ops[&req])
-                .map(|(_, site)| site)
-                .collect();
-            for site in sites {
-                self.trace_add_rpc(req, site, ctx.now());
-            }
-            for target in guess.into_iter().chain(contents) {
-                self.trace_add_leg(req, target, ctx.now());
-            }
-        }
         let st = &self.ops[&req];
+        let asked = inquiry_targets(&self.planner, &self.configs, st).map(|(_, site)| site.0);
+        let legs = guess.into_iter().chain(contents).map(|site| site.0);
+        (self.recorder).phase(req.0, SpanKind::Inquiry, asked, legs, ctx.now());
         for suite in st.suites() {
             let cfg = &self.configs[&suite];
             self.planner.asked_inquiry(st.kind, cfg, ctx.now());
@@ -1555,7 +1311,7 @@ impl ClientNode {
         // A writer's answer is only a floor for the version assigned
         // under the commit lock, so it need not wait for one.
         let floor = installs > 0;
-        for (suite, site) in self.inquiry_targets(&self.ops[&req]) {
+        for (suite, site) in inquiry_targets(&self.planner, &self.configs, &self.ops[&req]) {
             let contents_from = contents_from.filter(|_| contents == Some(site));
             let inquiry = Msg::VersionReq {
                 suite,
@@ -1644,10 +1400,8 @@ impl ClientNode {
                 on_commit.multi.push((suite, install.version));
             }
             add_to_batches(&mut batches, &quorum, &install);
-            if self.audit.is_some() {
-                let decision = quorum_decision(kind);
-                self.audit_decision(decision, req, suite, &quorum, Some(&ranked), ctx.now());
-            }
+            let (decision, chosen) = (quorum_decision(kind), quorum.iter().copied());
+            self.audit_decision(decision, req, suite, chosen, Some(&ranked), ctx.now());
             if direct {
                 unprobed.push(quorum);
             }
@@ -1688,7 +1442,8 @@ impl ClientNode {
             asks: 0,
             unprobed: plan.unprobed,
         };
-        self.trace_begin_phase(req, SpanKind::Prepare, ctx.now());
+        let asked = plan.batches.iter().map(|(site, _)| site.0);
+        (self.recorder).phase(req.0, SpanKind::Prepare, asked, [], ctx.now());
         self.send_batches(req, plan.batches, plan.rebase, ctx);
         ctx.set_timer(plan.timeout, timer_token(req, seq, TimerKind::PhaseTimeout));
     }
@@ -1703,11 +1458,6 @@ impl ClientNode {
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
         let lock_ts = self.ops[&req].lock_ts;
-        if self.tracer.is_some() {
-            for (site, _) in &batches {
-                self.trace_add_rpc(req, *site, ctx.now());
-            }
-        }
         for (site, writes) in batches {
             self.planner.asked(site, ctx.now());
             self.planner.load(site);
@@ -1754,11 +1504,11 @@ impl ClientNode {
         let Some(mut st) = self.ops.remove(&req) else {
             return;
         };
-        self.trace_close_attempt(&mut st, ctx.now(), cause.outcome());
         // Fresh request id for the next attempt; late traffic for the old
         // id will find no operation and be ignored.
         self.note_retry(cause);
         let new_req = self.fresh_req();
+        (self.recorder).retry(req.0, new_req.0, cause.outcome(), ctx.now());
         st.end_phase(req, ctx);
         let seq = st.seq;
         let attempts = st.attempts;
@@ -1804,13 +1554,14 @@ impl ClientNode {
             self.complete(req, Err(OpError::Conflict), ctx);
             return;
         }
-        let Some(mut st) = self.ops.remove(&req) else {
+        let Some(st) = self.ops.remove(&req) else {
             return;
         };
-        self.trace_close_attempt(&mut st, ctx.now(), RetryCause::StaleConfig.outcome());
         self.note_retry(RetryCause::StaleConfig);
         st.cancel_timers(req, ctx);
         let new_req = self.fresh_req();
+        let stale = RetryCause::StaleConfig.outcome();
+        (self.recorder).retry(req.0, new_req.0, stale, ctx.now());
         self.ops.insert(new_req, st);
         self.begin_attempt(new_req, ctx);
     }
@@ -1834,13 +1585,9 @@ impl ClientNode {
         // If it failed instead, each goes on alone with its own budget.
         let riders = std::mem::take(&mut st.riders);
         let carried = outcome.as_ref().ok().map(|s| s.version);
-        let carrier = st.trace.as_ref().map_or(0, |t| t.op);
         let below = (1..=riders.len() as u64).rev();
         for (rider, below) in riders.into_iter().zip(below) {
-            if let Some((tr, t)) = self.op_spans(rider) {
-                let ride = t.phase.take().expect("opened when it parked");
-                tr.end_with_detail(ride, ctx.now(), span_outcome, carrier);
-            }
+            (self.recorder).rode(rider.0, req.0, span_outcome, ctx.now());
             let Some(version) = carried else {
                 self.begin_attempt(rider, ctx);
                 continue;
@@ -1853,7 +1600,7 @@ impl ClientNode {
             };
             self.complete(rider, Ok(success), ctx);
         }
-        self.trace_finish_op(&mut st, ctx.now(), span_outcome);
+        (self.recorder).finish(req.0, span_outcome, ctx.now());
         self.completed.push(CompletedOp {
             req,
             kind: st.kind,
@@ -1876,7 +1623,7 @@ impl ClientNode {
         ask: SiteId,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
-        self.trace_close_phase(req, ctx.now(), SpanOutcome::Stale);
+        (self.recorder).close_phase(req.0, SpanOutcome::Stale, ctx.now());
         let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
@@ -1939,7 +1686,7 @@ impl ClientNode {
                 self.planner.rtt(from, rtt.as_millis_f64());
             }
         }
-        self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, version.0);
+        (self.recorder).end_rpc(req.0, from.0, SpanOutcome::Ok, version.0, ctx.now());
         // Fetch-candidate ranking is only needed on paths that fetch
         // (reads and reconfigurations); writes rank sites in `enter_prepare`
         // — so a late answer for one must not probe the plan cache or draw.
@@ -2057,7 +1804,7 @@ impl ClientNode {
             Next::Wait => {}
             Next::Refresh => self.enter_refresh(req, suite, from, ctx),
             Next::Restart => {
-                self.trace_close_phase(req, ctx.now(), SpanOutcome::Stale);
+                (self.recorder).close_phase(req.0, SpanOutcome::Stale, ctx.now());
                 self.restart_op(req, ctx);
             }
             Next::EarlyHit {
@@ -2072,7 +1819,7 @@ impl ClientNode {
                     |e: &CacheEntry| !guessed && source == self.site && e.version >= version;
                 if self.cache.get(&suite).is_some_and(cached) {
                     self.stats.cache_hits += 1;
-                    self.trace_event(req, SpanKind::CacheHit, version.0, ctx.now());
+                    (self.recorder).op_event(req.0, SpanKind::CacheHit, version.0, ctx.now());
                     self.grant_lease(suite, ctx.now());
                 } else {
                     self.stats.reads_cache_hit += 1;
@@ -2087,13 +1834,13 @@ impl ClientNode {
                 current,
                 candidates,
             } => {
-                self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
-                let kind = DecisionKind::FetchPlan;
-                self.audit_decision(kind, req, suite, &candidates, ranked.as_ref(), ctx.now());
+                (self.recorder).close_phase(req.0, SpanOutcome::Ok, ctx.now());
+                let (kind, chosen) = (DecisionKind::FetchPlan, candidates.iter().copied());
+                self.audit_decision(kind, req, suite, chosen, ranked.as_ref(), ctx.now());
                 self.enter_fetch(req, suite, current, candidates, ctx)
             }
             Next::ToPrepare => {
-                self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
+                (self.recorder).close_phase(req.0, SpanOutcome::Ok, ctx.now());
                 self.enter_prepare(req, ctx);
             }
         }
@@ -2137,7 +1884,8 @@ impl ClientNode {
         // weak representative (and re-arms the lease in lease mode).
         if self.options.weak_rep.is_some() {
             if source != self.site {
-                self.trace_event(req, SpanKind::CacheRefresh, version.0, ctx.now());
+                let kind = SpanKind::CacheRefresh;
+                (self.recorder).op_event(req.0, kind, version.0, ctx.now());
             }
             self.fill_cache(suite, version, &value, ctx.now());
         }
@@ -2181,10 +1929,8 @@ impl ClientNode {
             candidates,
             idx: 0,
         };
-        self.trace_begin_phase(req, SpanKind::Fetch, ctx.now());
-        if let Some(site) = racing {
-            self.trace_add_leg(req, site, ctx.now());
-        }
+        let racing = racing.map(|site| site.0);
+        (self.recorder).phase(req.0, SpanKind::Fetch, [], racing, ctx.now());
         self.launch_leg(req, suite, first, seq, ctx);
     }
 
@@ -2198,7 +1944,7 @@ impl ClientNode {
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
         let delay = self.planner.phase_delay([site]);
-        self.trace_add_leg(req, site, ctx.now());
+        self.recorder.leg(req.0, site.0, ctx.now());
         self.planner.load(site);
         ctx.send(site, Msg::ReadReq { suite, req });
         ctx.set_timer(delay, timer_token(req, seq, TimerKind::PhaseTimeout));
@@ -2220,7 +1966,7 @@ impl ClientNode {
         current_value: Bytes,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
-        self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
+        (self.recorder).close_phase(req.0, SpanOutcome::Ok, ctx.now());
         let old_cfg = &self.configs[&suite];
         let Some(st) = self.ops.get(&req) else {
             return;
@@ -2363,15 +2109,15 @@ impl ClientNode {
         };
         match disposition {
             Disposition::StoredEarly => {
-                self.trace_end_leg(req, from, ctx.now(), SpanOutcome::Ok, version.0);
+                (self.recorder).end_leg(req.0, from.0, SpanOutcome::Ok, version.0, ctx.now());
             }
             Disposition::StaleStray => {
-                self.trace_end_leg(req, from, ctx.now(), SpanOutcome::Stale, version.0);
+                (self.recorder).end_leg(req.0, from.0, SpanOutcome::Stale, version.0, ctx.now());
             }
             // The candidate answered below what the quorum proved current
             // — a stale duplicate; move to the next candidate.
             Disposition::StaleFromCandidate => {
-                self.trace_end_leg(req, from, ctx.now(), SpanOutcome::Stale, version.0);
+                (self.recorder).end_leg(req.0, from.0, SpanOutcome::Stale, version.0, ctx.now());
                 self.try_next_candidate(req, Some(from), ctx)
             }
             Disposition::Fresh => {
@@ -2388,7 +2134,7 @@ impl ClientNode {
                 {
                     self.stats.cache_misses += 1;
                 }
-                self.trace_end_leg(req, from, ctx.now(), SpanOutcome::Ok, version.0);
+                (self.recorder).end_leg(req.0, from.0, SpanOutcome::Ok, version.0, ctx.now());
                 self.finish_read(req, suite, from, version, value, ctx);
             }
         }
@@ -2445,14 +2191,8 @@ impl ClientNode {
         match next {
             Next::Exhausted => self.fail_attempt(req, OpError::Conflict, cause, ctx),
             Next::Try { site, suite, seq } => {
-                self.audit_decision(
-                    DecisionKind::FetchFailover,
-                    req,
-                    suite,
-                    &[site],
-                    None,
-                    ctx.now(),
-                );
+                let kind = DecisionKind::FetchFailover;
+                self.audit_decision(kind, req, suite, [site], None, ctx.now());
                 self.launch_leg(req, suite, site, seq, ctx);
             }
         }
@@ -2468,7 +2208,7 @@ impl ClientNode {
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
         let vote_detail = u64::from(vote.is_ok());
-        self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, vote_detail);
+        (self.recorder).end_rpc(req.0, from.0, SpanOutcome::Ok, vote_detail, ctx.now());
         let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
@@ -2545,23 +2285,8 @@ impl ClientNode {
         // decision probes always get the truth. This is the commit point.
         self.log_commit_decision(req, &versions);
         let delay = self.planner.phase_delay(participants.iter().copied());
-        let now = ctx.now();
-        self.trace_event(req, SpanKind::WalWrite, 0, now);
-        let trace = self.op_spans(req).map(|(tr, t)| {
-            Self::close_phase_spans(tr, t, now, SpanOutcome::Ok);
-            let phase = tr.start(SpanKind::Commit, t.suite, t.op, Some(t.root), None, 0, now);
-            let rpc = |site: &SiteId| {
-                let peer = Some(site.0);
-                let id = tr.start(SpanKind::Rpc, t.suite, t.op, Some(phase), peer, 0, now);
-                (*site, id)
-            };
-            OpTrace {
-                phase: Some(phase),
-                rpcs: participants.iter().map(rpc).collect(),
-                legs: Vec::new(),
-                ..*t
-            }
-        });
+        let asked = participants.iter().map(|site| site.0);
+        self.recorder.commit(req.0, asked, ctx.now());
         for site in &participants {
             let versions = versions.clone();
             ctx.send(
@@ -2594,7 +2319,6 @@ impl ClientNode {
             versions,
             then,
             push,
-            trace,
         };
         self.tails.insert(req, tail);
         ctx.set_timer(delay, timer_token(req, 0, TimerKind::CommitResend));
@@ -2804,20 +2528,27 @@ impl ClientNode {
                 span,
             };
             add_to_batches(&mut added, &next, &install);
-            if self.audit.is_some() {
-                decisions.push((suite, kept().chain(&next).copied().collect(), ranked));
-            }
+            decisions.push((suite, next, ranked));
         }
         if quorums.len() > 1 {
             added.sort_by_key(|(site, _)| *site);
         }
-        for (suite, chosen, ranked) in decisions {
+        for ((suite, next, ranked), quorum) in decisions.into_iter().zip(&quorums) {
+            let chosen = quorum.iter().filter(|s| !silent.contains(s)).chain(&next);
             let decision = quorum_decision(kind);
-            self.audit_decision(decision, req, suite, &chosen, Some(&ranked), ctx.now());
+            self.audit_decision(
+                decision,
+                req,
+                suite,
+                chosen.copied(),
+                Some(&ranked),
+                ctx.now(),
+            );
         }
         self.planner.unanswered(&silent, &mut self.stats);
         for &site in &silent {
-            self.trace_end_rpc(req, site, ctx.now(), SpanOutcome::Unanswered, 0);
+            let unanswered = SpanOutcome::Unanswered;
+            (self.recorder).end_rpc(req.0, site.0, unanswered, 0, ctx.now());
             ctx.send(site, Msg::Abort { suite, req });
         }
         let Some(Phase::Prepare {
@@ -2833,6 +2564,8 @@ impl ClientNode {
             // voted already.
             return self.decide(req, ctx);
         }
+        let asked = added.iter().map(|(site, _)| site.0);
+        self.recorder.rpcs(req.0, asked, ctx.now());
         self.send_batches(req, added, true, ctx);
     }
 
@@ -2927,9 +2660,7 @@ impl ClientNode {
         if !tail.participants.contains(&from) {
             return;
         }
-        if let (Some(tr), Some(t)) = (self.tracer.as_mut(), tail.trace.as_mut()) {
-            Self::end_rpc_span(tr, t, from, ctx.now(), SpanOutcome::Ok, 1);
-        }
+        self.recorder.commit_acked(req.0, from.0, ctx.now());
         tail.acked.insert(from);
         if tail.acked.len() == tail.participants.len() {
             self.end_tail(req, true, ctx);
@@ -2983,18 +2714,11 @@ impl ClientNode {
     /// is retired, and the weak representatives are sent the written
     /// value if the options ask for it.
     fn end_tail(&mut self, req: ReqId, acked: bool, ctx: &mut NodeCtx<'_, Msg>) {
-        let Some(mut tail) = self.tails.remove(&req) else {
+        let Some(tail) = self.tails.remove(&req) else {
             return;
         };
         ctx.cancel_timer(timer_token(req, 0, TimerKind::CommitResend));
-        if let (Some(tr), Some(t)) = (self.tracer.as_mut(), tail.trace.as_mut()) {
-            let outcome = if acked {
-                SpanOutcome::Ok
-            } else {
-                SpanOutcome::Timeout
-            };
-            Self::close_phase_spans(tr, t, ctx.now(), outcome);
-        }
+        self.recorder.commit_ended(req.0, acked, ctx.now());
         let suite = tail.suite;
         if acked {
             self.unretired.remove(&req);
@@ -3070,7 +2794,7 @@ impl ClientNode {
                 // transition itself.
                 Phase::Inquire { answers, .. } => {
                     let mut silent = Vec::new();
-                    for (suite, site) in self.inquiry_targets(st) {
+                    for (suite, site) in inquiry_targets(&self.planner, &self.configs, st) {
                         if answer_of(answers, suite, site).is_none() && !silent.contains(&site) {
                             silent.push(site);
                         }
@@ -3110,7 +2834,7 @@ impl ClientNode {
                 self.fail_attempt(req, err, RetryCause::TimeoutInquire, ctx)
             }
             Next::NextCandidate => {
-                self.trace_timeout_legs(req, ctx.now());
+                self.recorder.legs_timed_out(req.0, ctx.now());
                 self.try_next_candidate(req, None, ctx)
             }
             Next::AbortAndFail(kind) => {
@@ -3165,7 +2889,8 @@ impl ClientNode {
                     // aborts the round and retries on a healthier quorum.
                     self.on_prepare_vote(from, req, Err(RetryCause::Refused), ctx);
                 } else {
-                    self.trace_end_leg(req, from, ctx.now(), SpanOutcome::Refused, 0);
+                    let refused = SpanOutcome::Refused;
+                    (self.recorder).end_leg(req.0, from.0, refused, 0, ctx.now());
                     self.try_next_candidate(req, Some(from), ctx)
                 }
             }
@@ -3240,6 +2965,7 @@ impl ClientNode {
     pub fn handle_crash(&mut self) {
         self.ops.clear();
         self.tails.clear();
+        self.recorder.forget();
         self.queue.clear();
         self.active = 0;
         self.cache.clear();
@@ -3332,12 +3058,13 @@ mod tests {
     }
 
     #[test]
-    fn a_queued_operation_stays_within_44_words() {
+    fn a_queued_operation_stays_within_34_words() {
         // Every queued submission sits in `ops` as a whole `OpState` — ten
         // thousand a batch on a read-heavy workload — so its size is heap
-        // high water. What only a reconfiguration uses is boxed.
+        // high water. What only a reconfiguration uses is boxed, and its
+        // spans are the recorder's.
         let size = std::mem::size_of::<OpState>();
-        assert!(size <= 352, "{size}");
+        assert!(size <= 272, "{size}");
     }
 
     #[test]

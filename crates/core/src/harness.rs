@@ -830,9 +830,9 @@ impl Harness {
         }
     }
 
-    /// Turns on span recording at every client and server node.
-    /// Idempotent; recording never perturbs the protocol (tracers touch
-    /// neither the RNG nor the effect queue).
+    /// Turns on recording of spans and quorum decisions at every client
+    /// and server node. Idempotent; recording never perturbs the protocol
+    /// (recorders touch neither the RNG nor the effect queue).
     pub fn enable_tracing(&mut self) {
         for node in &mut self.sim.world.nodes {
             if let Some(c) = node.as_client_mut() {
@@ -844,56 +844,36 @@ impl Harness {
         }
     }
 
-    /// Drains every node's recorded spans, concatenated in site order
+    /// Drains every node's recorder. Spans are concatenated in site order
     /// (the client half before the server half at a composite site) with
-    /// ids rebased to stay unique across nodes. The order is a pure
+    /// ids rebased to stay unique across nodes; decisions, which carry
+    /// their site, are concatenated in site order. The order is a pure
     /// function of cluster topology, so traced runs are byte-identical
     /// across processes and worker counts.
-    pub fn take_trace(&mut self) -> Vec<wv_sim::SpanRecord> {
-        let mut merged = Vec::new();
+    pub fn take_recorded(&mut self) -> (Vec<wv_sim::SpanRecord>, Vec<wv_sim::AuditRecord>) {
+        let (mut spans, mut decisions) = (Vec::new(), Vec::new());
         for node in &mut self.sim.world.nodes {
             if let Some(c) = node.as_client_mut() {
-                wv_sim::trace::rebase_merge(&mut merged, c.take_trace());
+                let (s, d) = c.take_recorded();
+                wv_sim::trace::rebase_merge(&mut spans, s);
+                decisions.extend(d);
             }
             if let Some(s) = node.as_server_mut() {
-                wv_sim::trace::rebase_merge(&mut merged, s.take_trace());
+                wv_sim::trace::rebase_merge(&mut spans, s.take_trace());
             }
         }
-        merged
+        (spans, decisions)
+    }
+
+    /// The spans of [`Self::take_recorded`]; the decisions drained with
+    /// them are dropped.
+    pub fn take_trace(&mut self) -> Vec<wv_sim::SpanRecord> {
+        self.take_recorded().0
     }
 
     /// Drains the trace and renders it as JSONL.
     pub fn take_trace_jsonl(&mut self) -> String {
         wv_sim::trace::to_jsonl(&self.take_trace())
-    }
-
-    /// Turns on quorum-decision auditing at every client node.
-    /// Idempotent; auditing never perturbs the protocol (the log touches
-    /// neither the RNG nor the effect queue).
-    pub fn enable_audit(&mut self) {
-        for node in &mut self.sim.world.nodes {
-            if let Some(c) = node.as_client_mut() {
-                c.enable_audit();
-            }
-        }
-    }
-
-    /// Drains every client's audit records, concatenated in site order.
-    /// Records carry their originating site, so no id rebasing is needed;
-    /// the order is a pure function of cluster topology.
-    pub fn take_audit(&mut self) -> Vec<wv_sim::AuditRecord> {
-        let mut merged = Vec::new();
-        for node in &mut self.sim.world.nodes {
-            if let Some(c) = node.as_client_mut() {
-                merged.extend(c.take_audit());
-            }
-        }
-        merged
-    }
-
-    /// Drains the audit log and renders it as JSONL.
-    pub fn take_audit_jsonl(&mut self) -> String {
-        wv_sim::audit::to_jsonl(&self.take_audit())
     }
 
     /// Immutable access to the underlying cluster (experiments).
@@ -919,24 +899,30 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_spans_without_changing_outcomes() {
+    fn recording_never_changes_outcomes() {
+        use wv_sim::audit::DecisionKind;
         use wv_sim::trace::{from_jsonl, to_jsonl, SpanKind, SpanOutcome};
         let mut plain = three_server_harness(11);
-        let mut traced = three_server_harness(11);
-        traced.enable_tracing();
+        let mut observed = three_server_harness(11);
+        observed.enable_tracing();
         let suite = plain.suite_id();
         for i in 0..5u8 {
             let a = plain.write(suite, vec![i]).expect("write");
-            let b = traced.write(suite, vec![i]).expect("write");
+            let b = observed.write(suite, vec![i]).expect("write");
             assert_eq!(a.version, b.version);
-            assert_eq!(a.latency, b.latency, "tracing must not shift time");
+            assert_eq!(a.latency, b.latency, "recording must not shift time");
             let ra = plain.read(suite).expect("read");
-            let rb = traced.read(suite).expect("read");
+            let rb = observed.read(suite).expect("read");
             assert_eq!(ra.version, rb.version);
             assert_eq!(ra.latency, rb.latency);
         }
-        assert!(plain.take_trace().is_empty(), "tracing off records nothing");
-        let spans = traced.take_trace();
+        let (spans, decisions) = plain.take_recorded();
+        assert!(
+            spans.is_empty() && decisions.is_empty(),
+            "off records nothing"
+        );
+        let (spans, decisions) = observed.take_recorded();
+
         let roots: Vec<_> = spans.iter().filter(|s| s.kind.is_op_root()).collect();
         assert_eq!(roots.len(), 10, "one root per op");
         assert!(roots.iter().all(|s| s.outcome == SpanOutcome::Ok));
@@ -947,10 +933,8 @@ mod tests {
             SpanKind::Commit,
             SpanKind::WalWrite,
         ] {
-            assert!(
-                spans.iter().any(|s| s.kind == kind),
-                "expected a {kind:?} span"
-            );
+            let found = spans.iter().any(|s| s.kind == kind);
+            assert!(found, "expected a {kind:?} span");
         }
         // Ids are unique after the cross-node merge, and parents resolve.
         let mut ids: Vec<u32> = spans.iter().map(|s| s.id).collect();
@@ -959,46 +943,78 @@ mod tests {
         assert_eq!(ids.len(), spans.len(), "rebased ids are unique");
         let back = from_jsonl(&to_jsonl(&spans)).expect("round-trip");
         assert_eq!(back, spans);
-        // A second drain is empty until new work happens.
-        assert!(traced.take_trace().is_empty());
-    }
 
-    #[test]
-    fn auditing_never_changes_outcomes() {
-        use wv_sim::audit::DecisionKind;
-        let mut plain = three_server_harness(23);
-        let mut observed = three_server_harness(23);
-        observed.enable_audit();
-        let suite = plain.suite_id();
-        for i in 0..6u8 {
-            let a = plain.write(suite, vec![i]).expect("write");
-            let b = observed.write(suite, vec![i]).expect("write");
-            assert_eq!(a.version, b.version);
-            assert_eq!(a.latency, b.latency, "observation must not shift time");
-            let ra = plain.read(suite).expect("read");
-            let rb = observed.read(suite).expect("read");
-            assert_eq!(ra.version, rb.version);
-            assert_eq!(ra.latency, rb.latency);
-        }
-        assert!(
-            plain.take_audit().is_empty(),
-            "auditing off records nothing"
-        );
-        let records = observed.take_audit();
-        assert!(!records.is_empty(), "audited run records decisions");
-        assert!(records
-            .iter()
-            .any(|r| r.kind == DecisionKind::OptimisticFetch));
-        assert!(records.iter().any(|r| r.kind == DecisionKind::WriteQuorum));
+        let kinds = |k: DecisionKind| decisions.iter().any(|r| r.kind == k);
+        assert!(kinds(DecisionKind::OptimisticFetch) && kinds(DecisionKind::WriteQuorum));
         // Every record names at least one chosen site, with inputs for
         // every site the planner considered.
-        for r in &records {
+        for r in &decisions {
             assert!(!r.chosen.is_empty(), "decision chose no site: {r:?}");
             assert!(r.inputs.len() >= r.chosen.len());
             assert_eq!(r.policy, "cheapest_first");
         }
-        // A second drain is empty.
-        assert!(observed.take_audit().is_empty());
+        // A second drain is empty until new work happens.
+        assert_eq!(observed.take_recorded(), (Vec::new(), Vec::new()));
+    }
+
+    #[test]
+    fn a_drain_leaves_a_commit_tail_in_flight_untraced() {
+        use std::collections::BTreeSet;
+        use wv_sim::trace::{SpanKind, SpanOutcome, SpanRecord, NO_PARENT, OPEN_END};
+        let mut h = three_server_harness(5);
+        h.enable_tracing();
+        let suite = h.suite_id();
+        let client = h.default_client().0;
+        h.write(suite, b"a".to_vec()).expect("write");
+        // Reported at its decision, with its commit round still out.
+        let first = h.take_trace();
+        let open_commit = first
+            .iter()
+            .find(|s| s.kind == SpanKind::Commit && s.end_us == OPEN_END)
+            .expect("the commit round is in flight at the drain");
+        let write = open_commit.op;
+        h.advance(SimDuration::from_secs(1));
+        h.read(suite).expect("read");
+        let second = h.take_trace();
+
+        let ids: BTreeSet<u32> = second.iter().map(|s| s.id).collect();
+        let resolves = |s: &&SpanRecord| s.parent == NO_PARENT || ids.contains(&s.parent);
+        assert!(second.iter().all(|s| resolves(&s)), "{second:?}");
+        // The tail went on untraced: no commit span, nor any other, of
+        // the write's at the client.
+        let of = |op: u64| {
+            second
+                .iter()
+                .filter(move |s| s.site == client && s.op == op)
+        };
+        assert_eq!(of(write).count(), 0, "{second:?}");
+        let root = second.iter().find(|s| s.kind == SpanKind::Read);
+        let root = root.expect("the read is traced");
+        assert_eq!(root.outcome, SpanOutcome::Ok);
+        assert!(of(root.op).count() > 2, "a root, an inquiry and its RPCs");
+        assert!(of(root.op).all(|s| s.end_us != OPEN_END), "{second:?}");
+    }
+
+    #[test]
+    fn a_client_crash_leaves_the_spans_of_its_operations_open() {
+        use wv_sim::trace::OPEN_END;
+        let mut h = three_server_harness(9);
+        h.enable_tracing();
+        let (suite, client) = (h.suite_id(), h.default_client());
+        h.enqueue_read(client, suite, h.now());
+        h.advance(SimDuration::from_millis(1));
+        h.crash(client);
+        h.recover(client);
+        // The inquiry's answers reach the recovered client, which no
+        // longer knows the read.
+        h.advance(SimDuration::from_secs(1));
+        let spans = h.take_trace();
+        let at_client: Vec<_> = spans.iter().filter(|s| s.site == client.0).collect();
+        assert!(at_client.len() > 2, "a root, an inquiry and its RPCs");
+        assert!(
+            at_client.iter().all(|s| s.end_us == OPEN_END),
+            "{at_client:?}"
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use wv_net::{Node, NodeCtx, SiteId};
-use wv_sim::trace::{SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};
+use wv_sim::trace::{Recorder, SpanId, SpanKind, SpanOutcome, SpanRecord};
 use wv_sim::{SimDuration, SimTime};
 use wv_storage::{Container, IdHashMap, ObjectId, TxId, Version};
 use wv_txn::lock::{DeadlockPolicy, LockMode, LockReply, LockTable, TxToken};
@@ -228,10 +228,8 @@ pub struct SuiteServer {
     refresh_clients: Vec<SiteId>,
     /// Counters.
     pub stats: ServerStats,
-    /// Span recording; `None` (the default) keeps the hot path untouched.
-    /// The tracer never reads the RNG and never emits effects, so enabling
-    /// it cannot perturb the protocol.
-    tracer: Option<Tracer>,
+    /// Span recording, off by default (see [`Recorder`]).
+    recorder: Recorder,
     /// The group-commit window: how long a sync collects records before
     /// its one flush. `None` (the default) is no window — every record's
     /// sync runs in the step that appended it.
@@ -309,7 +307,7 @@ impl SuiteServer {
             repair_cursor: 0,
             refresh_clients: Vec::new(),
             stats: ServerStats::default(),
-            tracer: None,
+            recorder: Recorder::new(site.0),
             group_commit: None,
             sync_active: false,
             sync_queue: Vec::new(),
@@ -325,19 +323,12 @@ impl SuiteServer {
     /// Turns on span recording. Idempotent; spans accumulate until drained
     /// with [`Self::take_trace`].
     pub fn enable_tracing(&mut self) {
-        if self.tracer.is_none() {
-            self.tracer = Some(Tracer::new(self.site.0));
-        }
-    }
-
-    /// Whether span recording is on.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer.is_some()
+        self.recorder.enable();
     }
 
     /// Drains the recorded spans (empty when tracing is off).
     pub fn take_trace(&mut self) -> Vec<SpanRecord> {
-        self.tracer.as_mut().map(Tracer::take).unwrap_or_default()
+        self.recorder.take().0
     }
 
     /// Overrides the in-doubt probe interval.
@@ -490,17 +481,8 @@ impl SuiteServer {
                 let have = self.data_version(suite);
                 for peer in peers {
                     self.stats.repair_probes += 1;
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.event(
-                            SpanKind::RepairPull,
-                            suite.0,
-                            0,
-                            None,
-                            Some(peer.0),
-                            have.0,
-                            ctx.now(),
-                        );
-                    }
+                    let kind = SpanKind::RepairPull;
+                    (self.recorder).event(kind, suite.0, 0, Some(peer.0), have.0, ctx.now());
                     ctx.send(
                         peer,
                         Msg::RepairPull {
@@ -522,17 +504,8 @@ impl SuiteServer {
             self.repair_cursor = self.repair_cursor.wrapping_add(1);
             self.stats.repair_probes += 1;
             let have = self.data_version(suite);
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.event(
-                    SpanKind::RepairPull,
-                    suite.0,
-                    0,
-                    None,
-                    Some(peer.0),
-                    have.0,
-                    ctx.now(),
-                );
-            }
+            let kind = SpanKind::RepairPull;
+            (self.recorder).event(kind, suite.0, 0, Some(peer.0), have.0, ctx.now());
             ctx.send(
                 peer,
                 Msg::RepairPull {
@@ -578,17 +551,8 @@ impl SuiteServer {
             let have = self.data_version(suite);
             for peer in self.peers_of(suite) {
                 self.stats.repair_probes += 1;
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.event(
-                        SpanKind::RepairPull,
-                        suite.0,
-                        0,
-                        None,
-                        Some(peer.0),
-                        have.0,
-                        ctx.now(),
-                    );
-                }
+                let kind = SpanKind::RepairPull;
+                (self.recorder).event(kind, suite.0, 0, Some(peer.0), have.0, ctx.now());
                 ctx.send(peer, Msg::RepairPull { suite, have, full });
             }
         }
@@ -736,9 +700,7 @@ impl SuiteServer {
             }
         }
         let c = self.collecting.remove(&req).expect("present above");
-        if let (Some(id), Some(tr)) = (c.span, self.tracer.as_mut()) {
-            tr.end(id, ctx.now(), SpanOutcome::Ok);
-        }
+        self.recorder.end(c.span, SpanOutcome::Ok, ctx.now());
         self.finish_prepare(c, ctx)
     }
 
@@ -753,10 +715,8 @@ impl SuiteServer {
         let c = self.collecting.get_mut(&req).expect("caller holds it");
         let (from, token, suite) = (c.from, c.token, c.suite());
         if c.span.is_none() {
-            if let Some(tr) = self.tracer.as_mut() {
-                let kind = SpanKind::LockWait;
-                c.span = Some(tr.start(kind, suite.0, req.0, None, Some(from.0), 0, ctx.now()));
-            }
+            let kind = SpanKind::LockWait;
+            c.span = (self.recorder).start(kind, suite.0, req.0, Some(from.0), 0, ctx.now());
         }
         ctx.send(
             from,
@@ -807,9 +767,7 @@ impl SuiteServer {
         if let Some(pw) = c.writes.get(c.held) {
             self.locks.leave(c.token, pw.object);
         }
-        if let (Some(id), Some(tr)) = (c.span, self.tracer.as_mut()) {
-            tr.end(id, ctx.now(), SpanOutcome::Conflict);
-        }
+        self.recorder.end(c.span, SpanOutcome::Conflict, ctx.now());
         if vote_no {
             self.vote_no(c.from, c.suite(), req, ctx);
         }
@@ -878,18 +836,8 @@ impl SuiteServer {
         self.container
             .prepare_with_note_unflushed(tx, req.0)
             .expect("prepare fresh tx");
-        if let Some(tr) = self.tracer.as_mut() {
-            let version = staged.first().map_or(0, |(_, v)| v.0);
-            tr.event(
-                SpanKind::WalWrite,
-                suite.0,
-                req.0,
-                None,
-                Some(c.from.0),
-                version,
-                ctx.now(),
-            );
-        }
+        let (kind, version) = (SpanKind::WalWrite, staged.first().map_or(0, |(_, v)| v.0));
+        (self.recorder).event(kind, suite.0, req.0, Some(c.from.0), version, ctx.now());
         self.pending.insert(
             req,
             PendingWrite {
@@ -1062,11 +1010,9 @@ impl SuiteServer {
         self.stats.wal_batches += 1;
         self.stats.wal_batched_records += records;
         self.stats.wal_batch_suites += suites as u64;
-        if let Some(tr) = self.tracer.as_mut() {
-            // A batch can span suites; the flush itself is suite 0 (not
-            // scoped), with the absorbed-suite count in the server stats.
-            tr.event(SpanKind::WalBatch, 0, 0, None, None, records, now);
-        }
+        // A batch can span suites; the flush itself is suite 0 (not
+        // scoped), with the absorbed-suite count in the server stats.
+        (self.recorder).event(SpanKind::WalBatch, 0, 0, None, records, now);
     }
 
     /// Releases a staged prepare's commit locks and hands them off.
@@ -1119,18 +1065,8 @@ impl SuiteServer {
             }
             self.stats.commits += 1;
         }
-        if let Some(tr) = self.tracer.as_mut() {
-            let applied = u64::from(!replay);
-            tr.event(
-                SpanKind::Apply,
-                p.suite.0,
-                req.0,
-                None,
-                None,
-                applied,
-                ctx.now(),
-            );
-        }
+        let applied = u64::from(!replay);
+        (self.recorder).event(SpanKind::Apply, p.suite.0, req.0, None, applied, ctx.now());
         Some(p)
     }
 
@@ -1143,9 +1079,7 @@ impl SuiteServer {
             self.container.abort(p.tx).expect("abort prepared tx");
             ctx.cancel_timer(req.0);
             self.maybe_checkpoint();
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.event(SpanKind::Apply, p.suite.0, req.0, None, None, 0, ctx.now());
-            }
+            (self.recorder).event(SpanKind::Apply, p.suite.0, req.0, None, 0, ctx.now());
             self.stats.aborts += 1;
             self.unlock(&p, ctx);
         } else if self.collecting.contains_key(&req) {
@@ -1174,11 +1108,8 @@ impl SuiteServer {
         if self.quarantine_pending.is_empty() {
             self.quarantined = false;
             self.stats.requarantine_repairs += 1;
-            if let Some(id) = self.quarantine_span.take() {
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.end(id, ctx.now(), SpanOutcome::Ok);
-                }
-            }
+            let span = self.quarantine_span.take();
+            self.recorder.end(span, SpanOutcome::Ok, ctx.now());
             // Re-announce: a fresh gossip epoch resumes normal probing
             // (and the suppressed cache pushes).
             self.start_anti_entropy(ctx);
@@ -1575,17 +1506,8 @@ impl SuiteServer {
                 false
             } else if self.install(object, version, value) {
                 self.stats.repairs_completed += 1;
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.event(
-                        SpanKind::RepairInstall,
-                        suite.0,
-                        0,
-                        None,
-                        Some(from.0),
-                        version.0,
-                        ctx.now(),
-                    );
-                }
+                let kind = SpanKind::RepairInstall;
+                (self.recorder).event(kind, suite.0, 0, Some(from.0), version.0, ctx.now());
                 true
             } else {
                 // Injected I/O error: the peer's state was not
@@ -1668,17 +1590,8 @@ impl SuiteServer {
         self.stats.torn_truncations += u64::from(outcome.torn_tail);
         self.stats.corrupt_records_detected += outcome.lost_records;
         self.stats.poison_escapes += u64::from(outcome.poison_escaped);
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.event(
-                SpanKind::DiskRecovery,
-                0,
-                0,
-                None,
-                None,
-                outcome.replayed_records,
-                ctx.now(),
-            );
-        }
+        let replayed = outcome.replayed_records;
+        (self.recorder).event(SpanKind::DiskRecovery, 0, 0, None, replayed, ctx.now());
         // Restore configuration cache from committed config objects.
         let config_suites: Vec<ObjectId> = self
             .container
@@ -1715,10 +1628,8 @@ impl SuiteServer {
                 self.quarantined = true;
                 self.stats.quarantines += 1;
                 let hosted = self.hosted_suites().len() as u64;
-                if let Some(tr) = self.tracer.as_mut() {
-                    let id = tr.start(SpanKind::Quarantine, 0, 0, None, None, hosted, ctx.now());
-                    self.quarantine_span = Some(id);
-                }
+                let kind = SpanKind::Quarantine;
+                self.quarantine_span = (self.recorder).start(kind, 0, 0, None, hosted, ctx.now());
             }
             // (Re)build the confirmation ledger from scratch: anything
             // absorbed before this recovery is void, the damage is new.

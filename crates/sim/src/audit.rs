@@ -7,12 +7,12 @@
 //! (policy, plan generation, per-site cost, health EWMA, suspicion,
 //! load) and the chosen sites.
 //!
-//! The determinism contract is the same as for tracing: an audit hook
-//! only ever reads state the planner already computed plus the node's
-//! virtual clock. It draws no randomness and emits no effects, so an
-//! audited run is message-for-message identical to an unaudited run.
-//! Records are drained per node and concatenated in site order, making
-//! the serialized form byte-identical at any worker count.
+//! A node's [`crate::trace::Recorder`] keeps its decisions beside its
+//! spans, under the same switch and the same contract: a decision is built
+//! only from state the planner already computed plus the node's virtual
+//! clock, so an audited run is message-for-message identical to an
+//! unaudited run. Records are drained per node and concatenated in site
+//! order, making the serialized form byte-identical at any worker count.
 //!
 //! Serialization is JSONL over [`crate::json`]: one object per line,
 //! keys alphabetical, integers only (times in microseconds, suspicion in
@@ -20,7 +20,6 @@
 //! embed them without a float in sight.
 
 use crate::json::Value;
-use crate::time::SimTime;
 use std::collections::BTreeMap;
 
 /// Which planner decision a record describes.
@@ -190,109 +189,21 @@ impl AuditRecord {
     }
 }
 
-/// Per-node decision buffer. See the module docs for the contract.
-#[derive(Clone, Debug, Default)]
-pub struct AuditLog {
-    site: u16,
-    records: Vec<AuditRecord>,
-}
-
-impl AuditLog {
-    /// Creates an empty log for the given site.
-    pub fn new(site: u16) -> Self {
-        AuditLog {
-            site,
-            records: Vec::new(),
-        }
-    }
-
-    /// Appends one decision. The log stamps site and time itself so the
-    /// caller cannot record on another node's behalf.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        kind: DecisionKind,
-        op: u64,
-        suite: u64,
-        policy: &str,
-        generation: u64,
-        cursor: u64,
-        rerouted: bool,
-        chosen: Vec<u16>,
-        inputs: Vec<SiteInput>,
-        now: SimTime,
-    ) {
-        self.records.push(AuditRecord {
-            at_us: now.as_micros(),
-            op,
-            site: self.site,
-            suite,
-            kind,
-            policy: policy.to_string(),
-            generation,
-            cursor,
-            rerouted,
-            chosen,
-            inputs,
-        });
-    }
-
-    /// Number of decisions recorded so far.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Read-only view of the recorded decisions, in decision order.
-    pub fn records(&self) -> &[AuditRecord] {
-        &self.records
-    }
-
-    /// Drains the buffer, leaving the log empty.
-    pub fn take(&mut self) -> Vec<AuditRecord> {
-        std::mem::take(&mut self.records)
-    }
-}
-
-/// Serializes records as JSONL: one object per line, keys alphabetical.
+/// Serializes records as JSONL: one [`AuditRecord::to_value`] per line.
 pub fn to_jsonl(records: &[AuditRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 192);
-    for r in records {
-        out.push_str(&r.to_value().to_json());
-        out.push('\n');
-    }
-    out
+    crate::json::to_jsonl(records, AuditRecord::to_value)
 }
 
 /// Parses the output of [`to_jsonl`] back into audit records.
 pub fn from_jsonl(text: &str) -> Result<Vec<AuditRecord>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v = crate::json::parse(line)
-            .ok_or_else(|| format!("line {}: not valid JSON", lineno + 1))?;
-        let rec = AuditRecord::from_value(&v)
-            .ok_or_else(|| format!("line {}: not an audit record", lineno + 1))?;
-        out.push(rec);
-    }
-    Ok(out)
+    crate::json::from_jsonl(text, "an audit record", AuditRecord::from_value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
-
-    fn t(us: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_micros(us)
-    }
+    use crate::time::{SimDuration, SimTime};
+    use crate::trace::Recorder;
 
     fn sample_inputs() -> Vec<SiteInput> {
         vec![
@@ -315,40 +226,40 @@ mod tests {
         ]
     }
 
+    fn decision(kind: DecisionKind, rerouted: bool, chosen: Vec<u16>) -> AuditRecord {
+        AuditRecord {
+            at_us: 0,
+            op: 0x2a_0007,
+            site: 0,
+            suite: 3,
+            kind,
+            policy: "load_balanced".into(),
+            generation: 4,
+            cursor: 1,
+            rerouted,
+            chosen,
+            inputs: sample_inputs(),
+        }
+    }
+
     #[test]
     fn records_round_trip_through_jsonl() {
-        let mut log = AuditLog::new(7);
-        log.record(
-            DecisionKind::FetchPlan,
-            0x2a_0007,
-            3,
-            "load_balanced",
-            4,
-            1,
-            true,
-            vec![0, 2],
-            sample_inputs(),
-            t(1500),
-        );
-        log.record(
-            DecisionKind::FetchFailover,
-            0x2a_0007,
-            3,
-            "load_balanced",
-            4,
-            1,
-            false,
-            vec![2],
-            Vec::new(),
-            t(2600),
-        );
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.records()[0].site, 7);
-        assert_eq!(log.records()[0].at_us, 1500);
+        let mut rec = Recorder::new(7);
+        rec.enable();
+        let t = |us| SimTime::ZERO + SimDuration::from_micros(us);
+        rec.decision(t(1500), || {
+            decision(DecisionKind::FetchPlan, true, vec![0, 2])
+        });
+        rec.decision(t(2600), || {
+            decision(DecisionKind::FetchFailover, false, vec![2])
+        });
+        let (_, records) = rec.take();
+        assert_eq!(records.len(), 2);
+        assert_eq!((records[0].site, records[0].at_us), (7, 1500), "stamped");
 
-        let text = to_jsonl(log.records());
+        let text = to_jsonl(&records);
         let back = from_jsonl(&text).expect("parse");
-        assert_eq!(back, log.records());
+        assert_eq!(back, records);
 
         // Keys stay alphabetical so audit files diff cleanly.
         let first = text.lines().next().unwrap();
@@ -365,24 +276,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), DecisionKind::ALL.len());
-    }
-
-    #[test]
-    fn take_drains() {
-        let mut log = AuditLog::new(0);
-        log.record(
-            DecisionKind::WriteQuorum,
-            1,
-            0,
-            "cheapest_first",
-            0,
-            0,
-            false,
-            vec![0, 1],
-            Vec::new(),
-            t(10),
-        );
-        assert_eq!(log.take().len(), 1);
-        assert!(log.is_empty());
     }
 }

@@ -128,6 +128,31 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Serializes records as JSONL: one compact object per line.
+pub fn to_jsonl<T>(records: &[T], to_value: impl Fn(&T) -> Value) -> String {
+    let mut out = String::new();
+    for r in records {
+        out.push_str(&to_value(r).to_json());
+        out.push('\n');
+    }
+    out
+}
+
+/// Parses the output of [`to_jsonl`], one record per non-empty line;
+/// `what` names the record in errors.
+pub fn from_jsonl<T>(
+    text: &str,
+    what: &str,
+    from_value: impl Fn(&Value) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    let lines = text.lines().map(str::trim).enumerate();
+    let records = lines.filter(|(_, line)| !line.is_empty()).map(|(i, line)| {
+        let v = parse(line).ok_or_else(|| format!("line {}: not valid JSON", i + 1))?;
+        from_value(&v).ok_or_else(|| format!("line {}: not {what}", i + 1))
+    });
+    records.collect()
+}
+
 /// Parses a JSON document. Returns `None` on any syntax error or on
 /// trailing garbage after the top-level value.
 pub fn parse(input: &str) -> Option<Value> {

@@ -17,7 +17,8 @@
 //!   and storage devices.
 //! * [`stats`] — exact sample sets for reporting.
 //! * [`failure`] — crash/recovery schedules for availability experiments.
-//! * [`trace`] — deterministic per-operation spans stamped from sim time.
+//! * [`trace`] — deterministic per-operation spans stamped from sim time,
+//!   and the per-node [`Recorder`] that keeps them and the decisions.
 //! * [`audit`] — quorum-decision audit records: why each plan was chosen.
 //! * [`json`] — the minimal integer-only JSON used by every artifact.
 //! * [`vlog`] — verbosity-gated structured logging for bins.
@@ -50,11 +51,11 @@ pub mod time;
 pub mod trace;
 pub mod vlog;
 
-pub use audit::{AuditLog, AuditRecord, DecisionKind, SiteInput};
+pub use audit::{AuditRecord, DecisionKind, SiteInput};
 pub use dist::LatencyModel;
 pub use failure::{FailureSchedule, OutageWindow};
 pub use rng::{derive_seed, DetRng};
 pub use sched::{Scheduler, Sim, Ticket};
 pub use stats::SampleSet;
 pub use time::{SimDuration, SimTime};
-pub use trace::{SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};
+pub use trace::{Recorder, SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};

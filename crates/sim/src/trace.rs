@@ -7,11 +7,17 @@
 //! commit phases, and the server-side lock waits, WAL writes, and repair
 //! pulls.
 //!
+//! A node records through its one [`Recorder`]: the span buffer, the
+//! quorum-decision log ([`crate::audit`]), one on/off switch, and the open
+//! span tree of every client operation in flight. The protocol says what
+//! happened — a phase began, a site answered, an attempt was retried — and
+//! the recorder decides which span that is.
+//!
 //! # Determinism rules
 //!
 //! Tracing rides alongside the protocol and must never steer it:
 //!
-//! * a tracer only ever reads the node's **virtual clock** — it draws no
+//! * a recorder only ever reads the node's **virtual clock** — it draws no
 //!   randomness and emits no effects, so a traced run is message-for-message
 //!   identical to an untraced run;
 //! * span ids are **indices into the node's own buffer**, assigned in
@@ -21,10 +27,14 @@
 //!   serialized form is byte-identical for any worker count when trials are
 //!   merged in index order (see `wv_bench::runner`).
 //!
-//! The serialized form is JSONL — one object per span, keys in fixed
-//! alphabetical order, written by [`to_jsonl`] and read back by
+//! The serialized form is JSONL over [`crate::json`] — one object per span,
+//! keys alphabetical, written by [`to_jsonl`] and read back by
 //! [`from_jsonl`] — so traces diff cleanly and golden files stay stable.
 
+use std::collections::BTreeMap;
+
+use crate::audit::AuditRecord;
+use crate::json::Value;
 use crate::time::SimTime;
 
 /// Sentinel for "no parent span" in a [`SpanRecord`].
@@ -263,6 +273,58 @@ impl SpanRecord {
             Some(self.end_us.saturating_sub(self.start_us))
         }
     }
+
+    /// Renders the span as a [`crate::json`] value (keys alphabetical),
+    /// `null` for the no-parent / no-peer / still-open sentinels.
+    pub fn to_value(&self) -> Value {
+        let unless = |v: u64, sentinel: u64| {
+            if v == sentinel {
+                Value::Null
+            } else {
+                Value::Int(v)
+            }
+        };
+        let mut m = BTreeMap::new();
+        m.insert("detail".into(), Value::Int(self.detail));
+        m.insert("end_us".into(), unless(self.end_us, OPEN_END));
+        m.insert("id".into(), Value::Int(u64::from(self.id)));
+        m.insert("kind".into(), Value::Str(self.kind.name().into()));
+        m.insert("op".into(), Value::Int(self.op));
+        m.insert("outcome".into(), Value::Str(self.outcome.name().into()));
+        let parent = unless(u64::from(self.parent), u64::from(NO_PARENT));
+        m.insert("parent".into(), parent);
+        m.insert(
+            "peer".into(),
+            unless(u64::from(self.peer), u64::from(NO_PEER)),
+        );
+        m.insert("site".into(), Value::Int(u64::from(self.site)));
+        m.insert("start_us".into(), Value::Int(self.start_us));
+        m.insert("suite".into(), Value::Int(self.suite));
+        Value::Object(m)
+    }
+
+    /// Parses a span from a [`crate::json`] value. A missing `"suite"`
+    /// (traces written before the suite dimension existed) reads as 0.
+    pub fn from_value(v: &Value) -> Option<SpanRecord> {
+        let int = |key: &str| v.get(key)?.as_int();
+        let or = |key: &str, sentinel: u64| match v.get(key)? {
+            Value::Null => Some(sentinel),
+            other => other.as_int(),
+        };
+        Some(SpanRecord {
+            id: int("id")? as u32,
+            parent: or("parent", u64::from(NO_PARENT))? as u32,
+            kind: SpanKind::from_name(v.get("kind")?.as_str()?)?,
+            site: int("site")? as u16,
+            peer: or("peer", u64::from(NO_PEER))? as u16,
+            op: int("op")?,
+            suite: int("suite").unwrap_or(0),
+            start_us: int("start_us")?,
+            end_us: or("end_us", OPEN_END)?,
+            detail: int("detail")?,
+            outcome: SpanOutcome::from_name(v.get("outcome")?.as_str()?)?,
+        })
+    }
 }
 
 /// Per-node span buffer. See the module docs for the determinism contract.
@@ -346,16 +408,6 @@ impl Tracer {
         id
     }
 
-    /// True if the span has not been closed yet.
-    pub fn is_open(&self, id: SpanId) -> bool {
-        self.spans[id.0 as usize].end_us == OPEN_END
-    }
-
-    /// Number of spans recorded so far.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
@@ -369,6 +421,376 @@ impl Tracer {
     /// Drains the buffer, leaving the tracer empty (ids restart at 0).
     pub fn take(&mut self) -> Vec<SpanRecord> {
         std::mem::take(&mut self.spans)
+    }
+}
+
+/// The open spans of one client operation, or of its commit round: the
+/// root, the current phase, and the phase's open per-site
+/// request/response spans and content legs.
+#[derive(Debug)]
+struct OpSpans {
+    /// The op's identity in the trace: its first request id, kept across
+    /// retries.
+    op: u64,
+    /// The suite stamped on every span under the root.
+    suite: u64,
+    root: SpanId,
+    /// The current phase span (inquiry / fetch / prepare / commit / ride).
+    phase: Option<SpanId>,
+    /// Open request/response spans of the phase (inquiries, prepares,
+    /// commit acks), by site.
+    rpcs: Vec<(u16, SpanId)>,
+    /// Open content legs of the phase — the sites asked for the contents
+    /// alongside the inquiry, the current fetch candidate — by site.
+    legs: Vec<(u16, SpanId)>,
+}
+
+impl OpSpans {
+    /// Opens a span of the op's under `parent`.
+    fn span(
+        &self,
+        tr: &mut Tracer,
+        kind: SpanKind,
+        parent: Option<SpanId>,
+        peer: Option<u16>,
+        now: SimTime,
+    ) -> SpanId {
+        tr.start(kind, self.suite, self.op, parent, peer, 0, now)
+    }
+
+    /// Opens a span per site under the phase: content legs if `legs`,
+    /// request/response spans otherwise.
+    fn open(
+        &mut self,
+        tr: &mut Tracer,
+        legs: bool,
+        sites: impl IntoIterator<Item = u16>,
+        now: SimTime,
+    ) {
+        for site in sites {
+            let id = self.span(tr, SpanKind::Rpc, self.phase, Some(site), now);
+            let open = if legs { &mut self.legs } else { &mut self.rpcs };
+            open.push((site, id));
+        }
+    }
+
+    /// Closes the phase with `outcome`. Its RPCs and legs still open end
+    /// `Lost` when the phase completed without them, `Timeout` when it
+    /// timed out, and `Unanswered` otherwise.
+    fn close_phase(&mut self, tr: &mut Tracer, outcome: SpanOutcome, now: SimTime) {
+        let loose = match outcome {
+            SpanOutcome::Ok => SpanOutcome::Lost,
+            SpanOutcome::Timeout => SpanOutcome::Timeout,
+            _ => SpanOutcome::Unanswered,
+        };
+        for (_, id) in self.rpcs.drain(..).chain(self.legs.drain(..)) {
+            tr.end(id, now, loose);
+        }
+        if let Some(p) = self.phase.take() {
+            tr.end(p, now, outcome);
+        }
+    }
+}
+
+/// Ends the open span aimed at `site` in `open`, if there is one.
+fn end_at(
+    tr: &mut Tracer,
+    open: &mut Vec<(u16, SpanId)>,
+    site: u16,
+    outcome: SpanOutcome,
+    detail: u64,
+    now: SimTime,
+) {
+    if let Some(pos) = open.iter().position(|(s, _)| *s == site) {
+        let (_, id) = open.remove(pos);
+        tr.end_with_detail(id, now, outcome, detail);
+    }
+}
+
+/// A node's one observability sink: its span buffer, its quorum-decision
+/// log, one switch for both, and the open span tree of every client
+/// operation in flight, keyed by the request id of the attempt in flight.
+///
+/// Off (the default), every method returns at once and keeps nothing:
+/// arguments that list sites are iterators, consumed only when on. A
+/// recorder reads the virtual time it is handed and nothing else, so
+/// turning it on cannot perturb the protocol.
+///
+/// Operation calls name a request id. One the recorder holds no tree for
+/// — the operation began before recording did, or before the last
+/// [`Recorder::take`], or the node crashed since — records nothing: what
+/// is still in flight at a drain goes on untraced.
+#[derive(Debug, Default)]
+pub struct Recorder {
+    on: bool,
+    /// Spans drained so far. The ids [`Recorder::start`] hands out count
+    /// from the first span ever recorded, so one that outlives a drain
+    /// closes nothing.
+    drained: u32,
+    spans: Tracer,
+    decisions: Vec<AuditRecord>,
+    ops: BTreeMap<u64, OpSpans>,
+    /// Commit rounds still collecting acks, by the decided request id. A
+    /// round outlives an operation reported at its decision.
+    commits: BTreeMap<u64, OpSpans>,
+}
+
+impl Recorder {
+    /// An idle recorder for the given site.
+    pub fn new(site: u16) -> Self {
+        Recorder {
+            spans: Tracer::new(site),
+            ..Recorder::default()
+        }
+    }
+
+    /// Turns recording of spans and decisions on. Idempotent.
+    pub fn enable(&mut self) {
+        self.on = true;
+    }
+
+    /// Drains the recorded spans (ids restart at 0) and decisions, and
+    /// forgets every open span tree.
+    pub fn take(&mut self) -> (Vec<SpanRecord>, Vec<AuditRecord>) {
+        self.forget();
+        let spans = self.spans.take();
+        self.drained += spans.len() as u32;
+        (spans, std::mem::take(&mut self.decisions))
+    }
+
+    /// Forgets every open span tree, leaving its spans open in the record:
+    /// a crash loses the operations they belong to.
+    pub fn forget(&mut self) {
+        self.ops.clear();
+        self.commits.clear();
+    }
+
+    /// Opens a span outside any operation tree; close it with
+    /// [`Recorder::end`]. `None` when off.
+    pub fn start(
+        &mut self,
+        kind: SpanKind,
+        suite: u64,
+        op: u64,
+        peer: Option<u16>,
+        detail: u64,
+        now: SimTime,
+    ) -> Option<SpanId> {
+        let id = self
+            .on
+            .then(|| self.spans.start(kind, suite, op, None, peer, detail, now));
+        id.map(|SpanId(i)| SpanId(self.drained + i))
+    }
+
+    /// Closes a span [`Recorder::start`] opened, unless it was drained
+    /// open. Closing twice keeps the first outcome.
+    pub fn end(&mut self, span: Option<SpanId>, outcome: SpanOutcome, now: SimTime) {
+        if let Some(i) = span.and_then(|SpanId(id)| id.checked_sub(self.drained)) {
+            self.spans.end(SpanId(i), now, outcome);
+        }
+    }
+
+    /// Records an instantaneous event outside any operation tree.
+    pub fn event(
+        &mut self,
+        kind: SpanKind,
+        suite: u64,
+        op: u64,
+        peer: Option<u16>,
+        detail: u64,
+        now: SimTime,
+    ) {
+        if self.on {
+            self.spans.event(kind, suite, op, None, peer, detail, now);
+        }
+    }
+
+    /// Records one planner decision made at `now`. `decide` builds it only
+    /// when on; the recorder stamps its site and time.
+    pub fn decision(&mut self, now: SimTime, decide: impl FnOnce() -> AuditRecord) {
+        if self.on {
+            let (site, at_us) = (self.spans.site, now.as_micros());
+            self.decisions.push(AuditRecord {
+                site,
+                at_us,
+                ..decide()
+            });
+        }
+    }
+
+    /// Opens the root span of operation `req` — its id in the trace for
+    /// good, whatever its later attempts are called.
+    pub fn op(&mut self, req: u64, kind: SpanKind, suite: u64, now: SimTime) {
+        if self.on {
+            let root = self.spans.start(kind, suite, req, None, None, 0, now);
+            let spans = OpSpans {
+                op: req,
+                suite,
+                root,
+                phase: None,
+                rpcs: Vec::new(),
+                legs: Vec::new(),
+            };
+            self.ops.insert(req, spans);
+        }
+    }
+
+    /// `req` enters a phase of `kind`, asking `rpcs` and, for the
+    /// contents, `legs`. A phase still open — an attempt abandoned half
+    /// way — closes `Unanswered`.
+    pub fn phase(
+        &mut self,
+        req: u64,
+        kind: SpanKind,
+        rpcs: impl IntoIterator<Item = u16>,
+        legs: impl IntoIterator<Item = u16>,
+        now: SimTime,
+    ) {
+        let Some(t) = self.ops.get_mut(&req) else {
+            return;
+        };
+        let tr = &mut self.spans;
+        t.close_phase(tr, SpanOutcome::Unanswered, now);
+        t.phase = Some(t.span(tr, kind, Some(t.root), None, now));
+        t.open(tr, false, rpcs, now);
+        t.open(tr, true, legs, now);
+    }
+
+    /// `req`'s phase asks `sites` too.
+    pub fn rpcs(&mut self, req: u64, sites: impl IntoIterator<Item = u16>, now: SimTime) {
+        if let Some(t) = self.ops.get_mut(&req) {
+            t.open(&mut self.spans, false, sites, now);
+        }
+    }
+
+    /// `req`'s phase asks `site` for the contents.
+    pub fn leg(&mut self, req: u64, site: u16, now: SimTime) {
+        if let Some(t) = self.ops.get_mut(&req) {
+            t.open(&mut self.spans, true, [site], now);
+        }
+    }
+
+    /// `site` answered `req`'s phase — or, by `outcome`, did not.
+    pub fn end_rpc(
+        &mut self,
+        req: u64,
+        site: u16,
+        outcome: SpanOutcome,
+        detail: u64,
+        now: SimTime,
+    ) {
+        if let Some(t) = self.ops.get_mut(&req) {
+            end_at(&mut self.spans, &mut t.rpcs, site, outcome, detail, now);
+        }
+    }
+
+    /// Contents (or a refusal) came from `site` for `req`.
+    pub fn end_leg(
+        &mut self,
+        req: u64,
+        site: u16,
+        outcome: SpanOutcome,
+        detail: u64,
+        now: SimTime,
+    ) {
+        if let Some(t) = self.ops.get_mut(&req) {
+            end_at(&mut self.spans, &mut t.legs, site, outcome, detail, now);
+        }
+    }
+
+    /// `req`'s phase timed out on the contents: every open leg ends.
+    pub fn legs_timed_out(&mut self, req: u64, now: SimTime) {
+        if let Some(t) = self.ops.get_mut(&req) {
+            for (_, id) in t.legs.drain(..) {
+                self.spans.end(id, now, SpanOutcome::Timeout);
+            }
+        }
+    }
+
+    /// `req`'s phase ends with `outcome`.
+    pub fn close_phase(&mut self, req: u64, outcome: SpanOutcome, now: SimTime) {
+        if let Some(t) = self.ops.get_mut(&req) {
+            t.close_phase(&mut self.spans, outcome, now);
+        }
+    }
+
+    /// Attempt `req` ended for the cause `outcome` names, and the
+    /// operation goes on as `next`.
+    pub fn retry(&mut self, req: u64, next: u64, outcome: SpanOutcome, now: SimTime) {
+        if let Some(mut t) = self.ops.remove(&req) {
+            t.close_phase(&mut self.spans, outcome, now);
+            self.ops.insert(next, t);
+        }
+    }
+
+    /// `rider`, parked behind `carrier`'s prepare, stops riding with it:
+    /// its ride phase ends with `outcome`, naming the carrier's op.
+    pub fn rode(&mut self, rider: u64, carrier: u64, outcome: SpanOutcome, now: SimTime) {
+        let carrier = self.ops.get(&carrier).map_or(0, |t| t.op);
+        if let Some(ride) = self.ops.get_mut(&rider).and_then(|t| t.phase.take()) {
+            self.spans.end_with_detail(ride, now, outcome, carrier);
+        }
+    }
+
+    /// An instantaneous event of `req`'s, under its root.
+    pub fn op_event(&mut self, req: u64, kind: SpanKind, detail: u64, now: SimTime) {
+        if let Some(t) = self.ops.get(&req) {
+            let event = t.span(&mut self.spans, kind, Some(t.root), None, now);
+            self.spans
+                .end_with_detail(event, now, SpanOutcome::Ok, detail);
+        }
+    }
+
+    /// `req` is decided: the decision-log append, the end of its prepare,
+    /// and a commit round out to `participants`. The round keeps its own
+    /// tree: it ends at [`Recorder::commit_ended`], however long after the
+    /// operation's root closed.
+    pub fn commit(&mut self, req: u64, participants: impl IntoIterator<Item = u16>, now: SimTime) {
+        let Some(t) = self.ops.get_mut(&req) else {
+            return;
+        };
+        let tr = &mut self.spans;
+        let appended = t.span(tr, SpanKind::WalWrite, Some(t.root), None, now);
+        tr.end(appended, now, SpanOutcome::Ok);
+        t.close_phase(tr, SpanOutcome::Ok, now);
+        let phase = t.span(tr, SpanKind::Commit, Some(t.root), None, now);
+        let mut round = OpSpans {
+            phase: Some(phase),
+            rpcs: Vec::new(),
+            legs: Vec::new(),
+            ..*t
+        };
+        round.open(tr, false, participants, now);
+        self.commits.insert(req, round);
+    }
+
+    /// `site` acknowledged `req`'s commit.
+    pub fn commit_acked(&mut self, req: u64, site: u16, now: SimTime) {
+        if let Some(t) = self.commits.get_mut(&req) {
+            end_at(&mut self.spans, &mut t.rpcs, site, SpanOutcome::Ok, 1, now);
+        }
+    }
+
+    /// `req`'s commit round ends: every participant `acked`, or resending
+    /// stopped.
+    pub fn commit_ended(&mut self, req: u64, acked: bool, now: SimTime) {
+        if let Some(mut t) = self.commits.remove(&req) {
+            let outcome = if acked {
+                SpanOutcome::Ok
+            } else {
+                SpanOutcome::Timeout
+            };
+            t.close_phase(&mut self.spans, outcome, now);
+        }
+    }
+
+    /// Operation `req` is reported (or fails): its phase and root end with
+    /// `outcome`. A commit round still out is left open.
+    pub fn finish(&mut self, req: u64, outcome: SpanOutcome, now: SimTime) {
+        if let Some(mut t) = self.ops.remove(&req) {
+            t.close_phase(&mut self.spans, outcome, now);
+            self.spans.end(t.root, now, outcome);
+        }
     }
 }
 
@@ -388,127 +810,14 @@ pub fn rebase_merge(merged: &mut Vec<SpanRecord>, spans: Vec<SpanRecord>) {
     }
 }
 
-/// Serializes spans as JSONL: one object per line, keys alphabetical,
-/// `null` for the no-parent / no-peer / still-open sentinels.
+/// Serializes spans as JSONL: one [`SpanRecord::to_value`] per line.
 pub fn to_jsonl(spans: &[SpanRecord]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(spans.len() * 128);
-    for s in spans {
-        out.push_str("{\"detail\":");
-        let _ = write!(out, "{}", s.detail);
-        out.push_str(",\"end_us\":");
-        if s.end_us == OPEN_END {
-            out.push_str("null");
-        } else {
-            let _ = write!(out, "{}", s.end_us);
-        }
-        let _ = write!(out, ",\"id\":{}", s.id);
-        let _ = write!(out, ",\"kind\":\"{}\"", s.kind.name());
-        let _ = write!(out, ",\"op\":{}", s.op);
-        let _ = write!(out, ",\"outcome\":\"{}\"", s.outcome.name());
-        out.push_str(",\"parent\":");
-        if s.parent == NO_PARENT {
-            out.push_str("null");
-        } else {
-            let _ = write!(out, "{}", s.parent);
-        }
-        out.push_str(",\"peer\":");
-        if s.peer == NO_PEER {
-            out.push_str("null");
-        } else {
-            let _ = write!(out, "{}", s.peer);
-        }
-        let _ = write!(out, ",\"site\":{}", s.site);
-        let _ = write!(out, ",\"start_us\":{}", s.start_us);
-        let _ = write!(out, ",\"suite\":{}}}", s.suite);
-        out.push('\n');
-    }
-    out
+    crate::json::to_jsonl(spans, SpanRecord::to_value)
 }
 
 /// Parses the output of [`to_jsonl`] back into span records.
-///
-/// The parser accepts exactly the fixed shape `to_jsonl` emits (flat
-/// objects, no escapes inside strings) — it is a trace reader, not a
-/// general JSON parser.
 pub fn from_jsonl(text: &str) -> Result<Vec<SpanRecord>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let body = line
-            .strip_prefix('{')
-            .and_then(|l| l.strip_suffix('}'))
-            .ok_or_else(|| format!("line {}: not an object", lineno + 1))?;
-        let mut rec = SpanRecord {
-            id: 0,
-            parent: NO_PARENT,
-            kind: SpanKind::Read,
-            site: 0,
-            peer: NO_PEER,
-            op: 0,
-            suite: 0,
-            start_us: 0,
-            end_us: OPEN_END,
-            detail: 0,
-            outcome: SpanOutcome::Open,
-        };
-        for field in body.split(',') {
-            let (key, value) = field
-                .split_once(':')
-                .ok_or_else(|| format!("line {}: bad field {field:?}", lineno + 1))?;
-            let key = key.trim().trim_matches('"');
-            let value = value.trim();
-            let parse_u64 = |v: &str| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("line {}: bad number {v:?} for {key}", lineno + 1))
-            };
-            match key {
-                "detail" => rec.detail = parse_u64(value)?,
-                "end_us" => {
-                    rec.end_us = if value == "null" {
-                        OPEN_END
-                    } else {
-                        parse_u64(value)?
-                    }
-                }
-                "id" => rec.id = parse_u64(value)? as u32,
-                "kind" => {
-                    rec.kind = SpanKind::from_name(value.trim_matches('"'))
-                        .ok_or_else(|| format!("line {}: unknown kind {value}", lineno + 1))?
-                }
-                "op" => rec.op = parse_u64(value)?,
-                "outcome" => {
-                    rec.outcome = SpanOutcome::from_name(value.trim_matches('"'))
-                        .ok_or_else(|| format!("line {}: unknown outcome {value}", lineno + 1))?
-                }
-                "parent" => {
-                    rec.parent = if value == "null" {
-                        NO_PARENT
-                    } else {
-                        parse_u64(value)? as u32
-                    }
-                }
-                "peer" => {
-                    rec.peer = if value == "null" {
-                        NO_PEER
-                    } else {
-                        parse_u64(value)? as u16
-                    }
-                }
-                "site" => rec.site = parse_u64(value)? as u16,
-                "start_us" => rec.start_us = parse_u64(value)?,
-                // Absent in traces written before the suite dimension
-                // existed; the default 0 ("not suite-scoped") applies.
-                "suite" => rec.suite = parse_u64(value)?,
-                other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
-            }
-        }
-        out.push(rec);
-    }
-    Ok(out)
+    crate::json::from_jsonl(text, "a span record", SpanRecord::from_value)
 }
 
 #[cfg(test)]
@@ -560,13 +869,96 @@ mod tests {
         let rpc = tr.start(SpanKind::Rpc, 9, 0x1_0002, Some(root), Some(4), 0, t(5));
         tr.end_with_detail(rpc, t(80), SpanOutcome::Refused, 3);
         tr.end(root, t(90), SpanOutcome::Err);
-        let open = tr.start(SpanKind::Fetch, 9, 0x1_0002, Some(root), None, 0, t(95));
-        assert!(tr.is_open(open));
+        tr.start(SpanKind::Fetch, 9, 0x1_0002, Some(root), None, 0, t(95));
 
         let text = to_jsonl(tr.records());
         assert!(text.lines().all(|l| l.contains("\"suite\":9")));
+        assert_eq!(
+            text.lines().nth(1),
+            Some(
+                "{\"detail\":3,\"end_us\":80,\"id\":1,\"kind\":\"rpc\",\"op\":65538,\
+                 \"outcome\":\"refused\",\"parent\":0,\"peer\":4,\"site\":2,\
+                 \"start_us\":5,\"suite\":9}"
+            )
+        );
+        assert!(text.contains("\"end_us\":null,\"id\":2"), "open: {text}");
         let back = from_jsonl(&text).expect("parse");
         assert_eq!(back, tr.records());
+    }
+
+    #[test]
+    fn an_idle_recorder_keeps_nothing() {
+        let mut rec = Recorder::new(1);
+        rec.op(7, SpanKind::Read, 5, t(0));
+        rec.phase(7, SpanKind::Inquiry, [0, 1], [2], t(0));
+        rec.event(SpanKind::Apply, 5, 7, None, 0, t(1));
+        assert_eq!(rec.start(SpanKind::LockWait, 5, 7, Some(0), 0, t(1)), None);
+        rec.finish(7, SpanOutcome::Ok, t(2));
+        assert_eq!(rec.take(), (Vec::new(), Vec::new()));
+    }
+
+    #[test]
+    fn a_span_drained_open_stays_out_of_the_next_drain() {
+        let mut rec = Recorder::new(0);
+        rec.enable();
+        let waiting = rec.start(SpanKind::LockWait, 5, 7, Some(3), 0, t(0));
+        rec.event(SpanKind::Apply, 5, 6, None, 1, t(1));
+        let (first, _) = rec.take();
+        assert_eq!(first[0].outcome, SpanOutcome::Open);
+        let next = rec.start(SpanKind::LockWait, 5, 8, Some(3), 0, t(2));
+        rec.end(waiting, SpanOutcome::Ok, t(3));
+        rec.end(next, SpanOutcome::Conflict, t(4));
+        let (second, _) = rec.take();
+        let got: Vec<_> = second.iter().map(|s| (s.op, s.end_us, s.outcome)).collect();
+        assert_eq!(got, [(8, 4, SpanOutcome::Conflict)]);
+    }
+
+    #[test]
+    fn the_recorder_closes_what_a_phase_leaves_open() {
+        let mut rec = Recorder::new(3);
+        rec.enable();
+        rec.op(7, SpanKind::Write, 5, t(0));
+        rec.phase(7, SpanKind::Inquiry, [0, 1, 2], [], t(0));
+        rec.end_rpc(7, 1, SpanOutcome::Ok, 4, t(10));
+        // A new phase closes the open one: whoever was silent, unanswered.
+        rec.phase(7, SpanKind::Prepare, [1, 2], [], t(20));
+        // The retry re-keys the tree; the old id records nothing more.
+        rec.retry(7, 8, SpanOutcome::Conflict, t(30));
+        rec.end_rpc(7, 2, SpanOutcome::Ok, 1, t(31));
+        rec.phase(8, SpanKind::Prepare, [1, 2], [], t(40));
+        rec.commit(8, [1, 2], t(50));
+        rec.finish(8, SpanOutcome::Ok, t(50));
+        rec.commit_acked(8, 1, t(60));
+        let (spans, _) = rec.take();
+        // The commit round outlived the root; the drain forgot it.
+        rec.commit_ended(8, true, t(70));
+        assert!(rec.take().0.is_empty());
+
+        let got: Vec<_> = spans
+            .iter()
+            .map(|s| (s.kind, s.peer, s.end_us, s.outcome))
+            .collect();
+        use SpanKind::*;
+        use SpanOutcome::*;
+        let want = [
+            (Write, NO_PEER, 50, Ok),
+            (Inquiry, NO_PEER, 20, Unanswered),
+            (Rpc, 0, 20, Unanswered),
+            (Rpc, 1, 10, Ok),
+            (Rpc, 2, 20, Unanswered),
+            (Prepare, NO_PEER, 30, Conflict),
+            (Rpc, 1, 30, Unanswered),
+            (Rpc, 2, 30, Unanswered),
+            (Prepare, NO_PEER, 50, Ok),
+            (Rpc, 1, 50, Lost),
+            (Rpc, 2, 50, Lost),
+            (WalWrite, NO_PEER, 50, Ok),
+            (Commit, NO_PEER, OPEN_END, Open),
+            (Rpc, 1, 60, Ok),
+            (Rpc, 2, OPEN_END, Open),
+        ];
+        assert_eq!(got, want);
+        assert!(spans.iter().all(|s| s.op == 7 && s.suite == 5));
     }
 
     #[test]
@@ -577,6 +969,7 @@ mod tests {
                    \"start_us\":5}\n";
         let back = from_jsonl(old).expect("parse");
         assert_eq!(back.len(), 1);
+        assert_eq!(back[0].kind, SpanKind::Read);
         assert_eq!(back[0].suite, 0);
         assert_eq!(back[0].op, 7);
     }
