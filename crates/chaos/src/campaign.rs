@@ -401,9 +401,7 @@ mod tests {
     #[test]
     fn an_every_feature_campaign_is_clean_and_every_feature_fires() {
         // Every arm's feature at once over one set of fault timelines:
-        // the single-feature campaigns above never compose them. It is
-        // also the one oracle-checked run in which anti-entropy gossip
-        // refreshes attached weak representatives (repair × cache tier).
+        // the single-feature campaigns above never compose them.
         let cfg = CampaignConfig {
             master_seed: 0xA11,
             trials: 256,

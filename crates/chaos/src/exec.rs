@@ -206,16 +206,9 @@ pub struct TrialRun {
     /// The suites the cluster hosted, in id order. Single-suite clusters
     /// list exactly the default suite.
     pub suites: Vec<ObjectId>,
-    /// One post-quiesce read per client *of the first suite*:
-    /// `(version, value)` on success. Empty when the run failed to
-    /// quiesce. The per-suite views live in
-    /// [`TrialRun::suite_finals`]; this flat field keeps the
-    /// single-suite call sites (and their byte-for-byte pins) unchanged.
-    pub finals: Vec<FinalState>,
-    /// Post-quiesce `(version, value)` per server replica, first suite.
-    pub replicas: Vec<FinalState>,
     /// Post-quiesce final reads indexed `[suite][client]`, aligned with
-    /// [`TrialRun::suites`]. Empty when the run failed to quiesce.
+    /// [`TrialRun::suites`]: `(version, value)` on success. Empty when the
+    /// run failed to quiesce.
     pub suite_finals: Vec<Vec<FinalState>>,
     /// Post-quiesce replica states indexed `[suite][server]`.
     pub suite_replicas: Vec<Vec<FinalState>>,
@@ -575,7 +568,6 @@ fn run_schedule_inner(
             suite_finals.push(per_client);
         }
     }
-    let finals = suite_finals.first().cloned().unwrap_or_default();
 
     let suite_replicas: Vec<Vec<FinalState>> = suites
         .iter()
@@ -593,7 +585,6 @@ fn run_schedule_inner(
                 .collect()
         })
         .collect();
-    let replicas = suite_replicas[0].clone();
 
     for &c in &clients {
         if let Some(stats) = h.client_stats(c) {
@@ -647,8 +638,6 @@ fn run_schedule_inner(
             ops,
             sent_payloads,
             suites,
-            finals,
-            replicas,
             suite_finals,
             suite_replicas,
             txns,
@@ -677,8 +666,8 @@ mod tests {
         let a = run_schedule(&spec, &schedule);
         let b = run_schedule(&spec, &schedule);
         assert_eq!(a.coverage, b.coverage);
-        assert_eq!(a.finals, b.finals);
-        assert_eq!(a.replicas, b.replicas);
+        assert_eq!(a.suite_finals, b.suite_finals);
+        assert_eq!(a.suite_replicas, b.suite_replicas);
         assert_eq!(a.ops.len(), b.ops.len());
         for (x, y) in a.ops.iter().zip(&b.ops) {
             assert_eq!(x.outcome, y.outcome);
@@ -710,7 +699,7 @@ mod tests {
         assert_eq!(run.coverage.ops_ok, 2);
         assert_eq!(run.coverage.ops_failed, 0);
         // The final read sees the single write.
-        let (v, value) = run.finals[0].clone().expect("final read succeeds");
+        let (v, value) = run.suite_finals[0][0].clone().expect("final read succeeds");
         assert_eq!(v, Version(1));
         assert_eq!(value, payload_bytes(5, 1));
     }
@@ -764,7 +753,7 @@ mod tests {
         assert!(run.quiesced);
         assert!(run.coverage.repairs_completed >= 1, "repair never fired");
         // Every replica converged to the newest committed state.
-        for state in run.replicas.iter().flatten() {
+        for state in run.suite_replicas[0].iter().flatten() {
             assert_eq!(state.0, Version(3));
             assert_eq!(state.1, payload_bytes(21, 3));
         }
@@ -772,7 +761,7 @@ mod tests {
         assert!(crate::oracle::check_trial(&run, false).is_empty());
         // Replays stay deterministic with the daemon running.
         let again = run_schedule(&spec, &schedule);
-        assert_eq!(run.replicas, again.replicas);
+        assert_eq!(run.suite_replicas, again.suite_replicas);
         assert_eq!(run.coverage, again.coverage);
     }
 
@@ -797,7 +786,7 @@ mod tests {
         assert!(crate::oracle::check_trial(&b, false).is_empty());
         // Replays of the batched arm stay deterministic.
         let again = run_schedule(&batched, &schedule);
-        assert_eq!(b.replicas, again.replicas);
+        assert_eq!(b.suite_replicas, again.suite_replicas);
         assert_eq!(b.coverage, again.coverage);
     }
 
@@ -824,7 +813,7 @@ mod tests {
         assert!(crate::oracle::check_trial(&b, false).is_empty());
         // Replays of the cached arm stay deterministic.
         let again = run_schedule(&cached, &schedule);
-        assert_eq!(b.replicas, again.replicas);
+        assert_eq!(b.suite_replicas, again.suite_replicas);
         assert_eq!(b.coverage, again.coverage);
     }
 
@@ -867,7 +856,7 @@ mod tests {
             );
             // Replays of the faulty arm stay deterministic.
             let again = run_schedule(&faulty, &schedule);
-            assert_eq!(b.replicas, again.replicas);
+            assert_eq!(b.suite_replicas, again.suite_replicas);
             assert_eq!(b.coverage, again.coverage);
         }
         assert!(injected, "no seed in the window drew a disk fault");
@@ -929,7 +918,7 @@ mod tests {
         assert_eq!(run.coverage.poison_escapes, 0);
         assert_eq!(run.coverage.served_while_quarantined, 0);
         // Healed means fully caught up: every replica at the frontier.
-        for state in run.replicas.iter().flatten() {
+        for state in run.suite_replicas[0].iter().flatten() {
             assert_eq!(state.0, Version(2));
             assert_eq!(state.1, payload_bytes(31, 2));
         }

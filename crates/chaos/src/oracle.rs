@@ -574,15 +574,9 @@ pub fn check_staleness_bound(ops: &[CompletedOp], lease: SimDuration) -> Vec<Vio
     violations
 }
 
-/// Checks invariant 8 over a quiesced trial's final state (the first
-/// suite's view — multi-suite trials run the same checks per suite via
-/// [`check_trial`]).
-pub fn check_convergence(run: &TrialRun) -> Vec<Violation> {
-    check_convergence_of(&run.ops, &run.sent_payloads, &run.finals, &run.replicas)
-}
-
-/// Invariants 8–10 over one suite's completion log and final state.
-fn check_convergence_of(
+/// Checks invariants 8–10 over one suite's completion log and quiesced
+/// final state: `finals` per client, `replicas` per server.
+pub fn check_convergence(
     ops: &[CompletedOp],
     sent: &HashSet<Vec<u8>>,
     finals: &[Option<(wv_storage::Version, Vec<u8>)>],
@@ -772,33 +766,16 @@ pub fn check_no_poison(run: &TrialRun) -> Vec<Violation> {
 
 /// Runs every applicable check over a finished trial.
 ///
-/// Single-suite trials (and hand-built runs that never fill the suite
-/// dimension) judge the flat log exactly as before. Multi-suite trials
-/// partition the evidence by suite — versions are per-suite counters —
-/// run invariants 1–11 over each partition, and add the cross-suite
-/// atomicity check (13).
+/// The evidence is partitioned by suite — versions are per-suite
+/// counters — and invariants 1–11 judge each partition; a one-suite
+/// trial's partition is its whole log. The tripwires (12), cross-suite
+/// atomicity (13) and progress (14) judge the whole trial, and the
+/// convergence checks come last, per suite.
 ///
-/// Either way the progress invariant (14) judges the whole log against
-/// the trial's fault windows.
-///
-/// A run that failed to quiesce yields [`Violation::NoQuiesce`] and skips
-/// the convergence checks (there is no settled final state to judge).
+/// A run that failed to quiesce yields [`Violation::NoQuiesce`] instead
+/// of the convergence checks (there is no settled final state to judge).
 pub fn check_trial(run: &TrialRun, strict: bool) -> Vec<Violation> {
-    if run.suites.len() <= 1 && run.txns.is_empty() {
-        let mut violations = check_log(&run.ops, Some(&run.sent_payloads), strict);
-        if let Some(lease) = run.cache_lease {
-            violations.extend(check_staleness_bound(&run.ops, lease));
-        }
-        violations.extend(check_no_poison(run));
-        violations.extend(check_progress(&run.ops, &run.fault_windows));
-        if run.quiesced {
-            violations.extend(check_convergence(run));
-        } else {
-            violations.push(Violation::NoQuiesce);
-        }
-        return violations;
-    }
-    let mut violations = Vec::new();
+    let (mut violations, mut converged) = (Vec::new(), Vec::new());
     for (idx, &suite) in run.suites.iter().enumerate() {
         let log = suite_log(run, suite);
         violations.extend(check_log(&log, Some(&run.sent_payloads), strict));
@@ -806,19 +783,20 @@ pub fn check_trial(run: &TrialRun, strict: bool) -> Vec<Violation> {
             violations.extend(check_staleness_bound(&log, lease));
         }
         if run.quiesced {
-            let empty = Vec::new();
-            violations.extend(check_convergence_of(
+            converged.extend(check_convergence(
                 &log,
                 &run.sent_payloads,
-                run.suite_finals.get(idx).unwrap_or(&empty),
-                run.suite_replicas.get(idx).unwrap_or(&empty),
+                &run.suite_finals[idx],
+                &run.suite_replicas[idx],
             ));
         }
     }
     violations.extend(check_no_poison(run));
     violations.extend(check_cross_suite(run));
     violations.extend(check_progress(&run.ops, &run.fault_windows));
-    if !run.quiesced {
+    if run.quiesced {
+        violations.extend(converged);
+    } else {
         violations.push(Violation::NoQuiesce);
     }
     violations
@@ -1084,17 +1062,21 @@ mod tests {
             ops,
             sent_payloads: sent.iter().map(|b| b.to_vec()).collect(),
             suites: vec![ObjectId(7)],
-            suite_finals: vec![finals.clone()],
-            suite_replicas: vec![replicas.clone()],
+            suite_finals: vec![finals],
+            suite_replicas: vec![replicas],
             txns: Vec::new(),
-            finals,
-            replicas,
             quiesced: true,
             coverage: crate::exec::TrialCoverage::default(),
             net: Default::default(),
             fault_windows: Vec::new(),
             cache_lease: None,
         }
+    }
+
+    /// Invariants 8–10 over a one-suite run's final state.
+    fn converged(run: &crate::exec::TrialRun) -> Vec<Violation> {
+        let (finals, replicas) = (&run.suite_finals[0], &run.suite_replicas[0]);
+        check_convergence(&run.ops, &run.sent_payloads, finals, replicas)
     }
 
     #[test]
@@ -1105,7 +1087,7 @@ mod tests {
             (1, b"a"),
             vec![Some((1, b"a")), Some((1, b"forged"))],
         );
-        let v = check_convergence(&run);
+        let v = converged(&run);
         assert!(v.contains(&Violation::ReplicaForeignValue {
             site: 1,
             version: 1
@@ -1128,7 +1110,7 @@ mod tests {
             (1, b"a"),
             vec![Some((3, b"a")), Some((1, b"a"))],
         );
-        let v = check_convergence(&run);
+        let v = converged(&run);
         assert!(v.contains(&Violation::ReplicaBeyondCommit {
             site: 0,
             version: 3,
@@ -1146,7 +1128,7 @@ mod tests {
             (2, b"maybe"),
             vec![Some((2, b"maybe")), Some((2, b"maybe"))],
         );
-        assert!(check_convergence(&run).is_empty());
+        assert!(converged(&run).is_empty());
     }
 
     #[test]
@@ -1159,7 +1141,7 @@ mod tests {
             (1, b"a"),
             vec![Some((1, b"a")), Some((0, b""))],
         );
-        assert!(check_convergence(&run).is_empty());
+        assert!(converged(&run).is_empty());
     }
 
     #[test]
@@ -1234,8 +1216,6 @@ mod tests {
             ops,
             sent_payloads: sent.iter().map(|b| b.to_vec()).collect(),
             suites: vec![ObjectId(1), ObjectId(2)],
-            finals: suite_finals.first().cloned().unwrap_or_default(),
-            replicas: suite_replicas.first().cloned().unwrap_or_default(),
             suite_finals,
             suite_replicas,
             txns,

@@ -45,7 +45,10 @@
 //! outcome to report, and one driver (`send_prepares`) carries them
 //! through two-phase commit. Which sites an operation uses is not decided
 //! here: the state machine asks its `Planner` (`crate::planner`), which
-//! keeps what is known about sites, and tells it what it saw.
+//! keeps what is known about sites, and tells it what it saw. It does the
+//! same with `LocalCopies` (`crate::local`), which keeps what is known
+//! about the copies on the client's own site: the attached cache tier,
+//! and the zero-vote copy beside it.
 //!
 //! Every attempt uses a fresh request id (so late responses from a dead
 //! attempt can never contaminate a live one) while keeping the operation's
@@ -63,6 +66,8 @@ use wv_storage::{Container, IdHashMap, ObjectId, Version};
 use wv_txn::Vote;
 
 use crate::error::{OpError, OpKind};
+use crate::local::LocalCopies;
+pub use crate::local::WeakRepOptions;
 use crate::msg::{Msg, PrepareWrite, RefuseReason, ReqId};
 use crate::planner::{Planner, Ranked, LATE_MULTIPLIER};
 use crate::quorum::QuorumSpec;
@@ -120,42 +125,6 @@ pub struct ClientOptions {
     /// `None` — the default — disables the tier and leaves the classic
     /// read path byte-for-byte untouched.
     pub weak_rep: Option<WeakRepOptions>,
-}
-
-/// Tunables for the client's attached weak representative (cache tier).
-///
-/// Two serving modes:
-///
-/// * **Validated** (`lease: None`): a read still runs its own version
-///   inquiry, but when the quorum confirms the cached copy is current the
-///   read completes from the local copy with **zero data RPCs**: a
-///   one-round read with a local copy. It saves the data move, not a
-///   round. Quorum intersection makes this exactly as fresh as a classic
-///   quorum read.
-/// * **Lease** (`lease: Some(ttl)`): a quorum-validated read grants the
-///   cache entry a sim-clock lease; until it expires, reads on the suite
-///   are served locally with **no network traffic at all**. The lease is
-///   the staleness bound: a served value can lag the newest commit by at
-///   most `ttl`. Leases are invalidated by any local write to the suite
-///   and by configuration adoption, and are *not* extended by lease-served
-///   reads (only a fresh quorum validation re-arms one).
-#[derive(Clone, Debug)]
-pub struct WeakRepOptions {
-    /// Lease TTL: `None` — validated mode; `Some(ttl)` — lease mode with a
-    /// staleness bound of `ttl`.
-    pub lease: Option<SimDuration>,
-}
-
-impl WeakRepOptions {
-    /// Validated mode: quorum-confirmed currency, zero data RPCs on a hit.
-    pub fn validated() -> Self {
-        WeakRepOptions { lease: None }
-    }
-
-    /// Lease mode: fully quorum-free reads within a `ttl` staleness bound.
-    pub fn lease(ttl: SimDuration) -> Self {
-        WeakRepOptions { lease: Some(ttl) }
-    }
 }
 
 /// Switches on the client's self-healing layer.
@@ -352,6 +321,15 @@ pub struct OpSuccess {
     /// Per-suite versions installed by a multi-suite transaction
     /// (empty for single-suite operations).
     pub multi: Vec<(ObjectId, Version)>,
+}
+
+/// What a read reports: `value`, at `version`.
+fn read_success(version: Version, value: Bytes) -> OpSuccess {
+    OpSuccess {
+        version,
+        value: Some(value),
+        multi: Vec::new(),
+    }
 }
 
 /// The record of one finished operation.
@@ -715,18 +693,6 @@ fn timer_token(req: ReqId, seq: u64, kind: TimerKind) -> u64 {
     CLIENT_TIMER_TAG | req.counter() << 15 | (seq & TOKEN_SEQ_MASK) << 3 | kind as u64
 }
 
-/// One suite's entry in the client's attached weak representative: the
-/// newest committed `(version, contents)` a quorum has vouched for, plus
-/// the lease deadline when lease mode granted one.
-#[derive(Clone, Debug)]
-struct CacheEntry {
-    version: Version,
-    value: Bytes,
-    /// Serve locally without any network until this instant (exclusive);
-    /// `None` — no live lease (validated mode, or lease lapsed/revoked).
-    lease_until: Option<SimTime>,
-}
-
 /// A client node: starts operations, reacts to responses, records results.
 pub struct ClientNode {
     site: SiteId,
@@ -742,15 +708,10 @@ pub struct ClientNode {
     active: usize,
     /// Submissions waiting for a pipeline slot, in submission order.
     queue: VecDeque<ReqId>,
-    /// The attached weak representative's per-suite entries. Touched only
-    /// when `options.weak_rep` is set.
-    cache: IdHashMap<ObjectId, CacheEntry>,
-    /// Per suite, the version this client last saw at, or pushed to, the
-    /// zero-vote representative on its own site. Only a hint — the push
-    /// may have been dropped, the copy may have lost its state — and only
-    /// ever read to pick [`Msg::VersionReq::contents_from`]: too high costs
-    /// the read a fetch round, too low moves contents it did not need.
-    local_hints: IdHashMap<ObjectId, Version>,
+    /// What is known about the copies on this site: the attached weak
+    /// representative's entries, and what the zero-vote copy beside the
+    /// client is thought to hold.
+    local: LocalCopies,
     /// Per suite, the marker — the request id of a write's direct first
     /// attempt in flight — and the writes parked behind it, oldest first.
     /// They leave as one train when that *attempt* ends, decided or failed
@@ -786,14 +747,13 @@ impl ClientNode {
             site,
             configs: configs.into_iter().map(|c| (c.suite, c)).collect(),
             planner: Planner::new(site, costs, &options),
+            local: LocalCopies::new(&options),
             options,
             next_counter: 1,
             ops: IdHashMap::default(),
             tails: IdHashMap::default(),
             active: 0,
             queue: VecDeque::new(),
-            cache: IdHashMap::default(),
-            local_hints: IdHashMap::default(),
             trains: IdHashMap::default(),
             decisions: Container::new(),
             unretired: BTreeSet::new(),
@@ -819,113 +779,6 @@ impl ClientNode {
     /// The durable commit-decision log, read-only (tests and benches).
     pub fn decision_log(&self) -> &Container {
         &self.decisions
-    }
-
-    // ---- attached weak representative (cache tier) ---------------------
-    //
-    // Every method below is reached only when `options.weak_rep` is set;
-    // with the tier off the maps stay empty and the classic read path is
-    // byte-for-byte untouched.
-
-    /// Re-arms the suite's lease after a quorum validation (no-op in
-    /// validated mode). Lease-served reads do not pass through here: only
-    /// fresh quorum evidence extends a lease.
-    fn grant_lease(&mut self, suite: ObjectId, now: SimTime) {
-        let Some(ttl) = self.options.weak_rep.as_ref().and_then(|w| w.lease) else {
-            return;
-        };
-        if let Some(entry) = self.cache.get_mut(&suite) {
-            entry.lease_until = Some(now + ttl);
-        }
-    }
-
-    /// Installs quorum-fresh contents into the attached weak
-    /// representative (monotonically — a late stale fill can never regress
-    /// the entry) and arms the lease in lease mode.
-    fn fill_cache(&mut self, suite: ObjectId, version: Version, value: &Bytes, now: SimTime) {
-        let Some(wr) = self.options.weak_rep.as_ref() else {
-            return;
-        };
-        let lease_until = wr.lease.map(|ttl| now + ttl);
-        match self.cache.get_mut(&suite) {
-            Some(entry) if entry.version > version => {}
-            Some(entry) => {
-                entry.version = version;
-                entry.value = value.clone();
-                entry.lease_until = lease_until;
-            }
-            None => {
-                self.cache.insert(
-                    suite,
-                    CacheEntry {
-                        version,
-                        value: value.clone(),
-                        lease_until,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Gossip refresh from a server's anti-entropy round: installs
-    /// strictly newer committed state into the attached weak
-    /// representative. The push carries single-server state, not a quorum
-    /// answer, so it never grants or extends a lease — it only raises the
-    /// version a later validated or lease-mode read will serve.
-    fn gossip_fill(
-        &mut self,
-        from: SiteId,
-        suite: ObjectId,
-        version: Version,
-        value: &Bytes,
-        now: SimTime,
-    ) {
-        if self.options.weak_rep.is_none() {
-            return;
-        }
-        let installed = match self.cache.get_mut(&suite) {
-            Some(entry) if entry.version >= version => false,
-            Some(entry) => {
-                entry.version = version;
-                entry.value = value.clone();
-                true
-            }
-            None => {
-                self.cache.insert(
-                    suite,
-                    CacheEntry {
-                        version,
-                        value: value.clone(),
-                        lease_until: None,
-                    },
-                );
-                true
-            }
-        };
-        if installed {
-            let kind = SpanKind::CacheRefresh;
-            (self.recorder).event(kind, suite.0, 0, Some(from.0), version.0, now);
-        }
-    }
-
-    /// Completes a read from the attached weak representative: zero data
-    /// RPCs, counted as a cache hit.
-    fn serve_from_cache(&mut self, req: ReqId, suite: ObjectId, ctx: &mut NodeCtx<'_, Msg>) {
-        let Some(entry) = self.cache.get(&suite) else {
-            return;
-        };
-        let (version, value) = (entry.version, entry.value.clone());
-        self.stats.cache_hits += 1;
-        (self.recorder).op_event(req.0, SpanKind::CacheHit, version.0, ctx.now());
-        self.complete(
-            req,
-            Ok(OpSuccess {
-                version,
-                value: Some(value),
-                multi: Vec::new(),
-            }),
-            ctx,
-        );
     }
 
     /// Ranks `suite`'s sites for one decision ([`Planner::rank`]).
@@ -1130,30 +983,19 @@ impl ClientNode {
         req
     }
 
-    /// Serves a read from a live lease on the attached weak representative:
-    /// zero network. Returns whether it did. The deadline itself counts as
-    /// expired — a lease is good strictly before `lease_until`.
+    /// Serves a read from a live lease on the attached weak representative
+    /// ([`LocalCopies::leased`]): zero network. Returns whether it did.
     fn serve_from_lease(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) -> bool {
         let Some(st) = self.ops.get_mut(&req).filter(|st| st.kind == OpKind::Read) else {
             return false;
         };
-        let suite = st.suite;
-        let Some(entry) = self.cache.get_mut(&suite) else {
+        let Some((version, value)) = self.local.leased(st.suite, ctx.now(), &mut self.stats) else {
             return false;
         };
-        match entry.lease_until {
-            Some(until) if ctx.now() < until => {}
-            Some(_) => {
-                self.stats.lease_expiries += 1;
-                entry.lease_until = None;
-                return false;
-            }
-            None => return false,
-        }
         st.attempts += 1;
         st.end_phase(req, ctx);
         st.attempt_started = ctx.now();
-        self.serve_from_cache(req, suite, ctx);
+        self.serve_attached(req, version, value, ctx);
         true
     }
 
@@ -1220,9 +1062,7 @@ impl ClientNode {
         for suite in self.ops.get(&req).into_iter().flat_map(OpState::suites) {
             self.planner.step(suite);
         }
-        // Cache tier: a live lease serves locally. Entirely skipped with
-        // `weak_rep` off.
-        if self.options.weak_rep.is_some() && self.serve_from_lease(req, ctx) {
+        if self.serve_from_lease(req, ctx) {
             return;
         }
         let Some(st) = self.ops.get(&req) else {
@@ -1254,13 +1094,8 @@ impl ClientNode {
         let (targets, delay) = (sites().count(), self.planner.phase_delay(sites()));
         // A warm cache entry is pre-seeded into `early` below, so the
         // inquiry quorum can confirm it without any contents moving.
-        let cached_early = if is_read && self.options.weak_rep.is_some() {
-            self.cache
-                .get(&suite)
-                .map(|e| (self.site, e.version, e.value.clone()))
-        } else {
-            None
-        };
+        let cached_early = is_read.then(|| self.local.early(suite)).flatten();
+        let cached_early = cached_early.map(|(version, value)| (self.site, version, value));
         // The contents are asked for in the inquiry's own round, so a read
         // completes at max(inquiry, contents) instead of inquiry + fetch:
         // a zero-vote copy ranked first (the workstation's own) is sent a
@@ -1277,15 +1112,9 @@ impl ClientNode {
         } else {
             (None, None)
         };
-        // ...if that host's copy is newer than the one the reader holds:
-        // the cache entry (exactly), or what its own site's copy is thought
-        // to hold. A reader holding nothing asks unconditionally.
-        let contents_from = contents.map(|_| {
-            let hint = self.local_hints.get(&suite);
-            let cached = cached_early.as_ref().map(|(_, version, _)| version);
-            let held = cached.or(hint.filter(|_| guess == Some(self.site)));
-            held.map_or(Version::INITIAL, |version| version.next())
-        });
+        // ...if that host's copy is newer than the one the reader holds.
+        let own_copy_guessed = guess == Some(self.site);
+        let contents_from = contents.map(|_| self.local.contents_from(suite, own_copy_guessed));
         let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
@@ -1676,7 +1505,7 @@ impl ClientNode {
             return;
         };
         if from == self.site {
-            self.local_hints.insert(suite, version);
+            self.local.hint(suite, version);
         }
         // A version answer arriving during the inquiry phase measures one
         // round trip; feed it to the health tracker.
@@ -1815,19 +1644,13 @@ impl ClientNode {
             } => {
                 // The attached entry itself, not something newer that
                 // came with its own site's version answer.
-                let cached =
-                    |e: &CacheEntry| !guessed && source == self.site && e.version >= version;
-                if self.cache.get(&suite).is_some_and(cached) {
-                    self.stats.cache_hits += 1;
-                    (self.recorder).op_event(req.0, SpanKind::CacheHit, version.0, ctx.now());
-                    self.grant_lease(suite, ctx.now());
-                } else {
-                    self.stats.reads_cache_hit += 1;
-                    self.stats.reads_contents_with_inquiry += u64::from(!guessed);
-                    if self.options.weak_rep.is_some() {
-                        self.stats.cache_misses += 1;
-                    }
+                let attached = !guessed && source == self.site;
+                let now = ctx.now();
+                if attached && self.local.confirmed(suite, version, now, &mut self.stats) {
+                    return self.serve_attached(req, version, value, ctx);
                 }
+                self.stats.reads_cache_hit += 1;
+                self.stats.reads_contents_with_inquiry += u64::from(!guessed);
                 self.finish_read(req, suite, source, version, value, ctx);
             }
             Next::ToFetch {
@@ -1846,9 +1669,23 @@ impl ClientNode {
         }
     }
 
-    /// Completes a read with `value`, refreshing the local weak
-    /// representative if it missed. For reconfigurations the fetched
-    /// contents feed the prepare instead of completing the operation.
+    /// Completes a read from the attached weak representative, at the
+    /// entry's `version`: zero data RPCs.
+    fn serve_attached(
+        &mut self,
+        req: ReqId,
+        version: Version,
+        value: Bytes,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        (self.recorder).op_event(req.0, SpanKind::CacheHit, version.0, ctx.now());
+        self.complete(req, Ok(read_success(version, value)), ctx);
+    }
+
+    /// Completes a read the attached weak representative did not serve,
+    /// refreshing the local weak representatives with `value`. For
+    /// reconfigurations the fetched contents feed the prepare instead of
+    /// completing the operation.
     fn finish_read(
         &mut self,
         req: ReqId,
@@ -1878,26 +1715,13 @@ impl ClientNode {
                     value: value.clone(),
                 },
             );
-            self.local_hints.insert(suite, version);
+            self.local.hint(suite, version);
         }
-        // Cache tier: every quorum-backed read refreshes the attached
-        // weak representative (and re-arms the lease in lease mode).
-        if self.options.weak_rep.is_some() {
-            if source != self.site {
-                let kind = SpanKind::CacheRefresh;
-                (self.recorder).op_event(req.0, kind, version.0, ctx.now());
-            }
-            self.fill_cache(suite, version, &value, ctx.now());
+        let (now, stats) = (ctx.now(), &mut self.stats);
+        if self.local.filled(suite, version, &value, now, stats) && source != self.site {
+            (self.recorder).op_event(req.0, SpanKind::CacheRefresh, version.0, now);
         }
-        self.complete(
-            req,
-            Ok(OpSuccess {
-                version,
-                value: Some(value),
-                multi: Vec::new(),
-            }),
-            ctx,
-        );
+        self.complete(req, Ok(read_success(version, value)), ctx);
     }
 
     fn enter_fetch(
@@ -2129,11 +1953,6 @@ impl ClientNode {
                 } else {
                     self.stats.reads_fetched += 1;
                 }
-                if self.options.weak_rep.is_some()
-                    && self.ops.get(&req).is_some_and(|st| st.kind == OpKind::Read)
-                {
-                    self.stats.cache_misses += 1;
-                }
                 (self.recorder).end_leg(req.0, from.0, SpanOutcome::Ok, version.0, ctx.now());
                 self.finish_read(req, suite, from, version, value, ctx);
             }
@@ -2344,11 +2163,9 @@ impl ClientNode {
             self.configs.insert(suite, *next);
             self.planner.forget(suite);
         }
-        if self.options.weak_rep.is_some() {
-            self.cache.remove(&suite);
-            for (s, _) in &success.multi {
-                self.cache.remove(s);
-            }
+        self.local.forget(suite);
+        for (s, _) in &success.multi {
+            self.local.forget(*s);
         }
         self.complete(req, Ok(success), ctx);
     }
@@ -2733,7 +2550,7 @@ impl ClientNode {
                         },
                     );
                     if site == self.site {
-                        self.local_hints.insert(suite, version);
+                        self.local.hint(suite, version);
                     }
                 }
             }
@@ -2760,9 +2577,7 @@ impl ClientNode {
             // An adopted configuration also invalidates the attached weak
             // representative's entry and any live lease on it: the entry
             // was vouched for under quorums that no longer govern.
-            if self.options.weak_rep.is_some() {
-                self.cache.remove(&suite);
-            }
+            self.local.forget(suite);
         }
         if matches!(
             self.ops.get(&req).map(|st| &st.phase),
@@ -2928,13 +2743,6 @@ impl ClientNode {
             }
             Msg::ConfigResp { suite, req, config } => self.on_config_resp(suite, req, config, ctx),
             Msg::DecisionReq { suite, req } => self.answer_decision_probe(from, suite, req, ctx),
-            // The anti-entropy daemon pushing committed state at an
-            // attached weak representative (a no-op with the tier off).
-            Msg::UpdateWeak {
-                suite,
-                version,
-                value,
-            } => self.gossip_fill(from, suite, version, &value, ctx.now()),
             // Server-bound traffic mis-delivered to a pure client: ignore.
             _ => {}
         }
@@ -2968,8 +2776,7 @@ impl ClientNode {
         self.recorder.forget();
         self.queue.clear();
         self.active = 0;
-        self.cache.clear();
-        self.local_hints.clear();
+        self.local.crash();
         self.trains.clear();
         self.planner.crash();
         self.unretired.clear();
@@ -3831,8 +3638,7 @@ mod tests {
     fn the_report_drops_the_writers_leased_entry_and_the_last_ack_drops_nothing() {
         let mut c = cache_client(Some(SimDuration::from_secs(60)));
         let mut rng = DetRng::new(19);
-        let old = Bytes::from_static(b"old");
-        c.fill_cache(SUITE, Version(2), &old, SimTime::ZERO);
+        warm(&mut c, 2, b"old", SimTime::ZERO);
         let write = decided_write(&mut c, &mut rng);
         assert_eq!(c.completed.len(), 1, "reported at the decision");
         // The writer's own read right after the report is not served the
@@ -4353,15 +4159,44 @@ mod tests {
         )
     }
 
+    /// Fills `c`'s attached entry at `version` as of `now`, the way a read
+    /// the tier missed does, without counting that miss.
+    fn warm(c: &mut ClientNode, version: u64, value: &'static [u8], now: SimTime) {
+        let (value, mut scratch) = (Bytes::from_static(value), ClientStats::default());
+        (c.local).filled(SUITE, Version(version), &value, now, &mut scratch);
+    }
+
+    /// The version of `c`'s attached entry, if it holds one.
+    fn attached(c: &ClientNode) -> Option<Version> {
+        c.local.early(SUITE).map(|(version, _)| version)
+    }
+
+    #[test]
+    fn an_update_weak_pushed_at_a_pure_client_changes_nothing() {
+        let (mut c, mut rng) = (cache_client(None), DetRng::new(47));
+        warm(&mut c, 1, b"one", SimTime::ZERO);
+        let push = Msg::UpdateWeak {
+            suite: SUITE,
+            version: Version(2),
+            value: Bytes::from_static(b"two"),
+        };
+        deliver(&mut c, &mut rng, 1, 0, push);
+        assert_eq!(attached(&c), Some(Version(1)), "only a read fills");
+        // The next read still holds v1: it asks from v2, and the quorum's
+        // v2 is not the entry's to serve.
+        let (req, sends) = read_at(&mut c, &mut rng, 2);
+        assert_eq!(contents_asked(&sends), [(SiteId(0), Version(2))]);
+        deliver(&mut c, &mut rng, 20, 1, answer(req, 2, None));
+        deliver(&mut c, &mut rng, 30, 2, answer(req, 2, None));
+        deliver(&mut c, &mut rng, 40, 1, read_resp(req, 2, b"two"));
+        assert_eq!(read_back(&c, 0), (2, b"two".to_vec()));
+        assert_eq!((c.stats.cache_hits, c.stats.cache_misses), (0, 1));
+    }
+
     #[test]
     fn validated_cache_completes_from_local_copy_when_quorum_confirms() {
         let mut c = cache_client(None);
-        c.fill_cache(
-            SUITE,
-            Version(2),
-            &Bytes::from_static(b"warm"),
-            SimTime::ZERO,
-        );
+        warm(&mut c, 2, b"warm", SimTime::ZERO);
         let mut rng = DetRng::new(10);
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
         let req = c.start_read(SUITE, &mut ctx);
@@ -4402,12 +4237,7 @@ mod tests {
     #[test]
     fn stale_cache_falls_through_to_fetch_and_counts_a_miss() {
         let mut c = cache_client(None);
-        c.fill_cache(
-            SUITE,
-            Version(1),
-            &Bytes::from_static(b"old"),
-            SimTime::ZERO,
-        );
+        warm(&mut c, 1, b"old", SimTime::ZERO);
         let mut rng = DetRng::new(11);
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
         let req = c.start_read(SUITE, &mut ctx);
@@ -4444,18 +4274,13 @@ mod tests {
         assert_eq!(c.stats.cache_misses, 1);
         assert_eq!(c.stats.reads_fetched, 1);
         // The fetch refreshed the local copy for the next read.
-        assert_eq!(c.cache.get(&SUITE).map(|e| e.version), Some(Version(2)));
+        assert_eq!(attached(&c), Some(Version(2)));
     }
 
     #[test]
     fn lease_serves_quorum_free_and_expires_exactly_at_the_boundary() {
         let mut c = cache_client(Some(SimDuration::from_millis(100)));
-        c.fill_cache(
-            SUITE,
-            Version(1),
-            &Bytes::from_static(b"leased"),
-            SimTime::ZERO,
-        );
+        warm(&mut c, 1, b"leased", SimTime::ZERO);
         let mut rng = DetRng::new(12);
         // t = 99ms: inside the lease — served with zero messages.
         let mut ctx = NodeCtx::new(SimTime::from_millis(99), CLIENT, &mut rng);
@@ -4515,18 +4340,13 @@ mod tests {
             &mut ctx,
         );
         assert!(c.completed.is_empty());
-        assert!(c.cache.is_empty(), "no fill from a dead operation");
+        assert!(attached(&c).is_none(), "no fill from a dead operation");
     }
 
     #[test]
     fn newer_config_invalidates_the_cache_mid_lease() {
         let mut c = cache_client(Some(SimDuration::from_secs(10)));
-        c.fill_cache(
-            SUITE,
-            Version(3),
-            &Bytes::from_static(b"pre"),
-            SimTime::ZERO,
-        );
+        warm(&mut c, 3, b"pre", SimTime::ZERO);
         let next = config()
             .evolve(
                 VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1), (SiteId(2), 1)]),
@@ -4553,7 +4373,7 @@ mod tests {
             "reconfiguration must invalidate the attached weak rep"
         );
         assert_eq!(c.stats.cache_hits, 0);
-        assert!(c.cache.is_empty());
+        assert!(attached(&c).is_none());
     }
 
     // ---- one write path: writes, transactions, the ranking seam ----
@@ -5391,12 +5211,7 @@ mod tests {
     #[test]
     fn a_read_behind_a_stale_entry_completes_in_one_round() {
         let mut c = cache_client(None);
-        c.fill_cache(
-            SUITE,
-            Version(1),
-            &Bytes::from_static(b"one"),
-            SimTime::ZERO,
-        );
+        warm(&mut c, 1, b"one", SimTime::ZERO);
         let mut rng = DetRng::new(46);
         // Inquiries only, asking from one above the entry.
         let (req, sends) = read_at(&mut c, &mut rng, 0);
@@ -5415,6 +5230,6 @@ mod tests {
         assert_eq!((stats.cache_misses, stats.cache_hits), (1, 0));
         let moved = (stats.reads_contents_with_inquiry, stats.reads_fetched);
         assert_eq!(moved, (1, 0));
-        assert_eq!(c.cache.get(&SUITE).map(|e| e.version), Some(Version(2)));
+        assert_eq!(attached(&c), Some(Version(2)));
     }
 }

@@ -255,21 +255,6 @@ impl HarnessBuilder {
             cfg
         });
         assert_eq!(net.sites(), sites, "network size must match site count");
-        // Sites whose client carries an attached weak representative: with
-        // anti-entropy on, servers push committed state at them on gossip
-        // rounds. Composite sites route `UpdateWeak` to their server half,
-        // so only pure clients register.
-        let cache_sites: Vec<SiteId> =
-            if self.anti_entropy.is_some() && self.options.weak_rep.is_some() {
-                self.specs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.is_client && !s.hosts_rep)
-                    .map(|(i, _)| SiteId::from(i))
-                    .collect()
-            } else {
-                Vec::new()
-            };
         let mut clients = Vec::new();
         let nodes: Vec<SystemNode> = self
             .specs
@@ -284,9 +269,6 @@ impl HarnessBuilder {
                     }
                     if let Some(latency) = self.group_commit {
                         s.set_group_commit(latency);
-                    }
-                    if !cache_sites.is_empty() {
-                        s.set_cache_refresh_targets(cache_sites.clone());
                     }
                     s
                 };
@@ -2310,54 +2292,6 @@ mod tests {
         let stats = h.client_stats(SiteId(3)).expect("client");
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.lease_expiries, 0);
-    }
-
-    #[test]
-    fn anti_entropy_gossip_refreshes_the_attached_weak_rep() {
-        use crate::client::WeakRepOptions;
-        // Two clients: a write by one leaves the other's attached cache
-        // behind; the gossip round pushes the committed state at it.
-        let mut h = HarnessBuilder::new()
-            .seed(77)
-            .site(SiteSpec::server(1))
-            .site(SiteSpec::server(1))
-            .site(SiteSpec::server(1))
-            .client()
-            .client()
-            .quorum(QuorumSpec::new(2, 2))
-            .client_options(ClientOptions {
-                weak_rep: Some(WeakRepOptions::validated()),
-                ..ClientOptions::default()
-            })
-            .anti_entropy(SimDuration::from_millis(500))
-            .build()
-            .expect("legal configuration");
-        let suite = h.suite_id();
-        let (reader, writer) = (SiteId(3), SiteId(4));
-        h.write_from(writer, suite, b"w1".to_vec()).expect("write");
-        // The reader warms its cache at v1…
-        let r = h.read_from(reader, suite).expect("read");
-        assert_eq!(r.version, Version(1));
-        // …the writer moves on to v2…
-        h.write_from(writer, suite, b"w2".to_vec()).expect("write");
-        // …and a gossip round refreshes the reader's attached copy
-        // without the reader issuing any operation.
-        h.advance(SimDuration::from_secs(2));
-        let pushes: u64 = SiteId::all(3)
-            .map(|s| h.server_stats(s).expect("server").cache_pushes)
-            .sum();
-        assert!(pushes > 0, "gossip rounds push at attached weak reps");
-        // The refreshed entry serves the next validated read locally:
-        // a hit at v2 without any data fetch by the reader.
-        let before = h.client_stats(reader).expect("client");
-        let r = h.read_from(reader, suite).expect("read");
-        assert_eq!(r.version, Version(2));
-        assert_eq!(r.value, b"w2".to_vec());
-        let after = h.client_stats(reader).expect("client");
-        assert_eq!(after.cache_hits, before.cache_hits + 1);
-        assert_eq!(after.reads_fetched, before.reads_fetched);
-        h.stop_anti_entropy();
-        h.run_until_quiet(1_000_000);
     }
 
     /// Per log in the cluster (each site's container, then its client's

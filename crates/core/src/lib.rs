@@ -20,7 +20,9 @@
 //! * [`client`] — the client-side protocol: one state machine for reads,
 //!   writes, transactions and reconfigurations. Which sites an operation
 //!   uses it asks of `planner`, a private module holding what is known
-//!   about sites (costs, health, silence, load, the plan cache, the policy).
+//!   about sites (costs, health, silence, load, the plan cache, the policy),
+//!   and of `local`, a private module holding what it knows about the
+//!   copies on its own site (the attached cache tier, the own-site hint).
 //! * [`node`] — the combined node type hosting servers and clients.
 //! * [`harness`] — a synchronous facade over a simulated cluster; the API
 //!   the examples and experiments drive.
@@ -54,6 +56,7 @@
 pub mod client;
 pub mod error;
 pub mod harness;
+mod local;
 pub mod msg;
 pub mod node;
 mod planner;

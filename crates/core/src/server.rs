@@ -46,10 +46,14 @@ pub const REPAIR_TIMER_TAG: u64 = 1 << 62;
 /// repair ticks (bit 62), client timers (bit 63), and raw request ids.
 pub const WAL_SYNC_TIMER_TAG: u64 = 1 << 61;
 
-/// WAL records at which a log is compacted: a server's container (the
-/// default [`SuiteServer::set_checkpoint_threshold`] overrides) and a
-/// client's decision log alike.
+/// WAL records at which a log is compacted, keeping recovery time
+/// proportional to live state: a server's container and a client's
+/// decision log alike.
 pub(crate) const CHECKPOINT_RECORDS: usize = 512;
+
+/// How long a prepared transaction waits before probing its coordinator
+/// for the decision, and between probes.
+const RESOLVE_AFTER: SimDuration = SimDuration::from_secs(5);
 
 /// Server-side counters for the experiments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -82,8 +86,6 @@ pub struct ServerStats {
     pub repair_probes: u64,
     /// Anti-entropy answers served to stale peers.
     pub repair_serves: u64,
-    /// Gossip pushes of committed state at attached weak representatives.
-    pub cache_pushes: u64,
     /// Newer committed state installed from a peer's repair answer.
     pub repairs_completed: u64,
     /// Group-commit syncs performed (one durable write each).
@@ -206,12 +208,6 @@ pub struct SuiteServer {
     /// from committed state when it is released, before the oldest
     /// prepare in line is granted.
     held_reads: IdHashMap<ObjectId, Vec<HeldRead>>,
-    /// How long a prepared transaction waits before probing its
-    /// coordinator for the decision.
-    resolve_after: SimDuration,
-    /// Checkpoint the container whenever its log reaches this many
-    /// records, keeping recovery time proportional to live state.
-    checkpoint_threshold: usize,
     /// Anti-entropy probe interval; `None` (the default) disables the
     /// repair daemon entirely.
     anti_entropy: Option<SimDuration>,
@@ -222,10 +218,6 @@ pub struct SuiteServer {
     repair_epoch: u64,
     /// Round-robin position over peers for periodic probes.
     repair_cursor: usize,
-    /// Client sites with attached weak representatives (the cache tier);
-    /// each gossip round pushes committed state to them fire-and-forget.
-    /// Empty — the default — leaves the daemon byte-identical to before.
-    refresh_clients: Vec<SiteId>,
     /// Counters.
     pub stats: ServerStats,
     /// Span recording, off by default (see [`Recorder`]).
@@ -300,12 +292,9 @@ impl SuiteServer {
             pending: IdHashMap::default(),
             collecting: IdHashMap::default(),
             held_reads: IdHashMap::default(),
-            resolve_after: SimDuration::from_secs(5),
-            checkpoint_threshold: CHECKPOINT_RECORDS,
             anti_entropy: None,
             repair_epoch: 0,
             repair_cursor: 0,
-            refresh_clients: Vec::new(),
             stats: ServerStats::default(),
             recorder: Recorder::new(site.0),
             group_commit: None,
@@ -331,17 +320,6 @@ impl SuiteServer {
         self.recorder.take().0
     }
 
-    /// Overrides the in-doubt probe interval.
-    pub fn set_resolve_after(&mut self, d: SimDuration) {
-        self.resolve_after = d;
-    }
-
-    /// Overrides the log-compaction threshold (records).
-    pub fn set_checkpoint_threshold(&mut self, records: usize) {
-        assert!(records > 0, "threshold must be positive");
-        self.checkpoint_threshold = records;
-    }
-
     /// Enables the background anti-entropy daemon with the given probe
     /// interval. Ticks start once [`Self::start_anti_entropy`] runs (the
     /// harness arms it at construction; recovery re-arms it).
@@ -356,14 +334,6 @@ impl SuiteServer {
     pub fn stop_anti_entropy(&mut self) {
         self.anti_entropy = None;
         self.repair_epoch += 1;
-    }
-
-    /// Registers client sites whose attached weak representatives the
-    /// gossip rounds refresh ([`Msg::UpdateWeak`] pushes of committed
-    /// state). The clients install monotonically, so a stale push is
-    /// harmless; an empty list (the default) changes nothing.
-    pub fn set_cache_refresh_targets(&mut self, sites: Vec<SiteId>) {
-        self.refresh_clients = sites;
     }
 
     /// Enables group commit: the durable sync behind every prepare and
@@ -515,30 +485,6 @@ impl SuiteServer {
                 },
             );
         }
-        // The same round refreshes attached weak representatives: push
-        // committed state at every registered client site. Fire-and-forget
-        // and monotonic on the receiving end, like any weak update.
-        let targets = self.refresh_clients.clone();
-        if !targets.is_empty() {
-            for suite in self.hosted_suites() {
-                let version = self.data_version(suite);
-                if version == Version::INITIAL {
-                    continue;
-                }
-                let value = self.data_value(suite);
-                for &client in &targets {
-                    self.stats.cache_pushes += 1;
-                    ctx.send(
-                        client,
-                        Msg::UpdateWeak {
-                            suite,
-                            version,
-                            value: value.clone(),
-                        },
-                    );
-                }
-            }
-        }
     }
 
     /// Recovery-time catch-up: pull every hosted suite from every peer at
@@ -563,7 +509,7 @@ impl SuiteServer {
     /// state whichever mix of traffic a representative sees — a weak one
     /// only ever sees refreshes, a contended one mostly aborts.
     fn maybe_checkpoint(&mut self) {
-        if self.container.wal().len() >= self.checkpoint_threshold {
+        if self.container.wal().len() >= CHECKPOINT_RECORDS {
             self.container.checkpoint().expect("server container is up");
             self.stats.checkpoints += 1;
         }
@@ -967,7 +913,7 @@ impl SuiteServer {
             match d {
                 Deferred::Vote { to, suite, req } => {
                     // Probe the coordinator if the decision takes too long.
-                    ctx.set_timer(self.resolve_after, req.0);
+                    ctx.set_timer(RESOLVE_AFTER, req.0);
                     self.vote_yes(to, suite, req, ctx);
                 }
                 Deferred::Ack { to, suite, req } => {
@@ -1554,7 +1500,7 @@ impl SuiteServer {
                     req,
                 },
             );
-            ctx.set_timer(self.resolve_after, token);
+            ctx.set_timer(RESOLVE_AFTER, token);
         }
     }
 
@@ -1668,7 +1614,7 @@ impl SuiteServer {
                 },
             );
             ctx.send(req.coordinator(), Msg::DecisionReq { suite, req });
-            ctx.set_timer(self.resolve_after, req.0);
+            ctx.set_timer(RESOLVE_AFTER, req.0);
         }
         // Catch up and restart the repair daemon: the recovering
         // representative pulls from every peer immediately (restoring its
@@ -2788,9 +2734,9 @@ mod tests {
     #[test]
     fn log_stays_bounded_under_sustained_writes() {
         let mut s = server();
-        s.set_checkpoint_threshold(20);
         let mut rng = DetRng::new(21);
-        for i in 1..=60u64 {
+        let writes = 2 * CHECKPOINT_RECORDS as u64;
+        for i in 1..=writes {
             let r = req(i);
             let mut ctx = ctx_pair(&mut rng);
             s.handle(
@@ -2828,24 +2774,19 @@ mod tests {
             "compactions ran: {}",
             s.stats.checkpoints
         );
-        assert!(
-            s.container().wal().len() <= 24,
-            "log unbounded: {} records",
-            s.container().wal().len()
-        );
+        assert_log_bounded(&s);
         // Data still correct after a crash + recovery from the compact log.
-        assert_eq!(s.data_version(SUITE), Version(60));
+        assert_eq!(s.data_version(SUITE), Version(writes));
         s.handle_crash();
         let mut ctx = ctx_pair(&mut rng);
         s.handle_recover(&mut ctx);
-        assert_eq!(s.data_version(SUITE), Version(60));
-        assert_eq!(s.data_value(SUITE), Bytes::from_static(b"v60"));
+        assert_eq!(s.data_version(SUITE), Version(writes));
+        assert_eq!(s.data_value(SUITE), Bytes::from(format!("v{writes}")));
     }
 
     #[test]
     fn decision_probe_timer_repeats_until_resolved() {
         let mut s = server();
-        s.set_resolve_after(SimDuration::from_millis(100));
         let mut rng = DetRng::new(15);
         let r = req(1);
         let mut ctx = ctx_pair(&mut rng);

@@ -6,9 +6,10 @@
 //! latencies (optionally scaled down so the paper's 750 ms links don't make
 //! the test suite slow).
 //!
-//! Semantics mirror [`crate::sim_net`]: partition and link-loss decisions at
-//! send time, down-site checks at delivery time. Message order between two
-//! sites may invert when latencies differ, exactly as in the simulator.
+//! Links mirror [`crate::sim_net`]'s: loss is decided and latency sampled
+//! at send time, and message order between two sites may invert when
+//! latencies differ, exactly as in the simulator. Partitions and crashes
+//! are the simulator's alone; this transport injects no faults.
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -18,16 +19,9 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
 use wv_sim::{DetRng, SimTime};
 
-use crate::config::{NetConfig, Partition};
+use crate::config::NetConfig;
 use crate::sim_net::NetStats;
 use crate::site::{Envelope, SiteId};
-
-/// Shared mutable network state: connectivity, crashed sites, counters.
-struct Control {
-    partition: Partition,
-    down: Vec<bool>,
-    stats: NetStats,
-}
 
 enum Cmd<M> {
     Route {
@@ -71,7 +65,7 @@ pub struct Endpoint<M> {
     id: SiteId,
     epoch: Instant,
     config: Arc<NetConfig>,
-    control: Arc<Mutex<Control>>,
+    stats: Arc<Mutex<NetStats>>,
     time_scale: f64,
     rng: DetRng,
     router: Sender<Cmd<M>>,
@@ -92,21 +86,16 @@ impl<M: Send + 'static> Endpoint<M> {
         SimTime::from_micros(unscaled)
     }
 
-    /// Sends `msg` to `to`, applying partition, loss, and latency.
+    /// Sends `msg` to `to`, applying loss and latency.
     ///
-    /// Returns `true` if the message entered the network (it may still be
-    /// lost at delivery if the destination crashes), `false` if it was
+    /// Returns `true` if the message entered the network, `false` if it was
     /// dropped at send time.
     pub fn send(&mut self, to: SiteId, msg: M) -> bool {
         let latency = {
-            let mut ctl = self.control.lock().expect("net control lock");
-            ctl.stats.sent += 1;
-            if !ctl.partition.connected(self.id, to) {
-                ctl.stats.dropped_partition += 1;
-                return false;
-            }
+            let mut stats = self.stats.lock().expect("net stats lock");
+            stats.sent += 1;
             if self.config.sample_drop(self.id, to, &mut self.rng) {
-                ctl.stats.dropped_link += 1;
+                stats.dropped_link += 1;
                 return false;
             }
             self.config.sample_latency(self.id, to, &mut self.rng)
@@ -143,40 +132,16 @@ impl<M: Send + 'static> Endpoint<M> {
     }
 }
 
-/// Control handle over a running thread network.
-pub struct NetHandle<M> {
-    control: Arc<Mutex<Control>>,
-    router: Sender<Cmd<M>>,
+/// A handle on a running thread network's counters.
+#[derive(Clone)]
+pub struct NetHandle {
+    stats: Arc<Mutex<NetStats>>,
 }
 
-impl<M> Clone for NetHandle<M> {
-    fn clone(&self) -> Self {
-        NetHandle {
-            control: Arc::clone(&self.control),
-            router: self.router.clone(),
-        }
-    }
-}
-
-impl<M: Send + 'static> NetHandle<M> {
-    /// Replaces the current partition.
-    pub fn set_partition(&self, p: Partition) {
-        self.control.lock().expect("net control lock").partition = p;
-    }
-
-    /// Marks `site` crashed (true) or recovered (false).
-    pub fn set_down(&self, site: SiteId, down: bool) {
-        self.control.lock().expect("net control lock").down[site.index()] = down;
-    }
-
+impl NetHandle {
     /// A snapshot of the transport counters.
     pub fn stats(&self) -> NetStats {
-        self.control.lock().expect("net control lock").stats
-    }
-
-    /// Asks the router to stop after delivering what is already due.
-    pub fn shutdown(&self) {
-        let _ = self.router.send(Cmd::Stop);
+        *self.stats.lock().expect("net stats lock")
     }
 }
 
@@ -184,8 +149,9 @@ impl<M: Send + 'static> NetHandle<M> {
 pub struct ThreadNet<M> {
     /// One endpoint per site; take them out and move each to its thread.
     pub endpoints: Vec<Endpoint<M>>,
-    /// Shared control handle.
-    pub handle: NetHandle<M>,
+    /// The shared counters.
+    pub handle: NetHandle,
+    router: Sender<Cmd<M>>,
     router_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -204,11 +170,7 @@ impl<M: Send + 'static> ThreadNet<M> {
         );
         let sites = config.sites();
         let config = Arc::new(config);
-        let control = Arc::new(Mutex::new(Control {
-            partition: Partition::whole(sites),
-            down: vec![false; sites],
-            stats: NetStats::default(),
-        }));
+        let stats = Arc::new(Mutex::new(NetStats::default()));
         let (router_tx, router_rx) = mpsc::channel::<Cmd<M>>();
         let mut inbox_txs = Vec::with_capacity(sites);
         let mut endpoints = Vec::with_capacity(sites);
@@ -221,24 +183,22 @@ impl<M: Send + 'static> ThreadNet<M> {
                 id: SiteId::from(site),
                 epoch,
                 config: Arc::clone(&config),
-                control: Arc::clone(&control),
+                stats: Arc::clone(&stats),
                 time_scale,
                 rng: root.fork(site as u64 + 1),
                 router: router_tx.clone(),
                 inbox: rx,
             });
         }
-        let router_control = Arc::clone(&control);
+        let router_stats = Arc::clone(&stats);
         let router_thread = std::thread::Builder::new()
             .name("wv-net-router".into())
-            .spawn(move || router_loop(router_rx, inbox_txs, router_control))
+            .spawn(move || router_loop(router_rx, inbox_txs, router_stats))
             .expect("spawn router thread");
         ThreadNet {
             endpoints,
-            handle: NetHandle {
-                control,
-                router: router_tx,
-            },
+            handle: NetHandle { stats },
+            router: router_tx,
             router_thread: Some(router_thread),
         }
     }
@@ -246,7 +206,7 @@ impl<M: Send + 'static> ThreadNet<M> {
 
 impl<M> Drop for ThreadNet<M> {
     fn drop(&mut self) {
-        let _ = self.handle.router.send(Cmd::Stop);
+        let _ = self.router.send(Cmd::Stop);
         if let Some(t) = self.router_thread.take() {
             let _ = t.join();
         }
@@ -256,7 +216,7 @@ impl<M> Drop for ThreadNet<M> {
 fn router_loop<M>(
     rx: Receiver<Cmd<M>>,
     inboxes: Vec<Sender<Envelope<M>>>,
-    control: Arc<Mutex<Control>>,
+    stats: Arc<Mutex<NetStats>>,
 ) {
     let mut heap: BinaryHeap<HeapItem<M>> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -266,13 +226,7 @@ fn router_loop<M>(
         let now = Instant::now();
         while heap.peek().is_some_and(|i| i.deliver_at <= now) {
             let item = heap.pop().expect("peeked");
-            let mut ctl = control.lock().expect("net control lock");
-            if ctl.down[item.env.to.index()] {
-                ctl.stats.dropped_down += 1;
-                continue;
-            }
-            ctl.stats.delivered += 1;
-            drop(ctl);
+            stats.lock().expect("net stats lock").delivered += 1;
             // A dropped receiver just means the site thread exited.
             let _ = inboxes[item.env.to.index()].send(item.env);
         }
@@ -345,41 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_blocks_at_send_time() {
-        let mut net = fast_net(2);
-        net.handle.set_partition(Partition::isolate(2, SiteId(1)));
-        let b = net.endpoints.pop().expect("endpoint 1");
-        let mut a = net.endpoints.pop().expect("endpoint 0");
-        assert!(!a.send(SiteId(1), 1));
-        assert!(b.recv_timeout(Duration::from_millis(50)).is_none());
-        assert_eq!(net.handle.stats().dropped_partition, 1);
-        // Healing restores traffic.
-        net.handle.set_partition(Partition::whole(2));
-        assert!(a.send(SiteId(1), 2));
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(2)).map(|e| e.payload),
-            Some(2)
-        );
-    }
-
-    #[test]
-    fn down_site_drops_at_delivery() {
-        let mut net = fast_net(2);
-        net.handle.set_down(SiteId(1), true);
-        let b = net.endpoints.pop().expect("endpoint 1");
-        let mut a = net.endpoints.pop().expect("endpoint 0");
-        assert!(a.send(SiteId(1), 1)); // entered the network...
-        assert!(b.recv_timeout(Duration::from_millis(100)).is_none()); // ...but lost
-        assert_eq!(net.handle.stats().dropped_down, 1);
-        net.handle.set_down(SiteId(1), false);
-        assert!(a.send(SiteId(1), 2));
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(2)).map(|e| e.payload),
-            Some(2)
-        );
-    }
-
-    #[test]
     fn many_threads_exchange_messages() {
         let mut net = fast_net(4);
         let handle = net.handle.clone();
@@ -408,14 +327,6 @@ mod tests {
         let total: u32 = joins.into_iter().map(|j| j.join().expect("thread")).sum();
         assert_eq!(total, 12);
         assert_eq!(handle.stats().delivered, 12);
-    }
-
-    #[test]
-    fn shutdown_is_clean() {
-        let net = fast_net(2);
-        net.handle.shutdown();
-        // Dropping after an explicit shutdown must not hang or panic.
-        drop(net);
     }
 
     #[test]

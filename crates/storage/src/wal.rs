@@ -6,13 +6,14 @@
 //! [`Wal::crash`] discards the unflushed tail — exactly the failure model
 //! of a disk with a volatile write cache and explicit fsync.
 //!
-//! Alongside the typed record list the log maintains the *byte image* the
-//! records would occupy on a real platter, framed and checksummed by
-//! [`crate::frame`]. The image is what disk faults damage: a torn write
-//! persists a partial prefix of the volatile tail, a bit flip corrupts a
-//! durable byte. Damage is reconciled by `Wal::rescan`, which accepts
-//! the longest valid frame prefix and reports what was lost — the scanning
-//! recovery `Container::recover_from` is built on.
+//! The log is kept as nothing but the *byte image* its records would
+//! occupy on a real platter, framed and checksummed by [`crate::frame`],
+//! and where each frame starts. The image is what disk faults damage: a
+//! torn write persists a partial prefix of the volatile tail, a bit flip
+//! corrupts a durable byte. Damage is reconciled by `Wal::rescan`, which
+//! accepts the longest valid frame prefix, reports what was lost, and
+//! hands back the records it decoded — the scanning recovery
+//! `Container::recover_from` replays.
 //!
 //! Property tests in `crate::container` crash the log at *every* record
 //! boundary and assert recovery yields a prefix-consistent state.
@@ -117,10 +118,10 @@ pub struct ScanReport {
 /// An in-memory write-ahead log with fsync semantics.
 #[derive(Clone, Debug, Default)]
 pub struct Wal {
-    records: Vec<Record>,
+    /// Records below this index are durable.
     durable_len: usize,
     flushes: u64,
-    /// The framed byte image of `records`, damage and all.
+    /// The framed byte image of the records, damage and all.
     image: Vec<u8>,
     /// Byte offset where each record's frame starts in `image`.
     offsets: Vec<usize>,
@@ -136,16 +137,15 @@ impl Wal {
     }
 
     /// Appends a record to the volatile tail.
-    pub fn append(&mut self, r: Record) {
+    pub fn append(&mut self, r: &Record) {
         self.offsets.push(self.image.len());
-        frame::encode_into(&mut self.image, &r);
-        self.records.push(r);
+        frame::encode_into(&mut self.image, r);
     }
 
     /// Makes everything appended so far durable (fsync).
     pub fn flush(&mut self) {
-        if self.durable_len != self.records.len() {
-            self.durable_len = self.records.len();
+        if self.durable_len != self.len() {
+            self.durable_len = self.len();
             self.flushes += 1;
         }
     }
@@ -164,8 +164,8 @@ impl Wal {
     ///   crc/payload region, so the damage always fails the checksum
     ///   instead of masquerading as a short frame.
     ///
-    /// The typed view (`records`/`durable`) still shows the pre-damage
-    /// durable prefix; only [`Wal::rescan`] reconciles it with the image.
+    /// The frame offsets still show the pre-damage durable prefix; only
+    /// [`Wal::rescan`] reconciles them with the image.
     pub(crate) fn crash_with_faults(&mut self, tear: Option<u64>, flips: &[u64]) {
         for &draw in flips {
             self.flip_durable_bit(draw);
@@ -177,7 +177,6 @@ impl Wal {
             _ => 0,
         };
         self.image.truncate(durable_bytes + keep);
-        self.records.truncate(self.durable_len);
         self.offsets.truncate(self.durable_len);
     }
 
@@ -206,10 +205,10 @@ impl Wal {
     }
 
     /// Scanning recovery over the byte image: accepts the longest valid
-    /// frame prefix, rebuilds the typed view from it, and reports what was
-    /// lost and why. After a rescan the log is clean (all accepted records
-    /// durable, damage markers cleared).
-    pub(crate) fn rescan(&mut self) -> ScanReport {
+    /// frame prefix, truncates the log to it, and reports what was lost and
+    /// why, with the accepted records for replay. After a rescan the log is
+    /// clean (all accepted records durable, damage markers cleared).
+    pub(crate) fn rescan(&mut self) -> (ScanReport, Vec<Record>) {
         let pre_durable = self.durable_len;
         let bytes_scanned = self.image.len();
         let scan = frame::scan(&self.image);
@@ -227,43 +226,19 @@ impl Wal {
         // already is the image of the accepted records.
         self.image.truncate(scan.accepted_bytes);
         self.offsets = scan.offsets;
-        self.records = scan.records;
-        self.durable_len = self.records.len();
+        self.durable_len = self.len();
         self.corrupted_from = None;
-        report
-    }
-
-    /// Re-encodes `records` from scratch (compaction and prefix copies,
-    /// where the record list changed under the image).
-    fn rebuild_image(&mut self) {
-        self.image.clear();
-        self.offsets.clear();
-        let records = std::mem::take(&mut self.records);
-        for r in &records {
-            self.offsets.push(self.image.len());
-            frame::encode_into(&mut self.image, r);
-        }
-        self.records = records;
-    }
-
-    /// All records, durable and volatile.
-    pub fn records(&self) -> &[Record] {
-        &self.records
-    }
-
-    /// The durable prefix.
-    pub fn durable(&self) -> &[Record] {
-        &self.records[..self.durable_len]
+        (report, scan.records)
     }
 
     /// Total records appended (including the volatile tail).
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.offsets.len()
     }
 
     /// True if no records have been appended.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.offsets.is_empty()
     }
 
     /// Size of the framed byte image, damage included.
@@ -278,18 +253,12 @@ impl Wal {
         self.flushes
     }
 
-    /// Replaces the whole log (compaction). The first `durable` records
-    /// are made durable immediately; the rest form the volatile tail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `durable` exceeds the record count.
-    pub fn replace(&mut self, records: Vec<Record>, durable: usize) {
-        assert!(durable <= records.len(), "durable prefix exceeds log");
-        self.records = records;
-        self.durable_len = durable;
-        self.flushes += 1;
-        self.rebuild_image();
+    /// Empties the log for a compaction: what is appended next, and made
+    /// durable by the next [`Wal::flush`], is the whole log.
+    pub(crate) fn restart(&mut self) {
+        self.image.clear();
+        self.offsets.clear();
+        self.durable_len = 0;
         self.corrupted_from = None;
     }
 
@@ -298,20 +267,24 @@ impl Wal {
     /// died right after record `n` hit the disk. Used by crash-point
     /// property tests.
     pub fn durable_prefix(&self, n: usize) -> Wal {
-        let n = n.min(self.records.len());
-        let mut w = Wal {
-            records: self.records[..n].to_vec(),
+        let n = n.min(self.len());
+        Wal {
             durable_len: n,
+            image: self.image[..self.frame_start(n)].to_vec(),
+            offsets: self.offsets[..n].to_vec(),
             ..Wal::default()
-        };
-        w.rebuild_image();
-        w
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every record the image holds, decoded the way recovery does.
+    fn decoded(w: &Wal) -> Vec<Record> {
+        frame::scan(&w.image).records
+    }
 
     fn put(tx: u64, obj: u64, ver: u64) -> Record {
         Record::Put {
@@ -325,15 +298,15 @@ mod tests {
     #[test]
     fn crash_discards_unflushed_tail() {
         let mut w = Wal::new();
-        w.append(Record::Begin { tx: TxId(1) });
-        w.append(put(1, 7, 1));
+        w.append(&Record::Begin { tx: TxId(1) });
+        w.append(&put(1, 7, 1));
         w.flush();
-        w.append(Record::Commit { tx: TxId(1) });
+        w.append(&Record::Commit { tx: TxId(1) });
         assert_eq!(w.len(), 3);
-        assert_eq!(w.durable().len(), 2);
+        assert_eq!(w.durable_len, 2);
         w.crash();
         assert_eq!(w.len(), 2);
-        assert_eq!(w.records().last(), Some(&put(1, 7, 1)));
+        assert_eq!(decoded(&w).last(), Some(&put(1, 7, 1)));
     }
 
     #[test]
@@ -341,7 +314,7 @@ mod tests {
         let mut w = Wal::new();
         w.flush();
         assert_eq!(w.flushes(), 0);
-        w.append(Record::Begin { tx: TxId(1) });
+        w.append(&Record::Begin { tx: TxId(1) });
         w.flush();
         w.flush();
         assert_eq!(w.flushes(), 1);
@@ -351,12 +324,13 @@ mod tests {
     fn durable_prefix_is_independent() {
         let mut w = Wal::new();
         for i in 0..5 {
-            w.append(Record::Begin { tx: TxId(i) });
+            w.append(&Record::Begin { tx: TxId(i) });
         }
         w.flush();
         let p = w.durable_prefix(3);
         assert_eq!(p.len(), 3);
-        assert_eq!(p.durable().len(), 3);
+        assert_eq!(p.durable_len, 3);
+        assert_eq!(decoded(&p), decoded(&w)[..3]);
         // Prefix longer than the log clamps.
         assert_eq!(w.durable_prefix(99).len(), 5);
     }
@@ -384,52 +358,44 @@ mod tests {
     }
 
     #[test]
-    fn replace_compacts_and_flushes() {
+    fn a_restarted_log_is_what_is_appended_after() {
         let mut w = Wal::new();
         for i in 0..5 {
-            w.append(Record::Begin { tx: TxId(i) });
+            w.append(&Record::Begin { tx: TxId(i) });
         }
         w.flush();
-        w.replace(
-            vec![Record::Checkpoint {
-                state: Vec::new(),
-                next_tx: 0,
-            }],
-            1,
-        );
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.durable().len(), 1);
-        // The volatile tail rule still applies after a replace.
-        w.append(Record::Begin { tx: TxId(9) });
+        w.restart();
+        let checkpoint = Record::Checkpoint {
+            state: Vec::new(),
+            next_tx: 5,
+        };
+        w.append(&checkpoint);
+        w.flush();
+        assert_eq!((w.len(), w.durable_len, w.flushes()), (1, 1, 2));
+        // The volatile tail rule still applies after a restart.
+        w.append(&Record::Begin { tx: TxId(9) });
         w.crash();
-        assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "durable prefix exceeds log")]
-    fn replace_rejects_oversized_durable_prefix() {
-        let mut w = Wal::new();
-        w.replace(Vec::new(), 1);
+        assert_eq!(decoded(&w), [checkpoint]);
     }
 
     #[test]
     fn empty_log() {
         let w = Wal::new();
         assert!(w.is_empty());
-        assert_eq!(w.durable().len(), 0);
+        assert_eq!(w.durable_len, 0);
         assert_eq!(w.image_bytes(), 0);
     }
 
     #[test]
     fn clean_rescan_is_a_no_op() {
         let mut w = Wal::new();
-        w.append(Record::Begin { tx: TxId(1) });
-        w.append(put(1, 7, 1));
+        w.append(&Record::Begin { tx: TxId(1) });
+        w.append(&put(1, 7, 1));
         w.flush();
-        let before = w.records().to_vec();
+        let before = decoded(&w);
         w.crash();
-        let report = w.rescan();
-        assert_eq!(w.records(), &before[..]);
+        let (report, records) = w.rescan();
+        assert_eq!(records, before);
         assert_eq!(
             report,
             ScanReport {
@@ -443,30 +409,30 @@ mod tests {
     #[test]
     fn torn_crash_persists_a_partial_tail_and_rescan_truncates_it() {
         let mut w = Wal::new();
-        w.append(Record::Begin { tx: TxId(1) });
+        w.append(&Record::Begin { tx: TxId(1) });
         w.flush();
         let durable_bytes = w.image_bytes();
-        w.append(put(1, 7, 1));
-        w.append(Record::Commit { tx: TxId(1) });
+        w.append(&put(1, 7, 1));
+        w.append(&Record::Commit { tx: TxId(1) });
         // A draw landing mid-frame: keep a handful of volatile bytes.
         w.crash_with_faults(Some(durable_bytes as u64 + 5), &[]);
         assert!(w.image_bytes() > durable_bytes, "some torn bytes persisted");
-        let report = w.rescan();
+        let (report, _) = w.rescan();
         assert!(report.torn_tail);
         assert!(!report.corrupt);
         assert_eq!(report.lost_durable, 0, "torn tails never lose acked data");
         assert!(!w.is_empty(), "durable prefix survives");
-        assert_eq!(w.durable().first(), Some(&Record::Begin { tx: TxId(1) }));
+        assert_eq!(decoded(&w).first(), Some(&Record::Begin { tx: TxId(1) }));
     }
 
     #[test]
     fn a_tear_can_persist_whole_volatile_records() {
         let mut w = Wal::new();
-        w.append(Record::Begin { tx: TxId(1) });
+        w.append(&Record::Begin { tx: TxId(1) });
         w.flush();
-        w.append(put(1, 7, 1));
+        w.append(&put(1, 7, 1));
         let full = w.image_bytes();
-        w.append(Record::Commit { tx: TxId(1) });
+        w.append(&Record::Commit { tx: TxId(1) });
         // Keep exactly through the end of the Put frame plus 3 bytes of
         // the Commit frame: the Put becomes durable, the Commit is torn.
         let durable_bytes = {
@@ -477,7 +443,7 @@ mod tests {
         let keep = full - durable_bytes + 3;
         assert!(keep < volatile);
         w.crash_with_faults(Some(keep as u64), &[]);
-        let report = w.rescan();
+        let (report, _) = w.rescan();
         assert!(report.torn_tail);
         assert_eq!(report.recovered_volatile, 1, "the Put frame persisted");
         assert_eq!(w.len(), 2);
@@ -487,12 +453,12 @@ mod tests {
     fn a_bit_flip_corrupts_a_durable_record_and_rescan_detects_it() {
         let mut w = Wal::new();
         for i in 0..4 {
-            w.append(Record::Begin { tx: TxId(i) });
+            w.append(&Record::Begin { tx: TxId(i) });
         }
         w.flush();
         // Draw 1 targets frame 1 of 4; the scan must stop there.
         w.crash_with_faults(None, &[1]);
-        let report = w.rescan();
+        let (report, _) = w.rescan();
         assert!(report.corrupt);
         assert!(!report.poison_escaped, "checksum must catch the flip");
         assert_eq!(report.recovered, 1);
@@ -505,11 +471,11 @@ mod tests {
         let build = || {
             let mut w = Wal::new();
             for i in 0..4 {
-                w.append(Record::Begin { tx: TxId(i) });
-                w.append(put(i, 7, i + 1));
+                w.append(&Record::Begin { tx: TxId(i) });
+                w.append(&put(i, 7, i + 1));
             }
             w.flush();
-            w.append(Record::Commit { tx: TxId(3) });
+            w.append(&Record::Commit { tx: TxId(3) });
             w
         };
         // Clean, torn mid-frame, and a flip in durable frame 5.
@@ -517,16 +483,20 @@ mod tests {
         for (tear, flips) in damage {
             let mut w = build();
             w.crash_with_faults(tear, flips);
-            w.rescan();
-            let fresh = w.durable_prefix(w.len());
+            let (_, records) = w.rescan();
+            let mut fresh = Wal::new();
+            for r in &records {
+                fresh.append(r);
+            }
             assert_eq!(w.image, fresh.image);
             assert_eq!(w.offsets, fresh.offsets);
             // Appends land on a frame boundary of the truncated image.
-            w.append(Record::Abort { tx: TxId(9) });
+            w.append(&Record::Abort { tx: TxId(9) });
             w.flush();
             w.crash();
-            assert!(!w.rescan().corrupt);
-            assert_eq!(w.records().last(), Some(&Record::Abort { tx: TxId(9) }));
+            let (report, records) = w.rescan();
+            assert!(!report.corrupt);
+            assert_eq!(records.last(), Some(&Record::Abort { tx: TxId(9) }));
         }
     }
 
@@ -534,15 +504,15 @@ mod tests {
     fn rescan_leaves_a_clean_log_behind() {
         let mut w = Wal::new();
         for i in 0..4 {
-            w.append(Record::Begin { tx: TxId(i) });
+            w.append(&Record::Begin { tx: TxId(i) });
         }
         w.flush();
         w.crash_with_faults(None, &[2]);
-        let first = w.rescan();
+        let (first, _) = w.rescan();
         assert!(first.corrupt);
         // A second crash/rescan cycle sees no damage at all.
         w.crash();
-        let second = w.rescan();
+        let (second, _) = w.rescan();
         assert!(!second.corrupt && !second.torn_tail);
         assert_eq!(second.recovered, first.recovered);
         assert_eq!(second.lost_durable, 0);
