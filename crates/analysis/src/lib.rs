@@ -10,6 +10,7 @@
 //! repository's substitute for the authors' testbed measurements.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod availability;
 pub mod cost;

@@ -24,6 +24,7 @@
 //! version inquiry) instead of emulating them through the suite machinery.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod harness;

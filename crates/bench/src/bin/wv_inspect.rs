@@ -19,6 +19,8 @@
 //! their input, so they are byte-identical across hosts and worker
 //! counts.
 
+#![forbid(unsafe_code)]
+
 use std::io::Read as _;
 use std::process::exit;
 

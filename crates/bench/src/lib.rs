@@ -9,6 +9,7 @@
 //! which depends on this crate).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod e1;
 pub mod e10;

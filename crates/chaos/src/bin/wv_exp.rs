@@ -10,6 +10,8 @@
 //! alone. `WV_TRIAL_THREADS` picks the worker count; no report's bytes
 //! depend on it.
 
+#![forbid(unsafe_code)]
+
 use wv_chaos::experiments::{Experiment, Size, EXPERIMENTS};
 
 fn usage() -> ! {

@@ -24,6 +24,7 @@
 //! forever.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod campaign;
 pub mod e14;

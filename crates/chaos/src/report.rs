@@ -152,6 +152,8 @@ type Row = (&'static str, fn(&Coverage) -> u64);
 /// every arm replays the same fault timelines — any difference between two
 /// arms is the feature.
 pub(crate) struct Arm {
+    /// The short name [`arms`] gives it, for messages outside the report.
+    name: &'static str,
     /// The section heading; `{}` stands for the trial count.
     heading: &'static str,
     /// Switches the arm's feature on.
@@ -164,10 +166,25 @@ pub(crate) struct Arm {
     closing: fn(&Coverage, &Coverage) -> String,
 }
 
+impl Arm {
+    /// The cluster the arm's campaign runs: 5 servers with majority
+    /// quorums and 2 clients, the arm's feature on.
+    fn cluster(&self) -> ClusterSpec {
+        (self.spec)(ClusterSpec::majority(5, 2))
+    }
+}
+
+/// Every healthy arm of the report, in its order, as a short name and the
+/// cluster it runs — so a trial seed the report names replays in each.
+pub fn arms() -> impl Iterator<Item = (&'static str, ClusterSpec)> {
+    ARMS.iter().map(|arm| (arm.name, arm.cluster()))
+}
+
 /// The six healthy arms, in report order; the first is the shipped
 /// protocol itself, which the others are compared with.
 pub(crate) static ARMS: [Arm; 6] = [
     Arm {
+        name: "shipped",
         heading: "Shipped protocol: {} seeded trials, 5 servers (majority quorums), 2 clients",
         spec: |spec| spec,
         table: "Fault coverage (a green run only counts if the faults actually fired)",
@@ -206,6 +223,7 @@ pub(crate) static ARMS: [Arm; 6] = [
         },
     },
     Arm {
+        name: "self-healing",
         heading: "Self-healing arm: the same {} trials with anti-entropy repair and health-tracked clients",
         spec: ClusterSpec::with_repair,
         table: "Self-healing activity (oracle also checks repair provenance + version bounds)",
@@ -228,6 +246,7 @@ pub(crate) static ARMS: [Arm; 6] = [
         },
     },
     Arm {
+        name: "group-commit",
         heading: "Group-commit arm: the same {} trials with batched WAL syncs on every server",
         spec: ClusterSpec::with_group_commit,
         table: "Group-commit activity (votes and acks leave only after their records are durable)",
@@ -251,6 +270,7 @@ pub(crate) static ARMS: [Arm; 6] = [
         },
     },
     Arm {
+        name: "cache-tier",
         heading: "Cache-tier arm: the same {} trials with a validated weak representative on every client",
         spec: ClusterSpec::with_cache_tier,
         table: "Cache-tier activity (oracle also checks the staleness bound on every cache serve)",
@@ -276,6 +296,7 @@ pub(crate) static ARMS: [Arm; 6] = [
     // schedule carries the disk-fault timeline already; the flag decides
     // whether the executor applies it.
     Arm {
+        name: "faulty-disk",
         heading: "Faulty-disk arm: the same {} trials with torn writes, bit flips, I/O errors, and stalls injected",
         spec: |spec| spec.with_repair().with_disk_faults(),
         table: "Faulty-disk activity (oracle also checks the no-poisoned-read tripwires)",
@@ -309,6 +330,7 @@ pub(crate) static ARMS: [Arm; 6] = [
         },
     },
     Arm {
+        name: "multi-suite",
         heading: "Multi-suite arm: the same {} trials sharded across 4 suites with cross-suite transactions",
         spec: |spec| spec.with_suites(4),
         table: "Multi-suite activity (oracle judges every suite separately, plus cross-suite atomicity)",
@@ -347,7 +369,7 @@ pub fn run(trials: usize) -> Report {
         let report = run_campaign(&CampaignConfig {
             master_seed: HEALTHY_SEED,
             trials,
-            spec: (arm.spec)(ClusterSpec::majority(5, 2)),
+            spec: arm.cluster(),
             params: ScheduleParams::default(),
         });
         let heading = arm.heading.replace("{}", &report.trials.to_string());

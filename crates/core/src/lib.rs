@@ -52,6 +52,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod error;

@@ -21,6 +21,7 @@
 //!   not simulator artifacts.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod node;

@@ -1125,7 +1125,10 @@ mod disk_fault_tests {
                             Err(StorageError::Io) => continue,
                             Err(e) => panic!("case {case} step {step}: {e}"),
                         };
-                        c.stage_put(tx, ObjectId(next() % 4), Version(step + 1), b("v"))
+                        // Up to 2 KiB, so torn writes and bit flips land
+                        // inside frames the folding CRC kernel checksums.
+                        let value = vec![step as u8; (next() % 2049) as usize];
+                        c.stage_put(tx, ObjectId(next() % 4), Version(step + 1), value)
                             .expect("stage");
                         if next() % 3 == 0 {
                             c.commit_unflushed(tx).expect("commit");

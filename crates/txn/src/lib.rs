@@ -11,6 +11,7 @@
 //!   prepare with; the client in `wv-core` is the coordinator.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod lock;
 pub mod twopc;

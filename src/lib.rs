@@ -45,6 +45,7 @@
 //! figure (see `DESIGN.md` and `EXPERIMENTS.md`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use wv_analysis as analysis;
 pub use wv_baselines as baselines;

@@ -4,25 +4,13 @@
 //! from one write per commit-lock hold to one train — and, last, two that
 //! break under the one-line mutation of the one-round read. The seeds
 //! are campaign *trial* seeds, exactly as the report's violation tables
-//! print them; each is replayed in all six arms of the campaign, the one
+//! print them; each is replayed in every arm of the campaign, the one
 //! that showed it included.
 
 use weighted_voting::chaos::oracle::check_trial;
-use weighted_voting::chaos::schedule::{ClusterSpec, ScheduleParams};
+use weighted_voting::chaos::report::arms;
+use weighted_voting::chaos::schedule::ScheduleParams;
 use weighted_voting::chaos::{generate, run_schedule};
-
-/// The six arms of `wv-exp e9`, as `wv_chaos::report` builds them.
-fn arms() -> [(&'static str, ClusterSpec); 6] {
-    let plain = ClusterSpec::majority(5, 2);
-    [
-        ("shipped", plain),
-        ("self-healing", plain.with_repair()),
-        ("group-commit", plain.with_group_commit()),
-        ("cache-tier", plain.with_cache_tier()),
-        ("faulty-disk", plain.with_repair().with_disk_faults()),
-        ("multi-suite", plain.with_suites(4)),
-    ]
-}
 
 fn replays_clean(seeds: &[u64]) {
     for &seed in seeds {
