@@ -112,7 +112,12 @@ mod tests {
     #[test]
     fn ids_are_unique_and_results_holds_exactly_their_reports() {
         let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-        let mut expected = vec!["e9_repro.json".to_string()];
+        // Beside the reports: E9's reproducer, and the exact-count ledger
+        // `scripts/wvbench_counts.py` checks the benchmark's smoke run against.
+        let mut expected = vec![
+            "e9_repro.json".to_string(),
+            "wvbench_counts.json".to_string(),
+        ];
         expected.extend(EXPERIMENTS.iter().map(|e| format!("{}.md", e.id)));
         expected.sort();
         let mut committed: Vec<String> = std::fs::read_dir(results)

@@ -23,6 +23,9 @@
 //!   about sites (costs, health, silence, load, the plan cache, the policy),
 //!   and of `local`, a private module holding what it knows about the
 //!   copies on its own site (the attached cache tier, the own-site hint).
+//!   Two more private modules hold what is each one rule's own: `commit`,
+//!   the decision log and the commit rounds behind a decided write, and
+//!   `reconfig`, the plan of a reconfiguration's prepare.
 //! * [`node`] — the combined node type hosting servers and clients.
 //! * [`harness`] — a synchronous facade over a simulated cluster; the API
 //!   the examples and experiments drive.
@@ -55,6 +58,7 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+mod commit;
 pub mod error;
 pub mod harness;
 mod local;
@@ -62,6 +66,7 @@ pub mod msg;
 pub mod node;
 mod planner;
 pub mod quorum;
+mod reconfig;
 pub mod server;
 pub mod suite;
 pub mod votes;
