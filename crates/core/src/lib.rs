@@ -17,6 +17,9 @@
 //! * [`suite`] — the replicated suite configuration (the paper's "prefix").
 //! * [`msg`] — the wire protocol between clients and suite servers.
 //! * [`server`] — the representative server: container + locks + voting.
+//!   Two private modules hold its extensions' rules: `repair`, the
+//!   anti-entropy daemon and the quarantine it heals, and `sync`, the
+//!   responses waiting for the durable sync of their records.
 //! * [`client`] — the client-side protocol: one state machine for reads,
 //!   writes, transactions and reconfigurations. Which sites an operation
 //!   uses it asks of `planner`, a private module holding what is known
@@ -67,8 +70,10 @@ pub mod node;
 mod planner;
 pub mod quorum;
 mod reconfig;
+mod repair;
 pub mod server;
 pub mod suite;
+mod sync;
 pub mod votes;
 
 pub use error::{OpError, OpKind};
