@@ -2099,6 +2099,41 @@ mod tests {
     }
 
     #[test]
+    fn an_in_doubt_participant_back_before_its_probe_is_due_probes_once_per_interval() {
+        // The writer's prepares land at 100 ms, and the yes votes leave
+        // with their decision probes due at 5.1 s. The writer crashes at
+        // 150 ms and stays down, so no probe is ever answered. The
+        // participants crash at 1 s and are back at 2 s, still in doubt,
+        // and probe at once: the probe each set before its crash must not
+        // fire after the recovery beside the chain the recovery started.
+        let writer = SiteId(3);
+        let mut h = two_clients(54, |_| {});
+        let suite = h.suite_id();
+        h.enqueue_write(writer, suite, b"w".to_vec(), h.now());
+        h.advance(ms(150));
+        h.crash(writer);
+        h.advance(ms(850));
+        let in_doubt: Vec<SiteId> = SiteId::all(3).filter(|&s| pending_at(&h, s) == 1).collect();
+        assert_eq!(in_doubt.len(), 2, "a write quorum voted yes");
+        for &site in &in_doubt {
+            h.crash(site);
+        }
+        h.advance(ms(1_000));
+        for &site in &in_doubt {
+            h.recover(site);
+        }
+        h.advance(ms(500));
+        // Nothing else is sent: the only messages are the probes.
+        for _ in 0..4 {
+            let before = h.net_stats().sent;
+            h.advance(ms(5_000));
+            let probes = h.net_stats().sent - before;
+            assert_eq!(probes, 2, "one probe per participant per interval");
+        }
+        assert!(in_doubt.iter().all(|&site| pending_at(&h, site) == 1));
+    }
+
+    #[test]
     fn a_silent_site_makes_writes_inquire_until_it_is_heard_from_again() {
         // Messages of an inquiry of `h` hosts, and of the one quorum
         // access at `w` sites (`wv_analysis::cost`).

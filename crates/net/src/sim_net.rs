@@ -12,9 +12,11 @@
 //!   time; a message that clears them is delivered after a sampled one-way
 //!   latency unless the destination is down at *delivery* time.
 //! * **Crashed sites** receive neither messages nor timers. `Node::on_crash`
-//!   runs at the crash instant (discard volatile state); `Node::on_recover`
-//!   runs at the recovery instant and may send messages and set timers.
-//!   A timer set before the crash and due after the recovery fires.
+//!   runs at the crash instant (discard volatile state), and the site's
+//!   pending timers die with it, counted in [`NetStats::timers_dropped`]:
+//!   a timer is volatile state too, so one set before the crash never
+//!   fires, not even after the recovery. `Node::on_recover` runs at the
+//!   recovery instant and may send messages and set timers afresh.
 //! * **Timers** fire exactly where an event scheduled when they were set
 //!   would run. They wait in their site's queue, with a scheduler event
 //!   (a wake-up) due no later than the earliest; a cancelled one leaves
@@ -76,7 +78,7 @@ pub struct NetStats {
     pub duplicated: u64,
     /// Timer expirations delivered.
     pub timers_fired: u64,
-    /// Timer expirations suppressed because the site was down.
+    /// Pending timers a crash of their site discarded.
     pub timers_dropped: u64,
 }
 
@@ -176,11 +178,15 @@ where
         });
     }
 
-    /// Schedules a crash of `site` at `at`.
+    /// Schedules a crash of `site` at `at`: its node loses its volatile
+    /// state, and its pending timers are dropped.
     pub fn crash_at(sched: &mut Scheduler<Cluster<N>>, at: SimTime, site: SiteId) {
         sched.at(at, move |world: &mut Cluster<N>, _| {
             if !world.down[site.index()] {
                 world.down[site.index()] = true;
+                let due = &mut world.timers[site.index()].due;
+                world.stats.timers_dropped += due.len() as u64;
+                due.clear();
                 world.nodes[site.index()].on_crash();
             }
         });
@@ -291,8 +297,9 @@ where
     }
 
     /// Schedules a wake-up of `site`'s timers at `place`: it fires the
-    /// timer there unless that was cancelled, then sees that the site's
-    /// new earliest timer has a wake-up at or before it.
+    /// timer there unless that was cancelled, or dropped by a crash, then
+    /// sees that the site's new earliest timer has a wake-up at or before
+    /// it.
     fn wake_at(sched: &mut Scheduler<Cluster<N>>, site: SiteId, place: Place) {
         sched.at_ticket(place.0, place.1, move |world: &mut Cluster<N>, sched| {
             let timers = &mut world.timers[site.index()];
@@ -300,12 +307,9 @@ where
             debug_assert_eq!(this, Some(place), "wake-ups run latest-scheduled first");
             if let Some(&(_, token)) = timers.due.front().filter(|(p, _)| *p == place) {
                 timers.due.pop_front();
-                if world.down[site.index()] {
-                    world.stats.timers_dropped += 1;
-                } else {
-                    world.stats.timers_fired += 1;
-                    Self::run_node(world, sched, site, |node, ctx| node.on_timer(token, ctx));
-                }
+                debug_assert!(!world.down[site.index()], "a crash drops its timers");
+                world.stats.timers_fired += 1;
+                Self::run_node(world, sched, site, |node, ctx| node.on_timer(token, ctx));
             }
             let timers = &mut world.timers[site.index()];
             let first = timers.due.front().map(|(p, _)| *p);
@@ -524,6 +528,30 @@ mod tests {
         assert_eq!(sim.world.nodes[1].recoveries, 1);
         assert_eq!(sim.world.nodes[1].received, vec![(SiteId(0), 5)]);
         assert!(!sim.world.is_down(SiteId(1)));
+    }
+
+    #[test]
+    fn a_timer_set_before_a_crash_never_fires_after_the_recovery() {
+        let mut sim = two_nodes(5);
+        Cluster::invoke(sim.scheduler(), SimTime::ZERO, SiteId(1), |_n, ctx| {
+            ctx.set_timer(SimDuration::from_millis(5), 1);
+            ctx.set_timer(SimDuration::from_millis(50), 2);
+        });
+        Cluster::crash_at(sim.scheduler(), SimTime::from_millis(10), SiteId(1));
+        Cluster::recover_at(sim.scheduler(), SimTime::from_millis(20), SiteId(1));
+        Cluster::invoke(
+            sim.scheduler(),
+            SimTime::from_millis(30),
+            SiteId(1),
+            |_n, ctx| {
+                ctx.set_timer(SimDuration::from_millis(30), 3);
+            },
+        );
+        sim.run();
+        // Timer 1 fired before the crash; timer 2 died with it.
+        assert_eq!(sim.world.nodes[1].timer_tokens, vec![1, 3]);
+        assert_eq!(sim.world.stats.timers_dropped, 1);
+        assert_eq!(sim.world.stats.timers_fired, 2);
     }
 
     #[test]
@@ -754,8 +782,6 @@ mod tests {
 
         fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_, u32>) {
             let firings = self.pending.get_mut(&token).expect("a timer was set");
-            // Firings due while the site was down were dropped.
-            firings.retain(|(due, _)| *due >= ctx.now());
             let (due, cancelled) = firings.remove(0);
             assert_eq!(due, ctx.now(), "a timer fires at its instant");
             assert!(!(self.cancel && cancelled), "a cancelled timer fired");
@@ -767,11 +793,16 @@ mod tests {
             self.log.borrow_mut().push(call);
             self.act(ctx);
         }
+
+        fn on_crash(&mut self) {
+            // The site's timers die with it.
+            self.pending.clear();
+        }
     }
 
     /// What a run did: its log, the cancelled firings its nodes ignored,
     /// the transport's counters, and the wake-ups that found their timer
-    /// cancelled.
+    /// cancelled or dropped by a crash.
     fn toy_run(seed: u64, cancel: bool) -> (Vec<(SimTime, SiteId, Call)>, u64, NetStats, u64) {
         let log = Log::default();
         let toy = |_| Toy {
@@ -804,7 +835,7 @@ mod tests {
         }
         sim.run();
         let s = sim.world.stats;
-        let calls = s.delivered + s.dropped_down + s.timers_fired + s.timers_dropped;
+        let calls = s.delivered + s.dropped_down + s.timers_fired;
         let orphans = sim.scheduler().executed() - calls - control;
         let ignored = sim.world.nodes.iter().map(|n| n.ignored).sum();
         let log = log.take();
@@ -816,9 +847,12 @@ mod tests {
         let (mut ties, mut orphans, mut dropped) = (0, 0, 0);
         for seed in 0..24 {
             let (with, none_ignored, cancelled, orphaned) = toy_run(seed, true);
-            let (without, ignored, plain, no_orphans) = toy_run(seed, false);
+            let (without, ignored, plain, dropped_wakes) = toy_run(seed, false);
             assert_eq!(with, without, "seed {seed}: every live call, in order");
-            assert_eq!((none_ignored, no_orphans), (0, 0), "seed {seed}");
+            assert_eq!(none_ignored, 0, "seed {seed}");
+            // With nothing cancelled, a wake-up finds no timer only where a
+            // crash dropped it.
+            assert!(dropped_wakes <= plain.timers_dropped, "seed {seed}");
             assert!(ignored > 0, "seed {seed}: nothing was cancelled");
             let live = plain.timers_fired - ignored;
             assert_eq!(cancelled.timers_fired, live, "seed {seed}");
@@ -832,7 +866,7 @@ mod tests {
             dropped += cancelled.timers_dropped;
         }
         // What the runs had to cover: calls tied on an instant, cancelled
-        // wake-ups, and timers due at a down site.
+        // wake-ups, and timers a crash dropped.
         assert!(
             ties > 1_000 && orphans > 100 && dropped > 10,
             "{ties} {orphans} {dropped}"
