@@ -32,8 +32,8 @@ use wv_net::{NetConfig, SiteId};
 use wv_sim::{DetRng, LatencyModel, SimDuration};
 use wv_storage::ObjectId;
 
-use crate::runner;
 use crate::table::Table;
+use crate::{runner, zipf_suite};
 
 /// Voting representatives (one vote each, `r = w = 2` majority quorums).
 const SERVERS: usize = 3;
@@ -86,19 +86,6 @@ fn collect_ops(h: &mut Harness, clients: &[SiteId], expected: usize) -> Vec<Comp
         guard += 1;
     }
     done
-}
-
-/// Draws a zipfian suite index: popularity ∝ 1/(rank + 1).
-fn zipf_suite(rng: &mut DetRng) -> usize {
-    let total: f64 = (1..=SUITES).map(|k| 1.0 / k as f64).sum();
-    let mut x = rng.f64() * total;
-    for k in 0..SUITES {
-        x -= 1.0 / (k + 1) as f64;
-        if x <= 0.0 {
-            return k;
-        }
-    }
-    SUITES - 1
 }
 
 /// One grid point of the sweep.
@@ -158,10 +145,19 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
         let mut r = root.fork(c as u64);
         plans.push(
             (0..ops)
-                .map(|i| (i % WRITE_EVERY == WRITE_EVERY / 2, zipf_suite(&mut r)))
+                .map(|i| {
+                    (
+                        i % WRITE_EVERY == WRITE_EVERY / 2,
+                        zipf_suite(&mut r, SUITES),
+                    )
+                })
                 .collect(),
         );
-        probes.push((0..PROBE_READS).map(|_| zipf_suite(&mut r)).collect());
+        probes.push(
+            (0..PROBE_READS)
+                .map(|_| zipf_suite(&mut r, SUITES))
+                .collect(),
+        );
     }
 
     let suites: Vec<ObjectId> = (1..=SUITES as u64).map(ObjectId).collect();

@@ -44,8 +44,8 @@ use wv_net::{NetConfig, SiteId};
 use wv_sim::{DetRng, LatencyModel, SimDuration};
 use wv_storage::ObjectId;
 
-use crate::runner;
 use crate::table::Table;
+use crate::{runner, zipf_suite};
 
 /// Cluster sizes along the sweep (one vote each, majority quorums).
 const SERVER_COUNTS: [usize; 2] = [3, 5];
@@ -99,19 +99,6 @@ const SKEWS: [&str; 2] = ["balanced", "zipfian"];
 const BALANCED: usize = 0;
 /// Index of the zipfian skew (the hot-key saturation arm).
 const ZIPF: usize = 1;
-
-/// Draws a zipfian suite index in `0..n`: popularity ∝ 1/(rank + 1).
-fn zipf_suite(rng: &mut DetRng, n: usize) -> usize {
-    let total: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
-    let mut x = rng.f64() * total;
-    for k in 0..n {
-        x -= 1.0 / (k + 1) as f64;
-        if x <= 0.0 {
-            return k;
-        }
-    }
-    n - 1
-}
 
 /// One grid point of the sweep.
 pub struct Cell {

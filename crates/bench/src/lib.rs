@@ -29,3 +29,19 @@ pub mod runner;
 pub mod table;
 pub mod topo;
 pub mod tracefmt;
+
+use wv_sim::DetRng;
+
+/// Draws a zipfian suite index in `0..n`: popularity ∝ 1/(rank + 1), so
+/// rank 0 is the hot suite. E13 and E15 draw their skewed workloads here.
+pub fn zipf_suite(rng: &mut DetRng, n: usize) -> usize {
+    let total: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
+    let mut x = rng.f64() * total;
+    for k in 0..n {
+        x -= 1.0 / (k + 1) as f64;
+        if x <= 0.0 {
+            return k;
+        }
+    }
+    n - 1
+}
