@@ -54,7 +54,7 @@
 //! original age in the commit-lock lines (so retries gain seniority
 //! instead of starving).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use wv_net::{Node, NodeCtx, SiteId};
@@ -74,6 +74,7 @@ use crate::quorum::QuorumSpec;
 use crate::reconfig::{NoPlan, Reconfig};
 use crate::suite::{data_object, SuiteConfig};
 use crate::votes::VoteAssignment;
+use crate::window::{Submission, Window};
 
 /// Tunables for client behaviour.
 #[derive(Clone, Debug)]
@@ -421,8 +422,8 @@ struct OpState {
     /// The `(suite, value)` installs of a write (one entry) or transaction;
     /// empty for reads and reconfigurations.
     writes: Vec<(ObjectId, Bytes)>,
-    /// What only a reconfiguration carries; boxed, so that every queued
-    /// read and write is not sized for it.
+    /// What only a reconfiguration carries; boxed, so that every read and
+    /// write is not sized for it.
     reconfig: Option<Box<Reconfig>>,
     /// The train this write carries: the writes parked with it when it
     /// left, oldest first. Its prepare takes a version for each and
@@ -671,10 +672,8 @@ pub struct ClientNode {
     ops: IdHashMap<ReqId, OpState>,
     /// The decision log, and the commit rounds still collecting acks.
     commits: CommitTails,
-    /// Operations launched and not yet finished (excludes queued ones).
-    active: usize,
-    /// Submissions waiting for a pipeline slot, in submission order.
-    queue: VecDeque<ReqId>,
+    /// The pipeline window's slots, and the submissions waiting for one.
+    window: Window,
     /// What is known about the copies on this site: the attached weak
     /// representative's entries, and what the zero-vote copy beside the
     /// client is thought to hold.
@@ -706,11 +705,10 @@ impl ClientNode {
             planner: Planner::new(site, costs, &options),
             local: LocalCopies::new(&options),
             commits: CommitTails::new(&options),
+            window: Window::new(&options),
             options,
             next_counter: 1,
             ops: IdHashMap::default(),
-            active: 0,
-            queue: VecDeque::new(),
             trains: IdHashMap::default(),
             completed: Vec::new(),
             stats: ClientStats::default(),
@@ -787,12 +785,12 @@ impl ClientNode {
 
     /// Number of operations still in flight (launched or queued).
     pub fn in_flight(&self) -> usize {
-        self.ops.len()
+        self.ops.len() + self.window.queued()
     }
 
     /// Number of submissions still waiting for a pipeline slot.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.window.queued()
     }
 
     /// Per-site counters of data requests (fetch legs, prepares)
@@ -813,37 +811,30 @@ impl ClientNode {
         ReqId::new(c, self.site)
     }
 
-    /// Queues a freshly submitted operation and launches whatever the
-    /// pipeline window admits: with no window configured, or a free slot,
-    /// that is this operation, at once.
-    fn submit(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
-        self.queue.push_back(req);
-        self.launch_queued(ctx);
-    }
-
-    /// Fills free pipeline slots from the submission queue, in order. The
-    /// queue is empty whenever a slot is left free.
-    fn launch_queued(&mut self, ctx: &mut NodeCtx<'_, Msg>) {
-        let depth = self.options.pipeline_depth.unwrap_or(usize::MAX);
-        while self.active < depth {
-            let Some(req) = self.queue.pop_front() else {
-                return;
+    /// Launches whatever the pipeline window admits, oldest first: with
+    /// no window configured, or a free slot, a submission at once. Its
+    /// operation state is built here, so `ops` holds launched operations
+    /// alone.
+    fn launch(&mut self, ctx: &mut NodeCtx<'_, Msg>) {
+        while let Some(s) = self.window.launch() {
+            (self.recorder).op(s.req.0, root_kind(s.kind), s.suite.0, ctx.now());
+            let st = OpState {
+                kind: s.kind,
+                suite: s.suite,
+                writes: s.writes,
+                reconfig: s.reconfig,
+                riders: Vec::new(),
+                on_commit: None,
+                started: s.started,
+                attempt_started: s.started,
+                attempts: 0,
+                lock_ts: s.req.counter(),
+                seq: 0,
+                phase: Phase::Riding, // no message, no timer yet; begin_attempt resets
             };
-            if !self.ops.contains_key(&req) {
-                continue; // lost to a crash while queued
-            }
-            self.active += 1;
-            let st = &self.ops[&req];
-            (self.recorder).op(req.0, root_kind(st.kind), st.suite.0, ctx.now());
-            self.begin_attempt(req, ctx);
+            self.ops.insert(s.req, st);
+            self.begin_attempt(s.req, ctx);
         }
-    }
-
-    /// Bookkeeping after an operation left the in-flight set: free its
-    /// pipeline slot and launch waiting submissions into it.
-    fn op_finished(&mut self, ctx: &mut NodeCtx<'_, Msg>) {
-        self.active = self.active.saturating_sub(1);
-        self.launch_queued(ctx);
     }
 
     /// Starts a quorum read. Returns the operation's first request id.
@@ -916,22 +907,15 @@ impl ClientNode {
             });
             return req;
         }
-        let st = OpState {
+        self.window.submit(Submission {
+            req,
             kind,
             suite,
             writes,
             reconfig,
-            riders: Vec::new(),
-            on_commit: None,
             started,
-            attempt_started: started,
-            attempts: 0,
-            lock_ts: req.counter(),
-            seq: 0,
-            phase: Phase::Riding, // no message, no timer yet; begin_attempt resets
-        };
-        self.ops.insert(req, st);
-        self.submit(req, ctx);
+        });
+        self.launch(ctx);
         req
     }
 
@@ -1395,7 +1379,8 @@ impl ClientNode {
             finished: ctx.now(),
             attempts: st.attempts,
         });
-        self.op_finished(ctx);
+        self.window.finished();
+        self.launch(ctx);
         self.depart(st.suite, req, ctx);
     }
 
@@ -2393,8 +2378,9 @@ impl ClientNode {
         };
         let req = ReqId::new((token & !CLIENT_TIMER_TAG) >> 15, self.site);
         // An operation's timer is stale once its phase has moved on; a
-        // tail's only once the tail is gone. Either is cancelled then, so
-        // what fires is stale only if armed before a crash.
+        // tail's only once the tail is gone. Either is cancelled then, and
+        // a crash drops every timer the site had set: none armed before it
+        // fires after the recovery.
         let current = |st: &OpState| st.seq & TOKEN_SEQ_MASK == (token >> 3) & TOKEN_SEQ_MASK;
         match kind {
             TimerKind::CommitResend => self.on_commit_timeout(req, ctx),
@@ -2412,8 +2398,7 @@ impl ClientNode {
         self.ops.clear();
         self.commits.crash();
         self.recorder.forget();
-        self.queue.clear();
-        self.active = 0;
+        self.window.crash();
         self.local.crash();
         self.trains.clear();
         self.planner.crash();
@@ -2492,16 +2477,6 @@ mod tests {
                 _ => None,
             })
             .collect()
-    }
-
-    #[test]
-    fn a_queued_operation_stays_within_34_words() {
-        // Every queued submission sits in `ops` as a whole `OpState` — ten
-        // thousand a batch on a read-heavy workload — so its size is heap
-        // high water. What only a reconfiguration uses is boxed, and its
-        // spans are the recorder's.
-        let size = std::mem::size_of::<OpState>();
-        assert!(size <= 272, "{size}");
     }
 
     #[test]
@@ -3246,7 +3221,7 @@ mod tests {
         let second = c.start_write(SUITE, &b"2"[..], &mut ctx);
         let _third = c.start_write(SUITE, &b"3"[..], &mut ctx);
         let _ = effects(&mut ctx);
-        assert_eq!((c.active, c.queued()), (1, 2));
+        assert_eq!((c.ops.len(), c.queued()), (1, 2));
         deliver(&mut c, &mut rng, 10, 0, yes(first, 1));
         // The last yes decides, reports, and hands the slot to the second
         // write in the same turn: its prepares leave beside the commits.
@@ -3254,7 +3229,7 @@ mod tests {
         assert_eq!(c.completed.len(), 1);
         let launched = |m: &Msg| matches!(m, Msg::Prepare { req, .. } if *req == second);
         assert_eq!(sends.iter().filter(|(_, m)| launched(m)).count(), 2);
-        assert_eq!((c.active, c.queued()), (1, 1));
+        assert_eq!((c.ops.len(), c.queued()), (1, 1));
         // The slot was freed once: the acks free nothing and launch nothing.
         for site in 0..2 {
             let ack = Msg::Ack {
@@ -3266,7 +3241,7 @@ mod tests {
             assert!(sends.is_empty() && timers.is_empty(), "{sends:?}");
         }
         assert!(!tail_open(&c, first));
-        assert_eq!((c.active, c.queued(), c.completed.len()), (1, 1, 1));
+        assert_eq!((c.ops.len(), c.queued(), c.completed.len()), (1, 1, 1));
     }
 
     #[test]
@@ -3753,6 +3728,39 @@ mod tests {
                 .any(|(_, m)| matches!(m, Msg::VersionReq { req, .. } if *req == second)),
             "second op's inquiries ride the completion turn"
         );
+    }
+
+    #[test]
+    fn a_deep_backlog_waits_outside_ops_and_completes_in_submission_order() {
+        let mut c = ClientNode::new(
+            CLIENT,
+            vec![config()],
+            vec![10.0, 20.0, 30.0, 1.0],
+            ClientOptions {
+                pipeline_depth: Some(4),
+                ..ClientOptions::default()
+            },
+        );
+        let mut rng = DetRng::new(20);
+        let submitted: Vec<(ReqId, SimTime)> = (0..1000)
+            .map(|i| {
+                let at = SimTime::from_micros(i);
+                let mut ctx = NodeCtx::new(at, CLIENT, &mut rng);
+                (c.start_read(SUITE, &mut ctx), at)
+            })
+            .collect();
+        assert_eq!((c.ops.len(), c.queued(), c.in_flight()), (4, 996, 1000));
+        // Each read completes on the cheapest site's answer, contents
+        // included, and a second vote; the next submission takes its slot.
+        for (i, &(req, _)) in submitted.iter().enumerate() {
+            deliver(&mut c, &mut rng, 10, 0, answer(req, 1, Some(b"v")));
+            deliver(&mut c, &mut rng, 10, 1, answer(req, 1, None));
+            assert_eq!(c.completed.len(), i + 1, "{req:?}");
+            assert!(c.ops.len() <= 4);
+        }
+        let done: Vec<_> = c.completed.iter().map(|op| (op.req, op.started)).collect();
+        assert_eq!(done, submitted);
+        assert!(c.completed.iter().all(|op| op.outcome.is_ok()));
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //!   about sites (costs, health, silence, load, the plan cache, the policy),
 //!   and of `local`, a private module holding what it knows about the
 //!   copies on its own site (the attached cache tier, the own-site hint).
-//!   Two more private modules hold what is each one rule's own: `commit`,
-//!   the decision log and the commit rounds behind a decided write, and
-//!   `reconfig`, the plan of a reconfiguration's prepare.
+//!   Three more private modules hold what is each one rule's own: `commit`,
+//!   the decision log and the commit rounds behind a decided write,
+//!   `reconfig`, the plan of a reconfiguration's prepare, and `window`, the
+//!   pipeline window's slots and the submissions waiting for one.
 //! * [`node`] — the combined node type hosting servers and clients.
 //! * [`harness`] — a synchronous facade over a simulated cluster; the API
 //!   the examples and experiments drive.
@@ -75,6 +76,7 @@ pub mod server;
 pub mod suite;
 mod sync;
 pub mod votes;
+mod window;
 
 pub use error::{OpError, OpKind};
 pub use harness::{Harness, HarnessBuilder, SiteSpec};
