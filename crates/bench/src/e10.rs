@@ -23,9 +23,12 @@
 //! [`runner::run_trials`] — the report is bit-identical at any worker
 //! count.
 
-use wv_core::client::{ClientOptions, HealthOptions};
+use std::ops::AddAssign;
+
+use wv_core::client::{ClientOptions, ClientStats, HealthOptions};
 use wv_core::harness::{Harness, SiteSpec};
 use wv_core::quorum::QuorumSpec;
+use wv_core::server::ServerStats;
 use wv_core::OpKind;
 use wv_net::SiteId;
 use wv_sim::trace::SpanKind;
@@ -65,27 +68,11 @@ pub const TRIALS: usize = 24;
 /// Seed-derivation label for the per-trial failure schedule.
 const FAILURE_LABEL: u64 = 0xE10_FA11;
 
-/// One arm's raw per-trial output.
-struct TrialOut {
-    read_lat_ms: Vec<f64>,
-    ops_ok: u64,
-    ops_total: u64,
-    post_ok: u64,
-    post_total: u64,
-    repairs: u64,
-    suspicions: u64,
-    reroutes: u64,
-    timeouts: u64,
-    /// Traced phase totals: (summed duration in µs, span count) for
-    /// version collection, data movement, and server-side lock waits.
-    inquiry_us: (u64, u64),
-    fetch_us: (u64, u64),
-    lock_wait_us: (u64, u64),
-}
-
-/// One arm's aggregate across all trials.
+/// One arm's operations, counters and traced phases: of one trial, or
+/// summed over many.
+#[derive(Default)]
 pub struct ArmSummary {
-    /// Operations attempted / committed over the whole run.
+    /// Operations attempted over the whole run.
     pub ops_total: u64,
     /// Operations that committed.
     pub ops_ok: u64,
@@ -94,27 +81,33 @@ pub struct ArmSummary {
     pub post_total: u64,
     /// ... of which committed.
     pub post_ok: u64,
-    /// Median read latency (ms) over committed reads.
-    pub read_p50_ms: f64,
-    /// 99th-percentile read latency (ms) over committed reads.
-    pub read_p99_ms: f64,
-    /// Anti-entropy repairs installed (zero for the off arm).
-    pub repairs: u64,
-    /// Suspicion-threshold crossings.
-    pub suspicions: u64,
-    /// Quorum plans reordered around suspects.
-    pub reroutes: u64,
-    /// Phase timeouts.
-    pub timeouts: u64,
-    /// Mean version-collection (inquiry) phase duration, traced, ms.
-    pub version_collect_ms: f64,
-    /// Mean data-movement (content fetch) phase duration, traced, ms.
-    pub data_move_ms: f64,
-    /// How many reads ran that phase: the rest got their contents with
-    /// the inquiry.
-    pub data_moves: u64,
-    /// Mean server-side lock-wait duration, traced, ms.
-    pub lock_wait_ms: f64,
+    /// The client's counters.
+    pub client: ClientStats,
+    /// Every server's counters, summed.
+    pub server: ServerStats,
+    /// Latencies (ms) of committed reads.
+    read_lat_ms: SampleSet,
+    /// Traced phase totals: (summed duration in µs, span count) for
+    /// version collection, data movement, and server-side lock waits.
+    inquiry_us: (u64, u64),
+    fetch_us: (u64, u64),
+    lock_wait_us: (u64, u64),
+}
+
+impl AddAssign for ArmSummary {
+    fn add_assign(&mut self, t: ArmSummary) {
+        let add = |a: &mut (u64, u64), b: (u64, u64)| *a = (a.0 + b.0, a.1 + b.1);
+        self.ops_total += t.ops_total;
+        self.ops_ok += t.ops_ok;
+        self.post_total += t.post_total;
+        self.post_ok += t.post_ok;
+        self.client += t.client;
+        self.server += t.server;
+        self.read_lat_ms.merge(&t.read_lat_ms);
+        add(&mut self.inquiry_us, t.inquiry_us);
+        add(&mut self.fetch_us, t.fetch_us);
+        add(&mut self.lock_wait_us, t.lock_wait_us);
+    }
 }
 
 impl ArmSummary {
@@ -129,6 +122,11 @@ impl ArmSummary {
     pub fn post_recovery_availability(&self) -> f64 {
         self.post_ok as f64 / self.post_total.max(1) as f64
     }
+
+    /// The `q` quantile of committed reads' latency (ms).
+    pub fn read_ms(&self, q: f64) -> f64 {
+        self.read_lat_ms.clone().try_quantile(q).unwrap_or(0.0)
+    }
 }
 
 /// The failure timeline both arms of a trial share.
@@ -138,7 +136,7 @@ fn failure_schedule(seed: u64) -> FailureSchedule {
 }
 
 /// Runs one arm of one trial.
-fn run_arm(seed: u64, healing: bool) -> TrialOut {
+fn run_arm(seed: u64, healing: bool) -> ArmSummary {
     let mut b = Harness::builder().quorum(QuorumSpec::new(3, 3)).seed(seed);
     for _ in 0..SERVERS {
         b = b.site(SiteSpec::server(1));
@@ -196,19 +194,10 @@ fn run_arm(seed: u64, healing: bool) -> TrialOut {
         .map(|w| (w.from, w.until + RECOVERY_WINDOW))
         .collect();
 
-    let mut out = TrialOut {
-        read_lat_ms: Vec::new(),
-        ops_ok: 0,
-        ops_total: 0,
-        post_ok: 0,
-        post_total: 0,
-        repairs: 0,
-        suspicions: 0,
-        reroutes: 0,
-        timeouts: 0,
-        inquiry_us: (0, 0),
-        fetch_us: (0, 0),
-        lock_wait_us: (0, 0),
+    let mut out = ArmSummary {
+        client: h.client_stats(client).expect("the client"),
+        server: SiteId::all(SERVERS).filter_map(|s| h.server_stats(s)).sum(),
+        ..ArmSummary::default()
     };
     for s in h.take_trace() {
         let Some(d) = s.duration_us() else {
@@ -230,7 +219,7 @@ fn run_arm(seed: u64, healing: bool) -> TrialOut {
             out.ops_ok += 1;
             if op.kind == OpKind::Read {
                 out.read_lat_ms
-                    .push(op.finished.since(op.started).as_millis_f64());
+                    .record(op.finished.since(op.started).as_millis_f64());
             }
         }
         if disturbed
@@ -241,68 +230,15 @@ fn run_arm(seed: u64, healing: bool) -> TrialOut {
             out.post_ok += u64::from(ok);
         }
     }
-    if let Some(stats) = h.client_stats(client) {
-        out.suspicions = stats.suspicions_raised;
-        out.reroutes = stats.reroutes;
-        out.timeouts = stats.timeouts;
-    }
-    for site in 0..SERVERS {
-        if let Some(stats) = h.server_stats(SiteId(site as u16)) {
-            out.repairs += stats.repairs_completed;
-        }
-    }
     out
 }
 
-fn mean_ms(total_us: u64, n: u64) -> f64 {
+/// The mean of a traced phase's `(summed µs, span count)`, in ms.
+fn mean_ms((total_us, n): (u64, u64)) -> f64 {
     if n == 0 {
         return 0.0;
     }
     total_us as f64 / n as f64 / 1000.0
-}
-
-fn summarize(trials: Vec<TrialOut>) -> ArmSummary {
-    let mut s = ArmSummary {
-        ops_total: 0,
-        ops_ok: 0,
-        post_total: 0,
-        post_ok: 0,
-        read_p50_ms: 0.0,
-        read_p99_ms: 0.0,
-        repairs: 0,
-        suspicions: 0,
-        reroutes: 0,
-        timeouts: 0,
-        version_collect_ms: 0.0,
-        data_move_ms: 0.0,
-        data_moves: 0,
-        lock_wait_ms: 0.0,
-    };
-    let mut lat = SampleSet::new();
-    let (mut inq, mut fetch, mut lock) = ((0u64, 0u64), (0u64, 0u64), (0u64, 0u64));
-    for t in trials {
-        s.ops_total += t.ops_total;
-        s.ops_ok += t.ops_ok;
-        s.post_total += t.post_total;
-        s.post_ok += t.post_ok;
-        s.repairs += t.repairs;
-        s.suspicions += t.suspicions;
-        s.reroutes += t.reroutes;
-        s.timeouts += t.timeouts;
-        inq = (inq.0 + t.inquiry_us.0, inq.1 + t.inquiry_us.1);
-        fetch = (fetch.0 + t.fetch_us.0, fetch.1 + t.fetch_us.1);
-        lock = (lock.0 + t.lock_wait_us.0, lock.1 + t.lock_wait_us.1);
-        for x in t.read_lat_ms {
-            lat.record(x);
-        }
-    }
-    s.read_p50_ms = lat.try_quantile(0.50).unwrap_or(0.0);
-    s.read_p99_ms = lat.try_quantile(0.99).unwrap_or(0.0);
-    s.version_collect_ms = mean_ms(inq.0, inq.1);
-    s.data_move_ms = mean_ms(fetch.0, fetch.1);
-    s.data_moves = fetch.1;
-    s.lock_wait_ms = mean_ms(lock.0, lock.1);
-    s
 }
 
 /// Both arms, aggregated over `trials` paired trials.
@@ -310,8 +246,12 @@ pub fn measure(master_seed: u64, trials: usize) -> (ArmSummary, ArmSummary) {
     let results = runner::run_trials(master_seed, trials, |seed| {
         (run_arm(seed, false), run_arm(seed, true))
     });
-    let (off, on): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    (summarize(off), summarize(on))
+    let (mut off, mut on) = (ArmSummary::default(), ArmSummary::default());
+    for (a, b) in results {
+        off += a;
+        on += b;
+    }
+    (off, on)
 }
 
 fn pct(x: f64) -> String {
@@ -367,18 +307,18 @@ pub fn run(trials: usize) -> String {
     ]);
     t.row(&[
         "read latency p50 (ms)".into(),
-        format!("{:.1}", off.read_p50_ms),
-        format!("{:.1}", on.read_p50_ms),
+        format!("{:.1}", off.read_ms(0.50)),
+        format!("{:.1}", on.read_ms(0.50)),
     ]);
     t.row(&[
         "read latency p99 (ms)".into(),
-        format!("{:.1}", off.read_p99_ms),
-        format!("{:.1}", on.read_p99_ms),
+        format!("{:.1}", off.read_ms(0.99)),
+        format!("{:.1}", on.read_ms(0.99)),
     ]);
     t.row(&[
         "phase timeouts".into(),
-        off.timeouts.to_string(),
-        on.timeouts.to_string(),
+        off.client.timeouts.to_string(),
+        on.client.timeouts.to_string(),
     ]);
     out.push_str(&t.to_markdown());
     out.push('\n');
@@ -388,18 +328,18 @@ pub fn run(trials: usize) -> String {
     );
     t.row(&[
         "version collect (inquiry)".into(),
-        format!("{:.1}", off.version_collect_ms),
-        format!("{:.1}", on.version_collect_ms),
+        format!("{:.1}", mean_ms(off.inquiry_us)),
+        format!("{:.1}", mean_ms(on.inquiry_us)),
     ]);
     t.row(&[
         "data move (separate content fetch; × how many)".into(),
-        format!("{:.1} × {}", off.data_move_ms, off.data_moves),
-        format!("{:.1} × {}", on.data_move_ms, on.data_moves),
+        format!("{:.1} × {}", mean_ms(off.fetch_us), off.fetch_us.1),
+        format!("{:.1} × {}", mean_ms(on.fetch_us), on.fetch_us.1),
     ]);
     t.row(&[
         "lock wait (server-side)".into(),
-        format!("{:.3}", off.lock_wait_ms),
-        format!("{:.3}", on.lock_wait_ms),
+        format!("{:.3}", mean_ms(off.lock_wait_us)),
+        format!("{:.3}", mean_ms(on.lock_wait_us)),
     ]);
     out.push_str(&t.to_markdown());
     out.push('\n');
@@ -409,12 +349,15 @@ pub fn run(trials: usize) -> String {
     );
     t.row(&[
         "anti-entropy repairs completed".into(),
-        on.repairs.to_string(),
+        on.server.repairs_completed.to_string(),
     ]);
-    t.row(&["suspicions raised".into(), on.suspicions.to_string()]);
+    t.row(&[
+        "suspicions raised".into(),
+        on.client.suspicions_raised.to_string(),
+    ]);
     t.row(&[
         "quorum plans rerouted around suspects".into(),
-        on.reroutes.to_string(),
+        on.client.reroutes.to_string(),
     ]);
     out.push_str(&t.to_markdown());
     out.push('\n');
@@ -430,11 +373,10 @@ pub fn run(trials: usize) -> String {
             "NO"
         }
     ));
+    let (off_p99, on_p99) = (off.read_ms(0.99), on.read_ms(0.99));
     out.push_str(&format!(
-        "Read latency p99, healing off → on: **{:.1} ms → {:.1} ms** (strictly better: **{}**).\n",
-        off.read_p99_ms,
-        on.read_p99_ms,
-        if on.read_p99_ms < off.read_p99_ms {
+        "Read latency p99, healing off → on: **{off_p99:.1} ms → {on_p99:.1} ms** (strictly better: **{}**).\n",
+        if on_p99 < off_p99 {
             "yes"
         } else {
             "NO"
@@ -456,16 +398,24 @@ mod tests {
             off.post_recovery_availability(),
             on.post_recovery_availability()
         );
+        let (off_p99, on_p99) = (off.read_ms(0.99), on.read_ms(0.99));
         assert!(
-            on.read_p99_ms < off.read_p99_ms,
-            "read p99: off {} ms vs on {} ms",
-            off.read_p99_ms,
-            on.read_p99_ms
+            on_p99 < off_p99,
+            "read p99: off {off_p99} ms vs on {on_p99} ms"
         );
         // The improvements must come from the layer actually working.
-        assert!(on.repairs > 0, "no anti-entropy repair ran");
-        assert!(on.suspicions > 0, "no site was ever suspected");
-        assert_eq!(off.repairs, 0, "the off arm must not repair");
+        assert!(
+            on.server.repairs_completed > 0,
+            "no anti-entropy repair ran"
+        );
+        assert!(
+            on.client.suspicions_raised > 0,
+            "no site was ever suspected"
+        );
+        assert_eq!(
+            off.server.repairs_completed, 0,
+            "the off arm must not repair"
+        );
     }
 
     #[test]

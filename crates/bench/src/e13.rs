@@ -25,7 +25,7 @@
 //! cost of a read in each mode: network messages per read and reads
 //! whose contents crossed the wire.
 
-use wv_core::client::{ClientOptions, CompletedOp, WeakRepOptions};
+use wv_core::client::{ClientOptions, ClientStats, CompletedOp, WeakRepOptions};
 use wv_core::harness::{Harness, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
@@ -186,10 +186,10 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
             .expect("seeding write");
     }
     let client_sites: Vec<SiteId> = h.clients().to_vec();
-    let stats_base: Vec<_> = client_sites
-        .iter()
-        .map(|&c| h.client_stats(c).expect("client exists"))
-        .collect();
+    let clients = |h: &Harness| -> ClientStats {
+        client_sites.iter().filter_map(|&c| h.client_stats(c)).sum()
+    };
+    let before = clients(&h);
 
     // Measured window: the read-heavy zipfian mix.
     let start = h.now();
@@ -212,20 +212,10 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
         }
     }
     let makespan_s = last_finish.since(start).as_millis_f64() / 1000.0;
-    let window: Vec<_> = client_sites
-        .iter()
-        .map(|&c| h.client_stats(c).expect("client exists"))
-        .collect();
-    let sum = |f: &dyn Fn(&wv_core::client::ClientStats) -> u64| -> u64 {
-        window
-            .iter()
-            .zip(&stats_base)
-            .map(|(after, before)| f(after) - f(before))
-            .sum()
-    };
-    let cache_hits = sum(&|s| s.cache_hits);
-    let cache_misses = sum(&|s| s.cache_misses);
-    let lease_expiries = sum(&|s| s.lease_expiries);
+    let after = clients(&h);
+    let cache_hits = after.cache_hits - before.cache_hits;
+    let cache_misses = after.cache_misses - before.cache_misses;
+    let lease_expiries = after.lease_expiries - before.lease_expiries;
 
     // Warm-up: one read per suite per client, so every weak rep is
     // current (and every lease freshly granted) before the probe.
@@ -240,14 +230,8 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
     // Probe: pure zipfian reads against a warm cache — the steady-state
     // per-read cost of each mode.
     let sent_base = h.net_stats().sent;
-    let moved = |h: &Harness| -> u64 {
-        let stats = client_sites.iter().map(|&c| h.client_stats(c));
-        stats
-            .map(|s| s.expect("client exists"))
-            .map(|s| s.reads_contents_with_inquiry + s.reads_fetched)
-            .sum()
-    };
-    let fetch_base = moved(&h);
+    let moved = |s: ClientStats| s.reads_contents_with_inquiry + s.reads_fetched;
+    let fetch_base = moved(clients(&h));
     let t = h.now();
     for (ci, &c) in client_sites.iter().enumerate() {
         for &s in &probes[ci] {
@@ -259,7 +243,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
         .filter(|op| op.outcome.is_ok())
         .count() as u64;
     let probe_msgs = h.net_stats().sent - sent_base;
-    let probe_fetches = moved(&h) - fetch_base;
+    let probe_fetches = moved(clients(&h)) - fetch_base;
 
     Cell {
         mode,

@@ -37,7 +37,7 @@
 //!    (versions *and* latencies) to the default single-suite build —
 //!    pinned by `the_single_suite_path_is_byte_identical_to_default`.
 
-use wv_core::client::{ClientOptions, CompletedOp};
+use wv_core::client::{ClientOptions, ClientStats, CompletedOp};
 use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
@@ -230,14 +230,9 @@ fn run_cell(
         .expect("majority quorums are legal");
     let start = h.now();
     let done = replay(&mut h, &suites, &plans);
-    let (mut trains, mut ridden) = (0u64, 0u64);
-    for &c in h.clients() {
-        let stats = h.client_stats(c).expect("client");
-        trains += stats.trains;
-        ridden += stats.writes_ridden;
-    }
+    let stats: ClientStats = h.clients().iter().filter_map(|&c| h.client_stats(c)).sum();
     // The seeding writes went alone, one per suite.
-    trains -= suites_n as u64;
+    let (trains, ridden) = (stats.trains - suites_n as u64, stats.writes_ridden);
 
     let mut ops_ok = 0u64;
     let mut attempts = 0u64;
@@ -507,19 +502,16 @@ fn wal_batch_summary(ops_per_client: usize) -> (f64, f64) {
         done.iter().all(|o| o.outcome.is_ok()),
         "batching probe workload must commit fully"
     );
-    let mut batches = 0u64;
-    let mut records = 0u64;
-    let mut batch_suites = 0u64;
-    for s in SiteId::all(servers) {
-        let stats = h.server_stats(s).expect("server");
-        batches += stats.wal_batches;
-        records += stats.wal_batched_records;
-        batch_suites += stats.wal_batch_suites;
-    }
-    assert!(batches > 0, "group commit must have flushed at least once");
+    let stats: wv_core::server::ServerStats =
+        SiteId::all(servers).filter_map(|s| h.server_stats(s)).sum();
+    assert!(
+        stats.wal_batches > 0,
+        "group commit must have flushed at least once"
+    );
+    let batches = stats.wal_batches as f64;
     (
-        records as f64 / batches as f64,
-        batch_suites as f64 / batches as f64,
+        stats.wal_batched_records as f64 / batches,
+        stats.wal_batch_suites as f64 / batches,
     )
 }
 

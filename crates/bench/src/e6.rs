@@ -18,7 +18,6 @@ use wv_core::harness::Harness;
 use wv_core::quorum::QuorumSpec;
 use wv_net::{Partition, SiteId};
 use wv_sim::SimDuration;
-use wv_storage::Version;
 
 use crate::runner;
 use crate::table::{ms, pct, Table};
@@ -253,7 +252,6 @@ pub fn staleness(system: System, rounds: u32, seed: u64) -> f64 {
                 if rv < wv {
                     stale += 1;
                 }
-                let _ = Version(0);
             }
         }
     }

@@ -7,14 +7,17 @@
 //! any worker count: results come back in trial order and each trial's
 //! randomness derives only from its own seed.
 //!
-//! Besides violations, a campaign reports *fault coverage* — how many
-//! trials actually exercised each fault kind, how often operations were
-//! quorum-blocked, how many recoveries and in-doubt resolutions ran. A
-//! green campaign is only evidence if the faults really happened.
+//! Besides violations, a campaign reports *fault coverage* — every
+//! trial's [`Tally`] summed, and how many trials actually exercised each
+//! fault kind. A green campaign is only evidence if the faults really
+//! happened.
+
+use std::collections::BTreeMap;
+use std::ops::AddAssign;
 
 use wv_bench::runner;
 
-use crate::exec::{run_schedule, TrialCoverage};
+use crate::exec::{run_schedule, Tally};
 use crate::oracle::{check_trial, Violation};
 use crate::schedule::{generate, ClusterSpec, Schedule, ScheduleParams};
 
@@ -40,149 +43,47 @@ pub struct TrialFailure {
     pub violations: Vec<Violation>,
 }
 
-/// Fleet-wide coverage: per-kind trial counts and protocol totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Fleet-wide coverage: the trials' tallies summed, and how many trials
+/// saw each kind of thing happen at least once.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Coverage {
-    /// Trials whose schedule crashed at least one server.
-    pub trials_with_crash: u64,
-    /// Trials that recovered at least one server mid-run.
-    pub trials_with_recovery: u64,
-    /// Trials that partitioned the network.
-    pub trials_with_partition: u64,
-    /// Trials that opened a link-loss burst.
-    pub trials_with_loss: u64,
-    /// Trials that opened a delay spike.
-    pub trials_with_delay: u64,
-    /// Trials that opened a duplication window.
-    pub trials_with_duplication: u64,
-    /// Trials that ran a mid-run reconfiguration.
-    pub trials_with_reconfigure: u64,
-    /// Trials that started at least one cross-suite transaction
-    /// (multi-suite arms only).
-    pub trials_with_cross_suite_txn: u64,
-    /// Cross-suite transactions started across all trials.
-    pub cross_suite_txns: u64,
-    /// Trials where at least one attempt was quorum-blocked: its inquiry
-    /// timed out short of a quorum, whether or not a retry got through.
-    pub trials_with_quorum_block: u64,
-    /// Operations attempted across all trials.
-    pub ops_total: u64,
-    /// Operations that succeeded.
-    pub ops_ok: u64,
-    /// Operations the progress invariant judged (they met no fault).
-    pub ops_quiet: u64,
-    /// Operations that failed `Unavailable` (quorum-blocked to the end).
-    pub quorum_blocked: u64,
-    /// Attempts retried after a quorum-blocked inquiry.
-    pub attempts_quorum_blocked: u64,
-    /// Operations that ended in doubt.
-    pub indeterminate: u64,
-    /// Phase timeouts across all clients and trials.
-    pub timeouts: u64,
-    /// Attempt retries across all clients and trials.
-    pub retries: u64,
-    /// Operations abandoned after exhausting the attempt budget.
-    pub attempts_exhausted: u64,
-    /// Messages dropped by link loss.
-    pub dropped_link: u64,
-    /// Extra deliveries caused by duplication.
-    pub duplicated_msgs: u64,
-    /// Suspicion-threshold crossings across all clients and trials.
-    pub suspicions_raised: u64,
-    /// Quorum plans reordered around suspected sites.
-    pub reroutes: u64,
-    /// Anti-entropy repairs installed across all servers and trials.
-    pub repairs_completed: u64,
-    /// Group-commit WAL sync batches flushed across all servers and trials.
-    pub wal_batches: u64,
-    /// WAL records made durable by those batched syncs.
-    pub wal_batched_records: u64,
-    /// Reads served from an attached weak representative.
-    pub cache_hits: u64,
-    /// Cache-tier reads that fell through to a data fetch.
-    pub cache_misses: u64,
-    /// Lease-mode reads that found their lease expired.
-    pub lease_expiries: u64,
-    /// Trials that injected at least one disk fault (any kind).
-    pub trials_with_disk_fault: u64,
-    /// Torn-write arms injected across all trials.
-    pub torn_writes: u64,
-    /// Bit-flip arms injected.
-    pub bit_flips: u64,
-    /// Transient I/O error injections.
-    pub io_errors: u64,
-    /// Disk-stall injections.
-    pub disk_stalls: u64,
-    /// Torn tails truncated during recovery.
-    pub torn_truncations: u64,
-    /// WAL records lost to detected interior corruption.
-    pub corrupt_records_detected: u64,
-    /// Replicas quarantined after detecting corruption.
-    pub quarantines: u64,
-    /// Quarantined replicas healed via full anti-entropy pulls.
-    pub requarantine_repairs: u64,
-    /// CRC-collision tripwire (stays zero).
-    pub poison_escapes: u64,
-    /// Served-while-quarantined tripwire (stays zero).
-    pub served_while_quarantined: u64,
+    /// Every trial's [`Tally`], summed.
+    pub total: Tally,
+    /// Trials in which each name happened, for [`Coverage::trials_with`].
+    seen: BTreeMap<&'static str, u64>,
+}
+
+impl AddAssign<&Tally> for Coverage {
+    fn add_assign(&mut self, t: &Tally) {
+        self.total += t;
+        let blocked = t.quorum_blocked + t.attempts_quorum_blocked();
+        let derived = [
+            ("quorum_block", blocked),
+            ("disk_fault", t.disk_faults()),
+            ("cross_suite_txn", t.cross_suite_txns),
+        ];
+        let counts = t.events.iter().map(|(&name, &n)| (name, n)).chain(derived);
+        for (name, _) in counts.filter(|&(_, n)| n > 0) {
+            *self.seen.entry(name).or_default() += 1;
+        }
+    }
 }
 
 impl Coverage {
-    fn absorb(&mut self, c: &TrialCoverage) {
-        self.trials_with_crash += u64::from(c.crashes > 0);
-        self.trials_with_recovery += u64::from(c.recoveries > 0);
-        self.trials_with_partition += u64::from(c.partitions > 0);
-        self.trials_with_loss += u64::from(c.loss_bursts > 0);
-        self.trials_with_delay += u64::from(c.delay_spikes > 0);
-        self.trials_with_duplication += u64::from(c.duplications > 0);
-        self.trials_with_reconfigure += u64::from(c.reconfigures > 0);
-        self.trials_with_cross_suite_txn += u64::from(c.cross_suite_txns > 0);
-        self.cross_suite_txns += c.cross_suite_txns;
-        self.trials_with_quorum_block +=
-            u64::from(c.quorum_blocked + c.attempts_quorum_blocked > 0);
-        self.attempts_quorum_blocked += c.attempts_quorum_blocked;
-        self.ops_total += c.ops_ok + c.ops_failed;
-        self.ops_ok += c.ops_ok;
-        self.ops_quiet += c.ops_quiet;
-        self.quorum_blocked += c.quorum_blocked;
-        self.indeterminate += c.indeterminate;
-        self.timeouts += c.timeouts;
-        self.retries += c.retries;
-        self.attempts_exhausted += c.attempts_exhausted;
-        self.dropped_link += c.dropped_link;
-        self.duplicated_msgs += c.duplicated_msgs;
-        self.suspicions_raised += c.suspicions_raised;
-        self.reroutes += c.reroutes;
-        self.repairs_completed += c.repairs_completed;
-        self.wal_batches += c.wal_batches;
-        self.wal_batched_records += c.wal_batched_records;
-        self.cache_hits += c.cache_hits;
-        self.cache_misses += c.cache_misses;
-        self.lease_expiries += c.lease_expiries;
-        self.trials_with_disk_fault +=
-            u64::from(c.torn_writes + c.bit_flips + c.io_errors + c.disk_stalls > 0);
-        self.torn_writes += c.torn_writes;
-        self.bit_flips += c.bit_flips;
-        self.io_errors += c.io_errors;
-        self.disk_stalls += c.disk_stalls;
-        self.torn_truncations += c.torn_truncations;
-        self.corrupt_records_detected += c.corrupt_records_detected;
-        self.quarantines += c.quarantines;
-        self.requarantine_repairs += c.requarantine_repairs;
-        self.poison_escapes += c.poison_escapes;
-        self.served_while_quarantined += c.served_while_quarantined;
+    /// Trials in which `name` happened at least once: an event of that
+    /// [`EventKind::name`](crate::schedule::EventKind::name) applied, or
+    /// `quorum_block` (an attempt's inquiry timed out short of a quorum,
+    /// whether or not a retry got through), `disk_fault` (a disk fault of
+    /// any kind applied) or `cross_suite_txn`.
+    pub fn trials_with(&self, name: &str) -> u64 {
+        self.seen.get(name).copied().unwrap_or(0)
     }
 
     /// True when every fault kind fired in at least one trial — the bar a
     /// campaign must clear before "zero violations" means anything.
     pub fn all_fault_kinds_exercised(&self) -> bool {
-        self.trials_with_crash > 0
-            && self.trials_with_recovery > 0
-            && self.trials_with_partition > 0
-            && self.trials_with_loss > 0
-            && self.trials_with_delay > 0
-            && self.trials_with_duplication > 0
-            && self.trials_with_quorum_block > 0
+        let kinds = "crash recover partition loss_burst delay_spike duplication quorum_block";
+        kinds.split(' ').all(|name| self.trials_with(name) > 0)
     }
 }
 
@@ -206,8 +107,7 @@ impl CampaignReport {
 
     /// Violation counts grouped by tag, in tag order.
     pub fn violation_histogram(&self) -> Vec<(&'static str, u64)> {
-        let mut counts: std::collections::BTreeMap<&'static str, u64> =
-            std::collections::BTreeMap::new();
+        let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
         for failure in &self.failures {
             for v in &failure.violations {
                 *counts.entry(v.tag()).or_insert(0) += 1;
@@ -237,12 +137,12 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         let schedule = generate(&spec, &params, seed);
         let run = run_schedule(&spec, &schedule);
         let violations = check_trial(&run, false);
-        (seed, violations, run.coverage)
+        (seed, violations, run.tally)
     });
     let mut coverage = Coverage::default();
     let mut failures = Vec::new();
-    for (seed, violations, trial_coverage) in results {
-        coverage.absorb(&trial_coverage);
+    for (seed, violations, tally) in results {
+        coverage += &tally;
         if !violations.is_empty() {
             failures.push(TrialFailure { seed, violations });
         }
@@ -277,7 +177,7 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert_eq!(a.coverage, b.coverage, "campaigns replay exactly");
-        assert!(a.coverage.ops_total > 0);
+        assert!(a.coverage.total.ops() > 0);
     }
 
     #[test]
@@ -303,7 +203,7 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(
-            report.coverage.repairs_completed > 0,
+            report.coverage.total.server.repairs_completed > 0,
             "eight chaotic trials with crashes and recoveries must trigger repair"
         );
     }
@@ -331,11 +231,11 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(
-            report.coverage.cache_hits > 0,
+            report.coverage.total.client.cache_hits > 0,
             "read-bearing chaos trials must land at least one cache hit"
         );
         assert!(
-            report.coverage.cache_misses > 0,
+            report.coverage.total.client.cache_misses > 0,
             "cold caches mean the first fetch per suite is a miss"
         );
     }
@@ -363,11 +263,11 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(
-            report.coverage.trials_with_disk_fault > 0,
+            report.coverage.trials_with("disk_fault") > 0,
             "eight chaotic trials must inject at least one disk fault"
         );
-        assert_eq!(report.coverage.poison_escapes, 0);
-        assert_eq!(report.coverage.served_while_quarantined, 0);
+        assert_eq!(report.coverage.total.server.poison_escapes, 0);
+        assert_eq!(report.coverage.total.server.served_while_quarantined, 0);
     }
 
     #[test]
@@ -392,10 +292,10 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(
-            report.coverage.cross_suite_txns > 0,
+            report.coverage.total.cross_suite_txns > 0,
             "eight trials must start at least one cross-suite transaction"
         );
-        assert!(report.coverage.trials_with_cross_suite_txn > 0);
+        assert!(report.coverage.trials_with("cross_suite_txn") > 0);
     }
 
     #[test]
@@ -421,11 +321,11 @@ mod tests {
         );
         let c = &report.coverage;
         for (feature, fired) in [
-            ("cache_hits", c.cache_hits),
-            ("repairs_completed", c.repairs_completed),
-            ("wal_batches", c.wal_batches),
-            ("quarantines", c.quarantines),
-            ("cross_suite_txns", c.cross_suite_txns),
+            ("cache_hits", c.total.client.cache_hits),
+            ("repairs_completed", c.total.server.repairs_completed),
+            ("wal_batches", c.total.server.wal_batches),
+            ("quarantines", c.total.server.quarantines),
+            ("cross_suite_txns", c.total.cross_suite_txns),
         ] {
             assert!(fired > 0, "{feature} never fired in 256 composed trials");
         }

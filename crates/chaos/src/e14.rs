@@ -21,7 +21,7 @@ use wv_sim::{derive_seed, DetRng, SampleSet};
 use wv_bench::runner;
 use wv_bench::table::Table;
 
-use crate::exec::run_schedule;
+use crate::exec::{run_schedule, Tally};
 use crate::schedule::{ClusterSpec, EventKind, FaultEvent, Schedule};
 
 /// Voting representatives (one vote each, majority quorums).
@@ -143,41 +143,27 @@ pub fn build_schedule(seed: u64, rate_permille: u32) -> Schedule {
     Schedule { seed, events }
 }
 
-/// One cell's aggregate: a fault rate crossed with a healing arm.
-pub struct CellSummary {
+/// One cell: a fault rate crossed with a healing arm.
+pub struct Cell {
     /// The cell's fault rate (permille per slot).
     pub rate_permille: u32,
-    /// Operations attempted across all trials.
-    pub ops_total: u64,
-    /// Operations committed.
-    pub ops_ok: u64,
+    /// Its trials' tallies, summed.
+    pub total: Tally,
     /// Median read latency (ms) over committed reads.
     pub read_p50_ms: f64,
     /// 99th-percentile read latency (ms) over committed reads.
     pub read_p99_ms: f64,
-    /// Torn tails truncated at recovery.
-    pub torn_truncations: u64,
-    /// WAL records lost to detected interior corruption.
-    pub corrupt_detected: u64,
-    /// Replicas quarantined.
-    pub quarantines: u64,
-    /// Quarantines healed by full anti-entropy pulls.
-    pub heals: u64,
-    /// CRC-collision tripwire (must stay zero).
-    pub poison_escapes: u64,
-    /// Served-while-quarantined tripwire (must stay zero).
-    pub served_while_quarantined: u64,
 }
 
-impl CellSummary {
+impl Cell {
     /// Committed fraction over the cell.
     pub fn availability(&self) -> f64 {
-        self.ops_ok as f64 / self.ops_total.max(1) as f64
+        self.total.ops_ok as f64 / self.total.ops().max(1) as f64
     }
 }
 
 /// Runs one cell: `trials` paired trials at one rate, one arm.
-fn run_cell(master_seed: u64, trials: usize, rate_permille: u32, healing: bool) -> CellSummary {
+fn run_cell(master_seed: u64, trials: usize, rate_permille: u32, healing: bool) -> Cell {
     // Group commit on both arms: without it every record syncs the
     // instant it is appended, so a torn write never has a volatile tail
     // to tear and the recovery-side truncation path would sit idle.
@@ -200,42 +186,26 @@ fn run_cell(master_seed: u64, trials: usize, rate_permille: u32, healing: bool) 
                 lat.push(op.finished.since(op.started).as_millis_f64());
             }
         }
-        (run.coverage, lat)
+        (run.tally, lat)
     });
-    let mut s = CellSummary {
-        rate_permille,
-        ops_total: 0,
-        ops_ok: 0,
-        read_p50_ms: 0.0,
-        read_p99_ms: 0.0,
-        torn_truncations: 0,
-        corrupt_detected: 0,
-        quarantines: 0,
-        heals: 0,
-        poison_escapes: 0,
-        served_while_quarantined: 0,
-    };
+    let mut total = Tally::default();
     let mut lat = SampleSet::new();
-    for (c, trial_lat) in results {
-        s.ops_total += c.ops_ok + c.ops_failed;
-        s.ops_ok += c.ops_ok;
-        s.torn_truncations += c.torn_truncations;
-        s.corrupt_detected += c.corrupt_records_detected;
-        s.quarantines += c.quarantines;
-        s.heals += c.requarantine_repairs;
-        s.poison_escapes += c.poison_escapes;
-        s.served_while_quarantined += c.served_while_quarantined;
+    for (tally, trial_lat) in results {
+        total += &tally;
         for x in trial_lat {
             lat.record(x);
         }
     }
-    s.read_p50_ms = lat.try_quantile(0.50).unwrap_or(0.0);
-    s.read_p99_ms = lat.try_quantile(0.99).unwrap_or(0.0);
-    s
+    Cell {
+        rate_permille,
+        total,
+        read_p50_ms: lat.try_quantile(0.50).unwrap_or(0.0),
+        read_p99_ms: lat.try_quantile(0.99).unwrap_or(0.0),
+    }
 }
 
 /// Runs the whole sweep: per rate, the healing-off and healing-on cells.
-pub fn measure(master_seed: u64, trials: usize) -> Vec<(CellSummary, CellSummary)> {
+pub fn measure(master_seed: u64, trials: usize) -> Vec<(Cell, Cell)> {
     RATES_PERMILLE
         .iter()
         .map(|&rate| {
@@ -308,12 +278,13 @@ pub fn run(trials: usize) -> String {
         ],
     );
     for (off, on) in &cells {
+        let (a, b) = (&off.total.server, &on.total.server);
         t.row(&[
             off.rate_permille.to_string(),
-            format!("{}", off.torn_truncations + on.torn_truncations),
-            format!("{}", off.corrupt_detected + on.corrupt_detected),
-            format!("{} / {}", off.quarantines, on.quarantines),
-            format!("{} / {}", off.heals, on.heals),
+            (a.torn_truncations + b.torn_truncations).to_string(),
+            (a.corrupt_records_detected + b.corrupt_records_detected).to_string(),
+            format!("{} / {}", a.quarantines, b.quarantines),
+            format!("{} / {}", a.requarantine_repairs, b.requarantine_repairs),
         ]);
     }
     out.push_str(&t.to_markdown());
@@ -321,12 +292,8 @@ pub fn run(trials: usize) -> String {
 
     let poison: u64 = cells
         .iter()
-        .map(|(a, b)| {
-            a.poison_escapes
-                + b.poison_escapes
-                + a.served_while_quarantined
-                + b.served_while_quarantined
-        })
+        .flat_map(|(off, on)| [off, on])
+        .map(|c| c.total.server.poison_escapes + c.total.server.served_while_quarantined)
         .sum();
     let (top_off, top_on) = cells.last().expect("at least one rate");
     out.push_str(&format!(
@@ -383,12 +350,19 @@ mod tests {
         // Rate zero: both arms are effectively fault-free and healthy.
         assert!(base_off.availability() > 0.99, "quiet baseline broke");
         assert!(base_on.availability() > 0.99);
-        assert_eq!(base_off.quarantines + base_on.quarantines, 0);
+        assert_eq!(
+            base_off.total.server.quarantines + base_on.total.server.quarantines,
+            0
+        );
         // Top rate: corruption happened, was detected, and only the
         // healing arm recovered its quarantined replicas.
-        assert!(top_off.quarantines > 0, "no trial hit a quarantine");
-        assert_eq!(top_off.heals, 0, "healing off must never heal");
-        assert!(top_on.heals > 0, "healing on must heal quarantines");
+        let (off_s, on_s) = (&top_off.total.server, &top_on.total.server);
+        assert!(off_s.quarantines > 0, "no trial hit a quarantine");
+        assert_eq!(off_s.requarantine_repairs, 0, "healing off must never heal");
+        assert!(
+            on_s.requarantine_repairs > 0,
+            "healing on must heal quarantines"
+        );
         assert!(
             top_on.availability() >= top_off.availability(),
             "healing arm regressed availability: off {} vs on {}",
@@ -396,12 +370,9 @@ mod tests {
             top_on.availability()
         );
         // The tripwires stay silent everywhere.
-        for (off, on) in &cells {
-            assert_eq!(off.poison_escapes + on.poison_escapes, 0);
-            assert_eq!(
-                off.served_while_quarantined + on.served_while_quarantined,
-                0
-            );
+        for c in cells.iter().flat_map(|(off, on)| [off, on]) {
+            assert_eq!(c.total.server.poison_escapes, 0);
+            assert_eq!(c.total.server.served_while_quarantined, 0);
         }
     }
 

@@ -5,12 +5,16 @@
 //! with a quiesce phase (faults cleared, everyone recovered, event queue
 //! drained) so the oracle can ask convergence questions. The outcome is a
 //! [`TrialRun`] — the merged operation log, final reads, replica states,
-//! and coverage counters — which [`crate::oracle`] judges.
+//! and the trial's [`Tally`] — which [`crate::oracle`] judges.
 
 use std::collections::{BTreeMap, HashSet};
+use std::ops::AddAssign;
 
-use wv_core::client::{ClientOptions, CompletedOp, HealthOptions, RetryCause, WeakRepOptions};
+use wv_core::client::{
+    ClientOptions, ClientStats, CompletedOp, HealthOptions, RetryCause, WeakRepOptions,
+};
 use wv_core::harness::SiteSpec;
+use wv_core::server::ServerStats;
 use wv_core::{Harness, OpError, OpKind, QuorumSpec, VoteAssignment};
 use wv_net::sim_net::NetStats;
 use wv_net::{Partition, SiteId};
@@ -74,96 +78,74 @@ impl FaultWindows {
     }
 }
 
-/// Per-trial counters: which faults the schedule actually applied and
-/// what the protocol did under them. The campaign aggregates these into
-/// fleet-wide coverage.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TrialCoverage {
-    /// Write operations started.
-    pub writes: u64,
-    /// Read operations started.
-    pub reads: u64,
-    /// Crash events applied.
-    pub crashes: u64,
-    /// Recover events applied.
-    pub recoveries: u64,
-    /// Partition events applied.
-    pub partitions: u64,
-    /// Heal events applied.
-    pub heals: u64,
-    /// Loss-burst dial changes applied (opens and closes).
-    pub loss_bursts: u64,
-    /// Delay-spike dial changes applied.
-    pub delay_spikes: u64,
-    /// Duplication dial changes applied.
-    pub duplications: u64,
-    /// Reconfiguration operations started.
-    pub reconfigures: u64,
+/// The [`EventKind::name`]s of the disk faults: only an arm with disk
+/// faults on applies them.
+pub(crate) const DISK_FAULTS: [&str; 4] = ["torn_write", "bit_flip", "io_error", "disk_stall"];
+
+/// What one trial did: the nodes' own counters, summed over the sites,
+/// and the counts only the executor knows. A campaign adds these up.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Every client's counters.
+    pub client: ClientStats,
+    /// Every server's counters.
+    pub server: ServerStats,
+    /// The transport's counters.
+    pub net: NetStats,
+    /// Schedule events applied, by [`EventKind::name`].
+    pub events: BTreeMap<&'static str, u64>,
     /// Cross-suite transactions started (multi-suite clusters only;
     /// every fifth write tag becomes a two-suite atomic transaction).
     pub cross_suite_txns: u64,
-    /// Operations that failed `Unavailable` — a quorum could not be
-    /// assembled (the paper's "blocked" outcome) on their last attempt.
-    pub quorum_blocked: u64,
-    /// Attempts retried because their inquiry timed out short of a
-    /// quorum: the same outcome, met and survived.
-    pub attempts_quorum_blocked: u64,
-    /// Operations that ended `Indeterminate`.
-    pub indeterminate: u64,
-    /// Operations that failed for any reason.
-    pub ops_failed: u64,
     /// Operations that succeeded.
     pub ops_ok: u64,
+    /// Operations that failed for any reason.
+    pub ops_failed: u64,
     /// Operations that ran entirely outside every fault window: the ones
     /// the oracle's progress invariant judges.
     pub ops_quiet: u64,
-    /// Phase timeouts observed across all clients.
-    pub timeouts: u64,
-    /// Attempt retries across all clients.
-    pub retries: u64,
-    /// Operations abandoned after exhausting the attempt budget.
-    pub attempts_exhausted: u64,
-    /// Messages dropped by link loss (from [`NetStats`]).
-    pub dropped_link: u64,
-    /// Extra deliveries caused by duplication (from [`NetStats`]).
-    pub duplicated_msgs: u64,
-    /// Suspicion-threshold crossings across all clients (health tracking).
-    pub suspicions_raised: u64,
-    /// Quorum plans reordered around suspected sites.
-    pub reroutes: u64,
-    /// Anti-entropy repairs installed across all servers.
-    pub repairs_completed: u64,
-    /// Group-commit sync batches across all servers (0 with batching off).
-    pub wal_batches: u64,
-    /// WAL records those batches made durable.
-    pub wal_batched_records: u64,
-    /// Reads served from an attached weak representative (cache tier).
-    pub cache_hits: u64,
-    /// Reads that fell through to a data fetch with the cache tier on.
-    pub cache_misses: u64,
-    /// Leases found expired at read time.
-    pub lease_expiries: u64,
-    /// Torn-write arms applied (only counted when the arm injects them).
-    pub torn_writes: u64,
-    /// Bit-flip arms applied.
-    pub bit_flips: u64,
-    /// Transient I/O error injections applied.
-    pub io_errors: u64,
-    /// Disk-stall injections applied.
-    pub disk_stalls: u64,
-    /// Torn tails truncated during recovery across all servers.
-    pub torn_truncations: u64,
-    /// WAL records lost to detected interior corruption.
-    pub corrupt_records_detected: u64,
-    /// Replicas that entered quarantine after detecting corruption.
-    pub quarantines: u64,
-    /// Quarantined replicas that healed via full anti-entropy pulls.
-    pub requarantine_repairs: u64,
-    /// Corrupt frames whose checksum still matched (CRC collision
-    /// tripwire — stays zero).
-    pub poison_escapes: u64,
-    /// Requests served while quarantined (tripwire — stays zero).
-    pub served_while_quarantined: u64,
+    /// Operations that failed `Unavailable` — a quorum could not be
+    /// assembled (the paper's "blocked" outcome) on their last attempt.
+    pub quorum_blocked: u64,
+}
+
+impl Tally {
+    /// Events named `name` applied.
+    pub fn event(&self, name: &str) -> u64 {
+        self.events.get(name).copied().unwrap_or(0)
+    }
+
+    /// Disk faults applied, of any kind.
+    pub fn disk_faults(&self) -> u64 {
+        DISK_FAULTS.iter().map(|name| self.event(name)).sum()
+    }
+
+    /// Operations reported, committed or not.
+    pub fn ops(&self) -> u64 {
+        self.ops_ok + self.ops_failed
+    }
+
+    /// Attempts retried because their inquiry timed out short of a
+    /// quorum: the quorum-blocked outcome, met and survived.
+    pub fn attempts_quorum_blocked(&self) -> u64 {
+        self.client.retry_causes[RetryCause::TimeoutInquire as usize]
+    }
+}
+
+impl AddAssign<&Tally> for Tally {
+    fn add_assign(&mut self, t: &Tally) {
+        self.client += t.client;
+        self.server += t.server;
+        self.net += t.net;
+        for (&name, &n) in &t.events {
+            *self.events.entry(name).or_default() += n;
+        }
+        self.cross_suite_txns += t.cross_suite_txns;
+        self.ops_ok += t.ops_ok;
+        self.ops_failed += t.ops_failed;
+        self.ops_quiet += t.ops_quiet;
+        self.quorum_blocked += t.quorum_blocked;
+    }
 }
 
 /// The executor-side record of one cross-suite transaction: the payload
@@ -183,8 +165,8 @@ pub struct TxnOutcome {
     /// client never completed it).
     pub finished: SimTime,
     /// `Ok` with the per-suite committed versions, a definite error, or
-    /// `None` when the client never reported the operation (its site was
-    /// down at the enqueue instant).
+    /// `None` when the client never reported the operation: the run did
+    /// not quiesce before it was reported.
     pub outcome: Option<Result<Vec<(ObjectId, Version)>, OpError>>,
 }
 
@@ -217,10 +199,8 @@ pub struct TrialRun {
     pub txns: Vec<TxnOutcome>,
     /// Whether the quiesce phase drained the event queue within budget.
     pub quiesced: bool,
-    /// Fault and protocol counters.
-    pub coverage: TrialCoverage,
-    /// Transport counters at end of run.
-    pub net: NetStats,
+    /// What the trial did, counted by its nodes and by the executor.
+    pub tally: Tally,
     /// When the cluster was not whole: a server down (until
     /// `RECOVERY_SLACK` past its recovery), a partition, a loss, delay
     /// or duplication dial off zero, a disk stalled, refusing or
@@ -319,7 +299,7 @@ fn run_schedule_inner(
     if traced {
         h.enable_tracing();
     }
-    let mut coverage = TrialCoverage::default();
+    let mut tally = Tally::default();
     let mut sent_payloads: HashSet<Vec<u8>> = HashSet::new();
     let clients = h.clients().to_vec();
     let suites = h.suite_ids().to_vec();
@@ -360,9 +340,15 @@ fn run_schedule_inner(
         }
         let at = h.now();
         disk_trouble(&h, &mut faults);
+        // Disk faults apply only on the faulty-disk arm; the clean arm
+        // replays the identical timeline with them as no-ops.
+        let name = event.kind.name();
+        if DISK_FAULTS.contains(&name) && !spec.disk_faults {
+            continue;
+        }
+        *tally.events.entry(name).or_default() += 1;
         match &event.kind {
             EventKind::Write { client, payload } => {
-                coverage.writes += 1;
                 let bytes = payload_bytes(schedule.seed, *payload);
                 sent_payloads.insert(bytes.clone());
                 let c = clients[client % clients.len()];
@@ -373,7 +359,7 @@ fn run_schedule_inner(
                     // so the oracle can trace either back to this txn.
                     // Writes sorted by suite id — the deterministic
                     // global lock-acquisition order.
-                    coverage.cross_suite_txns += 1;
+                    tally.cross_suite_txns += 1;
                     let sibling = suites[(*payload as usize + 1) % suites.len()];
                     let mut span = vec![home, sibling];
                     span.sort();
@@ -391,23 +377,19 @@ fn run_schedule_inner(
                 }
             }
             EventKind::Read { client } => {
-                coverage.reads += 1;
                 let s = suites[read_rr % suites.len()];
                 read_rr += 1;
                 h.enqueue_read(clients[client % clients.len()], s, at);
             }
             EventKind::Crash { site } => {
-                coverage.crashes += 1;
                 faults.open(Fault::Down(*site), at);
                 h.crash(SiteId(*site as u16));
             }
             EventKind::Recover { site } => {
-                coverage.recoveries += 1;
                 faults.close(Fault::Down(*site), at + RECOVERY_SLACK);
                 h.recover(SiteId(*site as u16));
             }
             EventKind::Partition { group_a } => {
-                coverage.partitions += 1;
                 faults.open(Fault::Partition, at);
                 let a: Vec<SiteId> = group_a
                     .iter()
@@ -421,22 +403,18 @@ fn run_schedule_inner(
                 h.partition(Partition::split(total, &[&a, &b]));
             }
             EventKind::Heal => {
-                coverage.heals += 1;
                 faults.close(Fault::Partition, at);
                 h.heal();
             }
             EventKind::LossBurst { permille } => {
-                coverage.loss_bursts += 1;
                 faults.set(Fault::Loss, *permille > 0, at);
                 h.set_drop_all(f64::from(*permille) / 1000.0);
             }
             EventKind::DelaySpike { extra_ms } => {
-                coverage.delay_spikes += 1;
                 faults.set(Fault::Delay, *extra_ms > 0, at);
                 h.set_extra_delay(SimDuration::from_millis(*extra_ms));
             }
             EventKind::Duplication { permille } => {
-                coverage.duplications += 1;
                 faults.set(Fault::Duplication, *permille > 0, at);
                 h.set_duplicate_prob(f64::from(*permille) / 1000.0);
             }
@@ -445,7 +423,6 @@ fn run_schedule_inner(
                 read_quorum,
                 write_quorum,
             } => {
-                coverage.reconfigures += 1;
                 // Reconfigurations always target the first suite; the
                 // sibling suites keep their configs.
                 h.enqueue_reconfigure(
@@ -456,33 +433,13 @@ fn run_schedule_inner(
                     at,
                 );
             }
-            // Disk faults apply only on the faulty-disk arm; the clean
-            // arm replays the identical timeline with these as no-ops.
-            EventKind::TornWrite { site } => {
-                if spec.disk_faults {
-                    coverage.torn_writes += 1;
-                    h.arm_torn_write(SiteId(*site as u16));
-                }
-            }
-            EventKind::BitFlip { site } => {
-                if spec.disk_faults {
-                    coverage.bit_flips += 1;
-                    h.arm_bit_flip(SiteId(*site as u16));
-                }
-            }
-            EventKind::IoError { site, count } => {
-                if spec.disk_faults {
-                    coverage.io_errors += 1;
-                    h.inject_io_errors(SiteId(*site as u16), *count);
-                }
-            }
+            EventKind::TornWrite { site } => h.arm_torn_write(SiteId(*site as u16)),
+            EventKind::BitFlip { site } => h.arm_bit_flip(SiteId(*site as u16)),
+            EventKind::IoError { site, count } => h.inject_io_errors(SiteId(*site as u16), *count),
             EventKind::DiskStall { site, ms } => {
-                if spec.disk_faults {
-                    coverage.disk_stalls += 1;
-                    let stall = SimDuration::from_millis(*ms);
-                    faults.closed.push((at, at + stall));
-                    h.disk_stall(SiteId(*site as u16), stall);
-                }
+                let stall = SimDuration::from_millis(*ms);
+                faults.closed.push((at, at + stall));
+                h.disk_stall(SiteId(*site as u16), stall);
             }
         }
     }
@@ -586,50 +543,21 @@ fn run_schedule_inner(
         })
         .collect();
 
-    for &c in &clients {
-        if let Some(stats) = h.client_stats(c) {
-            coverage.timeouts += stats.timeouts;
-            coverage.retries += stats.retries;
-            coverage.attempts_quorum_blocked +=
-                stats.retry_causes[RetryCause::TimeoutInquire as usize];
-            coverage.attempts_exhausted += stats.attempts_exhausted;
-            coverage.suspicions_raised += stats.suspicions_raised;
-            coverage.reroutes += stats.reroutes;
-            coverage.cache_hits += stats.cache_hits;
-            coverage.cache_misses += stats.cache_misses;
-            coverage.lease_expiries += stats.lease_expiries;
-        }
-    }
-    for s in 0..spec.servers {
-        if let Some(stats) = h.server_stats(SiteId(s as u16)) {
-            coverage.repairs_completed += stats.repairs_completed;
-            coverage.wal_batches += stats.wal_batches;
-            coverage.wal_batched_records += stats.wal_batched_records;
-            coverage.torn_truncations += stats.torn_truncations;
-            coverage.corrupt_records_detected += stats.corrupt_records_detected;
-            coverage.quarantines += stats.quarantines;
-            coverage.requarantine_repairs += stats.requarantine_repairs;
-            coverage.poison_escapes += stats.poison_escapes;
-            coverage.served_while_quarantined += stats.served_while_quarantined;
-        }
-    }
+    tally.client = clients.iter().filter_map(|&c| h.client_stats(c)).sum();
+    tally.server = SiteId::all(spec.servers)
+        .filter_map(|s| h.server_stats(s))
+        .sum();
+    tally.net = h.net_stats();
     for op in &ops {
-        coverage.ops_quiet += u64::from(crate::oracle::ran_quiet(op, &faults.closed));
+        tally.ops_quiet += u64::from(crate::oracle::ran_quiet(op, &faults.closed));
         match &op.outcome {
-            Ok(_) => coverage.ops_ok += 1,
+            Ok(_) => tally.ops_ok += 1,
             Err(e) => {
-                coverage.ops_failed += 1;
-                match e {
-                    OpError::Unavailable { .. } => coverage.quorum_blocked += 1,
-                    OpError::Indeterminate => coverage.indeterminate += 1,
-                    _ => {}
-                }
+                tally.ops_failed += 1;
+                tally.quorum_blocked += u64::from(matches!(e, OpError::Unavailable { .. }));
             }
         }
     }
-    let net = h.net_stats();
-    coverage.dropped_link = net.dropped_link;
-    coverage.duplicated_msgs = net.duplicated;
 
     let (trace, audit) = h.take_recorded();
     (
@@ -642,8 +570,7 @@ fn run_schedule_inner(
             suite_replicas,
             txns,
             quiesced,
-            coverage,
-            net,
+            tally,
             fault_windows: faults.closed,
             // Validated mode: the bound is zero — a cache serve carries
             // the same quorum evidence as a classic read.
@@ -665,7 +592,7 @@ mod tests {
         let schedule = generate(&spec, &ScheduleParams::default(), 11);
         let a = run_schedule(&spec, &schedule);
         let b = run_schedule(&spec, &schedule);
-        assert_eq!(a.coverage, b.coverage);
+        assert_eq!(a.tally, b.tally);
         assert_eq!(a.suite_finals, b.suite_finals);
         assert_eq!(a.suite_replicas, b.suite_replicas);
         assert_eq!(a.ops.len(), b.ops.len());
@@ -696,8 +623,8 @@ mod tests {
         };
         let run = run_schedule(&spec, &schedule);
         assert!(run.quiesced);
-        assert_eq!(run.coverage.ops_ok, 2);
-        assert_eq!(run.coverage.ops_failed, 0);
+        assert_eq!(run.tally.ops_ok, 2);
+        assert_eq!(run.tally.ops_failed, 0);
         // The final read sees the single write.
         let (v, value) = run.suite_finals[0][0].clone().expect("final read succeeds");
         assert_eq!(v, Version(1));
@@ -751,7 +678,10 @@ mod tests {
         };
         let run = run_schedule(&spec, &schedule);
         assert!(run.quiesced);
-        assert!(run.coverage.repairs_completed >= 1, "repair never fired");
+        assert!(
+            run.tally.server.repairs_completed >= 1,
+            "repair never fired"
+        );
         // Every replica converged to the newest committed state.
         for state in run.suite_replicas[0].iter().flatten() {
             assert_eq!(state.0, Version(3));
@@ -762,7 +692,7 @@ mod tests {
         // Replays stay deterministic with the daemon running.
         let again = run_schedule(&spec, &schedule);
         assert_eq!(run.suite_replicas, again.suite_replicas);
-        assert_eq!(run.coverage, again.coverage);
+        assert_eq!(run.tally, again.tally);
     }
 
     #[test]
@@ -779,15 +709,18 @@ mod tests {
         let a = run_schedule(&plain, &schedule);
         let b = run_schedule(&batched, &schedule);
         assert!(a.quiesced && b.quiesced);
-        assert!(b.coverage.wal_batches >= 1, "no sync used the batch path");
-        assert!(b.coverage.wal_batched_records >= b.coverage.wal_batches);
-        assert_eq!(a.coverage.wal_batches, 0, "batching off syncs inline");
+        assert!(
+            b.tally.server.wal_batches >= 1,
+            "no sync used the batch path"
+        );
+        assert!(b.tally.server.wal_batched_records >= b.tally.server.wal_batches);
+        assert_eq!(a.tally.server.wal_batches, 0, "batching off syncs inline");
         assert!(crate::oracle::check_trial(&a, false).is_empty());
         assert!(crate::oracle::check_trial(&b, false).is_empty());
         // Replays of the batched arm stay deterministic.
         let again = run_schedule(&batched, &schedule);
         assert_eq!(b.suite_replicas, again.suite_replicas);
-        assert_eq!(b.coverage, again.coverage);
+        assert_eq!(b.tally, again.tally);
     }
 
     #[test]
@@ -805,7 +738,7 @@ mod tests {
         assert!(a.cache_lease.is_none());
         assert_eq!(b.cache_lease, Some(SimDuration::ZERO));
         assert_eq!(
-            a.coverage.cache_hits + a.coverage.cache_misses,
+            a.tally.client.cache_hits + a.tally.client.cache_misses,
             0,
             "uncached arm never touches the tier"
         );
@@ -814,7 +747,7 @@ mod tests {
         // Replays of the cached arm stay deterministic.
         let again = run_schedule(&cached, &schedule);
         assert_eq!(b.suite_replicas, again.suite_replicas);
-        assert_eq!(b.coverage, again.coverage);
+        assert_eq!(b.tally, again.tally);
     }
 
     #[test]
@@ -831,23 +764,15 @@ mod tests {
             let schedule = generate(&clean, &ScheduleParams::default(), seed);
             let a = run_schedule(&clean, &schedule);
             let b = run_schedule(&faulty, &schedule);
+            assert_eq!(a.tally.disk_faults(), 0, "clean arm never injects");
+            assert_eq!(a.tally.server.quarantines, 0);
+            injected |= b.tally.disk_faults() > 0;
             assert_eq!(
-                a.coverage.torn_writes
-                    + a.coverage.bit_flips
-                    + a.coverage.io_errors
-                    + a.coverage.disk_stalls,
-                0,
-                "clean arm never injects"
+                b.tally.server.poison_escapes, 0,
+                "seed {seed}: CRC collision"
             );
-            assert_eq!(a.coverage.quarantines, 0);
-            injected |= b.coverage.torn_writes
-                + b.coverage.bit_flips
-                + b.coverage.io_errors
-                + b.coverage.disk_stalls
-                > 0;
-            assert_eq!(b.coverage.poison_escapes, 0, "seed {seed}: CRC collision");
             assert_eq!(
-                b.coverage.served_while_quarantined, 0,
+                b.tally.server.served_while_quarantined, 0,
                 "seed {seed}: a quarantined replica served"
             );
             assert!(
@@ -857,7 +782,7 @@ mod tests {
             // Replays of the faulty arm stay deterministic.
             let again = run_schedule(&faulty, &schedule);
             assert_eq!(b.suite_replicas, again.suite_replicas);
-            assert_eq!(b.coverage, again.coverage);
+            assert_eq!(b.tally, again.tally);
         }
         assert!(injected, "no seed in the window drew a disk fault");
     }
@@ -905,18 +830,18 @@ mod tests {
         };
         let run = run_schedule(&spec, &schedule);
         assert!(run.quiesced);
-        assert_eq!(run.coverage.bit_flips, 1);
+        assert_eq!(run.tally.event("bit_flip"), 1);
         assert!(
-            run.coverage.corrupt_records_detected >= 1,
+            run.tally.server.corrupt_records_detected >= 1,
             "the flip landed in a durable frame and recovery must see it"
         );
-        assert_eq!(run.coverage.quarantines, 1);
+        assert_eq!(run.tally.server.quarantines, 1);
         assert_eq!(
-            run.coverage.requarantine_repairs, 1,
+            run.tally.server.requarantine_repairs, 1,
             "full pulls from both peers must heal the quarantine"
         );
-        assert_eq!(run.coverage.poison_escapes, 0);
-        assert_eq!(run.coverage.served_while_quarantined, 0);
+        assert_eq!(run.tally.server.poison_escapes, 0);
+        assert_eq!(run.tally.server.served_while_quarantined, 0);
         // Healed means fully caught up: every replica at the frontier.
         for state in run.suite_replicas[0].iter().flatten() {
             assert_eq!(state.0, Version(2));
@@ -960,8 +885,11 @@ mod tests {
         };
         let run = run_schedule(&spec, &schedule);
         assert!(run.quiesced);
-        assert_eq!(run.coverage.torn_writes, 1);
-        assert_eq!(run.coverage.quarantines, 0, "a torn tail is not corruption");
+        assert_eq!(run.tally.event("torn_write"), 1);
+        assert_eq!(
+            run.tally.server.quarantines, 0,
+            "a torn tail is not corruption"
+        );
         assert!(crate::oracle::check_trial(&run, false).is_empty());
     }
 
@@ -981,13 +909,13 @@ mod tests {
         assert!(a.quiesced && b.quiesced);
         assert_eq!(a.suites.len(), 1);
         assert_eq!(b.suites.len(), 4);
-        assert_eq!(a.coverage.cross_suite_txns, 0, "flat arm never crosses");
+        assert_eq!(a.tally.cross_suite_txns, 0, "flat arm never crosses");
         assert!(a.txns.is_empty());
         assert!(
-            b.coverage.cross_suite_txns >= 1,
+            b.tally.cross_suite_txns >= 1,
             "payload tags divisible by 5 must become transactions"
         );
-        assert_eq!(b.txns.len() as u64, b.coverage.cross_suite_txns);
+        assert_eq!(b.txns.len() as u64, b.tally.cross_suite_txns);
         assert_eq!(b.suite_finals.len(), 4);
         assert_eq!(b.suite_replicas.len(), 4);
         assert!(crate::oracle::check_trial(&a, false).is_empty());
@@ -1000,7 +928,7 @@ mod tests {
         let again = run_schedule(&sharded, &schedule);
         assert_eq!(b.suite_replicas, again.suite_replicas);
         assert_eq!(b.suite_finals, again.suite_finals);
-        assert_eq!(b.coverage, again.coverage);
+        assert_eq!(b.tally, again.tally);
     }
 
     #[test]
@@ -1039,11 +967,11 @@ mod tests {
         let run = run_schedule(&spec, &schedule);
         assert!(run.quiesced);
         assert!(
-            run.coverage.quorum_blocked >= 1 || run.coverage.ops_ok >= 1,
+            run.tally.quorum_blocked >= 1 || run.tally.ops_ok >= 1,
             "the write either blocked (budget ran out mid-outage) or rode out the outage"
         );
-        assert!(run.coverage.timeouts > 0, "phase timeouts fired");
-        assert_eq!(run.coverage.crashes, 2);
-        assert_eq!(run.coverage.recoveries, 2);
+        assert!(run.tally.client.timeouts > 0, "phase timeouts fired");
+        assert_eq!(run.tally.event("crash"), 2);
+        assert_eq!(run.tally.event("recover"), 2);
     }
 }

@@ -8,7 +8,7 @@
 //!   artifact.
 //! * [`exec`] — replays a schedule against a simulated cluster and
 //!   collects the evidence (operation log, final reads, replica states,
-//!   coverage counters).
+//!   and a tally of the nodes' own counters).
 //! * [`oracle`] — the history oracle: the consistency invariants
 //!   weighted voting promises, checked over that evidence and returned
 //!   as structured [`oracle::Violation`]s.
@@ -41,7 +41,7 @@ pub mod shrink;
 pub use wv_sim::json;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport, Coverage};
-pub use exec::{run_schedule, run_schedule_instrumented, TrialCoverage, TrialRun};
+pub use exec::{run_schedule, run_schedule_instrumented, TrialRun};
 pub use oracle::{check_convergence, check_log, check_trial, Violation};
 pub use schedule::{generate, ClusterSpec, EventKind, FaultEvent, Schedule, ScheduleParams};
 pub use shrink::{shrink, ShrinkResult};

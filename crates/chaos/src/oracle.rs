@@ -751,14 +751,14 @@ pub fn check_cross_suite(run: &TrialRun) -> Vec<Violation> {
 /// and catches a recovery-path regression wherever it surfaces.
 pub fn check_no_poison(run: &TrialRun) -> Vec<Violation> {
     let mut violations = Vec::new();
-    if run.coverage.poison_escapes > 0 {
+    if run.tally.server.poison_escapes > 0 {
         violations.push(Violation::PoisonEscaped {
-            count: run.coverage.poison_escapes,
+            count: run.tally.server.poison_escapes,
         });
     }
-    if run.coverage.served_while_quarantined > 0 {
+    if run.tally.server.served_while_quarantined > 0 {
         violations.push(Violation::QuarantineServed {
-            count: run.coverage.served_while_quarantined,
+            count: run.tally.server.served_while_quarantined,
         });
     }
     violations
@@ -1066,8 +1066,7 @@ mod tests {
             suite_replicas: vec![replicas],
             txns: Vec::new(),
             quiesced: true,
-            coverage: crate::exec::TrialCoverage::default(),
-            net: Default::default(),
+            tally: Default::default(),
             fault_windows: Vec::new(),
             cache_lease: None,
         }
@@ -1148,8 +1147,8 @@ mod tests {
     fn tripwire_counters_become_poison_violations() {
         let mut run = quiet_run(vec![write_ok(1, 0, 100)], &[b"a"], (1, b"a"), vec![]);
         assert!(check_no_poison(&run).is_empty());
-        run.coverage.poison_escapes = 2;
-        run.coverage.served_while_quarantined = 3;
+        run.tally.server.poison_escapes = 2;
+        run.tally.server.served_while_quarantined = 3;
         let v = check_no_poison(&run);
         assert!(v.contains(&Violation::PoisonEscaped { count: 2 }));
         assert!(v.contains(&Violation::QuarantineServed { count: 3 }));
@@ -1220,8 +1219,7 @@ mod tests {
             suite_replicas,
             txns,
             quiesced: true,
-            coverage: crate::exec::TrialCoverage::default(),
-            net: Default::default(),
+            tally: Default::default(),
             fault_windows: Vec::new(),
             cache_lease: None,
         }

@@ -129,7 +129,7 @@ fn push_verdict(out: &mut String, report: &CampaignReport) {
     out.push_str(&format!(
         "Progress violations (of the {} operations that met no fault window, those that \
          needed more than {QUIET_ATTEMPTS} attempts or failed): **{}**.\n\n",
-        report.coverage.ops_quiet,
+        report.coverage.total.ops_quiet,
         trials_with(true)
     ));
     if !report.clean() {
@@ -189,32 +189,23 @@ pub(crate) static ARMS: [Arm; 6] = [
         spec: |spec| spec,
         table: "Fault coverage (a green run only counts if the faults actually fired)",
         rows: &[
-            ("trials with a server crash", |c| c.trials_with_crash),
-            ("trials with a mid-run recovery", |c| c.trials_with_recovery),
-            ("trials with a partition", |c| c.trials_with_partition),
-            ("trials with a link-loss burst", |c| c.trials_with_loss),
-            ("trials with a delay spike", |c| c.trials_with_delay),
-            ("trials with message duplication", |c| {
-                c.trials_with_duplication
-            }),
-            ("trials with a live reconfiguration", |c| {
-                c.trials_with_reconfigure
-            }),
-            ("trials with a quorum-blocked attempt", |c| {
-                c.trials_with_quorum_block
-            }),
-            ("operations attempted", |c| c.ops_total),
-            ("operations committed", |c| c.ops_ok),
-            ("attempts quorum-blocked and retried", |c| {
-                c.attempts_quorum_blocked
-            }),
-            ("operations quorum-blocked to the end", |c| c.quorum_blocked),
-            ("operations ending in doubt", |c| c.indeterminate),
-            ("phase timeouts", |c| c.timeouts),
-            ("attempt retries", |c| c.retries),
-            ("attempt budgets exhausted", |c| c.attempts_exhausted),
-            ("messages dropped by link loss", |c| c.dropped_link),
-            ("messages duplicated", |c| c.duplicated_msgs),
+            ("trials with a server crash", |c| c.trials_with("crash")),
+            ("trials with a mid-run recovery", |c| c.trials_with("recover")),
+            ("trials with a partition", |c| c.trials_with("partition")),
+            ("trials with a link-loss burst", |c| c.trials_with("loss_burst")),
+            ("trials with a delay spike", |c| c.trials_with("delay_spike")),
+            ("trials with message duplication", |c| c.trials_with("duplication")),
+            ("trials with a live reconfiguration", |c| c.trials_with("reconfigure")),
+            ("trials with a quorum-blocked attempt", |c| c.trials_with("quorum_block")),
+            ("operations attempted", |c| c.total.ops()),
+            ("operations committed", |c| c.total.ops_ok),
+            ("attempts quorum-blocked and retried", |c| c.total.attempts_quorum_blocked()),
+            ("operations quorum-blocked to the end", |c| c.total.quorum_blocked),
+            ("phase timeouts", |c| c.total.client.timeouts),
+            ("attempt retries", |c| c.total.client.retries),
+            ("attempt budgets exhausted", |c| c.total.client.attempts_exhausted),
+            ("messages dropped by link loss", |c| c.total.net.dropped_link),
+            ("messages duplicated", |c| c.total.net.duplicated),
         ],
         closing: |_, c| {
             let all = c.all_fault_kinds_exercised();
@@ -228,11 +219,11 @@ pub(crate) static ARMS: [Arm; 6] = [
         spec: ClusterSpec::with_repair,
         table: "Self-healing activity (oracle also checks repair provenance + version bounds)",
         rows: &[
-            ("anti-entropy repairs completed", |h| h.repairs_completed),
-            ("suspicions raised", |h| h.suspicions_raised),
-            ("quorum plans rerouted around suspects", |h| h.reroutes),
-            ("phase timeouts", |h| h.timeouts),
-            ("operations committed", |h| h.ops_ok),
+            ("anti-entropy repairs completed", |h| h.total.server.repairs_completed),
+            ("suspicions raised", |h| h.total.client.suspicions_raised),
+            ("quorum plans rerouted around suspects", |h| h.total.client.reroutes),
+            ("phase timeouts", |h| h.total.client.timeouts),
+            ("operations committed", |h| h.total.ops_ok),
         ],
         closing: |c, h| {
             format!(
@@ -241,7 +232,7 @@ pub(crate) static ARMS: [Arm; 6] = [
                  the healing arm trades commits-after-long-waits for latency; the \
                  invariants hold either way, and E10 measures the flip side — \
                  availability and latency under pure crash/recovery churn.",
-                c.ops_ok, h.ops_ok
+                c.total.ops_ok, h.total.ops_ok
             )
         },
     },
@@ -251,12 +242,10 @@ pub(crate) static ARMS: [Arm; 6] = [
         spec: ClusterSpec::with_group_commit,
         table: "Group-commit activity (votes and acks leave only after their records are durable)",
         rows: &[
-            ("WAL sync batches", |g| g.wal_batches),
-            ("records made durable by those batches", |g| {
-                g.wal_batched_records
-            }),
-            ("operations committed", |g| g.ops_ok),
-            ("phase timeouts", |g| g.timeouts),
+            ("WAL sync batches", |g| g.total.server.wal_batches),
+            ("records made durable by those batches", |g| g.total.server.wal_batched_records),
+            ("operations committed", |g| g.total.ops_ok),
+            ("phase timeouts", |g| g.total.client.timeouts),
         ],
         closing: |_, g| {
             format!(
@@ -265,7 +254,7 @@ pub(crate) static ARMS: [Arm; 6] = [
                  response never leaves before its records hit the durable \
                  prefix, and a crash mid-window loses only records nobody was \
                  promised.",
-                g.wal_batched_records, g.wal_batches
+                g.total.server.wal_batched_records, g.total.server.wal_batches
             )
         },
     },
@@ -275,10 +264,10 @@ pub(crate) static ARMS: [Arm; 6] = [
         spec: ClusterSpec::with_cache_tier,
         table: "Cache-tier activity (oracle also checks the staleness bound on every cache serve)",
         rows: &[
-            ("cache hits", |w| w.cache_hits),
-            ("cache misses", |w| w.cache_misses),
-            ("operations committed", |w| w.ops_ok),
-            ("phase timeouts", |w| w.timeouts),
+            ("cache hits", |w| w.total.client.cache_hits),
+            ("cache misses", |w| w.total.client.cache_misses),
+            ("operations committed", |w| w.total.ops_ok),
+            ("phase timeouts", |w| w.total.client.timeouts),
         ],
         closing: |_, w| {
             format!(
@@ -288,7 +277,7 @@ pub(crate) static ARMS: [Arm; 6] = [
                  answer or by a fetch; every cache serve \
                  satisfied the staleness bound (validated mode: exactly as fresh \
                  as a classic read).",
-                w.cache_hits, w.cache_misses
+                w.total.client.cache_hits, w.total.client.cache_misses
             )
         },
     },
@@ -301,22 +290,18 @@ pub(crate) static ARMS: [Arm; 6] = [
         spec: |spec| spec.with_repair().with_disk_faults(),
         table: "Faulty-disk activity (oracle also checks the no-poisoned-read tripwires)",
         rows: &[
-            ("trials with a disk fault", |d| d.trials_with_disk_fault),
-            ("torn writes injected", |d| d.torn_writes),
-            ("bit flips injected", |d| d.bit_flips),
-            ("I/O errors injected", |d| d.io_errors),
-            ("disk stalls injected", |d| d.disk_stalls),
-            ("torn tails truncated at recovery", |d| d.torn_truncations),
-            ("corrupt records detected", |d| d.corrupt_records_detected),
-            ("replicas quarantined", |d| d.quarantines),
-            ("quarantines healed by full pulls", |d| {
-                d.requarantine_repairs
-            }),
-            ("poison escapes (tripwire)", |d| d.poison_escapes),
-            ("served while quarantined (tripwire)", |d| {
-                d.served_while_quarantined
-            }),
-            ("operations committed", |d| d.ops_ok),
+            ("trials with a disk fault", |d| d.trials_with("disk_fault")),
+            ("torn writes injected", |d| d.total.event("torn_write")),
+            ("bit flips injected", |d| d.total.event("bit_flip")),
+            ("I/O errors injected", |d| d.total.event("io_error")),
+            ("disk stalls injected", |d| d.total.event("disk_stall")),
+            ("torn tails truncated at recovery", |d| d.total.server.torn_truncations),
+            ("corrupt records detected", |d| d.total.server.corrupt_records_detected),
+            ("replicas quarantined", |d| d.total.server.quarantines),
+            ("quarantines healed by full pulls", |d| d.total.server.requarantine_repairs),
+            ("poison escapes (tripwire)", |d| d.total.server.poison_escapes),
+            ("served while quarantined (tripwire)", |d| d.total.server.served_while_quarantined),
+            ("operations committed", |d| d.total.ops_ok),
         ],
         closing: |_, d| {
             format!(
@@ -325,7 +310,7 @@ pub(crate) static ARMS: [Arm; 6] = [
                  no-poisoned-read tripwires stayed at zero, so no corrupt frame \
                  survived the checksum scan and no quarantined replica answered \
                  a request before anti-entropy rebuilt it from its peers.",
-                d.corrupt_records_detected, d.quarantines
+                d.total.server.corrupt_records_detected, d.total.server.quarantines
             )
         },
     },
@@ -335,13 +320,10 @@ pub(crate) static ARMS: [Arm; 6] = [
         spec: |spec| spec.with_suites(4),
         table: "Multi-suite activity (oracle judges every suite separately, plus cross-suite atomicity)",
         rows: &[
-            ("trials with a cross-suite transaction", |m| {
-                m.trials_with_cross_suite_txn
-            }),
-            ("cross-suite transactions started", |m| m.cross_suite_txns),
-            ("operations committed", |m| m.ops_ok),
-            ("operations ending in doubt", |m| m.indeterminate),
-            ("phase timeouts", |m| m.timeouts),
+            ("trials with a cross-suite transaction", |m| m.trials_with("cross_suite_txn")),
+            ("cross-suite transactions started", |m| m.total.cross_suite_txns),
+            ("operations committed", |m| m.total.ops_ok),
+            ("phase timeouts", |m| m.total.client.timeouts),
         ],
         closing: |_, m| {
             format!(
@@ -350,7 +332,7 @@ pub(crate) static ARMS: [Arm; 6] = [
                  version counters; {} cross-suite transaction(s) rode the \
                  existing two-phase commit with locks acquired in global suite \
                  order, and no suite committed a branch whose sibling aborted.",
-                m.cross_suite_txns
+                m.total.cross_suite_txns
             )
         },
     },
@@ -380,7 +362,7 @@ pub fn run(trials: usize) -> Report {
             t.row(&[counter.to_string(), value(&report.coverage).to_string()]);
         }
         out.push_str(&t.to_markdown());
-        let shipped = shipped.get_or_insert(report.coverage);
+        let shipped = shipped.get_or_insert_with(|| report.coverage.clone());
         let closing = (arm.closing)(shipped, &report.coverage);
         out.push_str(&format!("\n{closing}\n\n"));
     }

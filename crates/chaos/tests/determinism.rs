@@ -44,7 +44,7 @@ fn a_broken_campaign_is_bit_identical_at_1_2_and_8_workers() {
         let report = run_campaign(&cfg);
         (
             report.failures.clone(),
-            report.coverage,
+            report.coverage.clone(),
             report.violation_histogram(),
         )
     };

@@ -35,6 +35,9 @@
 //!   the examples and experiments drive.
 //! * [`error`] — operation outcomes.
 //!
+//! A private module, `stats`, adds the nodes' counters up: the client's
+//! and the server's stats structs are `AddAssign` and `Sum`.
+//!
 //! # Examples
 //!
 //! ```
@@ -73,6 +76,7 @@ pub mod quorum;
 mod reconfig;
 mod repair;
 pub mod server;
+mod stats;
 pub mod suite;
 mod sync;
 pub mod votes;

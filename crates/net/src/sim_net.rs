@@ -82,6 +82,28 @@ pub struct NetStats {
     pub timers_dropped: u64,
 }
 
+impl std::ops::AddAssign for NetStats {
+    fn add_assign(&mut self, o: NetStats) {
+        self.sent += o.sent;
+        self.delivered += o.delivered;
+        self.dropped_partition += o.dropped_partition;
+        self.dropped_link += o.dropped_link;
+        self.dropped_down += o.dropped_down;
+        self.duplicated += o.duplicated;
+        self.timers_fired += o.timers_fired;
+        self.timers_dropped += o.timers_dropped;
+    }
+}
+
+impl std::iter::Sum for NetStats {
+    fn sum<I: Iterator<Item = NetStats>>(iter: I) -> NetStats {
+        iter.fold(NetStats::default(), |mut sum, s| {
+            sum += s;
+            sum
+        })
+    }
+}
+
 /// A set of protocol nodes plus the network state connecting them.
 ///
 /// Use as the world type of a `wv_sim::Sim`:
@@ -368,6 +390,31 @@ where
 mod tests {
     use super::*;
     use wv_sim::{LatencyModel, SimDuration};
+
+    /// Every counter at `k` times its own position. The literal names
+    /// every counter, so one added to [`NetStats`] does not compile here
+    /// until it is added, and the test below fails until it is summed.
+    fn net_stats(k: u64) -> NetStats {
+        NetStats {
+            sent: k,
+            delivered: 2 * k,
+            dropped_partition: 3 * k,
+            dropped_link: 4 * k,
+            dropped_down: 5 * k,
+            duplicated: 6 * k,
+            timers_fired: 7 * k,
+            timers_dropped: 8 * k,
+        }
+    }
+
+    #[test]
+    fn net_stats_add_up_counter_by_counter() {
+        let mut a = net_stats(1);
+        a += net_stats(10);
+        assert_eq!(a, net_stats(11));
+        let sum: NetStats = [net_stats(1), net_stats(10)].into_iter().sum();
+        assert_eq!(sum, net_stats(11));
+    }
 
     /// A test node that counts deliveries and can ping-pong.
     #[derive(Default)]
