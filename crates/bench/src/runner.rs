@@ -72,12 +72,7 @@ pub fn worker_threads() -> usize {
             Ok(n) => return n,
             Err(e) => {
                 static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    wv_sim::vlog::warn(
-                        "runner",
-                        &format!("ignoring WV_TRIAL_THREADS={raw:?}: {e}"),
-                    );
-                });
+                WARNED.call_once(|| eprintln!("ignoring WV_TRIAL_THREADS={raw:?}: {e}"));
             }
         }
     }

@@ -35,7 +35,7 @@ fn regenerate(e: &Experiment, size: Size) {
     files.extend(report.artifact.map(|(file, json)| (file.to_string(), json)));
     for (file, contents) in files {
         if let Err(err) = std::fs::write(format!("results/{file}"), contents) {
-            wv_sim::vlog::warn("wv-exp", &format!("could not write results/{file}: {err}"));
+            eprintln!("wv-exp: could not write results/{file}: {err}");
         }
     }
 }

@@ -19,9 +19,9 @@ use wv_bench::runner;
 
 use crate::exec::{run_schedule, Tally};
 use crate::oracle::{check_trial, Violation};
-use crate::schedule::{generate, ClusterSpec, Schedule, ScheduleParams};
+use crate::schedule::{generate, ClusterSpec, Schedule};
 
-/// What to run: cluster shape, schedule tunables, and how many trials.
+/// What to run: cluster shape and how many trials.
 #[derive(Clone, Copy, Debug)]
 pub struct CampaignConfig {
     /// Master seed; trial `i` runs with `runner::trial_seed(master, i)`.
@@ -30,8 +30,6 @@ pub struct CampaignConfig {
     pub trials: usize,
     /// Cluster shape for every trial.
     pub spec: ClusterSpec,
-    /// Schedule generation tunables.
-    pub params: ScheduleParams,
 }
 
 /// One failing trial: its seed and what the oracle found.
@@ -120,11 +118,7 @@ impl CampaignReport {
 /// The schedule trial `i` of a campaign runs (useful for replaying a
 /// reported seed outside the campaign).
 pub fn trial_schedule(cfg: &CampaignConfig, trial: u64) -> Schedule {
-    generate(
-        &cfg.spec,
-        &cfg.params,
-        runner::trial_seed(cfg.master_seed, trial),
-    )
+    generate(&cfg.spec, runner::trial_seed(cfg.master_seed, trial))
 }
 
 /// Runs the whole campaign, fanning trials over the deterministic
@@ -132,9 +126,8 @@ pub fn trial_schedule(cfg: &CampaignConfig, trial: u64) -> Schedule {
 /// histories are judged in lossy (non-strict) mode.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let spec = cfg.spec;
-    let params = cfg.params;
     let results = runner::run_trials(cfg.master_seed, cfg.trials, |seed| {
-        let schedule = generate(&spec, &params, seed);
+        let schedule = generate(&spec, seed);
         let run = run_schedule(&spec, &schedule);
         let violations = check_trial(&run, false);
         (seed, violations, run.tally)
@@ -164,7 +157,6 @@ mod tests {
             master_seed: 0xC0FFEE,
             trials: 8,
             spec: ClusterSpec::majority(5, 2),
-            params: ScheduleParams::default(),
         };
         let a = run_campaign(&cfg);
         let b = run_campaign(&cfg);
@@ -190,7 +182,6 @@ mod tests {
             master_seed: 0xC0FFEE,
             trials: 8,
             spec: ClusterSpec::majority(5, 2).with_repair(),
-            params: ScheduleParams::default(),
         };
         let report = run_campaign(&cfg);
         assert!(
@@ -218,7 +209,6 @@ mod tests {
             master_seed: 0xC0FFEE,
             trials: 8,
             spec: ClusterSpec::majority(5, 2).with_cache_tier(),
-            params: ScheduleParams::default(),
         };
         let report = run_campaign(&cfg);
         assert!(
@@ -250,7 +240,6 @@ mod tests {
             master_seed: 0xC0FFEE,
             trials: 8,
             spec: ClusterSpec::majority(5, 2).with_repair().with_disk_faults(),
-            params: ScheduleParams::default(),
         };
         let report = run_campaign(&cfg);
         assert!(
@@ -279,7 +268,6 @@ mod tests {
             master_seed: 0xC0FFEE,
             trials: 8,
             spec: ClusterSpec::majority(5, 2).with_suites(4),
-            params: ScheduleParams::default(),
         };
         let report = run_campaign(&cfg);
         assert!(
@@ -307,7 +295,6 @@ mod tests {
             trials: 256,
             spec: (crate::report::ARMS.iter())
                 .fold(ClusterSpec::majority(5, 2), |s, a| (a.spec)(s)),
-            params: ScheduleParams::default(),
         };
         let report = run_campaign(&cfg);
         assert!(
@@ -340,10 +327,6 @@ mod tests {
             master_seed: 0xBAD,
             trials: 24,
             spec: ClusterSpec::broken(5, 2, 2),
-            params: ScheduleParams {
-                reconfigure: false,
-                ..ScheduleParams::default()
-            },
         };
         let report = run_campaign(&cfg);
         assert!(

@@ -584,12 +584,12 @@ fn run_schedule_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{generate, FaultEvent, ScheduleParams};
+    use crate::schedule::{generate, FaultEvent};
 
     #[test]
     fn replaying_a_schedule_is_deterministic() {
         let spec = ClusterSpec::majority(5, 2);
-        let schedule = generate(&spec, &ScheduleParams::default(), 11);
+        let schedule = generate(&spec, 11);
         let a = run_schedule(&spec, &schedule);
         let b = run_schedule(&spec, &schedule);
         assert_eq!(a.tally, b.tally);
@@ -705,7 +705,7 @@ mod tests {
         // history oracle must stay clean over both.
         let plain = ClusterSpec::majority(3, 1);
         let batched = ClusterSpec::majority(3, 1).with_group_commit();
-        let schedule = generate(&plain, &ScheduleParams::default(), 17);
+        let schedule = generate(&plain, 17);
         let a = run_schedule(&plain, &schedule);
         let b = run_schedule(&batched, &schedule);
         assert!(a.quiesced && b.quiesced);
@@ -731,7 +731,7 @@ mod tests {
         // as fresh as classic quorum reads, faults and all.
         let plain = ClusterSpec::majority(3, 1);
         let cached = ClusterSpec::majority(3, 1).with_cache_tier();
-        let schedule = generate(&plain, &ScheduleParams::default(), 23);
+        let schedule = generate(&plain, 23);
         let a = run_schedule(&plain, &schedule);
         let b = run_schedule(&cached, &schedule);
         assert!(a.quiesced && b.quiesced);
@@ -761,7 +761,7 @@ mod tests {
         let faulty = ClusterSpec::majority(5, 2).with_repair().with_disk_faults();
         let mut injected = false;
         for seed in 0..8u64 {
-            let schedule = generate(&clean, &ScheduleParams::default(), seed);
+            let schedule = generate(&clean, seed);
             let a = run_schedule(&clean, &schedule);
             let b = run_schedule(&faulty, &schedule);
             assert_eq!(a.tally.disk_faults(), 0, "clean arm never injects");
@@ -903,7 +903,7 @@ mod tests {
         // per-suite oracle plus the atomicity invariant.
         let plain = ClusterSpec::majority(5, 2);
         let sharded = ClusterSpec::majority(5, 2).with_suites(4);
-        let schedule = generate(&plain, &ScheduleParams::default(), 41);
+        let schedule = generate(&plain, 41);
         let a = run_schedule(&plain, &schedule);
         let b = run_schedule(&sharded, &schedule);
         assert!(a.quiesced && b.quiesced);

@@ -43,5 +43,5 @@ pub use wv_sim::json;
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport, Coverage};
 pub use exec::{run_schedule, run_schedule_instrumented, TrialRun};
 pub use oracle::{check_convergence, check_log, check_trial, Violation};
-pub use schedule::{generate, ClusterSpec, EventKind, FaultEvent, Schedule, ScheduleParams};
+pub use schedule::{generate, ClusterSpec, EventKind, FaultEvent, Schedule};
 pub use shrink::{shrink, ShrinkResult};

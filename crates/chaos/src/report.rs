@@ -52,8 +52,8 @@ use crate::campaign::{
 use crate::exec::run_schedule_instrumented;
 use crate::experiments::Report;
 use crate::oracle::{check_trial, QUIET_ATTEMPTS};
-use crate::schedule::{ClusterSpec, EventKind, Schedule, ScheduleParams};
-use crate::shrink::{shrink, DEFAULT_BUDGET};
+use crate::schedule::{ClusterSpec, EventKind, Schedule};
+use crate::shrink::shrink;
 
 /// Trials per healthy arm in the committed report.
 pub const TRIALS: usize = 1200;
@@ -352,7 +352,6 @@ pub fn run(trials: usize) -> Report {
             master_seed: HEALTHY_SEED,
             trials,
             spec: arm.cluster(),
-            params: ScheduleParams::default(),
         });
         let heading = arm.heading.replace("{}", &report.trials.to_string());
         out.push_str(&format!("### {heading}\n\n"));
@@ -375,10 +374,6 @@ pub fn run(trials: usize) -> Report {
         master_seed: BROKEN_SEED,
         trials: BROKEN_TRIALS,
         spec: ClusterSpec::broken(5, 2, 2),
-        params: ScheduleParams {
-            reconfigure: false,
-            ..ScheduleParams::default()
-        },
     };
     let report = run_campaign(&broken);
     out.push_str(&format!(
@@ -394,7 +389,7 @@ pub fn run(trials: usize) -> Report {
                 .find(|&i| wv_bench::runner::trial_seed(broken.master_seed, i) == first.seed)
                 .expect("failure seed maps back to a trial index");
             let schedule = trial_schedule(&broken, trial);
-            let shrunk = shrink(&broken.spec, &schedule, DEFAULT_BUDGET)
+            let shrunk = shrink(&broken.spec, &schedule)
                 .expect("a campaign failure must fail when replayed");
             out.push_str(&format!(
                 "First failure (trial seed 0x{:016x}) shrunk from {} events to **{}** in {} replays.\n\n",

@@ -4,11 +4,11 @@
 //! crashes and recoveries, partitions and heals, link-loss bursts, delay
 //! spikes, duplication windows, disk faults (torn writes, bit flips, I/O
 //! errors, sync stalls), and mid-run reconfigurations — drawn by a pure
-//! function of `(cluster shape, generation parameters, seed)`. The
-//! executor in [`crate::exec`] replays a schedule against a live harness;
-//! because both generation and execution are deterministic, any seed
-//! replays its exact failure, and the shrinker can carve events out of a
-//! schedule and re-run the remainder.
+//! function of `(cluster spec, seed)`. The executor in [`crate::exec`]
+//! replays a schedule against a live harness; because both generation and
+//! execution are deterministic, any seed replays its exact failure, and
+//! the shrinker can carve events out of a schedule and re-run the
+//! remainder.
 //!
 //! Schedules serialise to a small JSON artifact (see [`Schedule::to_json`])
 //! so a shrunk reproducer survives outside the process that found it.
@@ -23,6 +23,12 @@ use crate::json::{self, Value};
 /// Mixed into the schedule seed so generator draws are decorrelated from
 /// the harness's own streams (which consume the raw trial seed).
 const GEN_SALT: u64 = 0xC4A0_5C4E_D01E_5EED;
+
+/// Generator draws per schedule (events before any mttf overlay).
+const STEPS: usize = 70;
+
+/// Maximum spacing between consecutive draws, in milliseconds.
+const MAX_GAP_MS: u64 = 400;
 
 /// The shape of the cluster a schedule runs against.
 ///
@@ -39,7 +45,8 @@ pub struct ClusterSpec {
     /// Write quorum size, in votes.
     pub write_quorum: u32,
     /// Build the harness without the quorum intersection check
-    /// (fault-injection only — lets `r + w = N` clusters exist).
+    /// (fault-injection only — lets `r + w = N` clusters exist). The one
+    /// flag the generator reads: such a spec draws no reconfiguration.
     pub unchecked_quorums: bool,
     /// Run the self-healing layer: anti-entropy repair on every server
     /// plus client health tracking. Never consulted by the
@@ -290,62 +297,33 @@ pub struct Schedule {
     pub events: Vec<FaultEvent>,
 }
 
-/// Tunables for the schedule generator.
-#[derive(Clone, Copy, Debug)]
-pub struct ScheduleParams {
-    /// Number of generator draws (events before any mttf overlay).
-    pub steps: usize,
-    /// Maximum spacing between consecutive draws, in milliseconds.
-    pub max_gap_ms: u64,
-    /// Allow mid-run reconfiguration events.
-    pub reconfigure: bool,
-    /// Sometimes overlay an mttf/mttr crash-recovery process (drawn via
-    /// [`FailureSchedule::mttf_mttr`]) on top of the discrete events.
-    pub mttf_overlay: bool,
-    /// Draw disk-fault events: torn writes and bit flips riding crashes,
-    /// plus transient I/O errors and sync stalls. Whether the executor
-    /// *applies* them is the [`ClusterSpec::disk_faults`] arm flag; this
-    /// knob controls generation, so it must agree across compared arms.
-    pub disk_faults: bool,
-}
-
-impl Default for ScheduleParams {
-    fn default() -> Self {
-        ScheduleParams {
-            steps: 70,
-            max_gap_ms: 400,
-            reconfigure: true,
-            mttf_overlay: true,
-            disk_faults: true,
-        }
-    }
-}
-
-/// Draws a schedule: a pure function of `(spec, params, seed)`.
+/// Draws a schedule: a pure function of `(spec, seed)`.
 ///
 /// Operations dominate; crashes, recoveries, partitions, heals, network
-/// dials (loss/delay/duplication bursts with scheduled ends), and — when
-/// enabled — disk faults, reconfigurations, and an mttf/mttr outage
-/// overlay fill the rest. Every generated reconfiguration is *legal*
-/// (`r + w = N + 1`); the broken configurations the shrinker demo hunts
-/// come from the [`ClusterSpec`], not from events.
+/// dials (loss/delay/duplication bursts with scheduled ends), disk faults,
+/// reconfigurations and, in a third of schedules, an mttf/mttr outage
+/// overlay fill the rest. Disk faults are always drawn; the executor
+/// applies them only under [`ClusterSpec::disk_faults`]. A reconfiguration
+/// is always *legal* (`r + w = N + 1`), so a spec with `unchecked_quorums`
+/// draws a read in its place: one would repair the broken geometry the
+/// shrinker demo hunts.
 ///
 /// Disk damage is latent until a crash materialises it, so torn writes
 /// and bit flips ride crash draws: they land at the same instant as (and
 /// sort just before) the crash they damage. At most one bit flip is armed
 /// per schedule — a flip quarantines its replica on recovery, and the
 /// vote-safety argument assumes one simultaneously-degraded disk.
-pub fn generate(spec: &ClusterSpec, params: &ScheduleParams, seed: u64) -> Schedule {
+pub fn generate(spec: &ClusterSpec, seed: u64) -> Schedule {
     let mut rng = DetRng::new(seed ^ GEN_SALT);
-    let mut events: Vec<FaultEvent> = Vec::with_capacity(params.steps + 8);
+    let mut events: Vec<FaultEvent> = Vec::with_capacity(STEPS + 8);
     let mut t_ms = 0u64;
     let mut payload = 0u64;
     let mut down: HashSet<usize> = HashSet::new();
     let mut flip_armed = false;
     let total = spec.total_sites();
 
-    for _ in 0..params.steps {
-        t_ms += 1 + rng.below(params.max_gap_ms.max(1));
+    for _ in 0..STEPS {
+        t_ms += 1 + rng.below(MAX_GAP_MS);
         let draw = rng.below(100);
         let kind = match draw {
             // Operations dominate the schedule.
@@ -363,24 +341,22 @@ pub fn generate(spec: &ClusterSpec, params: &ScheduleParams, seed: u64) -> Sched
                 match rng.choose(&up) {
                     Some(&site) => {
                         down.insert(site);
-                        if params.disk_faults {
-                            // Both chances are drawn unconditionally so
-                            // the draw stream does not depend on whether
-                            // a flip was already armed.
-                            let flip = rng.chance(0.2);
-                            let tear = rng.chance(0.35);
-                            if flip && !flip_armed {
-                                flip_armed = true;
-                                events.push(FaultEvent {
-                                    at_ms: t_ms,
-                                    kind: EventKind::BitFlip { site },
-                                });
-                            } else if tear {
-                                events.push(FaultEvent {
-                                    at_ms: t_ms,
-                                    kind: EventKind::TornWrite { site },
-                                });
-                            }
+                        // Both chances are drawn unconditionally so the
+                        // draw stream does not depend on whether a flip
+                        // was already armed.
+                        let flip = rng.chance(0.2);
+                        let tear = rng.chance(0.35);
+                        if flip && !flip_armed {
+                            flip_armed = true;
+                            events.push(FaultEvent {
+                                at_ms: t_ms,
+                                kind: EventKind::BitFlip { site },
+                            });
+                        } else if tear {
+                            events.push(FaultEvent {
+                                at_ms: t_ms,
+                                kind: EventKind::TornWrite { site },
+                            });
                         }
                         EventKind::Crash { site }
                     }
@@ -440,27 +416,24 @@ pub fn generate(spec: &ClusterSpec, params: &ScheduleParams, seed: u64) -> Sched
                 // Transient disk trouble on a live server: a short run of
                 // failed begins or a sync stall. Neither damages durable
                 // bytes, so neither needs a crash to materialise.
-                if params.disk_faults {
-                    let site = rng.below(spec.servers as u64) as usize;
-                    if rng.chance(0.5) {
-                        EventKind::IoError {
-                            site,
-                            count: 1 + rng.below(3) as u32,
-                        }
-                    } else {
-                        EventKind::DiskStall {
-                            site,
-                            ms: 200 + rng.below(1_800),
-                        }
+                let site = rng.below(spec.servers as u64) as usize;
+                if rng.chance(0.5) {
+                    EventKind::IoError {
+                        site,
+                        count: 1 + rng.below(3) as u32,
                     }
                 } else {
-                    let client = rng.below(spec.clients.max(1) as u64) as usize;
-                    EventKind::Read { client }
+                    EventKind::DiskStall {
+                        site,
+                        ms: 200 + rng.below(1_800),
+                    }
                 }
             }
             _ => {
-                if params.reconfigure {
-                    let client = rng.below(spec.clients.max(1) as u64) as usize;
+                let client = rng.below(spec.clients.max(1) as u64) as usize;
+                if spec.unchecked_quorums {
+                    EventKind::Read { client }
+                } else {
                     let n = spec.servers as u32;
                     // Always legal (r + w = N + 1), and always with a
                     // write *majority*: concurrent writers serialise
@@ -474,9 +447,6 @@ pub fn generate(spec: &ClusterSpec, params: &ScheduleParams, seed: u64) -> Sched
                         read_quorum: n + 1 - write_quorum,
                         write_quorum,
                     }
-                } else {
-                    let client = rng.below(spec.clients.max(1) as u64) as usize;
-                    EventKind::Read { client }
                 }
             }
         };
@@ -485,7 +455,7 @@ pub fn generate(spec: &ClusterSpec, params: &ScheduleParams, seed: u64) -> Sched
 
     // Sometimes overlay a continuous crash/recovery process: this is how
     // `FailureSchedule::mttf_mttr` reaches the harness in anger.
-    if params.mttf_overlay && rng.chance(1.0 / 3.0) {
+    if rng.chance(1.0 / 3.0) {
         let horizon_ms = t_ms + 2_000;
         let mut overlay_rng = rng.fork_named("mttf-overlay");
         let schedule = FailureSchedule::mttf_mttr(
@@ -567,33 +537,11 @@ impl Schedule {
             read_quorum: cluster.get("read_quorum")?.as_int()? as u32,
             write_quorum: cluster.get("write_quorum")?.as_int()? as u32,
             unchecked_quorums: cluster.get("unchecked_quorums")?.as_bool()?,
-            // Absent in pre-repair artifacts: default off for back-compat.
-            repair: cluster
-                .get("repair")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
-            // Same back-compat rule for pre-group-commit artifacts.
-            group_commit: cluster
-                .get("group_commit")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
-            // And for pre-cache-tier artifacts.
-            cache_tier: cluster
-                .get("cache_tier")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
-            // And for pre-disk-fault artifacts.
-            disk_faults: cluster
-                .get("disk_faults")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
-            // Absent in pre-multi-suite artifacts: the single default
-            // suite, so committed reproducers replay unchanged.
-            suites: cluster
-                .get("suites")
-                .and_then(|v| v.as_int())
-                .map(|n| (n as usize).max(1))
-                .unwrap_or(1),
+            repair: cluster.get("repair")?.as_bool()?,
+            group_commit: cluster.get("group_commit")?.as_bool()?,
+            cache_tier: cluster.get("cache_tier")?.as_bool()?,
+            disk_faults: cluster.get("disk_faults")?.as_bool()?,
+            suites: (cluster.get("suites")?.as_int()? as usize).max(1),
         };
         let mut events = Vec::new();
         for ev in root.get("events")?.as_array()? {
@@ -729,17 +677,17 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = generate(&spec(), &ScheduleParams::default(), 42);
-        let b = generate(&spec(), &ScheduleParams::default(), 42);
+        let a = generate(&spec(), 42);
+        let b = generate(&spec(), 42);
         assert_eq!(a, b);
-        let c = generate(&spec(), &ScheduleParams::default(), 43);
+        let c = generate(&spec(), 43);
         assert_ne!(a, c, "different seeds draw different schedules");
     }
 
     #[test]
     fn events_are_time_sorted_and_indices_in_range() {
         for seed in 0..50u64 {
-            let s = generate(&spec(), &ScheduleParams::default(), seed);
+            let s = generate(&spec(), seed);
             for pair in s.events.windows(2) {
                 assert!(pair[0].at_ms <= pair[1].at_ms);
             }
@@ -765,7 +713,7 @@ mod tests {
 
     #[test]
     fn payload_tags_are_unique_within_a_schedule() {
-        let s = generate(&spec(), &ScheduleParams::default(), 7);
+        let s = generate(&spec(), 7);
         let payloads: Vec<u64> = s
             .events
             .iter()
@@ -785,7 +733,7 @@ mod tests {
         // Every non-zero network dial is followed (eventually) by its
         // zero-valued closer, so no schedule leaves loss on forever.
         for seed in 0..80u64 {
-            let s = generate(&spec(), &ScheduleParams::default(), seed);
+            let s = generate(&spec(), seed);
             let mut loss_open = 0i64;
             let mut delay_open = 0i64;
             let mut dup_open = 0i64;
@@ -812,7 +760,7 @@ mod tests {
     #[test]
     fn reconfigurations_are_always_legal() {
         for seed in 0..80u64 {
-            let s = generate(&spec(), &ScheduleParams::default(), seed);
+            let s = generate(&spec(), seed);
             for e in &s.events {
                 if let EventKind::Reconfigure {
                     read_quorum,
@@ -830,7 +778,7 @@ mod tests {
     fn some_seed_exercises_every_fault_kind() {
         let mut seen: HashSet<&'static str> = HashSet::new();
         for seed in 0..200u64 {
-            let s = generate(&spec(), &ScheduleParams::default(), seed);
+            let s = generate(&spec(), seed);
             for e in &s.events {
                 seen.insert(e.kind.name());
             }
@@ -858,7 +806,7 @@ mod tests {
     #[test]
     fn at_most_one_bit_flip_per_schedule() {
         for seed in 0..200u64 {
-            let s = generate(&spec(), &ScheduleParams::default(), seed);
+            let s = generate(&spec(), seed);
             let flips = s
                 .events
                 .iter()
@@ -873,7 +821,7 @@ mod tests {
         // A torn write or bit flip is armed at the same instant as the
         // crash that materialises it, and sorts just before it.
         for seed in 0..200u64 {
-            let s = generate(&spec(), &ScheduleParams::default(), seed);
+            let s = generate(&spec(), seed);
             for (i, e) in s.events.iter().enumerate() {
                 let (EventKind::TornWrite { site } | EventKind::BitFlip { site }) = e.kind else {
                     continue;
@@ -892,149 +840,109 @@ mod tests {
     }
 
     #[test]
-    fn disabling_disk_faults_draws_none() {
-        let params = ScheduleParams {
-            disk_faults: false,
-            ..Default::default()
-        };
-        for seed in 0..50u64 {
-            let s = generate(&spec(), &params, seed);
-            assert!(!s.events.iter().any(|e| matches!(
-                e.kind,
-                EventKind::TornWrite { .. }
-                    | EventKind::BitFlip { .. }
-                    | EventKind::IoError { .. }
-                    | EventKind::DiskStall { .. }
-            )));
+    fn json_round_trip_preserves_everything() {
+        // A healthy spec's schedule carries reconfigurations; a broken
+        // one's carries none.
+        for spec in [ClusterSpec::majority(5, 2), ClusterSpec::broken(5, 2, 2)] {
+            let s = generate(&spec, 99);
+            let text = s.to_json(&spec);
+            let (spec2, s2) = Schedule::from_json(&text).expect("parses");
+            assert_eq!(spec, spec2);
+            assert_eq!(s, s2);
+            // And the bytes themselves are stable.
+            assert_eq!(text, s2.to_json(&spec2));
+            let reconfigures = s.events.iter().any(|e| e.kind.name() == "reconfigure");
+            assert_eq!(reconfigures, !spec.unchecked_quorums);
         }
     }
 
     #[test]
-    fn json_round_trip_preserves_everything() {
-        let spec = ClusterSpec::broken(5, 2, 2);
-        let s = generate(&spec, &ScheduleParams::default(), 99);
-        let text = s.to_json(&spec);
-        let (spec2, s2) = Schedule::from_json(&text).expect("parses");
-        assert_eq!(spec, spec2);
-        assert_eq!(s, s2);
-        // And the bytes themselves are stable.
-        assert_eq!(text, s2.to_json(&spec2));
+    fn only_a_spec_with_intersecting_quorums_draws_reconfigurations() {
+        // A drawn reconfiguration installs r + w = N + 1, which would
+        // repair the geometry a broken spec exists to break.
+        let draws = |spec: ClusterSpec| {
+            (0..50u64)
+                .flat_map(|seed| generate(&spec, seed).events)
+                .filter(|e| matches!(e.kind, EventKind::Reconfigure { .. }))
+                .count()
+        };
+        assert_eq!(draws(ClusterSpec::broken(5, 2, 2)), 0);
+        assert!(draws(ClusterSpec::majority(5, 2)) > 0);
+    }
+
+    #[test]
+    fn an_artifact_missing_any_cluster_key_is_rejected() {
+        // No key has a fallback: an artifact that lacks one is not a
+        // replay of anything this code would run.
+        let spec = ClusterSpec::majority(3, 1);
+        let text = generate(&spec, 8).to_json(&spec);
+        for key in [
+            "servers",
+            "clients",
+            "read_quorum",
+            "write_quorum",
+            "unchecked_quorums",
+            "repair",
+            "group_commit",
+            "cache_tier",
+            "disk_faults",
+            "suites",
+        ] {
+            // The cluster object sorts first, so the first match is its key.
+            let renamed = text.replacen(&format!("\"{key}\":"), &format!("\"no_{key}\":"), 1);
+            assert_ne!(renamed, text);
+            assert!(
+                Schedule::from_json(&renamed).is_none(),
+                "an artifact without {key:?} parsed"
+            );
+        }
     }
 
     #[test]
     fn the_repair_flag_round_trips_through_json() {
         let spec = ClusterSpec::majority(5, 2).with_repair();
-        let s = generate(&spec, &ScheduleParams::default(), 3);
+        let s = generate(&spec, 3);
         let (spec2, s2) = Schedule::from_json(&s.to_json(&spec)).expect("parses");
         assert!(spec2.repair);
         assert_eq!(s, s2);
     }
 
     #[test]
-    fn artifacts_without_a_repair_key_replay_with_repair_off() {
-        // Replay artifacts written before the self-healing layer omit the
-        // key entirely; they must keep parsing, with repair defaulted off.
-        let spec = ClusterSpec::majority(3, 1);
-        let s = generate(&spec, &ScheduleParams::default(), 7);
-        let legacy = s.to_json(&spec).replace(",\"repair\":false", "");
-        assert!(!legacy.contains("repair"), "key really was stripped");
-        let (spec2, s2) = Schedule::from_json(&legacy).expect("parses");
-        assert!(!spec2.repair);
-        assert_eq!(s, s2);
-    }
-
-    #[test]
     fn the_group_commit_flag_round_trips_through_json() {
         let spec = ClusterSpec::majority(5, 2).with_group_commit();
-        let s = generate(&spec, &ScheduleParams::default(), 4);
+        let s = generate(&spec, 4);
         let (spec2, s2) = Schedule::from_json(&s.to_json(&spec)).expect("parses");
         assert!(spec2.group_commit);
         assert_eq!(s, s2);
     }
 
     #[test]
-    fn artifacts_without_a_group_commit_key_replay_unbatched() {
-        // Replay artifacts written before group commit omit the key; they
-        // must keep parsing, with batching defaulted off.
-        let spec = ClusterSpec::majority(3, 1);
-        let s = generate(&spec, &ScheduleParams::default(), 8);
-        let legacy = s.to_json(&spec).replace(",\"group_commit\":false", "");
-        assert!(!legacy.contains("group_commit"), "key really was stripped");
-        let (spec2, s2) = Schedule::from_json(&legacy).expect("parses");
-        assert!(!spec2.group_commit);
-        assert_eq!(s, s2);
-    }
-
-    #[test]
     fn the_cache_tier_flag_round_trips_through_json() {
         let spec = ClusterSpec::majority(5, 2).with_cache_tier();
-        let s = generate(&spec, &ScheduleParams::default(), 4);
+        let s = generate(&spec, 4);
         let (spec2, s2) = Schedule::from_json(&s.to_json(&spec)).expect("parses");
         assert!(spec2.cache_tier);
         assert_eq!(s, s2);
     }
 
     #[test]
-    fn artifacts_without_a_cache_tier_key_replay_uncached() {
-        // Replay artifacts written before the cache tier omit the key;
-        // they must keep parsing, with the tier defaulted off.
-        let spec = ClusterSpec::majority(3, 1);
-        let s = generate(&spec, &ScheduleParams::default(), 8);
-        let legacy = s.to_json(&spec).replace("\"cache_tier\":false,", "");
-        assert!(!legacy.contains("cache_tier"), "key really was stripped");
-        let (spec2, s2) = Schedule::from_json(&legacy).expect("parses");
-        assert!(!spec2.cache_tier);
-        assert_eq!(s, s2);
-    }
-
-    #[test]
     fn the_disk_faults_flag_round_trips_through_json() {
         let spec = ClusterSpec::majority(5, 2).with_disk_faults();
-        let s = generate(&spec, &ScheduleParams::default(), 4);
+        let s = generate(&spec, 4);
         let (spec2, s2) = Schedule::from_json(&s.to_json(&spec)).expect("parses");
         assert!(spec2.disk_faults);
         assert_eq!(s, s2);
     }
 
     #[test]
-    fn artifacts_without_a_disk_faults_key_replay_with_clean_disks() {
-        // Replay artifacts written before the faulty-disk model omit the
-        // key; they must keep parsing, with injection defaulted off.
-        let spec = ClusterSpec::majority(3, 1);
-        let params = ScheduleParams {
-            disk_faults: false,
-            ..Default::default()
-        };
-        let s = generate(&spec, &params, 8);
-        let legacy = s.to_json(&spec).replace(",\"disk_faults\":false", "");
-        assert!(!legacy.contains("disk_faults"), "key really was stripped");
-        let (spec2, s2) = Schedule::from_json(&legacy).expect("parses");
-        assert!(!spec2.disk_faults);
-        assert_eq!(s, s2);
-    }
-
-    #[test]
     fn the_suites_count_round_trips_through_json() {
         let spec = ClusterSpec::majority(5, 2).with_suites(4);
-        let s = generate(&spec, &ScheduleParams::default(), 4);
+        let s = generate(&spec, 4);
         let (spec2, s2) = Schedule::from_json(&s.to_json(&spec)).expect("parses");
         assert_eq!(spec2.suites, 4);
         assert_eq!(s, s2);
         // And the bytes themselves are stable.
         assert_eq!(s.to_json(&spec), s2.to_json(&spec2));
-    }
-
-    #[test]
-    fn artifacts_without_a_suites_key_replay_as_the_single_default_suite() {
-        // Replay artifacts written before the suite dimension omit the
-        // key; they must keep parsing, with exactly one suite.
-        let spec = ClusterSpec::majority(3, 1);
-        let s = generate(&spec, &ScheduleParams::default(), 8);
-        let legacy = s.to_json(&spec).replace(",\"suites\":1", "");
-        assert!(!legacy.contains("suites"), "key really was stripped");
-        let (spec2, s2) = Schedule::from_json(&legacy).expect("parses");
-        assert_eq!(spec2.suites, 1);
-        assert_eq!(s, s2);
     }
 
     #[test]
@@ -1048,26 +956,11 @@ mod tests {
         let faulty = ClusterSpec::majority(5, 2).with_disk_faults();
         let sharded = ClusterSpec::majority(5, 2).with_suites(8);
         for seed in 0..20 {
-            assert_eq!(
-                generate(&plain, &ScheduleParams::default(), seed),
-                generate(&healing, &ScheduleParams::default(), seed),
-            );
-            assert_eq!(
-                generate(&plain, &ScheduleParams::default(), seed),
-                generate(&batched, &ScheduleParams::default(), seed),
-            );
-            assert_eq!(
-                generate(&plain, &ScheduleParams::default(), seed),
-                generate(&cached, &ScheduleParams::default(), seed),
-            );
-            assert_eq!(
-                generate(&plain, &ScheduleParams::default(), seed),
-                generate(&faulty, &ScheduleParams::default(), seed),
-            );
-            assert_eq!(
-                generate(&plain, &ScheduleParams::default(), seed),
-                generate(&sharded, &ScheduleParams::default(), seed),
-            );
+            assert_eq!(generate(&plain, seed), generate(&healing, seed),);
+            assert_eq!(generate(&plain, seed), generate(&batched, seed),);
+            assert_eq!(generate(&plain, seed), generate(&cached, seed),);
+            assert_eq!(generate(&plain, seed), generate(&faulty, seed),);
+            assert_eq!(generate(&plain, seed), generate(&sharded, seed),);
         }
     }
 

@@ -20,9 +20,9 @@ use crate::exec::run_schedule;
 use crate::oracle::check_trial;
 use crate::schedule::{ClusterSpec, FaultEvent, Schedule};
 
-/// Default cap on candidate replays; ddmin on a 70–100 event schedule
-/// typically needs well under half of this.
-pub const DEFAULT_BUDGET: u64 = 600;
+/// Cap on candidate replays; ddmin on a 70–100 event schedule typically
+/// needs well under half of this.
+const BUDGET: u64 = 600;
 
 /// A finished shrink: the minimal schedule and how hard it was to find.
 #[derive(Clone, Debug)]
@@ -41,7 +41,6 @@ struct Shrinker<'a> {
     spec: &'a ClusterSpec,
     seed: u64,
     evaluations: u64,
-    budget: u64,
 }
 
 impl Shrinker<'_> {
@@ -56,7 +55,7 @@ impl Shrinker<'_> {
     }
 
     fn exhausted(&self) -> bool {
-        self.evaluations >= self.budget
+        self.evaluations >= BUDGET
     }
 
     /// Classic ddmin: returns a 1-minimal failing subsequence of
@@ -122,15 +121,14 @@ impl Shrinker<'_> {
 /// Shrinks a failing schedule to a minimal reproducer.
 ///
 /// Returns `None` when the schedule does not fail in the first place.
-/// `budget` caps candidate replays (see [`DEFAULT_BUDGET`]); when it runs
-/// out mid-shrink, the smallest failing schedule found so far is
-/// returned — still a valid reproducer, just maybe not 1-minimal.
-pub fn shrink(spec: &ClusterSpec, schedule: &Schedule, budget: u64) -> Option<ShrinkResult> {
+/// Candidate replays are capped at 600; when the cap is reached
+/// mid-shrink, the smallest failing schedule found so far is returned —
+/// still a valid reproducer, just maybe not 1-minimal.
+pub fn shrink(spec: &ClusterSpec, schedule: &Schedule) -> Option<ShrinkResult> {
     let mut s = Shrinker {
         spec,
         seed: schedule.seed,
         evaluations: 0,
-        budget,
     };
     if !s.fails(&schedule.events) {
         return None;
@@ -155,27 +153,21 @@ pub fn shrink(spec: &ClusterSpec, schedule: &Schedule, budget: u64) -> Option<Sh
 mod tests {
     use super::*;
     use crate::campaign::{run_campaign, trial_schedule, CampaignConfig};
-    use crate::schedule::ScheduleParams;
 
     #[test]
     fn shrinking_a_passing_schedule_returns_none() {
         let spec = ClusterSpec::majority(3, 1);
-        let schedule = crate::schedule::generate(&spec, &ScheduleParams::default(), 1);
-        assert!(shrink(&spec, &schedule, 50).is_none());
+        let schedule = crate::schedule::generate(&spec, 1);
+        assert!(shrink(&spec, &schedule).is_none());
     }
 
     #[test]
     fn a_broken_quorum_failure_shrinks_to_a_small_reproducer() {
         let spec = ClusterSpec::broken(5, 2, 2);
-        let params = ScheduleParams {
-            reconfigure: false,
-            ..ScheduleParams::default()
-        };
         let cfg = CampaignConfig {
             master_seed: 0xBAD,
             trials: 24,
             spec,
-            params,
         };
         let report = run_campaign(&cfg);
         let failure = report.failures.first().expect("broken quorums fail");
@@ -184,7 +176,7 @@ mod tests {
             .expect("failure seed maps back to a trial index");
         let schedule = trial_schedule(&cfg, trial);
 
-        let result = shrink(&spec, &schedule, DEFAULT_BUDGET).expect("still fails");
+        let result = shrink(&spec, &schedule).expect("still fails");
         assert!(
             result.schedule.events.len() <= 10,
             "expected a <=10 event reproducer, got {} (from {})",

@@ -39,7 +39,6 @@ fn a_broken_campaign_is_bit_identical_at_1_2_and_8_workers() {
             master_seed: 0xBAD,
             trials: 64,
             spec: ClusterSpec::broken(5, 2, 2),
-            params: Default::default(),
         };
         let report = run_campaign(&cfg);
         (

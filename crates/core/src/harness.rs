@@ -740,10 +740,9 @@ impl Harness {
     /// events on this cluster.
     ///
     /// Window bounds are absolute virtual times, so this is normally
-    /// called on a freshly built harness (now = 0). Both constructors —
-    /// [`FailureSchedule::bernoulli_snapshot`] and
-    /// [`FailureSchedule::mttf_mttr`] — work; the windows they produce
-    /// become real outages rather than analysis-only input.
+    /// called on a freshly built harness (now = 0). The windows of
+    /// [`FailureSchedule::mttf_mttr`] or of explicit outages become real
+    /// outages rather than analysis-only input.
     pub fn apply_failure_schedule(&mut self, schedule: &FailureSchedule) {
         Cluster::apply_failure_schedule(self.sim.scheduler(), schedule);
     }
@@ -851,11 +850,6 @@ impl Harness {
     /// them are dropped.
     pub fn take_trace(&mut self) -> Vec<wv_sim::SpanRecord> {
         self.take_recorded().0
-    }
-
-    /// Drains the trace and renders it as JSONL.
-    pub fn take_trace_jsonl(&mut self) -> String {
-        wv_sim::trace::to_jsonl(&self.take_trace())
     }
 
     /// Immutable access to the underlying cluster (experiments).

@@ -141,20 +141,7 @@ pub fn cheapest_quorum(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(b))
     });
-    let mut chosen = Vec::new();
-    let mut votes = 0;
-    for s in strong {
-        chosen.push(s);
-        votes += assignment.votes_of(s);
-        if votes >= needed {
-            // Drop any member made redundant by later cheaper picks — with
-            // prefix-greedy this only removes sites whose votes are not
-            // needed for the threshold (possible with unequal votes).
-            prune_redundant(assignment, needed, votes, &mut chosen);
-            return Some(chosen);
-        }
-    }
-    None
+    cheapest_quorum_presorted(assignment, needed, &strong)
 }
 
 /// [`cheapest_quorum`] for candidates already in cost order.
@@ -178,6 +165,9 @@ pub fn cheapest_quorum_presorted(
         chosen.push(s);
         votes += assignment.votes_of(s);
         if votes >= needed {
+            // Drop any member made redundant by later cheaper picks — with
+            // prefix-greedy this only removes sites whose votes are not
+            // needed for the threshold (possible with unequal votes).
             prune_redundant(assignment, needed, votes, &mut chosen);
             return Some(chosen);
         }

@@ -30,26 +30,6 @@ pub enum LatencyModel {
         /// Mean of the exponential queueing tail.
         tail_mean: SimDuration,
     },
-    /// Normal with the given mean and standard deviation, truncated below at
-    /// `floor`; models disk/service times with bounded best case.
-    NormalClipped {
-        /// Mean of the unclipped normal.
-        mean: SimDuration,
-        /// Standard deviation of the unclipped normal.
-        std_dev: SimDuration,
-        /// Hard lower bound on the sampled delay.
-        floor: SimDuration,
-    },
-    /// With probability `p_slow` draw from `slow`, otherwise from `fast`;
-    /// models a fast path with occasional retransmission-like stalls.
-    Bimodal {
-        /// The common-case distribution.
-        fast: Box<LatencyModel>,
-        /// The stall distribution.
-        slow: Box<LatencyModel>,
-        /// Probability of drawing from `slow`.
-        p_slow: f64,
-    },
 }
 
 impl LatencyModel {
@@ -74,26 +54,6 @@ impl LatencyModel {
                 let tail = rng.exponential(tail_mean.as_millis_f64());
                 *base + SimDuration::from_millis_f64(tail)
             }
-            LatencyModel::NormalClipped {
-                mean,
-                std_dev,
-                floor,
-            } => {
-                let v = rng.normal(mean.as_millis_f64(), std_dev.as_millis_f64());
-                let d = SimDuration::from_millis_f64(v);
-                if d < *floor {
-                    *floor
-                } else {
-                    d
-                }
-            }
-            LatencyModel::Bimodal { fast, slow, p_slow } => {
-                if rng.chance(*p_slow) {
-                    slow.sample(rng)
-                } else {
-                    fast.sample(rng)
-                }
-            }
         }
     }
 
@@ -107,13 +67,6 @@ impl LatencyModel {
             LatencyModel::Uniform { lo, hi } => (lo.as_millis_f64() + hi.as_millis_f64()) / 2.0,
             LatencyModel::ShiftedExponential { base, tail_mean } => {
                 base.as_millis_f64() + tail_mean.as_millis_f64()
-            }
-            // Clipping shifts the mean upward slightly; for reporting we use
-            // the unclipped mean, which is exact when `floor` is far below.
-            LatencyModel::NormalClipped { mean, .. } => mean.as_millis_f64(),
-            LatencyModel::Bimodal { fast, slow, p_slow } => {
-                let p = p_slow.clamp(0.0, 1.0);
-                (1.0 - p) * fast.mean_millis() + p * slow.mean_millis()
             }
         }
     }
@@ -177,35 +130,5 @@ mod tests {
         let mean = sum / n as f64;
         assert!((mean - 110.0).abs() < 2.0, "mean {mean}");
         assert_eq!(m.mean_millis(), 110.0);
-    }
-
-    #[test]
-    fn normal_clipped_respects_floor() {
-        let m = LatencyModel::NormalClipped {
-            mean: SimDuration::from_millis(10),
-            std_dev: SimDuration::from_millis(8),
-            floor: SimDuration::from_millis(4),
-        };
-        let mut r = rng();
-        for _ in 0..2000 {
-            assert!(m.sample(&mut r) >= SimDuration::from_millis(4));
-        }
-    }
-
-    #[test]
-    fn bimodal_mixes() {
-        let m = LatencyModel::Bimodal {
-            fast: Box::new(LatencyModel::constant_millis(1)),
-            slow: Box::new(LatencyModel::constant_millis(100)),
-            p_slow: 0.25,
-        };
-        let mut r = rng();
-        let n = 10_000;
-        let slow = (0..n)
-            .filter(|_| m.sample(&mut r) == SimDuration::from_millis(100))
-            .count();
-        let frac = slow as f64 / n as f64;
-        assert!((frac - 0.25).abs() < 0.02, "slow fraction {frac}");
-        assert!((m.mean_millis() - 25.75).abs() < 1e-9);
     }
 }

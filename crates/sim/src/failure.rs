@@ -2,14 +2,11 @@
 //!
 //! The paper's blocking-probability analysis assumes each representative is
 //! independently unavailable with some probability (0.01 in the example
-//! table). This module provides the two ways the repository realises that
-//! assumption in simulation:
-//!
-//! * [`FailureSchedule::bernoulli_snapshot`] — sample an up/down state per
-//!   site once per trial, matching the closed-form model exactly.
-//! * [`FailureSchedule::mttf_mttr`] — alternate exponentially distributed
-//!   up and down intervals, giving a continuous-time process whose
-//!   long-run unavailability is `mttr / (mttf + mttr)`.
+//! table). Experiments that sample one up/down pattern per trial draw it
+//! inline; this module realises the continuous-time version:
+//! [`FailureSchedule::mttf_mttr`] alternates exponentially distributed up
+//! and down intervals, whose long-run unavailability is
+//! `mttr / (mttf + mttr)`.
 //!
 //! A schedule is a set of [`OutageWindow`]s per site, queried with
 //! [`FailureSchedule::is_down`].
@@ -67,24 +64,6 @@ impl FailureSchedule {
         assert!(from < until, "outage window must be non-empty");
         self.outages[site].push(OutageWindow { from, until });
         self.outages[site].sort_by_key(|w| w.from);
-    }
-
-    /// A snapshot schedule: each site is down for the *entire* horizon with
-    /// probability `p_down`, independently. This is the discrete model
-    /// behind the paper's blocking-probability column.
-    pub fn bernoulli_snapshot(
-        sites: usize,
-        p_down: f64,
-        horizon: SimTime,
-        rng: &mut DetRng,
-    ) -> Self {
-        let mut s = FailureSchedule::none(sites);
-        for site in 0..sites {
-            if rng.chance(p_down) {
-                s.add_outage(site, SimTime::ZERO, horizon.max(SimTime::from_micros(1)));
-            }
-        }
-        s
     }
 
     /// A continuous-time schedule: each site alternates exponentially
@@ -159,23 +138,6 @@ mod tests {
     fn inverted_window_rejected() {
         let mut s = FailureSchedule::none(1);
         s.add_outage(0, SimTime::from_millis(20), SimTime::from_millis(10));
-    }
-
-    #[test]
-    fn bernoulli_snapshot_matches_probability() {
-        let rng = DetRng::new(77);
-        let horizon = SimTime::from_secs(10);
-        let trials = 5000;
-        let mut down = 0;
-        for t in 0..trials {
-            let mut r = rng.fork(t);
-            let s = FailureSchedule::bernoulli_snapshot(1, 0.3, horizon, &mut r);
-            if s.is_down(0, SimTime::from_secs(5)) {
-                down += 1;
-            }
-        }
-        let frac = down as f64 / trials as f64;
-        assert!((frac - 0.3).abs() < 0.03, "down fraction {frac}");
     }
 
     #[test]

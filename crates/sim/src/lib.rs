@@ -21,7 +21,6 @@
 //!   and the per-node [`Recorder`] that keeps them and the decisions.
 //! * [`audit`] — quorum-decision audit records: why each plan was chosen.
 //! * [`json`] — the minimal integer-only JSON used by every artifact.
-//! * [`vlog`] — verbosity-gated structured logging for bins.
 //!
 //! # Examples
 //!
@@ -50,7 +49,6 @@ pub mod sched;
 pub mod stats;
 pub mod time;
 pub mod trace;
-pub mod vlog;
 
 pub use audit::{AuditRecord, DecisionKind, SiteInput};
 pub use dist::LatencyModel;

@@ -122,17 +122,6 @@ impl DetRng {
         -mean * (1.0_f64 - u).ln()
     }
 
-    /// Draws from the normal distribution via the Box–Muller transform.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        if std_dev <= 0.0 {
-            return mean;
-        }
-        let u1: f64 = 1.0 - self.f64(); // in (0, 1]
-        let u2: f64 = self.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
-
     /// Chooses a uniformly random element of a slice.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
         if items.is_empty() {
@@ -257,18 +246,6 @@ mod tests {
         let mean = sum / n as f64;
         assert!((mean - 10.0).abs() < 0.5, "mean {mean} too far from 10");
         assert_eq!(r.exponential(0.0), 0.0);
-    }
-
-    #[test]
-    fn normal_moments_are_close() {
-        let mut r = DetRng::new(13);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.normal(5.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.3, "var {var}");
-        assert_eq!(r.normal(3.0, 0.0), 3.0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! oracle catching a planted bug when quorum intersection is broken.
 
 use weighted_voting::chaos::oracle::check_trial;
-use weighted_voting::chaos::schedule::{ClusterSpec, ScheduleParams};
+use weighted_voting::chaos::schedule::ClusterSpec;
 use weighted_voting::chaos::{generate, run_schedule, Violation};
 
 const SERVERS: usize = 5;
@@ -18,7 +18,7 @@ const CLIENTS: usize = 2;
 
 fn run_chaos(seed: u64) {
     let spec = ClusterSpec::majority(SERVERS, CLIENTS);
-    let schedule = generate(&spec, &ScheduleParams::default(), seed);
+    let schedule = generate(&spec, seed);
     let run = run_schedule(&spec, &schedule);
     let violations = check_trial(&run, false);
     assert!(
@@ -56,12 +56,8 @@ fn the_oracle_catches_non_intersecting_quorums() {
     // so some seed quickly produces a stale read or a version fork. The
     // oracle — not a lucky assertion — must be what reports it.
     let spec = ClusterSpec::broken(SERVERS, CLIENTS, 2);
-    let params = ScheduleParams {
-        reconfigure: false,
-        ..ScheduleParams::default()
-    };
     let caught = (0..24u64).any(|i| {
-        let schedule = generate(&spec, &params, 0xBAD5EED ^ i);
+        let schedule = generate(&spec, 0xBAD5EED ^ i);
         let run = run_schedule(&spec, &schedule);
         !check_trial(&run, false).is_empty()
     });

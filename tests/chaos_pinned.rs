@@ -9,13 +9,12 @@
 
 use weighted_voting::chaos::oracle::check_trial;
 use weighted_voting::chaos::report::arms;
-use weighted_voting::chaos::schedule::ScheduleParams;
 use weighted_voting::chaos::{generate, run_schedule};
 
 fn replays_clean(seeds: &[u64]) {
     for &seed in seeds {
         for (arm, spec) in arms() {
-            let schedule = generate(&spec, &ScheduleParams::default(), seed);
+            let schedule = generate(&spec, seed);
             let run = run_schedule(&spec, &schedule);
             let violations = check_trial(&run, false);
             assert!(
