@@ -24,10 +24,15 @@
 //!   was cancelled runs as a no-op.
 //! * **Message order** between a pair of sites is not preserved when the
 //!   link's latency model is non-constant — exactly like a datagram network.
+//!
+//! A delivery and a wake-up are scheduler calls with one word and no
+//! closure: a message in flight waits in the cluster's slab under the slot
+//! its delivery carries, and a wake-up's word names its site. Only the
+//! driver's calls and the fault events are closures.
 
 use std::collections::VecDeque;
 
-use wv_sim::{DetRng, FailureSchedule, Scheduler, Sim, SimTime, Ticket};
+use wv_sim::{DetRng, FailureSchedule, Scheduler, Sim, SimTime, Slab, Ticket};
 
 use crate::config::{NetConfig, Partition};
 use crate::node::{Effect, Node, NodeCtx};
@@ -143,6 +148,9 @@ pub struct Cluster<N: Node> {
     timers: Vec<SiteTimers>,
     node_rngs: Vec<DetRng>,
     net_rng: DetRng,
+    /// Messages in flight, `(from, to, msg)`, each under the slot its
+    /// delivery event carries.
+    in_flight: Slab<(SiteId, SiteId, N::Msg)>,
     /// The effects vector of the last handler call, emptied, for the next.
     spare_effects: Vec<Effect<N::Msg>>,
 }
@@ -167,6 +175,7 @@ where
             node_rngs: (0..sites).map(|i| root.fork(i as u64 + 1)).collect(),
             net_rng: root.fork_named("network"),
             stats: NetStats::default(),
+            in_flight: Slab::default(),
             spare_effects: Vec::new(),
             nodes,
             config,
@@ -275,20 +284,20 @@ where
         }
     }
 
-    /// Runs one handler call `f` of the node at `site` and routes the
-    /// effects it queued. The effects vector is recycled across calls.
+    /// Runs one handler call `f` of the node at `site`, lending it the
+    /// site's random stream in place, and routes the effects it queued.
+    /// The effects vector is recycled across calls.
     fn run_node(
         world: &mut Cluster<N>,
         sched: &mut Scheduler<Cluster<N>>,
         site: SiteId,
         f: impl FnOnce(&mut N, &mut NodeCtx<'_, N::Msg>),
     ) {
-        let mut rng = world.node_rngs[site.index()].clone();
+        let i = site.index();
         let buffer = std::mem::take(&mut world.spare_effects);
-        let mut ctx = NodeCtx::with_buffer(sched.now(), site, &mut rng, buffer);
-        f(&mut world.nodes[site.index()], &mut ctx);
+        let mut ctx = NodeCtx::with_buffer(sched.now(), site, &mut world.node_rngs[i], buffer);
+        f(&mut world.nodes[i], &mut ctx);
         let mut effects = ctx.take_effects();
-        world.node_rngs[site.index()] = rng;
         Self::dispatch(world, sched, site, &mut effects);
         world.spare_effects = effects;
     }
@@ -318,27 +327,37 @@ where
         }
     }
 
-    /// Schedules a wake-up of `site`'s timers at `place`: it fires the
-    /// timer there unless that was cancelled, or dropped by a crash, then
-    /// sees that the site's new earliest timer has a wake-up at or before
-    /// it.
-    fn wake_at(sched: &mut Scheduler<Cluster<N>>, site: SiteId, place: Place) {
-        sched.at_ticket(place.0, place.1, move |world: &mut Cluster<N>, sched| {
-            let timers = &mut world.timers[site.index()];
-            let this = timers.wakes.pop();
-            debug_assert_eq!(this, Some(place), "wake-ups run latest-scheduled first");
-            if let Some(&(_, token)) = timers.due.front().filter(|(p, _)| *p == place) {
-                timers.due.pop_front();
-                debug_assert!(!world.down[site.index()], "a crash drops its timers");
-                world.stats.timers_fired += 1;
-                Self::run_node(world, sched, site, |node, ctx| node.on_timer(token, ctx));
-            }
-            let timers = &mut world.timers[site.index()];
-            let first = timers.due.front().map(|(p, _)| *p);
-            if let Some(next) = first.filter(|p| timers.book_wake(*p)) {
-                Self::wake_at(sched, site, next);
-            }
-        });
+    /// Schedules a wake-up of `site`'s timers at `place`. Its word is the
+    /// site, and the place's ticket above it, for [`Self::wake`] to check.
+    fn wake_at(sched: &mut Scheduler<Cluster<N>>, site: SiteId, (at, ticket): Place) {
+        debug_assert!(ticket.seq() < 1 << 48, "a ticket fits the wake-up's word");
+        let word = (ticket.seq() << 16) | u64::from(site.0);
+        sched.call_at_ticket(at, ticket, Self::wake, word);
+    }
+
+    /// A wake-up: fires the site's timer at this place unless that was
+    /// cancelled, or dropped by a crash, then sees that the site's new
+    /// earliest timer has a wake-up at or before it.
+    fn wake(world: &mut Cluster<N>, sched: &mut Scheduler<Cluster<N>>, word: u64) {
+        let site = SiteId(word as u16);
+        let timers = &mut world.timers[site.index()];
+        let place = timers.wakes.pop().expect("a wake-up was booked");
+        debug_assert_eq!(
+            (place.0, place.1.seq()),
+            (sched.now(), word >> 16),
+            "wake-ups run latest-scheduled first"
+        );
+        if let Some(&(_, token)) = timers.due.front().filter(|(p, _)| *p == place) {
+            timers.due.pop_front();
+            debug_assert!(!world.down[site.index()], "a crash drops its timers");
+            world.stats.timers_fired += 1;
+            Self::run_node(world, sched, site, |node, ctx| node.on_timer(token, ctx));
+        }
+        let timers = &mut world.timers[site.index()];
+        let first = timers.due.front().map(|(p, _)| *p);
+        if let Some(next) = first.filter(|p| timers.book_wake(*p)) {
+            Self::wake_at(sched, site, next);
+        }
     }
 
     fn route(
@@ -360,28 +379,36 @@ where
         if world.net_rng.chance(world.config.duplicate_prob) {
             world.stats.duplicated += 1;
             let latency = world.config.sample_latency(from, to, &mut world.net_rng);
-            Self::schedule_delivery(sched, from, to, latency, msg.clone());
+            Self::schedule_delivery(world, sched, from, to, latency, msg.clone());
         }
         let latency = world.config.sample_latency(from, to, &mut world.net_rng);
-        Self::schedule_delivery(sched, from, to, latency, msg);
+        Self::schedule_delivery(world, sched, from, to, latency, msg);
     }
 
+    /// Parks the message and schedules its delivery after `latency`.
     fn schedule_delivery(
+        world: &mut Cluster<N>,
         sched: &mut Scheduler<Cluster<N>>,
         from: SiteId,
         to: SiteId,
         latency: wv_sim::SimDuration,
-        payload: N::Msg,
+        msg: N::Msg,
     ) {
-        sched.after(latency, move |world: &mut Cluster<N>, sched| {
-            if world.down[to.index()] {
-                world.stats.dropped_down += 1;
-                return;
-            }
-            world.stats.delivered += 1;
-            Self::run_node(world, sched, to, |node, ctx| {
-                node.on_message(from, payload, ctx)
-            });
+        let slot = world.in_flight.insert((from, to, msg));
+        sched.call_after(latency, Self::deliver, slot);
+    }
+
+    /// A delivery: hands the message parked in `slot` to its destination,
+    /// unless that is down.
+    fn deliver(world: &mut Cluster<N>, sched: &mut Scheduler<Cluster<N>>, slot: u64) {
+        let (from, to, msg) = world.in_flight.take(slot);
+        if world.down[to.index()] {
+            world.stats.dropped_down += 1;
+            return;
+        }
+        world.stats.delivered += 1;
+        Self::run_node(world, sched, to, |node, ctx| {
+            node.on_message(from, msg, ctx)
         });
     }
 }
@@ -881,6 +908,10 @@ mod tests {
             control += 2;
         }
         sim.run();
+        // Gone quiet: every message delivered or dropped, every event (so
+        // every closure) run.
+        assert!(sim.world.in_flight.is_empty(), "seed {seed}");
+        assert_eq!(sim.scheduler().pending(), 0, "seed {seed}");
         let s = sim.world.stats;
         let calls = s.delivered + s.dropped_down + s.timers_fired;
         let orphans = sim.scheduler().executed() - calls - control;
@@ -918,6 +949,30 @@ mod tests {
             ties > 1_000 && orphans > 100 && dropped > 10,
             "{ties} {orphans} {dropped}"
         );
+    }
+
+    #[test]
+    fn a_quiet_cluster_holds_no_message_and_no_closure() {
+        let mut sim = two_nodes(10);
+        Cluster::invoke(sim.scheduler(), SimTime::ZERO, SiteId(0), |_n, ctx| {
+            ctx.send(SiteId(1), 1);
+            ctx.send(SiteId(1), 2);
+            ctx.set_timer(SimDuration::from_millis(3), 9);
+        });
+        Cluster::crash_at(sim.scheduler(), SimTime::from_millis(5), SiteId(1));
+        sim.run_until(SimTime::from_millis(4));
+        // Two messages in flight, and their deliveries and the crash's
+        // closure queued.
+        assert_eq!(sim.world.in_flight.len(), 2);
+        assert_eq!(sim.scheduler().pending(), 3);
+        sim.run();
+        assert_eq!(sim.world.stats.dropped_down, 2);
+        assert!(sim.world.in_flight.is_empty());
+        assert_eq!(sim.scheduler().pending(), 0);
+        // Over the toy runs, which assert the same when they go quiet,
+        // crashes catch messages in flight.
+        let dropped: u64 = (0..8).map(|seed| toy_run(seed, true).2.dropped_down).sum();
+        assert!(dropped > 0);
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time.
 //! * [`Sim`] — the engine: a world value `W` plus a [`Scheduler`] of
-//!   closures to run against it at future instants.
+//!   events to run against it at future instants. An event is a function
+//!   and one word of argument; a closure scheduled instead waits in a
+//!   [`Slab`] inside the scheduler.
+//! * [`slab::Slab`] — values parked under small integer keys, so that an
+//!   event's word can name one.
 //! * [`rng::DetRng`] — seeded, forkable random streams.
 //! * [`dist::LatencyModel`] — the delay distributions used to model links
 //!   and storage devices.
@@ -46,6 +50,7 @@ pub mod failure;
 pub mod json;
 pub mod rng;
 pub mod sched;
+pub mod slab;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -54,7 +59,8 @@ pub use audit::{AuditRecord, DecisionKind, SiteInput};
 pub use dist::LatencyModel;
 pub use failure::{FailureSchedule, OutageWindow};
 pub use rng::{derive_seed, DetRng};
-pub use sched::{Scheduler, Sim, Ticket};
+pub use sched::{Call, Scheduler, Sim, Ticket};
+pub use slab::Slab;
 pub use stats::SampleSet;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Recorder, SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};

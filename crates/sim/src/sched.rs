@@ -1,35 +1,62 @@
 //! The discrete-event engine: a virtual clock and an ordered queue of
-//! actions to run against a user-supplied world value.
+//! events to run against a user-supplied world value.
 //!
-//! Events are closures `FnOnce(&mut W, &mut Scheduler<W>)`. Running an event
-//! may mutate the world and schedule further events; the engine guarantees
-//! that events execute in nondecreasing time order, with ties broken by
-//! scheduling order (FIFO), so a run is a deterministic function of the
-//! initial world, the initial events, and any seeds captured by the
-//! closures.
+//! An event is a plain function `fn(&mut W, &mut Scheduler<W>, u64)` and
+//! one word for it, ordered by one `u128` key, `(at_µs << 64) | seq`.
+//! Running an event may mutate the world and schedule further events; the
+//! engine guarantees that events execute in nondecreasing time order, with
+//! ties broken by scheduling order (FIFO), so a run is a deterministic
+//! function of the initial world, the initial events, and any seeds they
+//! carry. The word says what the function works on — a site, a message
+//! parked in the world's own [`Slab`] — so a hot path schedules nothing
+//! that allocates.
+//!
+//! Closures are scheduled too ([`Scheduler::at`] and its kin): each one is
+//! parked in a slab inside the scheduler, and its event is one private
+//! function called with the closure's key. There is one queue and one
+//! entry type.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 
-/// An action to execute at a scheduled instant.
-pub type Action<W> = Box<dyn FnOnce(&mut W, &mut Scheduler<W>)>;
+/// What an event runs: a function of the world, the scheduler and the
+/// word the event was scheduled with.
+pub type Call<W> = fn(&mut W, &mut Scheduler<W>, u64);
+
+/// A closure parked until its event runs.
+type Action<W> = Box<dyn FnOnce(&mut W, &mut Scheduler<W>)>;
 
 /// A place in the event order, taken by [`Scheduler::ticket`]. Tickets
 /// order as the places they took.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Ticket(u64);
 
+impl Ticket {
+    /// The place's number: tickets taken later have larger ones.
+    pub fn seq(self) -> u64 {
+        self.0
+    }
+}
+
 struct Scheduled<W> {
-    at: SimTime,
-    seq: u64,
-    action: Action<W>,
+    /// `(at_µs << 64) | seq`: time order, then scheduling order.
+    key: u128,
+    call: Call<W>,
+    word: u64,
+}
+
+impl<W> Scheduled<W> {
+    fn at(&self) -> SimTime {
+        SimTime::from_micros((self.key >> 64) as u64)
+    }
 }
 
 impl<W> PartialEq for Scheduled<W> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key
     }
 }
 
@@ -43,21 +70,21 @@ impl<W> PartialOrd for Scheduled<W> {
 
 impl<W> Ord for Scheduled<W> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. `seq` breaks ties FIFO for determinism.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        // BinaryHeap is a max-heap; invert so the smallest key pops first.
+        other.key.cmp(&self.key)
     }
 }
 
 /// The event queue and virtual clock.
 ///
-/// Handed to every executing action so it can read the current time and
+/// Handed to every executing event so it can read the current time and
 /// schedule follow-up events.
 pub struct Scheduler<W> {
     now: SimTime,
     seq: u64,
     executed: u64,
     heap: BinaryHeap<Scheduled<W>>,
+    closures: Slab<Action<W>>,
 }
 
 /// Initial heap capacity: a protocol round on a small cluster keeps a few
@@ -72,6 +99,7 @@ impl<W> Scheduler<W> {
             seq: 0,
             executed: 0,
             heap: BinaryHeap::with_capacity(INITIAL_EVENT_CAPACITY),
+            closures: Slab::default(),
         }
     }
 
@@ -90,77 +118,77 @@ impl<W> Scheduler<W> {
         self.heap.len()
     }
 
-    /// Ensures capacity for at least `additional` more pending events.
-    ///
-    /// Batch schedulers (workload generators seeding thousands of arrivals,
-    /// the trial runner priming a sweep) call this once up front so the hot
-    /// loop never pays a heap regrowth.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
     /// Schedules `action` to run at absolute time `at`.
     ///
     /// An instant earlier than `now` is clamped to `now`: the action runs
     /// "immediately", after already-queued events at the current instant.
     pub fn at(&mut self, at: SimTime, action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static) {
         let at = at.max(self.now);
-        self.push(at, Box::new(action));
+        let ticket = self.ticket();
+        self.park(at, ticket, Box::new(action));
     }
 
     /// Schedules `action` to run `delay` after the current instant.
-    ///
-    /// Fast path for the dominant schedule pattern ("this much later"): the
-    /// instant `now + delay` is already `>= now`, so the clamping comparison
-    /// in [`Scheduler::at`] is skipped.
     pub fn after(
         &mut self,
         delay: SimDuration,
         action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
     ) {
-        self.push(self.now + delay, Box::new(action));
+        let ticket = self.ticket();
+        self.park(self.now + delay, ticket, Box::new(action));
     }
 
     /// Schedules `action` to run at the current instant, after events
     /// already queued for this instant.
     pub fn immediately(&mut self, action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static) {
-        self.push(self.now, Box::new(action));
+        let ticket = self.ticket();
+        self.park(self.now, ticket, Box::new(action));
     }
 
-    /// Takes the next place in the event order for an action scheduled
-    /// into it later ([`Scheduler::at_ticket`]): among actions due at one
-    /// instant, after those scheduled before and before those after.
+    /// Takes the next place in the event order for an event scheduled
+    /// into it later ([`Scheduler::call_at_ticket`]): among events due at
+    /// one instant, after those scheduled before and before those after.
     pub fn ticket(&mut self) -> Ticket {
         let seq = self.seq;
         self.seq += 1;
         Ticket(seq)
     }
 
-    /// Schedules `action` to run at `at` in the place `ticket` took. A
-    /// ticket is used once, for an instant no earlier than the current one.
-    pub fn at_ticket(
-        &mut self,
-        at: SimTime,
-        Ticket(seq): Ticket,
-        action: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    ) {
-        debug_assert!(at >= self.now, "scheduling into the past");
-        let action = Box::new(action);
-        self.heap.push(Scheduled { at, seq, action });
+    /// Schedules `call(world, scheduler, word)` to run `delay` after the
+    /// current instant.
+    pub fn call_after(&mut self, delay: SimDuration, call: Call<W>, word: u64) {
+        let ticket = self.ticket();
+        self.push(self.now + delay, ticket, call, word);
     }
 
-    /// Enqueues an already-boxed action at a time known to be `>= now`.
+    /// Schedules `call(world, scheduler, word)` to run at `at` in the place
+    /// `ticket` took. A ticket is used once, for an instant no earlier than
+    /// the current one.
+    pub fn call_at_ticket(&mut self, at: SimTime, ticket: Ticket, call: Call<W>, word: u64) {
+        self.push(at, ticket, call, word);
+    }
+
+    /// Parks an already-boxed action and schedules the call that runs it.
     ///
     /// Taking `Action<W>` (not `impl FnOnce`) keeps one monomorphic copy of
-    /// the push path per world type instead of one per closure type.
-    fn push(&mut self, at: SimTime, action: Action<W>) {
-        debug_assert!(at >= self.now, "scheduling into the past");
-        let Ticket(seq) = self.ticket();
-        self.heap.push(Scheduled { at, seq, action });
+    /// this path per world type instead of one per closure type.
+    fn park(&mut self, at: SimTime, ticket: Ticket, action: Action<W>) {
+        let slot = self.closures.insert(action);
+        self.push(at, ticket, Self::run_parked, slot);
     }
 
-    fn pop(&mut self) -> Option<Scheduled<W>> {
-        self.heap.pop()
+    /// The event of every scheduled closure: takes it out of the slab and
+    /// runs it.
+    fn run_parked(world: &mut W, sched: &mut Scheduler<W>, slot: u64) {
+        let action = sched.closures.take(slot);
+        action(world, sched);
+    }
+
+    /// Enqueues an event at a time known to be `>= now`.
+    fn push(&mut self, at: SimTime, Ticket(seq): Ticket, call: Call<W>, word: u64) {
+        debug_assert!(at >= self.now, "scheduling into the past");
+        let key = (u128::from(at.as_micros()) << 64) | u128::from(seq);
+        self.heap.push(Scheduled { key, call, word });
     }
 }
 
@@ -209,13 +237,13 @@ impl<W> Sim<W> {
     /// Executes the single earliest pending event. Returns `false` if the
     /// queue was empty.
     pub fn step(&mut self) -> bool {
-        match self.sched.pop() {
+        match self.sched.heap.pop() {
             None => false,
             Some(ev) => {
-                debug_assert!(ev.at >= self.sched.now, "time went backwards");
-                self.sched.now = ev.at;
+                debug_assert!(ev.at() >= self.sched.now, "time went backwards");
+                self.sched.now = ev.at();
                 self.sched.executed += 1;
-                (ev.action)(&mut self.world, &mut self.sched);
+                (ev.call)(&mut self.world, &mut self.sched, ev.word);
                 true
             }
         }
@@ -236,7 +264,7 @@ impl<W> Sim<W> {
         let before = self.sched.executed;
         loop {
             match self.sched.heap.peek() {
-                Some(ev) if ev.at <= deadline => {
+                Some(ev) if ev.at() <= deadline => {
                     self.step();
                 }
                 _ => break,
@@ -355,46 +383,36 @@ mod tests {
         assert_eq!(sim.scheduler().pending(), 1);
     }
 
-    #[test]
-    fn reserve_batches_without_changing_order() {
-        let mut sim = Sim::new(Vec::<u64>::new());
-        sim.scheduler().reserve(1000);
-        for t in (0..1000u64).rev() {
-            sim.scheduler()
-                .at(SimTime::from_micros(t), move |w: &mut Vec<u64>, _| {
-                    w.push(t)
-                });
-        }
-        assert_eq!(sim.run(), 1000);
-        assert!(sim.world.windows(2).all(|p| p[0] < p[1]));
+    /// A call event that logs its word.
+    fn push_word(w: &mut Vec<u64>, _: &mut Scheduler<Vec<u64>>, word: u64) {
+        w.push(word);
     }
 
     #[test]
     fn a_ticket_runs_in_the_place_it_took() {
-        let mut sim = Sim::new(Vec::<&'static str>::new());
+        let mut sim = Sim::new(Vec::<u64>::new());
         let at = SimTime::from_millis(5);
         let s = sim.scheduler();
-        s.at(at, |w: &mut Vec<_>, _| w.push("before"));
+        s.at(at, |w: &mut Vec<_>, _| w.push(1));
         let ticket = s.ticket();
-        s.at(at, |w: &mut Vec<_>, _| w.push("after"));
+        s.at(at, |w: &mut Vec<_>, _| w.push(3));
         s.at(SimTime::from_millis(1), move |_, s| {
             // Scheduled last, and in the middle all the same.
-            s.at_ticket(at, ticket, |w: &mut Vec<_>, _| w.push("ticket"));
+            s.call_at_ticket(at, ticket, push_word, 2);
         });
         sim.run();
-        assert_eq!(sim.world, vec!["before", "ticket", "after"]);
+        assert_eq!(sim.world, vec![1, 2, 3]);
     }
 
     #[test]
     fn a_ticket_unused_leaves_every_other_place_alone() {
         let order = |skip: bool| {
-            let mut sim = Sim::new(Vec::<u32>::new());
-            for i in 0..6u32 {
-                let at = SimTime::from_millis(u64::from(i % 2));
+            let mut sim = Sim::new(Vec::<u64>::new());
+            for i in 0..6u64 {
+                let at = SimTime::from_millis(i % 2);
                 let ticket = sim.scheduler().ticket();
                 if !(skip && i == 2) {
-                    sim.scheduler()
-                        .at_ticket(at, ticket, move |w: &mut Vec<u32>, _| w.push(i));
+                    sim.scheduler().call_at_ticket(at, ticket, push_word, i);
                 }
             }
             sim.run();
@@ -402,6 +420,155 @@ mod tests {
         };
         assert_eq!(order(false), vec![0, 2, 4, 1, 3, 5]);
         assert_eq!(order(true), vec![0, 4, 1, 3, 5]);
+    }
+
+    /// A world that schedules events of every kind at random from inside
+    /// the events it runs, and keeps a reference of what must run next:
+    /// the `(at, seq, id)` of every event scheduled and yet to run, with
+    /// `seq` counted here, one per scheduling call or ticket taken.
+    struct Mixer {
+        rng: crate::DetRng,
+        seq: u64,
+        ids: u64,
+        reference: std::collections::BTreeSet<(SimTime, u64, u64)>,
+        /// Tickets taken and not yet used, with their `seq`.
+        tickets: Vec<(Ticket, u64)>,
+        budget: u32,
+        executed: u64,
+        /// When the last event ran, and how many ran at the instant of
+        /// the one before.
+        last: SimTime,
+        ties: u64,
+    }
+
+    fn call(w: &mut Mixer, s: &mut Scheduler<Mixer>, id: u64) {
+        w.ran(id, s);
+    }
+
+    impl Mixer {
+        fn new(seed: u64) -> Self {
+            Mixer {
+                rng: crate::DetRng::new(seed),
+                seq: 0,
+                ids: 0,
+                reference: Default::default(),
+                tickets: Vec::new(),
+                budget: 400,
+                executed: 0,
+                last: SimTime::ZERO,
+                ties: 0,
+            }
+        }
+
+        /// Records an event for the reference and returns its id.
+        fn expect(&mut self, at: SimTime, seq: u64) -> u64 {
+            let id = self.ids;
+            self.ids += 1;
+            self.reference.insert((at, seq, id));
+            id
+        }
+
+        fn next_seq(&mut self) -> u64 {
+            self.seq += 1;
+            self.seq - 1
+        }
+
+        /// Event `id` runs: it must be the reference's first, and the
+        /// scheduler's counts must agree with the reference's.
+        fn ran(&mut self, id: u64, s: &mut Scheduler<Mixer>) {
+            let first = self.reference.pop_first().expect("an event was expected");
+            assert_eq!((first.0, first.2), (s.now(), id), "out of order");
+            if self.executed > 0 && self.last == s.now() {
+                self.ties += 1;
+            }
+            self.last = s.now();
+            self.executed += 1;
+            assert_eq!(s.executed(), self.executed);
+            assert_eq!(s.pending(), self.reference.len());
+            self.act(s);
+        }
+
+        /// Schedules one to three events, of kinds drawn at random, until
+        /// the budget is spent; delays of a few microseconds make ties
+        /// common.
+        fn act(&mut self, s: &mut Scheduler<Mixer>) {
+            for _ in 0..1 + self.rng.below(3) {
+                if self.budget == 0 {
+                    return;
+                }
+                self.budget -= 1;
+                let now = s.now();
+                let delay = SimDuration::from_micros(self.rng.below(4));
+                match self.rng.below(6) {
+                    0 => {
+                        // Up to 3 µs in the past: clamped to now.
+                        let at = now.as_micros() + self.rng.below(7);
+                        let at = SimTime::from_micros(at.saturating_sub(3));
+                        let seq = self.next_seq();
+                        let id = self.expect(at.max(now), seq);
+                        s.at(at, move |w: &mut Mixer, s| w.ran(id, s));
+                    }
+                    1 => {
+                        let seq = self.next_seq();
+                        let id = self.expect(now + delay, seq);
+                        s.after(delay, move |w: &mut Mixer, s| w.ran(id, s));
+                    }
+                    2 => {
+                        let seq = self.next_seq();
+                        let id = self.expect(now, seq);
+                        s.immediately(move |w: &mut Mixer, s| w.ran(id, s));
+                    }
+                    3 => {
+                        let seq = self.next_seq();
+                        let id = self.expect(now + delay, seq);
+                        s.call_after(delay, call, id);
+                    }
+                    // A ticket taken now, perhaps never used.
+                    4 => {
+                        let seq = self.next_seq();
+                        self.tickets.push((s.ticket(), seq));
+                    }
+                    _ => {
+                        if self.tickets.is_empty() {
+                            continue;
+                        }
+                        let pick = self.rng.below(self.tickets.len() as u64) as usize;
+                        let (ticket, seq) = self.tickets.swap_remove(pick);
+                        let id = self.expect(now + delay, seq);
+                        s.call_at_ticket(now + delay, ticket, call, id);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_kind_of_event_runs_in_the_order_of_a_reference_sort() {
+        let (mut unused, mut ties) = (0, 0);
+        for seed in 0..64 {
+            let mut sim = Sim::new(Mixer::new(seed));
+            let first = sim.world.expect(SimTime::ZERO, 0);
+            sim.world.seq = 1;
+            sim.scheduler().immediately(move |w, s| w.ran(first, s));
+            // Halfway, the clock is at the deadline and what is left
+            // pending is what the reference has left.
+            let half = SimTime::from_micros(20);
+            sim.run_until(half);
+            assert_eq!(sim.now(), half);
+            assert!(sim.world.reference.iter().all(|e| e.0 > half));
+            let left = sim.world.reference.len();
+            assert_eq!(sim.scheduler().pending(), left, "seed {seed}");
+            sim.run();
+            assert_eq!(sim.scheduler().pending(), 0, "seed {seed}");
+            let w = &sim.world;
+            assert!(w.reference.is_empty(), "seed {seed}");
+            assert_eq!(w.executed, w.ids, "seed {seed}: every event ran once");
+            unused += w.tickets.len();
+            ties += w.ties;
+        }
+        // What the runs had to cover: tickets never used, and events
+        // tied on an instant.
+        assert!(unused > 20 && ties > 5_000, "{unused} {ties}");
     }
 
     #[test]
