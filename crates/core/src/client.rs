@@ -54,8 +54,6 @@
 //! original age in the commit-lock lines (so retries gain seniority
 //! instead of starving).
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use bytes::Bytes;
 use wv_net::{Node, NodeCtx, SiteId};
 use wv_sim::audit::{AuditRecord, DecisionKind};
@@ -72,6 +70,7 @@ use crate::msg::{Msg, PrepareWrite, RefuseReason, ReqId};
 use crate::planner::{Planner, Ranked, LATE_MULTIPLIER};
 use crate::quorum::QuorumSpec;
 use crate::reconfig::{NoPlan, Reconfig};
+use crate::site_map::SiteMap;
 use crate::suite::{data_object, SuiteConfig};
 use crate::votes::VoteAssignment;
 use crate::window::{Submission, Window};
@@ -389,10 +388,10 @@ enum Phase {
     Prepare {
         participants: Vec<SiteId>,
         /// What each yes vote staged.
-        yes: BTreeMap<SiteId, Vec<(ObjectId, Version)>>,
+        yes: SiteMap<Vec<(ObjectId, Version)>>,
         /// Sites where the prepare stands in a commit-lock line, and
         /// whether each has said so since it was last (re-)asked.
-        in_line: BTreeMap<SiteId, bool>,
+        in_line: SiteMap<bool>,
         /// A participant holding this prepare staged has an older one
         /// waiting behind it.
         give_way: bool,
@@ -862,12 +861,9 @@ impl ClientNode {
         ctx: &mut NodeCtx<'_, Msg>,
     ) -> ReqId {
         assert!(!writes.is_empty(), "a transaction needs at least one write");
-        let mut seen = BTreeSet::new();
-        for (suite, _) in &writes {
-            assert!(
-                seen.insert(*suite),
-                "duplicate suite {suite} in transaction"
-            );
+        for (i, (suite, _)) in writes.iter().enumerate() {
+            let repeated = writes[..i].iter().any(|(s, _)| s == suite);
+            assert!(!repeated, "duplicate suite {suite} in transaction");
         }
         self.start_op(OpKind::Transaction, writes[0].0, writes, None, ctx)
     }
@@ -1205,8 +1201,8 @@ impl ClientNode {
         let seq = st.seq;
         st.phase = Phase::Prepare {
             participants: plan.batches.iter().map(|(site, _)| *site).collect(),
-            yes: BTreeMap::new(),
-            in_line: BTreeMap::new(),
+            yes: SiteMap::default(),
+            in_line: SiteMap::default(),
             give_way: false,
             asks: 0,
             unprobed: plan.unprobed,
@@ -2436,6 +2432,7 @@ mod tests {
     use super::*;
     use crate::server::CHECKPOINT_RECORDS;
     use crate::suite::SuiteConfig;
+    use std::collections::BTreeSet;
     use wv_sim::DetRng;
 
     const SUITE: ObjectId = ObjectId(1);

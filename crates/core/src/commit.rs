@@ -12,15 +12,14 @@
 //! sends a message or arms a timer. Its two options are read once, in
 //! [`CommitTails::new`].
 
-use std::collections::BTreeSet;
-
 use bytes::Bytes;
 use wv_net::SiteId;
-use wv_storage::{Container, IdHashMap, ObjectId, Version};
+use wv_storage::{Container, IdHashMap, IdHashSet, ObjectId, Version};
 
 use crate::client::{ClientOptions, Outcome};
 use crate::msg::{Msg, ReqId};
 use crate::server::CHECKPOINT_RECORDS;
+use crate::site_map::SiteMap;
 
 /// The commit round of a decided operation: acks, resends, retirement, the
 /// push to weak representatives and the report still owed work on it, for
@@ -29,7 +28,7 @@ use crate::server::CHECKPOINT_RECORDS;
 pub(crate) struct CommitTail {
     pub(crate) suite: ObjectId,
     participants: Vec<SiteId>,
-    acked: BTreeSet<SiteId>,
+    acked: SiteMap<()>,
     resends: u32,
     /// The decided version of every object, as logged.
     versions: Vec<(ObjectId, Version)>,
@@ -67,7 +66,7 @@ pub(crate) struct CommitTails {
     /// entry — nobody can be in doubt any more, so presumed abort is the
     /// truthful answer from then on. After a recovery it holds whatever
     /// the compacted log retained.
-    unretired: BTreeSet<ReqId>,
+    unretired: IdHashSet<ReqId>,
     /// Commit resend rounds before a tail stops resending.
     resend_limit: u32,
     /// Whether a plain write's value is pushed to the weak representatives.
@@ -79,7 +78,7 @@ impl CommitTails {
         CommitTails {
             tails: IdHashMap::default(),
             decisions: Container::new(),
-            unretired: BTreeSet::new(),
+            unretired: IdHashSet::default(),
             resend_limit: options.commit_resend_limit,
             push_weak: options.push_weak_on_write,
         }
@@ -110,7 +109,7 @@ impl CommitTails {
         let tail = CommitTail {
             suite,
             participants,
-            acked: BTreeSet::new(),
+            acked: SiteMap::default(),
             resends: 0,
             versions,
             then,
@@ -126,7 +125,7 @@ impl CommitTails {
     /// counts once.
     pub(crate) fn ack(&mut self, req: ReqId, from: SiteId) -> Option<bool> {
         let tail = (self.tails.get_mut(&req)).filter(|t| t.participants.contains(&from))?;
-        tail.acked.insert(from);
+        tail.acked.insert(from, ());
         Some(tail.acked.len() == tail.participants.len())
     }
 
@@ -137,7 +136,7 @@ impl CommitTails {
     /// own decision probes, as they would after a client crash.
     pub(crate) fn timed_out(&mut self, req: ReqId) -> Option<(Vec<SiteId>, Option<Msg>)> {
         let tail = self.tails.get_mut(&req)?;
-        let unacked = |s: &&SiteId| !tail.acked.contains(s);
+        let unacked = |s: &&SiteId| !tail.acked.contains_key(s);
         let missing = tail.participants.iter().filter(unacked).copied().collect();
         let again = tail.resends < self.resend_limit;
         if again {
@@ -203,7 +202,7 @@ impl CommitTails {
         self.decisions.commit(tx).expect("commit decision");
         self.unretired.insert(req);
         if self.decisions.wal().len() >= CHECKPOINT_RECORDS {
-            let newest = self.decisions.objects().last();
+            let newest = self.decisions.objects().max();
             let unretired = &self.unretired;
             self.decisions
                 .checkpoint_retaining(|o| Some(o) == newest || unretired.contains(&ReqId(o.0)))

@@ -36,7 +36,9 @@
 //! * [`error`] — operation outcomes.
 //!
 //! A private module, `stats`, adds the nodes' counters up: the client's
-//! and the server's stats structs are `AddAssign` and `Sum`.
+//! and the server's stats structs are `AddAssign` and `Sum`. Another,
+//! `site_map`, holds what a coordinator heard from each participant of
+//! an attempt, in a vec kept in site order.
 //!
 //! # Examples
 //!
@@ -76,6 +78,7 @@ pub mod quorum;
 mod reconfig;
 mod repair;
 pub mod server;
+mod site_map;
 mod stats;
 pub mod suite;
 mod sync;

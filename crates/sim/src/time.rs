@@ -87,16 +87,18 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
-    /// Builds a span from fractional milliseconds, rounding to microseconds.
+    /// Builds a span from fractional milliseconds, rounding to microseconds
+    /// (a half rounds up, as [`f64::round`] does).
     ///
     /// Negative or non-finite inputs clamp to zero; this keeps sampled
     /// latency distributions (which can in principle produce tiny negative
     /// values after shifting) well-formed without panicking mid-simulation.
+    ///
     pub fn from_millis_f64(ms: f64) -> Self {
         if !ms.is_finite() || ms <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((ms * 1_000.0).round() as u64)
+        SimDuration(round_micros(ms * 1_000.0))
     }
 
     /// Microseconds in this span.
@@ -128,6 +130,20 @@ impl SimDuration {
     pub const fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
+}
+
+/// `us.round() as u64` for a positive `us`, without the library call
+/// behind [`f64::round`] in the common case: every sampled latency passes
+/// through here. Below 2^52 the truncated whole and the remainder
+/// `us - whole` are both exact, and comparing the remainder with 0.5 is
+/// exactly `round`'s answer. At and above 2^52 every `f64` is whole.
+fn round_micros(us: f64) -> u64 {
+    const EXACT_BELOW: f64 = (1u64 << 52) as f64;
+    if us >= EXACT_BELOW {
+        return us.round() as u64;
+    }
+    let whole = us as u64;
+    whole + u64::from(us - whole as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -258,6 +274,80 @@ mod tests {
         assert_eq!(SimDuration::from_millis_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_millis_f64(f64::NAN), SimDuration::ZERO);
         assert!((SimDuration::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-12);
+    }
+
+    /// `from_millis_f64` as it was, with the library `round`.
+    fn rounded_by_libm(ms: f64) -> u64 {
+        if !ms.is_finite() || ms <= 0.0 {
+            return 0;
+        }
+        (ms * 1_000.0).round() as u64
+    }
+
+    fn agrees(ms: f64) {
+        let got = SimDuration::from_millis_f64(ms).as_micros();
+        let want = rounded_by_libm(ms);
+        assert_eq!(got, want, "{ms:e} ms ({:#018x})", ms.to_bits());
+    }
+
+    /// The truncate-and-compare rounding equals `f64::round` bit for bit:
+    /// on random bit patterns, on the latencies the simulator samples, on
+    /// every half microsecond and the floats either side of it, and on
+    /// the edges. A half added before truncating instead gives 1 µs for
+    /// 0.49999999999999994 µs, whose sum with 0.5 rounds up to 1.0.
+    #[test]
+    fn rounding_is_bit_exact() {
+        for us in [0.49999999999999994, 0.5, 1.5, 2.5, 4_503_599_627_370_497.0] {
+            assert_eq!(round_micros(us), us.round() as u64, "{us:e} us");
+        }
+        let mut draw = 0x7157_u64;
+        let mut next = || {
+            draw = draw.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = draw;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..200_000 {
+            agrees(f64::from_bits(next()));
+            // [0, 1000) ms, 53 random bits.
+            agrees((next() >> 11) as f64 / (1u64 << 53) as f64 * 1_000.0);
+        }
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        for half_us in (1..2_000_000u64).step_by(2).chain([(1 << 53) - 1]) {
+            let ms = half_us as f64 / 2_000.0;
+            for ms in [below(ms), ms, above(ms)] {
+                agrees(ms);
+            }
+        }
+        let two_52_us = (1u64 << 52) as f64 / 1_000.0;
+        let edges = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            below(f64::MIN_POSITIVE),
+            0.5 / 1_000.0,
+            below(two_52_us),
+            two_52_us,
+            above(two_52_us),
+            two_52_us * 3.0,
+            u64::MAX as f64 / 1_000.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            -1.0,
+            -0.4,
+            -f64::MAX,
+        ];
+        for ms in edges {
+            agrees(ms);
+        }
+        assert_eq!(SimDuration::from_millis_f64(0.5e-3).as_micros(), 1);
+        assert_eq!(SimDuration::from_millis_f64(below(0.5e-3)).as_micros(), 0);
     }
 
     #[test]

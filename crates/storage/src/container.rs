@@ -13,14 +13,20 @@
 //! All mutations go through the write-ahead log; committed state is always
 //! reconstructible by replay, and [`Container::crash`] +
 //! [`Container::recover`] exercise exactly that path.
+//!
+//! Committed objects and live transactions are found by hash: a version
+//! inquiry is one lookup. What a caller or the log can see in order —
+//! [`Container::objects`], [`Container::in_doubt_notes`], the checkpoint
+//! record and the transactions journalled behind it — is sorted by id as
+//! it is built.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use bytes::Bytes;
 
 use crate::error::StorageError;
 use crate::faults::DiskFaults;
+use crate::hash::IdHashMap;
 use crate::object::{ObjectId, Version, VersionedValue};
 use crate::wal::{Record, Wal};
 
@@ -46,10 +52,30 @@ pub enum TxPhase {
 #[derive(Clone, Debug)]
 struct TxState {
     phase: TxPhase,
-    // Later writes to the same object win, so keep them keyed.
-    writes: BTreeMap<ObjectId, VersionedValue>,
+    // In object order, one entry per object (see `stage`). A transaction
+    // stages one or two objects.
+    writes: Vec<(ObjectId, VersionedValue)>,
     // Caller tag recorded at prepare time (0 until prepared).
     note: u64,
+}
+
+impl TxState {
+    fn new() -> Self {
+        TxState {
+            phase: TxPhase::Active,
+            writes: Vec::new(),
+            note: 0,
+        }
+    }
+
+    /// Stages `vv` for `object`; a later write to an object replaces the
+    /// earlier one.
+    fn stage(&mut self, object: ObjectId, vv: VersionedValue) {
+        match self.writes.binary_search_by_key(&object, |(o, _)| *o) {
+            Ok(i) => self.writes[i].1 = vv,
+            Err(i) => self.writes.insert(i, (object, vv)),
+        }
+    }
 }
 
 /// What a scanning recovery found and decided.
@@ -90,8 +116,8 @@ pub struct RecoveryOutcome {
 #[derive(Clone, Debug, Default)]
 pub struct Container {
     wal: Wal,
-    committed: BTreeMap<ObjectId, VersionedValue>,
-    live: BTreeMap<TxId, TxState>,
+    committed: IdHashMap<ObjectId, VersionedValue>,
+    live: IdHashMap<TxId, TxState>,
     next_tx: u64,
     crashed: bool,
     faults: DiskFaults,
@@ -121,8 +147,8 @@ impl Container {
     pub fn recover_from_scan(mut wal: Wal) -> (Self, RecoveryOutcome) {
         wal.crash(); // drop any volatile tail (keeps injected damage)
         let (report, records) = wal.rescan();
-        let mut committed = BTreeMap::new();
-        let mut live: BTreeMap<TxId, TxState> = BTreeMap::new();
+        let mut committed = IdHashMap::default();
+        let mut live: IdHashMap<TxId, TxState> = IdHashMap::default();
         let mut next_tx = 0u64;
         for r in records {
             if let Some(tx) = r.tx() {
@@ -142,14 +168,7 @@ impl Container {
                     next_tx = next_tx.max(hint);
                 }
                 Record::Begin { tx } => {
-                    live.insert(
-                        tx,
-                        TxState {
-                            phase: TxPhase::Active,
-                            writes: BTreeMap::new(),
-                            note: 0,
-                        },
-                    );
+                    live.insert(tx, TxState::new());
                 }
                 Record::Put {
                     tx,
@@ -158,8 +177,7 @@ impl Container {
                     value,
                 } => {
                     if let Some(st) = live.get_mut(&tx) {
-                        st.writes
-                            .insert(object, VersionedValue::new(version, value));
+                        st.stage(object, VersionedValue::new(version, value));
                     }
                 }
                 Record::Prepare { tx, note } => {
@@ -225,14 +243,7 @@ impl Container {
         let tx = TxId(self.next_tx);
         self.next_tx += 1;
         self.wal.append(&Record::Begin { tx });
-        self.live.insert(
-            tx,
-            TxState {
-                phase: TxPhase::Active,
-                writes: BTreeMap::new(),
-                note: 0,
-            },
-        );
+        self.live.insert(tx, TxState::new());
         Ok(tx)
     }
 
@@ -256,8 +267,7 @@ impl Container {
             });
         }
         let value = value.into();
-        st.writes
-            .insert(object, VersionedValue::new(version, value.clone()));
+        st.stage(object, VersionedValue::new(version, value.clone()));
         self.wal.append(&Record::Put {
             tx,
             object,
@@ -352,7 +362,7 @@ impl Container {
     ) -> Result<(), StorageError> {
         self.check_up()?;
         let st = self.live.get_mut(&tx).ok_or(StorageError::UnknownTx(tx))?;
-        let Some(vv) = st.writes.get_mut(&object) else {
+        let Some((_, vv)) = st.writes.iter_mut().find(|(o, _)| *o == object) else {
             return Err(StorageError::WrongPhase { tx, op: "restamp" });
         };
         vv.version = version;
@@ -402,21 +412,23 @@ impl Container {
 
     /// Transactions that are prepared but unresolved — after recovery,
     /// these are the in-doubt transactions the coordinator must decide.
+    /// In id order.
     pub fn in_doubt(&self) -> Vec<TxId> {
-        self.live
-            .iter()
-            .filter(|(_, st)| st.phase == TxPhase::Prepared)
-            .map(|(tx, _)| *tx)
+        self.in_doubt_notes()
+            .into_iter()
+            .map(|(tx, _)| tx)
             .collect()
     }
 
-    /// In-doubt transactions with the notes recorded at prepare time.
+    /// In-doubt transactions with the notes recorded at prepare time, in
+    /// id order.
     pub fn in_doubt_notes(&self) -> Vec<(TxId, u64)> {
-        self.live
-            .iter()
+        let mut notes: Vec<(TxId, u64)> = (self.live.iter())
             .filter(|(_, st)| st.phase == TxPhase::Prepared)
             .map(|(tx, st)| (*tx, st.note))
-            .collect()
+            .collect();
+        notes.sort_unstable();
+        notes
     }
 
     /// The objects a live transaction staged, each with the version it
@@ -428,9 +440,11 @@ impl Container {
             .unwrap_or_default()
     }
 
-    /// Ids of all committed objects.
-    pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.committed.keys().copied()
+    /// Ids of all committed objects, in id order.
+    pub fn objects(&self) -> impl Iterator<Item = ObjectId> {
+        let mut ids: Vec<ObjectId> = self.committed.keys().copied().collect();
+        ids.sort_unstable();
+        ids.into_iter()
     }
 
     /// Number of committed objects.
@@ -505,16 +519,16 @@ impl Container {
         self.check_up()?;
         self.committed.retain(|object, _| keep(*object));
         self.wal.restart();
-        self.wal.append(&Record::Checkpoint {
-            state: self
-                .committed
-                .iter()
-                .map(|(o, vv)| (*o, vv.version, vv.value.clone()))
-                .collect(),
-            next_tx: self.next_tx,
-        });
+        let mut state: Vec<_> = (self.committed.iter())
+            .map(|(o, vv)| (*o, vv.version, vv.value.clone()))
+            .collect();
+        state.sort_unstable_by_key(|(o, ..)| *o);
+        let next_tx = self.next_tx;
+        self.wal.append(&Record::Checkpoint { state, next_tx });
+        let mut live: Vec<(TxId, &TxState)> = self.live.iter().map(|(tx, st)| (*tx, st)).collect();
+        live.sort_unstable_by_key(|(tx, _)| *tx);
+        let live = |phase| live.iter().filter(move |(_, st)| st.phase == phase);
         // Prepared first, promise and all: they belong in the durable prefix.
-        let live = |phase| self.live.iter().filter(move |(_, st)| st.phase == phase);
         for (tx, st) in live(TxPhase::Prepared) {
             journal(&mut self.wal, *tx, st);
             self.wal.append(&Record::Prepare {
@@ -552,6 +566,7 @@ fn journal(wal: &mut Wal, tx: TxId, st: &TxState) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -973,6 +988,168 @@ mod tests {
         assert_eq!(c.len(), 8);
     }
 
+    /// What a checkpointed log lists, each in log order: the checkpoint
+    /// record's objects, then the transactions journalled behind it —
+    /// the prepared ones, and the active ones.
+    fn journalled(c: &Container) -> (Vec<ObjectId>, Vec<TxId>, Vec<TxId>) {
+        let (_, records) = c.wal().clone().rescan();
+        let mut records = records.into_iter();
+        let Some(Record::Checkpoint { state, .. }) = records.next() else {
+            panic!("a checkpointed log starts with its checkpoint");
+        };
+        let (mut prepared, mut active) = (Vec::new(), Vec::new());
+        let mut began = None;
+        for r in records {
+            match r {
+                Record::Begin { tx } => {
+                    active.extend(began.replace(tx));
+                }
+                Record::Prepare { tx, .. } => {
+                    assert_eq!(began.take(), Some(tx));
+                    prepared.push(tx);
+                }
+                _ => {}
+            }
+        }
+        active.extend(began);
+        (
+            state.into_iter().map(|(o, ..)| o).collect(),
+            prepared,
+            active,
+        )
+    }
+
+    fn ascending<T: Ord>(ids: &[T]) -> bool {
+        ids.windows(2).all(|w| w[0] < w[1])
+    }
+
+    /// Random commits against a `BTreeMap` reference. Each writes objects
+    /// in random order and may write one twice; prepares left in doubt
+    /// and later resolved, aborts, active transactions left open,
+    /// checkpoints and crash/recover come between them. Whatever the
+    /// container shows in order — its objects, its in-doubt notes, the
+    /// checkpoint record and the transactions journalled behind it — is
+    /// in id order, and a second container that reaches the same state
+    /// in another order checkpoints and recovers it identically.
+    #[test]
+    fn order_visible_outputs_follow_the_ids_whatever_the_history() {
+        for case in 0..48u64 {
+            let mut draw = 0x0bde_u64 ^ (case << 20);
+            let mut next = |n: u64| {
+                draw = draw.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = draw;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % n
+            };
+            let mut c = Container::new();
+            let mut reference: BTreeMap<ObjectId, VersionedValue> = BTreeMap::new();
+            // In-doubt transactions: note and staged writes, last wins.
+            let mut in_doubt: BTreeMap<TxId, (u64, BTreeMap<ObjectId, VersionedValue>)> =
+                BTreeMap::new();
+            for step in 0..120u64 {
+                let choice = next(12);
+                match choice {
+                    0..=6 => {
+                        let tx = c.begin().expect("begin");
+                        let mut staged = BTreeMap::new();
+                        for _ in 0..1 + next(3) {
+                            // Small ids and ids that differ in their high
+                            // half alone.
+                            let object = ObjectId(next(24) << (32 * next(2)));
+                            let vv = VersionedValue::new(Version(step + 1), b(&format!("{step}")));
+                            c.stage_put(tx, object, vv.version, vv.value.clone())
+                                .expect("stage");
+                            staged.insert(object, vv);
+                        }
+                        let staged_in_order: Vec<_> =
+                            staged.iter().map(|(o, vv)| (*o, vv.version)).collect();
+                        assert_eq!(c.staged(tx), staged_in_order, "case {case}");
+                        match choice {
+                            0..=3 => {
+                                c.commit(tx).expect("commit");
+                                reference.extend(staged);
+                            }
+                            4 => {
+                                let note = next(1 << 20);
+                                c.prepare_with_note(tx, note).expect("prepare");
+                                in_doubt.insert(tx, (note, staged));
+                            }
+                            5 => c.abort(tx).expect("abort"),
+                            _ => {} // left active: a crash takes it
+                        }
+                    }
+                    7 | 8 => {
+                        let Some(&tx) = in_doubt.keys().nth(next(4) as usize) else {
+                            continue;
+                        };
+                        let (_, staged) = in_doubt.remove(&tx).expect("just found");
+                        if choice == 7 {
+                            c.commit(tx).expect("commit in doubt");
+                            reference.extend(staged);
+                        } else {
+                            c.abort(tx).expect("abort in doubt");
+                        }
+                    }
+                    9 | 10 => {
+                        c.checkpoint().expect("checkpoint");
+                        let (state, prepared, active) = journalled(&c);
+                        assert!(ascending(&state), "case {case}: {state:?}");
+                        assert!(state.iter().eq(reference.keys()), "case {case}");
+                        assert!(prepared.iter().eq(in_doubt.keys()), "case {case}");
+                        assert!(ascending(&active), "case {case}: {active:?}");
+                    }
+                    _ => {
+                        c.crash();
+                        c.recover();
+                    }
+                }
+                assert!(c.objects().eq(reference.keys().copied()), "case {case}");
+                for (o, vv) in &reference {
+                    assert_eq!(&c.read(*o).expect("read"), vv, "case {case}");
+                }
+                let notes: Vec<(TxId, u64)> = in_doubt
+                    .iter()
+                    .map(|(tx, (note, _))| (*tx, *note))
+                    .collect();
+                assert_eq!(c.in_doubt_notes(), notes, "case {case} step {step}");
+            }
+            // The same committed state, reached one object at a time in
+            // another order.
+            let mut other = Container::new();
+            let mut objects: Vec<_> = reference.iter().collect();
+            objects.reverse();
+            let turn = next(objects.len().max(1) as u64) as usize;
+            objects.rotate_left(turn);
+            for (o, vv) in objects {
+                let tx = other.begin().expect("begin");
+                other
+                    .stage_put(tx, *o, vv.version, vv.value.clone())
+                    .expect("stage");
+                other.commit(tx).expect("commit");
+            }
+            for (tx, _) in std::mem::take(&mut in_doubt) {
+                c.abort(tx).expect("abort in doubt");
+            }
+            c.checkpoint().expect("checkpoint");
+            other.checkpoint().expect("checkpoint");
+            let state = |c: &Container| match c.wal().clone().rescan().1.swap_remove(0) {
+                Record::Checkpoint { state, .. } => state,
+                other => panic!("{other:?}"),
+            };
+            assert_eq!(state(&c), state(&other), "case {case}");
+            let (c, other) = (
+                Container::recover_from(c.wal().clone()),
+                Container::recover_from(other.wal().clone()),
+            );
+            assert!(c.objects().eq(other.objects()), "case {case}");
+            assert!(c.objects().eq(reference.keys().copied()), "case {case}");
+            for o in c.objects() {
+                assert_eq!(c.read(o), other.read(o), "case {case}");
+            }
+        }
+    }
+
     #[test]
     fn flush_counting_shows_group_commit() {
         let mut c = Container::new();
@@ -1174,6 +1351,7 @@ mod crash_point_props {
     //! prefix of the committed transactions, in order.
 
     use super::*;
+    use std::collections::BTreeMap;
 
     /// A scripted transaction: object writes, and whether it commits.
     #[derive(Clone, Debug)]

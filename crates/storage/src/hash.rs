@@ -4,7 +4,7 @@
 //! `std`'s default SipHash defends against keys an adversary chose; these
 //! keys are counters and bit-tagged integers minted by our own code, and
 //! hashing them showed up on every message handler. Rules for using
-//! [`IdHashMap`]:
+//! [`IdHashMap`] and [`IdHashSet`]:
 //!
 //! * only for keys the program generates — names arriving from outside
 //!   keep the default hasher;
@@ -14,11 +14,14 @@
 //! It lives in this crate because `ObjectId` does and both `wv-txn` and
 //! `wv-core` already depend on it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` using [`IdHasher`]; build one with `IdHashMap::default()`.
 pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` using [`IdHasher`], under the same rules as [`IdHashMap`].
+pub type IdHashSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Odd 64-bit constant (2^64 / golden ratio), the classic multiplicative
 /// hashing multiplier.

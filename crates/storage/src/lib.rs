@@ -14,8 +14,9 @@
 //! * [`Container`] — a recoverable object store with local transactions
 //!   (begin / stage / commit / abort) and participant-side two-phase commit
 //!   (prepare / resolve), built by replaying the log.
-//! * [`IdHashMap`] — the hash map for keys the cluster generates itself
-//!   (object ids and the request/transaction ids built above them).
+//! * [`IdHashMap`] / [`IdHashSet`] — the hash map and set for keys the
+//!   cluster generates itself (object ids and the request/transaction ids
+//!   built above them).
 //!
 //! Everything is in-memory by design: the experiments need *crash
 //! semantics*, not persistence across OS processes, and an in-memory log
@@ -37,6 +38,6 @@ pub mod wal;
 pub use container::{Container, RecoveryOutcome, TxId, TxPhase};
 pub use error::StorageError;
 pub use faults::DiskFaults;
-pub use hash::IdHashMap;
+pub use hash::{IdHashMap, IdHashSet};
 pub use object::{ObjectId, Version, VersionedValue};
 pub use wal::{Record, ScanReport, Wal};

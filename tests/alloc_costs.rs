@@ -175,7 +175,7 @@ fn a_committed_read_write_train_and_transaction_cost_exact_allocations() {
     assert!(done.iter().all(|op| op.outcome.is_ok()));
     assert_eq!(
         [read, write, train, transaction],
-        [32, 331, 1019, 388],
+        [32, 330, 1015, 369],
         "{COUNTED} reads, writes, trains of nine, two-suite transactions"
     );
 }
