@@ -16,9 +16,9 @@
 //!   latencies, crash/recovery, and partitions. Every experiment table is
 //!   regenerated on this transport.
 //! * [`thread_net`] — the wall-clock transport: one OS thread per node,
-//!   std::sync::mpsc channels, and a router thread that imposes (scaled-down)
-//!   link latencies. Used by integration tests to show the protocols are
-//!   not simulator artifacts.
+//!   each waiting on its own inbox, a heap of messages ordered by the
+//!   instant their (scaled-down) link latency lets them arrive. Used by
+//!   integration tests to show the protocols are not simulator artifacts.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

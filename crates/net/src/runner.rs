@@ -5,9 +5,11 @@
 //! its wall-clock twin. Integration tests use it to show that the protocol
 //! state machines are transport-independent: the same `SuiteServer` and
 //! `ClientNode` that regenerate the paper's tables under `sim_net` also
-//! serve real concurrent threads here.
+//! serve real concurrent threads here. Between handler calls the thread
+//! makes one blocking wait on its inbox, until its next timer is due, a
+//! message is due, or a command or a stop wakes it.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,7 +18,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use wv_sim::DetRng;
 
 use crate::node::{Effect, Node, NodeCtx};
-use crate::thread_net::Endpoint;
+use crate::thread_net::{Endpoint, Waker};
 
 /// A closure injected into the node's thread (start an operation, inspect
 /// state, report results through a captured channel).
@@ -27,6 +29,7 @@ pub type NodeCommand<N> =
 pub struct NodeRunner<N: Node> {
     cmds: Sender<NodeCommand<N>>,
     stop: Arc<AtomicBool>,
+    waker: Waker<N::Msg>,
     join: Option<std::thread::JoinHandle<N>>,
 }
 
@@ -46,6 +49,7 @@ where
         let (cmd_tx, cmd_rx) = mpsc::channel::<NodeCommand<N>>();
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
+        let waker = endpoint.waker();
         let join = std::thread::Builder::new()
             .name(format!("wv-node-{}", endpoint.id()))
             .spawn(move || run_loop(node, endpoint, cmd_rx, stop2, seed, time_scale))
@@ -53,6 +57,7 @@ where
         NodeRunner {
             cmds: cmd_tx,
             stop,
+            waker,
             join: Some(join),
         }
     }
@@ -63,11 +68,13 @@ where
         // A closed channel means the thread stopped; the caller finds out
         // at join time.
         let _ = self.cmds.send(Box::new(f));
+        self.waker.wake();
     }
 
     /// Stops the thread and returns the node.
     pub fn stop(mut self) -> N {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
         self.join
             .take()
             .expect("stop called once")
@@ -79,47 +86,10 @@ where
 impl<N: Node> Drop for NodeRunner<N> {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
         if let Some(j) = self.join.take() {
             let _ = j.join();
         }
-    }
-}
-
-/// A node's timers that have yet to fire: by due instant, ties in the
-/// order they were set, and by token, so that a cancel takes O(log n).
-#[derive(Default)]
-struct Timers {
-    due: BTreeMap<(Instant, u64), u64>,
-    by_token: BTreeMap<(u64, u64), Instant>,
-    next_seq: u64,
-}
-
-impl Timers {
-    fn set(&mut self, due: Instant, token: u64) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.due.insert((due, seq), token);
-        self.by_token.insert((token, seq), due);
-    }
-
-    /// Removes every timer set with `token`.
-    fn cancel(&mut self, token: u64) {
-        while let Some((&key, &due)) = self.by_token.range((token, 0)..=(token, u64::MAX)).next() {
-            self.by_token.remove(&key);
-            self.due.remove(&(due, key.1));
-        }
-    }
-
-    /// Removes the earliest timer if it is due by `now`; returns its token.
-    fn pop_due(&mut self, now: Instant) -> Option<u64> {
-        let first = self.due.first_entry().filter(|e| e.key().0 <= now)?;
-        let ((_, seq), token) = first.remove_entry();
-        self.by_token.remove(&(token, seq));
-        Some(token)
-    }
-
-    fn next_due(&self) -> Option<Instant> {
-        self.due.first_key_value().map(|((due, _), _)| *due)
     }
 }
 
@@ -128,7 +98,10 @@ struct Hosted<N: Node> {
     node: N,
     endpoint: Endpoint<N::Msg>,
     rng: DetRng,
-    timers: Timers,
+    /// Timers yet to fire, `(due, token)` earliest first and ties in the
+    /// order they were set: `sim_net`'s shape (DESIGN.md §8). A node holds
+    /// a handful, so a cancel scans them.
+    timers: VecDeque<(Instant, u64)>,
     time_scale: f64,
 }
 
@@ -138,10 +111,13 @@ where
 {
     /// Runs one handler call and applies its effects at once: a send goes
     /// to the endpoint and a timer into `timers` before anything else
-    /// runs, so neither waits out the loop's next blocking receive.
+    /// runs, so neither waits out the loop's next blocking wait. The call
+    /// happens at one instant: its timers with equal delays are due
+    /// together, and fire in the order it set them.
     fn call(&mut self, f: impl FnOnce(&mut N, &mut NodeCtx<'_, N::Msg>)) {
         let mut ctx = NodeCtx::new(self.endpoint.now(), self.endpoint.id(), &mut self.rng);
         f(&mut self.node, &mut ctx);
+        let now = Instant::now();
         for effect in ctx.take_effects() {
             match effect {
                 Effect::Send { to, msg } => {
@@ -151,9 +127,11 @@ where
                     let scaled = Duration::from_micros(
                         (delay.as_micros() as f64 * self.time_scale).round() as u64,
                     );
-                    self.timers.set(Instant::now() + scaled, token);
+                    let due = now + scaled;
+                    let at = self.timers.partition_point(|(d, _)| *d <= due);
+                    self.timers.insert(at, (due, token));
                 }
-                Effect::Cancel { token } => self.timers.cancel(token),
+                Effect::Cancel { token } => self.timers.retain(|(_, t)| *t != token),
             }
         }
     }
@@ -174,31 +152,25 @@ where
         node,
         endpoint,
         rng: DetRng::new(seed),
-        timers: Timers::default(),
+        timers: VecDeque::new(),
         time_scale,
     };
     loop {
         if stop.load(Ordering::SeqCst) {
             return host.node;
         }
-        // Fire due timers.
+        // Fire the timers due now; one a handler sets meanwhile waits for
+        // the next pass, behind any message already due.
         let now = Instant::now();
-        while let Some(token) = host.timers.pop_due(now) {
+        while let Some(&(_, token)) = host.timers.front().filter(|(due, _)| *due <= now) {
+            host.timers.pop_front();
             host.call(|node, ctx| node.on_timer(token, ctx));
         }
-        // Run injected commands.
         while let Ok(cmd) = cmds.try_recv() {
             host.call(cmd);
         }
-        // Wait briefly for a message (bounded so timers and commands stay
-        // responsive).
-        let wait = host
-            .timers
-            .next_due()
-            .map(|due| due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(2))
-            .min(Duration::from_millis(2));
-        if let Some(env) = host.endpoint.recv_timeout(wait) {
+        let next_timer = host.timers.front().map(|(due, _)| *due);
+        if let Some(env) = host.endpoint.wait(next_timer) {
             host.call(|node, ctx| node.on_message(env.from, env.payload, ctx));
         }
     }
@@ -346,6 +318,42 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(600));
         assert_eq!(r.stop().0, vec![8, 7]);
+    }
+
+    #[test]
+    fn timers_due_at_one_instant_fire_in_the_order_they_were_set() {
+        let mut net = ThreadNet::<u32>::start(
+            NetConfig::uniform(1, LatencyModel::constant_millis(1)),
+            9,
+            1.0,
+        );
+        let r = NodeRunner::spawn(Alarms::default(), net.endpoints.pop().expect("ep"), 1, 1.0);
+        r.invoke(|_, ctx| {
+            for token in [5, 3, 9, 1] {
+                ctx.set_timer(SimDuration::from_millis(10), token);
+            }
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(r.stop().0, vec![5, 3, 9, 1]);
+    }
+
+    #[test]
+    fn an_invoke_on_an_idle_runner_runs() {
+        let mut net = ThreadNet::<u32>::start(
+            NetConfig::uniform(1, LatencyModel::constant_millis(1)),
+            13,
+            1.0,
+        );
+        let runner = NodeRunner::spawn(Idle, net.endpoints.pop().expect("ep"), 1, 1.0);
+        // No timer and no mail: the thread's wait has no deadline.
+        std::thread::sleep(Duration::from_millis(20));
+        let (tx, rx) = mpsc::channel();
+        runner.invoke(move |_, _| tx.send(()).expect("test thread alive"));
+        assert!(
+            rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "the invoke never ran"
+        );
+        runner.stop();
     }
 
     #[test]

@@ -71,7 +71,8 @@ impl SiteTimers {
 pub struct NetStats {
     /// Messages handed to the transport.
     pub sent: u64,
-    /// Messages delivered to a node handler.
+    /// Messages delivered to a node handler. On `thread_net`, messages its
+    /// receivers have popped from their inboxes.
     pub delivered: u64,
     /// Messages dropped because sender and destination were partitioned.
     pub dropped_partition: u64,

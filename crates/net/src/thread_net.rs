@@ -1,10 +1,13 @@
-//! The wall-clock transport: OS threads, channels, and a delay router.
+//! The wall-clock transport: OS threads, and one deadline heap per site.
 //!
 //! Integration tests use this transport to show the protocols are not
-//! simulator artifacts: the same [`NetConfig`] drives real
-//! std::sync::mpsc channels, with one router thread imposing sampled link
-//! latencies (optionally scaled down so the paper's 750 ms links don't make
-//! the test suite slow).
+//! simulator artifacts: the same [`NetConfig`] drives real threads, with
+//! sampled link latencies imposed in real time (optionally scaled down so
+//! the paper's 750 ms links don't make the test suite slow). Each site's
+//! inbox is the delay line: a sender pushes a message straight into the
+//! receiver's heap, keyed by the instant it is due, and the receiver pops
+//! it once that instant has passed. No thread but the sites' own carries a
+//! message.
 //!
 //! Links mirror [`crate::sim_net`]'s: loss is decided and latency sampled
 //! at send time, and message order between two sites may invert when
@@ -12,55 +15,60 @@
 //! are the simulator's alone; this transport injects no faults.
 
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
 use wv_sim::{DetRng, SimTime};
 
 use crate::config::NetConfig;
 use crate::sim_net::NetStats;
 use crate::site::{Envelope, SiteId};
 
-enum Cmd<M> {
-    Route {
-        deliver_at: Instant,
-        env: Envelope<M>,
-    },
-    Stop,
-}
-
-struct HeapItem<M> {
+/// A message in its receiver's inbox, due at `deliver_at`.
+struct Pending<M> {
     deliver_at: Instant,
     seq: u64,
     env: Envelope<M>,
 }
 
-impl<M> PartialEq for HeapItem<M> {
+impl<M> PartialEq for Pending<M> {
     fn eq(&self, other: &Self) -> bool {
         self.deliver_at == other.deliver_at && self.seq == other.seq
     }
 }
 
-impl<M> Eq for HeapItem<M> {}
+impl<M> Eq for Pending<M> {}
 
-impl<M> PartialOrd for HeapItem<M> {
+impl<M> PartialOrd for Pending<M> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<M> Ord for HeapItem<M> {
+impl<M> Ord for Pending<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Min-heap by (deliver_at, seq).
         (other.deliver_at, other.seq).cmp(&(self.deliver_at, self.seq))
     }
 }
 
-/// One site's connection to the network.
-///
-/// An endpoint is `Send` but not `Sync`: hand each one to its own thread.
+/// What a site's inbox holds: the messages on their way to it, and whether
+/// its runner has been woken since it last looked.
+struct Queue<M> {
+    heap: BinaryHeap<Pending<M>>,
+    seq: u64,
+    woken: bool,
+}
+
+/// One site's inbox. Its condvar is signalled when the heap gets a new
+/// top, or on a wake: nothing else can end its receiver's wait early.
+struct Inbox<M> {
+    queue: Mutex<Queue<M>>,
+    changed: Condvar,
+}
+
+/// One site's connection to the network: its own inbox and every other
+/// site's. Hand each one to its own thread.
 pub struct Endpoint<M> {
     id: SiteId,
     epoch: Instant,
@@ -68,8 +76,7 @@ pub struct Endpoint<M> {
     stats: Arc<Mutex<NetStats>>,
     time_scale: f64,
     rng: DetRng,
-    router: Sender<Cmd<M>>,
-    inbox: Receiver<Envelope<M>>,
+    inboxes: Arc<[Inbox<M>]>,
 }
 
 impl<M: Send + 'static> Endpoint<M> {
@@ -86,7 +93,8 @@ impl<M: Send + 'static> Endpoint<M> {
         SimTime::from_micros(unscaled)
     }
 
-    /// Sends `msg` to `to`, applying loss and latency.
+    /// Sends `msg` to `to`, applying loss and latency: it goes into `to`'s
+    /// inbox, due once the sampled latency has passed.
     ///
     /// Returns `true` if the message entered the network, `false` if it was
     /// dropped at send time.
@@ -108,27 +116,88 @@ impl<M: Send + 'static> Endpoint<M> {
             sent_at: self.now(),
             payload: msg,
         };
-        self.router
-            .send(Cmd::Route {
-                deliver_at: Instant::now() + scaled,
-                env,
-            })
-            .is_ok()
+        let inbox = &self.inboxes[to.index()];
+        let mut queue = inbox.queue.lock().expect("inbox lock");
+        let seq = queue.seq;
+        queue.seq += 1;
+        queue.heap.push(Pending {
+            deliver_at: Instant::now() + scaled,
+            seq,
+            env,
+        });
+        // The receiver waits for the top alone, so only a new top can
+        // change how long it waits.
+        if queue.heap.peek().is_some_and(|top| top.seq == seq) {
+            inbox.changed.notify_one();
+        }
+        true
     }
 
     /// Receives the next message, waiting up to `timeout` (in real time).
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        self.inbox.recv_timeout(timeout).ok()
+        self.wait(Some(Instant::now() + timeout))
     }
 
-    /// Receives without blocking.
-    pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.inbox.try_recv().ok()
-    }
-
-    /// Blocks until a message arrives or the network shuts down.
+    /// Blocks until a message is due. Nothing shuts the network down, so
+    /// this returns `None` only to a runner's wake.
     pub fn recv(&self) -> Option<Envelope<M>> {
-        self.inbox.recv().ok()
+        self.wait(None)
+    }
+
+    /// Pops the earliest message once it is due, waiting until then or
+    /// until `deadline`. `None` at the deadline, or once a [`Waker`] has
+    /// woken this site since its last wait.
+    pub(crate) fn wait(&self, deadline: Option<Instant>) -> Option<Envelope<M>> {
+        let inbox = &self.inboxes[self.id.index()];
+        let mut queue = inbox.queue.lock().expect("inbox lock");
+        loop {
+            if std::mem::take(&mut queue.woken) {
+                return None;
+            }
+            let now = Instant::now();
+            let top = queue.heap.peek().map(|p| p.deliver_at);
+            if top.is_some_and(|at| at <= now) {
+                let env = queue.heap.pop().expect("peeked").env;
+                drop(queue);
+                self.stats.lock().expect("net stats lock").delivered += 1;
+                return Some(env);
+            }
+            if deadline.is_some_and(|at| at <= now) {
+                return None;
+            }
+            queue = match top.into_iter().chain(deadline).min() {
+                Some(until) => {
+                    inbox
+                        .changed
+                        .wait_timeout(queue, until - now)
+                        .expect("inbox lock")
+                        .0
+                }
+                None => inbox.changed.wait(queue).expect("inbox lock"),
+            };
+        }
+    }
+
+    /// A handle another thread can wake this site's wait with.
+    pub(crate) fn waker(&self) -> Waker<M> {
+        Waker {
+            inboxes: Arc::clone(&self.inboxes),
+            site: self.id.index(),
+        }
+    }
+}
+
+/// Ends one site's current or next [`Endpoint`] wait early.
+pub(crate) struct Waker<M> {
+    inboxes: Arc<[Inbox<M>]>,
+    site: usize,
+}
+
+impl<M> Waker<M> {
+    pub(crate) fn wake(&self) {
+        let inbox = &self.inboxes[self.site];
+        inbox.queue.lock().expect("inbox lock").woken = true;
+        inbox.changed.notify_one();
     }
 }
 
@@ -145,14 +214,13 @@ impl NetHandle {
     }
 }
 
-/// A running thread network for message type `M`.
+/// A thread network for message type `M`. It owns no thread: dropping it
+/// leaves the endpoints delivering.
 pub struct ThreadNet<M> {
     /// One endpoint per site; take them out and move each to its thread.
     pub endpoints: Vec<Endpoint<M>>,
     /// The shared counters.
     pub handle: NetHandle,
-    router: Sender<Cmd<M>>,
-    router_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl<M: Send + 'static> ThreadNet<M> {
@@ -171,84 +239,32 @@ impl<M: Send + 'static> ThreadNet<M> {
         let sites = config.sites();
         let config = Arc::new(config);
         let stats = Arc::new(Mutex::new(NetStats::default()));
-        let (router_tx, router_rx) = mpsc::channel::<Cmd<M>>();
-        let mut inbox_txs = Vec::with_capacity(sites);
-        let mut endpoints = Vec::with_capacity(sites);
+        let inboxes: Arc<[Inbox<M>]> = (0..sites)
+            .map(|_| Inbox {
+                queue: Mutex::new(Queue {
+                    heap: BinaryHeap::new(),
+                    seq: 0,
+                    woken: false,
+                }),
+                changed: Condvar::new(),
+            })
+            .collect();
         let epoch = Instant::now();
         let root = DetRng::new(seed);
-        for site in 0..sites {
-            let (tx, rx) = mpsc::channel::<Envelope<M>>();
-            inbox_txs.push(tx);
-            endpoints.push(Endpoint {
+        let endpoints = (0..sites)
+            .map(|site| Endpoint {
                 id: SiteId::from(site),
                 epoch,
                 config: Arc::clone(&config),
                 stats: Arc::clone(&stats),
                 time_scale,
                 rng: root.fork(site as u64 + 1),
-                router: router_tx.clone(),
-                inbox: rx,
-            });
-        }
-        let router_stats = Arc::clone(&stats);
-        let router_thread = std::thread::Builder::new()
-            .name("wv-net-router".into())
-            .spawn(move || router_loop(router_rx, inbox_txs, router_stats))
-            .expect("spawn router thread");
+                inboxes: Arc::clone(&inboxes),
+            })
+            .collect();
         ThreadNet {
             endpoints,
             handle: NetHandle { stats },
-            router: router_tx,
-            router_thread: Some(router_thread),
-        }
-    }
-}
-
-impl<M> Drop for ThreadNet<M> {
-    fn drop(&mut self) {
-        let _ = self.router.send(Cmd::Stop);
-        if let Some(t) = self.router_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn router_loop<M>(
-    rx: Receiver<Cmd<M>>,
-    inboxes: Vec<Sender<Envelope<M>>>,
-    stats: Arc<Mutex<NetStats>>,
-) {
-    let mut heap: BinaryHeap<HeapItem<M>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut stopping = false;
-    loop {
-        // Deliver everything due.
-        let now = Instant::now();
-        while heap.peek().is_some_and(|i| i.deliver_at <= now) {
-            let item = heap.pop().expect("peeked");
-            stats.lock().expect("net stats lock").delivered += 1;
-            // A dropped receiver just means the site thread exited.
-            let _ = inboxes[item.env.to.index()].send(item.env);
-        }
-        if stopping && heap.is_empty() {
-            return;
-        }
-        let timeout = heap
-            .peek()
-            .map(|i| i.deliver_at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout) {
-            Ok(Cmd::Route { deliver_at, env }) => {
-                heap.push(HeapItem {
-                    deliver_at,
-                    seq,
-                    env,
-                });
-                seq += 1;
-            }
-            Ok(Cmd::Stop) => stopping = true,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => stopping = true,
         }
     }
 }
@@ -327,6 +343,47 @@ mod tests {
         let total: u32 = joins.into_iter().map(|j| j.join().expect("thread")).sum();
         assert_eq!(total, 12);
         assert_eq!(handle.stats().delivered, 12);
+    }
+
+    #[test]
+    fn dropping_the_net_leaves_its_endpoints_delivering() {
+        let mut net = fast_net(2);
+        let b = net.endpoints.pop().expect("endpoint 1");
+        let mut a = net.endpoints.pop().expect("endpoint 0");
+        drop(net);
+        assert!(a.send(SiteId(1), 5));
+        let env = b.recv_timeout(Duration::from_secs(2)).expect("delivery");
+        assert_eq!(env.payload, 5);
+    }
+
+    #[test]
+    fn a_later_message_on_a_faster_link_arrives_first() {
+        let mut config = NetConfig::uniform(3, LatencyModel::constant_millis(5));
+        config.set_link(SiteId(0), SiteId(2), LatencyModel::constant_millis(500));
+        let mut net = ThreadNet::<u32>::start(config, 7, 1.0);
+        let c = net.endpoints.pop().expect("endpoint 2");
+        let mut b = net.endpoints.pop().expect("endpoint 1");
+        let mut a = net.endpoints.pop().expect("endpoint 0");
+        let receiver = std::thread::spawn(move || {
+            let first = c.recv_timeout(Duration::from_secs(5)).expect("first");
+            let at = Instant::now();
+            let second = c.recv_timeout(Duration::from_secs(5)).expect("second");
+            (first.from, second.from, at)
+        });
+        // The receiver is waiting on the slow message when the fast one
+        // becomes its inbox's top, and must wait for that one instead.
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(a.send(SiteId(2), 0));
+        std::thread::sleep(Duration::from_millis(20));
+        let sent = Instant::now();
+        assert!(b.send(SiteId(2), 1));
+        let (first, second, at) = receiver.join().expect("receiver");
+        assert_eq!((first, second), (SiteId(1), SiteId(0)));
+        let waited = at - sent;
+        assert!(
+            waited < Duration::from_millis(250),
+            "the fast message waited out the slow one: {waited:?}"
+        );
     }
 
     #[test]
