@@ -56,7 +56,7 @@ pub fn read_latency_verified(model: &SystemModel) -> f64 {
 /// slower.
 pub fn write_latency(model: &SystemModel) -> f64 {
     let install = quorum_cost(model, model.quorum.write);
-    if 2 * model.quorum.write > model.assignment.total() {
+    if model.quorum.writes_intersect(&model.assignment) {
         install
     } else {
         install.max(quorum_cost(model, model.quorum.read))

@@ -135,7 +135,7 @@ pub fn traced_breakdown(h: &mut Harness, rounds: usize) -> PhaseBreakdown {
     h.enable_tracing();
     measure(h, rounds);
     let mut acc = [(0u64, 0u64); 5];
-    for s in h.take_trace() {
+    for s in h.take_recorded().0 {
         let Some(d) = s.duration_us() else { continue };
         let slot = match s.kind {
             SpanKind::Inquiry => 0,

@@ -26,7 +26,7 @@
 use std::ops::AddAssign;
 
 use wv_core::client::{ClientOptions, ClientStats, HealthOptions};
-use wv_core::harness::{Harness, SiteSpec};
+use wv_core::harness::{HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_core::server::ServerStats;
 use wv_core::OpKind;
@@ -137,7 +137,9 @@ fn failure_schedule(seed: u64) -> FailureSchedule {
 
 /// Runs one arm of one trial.
 fn run_arm(seed: u64, healing: bool) -> ArmSummary {
-    let mut b = Harness::builder().quorum(QuorumSpec::new(3, 3)).seed(seed);
+    let mut b = HarnessBuilder::new()
+        .quorum(QuorumSpec::new(3, 3))
+        .seed(seed);
     for _ in 0..SERVERS {
         b = b.site(SiteSpec::server(1));
     }
@@ -195,11 +197,13 @@ fn run_arm(seed: u64, healing: bool) -> ArmSummary {
         .collect();
 
     let mut out = ArmSummary {
-        client: h.client_stats(client).expect("the client"),
-        server: SiteId::all(SERVERS).filter_map(|s| h.server_stats(s)).sum(),
+        client: h.client_at(client).expect("the client").stats,
+        server: SiteId::all(SERVERS)
+            .filter_map(|s| h.server_at(s).map(|s| s.stats))
+            .sum(),
         ..ArmSummary::default()
     };
-    for s in h.take_trace() {
+    for s in h.take_recorded().0 {
         let Some(d) = s.duration_us() else {
             continue; // still open at quiescence (crashed mid-flight)
         };

@@ -23,7 +23,7 @@
 //!    quorum cost.
 
 use wv_core::client::{ClientOptions, QuorumPolicy};
-use wv_core::harness::{Harness, SiteSpec};
+use wv_core::harness::{HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
 use wv_sim::{LatencyModel, SimDuration};
@@ -71,7 +71,7 @@ pub struct Cell {
 
 /// Runs one cell: `clients` closed-loop readers at window `depth`.
 fn run_cell(seed: u64, policy: QuorumPolicy, depth: usize, clients: usize, ops: usize) -> Cell {
-    let mut b = Harness::builder()
+    let mut b = HarnessBuilder::new()
         .seed(seed)
         .quorum(QuorumSpec::new(2, 2))
         .net(NetConfig::uniform(
@@ -98,7 +98,7 @@ fn run_cell(seed: u64, policy: QuorumPolicy, depth: usize, clients: usize, ops: 
     let client_sites: Vec<SiteId> = h.clients().to_vec();
     let base: Vec<Vec<u64>> = client_sites
         .iter()
-        .map(|&c| h.client_site_load(c).expect("client exists"))
+        .map(|&c| h.client_at(c).expect("client exists").site_load())
         .collect();
     let start = h.now();
     for &c in &client_sites {
@@ -121,7 +121,7 @@ fn run_cell(seed: u64, policy: QuorumPolicy, depth: usize, clients: usize, ops: 
     let makespan_s = last_finish.since(start).as_millis_f64() / 1000.0;
     let mut server_load = vec![0u64; SERVERS];
     for (i, &c) in client_sites.iter().enumerate() {
-        let load = h.client_site_load(c).expect("client exists");
+        let load = h.client_at(c).expect("client exists").site_load();
         for (s, slot) in server_load.iter_mut().enumerate() {
             *slot += load[s] - base[i][s];
         }

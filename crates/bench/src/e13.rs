@@ -26,7 +26,7 @@
 //! whose contents crossed the wire.
 
 use wv_core::client::{ClientOptions, ClientStats, CompletedOp, WeakRepOptions};
-use wv_core::harness::{Harness, SiteSpec};
+use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
 use wv_sim::{DetRng, LatencyModel, SimDuration};
@@ -161,7 +161,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
     }
 
     let suites: Vec<ObjectId> = (1..=SUITES as u64).map(ObjectId).collect();
-    let mut b = Harness::builder()
+    let mut b = HarnessBuilder::new()
         .seed(seed)
         .quorum(QuorumSpec::new(2, 2))
         .suites(suites.clone())
@@ -187,7 +187,10 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
     }
     let client_sites: Vec<SiteId> = h.clients().to_vec();
     let clients = |h: &Harness| -> ClientStats {
-        client_sites.iter().filter_map(|&c| h.client_stats(c)).sum()
+        client_sites
+            .iter()
+            .filter_map(|&c| h.client_at(c).map(|c| c.stats))
+            .sum()
     };
     let before = clients(&h);
 

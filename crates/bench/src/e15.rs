@@ -162,7 +162,7 @@ fn draw_plans(seed: u64, skew: usize, n: usize, ops: usize) -> Vec<Vec<(bool, us
 /// `suites` suites in the map.
 fn build_cluster(seed: u64, servers: usize, depth: usize, suites: &[ObjectId]) -> HarnessBuilder {
     let w = servers / 2 + 1;
-    let mut b = Harness::builder()
+    let mut b = HarnessBuilder::new()
         .seed(seed)
         .quorum(QuorumSpec::new(w as u32, w as u32))
         .suites(suites.to_vec())
@@ -230,7 +230,11 @@ fn run_cell(
         .expect("majority quorums are legal");
     let start = h.now();
     let done = replay(&mut h, &suites, &plans);
-    let stats: ClientStats = h.clients().iter().filter_map(|&c| h.client_stats(c)).sum();
+    let stats: ClientStats = h
+        .clients()
+        .iter()
+        .filter_map(|&c| h.client_at(c).map(|c| c.stats))
+        .sum();
     // The seeding writes went alone, one per suite.
     let (trains, ridden) = (stats.trains - suites_n as u64, stats.writes_ridden);
 
@@ -502,8 +506,9 @@ fn wal_batch_summary(ops_per_client: usize) -> (f64, f64) {
         done.iter().all(|o| o.outcome.is_ok()),
         "batching probe workload must commit fully"
     );
-    let stats: wv_core::server::ServerStats =
-        SiteId::all(servers).filter_map(|s| h.server_stats(s)).sum();
+    let stats: wv_core::server::ServerStats = SiteId::all(servers)
+        .filter_map(|s| h.server_at(s).map(|s| s.stats))
+        .sum();
     assert!(
         stats.wal_batches > 0,
         "group commit must have flushed at least once"
@@ -570,7 +575,7 @@ mod tests {
         let plans = draw_plans(63, BALANCED, 1, 8);
         let run = |explicit: bool| {
             let servers = 3;
-            let mut b = Harness::builder()
+            let mut b = HarnessBuilder::new()
                 .seed(63)
                 .quorum(QuorumSpec::new(2, 2))
                 .net(NetConfig::uniform(

@@ -198,7 +198,7 @@ mod tests {
             // Total write latency = the install, or max(inquiry, install)
             // where write quorums need not intersect.
             let wr = write_latency(&model);
-            let inquiry = if 2 * w > 5 {
+            let inquiry = if model.quorum.writes_intersect(&assignment) {
                 0.0
             } else {
                 sorted[r as usize - 1]

@@ -82,7 +82,7 @@ pub fn measure(write_fraction: f64, push_on_write: bool, ops: usize, seed: u64) 
     // Reads the workstation's copy did not serve: the contents came with
     // the server's version answer, or in a separate fetch round.
     let missed = |h: &Harness| {
-        let stats = h.client_stats(SiteId(1)).expect("client at site 1");
+        let stats = h.client_at(SiteId(1)).expect("client at site 1").stats;
         stats.reads_contents_with_inquiry + stats.reads_fetched
     };
     // Prime the suite so the first read has something to find.

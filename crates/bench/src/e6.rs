@@ -14,7 +14,7 @@
 //!   not.
 
 use wv_baselines::{BaselineHarness, Scheme};
-use wv_core::harness::Harness;
+use wv_core::harness::{Fault, Harness};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{Partition, SiteId};
 use wv_sim::SimDuration;
@@ -168,7 +168,7 @@ impl Sys {
 
     fn partition(&mut self, p: Partition) {
         match self {
-            Sys::Voting(h) => h.partition(p),
+            Sys::Voting(h) => h.inject(Fault::Partition(p)),
             Sys::Baseline(h) => h.partition(p),
         }
     }

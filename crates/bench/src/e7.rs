@@ -104,7 +104,12 @@ pub fn execute(seed: u64, rounds: usize) -> ReconfigRun {
         .expect("reconfiguration succeeds");
     let after = run_phase(&mut h, rounds, &mut expected, &mut stale);
     let generations = SiteId::all(3)
-        .map(|s| h.generation_at(s, suite).unwrap_or(0))
+        .map(|s| {
+            h.server_at(s)
+                .and_then(|s| s.config(suite))
+                .map(|c| c.generation)
+                .unwrap_or(0)
+        })
         .collect();
     ReconfigRun {
         before,

@@ -434,12 +434,12 @@ mod tests {
     }
     #[test]
     fn retry_report_ranks_the_causes_a_contended_trace_records() {
-        use wv_core::harness::SiteSpec;
+        use wv_core::harness::{HarnessBuilder, SiteSpec};
         use wv_core::quorum::QuorumSpec;
         use wv_sim::SimTime;
         // Four clients write one suite at once on no-wait servers: every
         // prepare that meets the commit lock is voted down and retried.
-        let mut b = Harness::builder()
+        let mut b = HarnessBuilder::new()
             .seed(7)
             .quorum(QuorumSpec::majority(3))
             .deadlock_policy(wv_txn::lock::DeadlockPolicy::NoWait);
@@ -459,10 +459,10 @@ mod tests {
         let retries: u64 = h
             .clients()
             .iter()
-            .map(|&c| h.client_stats(c).expect("client").retries)
+            .map(|&c| h.client_at(c).expect("client").stats.retries)
             .sum();
         assert!(retries > 0, "no contention, nothing to rank");
-        let spans = h.take_trace();
+        let spans = h.take_recorded().0;
         let report = retry_report(&spans, None);
         assert!(report.starts_with("== attempts that ended early, by cause ==\n"));
         assert!(
@@ -478,11 +478,13 @@ mod tests {
 
     #[test]
     fn ride_report_names_the_carrier_of_every_ridden_write() {
-        use wv_core::harness::SiteSpec;
+        use wv_core::harness::{HarnessBuilder, SiteSpec};
         use wv_core::quorum::QuorumSpec;
         // Three writes of one client launched together: the first goes
         // alone, the third carries the second.
-        let mut b = Harness::builder().seed(8).quorum(QuorumSpec::majority(3));
+        let mut b = HarnessBuilder::new()
+            .seed(8)
+            .quorum(QuorumSpec::majority(3));
         for _ in 0..3 {
             b = b.site(SiteSpec::server(1));
         }
@@ -493,9 +495,9 @@ mod tests {
             h.enqueue_write(client, suite, value.to_vec(), h.now());
         }
         h.run_until_quiet(100_000);
-        let stats = h.client_stats(client).expect("client");
+        let stats = h.client_at(client).expect("client").stats;
         assert_eq!((stats.trains, stats.writes_ridden), (2, 1));
-        let spans = h.take_trace();
+        let spans = h.take_recorded().0;
         let roots: Vec<u64> = spans
             .iter()
             .filter(|s| s.kind.is_op_root())

@@ -1,7 +1,7 @@
 //! Plain-text waterfall rendering of operation traces.
 //!
 //! Input is a merged span record (see [`wv_sim::trace`], typically the
-//! output of `Harness::take_trace`). Spans are grouped by their `op` field
+//! spans of `Harness::take_recorded`). Spans are grouped by their `op` field
 //! — the request id of the operation's first attempt, which client spans
 //! share and server spans (lock waits, WAL writes, applies) carry for the
 //! attempt they served — and each group renders as one waterfall: a fixed
@@ -195,53 +195,57 @@ pub fn waterfall(spans: &[SpanRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wv_sim::trace::{SpanKind, SpanOutcome, Tracer};
-    use wv_sim::SimTime;
+    use wv_sim::trace::{SpanKind, SpanOutcome};
 
-    fn t(us: u64) -> SimTime {
-        SimTime::from_micros(us)
+    /// `(parent, kind, site, peer, op, start_us, end_us, detail)` of one
+    /// span of suite 1; its id is its index.
+    type Row = (u32, SpanKind, u16, u16, u64, u64, u64, u64);
+
+    /// The rows as records: ended `Ok`, or `Open` at [`OPEN_END`].
+    fn records(rows: &[Row]) -> Vec<SpanRecord> {
+        rows.iter()
+            .enumerate()
+            .map(
+                |(id, &(parent, kind, site, peer, op, start_us, end_us, detail))| SpanRecord {
+                    id: id as u32,
+                    parent,
+                    kind,
+                    site,
+                    peer,
+                    op,
+                    suite: 1,
+                    start_us,
+                    end_us,
+                    detail,
+                    outcome: if end_us == OPEN_END {
+                        SpanOutcome::Open
+                    } else {
+                        SpanOutcome::Ok
+                    },
+                },
+            )
+            .collect()
     }
 
-    /// A handcrafted two-node write trace: inquiry fan-out, prepare, the
-    /// root closing at the commit decision with the commit round behind
-    /// it, plus a server lock wait and WAL write.
+    /// A handcrafted two-node write trace, merged in site order: a direct
+    /// write prepared at the write quorum {s0, s1} by the client at s3,
+    /// the root closing at the commit decision with the commit round
+    /// behind it; then s0's lock wait, WAL write and a repair pull.
     fn sample() -> Vec<SpanRecord> {
-        // A direct write: prepare at the write quorum {s0, s1}, reported at
-        // the decision, the commit round trailing the root.
-        let mut client = Tracer::new(3);
-        let root = client.start(SpanKind::Write, 1, 0x30001, None, None, 0, t(0));
-        let prep = client.start(SpanKind::Prepare, 1, 0x30001, Some(root), None, 0, t(0));
-        let p0 = client.start(SpanKind::Rpc, 1, 0x30001, Some(prep), Some(0), 0, t(0));
-        let p1 = client.start(SpanKind::Rpc, 1, 0x30001, Some(prep), Some(1), 0, t(0));
-        client.end_with_detail(p1, t(148_000), SpanOutcome::Ok, 1);
-        client.end_with_detail(p0, t(150_000), SpanOutcome::Ok, 1);
-        client.end(prep, t(150_000), SpanOutcome::Ok);
-        let com = client.start(
-            SpanKind::Commit,
-            1,
-            0x30001,
-            Some(root),
-            None,
-            0,
-            t(150_000),
-        );
-        let c0 = client.start(SpanKind::Rpc, 1, 0x30001, Some(com), Some(0), 0, t(150_000));
-        let c1 = client.start(SpanKind::Rpc, 1, 0x30001, Some(com), Some(1), 0, t(150_000));
-        client.end(root, t(150_000), SpanOutcome::Ok);
-        client.end_with_detail(c1, t(298_000), SpanOutcome::Ok, 1);
-        client.end_with_detail(c0, t(300_000), SpanOutcome::Ok, 1);
-        client.end(com, t(300_000), SpanOutcome::Ok);
-
-        let mut server = Tracer::new(0);
-        let lw = server.start(SpanKind::LockWait, 1, 0x30001, None, Some(3), 0, t(10_000));
-        server.end(lw, t(70_000), SpanOutcome::Ok);
-        server.event(SpanKind::WalWrite, 1, 0x30001, None, Some(3), 5, t(78_000));
-        server.event(SpanKind::RepairPull, 1, 0, None, Some(1), 4, t(500_000));
-
-        let mut merged = Vec::new();
-        wv_sim::trace::rebase_merge(&mut merged, client.take());
-        wv_sim::trace::rebase_merge(&mut merged, server.take());
-        merged
+        use SpanKind::*;
+        const OP: u64 = 0x30001;
+        records(&[
+            (NO_PARENT, Write, 3, NO_PEER, OP, 0, 150_000, 0),
+            (0, Prepare, 3, NO_PEER, OP, 0, 150_000, 0),
+            (1, Rpc, 3, 0, OP, 0, 150_000, 1),
+            (1, Rpc, 3, 1, OP, 0, 148_000, 1),
+            (0, Commit, 3, NO_PEER, OP, 150_000, 300_000, 0),
+            (4, Rpc, 3, 0, OP, 150_000, 300_000, 1),
+            (4, Rpc, 3, 1, OP, 150_000, 298_000, 1),
+            (NO_PARENT, LockWait, 0, 3, OP, 10_000, 70_000, 0),
+            (NO_PARENT, WalWrite, 0, 3, OP, 78_000, 78_000, 5),
+            (NO_PARENT, RepairPull, 0, 1, 0, 500_000, 500_000, 4),
+        ])
     }
 
     #[test]
@@ -267,9 +271,16 @@ mod tests {
 
     #[test]
     fn open_spans_render_without_panicking() {
-        let mut tr = Tracer::new(1);
-        tr.start(SpanKind::Read, 1, 7, None, None, 0, t(10));
-        let rendered = waterfall(&tr.take());
+        let rendered = waterfall(&records(&[(
+            NO_PARENT,
+            SpanKind::Read,
+            1,
+            NO_PEER,
+            7,
+            10,
+            OPEN_END,
+            0,
+        )]));
         assert!(rendered.contains("open"));
         assert!(rendered.contains('~'));
     }

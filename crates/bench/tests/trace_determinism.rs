@@ -21,7 +21,7 @@ fn traced_trial(seed: u64) -> String {
         h.read(suite).expect("read succeeds");
         h.advance(SimDuration::from_secs(2));
     }
-    wv_sim::trace::to_jsonl(&h.take_trace())
+    wv_sim::trace::to_jsonl(&h.take_recorded().0)
 }
 
 #[test]

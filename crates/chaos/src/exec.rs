@@ -13,9 +13,9 @@ use std::ops::AddAssign;
 use wv_core::client::{
     ClientOptions, ClientStats, CompletedOp, HealthOptions, RetryCause, WeakRepOptions,
 };
-use wv_core::harness::SiteSpec;
+use wv_core::harness::{HarnessBuilder, SiteSpec};
 use wv_core::server::ServerStats;
-use wv_core::{Harness, OpError, OpKind, QuorumSpec, VoteAssignment};
+use wv_core::{Fault, Harness, OpError, OpKind, QuorumSpec, VoteAssignment};
 use wv_net::sim_net::NetStats;
 use wv_net::{Partition, SiteId};
 use wv_sim::{SimDuration, SimTime};
@@ -39,7 +39,7 @@ const RECOVERY_SLACK: SimDuration = SimDuration::from_secs(2);
 
 /// What can be wrong with the cluster, for [`TrialRun::fault_windows`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Fault {
+enum Trouble {
     Down(usize),
     Partition,
     Loss,
@@ -52,24 +52,24 @@ enum Fault {
 /// The intervals during which some fault was active.
 #[derive(Default)]
 struct FaultWindows {
-    open: BTreeMap<Fault, SimTime>,
+    open: BTreeMap<Trouble, SimTime>,
     closed: Vec<(SimTime, SimTime)>,
 }
 
 impl FaultWindows {
     /// `fault` is active from `at` (or from when it first became so).
-    fn open(&mut self, fault: Fault, at: SimTime) {
+    fn open(&mut self, fault: Trouble, at: SimTime) {
         self.open.entry(fault).or_insert(at);
     }
 
     /// `fault` stops mattering at `until`.
-    fn close(&mut self, fault: Fault, until: SimTime) {
+    fn close(&mut self, fault: Trouble, until: SimTime) {
         if let Some(from) = self.open.remove(&fault) {
             self.closed.push((from, until));
         }
     }
 
-    fn set(&mut self, fault: Fault, active: bool, at: SimTime) {
+    fn set(&mut self, fault: Trouble, active: bool, at: SimTime) {
         if active {
             self.open(fault, at);
         } else {
@@ -232,7 +232,7 @@ pub const GROUP_COMMIT_LATENCY: SimDuration = SimDuration::from_millis(5);
 
 /// Builds the harness a schedule runs against.
 fn build_harness(spec: &ClusterSpec, seed: u64) -> Harness {
-    let mut b = Harness::builder()
+    let mut b = HarnessBuilder::new()
         .quorum(QuorumSpec::new(spec.read_quorum, spec.write_quorum))
         .seed(seed);
     if spec.suites > 1 {
@@ -240,8 +240,8 @@ fn build_harness(spec: &ClusterSpec, seed: u64) -> Harness {
         // quorum sizes but keeps its own versions, locks, and WAL records
         // (one WAL per server, interleaved and group-committed across
         // suites). `suites == 1` leaves the builder's default suite in
-        // place, so single-suite replays are byte-identical to the
-        // pre-sharding executor.
+        // place, so a one-suite spec replays the committed E9 seeds
+        // unchanged.
         b = b.suites((1..=spec.suites as u64).map(ObjectId));
     }
     for _ in 0..spec.servers {
@@ -309,8 +309,8 @@ fn run_schedule_inner(
     // already carries: a write lands in the suite its payload tag picks,
     // reads round-robin across suites, and (multi-suite only) every
     // fifth write tag becomes a two-suite atomic transaction. With one
-    // suite every rule collapses to "the suite", so the same schedule
-    // replays byte-identically against a pre-sharding cluster.
+    // suite every rule collapses to "the suite", so a one-suite spec
+    // replays the committed E9 seeds unchanged.
     struct TxnRecord {
         client: SiteId,
         at: SimTime,
@@ -328,7 +328,7 @@ fn run_schedule_inner(
             let troubled = node
                 .as_server()
                 .is_some_and(|sv| sv.is_quarantined() || sv.container().disk_faults_armed());
-            faults.set(Fault::Disk(site), troubled, h.now());
+            faults.set(Trouble::Disk(site), troubled, h.now());
         }
     };
 
@@ -382,15 +382,15 @@ fn run_schedule_inner(
                 h.enqueue_read(clients[client % clients.len()], s, at);
             }
             EventKind::Crash { site } => {
-                faults.open(Fault::Down(*site), at);
+                faults.open(Trouble::Down(*site), at);
                 h.crash(SiteId(*site as u16));
             }
             EventKind::Recover { site } => {
-                faults.close(Fault::Down(*site), at + RECOVERY_SLACK);
+                faults.close(Trouble::Down(*site), at + RECOVERY_SLACK);
                 h.recover(SiteId(*site as u16));
             }
             EventKind::Partition { group_a } => {
-                faults.open(Fault::Partition, at);
+                faults.open(Trouble::Partition, at);
                 let a: Vec<SiteId> = group_a
                     .iter()
                     .filter(|&&s| s < total)
@@ -400,23 +400,23 @@ fn run_schedule_inner(
                     .filter(|s| !group_a.contains(s))
                     .map(|s| SiteId(s as u16))
                     .collect();
-                h.partition(Partition::split(total, &[&a, &b]));
+                h.inject(Fault::Partition(Partition::split(total, &[&a, &b])));
             }
             EventKind::Heal => {
-                faults.close(Fault::Partition, at);
-                h.heal();
+                faults.close(Trouble::Partition, at);
+                h.inject(Fault::Heal);
             }
             EventKind::LossBurst { permille } => {
-                faults.set(Fault::Loss, *permille > 0, at);
-                h.set_drop_all(f64::from(*permille) / 1000.0);
+                faults.set(Trouble::Loss, *permille > 0, at);
+                h.inject(Fault::DropAll(f64::from(*permille) / 1000.0));
             }
             EventKind::DelaySpike { extra_ms } => {
-                faults.set(Fault::Delay, *extra_ms > 0, at);
-                h.set_extra_delay(SimDuration::from_millis(*extra_ms));
+                faults.set(Trouble::Delay, *extra_ms > 0, at);
+                h.inject(Fault::ExtraDelay(SimDuration::from_millis(*extra_ms)));
             }
             EventKind::Duplication { permille } => {
-                faults.set(Fault::Duplication, *permille > 0, at);
-                h.set_duplicate_prob(f64::from(*permille) / 1000.0);
+                faults.set(Trouble::Duplication, *permille > 0, at);
+                h.inject(Fault::Duplicate(f64::from(*permille) / 1000.0));
             }
             EventKind::Reconfigure {
                 client,
@@ -433,13 +433,19 @@ fn run_schedule_inner(
                     at,
                 );
             }
-            EventKind::TornWrite { site } => h.arm_torn_write(SiteId(*site as u16)),
-            EventKind::BitFlip { site } => h.arm_bit_flip(SiteId(*site as u16)),
-            EventKind::IoError { site, count } => h.inject_io_errors(SiteId(*site as u16), *count),
+            EventKind::TornWrite { site } => h.inject(Fault::TornWrite(SiteId(*site as u16))),
+            EventKind::BitFlip { site } => h.inject(Fault::BitFlip(SiteId(*site as u16))),
+            EventKind::IoError { site, count } => h.inject(Fault::IoErrors {
+                site: SiteId(*site as u16),
+                n: *count,
+            }),
             EventKind::DiskStall { site, ms } => {
                 let stall = SimDuration::from_millis(*ms);
                 faults.closed.push((at, at + stall));
-                h.disk_stall(SiteId(*site as u16), stall);
+                h.inject(Fault::DiskStall {
+                    site: SiteId(*site as u16),
+                    d: stall,
+                });
             }
         }
     }
@@ -449,16 +455,16 @@ fn run_schedule_inner(
     disk_trouble(&h, &mut faults);
     let end = h.now();
     for (fault, from) in std::mem::take(&mut faults.open) {
-        let slack = matches!(fault, Fault::Down(_) | Fault::Disk(_));
+        let slack = matches!(fault, Trouble::Down(_) | Trouble::Disk(_));
         let until = if slack { end + RECOVERY_SLACK } else { end };
         faults.closed.push((from, until));
     }
-    h.set_drop_all(0.0);
-    h.set_extra_delay(SimDuration::ZERO);
-    h.set_duplicate_prob(0.0);
-    h.heal();
+    h.inject(Fault::DropAll(0.0));
+    h.inject(Fault::ExtraDelay(SimDuration::ZERO));
+    h.inject(Fault::Duplicate(0.0));
+    h.inject(Fault::Heal);
     for site in 0..spec.servers {
-        if h.is_down(SiteId(site as u16)) {
+        if h.cluster().is_down(SiteId(site as u16)) {
             h.recover(SiteId(site as u16));
         }
     }
@@ -511,9 +517,9 @@ fn run_schedule_inner(
     }
 
     // Post-quiesce final reads, per suite then per client (only
-    // meaningful if the system drained). Suite-major order keeps the
-    // single-suite read sequence — and therefore its RNG draws —
-    // identical to the pre-sharding executor.
+    // meaningful if the system drained). Suite-major order keeps a
+    // one-suite spec's read sequence — and therefore its RNG draws, and
+    // the committed E9 seeds' replays — unchanged.
     let mut suite_finals: Vec<Vec<FinalState>> = Vec::new();
     if quiesced {
         for &s in &suites {
@@ -543,9 +549,12 @@ fn run_schedule_inner(
         })
         .collect();
 
-    tally.client = clients.iter().filter_map(|&c| h.client_stats(c)).sum();
+    tally.client = clients
+        .iter()
+        .filter_map(|&c| h.client_at(c).map(|c| c.stats))
+        .sum();
     tally.server = SiteId::all(spec.servers)
-        .filter_map(|s| h.server_stats(s))
+        .filter_map(|s| h.server_at(s).map(|s| s.stats))
         .sum();
     tally.net = h.net_stats();
     for op in &ops {

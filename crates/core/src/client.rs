@@ -549,7 +549,7 @@ fn answered(answers: &Answers, suite: ObjectId) -> impl Iterator<Item = &SiteId>
 /// new geometry at the last ack.
 fn one_access(kind: OpKind, cfg: &SuiteConfig) -> bool {
     matches!(kind, OpKind::Write | OpKind::Transaction)
-        && 2 * cfg.quorum.write > cfg.assignment.total()
+        && cfg.quorum.writes_intersect(&cfg.assignment)
 }
 
 /// What a planner hands the two-phase-commit driver

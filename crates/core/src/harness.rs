@@ -7,7 +7,9 @@
 //! latency. Examples, integration tests, and the experiment binaries all
 //! sit on this facade; asynchronous use (concurrent operations) is
 //! available through [`Harness::enqueue_read`] / [`Harness::enqueue_write`]
-//! plus [`Harness::run_until_quiet`].
+//! plus [`Harness::run_until_quiet`]. Faults other than a crash or a
+//! recovery are [`Fault`]s handed to [`Harness::inject`]; a node's state
+//! is read through [`Harness::client_at`] and [`Harness::server_at`].
 //!
 //! # Determinism contract
 //!
@@ -23,7 +25,7 @@
 use bytes::Bytes;
 use wv_net::sim_net::{Cluster, NetStats};
 use wv_net::{NetConfig, Partition, SiteId};
-use wv_sim::{derive_seed, FailureSchedule, LatencyModel, Sim, SimDuration, SimTime};
+use wv_sim::{derive_seed, FailureSchedule, LatencyModel, Scheduler, Sim, SimDuration, SimTime};
 use wv_storage::{ObjectId, Version};
 use wv_txn::lock::DeadlockPolicy;
 
@@ -130,12 +132,6 @@ impl HarnessBuilder {
     /// Sets the read/write quorum sizes.
     pub fn quorum(mut self, q: QuorumSpec) -> Self {
         self.quorum = q;
-        self
-    }
-
-    /// Sets the suite object id (default `ObjectId(1)`).
-    pub fn suite(mut self, suite: ObjectId) -> Self {
-        self.suites = vec![suite];
         self
     }
 
@@ -368,6 +364,57 @@ pub struct WriteResult {
     pub attempts: u32,
 }
 
+/// A fault [`Harness::inject`] applies. Crashes and recoveries are
+/// [`Harness::crash`] and [`Harness::recover`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Fault {
+    /// Splits the network; [`Fault::Heal`] joins it again.
+    Partition(Partition),
+    /// Heals all partitions.
+    Heal,
+    /// The loss probability of every cross-site link (a link-loss burst
+    /// begins; `DropAll(0.0)` ends it).
+    DropAll(f64),
+    /// A delay spike: every cross-site message pays this on top of its
+    /// sampled latency (`SimDuration::ZERO` clears it).
+    ExtraDelay(SimDuration),
+    /// The end-to-end message duplication probability.
+    Duplicate(f64),
+    /// The site's next crash persists a partial prefix of its volatile
+    /// WAL tail instead of dropping it cleanly.
+    TornWrite(SiteId),
+    /// The site's next crash flips one bit of its durable WAL bytes.
+    BitFlip(SiteId),
+    /// The site's next `n` new transactions fail with an I/O error.
+    IoErrors {
+        /// The representative.
+        site: SiteId,
+        /// Transactions to fail.
+        n: u32,
+    },
+    /// The site's WAL device stalls for `d`: prepares refuse until then.
+    DiskStall {
+        /// The representative.
+        site: SiteId,
+        /// How long.
+        d: SimDuration,
+    },
+}
+
+/// Schedules `f` at `at` on the representative at `site`, if it is up.
+fn at_server(
+    sched: &mut Scheduler<Cluster<SystemNode>>,
+    at: SimTime,
+    site: SiteId,
+    f: impl FnOnce(&mut SuiteServer) + 'static,
+) {
+    Cluster::invoke(sched, at, site, move |node, _ctx| {
+        if let Some(s) = node.as_server_mut() {
+            f(s);
+        }
+    });
+}
+
 /// A simulated weighted-voting cluster with a blocking-style API.
 pub struct Harness {
     sim: Sim<Cluster<SystemNode>>,
@@ -376,11 +423,6 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// A fluent builder.
-    pub fn builder() -> HarnessBuilder {
-        HarnessBuilder::new()
-    }
-
     /// The (first) suite this harness serves.
     pub fn suite_id(&self) -> ObjectId {
         self.suites[0]
@@ -522,7 +564,7 @@ impl Harness {
             "site {client} is not a client"
         );
         let before = self
-            .client_ref(client)
+            .client_at(client)
             .map(|c| c.completed.len())
             .unwrap_or(0);
         let at = self.sim.now();
@@ -538,7 +580,7 @@ impl Harness {
         // was dropped and we report unavailability.
         loop {
             let len = self
-                .client_ref(client)
+                .client_at(client)
                 .map(|c| c.completed.len())
                 .unwrap_or(0);
             if len > before {
@@ -552,10 +594,6 @@ impl Harness {
             .as_client_mut()
             .expect("client exists");
         Ok(c.completed.remove(before))
-    }
-
-    fn client_ref(&self, site: SiteId) -> Option<&ClientNode> {
-        self.sim.world.nodes[site.index()].as_client()
     }
 
     /// Starts a read without waiting; results appear in the client's
@@ -645,95 +683,32 @@ impl Harness {
         self.sim.run_until(at);
     }
 
-    /// Imposes a network partition now.
-    pub fn partition(&mut self, p: Partition) {
+    /// Applies `fault` now: the change is scheduled at the current instant
+    /// and has taken effect when this returns.
+    pub fn inject(&mut self, fault: Fault) {
         let at = self.sim.now();
-        Cluster::set_partition_at(self.sim.scheduler(), at, p);
-        self.sim.run_until(at);
-    }
-
-    /// Heals all partitions.
-    pub fn heal(&mut self) {
         let sites = self.sim.world.nodes.len();
-        self.partition(Partition::whole(sites));
-    }
-
-    /// Sets the loss probability of every cross-site link now (a link-loss
-    /// burst begins; clear it with `set_drop_all(0.0)`).
-    pub fn set_drop_all(&mut self, p: f64) {
-        let at = self.sim.now();
-        Cluster::set_drop_all_at(self.sim.scheduler(), at, p);
+        let sched = self.sim.scheduler();
+        match fault {
+            Fault::Partition(p) => Cluster::set_partition_at(sched, at, p),
+            Fault::Heal => Cluster::set_partition_at(sched, at, Partition::whole(sites)),
+            Fault::DropAll(p) => Cluster::set_drop_all_at(sched, at, p),
+            Fault::ExtraDelay(extra) => Cluster::set_extra_delay_at(sched, at, extra),
+            Fault::Duplicate(p) => Cluster::set_duplicate_at(sched, at, p),
+            Fault::TornWrite(site) => at_server(sched, at, site, |s| {
+                s.disk_faults().arm_torn_write();
+            }),
+            Fault::BitFlip(site) => at_server(sched, at, site, |s| {
+                s.disk_faults().arm_bit_flip();
+            }),
+            Fault::IoErrors { site, n } => at_server(sched, at, site, move |s| {
+                s.disk_faults().inject_io_errors(n);
+            }),
+            Fault::DiskStall { site, d } => at_server(sched, at, site, move |s| {
+                s.disk_stall(d, at);
+            }),
+        }
         self.sim.run_until(at);
-    }
-
-    /// Imposes (or, with `SimDuration::ZERO`, clears) a delay spike: every
-    /// cross-site message pays `extra` on top of its sampled latency.
-    pub fn set_extra_delay(&mut self, extra: SimDuration) {
-        let at = self.sim.now();
-        Cluster::set_extra_delay_at(self.sim.scheduler(), at, extra);
-        self.sim.run_until(at);
-    }
-
-    /// Sets the end-to-end message duplication probability now.
-    pub fn set_duplicate_prob(&mut self, p: f64) {
-        let at = self.sim.now();
-        Cluster::set_duplicate_at(self.sim.scheduler(), at, p);
-        self.sim.run_until(at);
-    }
-
-    /// Arms a torn write at `site`: its next crash persists a partial
-    /// prefix of the volatile WAL tail instead of dropping it cleanly.
-    pub fn arm_torn_write(&mut self, site: SiteId) {
-        let at = self.sim.now();
-        Cluster::invoke(self.sim.scheduler(), at, site, |node, _ctx| {
-            if let Some(s) = node.as_server_mut() {
-                s.arm_torn_write();
-            }
-        });
-        self.sim.run_until(at);
-    }
-
-    /// Arms one bit flip of durable WAL bytes at `site`, applied at its
-    /// next crash.
-    pub fn arm_bit_flip(&mut self, site: SiteId) {
-        let at = self.sim.now();
-        Cluster::invoke(self.sim.scheduler(), at, site, |node, _ctx| {
-            if let Some(s) = node.as_server_mut() {
-                s.arm_bit_flip();
-            }
-        });
-        self.sim.run_until(at);
-    }
-
-    /// The next `n` new transactions at `site` fail with an I/O error.
-    pub fn inject_io_errors(&mut self, site: SiteId, n: u32) {
-        let at = self.sim.now();
-        Cluster::invoke(self.sim.scheduler(), at, site, move |node, _ctx| {
-            if let Some(s) = node.as_server_mut() {
-                s.inject_io_errors(n);
-            }
-        });
-        self.sim.run_until(at);
-    }
-
-    /// Stalls `site`'s WAL device for `d`: prepares refuse until then.
-    pub fn disk_stall(&mut self, site: SiteId, d: SimDuration) {
-        let at = self.sim.now();
-        Cluster::invoke(self.sim.scheduler(), at, site, move |node, ctx| {
-            if let Some(s) = node.as_server_mut() {
-                let now = ctx.now();
-                s.disk_stall(d, now);
-            }
-        });
-        self.sim.run_until(at);
-    }
-
-    /// Whether `site`'s representative is quarantined (votes surrendered
-    /// pending a full anti-entropy repair). False for client-only sites.
-    pub fn is_quarantined(&self, site: SiteId) -> bool {
-        self.sim.world.nodes[site.index()]
-            .as_server()
-            .is_some_and(SuiteServer::is_quarantined)
     }
 
     /// Translates a [`FailureSchedule`] into scheduled crash/recover
@@ -747,56 +722,27 @@ impl Harness {
         Cluster::apply_failure_schedule(self.sim.scheduler(), schedule);
     }
 
-    /// True if `site` is currently crashed.
-    pub fn is_down(&self, site: SiteId) -> bool {
-        self.sim.world.is_down(site)
+    /// The client half of `site` (None if it has none): its counters,
+    /// its completion log, its per-site load.
+    pub fn client_at(&self, site: SiteId) -> Option<&ClientNode> {
+        self.sim.world.nodes[site.index()].as_client()
+    }
+
+    /// The representative at `site` (None if it hosts none): its
+    /// counters, configurations, quarantine and committed state.
+    pub fn server_at(&self, site: SiteId) -> Option<&SuiteServer> {
+        self.sim.world.nodes[site.index()].as_server()
     }
 
     /// The committed data version at a representative (None if the site
     /// hosts none).
     pub fn version_at(&self, site: SiteId, suite: ObjectId) -> Option<Version> {
-        self.sim.world.nodes[site.index()]
-            .as_server()
-            .map(|s| s.data_version(suite))
+        self.server_at(site).map(|s| s.data_version(suite))
     }
 
     /// The committed data contents at a representative.
     pub fn value_at(&self, site: SiteId, suite: ObjectId) -> Option<Bytes> {
-        self.sim.world.nodes[site.index()]
-            .as_server()
-            .map(|s| s.data_value(suite))
-    }
-
-    /// The configuration generation a representative holds.
-    pub fn generation_at(&self, site: SiteId, suite: ObjectId) -> Option<u64> {
-        self.sim.world.nodes[site.index()]
-            .as_server()
-            .and_then(|s| s.config(suite))
-            .map(|c| c.generation)
-    }
-
-    /// The protocol counters of the client at `site` (None if the site has
-    /// no client half).
-    pub fn client_stats(&self, site: SiteId) -> Option<crate::client::ClientStats> {
-        self.sim.world.nodes[site.index()]
-            .as_client()
-            .map(|c| c.stats)
-    }
-
-    /// The protocol counters of the server at `site` (None if the site
-    /// hosts no representative).
-    pub fn server_stats(&self, site: SiteId) -> Option<crate::server::ServerStats> {
-        self.sim.world.nodes[site.index()]
-            .as_server()
-            .map(|s| s.stats)
-    }
-
-    /// Per-site data-request counters of the client at `site` — the load
-    /// its quorum policy placed on each representative.
-    pub fn client_site_load(&self, site: SiteId) -> Option<Vec<u64>> {
-        self.sim.world.nodes[site.index()]
-            .as_client()
-            .map(ClientNode::site_load)
+        self.server_at(site).map(|s| s.data_value(suite))
     }
 
     /// Silences every representative's anti-entropy probe from now on.
@@ -844,12 +790,6 @@ impl Harness {
             }
         }
         (spans, decisions)
-    }
-
-    /// The spans of [`Self::take_recorded`]; the decisions drained with
-    /// them are dropped.
-    pub fn take_trace(&mut self) -> Vec<wv_sim::SpanRecord> {
-        self.take_recorded().0
     }
 
     /// Immutable access to the underlying cluster (experiments).
@@ -943,7 +883,7 @@ mod tests {
         let client = h.default_client().0;
         h.write(suite, b"a".to_vec()).expect("write");
         // Reported at its decision, with its commit round still out.
-        let first = h.take_trace();
+        let first = h.take_recorded().0;
         let open_commit = first
             .iter()
             .find(|s| s.kind == SpanKind::Commit && s.end_us == OPEN_END)
@@ -951,7 +891,7 @@ mod tests {
         let write = open_commit.op;
         h.advance(SimDuration::from_secs(1));
         h.read(suite).expect("read");
-        let second = h.take_trace();
+        let second = h.take_recorded().0;
 
         let ids: BTreeSet<u32> = second.iter().map(|s| s.id).collect();
         let resolves = |s: &&SpanRecord| s.parent == NO_PARENT || ids.contains(&s.parent);
@@ -984,13 +924,108 @@ mod tests {
         // The inquiry's answers reach the recovered client, which no
         // longer knows the read.
         h.advance(SimDuration::from_secs(1));
-        let spans = h.take_trace();
+        let spans = h.take_recorded().0;
         let at_client: Vec<_> = spans.iter().filter(|s| s.site == client.0).collect();
         assert!(at_client.len() > 2, "a root, an inquiry and its RPCs");
         assert!(
             at_client.iter().all(|s| s.end_us == OPEN_END),
             "{at_client:?}"
         );
+    }
+
+    /// One arm per [`Fault`], no wildcard: a new variant does not compile
+    /// until its effect is asserted here.
+    #[test]
+    fn every_fault_has_its_observable_effect() {
+        let (s0, client, extra) = (SiteId(0), SiteId(3), SimDuration::from_millis(40));
+        let faults = [
+            Fault::Partition(Partition::isolate(4, client)),
+            Fault::Heal,
+            Fault::DropAll(1.0),
+            Fault::ExtraDelay(extra),
+            Fault::Duplicate(1.0),
+            Fault::TornWrite(s0),
+            Fault::BitFlip(s0),
+            Fault::IoErrors { site: s0, n: 1 },
+            Fault::DiskStall {
+                site: s0,
+                d: SimDuration::from_secs(5),
+            },
+        ];
+        for fault in faults {
+            // Group commit leaves a prepare volatile for a moment: the
+            // tail a torn write tears.
+            let mut h = HarnessBuilder::new()
+                .seed(3)
+                .site(SiteSpec::server(1))
+                .site(SiteSpec::server(1))
+                .site(SiteSpec::server(1))
+                .client()
+                .quorum(QuorumSpec::new(2, 2))
+                .group_commit(SimDuration::from_millis(5))
+                .build()
+                .expect("legal configuration");
+            let suite = h.suite_id();
+            h.write(suite, b"before".to_vec()).expect("write");
+            h.advance(SimDuration::from_secs(1));
+            let net = h.net_stats();
+            let server = |h: &Harness| h.server_at(s0).expect("server").stats;
+            let before = server(&h);
+            match fault {
+                Fault::Partition(p) => {
+                    h.inject(Fault::Partition(p));
+                    assert!(h.read(suite).is_err(), "no quorum across the split");
+                }
+                Fault::Heal => {
+                    h.inject(Fault::Partition(Partition::isolate(4, client)));
+                    h.inject(Fault::Heal);
+                    assert!(h.read(suite).is_ok(), "the quorum is back");
+                }
+                Fault::DropAll(p) => {
+                    h.inject(Fault::DropAll(p));
+                    assert!(h.read(suite).is_err(), "every message lost");
+                    assert!(h.net_stats().dropped_link > net.dropped_link);
+                }
+                Fault::ExtraDelay(d) => {
+                    let fast = h.read(suite).expect("read").latency;
+                    h.inject(Fault::ExtraDelay(d));
+                    let slow = h.read(suite).expect("read").latency;
+                    assert_eq!(slow, fast + d + d, "one round trip, each way late");
+                }
+                Fault::Duplicate(p) => {
+                    h.inject(Fault::Duplicate(p));
+                    h.write(suite, b"twice".to_vec()).expect("write");
+                    assert!(h.net_stats().duplicated > net.duplicated);
+                }
+                Fault::TornWrite(site) => {
+                    h.inject(Fault::TornWrite(site));
+                    h.enqueue_write(client, suite, b"torn".to_vec(), h.now());
+                    // The prepare has landed; its sync is still due.
+                    h.advance(SimDuration::from_millis(101));
+                    h.crash(site);
+                    h.recover(site);
+                    assert_eq!(server(&h).torn_truncations, before.torn_truncations + 1);
+                }
+                Fault::BitFlip(site) => {
+                    h.inject(Fault::BitFlip(site));
+                    h.crash(site);
+                    h.recover(site);
+                    assert!(server(&h).corrupt_records_detected > before.corrupt_records_detected);
+                }
+                Fault::IoErrors { site, n } => {
+                    h.inject(Fault::IoErrors { site, n });
+                    let w = h.write(suite, b"retried".to_vec()).expect("write");
+                    assert!(w.attempts > 1, "the first prepare met the error");
+                    assert_eq!(server(&h).disk_refusals, before.disk_refusals + 1);
+                }
+                Fault::DiskStall { site, d } => {
+                    h.inject(Fault::DiskStall { site, d });
+                    // Refused at s0 however the write ends elsewhere.
+                    let _ = h.write(suite, b"stalled".to_vec());
+                    assert!(server(&h).disk_refusals > before.disk_refusals);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1012,11 +1047,12 @@ mod tests {
             for i in 0..6u8 {
                 h.write(suite, vec![i]).expect("write");
             }
-            h.arm_bit_flip(SiteId(0));
+            h.inject(Fault::BitFlip(SiteId(0)));
             h.crash(SiteId(0));
             h.recover(SiteId(0));
-            let stats = h.server_stats(SiteId(0)).expect("server");
-            if !h.is_quarantined(SiteId(0)) || stats.quarantines != 1 {
+            let stats = h.server_at(SiteId(0)).expect("server").stats;
+            if !h.server_at(SiteId(0)).is_some_and(|s| s.is_quarantined()) || stats.quarantines != 1
+            {
                 continue; // flip hit the config record or scanned clean
             }
             // r + w > n holds without site 0's vote: reads and writes
@@ -1028,8 +1064,11 @@ mod tests {
             // Gossip rounds pull full state from both peers; the replica
             // heals, re-announces, and converges on the committed state.
             h.advance(SimDuration::from_secs(5));
-            assert!(!h.is_quarantined(SiteId(0)), "full sweep heals");
-            let stats = h.server_stats(SiteId(0)).expect("server");
+            assert!(
+                !h.server_at(SiteId(0)).is_some_and(|s| s.is_quarantined()),
+                "full sweep heals"
+            );
+            let stats = h.server_at(SiteId(0)).expect("server").stats;
             assert_eq!(stats.requarantine_repairs, 1);
             assert_eq!(stats.poison_escapes, 0);
             assert_eq!(stats.served_while_quarantined, 0);
@@ -1082,8 +1121,8 @@ mod tests {
             "identical wire history"
         );
         assert_eq!(
-            classic.client_stats(SiteId(3)),
-            piped.client_stats(SiteId(3))
+            classic.client_at(SiteId(3)).map(|c| c.stats),
+            piped.client_at(SiteId(3)).map(|c| c.stats)
         );
     }
 
@@ -1121,10 +1160,10 @@ mod tests {
         // Batching evidence: six concurrent prepares arrive at a server in
         // the same instant, so at least one sync covered several records.
         let batches: u64 = SiteId::all(3)
-            .map(|s| h.server_stats(s).expect("server").wal_batches)
+            .map(|s| h.server_at(s).expect("server").stats.wal_batches)
             .sum();
         let records: u64 = SiteId::all(3)
-            .map(|s| h.server_stats(s).expect("server").wal_batched_records)
+            .map(|s| h.server_at(s).expect("server").stats.wal_batched_records)
             .sum();
         assert!(batches >= 1);
         assert!(
@@ -1155,11 +1194,11 @@ mod tests {
             let suite = h.suite_id();
             h.write(suite, b"seed".to_vec()).expect("write");
             // Count only the read fetches: diff against the post-write load.
-            let base = h.client_site_load(h.default_client()).expect("client");
+            let base = h.client_at(h.default_client()).expect("client").site_load();
             for _ in 0..12 {
                 h.read(suite).expect("read");
             }
-            let load = h.client_site_load(h.default_client()).expect("client");
+            let load = h.client_at(h.default_client()).expect("client").site_load();
             load.iter()
                 .zip(&base)
                 .map(|(l, b)| l - b)
@@ -1210,7 +1249,7 @@ mod tests {
         // w = 3 installs v1 everywhere and seeds every site's RTT EWMA.
         h.write(suite, b"v1".to_vec()).expect("write");
         h.run_until_quiet(10_000); // everywhere: let the commit round land
-        let _ = h.take_trace();
+        let _ = h.take_recorded().0;
         // s0 (asked for the contents with its inquiry) is already down
         // when the read starts, so the fetch goes to s1 — which dies after
         // answering the version inquiry but before the fetch reaches it.
@@ -1228,11 +1267,11 @@ mod tests {
         assert_eq!(ok.version, Version(1));
         assert_eq!(ok.value.as_deref(), Some(&b"v1"[..]));
         assert_eq!(op.attempts, 1, "a failover is not a retry");
-        let stats = h.client_stats(client).expect("client");
+        let stats = h.client_at(client).expect("client").stats;
         assert_eq!((stats.timeouts, stats.retries), (1, 0), "{stats:?}");
         assert_eq!(stats.reads_fetched, 1);
         // The fetch phase's legs: s1's timed out, s2's brought the contents.
-        let spans = h.take_trace();
+        let spans = h.take_recorded().0;
         let fetch = spans.iter().find(|s| s.kind == SpanKind::Fetch);
         let fetch = fetch.expect("a fetch phase");
         let under = |s: &&SpanRecord| (s.site, s.parent) == (fetch.site, fetch.id);
@@ -1348,13 +1387,13 @@ mod tests {
         let suite = h.suite_id();
         h.write(suite, b"pre".to_vec()).expect("write");
         // Cut the client (site 3) off from servers 1 and 2.
-        h.partition(Partition::split(
+        h.inject(Fault::Partition(Partition::split(
             4,
             &[&[SiteId(0), SiteId(3)], &[SiteId(1), SiteId(2)]],
-        ));
+        )));
         let err = h.read(suite).expect_err("one vote is not a read quorum");
         assert!(matches!(err, OpError::Unavailable { .. }));
-        h.heal();
+        h.inject(Fault::Heal);
         assert!(h.read(suite).is_ok());
     }
 
@@ -1572,13 +1611,13 @@ mod tests {
         // Inside the overlap of both outages only one server remains: no
         // write quorum of 2.
         h.advance(SimDuration::from_secs(4));
-        assert!(h.is_down(SiteId(1)) && h.is_down(SiteId(2)));
+        assert!(h.cluster().is_down(SiteId(1)) && h.cluster().is_down(SiteId(2)));
         // A write issued mid-outage retries until the windows close: it
         // succeeds, but only after site 1 recovers at t = 8 s.
         h.write(suite, b"mid".to_vec()).expect("write rides it out");
         assert!(h.now() >= SimTime::from_secs(8), "blocked until recovery");
-        assert!(!h.is_down(SiteId(1)));
-        let stats = h.client_stats(h.default_client()).expect("client");
+        assert!(!h.cluster().is_down(SiteId(1)));
+        let stats = h.client_at(h.default_client()).expect("client").stats;
         assert!(stats.retries > 0, "the outage forced retries");
     }
 
@@ -1656,7 +1695,7 @@ mod tests {
         h.crash(SiteId(2));
         let err = h.write(suite, b"nope".to_vec()).expect_err("no quorum");
         assert!(matches!(err, OpError::Unavailable { .. }));
-        let stats = h.client_stats(h.default_client()).expect("client");
+        let stats = h.client_at(h.default_client()).expect("client").stats;
         assert_eq!(stats.attempts_exhausted, 1, "the op gave up exactly once");
         assert_eq!(stats.retries, 2, "two retries before the budget ran out");
         assert!(
@@ -1727,9 +1766,9 @@ mod tests {
         // The writer is cut off just as the last vote lands: it decides
         // and reports, and its first Commit to both participants is lost.
         h.advance(SimDuration::from_millis(199));
-        h.partition(Partition::isolate(5, writer));
+        h.inject(Fault::Partition(Partition::isolate(5, writer)));
         h.advance(SimDuration::from_millis(2));
-        h.heal();
+        h.inject(Fault::Heal);
         assert_eq!(reported_at(&mut h, writer), SimDuration::from_millis(200));
         assert!(SiteId::all(3).all(|s| h.version_at(s, suite) == Some(Version(0))));
         // A read that starts after the report is held behind the two
@@ -1739,7 +1778,7 @@ mod tests {
         assert_eq!((r.version, &r.value[..]), (Version(1), &b"new"[..]));
         assert!(r.latency > SimDuration::from_secs(5), "{:?}", r.latency);
         let held: u64 = SiteId::all(3)
-            .map(|s| h.server_stats(s).expect("server").busy)
+            .map(|s| h.server_at(s).expect("server").stats.busy)
             .sum();
         assert!(held >= 2, "held {held}");
     }
@@ -1769,7 +1808,7 @@ mod tests {
         assert_eq!((r.version, &r.value[..]), (Version(1), &b"new"[..]));
         assert_eq!(r.attempts, 1);
         assert_eq!(h.version_at(SiteId(1), suite), Some(Version(1)));
-        assert!(h.server_stats(SiteId(1)).expect("server").busy >= 1);
+        assert!(h.server_at(SiteId(1)).expect("server").stats.busy >= 1);
     }
 
     #[test]
@@ -1870,7 +1909,7 @@ mod tests {
 
     fn inquiries(h: &Harness) -> u64 {
         SiteId::all(3)
-            .map(|s| h.server_stats(s).expect("server").inquiries)
+            .map(|s| h.server_at(s).expect("server").stats.inquiries)
             .sum()
     }
 
@@ -1945,7 +1984,7 @@ mod tests {
         // The reconfiguration's re-publication took version 1.
         assert_eq!(w.version, Version(2));
         assert_eq!(inquiries(&h), before + 3);
-        let stats = h.client_stats(a).expect("client");
+        let stats = h.client_at(a).expect("client").stats;
         assert_eq!(stats.retries, 1);
         assert_eq!(stats.retry_causes[RetryCause::StaleConfig as usize], 1);
         h.run_until_quiet(10_000);
@@ -1977,7 +2016,7 @@ mod tests {
         let t = h.transaction(a, writes).expect("commits");
         assert_eq!(t.attempts, 2);
         assert_eq!(t.versions, vec![(first, Version(1)), (second, Version(2))]);
-        let stats = h.client_stats(a).expect("client");
+        let stats = h.client_at(a).expect("client").stats;
         assert_eq!(stats.retry_causes[RetryCause::StaleConfig as usize], 1);
     }
 
@@ -1992,7 +2031,7 @@ mod tests {
         // 5 s phase timeout, and one attempt.
         let w = h.write(suite, b"w".to_vec()).expect("write");
         assert_eq!((w.version, w.attempts, w.latency), (Version(1), 1, ms(600)));
-        let stats = h.client_stats(client).expect("client");
+        let stats = h.client_at(client).expect("client").stats;
         assert_eq!((stats.timeouts, stats.retries), (0, 0));
         // s0's commit lock went with the Commit, 700 ms in.
         h.advance(ms(101));
@@ -2024,10 +2063,10 @@ mod tests {
         h.advance(ms(399));
         assert_eq!(pending_at(&h, s1), 1, "staged, its yes on the wire");
         if lose_abort {
-            h.partition(Partition::isolate(4, s1));
+            h.inject(Fault::Partition(Partition::isolate(4, s1)));
         }
         h.advance(ms(2));
-        h.heal();
+        h.inject(Fault::Heal);
         h.advance(ms(300));
         assert_eq!(reported_at(&mut h, client), ms(600));
         h.advance(SimDuration::from_secs(20));
@@ -2073,9 +2112,9 @@ mod tests {
             let (suite, client) = (h.suite_id(), h.default_client());
             h.enqueue_write(client, suite, b"w".to_vec(), h.now());
             h.advance(ms(50));
-            h.partition(Partition::isolate(4, SiteId(1)));
+            h.inject(Fault::Partition(Partition::isolate(4, SiteId(1))));
             h.advance(ms(400));
-            h.heal();
+            h.inject(Fault::Heal);
             if !decision_retired {
                 // s2 votes and dies before the Commit: its ack never
                 // comes, so the tail keeps the decision answerable.
@@ -2236,7 +2275,13 @@ mod tests {
         h.advance(SimDuration::from_secs(2));
         assert_eq!(h.version_at(SiteId(2), suite), Some(Version(3)));
         assert_eq!(h.value_at(SiteId(2), suite).as_deref(), Some(&b"v3"[..]));
-        assert!(h.server_stats(SiteId(2)).expect("server").repairs_completed >= 1);
+        assert!(
+            h.server_at(SiteId(2))
+                .expect("server")
+                .stats
+                .repairs_completed
+                >= 1
+        );
         // With the probes silenced the queue drains.
         h.stop_anti_entropy();
         h.run_until_quiet(1_000_000);
@@ -2289,7 +2334,7 @@ mod tests {
             assert_eq!(r.version, Version(1));
             assert_eq!(r.value, b"hot".to_vec());
         }
-        let stats = h.client_stats(SiteId(3)).expect("client");
+        let stats = h.client_at(SiteId(3)).expect("client").stats;
         // The first read's contents came with its inquiry and filled the
         // cache; every later read was quorum-confirmed and served locally.
         assert_eq!(stats.cache_misses, 1);
@@ -2318,7 +2363,7 @@ mod tests {
         let r = h.read(suite).expect("read");
         assert_eq!(r.version, Version(2));
         assert_eq!(r.value, b"v2".to_vec());
-        let stats = h.client_stats(SiteId(3)).expect("client");
+        let stats = h.client_at(SiteId(3)).expect("client").stats;
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.lease_expiries, 0);
     }
@@ -2393,7 +2438,7 @@ mod tests {
         }
         let weak_installs: u64 = workstations
             .iter()
-            .map(|w| h.server_stats(*w).expect("weak rep").weak_updates)
+            .map(|w| h.server_at(*w).expect("weak rep").stats.weak_updates)
             .sum();
         assert!(weak_installs as usize >= 4 * n, "{weak_installs} refreshes");
     }
@@ -2402,7 +2447,7 @@ mod tests {
 
     fn prepares(h: &Harness) -> u64 {
         SiteId::all(3)
-            .map(|s| h.server_stats(s).expect("server").prepares)
+            .map(|s| h.server_at(s).expect("server").stats.prepares)
             .sum()
     }
 
@@ -2432,7 +2477,7 @@ mod tests {
             vec![(2, ms(200)), (3, ms(400)), (4, ms(400))]
         );
         assert_eq!(prepares(&h), before + 2 * 2, "two prepares at two sites");
-        let stats = h.client_stats(client).expect("client");
+        let stats = h.client_at(client).expect("client").stats;
         assert_eq!((stats.trains, stats.writes_ridden), (3, 1));
         let seen = h.read(suite).expect("read");
         assert_eq!((seen.version, &seen.value[..]), (Version(4), &b"c"[..]));
@@ -2444,13 +2489,13 @@ mod tests {
         let (suite, client) = (h.suite_id(), h.default_client());
         // The first write's prepares are lost to a partition; two more
         // park behind it (a tenth of a second in, nobody is late yet).
-        h.partition(Partition::isolate(4, client));
+        h.inject(Fault::Partition(Partition::isolate(4, client)));
         h.enqueue_write(client, suite, b"lost".to_vec(), h.now());
         h.advance(ms(100));
         h.enqueue_write(client, suite, b"b".to_vec(), h.now());
         h.enqueue_write(client, suite, b"c".to_vec(), h.now());
         h.advance(ms(900));
-        h.heal();
+        h.inject(Fault::Heal);
         // It times out 5 s in and retries 40 to 60 ms later. The parked
         // two leave at the timeout — asking first, their sites having just
         // been silent — and a write launched while the first is waiting to
@@ -2550,7 +2595,7 @@ mod tests {
                 attempts.push(op.attempts);
                 versions.push(op.outcome.expect("no fault, no failure").version.0);
             }
-            let stats = h.client_stats(c).expect("client");
+            let stats = h.client_at(c).expect("client").stats;
             let by_cause: u64 = stats.retry_causes.iter().sum();
             assert_eq!(by_cause, stats.retries, "every retry has a cause");
             let timed_out = RetryCause::TimeoutPrepare as usize;

@@ -86,7 +86,7 @@ pub mod votes;
 mod window;
 
 pub use error::{OpError, OpKind};
-pub use harness::{Harness, HarnessBuilder, SiteSpec};
+pub use harness::{Fault, Harness, HarnessBuilder, SiteSpec};
 pub use quorum::QuorumSpec;
 pub use suite::SuiteConfig;
 pub use votes::VoteAssignment;

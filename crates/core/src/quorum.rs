@@ -76,6 +76,13 @@ impl QuorumSpec {
         }
         Ok(())
     }
+
+    /// Whether every two write quorums share a vote under `assignment`:
+    /// `2w > N`. Where they do, a writer need not ask a read quorum for
+    /// the current version; the write quorum it installs at knows it.
+    pub fn writes_intersect(&self, assignment: &VoteAssignment) -> bool {
+        2 * self.write > assignment.total()
+    }
 }
 
 /// Enumerates the *minimal* site sets whose votes reach `needed`.

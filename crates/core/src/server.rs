@@ -28,7 +28,7 @@ use bytes::Bytes;
 use wv_net::{Node, NodeCtx, SiteId};
 use wv_sim::trace::{Recorder, SpanId, SpanKind, SpanOutcome, SpanRecord};
 use wv_sim::{SimDuration, SimTime};
-use wv_storage::{Container, IdHashMap, ObjectId, TxId, Version};
+use wv_storage::{Container, DiskFaults, IdHashMap, ObjectId, TxId, Version};
 use wv_txn::lock::{DeadlockPolicy, LockMode, LockReply, LockTable, TxToken};
 use wv_txn::Vote;
 
@@ -288,20 +288,10 @@ impl SuiteServer {
         self.container.disk_faults().seed(seed);
     }
 
-    /// Arms a torn write: the next crash persists a partial prefix of the
-    /// volatile WAL tail instead of dropping it cleanly.
-    pub fn arm_torn_write(&mut self) {
-        self.container.disk_faults().arm_torn_write();
-    }
-
-    /// Arms one bit flip of durable WAL bytes, applied at the next crash.
-    pub fn arm_bit_flip(&mut self) {
-        self.container.disk_faults().arm_bit_flip();
-    }
-
-    /// The next `n` new transactions fail to start with an I/O error.
-    pub fn inject_io_errors(&mut self, n: u32) {
-        self.container.disk_faults().inject_io_errors(n);
+    /// The container's disk-fault injector: torn writes and bit flips
+    /// applied at the next crash, and I/O errors on new transactions.
+    pub fn disk_faults(&mut self) -> &mut DiskFaults {
+        self.container.disk_faults()
     }
 
     /// Injected sync stall: prepares refuse with [`RefuseReason::Disk`]
@@ -2975,7 +2965,7 @@ mod tests {
             install(&mut s, v, b"payload");
         }
         s.set_disk_fault_seed(seed);
-        s.arm_bit_flip();
+        s.disk_faults().arm_bit_flip();
         s.handle_crash();
         let mut rng = DetRng::new(seed);
         let mut ctx = ctx_pair(&mut rng);
@@ -3043,7 +3033,7 @@ mod tests {
                 install(&mut s, v, b"payload");
             }
             s.set_disk_fault_seed(seed);
-            s.arm_bit_flip();
+            s.disk_faults().arm_bit_flip();
             s.handle_crash();
             let mut rng = DetRng::new(seed);
             let mut ctx = ctx_pair(&mut rng);
@@ -3122,7 +3112,7 @@ mod tests {
         let mut ctx = ctx_pair(&mut rng);
         s.handle(CLIENT, prepare_msg(r, 1, b"volatile"), &mut ctx);
         assert!(sent(&mut ctx).is_empty(), "vote deferred behind the sync");
-        s.arm_torn_write();
+        s.disk_faults().arm_torn_write();
         s.handle_crash();
         let mut ctx = ctx_pair(&mut rng);
         s.handle_recover(&mut ctx);
@@ -3182,7 +3172,7 @@ mod tests {
     fn io_error_refuses_the_prepare_and_releases_its_locks() {
         let mut s = server();
         let mut rng = DetRng::new(54);
-        s.inject_io_errors(1);
+        s.disk_faults().inject_io_errors(1);
         let mut ctx = ctx_pair(&mut rng);
         s.handle(CLIENT, prepare_msg(req(1), 1, b"w"), &mut ctx);
         let out = sent(&mut ctx);
@@ -3255,7 +3245,7 @@ mod tests {
                 &mut ctx,
             );
             assert!(sent(&mut ctx).is_empty());
-            s.arm_torn_write();
+            s.disk_faults().arm_torn_write();
             s.handle_crash();
             let mut ctx = ctx_pair(&mut rng);
             s.handle_recover(&mut ctx);

@@ -63,4 +63,4 @@ pub use sched::{Call, Scheduler, Sim, Ticket};
 pub use slab::Slab;
 pub use stats::SampleSet;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Recorder, SpanId, SpanKind, SpanOutcome, SpanRecord, Tracer};
+pub use trace::{Recorder, SpanId, SpanKind, SpanOutcome, SpanRecord};

@@ -1,6 +1,6 @@
 //! Deterministic operation tracing: spans stamped from virtual time.
 //!
-//! A [`Tracer`] is a per-node, append-only buffer of [`SpanRecord`]s. Spans
+//! Each node records into an append-only buffer of [`SpanRecord`]s. Spans
 //! nest (each record carries an optional parent index) and together describe
 //! one operation's path through the system: the client-side quorum assembly,
 //! the per-site RPCs with their votes, the data move, the 2PC prepare and
@@ -231,7 +231,7 @@ impl SpanOutcome {
     }
 }
 
-/// Handle to an open span, valid only against the tracer that issued it.
+/// Handle to an open span, valid only against the recorder that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanId(u32);
 
@@ -327,26 +327,26 @@ impl SpanRecord {
     }
 }
 
-/// Per-node span buffer. See the module docs for the determinism contract.
-#[derive(Clone, Debug, Default)]
-pub struct Tracer {
+/// A [`Recorder`]'s span buffer: ids are indices into it. See the module
+/// docs for the determinism contract.
+#[derive(Debug, Default)]
+struct SpanBuffer {
     site: u16,
     spans: Vec<SpanRecord>,
 }
 
-impl Tracer {
-    /// Creates an empty tracer for the given site.
-    pub fn new(site: u16) -> Self {
-        Tracer {
+impl SpanBuffer {
+    fn new(site: u16) -> Self {
+        SpanBuffer {
             site,
             spans: Vec::new(),
         }
     }
 
-    /// Opens a span at `now`; close it with [`Tracer::end`]. `suite` is
-    /// the raw suite id the span concerns (0 when not suite-scoped).
+    /// Opens a span at `now`; close it with [`SpanBuffer::end`]. `suite`
+    /// is the raw suite id the span concerns (0 when not suite-scoped).
     #[allow(clippy::too_many_arguments)]
-    pub fn start(
+    fn start(
         &mut self,
         kind: SpanKind,
         suite: u64,
@@ -374,7 +374,7 @@ impl Tracer {
     }
 
     /// Closes a span. Closing twice keeps the first outcome.
-    pub fn end(&mut self, id: SpanId, now: SimTime, outcome: SpanOutcome) {
+    fn end(&mut self, id: SpanId, now: SimTime, outcome: SpanOutcome) {
         let s = &mut self.spans[id.0 as usize];
         if s.end_us == OPEN_END {
             s.end_us = now.as_micros();
@@ -383,7 +383,7 @@ impl Tracer {
     }
 
     /// Closes a span and overwrites its detail payload.
-    pub fn end_with_detail(&mut self, id: SpanId, now: SimTime, outcome: SpanOutcome, detail: u64) {
+    fn end_with_detail(&mut self, id: SpanId, now: SimTime, outcome: SpanOutcome, detail: u64) {
         let open = self.spans[id.0 as usize].end_us == OPEN_END;
         if open {
             self.spans[id.0 as usize].detail = detail;
@@ -393,7 +393,7 @@ impl Tracer {
 
     /// Records an instantaneous event: a zero-duration `Ok` span.
     #[allow(clippy::too_many_arguments)]
-    pub fn event(
+    fn event(
         &mut self,
         kind: SpanKind,
         suite: u64,
@@ -408,18 +408,8 @@ impl Tracer {
         id
     }
 
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Read-only view of the recorded spans, in creation order.
-    pub fn records(&self) -> &[SpanRecord] {
-        &self.spans
-    }
-
-    /// Drains the buffer, leaving the tracer empty (ids restart at 0).
-    pub fn take(&mut self) -> Vec<SpanRecord> {
+    /// Drains the buffer (ids restart at 0).
+    fn take(&mut self) -> Vec<SpanRecord> {
         std::mem::take(&mut self.spans)
     }
 }
@@ -449,7 +439,7 @@ impl OpSpans {
     /// Opens a span of the op's under `parent`.
     fn span(
         &self,
-        tr: &mut Tracer,
+        tr: &mut SpanBuffer,
         kind: SpanKind,
         parent: Option<SpanId>,
         peer: Option<u16>,
@@ -462,7 +452,7 @@ impl OpSpans {
     /// request/response spans otherwise.
     fn open(
         &mut self,
-        tr: &mut Tracer,
+        tr: &mut SpanBuffer,
         legs: bool,
         sites: impl IntoIterator<Item = u16>,
         now: SimTime,
@@ -477,7 +467,7 @@ impl OpSpans {
     /// Closes the phase with `outcome`. Its RPCs and legs still open end
     /// `Lost` when the phase completed without them, `Timeout` when it
     /// timed out, and `Unanswered` otherwise.
-    fn close_phase(&mut self, tr: &mut Tracer, outcome: SpanOutcome, now: SimTime) {
+    fn close_phase(&mut self, tr: &mut SpanBuffer, outcome: SpanOutcome, now: SimTime) {
         let loose = match outcome {
             SpanOutcome::Ok => SpanOutcome::Lost,
             SpanOutcome::Timeout => SpanOutcome::Timeout,
@@ -494,7 +484,7 @@ impl OpSpans {
 
 /// Ends the open span aimed at `site` in `open`, if there is one.
 fn end_at(
-    tr: &mut Tracer,
+    tr: &mut SpanBuffer,
     open: &mut Vec<(u16, SpanId)>,
     site: u16,
     outcome: SpanOutcome,
@@ -527,7 +517,7 @@ pub struct Recorder {
     /// from the first span ever recorded, so one that outlives a drain
     /// closes nothing.
     drained: u32,
-    spans: Tracer,
+    spans: SpanBuffer,
     decisions: Vec<AuditRecord>,
     ops: BTreeMap<u64, OpSpans>,
     /// Commit rounds still collecting acks, by the decided request id. A
@@ -539,7 +529,7 @@ impl Recorder {
     /// An idle recorder for the given site.
     pub fn new(site: u16) -> Self {
         Recorder {
-            spans: Tracer::new(site),
+            spans: SpanBuffer::new(site),
             ..Recorder::default()
         }
     }
@@ -797,7 +787,7 @@ impl Recorder {
 /// Appends one node's drained spans to a merged record, rebasing ids so
 /// they stay unique across nodes: each incoming id (and non-sentinel
 /// parent) is offset by the current length of `merged`. Ids within one
-/// tracer are vector indices, so the result is contiguous — and
+/// node are vector indices, so the result is contiguous — and
 /// deterministic whenever nodes are drained in a fixed order.
 pub fn rebase_merge(merged: &mut Vec<SpanRecord>, spans: Vec<SpanRecord>) {
     let base = merged.len() as u32;
@@ -831,7 +821,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_close_in_order() {
-        let mut tr = Tracer::new(3);
+        let mut tr = SpanBuffer::new(3);
         let root = tr.start(SpanKind::Read, 5, 77, None, None, 0, t(0));
         let inq = tr.start(SpanKind::Inquiry, 5, 77, Some(root), None, 0, t(0));
         let rpc = tr.start(SpanKind::Rpc, 5, 77, Some(inq), Some(1), 0, t(0));
@@ -839,7 +829,7 @@ mod tests {
         tr.end(inq, t(150), SpanOutcome::Ok);
         tr.end(root, t(200), SpanOutcome::Ok);
 
-        let recs = tr.records();
+        let recs = &tr.spans;
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].parent, NO_PARENT);
         assert_eq!(recs[1].parent, 0);
@@ -854,24 +844,24 @@ mod tests {
 
     #[test]
     fn double_end_keeps_first_outcome() {
-        let mut tr = Tracer::new(0);
+        let mut tr = SpanBuffer::new(0);
         let s = tr.start(SpanKind::Fetch, 0, 1, None, None, 0, t(0));
         tr.end(s, t(10), SpanOutcome::Timeout);
         tr.end(s, t(20), SpanOutcome::Ok);
-        assert_eq!(tr.records()[0].outcome, SpanOutcome::Timeout);
-        assert_eq!(tr.records()[0].end_us, 10);
+        assert_eq!(tr.spans[0].outcome, SpanOutcome::Timeout);
+        assert_eq!(tr.spans[0].end_us, 10);
     }
 
     #[test]
     fn jsonl_round_trips() {
-        let mut tr = Tracer::new(2);
+        let mut tr = SpanBuffer::new(2);
         let root = tr.start(SpanKind::Write, 9, 0x1_0002, None, None, 0, t(5));
         let rpc = tr.start(SpanKind::Rpc, 9, 0x1_0002, Some(root), Some(4), 0, t(5));
         tr.end_with_detail(rpc, t(80), SpanOutcome::Refused, 3);
         tr.end(root, t(90), SpanOutcome::Err);
         tr.start(SpanKind::Fetch, 9, 0x1_0002, Some(root), None, 0, t(95));
 
-        let text = to_jsonl(tr.records());
+        let text = to_jsonl(&tr.spans);
         assert!(text.lines().all(|l| l.contains("\"suite\":9")));
         assert_eq!(
             text.lines().nth(1),
@@ -883,7 +873,7 @@ mod tests {
         );
         assert!(text.contains("\"end_us\":null,\"id\":2"), "open: {text}");
         let back = from_jsonl(&text).expect("parse");
-        assert_eq!(back, tr.records());
+        assert_eq!(back, tr.spans);
     }
 
     #[test]
@@ -1052,11 +1042,11 @@ mod tests {
 
     #[test]
     fn take_drains_and_restarts_ids() {
-        let mut tr = Tracer::new(0);
+        let mut tr = SpanBuffer::new(0);
         tr.event(SpanKind::WalWrite, 0, 0, None, None, 7, t(1));
         let drained = tr.take();
         assert_eq!(drained.len(), 1);
-        assert!(tr.is_empty());
+        assert!(tr.spans.is_empty());
         let s = tr.start(SpanKind::Apply, 0, 0, None, None, 0, t(2));
         assert_eq!(s, SpanId(0));
     }

@@ -74,7 +74,11 @@ fn main() {
     for s in SiteId::all(3) {
         println!(
             "  {s}: generation {:?}",
-            cluster.generation_at(s, suite).expect("server")
+            cluster
+                .server_at(s)
+                .and_then(|s| s.config(suite))
+                .expect("server")
+                .generation
         );
     }
     println!(

@@ -35,13 +35,13 @@ fn main() {
     println!("pre-partition write committed as {}", w.version);
 
     println!("\n-- the network splits: {{s0,s1,s2,s5}} vs {{s3,s4,s6}} --");
-    cluster.partition(Partition::split(
+    cluster.inject(Fault::Partition(Partition::split(
         7,
         &[
             &[SiteId(0), SiteId(1), SiteId(2), SiteId(5)],
             &[SiteId(3), SiteId(4), SiteId(6)],
         ],
-    ));
+    )));
 
     let w2 = cluster
         .write_from(majority_client, suite, b"majority side moves on".to_vec())
@@ -62,7 +62,7 @@ fn main() {
     }
 
     println!("\n-- the partition heals --");
-    cluster.heal();
+    cluster.inject(Fault::Heal);
     let r = cluster
         .read_from(minority_client, suite)
         .expect("healed network serves everyone");

@@ -107,17 +107,17 @@ fn history_stays_single_across_a_partition() {
     h.enqueue_write(clients[0], suite, b"base".to_vec(), h.now());
     h.run_until_quiet(1_000_000);
     // Client 0 with the majority, client 1 with the minority.
-    h.partition(Partition::split(
+    h.inject(Fault::Partition(Partition::split(
         5,
         &[&[SiteId(0), SiteId(1), SiteId(3)], &[SiteId(2), SiteId(4)]],
-    ));
+    )));
     for round in 0..6u64 {
         let at = h.now() + SimDuration::from_millis(round * 1_000);
         h.enqueue_write(clients[0], suite, format!("maj{round}").into_bytes(), at);
         h.enqueue_read(clients[1], suite, at);
     }
     h.run_until_quiet(2_000_000);
-    h.heal();
+    h.inject(Fault::Heal);
     let mut all = Vec::new();
     for &c in &clients {
         all.extend(h.drain_completed(c));

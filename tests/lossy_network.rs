@@ -85,7 +85,7 @@ fn duplication_dialed_in_mid_run_never_double_applies_a_write() {
     let client = h.default_client();
     let mut expected = 0u64;
     for phase in 0..3u32 {
-        h.set_duplicate_prob(if phase == 1 { 0.6 } else { 0.0 });
+        h.inject(Fault::Duplicate(if phase == 1 { 0.6 } else { 0.0 }));
         // Overlapping traffic: enqueue a burst without waiting in between,
         // so duplicated prepares and commits interleave with live ones.
         // (Writes launched while one is preparing share the next prepare,

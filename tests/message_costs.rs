@@ -65,7 +65,7 @@ fn a_train_costs_its_members_one_quorum_access_between_them() {
         let sent = (h.net_stats().sent - before) as f64;
         let expected = train_messages_per_write(w, 1) + 8.0 * train_messages_per_write(w, 8);
         assert_eq!(sent, expected, "servers={servers}");
-        let stats = h.client_stats(client).expect("client");
+        let stats = h.client_at(client).expect("client").stats;
         assert_eq!((stats.trains, stats.writes_ridden), (2, 7));
     }
 }

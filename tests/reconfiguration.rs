@@ -74,7 +74,12 @@ fn reconfiguration_of_an_unwritten_suite_still_consumes_a_version() {
         QuorumSpec::majority(2),
     )
     .expect("reconfigure an empty suite");
-    assert_eq!(h.generation_at(SiteId(0), suite), Some(2));
+    assert_eq!(
+        h.server_at(SiteId(0))
+            .and_then(|s| s.config(suite))
+            .map(|c| c.generation),
+        Some(2)
+    );
     // The re-publication bump writes the (empty) initial contents at v1
     // — even an empty suite serialises its reconfiguration against
     // concurrent first writes — so the first real write lands at v2.
@@ -144,7 +149,12 @@ fn reconfiguration_requires_the_new_write_quorum_to_be_reachable() {
         .expect_err("new write quorum unreachable");
     assert!(matches!(err, OpError::Unavailable { .. }));
     // And nothing changed: the old configuration still serves.
-    assert_eq!(h.generation_at(SiteId(0), suite), Some(1));
+    assert_eq!(
+        h.server_at(SiteId(0))
+            .and_then(|s| s.config(suite))
+            .map(|c| c.generation),
+        Some(1)
+    );
     assert!(h.write(suite, b"still majority".to_vec()).is_ok());
 }
 

@@ -58,7 +58,7 @@ fn a_healthy_write_read_and_train_fire_no_timer() {
         assert_eq!(timers_fired(&mut h, op), 0, "{name}");
     }
     let client = h.default_client();
-    let stats = h.client_stats(client).expect("client");
+    let stats = h.client_at(client).expect("client").stats;
     assert_eq!((stats.trains, stats.writes_ridden), (3, 7));
     let done = h.drain_completed(client);
     assert_eq!(done.len(), 9);
@@ -70,7 +70,7 @@ fn under_group_commit_the_only_timers_fired_are_the_syncs() {
     let mut h = cluster(Some(SimDuration::from_millis(5)));
     let syncs = |h: &Harness| -> u64 {
         (0..3u16)
-            .map(|s| h.server_stats(SiteId(s)).expect("server").wal_batches)
+            .map(|s| h.server_at(SiteId(s)).expect("server").stats.wal_batches)
             .sum()
     };
     for (name, op) in healthy_ops() {
