@@ -1,86 +1,64 @@
 //! Blocking probability: can a quorum be assembled from the up sites?
 //!
-//! Exact computation enumerates the `2^n` up/down patterns of the strong
-//! sites (weak representatives never matter); a Monte-Carlo estimator
-//! cross-checks the enumeration and doubles as the simulated column of the
-//! availability experiment.
+//! Exact: the probabilities of every up/down pattern of the strong sites
+//! (weak representatives never matter) whose votes reach the threshold are
+//! summed, walking [`Subsets`]. The experiments run the protocol itself on
+//! the same walk and weight its outcomes the same way.
 
+use wv_core::quorum::Subsets;
 use wv_core::votes::VoteAssignment;
-use wv_net::SiteId;
-use wv_sim::DetRng;
 
 use crate::model::SystemModel;
 
 /// Exact probability that the up sites carry at least `needed` votes,
 /// with site `s` up independently with probability `up[s]`.
 pub fn quorum_availability(assignment: &VoteAssignment, needed: u32, up: &[f64]) -> f64 {
-    let strong: Vec<SiteId> = assignment.strong_sites();
-    let n = strong.len();
-    assert!(
-        n <= 24,
-        "exact enumeration is exponential; {n} sites is too many"
-    );
+    let subsets = Subsets::of(assignment);
     let mut total = 0.0;
-    for mask in 0u32..(1 << n) {
-        let mut p = 1.0;
-        let mut votes = 0;
-        for (i, site) in strong.iter().enumerate() {
-            let pu = up[site.index()];
-            if mask & (1 << i) != 0 {
-                p *= pu;
-                votes += assignment.votes_of(*site);
-            } else {
-                p *= 1.0 - pu;
-            }
-        }
+    for (mask, votes) in subsets.iter() {
         if votes >= needed {
-            total += p;
+            total += subsets.probability(mask, up);
         }
     }
     total
 }
 
 impl SystemModel {
-    /// Probability a read blocks (no read quorum among up sites).
+    /// Probability a read finds a read quorum among the up sites.
+    pub fn read_availability(&self) -> f64 {
+        quorum_availability(&self.assignment, self.quorum.read, &self.up)
+    }
+
+    /// Probability a write finds a write quorum among the up sites and,
+    /// where write quorums need not intersect, a read quorum too: the
+    /// writer must first learn the current version from one.
+    pub fn write_availability(&self) -> f64 {
+        let q = self.quorum;
+        let needed = if q.writes_intersect(&self.assignment) {
+            q.write
+        } else {
+            q.read.max(q.write)
+        };
+        quorum_availability(&self.assignment, needed, &self.up)
+    }
+
+    /// Probability a read blocks.
     pub fn read_blocking(&self) -> f64 {
-        1.0 - quorum_availability(&self.assignment, self.quorum.read, &self.up)
+        1.0 - self.read_availability()
     }
 
-    /// Probability a write blocks (no write quorum among up sites).
+    /// Probability a write blocks.
     pub fn write_blocking(&self) -> f64 {
-        1.0 - quorum_availability(&self.assignment, self.quorum.write, &self.up)
+        1.0 - self.write_availability()
     }
-}
-
-/// Monte-Carlo estimate of [`quorum_availability`]: sample `trials`
-/// up/down patterns and count those admitting a quorum.
-pub fn simulate_quorum_availability(
-    assignment: &VoteAssignment,
-    needed: u32,
-    up: &[f64],
-    trials: u64,
-    rng: &mut DetRng,
-) -> f64 {
-    assert!(trials > 0, "need at least one trial");
-    let strong = assignment.strong_sites();
-    let mut ok = 0u64;
-    for _ in 0..trials {
-        let votes: u32 = strong
-            .iter()
-            .filter(|s| rng.chance(up[s.index()]))
-            .map(|s| assignment.votes_of(*s))
-            .sum();
-        if votes >= needed {
-            ok += 1;
-        }
-    }
-    ok as f64 / trials as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wv_core::quorum::QuorumSpec;
+    use wv_net::SiteId;
+    use wv_sim::DetRng;
 
     const EPS: f64 = 1e-12;
 
@@ -147,16 +125,18 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_agrees_with_enumeration() {
-        let m = SystemModel::paper_example_2(0.9);
-        let exact = quorum_availability(&m.assignment, m.quorum.write, &m.up);
-        let mut rng = DetRng::new(41);
-        let est =
-            simulate_quorum_availability(&m.assignment, m.quorum.write, &m.up, 200_000, &mut rng);
-        assert!(
-            (est - exact).abs() < 0.005,
-            "estimate {est} vs exact {exact}"
+    fn where_write_quorums_need_not_intersect_a_write_is_as_fragile_as_a_read() {
+        // <1,1,1,1,1> with r = 4, w = 2: the writer must first find a
+        // read quorum, so two live sites are not enough to write.
+        let m = SystemModel::with_uniform_up(
+            VoteAssignment::equal(5),
+            QuorumSpec::new(4, 2),
+            vec![100.0; 5],
+            0.9,
         );
+        assert!(!m.quorum.writes_intersect(&m.assignment));
+        assert_eq!(m.write_blocking().to_bits(), m.read_blocking().to_bits());
+        assert!((m.write_blocking() - 0.08146).abs() < 1e-9);
     }
 
     #[test]
@@ -196,19 +176,6 @@ mod tests {
                 assert!(lo <= hi + 1e-12, "seed {seed}");
                 let better = quorum_availability(&a, needed, &vec![(p + 1.0) / 2.0; n]);
                 assert!(hi <= better + 1e-12, "seed {seed}");
-            }
-        }
-
-        /// Monte-Carlo stays near the exact value.
-        #[test]
-        fn estimator_is_consistent() {
-            let a = VoteAssignment::equal(3);
-            let up = [0.8, 0.7, 0.95];
-            let exact = quorum_availability(&a, 2, &up);
-            for seed in 0..32u64 {
-                let mut rng = DetRng::new(seed * 31);
-                let est = simulate_quorum_availability(&a, 2, &up, 20_000, &mut rng);
-                assert!((est - exact).abs() < 0.03, "seed {seed}: {est} vs {exact}");
             }
         }
     }

@@ -12,7 +12,6 @@ use wv_core::quorum::QuorumSpec;
 use wv_core::votes::VoteAssignment;
 use wv_net::SiteId;
 
-use crate::availability::quorum_availability;
 use crate::latency::{read_latency_optimistic, read_latency_verified, write_latency};
 use crate::model::SystemModel;
 
@@ -132,14 +131,14 @@ pub fn search_optimal(
             if quorum.validate(&assignment).is_err() {
                 continue;
             }
-            let read_availability = quorum_availability(&assignment, r, up);
-            let write_availability = quorum_availability(&assignment, w, up);
+            let model = SystemModel::new(assignment.clone(), quorum, costs.to_vec(), up.to_vec());
+            let read_availability = model.read_availability();
+            let write_availability = model.write_availability();
             if read_availability < workload.min_availability
                 || write_availability < workload.min_availability
             {
                 continue;
             }
-            let model = SystemModel::new(assignment.clone(), quorum, costs.to_vec(), up.to_vec());
             let latency = expected_latency(&model, workload);
             let better = match &best {
                 None => true,

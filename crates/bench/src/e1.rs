@@ -5,7 +5,9 @@
 //! * the paper's published number,
 //! * the closed-form prediction from `wv-analysis`, and
 //! * the measurement from running the real protocol on the simulated
-//!   cluster (`wv-core` over `wv-net`/`wv-sim`).
+//!   cluster (`wv-core` over `wv-net`/`wv-sim`); for the blocking rows,
+//!   the protocol on every crash set of the voting sites, each outcome
+//!   weighted by its probability ([`e5::protocol_blocking`]).
 //!
 //! Latency notes: the paper charges one quorum access per operation, and
 //! that is what the implemented write puts on its caller's path: the
@@ -25,9 +27,8 @@ use wv_core::harness::Harness;
 use wv_sim::trace::SpanKind;
 use wv_sim::{SampleSet, SimDuration};
 
-use crate::runner::trial_seed;
 use crate::table::{ms, prob, Table};
-use crate::{mc, topo};
+use crate::{e5, topo};
 
 /// Paper-published values for one example.
 pub struct PaperRow {
@@ -164,35 +165,6 @@ pub fn traced_breakdown(h: &mut Harness, rounds: usize) -> PhaseBreakdown {
     }
 }
 
-/// Analytic + Monte-Carlo blocking probabilities for a model.
-///
-/// The two Monte-Carlo estimates fan out over the trial pool
-/// ([`mc::blocking`]) under derived sub-seeds, so the pair is reproducible
-/// for any worker count.
-fn blocking(model: &SystemModel, seed: u64) -> (f64, f64, f64, f64) {
-    let trials = 400_000;
-    let mc_read = mc::blocking(
-        &model.assignment,
-        model.quorum.read,
-        &model.up,
-        trials,
-        trial_seed(seed, 0),
-    );
-    let mc_write = mc::blocking(
-        &model.assignment,
-        model.quorum.write,
-        &model.up,
-        trials,
-        trial_seed(seed, 1),
-    );
-    (
-        model.read_blocking(),
-        model.write_blocking(),
-        mc_read,
-        mc_write,
-    )
-}
-
 /// Builds the full E1 report.
 pub fn run() -> String {
     let mut out = String::new();
@@ -203,7 +175,9 @@ pub fn run() -> String {
          cheapest write quorum (write quorums intersect in all three \
          examples, so the representatives assign the version) and is \
          reported at the commit decision, the commit round finishing \
-         behind the report.\n\n",
+         behind the report. A simulated blocking probability runs the \
+         protocol on every crash set of the voting sites and weights each \
+         outcome by the chance that exactly that set is down.\n\n",
     );
     let models = [
         SystemModel::paper_example_1(0.99),
@@ -216,7 +190,7 @@ pub fn run() -> String {
         let model = &models[i];
         let mut h = harnesses[i](42 + i as u64);
         let m = measure(&mut h, 10);
-        let (an_rb, an_wb, mc_rb, mc_wb) = blocking(model, 7 + i as u64);
+        let (protocol_rb, protocol_wb) = e5::example_crash_sets(paper.example).blocking(&model.up);
         let mut t = Table::new(
             format!("Example {}", paper.example),
             &["metric", "paper", "analytic", "simulated"],
@@ -248,14 +222,14 @@ pub fn run() -> String {
         t.row(&[
             "P(read blocked)".into(),
             prob(paper.read_block),
-            prob(an_rb),
-            prob(mc_rb),
+            prob(model.read_blocking()),
+            prob(protocol_rb),
         ]);
         t.row(&[
             "P(write blocked)".into(),
             prob(paper.write_block),
-            prob(an_wb),
-            prob(mc_wb),
+            prob(model.write_blocking()),
+            prob(protocol_wb),
         ]);
         out.push_str(&t.to_markdown());
 

@@ -3,9 +3,10 @@
 //! The same closed-loop write-dominant workload replayed against a
 //! cluster whose keyspace is split into 1, 2, 4, or 8 file suites, at
 //! two skews (uniform and zipfian), two cluster sizes and two window
-//! depths. Every server shards its lock table by suite, so writes to
-//! *different* suites never queue behind one another — only same-suite
-//! writers stand in one commit-lock line — and a client's own
+//! depths. A representative's one lock table keeps a commit lock per
+//! suite, so writes to *different* suites never queue behind one
+//! another — only same-suite writers stand in one commit-lock line —
+//! and a client's own
 //! outstanding writes to one suite share one place in it (a write
 //! train, DESIGN.md §7.1). Aggregate throughput is committed operations
 //! per **virtual** second, so each cell is a deterministic function of
@@ -367,9 +368,10 @@ pub fn run(ops_per_client: usize) -> String {
          read per {READ_EVERY} ops, the rest writes — against a keyspace \
          split into 1, 2, 4, or 8 suites, choosing the suite per op \
          balanced (per-client round-robin stride) or zipfian \
-         (popularity ∝ 1/(rank+1)). Servers shard \
-         their lock tables by suite, so only same-suite writers stand in \
-         one commit-lock line, and the writes one client has outstanding \
+         (popularity ∝ 1/(rank+1)). Each representative \
+         keeps one lock table with a commit lock per suite, so only \
+         writers to the same suite stand in one commit-lock line, and the \
+         writes one client has outstanding \
          on a suite stand in it as one train. Throughput is committed \
          operations per **virtual** second. {total}/{expected} operations \
          committed.\n\n",

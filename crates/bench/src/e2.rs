@@ -4,17 +4,21 @@
 //! Five equal-vote representatives with heterogeneous access costs
 //! (75/100/100/750/750 ms). Sweeping `r` with `w = N + 1 - r` traces the
 //! paper's design space: small `r` buys cheap reads at the price of
-//! expensive, fragile writes, and vice versa. Analytic columns come from
-//! `wv-analysis`; simulated columns from driving the protocol; the last
-//! column is the cheapest-first vs random quorum-selection ablation.
+//! expensive, fragile writes. Large `r` buys cheap installs, but past the
+//! majority point a write must first find a read quorum, so it is exactly
+//! as fragile as a read. Analytic columns come from `wv-analysis`;
+//! simulated columns from driving the protocol, the blocking ones on all
+//! 32 crash sets of the five sites; the cheapest-first vs random
+//! quorum-selection ablation sits beside them.
 
-use wv_analysis::{quorum_availability, read_latency_verified, write_latency, SystemModel};
+use wv_analysis::{read_latency_verified, write_latency, SystemModel};
 use wv_core::client::{ClientOptions, QuorumPolicy};
 use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_core::votes::VoteAssignment;
 use wv_sim::{SampleSet, SimDuration};
 
+use crate::e5::{protocol_blocking, CrashSets};
 use crate::runner;
 use crate::table::{ms, prob, Table};
 use crate::topo::client_star;
@@ -40,6 +44,23 @@ fn build(r: u32, w: u32, policy: QuorumPolicy, seed: u64) -> Harness {
         .net(client_star(&COSTS, None))
         .build()
         .expect("spectrum point is legal")
+}
+
+/// The analytic model of the row with read quorum `r`.
+pub fn model(r: u32) -> SystemModel {
+    SystemModel::with_uniform_up(
+        VoteAssignment::equal(5),
+        QuorumSpec::new(r, 6 - r),
+        COSTS.to_vec(),
+        P_UP,
+    )
+}
+
+/// The protocol on every crash set of the row with read quorum `r`.
+pub fn crash_sets(r: u32) -> CrashSets {
+    protocol_blocking(&VoteAssignment::equal(5), || {
+        build(r, 6 - r, QuorumPolicy::CheapestFirst, 100 + u64::from(r))
+    })
 }
 
 /// Measured mean latencies for one `(r, w)` point.
@@ -111,9 +132,12 @@ pub fn run() -> String {
          5) it is three: only a read quorum's answers tell the writer of \
          the write before it, so it inquires first (all five sites, for \
          `r` of them), and only the last ack tells the next writer of this \
-         one, so the report waits for it.\n\n",
+         one, so the report waits for it. That inquiry also makes such a \
+         write block whenever a read does. A protocol blocking \
+         probability runs the protocol on all 32 crash sets of the five \
+         sites and weights each outcome by the chance that exactly that \
+         set is down.\n\n",
     ));
-    let assignment = VoteAssignment::equal(5);
     let mut t = Table::new(
         "Read/write cost and availability vs quorum split",
         &[
@@ -124,36 +148,33 @@ pub fn run() -> String {
             "sim read (ms)",
             "sim write (ms)",
             "sim read, random policy (ms)",
-            "P(read blocked)",
-            "P(write blocked)",
+            "analytic P(read blocked)",
+            "protocol P(read blocked)",
+            "analytic P(write blocked)",
+            "protocol P(write blocked)",
         ],
     );
-    // Each spectrum point drives two independent simulated clusters, so the
-    // five points fan out across the worker pool; seeds are fixed per point.
+    // Each spectrum point drives its own simulated clusters, so the five
+    // points fan out across the worker pool; seeds are fixed per point.
     let points = runner::run_tasks(5, |i| {
         let r = i as u32 + 1;
-        measure_point(r, 6 - r, 100 + u64::from(r))
+        (measure_point(r, 6 - r, 100 + u64::from(r)), crash_sets(r))
     });
-    for p in points {
-        let (r, w) = (p.r, p.w);
-        let model = SystemModel::with_uniform_up(
-            assignment.clone(),
-            QuorumSpec::new(r, w),
-            COSTS.to_vec(),
-            P_UP,
-        );
-        let rb = 1.0 - quorum_availability(&assignment, r, &model.up);
-        let wb = 1.0 - quorum_availability(&assignment, w, &model.up);
+    for (p, sets) in points {
+        let model = model(p.r);
+        let (protocol_rb, protocol_wb) = sets.blocking(&model.up);
         t.row(&[
-            r.to_string(),
-            w.to_string(),
+            p.r.to_string(),
+            p.w.to_string(),
             ms(read_latency_verified(&model)),
             ms(write_latency(&model)),
             ms(p.read_ms),
             ms(p.write_ms),
             ms(p.read_random_ms),
-            prob(rb),
-            prob(wb),
+            prob(model.read_blocking()),
+            prob(protocol_rb),
+            prob(model.write_blocking()),
+            prob(protocol_wb),
         ]);
     }
     out.push_str(&t.to_markdown());

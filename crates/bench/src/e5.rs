@@ -1,77 +1,89 @@
 //! E5 — availability under site failures.
 //!
 //! Blocking probability as a function of per-site availability `p`, for
-//! the paper's three example configurations plus five-site majority.
-//! Three independent routes to each number:
+//! the paper's three example configurations plus five-site majority, by
+//! two routes:
 //!
-//! 1. exact subset enumeration (`wv_analysis::quorum_availability`),
-//! 2. Monte-Carlo sampling of up/down patterns, and
-//! 3. full-protocol trials: build the example cluster, crash a Bernoulli
-//!    sample of server sites, and attempt a real read and write.
+//! 1. the closed form (`SystemModel::{read,write}_blocking`), and
+//! 2. the protocol itself, run once on every crash set of the voting
+//!    sites ([`protocol_blocking`]), each set's outcome weighted by the
+//!    probability `p^up (1 − p)^down` that exactly its sites are down.
+//!
+//! Both are exact, so they agree to rounding; the report says whether
+//! they do.
 
 use wv_analysis::SystemModel;
 use wv_core::harness::Harness;
-use wv_core::quorum::QuorumSpec;
+use wv_core::quorum::{QuorumSpec, Subsets};
 use wv_core::votes::VoteAssignment;
-use wv_net::SiteId;
-use wv_sim::DetRng;
 
-use crate::runner;
 use crate::table::{prob, Table};
-use crate::{mc, topo};
+use crate::topo;
 
-/// Full-protocol blocking estimate for one example and one `p`.
-///
-/// Each trial crashes every *server* site independently with probability
-/// `1 - p`, then attempts one write and one read (single attempt each, so
-/// a blocked quorum maps to one failure, matching the analytic model).
-///
-/// Trials are independent — each builds its own cluster and draws its
-/// crash pattern from a fork of its own derived seed — so they fan out
-/// over the trial pool with a bit-identical tally at any worker count.
-pub fn protocol_blocking(example: u32, p_up: f64, trials: u32, seed: u64) -> (f64, f64) {
-    let outcomes = runner::run_trials(seed, trials as usize, |trial_seed| {
-        let mut h = example_harness(example, trial_seed);
-        let suite = h.suite_id();
-        // Prime with one committed value while everything is up.
-        h.write(suite, b"primed".to_vec()).expect("prime write");
-        let mut crash_rng = DetRng::new(trial_seed).fork_named("crashes");
-        for &s in &server_sites(example) {
-            if !crash_rng.chance(p_up) {
-                h.crash(s);
-            }
+const PS: [f64; 5] = [0.5, 0.7, 0.9, 0.95, 0.99];
+
+/// How far a protocol cell may sit from the analytic one: rounding only.
+const TOLERANCE: f64 = 1e-9;
+
+/// The protocol's outcome on every crash set of a cluster's voting sites.
+#[derive(Clone, Debug)]
+pub struct CrashSets {
+    subsets: Subsets,
+    /// Whether the read and the write blocked, indexed by the mask of the
+    /// sites left up.
+    blocked: Vec<(bool, bool)>,
+}
+
+impl CrashSets {
+    /// `(P(read blocked), P(write blocked))` when site `s` is up
+    /// independently with probability `up[s]`.
+    pub fn blocking(&self, up: &[f64]) -> (f64, f64) {
+        let (mut read, mut write) = (0.0, 0.0);
+        for (mask, &(read_blocked, write_blocked)) in self.blocked.iter().enumerate() {
+            let p = self.subsets.probability(mask as u32, up);
+            read += if read_blocked { p } else { 0.0 };
+            write += if write_blocked { p } else { 0.0 };
         }
-        let write_blocked = h.write(suite, b"probe".to_vec()).is_err();
-        let read_blocked = h.read(suite).is_err();
-        (read_blocked, write_blocked)
-    });
-    let read_blocked = outcomes.iter().filter(|(r, _)| *r).count() as f64;
-    let write_blocked = outcomes.iter().filter(|(_, w)| *w).count() as f64;
-    (
-        read_blocked / f64::from(trials),
-        write_blocked / f64::from(trials),
-    )
-}
-
-// Retries against a crashed quorum are deterministically futile, so the
-// default retry budget does not change whether an operation counts as
-// blocked — it only stretches virtual time, which is free.
-fn example_harness(example: u32, seed: u64) -> Harness {
-    match example {
-        1 => topo::example_1(seed),
-        2 => topo::example_2(seed),
-        3 => topo::example_3(seed),
-        _ => panic!("unknown example {example}"),
+        (read, write)
     }
 }
 
-fn server_sites(example: u32) -> Vec<SiteId> {
-    match example {
-        // Example 1: only site 0 votes; sites 1 is a weak rep host.
-        1 => vec![SiteId(0)],
-        2 | 3 => vec![SiteId(0), SiteId(1), SiteId(2)],
+/// Runs the protocol once on every crash set of `assignment`'s voting
+/// sites: a fresh cluster from `build`, primed with one committed write
+/// while everything is up, has the set crashed and then tries one write
+/// and one read. Retries against a crashed quorum are deterministically
+/// futile, so the default retry budget does not change whether an
+/// operation counts as blocked — it only stretches virtual time, which
+/// is free. An outcome does not depend on any availability; weighting
+/// comes after ([`CrashSets::blocking`]).
+pub fn protocol_blocking(assignment: &VoteAssignment, build: impl Fn() -> Harness) -> CrashSets {
+    let subsets = Subsets::of(assignment);
+    let blocked = subsets
+        .iter()
+        .map(|(up, _)| {
+            let mut h = build();
+            let suite = h.suite_id();
+            h.write(suite, b"primed".to_vec()).expect("prime write");
+            for site in subsets.members(!up) {
+                h.crash(site);
+            }
+            let write_blocked = h.write(suite, b"probe".to_vec()).is_err();
+            (h.read(suite).is_err(), write_blocked)
+        })
+        .collect();
+    CrashSets { subsets, blocked }
+}
+
+/// The protocol on every crash set of the paper's example `example`.
+/// E1 weights the same outcomes at `p` = 0.99.
+pub fn example_crash_sets(example: u32) -> CrashSets {
+    let build = match example {
+        1 => topo::example_1,
+        2 => topo::example_2,
+        3 => topo::example_3,
         _ => panic!("unknown example {example}"),
-    }
+    };
+    protocol_blocking(&model_for(example, 1.0).assignment, || build(7))
 }
 
 fn model_for(example: u32, p: f64) -> SystemModel {
@@ -87,57 +99,47 @@ fn model_for(example: u32, p: f64) -> SystemModel {
 pub fn run() -> String {
     let mut out = String::new();
     out.push_str("## E5 — Blocking probability vs per-site availability\n\n");
-    let ps = [0.5, 0.7, 0.9, 0.95, 0.99];
+    out.push_str(
+        "The protocol columns run the protocol once on every crash set of \
+         the voting sites — prime a write, crash the set, try one write \
+         and one read — and weight each set's outcome by the probability \
+         `p^up (1 − p)^down` that exactly its sites are down.\n\n",
+    );
+    let mut cells = 0;
+    let mut agree = true;
     for example in 1..=3u32 {
+        let sets = example_crash_sets(example);
         let mut t = Table::new(
             format!("Example {example}"),
             &[
                 "p(site up)",
                 "analytic P(read blk)",
-                "MC P(read blk)",
                 "protocol P(read blk)",
                 "analytic P(write blk)",
-                "MC P(write blk)",
                 "protocol P(write blk)",
             ],
         );
-        for (i, &p) in ps.iter().enumerate() {
+        for p in PS {
             let m = model_for(example, p);
-            let mc_seed = 9000 + u64::from(example) * 100 + i as u64;
-            let mc_read = mc::blocking(
-                &m.assignment,
-                m.quorum.read,
-                &m.up,
-                200_000,
-                runner::trial_seed(mc_seed, 0),
-            );
-            let mc_write = mc::blocking(
-                &m.assignment,
-                m.quorum.write,
-                &m.up,
-                200_000,
-                runner::trial_seed(mc_seed, 1),
-            );
-            let (pr, pw) =
-                protocol_blocking(example, p, 150, 31_000 + u64::from(example) * 37 + i as u64);
-            t.row(&[
-                format!("{p:.2}"),
-                prob(m.read_blocking()),
-                prob(mc_read),
-                prob(pr),
-                prob(m.write_blocking()),
-                prob(mc_write),
-                prob(pw),
-            ]);
+            let (pr, pw) = sets.blocking(&m.up);
+            let (ar, aw) = (m.read_blocking(), m.write_blocking());
+            cells += 2;
+            agree &= (pr - ar).abs() <= TOLERANCE && (pw - aw).abs() <= TOLERANCE;
+            t.row(&[format!("{p:.2}"), prob(ar), prob(pr), prob(aw), prob(pw)]);
         }
         out.push_str(&t.to_markdown());
     }
+    out.push_str(&format!(
+        "Protocol and analytic columns agree to within {TOLERANCE:.0e} in \
+         all {cells} cells: **{}**\n\n",
+        if agree { "yes" } else { "NO" }
+    ));
     // Majority over five sites, analytic only (a reference curve).
     let mut t = Table::new(
         "Majority over five equal votes (reference)",
         &["p(site up)", "P(op blocked)"],
     );
-    for &p in &ps {
+    for p in PS {
         let m = SystemModel::with_uniform_up(
             VoteAssignment::equal(5),
             QuorumSpec::majority(5),
@@ -159,24 +161,39 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::e2;
 
+    /// Every blocking cell of E1, E2 and E5, the protocol over every
+    /// crash set, is the analytic value. E1 weights E5's example outcomes
+    /// at p = 0.99, one of E5's columns.
     #[test]
-    fn protocol_trials_match_analytic_example_1() {
-        // Example 1 blocks iff the single voting site is down.
-        let p = 0.7;
-        let (pr, pw) = protocol_blocking(1, p, 200, 11);
-        let expect = 1.0 - p;
-        assert!((pr - expect).abs() < 0.12, "read {pr} vs {expect}");
-        assert!((pw - expect).abs() < 0.12, "write {pw} vs {expect}");
-    }
-
-    #[test]
-    fn protocol_trials_match_analytic_example_3() {
-        let p = 0.8;
-        let m = model_for(3, p);
-        let (pr, pw) = protocol_blocking(3, p, 200, 13);
-        assert!((pr - m.read_blocking()).abs() < 0.1, "read {pr}");
-        assert!((pw - m.write_blocking()).abs() < 0.12, "write {pw}");
+    fn every_blocking_cell_of_e1_e2_and_e5_is_the_model_exactly() {
+        let check = |what: String, sets: &CrashSets, m: &SystemModel| {
+            let (pr, pw) = sets.blocking(&m.up);
+            assert!(
+                (pr - m.read_blocking()).abs() <= TOLERANCE,
+                "{what}: protocol read {pr} vs analytic {}",
+                m.read_blocking()
+            );
+            assert!(
+                (pw - m.write_blocking()).abs() <= TOLERANCE,
+                "{what}: protocol write {pw} vs analytic {}",
+                m.write_blocking()
+            );
+        };
+        for example in 1..=3 {
+            let sets = example_crash_sets(example);
+            for p in PS {
+                check(
+                    format!("example {example}, p {p}"),
+                    &sets,
+                    &model_for(example, p),
+                );
+            }
+        }
+        for r in 1..=5 {
+            check(format!("E2, r = {r}"), &e2::crash_sets(r), &e2::model(r));
+        }
     }
 
     #[test]
@@ -193,6 +210,7 @@ mod tests {
     #[test]
     fn report_covers_every_p() {
         let report = run();
+        assert!(report.contains("in all 30 cells: **yes**"));
         for p in ["0.50", "0.70", "0.90", "0.95", "0.99"] {
             assert!(report.contains(p), "missing p = {p}");
         }

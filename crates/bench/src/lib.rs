@@ -24,7 +24,6 @@ pub mod e6;
 pub mod e7;
 pub mod e8;
 pub mod inspect;
-pub mod mc;
 pub mod runner;
 pub mod table;
 pub mod topo;

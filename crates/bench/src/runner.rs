@@ -1,7 +1,7 @@
 //! Deterministic parallel trial engine.
 //!
-//! Every experiment regenerator runs many independent trials (Monte-Carlo
-//! availability samples, per-trial protocol clusters, sweep points). The
+//! Most experiment regenerators run many independent trials (per-trial
+//! protocol clusters, chaos schedules, sweep points). The
 //! functions here fan that work out over a scoped thread pool while keeping
 //! the output **bit-identical to a sequential loop, for any worker count**:
 //!

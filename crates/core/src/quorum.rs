@@ -85,37 +85,78 @@ impl QuorumSpec {
     }
 }
 
-/// Enumerates the *minimal* site sets whose votes reach `needed`.
+/// Every subset of an assignment's strong sites, with the votes it holds.
 ///
-/// A set is minimal if removing any site drops it below the threshold.
-/// Exponential in the number of strong sites, so intended for the small
-/// configurations of the experiments (the paper's examples have 3–7
-/// representatives).
-pub fn minimal_quorums(assignment: &VoteAssignment, needed: u32) -> Vec<Vec<SiteId>> {
-    let strong = assignment.strong_sites();
-    let n = strong.len();
-    assert!(
-        n <= 20,
-        "quorum enumeration is exponential; {n} sites is too many"
-    );
-    let mut result: Vec<Vec<SiteId>> = Vec::new();
-    for mask in 1u32..(1 << n) {
-        let members: Vec<SiteId> = (0..n)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| strong[i])
-            .collect();
-        if assignment.votes_in(&members) < needed {
-            continue;
-        }
-        // Minimality: every member must be load-bearing.
-        let minimal = members.iter().all(|drop| {
-            let rest: Vec<SiteId> = members.iter().copied().filter(|s| s != drop).collect();
-            assignment.votes_in(&rest) < needed
-        });
-        if minimal {
-            result.push(members);
-        }
+/// Bit `i` of a mask names the `i`-th site of
+/// [`VoteAssignment::strong_sites`]. Read as the sites that are up, the
+/// `2^n` masks are every crash set an availability question can meet
+/// (weak representatives never matter). Exponential in `n`, so meant for
+/// the small configurations of the experiments (the paper's examples have
+/// 1–5 voting sites); visiting a subset allocates nothing.
+#[derive(Clone, Debug)]
+pub struct Subsets {
+    sites: Vec<SiteId>,
+    votes: Vec<u32>,
+}
+
+impl Subsets {
+    /// The strong sites of `assignment`, ready to walk.
+    pub fn of(assignment: &VoteAssignment) -> Self {
+        let sites = assignment.strong_sites();
+        let n = sites.len();
+        assert!(
+            n <= 20,
+            "the subset walk is exponential; {n} sites is too many"
+        );
+        let votes = sites.iter().map(|s| assignment.votes_of(*s)).collect();
+        Subsets { sites, votes }
     }
+
+    /// Every mask, in increasing order from the empty set, with the votes
+    /// its sites hold.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..1u32 << self.sites.len())
+            .map(|mask| (mask, self.bits(mask).map(|i| self.votes[i]).sum()))
+    }
+
+    /// The sites of `mask`, in site order; bits past the last site are
+    /// ignored, so `!up` names the sites down.
+    pub fn members(&self, mask: u32) -> impl Iterator<Item = SiteId> + '_ {
+        self.bits(mask).map(|i| self.sites[i])
+    }
+
+    /// The probability that the sites up are exactly those of `mask`,
+    /// site `s` being up independently with probability `up[s]`:
+    /// `p^up (1 − p)^down` when every site's `p` is the same.
+    pub fn probability(&self, mask: u32, up: &[f64]) -> f64 {
+        let mut p = 1.0;
+        for (i, site) in self.sites.iter().enumerate() {
+            let pu = up[site.index()];
+            p *= if mask & 1 << i != 0 { pu } else { 1.0 - pu };
+        }
+        p
+    }
+
+    fn bits(&self, mask: u32) -> impl Iterator<Item = usize> {
+        (0..self.sites.len()).filter(move |i| mask & 1 << i != 0)
+    }
+}
+
+/// Enumerates the *minimal* site sets whose votes reach `needed`: the
+/// [`Subsets`] every one of whose members is load-bearing, removing it
+/// dropping the set below the threshold.
+pub fn minimal_quorums(assignment: &VoteAssignment, needed: u32) -> Vec<Vec<SiteId>> {
+    let subsets = Subsets::of(assignment);
+    let mut result: Vec<Vec<SiteId>> = subsets
+        .iter()
+        .filter(|&(mask, votes)| {
+            votes >= needed
+                && subsets
+                    .bits(mask)
+                    .all(|i| votes - subsets.votes[i] < needed)
+        })
+        .map(|(mask, _)| subsets.members(mask).collect())
+        .collect();
     result.sort();
     result
 }
@@ -276,6 +317,29 @@ mod tests {
     fn minimal_quorums_ignore_weak_sites() {
         let a = VoteAssignment::new([(s(0), 1), (s(1), 0), (s(2), 0)]);
         assert_eq!(minimal_quorums(&a, 1), vec![vec![s(0)]]);
+    }
+
+    #[test]
+    fn the_walk_visits_every_subset_of_the_strong_sites_once() {
+        // <2,0,1,1>: the weak site 1 is in no mask; bit 1 is site 2.
+        let a = VoteAssignment::new([(s(0), 2), (s(1), 0), (s(2), 1), (s(3), 1)]);
+        let walk = Subsets::of(&a);
+        let votes: Vec<(u32, u32)> = walk.iter().collect();
+        let expect = [0, 2, 1, 3, 1, 3, 2, 4];
+        assert_eq!(
+            votes,
+            expect
+                .iter()
+                .enumerate()
+                .map(|(m, v)| (m as u32, *v))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(walk.members(0b110).collect::<Vec<_>>(), vec![s(2), s(3)]);
+        // The up-set probabilities cover the whole space exactly once.
+        let up = [0.9, 0.0, 0.7, 0.4];
+        let total: f64 = walk.iter().map(|(m, _)| walk.probability(m, &up)).sum();
+        assert!((total - 1.0).abs() < 1e-12);
+        assert!((walk.probability(0b011, &up) - 0.9 * 0.7 * 0.6).abs() < 1e-12);
     }
 
     #[test]
