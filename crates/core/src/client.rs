@@ -62,15 +62,15 @@ use wv_sim::{SimDuration, SimTime};
 use wv_storage::{Container, IdHashMap, ObjectId, Version};
 use wv_txn::Vote;
 
-use crate::commit::CommitTails;
+use crate::commit::{add_to_batches, Batches, CommitTails};
 use crate::error::{OpError, OpKind};
 use crate::local::LocalCopies;
 pub use crate::local::WeakRepOptions;
-use crate::msg::{Msg, PrepareWrite, RefuseReason, ReqId};
+use crate::msg::{Msg, PrepareWrite, RefuseReason, ReqId, Shared};
 use crate::planner::{Planner, Ranked, LATE_MULTIPLIER};
 use crate::quorum::QuorumSpec;
 use crate::reconfig::{NoPlan, Reconfig};
-use crate::site_map::SiteMap;
+use crate::site_map::{Few, SiteMap, Sites};
 use crate::suite::{data_object, SuiteConfig};
 use crate::votes::VoteAssignment;
 use crate::window::{Submission, Window};
@@ -367,7 +367,7 @@ enum Phase {
         /// one only; a writer's are floors, its prepare carries the
         /// generation and the representative re-checks it at the grant.
         generation: u64,
-        answers: Vec<(ObjectId, SiteId, Version)>,
+        answers: Few<(ObjectId, SiteId, Version)>,
         /// The zero-vote copy sent a content read alongside the inquiry,
         /// if one ranks first.
         guess: Option<SiteId>,
@@ -381,14 +381,14 @@ enum Phase {
     },
     Fetch {
         current: Version,
-        candidates: Vec<SiteId>,
+        candidates: Sites,
         idx: usize,
     },
     /// Prepares out to `participants`, in the order they were sent.
     Prepare {
-        participants: Vec<SiteId>,
+        participants: Sites,
         /// What each yes vote staged.
-        yes: SiteMap<Vec<(ObjectId, Version)>>,
+        yes: SiteMap<Shared<(ObjectId, Version)>>,
         /// Sites where the prepare stands in a commit-lock line, and
         /// whether each has said so since it was last (re-)asked.
         in_line: SiteMap<bool>,
@@ -401,7 +401,7 @@ enum Phase {
         /// [`OpState::writes`] order): no inquiry vouched for these sites,
         /// so the first yes arms [`TimerKind::Widen`]. Empty after an
         /// inquiry, and once that timer has fired.
-        unprobed: Vec<Vec<SiteId>>,
+        unprobed: Few<Sites, 2>,
     },
     /// Decided, and one of the operations that report at the last ack:
     /// parked until its commit tail ([`CommitTails`]) ends. Nothing a
@@ -556,12 +556,12 @@ fn one_access(kind: OpKind, cfg: &SuiteConfig) -> bool {
 /// ([`ClientNode::send_prepares`]).
 pub(crate) struct PreparePlan {
     /// Each participant's prepare batch, in send order.
-    pub(crate) batches: Vec<(SiteId, Vec<PrepareWrite>)>,
+    pub(crate) batches: Batches,
     /// The versions are floors for the participants to assign above, not
     /// exact.
     pub(crate) rebase: bool,
     /// See [`Phase::Prepare`].
-    pub(crate) unprobed: Vec<Vec<SiteId>>,
+    pub(crate) unprobed: Few<Sites, 2>,
     /// What the op reports (at the planned versions; the decision corrects
     /// them), and the configuration it adopts, once it is committed.
     pub(crate) on_commit: Outcome,
@@ -572,7 +572,7 @@ pub(crate) struct PreparePlan {
 fn reask(req: ReqId, lock_ts: u64) -> Msg {
     Msg::Prepare {
         req,
-        writes: Vec::new(),
+        writes: Shared::default(),
         lock_ts,
         rebase: false, // nothing to re-base
     }
@@ -583,21 +583,6 @@ fn quorum_decision(kind: OpKind) -> DecisionKind {
     match kind {
         OpKind::Transaction => DecisionKind::TxnQuorum,
         _ => DecisionKind::WriteQuorum,
-    }
-}
-
-/// Adds `install` to the prepare batch of each of `sites`, opening one for
-/// a site that has none yet.
-pub(crate) fn add_to_batches(
-    batches: &mut Vec<(SiteId, Vec<PrepareWrite>)>,
-    sites: &[SiteId],
-    install: &PrepareWrite,
-) {
-    for site in sites {
-        match batches.iter_mut().find(|(s, _)| s == site) {
-            Some((_, batch)) => batch.push(install.clone()),
-            None => batches.push((*site, vec![install.clone()])),
-        }
     }
 }
 
@@ -1022,8 +1007,8 @@ impl ClientNode {
         }
         let st = &self.ops[&req];
         let (suite, is_read, installs) = (st.suite, st.kind == OpKind::Read, st.writes.len());
-        let sites = || inquiry_targets(&self.planner, &self.configs, st).map(|(_, site)| site);
-        let (targets, delay) = (sites().count(), self.planner.phase_delay(sites()));
+        let sites = inquiry_targets(&self.planner, &self.configs, st).map(|(_, site)| site);
+        let delay = self.planner.phase_delay(sites);
         // A warm cache entry is pre-seeded into `early` below, so the
         // inquiry quorum can confirm it without any contents moving.
         let cached_early = is_read.then(|| self.local.early(suite)).flatten();
@@ -1055,7 +1040,7 @@ impl ClientNode {
         st.attempt_started = ctx.now();
         st.phase = Phase::Inquire {
             generation: self.configs[&suite].generation,
-            answers: Vec::with_capacity(targets),
+            answers: Few::default(),
             guess,
             contents,
             early: cached_early,
@@ -1109,7 +1094,7 @@ impl ClientNode {
         let direct = !matches!(st.phase, Phase::Inquire { .. });
         // Per written suite: the ranking decided under, the install set,
         // and the version floor.
-        let mut planned: Vec<(Ranked, Vec<SiteId>, Version)> = Vec::with_capacity(installs);
+        let mut planned: Few<(Ranked, Sites, Version), 2> = Few::default();
         for i in 0..installs {
             let suite = self.ops[&req].writes[i].0;
             let ranked = self.rank(suite, ctx);
@@ -1135,8 +1120,7 @@ impl ClientNode {
             st.attempts += 1;
             st.attempt_started = ctx.now();
         }
-        let mut unprobed: Vec<Vec<SiteId>> = Vec::new();
-        let mut batches: Vec<(SiteId, Vec<PrepareWrite>)> = Vec::new();
+        let (mut unprobed, mut batches) = (Few::default(), Batches::default());
         // A plain write reports its version alone; a transaction also
         // reports every suite's (its first suite's as `version`).
         let mut on_commit = OpSuccess {
@@ -1218,7 +1202,7 @@ impl ClientNode {
     fn send_batches(
         &mut self,
         req: ReqId,
-        batches: Vec<(SiteId, Vec<PrepareWrite>)>,
+        batches: Batches,
         rebase: bool,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
@@ -1529,7 +1513,7 @@ impl ClientNode {
         // reconfiguration re-installs. Sites reporting `current`,
         // best-ranked first.
         let holds = |s| answer_of(answers, suite, s) == Some(current);
-        let candidates = ranked.as_ref().map_or(Vec::new(), |r| r.among(holds));
+        let candidates = ranked.as_ref().map_or(Sites::default(), |r| r.among(holds));
         (self.recorder).close_phase(req.0, SpanOutcome::Ok, ctx.now());
         let (kind, chosen) = (DecisionKind::FetchPlan, candidates.iter().copied());
         self.audit_decision(kind, req, suite, chosen, ranked.as_ref(), ctx.now());
@@ -1609,7 +1593,7 @@ impl ClientNode {
         req: ReqId,
         suite: ObjectId,
         current: Version,
-        candidates: Vec<SiteId>,
+        candidates: Sites,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
         let first = candidates[0];
@@ -1750,7 +1734,7 @@ impl ClientNode {
         &mut self,
         from: SiteId,
         req: ReqId,
-        vote: Result<Vec<(ObjectId, Version)>, RetryCause>,
+        vote: Result<Shared<(ObjectId, Version)>, RetryCause>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
         let vote_detail = u64::from(vote.is_ok());
@@ -1805,8 +1789,8 @@ impl ClientNode {
         else {
             return;
         };
-        let mut versions: Vec<(ObjectId, Version)> = Vec::new();
-        for &(object, version) in yes.values().flatten() {
+        let mut versions: Few<(ObjectId, Version), 4> = Few::default();
+        for &(object, version) in yes.values().flat_map(|staged| staged.iter()) {
             match versions.iter_mut().find(|(o, _)| *o == object) {
                 Some((_, v)) => *v = version.max(*v),
                 None => versions.push((object, version)),
@@ -1835,7 +1819,7 @@ impl ClientNode {
         let report = then.take_if(|_| at_decision);
         // Decide commit — durably, *before* any commit message leaves, so
         // decision probes always get the truth. This is the commit point.
-        let commits = (self.commits).decide(req, suite, participants, versions, then, written);
+        let commits = (self.commits).decide(req, suite, participants, &versions, then, written);
         for (site, commit) in commits {
             ctx.send(site, commit);
         }
@@ -1959,7 +1943,7 @@ impl ClientNode {
         else {
             return false;
         };
-        let waiting: Vec<SiteId> = participants
+        let waiting: Sites = participants
             .iter()
             .copied()
             .filter(|s| !yes.contains_key(s))
@@ -2029,8 +2013,8 @@ impl ClientNode {
         // Per written suite: the members kept, then the next in rank order
         // until the votes are covered; the additions merge per site as
         // `enter_prepare` batches them.
-        let mut added: Vec<(SiteId, Vec<PrepareWrite>)> = Vec::new();
-        let mut decisions: Vec<(ObjectId, Vec<SiteId>, Ranked)> = Vec::new();
+        let mut added = Batches::default();
+        let mut decisions: Vec<(ObjectId, Sites, Ranked)> = Vec::new();
         for (i, quorum) in quorums.iter().enumerate() {
             let (suite, value) = self.ops[&req].writes[i].clone();
             let ranked = self.rank(suite, ctx);
@@ -2582,7 +2566,7 @@ mod tests {
                 suite: SUITE,
                 req,
                 vote: Vote::Yes,
-                staged: Vec::new(),
+                staged: Shared::default(),
             },
             &mut ctx,
         );
@@ -2594,7 +2578,7 @@ mod tests {
                 suite: SUITE,
                 req,
                 vote: Vote::Yes,
-                staged: Vec::new(),
+                staged: Shared::default(),
             },
             &mut ctx,
         );
@@ -2640,7 +2624,7 @@ mod tests {
                 suite: SUITE,
                 req,
                 vote: Vote::No,
-                staged: Vec::new(),
+                staged: Shared::default(),
             },
             &mut ctx,
         );
@@ -2843,7 +2827,7 @@ mod tests {
             suite: SUITE,
             req,
             vote: Vote::Yes,
-            staged: vec![(data_object(SUITE), Version(version))],
+            staged: vec![(data_object(SUITE), Version(version))].into(),
         }
     }
 
@@ -2921,7 +2905,7 @@ mod tests {
             suite: SUITE,
             req,
             vote: Vote::No,
-            staged: Vec::new(),
+            staged: Shared::default(),
         };
         let (sends, _) = deliver(&mut c, &mut rng, 5_010, 1, no);
         assert_eq!(aborts(&sends), vec![SiteId(0), SiteId(1)]);
@@ -2980,7 +2964,7 @@ mod tests {
             suite: SUITE,
             req,
             vote: Vote::No,
-            staged: Vec::new(),
+            staged: Shared::default(),
         };
         deliver(&mut c, &mut rng, 10, 0, no);
         let (sends, _) = deliver(&mut c, &mut rng, 900, 1, yes(req, 1));
@@ -3041,7 +3025,7 @@ mod tests {
             suite: SUITE,
             req,
             vote: Vote::No,
-            staged: Vec::new(),
+            staged: Shared::default(),
         };
         let refused = Msg::Refused {
             suite: SUITE,
@@ -3325,7 +3309,7 @@ mod tests {
                 suite: SUITE,
                 req: ghost,
                 vote: Vote::No,
-                staged: Vec::new(),
+                staged: Shared::default(),
             },
             &mut ctx,
         );
@@ -4105,7 +4089,7 @@ mod tests {
             suite: SUITE,
             req,
             vote: Vote::Yes,
-            staged: Vec::new(),
+            staged: Shared::default(),
         };
         let ack = Msg::Ack {
             suite: SUITE,
@@ -4212,7 +4196,7 @@ mod tests {
         let mut ctx = NodeCtx::new(at(5_000), me, &mut rng);
         let ranked = c.rank(SUITE, &mut ctx);
         let order = ranked.among(|_| true);
-        assert_eq!(order, [SiteId(1), SiteId(2), SiteId(0), SiteId(3)]);
+        assert_eq!(order[..], [SiteId(1), SiteId(2), SiteId(0), SiteId(3)]);
         assert!(ranked.rerouted);
         let mut prepared = Vec::new();
         for from in [1, 2, 3] {
@@ -4250,7 +4234,7 @@ mod tests {
             suite: SUITE,
             req,
             vote: Vote::Yes,
-            staged: vec![(object, Version(1))],
+            staged: vec![(object, Version(1))].into(),
         };
         let mut ctx = NodeCtx::new(SimTime::from_millis(20), me, &mut rng);
         c.handle(SiteId(0), vote(data_object(SUITE)), &mut ctx);
@@ -4288,7 +4272,8 @@ mod tests {
             staged: vec![
                 (data_object(SUITE), Version(1)),
                 (data_object(other), Version(1)),
-            ],
+            ]
+            .into(),
         };
         let mut ctx = NodeCtx::new(SimTime::from_millis(200), me, &mut rng);
         c.handle(SiteId(4), both, &mut ctx);
@@ -4324,7 +4309,7 @@ mod tests {
                 suite: SUITE,
                 req,
                 vote: Vote::No,
-                staged: Vec::new(),
+                staged: Shared::default(),
             };
             c.handle(SiteId(0), no, &mut ctx);
             sends
@@ -4368,7 +4353,7 @@ mod tests {
             suite: SUITE,
             req,
             vote: Vote::No,
-            staged: Vec::new(),
+            staged: Shared::default(),
         };
         let (_, timers) = deliver(&mut c, &mut rng, 700, 0, no(req));
         assert_eq!(timers[0].0, SimDuration::from_millis(700));
@@ -4568,7 +4553,7 @@ mod tests {
             suite: SUITE,
             req: w[2],
             vote: Vote::No,
-            staged: Vec::new(),
+            staged: Shared::default(),
         };
         // The rider starts over at once: a train of one, its own age, its
         // own budget.
@@ -4622,7 +4607,7 @@ mod tests {
             suite: SUITE,
             req: w[0],
             vote: Vote::No,
-            staged: Vec::new(),
+            staged: Shared::default(),
         };
         deliver(&mut c, &mut rng, 10, 0, no);
         assert_eq!(sent_by_a_write(&mut c, &mut rng), 2);

@@ -1,5 +1,6 @@
 //! The work behind a decided write: the client's decision log, and the
-//! commit rounds that finish behind the report.
+//! commit rounds that finish behind the report — and the prepare batches
+//! that lead to a decision.
 //!
 //! Once every participant has voted yes, the decision — the version every
 //! object commits at — is logged and flushed before any `Commit` leaves:
@@ -17,9 +18,42 @@ use wv_net::SiteId;
 use wv_storage::{Container, IdHashMap, IdHashSet, ObjectId, Version};
 
 use crate::client::{ClientOptions, Outcome};
-use crate::msg::{Msg, ReqId};
+use crate::msg::{Msg, PrepareWrite, ReqId, Shared};
 use crate::server::CHECKPOINT_RECORDS;
-use crate::site_map::SiteMap;
+use crate::site_map::{Few, SiteMap, Sites};
+
+/// Each participant's prepare batch, in send order, as one slice shared
+/// by the participants whose batches were built alike
+/// ([`add_to_batches`]).
+pub(crate) type Batches = Few<(SiteId, Batch)>;
+
+/// One participant's prepare batch.
+type Batch = Shared<PrepareWrite>;
+
+/// Adds `install` to the prepare batch of each of `sites`, opening one for
+/// a site that has none yet. The sites that open one share one slice, and
+/// so do sites whose batches grow from one they shared: a one-suite write
+/// sends every participant the same prepare.
+pub(crate) fn add_to_batches(batches: &mut Batches, sites: &[SiteId], install: &PrepareWrite) {
+    let mut opened: Option<Batch> = None;
+    // The batch last grown, before and after.
+    let mut grown: Option<(Batch, Batch)> = None;
+    for &site in sites {
+        let Some((_, batch)) = batches.iter_mut().find(|(s, _)| *s == site) else {
+            let opened = opened.get_or_insert_with(|| Shared::from([install.clone()]));
+            batches.push((site, Shared::clone(opened)));
+            continue;
+        };
+        *batch = match &grown {
+            Some((from, to)) if from.same(batch) => Shared::clone(to),
+            _ => {
+                let to: Batch = batch.iter().cloned().chain([install.clone()]).collect();
+                grown = Some((Shared::clone(batch), Shared::clone(&to)));
+                to
+            }
+        };
+    }
+}
 
 /// The commit round of a decided operation: acks, resends, retirement, the
 /// push to weak representatives and the report still owed work on it, for
@@ -27,11 +61,12 @@ use crate::site_map::SiteMap;
 #[derive(Debug)]
 pub(crate) struct CommitTail {
     pub(crate) suite: ObjectId,
-    participants: Vec<SiteId>,
+    participants: Sites,
     acked: SiteMap<()>,
     resends: u32,
-    /// The decided version of every object, as logged.
-    versions: Vec<(ObjectId, Version)>,
+    /// The decided version of every object, as logged: the slice every
+    /// participant's `Commit` shares.
+    versions: Shared<(ObjectId, Version)>,
     /// What the operation reports, and the configuration it adopts, when
     /// the tail ends; `None` for one already reported at the decision.
     pub(crate) then: Option<Outcome>,
@@ -46,7 +81,7 @@ impl CommitTail {
         Msg::Commit {
             suite: self.suite,
             req,
-            versions: self.versions.clone(),
+            versions: Shared::clone(&self.versions),
         }
     }
 }
@@ -99,19 +134,19 @@ impl CommitTails {
         &mut self,
         req: ReqId,
         suite: ObjectId,
-        participants: Vec<SiteId>,
-        versions: Vec<(ObjectId, Version)>,
+        participants: Sites,
+        versions: &[(ObjectId, Version)],
         then: Option<Outcome>,
         written: Option<(Version, &Bytes)>,
     ) -> impl Iterator<Item = (SiteId, Msg)> + '_ {
-        self.log_commit_decision(req, &versions);
+        self.log_commit_decision(req, versions);
         let push = written.filter(|_| self.push_weak);
         let tail = CommitTail {
             suite,
             participants,
             acked: SiteMap::default(),
             resends: 0,
-            versions,
+            versions: Shared::from(versions),
             then,
             push: push.map(|(version, value)| (version, value.clone())),
         };
@@ -190,12 +225,14 @@ impl CommitTails {
     /// decision but the newest: that one carries the request-counter
     /// high-water mark [`Self::recover`] reads.
     fn log_commit_decision(&mut self, req: ReqId, versions: &[(ObjectId, Version)]) {
-        let mut record = Vec::with_capacity(versions.len() * 16);
+        // Built in place for up to four objects, and copied once.
+        let mut record: Few<u8, 64> = Few::default();
         for (object, version) in versions {
-            record.extend_from_slice(&object.0.to_le_bytes());
-            record.extend_from_slice(&version.0.to_le_bytes());
+            record.extend(object.0.to_le_bytes());
+            record.extend(version.0.to_le_bytes());
         }
         let tx = self.decisions.begin().expect("decision log is up");
+        let record = Bytes::copy_from_slice(&record);
         self.decisions
             .stage_put(tx, ObjectId(req.0), Version(1), record)
             .expect("stage decision");
@@ -241,25 +278,59 @@ mod tests {
     }
 
     /// What decision `n` commits: two objects, so a record is 32 bytes.
-    fn versions(n: u64) -> Vec<(ObjectId, Version)> {
-        vec![(SUITE, Version(n)), (ObjectId(2), Version(n + 1))]
+    fn versions(n: u64) -> Shared<(ObjectId, Version)> {
+        Shared::from([(SUITE, Version(n)), (ObjectId(2), Version(n + 1))])
     }
 
     /// Decides `n` over sites 0 and 1; returns the commits handed out.
     fn decide(t: &mut CommitTails, n: u64) -> Vec<(SiteId, Msg)> {
         let value = Bytes::from_static(b"v");
-        let participants = vec![SiteId(0), SiteId(1)];
+        let participants = [SiteId(0), SiteId(1)].into_iter().collect();
         let written = Some((Version(n), &value));
-        t.decide(req(n), SUITE, participants, versions(n), None, written)
+        t.decide(req(n), SUITE, participants, &versions(n), None, written)
             .collect()
     }
 
     /// The versions the log answers a probe about `n` with.
-    fn answer(t: &CommitTails, n: u64) -> Option<Vec<(ObjectId, Version)>> {
+    fn answer(t: &CommitTails, n: u64) -> Option<Shared<(ObjectId, Version)>> {
         t.logged(SUITE, req(n)).map(|m| match m {
             Msg::Commit { versions, .. } => versions,
             other => panic!("{other:?}"),
         })
+    }
+
+    #[test]
+    fn batches_hold_what_per_site_vecs_held_and_sites_built_alike_share_one_slice() {
+        let install = |n: u64| PrepareWrite {
+            suite: ObjectId(n),
+            object: ObjectId(n),
+            version: Version(n),
+            value: Bytes::new(),
+            generation: 1,
+            span: 1,
+        };
+        // Overlapping quorums, against a vec per site as batches were.
+        let quorums: [&[u16]; 3] = [&[0, 1, 2], &[1, 2, 3], &[0, 3]];
+        let (mut batches, mut per_site) = (Batches::default(), Vec::<(SiteId, Vec<_>)>::new());
+        for (n, quorum) in (0..).zip(quorums) {
+            let sites: Vec<SiteId> = quorum.iter().map(|&s| SiteId(s)).collect();
+            add_to_batches(&mut batches, &sites, &install(n));
+            for &site in &sites {
+                match per_site.iter_mut().find(|(s, _)| *s == site) {
+                    Some((_, batch)) => batch.push(install(n)),
+                    None => per_site.push((site, vec![install(n)])),
+                }
+            }
+        }
+        let built: Vec<(SiteId, Vec<PrepareWrite>)> =
+            batches.iter().map(|(s, b)| (*s, b.to_vec())).collect();
+        assert_eq!(built, per_site);
+        // Sites 1 and 2 grew from one slice into one slice.
+        let [_, one, two, _] = &batches[..] else {
+            panic!("four sites: {batches:?}");
+        };
+        assert!(one.1.same(&two.1));
+        assert!(!batches[0].1.same(&one.1));
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! the client's configuration generation so servers can reject requests
 //! built against a superseded configuration ([`Msg::StaleConfig`]).
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use bytes::Bytes;
 use wv_storage::{ObjectId, Version};
 use wv_txn::Vote;
@@ -37,6 +41,92 @@ impl ReqId {
     /// The client-local counter.
     pub fn counter(self) -> u64 {
         self.0 >> 16
+    }
+}
+
+/// A slice that every message carrying it shares: a clone bumps a count,
+/// and an empty one owns nothing — its default takes no allocation and no
+/// atomic. It derefs to the slice.
+pub struct Shared<T>(Option<Arc<[T]>>);
+
+impl<T> Default for Shared<T> {
+    fn default() -> Self {
+        Shared(None)
+    }
+}
+
+impl<T> Clone for Shared<T> {
+    fn clone(&self) -> Self {
+        Shared(self.0.clone())
+    }
+}
+
+impl<T> Shared<T> {
+    /// Whether `self` and `other` are one slice, not merely equal ones.
+    pub fn same(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+
+    /// The slice to change in place, copied first if it is shared.
+    pub fn make_mut(&mut self) -> &mut [T]
+    where
+        T: Clone,
+    {
+        self.0.as_mut().map_or(&mut [][..], Arc::make_mut)
+    }
+}
+
+impl<T> Deref for Shared<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+}
+
+impl<T> From<Arc<[T]>> for Shared<T> {
+    fn from(slice: Arc<[T]>) -> Self {
+        Shared(Some(slice))
+    }
+}
+
+impl<T: Clone> From<&[T]> for Shared<T> {
+    fn from(slice: &[T]) -> Self {
+        Shared(Some(Arc::from(slice)))
+    }
+}
+
+impl<T> From<Vec<T>> for Shared<T> {
+    fn from(items: Vec<T>) -> Self {
+        Shared(Some(Arc::from(items)))
+    }
+}
+
+impl<T, const N: usize> From<[T; N]> for Shared<T> {
+    fn from(items: [T; N]) -> Self {
+        Shared(Some(Arc::from(items)))
+    }
+}
+
+/// Collected in one allocation when the iterator knows its length.
+impl<T> FromIterator<T> for Shared<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        Shared(Some(items.into_iter().collect()))
+    }
+}
+
+impl<T: PartialEq> PartialEq for Shared<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Shared<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self[..].fmt(f)
     }
 }
 
@@ -176,7 +266,9 @@ pub enum Msg {
         /// The preparing operation.
         req: ReqId,
         /// The staged installs, applied all-or-nothing at this site.
-        writes: Vec<PrepareWrite>,
+        /// Shared: every participant of a one-suite write is sent the
+        /// same slice.
+        writes: Shared<PrepareWrite>,
         /// Age of the *operation* (first attempt's counter): commit-lock
         /// lines are ordered by it, so a retried write keeps its
         /// seniority and cannot be starved.
@@ -196,8 +288,9 @@ pub enum Msg {
         req: ReqId,
         /// Yes or no.
         vote: Vote,
-        /// What a Yes vote staged, per object (empty on a No).
-        staged: Vec<(ObjectId, Version)>,
+        /// What a Yes vote staged, per object (empty on a No). Shared
+        /// with the participant's own record of the prepare.
+        staged: Shared<(ObjectId, Version)>,
     },
     /// Coordinator decision: commit.
     Commit {
@@ -208,8 +301,9 @@ pub enum Msg {
         /// The version each object commits at: the highest any
         /// participant staged. A participant that staged lower re-stamps
         /// first; one whose committed version already reaches the named
-        /// one is seeing a replay and drops the staging instead.
-        versions: Vec<(ObjectId, Version)>,
+        /// one is seeing a replay and drops the staging instead. Shared by
+        /// every participant's commit and the coordinator's commit tail.
+        versions: Shared<(ObjectId, Version)>,
     },
     /// Coordinator decision: abort. Also sent on timeouts; idempotent.
     Abort {

@@ -18,7 +18,9 @@ use wv_storage::{IdHashMap, ObjectId};
 
 use crate::client::{ClientOptions, ClientStats, QuorumPolicy};
 use crate::error::OpKind;
-use crate::quorum::{cheapest_quorum, cheapest_quorum_presorted};
+use crate::msg::Shared;
+use crate::quorum::{cheapest_quorum, quorum_of_prefix};
+use crate::site_map::Sites;
 use crate::suite::SuiteConfig;
 use crate::votes::VoteAssignment;
 
@@ -71,17 +73,22 @@ struct QuorumPlan {
     /// Rotation cursor for [`QuorumPolicy::LoadBalanced`]: seeded from
     /// `(site, generation)`, advanced once per attempt.
     rr: u64,
+    /// `site_order` with the suspects demoted, and whether that moved
+    /// anyone, as of [`Planner::flips`] `.0`: reused until a site's
+    /// suspected flag flips, so a rank under suspicion allocates nothing.
+    demoted: Option<(u64, Arc<[SiteId]>, bool)>,
 }
 
 /// A set of sites whose votes reach a quorum, where there is one.
-type Quorum = Option<Vec<SiteId>>;
+type Quorum = Option<Sites>;
 
 /// One decision's ranking of a suite's sites (weak included), best first.
 /// Whoever holds one cannot tell whether it came from the cache, a
 /// rotation, a random draw or a demotion; the two public fields say so for
 /// the audit log alone.
+#[derive(Default)]
 pub(crate) struct Ranked {
-    order: Arc<[SiteId]>,
+    order: Shared<SiteId>,
     /// The load-balanced rotation cursor decided under (0 otherwise).
     pub(crate) cursor: u64,
     /// Whether health demotion changed the cost order.
@@ -98,7 +105,7 @@ impl Ranked {
     }
 
     /// The sites `keep` keeps, best first: a read's fetch candidates, say.
-    pub(crate) fn among(&self, keep: impl Fn(SiteId) -> bool) -> Vec<SiteId> {
+    pub(crate) fn among(&self, keep: impl Fn(SiteId) -> bool) -> Sites {
         self.order.iter().copied().filter(|s| keep(*s)).collect()
     }
 
@@ -109,7 +116,9 @@ impl Ranked {
         cfg: &SuiteConfig,
         vouched: impl Fn(SiteId) -> bool,
     ) -> Quorum {
-        cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &self.among(vouched))
+        let among = self.among(vouched);
+        let quorum = quorum_of_prefix(&cfg.assignment, cfg.quorum.write, &among)?.collect();
+        Some(quorum)
     }
 }
 
@@ -129,6 +138,9 @@ pub(crate) struct Planner {
     policy: QuorumPolicy,
     /// Whether the self-healing layer is on.
     health: bool,
+    /// Times any site's `suspected` flag has flipped: what a memoized
+    /// demotion ([`QuorumPlan::demoted`]) is valid for.
+    flips: u64,
     /// The fixed phase timeout, and the adaptive one's ceiling.
     phase_timeout: SimDuration,
 }
@@ -147,6 +159,7 @@ impl Planner {
             plans: IdHashMap::default(),
             policy: options.quorum_policy,
             health: options.health.is_some(),
+            flips: 0,
             phase_timeout: options.phase_timeout,
         }
     }
@@ -186,6 +199,7 @@ impl Planner {
             generation: cfg.generation,
             site_order: Arc::clone(&site_order),
             rr: wv_sim::derive_seed(LB_SALT ^ u64::from(self.site.0), cfg.generation),
+            demoted: None,
         };
         self.plans.insert(cfg.suite, plan);
         site_order
@@ -213,20 +227,44 @@ impl Planner {
     /// Demotes suspected sites behind every unsuspected one, stably —
     /// unless all are: routing around everyone is routing nowhere. Returns
     /// the order and whether it changed, counting a reroute when it did.
-    fn demote(&self, order: Arc<[SiteId]>, stats: &mut ClientStats) -> (Arc<[SiteId]>, bool) {
+    /// With nobody suspected that is `order` itself; `memo` names the suite
+    /// whose plan `order` is, and keeps the demotion for the next rank.
+    fn demote(
+        &mut self,
+        order: Arc<[SiteId]>,
+        memo: Option<ObjectId>,
+        stats: &mut ClientStats,
+    ) -> (Arc<[SiteId]>, bool) {
         if !self.health {
-            // Shared order passes through untouched — no per-op clone.
             return (order, false);
         }
-        let suspected = |s: &SiteId| self.sites.get(s.index()).is_some_and(|h| h.suspected);
-        let mut reordered: Vec<SiteId> = order.iter().copied().filter(|s| !suspected(s)).collect();
-        if reordered.is_empty() || reordered.len() == order.len() {
+        let suspected = |s: &&SiteId| self.sites.get(s.index()).is_some_and(|h| h.suspected);
+        let count = order.iter().filter(suspected).count();
+        if count == 0 || count == order.len() {
             return (order, false);
         }
-        reordered.extend(order.iter().copied().filter(suspected));
-        let rerouted = reordered[..] != order[..];
+        let flips = self.flips;
+        let kept = memo
+            .and_then(|suite| self.plans.get_mut(&suite))
+            .map(|p| &mut p.demoted);
+        let (demoted, rerouted) = match kept {
+            Some(Some((at, demoted, rerouted))) if *at == flips => (Arc::clone(demoted), *rerouted),
+            kept => {
+                let trusted = order.iter().filter(|s| !suspected(s));
+                let list: Sites = trusted
+                    .chain(order.iter().filter(suspected))
+                    .copied()
+                    .collect();
+                let demoted: Arc<[SiteId]> = Arc::from(&list[..]);
+                let rerouted = list[..] != order[..];
+                if let Some(slot) = kept {
+                    *slot = Some((flips, Arc::clone(&demoted), rerouted));
+                }
+                (demoted, rerouted)
+            }
+        };
         stats.reroutes += u64::from(rerouted);
-        (Arc::from(reordered), rerouted)
+        (demoted, rerouted)
     }
 
     /// Ranks `cfg`'s sites for one decision, the seam every site choice
@@ -238,23 +276,23 @@ impl Planner {
         rng: &mut DetRng,
         stats: &mut ClientStats,
     ) -> Ranked {
-        let (order, cursor) = match self.policy {
-            QuorumPolicy::CheapestFirst => (self.cached_order(cfg, stats), 0),
+        let (order, cursor, memo) = match self.policy {
+            QuorumPolicy::CheapestFirst => (self.cached_order(cfg, stats), 0, Some(cfg.suite)),
             QuorumPolicy::LoadBalanced => {
                 let order = self.cached_order(cfg, stats);
                 let rr = self.plans[&cfg.suite].rr;
-                (self.rotate_cost_ties(&order, rr), rr)
+                (self.rotate_cost_ties(&order, rr), rr, None)
             }
             QuorumPolicy::Random => {
                 let cost = self.decision_costs(rng);
                 let mut order = cfg.assignment.all_sites();
                 order.sort_by(|a, b| by_cost(&cost, *a, *b));
-                (Arc::from(order), 0)
+                (Arc::from(order), 0, None)
             }
         };
-        let (order, rerouted) = self.demote(order, stats);
+        let (order, rerouted) = self.demote(order, memo, stats);
         Ranked {
-            order,
+            order: order.into(),
             cursor,
             rerouted,
         }
@@ -296,29 +334,41 @@ impl Planner {
         kind: OpKind,
         cfg: &'a SuiteConfig,
     ) -> impl Iterator<Item = SiteId> + 'a {
-        let entries = cfg.assignment.entries();
-        let static_order = move |a: SiteId, b: SiteId| by_cost(|s| self.cost(s), a, b);
-        let voting = entries.iter().filter(|(_, votes)| *votes > 0);
-        let last_voting = voting
-            .map(|(site, _)| *site)
-            .max_by(|a, b| static_order(*a, *b));
-        let matters = move |site: SiteId, votes: u32| {
-            votes > 0
-                || kind == OpKind::Reconfigure
-                || last_voting.is_some_and(|last| static_order(site, last).is_lt())
-        };
-        let asked = entries
-            .iter()
-            .filter(move |(site, votes)| matters(*site, *votes));
+        let last_voting = self.last_voting(cfg);
+        let entries = cfg.assignment.entries().iter();
+        let asked =
+            entries.filter(move |&&(site, votes)| self.asks(kind, last_voting, site, votes));
         asked.map(|(site, _)| *site)
     }
 
+    /// The voting site last in the static `(cost, site id)` order.
+    fn last_voting(&self, cfg: &SuiteConfig) -> Option<SiteId> {
+        let voting = cfg
+            .assignment
+            .entries()
+            .iter()
+            .filter(|(_, votes)| *votes > 0);
+        let static_order = |a: &SiteId, b: &SiteId| by_cost(|s| self.cost(s), *a, *b);
+        voting.map(|(site, _)| *site).max_by(static_order)
+    }
+
+    /// Whether an inquiry of `kind` asks `site`, holding `votes`, given
+    /// the [`Self::last_voting`] site.
+    fn asks(&self, kind: OpKind, last_voting: Option<SiteId>, site: SiteId, votes: u32) -> bool {
+        let before = |last| by_cost(|s| self.cost(s), site, last).is_lt();
+        votes > 0 || kind == OpKind::Reconfigure || last_voting.is_some_and(before)
+    }
+
     /// [`Self::asked`] for every site of an inquiry. One call, so that
-    /// with health off the read path neither walks nor collects the set.
+    /// with health off the read path does not walk the set.
     pub(crate) fn asked_inquiry(&mut self, kind: OpKind, cfg: &SuiteConfig, now: SimTime) {
         if self.health {
-            let set: Vec<SiteId> = self.inquiry_set(kind, cfg).collect();
-            set.into_iter().for_each(|site| self.asked(site, now));
+            let last_voting = self.last_voting(cfg);
+            for &(site, votes) in cfg.assignment.entries() {
+                if self.asks(kind, last_voting, site, votes) {
+                    self.asked(site, now);
+                }
+            }
         }
     }
 
@@ -335,6 +385,7 @@ impl Planner {
         if let Some(s) = self.sites.get_mut(site.index()) {
             s.silent = false;
             if health {
+                self.flips += u64::from(s.suspected);
                 (s.suspicion, s.suspected, s.owes_since) = (0.0, false, None);
             }
         }
@@ -357,6 +408,7 @@ impl Planner {
             if !s.suspected && s.suspicion >= SUSPICION_THRESHOLD {
                 s.suspected = true;
                 stats.suspicions_raised += 1;
+                self.flips += 1;
             }
         }
     }
@@ -429,7 +481,8 @@ impl Planner {
     /// probe (prepares went only to sites that had just answered), so a
     /// write that knows better keeps it, and is routed around the site.
     pub(crate) fn direct_quorum(&self, ranked: &Ranked, cfg: &SuiteConfig, now: SimTime) -> Quorum {
-        let quorum = cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &ranked.order)?;
+        let quorum: Sites =
+            quorum_of_prefix(&cfg.assignment, cfg.quorum.write, &ranked.order)?.collect();
         let silent = quorum.iter().any(|s| self.is_silent(*s, now));
         (!silent).then_some(quorum)
     }
@@ -445,7 +498,7 @@ impl Planner {
         taken: &[SiteId],
         now: SimTime,
     ) -> Quorum {
-        let mut next: Vec<SiteId> = Vec::new();
+        let mut next = Sites::default();
         for &site in ranked.order.iter() {
             if votes >= cfg.quorum.write {
                 break;
@@ -471,7 +524,10 @@ impl Planner {
         rng: &mut DetRng,
     ) -> [Quorum; 2] {
         let cost = self.decision_costs(rng);
-        [old, new].map(|cfg| cheapest_quorum(&cfg.assignment, cfg.quorum.write, responders, &cost))
+        [old, new].map(|cfg| {
+            let quorum = cheapest_quorum(&cfg.assignment, cfg.quorum.write, responders, &cost);
+            quorum.map(Sites::from_iter)
+        })
     }
 
     /// The audit log's inputs: the policy's stable name and, for the sites
@@ -504,7 +560,7 @@ impl Planner {
         (
             policy,
             ranked
-                .map_or(chose, |r| &r.order)
+                .map_or(chose, |r| &r.order[..])
                 .iter()
                 .map(input)
                 .collect(),
@@ -568,7 +624,7 @@ mod tests {
         assert_eq!(counted(&stats), (3, 3));
         assert_eq!(p.plans[&SUITE].generation, 2);
         assert_eq!(p.plans[&sibling.suite].generation, 1);
-        assert!(Arc::ptr_eq(&hit.order, &shared), "a hit is a refcount bump");
+        assert!(hit.order.same(&shared.into()), "a hit is a refcount bump");
         p.rank(&cfg, &mut rng, &mut stats);
         assert_eq!(counted(&stats), (4, 3), "a stale plan is never served");
     }
@@ -604,13 +660,13 @@ mod tests {
         assert_eq!(stats.suspicions_raised, 0, "one strike is not enough");
         p.unanswered(&[SiteId(0)], &mut stats);
         assert_eq!(stats.suspicions_raised, 1);
-        let (order, rerouted) = p.demote(Arc::from(SITES), &mut stats);
+        let (order, rerouted) = p.demote(Arc::from(SITES), None, &mut stats);
         // Suspected site demoted, cost order kept within groups.
         assert_eq!(order[..], [SiteId(1), SiteId(2), SiteId(0)]);
         assert_eq!((rerouted, stats.reroutes), (true, 1));
         // Any message from the site clears the suspicion.
         p.heard(SiteId(0));
-        let (order, rerouted) = p.demote(Arc::from(SITES), &mut stats);
+        let (order, rerouted) = p.demote(Arc::from(SITES), None, &mut stats);
         assert_eq!(order[..], SITES);
         assert_eq!((rerouted, stats.reroutes), (false, 1), "nothing moved");
         // A quarantine needs no second strike, and is raised once.
@@ -626,8 +682,94 @@ mod tests {
             p.unanswered(&SITES, &mut stats);
         }
         assert_eq!(stats.suspicions_raised, 3);
-        let (order, _) = p.demote(Arc::from(SITES), &mut stats);
+        let (order, _) = p.demote(Arc::from(SITES), None, &mut stats);
         assert_eq!((&order[..], stats.reroutes), (&SITES[..], 0));
+    }
+
+    /// The demotion as it was first written: collect the trusted, then
+    /// the suspects, and compare.
+    fn demoted_by_collecting(order: &[SiteId], suspects: &[SiteId]) -> (Vec<SiteId>, bool) {
+        let suspected = |s: &SiteId| suspects.contains(s);
+        let mut collected: Vec<SiteId> = order.iter().copied().filter(|s| !suspected(s)).collect();
+        if collected.is_empty() || collected.len() == order.len() {
+            return (order.to_vec(), false);
+        }
+        collected.extend(order.iter().copied().filter(suspected));
+        let rerouted = collected[..] != order[..];
+        (collected, rerouted)
+    }
+
+    #[test]
+    fn with_nobody_suspected_a_rank_hands_out_the_plans_own_order() {
+        let (mut p, mut rng, mut stats) = (tracking(), DetRng::new(1), ClientStats::default());
+        let cfg = config(SUITE);
+        let first = p.rank(&cfg, &mut rng, &mut stats);
+        let again = p.rank(&cfg, &mut rng, &mut stats);
+        let plan = &p.plans[&SUITE].site_order;
+        let plan = Shared::from(Arc::clone(plan));
+        assert!(first.order.same(&plan) && again.order.same(&plan));
+        assert_eq!((first.rerouted, stats.reroutes), (false, 0));
+    }
+
+    #[test]
+    fn demotion_orders_as_collecting_did_under_any_suspicion() {
+        let mut pick = DetRng::new(0xDE3);
+        for case in 0..300 {
+            // Five sites at coarse costs, so ties (broken by site id) occur.
+            let costs: Vec<f64> = (0..6).map(|_| pick.below(3) as f64).collect();
+            let mut p = planner(QuorumPolicy::CheapestFirst, true, &costs);
+            let assignment = VoteAssignment::new((0..5).map(|i| (SiteId(i), 1)));
+            let cfg = SuiteConfig::new(SUITE, assignment, QuorumSpec::new(3, 3)).expect("legal");
+            let (mut rng, mut stats) = (DetRng::new(case), ClientStats::default());
+            let plain = p.rank(&cfg, &mut rng, &mut stats).order;
+            let mut reroutes = 0;
+            // Suspicions raised and cleared at random, ranking after each.
+            for _ in 0..6 {
+                let site = SiteId(pick.below(5) as u16);
+                match pick.chance(0.6) {
+                    true => p.quarantined(site, &mut stats),
+                    false => p.heard(site),
+                }
+                let suspects: Vec<SiteId> = (0..5)
+                    .map(SiteId)
+                    .filter(|s| p.sites[s.index()].suspected)
+                    .collect();
+                let ranked = p.rank(&cfg, &mut rng, &mut stats);
+                let (expected, rerouted) = demoted_by_collecting(&plain, &suspects);
+                assert_eq!(
+                    ranked.order[..],
+                    expected[..],
+                    "case {case}: suspects {suspects:?}"
+                );
+                assert_eq!(ranked.rerouted, rerouted);
+                reroutes += u64::from(rerouted);
+                assert_eq!(stats.reroutes, reroutes, "every rank counts its reroute");
+            }
+        }
+    }
+
+    #[test]
+    fn a_kept_demotion_is_rebuilt_once_a_suspected_flag_flips() {
+        let (mut p, mut rng, mut stats) = (tracking(), DetRng::new(1), ClientStats::default());
+        let cfg = config(SUITE);
+        p.quarantined(SiteId(0), &mut stats);
+        let first = p.rank(&cfg, &mut rng, &mut stats).order;
+        let again = p.rank(&cfg, &mut rng, &mut stats).order;
+        assert_eq!(first[..], [SiteId(1), SiteId(2), SiteId(0)]);
+        assert!(first.same(&again), "reused while nothing flips");
+        // Site 1 becomes a suspect too: rebuilt, and kept again.
+        p.quarantined(SiteId(1), &mut stats);
+        let both = p.rank(&cfg, &mut rng, &mut stats).order;
+        assert_eq!(both[..], [SiteId(2), SiteId(0), SiteId(1)]);
+        assert!(both.same(&p.rank(&cfg, &mut rng, &mut stats).order));
+        // Site 0 is heard from: its flag flips back.
+        p.heard(SiteId(0));
+        let one = p.rank(&cfg, &mut rng, &mut stats).order;
+        assert_eq!(one[..], [SiteId(0), SiteId(2), SiteId(1)]);
+        // A score that moves without crossing the threshold flips nothing.
+        p.unanswered(&[SiteId(2)], &mut stats);
+        assert!(one.same(&p.rank(&cfg, &mut rng, &mut stats).order));
+        assert_eq!(stats.reroutes, 6, "each demoting rank counts");
     }
 
     #[test]
@@ -712,19 +854,20 @@ mod tests {
             holders.retain(|s| answer(*s) == current);
             holders.sort_by(|a, b| by_cost(cost, *a, *b));
             assert_eq!(
-                ranked.among(|s| current.is_some() && answer(s) == current),
-                holders
+                ranked.among(|s| current.is_some() && answer(s) == current)[..],
+                holders[..]
             );
             // Write quorum: the cheapest among the strong responders — and,
             // for a direct attempt, among everybody.
             let responders: Vec<SiteId> = answers.iter().map(|(s, _)| *s).collect();
             assert_eq!(
                 ranked.write_quorum(&cfg, |s| answer(s).is_some()),
-                cheapest_quorum(&assignment, 3, &responders, cost),
+                cheapest_quorum(&assignment, 3, &responders, cost).map(Sites::from_iter),
                 "case {case}: costs {costs:?}, responders {responders:?}"
             );
             let outright = cheapest_quorum(&assignment, 3, &sorted, cost);
-            assert_eq!(p.direct_quorum(&ranked, &cfg, SimTime::ZERO), outright);
+            let direct = p.direct_quorum(&ranked, &cfg, SimTime::ZERO);
+            assert_eq!(direct.map(|q| q.to_vec()), outright);
             // Widening away from a silent first member: the shortest
             // prefix of the eligible voting sites that covers `w` again.
             let outright = outright.expect("all five sites reach w");

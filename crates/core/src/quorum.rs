@@ -204,44 +204,42 @@ pub fn cheapest_quorum_presorted(
     needed: u32,
     sorted_candidates: &[SiteId],
 ) -> Option<Vec<SiteId>> {
-    let mut chosen = Vec::new();
-    let mut votes = 0;
-    for &s in sorted_candidates {
-        if assignment.votes_of(s) == 0 {
-            continue;
-        }
-        chosen.push(s);
-        votes += assignment.votes_of(s);
-        if votes >= needed {
-            // Drop any member made redundant by later cheaper picks — with
-            // prefix-greedy this only removes sites whose votes are not
-            // needed for the threshold (possible with unequal votes).
-            prune_redundant(assignment, needed, votes, &mut chosen);
-            return Some(chosen);
-        }
-    }
-    None
+    Some(quorum_of_prefix(assignment, needed, sorted_candidates)?.collect())
 }
 
-/// Removes members (most expensive first is irrelevant here — any
-/// redundant member may go) whose removal keeps the set at or above the
-/// threshold. `votes` is the total the distinct sites of `set` hold.
-fn prune_redundant(
-    assignment: &VoteAssignment,
+/// [`cheapest_quorum_presorted`]'s members, in candidate order, without a
+/// list to hold them: the shortest prefix of the candidates that reaches
+/// `needed`, less its redundant members.
+pub(crate) fn quorum_of_prefix<'a>(
+    assignment: &'a VoteAssignment,
+    needed: u32,
+    sorted_candidates: &'a [SiteId],
+) -> Option<impl Iterator<Item = SiteId> + 'a> {
+    let mut votes = 0;
+    let end = sorted_candidates.iter().position(|s| {
+        votes += assignment.votes_of(*s);
+        votes >= needed
+    })?;
+    let prefix = sorted_candidates[..=end].iter().copied();
+    Some(without_redundant(assignment, needed, votes, prefix))
+}
+
+/// `members`, holding `votes` between them, less each member whose
+/// removal keeps the rest at or above `needed` — zero-vote sites, and with
+/// prefix-greedy sites made redundant by later cheaper picks (possible
+/// with unequal votes). One forward pass with a running total.
+fn without_redundant<'a>(
+    assignment: &'a VoteAssignment,
     needed: u32,
     mut votes: u32,
-    set: &mut Vec<SiteId>,
-) {
-    let mut i = 0;
-    while i < set.len() {
-        let held = assignment.votes_of(set[i]);
-        if votes - held >= needed {
-            set.remove(i);
-            votes -= held;
-        } else {
-            i += 1;
-        }
-    }
+    members: impl Iterator<Item = SiteId> + 'a,
+) -> impl Iterator<Item = SiteId> + 'a {
+    members.filter(move |s| {
+        let held = assignment.votes_of(*s);
+        let redundant = votes - held >= needed;
+        votes -= if redundant { held } else { 0 };
+        !redundant
+    })
 }
 
 #[cfg(test)]
@@ -479,7 +477,7 @@ mod tests {
 
         /// The pruning rule stated directly: a member goes when the
         /// rest of the set, re-summed from scratch, still reaches the
-        /// threshold. `prune_redundant` must agree while only keeping a
+        /// threshold. `without_redundant` must agree while only keeping a
         /// running total.
         fn prune_by_resumming(a: &VoteAssignment, needed: u32, set: &mut Vec<SiteId>) {
             let mut i = 0;
@@ -513,8 +511,8 @@ mod tests {
                 for needed in 1..=a.total() {
                     let mut expect = set.clone();
                     prune_by_resumming(&a, needed, &mut expect);
-                    let mut got = set.clone();
-                    prune_redundant(&a, needed, a.votes_in(&set), &mut got);
+                    let kept = without_redundant(&a, needed, a.votes_in(&set), set.iter().copied());
+                    let got: Vec<SiteId> = kept.collect();
                     assert_eq!(got, expect, "seed {seed}, needed {needed}, set {set:?}");
                 }
             }

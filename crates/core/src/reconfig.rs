@@ -12,7 +12,8 @@ use wv_net::SiteId;
 use wv_sim::DetRng;
 use wv_storage::{ObjectId, Version};
 
-use crate::client::{add_to_batches, OpSuccess, PreparePlan};
+use crate::client::{OpSuccess, PreparePlan};
+use crate::commit::{add_to_batches, Batches};
 use crate::msg::PrepareWrite;
 use crate::planner::Planner;
 use crate::quorum::{QuorumError, QuorumSpec};
@@ -109,7 +110,7 @@ impl Reconfig {
         };
         let generation = Version(new.generation);
         let config = install(config_object(suite), generation, Bytes::from(new.encode()));
-        let mut batches = Vec::new();
+        let mut batches = Batches::default();
         add_to_batches(&mut batches, &config_quorum, &config);
         // Re-publish the contents one version up, through the old write
         // quorum *and* the new one. The bump is what serialises the
@@ -138,7 +139,7 @@ impl Reconfig {
         Ok(PreparePlan {
             batches,
             rebase: false,
-            unprobed: Vec::new(),
+            unprobed: Default::default(),
             on_commit: (on_commit, Some(Box::new(new))),
         })
     }
@@ -148,6 +149,7 @@ impl Reconfig {
 mod tests {
     use super::*;
     use crate::client::ClientOptions;
+    use crate::msg::Shared;
 
     const SUITE: ObjectId = ObjectId(1);
 
@@ -198,12 +200,14 @@ mod tests {
         // The old write quorum is {0, 1}, the new one {3, 1}: the config
         // object goes to the first at the old generation, the bumped
         // contents to both, one batch per site in site order.
-        let both = vec![config.clone(), data.clone()];
-        let expected = vec![
+        let both = Shared::from([config.clone(), data.clone()]);
+        let expected: Batches = [
             (SiteId(0), both.clone()),
             (SiteId(1), both),
-            (SiteId(3), vec![data]),
-        ];
+            (SiteId(3), Shared::from([data])),
+        ]
+        .into_iter()
+        .collect();
         assert_eq!(plan.batches, expected);
         assert!(!plan.rebase && plan.unprobed.is_empty());
         let (success, adopt) = plan.on_commit;

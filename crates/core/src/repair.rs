@@ -15,8 +15,14 @@ use wv_sim::trace::SpanId;
 use wv_sim::SimDuration;
 use wv_storage::ObjectId;
 
+use crate::site_map::{Few, Sites};
+
 /// A `RepairPull` to send: the suite, the peer, and whether it is `full`.
 pub(crate) type Pull = (ObjectId, SiteId, bool);
+
+/// Suites a server lists, and pulls a tick sends, in place: a site hosting
+/// up to this many suites ticks without an allocation.
+pub(crate) const HOSTED_IN_PLACE: usize = 16;
 
 /// The repair daemon's schedule and the quarantine's ledger.
 #[derive(Debug, Default)]
@@ -54,15 +60,15 @@ impl Repair {
     /// every peer not yet absorbed, in full.
     pub(crate) fn tick(
         &mut self,
-        hosted: &[(ObjectId, Vec<SiteId>)],
-    ) -> Option<(SimDuration, Vec<Pull>)> {
+        hosted: &[(ObjectId, Sites)],
+    ) -> Option<(SimDuration, Few<Pull, HOSTED_IN_PLACE>)> {
         let interval = self.interval?;
         if self.quarantined {
             let pending = self.pending.iter();
             let pulls = pending.flat_map(|(&s, peers)| peers.iter().map(move |&p| (s, p, true)));
             return Some((interval, pulls.collect()));
         }
-        let mut pulls = Vec::with_capacity(hosted.len());
+        let mut pulls = Few::default();
         for (suite, peers) in hosted.iter().filter(|(_, peers)| !peers.is_empty()) {
             pulls.push((*suite, peers[self.cursor % peers.len()], false));
             self.cursor = self.cursor.wrapping_add(1);
@@ -72,7 +78,7 @@ impl Repair {
 
     /// The pulls a recovery sends while the daemon is enabled: every peer
     /// of every hosted suite, so catching up takes one round trip.
-    pub(crate) fn recovery(&self, hosted: &[(ObjectId, Vec<SiteId>)]) -> Vec<Pull> {
+    pub(crate) fn recovery(&self, hosted: &[(ObjectId, Sites)]) -> Vec<Pull> {
         if self.interval.is_none() {
             return Vec::new();
         }
@@ -103,7 +109,7 @@ impl Repair {
     /// quarantine, whose span `open` opens.
     pub(crate) fn quarantine(
         &mut self,
-        hosted: &[(ObjectId, Vec<SiteId>)],
+        hosted: &[(ObjectId, Sites)],
         open: impl FnOnce() -> Option<SpanId>,
     ) -> bool {
         let starts = !self.quarantined;
@@ -165,7 +171,7 @@ mod tests {
     const A: ObjectId = ObjectId(1);
     const B: ObjectId = ObjectId(2);
 
-    fn sites(ids: &[u16]) -> Vec<SiteId> {
+    fn sites(ids: &[u16]) -> Sites {
         ids.iter().map(|&i| SiteId(i)).collect()
     }
 
@@ -176,8 +182,8 @@ mod tests {
     }
 
     /// The pulls of a tick.
-    fn tick(r: &mut Repair, hosted: &[(ObjectId, Vec<SiteId>)]) -> Vec<Pull> {
-        r.tick(hosted).expect("enabled").1
+    fn tick(r: &mut Repair, hosted: &[(ObjectId, Sites)]) -> Vec<Pull> {
+        r.tick(hosted).expect("enabled").1.to_vec()
     }
 
     /// Quarantined over suites A and B, each with peers 1 and 2.
@@ -237,7 +243,7 @@ mod tests {
         let mut r = enabled();
         let hosted = [
             (A, sites(&[1, 2])),
-            (ObjectId(3), vec![]),
+            (ObjectId(3), Sites::default()),
             (B, sites(&[1, 2])),
         ];
         for _ in 0..2 {

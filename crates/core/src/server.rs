@@ -32,8 +32,9 @@ use wv_storage::{Container, DiskFaults, IdHashMap, ObjectId, TxId, Version};
 use wv_txn::lock::{DeadlockPolicy, LockMode, LockReply, LockTable, TxToken};
 use wv_txn::Vote;
 
-use crate::msg::{Msg, PrepareWrite, RefuseReason, ReqId};
-use crate::repair::{Pull, Repair};
+use crate::msg::{Msg, PrepareWrite, RefuseReason, ReqId, Shared};
+use crate::repair::{Pull, Repair, HOSTED_IN_PLACE};
+use crate::site_map::{Few, Sites};
 use crate::suite::{config_object, data_object, suite_of_config_object, SuiteConfig};
 use crate::sync::{Deferred, SyncQueue, Then};
 
@@ -122,8 +123,9 @@ pub struct ServerStats {
 struct PendingWrite {
     tx: TxId,
     token: TxToken,
-    /// The objects staged, each at the version the vote reports.
-    staged: Vec<(ObjectId, Version)>,
+    /// The objects staged, each at the version the vote reports: the
+    /// slice every yes vote on it shares.
+    staged: Shared<(ObjectId, Version)>,
     suite: ObjectId,
 }
 
@@ -134,7 +136,7 @@ struct Collecting {
     token: TxToken,
     /// In object order: `writes[..held]` are locked, and the prepare
     /// stands in the line of `writes[held]`'s object.
-    writes: Vec<PrepareWrite>,
+    writes: Shared<PrepareWrite>,
     rebase: bool,
     held: usize,
     /// Open lock-wait span, from the first line joined, when tracing.
@@ -169,10 +171,10 @@ pub struct SuiteServer {
     configs: IdHashMap<ObjectId, SuiteConfig>,
     pending: IdHashMap<ReqId, PendingWrite>,
     collecting: IdHashMap<ReqId, Collecting>,
-    /// Per commit-locked object, the reads held behind the lock: answered
-    /// from committed state when it is released, before the oldest
-    /// prepare in line is granted.
-    held_reads: IdHashMap<ObjectId, Vec<HeldRead>>,
+    /// The reads held behind commit locks, each with its locked object,
+    /// in arrival order: answered from committed state when that lock is
+    /// released, before the oldest prepare in line is granted.
+    held_reads: Vec<(ObjectId, HeldRead)>,
     /// The anti-entropy daemon and the quarantine it heals.
     repair: Repair,
     /// The responses waiting for the durable sync of their records.
@@ -227,7 +229,7 @@ impl SuiteServer {
             configs: map,
             pending: IdHashMap::default(),
             collecting: IdHashMap::default(),
-            held_reads: IdHashMap::default(),
+            held_reads: Vec::new(),
             repair: Repair::default(),
             sync: SyncQueue::default(),
             stats: ServerStats::default(),
@@ -315,21 +317,17 @@ impl SuiteServer {
     }
 
     /// Hosted suites in deterministic order, each with its peers.
-    fn hosted(&self) -> Vec<(ObjectId, Vec<SiteId>)> {
-        let mut suites: Vec<ObjectId> = self.configs.keys().copied().collect();
-        suites.sort_by_key(|o| o.0);
-        suites.into_iter().map(|s| (s, self.peers_of(s))).collect()
+    fn hosted(&self) -> Few<(ObjectId, Sites), HOSTED_IN_PLACE> {
+        let mut suites: Few<ObjectId, HOSTED_IN_PLACE> = self.configs.keys().copied().collect();
+        suites.sort_unstable();
+        suites.iter().map(|&s| (s, self.peers_of(s))).collect()
     }
 
     /// The other representatives of `suite`, strong and weak alike.
-    fn peers_of(&self, suite: ObjectId) -> Vec<SiteId> {
-        self.configs.get(&suite).map_or_else(Vec::new, |cfg| {
-            cfg.assignment
-                .all_sites()
-                .into_iter()
-                .filter(|&s| s != self.site)
-                .collect()
-        })
+    fn peers_of(&self, suite: ObjectId) -> Sites {
+        let entries = self.configs.get(&suite).map(|cfg| cfg.assignment.entries());
+        let sites = entries.into_iter().flatten().map(|(site, _)| *site);
+        sites.filter(|&s| s != self.site).collect()
     }
 
     /// Sends one anti-entropy pull, announcing the version already held.
@@ -464,7 +462,7 @@ impl SuiteServer {
                 suite,
                 req,
                 vote: Vote::No,
-                staged: Vec::new(),
+                staged: Shared::default(),
             },
         );
     }
@@ -473,7 +471,7 @@ impl SuiteServer {
         let staged = self
             .pending
             .get(&req)
-            .map_or_else(Vec::new, |p| p.staged.clone());
+            .map_or_else(Shared::default, |p| Shared::clone(&p.staged));
         self.note_serving();
         ctx.send(
             to,
@@ -605,8 +603,8 @@ impl SuiteServer {
         // it is never stale; a reconfiguration's versions are exact, and
         // one a concurrent writer already installed votes no — voting yes
         // would let the coordinator regress it.
-        let mut staged = Vec::with_capacity(c.writes.len());
-        for pw in &c.writes {
+        let mut staged: Few<(ObjectId, Version), 4> = Few::default();
+        for pw in c.writes.iter() {
             let committed = self
                 .container
                 .read_version(pw.object)
@@ -621,6 +619,8 @@ impl SuiteServer {
                 staged.push((pw.object, pw.version));
             }
         }
+        // One slice, which the vote shares.
+        let staged = Shared::from(&staged[..]);
         let Ok(tx) = self.container.begin() else {
             // An injected I/O error kept the prepare record off the log.
             // Nothing was promised; release the locks and tell the
@@ -628,7 +628,7 @@ impl SuiteServer {
             self.refuse(c.from, suite, req, RefuseReason::Disk, ctx);
             return unlock(self);
         };
-        for (pw, (_, version)) in c.writes.iter().zip(&staged) {
+        for (pw, (_, version)) in c.writes.iter().zip(staged.iter()) {
             self.container
                 .stage_put(tx, pw.object, *version, pw.value.clone())
                 .expect("stage into fresh tx");
@@ -662,8 +662,9 @@ impl SuiteServer {
     fn hand_off(&mut self, freed: Vec<ObjectId>, ctx: &mut NodeCtx<'_, Msg>) {
         let mut freed = VecDeque::from(freed);
         while let Some(object) = freed.pop_front() {
-            for r in self.held_reads.remove(&object).unwrap_or_default() {
-                self.answer_read(r, ctx);
+            while let Some(i) = self.held_reads.iter().position(|(o, _)| *o == object) {
+                let (_, read) = self.held_reads.remove(i);
+                self.answer_read(read, ctx);
             }
             let Some(next) = self.locks.hand_off(object) else {
                 continue;
@@ -673,8 +674,11 @@ impl SuiteServer {
                 .get_mut(&req)
                 .expect("a prepare in line is collecting")
                 .held += 1;
-            freed.extend(self.collect(req, ctx));
+            let more = self.collect(req, ctx);
+            freed.extend(&more);
+            self.locks.recycle(more);
         }
+        self.locks.recycle(freed.into());
     }
 
     /// Holds `read` behind the commit lock on its suite's data, if there
@@ -684,7 +688,7 @@ impl SuiteServer {
         let locked = self.locks.holder(object).is_some();
         if locked {
             self.stats.busy += 1;
-            self.held_reads.entry(object).or_default().push(read);
+            self.held_reads.push((object, read));
         }
         locked
     }
@@ -803,7 +807,7 @@ impl SuiteServer {
         if replay {
             self.container.abort(p.tx).expect("abort prepared tx");
         } else {
-            for (object, staged) in &p.staged {
+            for (object, staged) in p.staged.iter() {
                 if let Some(version) = named(*object).filter(|v| v != staged) {
                     self.container
                         .restamp(p.tx, *object, version)
@@ -813,7 +817,7 @@ impl SuiteServer {
             self.container
                 .commit_unflushed(p.tx)
                 .expect("commit prepared tx");
-            for (object, _) in &p.staged {
+            for (object, _) in p.staged.iter() {
                 if let Some(suite) = suite_of_config_object(*object) {
                     self.reload_config(suite);
                 }
@@ -983,7 +987,7 @@ impl SuiteServer {
         &mut self,
         from: SiteId,
         req: ReqId,
-        mut writes: Vec<PrepareWrite>,
+        mut writes: Shared<PrepareWrite>,
         lock_ts: u64,
         rebase: bool,
         ctx: &mut NodeCtx<'_, Msg>,
@@ -1032,7 +1036,9 @@ impl SuiteServer {
             return;
         }
         // One global acquisition order within the site.
-        writes.sort_by_key(|pw| pw.object);
+        if !writes.is_sorted_by_key(|pw| pw.object) {
+            writes.make_mut().sort_by_key(|pw| pw.object);
+        }
         self.collecting.insert(
             req,
             Collecting {
@@ -1065,7 +1071,7 @@ impl SuiteServer {
         from: SiteId,
         suite: ObjectId,
         req: ReqId,
-        versions: Vec<(ObjectId, Version)>,
+        versions: Shared<(ObjectId, Version)>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
         if let Some(p) = self.install_decision(req, &versions, ctx) {
@@ -1165,7 +1171,7 @@ impl SuiteServer {
             REPAIR_TIMER_TAG => {
                 let hosted = self.hosted();
                 if let Some((interval, pulls)) = self.repair.tick(&hosted) {
-                    for pull in pulls {
+                    for &pull in &pulls {
                         self.pull(pull, ctx);
                     }
                     ctx.set_timer(interval, token);
@@ -1268,7 +1274,7 @@ impl SuiteServer {
                 PendingWrite {
                     tx,
                     token,
-                    staged,
+                    staged: staged.into(),
                     suite,
                 },
             );
@@ -1373,7 +1379,8 @@ mod tests {
                 value: Bytes::from_static(value),
                 generation: 1,
                 span: 1,
-            }],
+            }]
+            .into(),
             lock_ts: r.0,
             rebase: true,
         }
@@ -1391,7 +1398,7 @@ mod tests {
         Msg::Commit {
             suite: SUITE,
             req: r,
-            versions: vec![(data_object(SUITE), Version(version))],
+            versions: vec![(data_object(SUITE), Version(version))].into(),
         }
     }
 
@@ -1475,7 +1482,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: r,
-                versions: Vec::new(),
+                versions: Shared::default(),
             },
             &mut ctx,
         );
@@ -1736,7 +1743,8 @@ mod tests {
                 versions: vec![
                     (data_object(SUITE), Version(1)),
                     (data_object(suite2), Version(1)),
-                ],
+                ]
+                .into(),
             },
         );
         assert_eq!(notices(&out), vec![(young, false)]);
@@ -1748,7 +1756,7 @@ mod tests {
             Msg::Commit {
                 suite: suite2,
                 req: older,
-                versions: vec![(data_object(suite2), Version(2))],
+                versions: vec![(data_object(suite2), Version(2))].into(),
             },
         );
         assert_eq!(yes_votes(&out), vec![(young, 2)]);
@@ -1831,6 +1839,57 @@ mod tests {
             &deliver(&mut s, &mut rng, read_msg(14))[0].1,
             Msg::ReadResp { .. }
         ));
+    }
+
+    #[test]
+    fn a_release_answers_the_reads_held_behind_its_own_lock_only() {
+        let other = ObjectId(2);
+        let cfg = |suite| SuiteConfig::new(suite, test_config().assignment, QuorumSpec::new(2, 2));
+        let configs = vec![test_config(), cfg(other).expect("legal")];
+        let mut s = SuiteServer::new(SiteId(0), configs, DeadlockPolicy::WaitDie);
+        let mut rng = DetRng::new(12);
+        let prepare = |n, suite| Msg::Prepare {
+            req: req(n),
+            writes: Shared::from([PrepareWrite {
+                suite,
+                object: data_object(suite),
+                version: Version(1),
+                value: Bytes::from_static(b"x"),
+                generation: 1,
+                span: 1,
+            }]),
+            lock_ts: req(n).0,
+            rebase: true,
+        };
+        let read = |n, suite| Msg::ReadReq { suite, req: req(n) };
+        deliver(&mut s, &mut rng, prepare(1, SUITE));
+        deliver(&mut s, &mut rng, prepare(2, other));
+        // One read held behind each lock, in turn.
+        for n in [10, 12] {
+            assert!(deliver(&mut s, &mut rng, read(n, SUITE)).is_empty());
+            assert!(deliver(&mut s, &mut rng, read(n + 1, other)).is_empty());
+        }
+        let commit = |n, suite| Msg::Commit {
+            suite,
+            req: req(n),
+            versions: Shared::from([(data_object(suite), Version(1))]),
+        };
+        let answered = |out: &[(SiteId, Msg)]| -> Vec<u64> {
+            let reads = out.iter().filter_map(|(_, m)| match m {
+                Msg::ReadResp { req, .. } => Some(req.counter()),
+                _ => None,
+            });
+            reads.collect()
+        };
+        // Each release answers its own suite's reads, in arrival order.
+        assert_eq!(
+            answered(&deliver(&mut s, &mut rng, commit(2, other))),
+            [11, 13]
+        );
+        assert_eq!(
+            answered(&deliver(&mut s, &mut rng, commit(1, SUITE))),
+            [10, 12]
+        );
     }
 
     fn conditional_inquiry(n: u64, from: u64) -> Msg {
@@ -1952,7 +2011,8 @@ mod tests {
                     Bytes::from(cfg2.encode()),
                 ),
                 republish(data_object(SUITE), 1, Bytes::new()),
-            ],
+            ]
+            .into(),
             lock_ts: reconf.counter(),
             rebase: false,
         };
@@ -1973,7 +2033,8 @@ mod tests {
                 versions: vec![
                     (data_object(SUITE), Version(1)),
                     (config_object(SUITE), Version(2)),
-                ],
+                ]
+                .into(),
             },
         );
         assert!(out.iter().any(|(_, m)| matches!(
@@ -1985,7 +2046,7 @@ mod tests {
         // It gave the lock back.
         let mut fresh = prepare_msg(req(3), 1, b"new geometry");
         if let Msg::Prepare { writes, .. } = &mut fresh {
-            writes[0].generation = 2;
+            writes.make_mut()[0].generation = 2;
         }
         assert_eq!(
             yes_votes(&deliver(&mut s, &mut rng, fresh)),
@@ -1997,7 +2058,7 @@ mod tests {
     fn reask_msg(r: ReqId) -> Msg {
         Msg::Prepare {
             req: r,
-            writes: Vec::new(),
+            writes: Shared::default(),
             lock_ts: r.0,
             rebase: true,
         }
@@ -2095,7 +2156,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: older,
-                versions: Vec::new(),
+                versions: Shared::default(),
             },
             &mut ctx,
         );
@@ -2160,7 +2221,8 @@ mod tests {
                     value: Bytes::from(cfg2.encode()),
                     generation: 1,
                     span: 1,
-                }],
+                }]
+                .into(),
                 lock_ts: r0.0,
                 rebase: false,
             },
@@ -2173,7 +2235,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: r0,
-                versions: Vec::new(),
+                versions: Shared::default(),
             },
             &mut ctx,
         );
@@ -2233,7 +2295,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: r,
-                versions: Vec::new(),
+                versions: Shared::default(),
             },
             &mut ctx,
         );
@@ -2311,7 +2373,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: r,
-                versions: Vec::new(),
+                versions: Shared::default(),
             },
         ] {
             let mut ctx = ctx_pair(&mut rng);
@@ -2425,7 +2487,8 @@ mod tests {
                         value: Bytes::from(format!("v{i}")),
                         generation: 1,
                         span: 1,
-                    }],
+                    }]
+                    .into(),
                     lock_ts: r.0,
                     rebase: true,
                 },
@@ -2438,7 +2501,7 @@ mod tests {
                 Msg::Commit {
                     suite: SUITE,
                     req: r,
-                    versions: Vec::new(),
+                    versions: Shared::default(),
                 },
                 &mut ctx,
             );
@@ -2478,7 +2541,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: r,
-                versions: Vec::new(),
+                versions: Shared::default(),
             },
             &mut ctx,
         );
@@ -2720,7 +2783,7 @@ mod tests {
             Msg::Commit {
                 suite: SUITE,
                 req: r,
-                versions: Vec::new(),
+                versions: Shared::default(),
             },
             &mut ctx,
         );
@@ -2774,7 +2837,8 @@ mod tests {
                         value: Bytes::from_static(b"v"),
                         generation: 1,
                         span: 1,
-                    }],
+                    }]
+                    .into(),
                     lock_ts: r.0,
                     rebase: true,
                 },
@@ -3238,7 +3302,8 @@ mod tests {
                         value: Bytes::from_static(b"second"),
                         generation: 1,
                         span: 1,
-                    }],
+                    }]
+                    .into(),
                     lock_ts: r2.0,
                     rebase: true,
                 },
@@ -3271,7 +3336,7 @@ mod tests {
                 Msg::Commit {
                     suite: SUITE,
                     req: r1,
-                    versions: Vec::new(),
+                    versions: Shared::default(),
                 },
                 &mut ctx,
             );

@@ -9,7 +9,7 @@ use wv_sim::SimTime;
 ///
 /// Sites are dense small integers so that configuration matrices and vote
 /// vectors can be indexed directly.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SiteId(pub u16);
 
 impl SiteId {

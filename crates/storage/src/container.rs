@@ -59,11 +59,15 @@ struct TxState {
     note: u64,
 }
 
+/// The most emptied staging lists a [`Container`] keeps for reuse.
+const SPARE_LISTS: usize = 64;
+
 impl TxState {
-    fn new() -> Self {
+    /// An active transaction staging into `writes`, an empty list.
+    fn new(writes: Vec<(ObjectId, VersionedValue)>) -> Self {
         TxState {
             phase: TxPhase::Active,
-            writes: Vec::new(),
+            writes,
             note: 0,
         }
     }
@@ -121,6 +125,9 @@ pub struct Container {
     next_tx: u64,
     crashed: bool,
     faults: DiskFaults,
+    /// Staging lists of finished transactions, emptied, at most
+    /// [`SPARE_LISTS`]: the next transaction stages without an allocation.
+    spare: Vec<Vec<(ObjectId, VersionedValue)>>,
 }
 
 impl Container {
@@ -168,7 +175,7 @@ impl Container {
                     next_tx = next_tx.max(hint);
                 }
                 Record::Begin { tx } => {
-                    live.insert(tx, TxState::new());
+                    live.insert(tx, TxState::new(Vec::new()));
                 }
                 Record::Put {
                     tx,
@@ -207,6 +214,7 @@ impl Container {
             next_tx,
             crashed: false,
             faults: DiskFaults::default(),
+            spare: Vec::new(),
         };
         let outcome = RecoveryOutcome {
             replayed_records: report.recovered as u64,
@@ -243,7 +251,8 @@ impl Container {
         let tx = TxId(self.next_tx);
         self.next_tx += 1;
         self.wal.append(&Record::Begin { tx });
-        self.live.insert(tx, TxState::new());
+        let writes = self.spare.pop().unwrap_or_default();
+        self.live.insert(tx, TxState::new(writes));
         Ok(tx)
     }
 
@@ -328,11 +337,12 @@ impl Container {
     /// must not acknowledge the commit until after the flush.
     pub fn commit_unflushed(&mut self, tx: TxId) -> Result<(), StorageError> {
         self.check_up()?;
-        let st = self.live.remove(&tx).ok_or(StorageError::UnknownTx(tx))?;
+        let mut st = self.live.remove(&tx).ok_or(StorageError::UnknownTx(tx))?;
         self.wal.append(&Record::Commit { tx });
-        for (obj, vv) in st.writes {
+        for (obj, vv) in st.writes.drain(..) {
             self.committed.insert(obj, vv);
         }
+        self.recycle(st.writes);
         Ok(())
     }
 
@@ -378,10 +388,20 @@ impl Container {
     /// Aborts `tx`: staged writes are discarded.
     pub fn abort(&mut self, tx: TxId) -> Result<(), StorageError> {
         self.check_up()?;
-        self.live.remove(&tx).ok_or(StorageError::UnknownTx(tx))?;
+        let st = self.live.remove(&tx).ok_or(StorageError::UnknownTx(tx))?;
+        self.recycle(st.writes);
         self.wal.append(&Record::Abort { tx });
         self.wal.flush();
         Ok(())
+    }
+
+    /// Keeps a finished transaction's staging list, emptied, for the next
+    /// one — while fewer than [`SPARE_LISTS`] wait.
+    fn recycle(&mut self, mut writes: Vec<(ObjectId, VersionedValue)>) {
+        if self.spare.len() < SPARE_LISTS && writes.capacity() > 0 {
+            writes.clear();
+            self.spare.push(writes);
+        }
     }
 
     /// The committed state of `object`; [`VersionedValue::initial`] if it
@@ -590,6 +610,32 @@ mod tests {
         assert_eq!(vv.version, Version(1));
         assert_eq!(vv.value, b("alpha"));
         assert_eq!(c.read_version(ObjectId(1)).expect("ver"), Version(1));
+    }
+
+    #[test]
+    fn a_finished_transactions_staging_list_is_reused_and_the_pool_stays_bounded() {
+        let mut c = Container::new();
+        let staging = |c: &Container, tx: TxId| c.live[&tx].writes.as_ptr();
+        let tx = c.begin().expect("begin");
+        c.stage_put(tx, ObjectId(1), Version(1), b("a"))
+            .expect("stage");
+        let list = staging(&c, tx);
+        c.commit(tx).expect("commit");
+        let tx = c.begin().expect("begin");
+        assert_eq!((staging(&c, tx), c.staged(tx).len()), (list, 0));
+        c.abort(tx).expect("abort");
+        let open: Vec<TxId> = (0..2 * SPARE_LISTS as u64)
+            .map(|n| {
+                let tx = c.begin().expect("begin");
+                c.stage_put(tx, ObjectId(n), Version(1), b("v"))
+                    .expect("stage");
+                tx
+            })
+            .collect();
+        for tx in open {
+            c.commit(tx).expect("commit");
+        }
+        assert_eq!(c.spare.len(), SPARE_LISTS);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use bytes::Bytes;
 /// In the paper each file suite has one logical file; a container may hold
 /// representatives of many suites, so representatives are addressed by the
 /// suite's object id.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObjectId(pub u64);
 
 impl fmt::Debug for ObjectId {

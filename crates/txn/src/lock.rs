@@ -89,7 +89,13 @@ pub struct LockTable {
     /// What each transaction holds, in the order taken, so a release
     /// touches nothing else.
     held: IdHashMap<TxToken, Vec<ObjectId>>,
+    /// Emptied lists handed back by [`Self::recycle`], at most
+    /// [`SPARE_LISTS`]: the next holder's list, without an allocation.
+    spare: Vec<Vec<ObjectId>>,
 }
+
+/// The most emptied lists a [`LockTable`] keeps for reuse.
+const SPARE_LISTS: usize = 64;
 
 impl LockTable {
     /// An empty table with the given policy.
@@ -110,7 +116,7 @@ impl LockTable {
         }
         if entry.holder.is_none() && entry.line.is_empty() {
             entry.holder = Some(tx);
-            self.held.entry(tx).or_default().push(object);
+            self.hold(tx, object);
             return LockReply::Granted;
         }
         match self.policy {
@@ -140,13 +146,23 @@ impl LockTable {
     /// order they were taken. Each stays reserved for its line until
     /// [`Self::hand_off`]; a place `tx` has in a line is not touched (see
     /// [`Self::leave`]). By token, not by object list: the frozen
-    /// `benchmark/` calls it so.
+    /// `benchmark/` calls it so. Hand the list back to [`Self::recycle`]
+    /// once done with it.
     pub fn release_all(&mut self, tx: TxToken) -> Vec<ObjectId> {
         let freed = self.held.remove(&tx).unwrap_or_default();
         for object in &freed {
             self.update(*object, |entry| entry.holder = None);
         }
         freed
+    }
+
+    /// Keeps a list [`Self::release_all`] returned, emptied, for the next
+    /// transaction to take a lock — while fewer than 64 wait.
+    pub fn recycle(&mut self, mut list: Vec<ObjectId>) {
+        if self.spare.len() < SPARE_LISTS && list.capacity() > 0 {
+            list.clear();
+            self.spare.push(list);
+        }
     }
 
     /// Makes the oldest in `object`'s line its holder and returns it;
@@ -158,8 +174,19 @@ impl LockTable {
         }
         let next = entry.line.pop_first()?;
         entry.holder = Some(next);
-        self.held.entry(next).or_default().push(object);
+        self.hold(next, object);
         Some(next)
+    }
+
+    /// Notes that `tx` now holds `object`, in a spare list if it held
+    /// nothing.
+    fn hold(&mut self, tx: TxToken, object: ObjectId) {
+        let spare = &mut self.spare;
+        let held = self
+            .held
+            .entry(tx)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
+        held.push(object);
     }
 
     /// Forgets every lock and line (a crash: all of it is volatile).
@@ -273,5 +300,25 @@ mod tests {
         assert_eq!(table.release_all(t(2)), vec![A]);
         assert_eq!(table.hand_off(A), None);
         assert!(table.objects.is_empty() && table.held.is_empty());
+    }
+
+    #[test]
+    fn a_recycled_list_is_the_next_holders_and_the_pool_stays_bounded() {
+        let mut table = LockTable::default();
+        lock(&mut table, 1, A);
+        let freed = table.release_all(t(1));
+        let buffer = freed.as_ptr();
+        table.recycle(freed);
+        lock(&mut table, 2, B);
+        assert_eq!(table.held[&t(2)].as_ptr(), buffer, "no new list");
+        assert_eq!(table.release_all(t(2)), vec![B], "emptied before reuse");
+        for n in 0..2 * SPARE_LISTS as u64 {
+            lock(&mut table, 10 + n, ObjectId(10 + n));
+        }
+        for n in 0..2 * SPARE_LISTS as u64 {
+            let freed = table.release_all(t(10 + n));
+            table.recycle(freed);
+        }
+        assert_eq!(table.spare.len(), SPARE_LISTS);
     }
 }
