@@ -225,14 +225,23 @@ impl CommitTails {
     /// decision but the newest: that one carries the request-counter
     /// high-water mark [`Self::recover`] reads.
     fn log_commit_decision(&mut self, req: ReqId, versions: &[(ObjectId, Version)]) {
-        // Built in place for up to four objects, and copied once.
-        let mut record: Few<u8, 64> = Few::default();
-        for (object, version) in versions {
-            record.extend(object.0.to_le_bytes());
-            record.extend(version.0.to_le_bytes());
-        }
+        // Built on the stack for up to four objects, and copied once.
+        let pair = |(object, version): &(ObjectId, Version)| {
+            let mut pair = [0u8; 16];
+            pair[..8].copy_from_slice(&object.0.to_le_bytes());
+            pair[8..].copy_from_slice(&version.0.to_le_bytes());
+            pair
+        };
+        let record = if versions.len() <= 4 {
+            let mut pairs = [[0u8; 16]; 4];
+            for (slot, v) in pairs.iter_mut().zip(versions) {
+                *slot = pair(v);
+            }
+            Bytes::copy_from_slice(pairs[..versions.len()].as_flattened())
+        } else {
+            Bytes::from(versions.iter().flat_map(pair).collect::<Vec<u8>>())
+        };
         let tx = self.decisions.begin().expect("decision log is up");
-        let record = Bytes::copy_from_slice(&record);
         self.decisions
             .stage_put(tx, ObjectId(req.0), Version(1), record)
             .expect("stage decision");
@@ -400,6 +409,24 @@ mod tests {
         t.crash();
         assert_eq!(t.recover(), 8);
         assert_eq!(answer(&t, 7), Some(versions(7)));
+    }
+
+    #[test]
+    fn a_decision_on_the_stack_or_spilled_reads_back_as_decided() {
+        let mut t = CommitTails::new(&ClientOptions::default());
+        let value = Bytes::from_static(b"v");
+        for n in 1..=6u64 {
+            let decided: Vec<(ObjectId, Version)> = (0..n)
+                .map(|k| (ObjectId(k + 1), Version(10 * n + k)))
+                .collect();
+            let participants = [SiteId(0)].into_iter().collect();
+            let written = Some((Version(n), &value));
+            t.decide(req(n), SUITE, participants, &decided, None, written)
+                .for_each(drop);
+            let record = t.log().read(ObjectId(req(n).0)).expect("up").value;
+            assert_eq!(record.len(), 16 * decided.len(), "{n} objects");
+            assert_eq!(answer(&t, n), Some(Shared::from(decided)), "{n} objects");
+        }
     }
 
     #[test]

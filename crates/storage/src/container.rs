@@ -250,7 +250,7 @@ impl Container {
         }
         let tx = TxId(self.next_tx);
         self.next_tx += 1;
-        self.wal.append(&Record::Begin { tx });
+        self.wal.append(Record::Begin { tx });
         let writes = self.spare.pop().unwrap_or_default();
         self.live.insert(tx, TxState::new(writes));
         Ok(tx)
@@ -277,7 +277,7 @@ impl Container {
         }
         let value = value.into();
         st.stage(object, VersionedValue::new(version, value.clone()));
-        self.wal.append(&Record::Put {
+        self.wal.append(Record::Put {
             tx,
             object,
             version,
@@ -315,7 +315,7 @@ impl Container {
         }
         st.phase = TxPhase::Prepared;
         st.note = note;
-        self.wal.append(&Record::Prepare { tx, note });
+        self.wal.append(Record::Prepare { tx, note });
         Ok(())
     }
 
@@ -338,7 +338,7 @@ impl Container {
     pub fn commit_unflushed(&mut self, tx: TxId) -> Result<(), StorageError> {
         self.check_up()?;
         let mut st = self.live.remove(&tx).ok_or(StorageError::UnknownTx(tx))?;
-        self.wal.append(&Record::Commit { tx });
+        self.wal.append(Record::Commit { tx });
         for (obj, vv) in st.writes.drain(..) {
             self.committed.insert(obj, vv);
         }
@@ -376,7 +376,7 @@ impl Container {
             return Err(StorageError::WrongPhase { tx, op: "restamp" });
         };
         vv.version = version;
-        self.wal.append(&Record::Put {
+        self.wal.append(Record::Put {
             tx,
             object,
             version,
@@ -390,7 +390,7 @@ impl Container {
         self.check_up()?;
         let st = self.live.remove(&tx).ok_or(StorageError::UnknownTx(tx))?;
         self.recycle(st.writes);
-        self.wal.append(&Record::Abort { tx });
+        self.wal.append(Record::Abort { tx });
         self.wal.flush();
         Ok(())
     }
@@ -544,14 +544,14 @@ impl Container {
             .collect();
         state.sort_unstable_by_key(|(o, ..)| *o);
         let next_tx = self.next_tx;
-        self.wal.append(&Record::Checkpoint { state, next_tx });
+        self.wal.append(Record::Checkpoint { state, next_tx });
         let mut live: Vec<(TxId, &TxState)> = self.live.iter().map(|(tx, st)| (*tx, st)).collect();
         live.sort_unstable_by_key(|(tx, _)| *tx);
         let live = |phase| live.iter().filter(move |(_, st)| st.phase == phase);
         // Prepared first, promise and all: they belong in the durable prefix.
         for (tx, st) in live(TxPhase::Prepared) {
             journal(&mut self.wal, *tx, st);
-            self.wal.append(&Record::Prepare {
+            self.wal.append(Record::Prepare {
                 tx: *tx,
                 note: st.note,
             });
@@ -572,9 +572,9 @@ impl Container {
 /// Appends `tx`'s begin and staged writes to `wal`: a live transaction
 /// re-journalled behind a checkpoint.
 fn journal(wal: &mut Wal, tx: TxId, st: &TxState) {
-    wal.append(&Record::Begin { tx });
+    wal.append(Record::Begin { tx });
     for (object, vv) in &st.writes {
-        wal.append(&Record::Put {
+        wal.append(Record::Put {
             tx,
             object: *object,
             version: vv.version,
@@ -1597,6 +1597,67 @@ mod crash_point_props {
                 "seed {seed}"
             );
             assert_eq!(outcome.in_doubt, recovered.in_doubt_notes(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_lazily_framed_image_equals_the_records_framed_one_by_one_at_every_crash_point() {
+        for seed in 0..48u64 {
+            let scripts = random_scripts(seed.wrapping_add(4000));
+            let mut rng = TestRng(seed);
+            // The log a script run appends, each record with whether a
+            // flush follows it; a commit's flush is left to a later one
+            // at random, as group commit does.
+            let mut appends: Vec<(Record, bool)> = Vec::new();
+            for (i, s) in scripts.iter().enumerate() {
+                let tx = TxId(i as u64);
+                appends.push((Record::Begin { tx }, false));
+                for (k, (obj, val)) in s.writes.iter().enumerate() {
+                    let put = Record::Put {
+                        tx,
+                        object: ObjectId(*obj),
+                        version: Version(k as u64 + 1),
+                        value: Bytes::copy_from_slice(val.as_bytes()),
+                    };
+                    appends.push((put, false));
+                }
+                if s.prepares {
+                    appends.push((Record::Prepare { tx, note: i as u64 }, true));
+                }
+                if s.commits {
+                    appends.push((Record::Commit { tx }, rng.flip()));
+                } else if !s.prepares {
+                    appends.push((Record::Abort { tx }, true));
+                }
+            }
+            let (mut lazy, mut eager) = (Wal::new(), Wal::new());
+            for (n, (record, flush)) in appends.into_iter().enumerate() {
+                lazy.append(record.clone());
+                eager.append_framed(record);
+                if flush {
+                    lazy.flush();
+                    eager.flush();
+                }
+                // A crash here: clean, torn, and with two bit flips.
+                let damage = [
+                    (None, vec![]),
+                    (Some(rng.next()), vec![]),
+                    (None, vec![rng.next(), rng.next()]),
+                ];
+                for (tear, flips) in damage {
+                    let (mut l, mut e) = (lazy.clone(), eager.clone());
+                    l.crash_with_faults(tear, &flips);
+                    e.crash_with_faults(tear, &flips);
+                    let at = format!("seed {seed}, record {n}, tear {tear:?}, flips {flips:?}");
+                    assert_eq!(l.image(), e.image(), "{at}");
+                    assert_eq!(l.rescan(), e.rescan(), "{at}");
+                }
+            }
+            assert_eq!(
+                lazy.framed_bytes(),
+                0,
+                "seed {seed}: only the copies framed"
+            );
         }
     }
 

@@ -254,6 +254,21 @@ fn encode_payload(buf: &mut Vec<u8>, r: &Record) {
     }
 }
 
+/// The length of `r`'s frame, header included — what [`encode_into`]
+/// returns for it — without encoding it.
+pub fn encoded_len(r: &Record) -> usize {
+    let payload = match r {
+        Record::Checkpoint { state, .. } => {
+            let values: usize = state.iter().map(|(.., value)| 20 + value.len()).sum();
+            1 + 8 + 4 + values
+        }
+        Record::Put { value, .. } => 1 + 24 + 4 + value.len(),
+        Record::Prepare { .. } => 1 + 16,
+        Record::Begin { .. } | Record::Commit { .. } | Record::Abort { .. } => 1 + 8,
+    };
+    HEADER_LEN + payload
+}
+
 /// Appends the frame for `r` to `buf` and returns the frame's length.
 ///
 /// The payload is written once, straight into `buf` behind a placeholder
@@ -584,6 +599,15 @@ mod tests {
         assert_eq!(n, golden_checkpoint.len());
         assert_eq!(image[..3], [0xEE; 3]);
         assert_eq!(image[3..], golden_checkpoint);
+    }
+
+    #[test]
+    fn encoded_len_is_the_length_encode_into_returns() {
+        for r in sample_records() {
+            let mut buf = Vec::new();
+            assert_eq!(encoded_len(&r), encode_into(&mut buf, &r), "{r:?}");
+            assert_eq!(encoded_len(&r), buf.len());
+        }
     }
 
     #[test]

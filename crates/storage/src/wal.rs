@@ -6,14 +6,20 @@
 //! [`Wal::crash`] discards the unflushed tail — exactly the failure model
 //! of a disk with a volatile write cache and explicit fsync.
 //!
-//! The log is kept as nothing but the *byte image* its records would
-//! occupy on a real platter, framed and checksummed by [`crate::frame`],
-//! and where each frame starts. The image is what disk faults damage: a
-//! torn write persists a partial prefix of the volatile tail, a bit flip
-//! corrupts a durable byte. Damage is reconciled by `Wal::rescan`, which
-//! accepts the longest valid frame prefix, reports what was lost, and
-//! hands back the records it decoded — the scanning recovery
-//! `Container::recover_from` replays.
+//! The log stands for the *byte image* its records would occupy on a real
+//! platter, framed and checksummed by [`crate::frame`]. The image is what
+//! disk faults damage: a torn write persists a partial prefix of the
+//! volatile tail, a bit flip corrupts a durable byte. Damage is reconciled
+//! by `Wal::rescan`, which accepts the longest valid frame prefix, reports
+//! what was lost, and hands back the records it decoded — the scanning
+//! recovery `Container::recover_from` replays.
+//!
+//! Nothing reads those bytes but a crash and a scan, so the log frames a
+//! record only when one of them comes: until then it keeps the records
+//! appended since the image was last built as values (a `Put` shares its
+//! contents with the container) and counts the bytes they will take.
+//! Encoding is canonical, so the image a crash builds is byte for byte
+//! the one framing every record at its append would have built.
 //!
 //! Property tests in `crate::container` crash the log at *every* record
 //! boundary and assert recovery yields a prefix-consistent state.
@@ -121,10 +127,17 @@ pub struct Wal {
     /// Records below this index are durable.
     durable_len: usize,
     flushes: u64,
-    /// The framed byte image of the records, damage and all.
+    /// The framed byte image of the records framed so far, damage and all.
     image: Vec<u8>,
-    /// Byte offset where each record's frame starts in `image`.
+    /// Byte offset where each framed record's frame starts in `image`.
     offsets: Vec<usize>,
+    /// The records appended since the image was last built, in order: the
+    /// log's last `unframed.len()` records.
+    unframed: Vec<Record>,
+    /// The bytes `unframed` will take in the image.
+    unframed_bytes: usize,
+    /// Bytes framed into the image over the log's life.
+    framed_bytes: u64,
     /// Lowest image byte damaged by fault injection since the last
     /// rescan/replace — the poison line for the escape tripwire.
     corrupted_from: Option<usize>,
@@ -137,9 +150,19 @@ impl Wal {
     }
 
     /// Appends a record to the volatile tail.
-    pub fn append(&mut self, r: &Record) {
-        self.offsets.push(self.image.len());
-        frame::encode_into(&mut self.image, r);
+    pub fn append(&mut self, r: Record) {
+        self.unframed_bytes += frame::encoded_len(&r);
+        self.unframed.push(r);
+    }
+
+    /// Frames the first `n` unframed records into the image.
+    fn frame(&mut self, n: usize) {
+        for r in self.unframed.drain(..n) {
+            self.offsets.push(self.image.len());
+            let len = frame::encode_into(&mut self.image, &r);
+            self.unframed_bytes -= len;
+            self.framed_bytes += len as u64;
+        }
     }
 
     /// Makes everything appended so far durable (fsync).
@@ -164,18 +187,26 @@ impl Wal {
     ///   crc/payload region, so the damage always fails the checksum
     ///   instead of masquerading as a short frame.
     ///
-    /// The frame offsets still show the pre-damage durable prefix; only
-    /// [`Wal::rescan`] reconciles them with the image.
+    /// The durable records are framed first, and the volatile tail too
+    /// when a tear keeps some of it. The frame offsets still show the
+    /// pre-damage durable prefix; only [`Wal::rescan`] reconciles them
+    /// with the image.
     pub(crate) fn crash_with_faults(&mut self, tear: Option<u64>, flips: &[u64]) {
+        self.frame(self.durable_len.saturating_sub(self.offsets.len()));
         for &draw in flips {
             self.flip_durable_bit(draw);
         }
         let durable_bytes = self.frame_start(self.durable_len);
-        let volatile_bytes = self.image.len() - durable_bytes;
+        let volatile_bytes = self.image.len() - durable_bytes + self.unframed_bytes;
         let keep = match tear {
             Some(draw) if volatile_bytes > 0 => (draw as usize) % volatile_bytes,
             _ => 0,
         };
+        if keep > 0 {
+            self.frame(self.unframed.len());
+        }
+        self.unframed.clear();
+        self.unframed_bytes = 0;
         self.image.truncate(durable_bytes + keep);
         self.offsets.truncate(self.durable_len);
     }
@@ -209,6 +240,7 @@ impl Wal {
     /// why, with the accepted records for replay. After a rescan the log is
     /// clean (all accepted records durable, damage markers cleared).
     pub(crate) fn rescan(&mut self) -> (ScanReport, Vec<Record>) {
+        self.frame(self.unframed.len());
         let pre_durable = self.durable_len;
         let bytes_scanned = self.image.len();
         let scan = frame::scan(&self.image);
@@ -233,17 +265,25 @@ impl Wal {
 
     /// Total records appended (including the volatile tail).
     pub fn len(&self) -> usize {
-        self.offsets.len()
+        self.offsets.len() + self.unframed.len()
     }
 
     /// True if no records have been appended.
     pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
+        self.len() == 0
     }
 
-    /// Size of the framed byte image, damage included.
+    /// Size of the framed byte image, damage included, with the records
+    /// not framed yet counted at the size they will take.
     pub fn image_bytes(&self) -> usize {
-        self.image.len()
+        self.image.len() + self.unframed_bytes
+    }
+
+    /// Bytes framed and checksummed into the image over the log's life:
+    /// zero until a crash or a scan reads it. ([`Wal::durable_prefix`]
+    /// frames its copy, and counts there.)
+    pub fn framed_bytes(&self) -> u64 {
+        self.framed_bytes
     }
 
     /// How many times the durability horizon advanced — the "fsync count",
@@ -254,26 +294,51 @@ impl Wal {
     }
 
     /// Empties the log for a compaction: what is appended next, and made
-    /// durable by the next [`Wal::flush`], is the whole log.
+    /// durable by the next [`Wal::flush`], is the whole log. Records never
+    /// framed go unframed, and the image's buffers are freed: only the
+    /// next crash or scan builds an image again.
     pub(crate) fn restart(&mut self) {
-        self.image.clear();
-        self.offsets.clear();
+        self.image = Vec::new();
+        self.offsets = Vec::new();
+        self.unframed.clear();
+        self.unframed_bytes = 0;
         self.durable_len = 0;
         self.corrupted_from = None;
     }
 
-    /// A copy of the log truncated to its first `n` records, all durable —
-    /// the state an independent observer would recover from if the machine
-    /// died right after record `n` hit the disk. Used by crash-point
-    /// property tests.
+    /// A copy of the log truncated to its first `n` records, all durable
+    /// and framed — the state an independent observer would recover from if
+    /// the machine died right after record `n` hit the disk. Used by
+    /// crash-point property tests.
     pub fn durable_prefix(&self, n: usize) -> Wal {
         let n = n.min(self.len());
-        Wal {
+        let framed = n.min(self.offsets.len());
+        let mut prefix = Wal {
             durable_len: n,
-            image: self.image[..self.frame_start(n)].to_vec(),
-            offsets: self.offsets[..n].to_vec(),
+            image: self.image[..self.frame_start(framed)].to_vec(),
+            offsets: self.offsets[..framed].to_vec(),
             ..Wal::default()
+        };
+        for r in &self.unframed[..n - framed] {
+            prefix.append(r.clone());
         }
+        prefix.frame(n - framed);
+        prefix
+    }
+}
+
+#[cfg(test)]
+impl Wal {
+    /// Appends `r` and frames it at once, as the log did before framing
+    /// waited for a crash: the reference a lazily built image must equal.
+    pub(crate) fn append_framed(&mut self, r: Record) {
+        self.append(r);
+        self.frame(self.unframed.len());
+    }
+
+    /// The image built so far and where each of its frames starts.
+    pub(crate) fn image(&self) -> (&[u8], &[usize]) {
+        (&self.image, &self.offsets)
     }
 }
 
@@ -281,8 +346,11 @@ impl Wal {
 mod tests {
     use super::*;
 
-    /// Every record the image holds, decoded the way recovery does.
+    /// Every record the log holds, framed and decoded the way recovery
+    /// does, on a copy: reading leaves the log as lazy as it was.
     fn decoded(w: &Wal) -> Vec<Record> {
+        let mut w = w.clone();
+        w.frame(w.unframed.len());
         frame::scan(&w.image).records
     }
 
@@ -298,10 +366,10 @@ mod tests {
     #[test]
     fn crash_discards_unflushed_tail() {
         let mut w = Wal::new();
-        w.append(&Record::Begin { tx: TxId(1) });
-        w.append(&put(1, 7, 1));
+        w.append(Record::Begin { tx: TxId(1) });
+        w.append(put(1, 7, 1));
         w.flush();
-        w.append(&Record::Commit { tx: TxId(1) });
+        w.append(Record::Commit { tx: TxId(1) });
         assert_eq!(w.len(), 3);
         assert_eq!(w.durable_len, 2);
         w.crash();
@@ -314,7 +382,7 @@ mod tests {
         let mut w = Wal::new();
         w.flush();
         assert_eq!(w.flushes(), 0);
-        w.append(&Record::Begin { tx: TxId(1) });
+        w.append(Record::Begin { tx: TxId(1) });
         w.flush();
         w.flush();
         assert_eq!(w.flushes(), 1);
@@ -324,15 +392,42 @@ mod tests {
     fn durable_prefix_is_independent() {
         let mut w = Wal::new();
         for i in 0..5 {
-            w.append(&Record::Begin { tx: TxId(i) });
+            w.append(Record::Begin { tx: TxId(i) });
         }
         w.flush();
         let p = w.durable_prefix(3);
         assert_eq!(p.len(), 3);
         assert_eq!(p.durable_len, 3);
         assert_eq!(decoded(&p), decoded(&w)[..3]);
+        // The prefix is framed; the log it was taken from is not.
+        assert_eq!(p.framed_bytes(), p.image_bytes() as u64);
+        assert_eq!(p.image().0.len(), p.image_bytes());
+        assert_eq!(w.framed_bytes(), 0);
         // Prefix longer than the log clamps.
         assert_eq!(w.durable_prefix(99).len(), 5);
+    }
+
+    #[test]
+    fn a_prefix_across_framed_and_unframed_records_is_the_one_an_eager_log_gives() {
+        let mut lazy = Wal::new();
+        let mut eager = Wal::new();
+        for i in 0..3 {
+            lazy.append(put(i, 7, i + 1));
+            eager.append_framed(put(i, 7, i + 1));
+        }
+        lazy.flush();
+        eager.flush();
+        lazy.crash();
+        lazy.rescan();
+        for i in 3..6 {
+            lazy.append(Record::Begin { tx: TxId(i) });
+            eager.append_framed(Record::Begin { tx: TxId(i) });
+        }
+        for n in 0..=6 {
+            let (l, e) = (lazy.durable_prefix(n), eager.durable_prefix(n));
+            assert_eq!(l.image(), e.image(), "prefix {n}");
+            assert_eq!((l.len(), l.durable_len), (n, n));
+        }
     }
 
     #[test]
@@ -361,7 +456,7 @@ mod tests {
     fn a_restarted_log_is_what_is_appended_after() {
         let mut w = Wal::new();
         for i in 0..5 {
-            w.append(&Record::Begin { tx: TxId(i) });
+            w.append(Record::Begin { tx: TxId(i) });
         }
         w.flush();
         w.restart();
@@ -369,11 +464,11 @@ mod tests {
             state: Vec::new(),
             next_tx: 5,
         };
-        w.append(&checkpoint);
+        w.append(checkpoint.clone());
         w.flush();
         assert_eq!((w.len(), w.durable_len, w.flushes()), (1, 1, 2));
         // The volatile tail rule still applies after a restart.
-        w.append(&Record::Begin { tx: TxId(9) });
+        w.append(Record::Begin { tx: TxId(9) });
         w.crash();
         assert_eq!(decoded(&w), [checkpoint]);
     }
@@ -389,31 +484,35 @@ mod tests {
     #[test]
     fn clean_rescan_is_a_no_op() {
         let mut w = Wal::new();
-        w.append(&Record::Begin { tx: TxId(1) });
-        w.append(&put(1, 7, 1));
+        w.append(Record::Begin { tx: TxId(1) });
+        w.append(put(1, 7, 1));
         w.flush();
         let before = decoded(&w);
+        let bytes = w.image_bytes();
+        assert_eq!(w.framed_bytes(), 0, "nothing has read the image yet");
         w.crash();
+        assert_eq!(w.framed_bytes(), bytes as u64, "the crash framed it all");
         let (report, records) = w.rescan();
         assert_eq!(records, before);
         assert_eq!(
             report,
             ScanReport {
                 recovered: 2,
-                bytes_scanned: w.image_bytes(),
+                bytes_scanned: bytes,
                 ..ScanReport::default()
             }
         );
+        assert_eq!(w.image_bytes(), bytes);
     }
 
     #[test]
     fn torn_crash_persists_a_partial_tail_and_rescan_truncates_it() {
         let mut w = Wal::new();
-        w.append(&Record::Begin { tx: TxId(1) });
+        w.append(Record::Begin { tx: TxId(1) });
         w.flush();
         let durable_bytes = w.image_bytes();
-        w.append(&put(1, 7, 1));
-        w.append(&Record::Commit { tx: TxId(1) });
+        w.append(put(1, 7, 1));
+        w.append(Record::Commit { tx: TxId(1) });
         // A draw landing mid-frame: keep a handful of volatile bytes.
         w.crash_with_faults(Some(durable_bytes as u64 + 5), &[]);
         assert!(w.image_bytes() > durable_bytes, "some torn bytes persisted");
@@ -428,11 +527,11 @@ mod tests {
     #[test]
     fn a_tear_can_persist_whole_volatile_records() {
         let mut w = Wal::new();
-        w.append(&Record::Begin { tx: TxId(1) });
+        w.append(Record::Begin { tx: TxId(1) });
         w.flush();
-        w.append(&put(1, 7, 1));
+        w.append(put(1, 7, 1));
         let full = w.image_bytes();
-        w.append(&Record::Commit { tx: TxId(1) });
+        w.append(Record::Commit { tx: TxId(1) });
         // Keep exactly through the end of the Put frame plus 3 bytes of
         // the Commit frame: the Put becomes durable, the Commit is torn.
         let durable_bytes = {
@@ -453,7 +552,7 @@ mod tests {
     fn a_bit_flip_corrupts_a_durable_record_and_rescan_detects_it() {
         let mut w = Wal::new();
         for i in 0..4 {
-            w.append(&Record::Begin { tx: TxId(i) });
+            w.append(Record::Begin { tx: TxId(i) });
         }
         w.flush();
         // Draw 1 targets frame 1 of 4; the scan must stop there.
@@ -471,11 +570,11 @@ mod tests {
         let build = || {
             let mut w = Wal::new();
             for i in 0..4 {
-                w.append(&Record::Begin { tx: TxId(i) });
-                w.append(&put(i, 7, i + 1));
+                w.append(Record::Begin { tx: TxId(i) });
+                w.append(put(i, 7, i + 1));
             }
             w.flush();
-            w.append(&Record::Commit { tx: TxId(3) });
+            w.append(Record::Commit { tx: TxId(3) });
             w
         };
         // Clean, torn mid-frame, and a flip in durable frame 5.
@@ -485,13 +584,12 @@ mod tests {
             w.crash_with_faults(tear, flips);
             let (_, records) = w.rescan();
             let mut fresh = Wal::new();
-            for r in &records {
-                fresh.append(r);
+            for r in records {
+                fresh.append_framed(r);
             }
-            assert_eq!(w.image, fresh.image);
-            assert_eq!(w.offsets, fresh.offsets);
+            assert_eq!(w.image(), fresh.image());
             // Appends land on a frame boundary of the truncated image.
-            w.append(&Record::Abort { tx: TxId(9) });
+            w.append(Record::Abort { tx: TxId(9) });
             w.flush();
             w.crash();
             let (report, records) = w.rescan();
@@ -504,7 +602,7 @@ mod tests {
     fn rescan_leaves_a_clean_log_behind() {
         let mut w = Wal::new();
         for i in 0..4 {
-            w.append(&Record::Begin { tx: TxId(i) });
+            w.append(Record::Begin { tx: TxId(i) });
         }
         w.flush();
         w.crash_with_faults(None, &[2]);

@@ -14,7 +14,7 @@
 //! older-behind-younger edge itself. [`DeadlockPolicy::NoWait`] (never
 //! stand in line) is kept for the E8 ablation.
 
-use std::collections::{hash_map, BTreeSet};
+use std::collections::hash_map;
 
 use wv_storage::{IdHashMap, ObjectId};
 
@@ -75,7 +75,8 @@ pub enum LockReply {
 #[derive(Debug, Default)]
 struct Entry {
     holder: Option<TxToken>,
-    line: BTreeSet<TxToken>,
+    /// The waiting transactions in token order, each once.
+    line: Vec<TxToken>,
 }
 
 /// A site's commit locks: a holder and an age-ordered line per object.
@@ -121,7 +122,9 @@ impl LockTable {
         }
         match self.policy {
             DeadlockPolicy::WaitDie => {
-                entry.line.insert(tx);
+                if let Err(at) = entry.line.binary_search(&tx) {
+                    entry.line.insert(at, tx);
+                }
                 LockReply::Queued
             }
             DeadlockPolicy::NoWait => LockReply::Aborted,
@@ -138,7 +141,9 @@ impl LockTable {
     /// `object`, so nothing is released.
     pub fn leave(&mut self, tx: TxToken, object: ObjectId) {
         self.update(object, |entry| {
-            entry.line.remove(&tx);
+            if let Ok(at) = entry.line.binary_search(&tx) {
+                entry.line.remove(at);
+            }
         });
     }
 
@@ -169,10 +174,10 @@ impl LockTable {
     /// `None`, and nothing changes, when the lock is held or unawaited.
     pub fn hand_off(&mut self, object: ObjectId) -> Option<TxToken> {
         let entry = self.objects.get_mut(&object)?;
-        if entry.holder.is_some() {
+        if entry.holder.is_some() || entry.line.is_empty() {
             return None;
         }
-        let next = entry.line.pop_first()?;
+        let next = entry.line.remove(0);
         entry.holder = Some(next);
         self.hold(next, object);
         Some(next)

@@ -18,8 +18,9 @@
 //! may move them with no change to this crate: re-count them then, and say
 //! so. The counts are what an operation keeps: the lists a coordinator and
 //! a ranking hold live in place, a prepare's writes, a vote's staged
-//! versions and a decision's versions are each one shared slice, and the
-//! lock table and the container reuse their emptied lists. The bound of
+//! versions and a decision's versions are each one shared slice, the
+//! lock table and the container reuse their emptied lists, and a log
+//! keeps its records unframed until a crash. The bound of
 //! `a_read_allocates_less_than_once_per_message_it_delivers` does not rest
 //! on those growth steps: the delivery and wake-up path allocates nothing,
 //! so a read costs fewer allocations than the messages it delivers.
@@ -182,7 +183,7 @@ fn a_committed_read_write_train_and_transaction_cost_exact_allocations() {
     assert!(done.iter().all(|op| op.outcome.is_ok()));
     assert_eq!(
         [read, write, train, transaction],
-        [16, 122, 599, 145],
+        [16, 118, 597, 144],
         "{COUNTED} reads, writes, trains of nine, two-suite transactions"
     );
 }
@@ -269,7 +270,7 @@ fn a_write_and_reads_cost_exact_allocations_at_the_benchmarks_shapes() {
     assert!(stats.reroutes > 0, "the suspect was ranked last");
     assert_eq!(
         [write, healthy, suspected],
-        [144, 16, 16],
+        [136, 16, 16],
         "{COUNTED} 1 KiB writes under group commit, reads with health tracking"
     );
 }
