@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 use wv_net::sim_net::{Cluster, NetStats};
-use wv_net::{NetConfig, Node, NodeCtx, Partition, SiteId};
+use wv_net::{Fault, NetConfig, Node, NodeCtx, SiteId};
 use wv_sim::{LatencyModel, Sim, SimDuration, SimTime};
 use wv_storage::Version;
 
@@ -202,31 +202,11 @@ impl BaselineHarness {
         }
     }
 
-    /// Crashes a replica now.
-    pub fn crash(&mut self, site: SiteId) {
+    /// Applies `fault` now.
+    pub fn inject(&mut self, fault: Fault) {
         let at = self.sim.now();
-        Cluster::crash_at(self.sim.scheduler(), at, site);
+        Cluster::apply_at(self.sim.scheduler(), at, fault);
         self.sim.run_until(at);
-    }
-
-    /// Recovers a replica now.
-    pub fn recover(&mut self, site: SiteId) {
-        let at = self.sim.now();
-        Cluster::recover_at(self.sim.scheduler(), at, site);
-        self.sim.run_until(at);
-    }
-
-    /// Imposes a partition now.
-    pub fn partition(&mut self, p: Partition) {
-        let at = self.sim.now();
-        Cluster::set_partition_at(self.sim.scheduler(), at, p);
-        self.sim.run_until(at);
-    }
-
-    /// Heals all partitions.
-    pub fn heal(&mut self) {
-        let sites = self.sim.world.nodes.len();
-        self.partition(Partition::whole(sites));
     }
 
     /// Lets asynchronous propagation settle.
@@ -279,7 +259,7 @@ mod tests {
         assert_eq!(rv, Version(1));
         assert_eq!(&val[..], b"a");
         // One crash blocks ROWA writes but not reads.
-        h.crash(SiteId(0));
+        h.inject(Fault::Crash(SiteId(0)));
         assert!(h.write(b"b".to_vec()).is_err());
         assert!(h.read().is_ok());
     }
@@ -301,7 +281,7 @@ mod tests {
         assert_eq!(h.version_at(SiteId(1)), Some(Version(1)));
         assert_eq!(h.version_at(SiteId(2)), Some(Version(1)));
         // Primary down: everything blocks, even though backups are alive.
-        h.crash(SiteId(0));
+        h.inject(Fault::Crash(SiteId(0)));
         assert!(h.write(b"b".to_vec()).is_err());
         assert!(h.read().is_err());
     }
@@ -341,14 +321,14 @@ mod tests {
         let mut h = BaselineHarness::uniform(Scheme::Majority, 3, 4);
         let (v, _) = h.write(b"a".to_vec()).expect("write");
         assert_eq!(v, Version(1));
-        h.crash(SiteId(2));
+        h.inject(Fault::Crash(SiteId(2)));
         let (v2, _) = h.write(b"b".to_vec()).expect("write with 2 of 3");
         assert_eq!(v2, Version(2));
         let (rv, val, _) = h.read().expect("read with 2 of 3");
         assert_eq!(rv, Version(2));
         assert_eq!(&val[..], b"b");
         // Losing the majority blocks.
-        h.crash(SiteId(1));
+        h.inject(Fault::Crash(SiteId(1)));
         assert!(h.write(b"c".to_vec()).is_err());
         assert!(h.read().is_err());
     }
@@ -356,9 +336,9 @@ mod tests {
     #[test]
     fn majority_write_is_monotone_after_recovery() {
         let mut h = BaselineHarness::uniform(Scheme::Majority, 3, 5);
-        h.crash(SiteId(2));
+        h.inject(Fault::Crash(SiteId(2)));
         h.write(b"one".to_vec()).expect("write at majority");
-        h.recover(SiteId(2));
+        h.inject(Fault::Recover(SiteId(2)));
         // Site 2 missed the write; a majority read still sees it.
         let (v, val, _) = h.read().expect("read");
         assert_eq!(v, Version(1));

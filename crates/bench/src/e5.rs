@@ -16,6 +16,7 @@ use wv_analysis::SystemModel;
 use wv_core::harness::Harness;
 use wv_core::quorum::{QuorumSpec, Subsets};
 use wv_core::votes::VoteAssignment;
+use wv_net::Fault;
 
 use crate::table::{prob, Table};
 use crate::topo;
@@ -65,7 +66,7 @@ pub fn protocol_blocking(assignment: &VoteAssignment, build: impl Fn() -> Harnes
             let suite = h.suite_id();
             h.write(suite, b"primed".to_vec()).expect("prime write");
             for site in subsets.members(!up) {
-                h.crash(site);
+                h.inject(Fault::Crash(site));
             }
             let write_blocked = h.write(suite, b"probe".to_vec()).is_err();
             (h.read(suite).is_err(), write_blocked)

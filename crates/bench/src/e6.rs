@@ -14,9 +14,9 @@
 //!   not.
 
 use wv_baselines::{BaselineHarness, Scheme};
-use wv_core::harness::{Fault, Harness};
+use wv_core::harness::Harness;
 use wv_core::quorum::QuorumSpec;
-use wv_net::{Partition, SiteId};
+use wv_net::{Fault, Partition, SiteId};
 use wv_sim::SimDuration;
 
 use crate::runner;
@@ -159,17 +159,10 @@ impl Sys {
         }
     }
 
-    fn crash(&mut self, site: SiteId) {
+    fn inject(&mut self, fault: Fault) {
         match self {
-            Sys::Voting(h) => h.crash(site),
-            Sys::Baseline(h) => h.crash(site),
-        }
-    }
-
-    fn partition(&mut self, p: Partition) {
-        match self {
-            Sys::Voting(h) => h.inject(Fault::Partition(p)),
-            Sys::Baseline(h) => h.partition(p),
+            Sys::Voting(h) => h.inject(fault),
+            Sys::Baseline(h) => h.inject(fault),
         }
     }
 
@@ -208,13 +201,13 @@ pub fn scenario(system: System, which: &str, seed: u64) -> Probe {
     sys.prime();
     match which {
         "healthy" => {}
-        "replica0_down" => sys.crash(SiteId(0)),
+        "replica0_down" => sys.inject(Fault::Crash(SiteId(0))),
         "client_minority" => {
             // Client (site 3) can reach only replica 2.
-            sys.partition(Partition::split(
+            sys.inject(Fault::Partition(Partition::split(
                 4,
                 &[&[SiteId(2), SiteId(3)], &[SiteId(0), SiteId(1)]],
-            ));
+            )));
         }
         other => panic!("unknown scenario {other}"),
     }

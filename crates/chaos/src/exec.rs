@@ -17,7 +17,7 @@ use wv_core::harness::{HarnessBuilder, SiteSpec};
 use wv_core::server::ServerStats;
 use wv_core::{Fault, Harness, OpError, OpKind, QuorumSpec, VoteAssignment};
 use wv_net::sim_net::NetStats;
-use wv_net::{Partition, SiteId};
+use wv_net::{Fault as NetFault, Partition, SiteId};
 use wv_sim::{SimDuration, SimTime};
 use wv_storage::{ObjectId, Version};
 
@@ -383,11 +383,11 @@ fn run_schedule_inner(
             }
             EventKind::Crash { site } => {
                 faults.open(Trouble::Down(*site), at);
-                h.crash(SiteId(*site as u16));
+                h.inject(NetFault::Crash(SiteId(*site as u16)));
             }
             EventKind::Recover { site } => {
                 faults.close(Trouble::Down(*site), at + RECOVERY_SLACK);
-                h.recover(SiteId(*site as u16));
+                h.inject(NetFault::Recover(SiteId(*site as u16)));
             }
             EventKind::Partition { group_a } => {
                 faults.open(Trouble::Partition, at);
@@ -400,23 +400,23 @@ fn run_schedule_inner(
                     .filter(|s| !group_a.contains(s))
                     .map(|s| SiteId(s as u16))
                     .collect();
-                h.inject(Fault::Partition(Partition::split(total, &[&a, &b])));
+                h.inject(NetFault::Partition(Partition::split(total, &[&a, &b])));
             }
             EventKind::Heal => {
                 faults.close(Trouble::Partition, at);
-                h.inject(Fault::Heal);
+                h.inject(NetFault::Heal);
             }
             EventKind::LossBurst { permille } => {
                 faults.set(Trouble::Loss, *permille > 0, at);
-                h.inject(Fault::DropAll(f64::from(*permille) / 1000.0));
+                h.inject(NetFault::DropAll(f64::from(*permille) / 1000.0));
             }
             EventKind::DelaySpike { extra_ms } => {
                 faults.set(Trouble::Delay, *extra_ms > 0, at);
-                h.inject(Fault::ExtraDelay(SimDuration::from_millis(*extra_ms)));
+                h.inject(NetFault::ExtraDelay(SimDuration::from_millis(*extra_ms)));
             }
             EventKind::Duplication { permille } => {
                 faults.set(Trouble::Duplication, *permille > 0, at);
-                h.inject(Fault::Duplicate(f64::from(*permille) / 1000.0));
+                h.inject(NetFault::Duplicate(f64::from(*permille) / 1000.0));
             }
             EventKind::Reconfigure {
                 client,
@@ -459,13 +459,13 @@ fn run_schedule_inner(
         let until = if slack { end + RECOVERY_SLACK } else { end };
         faults.closed.push((from, until));
     }
-    h.inject(Fault::DropAll(0.0));
-    h.inject(Fault::ExtraDelay(SimDuration::ZERO));
-    h.inject(Fault::Duplicate(0.0));
-    h.inject(Fault::Heal);
+    h.inject(NetFault::DropAll(0.0));
+    h.inject(NetFault::ExtraDelay(SimDuration::ZERO));
+    h.inject(NetFault::Duplicate(0.0));
+    h.inject(NetFault::Heal);
     for site in 0..spec.servers {
         if h.cluster().is_down(SiteId(site as u16)) {
-            h.recover(SiteId(site as u16));
+            h.inject(NetFault::Recover(SiteId(site as u16)));
         }
     }
     // A replica quarantined by interior corruption heals only once the

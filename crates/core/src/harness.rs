@@ -7,9 +7,10 @@
 //! latency. Examples, integration tests, and the experiment binaries all
 //! sit on this facade; asynchronous use (concurrent operations) is
 //! available through [`Harness::enqueue_read`] / [`Harness::enqueue_write`]
-//! plus [`Harness::run_until_quiet`]. Faults other than a crash or a
-//! recovery are [`Fault`]s handed to [`Harness::inject`]; a node's state
-//! is read through [`Harness::client_at`] and [`Harness::server_at`].
+//! plus [`Harness::run_until_quiet`]. Every fault, a crash and a
+//! recovery included, is a [`Fault`] handed to [`Harness::inject`]; a
+//! node's state is read through [`Harness::client_at`] and
+//! [`Harness::server_at`].
 //!
 //! # Determinism contract
 //!
@@ -24,7 +25,7 @@
 
 use bytes::Bytes;
 use wv_net::sim_net::{Cluster, NetStats};
-use wv_net::{NetConfig, Partition, SiteId};
+use wv_net::{Fault as NetFault, NetConfig, SiteId};
 use wv_sim::{derive_seed, FailureSchedule, LatencyModel, Scheduler, Sim, SimDuration, SimTime};
 use wv_storage::{ObjectId, Version};
 use wv_txn::lock::DeadlockPolicy;
@@ -364,22 +365,12 @@ pub struct WriteResult {
     pub attempts: u32,
 }
 
-/// A fault [`Harness::inject`] applies. Crashes and recoveries are
-/// [`Harness::crash`] and [`Harness::recover`].
+/// A fault [`Harness::inject`] applies: a network or liveness fault, or
+/// one of a representative's disk.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Fault {
-    /// Splits the network; [`Fault::Heal`] joins it again.
-    Partition(Partition),
-    /// Heals all partitions.
-    Heal,
-    /// The loss probability of every cross-site link (a link-loss burst
-    /// begins; `DropAll(0.0)` ends it).
-    DropAll(f64),
-    /// A delay spike: every cross-site message pays this on top of its
-    /// sampled latency (`SimDuration::ZERO` clears it).
-    ExtraDelay(SimDuration),
-    /// The end-to-end message duplication probability.
-    Duplicate(f64),
+    /// A site's crash or recovery, or a change to the network.
+    Net(NetFault),
     /// The site's next crash persists a partial prefix of its volatile
     /// WAL tail instead of dropping it cleanly.
     TornWrite(SiteId),
@@ -399,6 +390,12 @@ pub enum Fault {
         /// How long.
         d: SimDuration,
     },
+}
+
+impl From<NetFault> for Fault {
+    fn from(fault: NetFault) -> Fault {
+        Fault::Net(fault)
+    }
 }
 
 /// Schedules `f` at `at` on the representative at `site`, if it is up.
@@ -669,32 +666,13 @@ impl Harness {
             .unwrap_or_default()
     }
 
-    /// Crashes a site now.
-    pub fn crash(&mut self, site: SiteId) {
-        let at = self.sim.now();
-        Cluster::crash_at(self.sim.scheduler(), at, site);
-        self.sim.run_until(at);
-    }
-
-    /// Recovers a site now.
-    pub fn recover(&mut self, site: SiteId) {
-        let at = self.sim.now();
-        Cluster::recover_at(self.sim.scheduler(), at, site);
-        self.sim.run_until(at);
-    }
-
     /// Applies `fault` now: the change is scheduled at the current instant
     /// and has taken effect when this returns.
-    pub fn inject(&mut self, fault: Fault) {
+    pub fn inject(&mut self, fault: impl Into<Fault>) {
         let at = self.sim.now();
-        let sites = self.sim.world.nodes.len();
         let sched = self.sim.scheduler();
-        match fault {
-            Fault::Partition(p) => Cluster::set_partition_at(sched, at, p),
-            Fault::Heal => Cluster::set_partition_at(sched, at, Partition::whole(sites)),
-            Fault::DropAll(p) => Cluster::set_drop_all_at(sched, at, p),
-            Fault::ExtraDelay(extra) => Cluster::set_extra_delay_at(sched, at, extra),
-            Fault::Duplicate(p) => Cluster::set_duplicate_at(sched, at, p),
+        match fault.into() {
+            Fault::Net(fault) => Cluster::apply_at(sched, at, fault),
             Fault::TornWrite(site) => at_server(sched, at, site, |s| {
                 s.disk_faults().arm_torn_write();
             }),
@@ -801,6 +779,7 @@ impl Harness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wv_net::Partition;
 
     fn three_server_harness(seed: u64) -> Harness {
         HarnessBuilder::new()
@@ -919,8 +898,8 @@ mod tests {
         let (suite, client) = (h.suite_id(), h.default_client());
         h.enqueue_read(client, suite, h.now());
         h.advance(SimDuration::from_millis(1));
-        h.crash(client);
-        h.recover(client);
+        h.inject(NetFault::Crash(client));
+        h.inject(NetFault::Recover(client));
         // The inquiry's answers reach the recovered client, which no
         // longer knows the read.
         h.advance(SimDuration::from_secs(1));
@@ -933,17 +912,19 @@ mod tests {
         );
     }
 
-    /// One arm per [`Fault`], no wildcard: a new variant does not compile
-    /// until its effect is asserted here.
+    /// One arm per [`Fault`] and per [`NetFault`], no wildcard: a new
+    /// variant of either does not compile until its effect is asserted here.
     #[test]
     fn every_fault_has_its_observable_effect() {
         let (s0, client, extra) = (SiteId(0), SiteId(3), SimDuration::from_millis(40));
         let faults = [
-            Fault::Partition(Partition::isolate(4, client)),
-            Fault::Heal,
-            Fault::DropAll(1.0),
-            Fault::ExtraDelay(extra),
-            Fault::Duplicate(1.0),
+            Fault::from(NetFault::Crash(s0)),
+            NetFault::Recover(s0).into(),
+            NetFault::Partition(Partition::isolate(4, client)).into(),
+            NetFault::Heal.into(),
+            NetFault::DropAll(1.0).into(),
+            NetFault::ExtraDelay(extra).into(),
+            NetFault::Duplicate(1.0).into(),
             Fault::TornWrite(s0),
             Fault::BitFlip(s0),
             Fault::IoErrors { site: s0, n: 1 },
@@ -972,28 +953,42 @@ mod tests {
             let server = |h: &Harness| h.server_at(s0).expect("server").stats;
             let before = server(&h);
             match fault {
-                Fault::Partition(p) => {
-                    h.inject(Fault::Partition(p));
+                Fault::Net(NetFault::Crash(site)) => {
+                    h.inject(NetFault::Crash(site));
+                    let w = h
+                        .write(suite, b"missed".to_vec())
+                        .expect("a quorum without s0");
+                    assert!(h.cluster().is_down(site));
+                    assert!(h.version_at(site, suite) < Some(w.version), "s0 missed it");
+                }
+                Fault::Net(NetFault::Recover(site)) => {
+                    h.inject(NetFault::Crash(site));
+                    h.inject(NetFault::Recover(site));
+                    assert!(!h.cluster().is_down(site));
+                    assert_eq!(server(&h).recoveries, before.recoveries + 1);
+                }
+                Fault::Net(NetFault::Partition(p)) => {
+                    h.inject(NetFault::Partition(p));
                     assert!(h.read(suite).is_err(), "no quorum across the split");
                 }
-                Fault::Heal => {
-                    h.inject(Fault::Partition(Partition::isolate(4, client)));
-                    h.inject(Fault::Heal);
+                Fault::Net(NetFault::Heal) => {
+                    h.inject(NetFault::Partition(Partition::isolate(4, client)));
+                    h.inject(NetFault::Heal);
                     assert!(h.read(suite).is_ok(), "the quorum is back");
                 }
-                Fault::DropAll(p) => {
-                    h.inject(Fault::DropAll(p));
+                Fault::Net(NetFault::DropAll(p)) => {
+                    h.inject(NetFault::DropAll(p));
                     assert!(h.read(suite).is_err(), "every message lost");
                     assert!(h.net_stats().dropped_link > net.dropped_link);
                 }
-                Fault::ExtraDelay(d) => {
+                Fault::Net(NetFault::ExtraDelay(d)) => {
                     let fast = h.read(suite).expect("read").latency;
-                    h.inject(Fault::ExtraDelay(d));
+                    h.inject(NetFault::ExtraDelay(d));
                     let slow = h.read(suite).expect("read").latency;
                     assert_eq!(slow, fast + d + d, "one round trip, each way late");
                 }
-                Fault::Duplicate(p) => {
-                    h.inject(Fault::Duplicate(p));
+                Fault::Net(NetFault::Duplicate(p)) => {
+                    h.inject(NetFault::Duplicate(p));
                     h.write(suite, b"twice".to_vec()).expect("write");
                     assert!(h.net_stats().duplicated > net.duplicated);
                 }
@@ -1002,14 +997,14 @@ mod tests {
                     h.enqueue_write(client, suite, b"torn".to_vec(), h.now());
                     // The prepare has landed; its sync is still due.
                     h.advance(SimDuration::from_millis(101));
-                    h.crash(site);
-                    h.recover(site);
+                    h.inject(NetFault::Crash(site));
+                    h.inject(NetFault::Recover(site));
                     assert_eq!(server(&h).torn_truncations, before.torn_truncations + 1);
                 }
                 Fault::BitFlip(site) => {
                     h.inject(Fault::BitFlip(site));
-                    h.crash(site);
-                    h.recover(site);
+                    h.inject(NetFault::Crash(site));
+                    h.inject(NetFault::Recover(site));
                     assert!(server(&h).corrupt_records_detected > before.corrupt_records_detected);
                 }
                 Fault::IoErrors { site, n } => {
@@ -1048,8 +1043,8 @@ mod tests {
                 h.write(suite, vec![i]).expect("write");
             }
             h.inject(Fault::BitFlip(SiteId(0)));
-            h.crash(SiteId(0));
-            h.recover(SiteId(0));
+            h.inject(NetFault::Crash(SiteId(0)));
+            h.inject(NetFault::Recover(SiteId(0)));
             let stats = h.server_at(SiteId(0)).expect("server").stats;
             if !h.server_at(SiteId(0)).is_some_and(|s| s.is_quarantined()) || stats.quarantines != 1
             {
@@ -1255,10 +1250,10 @@ mod tests {
         // answering the version inquiry but before the fetch reaches it.
         // The leg's phase timeout moves the fetch on to s2, within the
         // same attempt.
-        h.crash(SiteId(0));
+        h.inject(NetFault::Crash(SiteId(0)));
         h.enqueue_read(client, suite, h.now());
         h.advance(SimDuration::from_millis(100));
-        h.crash(SiteId(1));
+        h.inject(NetFault::Crash(SiteId(1)));
         h.run_until_quiet(1_000_000);
         let done = h.drain_completed(client);
         assert_eq!(done.len(), 1);
@@ -1330,7 +1325,7 @@ mod tests {
         let mut h = three_server_harness(10);
         let suite = h.suite_id();
         h.write(suite, b"alive".to_vec()).expect("write");
-        h.crash(SiteId(2));
+        h.inject(NetFault::Crash(SiteId(2)));
         let r = h.read(suite).expect("read despite one crash");
         assert_eq!(&r.value[..], b"alive");
     }
@@ -1339,8 +1334,8 @@ mod tests {
     fn write_with_two_servers_down_is_unavailable() {
         let mut h = three_server_harness(11);
         let suite = h.suite_id();
-        h.crash(SiteId(1));
-        h.crash(SiteId(2));
+        h.inject(NetFault::Crash(SiteId(1)));
+        h.inject(NetFault::Crash(SiteId(2)));
         let err = h.write(suite, b"nope".to_vec()).expect_err("no quorum");
         assert!(matches!(err, OpError::Unavailable { .. }));
     }
@@ -1349,7 +1344,7 @@ mod tests {
     fn an_operation_issued_at_a_client_that_is_down_is_unavailable_under_its_own_kind() {
         let mut h = three_server_harness(11);
         let (suite, client) = (h.suite_id(), h.default_client());
-        h.crash(client);
+        h.inject(NetFault::Crash(client));
         let (assignment, quorum) = (VoteAssignment::equal(3), QuorumSpec::majority(3));
         let failed = [
             h.read_from(client, suite).err(),
@@ -1373,10 +1368,10 @@ mod tests {
     fn recovery_restores_service() {
         let mut h = three_server_harness(12);
         let suite = h.suite_id();
-        h.crash(SiteId(1));
-        h.crash(SiteId(2));
+        h.inject(NetFault::Crash(SiteId(1)));
+        h.inject(NetFault::Crash(SiteId(2)));
         assert!(h.write(suite, b"a".to_vec()).is_err());
-        h.recover(SiteId(1));
+        h.inject(NetFault::Recover(SiteId(1)));
         let w = h.write(suite, b"b".to_vec()).expect("quorum back");
         assert_eq!(w.version, Version(1));
     }
@@ -1387,13 +1382,13 @@ mod tests {
         let suite = h.suite_id();
         h.write(suite, b"pre".to_vec()).expect("write");
         // Cut the client (site 3) off from servers 1 and 2.
-        h.inject(Fault::Partition(Partition::split(
+        h.inject(NetFault::Partition(Partition::split(
             4,
             &[&[SiteId(0), SiteId(3)], &[SiteId(1), SiteId(2)]],
         )));
         let err = h.read(suite).expect_err("one vote is not a read quorum");
         assert!(matches!(err, OpError::Unavailable { .. }));
-        h.inject(Fault::Heal);
+        h.inject(NetFault::Heal);
         assert!(h.read(suite).is_ok());
     }
 
@@ -1572,8 +1567,8 @@ mod tests {
             .build()
             .expect("legal");
         let client = h.default_client();
-        h.crash(SiteId(1));
-        h.crash(SiteId(2));
+        h.inject(NetFault::Crash(SiteId(1)));
+        h.inject(NetFault::Crash(SiteId(2)));
         let err = h
             .transaction(
                 client,
@@ -1581,8 +1576,8 @@ mod tests {
             )
             .expect_err("no quorum");
         assert!(matches!(err, OpError::Unavailable { .. }));
-        h.recover(SiteId(1));
-        h.recover(SiteId(2));
+        h.inject(NetFault::Recover(SiteId(1)));
+        h.inject(NetFault::Recover(SiteId(2)));
         // Nothing leaked: both suites still at version 0.
         for suite in [ObjectId(1), ObjectId(2)] {
             assert_eq!(h.read(suite).expect("read").version, Version(0));
@@ -1691,8 +1686,8 @@ mod tests {
             .build()
             .expect("legal");
         let suite = h.suite_id();
-        h.crash(SiteId(1));
-        h.crash(SiteId(2));
+        h.inject(NetFault::Crash(SiteId(1)));
+        h.inject(NetFault::Crash(SiteId(2)));
         let err = h.write(suite, b"nope".to_vec()).expect_err("no quorum");
         assert!(matches!(err, OpError::Unavailable { .. }));
         let stats = h.client_at(h.default_client()).expect("client").stats;
@@ -1766,9 +1761,9 @@ mod tests {
         // The writer is cut off just as the last vote lands: it decides
         // and reports, and its first Commit to both participants is lost.
         h.advance(SimDuration::from_millis(199));
-        h.inject(Fault::Partition(Partition::isolate(5, writer)));
+        h.inject(NetFault::Partition(Partition::isolate(5, writer)));
         h.advance(SimDuration::from_millis(2));
-        h.inject(Fault::Heal);
+        h.inject(NetFault::Heal);
         assert_eq!(reported_at(&mut h, writer), SimDuration::from_millis(200));
         assert!(SiteId::all(3).all(|s| h.version_at(s, suite) == Some(Version(0))));
         // A read that starts after the report is held behind the two
@@ -1792,15 +1787,15 @@ mod tests {
         h.enqueue_write(writer, suite, b"new".to_vec(), h.now());
         // s1 crashes with its yes vote on the wire and misses the Commit.
         h.advance(SimDuration::from_millis(150));
-        h.crash(SiteId(1));
+        h.inject(NetFault::Crash(SiteId(1)));
         h.advance(SimDuration::from_millis(200));
         assert_eq!(reported_at(&mut h, writer), SimDuration::from_millis(200));
         assert_eq!(h.version_at(SiteId(0), suite), Some(Version(1)));
         // The one replica that applied the write goes down, and s1 comes
         // back in doubt: a reader's quorum is now s1 and s2, which never
         // heard of the write.
-        h.crash(SiteId(0));
-        h.recover(SiteId(1));
+        h.inject(NetFault::Crash(SiteId(0)));
+        h.inject(NetFault::Recover(SiteId(1)));
         assert_eq!(h.version_at(SiteId(1), suite), Some(Version(0)));
         // s1 took its commit lock again before serving: the reader waits
         // there until the writer has answered s1's DecisionReq.
@@ -2024,7 +2019,7 @@ mod tests {
     fn a_direct_write_widens_past_a_silent_participant_in_one_attempt() {
         let mut h = three_server_harness(49);
         let (suite, client) = (h.suite_id(), h.default_client());
-        h.crash(SiteId(1));
+        h.inject(NetFault::Crash(SiteId(1)));
         // Prepares out at 0 to {s0, s1}; s0's yes is back at 200 ms, and
         // s1 gets that round trip again. At 400 ms it is dropped for s2,
         // whose yes decides the write at 600 — three round trips, not the
@@ -2063,10 +2058,10 @@ mod tests {
         h.advance(ms(399));
         assert_eq!(pending_at(&h, s1), 1, "staged, its yes on the wire");
         if lose_abort {
-            h.inject(Fault::Partition(Partition::isolate(4, s1)));
+            h.inject(NetFault::Partition(Partition::isolate(4, s1)));
         }
         h.advance(ms(2));
-        h.inject(Fault::Heal);
+        h.inject(NetFault::Heal);
         h.advance(ms(300));
         assert_eq!(reported_at(&mut h, client), ms(600));
         h.advance(SimDuration::from_secs(20));
@@ -2112,14 +2107,14 @@ mod tests {
             let (suite, client) = (h.suite_id(), h.default_client());
             h.enqueue_write(client, suite, b"w".to_vec(), h.now());
             h.advance(ms(50));
-            h.inject(Fault::Partition(Partition::isolate(4, SiteId(1))));
+            h.inject(NetFault::Partition(Partition::isolate(4, SiteId(1))));
             h.advance(ms(400));
-            h.inject(Fault::Heal);
+            h.inject(NetFault::Heal);
             if !decision_retired {
                 // s2 votes and dies before the Commit: its ack never
                 // comes, so the tail keeps the decision answerable.
                 h.advance(ms(100));
-                h.crash(SiteId(2));
+                h.inject(NetFault::Crash(SiteId(2)));
             }
             h.advance(ms(4_000));
             assert_eq!(reported_at(&mut h, client), ms(600));
@@ -2144,16 +2139,16 @@ mod tests {
         let suite = h.suite_id();
         h.enqueue_write(writer, suite, b"w".to_vec(), h.now());
         h.advance(ms(150));
-        h.crash(writer);
+        h.inject(NetFault::Crash(writer));
         h.advance(ms(850));
         let in_doubt: Vec<SiteId> = SiteId::all(3).filter(|&s| pending_at(&h, s) == 1).collect();
         assert_eq!(in_doubt.len(), 2, "a write quorum voted yes");
         for &site in &in_doubt {
-            h.crash(site);
+            h.inject(NetFault::Crash(site));
         }
         h.advance(ms(1_000));
         for &site in &in_doubt {
-            h.recover(site);
+            h.inject(NetFault::Recover(site));
         }
         h.advance(ms(500));
         // Nothing else is sent: the only messages are the probes.
@@ -2182,7 +2177,7 @@ mod tests {
         };
         assert_eq!(sent_by(&mut h, b"direct"), write_messages(2));
         // The next write widens away from s1, and remembers.
-        h.crash(SiteId(1));
+        h.inject(NetFault::Crash(SiteId(1)));
         sent_by(&mut h, b"widened");
         // While s1 is silent the write asks first, and so installs at the
         // sites that answered: three asked, two answers.
@@ -2192,7 +2187,7 @@ mod tests {
         );
         // Back up is not heard from: this write still asks first — and
         // s1's answer is the message that restores the direct path.
-        h.recover(SiteId(1));
+        h.inject(NetFault::Recover(SiteId(1)));
         assert_eq!(
             sent_by(&mut h, b"inquired again"),
             inquiry_messages(3) + write_messages(2)
@@ -2231,10 +2226,10 @@ mod tests {
         let seen = h.read_from(reader, suite).expect("read");
         assert_eq!((seen.version, seen.latency), (Version(1), ms(10)));
         // ...and both sites that applied it crash before their flush.
-        h.crash(SiteId(0));
-        h.crash(SiteId(1));
-        h.recover(SiteId(0));
-        h.recover(SiteId(1));
+        h.inject(NetFault::Crash(SiteId(0)));
+        h.inject(NetFault::Crash(SiteId(1)));
+        h.inject(NetFault::Recover(SiteId(0)));
+        h.inject(NetFault::Recover(SiteId(1)));
         assert_eq!(h.version_at(SiteId(0), suite), Some(Version(0)));
         assert_eq!(pending_at(&h, SiteId(0)), 1, "back in doubt");
         // They took their locks again before serving, so the reader is
@@ -2264,10 +2259,10 @@ mod tests {
             .expect("legal configuration");
         let suite = h.suite_id();
         h.write(suite, b"v1".to_vec()).expect("write");
-        h.crash(SiteId(2));
+        h.inject(NetFault::Crash(SiteId(2)));
         h.write(suite, b"v2".to_vec()).expect("write");
         h.write(suite, b"v3".to_vec()).expect("write");
-        h.recover(SiteId(2));
+        h.inject(NetFault::Recover(SiteId(2)));
         // Recovery fires the pull immediately, but the answers are still
         // in flight: the site is stale right now…
         assert!(h.version_at(SiteId(2), suite).expect("server") < Version(3));
@@ -2489,13 +2484,13 @@ mod tests {
         let (suite, client) = (h.suite_id(), h.default_client());
         // The first write's prepares are lost to a partition; two more
         // park behind it (a tenth of a second in, nobody is late yet).
-        h.inject(Fault::Partition(Partition::isolate(4, client)));
+        h.inject(NetFault::Partition(Partition::isolate(4, client)));
         h.enqueue_write(client, suite, b"lost".to_vec(), h.now());
         h.advance(ms(100));
         h.enqueue_write(client, suite, b"b".to_vec(), h.now());
         h.enqueue_write(client, suite, b"c".to_vec(), h.now());
         h.advance(ms(900));
-        h.inject(Fault::Heal);
+        h.inject(NetFault::Heal);
         // It times out 5 s in and retries 40 to 60 ms later. The parked
         // two leave at the timeout — asking first, their sites having just
         // been silent — and a write launched while the first is waiting to
@@ -2532,9 +2527,9 @@ mod tests {
             (pending_at(&h, SiteId(0)), pending_at(&h, SiteId(1))),
             (1, 1)
         );
-        h.crash(client);
+        h.inject(NetFault::Crash(client));
         h.advance(ms(650));
-        h.recover(client);
+        h.inject(NetFault::Recover(client));
         h.advance(SimDuration::from_secs(20));
         // Only the first write was ever reported; the participants' probes
         // were answered by presumed abort, and the versions the train would

@@ -173,6 +173,31 @@ impl Partition {
     }
 }
 
+/// A site crash or recovery, or a change to the network, that
+/// [`Cluster::apply_at`](crate::sim_net::Cluster::apply_at) applies at an
+/// instant. A dial (`DropAll`, `ExtraDelay`, `Duplicate`) holds until
+/// the next fault of its kind.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Fault {
+    /// The site crashes: it loses its volatile state and pending timers,
+    /// and receives nothing until it recovers.
+    Crash(SiteId),
+    /// The site recovers and runs its recovery hook.
+    Recover(SiteId),
+    /// Splits the network; [`Fault::Heal`] joins it again.
+    Partition(Partition),
+    /// Joins every site into one group.
+    Heal,
+    /// The loss probability of every cross-site link (`DropAll(0.0)` ends
+    /// a link-loss burst).
+    DropAll(f64),
+    /// A delay spike: every cross-site message pays this on top of its
+    /// sampled latency (`SimDuration::ZERO` clears it).
+    ExtraDelay(SimDuration),
+    /// The end-to-end message duplication probability.
+    Duplicate(f64),
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,6 +6,9 @@
 //!
 //! * [`SiteId`] and [`NetConfig`] — sites, per-link latency models, drop
 //!   probabilities, and [`Partition`]s.
+//! * [`Fault`] — the one vocabulary of network and liveness faults: a
+//!   site's crash or recovery, a partition or its heal, and the loss,
+//!   delay and duplication dials.
 //! * [`Node`] / [`NodeCtx`] — the event-driven protocol-node abstraction:
 //!   a node reacts to messages and timers and emits sends, new timers and
 //!   cancels of timers it no longer needs.
@@ -13,7 +16,8 @@
 //!   transports.
 //! * [`sim_net`] — the deterministic transport: nodes live in a
 //!   [`sim_net::Cluster`] driven by a `wv_sim::Sim`, with virtual-time
-//!   latencies, crash/recovery, and partitions. Every experiment table is
+//!   latencies, and every [`Fault`] applied at an instant by
+//!   [`sim_net::Cluster::apply_at`]. Every experiment table is
 //!   regenerated on this transport.
 //! * [`thread_net`] — the wall-clock transport: one OS thread per node,
 //!   each waiting on its own inbox, a heap of messages ordered by the
@@ -30,7 +34,7 @@ pub mod sim_net;
 pub mod site;
 pub mod thread_net;
 
-pub use config::{NetConfig, Partition};
+pub use config::{Fault, NetConfig, Partition};
 pub use node::{Node, NodeCtx};
 pub use runner::NodeRunner;
 pub use site::{Envelope, SiteId};

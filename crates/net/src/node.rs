@@ -25,7 +25,7 @@ pub trait Node {
     /// would change nothing may be cancelled ([`NodeCtx::cancel_timer`]);
     /// one that is not still fires, so nodes carry a generation counter in
     /// the token (or in their state) and ignore stale expirations. A crash
-    /// drops the site's pending timers (`Cluster::crash_at`), so none set
+    /// drops the site's pending timers ([`crate::Fault::Crash`]), so none set
     /// before it fires, not even after the recovery; the thread transport
     /// has no crash. The default implementation ignores all timers.
     fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_, Self::Msg>) {

@@ -1,8 +1,9 @@
 //! The deterministic simulated transport.
 //!
 //! A [`Cluster`] hosts one [`Node`] per site inside a `wv_sim::Sim`. All
-//! message latencies are drawn from the cluster's [`NetConfig`], partitions
-//! and crashes are first-class events, and the whole execution is a pure
+//! message latencies are drawn from the cluster's [`NetConfig`], every
+//! [`Fault`] (a crash, a recovery, a partition, a link dial) is an event
+//! [`Cluster::apply_at`] schedules, and the whole execution is a pure
 //! function of the seed — which is what lets the benchmark harness
 //! regenerate the paper's tables exactly.
 //!
@@ -34,7 +35,7 @@ use std::collections::VecDeque;
 
 use wv_sim::{DetRng, FailureSchedule, Scheduler, Sim, SimTime, Slab, Ticket};
 
-use crate::config::{NetConfig, Partition};
+use crate::config::{Fault, NetConfig, Partition};
 use crate::node::{Effect, Node, NodeCtx};
 use crate::site::SiteId;
 
@@ -210,68 +211,36 @@ where
         });
     }
 
-    /// Schedules a crash of `site` at `at`: its node loses its volatile
-    /// state, and its pending timers are dropped.
-    pub fn crash_at(sched: &mut Scheduler<Cluster<N>>, at: SimTime, site: SiteId) {
-        sched.at(at, move |world: &mut Cluster<N>, _| {
-            if !world.down[site.index()] {
-                world.down[site.index()] = true;
-                let due = &mut world.timers[site.index()].due;
-                world.stats.timers_dropped += due.len() as u64;
-                due.clear();
-                world.nodes[site.index()].on_crash();
+    /// Schedules `fault` at `at`. A crash drops the site's pending timers
+    /// and runs `Node::on_crash`; a recovery runs `Node::on_recover`.
+    /// Crashing a down site, or recovering an up one, does nothing.
+    pub fn apply_at(sched: &mut Scheduler<Cluster<N>>, at: SimTime, fault: Fault) {
+        sched.at(at, move |world: &mut Cluster<N>, sched| match fault {
+            Fault::Crash(site) => {
+                if !world.down[site.index()] {
+                    world.down[site.index()] = true;
+                    let due = &mut world.timers[site.index()].due;
+                    world.stats.timers_dropped += due.len() as u64;
+                    due.clear();
+                    world.nodes[site.index()].on_crash();
+                }
             }
-        });
-    }
-
-    /// Schedules a recovery of `site` at `at`.
-    pub fn recover_at(sched: &mut Scheduler<Cluster<N>>, at: SimTime, site: SiteId) {
-        sched.at(at, move |world: &mut Cluster<N>, sched| {
-            if world.down[site.index()] {
-                world.down[site.index()] = false;
-                Self::run_node(world, sched, site, |node, ctx| node.on_recover(ctx));
+            Fault::Recover(site) => {
+                if world.down[site.index()] {
+                    world.down[site.index()] = false;
+                    Self::run_node(world, sched, site, |node, ctx| node.on_recover(ctx));
+                }
             }
-        });
-    }
-
-    /// Schedules a connectivity change at `at`.
-    pub fn set_partition_at(sched: &mut Scheduler<Cluster<N>>, at: SimTime, p: Partition) {
-        sched.at(at, move |world: &mut Cluster<N>, _| {
-            assert_eq!(p.sites(), world.nodes.len(), "partition size mismatch");
-            world.partition = p;
-        });
-    }
-
-    /// Schedules a change of the loss probability on every cross-site link
-    /// at `at` (a link-loss burst begins or ends).
-    ///
-    /// Like [`set_partition_at`](Self::set_partition_at) this mutates the
-    /// live network: loss is no longer fixed at build time, so a fault
-    /// schedule can open a lossy window mid-run and close it again with a
-    /// second call carrying `p = 0`.
-    pub fn set_drop_all_at(sched: &mut Scheduler<Cluster<N>>, at: SimTime, p: f64) {
-        sched.at(at, move |world: &mut Cluster<N>, _| {
-            world.config.set_drop_all(p);
-        });
-    }
-
-    /// Schedules a delay spike at `at`: every cross-site message pays
-    /// `extra` on top of its sampled latency until a later call clears it
-    /// with `SimDuration::ZERO`.
-    pub fn set_extra_delay_at(
-        sched: &mut Scheduler<Cluster<N>>,
-        at: SimTime,
-        extra: wv_sim::SimDuration,
-    ) {
-        sched.at(at, move |world: &mut Cluster<N>, _| {
-            world.config.extra_delay = extra;
-        });
-    }
-
-    /// Schedules a change of the end-to-end duplication probability at `at`.
-    pub fn set_duplicate_at(sched: &mut Scheduler<Cluster<N>>, at: SimTime, p: f64) {
-        sched.at(at, move |world: &mut Cluster<N>, _| {
-            world.config.duplicate_prob = p.clamp(0.0, 1.0);
+            Fault::Partition(p) => {
+                assert_eq!(p.sites(), world.nodes.len(), "partition size mismatch");
+                world.partition = p;
+            }
+            Fault::Heal => world.partition = Partition::whole(world.nodes.len()),
+            Fault::DropAll(p) => {
+                world.config.set_drop_all(p);
+            }
+            Fault::ExtraDelay(extra) => world.config.extra_delay = extra,
+            Fault::Duplicate(p) => world.config.duplicate_prob = p.clamp(0.0, 1.0),
         });
     }
 
@@ -279,8 +248,9 @@ where
     pub fn apply_failure_schedule(sched: &mut Scheduler<Cluster<N>>, schedule: &FailureSchedule) {
         for site in 0..schedule.sites() {
             for w in schedule.windows(site) {
-                Self::crash_at(sched, w.from, SiteId::from(site));
-                Self::recover_at(sched, w.until, SiteId::from(site));
+                let site = SiteId::from(site);
+                Self::apply_at(sched, w.from, Fault::Crash(site));
+                Self::apply_at(sched, w.until, Fault::Recover(site));
             }
         }
     }
@@ -519,10 +489,10 @@ mod tests {
     #[test]
     fn partition_blocks_messages() {
         let mut sim = two_nodes(5);
-        Cluster::set_partition_at(
+        Cluster::apply_at(
             sim.scheduler(),
             SimTime::ZERO,
-            Partition::isolate(2, SiteId(1)),
+            Fault::Partition(Partition::isolate(2, SiteId(1))),
         );
         Cluster::invoke(
             sim.scheduler(),
@@ -541,16 +511,12 @@ mod tests {
     #[test]
     fn partition_heals() {
         let mut sim = two_nodes(5);
-        Cluster::set_partition_at(
+        Cluster::apply_at(
             sim.scheduler(),
             SimTime::ZERO,
-            Partition::isolate(2, SiteId(1)),
+            Fault::Partition(Partition::isolate(2, SiteId(1))),
         );
-        Cluster::set_partition_at(
-            sim.scheduler(),
-            SimTime::from_millis(10),
-            Partition::whole(2),
-        );
+        Cluster::apply_at(sim.scheduler(), SimTime::from_millis(10), Fault::Heal);
         Cluster::invoke(
             sim.scheduler(),
             SimTime::from_millis(20),
@@ -569,7 +535,11 @@ mod tests {
         Cluster::invoke(sim.scheduler(), SimTime::ZERO, SiteId(1), |_n, ctx| {
             ctx.set_timer(SimDuration::from_millis(20), 1);
         });
-        Cluster::crash_at(sim.scheduler(), SimTime::from_millis(1), SiteId(1));
+        Cluster::apply_at(
+            sim.scheduler(),
+            SimTime::from_millis(1),
+            Fault::Crash(SiteId(1)),
+        );
         Cluster::invoke(
             sim.scheduler(),
             SimTime::from_millis(2),
@@ -589,8 +559,12 @@ mod tests {
     #[test]
     fn recovery_restores_delivery_and_runs_hook() {
         let mut sim = two_nodes(5);
-        Cluster::crash_at(sim.scheduler(), SimTime::ZERO, SiteId(1));
-        Cluster::recover_at(sim.scheduler(), SimTime::from_millis(10), SiteId(1));
+        Cluster::apply_at(sim.scheduler(), SimTime::ZERO, Fault::Crash(SiteId(1)));
+        Cluster::apply_at(
+            sim.scheduler(),
+            SimTime::from_millis(10),
+            Fault::Recover(SiteId(1)),
+        );
         Cluster::invoke(
             sim.scheduler(),
             SimTime::from_millis(20),
@@ -612,8 +586,16 @@ mod tests {
             ctx.set_timer(SimDuration::from_millis(5), 1);
             ctx.set_timer(SimDuration::from_millis(50), 2);
         });
-        Cluster::crash_at(sim.scheduler(), SimTime::from_millis(10), SiteId(1));
-        Cluster::recover_at(sim.scheduler(), SimTime::from_millis(20), SiteId(1));
+        Cluster::apply_at(
+            sim.scheduler(),
+            SimTime::from_millis(10),
+            Fault::Crash(SiteId(1)),
+        );
+        Cluster::apply_at(
+            sim.scheduler(),
+            SimTime::from_millis(20),
+            Fault::Recover(SiteId(1)),
+        );
         Cluster::invoke(
             sim.scheduler(),
             SimTime::from_millis(30),
@@ -632,7 +614,7 @@ mod tests {
     #[test]
     fn invoke_on_down_site_is_skipped() {
         let mut sim = two_nodes(5);
-        Cluster::crash_at(sim.scheduler(), SimTime::ZERO, SiteId(0));
+        Cluster::apply_at(sim.scheduler(), SimTime::ZERO, Fault::Crash(SiteId(0)));
         Cluster::invoke(
             sim.scheduler(),
             SimTime::from_millis(1),
@@ -694,10 +676,33 @@ mod tests {
     }
 
     #[test]
+    fn touching_outages_keep_the_site_down_across_the_seam() {
+        let mut schedule = FailureSchedule::none(2);
+        let ms = SimTime::from_millis;
+        schedule.add_outage(1, ms(5), ms(15));
+        schedule.add_outage(1, ms(15), ms(25));
+        let mut sim = two_nodes(1);
+        Cluster::apply_failure_schedule(sim.scheduler(), &schedule);
+        sim.run_until(ms(20));
+        assert!(schedule.is_down(1, ms(20)) && sim.world.is_down(SiteId(1)));
+        sim.run();
+        assert!(!sim.world.is_down(SiteId(1)));
+        assert_eq!(sim.world.nodes[1].crashes, 2);
+    }
+
+    #[test]
     fn runtime_loss_burst_opens_and_closes() {
         let mut sim = two_nodes(1);
-        Cluster::set_drop_all_at(sim.scheduler(), SimTime::from_millis(10), 1.0);
-        Cluster::set_drop_all_at(sim.scheduler(), SimTime::from_millis(20), 0.0);
+        Cluster::apply_at(
+            sim.scheduler(),
+            SimTime::from_millis(10),
+            Fault::DropAll(1.0),
+        );
+        Cluster::apply_at(
+            sim.scheduler(),
+            SimTime::from_millis(20),
+            Fault::DropAll(0.0),
+        );
         for at in [5u64, 15, 25] {
             Cluster::invoke(
                 sim.scheduler(),
@@ -715,11 +720,8 @@ mod tests {
     #[test]
     fn runtime_delay_spike_slows_cross_site_messages() {
         let mut sim = two_nodes(10);
-        Cluster::set_extra_delay_at(
-            sim.scheduler(),
-            SimTime::from_millis(5),
-            SimDuration::from_millis(100),
-        );
+        let spike = Fault::ExtraDelay(SimDuration::from_millis(100));
+        Cluster::apply_at(sim.scheduler(), SimTime::from_millis(5), spike);
         Cluster::invoke(
             sim.scheduler(),
             SimTime::from_millis(6),
@@ -730,7 +732,11 @@ mod tests {
         // 6 ms send + 10 ms link + 100 ms spike.
         assert_eq!(sim.now(), SimTime::from_millis(116));
         let before = sim.now();
-        Cluster::set_extra_delay_at(sim.scheduler(), before, SimDuration::ZERO);
+        Cluster::apply_at(
+            sim.scheduler(),
+            before,
+            Fault::ExtraDelay(SimDuration::ZERO),
+        );
         Cluster::invoke(sim.scheduler(), before, SiteId(0), |_n, ctx| {
             ctx.send(SiteId(1), 2)
         });
@@ -741,7 +747,7 @@ mod tests {
     #[test]
     fn runtime_duplication_dial_takes_effect() {
         let mut sim = two_nodes(1);
-        Cluster::set_duplicate_at(sim.scheduler(), SimTime::ZERO, 1.0);
+        Cluster::apply_at(sim.scheduler(), SimTime::ZERO, Fault::Duplicate(1.0));
         Cluster::invoke(
             sim.scheduler(),
             SimTime::from_millis(1),
@@ -904,8 +910,8 @@ mod tests {
         // the instant of a crash or a recovery.
         for (site, from, until) in [(1u16, 7_500, 12_500), (2, 20_500, 21_500)] {
             let at = SimTime::from_micros;
-            Cluster::crash_at(sim.scheduler(), at(from), SiteId(site));
-            Cluster::recover_at(sim.scheduler(), at(until), SiteId(site));
+            Cluster::apply_at(sim.scheduler(), at(from), Fault::Crash(SiteId(site)));
+            Cluster::apply_at(sim.scheduler(), at(until), Fault::Recover(SiteId(site)));
             control += 2;
         }
         sim.run();
@@ -960,7 +966,11 @@ mod tests {
             ctx.send(SiteId(1), 2);
             ctx.set_timer(SimDuration::from_millis(3), 9);
         });
-        Cluster::crash_at(sim.scheduler(), SimTime::from_millis(5), SiteId(1));
+        Cluster::apply_at(
+            sim.scheduler(),
+            SimTime::from_millis(5),
+            Fault::Crash(SiteId(1)),
+        );
         sim.run_until(SimTime::from_millis(4));
         // Two messages in flight, and their deliveries and the crash's
         // closure queued.

@@ -11,8 +11,8 @@
 //!
 //! Links mirror [`crate::sim_net`]'s: loss is decided and latency sampled
 //! at send time, and message order between two sites may invert when
-//! latencies differ, exactly as in the simulator. Partitions and crashes
-//! are the simulator's alone; this transport injects no faults.
+//! latencies differ, as in the simulator. A [`crate::Fault`] is the
+//! simulator's alone (`Cluster::apply_at`); this transport injects none.
 
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar, Mutex};

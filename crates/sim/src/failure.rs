@@ -58,12 +58,21 @@ impl FailureSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if `site` is out of range or the window is empty/inverted.
+    /// Panics if `site` is out of range, the window is empty/inverted, or
+    /// it overlaps one of the site's windows: the first window's recovery
+    /// would end the outage the second one still counts. Touching windows
+    /// (one ends where the next begins) are fine.
     pub fn add_outage(&mut self, site: usize, from: SimTime, until: SimTime) {
         assert!(site < self.outages.len(), "site {site} out of range");
         assert!(from < until, "outage window must be non-empty");
-        self.outages[site].push(OutageWindow { from, until });
-        self.outages[site].sort_by_key(|w| w.from);
+        // The windows are sorted and disjoint, so their ends are sorted
+        // too: only the first that ends after `from` can overlap.
+        let windows = &mut self.outages[site];
+        let at = windows.partition_point(|w| w.until <= from);
+        if let Some(next) = windows.get(at) {
+            assert!(until <= next.from, "outage window overlaps {next:?}");
+        }
+        windows.insert(at, OutageWindow { from, until });
     }
 
     /// A continuous-time schedule: each site alternates exponentially
@@ -138,6 +147,28 @@ mod tests {
     fn inverted_window_rejected() {
         let mut s = FailureSchedule::none(1);
         s.add_outage(0, SimTime::from_millis(20), SimTime::from_millis(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps")]
+    fn overlapping_windows_rejected() {
+        let mut s = FailureSchedule::none(1);
+        s.add_outage(0, SimTime::from_millis(1), SimTime::from_millis(5));
+        s.add_outage(0, SimTime::from_millis(3), SimTime::from_millis(8));
+    }
+
+    #[test]
+    fn touching_windows_accepted() {
+        let mut s = FailureSchedule::none(2);
+        let ms = SimTime::from_millis;
+        s.add_outage(0, ms(5), ms(8));
+        s.add_outage(0, ms(1), ms(5));
+        // Another site's window may overlap freely.
+        s.add_outage(1, ms(3), ms(8));
+        let windows: Vec<_> = s.windows(0).iter().map(|w| (w.from, w.until)).collect();
+        assert_eq!(windows, [(ms(1), ms(5)), (ms(5), ms(8))]);
+        assert!((1..8).all(|t| s.is_down(0, ms(t))));
+        assert!(!s.is_down(0, ms(8)));
     }
 
     #[test]

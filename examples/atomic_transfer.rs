@@ -79,7 +79,7 @@ fn main() {
     assert_eq!(c + s, c2 + s2, "money is conserved");
 
     // Now with a representative down: the quorum machinery doesn't care.
-    cluster.crash(SiteId(2));
+    cluster.inject(Fault::Crash(SiteId(2)));
     println!("\ncrashed one representative; transferring 100 more...");
     let (c2, s2) = read_balances(&mut cluster);
     cluster
@@ -99,7 +99,7 @@ fn main() {
     assert_eq!(c3 + s3, 1250);
 
     // Per-server atomicity: no server ever holds a torn pair.
-    cluster.recover(SiteId(2));
+    cluster.inject(Fault::Recover(SiteId(2)));
     for site in SiteId::all(3) {
         let vc = cluster.version_at(site, CHECKING).expect("server");
         let vs = cluster.version_at(site, SAVINGS).expect("server");

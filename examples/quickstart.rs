@@ -49,7 +49,7 @@ fn main() {
     );
 
     println!("\n== surviving a crash ==");
-    cluster.crash(SiteId(0));
+    cluster.inject(Fault::Crash(SiteId(0)));
     println!("crashed s0");
     let w2 = cluster
         .write(suite, b"written with one site down".to_vec())
@@ -59,7 +59,7 @@ fn main() {
     assert_eq!(&r2.value[..], b"written with one site down");
     println!("read sees it: {:?}", String::from_utf8_lossy(&r2.value));
 
-    cluster.crash(SiteId(1));
+    cluster.inject(Fault::Crash(SiteId(1)));
     println!("crashed s1 (only one site left)");
     match cluster.write(suite, b"doomed".to_vec()) {
         Err(OpError::Unavailable { kind }) => {
@@ -68,7 +68,7 @@ fn main() {
         other => panic!("expected unavailability, got {other:?}"),
     }
 
-    cluster.recover(SiteId(0));
+    cluster.inject(Fault::Recover(SiteId(0)));
     println!("recovered s0 — service resumes");
     let w3 = cluster
         .write(suite, b"back in business".to_vec())

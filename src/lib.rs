@@ -59,11 +59,11 @@ pub use wv_txn as txn;
 /// The names most programs need.
 pub mod prelude {
     pub use wv_core::client::{ClientOptions, QuorumPolicy};
-    pub use wv_core::harness::{Fault, Harness, HarnessBuilder, ReadResult, SiteSpec, WriteResult};
+    pub use wv_core::harness::{Harness, HarnessBuilder, ReadResult, SiteSpec, WriteResult};
     pub use wv_core::quorum::QuorumSpec;
     pub use wv_core::votes::VoteAssignment;
     pub use wv_core::{OpError, OpKind};
-    pub use wv_net::{NetConfig, Partition, SiteId};
+    pub use wv_net::{Fault, NetConfig, Partition, SiteId};
     pub use wv_sim::{DetRng, LatencyModel, SimDuration, SimTime};
     pub use wv_storage::{ObjectId, Version};
 }

@@ -258,11 +258,11 @@ fn a_write_and_reads_cost_exact_allocations_at_the_benchmarks_shapes() {
     // Three sites down leave no quorum: the read's timed-out phases make
     // all three suspects. Two come back, and answer; site 0 stays down.
     for site in 0..3 {
-        h.crash(SiteId(site));
+        h.inject(Fault::Crash(SiteId(site)));
     }
     assert!(h.read(suite).is_err());
     for site in 1..3 {
-        h.recover(SiteId(site));
+        h.inject(Fault::Recover(SiteId(site)));
     }
     let suspected = counted(&mut h, |_| (), read);
     let stats = &h.client_at(client).expect("client").stats;

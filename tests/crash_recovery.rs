@@ -34,9 +34,9 @@ fn crash_during_write(at_ms: u64, recover_after_ms: u64, seed: u64) -> (bool, u6
     // 100 ms links the prepares land at 100 ms, the votes at 200 ms and
     // the commits at 300 ms.
     h.advance(SimDuration::from_millis(at_ms));
-    h.crash(SiteId(0));
+    h.inject(Fault::Crash(SiteId(0)));
     h.advance(SimDuration::from_millis(recover_after_ms));
-    h.recover(SiteId(0));
+    h.inject(Fault::Recover(SiteId(0)));
     h.run_until_quiet(2_000_000);
     let ops = h.drain_completed(client);
     let write_ok = ops
@@ -101,9 +101,9 @@ fn client_crash_loses_in_flight_ops_but_not_decisions() {
     let start = h.now();
     h.enqueue_write(client, suite, b"doomed?".to_vec(), start);
     h.advance(SimDuration::from_millis(220));
-    h.crash(client);
+    h.inject(Fault::Crash(client));
     h.advance(SimDuration::from_secs(30));
-    h.recover(client);
+    h.inject(Fault::Recover(client));
     h.run_until_quiet(2_000_000);
     // The servers' decision probes got answered (presumed abort or the
     // durable commit), so no server is stuck holding locks: a fresh write
@@ -127,11 +127,11 @@ fn full_cluster_power_cycle_preserves_committed_state() {
         assert_eq!(w.version.0, i);
     }
     for s in SiteId::all(3) {
-        h.crash(s);
+        h.inject(Fault::Crash(s));
     }
     h.advance(SimDuration::from_secs(5));
     for s in SiteId::all(3) {
-        h.recover(s);
+        h.inject(Fault::Recover(s));
     }
     let r = h.read(suite).expect("read after full restart");
     assert_eq!(r.version, Version(3));
@@ -148,13 +148,13 @@ fn repeated_crash_recover_cycles_never_regress_versions() {
     let mut last = 0u64;
     for round in 0..6u64 {
         let victim = SiteId((round % 3) as u16);
-        h.crash(victim);
+        h.inject(Fault::Crash(victim));
         let w = h
             .write(suite, format!("round {round}").into_bytes())
             .expect("quorum of two suffices");
         assert!(w.version.0 > last, "version regressed");
         last = w.version.0;
-        h.recover(victim);
+        h.inject(Fault::Recover(victim));
         h.advance(SimDuration::from_secs(1));
         let r = h.read(suite).expect("read");
         assert_eq!(r.version.0, last);

@@ -51,12 +51,12 @@ fn a_healthy_run_frames_nothing_and_a_crash_frames_the_whole_image() {
     let image = wal(&h, 0).image_bytes();
     assert!(image > 16 * 1024, "the log holds the values: {image} bytes");
 
-    h.crash(SiteId(0));
+    h.inject(Fault::Crash(SiteId(0)));
     assert_eq!(wal(&h, 0).framed_bytes(), image as u64);
     assert_eq!(wal(&h, 0).image_bytes(), image, "all of it was durable");
     // The recovery scan reads the image the crash built; the other
     // servers still have framed nothing.
-    h.recover(SiteId(0));
+    h.inject(Fault::Recover(SiteId(0)));
     h.run_until_quiet(QUIET);
     assert_eq!(wal(&h, 0).framed_bytes(), image as u64);
     for site in 1..3 {

@@ -78,13 +78,13 @@ fn history_stays_single_under_crashes_and_recoveries() {
     }
     // A rolling outage: two different servers bounce during the run.
     h.advance(SimDuration::from_millis(2_000));
-    h.crash(SiteId(0));
+    h.inject(Fault::Crash(SiteId(0)));
     h.advance(SimDuration::from_millis(3_000));
-    h.crash(SiteId(1));
+    h.inject(Fault::Crash(SiteId(1)));
     h.advance(SimDuration::from_millis(3_000));
-    h.recover(SiteId(0));
+    h.inject(Fault::Recover(SiteId(0)));
     h.advance(SimDuration::from_millis(2_000));
-    h.recover(SiteId(1));
+    h.inject(Fault::Recover(SiteId(1)));
     h.run_until_quiet(3_000_000);
     let mut all = Vec::new();
     for &c in &clients {

@@ -49,7 +49,7 @@ fn promoting_a_weak_representative_brings_it_current() {
     assert_eq!(h.value_at(SiteId(1), suite).expect("server"), &b"gen3"[..]);
     // The acid test: crash the old sole voter. Under r = 1 the promoted
     // site alone now forms a read quorum — and it must serve fresh data.
-    h.crash(SiteId(0));
+    h.inject(Fault::Crash(SiteId(0)));
     let r = h.read(suite).expect("read from the promoted site");
     assert_eq!(r.version, Version(4));
     assert_eq!(&r.value[..], b"gen3");
@@ -103,9 +103,9 @@ fn shrinking_the_write_quorum_speeds_up_writes() {
     let client = h.default_client();
     h.write(suite, b"a".to_vec()).expect("write");
     // Write-all blocks when any site is down.
-    h.crash(SiteId(2));
+    h.inject(Fault::Crash(SiteId(2)));
     assert!(h.write(suite, b"blocked".to_vec()).is_err());
-    h.recover(SiteId(2));
+    h.inject(Fault::Recover(SiteId(2)));
     h.reconfigure_from(
         client,
         suite,
@@ -114,7 +114,7 @@ fn shrinking_the_write_quorum_speeds_up_writes() {
     )
     .expect("reconfigure");
     // Majority tolerates the same crash.
-    h.crash(SiteId(2));
+    h.inject(Fault::Crash(SiteId(2)));
     let w = h.write(suite, b"tolerant".to_vec()).expect("write");
     let r = h.read(suite).expect("read");
     assert_eq!(r.version, w.version);
@@ -135,7 +135,7 @@ fn reconfiguration_requires_the_new_write_quorum_to_be_reachable() {
     let suite = h.suite_id();
     let client = h.default_client();
     h.write(suite, b"x".to_vec()).expect("write");
-    h.crash(SiteId(2));
+    h.inject(Fault::Crash(SiteId(2)));
     // Old majority (2 of 3) is reachable, but the requested write-all
     // configuration could never be installed safely: its data quorum
     // cannot be assembled.

@@ -61,7 +61,7 @@ fn every_crash_set<P>(
         let mut h = build(cfg, seed);
         let primed = prime(&mut h);
         for site in subsets.members(!up) {
-            h.crash(site);
+            h.inject(Fault::Crash(site));
         }
         check(&mut h, primed, alive);
     }
@@ -149,11 +149,11 @@ fn full_recovery_is_lossless() {
         let suite = h.suite_id();
         let w = h.write(suite, b"durable".to_vec()).expect("write");
         for i in 0..cfg.votes.len() {
-            h.crash(SiteId::from(i));
+            h.inject(Fault::Crash(SiteId::from(i)));
         }
         h.advance(SimDuration::from_secs(2));
         for i in 0..cfg.votes.len() {
-            h.recover(SiteId::from(i));
+            h.inject(Fault::Recover(SiteId::from(i)));
         }
         let r = h.read(suite).expect("read after full recovery");
         assert_eq!(r.version, w.version, "case {case}");

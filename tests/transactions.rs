@@ -72,9 +72,9 @@ fn participant_crash_between_prepare_and_commit_stays_atomic() {
             start,
         );
         h.advance(SimDuration::from_millis(crash_at_ms));
-        h.crash(SiteId(0));
+        h.inject(Fault::Crash(SiteId(0)));
         h.advance(SimDuration::from_secs(40));
-        h.recover(SiteId(0));
+        h.inject(Fault::Recover(SiteId(0)));
         h.run_until_quiet(3_000_000);
         let ops = h.drain_completed(client);
         let outcome_ok = ops
