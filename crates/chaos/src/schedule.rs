@@ -523,7 +523,10 @@ impl Schedule {
         text
     }
 
-    /// Parses a replay artifact produced by [`Schedule::to_json`].
+    /// Parses a replay artifact produced by [`Schedule::to_json`]; `None`
+    /// for one the executor cannot run: no servers or no clients, a
+    /// server event naming a site that is not a server, or a partition
+    /// whose first group names a site twice.
     pub fn from_json(text: &str) -> Option<(ClusterSpec, Schedule)> {
         let root = json::parse(text)?;
         if root.get("schema")?.as_str()? != "wv-chaos-repro/1" {
@@ -543,11 +546,36 @@ impl Schedule {
             disk_faults: cluster.get("disk_faults")?.as_bool()?,
             suites: (cluster.get("suites")?.as_int()? as usize).max(1),
         };
+        if spec.servers == 0 || spec.clients == 0 {
+            return None;
+        }
         let mut events = Vec::new();
         for ev in root.get("events")?.as_array()? {
-            events.push(event_from_value(ev)?);
+            let event = event_from_value(ev)?;
+            if !runs_on(&event.kind, &spec) {
+                return None;
+            }
+            events.push(event);
         }
         Some((spec, Schedule { seed, events }))
+    }
+}
+
+/// Whether the executor can apply `kind` on `spec`'s cluster.
+fn runs_on(kind: &EventKind, spec: &ClusterSpec) -> bool {
+    match kind {
+        EventKind::Crash { site }
+        | EventKind::Recover { site }
+        | EventKind::TornWrite { site }
+        | EventKind::BitFlip { site }
+        | EventKind::IoError { site, .. }
+        | EventKind::DiskStall { site, .. } => *site < spec.servers,
+        EventKind::Partition { group_a } => {
+            let mut sites = group_a.clone();
+            sites.sort_unstable();
+            sites.windows(2).all(|w| w[0] != w[1])
+        }
+        _ => true,
     }
 }
 
@@ -968,6 +996,42 @@ mod tests {
     fn from_json_rejects_wrong_schema() {
         assert!(Schedule::from_json("{\"schema\":\"other/1\"}").is_none());
         assert!(Schedule::from_json("not json").is_none());
+    }
+
+    #[test]
+    fn from_json_rejects_what_the_executor_cannot_run() {
+        let parses = |spec: ClusterSpec, kind: EventKind| {
+            let events = vec![FaultEvent { at_ms: 0, kind }];
+            Schedule::from_json(&Schedule { seed: 1, events }.to_json(&spec)).is_some()
+        };
+        let spec = spec();
+        assert!(parses(spec, EventKind::Crash { site: 4 }));
+        assert!(parses(
+            spec,
+            EventKind::Partition {
+                group_a: vec![0, 6]
+            }
+        ));
+        for kind in [
+            EventKind::Crash { site: 5 },
+            EventKind::Crash { site: 99 },
+            EventKind::Recover { site: 5 },
+            EventKind::TornWrite { site: 5 },
+            EventKind::BitFlip { site: 5 },
+            EventKind::IoError { site: 5, count: 1 },
+            EventKind::DiskStall { site: 5, ms: 10 },
+            EventKind::Partition {
+                group_a: vec![0, 0],
+            },
+        ] {
+            assert!(!parses(spec, kind.clone()), "{kind:?}");
+        }
+        for empty in [
+            ClusterSpec { servers: 0, ..spec },
+            ClusterSpec { clients: 0, ..spec },
+        ] {
+            assert!(!parses(empty, EventKind::Heal), "{empty:?}");
+        }
     }
 
     #[test]

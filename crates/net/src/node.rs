@@ -149,11 +149,6 @@ impl<'a, M> NodeCtx<'a, M> {
     pub fn take_effects(&mut self) -> Vec<Effect<M>> {
         std::mem::take(&mut self.effects)
     }
-
-    /// Number of effects queued so far (mostly useful in tests).
-    pub fn pending_effects(&self) -> usize {
-        self.effects.len()
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +176,6 @@ mod tests {
         ctx.send(SiteId(1), 42);
         ctx.send(SiteId(3), 42);
         ctx.cancel_timer(77);
-        assert_eq!(ctx.pending_effects(), 5);
         let effects = ctx.take_effects();
         assert_eq!(effects.len(), 5);
         assert!(matches!(effects[4], Effect::Cancel { token: 77 }));
@@ -191,7 +185,6 @@ mod tests {
             Effect::Timer { delay, token } if delay == SimDuration::from_millis(30) && token == 77
         ));
         assert!(matches!(effects[3], Effect::Send { to, msg } if to == SiteId(3) && msg == 42));
-        assert_eq!(ctx.pending_effects(), 0);
     }
 
     #[test]
@@ -205,7 +198,6 @@ mod tests {
         let capacity = effects.capacity();
         effects.truncate(3); // leftovers must not leak into the next call
         let mut ctx = NodeCtx::with_buffer(SimTime::ZERO, SiteId(0), &mut rng, effects);
-        assert_eq!(ctx.pending_effects(), 0);
         ctx.send(SiteId(1), 99);
         let effects = ctx.take_effects();
         assert_eq!(effects.len(), 1);
@@ -220,7 +212,7 @@ mod tests {
         node.on_timer(0, &mut ctx);
         node.on_crash();
         node.on_recover(&mut ctx);
-        assert_eq!(ctx.pending_effects(), 0);
+        assert!(ctx.take_effects().is_empty());
     }
 
     #[test]

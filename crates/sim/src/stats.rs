@@ -44,22 +44,6 @@ impl SampleSet {
         }
     }
 
-    /// Sample standard deviation, or 0 for fewer than two observations.
-    pub fn std_dev(&self) -> f64 {
-        let n = self.values.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self
-            .values
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / (n - 1) as f64;
-        var.sqrt()
-    }
-
     /// Exact quantile by the nearest-rank method, or `None` when the series
     /// has fewer than two observations.
     ///
@@ -130,16 +114,6 @@ mod tests {
         s.record(2.0);
         assert_eq!(s.len(), 1);
         assert_eq!(s.mean(), 2.0);
-    }
-
-    #[test]
-    fn sample_set_std_dev() {
-        let mut s = SampleSet::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(v);
-        }
-        // Known dataset: population std = 2, sample std = 2.138...
-        assert!((s.std_dev() - 2.138).abs() < 0.01);
     }
 
     #[test]

@@ -1349,7 +1349,7 @@ mod disk_fault_tests {
                             Err(e) => panic!("case {case} step {step}: {e}"),
                         };
                         // Up to 2 KiB, so torn writes and bit flips land
-                        // inside frames the folding CRC kernel checksums.
+                        // inside long frames as well as short ones.
                         let value = vec![step as u8; (next() % 2049) as usize];
                         c.stage_put(tx, ObjectId(next() % 4), Version(step + 1), value)
                             .expect("stage");

@@ -72,108 +72,10 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// The CRC-32 checksum of `bytes`: the folding kernel where the CPU has
-/// it and there are at least 64 bytes, the table loop otherwise. Both
-/// give the same value.
+/// The CRC-32 checksum of `bytes`, eight bytes a step.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_fold(!0, bytes).unwrap_or_else(|| crc32_table(!0, bytes))
-}
-
-/// The CRC register after `bytes`, starting from register `c`, by the
-/// carry-less-multiply kernel; `None` where it cannot run: under 64
-/// bytes, on a CPU without `pclmulqdq` and `sse4.1`, or off x86_64.
-#[allow(unsafe_code)]
-fn crc32_fold(c: u32, bytes: &[u8]) -> Option<u32> {
-    #[cfg(target_arch = "x86_64")]
-    if bytes.len() >= 64
-        && std::arch::is_x86_feature_detected!("pclmulqdq")
-        && std::arch::is_x86_feature_detected!("sse4.1")
-    {
-        // SAFETY: `clmul::update` is compiled for exactly pclmulqdq and
-        // sse4.1, and both were detected on this CPU just above.
-        return Some(unsafe { clmul::update(c, bytes) });
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (c, bytes);
-    None
-}
-
-/// Folding CRC-32 after Gopal et al., *Fast CRC Computation for Generic
-/// Polynomials Using PCLMULQDQ Instruction* (Intel, 2009), with the
-/// reflected IEEE constants: four 128-bit lanes fold 64 bytes a step,
-/// fold into one, and a Barrett reduction takes 128 bits to 32.
-#[cfg(target_arch = "x86_64")]
-mod clmul {
-    use std::arch::x86_64::*;
-
-    // Fold constants: a lane carried 64 bytes forward (K1, K2), 16
-    // bytes forward (K3, K4), and the 64 → 32-bit step (K5).
-    const K1: i64 = 0x1_5444_2bd4;
-    const K2: i64 = 0x1_c6e4_1596;
-    const K3: i64 = 0x1_7519_97d0;
-    const K4: i64 = 0x0_ccaa_009e;
-    const K5: i64 = 0x1_63cd_6124;
-    // The polynomial P′ and μ = ⌊x^64 / P⌋ for the Barrett reduction.
-    const P: i64 = 0x1_DB71_0641;
-    const MU: i64 = 0x1_F701_1641;
-
-    /// The CRC register after `bytes` (at least 64 of them), from `c`.
-    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
-    pub(super) fn update(c: u32, bytes: &[u8]) -> u32 {
-        let mut blocks = bytes.chunks_exact(64);
-        let first = blocks.next().expect("at least 64 bytes");
-        let mut lanes = [0, 16, 32, 48].map(|at| load(&first[at..at + 16]));
-        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(c as i32));
-        let k1k2 = _mm_set_epi64x(K2, K1);
-        for block in &mut blocks {
-            for (lane, chunk) in lanes.iter_mut().zip(block.chunks_exact(16)) {
-                *lane = fold(*lane, load(chunk), k1k2);
-            }
-        }
-        let k3k4 = _mm_set_epi64x(K4, K3);
-        let [l0, l1, l2, l3] = lanes;
-        let mut x = fold(fold(fold(l0, l1, k3k4), l2, k3k4), l3, k3k4);
-        let mut rest = blocks.remainder().chunks_exact(16);
-        for chunk in &mut rest {
-            x = fold(x, load(chunk), k3k4);
-        }
-        // 128 → 64 bits, then 64 → 32.
-        let low32 = _mm_set_epi32(0, 0, 0, !0);
-        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
-        let k5 = _mm_set_epi64x(0, K5);
-        x = _mm_xor_si128(
-            _mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00),
-            _mm_srli_si128(x, 4),
-        );
-        // Barrett: T1 = (x mod x^32)·μ, T2 = (T1 mod x^32)·P, C = (x ⊕ T2) / x^32.
-        let pmu = _mm_set_epi64x(MU, P);
-        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pmu, 0x10);
-        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pmu, 0x00);
-        let c = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
-        super::crc32_table(c, rest.remainder())
-    }
-
-    /// `a` carried 128 bits forward (by `k`'s pair) into `b`.
-    #[inline]
-    #[target_feature(enable = "pclmulqdq")]
-    fn fold(a: __m128i, b: __m128i, k: __m128i) -> __m128i {
-        let lo = _mm_clmulepi64_si128(a, k, 0x00);
-        let hi = _mm_clmulepi64_si128(a, k, 0x11);
-        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn load(chunk: &[u8]) -> __m128i {
-        let v = u128::from_le_bytes(chunk.try_into().expect("a 16-byte chunk"));
-        _mm_set_epi64x((v >> 64) as i64, v as i64)
-    }
-}
-
-/// The CRC register after `bytes`, starting from register `c`, by the
-/// slice-by-8 table loop.
-fn crc32_table(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
+    let mut c = !0u32;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -190,7 +92,7 @@ fn crc32_table(mut c: u32, bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    c
+    !c
 }
 
 // Payload tags, one per record variant.
@@ -461,8 +363,8 @@ mod tests {
             },
             Record::Commit { tx: TxId(7) },
             Record::Abort { tx: TxId(8) },
-            // Payloads of 64 bytes and more, which the folding kernel
-            // checksums (the records above are all shorter).
+            // Payloads longer than the records above: a 1 KiB `Put` and a
+            // `Checkpoint` of several objects.
             Record::Put {
                 tx: TxId(9),
                 object: ObjectId(3),
@@ -510,8 +412,8 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-        // A 1 KiB value and the payload of a `Put` carrying it, both long
-        // enough to fold; computed independently with Python's `zlib.crc32`.
+        // A 1 KiB value and the payload of a `Put` carrying it, computed
+        // independently with Python's `zlib.crc32`.
         assert_eq!(crc32(&kib_value()), 0xB70B_4C26);
         let mut frame = Vec::new();
         let put = Record::Put {
@@ -535,21 +437,12 @@ mod tests {
                 (x >> 56) as u8
             })
             .collect();
-        let folds = crc32_fold(!0, &data).is_some();
-        if !folds {
-            println!("note: no pclmulqdq + sse4.1 here; the folding kernel is not checked");
-        }
-        // Every phase of the kernel's 16-byte loads against the buffer.
+        // Every phase of the 8-byte loads against the buffer, every tail.
         for offset in 0..16 {
             for len in 0..=4096 {
                 let slice = &data[offset..offset + len];
                 let want = crc32_bytewise(slice);
-                let at = format!("offset {offset} len {len}");
-                assert_eq!(crc32(slice), want, "{at}");
-                assert_eq!(!crc32_table(!0, slice), want, "table loop, {at}");
-                if folds && len >= 64 {
-                    assert_eq!(crc32_fold(!0, slice).map(|c| !c), Some(want), "fold, {at}");
-                }
+                assert_eq!(crc32(slice), want, "offset {offset} len {len}");
             }
         }
     }

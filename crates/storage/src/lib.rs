@@ -23,9 +23,7 @@
 //! makes failure injection exact and deterministic.
 
 #![warn(missing_docs)]
-// The one `unsafe` block in the workspace is the call into the CRC's
-// folding kernel (`frame::crc32_fold`), behind its CPU feature check.
-#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod container;
 pub mod error;

@@ -17,7 +17,7 @@
 //! Nothing reads those bytes but a crash and a scan, so the log frames a
 //! record only when one of them comes: until then it keeps the records
 //! appended since the image was last built as values (a `Put` shares its
-//! contents with the container) and counts the bytes they will take.
+//! contents with the container); a tear sizes them when it needs to.
 //! Encoding is canonical, so the image a crash builds is byte for byte
 //! the one framing every record at its append would have built.
 //!
@@ -134,8 +134,6 @@ pub struct Wal {
     /// The records appended since the image was last built, in order: the
     /// log's last `unframed.len()` records.
     unframed: Vec<Record>,
-    /// The bytes `unframed` will take in the image.
-    unframed_bytes: usize,
     /// Bytes framed into the image over the log's life.
     framed_bytes: u64,
     /// Lowest image byte damaged by fault injection since the last
@@ -151,7 +149,6 @@ impl Wal {
 
     /// Appends a record to the volatile tail.
     pub fn append(&mut self, r: Record) {
-        self.unframed_bytes += frame::encoded_len(&r);
         self.unframed.push(r);
     }
 
@@ -160,7 +157,6 @@ impl Wal {
         for r in self.unframed.drain(..n) {
             self.offsets.push(self.image.len());
             let len = frame::encode_into(&mut self.image, &r);
-            self.unframed_bytes -= len;
             self.framed_bytes += len as u64;
         }
     }
@@ -197,16 +193,14 @@ impl Wal {
             self.flip_durable_bit(draw);
         }
         let durable_bytes = self.frame_start(self.durable_len);
-        let volatile_bytes = self.image.len() - durable_bytes + self.unframed_bytes;
-        let keep = match tear {
-            Some(draw) if volatile_bytes > 0 => (draw as usize) % volatile_bytes,
-            _ => 0,
-        };
+        let keep = tear.map_or(0, |draw| {
+            let volatile_bytes = self.image.len() - durable_bytes + self.unframed_len();
+            (draw as usize).checked_rem(volatile_bytes).unwrap_or(0)
+        });
         if keep > 0 {
             self.frame(self.unframed.len());
         }
         self.unframed.clear();
-        self.unframed_bytes = 0;
         self.image.truncate(durable_bytes + keep);
         self.offsets.truncate(self.durable_len);
     }
@@ -276,7 +270,12 @@ impl Wal {
     /// Size of the framed byte image, damage included, with the records
     /// not framed yet counted at the size they will take.
     pub fn image_bytes(&self) -> usize {
-        self.image.len() + self.unframed_bytes
+        self.image.len() + self.unframed_len()
+    }
+
+    /// The bytes the records not framed yet will take in the image.
+    fn unframed_len(&self) -> usize {
+        self.unframed.iter().map(frame::encoded_len).sum()
     }
 
     /// Bytes framed and checksummed into the image over the log's life:
@@ -301,7 +300,6 @@ impl Wal {
         self.image = Vec::new();
         self.offsets = Vec::new();
         self.unframed.clear();
-        self.unframed_bytes = 0;
         self.durable_len = 0;
         self.corrupted_from = None;
     }
