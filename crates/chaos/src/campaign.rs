@@ -57,7 +57,7 @@ impl AddAssign<&Tally> for Coverage {
         let blocked = t.quorum_blocked + t.attempts_quorum_blocked();
         let derived = [
             ("quorum_block", blocked),
-            ("disk_fault", t.disk_faults()),
+            ("disk_fault", t.disk_faults),
             ("cross_suite_txn", t.cross_suite_txns),
         ];
         let counts = t.events.iter().map(|(&name, &n)| (name, n)).chain(derived);
@@ -71,8 +71,8 @@ impl Coverage {
     /// Trials in which `name` happened at least once: an event of that
     /// [`EventKind::name`](crate::schedule::EventKind::name) applied, or
     /// `quorum_block` (an attempt's inquiry timed out short of a quorum,
-    /// whether or not a retry got through), `disk_fault` (a disk fault of
-    /// any kind applied) or `cross_suite_txn`.
+    /// whether or not a retry got through), `disk_fault` (any fault but
+    /// a [`Fault::Net`](wv_core::Fault::Net) applied) or `cross_suite_txn`.
     pub fn trials_with(&self, name: &str) -> u64 {
         self.seen.get(name).copied().unwrap_or(0)
     }

@@ -15,8 +15,9 @@
 //! over [`wv_bench::runner::run_trials`], so the report is bit-identical
 //! at any worker count.
 
-use wv_core::OpKind;
-use wv_sim::{derive_seed, DetRng, SampleSet};
+use wv_core::{Fault, OpKind};
+use wv_net::{Fault as NetFault, SiteId};
+use wv_sim::{derive_seed, DetRng, SampleSet, SimDuration};
 
 use wv_bench::runner;
 use wv_bench::table::Table;
@@ -56,20 +57,14 @@ pub fn build_schedule(seed: u64, rate_permille: u32) -> Schedule {
 
     let mut t = READ_EVERY_MS;
     while t < HORIZON_MS {
-        events.push(FaultEvent {
-            at_ms: t,
-            kind: EventKind::Read { client: 0 },
-        });
+        events.push(FaultEvent::new(t, EventKind::Read { client: 0 }));
         t += READ_EVERY_MS;
     }
     let mut t = 100;
     let mut payload = 0;
     while t < HORIZON_MS {
         payload += 1;
-        events.push(FaultEvent {
-            at_ms: t,
-            kind: EventKind::Write { client: 0, payload },
-        });
+        events.push(FaultEvent::new(t, EventKind::Write { client: 0, payload }));
         t += WRITE_EVERY_MS;
     }
 
@@ -98,42 +93,29 @@ pub fn build_schedule(seed: u64, rate_permille: u32) -> Schedule {
         let w = ((slot - 100) / WRITE_EVERY_MS + 1) * WRITE_EVERY_MS + 100;
         let damage_at = w + 297 + tear_jitter;
         if fire && up_again[site] <= damage_at.min(at) {
+            let id = SiteId::from(site);
             match kind {
                 0 | 1 => {
                     let damage = if kind == 0 && !flip_armed {
                         flip_armed = true;
-                        EventKind::BitFlip { site }
+                        Fault::BitFlip(id)
                     } else {
-                        EventKind::TornWrite { site }
+                        Fault::TornWrite(id)
                     };
-                    events.push(FaultEvent {
-                        at_ms: damage_at,
-                        kind: damage,
-                    });
-                    events.push(FaultEvent {
-                        at_ms: damage_at,
-                        kind: EventKind::Crash { site },
-                    });
-                    events.push(FaultEvent {
-                        at_ms: damage_at + OUTAGE_MS,
-                        kind: EventKind::Recover { site },
-                    });
-                    up_again[site] = damage_at + OUTAGE_MS;
+                    let up = damage_at + OUTAGE_MS;
+                    events.push(FaultEvent::new(damage_at, damage));
+                    events.push(FaultEvent::new(damage_at, NetFault::Crash(id)));
+                    events.push(FaultEvent::new(up, NetFault::Recover(id)));
+                    up_again[site] = up;
                 }
-                2 => events.push(FaultEvent {
-                    at_ms: at,
-                    kind: EventKind::IoError {
-                        site,
-                        count: 1 + rng.below(3) as u32,
-                    },
-                }),
-                _ => events.push(FaultEvent {
-                    at_ms: at,
-                    kind: EventKind::DiskStall {
-                        site,
-                        ms: 200 + rng.below(800),
-                    },
-                }),
+                2 => {
+                    let n = 1 + rng.below(3) as u32;
+                    events.push(FaultEvent::new(at, Fault::IoErrors { site: id, n }));
+                }
+                _ => {
+                    let d = SimDuration::from_millis(200 + rng.below(800));
+                    events.push(FaultEvent::new(at, Fault::DiskStall { site: id, d }));
+                }
             }
         }
         slot += FAULT_SLOT_MS;
@@ -336,7 +318,7 @@ mod tests {
             let flips = s
                 .events
                 .iter()
-                .filter(|e| matches!(e.kind, EventKind::BitFlip { .. }))
+                .filter(|e| matches!(e.kind, EventKind::Fault(Fault::BitFlip(_))))
                 .count();
             assert!(flips <= 1, "seed {seed}: {flips} bit flips");
         }

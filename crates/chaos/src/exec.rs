@@ -17,7 +17,7 @@ use wv_core::harness::{HarnessBuilder, SiteSpec};
 use wv_core::server::ServerStats;
 use wv_core::{Fault, Harness, OpError, OpKind, QuorumSpec, VoteAssignment};
 use wv_net::sim_net::NetStats;
-use wv_net::{Fault as NetFault, Partition, SiteId};
+use wv_net::{Fault as NetFault, SiteId};
 use wv_sim::{SimDuration, SimTime};
 use wv_storage::{ObjectId, Version};
 
@@ -40,13 +40,13 @@ const RECOVERY_SLACK: SimDuration = SimDuration::from_secs(2);
 /// What can be wrong with the cluster, for [`TrialRun::fault_windows`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Trouble {
-    Down(usize),
+    Down(SiteId),
     Partition,
     Loss,
     Delay,
     Duplication,
     /// Injected disk trouble still pending, or the quarantine it caused.
-    Disk(usize),
+    Disk(SiteId),
 }
 
 /// The intervals during which some fault was active.
@@ -76,11 +76,26 @@ impl FaultWindows {
             self.close(fault, at);
         }
     }
-}
 
-/// The [`EventKind::name`]s of the disk faults: only an arm with disk
-/// faults on applies them.
-pub(crate) const DISK_FAULTS: [&str; 4] = ["torn_write", "bit_flip", "io_error", "disk_stall"];
+    /// Opens or closes the window `fault`, injected at `at`, starts or
+    /// ends. Armed disk damage and pending I/O errors are the servers' to
+    /// report (see `disk_trouble`).
+    fn note(&mut self, fault: &Fault, at: SimTime) {
+        match fault {
+            Fault::Net(NetFault::Crash(site)) => self.open(Trouble::Down(*site), at),
+            Fault::Net(NetFault::Recover(site)) => {
+                self.close(Trouble::Down(*site), at + RECOVERY_SLACK);
+            }
+            Fault::Net(NetFault::Partition(_)) => self.open(Trouble::Partition, at),
+            Fault::Net(NetFault::Heal) => self.close(Trouble::Partition, at),
+            Fault::Net(NetFault::DropAll(p)) => self.set(Trouble::Loss, *p > 0.0, at),
+            Fault::Net(NetFault::ExtraDelay(d)) => self.set(Trouble::Delay, !d.is_zero(), at),
+            Fault::Net(NetFault::Duplicate(p)) => self.set(Trouble::Duplication, *p > 0.0, at),
+            Fault::DiskStall { d, .. } => self.closed.push((at, at + *d)),
+            Fault::TornWrite(_) | Fault::BitFlip(_) | Fault::IoErrors { .. } => {}
+        }
+    }
+}
 
 /// What one trial did: the nodes' own counters, summed over the sites,
 /// and the counts only the executor knows. A campaign adds these up.
@@ -94,6 +109,8 @@ pub struct Tally {
     pub net: NetStats,
     /// Schedule events applied, by [`EventKind::name`].
     pub events: BTreeMap<&'static str, u64>,
+    /// Disk faults applied, of any kind: every fault but a [`Fault::Net`].
+    pub disk_faults: u64,
     /// Cross-suite transactions started (multi-suite clusters only;
     /// every fifth write tag becomes a two-suite atomic transaction).
     pub cross_suite_txns: u64,
@@ -113,11 +130,6 @@ impl Tally {
     /// Events named `name` applied.
     pub fn event(&self, name: &str) -> u64 {
         self.events.get(name).copied().unwrap_or(0)
-    }
-
-    /// Disk faults applied, of any kind.
-    pub fn disk_faults(&self) -> u64 {
-        DISK_FAULTS.iter().map(|name| self.event(name)).sum()
     }
 
     /// Operations reported, committed or not.
@@ -140,6 +152,7 @@ impl AddAssign<&Tally> for Tally {
         for (&name, &n) in &t.events {
             *self.events.entry(name).or_default() += n;
         }
+        self.disk_faults += t.disk_faults;
         self.cross_suite_txns += t.cross_suite_txns;
         self.ops_ok += t.ops_ok;
         self.ops_failed += t.ops_failed;
@@ -303,7 +316,6 @@ fn run_schedule_inner(
     let mut sent_payloads: HashSet<Vec<u8>> = HashSet::new();
     let clients = h.clients().to_vec();
     let suites = h.suite_ids().to_vec();
-    let total = spec.total_sites();
 
     // Deterministic executor-side routing over fields the schedule
     // already carries: a write lands in the suite its payload tag picks,
@@ -324,7 +336,7 @@ fn run_schedule_inner(
     // consumed by whatever next touches the disk, and a quarantine heals
     // when the last peer has been pulled from. Looked at between events.
     let disk_trouble = |h: &Harness, faults: &mut FaultWindows| {
-        for (site, node) in h.cluster().nodes.iter().enumerate().take(spec.servers) {
+        for (site, node) in SiteId::all(spec.servers).zip(&h.cluster().nodes) {
             let troubled = node
                 .as_server()
                 .is_some_and(|sv| sv.is_quarantined() || sv.container().disk_faults_armed());
@@ -342,16 +354,17 @@ fn run_schedule_inner(
         disk_trouble(&h, &mut faults);
         // Disk faults apply only on the faulty-disk arm; the clean arm
         // replays the identical timeline with them as no-ops.
-        let name = event.kind.name();
-        if DISK_FAULTS.contains(&name) && !spec.disk_faults {
+        let disk = matches!(&event.kind, EventKind::Fault(f) if !matches!(f, Fault::Net(_)));
+        if disk && !spec.disk_faults {
             continue;
         }
-        *tally.events.entry(name).or_default() += 1;
+        tally.disk_faults += u64::from(disk);
+        *tally.events.entry(event.kind.name()).or_default() += 1;
         match &event.kind {
             EventKind::Write { client, payload } => {
                 let bytes = payload_bytes(schedule.seed, *payload);
                 sent_payloads.insert(bytes.clone());
-                let c = clients[client % clients.len()];
+                let c = clients[*client];
                 let home = suites[*payload as usize % suites.len()];
                 if suites.len() > 1 && *payload % 5 == 0 {
                     // Cross-suite transaction: the home suite plus its
@@ -379,44 +392,7 @@ fn run_schedule_inner(
             EventKind::Read { client } => {
                 let s = suites[read_rr % suites.len()];
                 read_rr += 1;
-                h.enqueue_read(clients[client % clients.len()], s, at);
-            }
-            EventKind::Crash { site } => {
-                faults.open(Trouble::Down(*site), at);
-                h.inject(NetFault::Crash(SiteId(*site as u16)));
-            }
-            EventKind::Recover { site } => {
-                faults.close(Trouble::Down(*site), at + RECOVERY_SLACK);
-                h.inject(NetFault::Recover(SiteId(*site as u16)));
-            }
-            EventKind::Partition { group_a } => {
-                faults.open(Trouble::Partition, at);
-                let a: Vec<SiteId> = group_a
-                    .iter()
-                    .filter(|&&s| s < total)
-                    .map(|&s| SiteId(s as u16))
-                    .collect();
-                let b: Vec<SiteId> = (0..total)
-                    .filter(|s| !group_a.contains(s))
-                    .map(|s| SiteId(s as u16))
-                    .collect();
-                h.inject(NetFault::Partition(Partition::split(total, &[&a, &b])));
-            }
-            EventKind::Heal => {
-                faults.close(Trouble::Partition, at);
-                h.inject(NetFault::Heal);
-            }
-            EventKind::LossBurst { permille } => {
-                faults.set(Trouble::Loss, *permille > 0, at);
-                h.inject(NetFault::DropAll(f64::from(*permille) / 1000.0));
-            }
-            EventKind::DelaySpike { extra_ms } => {
-                faults.set(Trouble::Delay, *extra_ms > 0, at);
-                h.inject(NetFault::ExtraDelay(SimDuration::from_millis(*extra_ms)));
-            }
-            EventKind::Duplication { permille } => {
-                faults.set(Trouble::Duplication, *permille > 0, at);
-                h.inject(NetFault::Duplicate(f64::from(*permille) / 1000.0));
+                h.enqueue_read(clients[*client], s, at);
             }
             EventKind::Reconfigure {
                 client,
@@ -426,26 +402,16 @@ fn run_schedule_inner(
                 // Reconfigurations always target the first suite; the
                 // sibling suites keep their configs.
                 h.enqueue_reconfigure(
-                    clients[client % clients.len()],
+                    clients[*client],
                     suites[0],
                     VoteAssignment::equal(spec.servers),
                     QuorumSpec::new(*read_quorum, *write_quorum),
                     at,
                 );
             }
-            EventKind::TornWrite { site } => h.inject(Fault::TornWrite(SiteId(*site as u16))),
-            EventKind::BitFlip { site } => h.inject(Fault::BitFlip(SiteId(*site as u16))),
-            EventKind::IoError { site, count } => h.inject(Fault::IoErrors {
-                site: SiteId(*site as u16),
-                n: *count,
-            }),
-            EventKind::DiskStall { site, ms } => {
-                let stall = SimDuration::from_millis(*ms);
-                faults.closed.push((at, at + stall));
-                h.inject(Fault::DiskStall {
-                    site: SiteId(*site as u16),
-                    d: stall,
-                });
+            EventKind::Fault(fault) => {
+                faults.note(fault, at);
+                h.inject(fault.clone());
             }
         }
     }
@@ -463,9 +429,9 @@ fn run_schedule_inner(
     h.inject(NetFault::ExtraDelay(SimDuration::ZERO));
     h.inject(NetFault::Duplicate(0.0));
     h.inject(NetFault::Heal);
-    for site in 0..spec.servers {
-        if h.cluster().is_down(SiteId(site as u16)) {
-            h.inject(NetFault::Recover(SiteId(site as u16)));
+    for site in SiteId::all(spec.servers) {
+        if h.cluster().is_down(site) {
+            h.inject(NetFault::Recover(site));
         }
     }
     // A replica quarantined by interior corruption heals only once the
@@ -535,9 +501,8 @@ fn run_schedule_inner(
     let suite_replicas: Vec<Vec<FinalState>> = suites
         .iter()
         .map(|&su| {
-            (0..spec.servers)
-                .map(|s| {
-                    let site = SiteId(s as u16);
+            SiteId::all(spec.servers)
+                .map(|site| {
                     h.version_at(site, su).map(|v| {
                         (
                             v,
@@ -617,17 +582,14 @@ mod tests {
         let schedule = Schedule {
             seed: 5,
             events: vec![
-                FaultEvent {
-                    at_ms: 100,
-                    kind: EventKind::Write {
+                FaultEvent::new(
+                    100,
+                    EventKind::Write {
                         client: 0,
                         payload: 1,
                     },
-                },
-                FaultEvent {
-                    at_ms: 2_000,
-                    kind: EventKind::Read { client: 0 },
-                },
+                ),
+                FaultEvent::new(2_000, EventKind::Read { client: 0 }),
             ],
         };
         let run = run_schedule(&spec, &schedule);
@@ -650,39 +612,30 @@ mod tests {
         let schedule = Schedule {
             seed: 21,
             events: vec![
-                FaultEvent {
-                    at_ms: 100,
-                    kind: EventKind::Write {
+                FaultEvent::new(
+                    100,
+                    EventKind::Write {
                         client: 0,
                         payload: 1,
                     },
-                },
-                FaultEvent {
-                    at_ms: 1_000,
-                    kind: EventKind::Crash { site: 2 },
-                },
-                FaultEvent {
-                    at_ms: 2_000,
-                    kind: EventKind::Write {
+                ),
+                FaultEvent::new(1_000, NetFault::Crash(SiteId(2))),
+                FaultEvent::new(
+                    2_000,
+                    EventKind::Write {
                         client: 0,
                         payload: 2,
                     },
-                },
-                FaultEvent {
-                    at_ms: 3_000,
-                    kind: EventKind::Write {
+                ),
+                FaultEvent::new(
+                    3_000,
+                    EventKind::Write {
                         client: 0,
                         payload: 3,
                     },
-                },
-                FaultEvent {
-                    at_ms: 4_000,
-                    kind: EventKind::Recover { site: 2 },
-                },
-                FaultEvent {
-                    at_ms: 20_000,
-                    kind: EventKind::Read { client: 0 },
-                },
+                ),
+                FaultEvent::new(4_000, NetFault::Recover(SiteId(2))),
+                FaultEvent::new(20_000, EventKind::Read { client: 0 }),
             ],
         };
         let run = run_schedule(&spec, &schedule);
@@ -773,9 +726,9 @@ mod tests {
             let schedule = generate(&clean, seed);
             let a = run_schedule(&clean, &schedule);
             let b = run_schedule(&faulty, &schedule);
-            assert_eq!(a.tally.disk_faults(), 0, "clean arm never injects");
+            assert_eq!(a.tally.disk_faults, 0, "clean arm never injects");
             assert_eq!(a.tally.server.quarantines, 0);
-            injected |= b.tally.disk_faults() > 0;
+            injected |= b.tally.disk_faults > 0;
             assert_eq!(
                 b.tally.server.poison_escapes, 0,
                 "seed {seed}: CRC collision"
@@ -805,36 +758,24 @@ mod tests {
         let schedule = Schedule {
             seed: 31,
             events: vec![
-                FaultEvent {
-                    at_ms: 100,
-                    kind: EventKind::Write {
+                FaultEvent::new(
+                    100,
+                    EventKind::Write {
                         client: 0,
                         payload: 1,
                     },
-                },
-                FaultEvent {
-                    at_ms: 800,
-                    kind: EventKind::Write {
+                ),
+                FaultEvent::new(
+                    800,
+                    EventKind::Write {
                         client: 0,
                         payload: 2,
                     },
-                },
-                FaultEvent {
-                    at_ms: 2_000,
-                    kind: EventKind::BitFlip { site: 2 },
-                },
-                FaultEvent {
-                    at_ms: 2_000,
-                    kind: EventKind::Crash { site: 2 },
-                },
-                FaultEvent {
-                    at_ms: 3_000,
-                    kind: EventKind::Recover { site: 2 },
-                },
-                FaultEvent {
-                    at_ms: 20_000,
-                    kind: EventKind::Read { client: 0 },
-                },
+                ),
+                FaultEvent::new(2_000, Fault::BitFlip(SiteId(2))),
+                FaultEvent::new(2_000, NetFault::Crash(SiteId(2))),
+                FaultEvent::new(3_000, NetFault::Recover(SiteId(2))),
+                FaultEvent::new(20_000, EventKind::Read { client: 0 }),
             ],
         };
         let run = run_schedule(&spec, &schedule);
@@ -867,29 +808,17 @@ mod tests {
         let schedule = Schedule {
             seed: 12,
             events: vec![
-                FaultEvent {
-                    at_ms: 100,
-                    kind: EventKind::Write {
+                FaultEvent::new(
+                    100,
+                    EventKind::Write {
                         client: 0,
                         payload: 1,
                     },
-                },
-                FaultEvent {
-                    at_ms: 900,
-                    kind: EventKind::TornWrite { site: 1 },
-                },
-                FaultEvent {
-                    at_ms: 900,
-                    kind: EventKind::Crash { site: 1 },
-                },
-                FaultEvent {
-                    at_ms: 2_000,
-                    kind: EventKind::Recover { site: 1 },
-                },
-                FaultEvent {
-                    at_ms: 10_000,
-                    kind: EventKind::Read { client: 0 },
-                },
+                ),
+                FaultEvent::new(900, Fault::TornWrite(SiteId(1))),
+                FaultEvent::new(900, NetFault::Crash(SiteId(1))),
+                FaultEvent::new(2_000, NetFault::Recover(SiteId(1))),
+                FaultEvent::new(10_000, EventKind::Read { client: 0 }),
             ],
         };
         let run = run_schedule(&spec, &schedule);
@@ -946,31 +875,19 @@ mod tests {
         let schedule = Schedule {
             seed: 9,
             events: vec![
-                FaultEvent {
-                    at_ms: 10,
-                    kind: EventKind::Crash { site: 0 },
-                },
-                FaultEvent {
-                    at_ms: 20,
-                    kind: EventKind::Crash { site: 1 },
-                },
-                FaultEvent {
-                    at_ms: 100,
-                    kind: EventKind::Write {
+                FaultEvent::new(10, NetFault::Crash(SiteId(0))),
+                FaultEvent::new(20, NetFault::Crash(SiteId(1))),
+                FaultEvent::new(
+                    100,
+                    EventKind::Write {
                         client: 0,
                         payload: 1,
                     },
-                },
+                ),
                 // Recover one site late so the write's retries can land
                 // before the quiesce phase revives everyone.
-                FaultEvent {
-                    at_ms: 40_000,
-                    kind: EventKind::Recover { site: 0 },
-                },
-                FaultEvent {
-                    at_ms: 40_100,
-                    kind: EventKind::Recover { site: 1 },
-                },
+                FaultEvent::new(40_000, NetFault::Recover(SiteId(0))),
+                FaultEvent::new(40_100, NetFault::Recover(SiteId(1))),
             ],
         };
         let run = run_schedule(&spec, &schedule);

@@ -3,9 +3,8 @@
 //! Five pieces, layered:
 //!
 //! * [`schedule`] — a fault-schedule DSL: seeded, sorted timelines of
-//!   operations, crashes, partitions, link-loss bursts, delay spikes,
-//!   duplication windows, and reconfigurations, serialisable to a replay
-//!   artifact.
+//!   operations, reconfigurations and the harness's own
+//!   [`wv_core::Fault`]s, serialisable to a replay artifact.
 //! * [`exec`] — replays a schedule against a simulated cluster and
 //!   collects the evidence (operation log, final reads, replica states,
 //!   and a tally of the nodes' own counters).

@@ -45,6 +45,8 @@
 //! worker count produces identical bytes.
 
 use wv_bench::table::Table;
+use wv_core::Fault;
+use wv_net::{Fault as NetFault, SiteId};
 
 use crate::campaign::{
     run_campaign, trial_schedule, CampaignConfig, CampaignReport, Coverage, TrialFailure,
@@ -52,7 +54,7 @@ use crate::campaign::{
 use crate::exec::run_schedule_instrumented;
 use crate::experiments::Report;
 use crate::oracle::{check_trial, QUIET_ATTEMPTS};
-use crate::schedule::{ClusterSpec, EventKind, Schedule};
+use crate::schedule::{permille, ClusterSpec, EventKind, Schedule};
 use crate::shrink::shrink;
 
 /// Trials per healthy arm in the committed report.
@@ -65,51 +67,49 @@ pub const BROKEN_SEED: u64 = 0xBAD;
 pub const BROKEN_TRIALS: usize = 64;
 
 fn describe_event(e: &EventKind) -> String {
-    match e {
+    let fault = match e {
         EventKind::Write { client, payload } => {
-            format!("client {client} writes payload #{payload}")
+            return format!("client {client} writes payload #{payload}")
         }
-        EventKind::Read { client } => format!("client {client} reads"),
-        EventKind::Crash { site } => format!("server {site} crashes"),
-        EventKind::Recover { site } => format!("server {site} recovers"),
-        EventKind::Partition { group_a } => format!("partition: {group_a:?} vs the rest"),
-        EventKind::Heal => "all partitions heal".to_string(),
-        EventKind::LossBurst { permille } => {
-            if *permille == 0 {
-                "loss burst ends".to_string()
-            } else {
-                format!("loss burst: {}% per link", *permille as f64 / 10.0)
-            }
-        }
-        EventKind::DelaySpike { extra_ms } => {
-            if *extra_ms == 0 {
-                "delay spike ends".to_string()
-            } else {
-                format!("delay spike: +{extra_ms} ms per hop")
-            }
-        }
-        EventKind::Duplication { permille } => {
-            if *permille == 0 {
-                "duplication ends".to_string()
-            } else {
-                format!("duplication: {}% of deliveries", *permille as f64 / 10.0)
-            }
-        }
+        EventKind::Read { client } => return format!("client {client} reads"),
         EventKind::Reconfigure {
             client,
             read_quorum,
             write_quorum,
-        } => format!("client {client} reconfigures to r={read_quorum}, w={write_quorum}"),
-        EventKind::TornWrite { site } => {
-            format!("server {site}'s next crash tears the unsynced WAL tail")
+        } => return format!("client {client} reconfigures to r={read_quorum}, w={write_quorum}"),
+        EventKind::Fault(fault) => fault,
+    };
+    let percent = |p: &f64| permille(*p) as f64 / 10.0;
+    match fault {
+        Fault::Net(NetFault::Crash(s)) => format!("server {} crashes", s.index()),
+        Fault::Net(NetFault::Recover(s)) => format!("server {} recovers", s.index()),
+        Fault::Net(NetFault::Partition(p)) => {
+            let group_a: Vec<usize> = p.group(0).map(SiteId::index).collect();
+            format!("partition: {group_a:?} vs the rest")
         }
-        EventKind::BitFlip { site } => {
-            format!("server {site}'s next crash flips a durable WAL bit")
+        Fault::Net(NetFault::Heal) => "all partitions heal".to_string(),
+        Fault::Net(NetFault::DropAll(p)) if *p == 0.0 => "loss burst ends".to_string(),
+        Fault::Net(NetFault::DropAll(p)) => format!("loss burst: {}% per link", percent(p)),
+        Fault::Net(NetFault::ExtraDelay(d)) if d.is_zero() => "delay spike ends".to_string(),
+        Fault::Net(NetFault::ExtraDelay(d)) => {
+            format!("delay spike: +{} ms per hop", d.as_millis())
         }
-        EventKind::IoError { site, count } => {
-            format!("server {site}'s next {count} WAL begin(s) fail with I/O errors")
-        }
-        EventKind::DiskStall { site, ms } => format!("server {site}'s disk stalls for {ms} ms"),
+        Fault::Net(NetFault::Duplicate(p)) if *p == 0.0 => "duplication ends".to_string(),
+        Fault::Net(NetFault::Duplicate(p)) => format!("duplication: {}% of deliveries", percent(p)),
+        Fault::TornWrite(s) => format!(
+            "server {}'s next crash tears the unsynced WAL tail",
+            s.index()
+        ),
+        Fault::BitFlip(s) => format!("server {}'s next crash flips a durable WAL bit", s.index()),
+        Fault::IoErrors { site, n } => format!(
+            "server {}'s next {n} WAL begin(s) fail with I/O errors",
+            site.index()
+        ),
+        Fault::DiskStall { site, d } => format!(
+            "server {}'s disk stalls for {} ms",
+            site.index(),
+            d.as_millis()
+        ),
     }
 }
 

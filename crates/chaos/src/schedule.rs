@@ -1,21 +1,23 @@
 //! The fault-schedule DSL: seeded timelines of operations and faults.
 //!
 //! A [`Schedule`] is a sorted list of [`FaultEvent`]s — client operations,
-//! crashes and recoveries, partitions and heals, link-loss bursts, delay
-//! spikes, duplication windows, disk faults (torn writes, bit flips, I/O
-//! errors, sync stalls), and mid-run reconfigurations — drawn by a pure
-//! function of `(cluster spec, seed)`. The executor in [`crate::exec`]
-//! replays a schedule against a live harness; because both generation and
-//! execution are deterministic, any seed replays its exact failure, and
-//! the shrinker can carve events out of a schedule and re-run the
-//! remainder.
+//! mid-run reconfigurations, and the harness's own [`Fault`]s: crashes
+//! and recoveries, partitions and heals, link-loss bursts, delay spikes,
+//! duplication windows, and disk faults (torn writes, bit flips, I/O
+//! errors, sync stalls) — drawn by a pure function of `(cluster spec,
+//! seed)`. The executor in [`crate::exec`] replays a schedule against a
+//! live harness, injecting each fault as it stands; because both
+//! generation and execution are deterministic, any seed replays its exact
+//! failure, and the shrinker can carve events out of a schedule and re-run
+//! the remainder.
 //!
 //! Schedules serialise to a small JSON artifact (see [`Schedule::to_json`])
 //! so a shrunk reproducer survives outside the process that found it.
 
-use std::collections::BTreeMap;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet};
 
+use wv_core::Fault;
+use wv_net::{Fault as NetFault, Partition, SiteId};
 use wv_sim::{DetRng, FailureSchedule, SimDuration, SimTime};
 
 use crate::json::{self, Value};
@@ -159,7 +161,7 @@ impl ClusterSpec {
 }
 
 /// One timed entry in a chaos schedule.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultEvent {
     /// When the event applies (virtual milliseconds from trial start).
     pub at_ms: u64,
@@ -167,8 +169,18 @@ pub struct FaultEvent {
     pub kind: EventKind,
 }
 
-/// What a [`FaultEvent`] does.
-#[derive(Clone, Debug, PartialEq, Eq)]
+impl FaultEvent {
+    /// `kind` at `at_ms`.
+    pub fn new(at_ms: u64, kind: impl Into<EventKind>) -> Self {
+        FaultEvent {
+            at_ms,
+            kind: kind.into(),
+        }
+    }
+}
+
+/// What a [`FaultEvent`] does: a client operation, or a fault.
+#[derive(Clone, Debug, PartialEq)]
 pub enum EventKind {
     /// Client `client` starts a write; `payload` tags the bytes written so
     /// the oracle can trace read values back to writes even after the
@@ -184,42 +196,6 @@ pub enum EventKind {
         /// Client index.
         client: usize,
     },
-    /// Server `site` crashes (volatile state lost).
-    Crash {
-        /// Server index.
-        site: usize,
-    },
-    /// Server `site` recovers.
-    Recover {
-        /// Server index.
-        site: usize,
-    },
-    /// The network splits: `group_a` (site indices over servers *and*
-    /// clients) on one side, everyone else on the other.
-    Partition {
-        /// Sites in the first group.
-        group_a: Vec<usize>,
-    },
-    /// All partitions heal.
-    Heal,
-    /// Every cross-site link starts dropping messages with probability
-    /// `permille / 1000` (0 closes the burst).
-    LossBurst {
-        /// Loss probability in thousandths.
-        permille: u32,
-    },
-    /// Every cross-site message pays `extra_ms` on top of its sampled
-    /// latency (0 clears the spike).
-    DelaySpike {
-        /// Extra one-way delay in milliseconds.
-        extra_ms: u64,
-    },
-    /// Delivered messages are duplicated with probability `permille /
-    /// 1000` (0 ends the window).
-    Duplication {
-        /// Duplication probability in thousandths.
-        permille: u32,
-    },
     /// Client `client` starts an online reconfiguration to the given
     /// quorum sizes (votes stay one-per-server).
     Reconfigure {
@@ -230,38 +206,23 @@ pub enum EventKind {
         /// New write quorum.
         write_quorum: u32,
     },
-    /// Arm a torn write on server `site`'s disk: its next crash persists
-    /// only a prefix of the unsynced WAL tail. The generator emits this
-    /// at the same instant as (and just before) a crash of the site.
-    TornWrite {
-        /// Server index.
-        site: usize,
-    },
-    /// Arm a bit flip on server `site`'s disk: its next crash corrupts
-    /// one durable WAL byte, so recovery detects interior corruption and
-    /// quarantines the replica. At most one per schedule — quarantine
-    /// surrenders the replica's votes, and vote-safety reasoning assumes
-    /// a single simultaneously-degraded disk.
-    BitFlip {
-        /// Server index.
-        site: usize,
-    },
-    /// Server `site`'s next `count` transaction begins fail with a
-    /// transient I/O error (prepares refuse, locks release).
-    IoError {
-        /// Server index.
-        site: usize,
-        /// How many begins fail.
-        count: u32,
-    },
-    /// Server `site`'s disk stalls for `ms`: prepares refuse until the
-    /// deadline passes (reads keep serving).
-    DiskStall {
-        /// Server index.
-        site: usize,
-        /// Stall length in milliseconds.
-        ms: u64,
-    },
+    /// A fault the executor hands to
+    /// [`Harness::inject`](wv_core::Harness::inject). A disk fault
+    /// (anything but [`Fault::Net`]) applies only under
+    /// [`ClusterSpec::disk_faults`].
+    Fault(Fault),
+}
+
+impl From<Fault> for EventKind {
+    fn from(fault: Fault) -> Self {
+        EventKind::Fault(fault)
+    }
+}
+
+impl From<NetFault> for EventKind {
+    fn from(fault: NetFault) -> Self {
+        EventKind::Fault(Fault::Net(fault))
+    }
 }
 
 impl EventKind {
@@ -271,30 +232,53 @@ impl EventKind {
         match self {
             EventKind::Write { .. } => "write",
             EventKind::Read { .. } => "read",
-            EventKind::Crash { .. } => "crash",
-            EventKind::Recover { .. } => "recover",
-            EventKind::Partition { .. } => "partition",
-            EventKind::Heal => "heal",
-            EventKind::LossBurst { .. } => "loss_burst",
-            EventKind::DelaySpike { .. } => "delay_spike",
-            EventKind::Duplication { .. } => "duplication",
             EventKind::Reconfigure { .. } => "reconfigure",
-            EventKind::TornWrite { .. } => "torn_write",
-            EventKind::BitFlip { .. } => "bit_flip",
-            EventKind::IoError { .. } => "io_error",
-            EventKind::DiskStall { .. } => "disk_stall",
+            EventKind::Fault(Fault::Net(fault)) => match fault {
+                NetFault::Crash(_) => "crash",
+                NetFault::Recover(_) => "recover",
+                NetFault::Partition(_) => "partition",
+                NetFault::Heal => "heal",
+                NetFault::DropAll(_) => "loss_burst",
+                NetFault::ExtraDelay(_) => "delay_spike",
+                NetFault::Duplicate(_) => "duplication",
+            },
+            EventKind::Fault(Fault::TornWrite(_)) => "torn_write",
+            EventKind::Fault(Fault::BitFlip(_)) => "bit_flip",
+            EventKind::Fault(Fault::IoErrors { .. }) => "io_error",
+            EventKind::Fault(Fault::DiskStall { .. }) => "disk_stall",
         }
     }
 }
 
 /// A complete fault schedule: the trial seed (which also drives the
 /// harness) plus the timed events.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Schedule {
     /// Seed for the harness and all execution randomness.
     pub seed: u64,
     /// Events in non-decreasing `at_ms` order.
     pub events: Vec<FaultEvent>,
+}
+
+/// A probability given in thousandths, as the generator draws it and the
+/// artifact writes it.
+fn from_permille(permille: u32) -> f64 {
+    f64::from(permille) / 1000.0
+}
+
+/// The thousandths of a probability built by [`from_permille`].
+pub(crate) fn permille(p: f64) -> u64 {
+    (p * 1000.0).round() as u64
+}
+
+/// The only partition the generator draws: `group_a` as group 0, every
+/// other site of the `total` as group 1. The artifact writes it as
+/// `group_a`.
+fn two_groups(total: usize, group_a: &[SiteId]) -> Partition {
+    let rest: Vec<SiteId> = SiteId::all(total)
+        .filter(|s| !group_a.contains(s))
+        .collect();
+    Partition::split(total, &[group_a, &rest])
 }
 
 /// Draws a schedule: a pure function of `(spec, seed)`.
@@ -318,14 +302,14 @@ pub fn generate(spec: &ClusterSpec, seed: u64) -> Schedule {
     let mut events: Vec<FaultEvent> = Vec::with_capacity(STEPS + 8);
     let mut t_ms = 0u64;
     let mut payload = 0u64;
-    let mut down: HashSet<usize> = HashSet::new();
+    let mut down: BTreeSet<SiteId> = BTreeSet::new();
     let mut flip_armed = false;
     let total = spec.total_sites();
 
     for _ in 0..STEPS {
         t_ms += 1 + rng.below(MAX_GAP_MS);
         let draw = rng.below(100);
-        let kind = match draw {
+        let kind: EventKind = match draw {
             // Operations dominate the schedule.
             0..=49 => {
                 let client = rng.below(spec.clients.max(1) as u64) as usize;
@@ -337,7 +321,9 @@ pub fn generate(spec: &ClusterSpec, seed: u64) -> Schedule {
                 }
             }
             50..=61 => {
-                let up: Vec<usize> = (0..spec.servers).filter(|s| !down.contains(s)).collect();
+                let up: Vec<SiteId> = SiteId::all(spec.servers)
+                    .filter(|s| !down.contains(s))
+                    .collect();
                 match rng.choose(&up) {
                     Some(&site) => {
                         down.insert(site);
@@ -348,85 +334,61 @@ pub fn generate(spec: &ClusterSpec, seed: u64) -> Schedule {
                         let tear = rng.chance(0.35);
                         if flip && !flip_armed {
                             flip_armed = true;
-                            events.push(FaultEvent {
-                                at_ms: t_ms,
-                                kind: EventKind::BitFlip { site },
-                            });
+                            events.push(FaultEvent::new(t_ms, Fault::BitFlip(site)));
                         } else if tear {
-                            events.push(FaultEvent {
-                                at_ms: t_ms,
-                                kind: EventKind::TornWrite { site },
-                            });
+                            events.push(FaultEvent::new(t_ms, Fault::TornWrite(site)));
                         }
-                        EventKind::Crash { site }
+                        NetFault::Crash(site).into()
                     }
-                    None => EventKind::Heal,
+                    None => NetFault::Heal.into(),
                 }
             }
             62..=71 => {
-                let candidates: Vec<usize> = {
-                    let mut v: Vec<usize> = down.iter().copied().collect();
-                    v.sort_unstable();
-                    v
-                };
+                let candidates: Vec<SiteId> = down.iter().copied().collect();
                 match rng.choose(&candidates) {
                     Some(&site) => {
                         down.remove(&site);
-                        EventKind::Recover { site }
+                        NetFault::Recover(site).into()
                     }
-                    None => EventKind::Heal,
+                    None => NetFault::Heal.into(),
                 }
             }
             72..=79 => {
-                let group_a: Vec<usize> = (0..total).filter(|_| rng.chance(0.5)).collect();
-                EventKind::Partition { group_a }
+                let group_a: Vec<SiteId> = SiteId::all(total).filter(|_| rng.chance(0.5)).collect();
+                NetFault::Partition(two_groups(total, &group_a)).into()
             }
-            80..=85 => EventKind::Heal,
+            80..=85 => NetFault::Heal.into(),
             86..=93 => {
                 // A network dial: open a burst now and schedule its end.
                 let end_ms = t_ms + 300 + rng.below(2_500);
-                match rng.below(3) {
-                    0 => {
-                        let permille = 50 + rng.below(250) as u32;
-                        events.push(FaultEvent {
-                            at_ms: end_ms,
-                            kind: EventKind::LossBurst { permille: 0 },
-                        });
-                        EventKind::LossBurst { permille }
-                    }
-                    1 => {
-                        let extra_ms = 100 + rng.below(400);
-                        events.push(FaultEvent {
-                            at_ms: end_ms,
-                            kind: EventKind::DelaySpike { extra_ms: 0 },
-                        });
-                        EventKind::DelaySpike { extra_ms }
-                    }
-                    _ => {
-                        let permille = 100 + rng.below(400) as u32;
-                        events.push(FaultEvent {
-                            at_ms: end_ms,
-                            kind: EventKind::Duplication { permille: 0 },
-                        });
-                        EventKind::Duplication { permille }
-                    }
-                }
+                let (open, close) = match rng.below(3) {
+                    0 => (
+                        NetFault::DropAll(from_permille(50 + rng.below(250) as u32)),
+                        NetFault::DropAll(0.0),
+                    ),
+                    1 => (
+                        NetFault::ExtraDelay(SimDuration::from_millis(100 + rng.below(400))),
+                        NetFault::ExtraDelay(SimDuration::ZERO),
+                    ),
+                    _ => (
+                        NetFault::Duplicate(from_permille(100 + rng.below(400) as u32)),
+                        NetFault::Duplicate(0.0),
+                    ),
+                };
+                events.push(FaultEvent::new(end_ms, close));
+                open.into()
             }
             94..=96 => {
                 // Transient disk trouble on a live server: a short run of
                 // failed begins or a sync stall. Neither damages durable
                 // bytes, so neither needs a crash to materialise.
-                let site = rng.below(spec.servers as u64) as usize;
+                let site = SiteId::from(rng.below(spec.servers as u64) as usize);
                 if rng.chance(0.5) {
-                    EventKind::IoError {
-                        site,
-                        count: 1 + rng.below(3) as u32,
-                    }
+                    let n = 1 + rng.below(3) as u32;
+                    Fault::IoErrors { site, n }.into()
                 } else {
-                    EventKind::DiskStall {
-                        site,
-                        ms: 200 + rng.below(1_800),
-                    }
+                    let d = SimDuration::from_millis(200 + rng.below(1_800));
+                    Fault::DiskStall { site, d }.into()
                 }
             }
             _ => {
@@ -465,16 +427,11 @@ pub fn generate(spec: &ClusterSpec, seed: u64) -> Schedule {
             SimTime::from_millis(horizon_ms),
             &mut overlay_rng,
         );
-        for site in 0..spec.servers {
-            for w in schedule.windows(site) {
-                events.push(FaultEvent {
-                    at_ms: w.from.as_micros() / 1_000,
-                    kind: EventKind::Crash { site },
-                });
-                events.push(FaultEvent {
-                    at_ms: w.until.as_micros() / 1_000,
-                    kind: EventKind::Recover { site },
-                });
+        for site in SiteId::all(spec.servers) {
+            for w in schedule.windows(site.index()) {
+                let (from, until) = (w.from.as_micros(), w.until.as_micros());
+                events.push(FaultEvent::new(from / 1_000, NetFault::Crash(site)));
+                events.push(FaultEvent::new(until / 1_000, NetFault::Recover(site)));
             }
         }
     }
@@ -487,7 +444,10 @@ pub fn generate(spec: &ClusterSpec, seed: u64) -> Schedule {
 impl Schedule {
     /// Serialises the schedule plus its cluster spec into a self-contained
     /// replay artifact (schema `wv-chaos-repro/1`). Deterministic: the
-    /// same schedule always produces the same bytes.
+    /// same schedule always produces the same bytes. A partition is
+    /// written as its group 0 (`group_a`), a probability in whole
+    /// thousandths and a duration in whole milliseconds: the generator
+    /// draws nothing finer.
     pub fn to_json(&self, spec: &ClusterSpec) -> String {
         let mut root = BTreeMap::new();
         root.insert(
@@ -524,9 +484,12 @@ impl Schedule {
     }
 
     /// Parses a replay artifact produced by [`Schedule::to_json`]; `None`
-    /// for one the executor cannot run: no servers or no clients, a
-    /// server event naming a site that is not a server, or a partition
-    /// whose first group names a site twice.
+    /// for one the executor cannot run: an integer too large for the
+    /// field it fills, no servers or no clients, more sites than a
+    /// [`SiteId`] numbers, an operation naming no client, a server event
+    /// naming a site that is not a server, a partition whose first group
+    /// names a site twice or one outside the cluster, or a probability
+    /// above 1000‰.
     pub fn from_json(text: &str) -> Option<(ClusterSpec, Schedule)> {
         let root = json::parse(text)?;
         if root.get("schema")?.as_str()? != "wv-chaos-repro/1" {
@@ -534,165 +497,158 @@ impl Schedule {
         }
         let seed = root.get("seed")?.as_int()?;
         let cluster = root.get("cluster")?;
+        let flag = |key: &str| cluster.get(key)?.as_bool();
         let spec = ClusterSpec {
-            servers: cluster.get("servers")?.as_int()? as usize,
-            clients: cluster.get("clients")?.as_int()? as usize,
-            read_quorum: cluster.get("read_quorum")?.as_int()? as u32,
-            write_quorum: cluster.get("write_quorum")?.as_int()? as u32,
-            unchecked_quorums: cluster.get("unchecked_quorums")?.as_bool()?,
-            repair: cluster.get("repair")?.as_bool()?,
-            group_commit: cluster.get("group_commit")?.as_bool()?,
-            cache_tier: cluster.get("cache_tier")?.as_bool()?,
-            disk_faults: cluster.get("disk_faults")?.as_bool()?,
-            suites: (cluster.get("suites")?.as_int()? as usize).max(1),
+            servers: int(cluster, "servers")?,
+            clients: int(cluster, "clients")?,
+            read_quorum: int(cluster, "read_quorum")?,
+            write_quorum: int(cluster, "write_quorum")?,
+            unchecked_quorums: flag("unchecked_quorums")?,
+            repair: flag("repair")?,
+            group_commit: flag("group_commit")?,
+            cache_tier: flag("cache_tier")?,
+            disk_faults: flag("disk_faults")?,
+            suites: int::<usize>(cluster, "suites")?.max(1),
         };
-        if spec.servers == 0 || spec.clients == 0 {
+        let sites = spec.servers.checked_add(spec.clients)?;
+        if spec.servers == 0 || spec.clients == 0 || u16::try_from(sites).is_err() {
             return None;
         }
-        let mut events = Vec::new();
-        for ev in root.get("events")?.as_array()? {
-            let event = event_from_value(ev)?;
-            if !runs_on(&event.kind, &spec) {
-                return None;
-            }
-            events.push(event);
-        }
+        let events = root.get("events")?.as_array()?.iter();
+        let events = events
+            .map(|ev| event_from_value(ev, &spec))
+            .collect::<Option<_>>()?;
         Some((spec, Schedule { seed, events }))
     }
 }
 
-/// Whether the executor can apply `kind` on `spec`'s cluster.
-fn runs_on(kind: &EventKind, spec: &ClusterSpec) -> bool {
-    match kind {
-        EventKind::Crash { site }
-        | EventKind::Recover { site }
-        | EventKind::TornWrite { site }
-        | EventKind::BitFlip { site }
-        | EventKind::IoError { site, .. }
-        | EventKind::DiskStall { site, .. } => *site < spec.servers,
-        EventKind::Partition { group_a } => {
-            let mut sites = group_a.clone();
-            sites.sort_unstable();
-            sites.windows(2).all(|w| w[0] != w[1])
-        }
-        _ => true,
-    }
+/// `v[key]` in the integer type it fills; `None` when it is missing or
+/// does not fit.
+fn int<T: TryFrom<u64>>(v: &Value, key: &str) -> Option<T> {
+    T::try_from(v.get(key)?.as_int()?).ok()
 }
 
 fn event_to_value(e: &FaultEvent) -> Value {
-    let mut map = BTreeMap::new();
-    map.insert("at_ms".to_string(), Value::Int(e.at_ms));
-    map.insert("kind".to_string(), Value::Str(e.kind.name().to_string()));
+    let site = |s: &SiteId| Value::Int(u64::from(s.0));
+    let mut fields = vec![
+        ("at_ms", Value::Int(e.at_ms)),
+        ("kind", Value::Str(e.kind.name().to_string())),
+    ];
     match &e.kind {
-        EventKind::Write { client, payload } => {
-            map.insert("client".to_string(), Value::Int(*client as u64));
-            map.insert("payload".to_string(), Value::Int(*payload));
-        }
-        EventKind::Read { client } => {
-            map.insert("client".to_string(), Value::Int(*client as u64));
-        }
-        EventKind::Crash { site }
-        | EventKind::Recover { site }
-        | EventKind::TornWrite { site }
-        | EventKind::BitFlip { site } => {
-            map.insert("site".to_string(), Value::Int(*site as u64));
-        }
-        EventKind::Partition { group_a } => {
-            map.insert(
-                "group_a".to_string(),
-                Value::Array(group_a.iter().map(|&s| Value::Int(s as u64)).collect()),
-            );
-        }
-        EventKind::Heal => {}
-        EventKind::LossBurst { permille } | EventKind::Duplication { permille } => {
-            map.insert("permille".to_string(), Value::Int(u64::from(*permille)));
-        }
-        EventKind::DelaySpike { extra_ms } => {
-            map.insert("extra_ms".to_string(), Value::Int(*extra_ms));
-        }
+        EventKind::Write { client, payload } => fields.extend([
+            ("client", Value::Int(*client as u64)),
+            ("payload", Value::Int(*payload)),
+        ]),
+        EventKind::Read { client } => fields.push(("client", Value::Int(*client as u64))),
         EventKind::Reconfigure {
             client,
             read_quorum,
             write_quorum,
-        } => {
-            map.insert("client".to_string(), Value::Int(*client as u64));
-            map.insert(
-                "read_quorum".to_string(),
-                Value::Int(u64::from(*read_quorum)),
-            );
-            map.insert(
-                "write_quorum".to_string(),
-                Value::Int(u64::from(*write_quorum)),
-            );
-        }
-        EventKind::IoError { site, count } => {
-            map.insert("site".to_string(), Value::Int(*site as u64));
-            map.insert("count".to_string(), Value::Int(u64::from(*count)));
-        }
-        EventKind::DiskStall { site, ms } => {
-            map.insert("site".to_string(), Value::Int(*site as u64));
-            map.insert("ms".to_string(), Value::Int(*ms));
-        }
+        } => fields.extend([
+            ("client", Value::Int(*client as u64)),
+            ("read_quorum", Value::Int(u64::from(*read_quorum))),
+            ("write_quorum", Value::Int(u64::from(*write_quorum))),
+        ]),
+        EventKind::Fault(fault) => match fault {
+            Fault::Net(NetFault::Crash(s) | NetFault::Recover(s))
+            | Fault::TornWrite(s)
+            | Fault::BitFlip(s) => fields.push(("site", site(s))),
+            Fault::Net(NetFault::Partition(p)) => {
+                let group_a = p.group(0).map(|s| site(&s)).collect();
+                fields.push(("group_a", Value::Array(group_a)));
+            }
+            Fault::Net(NetFault::Heal) => {}
+            Fault::Net(NetFault::DropAll(p) | NetFault::Duplicate(p)) => {
+                fields.push(("permille", Value::Int(permille(*p))));
+            }
+            Fault::Net(NetFault::ExtraDelay(d)) => {
+                fields.push(("extra_ms", Value::Int(d.as_millis())));
+            }
+            Fault::IoErrors { site: s, n } => {
+                fields.extend([("site", site(s)), ("count", Value::Int(u64::from(*n)))]);
+            }
+            Fault::DiskStall { site: s, d } => {
+                fields.extend([("site", site(s)), ("ms", Value::Int(d.as_millis()))]);
+            }
+        },
     }
-    Value::Object(map)
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
-fn event_from_value(v: &Value) -> Option<FaultEvent> {
-    let at_ms = v.get("at_ms")?.as_int()?;
-    let kind = match v.get("kind")?.as_str()? {
+/// Reads one event of `spec`'s cluster, refusing any the executor cannot
+/// run there (see [`Schedule::from_json`]).
+fn event_from_value(v: &Value, spec: &ClusterSpec) -> Option<FaultEvent> {
+    let millis = |key| {
+        int::<u64>(v, key)?
+            .checked_mul(1_000)
+            .map(SimDuration::from_micros)
+    };
+    let client = || int::<usize>(v, "client").filter(|&c| c < spec.clients);
+    let server = || {
+        int::<u16>(v, "site")
+            .map(SiteId)
+            .filter(|s| s.index() < spec.servers)
+    };
+    let chance = || {
+        int::<u32>(v, "permille")
+            .filter(|&p| p <= 1000)
+            .map(from_permille)
+    };
+    let kind: EventKind = match v.get("kind")?.as_str()? {
         "write" => EventKind::Write {
-            client: v.get("client")?.as_int()? as usize,
-            payload: v.get("payload")?.as_int()?,
+            client: client()?,
+            payload: int(v, "payload")?,
         },
-        "read" => EventKind::Read {
-            client: v.get("client")?.as_int()? as usize,
-        },
-        "crash" => EventKind::Crash {
-            site: v.get("site")?.as_int()? as usize,
-        },
-        "recover" => EventKind::Recover {
-            site: v.get("site")?.as_int()? as usize,
-        },
-        "partition" => EventKind::Partition {
-            group_a: v
-                .get("group_a")?
-                .as_array()?
-                .iter()
-                .map(|s| s.as_int().map(|n| n as usize))
-                .collect::<Option<Vec<_>>>()?,
-        },
-        "heal" => EventKind::Heal,
-        "loss_burst" => EventKind::LossBurst {
-            permille: v.get("permille")?.as_int()? as u32,
-        },
-        "delay_spike" => EventKind::DelaySpike {
-            extra_ms: v.get("extra_ms")?.as_int()?,
-        },
-        "duplication" => EventKind::Duplication {
-            permille: v.get("permille")?.as_int()? as u32,
-        },
+        "read" => EventKind::Read { client: client()? },
         "reconfigure" => EventKind::Reconfigure {
-            client: v.get("client")?.as_int()? as usize,
-            read_quorum: v.get("read_quorum")?.as_int()? as u32,
-            write_quorum: v.get("write_quorum")?.as_int()? as u32,
+            client: client()?,
+            read_quorum: int(v, "read_quorum")?,
+            write_quorum: int(v, "write_quorum")?,
         },
-        "torn_write" => EventKind::TornWrite {
-            site: v.get("site")?.as_int()? as usize,
-        },
-        "bit_flip" => EventKind::BitFlip {
-            site: v.get("site")?.as_int()? as usize,
-        },
-        "io_error" => EventKind::IoError {
-            site: v.get("site")?.as_int()? as usize,
-            count: v.get("count")?.as_int()? as u32,
-        },
-        "disk_stall" => EventKind::DiskStall {
-            site: v.get("site")?.as_int()? as usize,
-            ms: v.get("ms")?.as_int()?,
-        },
+        "crash" => NetFault::Crash(server()?).into(),
+        "recover" => NetFault::Recover(server()?).into(),
+        "partition" => NetFault::Partition(partition(v, spec.total_sites())?).into(),
+        "heal" => NetFault::Heal.into(),
+        "loss_burst" => NetFault::DropAll(chance()?).into(),
+        "delay_spike" => NetFault::ExtraDelay(millis("extra_ms")?).into(),
+        "duplication" => NetFault::Duplicate(chance()?).into(),
+        "torn_write" => Fault::TornWrite(server()?).into(),
+        "bit_flip" => Fault::BitFlip(server()?).into(),
+        "io_error" => Fault::IoErrors {
+            site: server()?,
+            n: int(v, "count")?,
+        }
+        .into(),
+        "disk_stall" => Fault::DiskStall {
+            site: server()?,
+            d: millis("ms")?,
+        }
+        .into(),
         _ => return None,
     };
-    Some(FaultEvent { at_ms, kind })
+    // An instant, like a duration, must fit virtual time's microseconds.
+    let at_ms = millis("at_ms")?.as_millis();
+    Some(FaultEvent::new(at_ms, kind))
+}
+
+/// `v`'s `group_a` as group 0 of a partition of `total` sites; `None` if
+/// it names a site twice or one past `total`, either of which
+/// [`Partition::split`] would panic on.
+fn partition(v: &Value, total: usize) -> Option<Partition> {
+    let mut group_a: Vec<SiteId> = Vec::new();
+    for s in v.get("group_a")?.as_array()? {
+        let s = SiteId(u16::try_from(s.as_int()?).ok()?);
+        if s.index() >= total || group_a.contains(&s) {
+            return None;
+        }
+        group_a.push(s);
+    }
+    Some(two_groups(total, &group_a))
 }
 
 #[cfg(test)]
@@ -724,14 +680,15 @@ mod tests {
                     EventKind::Write { client, .. }
                     | EventKind::Read { client }
                     | EventKind::Reconfigure { client, .. } => assert!(*client < 2),
-                    EventKind::Crash { site }
-                    | EventKind::Recover { site }
-                    | EventKind::TornWrite { site }
-                    | EventKind::BitFlip { site }
-                    | EventKind::IoError { site, .. }
-                    | EventKind::DiskStall { site, .. } => assert!(*site < 5),
-                    EventKind::Partition { group_a } => {
-                        assert!(group_a.iter().all(|&s| s < 7));
+                    EventKind::Fault(
+                        Fault::Net(NetFault::Crash(site) | NetFault::Recover(site))
+                        | Fault::TornWrite(site)
+                        | Fault::BitFlip(site)
+                        | Fault::IoErrors { site, .. }
+                        | Fault::DiskStall { site, .. },
+                    ) => assert!(site.index() < 5),
+                    EventKind::Fault(Fault::Net(NetFault::Partition(p))) => {
+                        assert_eq!(p.sites(), 7);
                     }
                     _ => {}
                 }
@@ -765,16 +722,17 @@ mod tests {
             let mut loss_open = 0i64;
             let mut delay_open = 0i64;
             let mut dup_open = 0i64;
+            let step = |open: bool| if open { 1 } else { -1 };
             for e in &s.events {
                 match e.kind {
-                    EventKind::LossBurst { permille } => {
-                        loss_open += if permille > 0 { 1 } else { -1 }
+                    EventKind::Fault(Fault::Net(NetFault::DropAll(p))) => {
+                        loss_open += step(p > 0.0)
                     }
-                    EventKind::DelaySpike { extra_ms } => {
-                        delay_open += if extra_ms > 0 { 1 } else { -1 }
+                    EventKind::Fault(Fault::Net(NetFault::ExtraDelay(d))) => {
+                        delay_open += step(d > SimDuration::ZERO)
                     }
-                    EventKind::Duplication { permille } => {
-                        dup_open += if permille > 0 { 1 } else { -1 }
+                    EventKind::Fault(Fault::Net(NetFault::Duplicate(p))) => {
+                        dup_open += step(p > 0.0)
                     }
                     _ => {}
                 }
@@ -804,7 +762,7 @@ mod tests {
 
     #[test]
     fn some_seed_exercises_every_fault_kind() {
-        let mut seen: HashSet<&'static str> = HashSet::new();
+        let mut seen: BTreeSet<&'static str> = BTreeSet::new();
         for seed in 0..200u64 {
             let s = generate(&spec(), seed);
             for e in &s.events {
@@ -838,7 +796,7 @@ mod tests {
             let flips = s
                 .events
                 .iter()
-                .filter(|e| matches!(e.kind, EventKind::BitFlip { .. }))
+                .filter(|e| matches!(e.kind, EventKind::Fault(Fault::BitFlip(_))))
                 .count();
             assert!(flips <= 1, "seed {seed} armed {flips} bit flips");
         }
@@ -851,13 +809,13 @@ mod tests {
         for seed in 0..200u64 {
             let s = generate(&spec(), seed);
             for (i, e) in s.events.iter().enumerate() {
-                let (EventKind::TornWrite { site } | EventKind::BitFlip { site }) = e.kind else {
+                let EventKind::Fault(Fault::TornWrite(site) | Fault::BitFlip(site)) = e.kind else {
                     continue;
                 };
                 let crash = s.events[i + 1..]
                     .iter()
                     .take_while(|n| n.at_ms == e.at_ms)
-                    .any(|n| n.kind == EventKind::Crash { site });
+                    .any(|n| n.kind == NetFault::Crash(site).into());
                 assert!(
                     crash,
                     "seed {seed}: damage at {}ms without its crash",
@@ -870,18 +828,24 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_everything() {
         // A healthy spec's schedule carries reconfigurations; a broken
-        // one's carries none.
+        // one's carries none. Together the schedules carry every kind of
+        // event, so a kind the codec drops or mis-writes fails here.
+        let mut kinds = BTreeSet::new();
         for spec in [ClusterSpec::majority(5, 2), ClusterSpec::broken(5, 2, 2)] {
-            let s = generate(&spec, 99);
-            let text = s.to_json(&spec);
-            let (spec2, s2) = Schedule::from_json(&text).expect("parses");
-            assert_eq!(spec, spec2);
-            assert_eq!(s, s2);
-            // And the bytes themselves are stable.
-            assert_eq!(text, s2.to_json(&spec2));
-            let reconfigures = s.events.iter().any(|e| e.kind.name() == "reconfigure");
-            assert_eq!(reconfigures, !spec.unchecked_quorums);
+            for seed in [0, 1, 99] {
+                let s = generate(&spec, seed);
+                let text = s.to_json(&spec);
+                let (spec2, s2) = Schedule::from_json(&text).expect("parses");
+                assert_eq!(spec, spec2);
+                assert_eq!(s, s2, "seed {seed}");
+                // And the bytes themselves are stable.
+                assert_eq!(text, s2.to_json(&spec2));
+                let reconfigures = s.events.iter().any(|e| e.kind.name() == "reconfigure");
+                assert_eq!(reconfigures, !spec.unchecked_quorums);
+                kinds.extend(s.events.iter().map(|e| e.kind.name()));
+            }
         }
+        assert_eq!(kinds.len(), 14, "{kinds:?}");
     }
 
     #[test]
@@ -1000,37 +964,73 @@ mod tests {
 
     #[test]
     fn from_json_rejects_what_the_executor_cannot_run() {
-        let parses = |spec: ClusterSpec, kind: EventKind| {
-            let events = vec![FaultEvent { at_ms: 0, kind }];
-            Schedule::from_json(&Schedule { seed: 1, events }.to_json(&spec)).is_some()
-        };
+        // An artifact of `spec()` (5 servers, 2 clients: sites 0..7) with
+        // one cluster key's value swapped and one event.
         let spec = spec();
-        assert!(parses(spec, EventKind::Crash { site: 4 }));
-        assert!(parses(
-            spec,
-            EventKind::Partition {
-                group_a: vec![0, 6]
-            }
-        ));
-        for kind in [
-            EventKind::Crash { site: 5 },
-            EventKind::Crash { site: 99 },
-            EventKind::Recover { site: 5 },
-            EventKind::TornWrite { site: 5 },
-            EventKind::BitFlip { site: 5 },
-            EventKind::IoError { site: 5, count: 1 },
-            EventKind::DiskStall { site: 5, ms: 10 },
-            EventKind::Partition {
-                group_a: vec![0, 0],
-            },
+        let parses = |(key, value): (&str, &str), event: &str| {
+            let empty = Schedule {
+                seed: 1,
+                events: vec![],
+            };
+            let text = empty.to_json(&spec);
+            let was = match key {
+                "servers" => spec.servers,
+                "clients" => spec.clients,
+                _ => spec.read_quorum as usize,
+            };
+            let old = format!("\"{key}\":{was}");
+            assert!(text.contains(&old), "{old}");
+            let text = text
+                .replacen(&old, &format!("\"{key}\":{value}"), 1)
+                .replace(
+                    "\"events\":[]",
+                    &format!("\"events\":[{{\"at_ms\":0,{event}}}]"),
+                );
+            Schedule::from_json(&text).is_some()
+        };
+        let plain = ("servers", "5");
+        for event in [
+            r#""kind":"crash","site":4"#,
+            r#""kind":"partition","group_a":[0,6]"#,
+            r#""kind":"reconfigure","client":1,"read_quorum":3,"write_quorum":3"#,
+            r#""kind":"loss_burst","permille":1000"#,
         ] {
-            assert!(!parses(spec, kind.clone()), "{kind:?}");
+            assert!(parses(plain, event), "{event}");
         }
-        for empty in [
-            ClusterSpec { servers: 0, ..spec },
-            ClusterSpec { clients: 0, ..spec },
+        for event in [
+            r#""kind":"crash","site":5"#,
+            r#""kind":"crash","site":99"#,
+            r#""kind":"recover","site":5"#,
+            r#""kind":"torn_write","site":5"#,
+            r#""kind":"bit_flip","site":5"#,
+            r#""kind":"io_error","site":5,"count":1"#,
+            r#""kind":"disk_stall","site":5,"ms":10"#,
+            r#""kind":"partition","group_a":[0,0]"#,
+            // A client past `clients` names nobody.
+            r#""kind":"read","client":2"#,
+            r#""kind":"write","client":7,"payload":1"#,
+            r#""kind":"reconfigure","client":2,"read_quorum":3,"write_quorum":3"#,
+            // A site past `servers + clients` is in no partition.
+            r#""kind":"partition","group_a":[0,7]"#,
+            // Integers too large for the field they fill.
+            r#""kind":"io_error","site":4,"count":4294967297"#,
+            r#""kind":"loss_burst","permille":4294967346"#,
+            r#""kind":"reconfigure","client":1,"read_quorum":4294967299,"write_quorum":3"#,
+            r#""kind":"disk_stall","site":4,"ms":18446744073709552"#,
+            // A probability above one.
+            r#""kind":"duplication","permille":1001"#,
+            // A second event, at an instant past virtual time's range.
+            r#""kind":"heal"},{"at_ms":18446744073709552,"kind":"heal""#,
         ] {
-            assert!(!parses(empty, EventKind::Heal), "{empty:?}");
+            assert!(!parses(plain, event), "{event}");
+        }
+        for cluster in [
+            ("servers", "0"),
+            ("clients", "0"),
+            ("read_quorum", "4294967299"),
+            ("servers", "65534"),
+        ] {
+            assert!(!parses(cluster, r#""kind":"heal""#), "{cluster:?}");
         }
     }
 

@@ -15,7 +15,8 @@ fn the_committed_e9_artifact_still_reproduces_its_violation() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/e9_repro.json");
     let text = std::fs::read_to_string(path).expect("results/e9_repro.json is committed");
     let (spec, schedule) = Schedule::from_json(&text).expect("the committed artifact parses");
-    // Pre-repair artifacts omit the `repair` key; replay must default off.
+    // The broken-quorum campaign runs without the self-healing layer, and
+    // the artifact's required `repair` key says so (`"repair":false`).
     assert!(!spec.repair, "the committed reproducer predates repair");
     let violations = check_trial(&run_schedule(&spec, &schedule), false);
     assert_eq!(

@@ -171,6 +171,13 @@ impl Partition {
     pub fn sites(&self) -> usize {
         self.group_of.len()
     }
+
+    /// The sites of group `g`, in site order. In a [`Partition::split`]
+    /// group `g` is `groups[g]`, and each site left unnamed has a group of
+    /// its own, numbered after those.
+    pub fn group(&self, g: usize) -> impl Iterator<Item = SiteId> + '_ {
+        SiteId::all(self.sites()).filter(move |s| self.group_of[s.index()] == g)
+    }
 }
 
 /// A site crash or recovery, or a change to the network, that
@@ -291,6 +298,10 @@ mod tests {
         // Site 4 was unnamed: isolated, but still reaches itself.
         assert!(!p.connected(SiteId(4), SiteId(0)));
         assert!(p.connected(SiteId(4), SiteId(4)));
+        let group = |g| p.group(g).collect::<Vec<_>>();
+        assert_eq!(group(0), [SiteId(0), SiteId(1)]);
+        assert_eq!(group(1), [SiteId(2), SiteId(3)]);
+        assert_eq!(group(2), [SiteId(4)]);
     }
 
     #[test]
