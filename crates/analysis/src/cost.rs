@@ -24,8 +24,9 @@
 //!   hosts that answered first are stale, or it is itself stale). Its
 //!   late answer may still end the read before the fetch's does.
 //!
-//! `tests/message_costs.rs` checks these formulas against the transport's
-//! actual counters.
+//! The work ledger (`tests/ledger/mod.rs`) computes the message cells of
+//! its read, write and train rows from these formulas and checks them
+//! against the transport's actual counters.
 
 /// Exact message count of a successful write's one quorum access.
 pub fn write_messages(write_quorum_sites: usize) -> u64 {

@@ -16,11 +16,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wv_core::Fault;
+use wv_core::{Fault, QuorumSpec, VoteAssignment};
 use wv_net::{Fault as NetFault, Partition, SiteId};
 use wv_sim::{DetRng, FailureSchedule, SimDuration, SimTime};
 
-use crate::json::{self, Value};
+use crate::json::{self, int, Value};
 
 /// Mixed into the schedule seed so generator draws are decorrelated from
 /// the harness's own streams (which consume the raw trial seed).
@@ -486,10 +486,11 @@ impl Schedule {
     /// Parses a replay artifact produced by [`Schedule::to_json`]; `None`
     /// for one the executor cannot run: an integer too large for the
     /// field it fills, no servers or no clients, more sites than a
-    /// [`SiteId`] numbers, an operation naming no client, a server event
-    /// naming a site that is not a server, a partition whose first group
-    /// names a site twice or one outside the cluster, or a probability
-    /// above 1000‰.
+    /// [`SiteId`] numbers, quorums illegal on equal votes over the
+    /// servers unless `unchecked_quorums` says so, an operation naming no
+    /// client, a server event naming a site that is not a server, a
+    /// partition whose first group names a site twice or one outside the
+    /// cluster, or a probability above 1000‰.
     pub fn from_json(text: &str) -> Option<(ClusterSpec, Schedule)> {
         let root = json::parse(text)?;
         if root.get("schema")?.as_str()? != "wv-chaos-repro/1" {
@@ -514,18 +515,18 @@ impl Schedule {
         if spec.servers == 0 || spec.clients == 0 || u16::try_from(sites).is_err() {
             return None;
         }
+        let legal = QuorumSpec::new(spec.read_quorum, spec.write_quorum)
+            .validate(&VoteAssignment::equal(spec.servers))
+            .is_ok();
+        if !(legal || spec.unchecked_quorums) {
+            return None;
+        }
         let events = root.get("events")?.as_array()?.iter();
         let events = events
             .map(|ev| event_from_value(ev, &spec))
             .collect::<Option<_>>()?;
         Some((spec, Schedule { seed, events }))
     }
-}
-
-/// `v[key]` in the integer type it fills; `None` when it is missing or
-/// does not fit.
-fn int<T: TryFrom<u64>>(v: &Value, key: &str) -> Option<T> {
-    T::try_from(v.get(key)?.as_int()?).ok()
 }
 
 fn event_to_value(e: &FaultEvent) -> Value {
@@ -1029,6 +1030,8 @@ mod tests {
             ("clients", "0"),
             ("read_quorum", "4294967299"),
             ("servers", "65534"),
+            // r + w = 4 of 5 votes, not marked `unchecked_quorums`.
+            ("read_quorum", "1"),
         ] {
             assert!(!parses(cluster, r#""kind":"heal""#), "{cluster:?}");
         }

@@ -19,7 +19,7 @@
 //! milli-units), so audit files diff cleanly and replay artifacts can
 //! embed them without a float in sight.
 
-use crate::json::Value;
+use crate::json::{self, Value};
 use std::collections::BTreeMap;
 
 /// Which planner decision a record describes.
@@ -100,7 +100,7 @@ impl SiteInput {
 
     fn from_value(v: &Value) -> Option<SiteInput> {
         Some(SiteInput {
-            site: v.get("site")?.as_int()? as u16,
+            site: json::int(v, "site")?,
             cost_us: v.get("cost_us")?.as_int()?,
             rtt_us: v.get("rtt_us")?.as_int()?,
             suspicion_milli: v.get("suspicion_milli")?.as_int()?,
@@ -166,7 +166,7 @@ impl AuditRecord {
         Some(AuditRecord {
             at_us: v.get("at_us")?.as_int()?,
             op: v.get("op")?.as_int()?,
-            site: v.get("site")?.as_int()? as u16,
+            site: json::int(v, "site")?,
             suite: v.get("suite")?.as_int()?,
             kind: DecisionKind::from_name(v.get("kind")?.as_str()?)?,
             policy: v.get("policy")?.as_str()?.to_string(),
@@ -177,7 +177,7 @@ impl AuditRecord {
                 .get("chosen")?
                 .as_array()?
                 .iter()
-                .map(|s| s.as_int().map(|i| i as u16))
+                .map(|s| u16::try_from(s.as_int()?).ok())
                 .collect::<Option<Vec<_>>>()?,
             inputs: v
                 .get("inputs")?
@@ -260,6 +260,15 @@ mod tests {
         let text = to_jsonl(&records);
         let back = from_jsonl(&text).expect("parse");
         assert_eq!(back, records);
+        // A site too large for a `u16` is refused, not wrapped to site 0.
+        let line = text.lines().next().expect("a record");
+        for (was, big) in [
+            ("\"chosen\":[0,2]", "\"chosen\":[65536,2]"),
+            ("\"site\":7,", "\"site\":65536,"),
+        ] {
+            assert!(line.contains(was), "{was}");
+            assert!(from_jsonl(&line.replacen(was, big, 1)).is_err(), "{big}");
+        }
 
         // Keys stay alphabetical so audit files diff cleanly.
         let first = text.lines().next().unwrap();

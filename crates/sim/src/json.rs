@@ -128,6 +128,12 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// `v[key]` in the integer type it fills; `None` when it is missing, not
+/// an integer, or does not fit: a reader never narrows with `as`.
+pub fn int<T: TryFrom<u64>>(v: &Value, key: &str) -> Option<T> {
+    T::try_from(v.get(key)?.as_int()?).ok()
+}
+
 /// Serializes records as JSONL: one compact object per line.
 pub fn to_jsonl<T>(records: &[T], to_value: impl Fn(&T) -> Value) -> String {
     let mut out = String::new();

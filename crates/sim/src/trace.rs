@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 
 use crate::audit::AuditRecord;
-use crate::json::Value;
+use crate::json::{self, Value};
 use crate::time::SimTime;
 
 /// Sentinel for "no parent span" in a [`SpanRecord`].
@@ -306,22 +306,21 @@ impl SpanRecord {
     /// Parses a span from a [`crate::json`] value. A missing `"suite"`
     /// (traces written before the suite dimension existed) reads as 0.
     pub fn from_value(v: &Value) -> Option<SpanRecord> {
-        let int = |key: &str| v.get(key)?.as_int();
         let or = |key: &str, sentinel: u64| match v.get(key)? {
             Value::Null => Some(sentinel),
             other => other.as_int(),
         };
         Some(SpanRecord {
-            id: int("id")? as u32,
-            parent: or("parent", u64::from(NO_PARENT))? as u32,
+            id: json::int(v, "id")?,
+            parent: or("parent", u64::from(NO_PARENT))?.try_into().ok()?,
             kind: SpanKind::from_name(v.get("kind")?.as_str()?)?,
-            site: int("site")? as u16,
-            peer: or("peer", u64::from(NO_PEER))? as u16,
-            op: int("op")?,
-            suite: int("suite").unwrap_or(0),
-            start_us: int("start_us")?,
+            site: json::int(v, "site")?,
+            peer: or("peer", u64::from(NO_PEER))?.try_into().ok()?,
+            op: json::int(v, "op")?,
+            suite: json::int(v, "suite").unwrap_or(0),
+            start_us: json::int(v, "start_us")?,
             end_us: or("end_us", OPEN_END)?,
-            detail: int("detail")?,
+            detail: json::int(v, "detail")?,
             outcome: SpanOutcome::from_name(v.get("outcome")?.as_str()?)?,
         })
     }
@@ -874,6 +873,16 @@ mod tests {
         assert!(text.contains("\"end_us\":null,\"id\":2"), "open: {text}");
         let back = from_jsonl(&text).expect("parse");
         assert_eq!(back, tr.spans);
+        // An integer too large for its field is refused, not wrapped.
+        let line = text.lines().nth(1).expect("a span");
+        for (was, big) in [
+            ("\"id\":1,", "\"id\":4294967296,"),
+            ("\"site\":2,", "\"site\":65537,"),
+            ("\"peer\":4,", "\"peer\":65540,"),
+        ] {
+            assert!(line.contains(was), "{was}");
+            assert!(from_jsonl(&line.replacen(was, big, 1)).is_err(), "{big}");
+        }
     }
 
     #[test]
