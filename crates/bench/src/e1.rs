@@ -23,7 +23,7 @@
 //! inquiry, to be sent if its copy is newer.
 
 use wv_analysis::{read_latency_optimistic, read_latency_verified, write_latency, SystemModel};
-use wv_core::harness::Harness;
+use wv_core::harness::{Harness, HarnessBuilder};
 use wv_sim::trace::SpanKind;
 use wv_sim::{SampleSet, SimDuration};
 
@@ -184,11 +184,17 @@ pub fn run() -> String {
         SystemModel::paper_example_2(0.99),
         SystemModel::paper_example_3(0.99),
     ];
-    let harnesses: [fn(u64) -> Harness; 3] = [topo::example_1, topo::example_2, topo::example_3];
+    let examples: [fn(u64) -> HarnessBuilder; 3] =
+        [topo::example_1, topo::example_2, topo::example_3];
+    let harness = |i: usize, seed: u64| {
+        examples[i](seed)
+            .build()
+            .expect("the paper's examples are legal")
+    };
     let mut data_moves_ms = 0.0;
     for (i, paper) in paper_rows().iter().enumerate() {
         let model = &models[i];
-        let mut h = harnesses[i](42 + i as u64);
+        let mut h = harness(i, 42 + i as u64);
         let m = measure(&mut h, 10);
         let (protocol_rb, protocol_wb) = e5::example_crash_sets(paper.example).blocking(&model.up);
         let mut t = Table::new(
@@ -236,7 +242,7 @@ pub fn run() -> String {
         // Where the wall-clock goes, from the span record of a traced
         // re-run (separate harness so the measured columns above stay on
         // the untraced path).
-        let mut th = harnesses[i](142 + i as u64);
+        let mut th = harness(i, 142 + i as u64);
         let b = traced_breakdown(&mut th, 10);
         data_moves_ms += b.data_move_ms;
         let mut t = Table::new(
@@ -271,7 +277,7 @@ mod tests {
 
     #[test]
     fn example_1_measured_latencies_match_model() {
-        let mut h = topo::example_1(1);
+        let mut h = topo::example_1(1).build().expect("legal");
         let m = measure(&mut h, 5);
         // Cache-hit read: max(inquiry 75, weak fetch 65) = 75.
         assert!((m.read_hit_ms - 75.0).abs() < EPS, "hit {}", m.read_hit_ms);
@@ -288,7 +294,7 @@ mod tests {
 
     #[test]
     fn example_2_measured_latencies_match_model() {
-        let mut h = topo::example_2(2);
+        let mut h = topo::example_2(2).build().expect("legal");
         let m = measure(&mut h, 5);
         // Representative 0 (2 votes, in every write quorum) always serves
         // reads at 75 ms, its version answer bringing the contents.
@@ -301,7 +307,7 @@ mod tests {
 
     #[test]
     fn example_3_measured_latencies_match_model() {
-        let mut h = topo::example_3(3);
+        let mut h = topo::example_3(3).build().expect("legal");
         let m = measure(&mut h, 5);
         assert!((m.read_hit_ms - 75.0).abs() < EPS);
         assert!((m.read_miss_ms - 75.0).abs() < EPS);
@@ -339,7 +345,7 @@ mod tests {
     fn traced_breakdown_matches_the_latency_model() {
         // Example 1: every client phase is bounded by the 75 ms quorum
         // member, and the workload is uncontended so lock waits are zero.
-        let mut h = topo::example_1(9);
+        let mut h = topo::example_1(9).build().expect("legal");
         let b = traced_breakdown(&mut h, 5);
         assert!(
             (b.prepare_ms - 75.0).abs() < EPS,

@@ -84,7 +84,9 @@ pub fn example_crash_sets(example: u32) -> CrashSets {
         3 => topo::example_3,
         _ => panic!("unknown example {example}"),
     };
-    protocol_blocking(&model_for(example, 1.0).assignment, || build(7))
+    protocol_blocking(&model_for(example, 1.0).assignment, || {
+        build(7).build().expect("the paper's examples are legal")
+    })
 }
 
 fn model_for(example: u32, p: f64) -> SystemModel {

@@ -315,7 +315,7 @@ pub struct Capture {
 /// property `tests/analytics_determinism.rs` pins.
 pub fn capture_e1(master_seed: u64, trials: usize, rounds: u32) -> Capture {
     let per = runner::run_trials(master_seed, trials, |seed| {
-        let mut h = topo::example_1(seed);
+        let mut h = topo::example_1(seed).build().expect("legal");
         h.enable_tracing();
         drive_rounds(&mut h, rounds);
         let (spans, decisions) = h.take_recorded();

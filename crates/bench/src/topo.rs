@@ -5,7 +5,7 @@
 //! quoted access cost; an inquiry or fetch round trip then costs exactly
 //! the paper's number.
 
-use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
+use wv_core::harness::{HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
 use wv_sim::{LatencyModel, SimDuration};
@@ -34,11 +34,11 @@ pub fn client_star(access: &[f64], client_self: Option<f64>) -> NetConfig {
     net
 }
 
-/// The paper's Example 1 as a running cluster: one voting representative
+/// The paper's Example 1, built on either clock: one voting representative
 /// on the file server (75 ms), the client workstation holding a weak
 /// representative (65 ms local access), and a second workstation with its
 /// own weak representative. `r = w = 1`.
-pub fn example_1(seed: u64) -> Harness {
+pub fn example_1(seed: u64) -> HarnessBuilder {
     // Sites: 0 = file server (1 vote), 1 = other workstation (weak),
     // 2 = client workstation (weak).
     let net = {
@@ -54,13 +54,11 @@ pub fn example_1(seed: u64) -> Harness {
         .site(SiteSpec::client_with_weak())
         .quorum(QuorumSpec::new(1, 1))
         .net(net)
-        .build()
-        .expect("example 1 is legal")
 }
 
 /// The paper's Example 2: votes ⟨2,1,1⟩ with accesses 75/100/750 ms,
 /// `r = 2, w = 3`.
-pub fn example_2(seed: u64) -> Harness {
+pub fn example_2(seed: u64) -> HarnessBuilder {
     HarnessBuilder::new()
         .seed(seed)
         .site(SiteSpec::server(2))
@@ -69,13 +67,11 @@ pub fn example_2(seed: u64) -> Harness {
         .client()
         .quorum(QuorumSpec::new(2, 3))
         .net(client_star(&[75.0, 100.0, 750.0], None))
-        .build()
-        .expect("example 2 is legal")
 }
 
 /// The paper's Example 3: votes ⟨1,1,1⟩ with accesses 75/750/750 ms,
 /// `r = 1, w = 3`.
-pub fn example_3(seed: u64) -> Harness {
+pub fn example_3(seed: u64) -> HarnessBuilder {
     HarnessBuilder::new()
         .seed(seed)
         .site(SiteSpec::server(1))
@@ -84,8 +80,6 @@ pub fn example_3(seed: u64) -> Harness {
         .client()
         .quorum(QuorumSpec::new(1, 3))
         .net(client_star(&[75.0, 750.0, 750.0], None))
-        .build()
-        .expect("example 3 is legal")
 }
 
 #[cfg(test)]
@@ -107,10 +101,8 @@ mod tests {
 
     #[test]
     fn examples_build_and_serve() {
-        for (i, mut h) in [example_1(1), example_2(1), example_3(1)]
-            .into_iter()
-            .enumerate()
-        {
+        for (i, example) in [example_1, example_2, example_3].into_iter().enumerate() {
+            let mut h = example(1).build().expect("the paper's examples are legal");
             let suite = h.suite_id();
             h.write(suite, vec![i as u8]).expect("write");
             let r = h.read(suite).expect("read");
@@ -124,7 +116,7 @@ mod tests {
     /// moves one of these counts.
     #[test]
     fn a_thousand_rounds_retain_seed_exact_logs_and_miss_the_plan_cache_once() {
-        let mut h = example_1(7);
+        let mut h = example_1(7).build().expect("legal");
         let suite = h.suite_id();
         for i in 0..1_000 {
             h.write(suite, format!("round-{i}").into_bytes())

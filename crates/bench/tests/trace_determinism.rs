@@ -11,7 +11,7 @@ use wv_sim::SimDuration;
 /// One traced E1 trial: drive write/read rounds on the paper's Example 1
 /// cluster and export the trial's full span record.
 fn traced_trial(seed: u64) -> String {
-    let mut h = wv_bench::topo::example_1(seed);
+    let mut h = wv_bench::topo::example_1(seed).build().expect("legal");
     h.enable_tracing();
     let suite = h.suite_id();
     for i in 0..5 {

@@ -10,7 +10,13 @@
 //! plus [`Harness::run_until_quiet`]. Every fault, a crash and a
 //! recovery included, is a [`Fault`] handed to [`Harness::inject`]; a
 //! node's state is read through [`Harness::client_at`] and
-//! [`Harness::server_at`].
+//! [`Harness::server_at`]. A blocking call waits for its own operation
+//! alone: it refuses a client with operations in flight.
+//!
+//! The builder is the one way to build a cluster, on either clock:
+//! [`HarnessBuilder::build`] puts it on the simulator, and
+//! [`HarnessBuilder::build_on_threads`] on real threads
+//! ([`crate::thread_harness`]). Both run the nodes one function makes.
 //!
 //! # Determinism contract
 //!
@@ -22,6 +28,9 @@
 //! The parallel trial engine in `wv-bench` leans on exactly this: each
 //! trial constructs its own harness from a derived seed inside a worker
 //! thread, and the fan-out is bit-identical to a sequential loop.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use wv_net::sim_net::{Cluster, NetStats};
@@ -166,7 +175,7 @@ impl HarnessBuilder {
 
     /// Overrides the servers' deadlock policy. It reaches the commit locks
     /// in one way: `NoWait` votes a prepare down at once where the default
-    /// makes it stand in line (see [`SuiteServer::new`]).
+    /// makes it stand in line (see the [`SuiteServer`] constructor).
     pub fn deadlock_policy(mut self, policy: DeadlockPolicy) -> Self {
         self.policy = policy;
         self
@@ -206,11 +215,43 @@ impl HarnessBuilder {
         self
     }
 
-    /// Builds the harness.
+    /// Builds the harness: the cluster on the simulator's virtual clock.
     ///
     /// Fails with [`OpError::IllegalConfig`] if the quorum sizes are
     /// illegal for the vote assignment implied by the sites.
     pub fn build(self) -> Result<Harness, OpError> {
+        let cluster = self.assemble()?;
+        let mut sim = Cluster::sim(cluster.nodes, cluster.net, cluster.seed);
+        for &(site, fault_seed) in &cluster.servers {
+            Cluster::invoke(sim.scheduler(), SimTime::ZERO, site, move |node, _ctx| {
+                if let Some(s) = node.as_server_mut() {
+                    s.set_disk_fault_seed(fault_seed);
+                }
+            });
+        }
+        if cluster.anti_entropy {
+            for &(site, _) in &cluster.servers {
+                Cluster::invoke(sim.scheduler(), SimTime::ZERO, site, |node, ctx| {
+                    if let Some(s) = node.as_server_mut() {
+                        s.start_anti_entropy(ctx);
+                    }
+                });
+            }
+        }
+        Ok(Harness {
+            sim,
+            suites: cluster.suites,
+            clients: cluster.clients,
+            started: Rc::default(),
+        })
+    }
+
+    /// The one construction of a cluster's nodes, shared by both clocks'
+    /// terminals ([`HarnessBuilder::build`] and
+    /// [`HarnessBuilder::build_on_threads`]): a node per site, the network
+    /// they run on, and what each terminal still owes its servers at
+    /// start-up.
+    pub(crate) fn assemble(self) -> Result<Assembled, OpError> {
         assert!(!self.specs.is_empty(), "a harness needs at least one site");
         assert!(
             self.specs.iter().any(|s| s.is_client),
@@ -294,40 +335,47 @@ impl HarnessBuilder {
                 }
             })
             .collect();
-        let server_sites: Vec<SiteId> = self
-            .specs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.hosts_rep)
-            .map(|(i, _)| SiteId::from(i))
-            .collect();
-        let mut sim = Cluster::sim(nodes, net, self.seed);
-        // Seed every server's disk-damage placement stream from the
+        // Every server's disk-damage placement stream comes from the
         // master seed, one derived stream per site, so fault campaigns
         // stay bit-identical at any worker count.
-        for &site in &server_sites {
-            let fault_seed = derive_seed(self.seed, DISK_FAULT_SEED_SALT + site.0 as u64);
-            Cluster::invoke(sim.scheduler(), SimTime::ZERO, site, move |node, _ctx| {
-                if let Some(s) = node.as_server_mut() {
-                    s.set_disk_fault_seed(fault_seed);
-                }
-            });
-        }
-        if self.anti_entropy.is_some() {
-            for site in server_sites {
-                Cluster::invoke(sim.scheduler(), SimTime::ZERO, site, |node, ctx| {
-                    if let Some(s) = node.as_server_mut() {
-                        s.start_anti_entropy(ctx);
-                    }
-                });
-            }
-        }
-        Ok(Harness {
-            sim,
+        let servers = (0..sites)
+            .filter(|&i| self.specs[i].hosts_rep)
+            .map(|i| {
+                let fault_seed = derive_seed(self.seed, DISK_FAULT_SEED_SALT + i as u64);
+                (SiteId::from(i), fault_seed)
+            })
+            .collect();
+        Ok(Assembled {
+            nodes,
+            net,
             suites: self.suites,
             clients,
+            servers,
+            anti_entropy: self.anti_entropy.is_some(),
+            seed: self.seed,
         })
     }
+}
+
+/// A cluster's nodes as [`HarnessBuilder::assemble`] makes them, before a
+/// clock runs them.
+pub(crate) struct Assembled {
+    /// One node per site, in site order.
+    pub(crate) nodes: Vec<SystemNode>,
+    /// The network between them.
+    pub(crate) net: NetConfig,
+    /// The suites every representative hosts.
+    pub(crate) suites: Vec<ObjectId>,
+    /// The client sites, in site order.
+    pub(crate) clients: Vec<SiteId>,
+    /// Each representative's site and the seed of its disk-damage
+    /// placement stream, which a terminal hands it at start-up.
+    pub(crate) servers: Vec<(SiteId, u64)>,
+    /// Whether a terminal starts every representative's anti-entropy
+    /// probe at start-up.
+    pub(crate) anti_entropy: bool,
+    /// The master seed.
+    pub(crate) seed: u64,
 }
 
 /// A successful read.
@@ -417,6 +465,10 @@ pub struct Harness {
     sim: Sim<Cluster<SystemNode>>,
     suites: Vec<ObjectId>,
     clients: Vec<SiteId>,
+    /// Where the client's completion log stood when a blocking call's
+    /// operation started, once its start event has run: one cell, shared
+    /// with each such event.
+    started: Rc<Cell<Option<usize>>>,
 }
 
 impl Harness {
@@ -550,52 +602,73 @@ impl Harness {
 
     /// Starts an operation of `kind` and steps the simulation until it
     /// completes.
+    ///
+    /// # Panics
+    ///
+    /// If `client` is not a client site, or has operations in flight
+    /// when this one starts: the completion that ends the wait must be
+    /// this operation's own.
     fn run_op(
         &mut self,
         client: SiteId,
         kind: OpKind,
         start: impl FnOnce(&mut ClientNode, &mut wv_net::NodeCtx<'_, crate::msg::Msg>) + 'static,
     ) -> Result<CompletedOp, OpError> {
-        assert!(
-            self.clients.contains(&client),
-            "site {client} is not a client"
-        );
-        let before = self
-            .client_at(client)
-            .map(|c| c.completed.len())
-            .unwrap_or(0);
+        self.assert_client(client);
+        self.started.set(None);
+        let started = Rc::clone(&self.started);
         let at = self.sim.now();
         Cluster::invoke(self.sim.scheduler(), at, client, move |node, ctx| {
             let c = node
                 .as_client_mut()
                 .expect("invoke target verified as client");
+            let busy = c.in_flight();
+            assert!(
+                busy == 0,
+                "site {client} has {busy} operations in flight: a blocking call needs an idle client"
+            );
+            started.set(Some(c.completed.len()));
             start(c, ctx);
         });
-        // Step until this client's completion log grows. Operations always
-        // terminate (every phase is timer-guarded), so this loop ends
-        // unless the client site itself is down — in which case the invoke
-        // was dropped and we report unavailability.
+        // Step until this operation is in the client's completion log: of
+        // what ended since it started on the idle client, the one entry
+        // that started at `at` (every other one started later, a retry
+        // under a fresh request id included). Operations always terminate
+        // (every phase is timer-guarded), so this loop ends unless the
+        // client site itself is down — in which case the invoke was
+        // dropped and we report unavailability.
         loop {
-            let len = self
-                .client_at(client)
-                .map(|c| c.completed.len())
-                .unwrap_or(0);
-            if len > before {
-                break;
+            let done = self.started.get().and_then(|from| {
+                let c = self.client_at(client)?;
+                let i = c.completed[from..].iter().position(|op| op.started == at)?;
+                Some(from + i)
+            });
+            if let Some(i) = done {
+                let c = self.sim.world.nodes[client.index()]
+                    .as_client_mut()
+                    .expect("client exists");
+                return Ok(c.completed.remove(i));
             }
             if !self.sim.step() {
                 return Err(OpError::Unavailable { kind });
             }
         }
-        let c = self.sim.world.nodes[client.index()]
-            .as_client_mut()
-            .expect("client exists");
-        Ok(c.completed.remove(before))
+    }
+
+    /// Panics unless `site` is one of this cluster's clients.
+    fn assert_client(&self, site: SiteId) {
+        assert!(self.clients.contains(&site), "site {site} is not a client");
     }
 
     /// Starts a read without waiting; results appear in the client's
-    /// completion log (see [`Harness::drain_completed`]).
+    /// completion log (see [`Harness::drain_completed`]). A client that is
+    /// down at `at` skips it.
+    ///
+    /// # Panics
+    ///
+    /// If `client` is not a client site.
     pub fn enqueue_read(&mut self, client: SiteId, suite: ObjectId, at: SimTime) {
+        self.assert_client(client);
         Cluster::invoke(self.sim.scheduler(), at, client, move |node, ctx| {
             if let Some(c) = node.as_client_mut() {
                 c.start_read(suite, ctx);
@@ -603,8 +676,9 @@ impl Harness {
         });
     }
 
-    /// Starts a write without waiting.
+    /// Starts a write without waiting, as [`Harness::enqueue_read`] does.
     pub fn enqueue_write(&mut self, client: SiteId, suite: ObjectId, value: Vec<u8>, at: SimTime) {
+        self.assert_client(client);
         Cluster::invoke(self.sim.scheduler(), at, client, move |node, ctx| {
             if let Some(c) = node.as_client_mut() {
                 c.start_write(suite, value, ctx);
@@ -612,13 +686,15 @@ impl Harness {
         });
     }
 
-    /// Starts a multi-suite transaction without waiting.
+    /// Starts a multi-suite transaction without waiting, as
+    /// [`Harness::enqueue_read`] does.
     pub fn enqueue_transaction(
         &mut self,
         client: SiteId,
         writes: Vec<(ObjectId, Vec<u8>)>,
         at: SimTime,
     ) {
+        self.assert_client(client);
         Cluster::invoke(self.sim.scheduler(), at, client, move |node, ctx| {
             if let Some(c) = node.as_client_mut() {
                 let writes = writes
@@ -630,8 +706,9 @@ impl Harness {
         });
     }
 
-    /// Starts a reconfiguration without waiting; the outcome appears in
-    /// the client's completion log like any other operation.
+    /// Starts a reconfiguration without waiting, as
+    /// [`Harness::enqueue_read`] does; the outcome appears in the client's
+    /// completion log like any other operation.
     pub fn enqueue_reconfigure(
         &mut self,
         client: SiteId,
@@ -640,6 +717,7 @@ impl Harness {
         quorum: QuorumSpec,
         at: SimTime,
     ) {
+        self.assert_client(client);
         Cluster::invoke(self.sim.scheduler(), at, client, move |node, ctx| {
             if let Some(c) = node.as_client_mut() {
                 c.start_reconfigure(suite, assignment, quorum, ctx);
@@ -1362,6 +1440,61 @@ mod tests {
             failed,
             kinds.map(|kind| Some(OpError::Unavailable { kind }))
         );
+    }
+
+    #[test]
+    fn an_operation_enqueued_at_a_client_that_is_down_is_skipped() {
+        let mut h = three_server_harness(11);
+        let (suite, client) = (h.suite_id(), h.default_client());
+        h.inject(NetFault::Crash(client));
+        h.enqueue_read(client, suite, h.now());
+        h.run_until_quiet(10_000);
+        assert!(h.drain_completed(client).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "site s0 is not a client")]
+    fn an_operation_enqueued_at_a_site_that_is_not_a_client_is_refused() {
+        let mut h = three_server_harness(11);
+        let suite = h.suite_id();
+        h.enqueue_write(SiteId(0), suite, b"lost".to_vec(), SimTime::from_millis(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "site s3 has 1 operations in flight")]
+    fn a_blocking_call_on_a_client_with_an_operation_in_flight_is_refused() {
+        let mut h = three_server_harness(11);
+        let (suite, client) = (h.suite_id(), h.default_client());
+        h.enqueue_read(client, suite, h.now());
+        let _ = h.write(suite, b"two".to_vec());
+    }
+
+    #[test]
+    fn a_blocking_call_returns_its_own_operation_when_a_later_one_ends_first() {
+        // A write to every site, one of them 200 ms away, and a read of
+        // another suite at the 10 ms site, started while the write waits.
+        let mut net = NetConfig::uniform(4, LatencyModel::constant_millis(10));
+        net.set_link_symmetric(SiteId(3), SiteId(2), LatencyModel::constant_millis(200));
+        let mut h = HarnessBuilder::new()
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .client()
+            .quorum(QuorumSpec::new(1, 3))
+            .suites([ObjectId(1), ObjectId(2)])
+            .net(net)
+            .build()
+            .expect("legal configuration");
+        let client = h.default_client();
+        h.enqueue_read(client, ObjectId(2), SimTime::from_millis(1));
+        let w = h.write(ObjectId(1), b"mine".to_vec()).expect("write");
+        assert_eq!(
+            (w.version, w.latency),
+            (Version(1), SimDuration::from_millis(400))
+        );
+        let other = h.drain_completed(client);
+        assert_eq!(other.len(), 1);
+        assert_eq!((other[0].kind, other[0].suite), (OpKind::Read, ObjectId(2)));
     }
 
     #[test]

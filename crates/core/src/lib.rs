@@ -32,7 +32,10 @@
 //!   pipeline window's slots and the submissions waiting for one.
 //! * [`node`] — the combined node type hosting servers and clients.
 //! * [`harness`] — a synchronous facade over a simulated cluster; the API
-//!   the examples and experiments drive.
+//!   the examples and experiments drive. Its builder is the one way to
+//!   build a cluster: [`HarnessBuilder::build`] puts it on the simulator,
+//!   and [`HarnessBuilder::build_on_threads`] on real threads, a
+//!   [`thread_harness::ThreadHarness`].
 //! * [`error`] — operation outcomes.
 //!
 //! A private module, `stats`, adds the nodes' counters up: the client's
@@ -82,6 +85,7 @@ mod site_map;
 mod stats;
 pub mod suite;
 mod sync;
+pub mod thread_harness;
 pub mod votes;
 mod window;
 
@@ -89,5 +93,6 @@ pub use error::{OpError, OpKind};
 pub use harness::{Fault, Harness, HarnessBuilder, SiteSpec};
 pub use quorum::QuorumSpec;
 pub use suite::SuiteConfig;
+pub use thread_harness::ThreadHarness;
 pub use votes::VoteAssignment;
 pub use wv_storage::{ObjectId, Version};

@@ -21,8 +21,9 @@
 //!   regenerated on this transport.
 //! * [`thread_net`] — the wall-clock transport: one OS thread per node,
 //!   each waiting on its own inbox, a heap of messages ordered by the
-//!   instant their (scaled-down) link latency lets them arrive. Used by
-//!   integration tests to show the protocols are not simulator artifacts.
+//!   instant their (scaled-down) link latency lets them arrive. `wv_core`'s
+//!   harness builder runs a cluster on it to show the protocols are not
+//!   simulator artifacts.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

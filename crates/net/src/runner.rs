@@ -2,12 +2,12 @@
 //! protocol node, with timers honoured in (scaled) real time.
 //!
 //! The simulated transport executes node handlers inline; this runner is
-//! its wall-clock twin. Integration tests use it to show that the protocol
-//! state machines are transport-independent: the same `SuiteServer` and
-//! `ClientNode` that regenerate the paper's tables under `sim_net` also
-//! serve real concurrent threads here. Between handler calls the thread
-//! makes one blocking wait on its inbox, until its next timer is due, a
-//! message is due, or a command or a stop wakes it.
+//! its wall-clock twin, one per site under `wv_core`'s
+//! `HarnessBuilder::build_on_threads`: the same `SuiteServer` and
+//! `ClientNode` that regenerate the paper's tables under `sim_net` serve
+//! real concurrent threads here. Between handler calls the thread makes
+//! one blocking wait on its inbox, until its next timer is due, a message
+//! is due, or a command or a stop wakes it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,13 +1,13 @@
 //! The wall-clock transport: OS threads, and one deadline heap per site.
 //!
-//! Integration tests use this transport to show the protocols are not
-//! simulator artifacts: the same [`NetConfig`] drives real threads, with
-//! sampled link latencies imposed in real time (optionally scaled down so
-//! the paper's 750 ms links don't make the test suite slow). Each site's
-//! inbox is the delay line: a sender pushes a message straight into the
-//! receiver's heap, keyed by the instant it is due, and the receiver pops
-//! it once that instant has passed. No thread but the sites' own carries a
-//! message.
+//! `wv_core`'s `HarnessBuilder::build_on_threads` runs a cluster on this
+//! transport, to show the protocols are not simulator artifacts: the same
+//! [`NetConfig`] drives real threads, with sampled link latencies imposed
+//! in real time (scaled down so the paper's 750 ms links stay quick). Each
+//! site's inbox is the delay line: a sender pushes a message straight into
+//! the receiver's heap, keyed by the instant it is due, and the receiver
+//! pops it once that instant has passed. No thread but the sites' own
+//! carries a message.
 //!
 //! Links mirror [`crate::sim_net`]'s: loss is decided and latency sampled
 //! at send time, and message order between two sites may invert when
