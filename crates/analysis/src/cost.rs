@@ -17,9 +17,10 @@
 //!   with the inquiry: the best-ranked voting host is asked for them in
 //!   its inquiry and sends them in its answer if its copy is newer than
 //!   the reader's. A workstation's own zero-vote copy, ranked first, is
-//!   sent a content read beside the inquiry: `+ 2`, and `+ 1` for the
-//!   refresh pushed at it when it proved stale. One case still sends a
-//!   separate fetch, `+ 2`: the quorum settles with no current contents
+//!   one of the `h`: its inquiry asks for whatever it holds, so its
+//!   answer is the content read; `+ 1` is the refresh pushed at it when
+//!   it proved stale. One case still sends a separate fetch, `+ 2`: the
+//!   quorum settles with no current contents
 //!   to hand — the host asked for them answers last *and* is needed (the
 //!   hosts that answered first are stale, or it is itself stale). Its
 //!   late answer may still end the read before the fetch's does.

@@ -19,8 +19,8 @@
 //! paper's read entry is the *validated-cache* case; the measured read
 //! equals the verified analytic read, cache hit or miss, because the
 //! contents are asked for in the inquiry's own round: of the weak
-//! representative by a content read, of the cheapest voting one in its
-//! inquiry, to be sent if its copy is newer.
+//! representative whatever it holds, of the cheapest voting one if its
+//! copy is newer.
 
 use wv_analysis::{read_latency_optimistic, read_latency_verified, write_latency, SystemModel};
 use wv_core::harness::{Harness, HarnessBuilder};

@@ -149,7 +149,7 @@ mod tests {
         );
         assert_eq!(
             (client.stats.plan_cache_hits, client.stats.plan_cache_misses),
-            (6_999, 1)
+            (2_999, 1)
         );
     }
 }

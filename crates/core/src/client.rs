@@ -4,10 +4,10 @@
 //!
 //! * **Read**: version inquiries to every representative until `r` votes
 //!   answer; the highest version among the answers is current. The
-//!   contents are asked for in the same round — a content read of a
-//!   zero-vote copy ranked first, and the best-ranked voting
-//!   representative's inquiry naming the version from which it wants them
-//!   sent along — and complete the read once the quorum proves them
+//!   contents are asked for in the same round — the inquiry to a
+//!   zero-vote copy ranked first asking for whatever it holds, the
+//!   best-ranked voting representative's naming the version from which
+//!   it wants them — and complete the read once the quorum proves them
 //!   current; failing that they are fetched from the cheapest
 //!   representative (weak ones included) holding the current version.
 //! * **Write / transaction**: client-coordinated two-phase commit at each
@@ -99,11 +99,11 @@ pub struct ClientOptions {
     pub push_weak_on_write: bool,
     /// Ask for the contents *in the same round* as the version inquiry,
     /// completing as soon as the quorum proves them current — the paper's
-    /// validated-cache read: a content read to a zero-vote copy ranked
-    /// first (the workstation's own), and the inquiry to the best-ranked
-    /// voting representative asking for the contents too if its copy is
-    /// newer than the reader's. When off, the fetch starts only after the
-    /// inquiry quorum settles.
+    /// validated-cache read: the inquiry to a zero-vote copy ranked first
+    /// (the workstation's own) asking for whatever it holds, and the
+    /// inquiry to the best-ranked voting representative asking for the
+    /// contents too if its copy is newer than the reader's. When off, the
+    /// fetch starts only after the inquiry quorum settles.
     pub optimistic_fetch: bool,
     /// How quorum members and fetch targets are chosen.
     pub quorum_policy: QuorumPolicy,
@@ -368,8 +368,8 @@ enum Phase {
         /// generation and the representative re-checks it at the grant.
         generation: u64,
         answers: Few<(ObjectId, SiteId, Version)>,
-        /// The zero-vote copy sent a content read alongside the inquiry,
-        /// if one ranks first.
+        /// The zero-vote copy asked for its contents, if one ranks first:
+        /// by its inquiry, or by a content read if the inquiry skips it.
         guess: Option<SiteId>,
         /// The voting representative whose inquiry asked for the contents
         /// too ([`Msg::VersionReq::contents_from`]), if one was asked.
@@ -504,6 +504,12 @@ fn inquiry_targets<'a>(
         let set = planner.inquiry_set(st.kind, &configs[&suite]);
         set.map(move |site| (suite, site))
     })
+}
+
+/// Sends `site` a content read: a fetch leg, or a guessed zero-vote copy
+/// that the inquiry does not ask.
+fn content_read(ctx: &mut NodeCtx<'_, Msg>, site: SiteId, suite: ObjectId, req: ReqId) {
+    ctx.send(site, Msg::ReadReq { suite, req });
 }
 
 /// An inquiry's answers: one per `(suite, site)`, as they arrived.
@@ -1015,9 +1021,9 @@ impl ClientNode {
         let cached_early = cached_early.map(|(version, value)| (self.site, version, value));
         // The contents are asked for in the inquiry's own round, so a read
         // completes at max(inquiry, contents) instead of inquiry + fetch:
-        // a zero-vote copy ranked first (the workstation's own) is sent a
-        // content read, unless the cache entry plays its part, and the
-        // best-ranked voting host's inquiry asks for the contents too.
+        // a zero-vote copy ranked first (the workstation's own) is asked
+        // for them, unless the cache entry plays its part, and so is the
+        // best-ranked voting host.
         let (guess, contents) = if is_read && self.options.optimistic_fetch {
             let ranked = self.rank(suite, ctx);
             let (own, contents) = ranked.content_sources(&self.configs[&suite].assignment);
@@ -1057,8 +1063,13 @@ impl ClientNode {
         // A writer's answer is only a floor for the version assigned
         // under the commit lock, so it need not wait for one.
         let floor = installs > 0;
+        // The guessed copy's inquiry asks for whatever it holds: its answer
+        // is the content read. A guess the inquiry skips is sent one.
+        let mut unasked = guess;
         for (suite, site) in inquiry_targets(&self.planner, &self.configs, &self.ops[&req]) {
-            let contents_from = contents_from.filter(|_| contents == Some(site));
+            unasked = unasked.filter(|guess| *guess != site);
+            let guessed = (guess == Some(site)).then_some(Version::INITIAL);
+            let contents_from = guessed.or(contents_from.filter(|_| contents == Some(site)));
             let inquiry = Msg::VersionReq {
                 suite,
                 req,
@@ -1070,8 +1081,8 @@ impl ClientNode {
         for target in guess.into_iter().chain(contents) {
             self.planner.load(target);
         }
-        if let Some(target) = guess {
-            ctx.send(target, Msg::ReadReq { suite, req });
+        if let Some(target) = unasked {
+            content_read(ctx, target, suite, req);
         }
         ctx.set_timer(delay, timer_token(req, seq, TimerKind::PhaseTimeout));
     }
@@ -1419,11 +1430,6 @@ impl ClientNode {
             }
         }
         (self.recorder).end_rpc(req.0, from.0, SpanOutcome::Ok, version.0, ctx.now());
-        // Fetch-candidate ranking is only needed on paths that fetch
-        // (reads and reconfigurations); writes rank sites in `enter_prepare`
-        // — so a late answer for one must not probe the plan cache or draw.
-        let fetches = |st: &OpState| matches!(st.kind, OpKind::Read | OpKind::Reconfigure);
-        let ranked = (self.ops.get(&req).is_some_and(fetches)).then(|| self.rank(suite, ctx));
         let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
@@ -1496,7 +1502,7 @@ impl ClientNode {
         // completion test of a read.
         let proved = |(_, v, _): &(SiteId, Version, Bytes)| *kind == OpKind::Read && *v >= current;
         if let Some((source, version, value)) = early.clone().filter(proved) {
-            // Whether they came with the content read sent to `guess`, and
+            // Whether they are the contents `guess` was asked for, and
             // whether they are the attached entry itself, not something
             // newer that came with its own site's answer.
             let guessed = *guess == Some(source);
@@ -1511,12 +1517,13 @@ impl ClientNode {
         }
         // Otherwise the contents are fetched: a read's, or the ones a
         // reconfiguration re-installs. Sites reporting `current`,
-        // best-ranked first.
+        // best-ranked first: an answer ranks here alone, at a fetch.
+        let ranked = (self.planner).rank(&self.configs[&suite], ctx.rng(), &mut self.stats);
         let holds = |s| answer_of(answers, suite, s) == Some(current);
-        let candidates = ranked.as_ref().map_or(Sites::default(), |r| r.among(holds));
+        let candidates = ranked.among(holds);
         (self.recorder).close_phase(req.0, SpanOutcome::Ok, ctx.now());
         let (kind, chosen) = (DecisionKind::FetchPlan, candidates.iter().copied());
-        self.audit_decision(kind, req, suite, chosen, ranked.as_ref(), ctx.now());
+        self.audit_decision(kind, req, suite, chosen, Some(&ranked), ctx.now());
         self.enter_fetch(req, suite, current, candidates, ctx)
     }
 
@@ -1634,7 +1641,7 @@ impl ClientNode {
         let delay = self.planner.phase_delay([site]);
         self.recorder.leg(req.0, site.0, ctx.now());
         self.planner.load(site);
-        ctx.send(site, Msg::ReadReq { suite, req });
+        content_read(ctx, site, suite, req);
         ctx.set_timer(delay, timer_token(req, seq, TimerKind::PhaseTimeout));
     }
 
@@ -1663,9 +1670,9 @@ impl ClientNode {
                 (self.recorder).end_leg(req.0, from.0, SpanOutcome::Ok, version.0, ctx.now());
             }
             Phase::Fetch { current, .. } if version >= *current => {
-                if with_inquiry {
-                    // Sent in the inquiry's own round and only late for its
-                    // quorum: no fetch round brought these.
+                if with_inquiry && !self.configs[&suite].assignment.is_weak(from) {
+                    // Sent in a voting host's inquiry answer, only late for
+                    // its quorum: no fetch round brought these.
                     self.stats.reads_cache_hit += 1;
                     self.stats.reads_contents_with_inquiry += 1;
                 } else {
@@ -3581,10 +3588,10 @@ mod tests {
         let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
         let req = c.start_read(SUITE, &mut ctx);
         assert_eq!(counted(&c), (1, 0));
-        // Every inquiry response ranks fetch candidates from the cache.
+        // The fetch the quorum calls for ranks from the cache.
         answer_version(&mut c, &mut rng, 5, 0, req, 1);
         answer_version(&mut c, &mut rng, 5, 1, req, 1);
-        assert_eq!(counted(&c), (1, 2));
+        assert_eq!(counted(&c), (1, 1));
         // Adopting a newer configuration drops the plan
         // (`Planner::forget`); the next decision rebuilds it.
         let cfg2 = config()
@@ -3593,7 +3600,7 @@ mod tests {
         let mut ctx = NodeCtx::new(SimTime::from_millis(9), CLIENT, &mut rng);
         c.on_config_resp(SUITE, req, cfg2, &mut ctx);
         let _ = c.start_read(SUITE, &mut ctx);
-        assert_eq!(counted(&c), (2, 2), "rebuild counts as a miss");
+        assert_eq!(counted(&c), (2, 1), "rebuild counts as a miss");
     }
 
     // ---- load-balanced selection, pipelining, per-site load ----
@@ -4836,12 +4843,12 @@ mod tests {
     fn what_the_own_copy_is_thought_to_hold_is_only_a_hint() {
         let (mut c, mut rng) = (workstation(), DetRng::new(45));
         // Nothing known of the own copy yet: the cheapest server is asked
-        // for whatever it has, beside the content read of the own copy.
+        // for whatever it has, and so is the own copy, in its inquiry.
         let (req, sends) = read_at(&mut c, &mut rng, 0);
-        assert_eq!(fetched_from(&sends), [CLIENT]);
-        assert_eq!(contents_asked(&sends), [(SiteId(0), Version::INITIAL)]);
-        deliver(&mut c, &mut rng, 2, CLIENT.0, answer(req, 1, None));
-        deliver(&mut c, &mut rng, 2, CLIENT.0, read_resp(req, 1, b"one"));
+        assert_eq!(fetched_from(&sends), []);
+        let own = (CLIENT, Version::INITIAL);
+        assert_eq!(contents_asked(&sends), [(SiteId(0), Version::INITIAL), own]);
+        deliver(&mut c, &mut rng, 2, CLIENT.0, answer(req, 1, Some(b"one")));
         deliver(&mut c, &mut rng, 20, 0, answer(req, 2, Some(b"two")));
         let (sends, _) = deliver(&mut c, &mut rng, 40, 1, answer(req, 2, None));
         assert_eq!(read_back(&c, 0), (2, b"two".to_vec()));
@@ -4855,12 +4862,17 @@ mod tests {
         // sends v1; the quorum says v2: the read falls back to the fetch
         // round and returns v2, never the stale copy.
         let (req, sends) = read_at(&mut c, &mut rng, 100);
-        assert_eq!(contents_asked(&sends), [(SiteId(0), Version(3))]);
-        deliver(&mut c, &mut rng, 102, CLIENT.0, read_resp(req, 1, b"one"));
-        deliver(&mut c, &mut rng, 102, CLIENT.0, answer(req, 1, None));
+        assert_eq!(contents_asked(&sends), [(SiteId(0), Version(3)), own]);
+        deliver(
+            &mut c,
+            &mut rng,
+            102,
+            CLIENT.0,
+            answer(req, 1, Some(b"one")),
+        );
         // Meanwhile the hint has followed the own copy's own answer.
         let (other, sends) = read_at(&mut c, &mut rng, 103);
-        assert_eq!(contents_asked(&sends), [(SiteId(0), Version(2))]);
+        assert_eq!(contents_asked(&sends), [(SiteId(0), Version(2)), own]);
         deliver(&mut c, &mut rng, 120, 0, answer(req, 2, None));
         assert!(c.completed.len() == 1, "completed on the hint's say-so");
         let (sends, _) = deliver(&mut c, &mut rng, 140, 1, answer(req, 2, None));
@@ -4873,7 +4885,119 @@ mod tests {
         c.handle_crash();
         c.handle_recover();
         let (_, sends) = read_at(&mut c, &mut rng, 1_000);
-        assert_eq!(contents_asked(&sends), [(SiteId(0), Version::INITIAL)]);
+        assert_eq!(contents_asked(&sends), [(SiteId(0), Version::INITIAL), own]);
+    }
+
+    /// The requests in `sends` addressed to `site`.
+    fn sent_to(sends: &[(SiteId, Msg)], site: SiteId) -> Vec<&Msg> {
+        let to_site = sends.iter().filter(|(to, _)| *to == site);
+        to_site.map(|(_, m)| m).collect()
+    }
+
+    #[test]
+    fn a_workstation_read_asks_its_own_copy_once() {
+        let (mut c, mut rng) = (workstation(), DetRng::new(47));
+        // The own copy's inquiry asks for whatever it holds, hint or no
+        // hint: it is the content read, and nothing else goes there.
+        for at in [0, 100] {
+            let (req, sends) = read_at(&mut c, &mut rng, at);
+            let own = sent_to(&sends, CLIENT);
+            let from = |m: &Msg| matches!(m, Msg::VersionReq { contents_from, .. } if *contents_from == Some(Version::INITIAL));
+            assert!(own.len() == 1 && from(own[0]), "{sends:?}");
+            deliver(
+                &mut c,
+                &mut rng,
+                at + 2,
+                CLIENT.0,
+                answer(req, 1, Some(b"one")),
+            );
+            deliver(&mut c, &mut rng, at + 20, 0, answer(req, 1, None));
+            deliver(&mut c, &mut rng, at + 40, 1, answer(req, 1, None));
+        }
+        assert_eq!(read_back(&c, 1), (1, b"one".to_vec()));
+        let stats = c.stats;
+        let hits = (stats.reads_cache_hit, stats.reads_contents_with_inquiry);
+        assert_eq!((hits, stats.reads_fetched), ((2, 0), 0));
+    }
+
+    #[test]
+    fn a_guess_the_inquiry_does_not_ask_is_sent_a_content_read() {
+        // A zero-vote copy at site 4 costs what the servers cost and comes
+        // after them in the static order, so no inquiry asks it; the
+        // load-balanced rotation still ranks it first in one read of four.
+        let sites = [
+            (SiteId(0), 1),
+            (SiteId(1), 1),
+            (SiteId(2), 1),
+            (SiteId(4), 0),
+        ];
+        let cfg = SuiteConfig::new(SUITE, VoteAssignment::new(sites), QuorumSpec::new(2, 2));
+        let options = ClientOptions {
+            quorum_policy: QuorumPolicy::LoadBalanced,
+            ..ClientOptions::default()
+        };
+        let costs = vec![10.0, 10.0, 10.0, 1.0, 10.0];
+        let mut c = ClientNode::new(CLIENT, vec![cfg.expect("legal")], costs, options);
+        let mut rng = DetRng::new(48);
+        let mut to_site_4 = Vec::new();
+        for at in 0..4 {
+            let (_, sends) = read_at(&mut c, &mut rng, at);
+            to_site_4.extend(sent_to(&sends, SiteId(4)).into_iter().cloned());
+        }
+        assert!(
+            matches!(to_site_4[..], [Msg::ReadReq { .. }]),
+            "{to_site_4:?}"
+        );
+    }
+
+    #[test]
+    fn version_answers_that_neither_complete_nor_fetch_rank_nothing() {
+        let (mut c, mut rng) = (workstation(), DetRng::new(49));
+        let hits = |c: &ClientNode| c.stats.plan_cache_hits;
+        // The read's one ranking is its guess; the own copy's answer, a
+        // voting one short of the quorum and its duplicate rank nothing,
+        // and neither does the answer that completes the read on the own
+        // copy's contents, nor one that comes after.
+        let (req, _) = read_at(&mut c, &mut rng, 0);
+        assert_eq!(hits(&c), 0);
+        deliver(&mut c, &mut rng, 2, CLIENT.0, answer(req, 1, Some(b"one")));
+        deliver(&mut c, &mut rng, 20, 0, answer(req, 1, Some(b"one")));
+        deliver(&mut c, &mut rng, 21, 0, answer(req, 1, Some(b"one")));
+        assert_eq!(hits(&c), 0);
+        deliver(&mut c, &mut rng, 40, 1, answer(req, 1, None));
+        deliver(&mut c, &mut rng, 60, 2, answer(req, 1, None));
+        assert_eq!((c.completed.len(), hits(&c)), (1, 0));
+        // The next read finds the own copy stale: its fetch ranks once.
+        let (req, _) = read_at(&mut c, &mut rng, 100);
+        assert_eq!(hits(&c), 1);
+        deliver(
+            &mut c,
+            &mut rng,
+            102,
+            CLIENT.0,
+            answer(req, 1, Some(b"one")),
+        );
+        deliver(&mut c, &mut rng, 140, 1, answer(req, 2, None));
+        assert_eq!(hits(&c), 1);
+        let (sends, _) = deliver(&mut c, &mut rng, 160, 2, answer(req, 2, None));
+        assert_eq!((fetched_from(&sends), hits(&c)), (vec![SiteId(1)], 2));
+    }
+
+    #[test]
+    fn the_own_copys_contents_after_the_quorum_count_as_fetched() {
+        let (mut c, mut rng) = (workstation(), DetRng::new(50));
+        // The quorum settles at v2 before the own copy answers, with no
+        // contents to hand: a fetch goes out. The own copy's answer, at
+        // v2, ends the read as a content read's answer does.
+        let (req, _) = read_at(&mut c, &mut rng, 0);
+        deliver(&mut c, &mut rng, 40, 1, answer(req, 2, None));
+        let (sends, _) = deliver(&mut c, &mut rng, 60, 2, answer(req, 2, None));
+        assert_eq!(fetched_from(&sends), [SiteId(1)]);
+        deliver(&mut c, &mut rng, 61, CLIENT.0, answer(req, 2, Some(b"two")));
+        assert_eq!(read_back(&c, 0), (2, b"two".to_vec()));
+        let stats = c.stats;
+        let hits = (stats.reads_cache_hit, stats.reads_contents_with_inquiry);
+        assert_eq!((hits, stats.reads_fetched), ((0, 0), 1));
     }
 
     #[test]

@@ -635,8 +635,10 @@ impl Harness {
         // that started at `at` (every other one started later, a retry
         // under a fresh request id included). Operations always terminate
         // (every phase is timer-guarded), so this loop ends unless the
-        // client site itself is down — in which case the invoke was
-        // dropped and we report unavailability.
+        // client site itself is down: then the invoke was dropped, and once
+        // the clock passes `at` with no start recorded we report
+        // unavailability, not waiting for a queue that a re-arming timer
+        // (the repair tick) never lets drain.
         loop {
             let done = self.started.get().and_then(|from| {
                 let c = self.client_at(client)?;
@@ -648,6 +650,9 @@ impl Harness {
                     .as_client_mut()
                     .expect("client exists");
                 return Ok(c.completed.remove(i));
+            }
+            if self.started.get().is_none() && self.sim.now() > at {
+                return Err(OpError::Unavailable { kind });
             }
             if !self.sim.step() {
                 return Err(OpError::Unavailable { kind });
@@ -1420,7 +1425,28 @@ mod tests {
 
     #[test]
     fn an_operation_issued_at_a_client_that_is_down_is_unavailable_under_its_own_kind() {
-        let mut h = three_server_harness(11);
+        every_verb_at_a_down_client_is_unavailable(three_server_harness(11));
+    }
+
+    #[test]
+    fn an_operation_issued_at_a_client_that_is_down_is_unavailable_under_anti_entropy() {
+        // The repair tick re-arms for ever, so the event queue never
+        // drains: the wait ends when the start's instant has passed.
+        let h = HarnessBuilder::new()
+            .seed(11)
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .client()
+            .quorum(QuorumSpec::new(2, 2))
+            .anti_entropy(SimDuration::from_millis(500))
+            .build()
+            .expect("legal configuration");
+        every_verb_at_a_down_client_is_unavailable(h);
+    }
+
+    /// Crashes `h`'s default client and issues each blocking verb there.
+    fn every_verb_at_a_down_client_is_unavailable(mut h: Harness) {
         let (suite, client) = (h.suite_id(), h.default_client());
         h.inject(NetFault::Crash(client));
         let (assignment, quorum) = (VoteAssignment::equal(3), QuorumSpec::majority(3));

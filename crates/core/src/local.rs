@@ -121,7 +121,7 @@ impl LocalCopies {
 
     /// The version from which a read asks the best-ranked voting site for
     /// the contents: one above the copy it holds — the entry, exactly, or,
-    /// if the read sent its own site's copy a content read
+    /// if the read asked its own site's copy for its contents
     /// (`own_copy_guessed`), what that copy is thought to hold. A reader
     /// holding nothing asks from [`Version::INITIAL`], unconditionally.
     pub(crate) fn contents_from(&self, suite: ObjectId, own_copy_guessed: bool) -> Version {
@@ -290,7 +290,7 @@ mod tests {
         // Holding nothing: ask from the start, whatever was guessed.
         assert_eq!(l.contents_from(SUITE, false), Version::INITIAL);
         assert_eq!(l.contents_from(SUITE, true), Version::INITIAL);
-        // The hint counts only when the own copy was sent a content read.
+        // The hint counts only when the own copy was asked for its contents.
         l.hint(SUITE, Version(5));
         assert_eq!(l.contents_from(SUITE, false), Version::INITIAL);
         assert_eq!(l.contents_from(SUITE, true), Version(6));

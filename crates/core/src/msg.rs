@@ -184,9 +184,11 @@ pub enum Msg {
         /// is at least this": a read asks it of the best-ranked voting
         /// representative, naming one above the version of the copy it
         /// already holds, so the contents move — once — in the round that
-        /// discovers the reader's copy is not current. `None` from
-        /// everyone else: the other sites of a read's inquiry, a writer,
-        /// a reconfiguration.
+        /// discovers the reader's copy is not current. A zero-vote copy
+        /// ranked first (a workstation's own) is asked from
+        /// `Version::INITIAL`, whatever it holds: its answer is the
+        /// read's content read. `None` from everyone else: the other
+        /// sites of a read's inquiry, a writer, a reconfiguration.
         contents_from: Option<Version>,
     },
 

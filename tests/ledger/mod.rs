@@ -323,10 +323,11 @@ pub fn prime(h: &mut Harness) {
     h.run_until_quiet(QUIET);
 }
 
-/// A workstation's read: the inquiry to its `hosts`, a content read of its
-/// own copy, and on a miss one refresh pushed at that copy.
+/// A workstation's read: the inquiry to its `hosts`, its own copy's
+/// answer bringing that copy's contents, and on a miss one refresh pushed
+/// at that copy.
 pub fn at_workstation(hosts: usize, miss: u64) -> u64 {
-    read_messages_bounds(hosts).0 + 2 + miss
+    read_messages_bounds(hosts).0 + miss
 }
 
 /// A train of nine over a write quorum of `w` sites: one write alone,
