@@ -1,51 +1,60 @@
-//! E6 — weighted voting vs the classical baselines.
+//! E6 — weighted voting vs the classical schemes, all as vote assignments.
 //!
-//! Three replicas plus one client, identical network for every scheme.
-//! Four scenarios probe the schemes where they differ:
+//! Three replicas plus a client, one network for every row. Each
+//! classical scheme is a vote/quorum choice on the same `wv-core`
+//! cluster (PAPER.md §1):
+//!
+//! * **weighted voting (majority)** — ⟨1,1,1⟩, `r = w = 2`;
+//! * **read-one/write-all** — ⟨1,1,1⟩, `r = 1, w = 3`;
+//! * **primary copy** — ⟨1,0,0⟩, `r = w = 1`: replica 0 holds every
+//!   vote, the two zero-vote backups catch up through anti-entropy over
+//!   the slow links from it, and the *local reads* row adds a lease-mode
+//!   client cache whose quorum-free reads may be stale.
+//!
+//! Four probes show where the rows differ:
 //!
 //! * **healthy** — latencies with everything up;
-//! * **one replica down** — ROWA loses writes, primary-copy loses
-//!   everything when the down replica is the primary, quorum schemes
-//!   shrug;
-//! * **client partitioned with one replica** — only schemes that can
-//!   operate on a single replica survive on the client's side;
-//! * **staleness** — read-your-write immediately after the ack: quorum
-//!   schemes are always fresh, asynchronous primary-copy local reads are
-//!   not.
+//! * **one replica down** — ROWA loses writes, primary copy loses
+//!   everything when the down replica is the primary, majority voting
+//!   shrugs;
+//! * **client partitioned with one replica** — only a scheme that reads
+//!   from a single replica reads on the client's side;
+//! * **staleness** — a second client reads right after the first
+//!   client's write is acknowledged: quorum reads are always fresh,
+//!   lease-served reads are not. (A writer's own report drops its lease,
+//!   so its own next read is never stale.)
 
-use wv_baselines::{BaselineHarness, Scheme};
-use wv_core::harness::Harness;
+use wv_core::client::{ClientOptions, WeakRepOptions};
+use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
-use wv_net::{Fault, Partition, SiteId};
+use wv_net::{Fault, NetConfig, Partition, SiteId};
 use wv_sim::SimDuration;
 
 use crate::runner;
 use crate::table::{ms, pct, Table};
+use crate::topo::half_ms;
 
-/// Which system is under test.
+/// Which scheme is under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum System {
     /// Weighted voting with majority quorums (r = w = 2 of 3).
     VotingMajority,
-    /// Read-one/write-all.
+    /// Read-one/write-all: equal votes, r = 1, w = 3.
     Rowa,
-    /// Primary copy with strong (primary) reads.
+    /// Primary copy with strong reads: every vote on replica 0.
     Primary,
-    /// Primary copy with local (possibly stale) reads.
+    /// Primary copy whose client serves reads from a leased local copy.
     PrimaryLocalReads,
-    /// Thomas' majority consensus.
-    MajorityConsensus,
 }
 
 impl System {
     /// All systems in report order.
-    pub fn all() -> [System; 5] {
+    pub fn all() -> [System; 4] {
         [
             System::VotingMajority,
             System::Rowa,
             System::Primary,
             System::PrimaryLocalReads,
-            System::MajorityConsensus,
         ]
     }
 
@@ -55,7 +64,6 @@ impl System {
             System::Rowa => "read-one/write-all",
             System::Primary => "primary copy (strong reads)",
             System::PrimaryLocalReads => "primary copy (local reads)",
-            System::MajorityConsensus => "majority consensus",
         }
     }
 }
@@ -73,204 +81,187 @@ pub struct Probe {
     pub write_ms: f64,
 }
 
-enum Sys {
-    Voting(Box<Harness>),
-    Baseline(Box<BaselineHarness>),
-}
+/// Each replica's round-trip access cost from a client: replica 1 is the
+/// nearest.
+const ACCESS_MS: [f64; 3] = [100.0, 80.0, 100.0];
 
-/// The shared network: client close to backup 1, primary-to-backup
-/// propagation links slow (asynchronous propagation visibly lags).
-fn baseline_net() -> wv_net::NetConfig {
-    use crate::topo::half_ms;
-    // Round-trip accesses: replica 0 (the primary-copy primary) 100 ms,
-    // replica 1 80 ms (closest to the client), replica 2 100 ms.
-    let mut net = crate::topo::client_star(&[100.0, 80.0, 100.0], None);
-    // Propagation path from the primary to its backups is slow.
+/// How often every representative of a primary-copy row pulls from a peer.
+const ANTI_ENTROPY: SimDuration = SimDuration::from_secs(1);
+
+/// How long a validated entry in the local-reads row's cache serves reads
+/// with no quorum.
+const LEASE: SimDuration = SimDuration::from_secs(10);
+
+/// The shared network: the replicas, then `clients` clients, each close
+/// to replica 1, and slow links from replica 0 to the other two (the
+/// path a primary's writes take to its backups).
+fn net(clients: usize) -> NetConfig {
+    let sites = ACCESS_MS.len() + clients;
+    let mut net = NetConfig::uniform(sites, half_ms(100.0));
+    for client in ACCESS_MS.len()..sites {
+        for (i, &a) in ACCESS_MS.iter().enumerate() {
+            net.set_link_symmetric(SiteId::from(client), SiteId::from(i), half_ms(a));
+        }
+    }
     net.set_link(SiteId(0), SiteId(1), half_ms(800.0));
     net.set_link(SiteId(0), SiteId(2), half_ms(800.0));
     net
 }
 
-fn build(system: System, seed: u64) -> Sys {
-    let timeout = wv_sim::SimDuration::from_secs(5);
-    match system {
-        System::VotingMajority => {
-            let h = wv_core::harness::HarnessBuilder::new()
-                .seed(seed)
-                .site(wv_core::harness::SiteSpec::server(1))
-                .site(wv_core::harness::SiteSpec::server(1))
-                .site(wv_core::harness::SiteSpec::server(1))
-                .client()
-                .quorum(QuorumSpec::majority(3))
-                .net(baseline_net())
-                .build()
-                .expect("legal majority cluster");
-            Sys::Voting(Box::new(h))
-        }
-        System::Rowa => Sys::Baseline(Box::new(BaselineHarness::new(
-            Scheme::Rowa,
-            3,
-            baseline_net(),
-            seed,
-            timeout,
-        ))),
-        System::Primary => Sys::Baseline(Box::new(BaselineHarness::new(
-            Scheme::Primary {
-                primary: SiteId(0),
-                local_reads: false,
-            },
-            3,
-            baseline_net(),
-            seed,
-            timeout,
-        ))),
-        System::PrimaryLocalReads => Sys::Baseline(Box::new(BaselineHarness::new(
-            Scheme::Primary {
-                primary: SiteId(0),
-                local_reads: true,
-            },
-            3,
-            baseline_net(),
-            seed,
-            timeout,
-        ))),
-        System::MajorityConsensus => Sys::Baseline(Box::new(BaselineHarness::new(
-            Scheme::Majority,
-            3,
-            baseline_net(),
-            seed,
-            timeout,
-        ))),
+/// The row's cluster: its vote assignment and quorums on the shared
+/// network, with `clients` clients after the three replicas.
+fn build(system: System, seed: u64, clients: usize) -> Harness {
+    let (votes, quorum) = match system {
+        System::VotingMajority => ([1, 1, 1], QuorumSpec::majority(3)),
+        System::Rowa => ([1, 1, 1], QuorumSpec::new(1, 3)),
+        System::Primary | System::PrimaryLocalReads => ([1, 0, 0], QuorumSpec::new(1, 1)),
+    };
+    let mut b = HarnessBuilder::new().seed(seed);
+    for v in votes {
+        b = b.site(SiteSpec::server(v));
     }
+    for _ in 0..clients {
+        b = b.client();
+    }
+    b = b.quorum(quorum).net(net(clients));
+    if matches!(system, System::Primary | System::PrimaryLocalReads) {
+        b = b.anti_entropy(ANTI_ENTROPY);
+    }
+    if system == System::PrimaryLocalReads {
+        b = b.client_options(ClientOptions {
+            weak_rep: Some(WeakRepOptions::lease(LEASE)),
+            ..ClientOptions::default()
+        });
+    }
+    b.build().expect("every row is a legal vote assignment")
 }
 
-impl Sys {
-    fn prime(&mut self) {
-        match self {
-            Sys::Voting(h) => {
-                let suite = h.suite_id();
-                h.write(suite, b"prime".to_vec()).expect("prime");
-                h.advance(SimDuration::from_secs(2));
-            }
-            Sys::Baseline(h) => {
-                h.write(b"prime".to_vec()).expect("prime");
-                h.advance(SimDuration::from_secs(2));
-            }
-        }
-    }
+/// Writes the first contents and lets the backups settle.
+fn prime(h: &mut Harness) {
+    let suite = h.suite_id();
+    h.write(suite, b"prime".to_vec()).expect("prime");
+    h.advance(SimDuration::from_secs(2));
+}
 
-    fn inject(&mut self, fault: Fault) {
-        match self {
-            Sys::Voting(h) => h.inject(fault),
-            Sys::Baseline(h) => h.inject(fault),
-        }
+/// One write, then one read, at the default client.
+fn probe(h: &mut Harness) -> Probe {
+    let mut out = Probe::default();
+    let suite = h.suite_id();
+    if let Ok(w) = h.write(suite, b"probe".to_vec()) {
+        out.write_ok = true;
+        out.write_ms = w.latency.as_millis_f64();
     }
-
-    fn probe(&mut self) -> Probe {
-        let mut out = Probe::default();
-        match self {
-            Sys::Voting(h) => {
-                let suite = h.suite_id();
-                if let Ok(w) = h.write(suite, b"probe".to_vec()) {
-                    out.write_ok = true;
-                    out.write_ms = w.latency.as_millis_f64();
-                }
-                if let Ok(r) = h.read(suite) {
-                    out.read_ok = true;
-                    out.read_ms = r.latency.as_millis_f64();
-                }
-            }
-            Sys::Baseline(h) => {
-                if let Ok((_, lat)) = h.write(b"probe".to_vec()) {
-                    out.write_ok = true;
-                    out.write_ms = lat.as_millis_f64();
-                }
-                if let Ok((_, _, lat)) = h.read() {
-                    out.read_ok = true;
-                    out.read_ms = lat.as_millis_f64();
-                }
-            }
-        }
-        out
+    if let Ok(r) = h.read(suite) {
+        out.read_ok = true;
+        out.read_ms = r.latency.as_millis_f64();
     }
+    out
 }
 
 /// Probes a system in a named scenario.
 pub fn scenario(system: System, which: &str, seed: u64) -> Probe {
-    let mut sys = build(system, seed);
-    sys.prime();
+    let mut h = build(system, seed, 1);
+    prime(&mut h);
     match which {
         "healthy" => {}
-        "replica0_down" => sys.inject(Fault::Crash(SiteId(0))),
+        "replica0_down" => h.inject(Fault::Crash(SiteId(0))),
         "client_minority" => {
             // Client (site 3) can reach only replica 2.
-            sys.inject(Fault::Partition(Partition::split(
+            h.inject(Fault::Partition(Partition::split(
                 4,
                 &[&[SiteId(2), SiteId(3)], &[SiteId(0), SiteId(1)]],
             )));
         }
         other => panic!("unknown scenario {other}"),
     }
-    sys.probe()
+    probe(&mut h)
 }
 
-/// Measures read-your-write staleness: fraction of immediate post-ack
-/// reads that return a version older than the acked write.
+/// Measures staleness across clients: the fraction of reads at a second
+/// client, made right after the first client's write is acknowledged,
+/// that return a version older than the acknowledged write. The reader
+/// reads once before the first round, so a cache it keeps is warm.
 pub fn staleness(system: System, rounds: u32, seed: u64) -> f64 {
     let mut stale = 0u32;
-    let mut observed = 0u32;
-    let mut sys = build(system, seed);
-    sys.prime();
+    let mut h = build(system, seed, 2);
+    prime(&mut h);
+    let suite = h.suite_id();
+    let (writer, reader) = (h.clients()[0], h.clients()[1]);
+    h.read_from(reader, suite).expect("warm-up read");
     for _ in 0..rounds {
-        match &mut sys {
-            Sys::Voting(h) => {
-                let suite = h.suite_id();
-                let w = h.write(suite, b"x".to_vec()).expect("write");
-                let r = h.read(suite).expect("read");
-                observed += 1;
-                if r.version < w.version {
-                    stale += 1;
-                }
-            }
-            Sys::Baseline(h) => {
-                let (wv, _) = match h.write(b"x".to_vec()) {
-                    Ok(v) => v,
-                    Err(()) => continue,
-                };
-                let (rv, _, _) = match h.read() {
-                    Ok(v) => v,
-                    Err(()) => continue,
-                };
-                observed += 1;
-                if rv < wv {
-                    stale += 1;
-                }
-            }
+        let w = h.write_from(writer, suite, b"x".to_vec()).expect("write");
+        let r = h.read_from(reader, suite).expect("read");
+        if r.version < w.version {
+            stale += 1;
         }
     }
-    if observed == 0 {
-        0.0
-    } else {
-        f64::from(stale) / f64::from(observed)
-    }
+    f64::from(stale) / f64::from(rounds)
+}
+
+/// The report's shape check: each clause with whether the cells above
+/// bear it out. `probes` is the scenario grid in report order (scenario
+/// major, [`System::all`] minor), `stale` the staleness column.
+fn shape(probes: &[Probe], stale: &[f64]) -> Vec<(&'static str, bool)> {
+    // `System::all` lists the systems in declaration order.
+    let cell = |scenario: usize, s: System| probes[scenario * System::all().len() + s as usize];
+    let (down, minority) = (|s| cell(1, s), |s| cell(2, s));
+    let lost_all = |p: Probe| !p.read_ok && !p.write_ok;
+    let only_lease_stale = System::all()
+        .into_iter()
+        .zip(stale)
+        .all(|(s, &x)| (x > 0.0) == (s == System::PrimaryLocalReads));
+    vec![
+        (
+            "weighted voting survives a replica's loss",
+            down(System::VotingMajority).read_ok && down(System::VotingMajority).write_ok,
+        ),
+        (
+            "ROWA keeps reads but loses writes, with a replica down or \
+             partitioned away",
+            [down(System::Rowa), minority(System::Rowa)]
+                .iter()
+                .all(|p| p.read_ok && !p.write_ok),
+        ),
+        (
+            "primary copy loses everything with its primary, local reads \
+             included: they outlive it only while a lease lasts, and the \
+             probe's writer holds none",
+            [System::Primary, System::PrimaryLocalReads]
+                .into_iter()
+                .all(|s| lost_all(down(s)) && lost_all(minority(s))),
+        ),
+        (
+            "only lease-mode local reads are ever stale",
+            only_lease_stale,
+        ),
+    ]
 }
 
 /// Builds the E6 report.
 pub fn run() -> String {
     let mut out = String::new();
-    out.push_str("## E6 — Weighted voting vs classical baselines\n\n");
-    out.push_str(
-        "Three replicas + one client on a shared topology: the client sits \
-         nearest backup 1 (80 ms access), other accesses cost 100 ms, and \
-         primary-to-backup propagation links are slow (800 ms) so \
-         asynchronous lag is visible. A voting write is one quorum access \
-         on the caller's path (the prepare round; the commit round \
-         finishes behind the report); with replica 0 down the table \
-         shows the *first* write after the crash, which finds its quorum \
-         member silent a round trip after the other's vote and widens to \
-         the third replica — the writes after it route around the site \
-         at no cost. Baselines use their native write paths.\n\n",
-    );
+    out.push_str("## E6 — Weighted voting vs the classical schemes\n\n");
+    out.push_str(&format!(
+        "Every row is one `wv-core` cluster of three replicas + one client \
+         and differs only in its vote assignment and quorums: weighted \
+         voting ⟨1,1,1⟩ with r = w = 2, read-one/write-all ⟨1,1,1⟩ with \
+         r = 1, w = 3, and primary copy ⟨1,0,0⟩ with r = w = 1, whose \
+         zero-vote backups catch up by anti-entropy ({} s probes) and whose \
+         local-reads client serves reads from a {} s lease. The client sits \
+         nearest replica 1 (80 ms access), other accesses cost 100 ms, and \
+         the links from replica 0 to the other two are slow (800 ms); the \
+         staleness probe adds a second client placed like the first. A \
+         write is one quorum access on the caller's path (the prepare \
+         round; the commit round finishes behind the report); with \
+         replica 0 down the table shows the *first* write after the crash, \
+         which finds its quorum member silent a round trip after the \
+         other's vote and widens to the third replica — the writes after \
+         it route around the site at no cost. A read asks every replica \
+         at once, so ROWA's read on the client's side of a partition is an \
+         inquiry plus a fetch from the one replica there.\n\n",
+        ANTI_ENTROPY.as_millis_f64() / 1000.0,
+        LEASE.as_millis_f64() / 1000.0,
+    ));
     // Every (scenario, system) probe builds its own cluster with a fixed
     // seed, so the whole grid fans out over the worker pool at once.
     const SCENARIOS: [&str; 3] = ["healthy", "replica0_down", "client_minority"];
@@ -305,20 +296,19 @@ pub fn run() -> String {
         out.push_str(&t.to_markdown());
     }
     let mut t = Table::new(
-        "Read-your-write staleness (immediate read after acked write)",
+        "Staleness across clients (a second client's read right after the first client's acked write)",
         &["system", "stale reads"],
     );
     let stale = runner::run_tasks(systems.len(), |i| staleness(systems[i], 30, 700 + i as u64));
-    for (system, s) in systems.into_iter().zip(stale) {
+    for (system, &s) in systems.into_iter().zip(&stale) {
         t.row(&[system.label().into(), pct(s)]);
     }
     out.push_str(&t.to_markdown());
-    out.push_str(
-        "Shape check: voting and majority consensus survive any single \
-         replica loss; ROWA keeps reads but loses writes; primary copy \
-         loses everything with its primary; only asynchronous local reads \
-         are ever stale.\n",
-    );
+    out.push_str("Shape check:\n\n");
+    for (clause, holds) in shape(&probes, &stale) {
+        let verdict = if holds { "yes" } else { "NO" };
+        out.push_str(&format!("* {clause}: **{verdict}**\n"));
+    }
     out
 }
 
@@ -346,8 +336,9 @@ mod tests {
         let primary = scenario(System::Primary, "replica0_down", 3);
         assert!(!primary.read_ok && !primary.write_ok, "primary was site 0");
 
-        let mc = scenario(System::MajorityConsensus, "replica0_down", 4);
-        assert!(mc.read_ok && mc.write_ok);
+        let lease = scenario(System::PrimaryLocalReads, "replica0_down", 4);
+        assert!(!lease.write_ok, "every vote is on the primary");
+        assert!(!lease.read_ok, "the probe's writer holds no lease");
     }
 
     #[test]
@@ -360,19 +351,19 @@ mod tests {
         assert!(rowa.read_ok, "ROWA reads any reachable replica");
         assert!(!rowa.write_ok);
 
-        let mc = scenario(System::MajorityConsensus, "client_minority", 7);
-        assert!(!mc.read_ok && !mc.write_ok);
+        let lease = scenario(System::PrimaryLocalReads, "client_minority", 7);
+        assert!(!lease.read_ok && !lease.write_ok, "the primary is away");
     }
 
     #[test]
     fn only_async_local_reads_are_stale() {
         assert_eq!(staleness(System::VotingMajority, 10, 8), 0.0);
-        assert_eq!(staleness(System::MajorityConsensus, 10, 9), 0.0);
+        assert_eq!(staleness(System::Rowa, 10, 9), 0.0);
         assert_eq!(staleness(System::Primary, 10, 10), 0.0);
         let lazy = staleness(System::PrimaryLocalReads, 20, 11);
         assert!(
             lazy > 0.0,
-            "async propagation must show staleness, got {lazy}"
+            "lease-served reads must show staleness, got {lazy}"
         );
     }
 
@@ -382,6 +373,8 @@ mod tests {
         assert!(report.contains("healthy"));
         assert!(report.contains("replica0_down"));
         assert!(report.contains("client_minority"));
-        assert!(report.contains("staleness"));
+        assert!(report.contains("Staleness"));
+        assert_eq!(report.matches(": **yes**").count(), 4, "{report}");
+        assert!(!report.contains("**NO**"), "{report}");
     }
 }

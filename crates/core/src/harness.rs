@@ -2461,6 +2461,37 @@ mod tests {
         assert_eq!(h.value_at(SiteId(2), suite).as_deref(), Some(&b"fresh"[..]));
     }
 
+    #[test]
+    fn anti_entropy_catches_up_a_zero_vote_server() {
+        // ⟨1,0⟩ with r = w = 1 is primary copy: the write quorum is the
+        // voting site alone, so only the daemon carries the write to the
+        // zero-vote server copy — one interval, then one pull round trip.
+        let weak = SiteId(1);
+        let primary_copy = |daemon: bool| {
+            let b = HarnessBuilder::new()
+                .seed(33)
+                .site(SiteSpec::server(1))
+                .site(SiteSpec::server(0))
+                .client()
+                .quorum(QuorumSpec::new(1, 1));
+            let b = if daemon {
+                b.anti_entropy(SimDuration::from_millis(500))
+            } else {
+                b
+            };
+            let mut h = b.build().expect("legal configuration");
+            let suite = h.suite_id();
+            let w = h.write(suite, b"primary".to_vec()).expect("write");
+            h.advance(SimDuration::from_millis(500 + 200));
+            let held = h.server_at(weak).expect("server").data_version(suite);
+            (w.version, held)
+        };
+        let (written, held) = primary_copy(true);
+        assert_eq!(held, written);
+        let (_, held) = primary_copy(false);
+        assert_eq!(held, Version::INITIAL);
+    }
+
     fn cache_tier_harness(seed: u64, wr: crate::client::WeakRepOptions) -> Harness {
         HarnessBuilder::new()
             .seed(seed)

@@ -12,8 +12,6 @@
 //! * [`storage`] (`wv-storage`) — write-ahead-logged containers.
 //! * [`txn`] (`wv-txn`) — the commit-lock table and the two-phase commit
 //!   vote.
-//! * [`baselines`] (`wv-baselines`) — ROWA, primary copy, majority
-//!   consensus.
 //! * [`analysis`] (`wv-analysis`) — closed-form latency and availability
 //!   models, and the optimal-vote-assignment search.
 //! * [`chaos`] (`wv-chaos`) — the chaos campaign engine: seeded fault
@@ -48,7 +46,6 @@
 #![forbid(unsafe_code)]
 
 pub use wv_analysis as analysis;
-pub use wv_baselines as baselines;
 pub use wv_chaos as chaos;
 pub use wv_core as core;
 pub use wv_net as net;
