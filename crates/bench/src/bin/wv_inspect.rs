@@ -94,6 +94,19 @@ fn flag_u64(flags: &[(String, String)], name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// A count or a span given as `--name`: at least 1, and small enough
+/// for `T`. Anything else is refused with the usage.
+fn flag_size<T: TryFrom<u64>>(flags: &[(String, String)], name: &str, default: u64) -> T {
+    let n = flag_u64(flags, name, default);
+    match T::try_from(n) {
+        Ok(size) if n > 0 => size,
+        _ => {
+            eprintln!("wv-inspect: --{name} {n} is out of range");
+            usage()
+        }
+    }
+}
+
 fn parse_int(v: &str) -> u64 {
     let parsed = match v.strip_prefix("0x") {
         Some(hex) => u64::from_str_radix(hex, 16),
@@ -118,8 +131,8 @@ fn main() {
                 usage();
             }
             let seed = flag_u64(&flags, "seed", 0x1257EC7);
-            let trials = flag_u64(&flags, "trials", 4) as usize;
-            let rounds = flag_u64(&flags, "rounds", 5) as u32;
+            let trials: usize = flag_size(&flags, "trials", 4);
+            let rounds: u32 = flag_size(&flags, "rounds", 5);
             let out = flags
                 .iter()
                 .rev()
@@ -160,8 +173,16 @@ fn main() {
         "slo" => {
             let (pos, flags) = parse_flags(rest, &["target-ms", "window-ms"]);
             let [file] = pos.as_slice() else { usage() };
+            // The report counts in microseconds.
             let target = flag_u64(&flags, "target-ms", 500);
-            let window = flag_u64(&flags, "window-ms", 4000);
+            let window: u64 = flag_size(&flags, "window-ms", 4000);
+            if target.max(window).checked_mul(1000).is_none() {
+                eprintln!(
+                    "wv-inspect: a span above {}ms is out of range",
+                    u64::MAX / 1000
+                );
+                usage();
+            }
             print!(
                 "{}",
                 wv_bench::inspect::slo_report(&ingest(file).spans, target, window)

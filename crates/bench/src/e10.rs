@@ -26,7 +26,7 @@
 use std::ops::AddAssign;
 
 use wv_core::client::{ClientOptions, ClientStats, HealthOptions};
-use wv_core::harness::{HarnessBuilder, SiteSpec};
+use wv_core::harness::{HarnessBuilder, Op, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_core::server::ServerStats;
 use wv_core::OpKind;
@@ -169,14 +169,14 @@ fn run_arm(seed: u64, healing: bool) -> ArmSummary {
     // Steady read-heavy workload over the horizon.
     let mut t = SimTime::ZERO + READ_EVERY;
     while t < HORIZON {
-        h.enqueue_read(client, suite, t);
+        h.enqueue(client, Op::Read(suite), t);
         t += READ_EVERY;
     }
     let mut t = SimTime::ZERO + SimDuration::from_millis(100);
     let mut k = 0u64;
     while t < HORIZON {
         let payload = format!("e10-{seed:016x}-{k}").into_bytes();
-        h.enqueue_write(client, suite, payload, t);
+        h.enqueue(client, Op::Write(suite, payload), t);
         t += WRITE_EVERY;
         k += 1;
     }

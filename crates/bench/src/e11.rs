@@ -23,7 +23,7 @@
 //!    quorum cost.
 
 use wv_core::client::{ClientOptions, QuorumPolicy};
-use wv_core::harness::{HarnessBuilder, SiteSpec};
+use wv_core::harness::{HarnessBuilder, Op, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
 use wv_sim::{LatencyModel, SimDuration};
@@ -103,7 +103,7 @@ fn run_cell(seed: u64, policy: QuorumPolicy, depth: usize, clients: usize, ops: 
     let start = h.now();
     for &c in &client_sites {
         for _ in 0..ops {
-            h.enqueue_read(c, suite, start);
+            h.enqueue(c, Op::Read(suite), start);
         }
     }
     h.run_until_quiet(100_000_000);

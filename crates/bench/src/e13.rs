@@ -26,7 +26,7 @@
 //! whose contents crossed the wire.
 
 use wv_core::client::{ClientOptions, ClientStats, CompletedOp, WeakRepOptions};
-use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
+use wv_core::harness::{Harness, HarnessBuilder, Op, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
 use wv_sim::{DetRng, LatencyModel, SimDuration};
@@ -200,9 +200,13 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
         for (i, &(is_write, s)) in plans[ci].iter().enumerate() {
             let suite = suites[s];
             if is_write {
-                h.enqueue_write(c, suite, format!("e13-c{ci}-{i}").into_bytes(), start);
+                h.enqueue(
+                    c,
+                    Op::Write(suite, format!("e13-c{ci}-{i}").into_bytes()),
+                    start,
+                );
             } else {
-                h.enqueue_read(c, suite, start);
+                h.enqueue(c, Op::Read(suite), start);
             }
         }
     }
@@ -225,7 +229,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
     let t = h.now();
     for &c in &client_sites {
         for &s in &suites {
-            h.enqueue_read(c, s, t);
+            h.enqueue(c, Op::Read(s), t);
         }
     }
     collect_ops(&mut h, &client_sites, CLIENTS * SUITES);
@@ -238,7 +242,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
     let t = h.now();
     for (ci, &c) in client_sites.iter().enumerate() {
         for &s in &probes[ci] {
-            h.enqueue_read(c, suites[s], t);
+            h.enqueue(c, Op::Read(suites[s]), t);
         }
     }
     let probe_reads = collect_ops(&mut h, &client_sites, CLIENTS * PROBE_READS)

@@ -39,7 +39,7 @@
 //!    pinned by `the_single_suite_path_is_byte_identical_to_default`.
 
 use wv_core::client::{ClientOptions, ClientStats, CompletedOp};
-use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
+use wv_core::harness::{Harness, HarnessBuilder, Op, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
 use wv_sim::{DetRng, LatencyModel, SimDuration};
@@ -201,9 +201,13 @@ fn replay(h: &mut Harness, suites: &[ObjectId], plans: &[Vec<(bool, usize)>]) ->
         for (i, &(is_read, s)) in plans[ci].iter().enumerate() {
             let suite = suites[s];
             if is_read {
-                h.enqueue_read(c, suite, start);
+                h.enqueue(c, Op::Read(suite), start);
             } else {
-                h.enqueue_write(c, suite, format!("e15-c{ci}-{i}").into_bytes(), start);
+                h.enqueue(
+                    c,
+                    Op::Write(suite, format!("e15-c{ci}-{i}").into_bytes()),
+                    start,
+                );
             }
         }
     }

@@ -25,7 +25,7 @@
 //!   so its own next read is never stale.)
 
 use wv_core::client::{ClientOptions, WeakRepOptions};
-use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
+use wv_core::harness::{Harness, HarnessBuilder, Op, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{Fault, NetConfig, Partition, SiteId};
 use wv_sim::SimDuration;
@@ -187,10 +187,12 @@ pub fn staleness(system: System, rounds: u32, seed: u64) -> f64 {
     prime(&mut h);
     let suite = h.suite_id();
     let (writer, reader) = (h.clients()[0], h.clients()[1]);
-    h.read_from(reader, suite).expect("warm-up read");
+    h.run(reader, Op::Read(suite)).expect("warm-up read");
     for _ in 0..rounds {
-        let w = h.write_from(writer, suite, b"x".to_vec()).expect("write");
-        let r = h.read_from(reader, suite).expect("read");
+        let w = h
+            .run(writer, Op::Write(suite, b"x".to_vec()))
+            .expect("write");
+        let r = h.run(reader, Op::Read(suite)).expect("read");
         if r.version < w.version {
             stale += 1;
         }

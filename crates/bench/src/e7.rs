@@ -8,7 +8,7 @@
 //! operation across the transition ever reads anything but the latest
 //! committed value.
 
-use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
+use wv_core::harness::{Harness, HarnessBuilder, Op, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_core::votes::VoteAssignment;
 use wv_net::SiteId;
@@ -95,11 +95,9 @@ pub fn execute(seed: u64, rounds: usize) -> ReconfigRun {
     // The knob turns: same votes, new quorums, installed under the OLD
     // write quorum (majority).
     let rec = h
-        .reconfigure_from(
+        .run(
             h.default_client(),
-            suite,
-            VoteAssignment::equal(3),
-            QuorumSpec::new(1, 3),
+            Op::Reconfigure(suite, VoteAssignment::equal(3), QuorumSpec::new(1, 3)),
         )
         .expect("reconfiguration succeeds");
     let after = run_phase(&mut h, rounds, &mut expected, &mut stale);

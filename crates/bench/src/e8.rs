@@ -10,7 +10,7 @@
 
 use wv_core::client::ClientOptions;
 use wv_core::error::OpKind;
-use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
+use wv_core::harness::{Harness, HarnessBuilder, Op, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::SiteId;
 use wv_sim::{SimDuration, SimTime};
@@ -75,7 +75,11 @@ pub fn measure(
         let base = round as u64 * 1_200;
         for (k, &c) in client_sites.iter().enumerate() {
             let at = SimTime::from_millis(base + (client_sites.len() - k) as u64 * 37);
-            h.enqueue_write(c, suite, format!("r{round}c{k}").into_bytes(), at);
+            h.enqueue(
+                c,
+                Op::Write(suite, format!("r{round}c{k}").into_bytes()),
+                at,
+            );
         }
     }
     h.run_until_quiet(5_000_000);

@@ -199,8 +199,13 @@ pub fn ride_report(spans: &[SpanRecord], op: Option<u64>) -> String {
 /// report shows availability (ops that ended `ok`) and latency
 /// attainment (ok ops that finished within `target_ms`); a window
 /// breaching either burns error budget and is marked `BURN`.
+///
+/// # Panics
+///
+/// If `window_ms` is 0.
 pub fn slo_report(spans: &[SpanRecord], target_ms: u64, window_ms: u64) -> String {
-    let window_us = window_ms.max(1) * 1000;
+    assert!(window_ms > 0, "an SLO window is at least 1 ms");
+    let window_us = window_ms * 1000;
     let target_us = target_ms * 1000;
     #[derive(Default)]
     struct Cell {
@@ -347,6 +352,7 @@ fn drive_rounds(h: &mut Harness, rounds: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wv_core::harness::Op;
 
     fn capture() -> Capture {
         capture_e1(0x1257EC7, 2, 3)
@@ -453,7 +459,7 @@ mod tests {
         h.enable_tracing();
         let suite = h.suite_id();
         for c in h.clients().to_vec() {
-            h.enqueue_write(c, suite, b"w".to_vec(), SimTime::ZERO);
+            h.enqueue(c, Op::Write(suite, b"w".to_vec()), SimTime::ZERO);
         }
         h.run_until_quiet(1_000_000);
         let retries: u64 = h
@@ -492,7 +498,7 @@ mod tests {
         h.enable_tracing();
         let (suite, client) = (h.suite_id(), h.default_client());
         for value in [b"a", b"b", b"c"] {
-            h.enqueue_write(client, suite, value.to_vec(), h.now());
+            h.enqueue(client, Op::Write(suite, value.to_vec()), h.now());
         }
         h.run_until_quiet(100_000);
         let stats = h.client_at(client).expect("client").stats;

@@ -6,9 +6,9 @@
 //! `results/<id>.md` (and E9's `results/e9_repro.json`), so
 //! `wv-exp all && git diff --exit-code results/` checks that every
 //! committed report is what the code produces. `--trials N` runs a sized
-//! experiment at another size (see `Size::Of`) and leaves `results/`
-//! alone. `WV_TRIAL_THREADS` picks the worker count; no report's bytes
-//! depend on it.
+//! experiment at another size (see `Size::Of`), N ≥ 1, and leaves
+//! `results/` alone. `WV_TRIAL_THREADS` picks the worker count; no
+//! report's bytes depend on it.
 
 #![forbid(unsafe_code)]
 
@@ -45,8 +45,9 @@ fn main() {
     let (which, size) = match args.as_slice() {
         [which] => (which, Size::Full),
         [which, flag, n] if flag == "--trials" => match n.parse() {
-            Ok(n) => (which, Size::Of(n)),
-            Err(_) => usage(),
+            // No verdict can be drawn from zero operations.
+            Ok(n) if n > 0 => (which, Size::Of(n)),
+            _ => usage(),
         },
         _ => usage(),
     };

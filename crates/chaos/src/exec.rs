@@ -15,7 +15,7 @@ use wv_core::client::{
 };
 use wv_core::harness::{HarnessBuilder, SiteSpec};
 use wv_core::server::ServerStats;
-use wv_core::{Fault, Harness, OpError, OpKind, QuorumSpec, VoteAssignment};
+use wv_core::{Fault, Harness, Op, OpError, OpKind, QuorumSpec, VoteAssignment};
 use wv_net::sim_net::NetStats;
 use wv_net::{Fault as NetFault, SiteId};
 use wv_sim::{SimDuration, SimTime};
@@ -384,15 +384,15 @@ fn run_schedule_inner(
                         payload: bytes,
                         suites: span,
                     });
-                    h.enqueue_transaction(c, writes, at);
+                    h.enqueue(c, Op::Transaction(writes), at);
                 } else {
-                    h.enqueue_write(c, home, bytes, at);
+                    h.enqueue(c, Op::Write(home, bytes), at);
                 }
             }
             EventKind::Read { client } => {
                 let s = suites[read_rr % suites.len()];
                 read_rr += 1;
-                h.enqueue_read(clients[*client], s, at);
+                h.enqueue(clients[*client], Op::Read(s), at);
             }
             EventKind::Reconfigure {
                 client,
@@ -401,11 +401,13 @@ fn run_schedule_inner(
             } => {
                 // Reconfigurations always target the first suite; the
                 // sibling suites keep their configs.
-                h.enqueue_reconfigure(
+                h.enqueue(
                     clients[*client],
-                    suites[0],
-                    VoteAssignment::equal(spec.servers),
-                    QuorumSpec::new(*read_quorum, *write_quorum),
+                    Op::Reconfigure(
+                        suites[0],
+                        VoteAssignment::equal(spec.servers),
+                        QuorumSpec::new(*read_quorum, *write_quorum),
+                    ),
                     at,
                 );
             }
@@ -491,7 +493,7 @@ fn run_schedule_inner(
         for &s in &suites {
             let mut per_client = Vec::new();
             for &c in &clients {
-                let result = h.read_from(c, s).ok();
+                let result = h.run(c, Op::Read(s)).ok();
                 per_client.push(result.map(|r| (r.version, r.value.to_vec())));
             }
             suite_finals.push(per_client);

@@ -441,10 +441,6 @@ struct OpState {
     /// Age in the commit-lock lines: the counter of the operation's
     /// *first* request id.
     lock_ts: u64,
-    /// Phase sequence; timers carry the value current when set, are
-    /// cancelled when it moves on ([`OpState::end_phase`]), and would be
-    /// ignored if they fired after.
-    seq: u64,
     phase: Phase,
 }
 
@@ -464,9 +460,9 @@ impl OpState {
         suites_of(&self.writes, self.suite)
     }
 
-    /// Cancels the timers the current phase armed under `req`, which it is
-    /// ending or leaving. (A retry's backoff is not a phase's: it fires.)
-    fn cancel_timers(&self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+    /// Ends the current phase: cancels the timers it armed under `req`.
+    /// (A retry's backoff is not a phase's: it fires.)
+    fn end_phase(&self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
         use TimerKind::{PhaseTimeout, Widen};
         let kinds: &[TimerKind] = match self.phase {
             Phase::Inquire { .. } | Phase::RefreshConfig | Phase::Fetch { .. } => &[PhaseTimeout],
@@ -474,15 +470,8 @@ impl OpState {
             Phase::Decided | Phase::Riding => &[],
         };
         for &kind in kinds {
-            ctx.cancel_timer(timer_token(req, self.seq, kind));
+            ctx.cancel_timer(timer_token(req, kind));
         }
-    }
-
-    /// Ends the current phase: its timers are cancelled, and `seq` moves
-    /// on so that none armed under it counts any more.
-    fn end_phase(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
-        self.cancel_timers(req, ctx);
-        self.seq += 1;
     }
 }
 
@@ -611,19 +600,18 @@ fn op_err_outcome(err: &OpError) -> SpanOutcome {
     }
 }
 
-/// What a timer is for. Its token names it: the request id, the phase
-/// `seq` it was armed under and the kind ([`timer_token`]), so a phase
-/// that ends cancels its own ([`OpState::cancel_timers`]).
+/// What a timer is for. Its token names it: the request id and the kind
+/// ([`timer_token`]), so a phase that ends cancels its own
+/// ([`OpState::end_phase`]).
 #[derive(Clone, Copy, Debug)]
 enum TimerKind {
     PhaseTimeout,
     Retry,
     /// A direct prepare's first yes is one round trip old and some
-    /// participant has still said nothing. Shares the phase's `seq`:
-    /// firing is not a timeout.
+    /// participant has still said nothing. Firing is not a timeout.
     Widen,
-    /// A commit tail's round went unacknowledged; `seq` is unused (a
-    /// tail has one timer out at a time, and request ids never repeat).
+    /// A commit tail's round went unacknowledged (a tail has one timer
+    /// out at a time, and request ids never repeat).
     CommitResend,
 }
 
@@ -640,15 +628,10 @@ impl TimerKind {
 /// composite node can route timer callbacks unambiguously.
 pub const CLIENT_TIMER_TAG: u64 = 1 << 63;
 
-/// The bits of a phase `seq` a timer token keeps. Every phase cancels its
-/// timers when it ends, so none is pending this many phases on.
-const TOKEN_SEQ_MASK: u64 = (1 << 12) - 1;
-
-/// The token of `req`'s `kind` timer armed under phase `seq`: below the
-/// tag, the request counter (48 bits), the seq's low 12 bits and the kind
-/// (3 bits).
-fn timer_token(req: ReqId, seq: u64, kind: TimerKind) -> u64 {
-    CLIENT_TIMER_TAG | req.counter() << 15 | (seq & TOKEN_SEQ_MASK) << 3 | kind as u64
+/// The token of `req`'s `kind` timer: below the tag, the request counter
+/// (48 bits) and the kind (3 bits).
+fn timer_token(req: ReqId, kind: TimerKind) -> u64 {
+    CLIENT_TIMER_TAG | req.counter() << 3 | kind as u64
 }
 
 /// A client node: starts operations, reacts to responses, records results.
@@ -819,7 +802,6 @@ impl ClientNode {
                 attempt_started: s.started,
                 attempts: 0,
                 lock_ts: s.req.counter(),
-                seq: 0,
                 phase: Phase::Riding, // no message, no timer yet; begin_attempt resets
             };
             self.ops.insert(s.req, st);
@@ -1051,7 +1033,6 @@ impl ClientNode {
             contents,
             early: cached_early,
         };
-        let seq = st.seq;
         let st = &self.ops[&req];
         let asked = inquiry_targets(&self.planner, &self.configs, st).map(|(_, site)| site.0);
         let legs = guess.into_iter().chain(contents).map(|site| site.0);
@@ -1084,7 +1065,7 @@ impl ClientNode {
         if let Some(target) = unasked {
             content_read(ctx, target, suite, req);
         }
-        ctx.set_timer(delay, timer_token(req, seq, TimerKind::PhaseTimeout));
+        ctx.set_timer(delay, timer_token(req, TimerKind::PhaseTimeout));
     }
 
     /// Plans a write's or transaction's prepare and launches it. After an
@@ -1193,7 +1174,6 @@ impl ClientNode {
         };
         st.on_commit = Some(plan.on_commit);
         st.end_phase(req, ctx);
-        let seq = st.seq;
         st.phase = Phase::Prepare {
             participants: plan.batches.iter().map(|(site, _)| *site).collect(),
             yes: SiteMap::default(),
@@ -1205,7 +1185,7 @@ impl ClientNode {
         let asked = plan.batches.iter().map(|(site, _)| site.0);
         (self.recorder).phase(req.0, SpanKind::Prepare, asked, [], ctx.now());
         self.send_batches(req, plan.batches, plan.rebase, ctx);
-        ctx.set_timer(timeout, timer_token(req, seq, TimerKind::PhaseTimeout));
+        ctx.set_timer(timeout, timer_token(req, TimerKind::PhaseTimeout));
     }
 
     /// Sends each site its prepare batch under `req`'s open prepare phase,
@@ -1261,7 +1241,7 @@ impl ClientNode {
             self.complete(req, Err(err), ctx);
             return;
         }
-        let Some(mut st) = self.ops.remove(&req) else {
+        let Some(st) = self.ops.remove(&req) else {
             return;
         };
         // Fresh request id for the next attempt; late traffic for the old
@@ -1270,7 +1250,6 @@ impl ClientNode {
         let new_req = self.fresh_req();
         (self.recorder).retry(req.0, new_req.0, cause.outcome(), ctx.now());
         st.end_phase(req, ctx);
-        let seq = st.seq;
         let attempts = st.attempts;
         // Another operation won a race this attempt lost: an older
         // prepare took a lock it was still collecting for, or a write
@@ -1284,7 +1263,7 @@ impl ClientNode {
         let suite = st.suite;
         self.ops.insert(new_req, st);
         let delay = self.retry_delay(new_req, attempts).max(lost);
-        ctx.set_timer(delay, timer_token(new_req, seq, TimerKind::Retry));
+        ctx.set_timer(delay, timer_token(new_req, TimerKind::Retry));
         self.depart(suite, req, ctx);
     }
 
@@ -1318,7 +1297,7 @@ impl ClientNode {
             return;
         };
         self.note_retry(RetryCause::StaleConfig);
-        st.cancel_timers(req, ctx);
+        st.end_phase(req, ctx);
         let new_req = self.fresh_req();
         let stale = RetryCause::StaleConfig.outcome();
         (self.recorder).retry(req.0, new_req.0, stale, ctx.now());
@@ -1335,7 +1314,7 @@ impl ClientNode {
         let Some(mut st) = self.ops.remove(&req) else {
             return;
         };
-        st.cancel_timers(req, ctx);
+        st.end_phase(req, ctx);
         let span_outcome = match &outcome {
             Ok(_) => SpanOutcome::Ok,
             Err(e) => op_err_outcome(e),
@@ -1397,11 +1376,10 @@ impl ClientNode {
         }
         st.end_phase(req, ctx);
         st.phase = Phase::RefreshConfig;
-        let seq = st.seq;
         ctx.send(ask, Msg::ConfigReq { suite: stale, req });
         ctx.set_timer(
             self.options.phase_timeout,
-            timer_token(req, seq, TimerKind::PhaseTimeout),
+            timer_token(req, TimerKind::PhaseTimeout),
         );
         self.depart(suite, req, ctx);
     }
@@ -1618,7 +1596,6 @@ impl ClientNode {
             _ => None,
         };
         st.end_phase(req, ctx);
-        let seq = st.seq;
         st.phase = Phase::Fetch {
             current,
             candidates,
@@ -1626,7 +1603,7 @@ impl ClientNode {
         };
         let racing = racing.map(|site| site.0);
         (self.recorder).phase(req.0, SpanKind::Fetch, [], racing, ctx.now());
-        self.launch_leg(req, suite, first, seq, ctx);
+        self.launch_leg(req, suite, first, ctx);
     }
 
     /// Sends one fetch leg to `site` and arms the phase timeout for it.
@@ -1635,14 +1612,13 @@ impl ClientNode {
         req: ReqId,
         suite: ObjectId,
         site: SiteId,
-        seq: u64,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
         let delay = self.planner.phase_delay([site]);
         self.recorder.leg(req.0, site.0, ctx.now());
         self.planner.load(site);
         content_read(ctx, site, suite, req);
-        ctx.set_timer(delay, timer_token(req, seq, TimerKind::PhaseTimeout));
+        ctx.set_timer(delay, timer_token(req, TimerKind::PhaseTimeout));
     }
 
     /// Contents arrive from `from`: a content read's answer, or
@@ -1729,10 +1705,9 @@ impl ClientNode {
             return self.fail_attempt(req, OpError::Conflict, cause, ctx);
         };
         st.end_phase(req, ctx);
-        let seq = st.seq;
         let kind = DecisionKind::FetchFailover;
         self.audit_decision(kind, req, suite, [site], None, ctx.now());
-        self.launch_leg(req, suite, site, seq, ctx);
+        self.launch_leg(req, suite, site, ctx);
     }
 
     /// One participant's answer to a prepare: what it staged with its yes
@@ -1778,8 +1753,7 @@ impl ClientNode {
         if first && !unprobed.is_empty() {
             let waiting = participants.iter().filter(|s| !yes.contains_key(s));
             let delay = rtt.max(self.planner.round_trip(waiting));
-            let seq = st.seq;
-            ctx.set_timer(delay, timer_token(req, seq, TimerKind::Widen));
+            ctx.set_timer(delay, timer_token(req, TimerKind::Widen));
         }
     }
 
@@ -1836,7 +1810,7 @@ impl ClientNode {
         }
         st.end_phase(req, ctx);
         st.phase = Phase::Decided;
-        ctx.set_timer(delay, timer_token(req, 0, TimerKind::CommitResend));
+        ctx.set_timer(delay, timer_token(req, TimerKind::CommitResend));
         if let Some(outcome) = report {
             self.report(req, suite, outcome, ctx);
         }
@@ -1968,12 +1942,11 @@ impl ClientNode {
             0
         };
         st.end_phase(req, ctx);
-        let seq = st.seq;
         for &site in &waiting {
             ctx.send(site, reask(req, lock_ts));
         }
         let delay = self.planner.phase_delay(waiting) * (1u64 << doublings);
-        ctx.set_timer(delay, timer_token(req, seq, TimerKind::PhaseTimeout));
+        ctx.set_timer(delay, timer_token(req, TimerKind::PhaseTimeout));
         true
     }
 
@@ -2149,7 +2122,7 @@ impl ClientNode {
             ctx.send(site, commit.clone());
         }
         let delay = self.options.phase_timeout;
-        ctx.set_timer(delay, timer_token(req, 0, TimerKind::CommitResend));
+        ctx.set_timer(delay, timer_token(req, TimerKind::CommitResend));
     }
 
     /// Ends `req`'s commit tail and reports the operation if that is
@@ -2160,7 +2133,7 @@ impl ClientNode {
         let Some(tail) = self.commits.end(req, acked) else {
             return;
         };
-        ctx.cancel_timer(timer_token(req, 0, TimerKind::CommitResend));
+        ctx.cancel_timer(timer_token(req, TimerKind::CommitResend));
         self.recorder.commit_ended(req.0, acked, ctx.now());
         let suite = tail.suite;
         if let Some((version, value)) = tail.push {
@@ -2363,15 +2336,13 @@ impl ClientNode {
         let Some(&kind) = TimerKind::ALL.get((token & 0b111) as usize) else {
             return;
         };
-        let req = ReqId::new((token & !CLIENT_TIMER_TAG) >> 15, self.site);
-        // An operation's timer is stale once its phase has moved on; a
-        // tail's only once the tail is gone. Either is cancelled then, and
-        // a crash drops every timer the site had set: none armed before it
-        // fires after the recovery.
-        let current = |st: &OpState| st.seq & TOKEN_SEQ_MASK == (token >> 3) & TOKEN_SEQ_MASK;
+        let req = ReqId::new((token & !CLIENT_TIMER_TAG) >> 3, self.site);
+        // A phase cancels its timers when it ends, and a crash drops every
+        // timer the site had set, so a timer that fires is its operation's
+        // current phase's; one whose operation has ended is ignored.
         match kind {
             TimerKind::CommitResend => self.on_commit_timeout(req, ctx),
-            _ if !self.ops.get(&req).is_some_and(current) => {}
+            _ if !self.ops.contains_key(&req) => {}
             TimerKind::Retry => self.begin_attempt(req, ctx),
             TimerKind::PhaseTimeout => self.on_phase_timeout(req, ctx),
             TimerKind::Widen => self.on_widen(req, ctx),
@@ -2812,7 +2783,7 @@ mod tests {
         at_ms: u64,
         req: ReqId,
     ) -> (Vec<(SiteId, Msg)>, Vec<(SimDuration, u64)>) {
-        let token = timer_token(req, c.ops[&req].seq, TimerKind::PhaseTimeout);
+        let token = timer_token(req, TimerKind::PhaseTimeout);
         fire_timer(c, rng, at_ms, token)
     }
 
@@ -3167,7 +3138,7 @@ mod tests {
         ack(&mut c, &mut rng, 0, req);
         // Site 1 never acks. Every round sends it the decision again...
         let limit = u64::from(ClientOptions::default().commit_resend_limit);
-        let resend = timer_token(req, 0, TimerKind::CommitResend);
+        let resend = timer_token(req, TimerKind::CommitResend);
         for round in 1..=limit {
             let (sends, timers) = fire_timer(&mut c, &mut rng, 5_000 * round, resend);
             assert_eq!(sends.len(), 1, "{sends:?}");

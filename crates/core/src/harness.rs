@@ -1,22 +1,26 @@
 //! A synchronous facade over a simulated weighted-voting cluster.
 //!
 //! [`HarnessBuilder`] assembles sites, votes, quorums, and a network;
-//! [`Harness`] then offers blocking-style `read`/`write`/`reconfigure`
-//! calls that drive the discrete-event simulation until the operation
-//! completes and report the outcome together with its virtual-time
-//! latency. Examples, integration tests, and the experiment binaries all
-//! sit on this facade; asynchronous use (concurrent operations) is
-//! available through [`Harness::enqueue_read`] / [`Harness::enqueue_write`]
-//! plus [`Harness::run_until_quiet`]. Every fault, a crash and a
-//! recovery included, is a [`Fault`] handed to [`Harness::inject`]; a
-//! node's state is read through [`Harness::client_at`] and
+//! [`Harness`] then runs operations on it. An operation — a read, a
+//! write, a transaction or a reconfiguration — is an [`Op`] value, and
+//! there are two ways to start one: [`Harness::run`] drives the
+//! discrete-event simulation until it completes and reports it as a
+//! [`Done`] with its virtual-time latency ([`Harness::read`] and
+//! [`Harness::write`] are its default-client shorthand), and
+//! [`Harness::enqueue`] starts it at an instant without waiting, for
+//! concurrent operations, with [`Harness::run_until_quiet`] or
+//! [`Harness::advance`] to drive them. Examples, integration tests, and
+//! the experiment binaries all sit on this facade. Every fault, a crash
+//! and a recovery included, is a [`Fault`] handed to [`Harness::inject`];
+//! a node's state is read through [`Harness::client_at`] and
 //! [`Harness::server_at`]. A blocking call waits for its own operation
 //! alone: it refuses a client with operations in flight.
 //!
 //! The builder is the one way to build a cluster, on either clock:
 //! [`HarnessBuilder::build`] puts it on the simulator, and
 //! [`HarnessBuilder::build_on_threads`] on real threads
-//! ([`crate::thread_harness`]). Both run the nodes one function makes.
+//! ([`crate::thread_harness`]). Both run the nodes one function makes,
+//! and both start an [`Op`] the same way.
 //!
 //! # Determinism contract
 //!
@@ -34,13 +38,14 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use wv_net::sim_net::{Cluster, NetStats};
-use wv_net::{Fault as NetFault, NetConfig, SiteId};
+use wv_net::{Fault as NetFault, NetConfig, NodeCtx, SiteId};
 use wv_sim::{derive_seed, FailureSchedule, LatencyModel, Scheduler, Sim, SimDuration, SimTime};
 use wv_storage::{ObjectId, Version};
 use wv_txn::lock::DeadlockPolicy;
 
 use crate::client::{ClientNode, ClientOptions, CompletedOp};
 use crate::error::{OpError, OpKind};
+use crate::msg::{Msg, ReqId};
 use crate::node::SystemNode;
 use crate::quorum::QuorumSpec;
 use crate::server::SuiteServer;
@@ -378,35 +383,59 @@ pub(crate) struct Assembled {
     pub(crate) seed: u64,
 }
 
-/// A successful read.
+/// An operation on the file suites: what either clock's `enqueue`, and
+/// [`Harness::run`], start at a client.
 #[derive(Clone, Debug)]
-pub struct ReadResult {
-    /// The contents.
+pub enum Op {
+    /// A read of the suite.
+    Read(ObjectId),
+    /// A write of the suite's whole contents.
+    Write(ObjectId, Vec<u8>),
+    /// Writes to several suites, all committed or none.
+    Transaction(Vec<(ObjectId, Vec<u8>)>),
+    /// A new vote assignment and quorums for the suite, installed under
+    /// the old configuration's write quorum.
+    Reconfigure(ObjectId, VoteAssignment, QuorumSpec),
+}
+
+impl Op {
+    /// What kind of operation this is.
+    pub(crate) fn kind(&self) -> OpKind {
+        match self {
+            Op::Read(_) => OpKind::Read,
+            Op::Write(..) => OpKind::Write,
+            Op::Transaction(_) => OpKind::Transaction,
+            Op::Reconfigure(..) => OpKind::Reconfigure,
+        }
+    }
+
+    /// Starts the operation at `client`.
+    pub(crate) fn start(self, client: &mut ClientNode, ctx: &mut NodeCtx<'_, Msg>) -> ReqId {
+        match self {
+            Op::Read(suite) => client.start_read(suite, ctx),
+            Op::Write(suite, value) => client.start_write(suite, value, ctx),
+            Op::Transaction(writes) => {
+                let writes = writes.into_iter().map(|(s, v)| (s, Bytes::from(v)));
+                client.start_transaction(writes.collect(), ctx)
+            }
+            Op::Reconfigure(suite, assignment, quorum) => {
+                client.start_reconfigure(suite, assignment, quorum, ctx)
+            }
+        }
+    }
+}
+
+/// A successful operation, as [`Harness::run`] reports it.
+#[derive(Clone, Debug)]
+pub struct Done {
+    /// The version read or installed (the first suite's, for a
+    /// transaction).
+    pub version: Version,
+    /// The contents, for a read; empty otherwise.
     pub value: Bytes,
-    /// Their version.
-    pub version: Version,
-    /// End-to-end virtual-time latency.
-    pub latency: SimDuration,
-    /// Attempts used.
-    pub attempts: u32,
-}
-
-/// A successful multi-suite transaction.
-#[derive(Clone, Debug)]
-pub struct TransactionResult {
-    /// The version installed at each suite.
-    pub versions: Vec<(ObjectId, Version)>,
-    /// End-to-end virtual-time latency.
-    pub latency: SimDuration,
-    /// Attempts used.
-    pub attempts: u32,
-}
-
-/// A successful write or reconfiguration.
-#[derive(Clone, Debug)]
-pub struct WriteResult {
-    /// The version installed.
-    pub version: Version,
+    /// The version installed at each suite, for a transaction; empty
+    /// otherwise.
+    pub multi: Vec<(ObjectId, Version)>,
     /// End-to-end virtual-time latency.
     pub latency: SimDuration,
     /// Attempts used.
@@ -503,118 +532,30 @@ impl Harness {
     }
 
     /// Reads the suite from the default client.
-    pub fn read(&mut self, suite: ObjectId) -> Result<ReadResult, OpError> {
-        self.read_from(self.default_client(), suite)
-    }
-
-    /// Reads the suite from a specific client.
-    pub fn read_from(&mut self, client: SiteId, suite: ObjectId) -> Result<ReadResult, OpError> {
-        let done = self.run_op(client, OpKind::Read, move |c, ctx| {
-            c.start_read(suite, ctx);
-        })?;
-        match done.outcome {
-            Ok(ok) => Ok(ReadResult {
-                value: ok.value.unwrap_or_default(),
-                version: ok.version,
-                latency: done.finished.since(done.started),
-                attempts: done.attempts,
-            }),
-            Err(e) => Err(e),
-        }
+    pub fn read(&mut self, suite: ObjectId) -> Result<Done, OpError> {
+        self.run(self.default_client(), Op::Read(suite))
     }
 
     /// Writes the suite from the default client.
-    pub fn write(&mut self, suite: ObjectId, value: Vec<u8>) -> Result<WriteResult, OpError> {
-        self.write_from(self.default_client(), suite, value)
+    pub fn write(&mut self, suite: ObjectId, value: Vec<u8>) -> Result<Done, OpError> {
+        self.run(self.default_client(), Op::Write(suite, value))
     }
 
-    /// Writes the suite from a specific client. Returns when the write is
-    /// reported, which is what a caller experiences: at its commit
-    /// decision, with the commit round still on its way to the
-    /// representatives. Settle first ([`Harness::advance`],
-    /// [`Harness::run_until_quiet`]) to inspect them.
-    pub fn write_from(
-        &mut self,
-        client: SiteId,
-        suite: ObjectId,
-        value: Vec<u8>,
-    ) -> Result<WriteResult, OpError> {
-        let done = self.run_op(client, OpKind::Write, move |c, ctx| {
-            c.start_write(suite, value, ctx);
-        })?;
-        match done.outcome {
-            Ok(ok) => Ok(WriteResult {
-                version: ok.version,
-                latency: done.finished.since(done.started),
-                attempts: done.attempts,
-            }),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Atomically writes several suites: every `(suite, value)` commits or
-    /// none does, even under crashes (the decision is a single durable
-    /// record at the coordinating client). Returns, like
-    /// [`Harness::write_from`], when that record is written.
-    pub fn transaction(
-        &mut self,
-        client: SiteId,
-        writes: Vec<(ObjectId, Vec<u8>)>,
-    ) -> Result<TransactionResult, OpError> {
-        let done = self.run_op(client, OpKind::Transaction, move |c, ctx| {
-            let writes = writes
-                .into_iter()
-                .map(|(s, v)| (s, bytes::Bytes::from(v)))
-                .collect();
-            c.start_transaction(writes, ctx);
-        })?;
-        match done.outcome {
-            Ok(ok) => Ok(TransactionResult {
-                versions: ok.multi,
-                latency: done.finished.since(done.started),
-                attempts: done.attempts,
-            }),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Changes the suite's vote assignment and quorums online, from a
-    /// specific client, under the old configuration's write quorum.
-    pub fn reconfigure_from(
-        &mut self,
-        client: SiteId,
-        suite: ObjectId,
-        assignment: VoteAssignment,
-        quorum: QuorumSpec,
-    ) -> Result<WriteResult, OpError> {
-        let done = self.run_op(client, OpKind::Reconfigure, move |c, ctx| {
-            c.start_reconfigure(suite, assignment, quorum, ctx);
-        })?;
-        match done.outcome {
-            Ok(ok) => Ok(WriteResult {
-                version: ok.version,
-                latency: done.finished.since(done.started),
-                attempts: done.attempts,
-            }),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Starts an operation of `kind` and steps the simulation until it
-    /// completes.
+    /// Starts `op` at `client` now and steps the simulation until it
+    /// completes. A write or a transaction returns when it is reported,
+    /// which is what a caller experiences: at its commit decision, with
+    /// the commit round still on its way to the representatives. Settle
+    /// first ([`Harness::advance`], [`Harness::run_until_quiet`]) to
+    /// inspect them.
     ///
     /// # Panics
     ///
     /// If `client` is not a client site, or has operations in flight
     /// when this one starts: the completion that ends the wait must be
     /// this operation's own.
-    fn run_op(
-        &mut self,
-        client: SiteId,
-        kind: OpKind,
-        start: impl FnOnce(&mut ClientNode, &mut wv_net::NodeCtx<'_, crate::msg::Msg>) + 'static,
-    ) -> Result<CompletedOp, OpError> {
+    pub fn run(&mut self, client: SiteId, op: Op) -> Result<Done, OpError> {
         self.assert_client(client);
+        let kind = op.kind();
         self.started.set(None);
         let started = Rc::clone(&self.started);
         let at = self.sim.now();
@@ -628,7 +569,7 @@ impl Harness {
                 "site {client} has {busy} operations in flight: a blocking call needs an idle client"
             );
             started.set(Some(c.completed.len()));
-            start(c, ctx);
+            op.start(c, ctx);
         });
         // Step until this operation is in the client's completion log: of
         // what ended since it started on the idle client, the one entry
@@ -649,12 +590,17 @@ impl Harness {
                 let c = self.sim.world.nodes[client.index()]
                     .as_client_mut()
                     .expect("client exists");
-                return Ok(c.completed.remove(i));
+                let done = c.completed.remove(i);
+                let latency = done.latency();
+                return done.outcome.map(|ok| Done {
+                    version: ok.version,
+                    value: ok.value.unwrap_or_default(),
+                    multi: ok.multi,
+                    latency,
+                    attempts: done.attempts,
+                });
             }
-            if self.started.get().is_none() && self.sim.now() > at {
-                return Err(OpError::Unavailable { kind });
-            }
-            if !self.sim.step() {
+            if (self.started.get().is_none() && self.sim.now() > at) || !self.sim.step() {
                 return Err(OpError::Unavailable { kind });
             }
         }
@@ -665,69 +611,41 @@ impl Harness {
         assert!(self.clients.contains(&site), "site {site} is not a client");
     }
 
-    /// Starts a read without waiting; results appear in the client's
-    /// completion log (see [`Harness::drain_completed`]). A client that is
-    /// down at `at` skips it.
+    /// Starts `op` at `client` at `at` without waiting; its outcome
+    /// appears in the client's completion log (see
+    /// [`Harness::drain_completed`]). A client that is down at `at` skips
+    /// it.
     ///
     /// # Panics
     ///
     /// If `client` is not a client site.
+    pub fn enqueue(&mut self, client: SiteId, op: Op, at: SimTime) {
+        self.assert_client(client);
+        Cluster::invoke(self.sim.scheduler(), at, client, move |node, ctx| {
+            if let Some(c) = node.as_client_mut() {
+                op.start(c, ctx);
+            }
+        });
+    }
+
+    /// [`Harness::enqueue`] of a read, for the benchmark.
     pub fn enqueue_read(&mut self, client: SiteId, suite: ObjectId, at: SimTime) {
-        self.assert_client(client);
-        Cluster::invoke(self.sim.scheduler(), at, client, move |node, ctx| {
-            if let Some(c) = node.as_client_mut() {
-                c.start_read(suite, ctx);
-            }
-        });
+        self.enqueue(client, Op::Read(suite), at);
     }
 
-    /// Starts a write without waiting, as [`Harness::enqueue_read`] does.
+    /// [`Harness::enqueue`] of a write, for the benchmark.
     pub fn enqueue_write(&mut self, client: SiteId, suite: ObjectId, value: Vec<u8>, at: SimTime) {
-        self.assert_client(client);
-        Cluster::invoke(self.sim.scheduler(), at, client, move |node, ctx| {
-            if let Some(c) = node.as_client_mut() {
-                c.start_write(suite, value, ctx);
-            }
-        });
+        self.enqueue(client, Op::Write(suite, value), at);
     }
 
-    /// Starts a multi-suite transaction without waiting, as
-    /// [`Harness::enqueue_read`] does.
+    /// [`Harness::enqueue`] of a transaction, for the benchmark.
     pub fn enqueue_transaction(
         &mut self,
         client: SiteId,
         writes: Vec<(ObjectId, Vec<u8>)>,
         at: SimTime,
     ) {
-        self.assert_client(client);
-        Cluster::invoke(self.sim.scheduler(), at, client, move |node, ctx| {
-            if let Some(c) = node.as_client_mut() {
-                let writes = writes
-                    .into_iter()
-                    .map(|(s, v)| (s, Bytes::from(v)))
-                    .collect();
-                c.start_transaction(writes, ctx);
-            }
-        });
-    }
-
-    /// Starts a reconfiguration without waiting, as
-    /// [`Harness::enqueue_read`] does; the outcome appears in the client's
-    /// completion log like any other operation.
-    pub fn enqueue_reconfigure(
-        &mut self,
-        client: SiteId,
-        suite: ObjectId,
-        assignment: VoteAssignment,
-        quorum: QuorumSpec,
-        at: SimTime,
-    ) {
-        self.assert_client(client);
-        Cluster::invoke(self.sim.scheduler(), at, client, move |node, ctx| {
-            if let Some(c) = node.as_client_mut() {
-                c.start_reconfigure(suite, assignment, quorum, ctx);
-            }
-        });
+        self.enqueue(client, Op::Transaction(writes), at);
     }
 
     /// Runs until the event queue drains or `max_events` fire.
@@ -979,7 +897,7 @@ mod tests {
         let mut h = three_server_harness(9);
         h.enable_tracing();
         let (suite, client) = (h.suite_id(), h.default_client());
-        h.enqueue_read(client, suite, h.now());
+        h.enqueue(client, Op::Read(suite), h.now());
         h.advance(SimDuration::from_millis(1));
         h.inject(NetFault::Crash(client));
         h.inject(NetFault::Recover(client));
@@ -1077,7 +995,7 @@ mod tests {
                 }
                 Fault::TornWrite(site) => {
                     h.inject(Fault::TornWrite(site));
-                    h.enqueue_write(client, suite, b"torn".to_vec(), h.now());
+                    h.enqueue(client, Op::Write(suite, b"torn".to_vec()), h.now());
                     // The prepare has landed; its sync is still due.
                     h.advance(SimDuration::from_millis(101));
                     h.inject(NetFault::Crash(site));
@@ -1224,7 +1142,11 @@ mod tests {
             .expect("legal");
         let client = h.default_client();
         for (i, &suite) in suites.iter().enumerate() {
-            h.enqueue_write(client, suite, format!("v{i}").into_bytes(), SimTime::ZERO);
+            h.enqueue(
+                client,
+                Op::Write(suite, format!("v{i}").into_bytes()),
+                SimTime::ZERO,
+            );
         }
         h.run_until_quiet(1_000_000);
         let done = h.drain_completed(client);
@@ -1334,7 +1256,7 @@ mod tests {
         // The leg's phase timeout moves the fetch on to s2, within the
         // same attempt.
         h.inject(NetFault::Crash(SiteId(0)));
-        h.enqueue_read(client, suite, h.now());
+        h.enqueue(client, Op::Read(suite), h.now());
         h.advance(SimDuration::from_millis(100));
         h.inject(NetFault::Crash(SiteId(1)));
         h.run_until_quiet(1_000_000);
@@ -1451,10 +1373,12 @@ mod tests {
         h.inject(NetFault::Crash(client));
         let (assignment, quorum) = (VoteAssignment::equal(3), QuorumSpec::majority(3));
         let failed = [
-            h.read_from(client, suite).err(),
-            h.write_from(client, suite, b"w".to_vec()).err(),
-            h.transaction(client, vec![(suite, b"t".to_vec())]).err(),
-            h.reconfigure_from(client, suite, assignment, quorum).err(),
+            h.run(client, Op::Read(suite)).err(),
+            h.run(client, Op::Write(suite, b"w".to_vec())).err(),
+            h.run(client, Op::Transaction(vec![(suite, b"t".to_vec())]))
+                .err(),
+            h.run(client, Op::Reconfigure(suite, assignment, quorum))
+                .err(),
         ];
         let kinds = [
             OpKind::Read,
@@ -1473,7 +1397,7 @@ mod tests {
         let mut h = three_server_harness(11);
         let (suite, client) = (h.suite_id(), h.default_client());
         h.inject(NetFault::Crash(client));
-        h.enqueue_read(client, suite, h.now());
+        h.enqueue(client, Op::Read(suite), h.now());
         h.run_until_quiet(10_000);
         assert!(h.drain_completed(client).is_empty());
     }
@@ -1483,7 +1407,11 @@ mod tests {
     fn an_operation_enqueued_at_a_site_that_is_not_a_client_is_refused() {
         let mut h = three_server_harness(11);
         let suite = h.suite_id();
-        h.enqueue_write(SiteId(0), suite, b"lost".to_vec(), SimTime::from_millis(5));
+        h.enqueue(
+            SiteId(0),
+            Op::Write(suite, b"lost".to_vec()),
+            SimTime::from_millis(5),
+        );
     }
 
     #[test]
@@ -1491,7 +1419,7 @@ mod tests {
     fn a_blocking_call_on_a_client_with_an_operation_in_flight_is_refused() {
         let mut h = three_server_harness(11);
         let (suite, client) = (h.suite_id(), h.default_client());
-        h.enqueue_read(client, suite, h.now());
+        h.enqueue(client, Op::Read(suite), h.now());
         let _ = h.write(suite, b"two".to_vec());
     }
 
@@ -1512,7 +1440,7 @@ mod tests {
             .build()
             .expect("legal configuration");
         let client = h.default_client();
-        h.enqueue_read(client, ObjectId(2), SimTime::from_millis(1));
+        h.enqueue(client, Op::Read(ObjectId(2)), SimTime::from_millis(1));
         let w = h.write(ObjectId(1), b"mine".to_vec()).expect("write");
         assert_eq!(
             (w.version, w.latency),
@@ -1618,16 +1546,16 @@ mod tests {
             .expect("legal");
         let suite = h.suite_id();
         let client = SiteId(1);
-        h.write_from(client, suite, b"cached".to_vec())
+        h.run(client, Op::Write(suite, b"cached".to_vec()))
             .expect("write");
         // First read fetches from the server and refreshes the weak rep.
-        let r1 = h.read_from(client, suite).expect("read 1");
+        let r1 = h.run(client, Op::Read(suite)).expect("read 1");
         assert_eq!(&r1.value[..], b"cached");
         h.advance(SimDuration::from_secs(1)); // let the cache fill land
         assert_eq!(h.version_at(client, suite), Some(Version(1)));
         // Second read is served by the local weak representative: its
         // fetch leg uses the self-link.
-        let r2 = h.read_from(client, suite).expect("read 2");
+        let r2 = h.run(client, Op::Read(suite)).expect("read 2");
         assert_eq!(&r2.value[..], b"cached");
         assert!(
             r2.latency <= r1.latency,
@@ -1675,17 +1603,17 @@ mod tests {
             .expect("legal");
         let client = h.default_client();
         let t = h
-            .transaction(
+            .run(
                 client,
-                vec![
+                Op::Transaction(vec![
                     (ObjectId(1), b"alpha".to_vec()),
                     (ObjectId(2), b"beta".to_vec()),
                     (ObjectId(3), b"gamma".to_vec()),
-                ],
+                ]),
             )
             .expect("transaction commits");
-        assert_eq!(t.versions.len(), 3);
-        assert!(t.versions.iter().all(|(_, v)| *v == Version(1)));
+        assert_eq!(t.multi.len(), 3);
+        assert!(t.multi.iter().all(|(_, v)| *v == Version(1)));
         for (suite, expect) in [
             (ObjectId(1), &b"alpha"[..]),
             (ObjectId(2), &b"beta"[..]),
@@ -1698,15 +1626,15 @@ mod tests {
         // A second transaction moves both suites it touches to version 2,
         // leaving the third at 1.
         let t2 = h
-            .transaction(
+            .run(
                 client,
-                vec![
+                Op::Transaction(vec![
                     (ObjectId(1), b"alpha2".to_vec()),
                     (ObjectId(3), b"gamma2".to_vec()),
-                ],
+                ]),
             )
             .expect("transaction commits");
-        assert!(t2.versions.iter().all(|(_, v)| *v == Version(2)));
+        assert!(t2.multi.iter().all(|(_, v)| *v == Version(2)));
         assert_eq!(h.read(ObjectId(2)).expect("read").version, Version(1));
         assert_eq!(&h.read(ObjectId(1)).expect("read").value[..], b"alpha2");
     }
@@ -1729,9 +1657,12 @@ mod tests {
         h.inject(NetFault::Crash(SiteId(1)));
         h.inject(NetFault::Crash(SiteId(2)));
         let err = h
-            .transaction(
+            .run(
                 client,
-                vec![(ObjectId(1), b"a".to_vec()), (ObjectId(2), b"b".to_vec())],
+                Op::Transaction(vec![
+                    (ObjectId(1), b"a".to_vec()),
+                    (ObjectId(2), b"b".to_vec()),
+                ]),
             )
             .expect_err("no quorum");
         assert!(matches!(err, OpError::Unavailable { .. }));
@@ -1748,7 +1679,7 @@ mod tests {
         let mut h = three_server_harness(57);
         let client = h.default_client();
         let err = h
-            .transaction(client, vec![(ObjectId(99), b"x".to_vec())])
+            .run(client, Op::Transaction(vec![(ObjectId(99), b"x".to_vec())]))
             .expect_err("unknown");
         assert_eq!(err, OpError::UnknownSuite);
     }
@@ -1866,7 +1797,10 @@ mod tests {
         // Move to read-one/write-all.
         let assignment = VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1), (SiteId(2), 1)]);
         let w = h
-            .reconfigure_from(h.default_client(), suite, assignment, QuorumSpec::new(1, 3))
+            .run(
+                h.default_client(),
+                Op::Reconfigure(suite, assignment, QuorumSpec::new(1, 3)),
+            )
             .expect("reconfigure");
         assert_eq!(w.version, Version(2), "config generation moved to 2");
         // Writes now install everywhere.
@@ -1916,7 +1850,7 @@ mod tests {
     fn a_read_after_the_report_waits_out_a_lost_commit_and_never_sees_the_old_version() {
         let (mut h, writer, reader) = writer_and_reader(41, 100);
         let suite = h.suite_id();
-        h.enqueue_write(writer, suite, b"new".to_vec(), h.now());
+        h.enqueue(writer, Op::Write(suite, b"new".to_vec()), h.now());
         // The writer is cut off just as the last vote lands: it decides
         // and reports, and its first Commit to both participants is lost.
         h.advance(SimDuration::from_millis(199));
@@ -1928,7 +1862,7 @@ mod tests {
         // A read that starts after the report is held behind the two
         // participants' commit locks — the third replica's old version
         // alone is no quorum — until the writer sends the decision again.
-        let r = h.read_from(reader, suite).expect("read");
+        let r = h.run(reader, Op::Read(suite)).expect("read");
         assert_eq!((r.version, &r.value[..]), (Version(1), &b"new"[..]));
         assert!(r.latency > SimDuration::from_secs(5), "{:?}", r.latency);
         let held: u64 = SiteId::all(3)
@@ -1943,7 +1877,7 @@ mod tests {
         // writer can have answered anybody's probe.
         let (mut h, writer, reader) = writer_and_reader(42, 10);
         let suite = h.suite_id();
-        h.enqueue_write(writer, suite, b"new".to_vec(), h.now());
+        h.enqueue(writer, Op::Write(suite, b"new".to_vec()), h.now());
         // s1 crashes with its yes vote on the wire and misses the Commit.
         h.advance(SimDuration::from_millis(150));
         h.inject(NetFault::Crash(SiteId(1)));
@@ -1958,7 +1892,7 @@ mod tests {
         assert_eq!(h.version_at(SiteId(1), suite), Some(Version(0)));
         // s1 took its commit lock again before serving: the reader waits
         // there until the writer has answered s1's DecisionReq.
-        let r = h.read_from(reader, suite).expect("read");
+        let r = h.run(reader, Op::Read(suite)).expect("read");
         assert_eq!((r.version, &r.value[..]), (Version(1), &b"new"[..]));
         assert_eq!(r.attempts, 1);
         assert_eq!(h.version_at(SiteId(1), suite), Some(Version(1)));
@@ -1988,8 +1922,12 @@ mod tests {
             .build()
             .expect("legal configuration");
         let suite = h.suite_id();
-        let first = h.write_from(SiteId(3), suite, b"a".to_vec()).expect("a");
-        let second = h.write_from(SiteId(4), suite, b"b".to_vec()).expect("b");
+        let first = h
+            .run(SiteId(3), Op::Write(suite, b"a".to_vec()))
+            .expect("a");
+        let second = h
+            .run(SiteId(4), Op::Write(suite, b"b".to_vec()))
+            .expect("b");
         assert_eq!((first.version, second.version), (Version(1), Version(2)));
         // Inquiry 200 ms, prepare at s0 100 ms, commit and ack 100 ms.
         assert_eq!(first.latency, SimDuration::from_millis(400));
@@ -2012,11 +1950,9 @@ mod tests {
         };
         // Inquiry, fetch and prepare take 200 ms each: decided at 600 ms,
         // acked at 800.
-        h.enqueue_reconfigure(
+        h.enqueue(
             client,
-            suite,
-            VoteAssignment::equal(3),
-            QuorumSpec::new(1, 3),
+            Op::Reconfigure(suite, VoteAssignment::equal(3), QuorumSpec::new(1, 3)),
             h.now(),
         );
         h.advance(SimDuration::from_millis(650));
@@ -2081,7 +2017,7 @@ mod tests {
             }
         });
         let suite = h.suite_id();
-        h.enqueue_write(a, suite, b"a".to_vec(), h.now());
+        h.enqueue(a, Op::Write(suite, b"a".to_vec()), h.now());
         h.advance(ms(201));
         assert_eq!(reported_at(&mut h, a), ms(200));
         assert_eq!(
@@ -2089,7 +2025,7 @@ mod tests {
             Some(Version(0)),
             "unapplied"
         );
-        let second = h.write_from(b, suite, b"b".to_vec()).expect("b");
+        let second = h.run(b, Op::Write(suite, b"b".to_vec())).expect("b");
         assert_eq!((second.version, second.attempts), (Version(2), 1));
         // 10 ms out, 89 ms in line until A's Commit lands, 10 ms back.
         assert_eq!(second.latency, ms(109));
@@ -2108,11 +2044,11 @@ mod tests {
             net.set_link_symmetric(b, SiteId(0), LatencyModel::constant_millis(200));
         });
         let suite = h.suite_id();
-        h.write_from(a, suite, b"a".to_vec()).expect("a");
+        h.run(a, Op::Write(suite, b"a".to_vec())).expect("a");
         h.run_until_quiet(10_000);
         assert_eq!(h.version_at(SiteId(2), suite), Some(Version(0)));
         let before = inquiries(&h);
-        let second = h.write_from(b, suite, b"b".to_vec()).expect("b");
+        let second = h.run(b, Op::Write(suite, b"b".to_vec())).expect("b");
         assert_eq!((second.version, second.attempts), (Version(2), 1));
         assert_eq!(inquiries(&h), before, "nobody was asked");
         h.run_until_quiet(10_000);
@@ -2127,13 +2063,16 @@ mod tests {
         let (a, b) = (SiteId(3), SiteId(4));
         let mut h = two_clients(47, |_| {});
         let suite = h.suite_id();
-        h.reconfigure_from(b, suite, VoteAssignment::equal(3), QuorumSpec::new(1, 3))
-            .expect("reconfigure");
+        h.run(
+            b,
+            Op::Reconfigure(suite, VoteAssignment::equal(3), QuorumSpec::new(1, 3)),
+        )
+        .expect("reconfigure");
         h.run_until_quiet(10_000);
         // A still plans on generation 1, and goes straight to prepare: the
         // grant is where it learns better. The retry asks everyone first.
         let before = inquiries(&h);
-        let w = h.write_from(a, suite, b"a".to_vec()).expect("a");
+        let w = h.run(a, Op::Write(suite, b"a".to_vec())).expect("a");
         assert_eq!(w.attempts, 2);
         // The reconfiguration's re-publication took version 1.
         assert_eq!(w.version, Version(2));
@@ -2163,13 +2102,16 @@ mod tests {
             .build()
             .expect("legal configuration");
         let (a, b) = (SiteId(3), SiteId(4));
-        h.reconfigure_from(b, second, VoteAssignment::equal(3), QuorumSpec::new(1, 3))
-            .expect("reconfigure");
+        h.run(
+            b,
+            Op::Reconfigure(second, VoteAssignment::equal(3), QuorumSpec::new(1, 3)),
+        )
+        .expect("reconfigure");
         h.run_until_quiet(10_000);
         let writes = vec![(first, b"x".to_vec()), (second, b"y".to_vec())];
-        let t = h.transaction(a, writes).expect("commits");
+        let t = h.run(a, Op::Transaction(writes)).expect("commits");
         assert_eq!(t.attempts, 2);
-        assert_eq!(t.versions, vec![(first, Version(1)), (second, Version(2))]);
+        assert_eq!(t.multi, vec![(first, Version(1)), (second, Version(2))]);
         let stats = h.client_at(a).expect("client").stats;
         assert_eq!(stats.retry_causes[RetryCause::StaleConfig as usize], 1);
     }
@@ -2213,7 +2155,7 @@ mod tests {
             .build()
             .expect("legal configuration");
         let suite = h.suite_id();
-        h.enqueue_write(client, suite, b"w".to_vec(), h.now());
+        h.enqueue(client, Op::Write(suite, b"w".to_vec()), h.now());
         h.advance(ms(399));
         assert_eq!(pending_at(&h, s1), 1, "staged, its yes on the wire");
         if lose_abort {
@@ -2264,7 +2206,7 @@ mod tests {
         for decision_retired in [true, false] {
             let mut h = three_server_harness(51);
             let (suite, client) = (h.suite_id(), h.default_client());
-            h.enqueue_write(client, suite, b"w".to_vec(), h.now());
+            h.enqueue(client, Op::Write(suite, b"w".to_vec()), h.now());
             h.advance(ms(50));
             h.inject(NetFault::Partition(Partition::isolate(4, SiteId(1))));
             h.advance(ms(400));
@@ -2296,7 +2238,7 @@ mod tests {
         let writer = SiteId(3);
         let mut h = two_clients(54, |_| {});
         let suite = h.suite_id();
-        h.enqueue_write(writer, suite, b"w".to_vec(), h.now());
+        h.enqueue(writer, Op::Write(suite, b"w".to_vec()), h.now());
         h.advance(ms(150));
         h.inject(NetFault::Crash(writer));
         h.advance(ms(850));
@@ -2378,11 +2320,11 @@ mod tests {
             .build()
             .expect("legal configuration");
         let suite = h.suite_id();
-        h.enqueue_write(writer, suite, b"new".to_vec(), h.now());
+        h.enqueue(writer, Op::Write(suite, b"new".to_vec()), h.now());
         h.advance(ms(355));
         assert_eq!(reported_at(&mut h, writer), ms(250));
         // A reader sees the applied, not yet durable, version...
-        let seen = h.read_from(reader, suite).expect("read");
+        let seen = h.run(reader, Op::Read(suite)).expect("read");
         assert_eq!((seen.version, seen.latency), (Version(1), ms(10)));
         // ...and both sites that applied it crash before their flush.
         h.inject(NetFault::Crash(SiteId(0)));
@@ -2395,7 +2337,7 @@ mod tests {
         // held — s2's version 0 alone is no quorum — until the writer,
         // which has had no ack and still holds the decision, answers
         // their probes: commit.
-        let again = h.read_from(reader, suite).expect("read");
+        let again = h.run(reader, Op::Read(suite)).expect("read");
         assert!(again.version >= seen.version, "{:?}", again.version);
         assert_eq!(&again.value[..], b"new");
         assert_eq!(again.attempts, 1);
@@ -2594,10 +2536,10 @@ mod tests {
         let rounds = |h: &mut Harness, n: usize| {
             for i in 0..n {
                 let writer = workstations[i % 2];
-                h.write_from(writer, suite, vec![i as u8; PAYLOAD])
+                h.run(writer, Op::Write(suite, vec![i as u8; PAYLOAD]))
                     .expect("write");
                 for w in workstations {
-                    h.read_from(w, suite).expect("read");
+                    h.run(w, Op::Read(suite)).expect("read");
                 }
             }
             h.run_until_quiet(1_000_000);
@@ -2651,7 +2593,7 @@ mod tests {
         h.run_until_quiet(10_000);
         let before = prepares(&h);
         for value in [b"a", b"b", b"c"] {
-            h.enqueue_write(client, suite, value.to_vec(), h.now());
+            h.enqueue(client, Op::Write(suite, value.to_vec()), h.now());
         }
         h.run_until_quiet(10_000);
         // The first is decided a round trip in; the other two left then,
@@ -2675,10 +2617,10 @@ mod tests {
         // The first write's prepares are lost to a partition; two more
         // park behind it (a tenth of a second in, nobody is late yet).
         h.inject(NetFault::Partition(Partition::isolate(4, client)));
-        h.enqueue_write(client, suite, b"lost".to_vec(), h.now());
+        h.enqueue(client, Op::Write(suite, b"lost".to_vec()), h.now());
         h.advance(ms(100));
-        h.enqueue_write(client, suite, b"b".to_vec(), h.now());
-        h.enqueue_write(client, suite, b"c".to_vec(), h.now());
+        h.enqueue(client, Op::Write(suite, b"b".to_vec()), h.now());
+        h.enqueue(client, Op::Write(suite, b"c".to_vec()), h.now());
         h.advance(ms(900));
         h.inject(NetFault::Heal);
         // It times out 5 s in and retries 40 to 60 ms later. The parked
@@ -2690,7 +2632,7 @@ mod tests {
         h.advance(ms(2));
         assert_eq!(h.net_stats().sent, sent + 2 + 3, "two aborts, one inquiry");
         h.advance(ms(9));
-        h.enqueue_write(client, suite, b"d".to_vec(), h.now());
+        h.enqueue(client, Op::Write(suite, b"d".to_vec()), h.now());
         h.advance(ms(1));
         assert_eq!(
             h.net_stats().sent,
@@ -2709,7 +2651,7 @@ mod tests {
         let mut h = three_server_harness(56);
         let (suite, client) = (h.suite_id(), h.default_client());
         for value in [b"a", b"b", b"c"] {
-            h.enqueue_write(client, suite, value.to_vec(), h.now());
+            h.enqueue(client, Op::Write(suite, value.to_vec()), h.now());
         }
         // The train's prepares are staged 300 ms in; its coordinator dies.
         h.advance(ms(350));
@@ -2770,7 +2712,7 @@ mod tests {
         let clients = h.clients().to_vec();
         for i in 0..512 {
             let value = format!("w{i}").into_bytes();
-            h.enqueue_write(clients[i % CLIENTS], suite, value, SimTime::ZERO);
+            h.enqueue(clients[i % CLIENTS], Op::Write(suite, value), SimTime::ZERO);
         }
         h.run_until_quiet(10_000_000);
         let mut attempts = Vec::new();

@@ -90,7 +90,7 @@ pub mod votes;
 mod window;
 
 pub use error::{OpError, OpKind};
-pub use harness::{Fault, Harness, HarnessBuilder, SiteSpec};
+pub use harness::{Done, Fault, Harness, HarnessBuilder, Op, SiteSpec};
 pub use quorum::QuorumSpec;
 pub use suite::SuiteConfig;
 pub use thread_harness::ThreadHarness;

@@ -9,17 +9,15 @@
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use wv_net::runner::NodeRunner;
 use wv_net::sim_net::NetStats;
 use wv_net::thread_net::{NetHandle, ThreadNet};
 use wv_net::SiteId;
 use wv_sim::derive_seed;
-use wv_storage::ObjectId;
 
 use crate::client::CompletedOp;
 use crate::error::OpError;
-use crate::harness::HarnessBuilder;
+use crate::harness::{HarnessBuilder, Op};
 use crate::node::SystemNode;
 
 /// How often [`ThreadHarness::await_completed`] asks a busy client again.
@@ -77,32 +75,12 @@ impl ThreadHarness {
         self.net.stats()
     }
 
-    /// Starts a read at `client` now; its outcome is among what
+    /// Starts `op` at `client` now; its outcome is among what
     /// [`ThreadHarness::await_completed`] returns. Panics if `client` is
     /// not a client site.
-    pub fn enqueue_read(&self, client: SiteId, suite: ObjectId) {
+    pub fn enqueue(&self, client: SiteId, op: Op) {
         self.runner(client).invoke(move |node, ctx| {
-            let c = node.as_client_mut().expect("a client site");
-            c.start_read(suite, ctx);
-        });
-    }
-
-    /// Starts a write at `client` now, as [`ThreadHarness::enqueue_read`]
-    /// does.
-    pub fn enqueue_write(&self, client: SiteId, suite: ObjectId, value: Vec<u8>) {
-        self.runner(client).invoke(move |node, ctx| {
-            let c = node.as_client_mut().expect("a client site");
-            c.start_write(suite, value, ctx);
-        });
-    }
-
-    /// Starts a multi-suite transaction at `client` now, as
-    /// [`ThreadHarness::enqueue_read`] does.
-    pub fn enqueue_transaction(&self, client: SiteId, writes: Vec<(ObjectId, Vec<u8>)>) {
-        self.runner(client).invoke(move |node, ctx| {
-            let c = node.as_client_mut().expect("a client site");
-            let writes = writes.into_iter().map(|(s, v)| (s, Bytes::from(v)));
-            c.start_transaction(writes.collect(), ctx);
+            op.start(node.as_client_mut().expect("a client site"), ctx);
         });
     }
 
@@ -153,6 +131,7 @@ mod tests {
     use super::*;
     use crate::harness::SiteSpec;
     use crate::quorum::QuorumSpec;
+    use wv_storage::ObjectId;
 
     /// Three voting servers and a client, on the default 100 ms links.
     fn three_servers(time_scale: f64) -> ThreadHarness {
@@ -168,7 +147,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "site s0 is not a client")]
     fn an_operation_at_a_site_that_is_not_a_client_is_refused() {
-        three_servers(0.01).enqueue_read(SiteId(0), ObjectId(1));
+        three_servers(0.01).enqueue(SiteId(0), Op::Read(ObjectId(1)));
     }
 
     #[test]
@@ -176,7 +155,7 @@ mod tests {
     fn a_wait_ends_with_the_client_idle_or_in_a_panic() {
         // A 100 ms link in real time: no write ends within 1 ms.
         let h = three_servers(1.0);
-        h.enqueue_write(SiteId(3), ObjectId(1), b"slow".to_vec());
+        h.enqueue(SiteId(3), Op::Write(ObjectId(1), b"slow".to_vec()));
         h.await_completed(SiteId(3), Duration::from_millis(1));
     }
 }

@@ -42,12 +42,12 @@ fn main() {
 
     // Open the accounts.
     cluster
-        .transaction(
+        .run(
             client,
-            vec![
+            Op::Transaction(vec![
                 (CHECKING, 1000i64.to_le_bytes().to_vec()),
                 (SAVINGS, 250i64.to_le_bytes().to_vec()),
-            ],
+            ]),
         )
         .expect("initial deposit");
     let (c, s) = read_balances(&mut cluster);
@@ -58,18 +58,18 @@ fn main() {
 
     // Transfer 400 from checking to savings — one atomic commit.
     let t = cluster
-        .transaction(
+        .run(
             client,
-            vec![
+            Op::Transaction(vec![
                 (CHECKING, (c - 400).to_le_bytes().to_vec()),
                 (SAVINGS, (s + 400).to_le_bytes().to_vec()),
-            ],
+            ]),
         )
         .expect("transfer");
     println!(
         "transferred 400 in {} ({} suites committed together)",
         t.latency,
-        t.versions.len()
+        t.multi.len()
     );
     let (c2, s2) = read_balances(&mut cluster);
     println!(
@@ -83,12 +83,12 @@ fn main() {
     println!("\ncrashed one representative; transferring 100 more...");
     let (c2, s2) = read_balances(&mut cluster);
     cluster
-        .transaction(
+        .run(
             client,
-            vec![
+            Op::Transaction(vec![
                 (CHECKING, (c2 - 100).to_le_bytes().to_vec()),
                 (SAVINGS, (s2 + 100).to_le_bytes().to_vec()),
-            ],
+            ]),
         )
         .expect("transfer with one site down");
     let (c3, s3) = read_balances(&mut cluster);

@@ -53,11 +53,9 @@ fn main() {
 
     println!("\nreconfiguring online to read-one/write-all (r=1, w=3)...");
     let rec = cluster
-        .reconfigure_from(
+        .run(
             cluster.default_client(),
-            suite,
-            VoteAssignment::equal(3),
-            QuorumSpec::new(1, 3),
+            Op::Reconfigure(suite, VoteAssignment::equal(3), QuorumSpec::new(1, 3)),
         )
         .expect("reconfiguration is just a write under the old quorum");
     println!(

@@ -30,7 +30,10 @@ fn main() {
     let minority_client = SiteId(6);
 
     let w = cluster
-        .write_from(majority_client, suite, b"before the storm".to_vec())
+        .run(
+            majority_client,
+            Op::Write(suite, b"before the storm".to_vec()),
+        )
         .expect("healthy write");
     println!("pre-partition write committed as {}", w.version);
 
@@ -44,17 +47,23 @@ fn main() {
     )));
 
     let w2 = cluster
-        .write_from(majority_client, suite, b"majority side moves on".to_vec())
+        .run(
+            majority_client,
+            Op::Write(suite, b"majority side moves on".to_vec()),
+        )
         .expect("3 of 5 votes reachable: quorum");
     println!("majority-side write committed as {}", w2.version);
 
-    match cluster.write_from(minority_client, suite, b"minority split brain?".to_vec()) {
+    match cluster.run(
+        minority_client,
+        Op::Write(suite, b"minority split brain?".to_vec()),
+    ) {
         Err(OpError::Unavailable { .. }) => {
             println!("minority-side write BLOCKED — two votes can never make a quorum")
         }
         other => panic!("safety violation: {other:?}"),
     }
-    match cluster.read_from(minority_client, suite) {
+    match cluster.run(minority_client, Op::Read(suite)) {
         Err(OpError::Unavailable { .. }) => {
             println!("minority-side read BLOCKED — stale data is never served as current")
         }
@@ -64,7 +73,7 @@ fn main() {
     println!("\n-- the partition heals --");
     cluster.inject(Fault::Heal);
     let r = cluster
-        .read_from(minority_client, suite)
+        .run(minority_client, Op::Read(suite))
         .expect("healed network serves everyone");
     println!(
         "minority client now reads {:?} at {}",

@@ -37,13 +37,13 @@ fn main() {
 
     println!("write v1 to the server...");
     cluster
-        .write_from(ws, suite, b"document v1".to_vec())
+        .run(ws, Op::Write(suite, b"document v1".to_vec()))
         .expect("write");
     cluster.advance(SimDuration::from_secs(1));
 
     println!("\nfour reads; watch the cache warm up:");
     for i in 1..=4 {
-        let r = cluster.read_from(ws, suite).expect("read");
+        let r = cluster.run(ws, Op::Read(suite)).expect("read");
         let state = if r.latency <= SimDuration::from_millis(80) {
             "HIT  (served by the weak representative)"
         } else {
@@ -55,17 +55,17 @@ fn main() {
 
     println!("\na write invalidates the cache...");
     cluster
-        .write_from(ws, suite, b"document v2".to_vec())
+        .run(ws, Op::Write(suite, b"document v2".to_vec()))
         .expect("write");
     cluster.advance(SimDuration::from_secs(1));
-    let r = cluster.read_from(ws, suite).expect("read");
+    let r = cluster.run(ws, Op::Read(suite)).expect("read");
     println!(
         "  next read: {} — a miss again, and it returns v2: {:?}",
         r.latency,
         String::from_utf8_lossy(&r.value)
     );
     cluster.advance(SimDuration::from_secs(1));
-    let r = cluster.read_from(ws, suite).expect("read");
+    let r = cluster.run(ws, Op::Read(suite)).expect("read");
     println!("  and after refill: {} — hits again", r.latency);
 
     println!(

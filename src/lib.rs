@@ -56,7 +56,7 @@ pub use wv_txn as txn;
 /// The names most programs need.
 pub mod prelude {
     pub use wv_core::client::{ClientOptions, QuorumPolicy};
-    pub use wv_core::harness::{Harness, HarnessBuilder, ReadResult, SiteSpec, WriteResult};
+    pub use wv_core::harness::{Done, Harness, HarnessBuilder, Op, SiteSpec};
     pub use wv_core::quorum::QuorumSpec;
     pub use wv_core::votes::VoteAssignment;
     pub use wv_core::{OpError, OpKind};

@@ -29,7 +29,7 @@ fn crash_during_write(at_ms: u64, recover_after_ms: u64, seed: u64) -> (bool, u6
     h.write(suite, b"base".to_vec()).expect("base write");
     let client = h.default_client();
     let start = h.now();
-    h.enqueue_write(client, suite, b"in flight".to_vec(), start);
+    h.enqueue(client, Op::Write(suite, b"in flight".to_vec()), start);
     // Let the write progress partway, then crash a participant. With
     // 100 ms links the prepares land at 100 ms, the votes at 200 ms and
     // the commits at 300 ms.
@@ -99,7 +99,7 @@ fn client_crash_loses_in_flight_ops_but_not_decisions() {
     let client = h.default_client();
     // Start a write and kill the client mid-flight.
     let start = h.now();
-    h.enqueue_write(client, suite, b"doomed?".to_vec(), start);
+    h.enqueue(client, Op::Write(suite, b"doomed?".to_vec()), start);
     h.advance(SimDuration::from_millis(220));
     h.inject(Fault::Crash(client));
     h.advance(SimDuration::from_secs(30));

@@ -49,7 +49,7 @@ use weighted_voting::analysis::{read_messages_bounds, train_messages_per_write};
 use weighted_voting::core::client::{ClientNode, HealthOptions};
 use weighted_voting::prelude::*;
 use weighted_voting::storage::Wal;
-pub use Op::{Read, Train, Transaction, Write};
+pub use Shape::{Read, Train, Transaction, Write};
 pub use Sites::Servers;
 
 /// The system allocator, counting.
@@ -180,7 +180,7 @@ pub fn cluster(sites: Sites, opts: &[Opt]) -> Harness {
 
 /// What a row's op does once.
 #[derive(Clone, Copy, Debug)]
-pub enum Op {
+pub enum Shape {
     Read,
     /// A write of this many bytes.
     Write(usize),
@@ -191,7 +191,7 @@ pub enum Op {
     Transaction,
 }
 
-impl Op {
+impl Shape {
     /// The values the op carries in round `i`, built outside the count.
     fn values(self, i: u8, suites: &[ObjectId]) -> Vec<(ObjectId, Vec<u8>)> {
         match self {
@@ -213,10 +213,10 @@ impl Op {
             }
             Train => {
                 for (suite, value) in values {
-                    h.enqueue_write(client, suite, value, h.now());
+                    h.enqueue(client, Op::Write(suite, value), h.now());
                 }
             }
-            Transaction => drop(h.transaction(client, values).expect("transaction")),
+            Transaction => drop(h.run(client, Op::Transaction(values)).expect("transaction")),
         }
     }
 }
@@ -241,7 +241,7 @@ pub fn counters(h: &Harness) -> [u64; 4] {
 /// Runs `op` `warm` times, then `counted` times, each until nothing is
 /// left in flight and every write it launched has completed `Ok`, and
 /// returns the counted runs' [`COLUMNS`].
-pub fn measure(h: &mut Harness, op: Op, (warm, counted): (u8, u8)) -> [u64; 4] {
+pub fn measure(h: &mut Harness, op: Shape, (warm, counted): (u8, u8)) -> [u64; 4] {
     let client = h.default_client();
     let mut sum = [0; 4];
     for round in 0..warm + counted {
@@ -295,7 +295,7 @@ impl Ledger {
 
     /// Measures `op` and holds it to `cells`, in [`COLUMNS`] order; a
     /// failure names the row and column and prints the row's four cells.
-    pub fn row(&mut self, op: Op, cells: [u64; 4]) {
+    pub fn row(&mut self, op: Shape, cells: [u64; 4]) {
         let got = measure(&mut self.h, op, self.reps);
         self.rows += 1;
         let row = format!("row {}, {}: {op:?}", self.rows, self.cluster);

@@ -43,9 +43,13 @@ fn concurrent_clients_keep_a_single_history() {
         for (k, &c) in clients.iter().enumerate() {
             let at = SimTime::from_millis(round * 900 + k as u64 * 40);
             if (round + k as u64).is_multiple_of(3) {
-                h.enqueue_write(c, suite, format!("r{round}k{k}").into_bytes(), at);
+                h.enqueue(
+                    c,
+                    Op::Write(suite, format!("r{round}k{k}").into_bytes()),
+                    at,
+                );
             } else {
-                h.enqueue_read(c, suite, at);
+                h.enqueue(c, Op::Read(suite), at);
             }
         }
     }
@@ -70,9 +74,9 @@ fn history_stays_single_under_crashes_and_recoveries() {
         for (k, &c) in clients.iter().enumerate() {
             let at = SimTime::from_millis(round * 1_500 + k as u64 * 70);
             if k == 0 {
-                h.enqueue_write(c, suite, format!("w{round}").into_bytes(), at);
+                h.enqueue(c, Op::Write(suite, format!("w{round}").into_bytes()), at);
             } else {
-                h.enqueue_read(c, suite, at);
+                h.enqueue(c, Op::Read(suite), at);
             }
         }
     }
@@ -104,7 +108,7 @@ fn history_stays_single_across_a_partition() {
     let clients = h.clients().to_vec();
     // Enqueue (rather than block on) the base write so its completion
     // record stays in the log the oracle checks — gap-freedom needs v1.
-    h.enqueue_write(clients[0], suite, b"base".to_vec(), h.now());
+    h.enqueue(clients[0], Op::Write(suite, b"base".to_vec()), h.now());
     h.run_until_quiet(1_000_000);
     // Client 0 with the majority, client 1 with the minority.
     h.inject(Fault::Partition(Partition::split(
@@ -113,8 +117,12 @@ fn history_stays_single_across_a_partition() {
     )));
     for round in 0..6u64 {
         let at = h.now() + SimDuration::from_millis(round * 1_000);
-        h.enqueue_write(clients[0], suite, format!("maj{round}").into_bytes(), at);
-        h.enqueue_read(clients[1], suite, at);
+        h.enqueue(
+            clients[0],
+            Op::Write(suite, format!("maj{round}").into_bytes()),
+            at,
+        );
+        h.enqueue(clients[1], Op::Read(suite), at);
     }
     h.run_until_quiet(2_000_000);
     h.inject(Fault::Heal);
@@ -130,7 +138,7 @@ fn history_stays_single_across_a_partition() {
     assert_eq!(minority_reads_ok, 0, "minority reads must block");
     check_history(&all);
     // After healing the minority client sees the majority's history.
-    let r = h.read_from(clients[1], suite).expect("read after heal");
+    let r = h.run(clients[1], Op::Read(suite)).expect("read after heal");
     assert!(
         r.version >= Version(7),
         "expected base + 6 writes, got {}",
@@ -165,15 +173,15 @@ fn a_pipelined_cache_tier_read_takes_its_freshness_from_its_own_round() {
         .build()
         .expect("legal cluster");
     let suite = h.suite_id();
-    h.enqueue_write(writer, suite, b"v1".to_vec(), h.now());
+    h.enqueue(writer, Op::Write(suite, b"v1".to_vec()), h.now());
     h.run_until_quiet(1_000_000);
     // The reader reads; the writer's v2 is reported while that read's
     // inquiry is still out; then the reader reads again.
     let t0 = h.now();
     let at = |ms| t0 + SimDuration::from_millis(ms);
-    h.enqueue_read(reader, suite, at(0));
-    h.enqueue_write(writer, suite, b"v2".to_vec(), at(8));
-    h.enqueue_read(reader, suite, at(30));
+    h.enqueue(reader, Op::Read(suite), at(0));
+    h.enqueue(writer, Op::Write(suite, b"v2".to_vec()), at(8));
+    h.enqueue(reader, Op::Read(suite), at(30));
     h.run_until_quiet(1_000_000);
     let mut ops = h.drain_completed(writer);
     let reported = ops.last().expect("the second write").finished;

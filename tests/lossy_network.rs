@@ -93,7 +93,7 @@ fn duplication_dialed_in_mid_run_never_double_applies_a_write() {
         let start = h.now();
         for i in 0..BURST {
             let at = start + SimDuration::from_millis(u64::from(i) * 40);
-            h.enqueue_write(client, suite, payload(phase, i), at);
+            h.enqueue(client, Op::Write(suite, payload(phase, i)), at);
         }
         h.run_until_quiet(2_000_000);
         for op in h.drain_completed(client) {

@@ -83,7 +83,7 @@ fn on_simulator(example: HarnessBuilder) -> Run {
             Step::FirstRead | Step::SecondRead => h.read(SUITES[0]).map(|r| r.latency),
             Step::Transaction => {
                 let writes = SUITES.map(|s| (s, payload(i))).to_vec();
-                h.transaction(client, writes).map(|t| t.latency)
+                h.run(client, Op::Transaction(writes)).map(|t| t.latency)
             }
         };
         latencies.push(latency.expect("served").as_millis_f64());
@@ -102,10 +102,13 @@ fn on_threads(example: HarnessBuilder) -> Run {
     let mut latencies = Vec::new();
     for (i, step) in steps().into_iter().enumerate() {
         match step {
-            Step::Write => h.enqueue_write(client, SUITES[0], payload(i)),
-            Step::FirstRead | Step::SecondRead => h.enqueue_read(client, SUITES[0]),
+            Step::Write => h.enqueue(client, Op::Write(SUITES[0], payload(i))),
+            Step::FirstRead | Step::SecondRead => h.enqueue(client, Op::Read(SUITES[0])),
             Step::Transaction => {
-                h.enqueue_transaction(client, SUITES.map(|s| (s, payload(i))).to_vec());
+                h.enqueue(
+                    client,
+                    Op::Transaction(SUITES.map(|s| (s, payload(i))).to_vec()),
+                );
             }
         }
         let done = h.await_completed(client, WAIT);

@@ -34,11 +34,13 @@ fn promoting_a_weak_representative_brings_it_current() {
     // The weak representative never saw any of it.
     assert_eq!(h.version_at(SiteId(1), suite), Some(Version(0)));
     // Promote it: both sites get one vote, r = 1, w = 2.
-    h.reconfigure_from(
+    h.run(
         client,
-        suite,
-        VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1)]),
-        QuorumSpec::new(1, 2),
+        Op::Reconfigure(
+            suite,
+            VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1)]),
+            QuorumSpec::new(1, 2),
+        ),
     )
     .expect("reconfigure");
     // The promotion installed the current contents at the promoted site,
@@ -67,11 +69,13 @@ fn reconfiguration_of_an_unwritten_suite_still_consumes_a_version() {
         .expect("legal");
     let suite = h.suite_id();
     let client = h.default_client();
-    h.reconfigure_from(
+    h.run(
         client,
-        suite,
-        VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1)]),
-        QuorumSpec::majority(2),
+        Op::Reconfigure(
+            suite,
+            VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1)]),
+            QuorumSpec::majority(2),
+        ),
     )
     .expect("reconfigure an empty suite");
     assert_eq!(
@@ -106,11 +110,9 @@ fn shrinking_the_write_quorum_speeds_up_writes() {
     h.inject(Fault::Crash(SiteId(2)));
     assert!(h.write(suite, b"blocked".to_vec()).is_err());
     h.inject(Fault::Recover(SiteId(2)));
-    h.reconfigure_from(
+    h.run(
         client,
-        suite,
-        VoteAssignment::equal(3),
-        QuorumSpec::majority(3),
+        Op::Reconfigure(suite, VoteAssignment::equal(3), QuorumSpec::majority(3)),
     )
     .expect("reconfigure");
     // Majority tolerates the same crash.
@@ -140,11 +142,9 @@ fn reconfiguration_requires_the_new_write_quorum_to_be_reachable() {
     // configuration could never be installed safely: its data quorum
     // cannot be assembled.
     let err = h
-        .reconfigure_from(
+        .run(
             client,
-            suite,
-            VoteAssignment::equal(3),
-            QuorumSpec::new(1, 3),
+            Op::Reconfigure(suite, VoteAssignment::equal(3), QuorumSpec::new(1, 3)),
         )
         .expect_err("new write quorum unreachable");
     assert!(matches!(err, OpError::Unavailable { .. }));
@@ -179,7 +179,7 @@ fn back_to_back_reconfigurations_keep_generations_monotone() {
     ];
     for (i, q) in specs.iter().enumerate() {
         let w = h
-            .reconfigure_from(client, suite, VoteAssignment::equal(3), *q)
+            .run(client, Op::Reconfigure(suite, VoteAssignment::equal(3), *q))
             .expect("reconfigure");
         assert_eq!(w.version.0, i as u64 + 2, "generation chain");
         // The suite keeps serving between changes.

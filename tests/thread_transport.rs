@@ -60,12 +60,12 @@ fn one_client() -> (ThreadHarness, SiteId) {
 #[test]
 fn write_then_read_over_real_threads() {
     let (h, client) = one_client();
-    h.enqueue_write(client, SUITE, b"threaded".to_vec());
+    h.enqueue(client, Op::Write(SUITE, b"threaded".to_vec()));
     let ops = h.await_completed(client, WAIT);
     let w = ops[0].outcome.as_ref().expect("write committed");
     assert_eq!(w.version, Version(1));
 
-    h.enqueue_read(client, SUITE);
+    h.enqueue(client, Op::Read(SUITE));
     let ops = h.await_completed(client, WAIT);
     let r = ops[0].outcome.as_ref().expect("read succeeded");
     assert_eq!(r.version, Version(1));
@@ -88,12 +88,12 @@ fn sequential_writes_serialise_over_real_threads() {
     for i in 0..5u32 {
         // Wait for this write before issuing the next, so versions are
         // deterministic.
-        h.enqueue_write(client, SUITE, format!("v{i}").into_bytes());
+        h.enqueue(client, Op::Write(SUITE, format!("v{i}").into_bytes()));
         let ops = h.await_completed(client, WAIT);
         let ok = ops[0].outcome.as_ref().expect("committed");
         assert_eq!(ok.version, Version(u64::from(i) + 1));
     }
-    h.enqueue_read(client, SUITE);
+    h.enqueue(client, Op::Read(SUITE));
     let ops = h.await_completed(client, WAIT);
     let r = ops[0].outcome.as_ref().expect("read");
     assert_eq!(r.version, Version(5));
@@ -126,8 +126,8 @@ fn pipelined_clients_on_threads_keep_a_single_history() {
     for (k, &client) in h.clients().iter().enumerate() {
         for i in 0..OPS {
             match payload(k, i) {
-                Some(value) => h.enqueue_write(client, SUITE, value),
-                None => h.enqueue_read(client, SUITE),
+                Some(value) => h.enqueue(client, Op::Write(SUITE, value)),
+                None => h.enqueue(client, Op::Read(SUITE)),
             }
         }
     }
@@ -151,7 +151,7 @@ fn pipelined_clients_on_threads_keep_a_single_history() {
     let reader = h.clients()[0];
     let read = (0..10)
         .map(|_| {
-            h.enqueue_read(reader, SUITE);
+            h.enqueue(reader, Op::Read(SUITE));
             h.await_completed(reader, WAIT).pop().expect("a read ended")
         })
         .find(|read| read.outcome.is_ok())
@@ -163,4 +163,47 @@ fn pipelined_clients_on_threads_keep_a_single_history() {
         sent.contains(&value),
         "the last read returned a value never written"
     );
+}
+
+#[test]
+fn a_reconfiguration_runs_on_real_threads() {
+    // Three one-vote servers under majority quorums, on the default 100 ms
+    // links at the examples' time scale, turned online to read-one /
+    // write-all; a write and a read then run under the new quorums.
+    let mut builder = HarnessBuilder::new()
+        .seed(5)
+        .quorum(QuorumSpec::majority(3));
+    for _ in 0..3 {
+        builder = builder.site(SiteSpec::server(1));
+    }
+    let h = builder.client().build_on_threads(0.2).expect("legal");
+    let client = h.clients()[0];
+    let ops = [
+        (
+            OpKind::Reconfigure,
+            Op::Reconfigure(SUITE, VoteAssignment::equal(3), QuorumSpec::new(1, 3)),
+        ),
+        (
+            OpKind::Write,
+            Op::Write(SUITE, b"under r = 1, w = 3".to_vec()),
+        ),
+        (OpKind::Read, Op::Read(SUITE)),
+    ];
+    for (kind, op) in ops {
+        h.enqueue(client, op);
+        let done = h.await_completed(client, WAIT);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].kind, kind);
+        assert!(done[0].outcome.is_ok(), "{kind:?}: {:?}", done[0].outcome);
+    }
+    // The new configuration is installed under the old write quorum, so
+    // two of the three servers hold it at least; a server's configuration
+    // moves only by a reconfiguration's commit (or a repair), so one left
+    // out of that quorum may still hold the first.
+    let nodes = h.stop();
+    let configs: Vec<_> = (nodes.iter())
+        .filter_map(|node| node.as_server()?.config(SUITE))
+        .collect();
+    let moved = configs.iter().filter(|c| c.generation > 1).count();
+    assert!(moved >= 2, "{configs:?}");
 }

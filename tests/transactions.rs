@@ -27,12 +27,12 @@ fn committed_transactions_are_atomic_at_every_server() {
     let mut h = cluster(1);
     let client = h.default_client();
     for round in 1..=4u64 {
-        h.transaction(
+        h.run(
             client,
-            vec![
+            Op::Transaction(vec![
                 (ObjectId(1), format!("a{round}").into_bytes()),
                 (ObjectId(2), format!("b{round}").into_bytes()),
-            ],
+            ]),
         )
         .expect("transaction");
         // Per-server atomicity: at every server, the two suites are
@@ -60,15 +60,21 @@ fn participant_crash_between_prepare_and_commit_stays_atomic() {
     for crash_at_ms in [150u64, 250, 350, 450] {
         let mut h = cluster(2 + crash_at_ms);
         let client = h.default_client();
-        h.transaction(
+        h.run(
             client,
-            vec![(ObjectId(1), b"a0".to_vec()), (ObjectId(2), b"b0".to_vec())],
+            Op::Transaction(vec![
+                (ObjectId(1), b"a0".to_vec()),
+                (ObjectId(2), b"b0".to_vec()),
+            ]),
         )
         .expect("base transaction");
         let start = h.now();
-        h.enqueue_transaction(
+        h.enqueue(
             client,
-            vec![(ObjectId(1), b"a1".to_vec()), (ObjectId(2), b"b1".to_vec())],
+            Op::Transaction(vec![
+                (ObjectId(1), b"a1".to_vec()),
+                (ObjectId(2), b"b1".to_vec()),
+            ]),
             start,
         );
         h.advance(SimDuration::from_millis(crash_at_ms));
@@ -110,17 +116,17 @@ fn transaction_versions_advance_in_lockstep_with_single_writes() {
     let client = h.default_client();
     h.write(ObjectId(1), b"solo".to_vec()).expect("write");
     let t = h
-        .transaction(
+        .run(
             client,
-            vec![
+            Op::Transaction(vec![
                 (ObjectId(1), b"tx-a".to_vec()),
                 (ObjectId(2), b"tx-b".to_vec()),
-            ],
+            ]),
         )
         .expect("transaction");
     // Suite 1 had one prior write, so the transaction installs v2 there
     // and v1 at suite 2 — versions are per-suite chains.
-    let versions: std::collections::HashMap<_, _> = t.versions.into_iter().collect();
+    let versions: std::collections::HashMap<_, _> = t.multi.into_iter().collect();
     assert_eq!(versions[&ObjectId(1)], Version(2));
     assert_eq!(versions[&ObjectId(2)], Version(1));
 }
