@@ -1,0 +1,379 @@
+//! The one driver: a run is a [`Plan`] of timed operations and faults.
+//!
+//! The experiments that put load on a simulated cluster, and the chaos
+//! executor, write what happens when as a [`Plan`]. [`apply`] plays it,
+//! [`FaultWindows::end`] says when the cluster was not whole, and
+//! [`collect`] waits out the planned operations; [`drive`] is the three
+//! in a row. The op-log oracle ([`crate::oracle`]) judges what comes back.
+
+use std::collections::BTreeMap;
+
+use wv_core::client::CompletedOp;
+use wv_core::{Fault, Harness, Op};
+use wv_net::{Fault as NetFault, SiteId};
+use wv_sim::{SimDuration, SimTime};
+use wv_storage::ObjectId;
+
+/// How long past a server's recovery its outage still counts as a fault
+/// window: the recovered representative is catching up and its in-doubt
+/// transactions are being resolved.
+pub const RECOVERY_SLACK: SimDuration = SimDuration::from_secs(2);
+
+/// Anti-entropy probe interval of the clusters that run the repair daemon.
+pub const REPAIR_INTERVAL: SimDuration = SimDuration::from_millis(500);
+
+/// Steps [`collect`] takes before it gives up on missing operations.
+const MAX_STEPS: u32 = 100_000;
+
+enum Step {
+    Op(SiteId, Op),
+    Fault(Fault),
+}
+
+/// A run's load: timed `(at, client, Op)` and `(at, Fault)` entries, kept
+/// in time order; entries due at one instant keep the order they were
+/// added in.
+#[derive(Default)]
+pub struct Plan {
+    entries: Vec<(SimTime, Step)>,
+    ops: usize,
+}
+
+impl Plan {
+    /// `client` starts `op` at `at`.
+    pub fn op(&mut self, at: SimTime, client: SiteId, op: Op) {
+        self.ops += 1;
+        self.insert(at, Step::Op(client, op));
+    }
+
+    /// The harness injects `fault` at `at`.
+    pub fn fault(&mut self, at: SimTime, fault: impl Into<Fault>) {
+        self.insert(at, Step::Fault(fault.into()));
+    }
+
+    /// Operations planned.
+    pub fn ops(&self) -> usize {
+        self.ops
+    }
+
+    /// Starts, all at `at`, each client's workload of `(write, suite
+    /// index)` operations; write `i` of client `c` writes
+    /// `{tag}-c{c}-{i}`. E11, E13 and E15 replay their workloads so.
+    pub fn workloads(
+        at: SimTime,
+        clients: &[SiteId],
+        suites: &[ObjectId],
+        workloads: &[Vec<(bool, usize)>],
+        tag: &str,
+    ) -> Self {
+        let mut plan = Plan::default();
+        for (ci, (&c, ops)) in clients.iter().zip(workloads).enumerate() {
+            for (i, &(write, s)) in ops.iter().enumerate() {
+                let op = if write {
+                    Op::Write(suites[s], format!("{tag}-c{ci}-{i}").into_bytes())
+                } else {
+                    Op::Read(suites[s])
+                };
+                plan.op(at, c, op);
+            }
+        }
+        plan
+    }
+
+    fn insert(&mut self, at: SimTime, step: Step) {
+        let i = self.entries.partition_point(|(t, _)| *t <= at);
+        self.entries.insert(i, (at, step));
+    }
+}
+
+/// What can be wrong with the cluster, for [`FaultWindows`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Trouble {
+    Down(SiteId),
+    Partition,
+    Loss,
+    Delay,
+    Duplication,
+    /// Injected disk trouble still pending, or the quarantine it caused.
+    Disk(SiteId),
+}
+
+/// The intervals during which some fault was active: a server down
+/// (until [`RECOVERY_SLACK`] past its recovery), a partition, a loss,
+/// delay or duplication dial off zero, a disk stalled, refusing or
+/// quarantined. The oracle's progress invariant judges only operations
+/// that ran entirely outside them.
+#[derive(Default)]
+pub struct FaultWindows {
+    open: BTreeMap<Trouble, SimTime>,
+    closed: Vec<(SimTime, SimTime)>,
+}
+
+impl FaultWindows {
+    /// `fault` is active from `at` (or from when it first became so), or
+    /// stops mattering at `at`.
+    fn set(&mut self, fault: Trouble, active: bool, at: SimTime) {
+        if active {
+            self.open.entry(fault).or_insert(at);
+        } else if let Some(from) = self.open.remove(&fault) {
+            self.closed.push((from, at));
+        }
+    }
+
+    /// Opens or closes the window `fault`, injected at `at`, starts or
+    /// ends; armed disk damage is the servers' to report (`probe`).
+    fn note(&mut self, fault: &Fault, at: SimTime) {
+        let (trouble, active) = match fault {
+            Fault::Net(NetFault::Crash(site)) => (Trouble::Down(*site), true),
+            Fault::Net(NetFault::Recover(site)) => {
+                return self.set(Trouble::Down(*site), false, at + RECOVERY_SLACK);
+            }
+            Fault::Net(NetFault::Partition(_)) => (Trouble::Partition, true),
+            Fault::Net(NetFault::Heal) => (Trouble::Partition, false),
+            Fault::Net(NetFault::DropAll(p)) => (Trouble::Loss, *p > 0.0),
+            Fault::Net(NetFault::ExtraDelay(d)) => (Trouble::Delay, !d.is_zero()),
+            Fault::Net(NetFault::Duplicate(p)) => (Trouble::Duplication, *p > 0.0),
+            Fault::DiskStall { d, .. } => return self.closed.push((at, at + *d)),
+            Fault::TornWrite(_) | Fault::BitFlip(_) | Fault::IoErrors { .. } => return,
+        };
+        self.set(trouble, active, at);
+    }
+
+    /// Disk trouble is over when the servers say so: injected errors are
+    /// consumed by whatever next touches the disk, and a quarantine heals
+    /// when the last peer has been pulled from.
+    fn probe(&mut self, h: &Harness) {
+        for site in SiteId::all(h.cluster().nodes.len()) {
+            let troubled = h
+                .server_at(site)
+                .is_some_and(|sv| sv.is_quarantined() || sv.container().disk_faults_armed());
+            self.set(Trouble::Disk(site), troubled, h.now());
+        }
+    }
+
+    /// Every window, those still open closed now: a down server's and a
+    /// disk's [`RECOVERY_SLACK`] later, the rest at once.
+    pub fn end(mut self, h: &Harness) -> Vec<(SimTime, SimTime)> {
+        self.probe(h);
+        let now = h.now();
+        for (fault, from) in std::mem::take(&mut self.open) {
+            let slack = matches!(fault, Trouble::Down(_) | Trouble::Disk(_));
+            self.closed
+                .push((from, if slack { now + RECOVERY_SLACK } else { now }));
+        }
+        self.closed
+    }
+}
+
+/// Plays `plan` on `h`: for each entry, advances to its instant, then
+/// starts its operation or injects its fault at `now`, so an operation
+/// due at an instant starts after the deliveries due then. (That is the
+/// chaos executor's order: enqueueing every operation up front instead
+/// moves E9's counts.) Returns the fault windows, the last still open.
+pub fn apply(h: &mut Harness, plan: Plan) -> FaultWindows {
+    let mut windows = FaultWindows::default();
+    for (at, step) in plan.entries {
+        if at > h.now() {
+            h.advance(at.since(h.now()));
+        }
+        windows.probe(h);
+        let now = h.now();
+        match step {
+            Step::Op(client, op) => h.enqueue(client, op, now),
+            Step::Fault(fault) => {
+                windows.note(&fault, now);
+                h.inject(fault);
+            }
+        }
+    }
+    windows
+}
+
+/// Drains every client's completion log, and while fewer than
+/// `expected` operations have completed, advances 50 ms and drains
+/// again. (`run_until_quiet` would also run every orphaned timer wake-up
+/// — the event a cancelled phase timeout, seconds out, leaves behind —
+/// and fling the virtual clock far past any live lease.)
+///
+/// # Panics
+///
+/// If operations are still missing after 100,000 steps: one that never
+/// completes (its client down when it was due, or crashed with it in
+/// flight) is a run that cannot finish.
+pub fn collect(h: &mut Harness, expected: usize) -> Vec<CompletedOp> {
+    let clients = h.clients().to_vec();
+    let mut done = Vec::new();
+    for step in 0.. {
+        done.extend(clients.iter().flat_map(|&c| h.drain_completed(c)));
+        if done.len() >= expected {
+            break;
+        }
+        assert!(
+            step < MAX_STEPS,
+            "the plan's {expected} operations: {} still missing after {MAX_STEPS} steps",
+            expected - done.len()
+        );
+        h.advance(SimDuration::from_millis(50));
+    }
+    done
+}
+
+/// Of `ops`, those that committed, and how many of them per virtual
+/// second from `start` to the last one's completion (0 if none did).
+pub fn throughput(ops: &[CompletedOp], start: SimTime) -> (u64, f64) {
+    let ok = ops.iter().filter(|o| o.outcome.is_ok());
+    let last = ok.clone().fold(start, |t, o| t.max(o.finished));
+    let n = ok.count() as u64;
+    let secs = last.since(start).as_millis_f64() / 1000.0;
+    (n, if secs > 0.0 { n as f64 / secs } else { 0.0 })
+}
+
+/// What a driven plan leaves behind.
+pub struct Driven {
+    /// Every planned operation, completed.
+    pub ops: Vec<CompletedOp>,
+    /// When the cluster was not whole, up to the last entry.
+    pub fault_windows: Vec<(SimTime, SimTime)>,
+}
+
+/// [`apply`], [`FaultWindows::end`] at the last entry, then [`collect`].
+pub fn drive(h: &mut Harness, plan: Plan) -> Driven {
+    let expected = plan.ops();
+    let fault_windows = apply(h, plan).end(h);
+    Driven {
+        ops: collect(h, expected),
+        fault_windows,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wv_core::harness::{HarnessBuilder, SiteSpec};
+    use wv_core::QuorumSpec;
+    use wv_net::{NetConfig, Partition};
+    use wv_sim::LatencyModel;
+
+    fn cluster(seed: u64) -> Harness {
+        HarnessBuilder::new()
+            .seed(seed)
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .site(SiteSpec::server(1))
+            .client()
+            .client()
+            .quorum(QuorumSpec::majority(3))
+            .net(NetConfig::uniform(5, LatencyModel::constant_millis(50)))
+            .build()
+            .expect("legal cluster")
+    }
+
+    fn ms(t: u64) -> SimTime {
+        SimTime::from_millis(t)
+    }
+
+    #[test]
+    fn entries_keep_time_order_and_same_instant_entries_their_plan_order() {
+        let mut plan = Plan::default();
+        plan.op(ms(200), SiteId(3), Op::Read(wv_storage::ObjectId(1)));
+        plan.fault(ms(100), NetFault::Crash(SiteId(0)));
+        plan.op(ms(100), SiteId(4), Op::Read(wv_storage::ObjectId(1)));
+        plan.fault(ms(200), NetFault::Recover(SiteId(0)));
+        let order: Vec<(u64, bool)> = plan
+            .entries
+            .iter()
+            .map(|(at, step)| (at.as_millis(), matches!(step, Step::Op(..))))
+            .collect();
+        assert_eq!(
+            order,
+            [(100, false), (100, true), (200, true), (200, false)]
+        );
+        assert_eq!(plan.ops(), 2);
+    }
+
+    #[test]
+    fn same_instant_entries_apply_after_that_instants_deliveries() {
+        // This is the rule that keeps E9's trials as they were: an entry
+        // applies once the clock has reached its instant, behind whatever
+        // the cluster had already scheduled for it. Client 3's write sends
+        // its prepares at 0 and they land at 50 ms; the crash of
+        // representative 0 due at 50 ms comes after that delivery, so
+        // nothing is dropped, and representative 0's yes still counts.
+        let mut h = cluster(7);
+        let suite = h.suite_id();
+        let mut plan = Plan::default();
+        plan.op(ms(0), SiteId(3), Op::Write(suite, b"a".to_vec()));
+        plan.fault(ms(50), NetFault::Crash(SiteId(0)));
+        plan.op(ms(50), SiteId(4), Op::Read(suite));
+        let windows = apply(&mut h, plan);
+        assert_eq!(h.net_stats().dropped_down, 0, "the prepare landed first");
+        assert_eq!(windows.end(&h), [(ms(50), ms(50) + RECOVERY_SLACK)]);
+        let ops = collect(&mut h, 2);
+        let write = ops.iter().find(|o| o.req.coordinator() == SiteId(3));
+        assert_eq!(write.expect("the write").finished, ms(100));
+        assert!(crate::oracle::check_log(&ops, None, true).is_empty());
+    }
+
+    #[test]
+    fn a_crash_and_its_recovery_open_a_window_until_the_slack_past_it() {
+        let mut h = cluster(1);
+        let mut plan = Plan::default();
+        plan.fault(ms(1_000), NetFault::Crash(SiteId(1)));
+        plan.fault(ms(3_000), NetFault::Recover(SiteId(1)));
+        plan.fault(
+            ms(4_000),
+            NetFault::Partition(Partition::isolate(5, SiteId(2))),
+        );
+        plan.fault(ms(6_000), NetFault::Heal);
+        let run = drive(&mut h, plan);
+        assert!(run.ops.is_empty());
+        assert_eq!(
+            run.fault_windows,
+            [
+                (ms(1_000), ms(3_000) + RECOVERY_SLACK),
+                (ms(4_000), ms(6_000))
+            ]
+        );
+    }
+
+    #[test]
+    fn a_window_still_open_at_the_end_closes_there() {
+        // A down site and a disk fault get the recovery slack past the
+        // end; a network dial closes at the end itself.
+        let mut h = cluster(2);
+        let mut plan = Plan::default();
+        plan.fault(ms(500), NetFault::DropAll(0.5));
+        plan.fault(ms(1_000), NetFault::Crash(SiteId(0)));
+        plan.fault(
+            ms(1_500),
+            Fault::IoErrors {
+                site: SiteId(1),
+                n: 1,
+            },
+        );
+        plan.fault(ms(2_000), NetFault::Duplicate(0.0));
+        let mut windows = drive(&mut h, plan).fault_windows;
+        windows.sort();
+        let end = ms(2_000);
+        assert_eq!(
+            windows,
+            [
+                (ms(500), end),
+                (ms(1_000), end + RECOVERY_SLACK),
+                (ms(2_000), end + RECOVERY_SLACK),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "the plan's 1 operations: 1 still missing")]
+    fn a_plan_whose_operation_cannot_complete_says_so() {
+        // The client is down when its read is due: the read never starts.
+        let mut h = cluster(3);
+        let suite = h.suite_id();
+        let mut plan = Plan::default();
+        plan.fault(ms(0), NetFault::Crash(SiteId(3)));
+        plan.op(ms(10), SiteId(3), Op::Read(suite));
+        drive(&mut h, plan);
+    }
+}

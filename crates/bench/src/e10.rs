@@ -30,10 +30,11 @@ use wv_core::harness::{HarnessBuilder, Op, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_core::server::ServerStats;
 use wv_core::OpKind;
-use wv_net::SiteId;
+use wv_net::{Fault, SiteId};
 use wv_sim::trace::SpanKind;
 use wv_sim::{derive_seed, DetRng, FailureSchedule, SampleSet, SimDuration, SimTime};
 
+use crate::drive::{drive, Plan, REPAIR_INTERVAL};
 use crate::runner;
 use crate::table::Table;
 
@@ -49,11 +50,6 @@ const HORIZON: SimTime = SimTime::from_secs(60);
 const READ_EVERY: SimDuration = SimDuration::from_millis(250);
 /// One write every `WRITE_EVERY`.
 const WRITE_EVERY: SimDuration = SimDuration::from_secs(2);
-/// Disturbed window: operations starting between a representative's
-/// crash and this long past its recovery count towards the
-/// post-recovery availability metric — the span over which an outage
-/// degrades service, including its aftermath.
-const RECOVERY_WINDOW: SimDuration = SimDuration::from_secs(2);
 /// Per-phase patience both arms share: an interactive-read SLA rather
 /// than the durability-tuned library defaults, so an outage that
 /// outlives the whole retry budget becomes a *failed* operation instead
@@ -61,8 +57,6 @@ const RECOVERY_WINDOW: SimDuration = SimDuration::from_secs(2);
 const PHASE_TIMEOUT: SimDuration = SimDuration::from_millis(800);
 /// Attempts per operation, both arms.
 const MAX_ATTEMPTS: u32 = 4;
-/// Anti-entropy probe interval for the healing arm.
-const REPAIR_INTERVAL: SimDuration = SimDuration::from_millis(500);
 /// Trials in the full report.
 pub const TRIALS: usize = 24;
 /// Seed-derivation label for the per-trial failure schedule.
@@ -76,8 +70,8 @@ pub struct ArmSummary {
     pub ops_total: u64,
     /// Operations that committed.
     pub ops_ok: u64,
-    /// Operations attempted in disturbed windows (a representative's
-    /// crash through `RECOVERY_WINDOW` past its recovery).
+    /// Operations attempted in disturbed windows: the driver's fault
+    /// windows, from a crash to 2 s past its recovery.
     pub post_total: u64,
     /// ... of which committed.
     pub post_ok: u64,
@@ -116,9 +110,7 @@ impl ArmSummary {
         self.ops_ok as f64 / self.ops_total.max(1) as f64
     }
 
-    /// Committed fraction of operations started in a disturbed window:
-    /// between a representative's crash and `RECOVERY_WINDOW` past its
-    /// recovery.
+    /// Committed fraction of operations started in a disturbed window.
     pub fn post_recovery_availability(&self) -> f64 {
         self.post_ok as f64 / self.post_total.max(1) as f64
     }
@@ -127,12 +119,6 @@ impl ArmSummary {
     pub fn read_ms(&self, q: f64) -> f64 {
         self.read_lat_ms.clone().try_quantile(q).unwrap_or(0.0)
     }
-}
-
-/// The failure timeline both arms of a trial share.
-fn failure_schedule(seed: u64) -> FailureSchedule {
-    let mut rng = DetRng::new(derive_seed(seed, FAILURE_LABEL));
-    FailureSchedule::mttf_mttr(SERVERS, MTTF, MTTR, HORIZON, &mut rng)
 }
 
 /// Runs one arm of one trial.
@@ -163,38 +149,37 @@ fn run_arm(seed: u64, healing: bool) -> ArmSummary {
     h.enable_tracing();
     let suite = h.suite_id();
     let client = h.default_client();
-    let schedule = failure_schedule(seed);
-    h.apply_failure_schedule(&schedule);
-
+    // The failure timeline both arms of a trial share.
+    let mut rng = DetRng::new(derive_seed(seed, FAILURE_LABEL));
+    let failures = FailureSchedule::mttf_mttr(SERVERS, MTTF, MTTR, HORIZON, &mut rng);
+    let mut plan = Plan::default();
+    for site in SiteId::all(SERVERS) {
+        for w in failures.windows(site.index()) {
+            plan.fault(w.from, Fault::Crash(site));
+            plan.fault(w.until, Fault::Recover(site));
+        }
+    }
     // Steady read-heavy workload over the horizon.
     let mut t = SimTime::ZERO + READ_EVERY;
     while t < HORIZON {
-        h.enqueue(client, Op::Read(suite), t);
+        plan.op(t, client, Op::Read(suite));
         t += READ_EVERY;
     }
     let mut t = SimTime::ZERO + SimDuration::from_millis(100);
     let mut k = 0u64;
     while t < HORIZON {
         let payload = format!("e10-{seed:016x}-{k}").into_bytes();
-        h.enqueue(client, Op::Write(suite, payload), t);
+        plan.op(t, client, Op::Write(suite, payload));
         t += WRITE_EVERY;
         k += 1;
     }
-
-    // Run everything out: past the horizon every site is up, so the
-    // queue drains once in-flight operations and (after the daemon is
-    // stopped) repair probes finish.
-    h.advance(HORIZON.since(SimTime::ZERO) + SimDuration::from_secs(30));
+    let run = drive(&mut h, plan);
+    // Every site is up past the horizon: let the repair daemon catch the
+    // last ones up, then stop it so the queue drains and every span the
+    // breakdown reads has closed.
+    h.advance(SimDuration::from_secs(30));
     h.stop_anti_entropy();
     h.run_until_quiet(5_000_000);
-
-    // Disturbed windows: from each crash to RECOVERY_WINDOW past the
-    // matching recovery. Operations starting inside one are the ones an
-    // outage can hurt — during it and through its aftermath.
-    let disturbed: Vec<(SimTime, SimTime)> = (0..SERVERS)
-        .flat_map(|site| schedule.windows(site))
-        .map(|w| (w.from, w.until + RECOVERY_WINDOW))
-        .collect();
 
     let mut out = ArmSummary {
         client: h.client_at(client).expect("the client").stats,
@@ -216,7 +201,7 @@ fn run_arm(seed: u64, healing: bool) -> ArmSummary {
         slot.0 += d;
         slot.1 += 1;
     }
-    for op in h.drain_completed(client) {
+    for op in run.ops {
         out.ops_total += 1;
         let ok = op.outcome.is_ok();
         if ok {
@@ -226,7 +211,8 @@ fn run_arm(seed: u64, healing: bool) -> ArmSummary {
                     .record(op.finished.since(op.started).as_millis_f64());
             }
         }
-        if disturbed
+        if run
+            .fault_windows
             .iter()
             .any(|&(from, until)| from <= op.started && op.started < until)
         {

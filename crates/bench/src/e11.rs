@@ -23,11 +23,12 @@
 //!    quorum cost.
 
 use wv_core::client::{ClientOptions, QuorumPolicy};
-use wv_core::harness::{HarnessBuilder, Op, SiteSpec};
+use wv_core::harness::{HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
 use wv_sim::{LatencyModel, SimDuration};
 
+use crate::drive::{drive, throughput, Plan};
 use crate::runner;
 use crate::table::Table;
 
@@ -101,24 +102,9 @@ fn run_cell(seed: u64, policy: QuorumPolicy, depth: usize, clients: usize, ops: 
         .map(|&c| h.client_at(c).expect("client exists").site_load())
         .collect();
     let start = h.now();
-    for &c in &client_sites {
-        for _ in 0..ops {
-            h.enqueue(c, Op::Read(suite), start);
-        }
-    }
-    h.run_until_quiet(100_000_000);
-
-    let mut ops_ok = 0u64;
-    let mut last_finish = start;
-    for &c in &client_sites {
-        for op in h.drain_completed(c) {
-            if op.outcome.is_ok() {
-                ops_ok += 1;
-                last_finish = last_finish.max(op.finished);
-            }
-        }
-    }
-    let makespan_s = last_finish.since(start).as_millis_f64() / 1000.0;
+    let reads = vec![vec![(false, 0); ops]; clients];
+    let plan = Plan::workloads(start, &client_sites, &[suite], &reads, "e11");
+    let (ops_ok, ops_per_vsec) = throughput(&drive(&mut h, plan).ops, start);
     let mut server_load = vec![0u64; SERVERS];
     for (i, &c) in client_sites.iter().enumerate() {
         let load = h.client_at(c).expect("client exists").site_load();
@@ -134,11 +120,7 @@ fn run_cell(seed: u64, policy: QuorumPolicy, depth: usize, clients: usize, ops: 
         depth,
         clients,
         ops_ok,
-        ops_per_vsec: if makespan_s > 0.0 {
-            ops_ok as f64 / makespan_s
-        } else {
-            0.0
-        },
+        ops_per_vsec,
         server_load,
     }
 }

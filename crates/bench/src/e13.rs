@@ -25,13 +25,14 @@
 //! cost of a read in each mode: network messages per read and reads
 //! whose contents crossed the wire.
 
-use wv_core::client::{ClientOptions, ClientStats, CompletedOp, WeakRepOptions};
-use wv_core::harness::{Harness, HarnessBuilder, Op, SiteSpec};
+use wv_core::client::{ClientOptions, ClientStats, WeakRepOptions};
+use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
 use wv_sim::{DetRng, LatencyModel, SimDuration};
 use wv_storage::ObjectId;
 
+use crate::drive::{drive, throughput, Plan};
 use crate::table::Table;
 use crate::{runner, zipf_suite};
 
@@ -68,24 +69,6 @@ fn mode_weak_rep(m: usize) -> Option<WeakRepOptions> {
         3 => Some(WeakRepOptions::lease(SimDuration::from_millis(2000))),
         _ => unreachable!("mode index out of range"),
     }
-}
-
-/// Advances the simulation in short steps until `expected` operations
-/// have completed, collecting them. (`run_until_quiet` would also run
-/// every orphaned timer wake-up — the scheduler event a cancelled phase
-/// timeout, seconds out, leaves behind — and fling the virtual clock far
-/// past any live lease between phases.)
-fn collect_ops(h: &mut Harness, clients: &[SiteId], expected: usize) -> Vec<CompletedOp> {
-    let mut done = Vec::new();
-    let mut guard = 0u32;
-    while done.len() < expected && guard < 100_000 {
-        h.advance(SimDuration::from_millis(50));
-        for &c in clients {
-            done.extend(h.drain_completed(c));
-        }
-        guard += 1;
-    }
-    done
 }
 
 /// One grid point of the sweep.
@@ -139,7 +122,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
     // Draw the whole workload before the harness exists: suite choice is
     // a function of the seed alone, never of simulated timing.
     let mut plans: Vec<Vec<(bool, usize)>> = Vec::new();
-    let mut probes: Vec<Vec<usize>> = Vec::new();
+    let mut probes: Vec<Vec<(bool, usize)>> = Vec::new();
     let root = DetRng::new(seed).fork_named("e13-workload");
     for c in 0..CLIENTS {
         let mut r = root.fork(c as u64);
@@ -155,7 +138,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
         );
         probes.push(
             (0..PROBE_READS)
-                .map(|_| zipf_suite(&mut r, SUITES))
+                .map(|_| (false, zipf_suite(&mut r, SUITES)))
                 .collect(),
         );
     }
@@ -196,29 +179,8 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
 
     // Measured window: the read-heavy zipfian mix.
     let start = h.now();
-    for (ci, &c) in client_sites.iter().enumerate() {
-        for (i, &(is_write, s)) in plans[ci].iter().enumerate() {
-            let suite = suites[s];
-            if is_write {
-                h.enqueue(
-                    c,
-                    Op::Write(suite, format!("e13-c{ci}-{i}").into_bytes()),
-                    start,
-                );
-            } else {
-                h.enqueue(c, Op::Read(suite), start);
-            }
-        }
-    }
-    let mut ops_ok = 0u64;
-    let mut last_finish = start;
-    for op in collect_ops(&mut h, &client_sites, CLIENTS * ops) {
-        if op.outcome.is_ok() {
-            ops_ok += 1;
-            last_finish = last_finish.max(op.finished);
-        }
-    }
-    let makespan_s = last_finish.since(start).as_millis_f64() / 1000.0;
+    let plan = Plan::workloads(start, &client_sites, &suites, &plans, "e13");
+    let (ops_ok, ops_per_vsec) = throughput(&drive(&mut h, plan).ops, start);
     let after = clients(&h);
     let cache_hits = after.cache_hits - before.cache_hits;
     let cache_misses = after.cache_misses - before.cache_misses;
@@ -226,13 +188,9 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
 
     // Warm-up: one read per suite per client, so every weak rep is
     // current (and every lease freshly granted) before the probe.
-    let t = h.now();
-    for &c in &client_sites {
-        for &s in &suites {
-            h.enqueue(c, Op::Read(s), t);
-        }
-    }
-    collect_ops(&mut h, &client_sites, CLIENTS * SUITES);
+    let warm = vec![(0..SUITES).map(|s| (false, s)).collect(); CLIENTS];
+    let plan = Plan::workloads(h.now(), &client_sites, &suites, &warm, "e13");
+    drive(&mut h, plan);
 
     // Probe: pure zipfian reads against a warm cache — the steady-state
     // per-read cost of each mode.
@@ -240,15 +198,8 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
     let moved = |s: ClientStats| s.reads_contents_with_inquiry + s.reads_fetched;
     let fetch_base = moved(clients(&h));
     let t = h.now();
-    for (ci, &c) in client_sites.iter().enumerate() {
-        for &s in &probes[ci] {
-            h.enqueue(c, Op::Read(suites[s]), t);
-        }
-    }
-    let probe_reads = collect_ops(&mut h, &client_sites, CLIENTS * PROBE_READS)
-        .iter()
-        .filter(|op| op.outcome.is_ok())
-        .count() as u64;
+    let plan = Plan::workloads(t, &client_sites, &suites, &probes, "e13");
+    let probe_reads = throughput(&drive(&mut h, plan).ops, t).0;
     let probe_msgs = h.net_stats().sent - sent_base;
     let probe_fetches = moved(clients(&h)) - fetch_base;
 
@@ -256,11 +207,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
         mode,
         depth,
         ops_ok,
-        ops_per_vsec: if makespan_s > 0.0 {
-            ops_ok as f64 / makespan_s
-        } else {
-            0.0
-        },
+        ops_per_vsec,
         cache_hits,
         cache_misses,
         lease_expiries,

@@ -39,12 +39,13 @@
 //!    pinned by `the_single_suite_path_is_byte_identical_to_default`.
 
 use wv_core::client::{ClientOptions, ClientStats, CompletedOp};
-use wv_core::harness::{Harness, HarnessBuilder, Op, SiteSpec};
+use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
 use wv_sim::{DetRng, LatencyModel, SimDuration};
 use wv_storage::ObjectId;
 
+use crate::drive::{drive, throughput, Plan};
 use crate::table::Table;
 use crate::{runner, zipf_suite};
 
@@ -137,7 +138,7 @@ impl Cell {
     }
 }
 
-/// The per-trial workload: each client's `(is_read, suite index)`
+/// The per-trial workload: each client's `(is_write, suite index)`
 /// plan, drawn from the seed alone before the harness exists.
 fn draw_plans(seed: u64, skew: usize, n: usize, ops: usize) -> Vec<Vec<(bool, usize)>> {
     let root = DetRng::new(seed).fork_named("e15-workload");
@@ -151,7 +152,7 @@ fn draw_plans(seed: u64, skew: usize, n: usize, ops: usize) -> Vec<Vec<(bool, us
                     } else {
                         zipf_suite(&mut r, n)
                     };
-                    (i % READ_EVERY == READ_EVERY - 1, suite)
+                    (i % READ_EVERY != READ_EVERY - 1, suite)
                 })
                 .collect()
         })
@@ -196,27 +197,8 @@ fn replay(h: &mut Harness, suites: &[ObjectId], plans: &[Vec<(bool, usize)>]) ->
             .expect("seeding write");
     }
     let client_sites: Vec<SiteId> = h.clients().to_vec();
-    let start = h.now();
-    for (ci, &c) in client_sites.iter().enumerate() {
-        for (i, &(is_read, s)) in plans[ci].iter().enumerate() {
-            let suite = suites[s];
-            if is_read {
-                h.enqueue(c, Op::Read(suite), start);
-            } else {
-                h.enqueue(
-                    c,
-                    Op::Write(suite, format!("e15-c{ci}-{i}").into_bytes()),
-                    start,
-                );
-            }
-        }
-    }
-    h.run_until_quiet(100_000_000);
-    let mut done = Vec::new();
-    for &c in &client_sites {
-        done.extend(h.drain_completed(c));
-    }
-    done
+    let plan = Plan::workloads(h.now(), &client_sites, suites, plans, "e15");
+    drive(h, plan).ops
 }
 
 /// Runs one cell of the sweep.
@@ -243,31 +225,21 @@ fn run_cell(
     // The seeding writes went alone, one per suite.
     let (trains, ridden) = (stats.trains - suites_n as u64, stats.writes_ridden);
 
-    let mut ops_ok = 0u64;
+    let (ops_ok, ops_per_vsec) = throughput(&done, start);
     let mut attempts = 0u64;
     let mut per_suite = vec![0u64; suites_n];
-    let mut last_finish = start;
-    for op in &done {
-        if op.outcome.is_ok() {
-            ops_ok += 1;
-            attempts += u64::from(op.attempts);
-            per_suite[op.suite.0 as usize - 1] += 1;
-            last_finish = last_finish.max(op.finished);
-        }
+    for op in done.iter().filter(|op| op.outcome.is_ok()) {
+        attempts += u64::from(op.attempts);
+        per_suite[op.suite.0 as usize - 1] += 1;
     }
     per_suite.sort_unstable_by(|a, b| b.cmp(a));
-    let makespan_s = last_finish.since(start).as_millis_f64() / 1000.0;
     Cell {
         depth,
         suites: suites_n,
         skew,
         servers,
         ops_ok,
-        ops_per_vsec: if makespan_s > 0.0 {
-            ops_ok as f64 / makespan_s
-        } else {
-            0.0
-        },
+        ops_per_vsec,
         per_suite,
         attempts_per_op: if ops_ok > 0 {
             attempts as f64 / ops_ok as f64

@@ -8,14 +8,14 @@
 //! a backoff. The report tracks success rate, mean attempts per committed
 //! write, and makespan as the client count grows, for both.
 
-use wv_core::client::ClientOptions;
+use wv_core::client::{ClientOptions, CompletedOp};
 use wv_core::error::OpKind;
 use wv_core::harness::{Harness, HarnessBuilder, Op, SiteSpec};
 use wv_core::quorum::QuorumSpec;
-use wv_net::SiteId;
 use wv_sim::{SimDuration, SimTime};
 use wv_txn::lock::DeadlockPolicy;
 
+use crate::drive::{drive, Plan};
 use crate::runner;
 use crate::table::{pct, Table};
 
@@ -32,8 +32,6 @@ pub struct ContentionPoint {
     pub mean_attempts: f64,
     /// Virtual time until the last operation finished (ms).
     pub makespan_ms: f64,
-    /// Highest version committed (must equal `committed`).
-    pub final_version: u64,
 }
 
 fn build(clients: usize, policy: DeadlockPolicy, seed: u64) -> Harness {
@@ -58,16 +56,18 @@ fn build(clients: usize, policy: DeadlockPolicy, seed: u64) -> Harness {
     b.net(net).build().expect("legal contention cluster")
 }
 
-/// Runs `rounds` of simultaneous writes from every client.
+/// Runs `rounds` of simultaneous writes from every client: the
+/// contention level's aggregates, and the writes' history for the oracle.
 pub fn measure(
     clients: usize,
     policy: DeadlockPolicy,
     rounds: usize,
     seed: u64,
-) -> ContentionPoint {
+) -> (ContentionPoint, Vec<CompletedOp>) {
     let mut h = build(clients, policy, seed);
     let suite = h.suite_id();
-    let client_sites: Vec<SiteId> = h.clients().to_vec();
+    let client_sites = h.clients().to_vec();
+    let mut plan = Plan::default();
     for round in 0..rounds {
         // Stagger arrivals with the *older* operations (lower site ids
         // are older at equal counters) arriving last, so the line hands
@@ -75,37 +75,25 @@ pub fn measure(
         let base = round as u64 * 1_200;
         for (k, &c) in client_sites.iter().enumerate() {
             let at = SimTime::from_millis(base + (client_sites.len() - k) as u64 * 37);
-            h.enqueue(
-                c,
-                Op::Write(suite, format!("r{round}c{k}").into_bytes()),
-                at,
-            );
+            let value = format!("r{round}c{k}").into_bytes();
+            plan.op(at, c, Op::Write(suite, value));
         }
     }
-    h.run_until_quiet(5_000_000);
-    let mut attempted = 0u64;
+    let ops = drive(&mut h, plan).ops;
     let mut committed = 0u64;
     let mut attempts_sum = 0u64;
     let mut last_finish = SimTime::ZERO;
-    for &c in &client_sites {
-        for op in h.drain_completed(c) {
-            assert_eq!(op.kind, OpKind::Write);
-            attempted += 1;
-            last_finish = last_finish.max(op.finished);
-            if op.outcome.is_ok() {
-                committed += 1;
-                attempts_sum += u64::from(op.attempts);
-            }
+    for op in &ops {
+        assert_eq!(op.kind, OpKind::Write);
+        last_finish = last_finish.max(op.finished);
+        if op.outcome.is_ok() {
+            committed += 1;
+            attempts_sum += u64::from(op.attempts);
         }
     }
-    let final_version = SiteId::all(3)
-        .filter_map(|s| h.version_at(s, suite))
-        .map(|v| v.0)
-        .max()
-        .unwrap_or(0);
-    ContentionPoint {
+    let point = ContentionPoint {
         clients,
-        attempted,
+        attempted: ops.len() as u64,
         committed,
         mean_attempts: if committed == 0 {
             0.0
@@ -113,8 +101,8 @@ pub fn measure(
             attempts_sum as f64 / committed as f64
         },
         makespan_ms: last_finish.as_millis_f64(),
-        final_version,
-    }
+    };
+    (point, ops)
 }
 
 /// Builds the E8 report.
@@ -134,7 +122,7 @@ pub fn run() -> String {
     const CLIENTS: [usize; 4] = [1, 2, 4, 8];
     let points = runner::run_tasks(POLICIES.len() * CLIENTS.len(), |k| {
         let (pi, i) = (k / CLIENTS.len(), k % CLIENTS.len());
-        measure(CLIENTS[i], POLICIES[pi].1, 6, 800 + i as u64)
+        measure(CLIENTS[i], POLICIES[pi].1, 6, 800 + i as u64).0
     });
     for (pi, (label, _)) in POLICIES.into_iter().enumerate() {
         let mut t = Table::new(
@@ -178,24 +166,31 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::check_log;
+
+    /// One cell, its history judged: E8's net neither drops nor delays a
+    /// message, so acknowledgement order must agree with version order,
+    /// and committed versions step by one with no gap.
+    fn judged(clients: usize, policy: DeadlockPolicy, rounds: usize, seed: u64) -> ContentionPoint {
+        let (point, ops) = measure(clients, policy, rounds, seed);
+        let violations = check_log(&ops, None, true);
+        assert!(violations.is_empty(), "{violations:?}");
+        point
+    }
 
     #[test]
     fn single_client_commits_everything_first_try() {
-        let p = measure(1, DeadlockPolicy::WaitDie, 5, 1);
+        let p = judged(1, DeadlockPolicy::WaitDie, 5, 1);
         assert_eq!(p.attempted, 5);
         assert_eq!(p.committed, 5);
         assert!((p.mean_attempts - 1.0).abs() < 1e-9);
-        assert_eq!(p.final_version, 5);
     }
 
     #[test]
     fn contending_writers_serialise_without_losing_updates() {
-        let p = measure(4, DeadlockPolicy::WaitDie, 4, 2);
+        let p = judged(4, DeadlockPolicy::WaitDie, 4, 2);
         assert_eq!(p.attempted, 16);
         assert!(p.committed >= 12, "only {} of 16 committed", p.committed);
-        // Every committed write got its own version: the final version
-        // equals the number of commits (no lost updates, no gaps).
-        assert_eq!(p.final_version, p.committed);
     }
 
     #[test]
@@ -203,8 +198,8 @@ mod tests {
         // The ablation's direction: in line a write commits on its first
         // attempt, since its version is assigned once it holds the lock;
         // turned away it retries, and pays the backoff as well.
-        let line = measure(4, DeadlockPolicy::WaitDie, 4, 3);
-        let nw = measure(4, DeadlockPolicy::NoWait, 4, 3);
+        let line = judged(4, DeadlockPolicy::WaitDie, 4, 3);
+        let nw = judged(4, DeadlockPolicy::NoWait, 4, 3);
         assert!(
             (line.mean_attempts - 1.0).abs() < 1e-9,
             "{}",
@@ -213,8 +208,6 @@ mod tests {
         assert!(nw.mean_attempts > 1.2, "no-wait {}", nw.mean_attempts);
         assert!(line.makespan_ms < nw.makespan_ms);
         assert_eq!((nw.committed, line.committed), (16, 16));
-        assert_eq!(nw.final_version, nw.committed);
-        assert_eq!(line.final_version, line.committed);
     }
 
     #[test]

@@ -7,10 +7,14 @@
 //! of experiments, and the `wv-exp` binary that regenerates them, live
 //! in `wv_chaos::experiments` (E9 and E14 are built on the chaos engine,
 //! which depends on this crate).
+//!
+//! Every run plays a [`drive::Plan`] through [`drive`], the one driver
+//! (the chaos executor's too), and [`oracle`] judges what it completed.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod drive;
 pub mod e1;
 pub mod e10;
 pub mod e11;
@@ -24,6 +28,7 @@ pub mod e6;
 pub mod e7;
 pub mod e8;
 pub mod inspect;
+pub mod oracle;
 pub mod runner;
 pub mod table;
 pub mod topo;

@@ -1,15 +1,17 @@
 //! Replays a [`Schedule`] against a live harness.
 //!
 //! Execution is a pure function of the schedule: the harness seed is the
-//! schedule seed, events apply at their virtual times, and the run ends
-//! with a quiesce phase (faults cleared, everyone recovered, event queue
-//! drained) so the oracle can ask convergence questions. The outcome is a
-//! [`TrialRun`] — the merged operation log, final reads, replica states,
-//! and the trial's [`Tally`] — which [`crate::oracle`] judges.
+//! schedule seed, and its events become a [`wv_bench::drive::Plan`],
+//! played by the one driver. The run ends with a quiesce phase (faults
+//! cleared, everyone recovered, event queue drained) so the oracle can
+//! ask convergence questions. The outcome is a [`TrialRun`] — the merged
+//! operation log, final reads, replica states, and the trial's [`Tally`]
+//! — which [`crate::oracle`] judges.
 
 use std::collections::{BTreeMap, HashSet};
 use std::ops::AddAssign;
 
+use wv_bench::drive::{self, Plan, REPAIR_INTERVAL};
 use wv_core::client::{
     ClientOptions, ClientStats, CompletedOp, HealthOptions, RetryCause, WeakRepOptions,
 };
@@ -31,71 +33,6 @@ const QUIESCE_CAP: u64 = 5_000_000;
 /// How long the quiesce phase lets in-flight retries ride after the last
 /// scheduled event before the final reads.
 const SETTLE: SimDuration = SimDuration::from_secs(30);
-
-/// How long past a server's recovery its outage still counts as a fault
-/// window: the recovered representative is catching up and its in-doubt
-/// transactions are being resolved.
-const RECOVERY_SLACK: SimDuration = SimDuration::from_secs(2);
-
-/// What can be wrong with the cluster, for [`TrialRun::fault_windows`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Trouble {
-    Down(SiteId),
-    Partition,
-    Loss,
-    Delay,
-    Duplication,
-    /// Injected disk trouble still pending, or the quarantine it caused.
-    Disk(SiteId),
-}
-
-/// The intervals during which some fault was active.
-#[derive(Default)]
-struct FaultWindows {
-    open: BTreeMap<Trouble, SimTime>,
-    closed: Vec<(SimTime, SimTime)>,
-}
-
-impl FaultWindows {
-    /// `fault` is active from `at` (or from when it first became so).
-    fn open(&mut self, fault: Trouble, at: SimTime) {
-        self.open.entry(fault).or_insert(at);
-    }
-
-    /// `fault` stops mattering at `until`.
-    fn close(&mut self, fault: Trouble, until: SimTime) {
-        if let Some(from) = self.open.remove(&fault) {
-            self.closed.push((from, until));
-        }
-    }
-
-    fn set(&mut self, fault: Trouble, active: bool, at: SimTime) {
-        if active {
-            self.open(fault, at);
-        } else {
-            self.close(fault, at);
-        }
-    }
-
-    /// Opens or closes the window `fault`, injected at `at`, starts or
-    /// ends. Armed disk damage and pending I/O errors are the servers' to
-    /// report (see `disk_trouble`).
-    fn note(&mut self, fault: &Fault, at: SimTime) {
-        match fault {
-            Fault::Net(NetFault::Crash(site)) => self.open(Trouble::Down(*site), at),
-            Fault::Net(NetFault::Recover(site)) => {
-                self.close(Trouble::Down(*site), at + RECOVERY_SLACK);
-            }
-            Fault::Net(NetFault::Partition(_)) => self.open(Trouble::Partition, at),
-            Fault::Net(NetFault::Heal) => self.close(Trouble::Partition, at),
-            Fault::Net(NetFault::DropAll(p)) => self.set(Trouble::Loss, *p > 0.0, at),
-            Fault::Net(NetFault::ExtraDelay(d)) => self.set(Trouble::Delay, !d.is_zero(), at),
-            Fault::Net(NetFault::Duplicate(p)) => self.set(Trouble::Duplication, *p > 0.0, at),
-            Fault::DiskStall { d, .. } => self.closed.push((at, at + *d)),
-            Fault::TornWrite(_) | Fault::BitFlip(_) | Fault::IoErrors { .. } => {}
-        }
-    }
-}
 
 /// What one trial did: the nodes' own counters, summed over the sites,
 /// and the counts only the executor knows. A campaign adds these up.
@@ -214,11 +151,10 @@ pub struct TrialRun {
     pub quiesced: bool,
     /// What the trial did, counted by its nodes and by the executor.
     pub tally: Tally,
-    /// When the cluster was not whole: a server down (until
-    /// `RECOVERY_SLACK` past its recovery), a partition, a loss, delay
-    /// or duplication dial off zero, a disk stalled, refusing or
-    /// quarantined. The oracle's progress invariant judges only
-    /// operations that ran entirely outside these windows.
+    /// When the cluster was not whole, up to the schedule's last event
+    /// (see [`wv_bench::drive::FaultWindows`]). The oracle's progress
+    /// invariant judges only operations that ran entirely outside these
+    /// windows.
     pub fault_windows: Vec<(SimTime, SimTime)>,
     /// `Some(bound)` when the cluster ran the client cache tier: the
     /// oracle's staleness-bound invariant lets cache-served reads lag the
@@ -233,10 +169,6 @@ pub struct TrialRun {
 pub fn payload_bytes(seed: u64, tag: u64) -> Vec<u8> {
     format!("chaos-{seed:016x}-{tag}").into_bytes()
 }
-
-/// Anti-entropy probe interval used by repair-enabled chaos and bench
-/// clusters.
-pub const REPAIR_INTERVAL: SimDuration = SimDuration::from_millis(500);
 
 /// WAL sync latency used by group-commit-enabled chaos and bench
 /// clusters: long enough that concurrent prepares genuinely share
@@ -323,37 +255,13 @@ fn run_schedule_inner(
     // fifth write tag becomes a two-suite atomic transaction. With one
     // suite every rule collapses to "the suite", so a one-suite spec
     // replays the committed E9 seeds unchanged.
-    struct TxnRecord {
-        client: SiteId,
-        at: SimTime,
-        payload: Vec<u8>,
-        suites: Vec<ObjectId>,
-    }
-    let mut txn_records: Vec<TxnRecord> = Vec::new();
+    let mut txns: Vec<(SiteId, TxnOutcome)> = Vec::new();
     let mut read_rr = 0usize;
-    let mut faults = FaultWindows::default();
-    // Disk trouble is over when the servers say so: injected errors are
-    // consumed by whatever next touches the disk, and a quarantine heals
-    // when the last peer has been pulled from. Looked at between events.
-    let disk_trouble = |h: &Harness, faults: &mut FaultWindows| {
-        for (site, node) in SiteId::all(spec.servers).zip(&h.cluster().nodes) {
-            let troubled = node
-                .as_server()
-                .is_some_and(|sv| sv.is_quarantined() || sv.container().disk_faults_armed());
-            faults.set(Trouble::Disk(site), troubled, h.now());
-        }
-    };
-
+    let mut plan = Plan::default();
     for event in &schedule.events {
-        // Advance to the event's instant, letting in-flight work run.
-        let target = SimTime::from_millis(event.at_ms);
-        if target > h.now() {
-            h.advance(target.since(h.now()));
-        }
-        let at = h.now();
-        disk_trouble(&h, &mut faults);
+        let at = SimTime::from_millis(event.at_ms);
         // Disk faults apply only on the faulty-disk arm; the clean arm
-        // replays the identical timeline with them as no-ops.
+        // replays the identical timeline without them.
         let disk = matches!(&event.kind, EventKind::Fault(f) if !matches!(f, Fault::Net(_)));
         if disk && !spec.disk_faults {
             continue;
@@ -374,25 +282,26 @@ fn run_schedule_inner(
                     // global lock-acquisition order.
                     tally.cross_suite_txns += 1;
                     let sibling = suites[(*payload as usize + 1) % suites.len()];
-                    let mut span = vec![home, sibling];
-                    span.sort();
+                    let span = vec![home.min(sibling), home.max(sibling)];
                     let writes: Vec<(ObjectId, Vec<u8>)> =
                         span.iter().map(|&s| (s, bytes.clone())).collect();
-                    txn_records.push(TxnRecord {
-                        client: c,
-                        at,
+                    let outcome = TxnOutcome {
                         payload: bytes,
                         suites: span,
-                    });
-                    h.enqueue(c, Op::Transaction(writes), at);
+                        started: at,
+                        finished: at,
+                        outcome: None,
+                    };
+                    txns.push((c, outcome));
+                    plan.op(at, c, Op::Transaction(writes));
                 } else {
-                    h.enqueue(c, Op::Write(home, bytes), at);
+                    plan.op(at, c, Op::Write(home, bytes));
                 }
             }
             EventKind::Read { client } => {
                 let s = suites[read_rr % suites.len()];
                 read_rr += 1;
-                h.enqueue(clients[*client], Op::Read(s), at);
+                plan.op(at, clients[*client], Op::Read(s));
             }
             EventKind::Reconfigure {
                 client,
@@ -401,32 +310,33 @@ fn run_schedule_inner(
             } => {
                 // Reconfigurations always target the first suite; the
                 // sibling suites keep their configs.
-                h.enqueue(
+                plan.op(
+                    at,
                     clients[*client],
                     Op::Reconfigure(
                         suites[0],
                         VoteAssignment::equal(spec.servers),
                         QuorumSpec::new(*read_quorum, *write_quorum),
                     ),
-                    at,
                 );
             }
-            EventKind::Fault(fault) => {
-                faults.note(fault, at);
-                h.inject(fault.clone());
-            }
+            EventKind::Fault(fault) => plan.fault(at, fault.clone()),
         }
     }
+    let planned = plan.ops();
+    let windows = drive::apply(&mut h, plan);
+    // A disk fault the clean arm leaves out still moves the clock: the
+    // run ends where the schedule does.
+    if let Some(last) = schedule.events.last() {
+        let end = SimTime::from_millis(last.at_ms);
+        if end > h.now() {
+            h.advance(end.since(h.now()));
+        }
+    }
+    let fault_windows = windows.end(&h);
 
     // Quiesce: clear every dial, reconnect and revive everyone, let
     // in-flight retries ride, then drain.
-    disk_trouble(&h, &mut faults);
-    let end = h.now();
-    for (fault, from) in std::mem::take(&mut faults.open) {
-        let slack = matches!(fault, Trouble::Down(_) | Trouble::Disk(_));
-        let until = if slack { end + RECOVERY_SLACK } else { end };
-        faults.closed.push((from, until));
-    }
     h.inject(NetFault::DropAll(0.0));
     h.inject(NetFault::ExtraDelay(SimDuration::ZERO));
     h.inject(NetFault::Duplicate(0.0));
@@ -450,39 +360,28 @@ fn run_schedule_inner(
     let executed = h.run_until_quiet(QUIESCE_CAP);
     let quiesced = executed < QUIESCE_CAP;
 
-    // Drain completion logs, matching each cross-suite transaction
-    // record to its completed operation (same client, same start
-    // instant) so the oracle can judge atomicity without guessing which
-    // op was which.
-    let mut ops: Vec<CompletedOp> = Vec::new();
-    let mut txns: Vec<TxnOutcome> = Vec::new();
-    for &c in &clients {
-        let completed = h.drain_completed(c);
-        let mut taken = vec![false; completed.len()];
-        for rec in txn_records.iter().filter(|r| r.client == c) {
-            let mut outcome = None;
-            let mut times = (rec.at, rec.at);
-            for (i, o) in completed.iter().enumerate() {
-                if !taken[i] && o.kind == OpKind::Transaction && o.started == rec.at {
-                    taken[i] = true;
-                    outcome = Some(match &o.outcome {
-                        Ok(okk) => Ok(okk.multi.clone()),
-                        Err(e) => Err(e.clone()),
-                    });
-                    times = (o.started, o.finished);
-                    break;
-                }
-            }
-            txns.push(TxnOutcome {
-                payload: rec.payload.clone(),
-                suites: rec.suites.clone(),
-                started: times.0,
-                finished: times.1,
-                outcome,
-            });
+    // A run that failed to quiesce is judged as it stands
+    // (`Violation::NoQuiesce`): collected without a step further.
+    let ops = drive::collect(&mut h, if quiesced { planned } else { 0 });
+    // Match each cross-suite transaction to its completed operation (same
+    // client, same start instant), clients in site order, so the oracle
+    // can judge atomicity without guessing which op was which.
+    txns.sort_by_key(|(c, _)| *c);
+    let mut taken = vec![false; ops.len()];
+    for (c, t) in &mut txns {
+        let hit = ops.iter().enumerate().find(|(i, o)| {
+            !taken[*i]
+                && o.req.coordinator() == *c
+                && o.kind == OpKind::Transaction
+                && o.started == t.started
+        });
+        if let Some((i, o)) = hit {
+            taken[i] = true;
+            t.finished = o.finished;
+            t.outcome = Some(o.outcome.clone().map(|ok| ok.multi));
         }
-        ops.extend(completed);
     }
+    let txns = txns.into_iter().map(|(_, t)| t).collect();
 
     // Post-quiesce final reads, per suite then per client (only
     // meaningful if the system drained). Suite-major order keeps a
@@ -525,7 +424,7 @@ fn run_schedule_inner(
         .sum();
     tally.net = h.net_stats();
     for op in &ops {
-        tally.ops_quiet += u64::from(crate::oracle::ran_quiet(op, &faults.closed));
+        tally.ops_quiet += u64::from(crate::oracle::ran_quiet(op, &fault_windows));
         match &op.outcome {
             Ok(_) => tally.ops_ok += 1,
             Err(e) => {
@@ -547,7 +446,7 @@ fn run_schedule_inner(
             txns,
             quiesced,
             tally,
-            fault_windows: faults.closed,
+            fault_windows,
             // Validated mode: the bound is zero — a cache serve carries
             // the same quorum evidence as a classic read.
             cache_lease: spec.cache_tier.then_some(SimDuration::ZERO),

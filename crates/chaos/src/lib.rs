@@ -5,12 +5,11 @@
 //! * [`schedule`] — a fault-schedule DSL: seeded, sorted timelines of
 //!   operations, reconfigurations and the harness's own
 //!   [`wv_core::Fault`]s, serialisable to a replay artifact.
-//! * [`exec`] — replays a schedule against a simulated cluster and
-//!   collects the evidence (operation log, final reads, replica states,
-//!   and a tally of the nodes' own counters).
-//! * [`oracle`] — the history oracle: the consistency invariants
-//!   weighted voting promises, checked over that evidence and returned
-//!   as structured [`oracle::Violation`]s.
+//! * [`exec`] — replays a schedule through `wv_bench::drive`, the one
+//!   driver, and collects the evidence (operation log, final reads,
+//!   replica states, and a tally of the nodes' own counters).
+//! * [`oracle`] — judges that evidence: `wv_bench::oracle`'s op-log
+//!   checks, re-exported, plus the trial-level ones.
 //! * [`campaign`] + [`mod@shrink`] — fan thousands of seeds over the
 //!   deterministic parallel trial runner, then delta-debug any failure
 //!   down to a minimal reproducer.

@@ -1,17 +1,18 @@
 //! Cross-crate integration: single-object linearizability under
 //! concurrency, crashes, and partitions.
 //!
-//! Concurrent clients issue reads and writes against one suite. After the
-//! run, the completion log is handed to the shared history oracle
-//! (`wv-chaos`) in *strict* mode — these clusters never drop or delay
-//! messages, so acknowledgement order must agree with version order on
-//! top of the usual invariants (uniqueness, gap-freedom, no phantom or
-//! stale reads).
+//! Concurrent clients issue reads and writes against one suite, as a
+//! timed plan the experiments' driver plays (`wv_bench::drive`). After the
+//! run, the completion log is handed to the shared history oracle in
+//! *strict* mode — these clusters never drop or delay messages, so
+//! acknowledgement order must agree with version order on top of the
+//! usual invariants (uniqueness, gap-freedom, no phantom or stale reads).
 
 use weighted_voting::chaos::check_log;
 use weighted_voting::core::client::{CompletedOp, WeakRepOptions};
 use weighted_voting::core::error::OpKind;
 use weighted_voting::prelude::*;
+use wv_bench::drive::{drive, Plan};
 
 fn cluster(servers: usize, clients: usize, quorum: QuorumSpec, seed: u64) -> Harness {
     let mut b = HarnessBuilder::new().seed(seed).quorum(quorum);
@@ -39,25 +40,22 @@ fn concurrent_clients_keep_a_single_history() {
     let suite = h.suite_id();
     let clients = h.clients().to_vec();
     // Interleave writes and reads from all clients at staggered times.
+    let mut plan = Plan::default();
     for round in 0..12u64 {
         for (k, &c) in clients.iter().enumerate() {
             let at = SimTime::from_millis(round * 900 + k as u64 * 40);
             if (round + k as u64).is_multiple_of(3) {
-                h.enqueue(
+                plan.op(
+                    at,
                     c,
                     Op::Write(suite, format!("r{round}k{k}").into_bytes()),
-                    at,
                 );
             } else {
-                h.enqueue(c, Op::Read(suite), at);
+                plan.op(at, c, Op::Read(suite));
             }
         }
     }
-    h.run_until_quiet(2_000_000);
-    let mut all = Vec::new();
-    for &c in &clients {
-        all.extend(h.drain_completed(c));
-    }
+    let all = drive(&mut h, plan).ops;
     assert!(
         all.iter().filter(|o| o.outcome.is_ok()).count() > 20,
         "most operations should succeed on a healthy cluster"
@@ -70,30 +68,23 @@ fn history_stays_single_under_crashes_and_recoveries() {
     let mut h = cluster(5, 3, QuorumSpec::majority(5), 202);
     let suite = h.suite_id();
     let clients = h.clients().to_vec();
+    let mut plan = Plan::default();
     for round in 0..10u64 {
         for (k, &c) in clients.iter().enumerate() {
             let at = SimTime::from_millis(round * 1_500 + k as u64 * 70);
             if k == 0 {
-                h.enqueue(c, Op::Write(suite, format!("w{round}").into_bytes()), at);
+                plan.op(at, c, Op::Write(suite, format!("w{round}").into_bytes()));
             } else {
-                h.enqueue(c, Op::Read(suite), at);
+                plan.op(at, c, Op::Read(suite));
             }
         }
     }
     // A rolling outage: two different servers bounce during the run.
-    h.advance(SimDuration::from_millis(2_000));
-    h.inject(Fault::Crash(SiteId(0)));
-    h.advance(SimDuration::from_millis(3_000));
-    h.inject(Fault::Crash(SiteId(1)));
-    h.advance(SimDuration::from_millis(3_000));
-    h.inject(Fault::Recover(SiteId(0)));
-    h.advance(SimDuration::from_millis(2_000));
-    h.inject(Fault::Recover(SiteId(1)));
-    h.run_until_quiet(3_000_000);
-    let mut all = Vec::new();
-    for &c in &clients {
-        all.extend(h.drain_completed(c));
-    }
+    plan.fault(SimTime::from_millis(2_000), Fault::Crash(SiteId(0)));
+    plan.fault(SimTime::from_millis(5_000), Fault::Crash(SiteId(1)));
+    plan.fault(SimTime::from_millis(8_000), Fault::Recover(SiteId(0)));
+    plan.fault(SimTime::from_millis(10_000), Fault::Recover(SiteId(1)));
+    let all = drive(&mut h, plan).ops;
     check_history(&all);
     // The cluster still works afterwards.
     let w = h.write(suite, b"after the storm".to_vec()).expect("write");
@@ -106,30 +97,35 @@ fn history_stays_single_across_a_partition() {
     let mut h = cluster(3, 2, QuorumSpec::majority(3), 303);
     let suite = h.suite_id();
     let clients = h.clients().to_vec();
-    // Enqueue (rather than block on) the base write so its completion
-    // record stays in the log the oracle checks — gap-freedom needs v1.
-    h.enqueue(clients[0], Op::Write(suite, b"base".to_vec()), h.now());
-    h.run_until_quiet(1_000_000);
+    // The base write is part of the plan, so its completion record stays
+    // in the log the oracle checks — gap-freedom needs v1. It is reported
+    // long before the partition.
+    let mut plan = Plan::default();
+    plan.op(
+        SimTime::ZERO,
+        clients[0],
+        Op::Write(suite, b"base".to_vec()),
+    );
     // Client 0 with the majority, client 1 with the minority.
-    h.inject(Fault::Partition(Partition::split(
-        5,
-        &[&[SiteId(0), SiteId(1), SiteId(3)], &[SiteId(2), SiteId(4)]],
-    )));
+    let split = SimTime::from_millis(1_000);
+    plan.fault(
+        split,
+        Fault::Partition(Partition::split(
+            5,
+            &[&[SiteId(0), SiteId(1), SiteId(3)], &[SiteId(2), SiteId(4)]],
+        )),
+    );
     for round in 0..6u64 {
-        let at = h.now() + SimDuration::from_millis(round * 1_000);
-        h.enqueue(
+        let at = split + SimDuration::from_millis(round * 1_000);
+        plan.op(
+            at,
             clients[0],
             Op::Write(suite, format!("maj{round}").into_bytes()),
-            at,
         );
-        h.enqueue(clients[1], Op::Read(suite), at);
+        plan.op(at, clients[1], Op::Read(suite));
     }
-    h.run_until_quiet(2_000_000);
+    let all = drive(&mut h, plan).ops;
     h.inject(Fault::Heal);
-    let mut all = Vec::new();
-    for &c in &clients {
-        all.extend(h.drain_completed(c));
-    }
     // Minority reads must have failed rather than returned stale data.
     let minority_reads_ok = all
         .iter()
