@@ -6,7 +6,7 @@
 //! [`collect`] waits out the planned operations; [`drive`] is the three
 //! in a row. The op-log oracle ([`crate::oracle`]) judges what comes back.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use wv_core::client::CompletedOp;
 use wv_core::{Fault, Harness, Op};
@@ -32,17 +32,24 @@ enum Step {
 
 /// A run's load: timed `(at, client, Op)` and `(at, Fault)` entries, kept
 /// in time order; entries due at one instant keep the order they were
-/// added in.
+/// added in. It also keeps every payload its writes and transactions
+/// carry, for the oracle's provenance check.
 #[derive(Default)]
 pub struct Plan {
     entries: Vec<(SimTime, Step)>,
     ops: usize,
+    sent: HashSet<Vec<u8>>,
 }
 
 impl Plan {
     /// `client` starts `op` at `at`.
     pub fn op(&mut self, at: SimTime, client: SiteId, op: Op) {
         self.ops += 1;
+        match &op {
+            Op::Write(_, v) => self.sent.extend([v.clone()]),
+            Op::Transaction(writes) => self.sent.extend(writes.iter().map(|(_, v)| v.clone())),
+            Op::Read(_) | Op::Reconfigure(..) => {}
+        }
         self.insert(at, Step::Op(client, op));
     }
 
@@ -169,8 +176,9 @@ impl FaultWindows {
 /// starts its operation or injects its fault at `now`, so an operation
 /// due at an instant starts after the deliveries due then. (That is the
 /// chaos executor's order: enqueueing every operation up front instead
-/// moves E9's counts.) Returns the fault windows, the last still open.
-pub fn apply(h: &mut Harness, plan: Plan) -> FaultWindows {
+/// moves E9's counts.) Returns the fault windows, the last still open,
+/// and the payloads the plan sent.
+pub fn apply(h: &mut Harness, plan: Plan) -> (FaultWindows, HashSet<Vec<u8>>) {
     let mut windows = FaultWindows::default();
     for (at, step) in plan.entries {
         if at > h.now() {
@@ -186,7 +194,7 @@ pub fn apply(h: &mut Harness, plan: Plan) -> FaultWindows {
             }
         }
     }
-    windows
+    (windows, plan.sent)
 }
 
 /// Drains every client's completion log, and while fewer than
@@ -229,26 +237,72 @@ pub fn throughput(ops: &[CompletedOp], start: SimTime) -> (u64, f64) {
 }
 
 /// What a driven plan leaves behind.
+#[derive(Default)]
 pub struct Driven {
     /// Every planned operation, completed.
     pub ops: Vec<CompletedOp>,
     /// When the cluster was not whole, up to the last entry.
     pub fault_windows: Vec<(SimTime, SimTime)>,
+    /// Every payload the plan's writes and transactions carried.
+    pub sent: HashSet<Vec<u8>>,
+}
+
+impl Driven {
+    /// Adds a later run on the same cluster; returns its operations.
+    pub fn append(&mut self, later: Driven) -> &[CompletedOp] {
+        let from = self.ops.len();
+        self.ops.extend(later.ops);
+        self.fault_windows.extend(later.fault_windows);
+        self.sent.extend(later.sent);
+        &self.ops[from..]
+    }
 }
 
 /// [`apply`], [`FaultWindows::end`] at the last entry, then [`collect`].
 pub fn drive(h: &mut Harness, plan: Plan) -> Driven {
     let expected = plan.ops();
-    let fault_windows = apply(h, plan).end(h);
+    let (windows, sent) = apply(h, plan);
+    let fault_windows = windows.end(h);
     Driven {
         ops: collect(h, expected),
         fault_windows,
+        sent,
+    }
+}
+
+/// Writes `{tag}-seed-{id}` to each suite in turn, stepped to completion as
+/// [`Harness::run`] steps: E11, E13 and E15 seed their suites so.
+pub fn seed(h: &mut Harness, suites: &[ObjectId], tag: &str) -> Driven {
+    let (c, mut seeded) = (h.default_client(), Driven::default());
+    for &suite in suites {
+        let value = format!("{tag}-seed-{}", suite.0).into_bytes();
+        seeded.sent.insert(value.clone());
+        h.enqueue(c, Op::Write(suite, value), h.now());
+        while h.client_at(c).is_some_and(|n| n.completed.is_empty()) {
+            assert_eq!(h.run_until_quiet(1), 1, "a seeding write never completed");
+        }
+        seeded.ops.extend(h.drain_completed(c));
+    }
+    seeded
+}
+
+#[cfg(test)]
+impl Driven {
+    /// The oracle's verdict: [`check_log`](crate::oracle::check_log),
+    /// `strict` where the net neither drops nor delays a message, and
+    /// [`check_progress`](crate::oracle::check_progress) outside the
+    /// fault windows.
+    pub(crate) fn judge(&self, strict: bool) -> Vec<crate::oracle::Violation> {
+        let log = crate::oracle::check_log(&self.ops, Some(&self.sent), strict);
+        let quiet = crate::oracle::check_progress(&self.ops, &self.fault_windows);
+        [log, quiet].concat()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::check_log;
     use wv_core::harness::{HarnessBuilder, SiteSpec};
     use wv_core::QuorumSpec;
     use wv_net::{NetConfig, Partition};
@@ -305,13 +359,13 @@ mod tests {
         plan.op(ms(0), SiteId(3), Op::Write(suite, b"a".to_vec()));
         plan.fault(ms(50), NetFault::Crash(SiteId(0)));
         plan.op(ms(50), SiteId(4), Op::Read(suite));
-        let windows = apply(&mut h, plan);
+        let (windows, _) = apply(&mut h, plan);
         assert_eq!(h.net_stats().dropped_down, 0, "the prepare landed first");
         assert_eq!(windows.end(&h), [(ms(50), ms(50) + RECOVERY_SLACK)]);
         let ops = collect(&mut h, 2);
         let write = ops.iter().find(|o| o.req.coordinator() == SiteId(3));
         assert_eq!(write.expect("the write").finished, ms(100));
-        assert!(crate::oracle::check_log(&ops, None, true).is_empty());
+        assert!(check_log(&ops, None, true).is_empty());
     }
 
     #[test]
@@ -363,6 +417,28 @@ mod tests {
                 (ms(2_000), end + RECOVERY_SLACK),
             ]
         );
+    }
+
+    #[test]
+    fn a_driven_plan_returns_the_payloads_its_writes_and_transactions_carried() {
+        let mut h = HarnessBuilder::new()
+            .seed(4)
+            .suites([ObjectId(1), ObjectId(2)])
+            .site(SiteSpec::server(1))
+            .client()
+            .quorum(QuorumSpec::new(1, 1))
+            .build()
+            .expect("legal cluster");
+        let c = h.default_client();
+        let mut plan = Plan::default();
+        plan.op(ms(0), c, Op::Write(ObjectId(1), b"w".to_vec()));
+        plan.op(ms(0), c, Op::Read(ObjectId(1)));
+        let both = vec![(ObjectId(1), b"t1".to_vec()), (ObjectId(2), b"t2".to_vec())];
+        plan.op(ms(500), c, Op::Transaction(both));
+        let run = drive(&mut h, plan);
+        let carried = [&b"w"[..], b"t1", b"t2"].map(<[u8]>::to_vec);
+        assert_eq!(run.sent, HashSet::from(carried));
+        assert_eq!(run.judge(true), []);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use wv_net::{Fault, SiteId};
 use wv_sim::trace::SpanKind;
 use wv_sim::{derive_seed, DetRng, FailureSchedule, SampleSet, SimDuration, SimTime};
 
-use crate::drive::{drive, Plan, REPAIR_INTERVAL};
+use crate::drive::{drive, Driven, Plan, REPAIR_INTERVAL};
 use crate::runner;
 use crate::table::Table;
 
@@ -121,8 +121,8 @@ impl ArmSummary {
     }
 }
 
-/// Runs one arm of one trial.
-fn run_arm(seed: u64, healing: bool) -> ArmSummary {
+/// Runs one arm of one trial: its summary, and its history.
+fn run_arm(seed: u64, healing: bool) -> (ArmSummary, Driven) {
     let mut b = HarnessBuilder::new()
         .quorum(QuorumSpec::new(3, 3))
         .seed(seed);
@@ -201,7 +201,7 @@ fn run_arm(seed: u64, healing: bool) -> ArmSummary {
         slot.0 += d;
         slot.1 += 1;
     }
-    for op in run.ops {
+    for op in &run.ops {
         out.ops_total += 1;
         let ok = op.outcome.is_ok();
         if ok {
@@ -220,7 +220,7 @@ fn run_arm(seed: u64, healing: bool) -> ArmSummary {
             out.post_ok += u64::from(ok);
         }
     }
-    out
+    (out, run)
 }
 
 /// The mean of a traced phase's `(summed µs, span count)`, in ms.
@@ -234,7 +234,7 @@ fn mean_ms((total_us, n): (u64, u64)) -> f64 {
 /// Both arms, aggregated over `trials` paired trials.
 pub fn measure(master_seed: u64, trials: usize) -> (ArmSummary, ArmSummary) {
     let results = runner::run_trials(master_seed, trials, |seed| {
-        (run_arm(seed, false), run_arm(seed, true))
+        (run_arm(seed, false).0, run_arm(seed, true).0)
     });
     let (mut off, mut on) = (ArmSummary::default(), ArmSummary::default());
     for (a, b) in results {
@@ -406,6 +406,18 @@ mod tests {
             off.server.repairs_completed, 0,
             "the off arm must not repair"
         );
+    }
+
+    #[test]
+    fn both_arms_of_every_smoke_trial_pass_the_oracle() {
+        // The registry's smoke size. Crashed representatives hold
+        // acknowledgements back: not strict.
+        let verdicts = runner::run_trials(0xE10, 6, |seed| {
+            [false, true].map(|healing| (seed, healing, run_arm(seed, healing).1.judge(false)))
+        });
+        for (seed, healing, violations) in verdicts.into_iter().flatten() {
+            assert_eq!(violations, [], "seed {seed:#x}, healing {healing}");
+        }
     }
 
     #[test]

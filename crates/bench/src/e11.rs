@@ -28,7 +28,7 @@ use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
 use wv_sim::{LatencyModel, SimDuration};
 
-use crate::drive::{drive, throughput, Plan};
+use crate::drive::{self, drive, throughput, Driven, Plan};
 use crate::runner;
 use crate::table::Table;
 
@@ -68,6 +68,8 @@ pub struct Cell {
     /// prepares) each server answered, summed over all clients; length
     /// `SERVERS`.
     pub server_load: Vec<u64>,
+    /// The cell's history, the seeding write first.
+    pub log: Driven,
 }
 
 /// Runs one cell: `clients` closed-loop readers at window `depth`.
@@ -95,7 +97,7 @@ fn run_cell(seed: u64, policy: QuorumPolicy, depth: usize, clients: usize, ops: 
     // Seed the suite so every read fetches real content, then measure
     // from a clean baseline (the write's prepare legs also count as
     // data requests, so per-site loads are diffed against it).
-    h.write(suite, b"e11-seed".to_vec()).expect("seeding write");
+    let mut log = drive::seed(&mut h, &[suite], "e11");
     let client_sites: Vec<SiteId> = h.clients().to_vec();
     let base: Vec<Vec<u64>> = client_sites
         .iter()
@@ -104,7 +106,7 @@ fn run_cell(seed: u64, policy: QuorumPolicy, depth: usize, clients: usize, ops: 
     let start = h.now();
     let reads = vec![vec![(false, 0); ops]; clients];
     let plan = Plan::workloads(start, &client_sites, &[suite], &reads, "e11");
-    let (ops_ok, ops_per_vsec) = throughput(&drive(&mut h, plan).ops, start);
+    let (ops_ok, ops_per_vsec) = throughput(log.append(drive(&mut h, plan)), start);
     let mut server_load = vec![0u64; SERVERS];
     for (i, &c) in client_sites.iter().enumerate() {
         let load = h.client_at(c).expect("client exists").site_load();
@@ -122,6 +124,7 @@ fn run_cell(seed: u64, policy: QuorumPolicy, depth: usize, clients: usize, ops: 
         ops_ok,
         ops_per_vsec,
         server_load,
+        log,
     }
 }
 
@@ -276,6 +279,22 @@ mod tests {
             "rotation must keep every server busy: {:?}",
             lb.server_load
         );
+    }
+
+    #[test]
+    fn every_smoke_cell_passes_the_oracle() {
+        // The registry's smoke size, on fixed links that neither drop nor
+        // delay a message: strict.
+        for c in measure(MASTER_SEED, 8) {
+            assert_eq!(
+                c.log.judge(true),
+                [],
+                "{}/{}/{}",
+                c.policy,
+                c.depth,
+                c.clients
+            );
+        }
     }
 
     #[test]

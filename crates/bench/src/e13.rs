@@ -32,7 +32,7 @@ use wv_net::{NetConfig, SiteId};
 use wv_sim::{DetRng, LatencyModel, SimDuration};
 use wv_storage::ObjectId;
 
-use crate::drive::{drive, throughput, Plan};
+use crate::drive::{self, drive, throughput, Driven, Plan};
 use crate::table::Table;
 use crate::{runner, zipf_suite};
 
@@ -94,6 +94,8 @@ pub struct Cell {
     /// Probe reads whose contents crossed the wire: with a version answer
     /// or in a fetch round.
     pub probe_fetches: u64,
+    /// The cell's history: seeding, window, warm-up and probe.
+    pub log: Driven,
 }
 
 impl Cell {
@@ -164,10 +166,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
         b = b.client();
     }
     let mut h = b.build().expect("majority quorums are legal");
-    for &s in &suites {
-        h.write(s, format!("e13-seed-{}", s.0).into_bytes())
-            .expect("seeding write");
-    }
+    let mut log = drive::seed(&mut h, &suites, "e13");
     let client_sites: Vec<SiteId> = h.clients().to_vec();
     let clients = |h: &Harness| -> ClientStats {
         client_sites
@@ -180,7 +179,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
     // Measured window: the read-heavy zipfian mix.
     let start = h.now();
     let plan = Plan::workloads(start, &client_sites, &suites, &plans, "e13");
-    let (ops_ok, ops_per_vsec) = throughput(&drive(&mut h, plan).ops, start);
+    let (ops_ok, ops_per_vsec) = throughput(log.append(drive(&mut h, plan)), start);
     let after = clients(&h);
     let cache_hits = after.cache_hits - before.cache_hits;
     let cache_misses = after.cache_misses - before.cache_misses;
@@ -190,7 +189,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
     // current (and every lease freshly granted) before the probe.
     let warm = vec![(0..SUITES).map(|s| (false, s)).collect(); CLIENTS];
     let plan = Plan::workloads(h.now(), &client_sites, &suites, &warm, "e13");
-    drive(&mut h, plan);
+    log.append(drive(&mut h, plan));
 
     // Probe: pure zipfian reads against a warm cache — the steady-state
     // per-read cost of each mode.
@@ -199,7 +198,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
     let fetch_base = moved(clients(&h));
     let t = h.now();
     let plan = Plan::workloads(t, &client_sites, &suites, &probes, "e13");
-    let probe_reads = throughput(&drive(&mut h, plan).ops, t).0;
+    let probe_reads = throughput(log.append(drive(&mut h, plan)), t).0;
     let probe_msgs = h.net_stats().sent - sent_base;
     let probe_fetches = moved(clients(&h)) - fetch_base;
 
@@ -214,6 +213,7 @@ fn run_cell(seed: u64, mode: usize, depth: usize, ops: usize) -> Cell {
         probe_reads,
         probe_msgs,
         probe_fetches,
+        log,
     }
 }
 
@@ -379,6 +379,24 @@ mod tests {
             "a live lease serves without touching the network"
         );
         assert!(c.cache_hits > 0);
+    }
+
+    #[test]
+    fn every_uncached_and_validated_smoke_cell_passes_the_oracle() {
+        // The registry's smoke size, on fixed links: strict. A lease row
+        // serves within its TTL, not at the acknowledged floor, so
+        // invariant 7 is not its rule.
+        for c in measure(MASTER_SEED, 32) {
+            if !MODES[c.mode].starts_with("lease") {
+                assert_eq!(
+                    c.log.judge(true),
+                    [],
+                    "{} at depth {}",
+                    MODES[c.mode],
+                    c.depth
+                );
+            }
+        }
     }
 
     #[test]

@@ -38,14 +38,14 @@
 //!    (versions *and* latencies) to the default single-suite build —
 //!    pinned by `the_single_suite_path_is_byte_identical_to_default`.
 
-use wv_core::client::{ClientOptions, ClientStats, CompletedOp};
+use wv_core::client::{ClientOptions, ClientStats};
 use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
 use wv_sim::{DetRng, LatencyModel, SimDuration};
 use wv_storage::ObjectId;
 
-use crate::drive::{drive, throughput, Plan};
+use crate::drive::{self, drive, throughput, Driven, Plan};
 use crate::table::Table;
 use crate::{runner, zipf_suite};
 
@@ -124,6 +124,8 @@ pub struct Cell {
     /// Writes committed per prepare sent for them (1.0 = every write
     /// alone): the mean length of the clients' write trains.
     pub train_size: f64,
+    /// The cell's history, the seeding writes first.
+    pub log: Driven,
 }
 
 impl Cell {
@@ -189,16 +191,14 @@ fn build_cluster(seed: u64, servers: usize, depth: usize, suites: &[ObjectId]) -
     b
 }
 
-/// Replays `plans` against `h` and returns every completed operation,
-/// in (client, completion) order.
-fn replay(h: &mut Harness, suites: &[ObjectId], plans: &[Vec<(bool, usize)>]) -> Vec<CompletedOp> {
-    for &s in suites {
-        h.write(s, format!("e15-seed-{}", s.0).into_bytes())
-            .expect("seeding write");
-    }
+/// Seeds every suite, then replays `plans` against `h`: the seeding
+/// writes, then every planned operation in (client, completion) order.
+fn replay(h: &mut Harness, suites: &[ObjectId], plans: &[Vec<(bool, usize)>]) -> Driven {
+    let mut log = drive::seed(h, suites, "e15");
     let client_sites: Vec<SiteId> = h.clients().to_vec();
     let plan = Plan::workloads(h.now(), &client_sites, suites, plans, "e15");
-    drive(h, plan).ops
+    log.append(drive(h, plan));
+    log
 }
 
 /// Runs one cell of the sweep.
@@ -216,7 +216,8 @@ fn run_cell(
         .build()
         .expect("majority quorums are legal");
     let start = h.now();
-    let done = replay(&mut h, &suites, &plans);
+    let log = replay(&mut h, &suites, &plans);
+    let done = &log.ops[suites_n..];
     let stats: ClientStats = h
         .clients()
         .iter()
@@ -225,7 +226,7 @@ fn run_cell(
     // The seeding writes went alone, one per suite.
     let (trains, ridden) = (stats.trains - suites_n as u64, stats.writes_ridden);
 
-    let (ops_ok, ops_per_vsec) = throughput(&done, start);
+    let (ops_ok, ops_per_vsec) = throughput(done, start);
     let mut attempts = 0u64;
     let mut per_suite = vec![0u64; suites_n];
     for op in done.iter().filter(|op| op.outcome.is_ok()) {
@@ -251,6 +252,7 @@ fn run_cell(
         } else {
             0.0
         },
+        log,
     }
 }
 
@@ -479,7 +481,7 @@ fn wal_batch_summary(ops_per_client: usize) -> (f64, f64) {
         .group_commit(SimDuration::from_millis(5))
         .build()
         .expect("majority quorums are legal");
-    let done = replay(&mut h, &suites, &plans);
+    let done = replay(&mut h, &suites, &plans).ops;
     assert!(
         done.iter().all(|o| o.outcome.is_ok()),
         "batching probe workload must commit fully"
@@ -578,7 +580,7 @@ mod tests {
                 b = b.client();
             }
             let mut h = b.build().expect("majority quorums are legal");
-            let done = replay(&mut h, &[ObjectId(1)], &plans);
+            let done = replay(&mut h, &[ObjectId(1)], &plans).ops;
             assert!(done.iter().all(|o| o.outcome.is_ok()), "workload commits");
             format!("{done:?}")
         };
@@ -619,6 +621,16 @@ mod tests {
             alone.ops_per_vsec
         );
         assert!(together.attempts_per_op <= 1.05);
+    }
+
+    #[test]
+    fn every_smoke_cell_passes_the_oracle() {
+        // The registry's smoke size, on fixed links: strict. Eight suites
+        // number their versions apart.
+        for c in measure(MASTER_SEED, 16) {
+            let cell = (c.depth, c.suites, SKEWS[c.skew], c.servers);
+            assert_eq!(c.log.judge(true), [], "{cell:?}");
+        }
     }
 
     #[test]

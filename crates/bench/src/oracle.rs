@@ -9,12 +9,13 @@
 //!
 //! # The invariants
 //!
-//! Over the raw log ([`check_log`]):
+//! Versions are per suite, so every version-based check below runs
+//! within each suite of the log: a write counts in its own suite, and a
+//! committed transaction or reconfiguration in each suite its
+//! `OpSuccess::multi` names (a reconfiguration's is the re-publication
+//! bump). Over the raw log ([`check_log`]):
 //!
 //! 1. **Version uniqueness** — two committed writes never share a version.
-//!    Committed reconfigurations consume a data version too (the
-//!    re-publication bump, reported via `OpSuccess::multi`) and take part
-//!    in every version-based check below.
 //! 2. **Real-time version order** — if write X *started* after write Y
 //!    *finished*, X's version is higher. In `strict` mode (no message
 //!    loss, so acknowledgements are never delayed past a later write) the
@@ -71,9 +72,10 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
-use wv_core::client::CompletedOp;
+use wv_core::client::{CompletedOp, OpSuccess};
 use wv_core::{OpError, OpKind};
 use wv_sim::{SimDuration, SimTime};
+use wv_storage::ObjectId;
 
 /// One broken invariant, with enough context to report it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -370,47 +372,54 @@ pub fn check_progress(ops: &[CompletedOp], fault_windows: &[(SimTime, SimTime)])
         .collect()
 }
 
-/// Everything that consumed a data version, as `(started, finished,
-/// version)`: committed writes, plus committed reconfigurations — a
-/// reconfiguration re-publishes the contents one version up to serialise
-/// against concurrent writes, and reports the version its bump consumed
-/// via `multi`.
-fn committed(ops: &[CompletedOp]) -> Vec<(SimTime, SimTime, u64)> {
-    let mut committed = Vec::new();
+/// One suite's evidence in a log: the versions committed there, as
+/// `(started, finished, version)`, its in-doubt writes, and its reads.
+#[derive(Default)]
+struct Suite<'a> {
+    committed: Vec<(SimTime, SimTime, u64)>,
+    in_doubt: u64,
+    reads: Vec<(SimTime, &'a OpSuccess)>,
+}
+
+/// A log's evidence by suite. Versions are per-suite counters: a write
+/// commits one in its own suite, and a transaction or reconfiguration one
+/// in each suite its `OpSuccess::multi` names (a reconfiguration's is the
+/// re-publication bump that serialises it against concurrent writes). A
+/// write or reconfiguration that ended in doubt may have committed a
+/// version nobody acknowledged in its suite.
+fn by_suite(ops: &[CompletedOp]) -> BTreeMap<ObjectId, Suite<'_>> {
+    let mut suites: BTreeMap<ObjectId, Suite<'_>> = BTreeMap::new();
     for o in ops {
+        let (started, finished) = (o.started, o.finished);
+        let suite = suites.entry(o.suite).or_default();
         match (o.kind, &o.outcome) {
-            (OpKind::Write, Ok(okk)) => committed.push((o.started, o.finished, okk.version.0)),
-            (OpKind::Reconfigure, Ok(okk)) => {
-                committed.extend(okk.multi.iter().map(|(_, v)| (o.started, o.finished, v.0)));
+            (OpKind::Write, Ok(okk)) => suite.committed.push((started, finished, okk.version.0)),
+            (OpKind::Read, Ok(okk)) => suite.reads.push((started, okk)),
+            (OpKind::Write | OpKind::Reconfigure, Err(OpError::Indeterminate)) => {
+                suite.in_doubt += 1
+            }
+            (OpKind::Transaction | OpKind::Reconfigure, Ok(okk)) => {
+                for &(s, v) in &okk.multi {
+                    let suite = suites.entry(s).or_default();
+                    suite.committed.push((started, finished, v.0));
+                }
             }
             _ => {}
         }
     }
-    committed
+    suites
 }
 
-/// Writes and reconfigurations that ended in doubt: each may have
-/// committed a version nobody acknowledged.
-fn in_doubt(ops: &[CompletedOp]) -> u64 {
-    ops.iter()
-        .filter(|o| {
-            matches!(o.kind, OpKind::Write | OpKind::Reconfigure)
-                && matches!(o.outcome, Err(OpError::Indeterminate))
-        })
-        .count() as u64
-}
-
-/// The earliest acknowledgement of each committed version.
-fn acked_at(committed: &[(SimTime, SimTime, u64)]) -> BTreeMap<u64, SimTime> {
-    let mut at: BTreeMap<u64, SimTime> = BTreeMap::new();
-    for &(_, finished, v) in committed {
-        let fin = at.entry(v).or_insert(finished);
-        *fin = (*fin).min(finished);
+impl Suite<'_> {
+    /// The newest version acknowledged `lag` or more before `started`.
+    fn floor(&self, started: SimTime, lag: SimDuration) -> u64 {
+        let acked = self.committed.iter().filter(|c| c.1 + lag <= started);
+        acked.map(|c| c.2).max().unwrap_or(0)
     }
-    at
 }
 
-/// Checks invariants 1–7 over a completion log.
+/// Checks invariants 1–7 over a completion log, within each suite it
+/// touches.
 ///
 /// `sent` enables the provenance check (5) when the caller tracked every
 /// payload written; pass `None` when the log's writes came from elsewhere.
@@ -422,14 +431,21 @@ pub fn check_log(
     sent: Option<&HashSet<Vec<u8>>>,
     strict: bool,
 ) -> Vec<Violation> {
+    let suites = by_suite(ops);
+    suites
+        .values()
+        .flat_map(|s| check_suite(s, sent, strict))
+        .collect()
+}
+
+/// Invariants 1–7 within one suite.
+fn check_suite(suite: &Suite<'_>, sent: Option<&HashSet<Vec<u8>>>, strict: bool) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let committed = committed(ops);
-    let in_doubt = in_doubt(ops);
-    let committed_at = acked_at(&committed);
+    let (committed, in_doubt) = (&suite.committed, suite.in_doubt);
 
     // 1: version uniqueness.
     let mut versions_seen: HashSet<u64> = HashSet::new();
-    for &(_, _, v) in &committed {
+    for &(_, _, v) in committed {
         if !versions_seen.insert(v) {
             violations.push(Violation::DuplicateVersion { version: v });
         }
@@ -452,8 +468,8 @@ pub fn check_log(
     } else {
         // Pairwise: X started after Y finished => vX > vY. Valid even
         // when lost acknowledgements delay a commit's completion record.
-        for &(x_started, _, vx) in &committed {
-            for &(_, y_finished, vy) in &committed {
+        for &(x_started, _, vx) in committed {
+            for &(_, y_finished, vy) in committed {
                 if x_started > y_finished && vx <= vy {
                     violations.push(Violation::VersionOrderInversion {
                         earlier: vy,
@@ -477,8 +493,7 @@ pub fn check_log(
 
     // 4–7: reads.
     let mut seen_at_version: HashMap<u64, Vec<u8>> = HashMap::new();
-    for o in ops.iter().filter(|o| o.kind == OpKind::Read) {
-        let Ok(okk) = &o.outcome else { continue };
+    for &(started, okk) in &suite.reads {
         let v = okk.version.0;
         // 4: phantom reads — only decidable when nothing is in doubt (an
         // in-doubt write may have committed a version we cannot see).
@@ -501,12 +516,7 @@ pub fn check_log(
             }
         }
         // 7: freshness.
-        let floor = committed_at
-            .iter()
-            .filter(|(_, fin)| **fin <= o.started)
-            .map(|(ver, _)| *ver)
-            .max()
-            .unwrap_or(0);
+        let floor = suite.floor(started, SimDuration::ZERO);
         if v < floor {
             violations.push(Violation::StaleRead { returned: v, floor });
         }
@@ -515,39 +525,38 @@ pub fn check_log(
     violations
 }
 
-/// Checks invariant 11 with `lease` as the bound: zero in validated
-/// mode, where it is invariant 7's floor, and the TTL in lease mode.
+/// Checks invariant 11 with `lease` as the bound, within each suite:
+/// zero in validated mode, where it is invariant 7's floor, and the TTL
+/// in lease mode.
 pub fn check_staleness_bound(ops: &[CompletedOp], lease: SimDuration) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let committed_at = acked_at(&committed(ops));
-    for o in ops.iter().filter(|o| o.kind == OpKind::Read) {
-        let Ok(okk) = &o.outcome else { continue };
-        let floor = committed_at
-            .iter()
-            .filter(|(_, fin)| **fin + lease <= o.started)
-            .map(|(v, _)| *v)
-            .max()
-            .unwrap_or(0);
-        if okk.version.0 < floor {
-            violations.push(Violation::StaleCachedRead {
-                returned: okk.version.0,
-                floor,
-            });
+    for suite in by_suite(ops).values() {
+        for &(started, okk) in &suite.reads {
+            let floor = suite.floor(started, lease);
+            if okk.version.0 < floor {
+                violations.push(Violation::StaleCachedRead {
+                    returned: okk.version.0,
+                    floor,
+                });
+            }
         }
     }
     violations
 }
 
-/// Checks invariants 8–10 over one suite's completion log and quiesced
-/// final state: `finals` per client, `replicas` per server.
+/// Checks invariants 8–10 for `suite` over a completion log and the
+/// suite's quiesced final state: `finals` per client, `replicas` per
+/// server.
 pub fn check_convergence(
     ops: &[CompletedOp],
+    suite: ObjectId,
     sent: &HashSet<Vec<u8>>,
     finals: &[Option<(wv_storage::Version, Vec<u8>)>],
     replicas: &[Option<(wv_storage::Version, Vec<u8>)>],
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let max_acked = committed(ops).iter().map(|c| c.2).max().unwrap_or(0);
+    let log = by_suite(ops).remove(&suite).unwrap_or_default();
+    let max_acked = log.committed.iter().map(|c| c.2).max().unwrap_or(0);
     for (client, outcome) in finals.iter().enumerate() {
         match outcome {
             Some((v, _)) => {
@@ -580,7 +589,7 @@ pub fn check_convergence(
     // version must be explicable by acked plus in-doubt writes — only an
     // in-doubt write can commit a version the log never acknowledged, so
     // `max_acked + in_doubt` bounds every legitimate replica.
-    let bound = max_acked + in_doubt(ops);
+    let bound = max_acked + log.in_doubt;
     for (site, state) in replicas.iter().enumerate() {
         let Some((v, bytes)) = state else { continue };
         if !bytes.is_empty() && !sent.contains(bytes) {
@@ -601,9 +610,8 @@ pub fn check_convergence(
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use wv_core::client::OpSuccess;
     use wv_core::msg::ReqId;
-    use wv_storage::{ObjectId, Version};
+    use wv_storage::Version;
 
     fn write_ok(version: u64, started_ms: u64, finished_ms: u64) -> CompletedOp {
         CompletedOp {
@@ -667,6 +675,57 @@ mod tests {
         let ops = vec![write_ok(1, 0, 100), write_ok(1, 150, 250)];
         let v = check_log(&ops, None, false);
         assert!(v.contains(&Violation::DuplicateVersion { version: 1 }));
+    }
+
+    /// Suites 1 and 2 each commit v1..v3 on their own, one transaction
+    /// installs v4 in both, and each suite is read back at v4; `dup`
+    /// turns suite 2's v3 into a second v2.
+    fn two_suites(dup: bool) -> Vec<CompletedOp> {
+        let in_suite = |s: u64, op: CompletedOp| CompletedOp {
+            suite: ObjectId(s),
+            ..op
+        };
+        let mut ops = Vec::new();
+        for s in [1, 2] {
+            for v in 1..=3 {
+                let v = if dup && s == 2 && v == 3 { 2 } else { v };
+                let t = v * 100;
+                ops.push(in_suite(s, write_ok(v, t, t + 50)));
+            }
+        }
+        let multi = vec![(ObjectId(1), Version(4)), (ObjectId(2), Version(4))];
+        ops.push(CompletedOp {
+            kind: OpKind::Transaction,
+            outcome: Ok(OpSuccess {
+                version: Version(4),
+                value: None,
+                multi,
+            }),
+            ..in_suite(1, write_ok(4, 400, 450))
+        });
+        ops.push(in_suite(1, read_ok(4, b"t", 500, 550)));
+        ops.push(in_suite(2, read_ok(4, b"t", 500, 550)));
+        ops
+    }
+
+    #[test]
+    fn versions_are_judged_within_their_own_suite() {
+        let sent: HashSet<Vec<u8>> = [b"t".to_vec()].into();
+        assert_eq!(check_log(&two_suites(false), Some(&sent), true), []);
+        assert_eq!(
+            check_staleness_bound(&two_suites(false), SimDuration::ZERO),
+            []
+        );
+    }
+
+    #[test]
+    fn a_duplicate_in_one_suite_is_flagged_once() {
+        let v = check_log(&two_suites(true), None, false);
+        let dups: Vec<_> = v
+            .iter()
+            .filter(|x| matches!(x, Violation::DuplicateVersion { .. }))
+            .collect();
+        assert_eq!(dups, [&Violation::DuplicateVersion { version: 2 }]);
     }
 
     #[test]
@@ -854,7 +913,7 @@ mod tests {
             .into_iter()
             .map(|r| r.map(|(v, b)| (Version(v), b.to_vec())))
             .collect();
-        check_convergence(&ops, &sent, &finals, &replicas)
+        check_convergence(&ops, ObjectId(7), &sent, &finals, &replicas)
     }
 
     #[test]

@@ -245,7 +245,6 @@ fn run_schedule_inner(
         h.enable_tracing();
     }
     let mut tally = Tally::default();
-    let mut sent_payloads: HashSet<Vec<u8>> = HashSet::new();
     let clients = h.clients().to_vec();
     let suites = h.suite_ids().to_vec();
 
@@ -271,7 +270,6 @@ fn run_schedule_inner(
         match &event.kind {
             EventKind::Write { client, payload } => {
                 let bytes = payload_bytes(schedule.seed, *payload);
-                sent_payloads.insert(bytes.clone());
                 let c = clients[*client];
                 let home = suites[*payload as usize % suites.len()];
                 if suites.len() > 1 && *payload % 5 == 0 {
@@ -324,7 +322,7 @@ fn run_schedule_inner(
         }
     }
     let planned = plan.ops();
-    let windows = drive::apply(&mut h, plan);
+    let (windows, sent_payloads) = drive::apply(&mut h, plan);
     // A disk fault the clean arm leaves out still moves the clock: the
     // run ends where the schedule does.
     if let Some(last) = schedule.events.last() {
@@ -399,20 +397,13 @@ fn run_schedule_inner(
         }
     }
 
+    let replica = |site, su| {
+        let bytes = h.value_at(site, su).map(|b| b.to_vec()).unwrap_or_default();
+        Some((h.version_at(site, su)?, bytes))
+    };
     let suite_replicas: Vec<Vec<FinalState>> = suites
         .iter()
-        .map(|&su| {
-            SiteId::all(spec.servers)
-                .map(|site| {
-                    h.version_at(site, su).map(|v| {
-                        (
-                            v,
-                            h.value_at(site, su).map(|b| b.to_vec()).unwrap_or_default(),
-                        )
-                    })
-                })
-                .collect()
-        })
+        .map(|&su| SiteId::all(spec.servers).map(|s| replica(s, su)).collect())
         .collect();
 
     tally.client = clients

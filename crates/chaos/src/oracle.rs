@@ -5,55 +5,31 @@
 //! below every driver, and re-exported here. This module adds the two
 //! that need a whole [`TrialRun`] — 12, no poisoned read
 //! ([`check_no_poison`]), and 13, cross-suite atomicity
-//! ([`check_cross_suite`]) — and [`check_trial`], which runs every check,
-//! the log's per suite: versions are per-suite counters.
+//! ([`check_cross_suite`]) — and [`check_trial`], which runs every check.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 
-use wv_core::client::{CompletedOp, OpSuccess};
+use wv_core::client::CompletedOp;
 use wv_core::msg::ReqId;
 use wv_core::{OpError, OpKind};
-use wv_storage::ObjectId;
 
 pub use wv_bench::oracle::{
     check_convergence, check_log, check_progress, check_staleness_bound, ran_quiet, Violation,
     QUIET_ATTEMPTS,
 };
 
-use crate::exec::TrialRun;
+use crate::exec::{FinalState, TrialRun};
 
-/// One suite's completion log: plain operations filtered by suite,
-/// committed cross-suite transactions exploded into synthetic per-suite
-/// writes (each branch at the version it installed), and in-doubt
-/// transactions surfaced as one synthetic in-doubt write per touched
-/// suite (any branch may have committed without the client learning so).
-/// Definitely-aborted transactions consume no version anywhere and are
-/// dropped; invariant 13 separately proves their payloads never surface.
-fn suite_log(run: &TrialRun, suite: ObjectId) -> Vec<CompletedOp> {
-    let mut out: Vec<CompletedOp> = Vec::new();
-    for o in &run.ops {
-        if o.kind == OpKind::Transaction {
-            if let Ok(okk) = &o.outcome {
-                if let Some(&(_, v)) = okk.multi.iter().find(|(s, _)| *s == suite) {
-                    let mut w = o.clone();
-                    w.kind = OpKind::Write;
-                    w.suite = suite;
-                    w.outcome = Ok(OpSuccess {
-                        version: v,
-                        value: None,
-                        multi: Vec::new(),
-                    });
-                    out.push(w);
-                }
-            }
-        } else if o.suite == suite {
-            out.push(o.clone());
-        }
-    }
-    for t in &run.txns {
-        let in_doubt = matches!(t.outcome, Some(Err(OpError::Indeterminate)) | None);
-        if in_doubt && t.suites.contains(&suite) {
-            out.push(CompletedOp {
+/// The trial's log, plus an in-doubt write in each suite of a cross-suite
+/// transaction the client never reported: any branch may have committed.
+/// (A reported one is in the log; a definitely-aborted one consumed no
+/// version, and invariant 13 proves its payload never surfaces.)
+fn with_unreported_txns(run: &TrialRun) -> Cow<'_, [CompletedOp]> {
+    let mut log = Cow::Borrowed(run.ops.as_slice());
+    for t in run.txns.iter().filter(|t| t.outcome.is_none()) {
+        log.to_mut()
+            .extend(t.suites.iter().map(|&suite| CompletedOp {
                 req: ReqId(0),
                 kind: OpKind::Write,
                 suite,
@@ -61,10 +37,9 @@ fn suite_log(run: &TrialRun, suite: ObjectId) -> Vec<CompletedOp> {
                 started: t.started,
                 finished: t.finished,
                 attempts: 1,
-            });
-        }
+            }));
     }
-    out
+    log
 }
 
 /// Checks invariant 13, cross-suite atomicity: a committed transaction
@@ -83,31 +58,24 @@ pub fn check_cross_suite(run: &TrialRun) -> Vec<Violation> {
                     }
                 }
             }
-            // An in-doubt (or never-reported) transaction may have gone
-            // either way; the per-suite logs already budget for it.
-            Some(Err(OpError::Indeterminate)) | None => {}
+            // A never-reported transaction may have gone either way; the
+            // log's in-doubt budget already counts it.
+            None => {}
             Some(Err(_)) => {
                 // Definitely aborted: payload tags are unique per
                 // schedule, so this payload appearing anywhere means a
                 // branch committed while its sibling aborted.
-                for (idx, suite) in run.suites.iter().enumerate() {
-                    let in_reads = run.ops.iter().any(|o| {
-                        o.kind == OpKind::Read
-                            && o.suite == *suite
-                            && matches!(
-                                &o.outcome,
-                                Ok(okk) if okk.value.as_deref() == Some(t.payload.as_slice())
-                            )
-                    });
-                    let in_finals = run
-                        .suite_finals
-                        .get(idx)
-                        .is_some_and(|f| f.iter().flatten().any(|(_, b)| *b == t.payload));
-                    let in_replicas = run
-                        .suite_replicas
-                        .get(idx)
-                        .is_some_and(|r| r.iter().flatten().any(|(_, b)| *b == t.payload));
-                    if in_reads || in_finals || in_replicas {
+                let holds = |states: &[Vec<FinalState>], i: usize| {
+                    let mut held = states.get(i).into_iter().flatten().flatten();
+                    held.any(|(_, b)| *b == t.payload)
+                };
+                for (i, suite) in run.suites.iter().enumerate() {
+                    let read = |o: &CompletedOp| {
+                        let value = o.outcome.as_ref().ok().and_then(|ok| ok.value.as_deref());
+                        o.kind == OpKind::Read && o.suite == *suite && value == Some(&t.payload[..])
+                    };
+                    let finals = holds(&run.suite_finals, i);
+                    if run.ops.iter().any(read) || finals || holds(&run.suite_replicas, i) {
                         violations.push(Violation::CrossSuiteAbortLeak { suite: suite.0 });
                     }
                 }
@@ -136,40 +104,34 @@ pub fn check_no_poison(run: &TrialRun) -> Vec<Violation> {
     violations
 }
 
-/// Runs every applicable check over a finished trial.
-///
-/// The evidence is partitioned by suite — versions are per-suite
-/// counters — and invariants 1–11 judge each partition; a one-suite
-/// trial's partition is its whole log. The tripwires (12), cross-suite
-/// atomicity (13) and progress (14) judge the whole trial, and the
-/// convergence checks come last, per suite.
+/// Runs every applicable check over a finished trial: invariants 1–11
+/// over its log (judged within each suite), the tripwires (12),
+/// cross-suite atomicity (13) and progress (14), then convergence, per
+/// suite.
 ///
 /// A run that failed to quiesce yields [`Violation::NoQuiesce`] instead
 /// of the convergence checks (there is no settled final state to judge).
 pub fn check_trial(run: &TrialRun, strict: bool) -> Vec<Violation> {
-    let (mut violations, mut converged) = (Vec::new(), Vec::new());
-    for (idx, &suite) in run.suites.iter().enumerate() {
-        let log = suite_log(run, suite);
-        violations.extend(check_log(&log, Some(&run.sent_payloads), strict));
-        if let Some(lease) = run.cache_lease {
-            violations.extend(check_staleness_bound(&log, lease));
-        }
-        if run.quiesced {
-            converged.extend(check_convergence(
-                &log,
-                &run.sent_payloads,
-                &run.suite_finals[idx],
-                &run.suite_replicas[idx],
-            ));
-        }
+    let log = with_unreported_txns(run);
+    let mut violations = check_log(&log, Some(&run.sent_payloads), strict);
+    if let Some(lease) = run.cache_lease {
+        violations.extend(check_staleness_bound(&log, lease));
     }
     violations.extend(check_no_poison(run));
     violations.extend(check_cross_suite(run));
     violations.extend(check_progress(&run.ops, &run.fault_windows));
-    if run.quiesced {
-        violations.extend(converged);
-    } else {
+    if !run.quiesced {
         violations.push(Violation::NoQuiesce);
+        return violations;
+    }
+    for (idx, &suite) in run.suites.iter().enumerate() {
+        violations.extend(check_convergence(
+            &log,
+            suite,
+            &run.sent_payloads,
+            &run.suite_finals[idx],
+            &run.suite_replicas[idx],
+        ));
     }
     violations
 }
@@ -178,8 +140,9 @@ pub fn check_trial(run: &TrialRun, strict: bool) -> Vec<Violation> {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use wv_core::client::OpSuccess;
     use wv_sim::SimTime;
-    use wv_storage::Version;
+    use wv_storage::{ObjectId, Version};
 
     fn write_ok_in(suite: u64, version: u64, started_ms: u64, finished_ms: u64) -> CompletedOp {
         CompletedOp {
@@ -362,13 +325,7 @@ mod tests {
         let run = multi_run(
             ops,
             &[b"a", b"b", b"c", b"d", b"t"],
-            vec![txn(
-                b"t",
-                &[1, 2],
-                Some(Err(OpError::Indeterminate)),
-                200,
-                300,
-            )],
+            vec![txn(b"t", &[1, 2], None, 200, 300)],
             vec![Some((3, b"c")), Some((3, b"d"))],
             vec![Some((3, b"c")), Some((3, b"d"))],
         );

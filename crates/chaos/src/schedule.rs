@@ -14,13 +14,13 @@
 //! Schedules serialise to a small JSON artifact (see [`Schedule::to_json`])
 //! so a shrunk reproducer survives outside the process that found it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use wv_core::{Fault, QuorumSpec, VoteAssignment};
 use wv_net::{Fault as NetFault, Partition, SiteId};
 use wv_sim::{DetRng, FailureSchedule, SimDuration, SimTime};
 
-use crate::json::{self, int, Value};
+use crate::json::{self, int, object, Value};
 
 /// Mixed into the schedule seed so generator draws are decorrelated from
 /// the harness's own streams (which consume the raw trial seed).
@@ -449,36 +449,26 @@ impl Schedule {
     /// thousandths and a duration in whole milliseconds: the generator
     /// draws nothing finer.
     pub fn to_json(&self, spec: &ClusterSpec) -> String {
-        let mut root = BTreeMap::new();
-        root.insert(
-            "schema".to_string(),
-            Value::Str("wv-chaos-repro/1".to_string()),
-        );
-        root.insert("seed".to_string(), Value::Int(self.seed));
-        let mut cluster = BTreeMap::new();
-        cluster.insert("servers".to_string(), Value::Int(spec.servers as u64));
-        cluster.insert("clients".to_string(), Value::Int(spec.clients as u64));
-        cluster.insert(
-            "read_quorum".to_string(),
-            Value::Int(u64::from(spec.read_quorum)),
-        );
-        cluster.insert(
-            "write_quorum".to_string(),
-            Value::Int(u64::from(spec.write_quorum)),
-        );
-        cluster.insert(
-            "unchecked_quorums".to_string(),
-            Value::Bool(spec.unchecked_quorums),
-        );
-        cluster.insert("repair".to_string(), Value::Bool(spec.repair));
-        cluster.insert("group_commit".to_string(), Value::Bool(spec.group_commit));
-        cluster.insert("cache_tier".to_string(), Value::Bool(spec.cache_tier));
-        cluster.insert("disk_faults".to_string(), Value::Bool(spec.disk_faults));
-        cluster.insert("suites".to_string(), Value::Int(spec.suites as u64));
-        root.insert("cluster".to_string(), Value::Object(cluster));
-        let events: Vec<Value> = self.events.iter().map(event_to_value).collect();
-        root.insert("events".to_string(), Value::Array(events));
-        let mut text = Value::Object(root).to_json();
+        let cluster = object([
+            ("servers", Value::Int(spec.servers as u64)),
+            ("clients", Value::Int(spec.clients as u64)),
+            ("read_quorum", Value::Int(u64::from(spec.read_quorum))),
+            ("write_quorum", Value::Int(u64::from(spec.write_quorum))),
+            ("unchecked_quorums", Value::Bool(spec.unchecked_quorums)),
+            ("repair", Value::Bool(spec.repair)),
+            ("group_commit", Value::Bool(spec.group_commit)),
+            ("cache_tier", Value::Bool(spec.cache_tier)),
+            ("disk_faults", Value::Bool(spec.disk_faults)),
+            ("suites", Value::Int(spec.suites as u64)),
+        ]);
+        let events = self.events.iter().map(event_to_value).collect();
+        let mut text = object([
+            ("schema", Value::Str("wv-chaos-repro/1".to_string())),
+            ("seed", Value::Int(self.seed)),
+            ("cluster", cluster),
+            ("events", Value::Array(events)),
+        ])
+        .to_json();
         text.push('\n');
         text
     }
@@ -573,12 +563,7 @@ fn event_to_value(e: &FaultEvent) -> Value {
             }
         },
     }
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+    object(fields)
 }
 
 /// Reads one event of `spec`'s cluster, refusing any the executor cannot

@@ -694,9 +694,10 @@ impl Harness {
     /// events on this cluster.
     ///
     /// Window bounds are absolute virtual times, so this is normally
-    /// called on a freshly built harness (now = 0). The windows of
-    /// [`FailureSchedule::mttf_mttr`] or of explicit outages become real
-    /// outages rather than analysis-only input.
+    /// called on a freshly built harness (now = 0). Queued up front, a
+    /// crash applies *before* the deliveries due at its instant, unlike
+    /// one `wv_bench::drive` plans. Only the frozen benchmark calls this;
+    /// it goes when that benchmark plans its faults (ROADMAP item 4).
     pub fn apply_failure_schedule(&mut self, schedule: &FailureSchedule) {
         Cluster::apply_failure_schedule(self.sim.scheduler(), schedule);
     }

@@ -244,7 +244,10 @@ where
         });
     }
 
-    /// Translates a [`FailureSchedule`] into crash/recover events.
+    /// Translates a [`FailureSchedule`] into crash/recover events queued
+    /// now, so a crash applies *before* the deliveries due at its instant:
+    /// the opposite of `wv_bench::drive`'s order. Only the frozen benchmark
+    /// calls this, through `Harness::apply_failure_schedule` (ROADMAP item 4).
     pub fn apply_failure_schedule(sched: &mut Scheduler<Cluster<N>>, schedule: &FailureSchedule) {
         for site in 0..schedule.sites() {
             for w in schedule.windows(site) {

@@ -19,8 +19,7 @@
 //! milli-units), so audit files diff cleanly and replay artifacts can
 //! embed them without a float in sight.
 
-use crate::json::{self, Value};
-use std::collections::BTreeMap;
+use crate::json::{self, object, Value};
 
 /// Which planner decision a record describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -88,14 +87,14 @@ pub struct SiteInput {
 
 impl SiteInput {
     fn to_value(&self) -> Value {
-        let mut m = BTreeMap::new();
-        m.insert("cost_us".into(), Value::Int(self.cost_us));
-        m.insert("load".into(), Value::Int(self.load));
-        m.insert("rtt_us".into(), Value::Int(self.rtt_us));
-        m.insert("site".into(), Value::Int(self.site as u64));
-        m.insert("suspected".into(), Value::Bool(self.suspected));
-        m.insert("suspicion_milli".into(), Value::Int(self.suspicion_milli));
-        Value::Object(m)
+        object([
+            ("cost_us", Value::Int(self.cost_us)),
+            ("load", Value::Int(self.load)),
+            ("rtt_us", Value::Int(self.rtt_us)),
+            ("site", Value::Int(self.site as u64)),
+            ("suspected", Value::Bool(self.suspected)),
+            ("suspicion_milli", Value::Int(self.suspicion_milli)),
+        ])
     }
 
     fn from_value(v: &Value) -> Option<SiteInput> {
@@ -140,25 +139,23 @@ pub struct AuditRecord {
 impl AuditRecord {
     /// Renders the record as a [`crate::json`] value (keys alphabetical).
     pub fn to_value(&self) -> Value {
-        let mut m = BTreeMap::new();
-        m.insert("at_us".into(), Value::Int(self.at_us));
-        m.insert(
-            "chosen".into(),
-            Value::Array(self.chosen.iter().map(|&s| Value::Int(s as u64)).collect()),
-        );
-        m.insert("cursor".into(), Value::Int(self.cursor));
-        m.insert("generation".into(), Value::Int(self.generation));
-        m.insert(
-            "inputs".into(),
-            Value::Array(self.inputs.iter().map(SiteInput::to_value).collect()),
-        );
-        m.insert("kind".into(), Value::Str(self.kind.name().to_string()));
-        m.insert("op".into(), Value::Int(self.op));
-        m.insert("policy".into(), Value::Str(self.policy.clone()));
-        m.insert("rerouted".into(), Value::Bool(self.rerouted));
-        m.insert("site".into(), Value::Int(self.site as u64));
-        m.insert("suite".into(), Value::Int(self.suite));
-        Value::Object(m)
+        let chosen = self.chosen.iter().map(|&s| Value::Int(s as u64));
+        object([
+            ("at_us", Value::Int(self.at_us)),
+            ("chosen", Value::Array(chosen.collect())),
+            ("cursor", Value::Int(self.cursor)),
+            ("generation", Value::Int(self.generation)),
+            (
+                "inputs",
+                Value::Array(self.inputs.iter().map(SiteInput::to_value).collect()),
+            ),
+            ("kind", Value::Str(self.kind.name().to_string())),
+            ("op", Value::Int(self.op)),
+            ("policy", Value::Str(self.policy.clone())),
+            ("rerouted", Value::Bool(self.rerouted)),
+            ("site", Value::Int(self.site as u64)),
+            ("suite", Value::Int(self.suite)),
+        ])
     }
 
     /// Parses a record from a [`crate::json`] value.

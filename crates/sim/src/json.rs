@@ -128,6 +128,12 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// An object of `fields`; the map orders the keys.
+pub fn object<'k>(fields: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+    let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    Value::Object(fields.collect())
+}
+
 /// `v[key]` in the integer type it fills; `None` when it is missing, not
 /// an integer, or does not fit: a reader never narrows with `as`.
 pub fn int<T: TryFrom<u64>>(v: &Value, key: &str) -> Option<T> {

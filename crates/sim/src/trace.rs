@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 
 use crate::audit::AuditRecord;
-use crate::json::{self, Value};
+use crate::json::{self, object, Value};
 use crate::time::SimTime;
 
 /// Sentinel for "no parent span" in a [`SpanRecord`].
@@ -284,23 +284,22 @@ impl SpanRecord {
                 Value::Int(v)
             }
         };
-        let mut m = BTreeMap::new();
-        m.insert("detail".into(), Value::Int(self.detail));
-        m.insert("end_us".into(), unless(self.end_us, OPEN_END));
-        m.insert("id".into(), Value::Int(u64::from(self.id)));
-        m.insert("kind".into(), Value::Str(self.kind.name().into()));
-        m.insert("op".into(), Value::Int(self.op));
-        m.insert("outcome".into(), Value::Str(self.outcome.name().into()));
-        let parent = unless(u64::from(self.parent), u64::from(NO_PARENT));
-        m.insert("parent".into(), parent);
-        m.insert(
-            "peer".into(),
-            unless(u64::from(self.peer), u64::from(NO_PEER)),
-        );
-        m.insert("site".into(), Value::Int(u64::from(self.site)));
-        m.insert("start_us".into(), Value::Int(self.start_us));
-        m.insert("suite".into(), Value::Int(self.suite));
-        Value::Object(m)
+        object([
+            ("detail", Value::Int(self.detail)),
+            ("end_us", unless(self.end_us, OPEN_END)),
+            ("id", Value::Int(u64::from(self.id))),
+            ("kind", Value::Str(self.kind.name().into())),
+            ("op", Value::Int(self.op)),
+            ("outcome", Value::Str(self.outcome.name().into())),
+            (
+                "parent",
+                unless(u64::from(self.parent), u64::from(NO_PARENT)),
+            ),
+            ("peer", unless(u64::from(self.peer), u64::from(NO_PEER))),
+            ("site", Value::Int(u64::from(self.site))),
+            ("start_us", Value::Int(self.start_us)),
+            ("suite", Value::Int(self.suite)),
+        ])
     }
 
     /// Parses a span from a [`crate::json`] value. A missing `"suite"`
