@@ -108,12 +108,9 @@ pub struct TxnOutcome {
     pub payload: Vec<u8>,
     /// The suites the transaction spanned, in lock-acquisition order.
     pub suites: Vec<ObjectId>,
-    /// When the matched operation started (the enqueue instant when the
-    /// client never completed it).
+    /// When the transaction was enqueued, which is when the operation
+    /// the client reports for it started.
     pub started: SimTime,
-    /// When the matched operation finished (the enqueue instant when the
-    /// client never completed it).
-    pub finished: SimTime,
     /// `Ok` with the per-suite committed versions, a definite error, or
     /// `None` when the client never reported the operation: the run did
     /// not quiesce before it was reported.
@@ -287,7 +284,6 @@ fn run_schedule_inner(
                         payload: bytes,
                         suites: span,
                         started: at,
-                        finished: at,
                         outcome: None,
                     };
                     txns.push((c, outcome));
@@ -375,7 +371,6 @@ fn run_schedule_inner(
         });
         if let Some((i, o)) = hit {
             taken[i] = true;
-            t.finished = o.finished;
             t.outcome = Some(o.outcome.clone().map(|ok| ok.multi));
         }
     }

@@ -24,7 +24,9 @@ use crate::exec::{FinalState, TrialRun};
 /// The trial's log, plus an in-doubt write in each suite of a cross-suite
 /// transaction the client never reported: any branch may have committed.
 /// (A reported one is in the log; a definitely-aborted one consumed no
-/// version, and invariant 13 proves its payload never surfaces.)
+/// version, and invariant 13 proves its payload never surfaces.) An
+/// unreported transaction has no finish, so the stand-in starts and
+/// finishes at its enqueue instant.
 fn with_unreported_txns(run: &TrialRun) -> Cow<'_, [CompletedOp]> {
     let mut log = Cow::Borrowed(run.ops.as_slice());
     for t in run.txns.iter().filter(|t| t.outcome.is_none()) {
@@ -35,7 +37,7 @@ fn with_unreported_txns(run: &TrialRun) -> Cow<'_, [CompletedOp]> {
                 suite,
                 outcome: Err(OpError::Indeterminate),
                 started: t.started,
-                finished: t.finished,
+                finished: t.started,
                 attempts: 1,
             }));
     }
@@ -238,13 +240,11 @@ mod tests {
         suites: &[u64],
         outcome: Option<Result<Vec<(u64, u64)>, OpError>>,
         started_ms: u64,
-        finished_ms: u64,
     ) -> crate::exec::TxnOutcome {
         crate::exec::TxnOutcome {
             payload: payload.to_vec(),
             suites: suites.iter().map(|&s| ObjectId(s)).collect(),
             started: SimTime::from_millis(started_ms),
-            finished: SimTime::from_millis(finished_ms),
             outcome: outcome.map(|r| {
                 r.map(|multi| {
                     multi
@@ -269,7 +269,7 @@ mod tests {
         let run = multi_run(
             ops,
             &[b"a", b"b", b"t"],
-            vec![txn(b"t", &[1, 2], Some(Ok(vec![(1, 2), (2, 2)])), 200, 300)],
+            vec![txn(b"t", &[1, 2], Some(Ok(vec![(1, 2), (2, 2)])), 200)],
             vec![Some((2, b"t")), Some((2, b"t"))],
             vec![Some((2, b"t")), Some((2, b"t"))],
         );
@@ -282,7 +282,7 @@ mod tests {
         let run = multi_run(
             vec![txn_op_ok(&[(1, 1)], 0, 100)],
             &[b"t"],
-            vec![txn(b"t", &[1, 2], Some(Ok(vec![(1, 1)])), 0, 100)],
+            vec![txn(b"t", &[1, 2], Some(Ok(vec![(1, 1)])), 0)],
             vec![Some((1, b"t")), None],
             vec![Some((1, b"t")), None],
         );
@@ -297,7 +297,7 @@ mod tests {
         let run = multi_run(
             vec![write_ok_in(2, 1, 0, 100)],
             &[b"b", b"t"],
-            vec![txn(b"t", &[1, 2], Some(Err(OpError::Conflict)), 200, 300)],
+            vec![txn(b"t", &[1, 2], Some(Err(OpError::Conflict)), 200)],
             vec![None, Some((1, b"b"))],
             vec![None, Some((1, b"t"))],
         );
@@ -325,7 +325,7 @@ mod tests {
         let run = multi_run(
             ops,
             &[b"a", b"b", b"c", b"d", b"t"],
-            vec![txn(b"t", &[1, 2], None, 200, 300)],
+            vec![txn(b"t", &[1, 2], None, 200)],
             vec![Some((3, b"c")), Some((3, b"d"))],
             vec![Some((3, b"c")), Some((3, b"d"))],
         );

@@ -248,7 +248,7 @@ impl CommitTails {
         self.decisions.commit(tx).expect("commit decision");
         self.unretired.insert(req);
         if self.decisions.wal().len() >= CHECKPOINT_RECORDS {
-            let newest = self.decisions.objects().max();
+            let newest = self.decisions.max_object();
             let unretired = &self.unretired;
             self.decisions
                 .checkpoint_retaining(|o| Some(o) == newest || unretired.contains(&ReqId(o.0)))

@@ -34,6 +34,7 @@ pub mod runner;
 pub mod sim_net;
 pub mod site;
 pub mod thread_net;
+mod timers;
 
 pub use config::{Fault, NetConfig, Partition};
 pub use node::{Node, NodeCtx};

@@ -9,7 +9,6 @@
 //! one blocking wait on its inbox, until its next timer is due, a message
 //! is due, or a command or a stop wakes it.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,6 +18,7 @@ use wv_sim::DetRng;
 
 use crate::node::{Effect, Node, NodeCtx};
 use crate::thread_net::{Endpoint, Waker};
+use crate::timers::TimerQueue;
 
 /// A closure injected into the node's thread (start an operation, inspect
 /// state, report results through a captured channel).
@@ -98,10 +98,9 @@ struct Hosted<N: Node> {
     node: N,
     endpoint: Endpoint<N::Msg>,
     rng: DetRng,
-    /// Timers yet to fire, `(due, token)` earliest first and ties in the
-    /// order they were set: `sim_net`'s shape (DESIGN.md §8). A node holds
-    /// a handful, so a cancel scans them.
-    timers: VecDeque<(Instant, u64)>,
+    /// Timers yet to fire by due instant, ties in the order they were
+    /// set: `sim_net`'s queue (DESIGN.md §8).
+    timers: TimerQueue<Instant>,
     time_scale: f64,
 }
 
@@ -127,11 +126,9 @@ where
                     let scaled = Duration::from_micros(
                         (delay.as_micros() as f64 * self.time_scale).round() as u64,
                     );
-                    let due = now + scaled;
-                    let at = self.timers.partition_point(|(d, _)| *d <= due);
-                    self.timers.insert(at, (due, token));
+                    self.timers.set(now + scaled, token);
                 }
-                Effect::Cancel { token } => self.timers.retain(|(_, t)| *t != token),
+                Effect::Cancel { token } => self.timers.cancel(token),
             }
         }
     }
@@ -152,7 +149,7 @@ where
         node,
         endpoint,
         rng: DetRng::new(seed),
-        timers: VecDeque::new(),
+        timers: TimerQueue::default(),
         time_scale,
     };
     loop {
@@ -162,14 +159,13 @@ where
         // Fire the timers due now; one a handler sets meanwhile waits for
         // the next pass, behind any message already due.
         let now = Instant::now();
-        while let Some(&(_, token)) = host.timers.front().filter(|(due, _)| *due <= now) {
-            host.timers.pop_front();
+        while let Some(token) = host.timers.pop_if(|due| due <= now) {
             host.call(|node, ctx| node.on_timer(token, ctx));
         }
         while let Ok(cmd) = cmds.try_recv() {
             host.call(cmd);
         }
-        let next_timer = host.timers.front().map(|(due, _)| *due);
+        let next_timer = host.timers.first();
         if let Some(env) = host.endpoint.wait(next_timer) {
             host.call(|node, ctx| node.on_message(env.from, env.payload, ctx));
         }

@@ -31,13 +31,12 @@
 //! its delivery carries, and a wake-up's word names its site. Only the
 //! driver's calls and the fault events are closures.
 
-use std::collections::VecDeque;
-
 use wv_sim::{DetRng, FailureSchedule, Scheduler, Sim, SimTime, Slab, Ticket};
 
 use crate::config::{Fault, NetConfig, Partition};
 use crate::node::{Effect, Node, NodeCtx};
 use crate::site::SiteId;
+use crate::timers::TimerQueue;
 
 /// Where a timer fires: its instant, then the place it took when set.
 type Place = (SimTime, Ticket);
@@ -45,10 +44,8 @@ type Place = (SimTime, Ticket);
 /// One site's pending timers, and the wake-ups scheduled for them.
 #[derive(Default)]
 struct SiteTimers {
-    /// `(place, token)`, earliest first. A site holds a handful — its
-    /// operations in flight — so a cancel scans them: cheaper, at that
-    /// size, than keeping them in ordered maps (DESIGN.md §8).
-    due: VecDeque<(Place, u64)>,
+    /// The timers themselves, earliest place first.
+    due: TimerQueue<Place>,
     /// The places of the wake-ups yet to run. Each was scheduled before
     /// every one already waiting, so the last is the next to run, and it
     /// is never later than the earliest timer.
@@ -219,9 +216,8 @@ where
             Fault::Crash(site) => {
                 if !world.down[site.index()] {
                     world.down[site.index()] = true;
-                    let due = &mut world.timers[site.index()].due;
-                    world.stats.timers_dropped += due.len() as u64;
-                    due.clear();
+                    let dropped = world.timers[site.index()].due.clear();
+                    world.stats.timers_dropped += dropped as u64;
                     world.nodes[site.index()].on_crash();
                 }
             }
@@ -288,15 +284,12 @@ where
                 Effect::Timer { delay, token } => {
                     let place = (sched.now() + delay, sched.ticket());
                     let timers = &mut world.timers[from.index()];
-                    let at = timers.due.partition_point(|(p, _)| *p < place);
-                    timers.due.insert(at, (place, token));
+                    timers.due.set(place, token);
                     if timers.book_wake(place) {
                         Self::wake_at(sched, from, place);
                     }
                 }
-                Effect::Cancel { token } => {
-                    world.timers[from.index()].due.retain(|(_, t)| *t != token);
-                }
+                Effect::Cancel { token } => world.timers[from.index()].due.cancel(token),
             }
         }
     }
@@ -321,15 +314,13 @@ where
             (sched.now(), word >> 16),
             "wake-ups run latest-scheduled first"
         );
-        if let Some(&(_, token)) = timers.due.front().filter(|(p, _)| *p == place) {
-            timers.due.pop_front();
+        if let Some(token) = timers.due.pop_if(|p| p == place) {
             debug_assert!(!world.down[site.index()], "a crash drops its timers");
             world.stats.timers_fired += 1;
             Self::run_node(world, sched, site, |node, ctx| node.on_timer(token, ctx));
         }
         let timers = &mut world.timers[site.index()];
-        let first = timers.due.front().map(|(p, _)| *p);
-        if let Some(next) = first.filter(|p| timers.book_wake(*p)) {
+        if let Some(next) = timers.due.first().filter(|p| timers.book_wake(*p)) {
             Self::wake_at(sched, site, next);
         }
     }

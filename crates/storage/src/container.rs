@@ -467,6 +467,12 @@ impl Container {
         ids.into_iter()
     }
 
+    /// The largest committed object id: a max over the hashed ids, with
+    /// no sorted list built first.
+    pub fn max_object(&self) -> Option<ObjectId> {
+        self.committed.keys().copied().max()
+    }
+
     /// Number of committed objects.
     pub fn len(&self) -> usize {
         self.committed.len()
@@ -1151,6 +1157,11 @@ mod tests {
                     }
                 }
                 assert!(c.objects().eq(reference.keys().copied()), "case {case}");
+                assert_eq!(
+                    c.max_object(),
+                    reference.keys().last().copied(),
+                    "case {case}"
+                );
                 for (o, vv) in &reference {
                     assert_eq!(&c.read(*o).expect("read"), vv, "case {case}");
                 }
