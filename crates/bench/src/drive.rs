@@ -4,7 +4,8 @@
 //! executor, write what happens when as a [`Plan`]. [`apply`] plays it,
 //! [`FaultWindows::end`] says when the cluster was not whole, and
 //! [`collect`] waits out the planned operations; [`drive`] is the three
-//! in a row. The op-log oracle ([`crate::oracle`]) judges what comes back.
+//! in a row; a blocking call's operation is in the log too, so [`collect`]
+//! takes any history out for the op-log oracle ([`Driven::judge`]).
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -237,9 +238,9 @@ pub fn throughput(ops: &[CompletedOp], start: SimTime) -> (u64, f64) {
 }
 
 /// What a driven plan leaves behind.
-#[derive(Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Driven {
-    /// Every planned operation, completed.
+    /// Every operation, completed.
     pub ops: Vec<CompletedOp>,
     /// When the cluster was not whole, up to the last entry.
     pub fault_windows: Vec<(SimTime, SimTime)>,
@@ -248,6 +249,21 @@ pub struct Driven {
 }
 
 impl Driven {
+    /// What ran on `h`, blocking calls too: [`drive`] of an empty plan.
+    pub fn collected(h: &mut Harness, sent: HashSet<Vec<u8>>) -> Driven {
+        let mut driven = drive(h, Plan::default());
+        driven.sent = sent;
+        driven
+    }
+
+    /// The oracle's verdict: [`crate::oracle::check_log`] (`strict` where no
+    /// message is dropped or delayed), then `check_progress` outside faults.
+    pub fn judge(&self, strict: bool) -> Vec<crate::oracle::Violation> {
+        let log = crate::oracle::check_log(&self.ops, Some(&self.sent), strict);
+        let quiet = crate::oracle::check_progress(&self.ops, &self.fault_windows);
+        [log, quiet].concat()
+    }
+
     /// Adds a later run on the same cluster; returns its operations.
     pub fn append(&mut self, later: Driven) -> &[CompletedOp] {
         let from = self.ops.len();
@@ -270,33 +286,16 @@ pub fn drive(h: &mut Harness, plan: Plan) -> Driven {
     }
 }
 
-/// Writes `{tag}-seed-{id}` to each suite in turn, stepped to completion as
-/// [`Harness::run`] steps: E11, E13 and E15 seed their suites so.
+/// Writes `{tag}-seed-{id}` to each suite in turn with a blocking
+/// [`Harness::write`]: E11, E13 and E15 seed their suites so.
 pub fn seed(h: &mut Harness, suites: &[ObjectId], tag: &str) -> Driven {
-    let (c, mut seeded) = (h.default_client(), Driven::default());
+    let mut sent = HashSet::new();
     for &suite in suites {
         let value = format!("{tag}-seed-{}", suite.0).into_bytes();
-        seeded.sent.insert(value.clone());
-        h.enqueue(c, Op::Write(suite, value), h.now());
-        while h.client_at(c).is_some_and(|n| n.completed.is_empty()) {
-            assert_eq!(h.run_until_quiet(1), 1, "a seeding write never completed");
-        }
-        seeded.ops.extend(h.drain_completed(c));
+        sent.insert(value.clone());
+        let _ = h.write(suite, value); // its outcome is in the log
     }
-    seeded
-}
-
-#[cfg(test)]
-impl Driven {
-    /// The oracle's verdict: [`check_log`](crate::oracle::check_log),
-    /// `strict` where the net neither drops nor delays a message, and
-    /// [`check_progress`](crate::oracle::check_progress) outside the
-    /// fault windows.
-    pub(crate) fn judge(&self, strict: bool) -> Vec<crate::oracle::Violation> {
-        let log = crate::oracle::check_log(&self.ops, Some(&self.sent), strict);
-        let quiet = crate::oracle::check_progress(&self.ops, &self.fault_windows);
-        [log, quiet].concat()
-    }
+    Driven::collected(h, sent)
 }
 
 #[cfg(test)]

@@ -272,6 +272,8 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::Driven;
+    use std::collections::HashSet;
 
     const EPS: f64 = 1e-6;
 
@@ -313,6 +315,28 @@ mod tests {
         assert!((m.read_miss_ms - 75.0).abs() < EPS);
         // Write-all over 750 ms links, one round on the caller's path.
         assert!((m.write_ms - 750.0).abs() < EPS, "write {}", m.write_ms);
+    }
+
+    /// The report's measured and traced runs of every example, on
+    /// fault-free links: strict. (The blocking rows' crash sets are
+    /// judged in `e5`.)
+    #[test]
+    fn every_example_history_passes_the_oracle() {
+        let examples = [topo::example_1, topo::example_2, topo::example_3];
+        let sent: HashSet<Vec<u8>> = (0..10).map(|i| format!("round-{i}").into_bytes()).collect();
+        for (i, example) in examples.into_iter().enumerate() {
+            for seed in [42, 142].map(|s| s + i as u64) {
+                let mut h = example(seed).build().expect("legal");
+                if seed < 142 {
+                    measure(&mut h, 10);
+                } else {
+                    traced_breakdown(&mut h, 10);
+                }
+                let history = Driven::collected(&mut h, sent.clone());
+                assert_eq!(history.ops.len(), 30, "example {}, seed {seed}", i + 1);
+                assert_eq!(history.judge(true), [], "example {}, seed {seed}", i + 1);
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub const COSTS: [f64; 5] = [75.0, 100.0, 100.0, 750.0, 750.0];
 /// Per-site availability used for the availability columns.
 pub const P_UP: f64 = 0.9;
 
-fn build(r: u32, w: u32, policy: QuorumPolicy, seed: u64) -> Harness {
+pub(crate) fn build(r: u32, w: u32, policy: QuorumPolicy, seed: u64) -> Harness {
     let mut b = HarnessBuilder::new()
         .seed(seed)
         .quorum(QuorumSpec::new(r, w))
@@ -82,39 +82,44 @@ pub struct SpectrumPoint {
 
 /// Runs one spectrum point.
 pub fn measure_point(r: u32, w: u32, seed: u64) -> SpectrumPoint {
-    let mut reads = SampleSet::new();
-    let mut writes = SampleSet::new();
-    let mut reads_random = SampleSet::new();
-    {
-        let mut h = build(r, w, QuorumPolicy::CheapestFirst, seed);
-        let suite = h.suite_id();
-        for i in 0..8u32 {
-            let wr = h.write(suite, i.to_le_bytes().to_vec()).expect("write");
-            writes.record(wr.latency.as_millis_f64());
-            h.advance(SimDuration::from_secs(1));
-            let rd = h.read(suite).expect("read");
-            reads.record(rd.latency.as_millis_f64());
-            h.advance(SimDuration::from_secs(1));
-        }
-    }
-    {
-        let mut h = build(r, w, QuorumPolicy::Random, seed ^ 0x5a5a);
-        let suite = h.suite_id();
-        h.write(suite, b"seed".to_vec()).expect("write");
-        h.advance(SimDuration::from_secs(1));
-        for _ in 0..16 {
-            let rd = h.read(suite).expect("read");
-            reads_random.record(rd.latency.as_millis_f64());
-            h.advance(SimDuration::from_secs(1));
-        }
-    }
+    let (read_ms, write_ms) = writes_and_reads(&mut build(r, w, QuorumPolicy::CheapestFirst, seed));
+    let read_random_ms = reads_alone(&mut build(r, w, QuorumPolicy::Random, seed ^ 0x5a5a));
     SpectrumPoint {
         r,
         w,
-        read_ms: reads.mean(),
-        write_ms: writes.mean(),
-        read_random_ms: reads_random.mean(),
+        read_ms,
+        write_ms,
+        read_random_ms,
     }
+}
+
+/// Eight writes, each read back a second later: mean read, write latency.
+fn writes_and_reads(h: &mut Harness) -> (f64, f64) {
+    let suite = h.suite_id();
+    let (mut reads, mut writes) = (SampleSet::new(), SampleSet::new());
+    for i in 0..8u32 {
+        let wr = h.write(suite, i.to_le_bytes().to_vec()).expect("write");
+        writes.record(wr.latency.as_millis_f64());
+        h.advance(SimDuration::from_secs(1));
+        let rd = h.read(suite).expect("read");
+        reads.record(rd.latency.as_millis_f64());
+        h.advance(SimDuration::from_secs(1));
+    }
+    (reads.mean(), writes.mean())
+}
+
+/// One write, then sixteen reads a second apart: their mean latency.
+fn reads_alone(h: &mut Harness) -> f64 {
+    let suite = h.suite_id();
+    h.write(suite, b"seed".to_vec()).expect("write");
+    h.advance(SimDuration::from_secs(1));
+    let mut reads = SampleSet::new();
+    for _ in 0..16 {
+        let rd = h.read(suite).expect("read");
+        reads.record(rd.latency.as_millis_f64());
+        h.advance(SimDuration::from_secs(1));
+    }
+    reads.mean()
 }
 
 /// Builds the E2 report.
@@ -189,6 +194,8 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::Driven;
+    use std::collections::HashSet;
 
     #[test]
     fn read_cost_rises_and_install_cost_falls_along_the_spectrum() {
@@ -246,6 +253,27 @@ mod tests {
         // commit at the cheapest site (75 each).
         let p = measure_point(5, 1, 7);
         assert!((p.write_ms - 900.0).abs() < 1e-6, "write {}", p.write_ms);
+    }
+
+    /// Both runs of every point the report measures, on fault-free
+    /// links: strict. (The blocking columns' crash sets are judged in
+    /// `e5`.)
+    #[test]
+    fn every_spectrum_history_passes_the_oracle() {
+        let mut sent: HashSet<Vec<u8>> = (0..8u32).map(|i| i.to_le_bytes().to_vec()).collect();
+        sent.insert(b"seed".to_vec());
+        for r in 1..=5u32 {
+            let seed = 100 + u64::from(r);
+            let mut h = build(r, 6 - r, QuorumPolicy::CheapestFirst, seed);
+            writes_and_reads(&mut h);
+            let mut random = build(r, 6 - r, QuorumPolicy::Random, seed ^ 0x5a5a);
+            reads_alone(&mut random);
+            for (mut h, ops) in [(h, 16), (random, 17)] {
+                let history = Driven::collected(&mut h, sent.clone());
+                assert_eq!(history.ops.len(), ops, "r = {r}");
+                assert_eq!(history.judge(true), [], "r = {r}");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,9 @@ use crate::runner;
 use crate::table::{ms, pct, Table};
 use crate::topo::client_star;
 
+/// The write fractions the report measures.
+const WFS: [f64; 6] = [0.02, 0.05, 0.1, 0.2, 0.35, 0.5];
+
 /// One workload point.
 #[derive(Clone, Copy, Debug)]
 pub struct CachePoint {
@@ -54,26 +57,9 @@ fn build_with(push_on_write: bool, optimistic_fetch: bool, seed: u64) -> Harness
         .expect("cache topology is legal")
 }
 
-/// Mean read latency with the optimistic parallel fetch disabled (the
-/// "separate inquiry round" ablation from DESIGN.md §6): every read pays
-/// inquiry *then* fetch sequentially.
-pub fn sequential_read_latency(ops: usize, seed: u64) -> f64 {
-    let mut h = build_with(false, false, seed);
-    let suite = h.suite_id();
-    h.write(suite, b"x".to_vec()).expect("prime");
-    h.advance(SimDuration::from_secs(1));
-    let mut reads = SampleSet::new();
-    for _ in 0..ops {
-        let r = h.read(suite).expect("read");
-        reads.record(r.latency.as_millis_f64());
-        h.advance(SimDuration::from_secs(1));
-    }
-    reads.mean()
-}
-
-/// Runs `ops` operations with the given write fraction.
-pub fn measure(write_fraction: f64, push_on_write: bool, ops: usize, seed: u64) -> CachePoint {
-    let mut h = build(push_on_write, seed);
+/// Runs `ops` operations on `h`, a cluster built here, a `seed`-drawn
+/// `write_fraction` of them writes.
+pub fn measure(h: &mut Harness, write_fraction: f64, ops: usize, seed: u64) -> CachePoint {
     let suite = h.suite_id();
     let mut rng = DetRng::new(seed ^ 0xCAFE);
     let mut reads = SampleSet::new();
@@ -93,10 +79,10 @@ pub fn measure(write_fraction: f64, push_on_write: bool, ops: usize, seed: u64) 
             let w = h.write(suite, format!("v{i}").into_bytes()).expect("write");
             writes.record(w.latency.as_millis_f64());
         } else {
-            let before = missed(&h);
+            let before = missed(h);
             let r = h.read(suite).expect("read");
             reads.record(r.latency.as_millis_f64());
-            if missed(&h) > before {
+            if missed(h) > before {
                 misses.record(r.latency.as_millis_f64());
             }
         }
@@ -142,8 +128,10 @@ pub fn run() -> String {
         );
         // Six independent 300-op workloads with fixed per-point seeds; fan
         // them out and render in point order.
-        const WFS: [f64; 6] = [0.02, 0.05, 0.1, 0.2, 0.35, 0.5];
-        let points = runner::run_tasks(WFS.len(), |i| measure(WFS[i], push, 300, 500 + i as u64));
+        let points = runner::run_tasks(WFS.len(), |i| {
+            let seed = 500 + i as u64;
+            measure(&mut build(push, seed), WFS[i], 300, seed)
+        });
         for p in points {
             t.row(&[
                 format!("{:.2}", p.write_fraction),
@@ -159,7 +147,8 @@ pub fn run() -> String {
         }
         out.push_str(&t.to_markdown());
     }
-    let sequential = sequential_read_latency(40, 900);
+    // DESIGN.md §6's "separate inquiry round" ablation: reads alone.
+    let sequential = measure(&mut build_with(false, false, 900), 0.0, 40, 900).read_ms;
     out.push_str(&format!(
         "Ablation — contents asked for with the inquiry: with \
          `optimistic_fetch` off nobody is asked for contents until the \
@@ -181,11 +170,13 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::Driven;
+    use std::collections::HashSet;
 
     #[test]
     fn hit_ratio_decreases_with_write_rate_under_read_through() {
-        let low = measure(0.05, false, 200, 1);
-        let high = measure(0.5, false, 200, 1);
+        let low = measure(&mut build(false, 1), 0.05, 200, 1);
+        let high = measure(&mut build(false, 1), 0.5, 200, 1);
         assert!(
             low.hit_ratio > high.hit_ratio,
             "low-update hit {} should beat high-update hit {}",
@@ -196,8 +187,8 @@ mod tests {
 
     #[test]
     fn push_on_write_keeps_hit_ratio_high() {
-        let read_through = measure(0.3, false, 200, 2);
-        let push = measure(0.3, true, 200, 2);
+        let read_through = measure(&mut build(false, 2), 0.3, 200, 2);
+        let push = measure(&mut build(true, 2), 0.3, 200, 2);
         assert!(
             push.hit_ratio >= read_through.hit_ratio,
             "push {} vs read-through {}",
@@ -212,11 +203,11 @@ mod tests {
     fn hits_and_misses_both_cost_the_verified_latency() {
         // One round either way: a miss's contents come with the server's
         // version answer (75 ms), not in a fetch round after it (150).
-        let p = measure(0.2, false, 150, 3);
+        let p = measure(&mut build(false, 3), 0.2, 150, 3);
         assert!(p.hit_ratio < 0.9, "some reads miss: {}", p.hit_ratio);
         assert!((p.miss_ms - 75.0).abs() < 1e-6, "miss {}", p.miss_ms);
         assert!((p.read_ms - 75.0).abs() < 1e-6, "mean {}", p.read_ms);
-        let eager = measure(0.2, true, 150, 3);
+        let eager = measure(&mut build(true, 3), 0.2, 150, 3);
         assert!(
             (eager.read_ms - 75.0).abs() < 1e-6,
             "eager mean {}",
@@ -229,8 +220,32 @@ mod tests {
         // Sequential reads: inquiry (75) + cheapest-current fetch. The
         // weak rep is refreshed by the first read, so steady state fetches
         // locally (65): 140 ms.
-        let seq = sequential_read_latency(20, 5);
+        let seq = measure(&mut build_with(false, false, 5), 0.0, 20, 5).read_ms;
         assert!((seq - 140.0).abs() < 8.0, "sequential mean {seq}");
+    }
+
+    /// The report's twelve workloads and its ablation, at its sizes, on
+    /// fault-free links: strict.
+    #[test]
+    fn every_cache_history_passes_the_oracle() {
+        let written = (0..300).map(|i| format!("v{i}").into_bytes());
+        let sent: HashSet<Vec<u8>> = written.chain([b"initial".to_vec()]).collect();
+        let judge = |mut h: Harness, what: &str| {
+            let history = Driven::collected(&mut h, sent.clone());
+            assert_eq!(history.judge(true), [], "{what}");
+            history.ops.len()
+        };
+        for push in [false, true] {
+            for (i, &wf) in WFS.iter().enumerate() {
+                let seed = 500 + i as u64;
+                let mut h = build(push, seed);
+                measure(&mut h, wf, 300, seed);
+                assert_eq!(judge(h, &format!("{wf}, push {push}")), 1 + 300);
+            }
+        }
+        let mut h = build_with(false, false, 900);
+        measure(&mut h, 0.0, 40, 900);
+        assert_eq!(judge(h, "sequential reads"), 1 + 40);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use wv_analysis::SystemModel;
 use wv_core::harness::Harness;
 use wv_core::quorum::{QuorumSpec, Subsets};
 use wv_core::votes::VoteAssignment;
-use wv_net::Fault;
+use wv_net::{Fault, SiteId};
 
 use crate::table::{prob, Table};
 use crate::topo;
@@ -61,18 +61,20 @@ pub fn protocol_blocking(assignment: &VoteAssignment, build: impl Fn() -> Harnes
     let subsets = Subsets::of(assignment);
     let blocked = subsets
         .iter()
-        .map(|(up, _)| {
-            let mut h = build();
-            let suite = h.suite_id();
-            h.write(suite, b"primed".to_vec()).expect("prime write");
-            for site in subsets.members(!up) {
-                h.inject(Fault::Crash(site));
-            }
-            let write_blocked = h.write(suite, b"probe".to_vec()).is_err();
-            (h.read(suite).is_err(), write_blocked)
-        })
+        .map(|(up, _)| crash_and_probe(&mut build(), subsets.members(!up)))
         .collect();
     CrashSets { subsets, blocked }
+}
+
+/// Primes `h`, crashes `down`, tries a write and a read: whether each blocked.
+fn crash_and_probe(h: &mut Harness, down: impl Iterator<Item = SiteId>) -> (bool, bool) {
+    let suite = h.suite_id();
+    h.write(suite, b"primed".to_vec()).expect("prime write");
+    for site in down {
+        h.inject(Fault::Crash(site));
+    }
+    let write_blocked = h.write(suite, b"probe".to_vec()).is_err();
+    (h.read(suite).is_err(), write_blocked)
 }
 
 /// The protocol on every crash set of the paper's example `example`.
@@ -164,7 +166,11 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::Driven;
     use crate::e2;
+    use crate::oracle::check_log;
+    use std::collections::HashSet;
+    use wv_core::client::QuorumPolicy;
 
     /// Every blocking cell of E1, E2 and E5, the protocol over every
     /// crash set, is the analytic value. E1 weights E5's example outcomes
@@ -196,6 +202,35 @@ mod tests {
         }
         for r in 1..=5 {
             check(format!("E2, r = {r}"), &e2::crash_sets(r), &e2::model(r));
+        }
+    }
+
+    /// Every crash-set history behind E1's, E2's and E5's blocking cells
+    /// passes the oracle: non-strict, since each crashes its set.
+    #[test]
+    fn every_crash_set_history_passes_the_oracle() {
+        let sent = HashSet::from([b"primed".to_vec(), b"probe".to_vec()]);
+        let judge = |what: String, assignment: &VoteAssignment, build: &dyn Fn() -> Harness| {
+            let subsets = Subsets::of(assignment);
+            for (up, _) in subsets.iter() {
+                let mut h = build();
+                crash_and_probe(&mut h, subsets.members(!up));
+                let history = Driven::collected(&mut h, sent.clone());
+                assert_eq!(history.ops.len(), 3, "{what}, up {up:b}");
+                let violations = check_log(&history.ops, Some(&sent), false);
+                assert_eq!(violations, [], "{what}, up {up:b}");
+            }
+        };
+        for example in 1..=3 {
+            let build = [topo::example_1, topo::example_2, topo::example_3][example - 1];
+            let assignment = model_for(example as u32, 1.0).assignment;
+            judge(format!("example {example}"), &assignment, &|| {
+                build(7).build().expect("legal")
+            });
+        }
+        for r in 1..=5 {
+            let build = || e2::build(r, 6 - r, QuorumPolicy::CheapestFirst, 100 + u64::from(r));
+            judge(format!("E2, r = {r}"), &VoteAssignment::equal(5), &build);
         }
     }
 

@@ -158,10 +158,9 @@ fn probe(h: &mut Harness) -> Probe {
     out
 }
 
-/// Probes a system in a named scenario.
-pub fn scenario(system: System, which: &str, seed: u64) -> Probe {
-    let mut h = build(system, seed, 1);
-    prime(&mut h);
+/// Probes a system's cluster `h` in a named scenario.
+pub fn scenario(h: &mut Harness, which: &str) -> Probe {
+    prime(h);
     match which {
         "healthy" => {}
         "replica0_down" => h.inject(Fault::Crash(SiteId(0))),
@@ -174,17 +173,16 @@ pub fn scenario(system: System, which: &str, seed: u64) -> Probe {
         }
         other => panic!("unknown scenario {other}"),
     }
-    probe(&mut h)
+    probe(h)
 }
 
-/// Measures staleness across clients: the fraction of reads at a second
-/// client, made right after the first client's write is acknowledged,
-/// that return a version older than the acknowledged write. The reader
-/// reads once before the first round, so a cache it keeps is warm.
-pub fn staleness(system: System, rounds: u32, seed: u64) -> f64 {
+/// Measures staleness across `h`'s two clients: the fraction of reads at
+/// the second, right after the first one's write is acknowledged, that
+/// return an older version. The reader reads once before the first
+/// round, so a cache it keeps is warm.
+pub fn staleness(h: &mut Harness, rounds: u32) -> f64 {
     let mut stale = 0u32;
-    let mut h = build(system, seed, 2);
-    prime(&mut h);
+    prime(h);
     let suite = h.suite_id();
     let (writer, reader) = (h.clients()[0], h.clients()[1]);
     h.run(reader, Op::Read(suite)).expect("warm-up read");
@@ -270,7 +268,7 @@ pub fn run() -> String {
     let systems = System::all();
     let probes = runner::run_tasks(SCENARIOS.len() * systems.len(), |k| {
         let (which, i) = (SCENARIOS[k / systems.len()], k % systems.len());
-        scenario(systems[i], which, 600 + i as u64)
+        scenario(&mut build(systems[i], 600 + i as u64, 1), which)
     });
     for (s, which) in SCENARIOS.into_iter().enumerate() {
         let mut t = Table::new(
@@ -301,7 +299,9 @@ pub fn run() -> String {
         "Staleness across clients (a second client's read right after the first client's acked write)",
         &["system", "stale reads"],
     );
-    let stale = runner::run_tasks(systems.len(), |i| staleness(systems[i], 30, 700 + i as u64));
+    let stale = runner::run_tasks(systems.len(), |i| {
+        staleness(&mut build(systems[i], 700 + i as u64, 2), 30)
+    });
     for (system, &s) in systems.into_iter().zip(&stale) {
         t.row(&[system.label().into(), pct(s)]);
     }
@@ -317,56 +317,102 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::Driven;
+    use crate::oracle::check_log;
+    use std::collections::HashSet;
+
+    fn scenario_of(system: System, which: &str, seed: u64) -> Probe {
+        scenario(&mut build(system, seed, 1), which)
+    }
+
+    fn staleness_of(system: System, rounds: u32, seed: u64) -> f64 {
+        staleness(&mut build(system, seed, 2), rounds)
+    }
 
     #[test]
     fn healthy_everything_works() {
         for (i, s) in System::all().into_iter().enumerate() {
-            let p = scenario(s, "healthy", 40 + i as u64);
+            let p = scenario_of(s, "healthy", 40 + i as u64);
             assert!(p.read_ok && p.write_ok, "{s:?} failed while healthy");
         }
     }
 
     #[test]
     fn replica_zero_down_separates_the_schemes() {
-        let voting = scenario(System::VotingMajority, "replica0_down", 1);
+        let voting = scenario_of(System::VotingMajority, "replica0_down", 1);
         assert!(voting.read_ok && voting.write_ok);
 
-        let rowa = scenario(System::Rowa, "replica0_down", 2);
+        let rowa = scenario_of(System::Rowa, "replica0_down", 2);
         assert!(rowa.read_ok, "ROWA reads fail over");
         assert!(!rowa.write_ok, "ROWA writes need every replica");
 
-        let primary = scenario(System::Primary, "replica0_down", 3);
+        let primary = scenario_of(System::Primary, "replica0_down", 3);
         assert!(!primary.read_ok && !primary.write_ok, "primary was site 0");
 
-        let lease = scenario(System::PrimaryLocalReads, "replica0_down", 4);
+        let lease = scenario_of(System::PrimaryLocalReads, "replica0_down", 4);
         assert!(!lease.write_ok, "every vote is on the primary");
         assert!(!lease.read_ok, "the probe's writer holds no lease");
     }
 
     #[test]
     fn minority_partition_blocks_quorum_schemes_but_not_rowa_reads() {
-        let voting = scenario(System::VotingMajority, "client_minority", 5);
+        let voting = scenario_of(System::VotingMajority, "client_minority", 5);
         assert!(!voting.write_ok, "one replica is not a write quorum");
         assert!(!voting.read_ok, "one replica is not a read quorum");
 
-        let rowa = scenario(System::Rowa, "client_minority", 6);
+        let rowa = scenario_of(System::Rowa, "client_minority", 6);
         assert!(rowa.read_ok, "ROWA reads any reachable replica");
         assert!(!rowa.write_ok);
 
-        let lease = scenario(System::PrimaryLocalReads, "client_minority", 7);
+        let lease = scenario_of(System::PrimaryLocalReads, "client_minority", 7);
         assert!(!lease.read_ok && !lease.write_ok, "the primary is away");
     }
 
     #[test]
     fn only_async_local_reads_are_stale() {
-        assert_eq!(staleness(System::VotingMajority, 10, 8), 0.0);
-        assert_eq!(staleness(System::Rowa, 10, 9), 0.0);
-        assert_eq!(staleness(System::Primary, 10, 10), 0.0);
-        let lazy = staleness(System::PrimaryLocalReads, 20, 11);
+        assert_eq!(staleness_of(System::VotingMajority, 10, 8), 0.0);
+        assert_eq!(staleness_of(System::Rowa, 10, 9), 0.0);
+        assert_eq!(staleness_of(System::Primary, 10, 10), 0.0);
+        let lazy = staleness_of(System::PrimaryLocalReads, 20, 11);
         assert!(
             lazy > 0.0,
             "lease-served reads must show staleness, got {lazy}"
         );
+    }
+
+    /// Every probe the report makes, at its seeds: strict on healthy
+    /// links, non-strict with a replica down or the client cut off.
+    /// Exempt: the local-reads row's staleness probe, where a second
+    /// client reads inside its lease. Lease reads relax freshness by
+    /// design (invariant 7 is not their rule), as E13's lease rows do.
+    #[test]
+    fn every_probe_history_passes_the_oracle() {
+        let sent = HashSet::from([&b"prime"[..], b"probe", b"x"].map(<[u8]>::to_vec));
+        for (k, which) in ["healthy", "replica0_down", "client_minority"]
+            .iter()
+            .enumerate()
+        {
+            for (i, system) in System::all().into_iter().enumerate() {
+                let mut h = build(system, 600 + i as u64, 1);
+                scenario(&mut h, which);
+                let history = Driven::collected(&mut h, sent.clone());
+                assert_eq!(history.ops.len(), 3, "{system:?} {which}");
+                let violations = match k {
+                    0 => history.judge(true),
+                    _ => check_log(&history.ops, Some(&sent), false),
+                };
+                assert_eq!(violations, [], "{system:?} {which}");
+            }
+        }
+        for (i, system) in System::all().into_iter().enumerate() {
+            if system != System::PrimaryLocalReads {
+                let mut h = build(system, 700 + i as u64, 2);
+                staleness(&mut h, 30);
+                let history = Driven::collected(&mut h, sent.clone());
+                assert_eq!(history.ops.len(), 2 + 2 * 30, "{system:?}");
+                assert_eq!(history.judge(true), [], "{system:?}");
+            }
+        }
     }
 
     #[test]

@@ -163,7 +163,7 @@ fn run_cell(master_seed: u64, trials: usize, rate_permille: u32, healing: bool) 
         let schedule = build_schedule(seed, rate_permille);
         let run = run_schedule(&spec, &schedule);
         let mut lat = Vec::new();
-        for op in &run.ops {
+        for op in &run.log.ops {
             if op.kind == OpKind::Read && op.outcome.is_ok() {
                 lat.push(op.finished.since(op.started).as_millis_f64());
             }

@@ -4,17 +4,15 @@
 //! schedule seed, and its events become a [`wv_bench::drive::Plan`],
 //! played by the one driver. The run ends with a quiesce phase (faults
 //! cleared, everyone recovered, event queue drained) so the oracle can
-//! ask convergence questions. The outcome is a [`TrialRun`] — the merged
-//! operation log, final reads, replica states, and the trial's [`Tally`]
-//! — which [`crate::oracle`] judges.
+//! ask convergence questions. The outcome is a [`TrialRun`] — the driven
+//! log, final reads, replica states, and the trial's [`Tally`] — which
+//! [`crate::oracle`] judges.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::ops::AddAssign;
 
-use wv_bench::drive::{self, Plan, REPAIR_INTERVAL};
-use wv_core::client::{
-    ClientOptions, ClientStats, CompletedOp, HealthOptions, RetryCause, WeakRepOptions,
-};
+use wv_bench::drive::{self, Driven, Plan, REPAIR_INTERVAL};
+use wv_core::client::{ClientOptions, ClientStats, HealthOptions, RetryCause, WeakRepOptions};
 use wv_core::harness::{HarnessBuilder, SiteSpec};
 use wv_core::server::ServerStats;
 use wv_core::{Fault, Harness, Op, OpError, OpKind, QuorumSpec, VoteAssignment};
@@ -127,11 +125,9 @@ pub type FinalState = Option<(Version, Vec<u8>)>;
 pub struct TrialRun {
     /// The schedule's seed (identifies the trial).
     pub seed: u64,
-    /// All completed operations, across every client, in completion order
-    /// per client (clients concatenated in site order).
-    pub ops: Vec<CompletedOp>,
-    /// Every payload the schedule wrote, for provenance checks.
-    pub sent_payloads: HashSet<Vec<u8>>,
+    /// The driven schedule: each client's operations in completion order,
+    /// clients in site order; its payloads; its fault windows to its end.
+    pub log: Driven,
     /// The suites the cluster hosted, in id order. Single-suite clusters
     /// list exactly the default suite.
     pub suites: Vec<ObjectId>,
@@ -148,11 +144,6 @@ pub struct TrialRun {
     pub quiesced: bool,
     /// What the trial did, counted by its nodes and by the executor.
     pub tally: Tally,
-    /// When the cluster was not whole, up to the schedule's last event
-    /// (see [`wv_bench::drive::FaultWindows`]). The oracle's progress
-    /// invariant judges only operations that ran entirely outside these
-    /// windows.
-    pub fault_windows: Vec<(SimTime, SimTime)>,
     /// `Some(bound)` when the cluster ran the client cache tier: the
     /// oracle's staleness-bound invariant lets cache-served reads lag the
     /// committed frontier by at most this much. Validated mode's bound is
@@ -318,7 +309,7 @@ fn run_schedule_inner(
         }
     }
     let planned = plan.ops();
-    let (windows, sent_payloads) = drive::apply(&mut h, plan);
+    let (windows, sent) = drive::apply(&mut h, plan);
     // A disk fault the clean arm leaves out still moves the clock: the
     // run ends where the schedule does.
     if let Some(last) = schedule.events.last() {
@@ -356,14 +347,18 @@ fn run_schedule_inner(
 
     // A run that failed to quiesce is judged as it stands
     // (`Violation::NoQuiesce`): collected without a step further.
-    let ops = drive::collect(&mut h, if quiesced { planned } else { 0 });
+    let log = Driven {
+        ops: drive::collect(&mut h, if quiesced { planned } else { 0 }),
+        fault_windows,
+        sent,
+    };
     // Match each cross-suite transaction to its completed operation (same
     // client, same start instant), clients in site order, so the oracle
     // can judge atomicity without guessing which op was which.
     txns.sort_by_key(|(c, _)| *c);
-    let mut taken = vec![false; ops.len()];
+    let mut taken = vec![false; log.ops.len()];
     for (c, t) in &mut txns {
-        let hit = ops.iter().enumerate().find(|(i, o)| {
+        let hit = log.ops.iter().enumerate().find(|(i, o)| {
             !taken[*i]
                 && o.req.coordinator() == *c
                 && o.kind == OpKind::Transaction
@@ -409,8 +404,8 @@ fn run_schedule_inner(
         .filter_map(|s| h.server_at(s).map(|s| s.stats))
         .sum();
     tally.net = h.net_stats();
-    for op in &ops {
-        tally.ops_quiet += u64::from(crate::oracle::ran_quiet(op, &fault_windows));
+    for op in &log.ops {
+        tally.ops_quiet += u64::from(crate::oracle::ran_quiet(op, &log.fault_windows));
         match &op.outcome {
             Ok(_) => tally.ops_ok += 1,
             Err(e) => {
@@ -424,15 +419,13 @@ fn run_schedule_inner(
     (
         TrialRun {
             seed: schedule.seed,
-            ops,
-            sent_payloads,
+            log,
             suites,
             suite_finals,
             suite_replicas,
             txns,
             quiesced,
             tally,
-            fault_windows,
             // Validated mode: the bound is zero — a cache serve carries
             // the same quorum evidence as a classic read.
             cache_lease: spec.cache_tier.then_some(SimDuration::ZERO),
@@ -456,8 +449,8 @@ mod tests {
         assert_eq!(a.tally, b.tally);
         assert_eq!(a.suite_finals, b.suite_finals);
         assert_eq!(a.suite_replicas, b.suite_replicas);
-        assert_eq!(a.ops.len(), b.ops.len());
-        for (x, y) in a.ops.iter().zip(&b.ops) {
+        assert_eq!(a.log.ops.len(), b.log.ops.len());
+        for (x, y) in a.log.ops.iter().zip(&b.log.ops) {
             assert_eq!(x.outcome, y.outcome);
             assert_eq!(x.finished, y.finished);
         }

@@ -28,7 +28,7 @@ use crate::exec::{FinalState, TrialRun};
 /// unreported transaction has no finish, so the stand-in starts and
 /// finishes at its enqueue instant.
 fn with_unreported_txns(run: &TrialRun) -> Cow<'_, [CompletedOp]> {
-    let mut log = Cow::Borrowed(run.ops.as_slice());
+    let mut log = Cow::Borrowed(run.log.ops.as_slice());
     for t in run.txns.iter().filter(|t| t.outcome.is_none()) {
         log.to_mut()
             .extend(t.suites.iter().map(|&suite| CompletedOp {
@@ -77,7 +77,7 @@ pub fn check_cross_suite(run: &TrialRun) -> Vec<Violation> {
                         o.kind == OpKind::Read && o.suite == *suite && value == Some(&t.payload[..])
                     };
                     let finals = holds(&run.suite_finals, i);
-                    if run.ops.iter().any(read) || finals || holds(&run.suite_replicas, i) {
+                    if run.log.ops.iter().any(read) || finals || holds(&run.suite_replicas, i) {
                         violations.push(Violation::CrossSuiteAbortLeak { suite: suite.0 });
                     }
                 }
@@ -115,13 +115,13 @@ pub fn check_no_poison(run: &TrialRun) -> Vec<Violation> {
 /// of the convergence checks (there is no settled final state to judge).
 pub fn check_trial(run: &TrialRun, strict: bool) -> Vec<Violation> {
     let log = with_unreported_txns(run);
-    let mut violations = check_log(&log, Some(&run.sent_payloads), strict);
+    let mut violations = check_log(&log, Some(&run.log.sent), strict);
     if let Some(lease) = run.cache_lease {
         violations.extend(check_staleness_bound(&log, lease));
     }
     violations.extend(check_no_poison(run));
     violations.extend(check_cross_suite(run));
-    violations.extend(check_progress(&run.ops, &run.fault_windows));
+    violations.extend(check_progress(&run.log.ops, &run.log.fault_windows));
     if !run.quiesced {
         violations.push(Violation::NoQuiesce);
         return violations;
@@ -130,7 +130,7 @@ pub fn check_trial(run: &TrialRun, strict: bool) -> Vec<Violation> {
         violations.extend(check_convergence(
             &log,
             suite,
-            &run.sent_payloads,
+            &run.log.sent,
             &run.suite_finals[idx],
             &run.suite_replicas[idx],
         ));
@@ -222,15 +222,17 @@ mod tests {
         let suite_replicas = conv(suite_replicas);
         crate::exec::TrialRun {
             seed: 1,
-            ops,
-            sent_payloads: sent.iter().map(|b| b.to_vec()).collect(),
+            log: wv_bench::drive::Driven {
+                ops,
+                fault_windows: Vec::new(),
+                sent: sent.iter().map(|b| b.to_vec()).collect(),
+            },
             suites: vec![ObjectId(1), ObjectId(2)],
             suite_finals,
             suite_replicas,
             txns,
             quiesced: true,
             tally: Default::default(),
-            fault_windows: Vec::new(),
             cache_lease: None,
         }
     }

@@ -400,7 +400,7 @@ enum Phase {
         /// A direct attempt's write quorum per written suite (in
         /// [`OpState::writes`] order): no inquiry vouched for these sites,
         /// so the first yes arms [`TimerKind::Widen`]. Empty after an
-        /// inquiry, and once that timer has fired.
+        /// inquiry, and once that timer has fired or a line made it moot.
         unprobed: Few<Sites, 2>,
     },
     /// Decided, and one of the operations that report at the last ack:
@@ -408,8 +408,8 @@ enum Phase {
     /// server says moves it.
     Decided,
     RefreshConfig,
-    /// A write parked behind a direct attempt ([`ClientNode::trains`]) or
-    /// riding a carrier ([`OpState::riders`]): no message, no timer.
+    /// Parked behind a direct attempt ([`ClientNode::trains`]), riding a
+    /// carrier ([`OpState::riders`]) or between attempts: no message, no timer.
     Riding,
 }
 
@@ -460,18 +460,21 @@ impl OpState {
         suites_of(&self.writes, self.suite)
     }
 
-    /// Ends the current phase: cancels the timers it armed under `req`.
-    /// (A retry's backoff is not a phase's: it fires.)
-    fn end_phase(&self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+    /// Ends the current phase and leaves none: cancels its timers under `req`
+    /// (a widen once a yes is in and `unprobed` holds quorums; not a retry's).
+    fn end_phase(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
         use TimerKind::{PhaseTimeout, Widen};
-        let kinds: &[TimerKind] = match self.phase {
-            Phase::Inquire { .. } | Phase::RefreshConfig | Phase::Fetch { .. } => &[PhaseTimeout],
-            Phase::Prepare { .. } => &[PhaseTimeout, Widen],
+        let kinds: &[TimerKind] = match &self.phase {
+            Phase::Prepare { yes, unprobed, .. } if !yes.is_empty() && !unprobed.is_empty() => {
+                &[PhaseTimeout, Widen]
+            }
             Phase::Decided | Phase::Riding => &[],
+            _ => &[PhaseTimeout],
         };
         for &kind in kinds {
             ctx.cancel_timer(timer_token(req, kind));
         }
+        self.phase = Phase::Riding;
     }
 }
 
@@ -1241,7 +1244,7 @@ impl ClientNode {
             self.complete(req, Err(err), ctx);
             return;
         }
-        let Some(st) = self.ops.remove(&req) else {
+        let Some(mut st) = self.ops.remove(&req) else {
             return;
         };
         // Fresh request id for the next attempt; late traffic for the old
@@ -1293,7 +1296,7 @@ impl ClientNode {
             self.complete(req, Err(OpError::Conflict), ctx);
             return;
         }
-        let Some(st) = self.ops.remove(&req) else {
+        let Some(mut st) = self.ops.remove(&req) else {
             return;
         };
         self.note_retry(RetryCause::StaleConfig);
@@ -1704,7 +1707,7 @@ impl ClientNode {
             };
             return self.fail_attempt(req, OpError::Conflict, cause, ctx);
         };
-        st.end_phase(req, ctx);
+        ctx.cancel_timer(timer_token(req, TimerKind::PhaseTimeout));
         let kind = DecisionKind::FetchFailover;
         self.audit_decision(kind, req, suite, [site], None, ctx.now());
         self.launch_leg(req, suite, site, ctx);
@@ -1919,6 +1922,7 @@ impl ClientNode {
             yes,
             in_line,
             asks,
+            unprobed,
             ..
         } = &mut st.phase
         else {
@@ -1941,7 +1945,10 @@ impl ClientNode {
         } else {
             0
         };
-        st.end_phase(req, ctx);
+        // The timeout that asked has fired; a widen would find none silent.
+        if !yes.is_empty() && !std::mem::take(unprobed).is_empty() {
+            ctx.cancel_timer(timer_token(req, TimerKind::Widen));
+        }
         for &site in &waiting {
             ctx.send(site, reask(req, lock_ts));
         }

@@ -14,7 +14,8 @@
 //! and a recovery included, is a [`Fault`] handed to [`Harness::inject`];
 //! a node's state is read through [`Harness::client_at`] and
 //! [`Harness::server_at`]. A blocking call waits for its own operation
-//! alone: it refuses a client with operations in flight.
+//! alone: it refuses a client with operations in flight. Either way the
+//! operation ends in the client's log ([`Harness::drain_completed`]).
 //!
 //! The builder is the one way to build a cluster, on either clock:
 //! [`HarnessBuilder::build`] puts it on the simulator, and
@@ -546,7 +547,7 @@ impl Harness {
     /// which is what a caller experiences: at its commit decision, with
     /// the commit round still on its way to the representatives. Settle
     /// first ([`Harness::advance`], [`Harness::run_until_quiet`]) to
-    /// inspect them.
+    /// inspect them. It stays in the client's log, as an enqueued one does.
     ///
     /// # Panics
     ///
@@ -571,32 +572,26 @@ impl Harness {
             started.set(Some(c.completed.len()));
             op.start(c, ctx);
         });
-        // Step until this operation is in the client's completion log: of
-        // what ended since it started on the idle client, the one entry
-        // that started at `at` (every other one started later, a retry
-        // under a fresh request id included). Operations always terminate
-        // (every phase is timer-guarded), so this loop ends unless the
-        // client site itself is down: then the invoke was dropped, and once
-        // the clock passes `at` with no start recorded we report
+        // Step until this operation is in the client's completion log, where
+        // it stays: of what ended since it started on the idle client, the
+        // one entry that started at `at` (every other one started later, a
+        // retry under a fresh request id included). Operations always
+        // terminate (every phase is timer-guarded), so this loop ends unless
+        // the client site itself is down: then the invoke was dropped, and
+        // once the clock passes `at` with no start recorded we report
         // unavailability, not waiting for a queue that a re-arming timer
         // (the repair tick) never lets drain.
         loop {
             let done = self.started.get().and_then(|from| {
                 let c = self.client_at(client)?;
-                let i = c.completed[from..].iter().position(|op| op.started == at)?;
-                Some(from + i)
+                c.completed[from..].iter().find(|op| op.started == at)
             });
-            if let Some(i) = done {
-                let c = self.sim.world.nodes[client.index()]
-                    .as_client_mut()
-                    .expect("client exists");
-                let done = c.completed.remove(i);
-                let latency = done.latency();
-                return done.outcome.map(|ok| Done {
+            if let Some(done) = done {
+                return done.outcome.clone().map(|ok| Done {
                     version: ok.version,
                     value: ok.value.unwrap_or_default(),
                     multi: ok.multi,
-                    latency,
+                    latency: done.latency(),
                     attempts: done.attempts,
                 });
             }
@@ -1262,8 +1257,8 @@ mod tests {
         h.inject(NetFault::Crash(SiteId(1)));
         h.run_until_quiet(1_000_000);
         let done = h.drain_completed(client);
-        assert_eq!(done.len(), 1);
-        let op = &done[0];
+        assert_eq!(done.len(), 2, "the write, then the read");
+        let op = &done[1];
         let ok = op.outcome.as_ref().expect("failed over");
         assert_eq!(ok.version, Version(1));
         assert_eq!(ok.value.as_deref(), Some(&b"v1"[..]));
@@ -1391,6 +1386,7 @@ mod tests {
             failed,
             kinds.map(|kind| Some(OpError::Unavailable { kind }))
         );
+        assert!(h.drain_completed(client).is_empty(), "nothing started");
     }
 
     #[test]
@@ -1447,9 +1443,38 @@ mod tests {
             (w.version, w.latency),
             (Version(1), SimDuration::from_millis(400))
         );
-        let other = h.drain_completed(client);
-        assert_eq!(other.len(), 1);
-        assert_eq!((other[0].kind, other[0].suite), (OpKind::Read, ObjectId(2)));
+        // Both stay in the log, in the order they completed.
+        let log = h.drain_completed(client);
+        let entry = |op: &CompletedOp| (op.kind, op.suite, op.latency());
+        assert_eq!(
+            log.iter().map(entry).collect::<Vec<_>>(),
+            [
+                (OpKind::Read, ObjectId(2), SimDuration::from_millis(20)),
+                (OpKind::Write, ObjectId(1), w.latency),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_blocking_write_and_read_stay_in_the_log_as_they_returned() {
+        let mut h = three_server_harness(11);
+        let (suite, client) = (h.suite_id(), h.default_client());
+        let w = h.write(suite, b"kept".to_vec()).expect("write");
+        let r = h.read(suite).expect("read");
+        let entry = |op: &CompletedOp| {
+            let ok = op.outcome.as_ref().expect("ok");
+            (op.kind, ok.version, op.latency(), op.attempts)
+        };
+        assert_eq!(
+            h.drain_completed(client)
+                .iter()
+                .map(entry)
+                .collect::<Vec<_>>(),
+            [
+                (OpKind::Write, w.version, w.latency, w.attempts),
+                (OpKind::Read, r.version, r.latency, r.attempts),
+            ]
+        );
     }
 
     #[test]
@@ -2597,12 +2622,12 @@ mod tests {
             h.enqueue(client, Op::Write(suite, value.to_vec()), h.now());
         }
         h.run_until_quiet(10_000);
-        // The first is decided a round trip in; the other two left then,
-        // on one prepare, and are reported a round trip later — the older
-        // first, one version apart.
+        // After the blocking write's own entry: the first is decided a
+        // round trip in; the other two left then, on one prepare, and are
+        // reported a round trip later — the older first, one version apart.
         assert_eq!(
             reports(&mut h, client),
-            vec![(2, ms(200)), (3, ms(400)), (4, ms(400))]
+            vec![(1, ms(200)), (2, ms(200)), (3, ms(400)), (4, ms(400))]
         );
         assert_eq!(prepares(&h), before + 2 * 2, "two prepares at two sites");
         let stats = h.client_at(client).expect("client").stats;

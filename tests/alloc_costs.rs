@@ -14,8 +14,8 @@ fn a_committed_read_write_train_and_transaction_cost_exact_allocations() {
     let mut l = Ledger::on(Sites::Example1, &[], prime, WARM_16);
     l.row(Read, [read, 0, 16, 0]);
     l.row(Write(16), [write, 0, 118, 0]);
-    l.row(Train, [2 * write, 0, 597, 0]);
-    l.row(Transaction, [ANY, 0, 144, 0]);
+    l.row(Train, [2 * write, 0, 595, 0]);
+    l.row(Transaction, [ANY, 0, 160, 0]);
 }
 
 #[test]

@@ -6,7 +6,6 @@
 //! and a recovering participant resolves its in-doubt transaction by
 //! asking the coordinator — never unilaterally.
 
-use weighted_voting::core::error::OpKind;
 use weighted_voting::prelude::*;
 
 fn three_site_cluster(seed: u64) -> Harness {
@@ -38,10 +37,9 @@ fn crash_during_write(at_ms: u64, recover_after_ms: u64, seed: u64) -> (bool, u6
     h.advance(SimDuration::from_millis(recover_after_ms));
     h.inject(Fault::Recover(SiteId(0)));
     h.run_until_quiet(2_000_000);
+    // The base write's entry, then the one in flight.
     let ops = h.drain_completed(client);
-    let write_ok = ops
-        .iter()
-        .any(|o| o.kind == OpKind::Write && o.outcome.is_ok());
+    let write_ok = ops.iter().any(|o| o.started == start && o.outcome.is_ok());
     let read = h.read(suite).expect("final read");
     let versions = SiteId::all(3)
         .map(|s| h.version_at(s, suite).expect("server").0)

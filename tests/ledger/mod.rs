@@ -46,7 +46,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use weighted_voting::analysis::{read_messages_bounds, train_messages_per_write};
-use weighted_voting::core::client::{ClientNode, HealthOptions};
+use weighted_voting::core::client::{ClientNode, CompletedOp, HealthOptions};
 use weighted_voting::prelude::*;
 use weighted_voting::storage::Wal;
 pub use Shape::{Read, Train, Transaction, Write};
@@ -238,23 +238,44 @@ pub fn counters(h: &Harness) -> [u64; 4] {
     [net.sent, net.timers_fired, allocations, framed.sum()]
 }
 
+/// The default client's completion log.
+fn log(h: &Harness) -> &Vec<CompletedOp> {
+    &h.client_at(h.default_client()).expect("a client").completed
+}
+
+/// Growth steps of a `Vec` pushed from capacity `from` to `to`, each one
+/// allocator call: std doubles it, to at least 4 entries.
+fn growths(mut from: usize, to: usize) -> u64 {
+    let mut steps = 0;
+    while from < to {
+        from = (from * 2).max(4);
+        steps += 1;
+    }
+    steps
+}
+
 /// Runs `op` `warm` times, then `counted` times, each until nothing is
 /// left in flight and every write it launched has completed `Ok`, and
-/// returns the counted runs' [`COLUMNS`].
+/// returns the counted runs' [`COLUMNS`]. Every op stays in its client's
+/// completion log, the run's history: the log's growth steps are the
+/// history's cost, not the op's, and are not counted.
 pub fn measure(h: &mut Harness, op: Shape, (warm, counted): (u8, u8)) -> [u64; 4] {
-    let client = h.default_client();
     let mut sum = [0; 4];
     for round in 0..warm + counted {
         let values = op.values(round, h.suite_ids());
-        let logged = h.client_at(client).expect("a client").completed.len();
+        let (logged, room) = (log(h).len(), log(h).capacity());
         let before = counters(h);
         op.run(h, values);
         assert!(h.run_until_quiet(QUIET) < QUIET, "the op settles");
-        let after = counters(h);
-        // The ops the harness waits for take their own entry out of the
-        // log; a train leaves its nine writes' entries in it.
-        let done = &h.client_at(client).expect("a client").completed[logged..];
-        assert_eq!(done.len(), 9 * usize::from(matches!(op, Train)), "{op:?}");
+        let mut after = counters(h);
+        after[2] -= growths(room, log(h).capacity());
+        // A blocking op's own entry, or a train's nine.
+        let done = &log(h)[logged..];
+        assert_eq!(
+            done.len(),
+            if matches!(op, Train) { 9 } else { 1 },
+            "{op:?}"
+        );
         assert!(done.iter().all(|op| op.outcome.is_ok()), "{op:?}");
         if round >= warm {
             sum = std::array::from_fn(|c| sum[c] + after[c] - before[c]);

@@ -14,8 +14,9 @@ fn a_healthy_write_read_and_train_fire_no_timer() {
     l.row(Read, [read_messages_bounds(3).0, 0, ANY, 0]);
     l.row(Train, [train(2), 0, ANY, 0]);
     // The lone write is a train of one; of the nine, one goes alone and
-    // eight ride one prepare. All nine completed.
+    // eight ride one prepare. All eleven completed: the write, the read
+    // and the train.
     let client = l.client();
     assert_eq!((client.stats.trains, client.stats.writes_ridden), (3, 7));
-    assert_eq!(client.completed.len(), 9);
+    assert_eq!(client.completed.len(), 1 + 1 + 9);
 }

@@ -6,7 +6,6 @@
 //! *across the cluster* (one coordinator decision), even when a
 //! participant crashes between prepare and commit.
 
-use weighted_voting::core::error::OpKind;
 use weighted_voting::prelude::*;
 
 fn cluster(seed: u64) -> Harness {
@@ -82,10 +81,9 @@ fn participant_crash_between_prepare_and_commit_stays_atomic() {
         h.advance(SimDuration::from_secs(40));
         h.inject(Fault::Recover(SiteId(0)));
         h.run_until_quiet(3_000_000);
+        // The base transaction's entry, then the one in flight.
         let ops = h.drain_completed(client);
-        let outcome_ok = ops
-            .iter()
-            .any(|o| o.kind == OpKind::Transaction && o.outcome.is_ok());
+        let outcome_ok = ops.iter().any(|o| o.started == start && o.outcome.is_ok());
         // Per-server atomicity regardless of outcome.
         for s in SiteId::all(3) {
             let v1 = h.version_at(s, ObjectId(1)).expect("server");
