@@ -5,15 +5,19 @@
 //! [`FaultWindows::end`] says when the cluster was not whole, and
 //! [`collect`] waits out the planned operations; [`drive`] is the three
 //! in a row; a blocking call's operation is in the log too, so [`collect`]
-//! takes any history out for the op-log oracle ([`Driven::judge`]).
+//! takes any history out for the op-log oracle ([`Driven::judge`]), and
+//! a report hands each to its [`Verdict`].
 
 use std::collections::{BTreeMap, HashSet};
+use std::fmt;
 
 use wv_core::client::CompletedOp;
 use wv_core::{Fault, Harness, Op};
 use wv_net::{Fault as NetFault, SiteId};
 use wv_sim::{SimDuration, SimTime};
 use wv_storage::ObjectId;
+
+use crate::oracle::{check_log, check_progress, check_staleness_bound, Violation};
 
 /// How long past a server's recovery its outage still counts as a fault
 /// window: the recovered representative is catching up and its in-doubt
@@ -249,19 +253,26 @@ pub struct Driven {
 }
 
 impl Driven {
-    /// What ran on `h`, blocking calls too: [`drive`] of an empty plan.
-    pub fn collected(h: &mut Harness, sent: HashSet<Vec<u8>>) -> Driven {
-        let mut driven = drive(h, Plan::default());
-        driven.sent = sent;
-        driven
+    /// `value`, noted in [`Driven::sent`] on its way out: a blocking write
+    /// records the payload it carries so.
+    pub fn carry(&mut self, value: Vec<u8>) -> Vec<u8> {
+        self.sent.insert(value.clone());
+        value
     }
 
-    /// The oracle's verdict: [`crate::oracle::check_log`] (`strict` where no
-    /// message is dropped or delayed), then `check_progress` outside faults.
-    pub fn judge(&self, strict: bool) -> Vec<crate::oracle::Violation> {
-        let log = crate::oracle::check_log(&self.ops, Some(&self.sent), strict);
-        let quiet = crate::oracle::check_progress(&self.ops, &self.fault_windows);
-        [log, quiet].concat()
+    /// This, and what ran on `h` since, blocking calls too: [`drive`] of
+    /// an empty plan.
+    pub fn finish(mut self, h: &mut Harness) -> Driven {
+        self.append(drive(h, Plan::default()));
+        self
+    }
+
+    /// The oracle's verdict: [`check_log`], strict exactly when no fault
+    /// window opened, then [`check_progress`] outside the windows.
+    pub fn judge(&self) -> Vec<Violation> {
+        let strict = self.fault_windows.is_empty();
+        let log = check_log(&self.ops, Some(&self.sent), strict);
+        [log, check_progress(&self.ops, &self.fault_windows)].concat()
     }
 
     /// Adds a later run on the same cluster; returns its operations.
@@ -289,19 +300,72 @@ pub fn drive(h: &mut Harness, plan: Plan) -> Driven {
 /// Writes `{tag}-seed-{id}` to each suite in turn with a blocking
 /// [`Harness::write`]: E11, E13 and E15 seed their suites so.
 pub fn seed(h: &mut Harness, suites: &[ObjectId], tag: &str) -> Driven {
-    let mut sent = HashSet::new();
+    let mut history = Driven::default();
     for &suite in suites {
         let value = format!("{tag}-seed-{}", suite.0).into_bytes();
-        sent.insert(value.clone());
-        let _ = h.write(suite, value); // its outcome is in the log
+        let _ = h.write(suite, history.carry(value)); // its outcome is in the log
     }
-    Driven::collected(h, sent)
+    history.finish(h)
+}
+
+/// A report's verdict on its histories, each judged as it is handed in.
+#[derive(Debug, Default)]
+pub struct Verdict {
+    histories: usize,
+    ops: usize,
+    /// `history: violation`, for every violation found.
+    pub found: Vec<String>,
+    /// The histories [`Verdict::judge_leased`] held to a lease.
+    pub leased: Vec<String>,
+}
+
+impl Verdict {
+    /// Judges `history` with [`Driven::judge`], `name` saying which it is,
+    /// and returns what that found.
+    pub fn judge(&mut self, name: impl fmt::Display, history: &Driven) -> Vec<Violation> {
+        let found = history.judge();
+        self.record(name, history.ops.len(), found.clone());
+        found
+    }
+
+    /// [`Verdict::judge`], but a read may return a copy as old as `lease`
+    /// (invariant 11) instead of the floor (7); returns [`Driven::judge`]'s
+    /// verdict all the same.
+    pub fn judge_leased(
+        &mut self,
+        name: String,
+        history: &Driven,
+        lease: SimDuration,
+    ) -> Vec<Violation> {
+        let floor = history.judge();
+        let mut found = floor.clone();
+        found.retain(|v| !matches!(v, Violation::StaleRead { .. }));
+        found.extend(check_staleness_bound(&history.ops, lease));
+        self.record(&name, history.ops.len(), found);
+        self.leased.push(name);
+        floor
+    }
+
+    /// Counts a history of `ops` operations judged elsewhere, and its `found`.
+    pub fn record(&mut self, name: impl fmt::Display, ops: usize, found: Vec<Violation>) {
+        self.histories += 1;
+        self.ops += ops;
+        self.found
+            .extend(found.iter().map(|v| format!("{name}: {v}")));
+    }
+
+    /// The report's closing line, unless it judged nothing.
+    pub fn line(&self) -> Option<String> {
+        let (histories, ops, found) = (self.histories, self.ops, self.found.len());
+        (histories > 0).then(|| {
+            format!("Histories judged: {histories} ({ops} operations); violations: {found}.\n")
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::check_log;
     use wv_core::harness::{HarnessBuilder, SiteSpec};
     use wv_core::QuorumSpec;
     use wv_net::{NetConfig, Partition};
@@ -437,7 +501,33 @@ mod tests {
         let run = drive(&mut h, plan);
         let carried = [&b"w"[..], b"t1", b"t2"].map(<[u8]>::to_vec);
         assert_eq!(run.sent, HashSet::from(carried));
-        assert_eq!(run.judge(true), []);
+        assert_eq!(run.judge(), []);
+    }
+
+    #[test]
+    fn a_leased_history_is_held_to_its_lease_and_every_other_to_the_floor() {
+        use crate::oracle::tests::{read_ok, write_ok};
+        // A write acknowledged at 100 ms, then a read at 150 ms that still
+        // returns the initial version.
+        let (mut history, mut verdict) = (Driven::default(), Verdict::default());
+        history.ops = vec![write_ok(1, 0, 100), read_ok(0, b"", 150, 200)];
+        let lease = SimDuration::from_millis;
+        let floor = verdict.judge_leased("lease 2 s, depth 1".into(), &history, lease(100));
+        assert!(verdict.found.is_empty(), "50 ms is inside a 100 ms lease");
+        assert_eq!(floor, history.judge(), "returned: the floor's verdict");
+        verdict.judge_leased("lease 100 ms, depth 4".into(), &history, lease(10));
+        verdict.judge("validated, depth 1", &history);
+        let found = [
+            "lease 100 ms, depth 4: cache-tier read returned v0, beyond the staleness bound (floor v1)",
+            "validated, depth 1: stale read: returned v0 after v1 was acknowledged",
+        ];
+        assert_eq!(verdict.found, found);
+        assert_eq!(
+            verdict.leased,
+            ["lease 2 s, depth 1", "lease 100 ms, depth 4"]
+        );
+        let line = "Histories judged: 3 (6 operations); violations: 2.\n";
+        assert_eq!(verdict.line().as_deref(), Some(line));
     }
 
     #[test]

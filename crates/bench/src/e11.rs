@@ -28,7 +28,7 @@ use wv_core::quorum::QuorumSpec;
 use wv_net::{NetConfig, SiteId};
 use wv_sim::{LatencyModel, SimDuration};
 
-use crate::drive::{self, drive, throughput, Driven, Plan};
+use crate::drive::{self, drive, throughput, Driven, Plan, Verdict};
 use crate::runner;
 use crate::table::Table;
 
@@ -154,9 +154,14 @@ fn cell(cells: &[Cell], policy: usize, depth: usize, clients: usize) -> &Cell {
 }
 
 /// Builds the E11 report with an explicit per-client read budget (the
-/// smoke tests use a small one).
-pub fn run(ops_per_client: usize) -> String {
+/// smoke tests use a small one), its histories handed to `verdict`.
+pub fn run(ops_per_client: usize, verdict: &mut Verdict) -> String {
     let cells = measure(MASTER_SEED, ops_per_client);
+    for c in &cells {
+        let (policy, depth, clients) = (POLICIES[c.policy].1, c.depth, c.clients);
+        let name = format_args!("{policy}, depth {depth}, {clients} clients");
+        verdict.judge(name, &c.log);
+    }
     let total: u64 = cells.iter().map(|c| c.ops_ok).sum();
     let expected: u64 = cells
         .iter()
@@ -282,24 +287,8 @@ mod tests {
     }
 
     #[test]
-    fn every_smoke_cell_passes_the_oracle() {
-        // The registry's smoke size, on fixed links that neither drop nor
-        // delay a message: strict.
-        for c in measure(MASTER_SEED, 8) {
-            assert_eq!(
-                c.log.judge(true),
-                [],
-                "{}/{}/{}",
-                c.policy,
-                c.depth,
-                c.clients
-            );
-        }
-    }
-
-    #[test]
     fn the_report_carries_both_verdicts() {
-        let report = run(6);
+        let report = run(6, &mut Verdict::default());
         assert!(report.contains("## E11 — Closed-loop throughput saturation"));
         assert_eq!(
             report.matches(": **yes**").count(),

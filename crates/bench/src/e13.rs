@@ -32,7 +32,7 @@ use wv_net::{NetConfig, SiteId};
 use wv_sim::{DetRng, LatencyModel, SimDuration};
 use wv_storage::ObjectId;
 
-use crate::drive::{self, drive, throughput, Driven, Plan};
+use crate::drive::{self, drive, throughput, Driven, Plan, Verdict};
 use crate::table::Table;
 use crate::{runner, zipf_suite};
 
@@ -241,9 +241,17 @@ fn cell(cells: &[Cell], mode: usize, depth: usize) -> &Cell {
 }
 
 /// Builds the E13 report with an explicit per-client op budget (the
-/// smoke tests use a small one).
-pub fn run(ops_per_client: usize) -> String {
+/// smoke tests use a small one), its histories handed to `verdict`: a
+/// lease row's reads are held to its lease.
+pub fn run(ops_per_client: usize, verdict: &mut Verdict) -> String {
     let cells = measure(MASTER_SEED, ops_per_client);
+    for c in &cells {
+        let name = format!("{}, depth {}", MODES[c.mode], c.depth);
+        match mode_weak_rep(c.mode).and_then(|w| w.lease) {
+            Some(lease) => verdict.judge_leased(name, &c.log, lease),
+            None => verdict.judge(name, &c.log),
+        };
+    }
     let mut out = String::new();
     out.push_str("## E13 — Weak-representative cache tier under read-dominant load\n\n");
     out.push_str(&format!(
@@ -382,31 +390,18 @@ mod tests {
     }
 
     #[test]
-    fn every_uncached_and_validated_smoke_cell_passes_the_oracle() {
-        // The registry's smoke size, on fixed links: strict. A lease row
-        // serves within its TTL, not at the acknowledged floor, so
-        // invariant 7 is not its rule.
-        for c in measure(MASTER_SEED, 32) {
-            if !MODES[c.mode].starts_with("lease") {
-                assert_eq!(
-                    c.log.judge(true),
-                    [],
-                    "{} at depth {}",
-                    MODES[c.mode],
-                    c.depth
-                );
-            }
-        }
-    }
-
-    #[test]
     fn the_report_carries_all_three_verdicts() {
-        let report = run(64);
+        let mut verdict = Verdict::default();
+        let report = run(64, &mut verdict);
         assert!(report.contains("## E13 — Weak-representative cache tier"));
         assert_eq!(
             report.matches(": **yes**").count(),
             3,
             "all three cache-tier verdicts must hold:\n{report}"
         );
+        // Held to their lease: the lease rows, every depth, and no other.
+        let rows = MODES.iter().filter(|m| m.starts_with("lease "));
+        let leased = rows.flat_map(|m| DEPTHS.map(|d| format!("{m}, depth {d}")));
+        assert_eq!(verdict.leased, leased.collect::<Vec<_>>());
     }
 }

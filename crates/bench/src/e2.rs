@@ -18,6 +18,7 @@ use wv_core::quorum::QuorumSpec;
 use wv_core::votes::VoteAssignment;
 use wv_sim::{SampleSet, SimDuration};
 
+use crate::drive::{Driven, Verdict};
 use crate::e5::{protocol_blocking, CrashSets};
 use crate::runner;
 use crate::table::{ms, prob, Table};
@@ -29,7 +30,7 @@ pub const COSTS: [f64; 5] = [75.0, 100.0, 100.0, 750.0, 750.0];
 /// Per-site availability used for the availability columns.
 pub const P_UP: f64 = 0.9;
 
-pub(crate) fn build(r: u32, w: u32, policy: QuorumPolicy, seed: u64) -> Harness {
+fn build(r: u32, w: u32, policy: QuorumPolicy, seed: u64) -> Harness {
     let mut b = HarnessBuilder::new()
         .seed(seed)
         .quorum(QuorumSpec::new(r, w))
@@ -80,38 +81,49 @@ pub struct SpectrumPoint {
     pub read_random_ms: f64,
 }
 
-/// Runs one spectrum point.
-pub fn measure_point(r: u32, w: u32, seed: u64) -> SpectrumPoint {
-    let (read_ms, write_ms) = writes_and_reads(&mut build(r, w, QuorumPolicy::CheapestFirst, seed));
-    let read_random_ms = reads_alone(&mut build(r, w, QuorumPolicy::Random, seed ^ 0x5a5a));
-    SpectrumPoint {
+/// Runs one spectrum point: its latencies, and the histories of its
+/// cheapest-first and random-policy runs.
+pub fn measure_point(r: u32, w: u32, seed: u64) -> (SpectrumPoint, [Driven; 2]) {
+    let (read_ms, write_ms, cheapest) =
+        writes_and_reads(&mut build(r, w, QuorumPolicy::CheapestFirst, seed));
+    let (read_random_ms, random) =
+        reads_alone(&mut build(r, w, QuorumPolicy::Random, seed ^ 0x5a5a));
+    let point = SpectrumPoint {
         r,
         w,
         read_ms,
         write_ms,
         read_random_ms,
-    }
+    };
+    (point, [cheapest, random])
 }
 
-/// Eight writes, each read back a second later: mean read, write latency.
-fn writes_and_reads(h: &mut Harness) -> (f64, f64) {
+/// Eight writes, each read back a second later: mean read and write
+/// latency, and the history.
+fn writes_and_reads(h: &mut Harness) -> (f64, f64, Driven) {
     let suite = h.suite_id();
     let (mut reads, mut writes) = (SampleSet::new(), SampleSet::new());
+    let mut history = Driven::default();
     for i in 0..8u32 {
-        let wr = h.write(suite, i.to_le_bytes().to_vec()).expect("write");
+        let wr = h
+            .write(suite, history.carry(i.to_le_bytes().to_vec()))
+            .expect("write");
         writes.record(wr.latency.as_millis_f64());
         h.advance(SimDuration::from_secs(1));
         let rd = h.read(suite).expect("read");
         reads.record(rd.latency.as_millis_f64());
         h.advance(SimDuration::from_secs(1));
     }
-    (reads.mean(), writes.mean())
+    (reads.mean(), writes.mean(), history.finish(h))
 }
 
-/// One write, then sixteen reads a second apart: their mean latency.
-fn reads_alone(h: &mut Harness) -> f64 {
+/// One write, then sixteen reads a second apart: their mean latency, and
+/// the history.
+fn reads_alone(h: &mut Harness) -> (f64, Driven) {
     let suite = h.suite_id();
-    h.write(suite, b"seed".to_vec()).expect("write");
+    let mut history = Driven::default();
+    h.write(suite, history.carry(b"seed".to_vec()))
+        .expect("write");
     h.advance(SimDuration::from_secs(1));
     let mut reads = SampleSet::new();
     for _ in 0..16 {
@@ -119,11 +131,11 @@ fn reads_alone(h: &mut Harness) -> f64 {
         reads.record(rd.latency.as_millis_f64());
         h.advance(SimDuration::from_secs(1));
     }
-    reads.mean()
+    (reads.mean(), history.finish(h))
 }
 
-/// Builds the E2 report.
-pub fn run() -> String {
+/// Builds the E2 report, its histories handed to `verdict`.
+pub fn run(verdict: &mut Verdict) -> String {
     let mut out = String::new();
     out.push_str("## E2 — Quorum spectrum over five equal-vote representatives\n\n");
     out.push_str(&format!(
@@ -165,7 +177,11 @@ pub fn run() -> String {
         let r = i as u32 + 1;
         (measure_point(r, 6 - r, 100 + u64::from(r)), crash_sets(r))
     });
-    for (p, sets) in points {
+    for ((p, runs), sets) in points {
+        for (history, policy) in runs.iter().zip(["cheapest-first", "random"]) {
+            verdict.judge(format_args!("r = {}, {policy}", p.r), history);
+        }
+        sets.judge(verdict, format_args!("r = {}", p.r));
         let model = model(p.r);
         let (protocol_rb, protocol_wb) = sets.blocking(&model.up);
         t.row(&[
@@ -194,8 +210,6 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drive::Driven;
-    use std::collections::HashSet;
 
     #[test]
     fn read_cost_rises_and_install_cost_falls_along_the_spectrum() {
@@ -241,7 +255,7 @@ mod tests {
     fn simulated_point_matches_analytic_at_extremes() {
         // r = 1, w = 5: reads served by the cheapest rep (75 ms, always
         // current since writes hit everyone).
-        let p = measure_point(1, 5, 7);
+        let p = measure_point(1, 5, 7).0;
         assert!((p.read_ms - 75.0).abs() < 1e-6, "read {}", p.read_ms);
         // Write waits for all five (750) once: the prepare is on the
         // caller's path, an inquiry does not exist and the commit round
@@ -251,34 +265,13 @@ mod tests {
         // r = 5, w = 1: write quorums need not intersect, so the report
         // waits for the ack. Inquire all five (750), then prepare and
         // commit at the cheapest site (75 each).
-        let p = measure_point(5, 1, 7);
+        let p = measure_point(5, 1, 7).0;
         assert!((p.write_ms - 900.0).abs() < 1e-6, "write {}", p.write_ms);
-    }
-
-    /// Both runs of every point the report measures, on fault-free
-    /// links: strict. (The blocking columns' crash sets are judged in
-    /// `e5`.)
-    #[test]
-    fn every_spectrum_history_passes_the_oracle() {
-        let mut sent: HashSet<Vec<u8>> = (0..8u32).map(|i| i.to_le_bytes().to_vec()).collect();
-        sent.insert(b"seed".to_vec());
-        for r in 1..=5u32 {
-            let seed = 100 + u64::from(r);
-            let mut h = build(r, 6 - r, QuorumPolicy::CheapestFirst, seed);
-            writes_and_reads(&mut h);
-            let mut random = build(r, 6 - r, QuorumPolicy::Random, seed ^ 0x5a5a);
-            reads_alone(&mut random);
-            for (mut h, ops) in [(h, 16), (random, 17)] {
-                let history = Driven::collected(&mut h, sent.clone());
-                assert_eq!(history.ops.len(), ops, "r = {r}");
-                assert_eq!(history.judge(true), [], "r = {r}");
-            }
-        }
     }
 
     #[test]
     fn random_policy_is_no_cheaper_than_cheapest_first() {
-        let p = measure_point(2, 4, 11);
+        let p = measure_point(2, 4, 11).0;
         assert!(
             p.read_random_ms + 1e-9 >= p.read_ms,
             "random {} vs cheapest {}",
@@ -289,7 +282,7 @@ mod tests {
 
     #[test]
     fn report_has_all_rows() {
-        let report = run();
+        let report = run(&mut Verdict::default());
         assert!(report.contains("| 1 | 5 |"));
         assert!(report.contains("| 5 | 1 |"));
     }

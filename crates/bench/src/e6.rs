@@ -22,7 +22,7 @@
 //! * **staleness** — a second client reads right after the first
 //!   client's write is acknowledged: quorum reads are always fresh,
 //!   lease-served reads are not. (A writer's own report drops its lease,
-//!   so its own next read is never stale.)
+//!   so its own next read is never stale.) The oracle counts them.
 
 use wv_core::client::{ClientOptions, WeakRepOptions};
 use wv_core::harness::{Harness, HarnessBuilder, Op, SiteSpec};
@@ -30,6 +30,7 @@ use wv_core::quorum::QuorumSpec;
 use wv_net::{Fault, NetConfig, Partition, SiteId};
 use wv_sim::SimDuration;
 
+use crate::drive::{self, Driven, Plan, Verdict};
 use crate::runner;
 use crate::table::{ms, pct, Table};
 use crate::topo::half_ms;
@@ -136,18 +137,21 @@ fn build(system: System, seed: u64, clients: usize) -> Harness {
     b.build().expect("every row is a legal vote assignment")
 }
 
-/// Writes the first contents and lets the backups settle.
-fn prime(h: &mut Harness) {
-    let suite = h.suite_id();
-    h.write(suite, b"prime".to_vec()).expect("prime");
+/// Writes the first contents and lets the backups settle: the history
+/// begun.
+fn prime(h: &mut Harness) -> Driven {
+    let (suite, mut history) = (h.suite_id(), Driven::default());
+    h.write(suite, history.carry(b"prime".to_vec()))
+        .expect("prime");
     h.advance(SimDuration::from_secs(2));
+    history
 }
 
 /// One write, then one read, at the default client.
-fn probe(h: &mut Harness) -> Probe {
+fn probe(h: &mut Harness, history: &mut Driven) -> Probe {
     let mut out = Probe::default();
     let suite = h.suite_id();
-    if let Ok(w) = h.write(suite, b"probe".to_vec()) {
+    if let Ok(w) = h.write(suite, history.carry(b"probe".to_vec())) {
         out.write_ok = true;
         out.write_ms = w.latency.as_millis_f64();
     }
@@ -158,44 +162,41 @@ fn probe(h: &mut Harness) -> Probe {
     out
 }
 
-/// Probes a system's cluster `h` in a named scenario.
-pub fn scenario(h: &mut Harness, which: &str) -> Probe {
-    prime(h);
+/// Probes a system's cluster `h` in a named scenario, its fault entering
+/// through the driver: the probe, and the history.
+pub fn scenario(h: &mut Harness, which: &str) -> (Probe, Driven) {
+    let mut history = prime(h);
+    let mut fault = Plan::default();
     match which {
         "healthy" => {}
-        "replica0_down" => h.inject(Fault::Crash(SiteId(0))),
+        "replica0_down" => fault.fault(h.now(), Fault::Crash(SiteId(0))),
         "client_minority" => {
             // Client (site 3) can reach only replica 2.
-            h.inject(Fault::Partition(Partition::split(
-                4,
-                &[&[SiteId(2), SiteId(3)], &[SiteId(0), SiteId(1)]],
-            )));
+            let sides: [&[SiteId]; 2] = [&[SiteId(2), SiteId(3)], &[SiteId(0), SiteId(1)]];
+            fault.fault(h.now(), Fault::Partition(Partition::split(4, &sides)));
         }
         other => panic!("unknown scenario {other}"),
     }
-    probe(h)
+    let (windows, _) = drive::apply(h, fault);
+    let p = probe(h, &mut history);
+    history.fault_windows = windows.end(h);
+    (p, history.finish(h))
 }
 
-/// Measures staleness across `h`'s two clients: the fraction of reads at
-/// the second, right after the first one's write is acknowledged, that
-/// return an older version. The reader reads once before the first
-/// round, so a cache it keeps is warm.
-pub fn staleness(h: &mut Harness, rounds: u32) -> f64 {
-    let mut stale = 0u32;
-    prime(h);
+/// The staleness probe across `h`'s two clients, `rounds` times: the
+/// second reads right after the first one's write is acknowledged. The
+/// reader reads once before the first round, so a cache it keeps is warm.
+pub fn staleness(h: &mut Harness, rounds: u32) -> Driven {
+    let mut history = prime(h);
     let suite = h.suite_id();
     let (writer, reader) = (h.clients()[0], h.clients()[1]);
     h.run(reader, Op::Read(suite)).expect("warm-up read");
     for _ in 0..rounds {
-        let w = h
-            .run(writer, Op::Write(suite, b"x".to_vec()))
-            .expect("write");
-        let r = h.run(reader, Op::Read(suite)).expect("read");
-        if r.version < w.version {
-            stale += 1;
-        }
+        let x = history.carry(b"x".to_vec());
+        h.run(writer, Op::Write(suite, x)).expect("write");
+        h.run(reader, Op::Read(suite)).expect("read");
     }
-    f64::from(stale) / f64::from(rounds)
+    history.finish(h)
 }
 
 /// The report's shape check: each clause with whether the cells above
@@ -237,8 +238,8 @@ fn shape(probes: &[Probe], stale: &[f64]) -> Vec<(&'static str, bool)> {
     ]
 }
 
-/// Builds the E6 report.
-pub fn run() -> String {
+/// Builds the E6 report, its histories handed to `verdict`.
+pub fn run(verdict: &mut Verdict) -> String {
     let mut out = String::new();
     out.push_str("## E6 — Weighted voting vs the classical schemes\n\n");
     out.push_str(&format!(
@@ -266,17 +267,19 @@ pub fn run() -> String {
     // seed, so the whole grid fans out over the worker pool at once.
     const SCENARIOS: [&str; 3] = ["healthy", "replica0_down", "client_minority"];
     let systems = System::all();
-    let probes = runner::run_tasks(SCENARIOS.len() * systems.len(), |k| {
+    let runs = runner::run_tasks(SCENARIOS.len() * systems.len(), |k| {
         let (which, i) = (SCENARIOS[k / systems.len()], k % systems.len());
         scenario(&mut build(systems[i], 600 + i as u64, 1), which)
     });
+    let probes: Vec<Probe> = runs.iter().map(|run| run.0).collect();
     for (s, which) in SCENARIOS.into_iter().enumerate() {
         let mut t = Table::new(
             format!("Scenario: {which}"),
             &["system", "read", "write", "read ms", "write ms"],
         );
         for (i, system) in systems.into_iter().enumerate() {
-            let p = probes[s * systems.len() + i];
+            let (p, history) = &runs[s * systems.len() + i];
+            verdict.judge(format_args!("{}, {which}", system.label()), history);
             t.row(&[
                 system.label().into(),
                 if p.read_ok { "ok" } else { "BLOCKED" }.into(),
@@ -299,11 +302,20 @@ pub fn run() -> String {
         "Staleness across clients (a second client's read right after the first client's acked write)",
         &["system", "stale reads"],
     );
-    let stale = runner::run_tasks(systems.len(), |i| {
-        staleness(&mut build(systems[i], 700 + i as u64, 2), 30)
+    const ROUNDS: u32 = 30;
+    let histories = runner::run_tasks(systems.len(), |i| {
+        staleness(&mut build(systems[i], 700 + i as u64, 2), ROUNDS)
     });
-    for (system, &s) in systems.into_iter().zip(&stale) {
-        t.row(&[system.label().into(), pct(s)]);
+    let mut stale = Vec::new();
+    for (system, history) in systems.into_iter().zip(&histories) {
+        let name = format!("{}, staleness", system.label());
+        let found = match system {
+            System::PrimaryLocalReads => verdict.judge_leased(name, history, LEASE),
+            _ => verdict.judge(name, history),
+        };
+        let reads = found.iter().filter(|v| v.tag() == "stale_read");
+        stale.push(reads.count() as f64 / f64::from(ROUNDS));
+        t.row(&[system.label().into(), pct(stale[stale.len() - 1])]);
     }
     out.push_str(&t.to_markdown());
     out.push_str("Shape check:\n\n");
@@ -317,16 +329,15 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drive::Driven;
-    use crate::oracle::check_log;
-    use std::collections::HashSet;
 
     fn scenario_of(system: System, which: &str, seed: u64) -> Probe {
-        scenario(&mut build(system, seed, 1), which)
+        scenario(&mut build(system, seed, 1), which).0
     }
 
     fn staleness_of(system: System, rounds: u32, seed: u64) -> f64 {
-        staleness(&mut build(system, seed, 2), rounds)
+        let found = staleness(&mut build(system, seed, 2), rounds).judge();
+        let reads = found.iter().filter(|v| v.tag() == "stale_read");
+        reads.count() as f64 / f64::from(rounds)
     }
 
     #[test]
@@ -380,49 +391,18 @@ mod tests {
         );
     }
 
-    /// Every probe the report makes, at its seeds: strict on healthy
-    /// links, non-strict with a replica down or the client cut off.
-    /// Exempt: the local-reads row's staleness probe, where a second
-    /// client reads inside its lease. Lease reads relax freshness by
-    /// design (invariant 7 is not their rule), as E13's lease rows do.
-    #[test]
-    fn every_probe_history_passes_the_oracle() {
-        let sent = HashSet::from([&b"prime"[..], b"probe", b"x"].map(<[u8]>::to_vec));
-        for (k, which) in ["healthy", "replica0_down", "client_minority"]
-            .iter()
-            .enumerate()
-        {
-            for (i, system) in System::all().into_iter().enumerate() {
-                let mut h = build(system, 600 + i as u64, 1);
-                scenario(&mut h, which);
-                let history = Driven::collected(&mut h, sent.clone());
-                assert_eq!(history.ops.len(), 3, "{system:?} {which}");
-                let violations = match k {
-                    0 => history.judge(true),
-                    _ => check_log(&history.ops, Some(&sent), false),
-                };
-                assert_eq!(violations, [], "{system:?} {which}");
-            }
-        }
-        for (i, system) in System::all().into_iter().enumerate() {
-            if system != System::PrimaryLocalReads {
-                let mut h = build(system, 700 + i as u64, 2);
-                staleness(&mut h, 30);
-                let history = Driven::collected(&mut h, sent.clone());
-                assert_eq!(history.ops.len(), 2 + 2 * 30, "{system:?}");
-                assert_eq!(history.judge(true), [], "{system:?}");
-            }
-        }
-    }
-
     #[test]
     fn report_renders_all_scenarios() {
-        let report = run();
+        let mut verdict = Verdict::default();
+        let report = run(&mut verdict);
         assert!(report.contains("healthy"));
         assert!(report.contains("replica0_down"));
         assert!(report.contains("client_minority"));
         assert!(report.contains("Staleness"));
         assert_eq!(report.matches(": **yes**").count(), 4, "{report}");
         assert!(!report.contains("**NO**"), "{report}");
+        // The one history held to its lease: the local-reads client's.
+        let leased = ["primary copy (local reads), staleness"];
+        assert_eq!(verdict.leased, leased);
     }
 }

@@ -44,13 +44,12 @@
 //!     acknowledged plus in-doubt writes; repair never mints versions,
 //!     so gap-freedom reasoning survives it.
 //!
-//! With the client cache tier on ([`check_staleness_bound`]):
+//! With the client cache tier in lease mode ([`check_staleness_bound`]):
 //!
 //! 11. **Staleness bound** — every successful read returns a version at
 //!     least as new as anything acknowledged `lease` or more before the
-//!     read began. Validated mode runs with a zero bound: a cache serve
-//!     carries quorum evidence, so it must be exactly as fresh as a
-//!     classic quorum read.
+//!     read began. A validated cache serve carries quorum evidence, so
+//!     its rule is invariant 7 itself.
 //!
 //! Invariants 12 (no poisoned read) and 13 (cross-suite atomicity) need
 //! a whole trial's tripwire counters and transaction records; they are
@@ -525,9 +524,8 @@ fn check_suite(suite: &Suite<'_>, sent: Option<&HashSet<Vec<u8>>>, strict: bool)
     violations
 }
 
-/// Checks invariant 11 with `lease` as the bound, within each suite:
-/// zero in validated mode, where it is invariant 7's floor, and the TTL
-/// in lease mode.
+/// Checks invariant 11 with `lease`, the lease's TTL, as the bound,
+/// within each suite (a zero bound is invariant 7's floor).
 pub fn check_staleness_bound(ops: &[CompletedOp], lease: SimDuration) -> Vec<Violation> {
     let mut violations = Vec::new();
     for suite in by_suite(ops).values() {
@@ -607,13 +605,13 @@ pub fn check_convergence(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bytes::Bytes;
     use wv_core::msg::ReqId;
     use wv_storage::Version;
 
-    fn write_ok(version: u64, started_ms: u64, finished_ms: u64) -> CompletedOp {
+    pub(crate) fn write_ok(version: u64, started_ms: u64, finished_ms: u64) -> CompletedOp {
         CompletedOp {
             req: ReqId(version),
             kind: OpKind::Write,
@@ -641,7 +639,12 @@ mod tests {
         }
     }
 
-    fn read_ok(version: u64, value: &[u8], started_ms: u64, finished_ms: u64) -> CompletedOp {
+    pub(crate) fn read_ok(
+        version: u64,
+        value: &[u8],
+        started_ms: u64,
+        finished_ms: u64,
+    ) -> CompletedOp {
         CompletedOp {
             req: ReqId(10_000 + started_ms),
             kind: OpKind::Read,

@@ -8,7 +8,8 @@
 //! committed report is what the code produces. `--trials N` runs a sized
 //! experiment at another size (see `Size::Of`), N ≥ 1, and leaves
 //! `results/` alone. `WV_TRIAL_THREADS` picks the worker count; no
-//! report's bytes depend on it.
+//! report's bytes depend on it. Exits 1, naming report, history and
+//! violation, if the oracle finds anything in a report's histories.
 
 #![forbid(unsafe_code)]
 
@@ -25,19 +26,24 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn regenerate(e: &Experiment, size: Size) {
+/// Prints (and at the committed size writes) `e`'s report; names and
+/// counts the violations the oracle found in its histories.
+fn regenerate(e: &Experiment, size: Size) -> usize {
     let report = e.run(size);
     print!("{}", report.markdown);
-    if size != Size::Full || !std::path::Path::new("results").is_dir() {
-        return;
+    for v in &report.violations {
+        eprintln!("wv-exp: {}: {v}", e.id);
     }
-    let mut files = vec![(format!("{}.md", e.id), report.markdown)];
-    files.extend(report.artifact.map(|(file, json)| (file.to_string(), json)));
-    for (file, contents) in files {
-        if let Err(err) = std::fs::write(format!("results/{file}"), contents) {
-            eprintln!("wv-exp: could not write results/{file}: {err}");
+    if size == Size::Full && std::path::Path::new("results").is_dir() {
+        let mut files = vec![(format!("{}.md", e.id), report.markdown)];
+        files.extend(report.artifact.map(|(file, json)| (file.to_string(), json)));
+        for (file, contents) in files {
+            if let Err(err) = std::fs::write(format!("results/{file}"), contents) {
+                eprintln!("wv-exp: could not write results/{file}: {err}");
+            }
         }
     }
+    report.violations.len()
 }
 
 fn main() {
@@ -59,5 +65,6 @@ fn main() {
     if chosen.is_empty() || unsizable {
         usage();
     }
-    chosen.into_iter().for_each(|e| regenerate(e, size));
+    let found: usize = chosen.into_iter().map(|e| regenerate(e, size)).sum();
+    std::process::exit(i32::from(found > 0));
 }

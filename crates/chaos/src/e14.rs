@@ -13,16 +13,18 @@
 //! Both arms of a trial replay the *same* schedule (the arm flag never
 //! reaches the builder), so the comparison is paired; trials fan out
 //! over [`wv_bench::runner::run_trials`], so the report is bit-identical
-//! at any worker count.
+//! at any worker count. Every trial is judged by [`check_trial`].
 
 use wv_core::{Fault, OpKind};
 use wv_net::{Fault as NetFault, SiteId};
 use wv_sim::{derive_seed, DetRng, SampleSet, SimDuration};
 
+use wv_bench::drive::Verdict;
 use wv_bench::runner;
 use wv_bench::table::Table;
 
 use crate::exec::{run_schedule, Tally};
+use crate::oracle::check_trial;
 use crate::schedule::{ClusterSpec, EventKind, FaultEvent, Schedule};
 
 /// Voting representatives (one vote each, majority quorums).
@@ -144,8 +146,14 @@ impl Cell {
     }
 }
 
-/// Runs one cell: `trials` paired trials at one rate, one arm.
-fn run_cell(master_seed: u64, trials: usize, rate_permille: u32, healing: bool) -> Cell {
+/// Runs one cell, `trials` paired trials at one rate, one arm, into `verdict`.
+fn run_cell(
+    master_seed: u64,
+    trials: usize,
+    rate_permille: u32,
+    healing: bool,
+    verdict: &mut Verdict,
+) -> Cell {
     // Group commit on both arms: without it every record syncs the
     // instant it is appended, so a torn write never has a volatile tail
     // to tear and the recovery-side truncation path would sit idle.
@@ -168,11 +176,14 @@ fn run_cell(master_seed: u64, trials: usize, rate_permille: u32, healing: bool) 
                 lat.push(op.finished.since(op.started).as_millis_f64());
             }
         }
-        (run.tally, lat)
+        (seed, run.log.ops.len(), check_trial(&run), run.tally, lat)
     });
     let mut total = Tally::default();
     let mut lat = SampleSet::new();
-    for (tally, trial_lat) in results {
+    let arm = if healing { "on" } else { "off" };
+    for (seed, ops, found, tally, trial_lat) in results {
+        let name = format_args!("{rate_permille}‰, healing {arm}, {seed:#x}");
+        verdict.record(name, ops, found);
         total += &tally;
         for x in trial_lat {
             lat.record(x);
@@ -186,14 +197,15 @@ fn run_cell(master_seed: u64, trials: usize, rate_permille: u32, healing: bool) 
     }
 }
 
-/// Runs the whole sweep: per rate, the healing-off and healing-on cells.
-pub fn measure(master_seed: u64, trials: usize) -> Vec<(Cell, Cell)> {
+/// Runs the whole sweep into `verdict`: per rate, the healing-off and
+/// healing-on cells.
+pub fn measure(master_seed: u64, trials: usize, verdict: &mut Verdict) -> Vec<(Cell, Cell)> {
     RATES_PERMILLE
         .iter()
         .map(|&rate| {
             (
-                run_cell(master_seed, trials, rate, false),
-                run_cell(master_seed, trials, rate, true),
+                run_cell(master_seed, trials, rate, false, verdict),
+                run_cell(master_seed, trials, rate, true, verdict),
             )
         })
         .collect()
@@ -203,9 +215,10 @@ fn pct(x: f64) -> String {
     format!("{:.2}%", 100.0 * x)
 }
 
-/// Builds the E14 report with an explicit per-cell trial count.
-pub fn run(trials: usize) -> String {
-    let cells = measure(0xE14, trials);
+/// Builds the E14 report with an explicit per-cell trial count, its
+/// trials judged into `verdict`.
+pub fn run(trials: usize, verdict: &mut Verdict) -> String {
+    let cells = measure(0xE14, trials, verdict);
     let mut out = String::new();
     out.push_str("## E14 — Availability and read tail latency under faulty disks\n\n");
     out.push_str(&format!(
@@ -326,7 +339,7 @@ mod tests {
 
     #[test]
     fn healing_holds_the_availability_line_at_the_top_rate() {
-        let cells = measure(0xE14, 6);
+        let cells = measure(0xE14, 6, &mut Verdict::default());
         let (base_off, base_on) = &cells[0];
         let (top_off, top_on) = cells.last().unwrap();
         // Rate zero: both arms are effectively fault-free and healthy.
@@ -360,6 +373,7 @@ mod tests {
 
     #[test]
     fn the_report_is_deterministic() {
-        assert_eq!(run(2), run(2));
+        let mut verdict = Verdict::default();
+        assert_eq!(run(2, &mut verdict), run(2, &mut verdict));
     }
 }

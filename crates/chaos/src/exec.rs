@@ -144,11 +144,6 @@ pub struct TrialRun {
     pub quiesced: bool,
     /// What the trial did, counted by its nodes and by the executor.
     pub tally: Tally,
-    /// `Some(bound)` when the cluster ran the client cache tier: the
-    /// oracle's staleness-bound invariant lets cache-served reads lag the
-    /// committed frontier by at most this much. Validated mode's bound is
-    /// zero — exactly as fresh as a classic quorum read.
-    pub cache_lease: Option<SimDuration>,
 }
 
 /// The payload bytes a [`EventKind::Write`] event produces. Deterministic
@@ -426,9 +421,6 @@ fn run_schedule_inner(
             txns,
             quiesced,
             tally,
-            // Validated mode: the bound is zero — a cache serve carries
-            // the same quorum evidence as a classic read.
-            cache_lease: spec.cache_tier.then_some(SimDuration::ZERO),
         },
         trace,
         audit,
@@ -530,7 +522,7 @@ mod tests {
             assert_eq!(state.1, payload_bytes(21, 3));
         }
         // And the full oracle — including the repair invariants — is clean.
-        assert!(crate::oracle::check_trial(&run, false).is_empty());
+        assert!(crate::oracle::check_trial(&run).is_empty());
         // Replays stay deterministic with the daemon running.
         let again = run_schedule(&spec, &schedule);
         assert_eq!(run.suite_replicas, again.suite_replicas);
@@ -557,8 +549,8 @@ mod tests {
         );
         assert!(b.tally.server.wal_batched_records >= b.tally.server.wal_batches);
         assert_eq!(a.tally.server.wal_batches, 0, "batching off syncs inline");
-        assert!(crate::oracle::check_trial(&a, false).is_empty());
-        assert!(crate::oracle::check_trial(&b, false).is_empty());
+        assert!(crate::oracle::check_trial(&a).is_empty());
+        assert!(crate::oracle::check_trial(&b).is_empty());
         // Replays of the batched arm stay deterministic.
         let again = run_schedule(&batched, &schedule);
         assert_eq!(b.suite_replicas, again.suite_replicas);
@@ -567,25 +559,23 @@ mod tests {
 
     #[test]
     fn cache_tier_trials_converge_and_satisfy_the_oracle() {
-        // The same generated fault timeline, cached and uncached. The
-        // cached arm carries the zero staleness bound, so `check_trial`
-        // also runs invariant 11 over it — cache serves must be exactly
-        // as fresh as classic quorum reads, faults and all.
+        // The same generated fault timeline, cached and uncached. A
+        // validated cache serve carries quorum evidence, so `check_trial`
+        // holds it to invariant 7 — exactly as fresh as a classic quorum
+        // read, faults and all.
         let plain = ClusterSpec::majority(3, 1);
         let cached = ClusterSpec::majority(3, 1).with_cache_tier();
         let schedule = generate(&plain, 23);
         let a = run_schedule(&plain, &schedule);
         let b = run_schedule(&cached, &schedule);
         assert!(a.quiesced && b.quiesced);
-        assert!(a.cache_lease.is_none());
-        assert_eq!(b.cache_lease, Some(SimDuration::ZERO));
         assert_eq!(
             a.tally.client.cache_hits + a.tally.client.cache_misses,
             0,
             "uncached arm never touches the tier"
         );
-        assert!(crate::oracle::check_trial(&a, false).is_empty());
-        assert!(crate::oracle::check_trial(&b, false).is_empty());
+        assert!(crate::oracle::check_trial(&a).is_empty());
+        assert!(crate::oracle::check_trial(&b).is_empty());
         // Replays of the cached arm stay deterministic.
         let again = run_schedule(&cached, &schedule);
         assert_eq!(b.suite_replicas, again.suite_replicas);
@@ -618,7 +608,7 @@ mod tests {
                 "seed {seed}: a quarantined replica served"
             );
             assert!(
-                crate::oracle::check_trial(&b, false).is_empty(),
+                crate::oracle::check_trial(&b).is_empty(),
                 "seed {seed}: faulty-disk arm broke an invariant"
             );
             // Replays of the faulty arm stay deterministic.
@@ -677,7 +667,7 @@ mod tests {
             assert_eq!(state.0, Version(2));
             assert_eq!(state.1, payload_bytes(31, 2));
         }
-        assert!(crate::oracle::check_trial(&run, false).is_empty());
+        assert!(crate::oracle::check_trial(&run).is_empty());
     }
 
     #[test]
@@ -708,7 +698,7 @@ mod tests {
             run.tally.server.quarantines, 0,
             "a torn tail is not corruption"
         );
-        assert!(crate::oracle::check_trial(&run, false).is_empty());
+        assert!(crate::oracle::check_trial(&run).is_empty());
     }
 
     #[test]
@@ -736,11 +726,11 @@ mod tests {
         assert_eq!(b.txns.len() as u64, b.tally.cross_suite_txns);
         assert_eq!(b.suite_finals.len(), 4);
         assert_eq!(b.suite_replicas.len(), 4);
-        assert!(crate::oracle::check_trial(&a, false).is_empty());
+        assert!(crate::oracle::check_trial(&a).is_empty());
         assert!(
-            crate::oracle::check_trial(&b, false).is_empty(),
+            crate::oracle::check_trial(&b).is_empty(),
             "sharded arm broke an invariant: {:?}",
-            crate::oracle::check_trial(&b, false)
+            crate::oracle::check_trial(&b)
         );
         // Replays of the sharded arm stay deterministic.
         let again = run_schedule(&sharded, &schedule);

@@ -7,7 +7,10 @@
 //! than in `wv-bench` because E9 and E14 are built on the chaos engine,
 //! which depends on `wv-bench` for the trial runner. `DESIGN.md` §4 says
 //! what each report regenerates.
+//! A report hands each history it makes to its row's [`Verdict`], whose
+//! line closes it (not E4, which runs no protocol, nor E9, judged per trial).
 
+use wv_bench::drive::Verdict;
 use wv_bench::{e1, e10, e11, e13, e15, e2, e3, e4, e5, e6, e7, e8};
 
 use crate::{e14, report};
@@ -20,6 +23,8 @@ pub struct Report {
     /// A companion file, as `(file name under results/, contents)`: E9's
     /// shrunk reproducer.
     pub artifact: Option<(&'static str, String)>,
+    /// `history: violation`, for each violation found in its histories.
+    pub violations: Vec<String>,
 }
 
 impl From<String> for Report {
@@ -27,6 +32,7 @@ impl From<String> for Report {
         Report {
             markdown,
             artifact: None,
+            violations: Vec::new(),
         }
     }
 }
@@ -51,22 +57,28 @@ pub struct Experiment {
     pub id: &'static str,
     /// The `(full, smoke)` sizes; `None` for an experiment of fixed size.
     pub sizes: Option<(usize, usize)>,
-    run: fn(usize) -> Report,
+    run: fn(usize, &mut Verdict) -> Report,
 }
 
 impl Experiment {
-    /// Regenerates the report; a fixed-size experiment ignores `size`.
+    /// Regenerates the report, judging its histories as they are made; a
+    /// fixed-size experiment ignores `size`.
     pub fn run(&self, size: Size) -> Report {
         let (full, smoke) = self.sizes.unwrap_or_default();
-        (self.run)(match size {
+        let n = match size {
             Size::Full => full,
             Size::Smoke => smoke,
             Size::Of(n) => n,
-        })
+        };
+        let mut verdict = Verdict::default();
+        let mut report = (self.run)(n, &mut verdict);
+        report.markdown.extend(verdict.line());
+        report.violations = verdict.found;
+        report
     }
 }
 
-const fn fixed(id: &'static str, run: fn(usize) -> Report) -> Experiment {
+const fn fixed(id: &'static str, run: fn(usize, &mut Verdict) -> Report) -> Experiment {
     Experiment {
         id,
         sizes: None,
@@ -78,7 +90,7 @@ const fn sized(
     id: &'static str,
     full: usize,
     smoke: usize,
-    run: fn(usize) -> Report,
+    run: fn(usize, &mut Verdict) -> Report,
 ) -> Experiment {
     Experiment {
         id,
@@ -89,20 +101,20 @@ const fn sized(
 
 /// Every experiment, in report order.
 pub static EXPERIMENTS: [Experiment; 14] = [
-    fixed("e1", |_| e1::run().into()),
-    fixed("e2", |_| e2::run().into()),
-    fixed("e3", |_| e3::run().into()),
-    fixed("e4", |_| e4::run().into()),
-    fixed("e5", |_| e5::run().into()),
-    fixed("e6", |_| e6::run().into()),
-    fixed("e7", |_| e7::run().into()),
-    fixed("e8", |_| e8::run().into()),
-    sized("e9", report::TRIALS, 16, report::run),
-    sized("e10", e10::TRIALS, 6, |n| e10::run(n).into()),
-    sized("e11", e11::OPS_PER_CLIENT, 8, |n| e11::run(n).into()),
-    sized("e13", e13::OPS_PER_CLIENT, 32, |n| e13::run(n).into()),
-    sized("e14", e14::TRIALS, 3, |n| e14::run(n).into()),
-    sized("e15", e15::OPS_PER_CLIENT, 16, |n| e15::run(n).into()),
+    fixed("e1", |_, v| e1::run(v).into()),
+    fixed("e2", |_, v| e2::run(v).into()),
+    fixed("e3", |_, v| e3::run(v).into()),
+    fixed("e4", |_, _| e4::run().into()),
+    fixed("e5", |_, v| e5::run(v).into()),
+    fixed("e6", |_, v| e6::run(v).into()),
+    fixed("e7", |_, v| e7::run(v).into()),
+    fixed("e8", |_, v| e8::run(v).into()),
+    sized("e9", report::TRIALS, 16, |n, _| report::run(n)),
+    sized("e10", e10::TRIALS, 6, |n, v| e10::run(n, v).into()),
+    sized("e11", e11::OPS_PER_CLIENT, 8, |n, v| e11::run(n, v).into()),
+    sized("e13", e13::OPS_PER_CLIENT, 32, |n, v| e13::run(n, v).into()),
+    sized("e14", e14::TRIALS, 3, |n, v| e14::run(n, v).into()),
+    sized("e15", e15::OPS_PER_CLIENT, 16, |n, v| e15::run(n, v).into()),
 ];
 
 #[cfg(test)]

@@ -106,19 +106,18 @@ pub fn check_no_poison(run: &TrialRun) -> Vec<Violation> {
     violations
 }
 
-/// Runs every applicable check over a finished trial: invariants 1–11
-/// over its log (judged within each suite), the tripwires (12),
+/// Runs every applicable check over a finished trial: invariants 1–7
+/// over its log (judged within each suite, real-time order pairwise: a
+/// trial's faults may hold an acknowledgement back), the tripwires (12),
 /// cross-suite atomicity (13) and progress (14), then convergence, per
-/// suite.
+/// suite. A validated cache-tier read carries quorum evidence, so
+/// invariant 7 is its freshness rule too.
 ///
 /// A run that failed to quiesce yields [`Violation::NoQuiesce`] instead
 /// of the convergence checks (there is no settled final state to judge).
-pub fn check_trial(run: &TrialRun, strict: bool) -> Vec<Violation> {
+pub fn check_trial(run: &TrialRun) -> Vec<Violation> {
     let log = with_unreported_txns(run);
-    let mut violations = check_log(&log, Some(&run.log.sent), strict);
-    if let Some(lease) = run.cache_lease {
-        violations.extend(check_staleness_bound(&log, lease));
-    }
+    let mut violations = check_log(&log, Some(&run.log.sent), false);
     violations.extend(check_no_poison(run));
     violations.extend(check_cross_suite(run));
     violations.extend(check_progress(&run.log.ops, &run.log.fault_windows));
@@ -233,7 +232,6 @@ mod tests {
             txns,
             quiesced: true,
             tally: Default::default(),
-            cache_lease: None,
         }
     }
 
@@ -275,7 +273,10 @@ mod tests {
             vec![Some((2, b"t")), Some((2, b"t"))],
             vec![Some((2, b"t")), Some((2, b"t"))],
         );
-        assert_eq!(check_trial(&run, true), Vec::new());
+        assert_eq!(check_trial(&run), Vec::new());
+        // Acknowledgement order matches version order too (strict).
+        let strict = check_log(&with_unreported_txns(&run), Some(&run.log.sent), true);
+        assert_eq!(strict, []);
     }
 
     #[test]
@@ -303,7 +304,7 @@ mod tests {
             vec![None, Some((1, b"b"))],
             vec![None, Some((1, b"t"))],
         );
-        let v = check_trial(&run, false);
+        let v = check_trial(&run);
         assert!(v.contains(&Violation::CrossSuiteAbortLeak { suite: 2 }));
         // Suite 1 stayed clean of the payload: exactly one leak flag.
         assert_eq!(
@@ -331,11 +332,13 @@ mod tests {
             vec![Some((3, b"c")), Some((3, b"d"))],
             vec![Some((3, b"c")), Some((3, b"d"))],
         );
-        assert_eq!(check_trial(&run, true), Vec::new());
+        assert_eq!(check_trial(&run), Vec::new());
+        let strict = check_log(&with_unreported_txns(&run), Some(&run.log.sent), true);
+        assert_eq!(strict, []);
         // Without the in-doubt txn the same history has two gaps.
         let mut bare = run.clone();
         bare.txns.clear();
-        let v = check_trial(&bare, true);
+        let v = check_trial(&bare);
         assert_eq!(
             v.iter()
                 .filter(|x| matches!(x, Violation::VersionGap { .. }))
@@ -360,6 +363,6 @@ mod tests {
         assert!(v.contains(&Violation::PoisonEscaped { count: 2 }));
         assert!(v.contains(&Violation::QuarantineServed { count: 3 }));
         // And check_trial surfaces them alongside everything else.
-        assert!(check_trial(&run, false).contains(&Violation::PoisonEscaped { count: 2 }));
+        assert!(check_trial(&run).contains(&Violation::PoisonEscaped { count: 2 }));
     }
 }

@@ -51,7 +51,7 @@ impl Shrinker<'_> {
             seed: self.seed,
             events: events.to_vec(),
         };
-        !check_trial(&run_schedule(self.spec, &candidate), false).is_empty()
+        !check_trial(&run_schedule(self.spec, &candidate)).is_empty()
     }
 
     fn exhausted(&self) -> bool {
@@ -139,7 +139,7 @@ pub fn shrink(spec: &ClusterSpec, schedule: &Schedule) -> Option<ShrinkResult> {
         seed: schedule.seed,
         events: minimal,
     };
-    let violations = check_trial(&run_schedule(spec, &shrunk), false);
+    let violations = check_trial(&run_schedule(spec, &shrunk));
     debug_assert!(!violations.is_empty(), "shrinking preserved the failure");
     Some(ShrinkResult {
         schedule: shrunk,
@@ -189,7 +189,7 @@ mod tests {
         // The artifact round-trips and replays to the same violations.
         let text = result.schedule.to_json(&spec);
         let (spec2, schedule2) = Schedule::from_json(&text).expect("artifact parses");
-        let replay = check_trial(&run_schedule(&spec2, &schedule2), false);
+        let replay = check_trial(&run_schedule(&spec2, &schedule2));
         assert_eq!(
             replay, result.violations,
             "artifact replays deterministically"

@@ -5,7 +5,8 @@
 //! function of `(master_seed, trial_index)` and results merge in trial
 //! order. These tests pin that contract on the whole pipeline — report
 //! text and artifact included — for every row of the registry, and on a
-//! campaign's failure list.
+//! campaign's failure list. Every row's histories must also pass the
+//! oracle.
 
 use wv_bench::runner::with_workers;
 use wv_chaos::experiments::{Size, EXPERIMENTS};
@@ -20,6 +21,12 @@ fn every_report_is_byte_identical_at_1_2_and_8_workers() {
             let many = with_workers(workers, || e.run(Size::Smoke));
             assert!(one == many, "{}: {workers} workers diverged", e.id);
         }
+        assert_eq!(
+            one.violations,
+            [] as [String; 0],
+            "{}: the oracle's verdict",
+            e.id
+        );
         let heading = format!("## {} ", e.id.to_uppercase());
         assert!(
             one.markdown.starts_with(&heading),

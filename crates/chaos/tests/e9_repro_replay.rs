@@ -18,7 +18,7 @@ fn the_committed_e9_artifact_still_reproduces_its_violation() {
     // The broken-quorum campaign runs without the self-healing layer, and
     // the artifact's required `repair` key says so (`"repair":false`).
     assert!(!spec.repair, "the committed reproducer predates repair");
-    let violations = check_trial(&run_schedule(&spec, &schedule), false);
+    let violations = check_trial(&run_schedule(&spec, &schedule));
     assert_eq!(
         violations.len(),
         1,

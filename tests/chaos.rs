@@ -20,7 +20,7 @@ fn run_chaos(seed: u64) {
     let spec = ClusterSpec::majority(SERVERS, CLIENTS);
     let schedule = generate(&spec, seed);
     let run = run_schedule(&spec, &schedule);
-    let violations = check_trial(&run, false);
+    let violations = check_trial(&run);
     assert!(
         violations.is_empty(),
         "seed {seed:#x}: {} event(s), violations: {violations:?}",
@@ -59,7 +59,7 @@ fn the_oracle_catches_non_intersecting_quorums() {
     let caught = (0..24u64).any(|i| {
         let schedule = generate(&spec, 0xBAD5EED ^ i);
         let run = run_schedule(&spec, &schedule);
-        !check_trial(&run, false).is_empty()
+        !check_trial(&run).is_empty()
     });
     assert!(caught, "24 seeds against r + w = N found no violation");
 }

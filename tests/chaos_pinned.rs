@@ -16,7 +16,7 @@ fn replays_clean(seeds: &[u64]) {
         for (arm, spec) in arms() {
             let schedule = generate(&spec, seed);
             let run = run_schedule(&spec, &schedule);
-            let violations = check_trial(&run, false);
+            let violations = check_trial(&run);
             assert!(
                 violations.is_empty(),
                 "{arm} arm, trial seed {seed:#x}: {violations:?}"
