@@ -1,20 +1,21 @@
-//! The one driver: a run is a [`Plan`] of timed operations and faults.
+//! The one driver: a run is a [`Plan`] of operations and faults.
 //!
-//! The experiments that put load on a simulated cluster, and the chaos
-//! executor, write what happens when as a [`Plan`]. [`apply`] plays it,
+//! Every experiment that runs the protocol, and the chaos executor,
+//! writes what happens when as a [`Plan`]. [`apply`] plays it,
 //! [`FaultWindows::end`] says when the cluster was not whole, and
 //! [`collect`] waits out the planned operations; [`drive`] is the three
-//! in a row; a blocking call's operation is in the log too, so [`collect`]
-//! takes any history out for the op-log oracle ([`Driven::judge`]), and
-//! a report hands each to its [`Verdict`].
+//! in a row, and hands the history to the op-log oracle
+//! ([`Driven::judge`]) and a report's [`Verdict`]. [`on_threads`] plays
+//! the same plan on real threads.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::time::{Duration, Instant};
 
 use wv_core::client::CompletedOp;
-use wv_core::{Fault, Harness, Op};
+use wv_core::{Fault, Harness, Op, ThreadHarness};
 use wv_net::{Fault as NetFault, SiteId};
-use wv_sim::{SimDuration, SimTime};
+use wv_sim::{SampleSet, SimDuration, SimTime};
 use wv_storage::ObjectId;
 
 use crate::oracle::{check_log, check_progress, check_staleness_bound, Violation};
@@ -30,42 +31,78 @@ pub const REPAIR_INTERVAL: SimDuration = SimDuration::from_millis(500);
 /// Steps [`collect`] takes before it gives up on missing operations.
 const MAX_STEPS: u32 = 100_000;
 
+/// The longest [`on_threads`] waits, in real time, for a client's ops.
+const THREAD_WAIT: Duration = Duration::from_secs(5);
+
 enum Step {
     Op(SiteId, Op),
     Fault(Fault),
 }
 
-/// A run's load: timed `(at, client, Op)` and `(at, Fault)` entries, kept
-/// in time order; entries due at one instant keep the order they were
-/// added in. It also keeps every payload its writes and transactions
-/// carry, for the oracle's provenance check.
+/// When a [`Plan`]'s entry starts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Start {
+    /// At this instant.
+    At(SimTime),
+    /// This long after the plan's previous entry: a sequential op is a
+    /// blocking call ([`Harness::run`]) written as data.
+    After(SimDuration),
+}
+
+impl From<SimTime> for Start {
+    fn from(at: SimTime) -> Start {
+        Start::At(at)
+    }
+}
+
+/// A run's load: `(start, client, Op)` and `(start, Fault)` entries, the
+/// timed ones in time order and the sequential ones after them; entries
+/// due at one instant keep the order they were added in. It also keeps
+/// every payload its writes and transactions carry, for the oracle's
+/// provenance check.
 #[derive(Default)]
 pub struct Plan {
-    entries: Vec<(SimTime, Step)>,
+    entries: Vec<(Start, Step)>,
     ops: usize,
     sent: HashSet<Vec<u8>>,
 }
 
 impl Plan {
-    /// `client` starts `op` at `at`.
-    pub fn op(&mut self, at: SimTime, client: SiteId, op: Op) {
+    /// `client` starts `op` at `start`.
+    pub fn op(&mut self, start: impl Into<Start>, client: SiteId, op: Op) {
         self.ops += 1;
         match &op {
             Op::Write(_, v) => self.sent.extend([v.clone()]),
             Op::Transaction(writes) => self.sent.extend(writes.iter().map(|(_, v)| v.clone())),
             Op::Read(_) | Op::Reconfigure(..) => {}
         }
-        self.insert(at, Step::Op(client, op));
+        self.insert(start.into(), Step::Op(client, op));
     }
 
-    /// The harness injects `fault` at `at`.
-    pub fn fault(&mut self, at: SimTime, fault: impl Into<Fault>) {
-        self.insert(at, Step::Fault(fault.into()));
+    /// The harness injects `fault` at `start`.
+    pub fn fault(&mut self, start: impl Into<Start>, fault: impl Into<Fault>) {
+        self.insert(start.into(), Step::Fault(fault.into()));
     }
 
     /// Operations planned.
     pub fn ops(&self) -> usize {
         self.ops
+    }
+
+    /// Appends `ops` at `client` as sequential entries: the first at once
+    /// after the plan's last entry, each other `pause` after the one
+    /// before. A caller's loop of blocking calls, written as data.
+    pub fn sequence(
+        &mut self,
+        client: SiteId,
+        pause: SimDuration,
+        ops: impl IntoIterator<Item = Op>,
+    ) {
+        let mut after = SimDuration::ZERO;
+        for op in ops {
+            self.op(Start::After(after), client, op);
+            after = pause;
+        }
     }
 
     /// Starts, all at `at`, each client's workload of `(write, suite
@@ -92,9 +129,18 @@ impl Plan {
         plan
     }
 
-    fn insert(&mut self, at: SimTime, step: Step) {
-        let i = self.entries.partition_point(|(t, _)| *t <= at);
-        self.entries.insert(i, (at, step));
+    /// Panics on a timed entry after a sequential one: it has no place
+    /// in time order.
+    fn insert(&mut self, start: Start, step: Step) {
+        let i = match start {
+            Start::At(at) => {
+                let sequential = matches!(self.entries.last(), Some((Start::After(_), _)));
+                assert!(!sequential, "a timed entry after a sequential one");
+                (self.entries).partition_point(|(s, _)| matches!(s, Start::At(t) if *t <= at))
+            }
+            Start::After(_) => self.entries.len(),
+        };
+        self.entries.insert(i, (start, step));
     }
 }
 
@@ -177,23 +223,29 @@ impl FaultWindows {
     }
 }
 
-/// Plays `plan` on `h`: for each entry, advances to its instant, then
-/// starts its operation or injects its fault at `now`, so an operation
-/// due at an instant starts after the deliveries due then. (That is the
-/// chaos executor's order: enqueueing every operation up front instead
-/// moves E9's counts.) Returns the fault windows, the last still open,
-/// and the payloads the plan sent.
+/// Plays `plan` on `h`: for each entry, advances to its instant, or by
+/// its pause, then starts its operation or injects its fault at `now`, so
+/// an operation due at an instant starts after the deliveries due then.
+/// (That is the chaos executor's order: enqueueing every operation up
+/// front instead moves E9's counts.) A sequential op runs to completion
+/// ([`Harness::run`]) before the next entry. Returns the fault windows,
+/// the last still open, and the payloads the plan sent.
 pub fn apply(h: &mut Harness, plan: Plan) -> (FaultWindows, HashSet<Vec<u8>>) {
     let mut windows = FaultWindows::default();
-    for (at, step) in plan.entries {
-        if at > h.now() {
-            h.advance(at.since(h.now()));
+    for (start, step) in plan.entries {
+        match start {
+            Start::At(at) if at > h.now() => h.advance(at.since(h.now())),
+            Start::After(pause) if !pause.is_zero() => h.advance(pause),
+            _ => {}
         }
         windows.probe(h);
         let now = h.now();
-        match step {
-            Step::Op(client, op) => h.enqueue(client, op, now),
-            Step::Fault(fault) => {
+        match (start, step) {
+            (Start::At(_), Step::Op(client, op)) => h.enqueue(client, op, now),
+            (Start::After(_), Step::Op(client, op)) => {
+                let _ = h.run(client, op); // its outcome is in the log
+            }
+            (_, Step::Fault(fault)) => {
                 windows.note(&fault, now);
                 h.inject(fault);
             }
@@ -241,6 +293,13 @@ pub fn throughput(ops: &[CompletedOp], start: SimTime) -> (u64, f64) {
     (n, if secs > 0.0 { n as f64 / secs } else { 0.0 })
 }
 
+/// The mean latency of `ops`, in milliseconds (0 if there are none).
+pub fn mean_ms<'a>(ops: impl IntoIterator<Item = &'a CompletedOp>) -> f64 {
+    let mut latencies = SampleSet::new();
+    (ops.into_iter()).for_each(|o| latencies.record(o.latency().as_millis_f64()));
+    latencies.mean()
+}
+
 /// What a driven plan leaves behind.
 #[derive(Clone, Debug, Default)]
 pub struct Driven {
@@ -253,20 +312,6 @@ pub struct Driven {
 }
 
 impl Driven {
-    /// `value`, noted in [`Driven::sent`] on its way out: a blocking write
-    /// records the payload it carries so.
-    pub fn carry(&mut self, value: Vec<u8>) -> Vec<u8> {
-        self.sent.insert(value.clone());
-        value
-    }
-
-    /// This, and what ran on `h` since, blocking calls too: [`drive`] of
-    /// an empty plan.
-    pub fn finish(mut self, h: &mut Harness) -> Driven {
-        self.append(drive(h, Plan::default()));
-        self
-    }
-
     /// The oracle's verdict: [`check_log`], strict exactly when no fault
     /// window opened, then [`check_progress`] outside the windows.
     pub fn judge(&self) -> Vec<Violation> {
@@ -297,15 +342,51 @@ pub fn drive(h: &mut Harness, plan: Plan) -> Driven {
     }
 }
 
-/// Writes `{tag}-seed-{id}` to each suite in turn with a blocking
-/// [`Harness::write`]: E11, E13 and E15 seed their suites so.
-pub fn seed(h: &mut Harness, suites: &[ObjectId], tag: &str) -> Driven {
-    let mut history = Driven::default();
-    for &suite in suites {
-        let value = format!("{tag}-seed-{}", suite.0).into_bytes();
-        let _ = h.write(suite, history.carry(value)); // its outcome is in the log
+/// Plays `plan` on `h`, built on threads with `time_scale`: an entry
+/// starts once its instant, scaled, has passed in real time since the
+/// call, or its pause, scaled, after the previous entry; a sequential op
+/// is awaited. What [`drive`] returns, with no fault windows.
+///
+/// # Panics
+///
+/// On a fault entry, which threads cannot inject yet (ROADMAP item 13),
+/// or an op that does not end within five seconds of real time.
+pub fn on_threads(h: &ThreadHarness, plan: Plan, time_scale: f64) -> Driven {
+    let (begun, mut ops) = (Instant::now(), Vec::new());
+    let real = |d: SimDuration| Duration::from_secs_f64(d.as_secs_f64() * time_scale);
+    for (start, step) in plan.entries {
+        let Step::Op(client, op) = step else {
+            panic!("a fault entry on real threads (ROADMAP item 13)")
+        };
+        let due = match start {
+            Start::At(at) => begun + real(at.since(SimTime::ZERO)),
+            Start::After(pause) => Instant::now() + real(pause),
+        };
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        h.enqueue(client, op);
+        if let Start::After(_) = start {
+            ops.extend(h.await_completed(client, THREAD_WAIT));
+        }
     }
-    history.finish(h)
+    ops.extend(
+        h.clients()
+            .iter()
+            .flat_map(|&c| h.await_completed(c, THREAD_WAIT)),
+    );
+    Driven {
+        ops,
+        sent: plan.sent,
+        ..Driven::default()
+    }
+}
+
+/// Writes `{tag}-seed-{id}` to each suite in turn, each write a
+/// sequential op: E11, E13 and E15 seed their suites so.
+pub fn seed(h: &mut Harness, suites: &[ObjectId], tag: &str) -> Driven {
+    let (mut plan, c) = (Plan::default(), h.default_client());
+    let write = |s: &ObjectId| Op::Write(*s, format!("{tag}-seed-{}", s.0).into_bytes());
+    plan.sequence(c, SimDuration::ZERO, suites.iter().map(write));
+    drive(h, plan)
 }
 
 /// A report's verdict on its histories, each judged as it is handed in.
@@ -396,16 +477,61 @@ mod tests {
         plan.fault(ms(100), NetFault::Crash(SiteId(0)));
         plan.op(ms(100), SiteId(4), Op::Read(wv_storage::ObjectId(1)));
         plan.fault(ms(200), NetFault::Recover(SiteId(0)));
-        let order: Vec<(u64, bool)> = plan
-            .entries
-            .iter()
-            .map(|(at, step)| (at.as_millis(), matches!(step, Step::Op(..))))
+        let order: Vec<(Start, bool)> = (plan.entries.iter())
+            .map(|(start, step)| (*start, matches!(step, Step::Op(..))))
             .collect();
+        let at = |t| Start::At(ms(t));
         assert_eq!(
             order,
-            [(100, false), (100, true), (200, true), (200, false)]
+            [
+                (at(100), false),
+                (at(100), true),
+                (at(200), true),
+                (at(200), false)
+            ]
         );
         assert_eq!(plan.ops(), 2);
+    }
+
+    #[test]
+    fn a_sequential_entry_starts_its_pause_after_the_entry_before_it() {
+        // Each sequential op is a blocking call: the read starts 200 ms
+        // after the write completed, the crash at once after the read,
+        // and the last read at once after the crash.
+        let mut h = cluster(5);
+        let suite = h.suite_id();
+        let mut plan = Plan::default();
+        let (now, later) = (
+            Start::After(SimDuration::ZERO),
+            Start::After(SimDuration::from_millis(200)),
+        );
+        plan.op(now, SiteId(3), Op::Write(suite, b"a".to_vec()));
+        plan.op(later, SiteId(4), Op::Read(suite));
+        plan.fault(now, NetFault::Crash(SiteId(0)));
+        plan.op(now, SiteId(3), Op::Read(suite));
+        let run = drive(&mut h, plan);
+        let mut ops = run.ops.clone();
+        ops.sort_by_key(|o| o.started);
+        assert_eq!(ops[0].started, ms(0));
+        assert_eq!(
+            ops[1].started,
+            ops[0].finished + SimDuration::from_millis(200)
+        );
+        assert_eq!(ops[2].started, ops[1].finished);
+        assert_eq!(run.fault_windows[0].0, ops[1].finished);
+        assert_eq!(run.judge(), []);
+    }
+
+    #[test]
+    #[should_panic(expected = "a timed entry after a sequential one")]
+    fn a_timed_entry_cannot_follow_a_sequential_one() {
+        let mut plan = Plan::default();
+        plan.op(
+            Start::After(SimDuration::ZERO),
+            SiteId(3),
+            Op::Read(ObjectId(1)),
+        );
+        plan.op(ms(100), SiteId(3), Op::Read(ObjectId(1)));
     }
 
     #[test]

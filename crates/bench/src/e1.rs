@@ -23,11 +23,11 @@
 //! copy is newer.
 
 use wv_analysis::{read_latency_optimistic, read_latency_verified, write_latency, SystemModel};
-use wv_core::harness::{Harness, HarnessBuilder};
+use wv_core::harness::{Harness, HarnessBuilder, Op};
 use wv_sim::trace::SpanKind;
-use wv_sim::{SampleSet, SimDuration};
+use wv_sim::SimDuration;
 
-use crate::drive::{Driven, Verdict};
+use crate::drive::{drive, mean_ms, Driven, Plan, Verdict};
 use crate::table::{ms, prob, Table};
 use crate::{e5, topo};
 
@@ -72,6 +72,9 @@ pub fn paper_rows() -> [PaperRow; 3] {
     ]
 }
 
+/// The pause before each op of the workload.
+const SETTLE: SimDuration = SimDuration::from_secs(2);
+
 /// Simulated latencies for one example.
 #[derive(Clone, Copy, Debug)]
 pub struct Measured {
@@ -85,36 +88,28 @@ pub struct Measured {
     pub write_ms: f64,
 }
 
-/// Drives `rounds` write/read/read cycles: mean latencies, and the history.
+/// Plays `rounds` write/read/read cycles, each op 2 s after the one
+/// before: mean latencies, and the history.
 ///
 /// After each write the first read misses (the weak representative is
 /// stale) and the second hits; for examples without weak representatives
 /// there is no cache to miss and both reads take the same path.
 pub fn measure(h: &mut Harness, rounds: usize) -> (Measured, Driven) {
-    let suite = h.suite_id();
-    let mut history = Driven::default();
-    let mut read_hit = SampleSet::new();
-    let mut read_miss = SampleSet::new();
-    let mut writes = SampleSet::new();
-    for i in 0..rounds {
-        let w = h
-            .write(suite, history.carry(format!("round-{i}").into_bytes()))
-            .expect("write succeeds on a healthy cluster");
-        writes.record(w.latency.as_millis_f64());
-        h.advance(SimDuration::from_secs(2));
-        let r1 = h.read(suite).expect("read succeeds");
-        read_miss.record(r1.latency.as_millis_f64());
-        h.advance(SimDuration::from_secs(2)); // let the cache fill land
-        let r2 = h.read(suite).expect("read succeeds");
-        read_hit.record(r2.latency.as_millis_f64());
-        h.advance(SimDuration::from_secs(2));
-    }
+    let (c, suite) = (h.default_client(), h.suite_id());
+    let mut plan = Plan::default();
+    let write = |i: usize| Op::Write(suite, format!("round-{i}").into_bytes());
+    // The second read after the cache fill has landed.
+    let round = |i| [write(i), Op::Read(suite), Op::Read(suite)];
+    plan.sequence(c, SETTLE, (0..rounds).flat_map(round));
+    let run = drive(h, plan);
+    h.advance(SETTLE);
+    let every_third = |k: usize| mean_ms(run.ops.iter().skip(k).step_by(3));
     let m = Measured {
-        read_hit_ms: read_hit.mean(),
-        read_miss_ms: read_miss.mean(),
-        write_ms: writes.mean(),
+        read_hit_ms: every_third(2),
+        read_miss_ms: every_third(1),
+        write_ms: every_third(0),
     };
-    (m, history.finish(h))
+    (m, run)
 }
 
 /// Mean traced span durations (ms) per protocol phase over the E1

@@ -13,12 +13,12 @@
 
 use wv_analysis::{read_latency_verified, write_latency, SystemModel};
 use wv_core::client::{ClientOptions, QuorumPolicy};
-use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
+use wv_core::harness::{Harness, HarnessBuilder, Op, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_core::votes::VoteAssignment;
-use wv_sim::{SampleSet, SimDuration};
+use wv_sim::SimDuration;
 
-use crate::drive::{Driven, Verdict};
+use crate::drive::{drive, mean_ms, Driven, Plan, Verdict};
 use crate::e5::{protocol_blocking, CrashSets};
 use crate::runner;
 use crate::table::{ms, prob, Table};
@@ -26,6 +26,9 @@ use crate::topo::client_star;
 
 /// Access costs of the five representatives.
 pub const COSTS: [f64; 5] = [75.0, 100.0, 100.0, 750.0, 750.0];
+
+/// The pause before each op after the first.
+const SECOND: SimDuration = SimDuration::from_secs(1);
 
 /// Per-site availability used for the availability columns.
 pub const P_UP: f64 = 0.9;
@@ -101,37 +104,25 @@ pub fn measure_point(r: u32, w: u32, seed: u64) -> (SpectrumPoint, [Driven; 2]) 
 /// Eight writes, each read back a second later: mean read and write
 /// latency, and the history.
 fn writes_and_reads(h: &mut Harness) -> (f64, f64, Driven) {
-    let suite = h.suite_id();
-    let (mut reads, mut writes) = (SampleSet::new(), SampleSet::new());
-    let mut history = Driven::default();
-    for i in 0..8u32 {
-        let wr = h
-            .write(suite, history.carry(i.to_le_bytes().to_vec()))
-            .expect("write");
-        writes.record(wr.latency.as_millis_f64());
-        h.advance(SimDuration::from_secs(1));
-        let rd = h.read(suite).expect("read");
-        reads.record(rd.latency.as_millis_f64());
-        h.advance(SimDuration::from_secs(1));
-    }
-    (reads.mean(), writes.mean(), history.finish(h))
+    let (c, suite) = (h.default_client(), h.suite_id());
+    let mut plan = Plan::default();
+    let round = |i: u32| [Op::Write(suite, i.to_le_bytes().to_vec()), Op::Read(suite)];
+    plan.sequence(c, SECOND, (0..8).flat_map(round));
+    let run = drive(h, plan);
+    let every_other = |k: usize| mean_ms(run.ops.iter().skip(k).step_by(2));
+    (every_other(1), every_other(0), run)
 }
 
 /// One write, then sixteen reads a second apart: their mean latency, and
 /// the history.
 fn reads_alone(h: &mut Harness) -> (f64, Driven) {
-    let suite = h.suite_id();
-    let mut history = Driven::default();
-    h.write(suite, history.carry(b"seed".to_vec()))
-        .expect("write");
-    h.advance(SimDuration::from_secs(1));
-    let mut reads = SampleSet::new();
-    for _ in 0..16 {
-        let rd = h.read(suite).expect("read");
-        reads.record(rd.latency.as_millis_f64());
-        h.advance(SimDuration::from_secs(1));
-    }
-    (reads.mean(), history.finish(h))
+    let (c, suite) = (h.default_client(), h.suite_id());
+    let mut plan = Plan::default();
+    let mut ops = vec![Op::Write(suite, b"seed".to_vec())];
+    ops.extend(std::iter::repeat_n(Op::Read(suite), 16));
+    plan.sequence(c, SECOND, ops);
+    let run = drive(h, plan);
+    (mean_ms(&run.ops[1..]), run)
 }
 
 /// Builds the E2 report, its histories handed to `verdict`.

@@ -9,13 +9,16 @@
 //! weak representative after a miss) and push-on-write (the writer
 //! refreshes caches eagerly).
 
-use wv_core::client::ClientOptions;
-use wv_core::harness::{Harness, HarnessBuilder, SiteSpec};
-use wv_core::quorum::QuorumSpec;
-use wv_net::SiteId;
-use wv_sim::{DetRng, SampleSet, SimDuration};
+use std::collections::HashMap;
 
-use crate::drive::{Driven, Verdict};
+use wv_core::client::{ClientOptions, CompletedOp};
+use wv_core::harness::{Harness, HarnessBuilder, Op, SiteSpec};
+use wv_core::quorum::QuorumSpec;
+use wv_core::OpKind;
+use wv_sim::trace::SpanKind;
+use wv_sim::{DetRng, SimDuration};
+
+use crate::drive::{drive, mean_ms, Driven, Plan, Verdict};
 use crate::runner;
 use crate::table::{ms, pct, Table};
 use crate::topo::client_star;
@@ -58,56 +61,53 @@ fn build_with(push_on_write: bool, optimistic_fetch: bool, seed: u64) -> Harness
         .expect("cache topology is legal")
 }
 
-/// Runs `ops` operations on `h`, a cluster built here, a `seed`-drawn
-/// `write_fraction` of them writes: the point, and the history.
+/// Plays `ops` operations on `h`, a fresh cluster built here, a second
+/// apart after a priming write, a `seed`-drawn `write_fraction` of them
+/// writes: the point, and the history.
 pub fn measure(
     h: &mut Harness,
     write_fraction: f64,
     ops: usize,
     seed: u64,
 ) -> (CachePoint, Driven) {
-    let suite = h.suite_id();
-    let mut history = Driven::default();
+    let (c, suite) = (h.default_client(), h.suite_id());
     let mut rng = DetRng::new(seed ^ 0xCAFE);
-    let mut reads = SampleSet::new();
-    let mut misses = SampleSet::new();
-    let mut writes = SampleSet::new();
-    // Reads the workstation's copy did not serve: the contents came with
-    // the server's version answer, or in a separate fetch round.
-    let missed = |h: &Harness| {
-        let stats = h.client_at(SiteId(1)).expect("client at site 1").stats;
-        stats.reads_contents_with_inquiry + stats.reads_fetched
+    let draw = |i: usize| match rng.chance(write_fraction) {
+        true => Op::Write(suite, format!("v{i}").into_bytes()),
+        false => Op::Read(suite),
     };
     // Prime the suite so the first read has something to find.
-    h.write(suite, history.carry(b"initial".to_vec()))
-        .expect("prime write");
-    h.advance(SimDuration::from_secs(1));
-    for i in 0..ops {
-        if rng.chance(write_fraction) {
-            let w = h.write(suite, history.carry(format!("v{i}").into_bytes()));
-            writes.record(w.expect("write").latency.as_millis_f64());
-        } else {
-            let before = missed(h);
-            let r = h.read(suite).expect("read");
-            reads.record(r.latency.as_millis_f64());
-            if missed(h) > before {
-                misses.record(r.latency.as_millis_f64());
-            }
-        }
-        h.advance(SimDuration::from_secs(1));
-    }
+    let mut workload = vec![Op::Write(suite, b"initial".to_vec())];
+    workload.extend((0..ops).map(draw));
+    let mut plan = Plan::default();
+    plan.sequence(c, SimDuration::from_secs(1), workload);
+    h.enable_tracing();
+    let run = drive(h, plan);
+    // The version the workstation's own copy answered each read with: a
+    // read missed when its copy was not the version it returned.
+    let held: HashMap<u64, u64> = (h.take_recorded().0.into_iter())
+        .filter(|s| s.kind == SpanKind::Rpc && s.peer == c.0)
+        .map(|s| (s.op, s.detail))
+        .collect();
+    let missed = |o: &&CompletedOp| {
+        let returned = o.outcome.as_ref().map(|ok| ok.version.0);
+        returned.is_ok_and(|v| held.get(&o.req.0) != Some(&v))
+    };
+    let of = |kind| run.ops[1..].iter().filter(move |o| o.kind == kind);
+    let reads = of(OpKind::Read).count();
+    let misses = of(OpKind::Read).filter(missed).count();
     let point = CachePoint {
         write_fraction,
-        hit_ratio: if reads.is_empty() {
+        hit_ratio: if reads == 0 {
             0.0
         } else {
-            1.0 - misses.len() as f64 / reads.len() as f64
+            1.0 - misses as f64 / reads as f64
         },
-        miss_ms: misses.mean(),
-        read_ms: reads.mean(),
-        write_ms: writes.mean(),
+        miss_ms: mean_ms(of(OpKind::Read).filter(missed)),
+        read_ms: mean_ms(of(OpKind::Read)),
+        write_ms: mean_ms(of(OpKind::Write)),
     };
-    (point, history.finish(h))
+    (point, run)
 }
 
 /// Builds the E3 report, its histories handed to `verdict`.

@@ -15,12 +15,13 @@
 use std::fmt;
 
 use wv_analysis::SystemModel;
-use wv_core::harness::Harness;
+use wv_core::harness::{Harness, Op};
 use wv_core::quorum::{QuorumSpec, Subsets};
 use wv_core::votes::VoteAssignment;
 use wv_net::{Fault, SiteId};
+use wv_sim::SimDuration;
 
-use crate::drive::{self, Driven, Plan, Verdict};
+use crate::drive::{drive, Driven, Plan, Start, Verdict};
 use crate::table::{prob, Table};
 use crate::topo;
 
@@ -33,9 +34,9 @@ const TOLERANCE: f64 = 1e-9;
 #[derive(Clone, Debug)]
 pub struct CrashSets {
     subsets: Subsets,
-    /// Whether the read and the write blocked, and the history, indexed by
-    /// the mask of the sites left up.
-    outcomes: Vec<((bool, bool), Driven)>,
+    /// Each set's history, indexed by the mask of the sites left up: the
+    /// priming write, then the probing write and read.
+    outcomes: Vec<Driven>,
 }
 
 impl CrashSets {
@@ -43,10 +44,11 @@ impl CrashSets {
     /// independently with probability `up[s]`.
     pub fn blocking(&self, up: &[f64]) -> (f64, f64) {
         let (mut read, mut write) = (0.0, 0.0);
-        for (mask, &((read_blocked, write_blocked), _)) in self.outcomes.iter().enumerate() {
+        for (mask, history) in self.outcomes.iter().enumerate() {
             let p = self.subsets.probability(mask as u32, up);
-            read += if read_blocked { p } else { 0.0 };
-            write += if write_blocked { p } else { 0.0 };
+            let blocked = |i: usize| history.ops[i].outcome.is_err();
+            read += if blocked(2) { p } else { 0.0 };
+            write += if blocked(1) { p } else { 0.0 };
         }
         (read, write)
     }
@@ -54,7 +56,7 @@ impl CrashSets {
     /// Hands each crash set's history to `verdict`, named `what` and the
     /// mask of the sites left up.
     pub fn judge(&self, verdict: &mut Verdict, what: impl fmt::Display) {
-        for (up, (_, history)) in self.outcomes.iter().enumerate() {
+        for (up, history) in self.outcomes.iter().enumerate() {
             verdict.judge(format_args!("{what}, up {up:b}"), history);
         }
     }
@@ -77,19 +79,16 @@ pub fn protocol_blocking(assignment: &VoteAssignment, build: impl Fn() -> Harnes
     CrashSets { subsets, outcomes }
 }
 
-/// Primes `h`, crashes `down` through the driver, tries a write and a
-/// read: whether each blocked, and the history.
-fn crash_and_probe(h: &mut Harness, down: impl Iterator<Item = SiteId>) -> ((bool, bool), Driven) {
-    let (suite, mut history) = (h.suite_id(), Driven::default());
-    h.write(suite, history.carry(b"primed".to_vec()))
-        .expect("prime write");
-    let mut crashes = Plan::default();
-    down.for_each(|site| crashes.fault(h.now(), Fault::Crash(site)));
-    let (windows, _) = drive::apply(h, crashes);
-    let write_blocked = h.write(suite, history.carry(b"probe".to_vec())).is_err();
-    let blocked = (h.read(suite).is_err(), write_blocked);
-    history.fault_windows = windows.end(h);
-    (blocked, history.finish(h))
+/// Primes `h`, crashes `down`, tries a write and a read: the history.
+fn crash_and_probe(h: &mut Harness, down: impl Iterator<Item = SiteId>) -> Driven {
+    let (c, suite) = (h.default_client(), h.suite_id());
+    let now = Start::After(SimDuration::ZERO);
+    let mut plan = Plan::default();
+    plan.op(now, c, Op::Write(suite, b"primed".to_vec()));
+    down.for_each(|site| plan.fault(now, Fault::Crash(site)));
+    plan.op(now, c, Op::Write(suite, b"probe".to_vec()));
+    plan.op(now, c, Op::Read(suite));
+    drive(h, plan)
 }
 
 /// The protocol on every crash set of the paper's example `example`.

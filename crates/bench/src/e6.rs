@@ -30,7 +30,7 @@ use wv_core::quorum::QuorumSpec;
 use wv_net::{Fault, NetConfig, Partition, SiteId};
 use wv_sim::SimDuration;
 
-use crate::drive::{self, Driven, Plan, Verdict};
+use crate::drive::{drive, Driven, Plan, Start, Verdict};
 use crate::runner;
 use crate::table::{ms, pct, Table};
 use crate::topo::half_ms;
@@ -70,15 +70,15 @@ impl System {
 }
 
 /// Outcome of probing one system in one scenario.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct Probe {
     /// Did the read succeed?
     pub read_ok: bool,
     /// Did the write succeed?
     pub write_ok: bool,
-    /// Read latency if it succeeded (ms).
+    /// Read latency (ms), which the report shows if the read succeeded.
     pub read_ms: f64,
-    /// Write latency if it succeeded (ms).
+    /// Write latency (ms), which the report shows if the write succeeded.
     pub write_ms: f64,
 }
 
@@ -137,66 +137,65 @@ fn build(system: System, seed: u64, clients: usize) -> Harness {
     b.build().expect("every row is a legal vote assignment")
 }
 
-/// Writes the first contents and lets the backups settle: the history
-/// begun.
-fn prime(h: &mut Harness) -> Driven {
-    let (suite, mut history) = (h.suite_id(), Driven::default());
-    h.write(suite, history.carry(b"prime".to_vec()))
-        .expect("prime");
-    h.advance(SimDuration::from_secs(2));
-    history
+/// How long the backups get to settle after the first write.
+const SETTLE: SimDuration = SimDuration::from_secs(2);
+
+/// A plan whose default client writes the first contents.
+fn prime(h: &Harness) -> Plan {
+    let mut plan = Plan::default();
+    let prime = Op::Write(h.suite_id(), b"prime".to_vec());
+    plan.op(Start::After(SimDuration::ZERO), h.default_client(), prime);
+    plan
 }
 
-/// One write, then one read, at the default client.
-fn probe(h: &mut Harness, history: &mut Driven) -> Probe {
-    let mut out = Probe::default();
-    let suite = h.suite_id();
-    if let Ok(w) = h.write(suite, history.carry(b"probe".to_vec())) {
-        out.write_ok = true;
-        out.write_ms = w.latency.as_millis_f64();
-    }
-    if let Ok(r) = h.read(suite) {
-        out.read_ok = true;
-        out.read_ms = r.latency.as_millis_f64();
-    }
-    out
-}
-
-/// Probes a system's cluster `h` in a named scenario, its fault entering
-/// through the driver: the probe, and the history.
+/// Probes a system's cluster `h` in a named scenario: once the backups
+/// have settled from the first write, the scenario's fault, then one
+/// write and one read at the default client. The probe, and the history.
 pub fn scenario(h: &mut Harness, which: &str) -> (Probe, Driven) {
-    let mut history = prime(h);
-    let mut fault = Plan::default();
-    match which {
-        "healthy" => {}
-        "replica0_down" => fault.fault(h.now(), Fault::Crash(SiteId(0))),
+    let (c, suite) = (h.default_client(), h.suite_id());
+    let mut plan = prime(h);
+    let fault = match which {
+        "healthy" => None,
+        "replica0_down" => Some(Fault::Crash(SiteId(0))),
+        // Client (site 3) can reach only replica 2.
         "client_minority" => {
-            // Client (site 3) can reach only replica 2.
             let sides: [&[SiteId]; 2] = [&[SiteId(2), SiteId(3)], &[SiteId(0), SiteId(1)]];
-            fault.fault(h.now(), Fault::Partition(Partition::split(4, &sides)));
+            Some(Fault::Partition(Partition::split(4, &sides)))
         }
         other => panic!("unknown scenario {other}"),
+    };
+    let mut settle = SETTLE;
+    if let Some(fault) = fault {
+        plan.fault(Start::After(settle), fault);
+        settle = SimDuration::ZERO;
     }
-    let (windows, _) = drive::apply(h, fault);
-    let p = probe(h, &mut history);
-    history.fault_windows = windows.end(h);
-    (p, history.finish(h))
+    plan.op(Start::After(settle), c, Op::Write(suite, b"probe".to_vec()));
+    plan.op(Start::After(SimDuration::ZERO), c, Op::Read(suite));
+    let run = drive(h, plan);
+    let (write, read) = (&run.ops[1], &run.ops[2]);
+    let p = Probe {
+        read_ok: read.outcome.is_ok(),
+        write_ok: write.outcome.is_ok(),
+        read_ms: read.latency().as_millis_f64(),
+        write_ms: write.latency().as_millis_f64(),
+    };
+    (p, run)
 }
 
 /// The staleness probe across `h`'s two clients, `rounds` times: the
 /// second reads right after the first one's write is acknowledged. The
 /// reader reads once before the first round, so a cache it keeps is warm.
 pub fn staleness(h: &mut Harness, rounds: u32) -> Driven {
-    let mut history = prime(h);
+    let mut plan = prime(h);
     let suite = h.suite_id();
     let (writer, reader) = (h.clients()[0], h.clients()[1]);
-    h.run(reader, Op::Read(suite)).expect("warm-up read");
+    plan.op(Start::After(SETTLE), reader, Op::Read(suite)); // the warm-up
     for _ in 0..rounds {
-        let x = history.carry(b"x".to_vec());
-        h.run(writer, Op::Write(suite, x)).expect("write");
-        h.run(reader, Op::Read(suite)).expect("read");
+        let now = Start::After(SimDuration::ZERO);
+        plan.op(now, writer, Op::Write(suite, b"x".to_vec()));
+        plan.op(now, reader, Op::Read(suite));
     }
-    history.finish(h)
+    drive(h, plan)
 }
 
 /// The report's shape check: each clause with whether the cells above

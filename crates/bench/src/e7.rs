@@ -8,13 +8,15 @@
 //! operation across the transition ever reads anything but the latest
 //! committed value: the run's whole history goes to the oracle.
 
+use wv_core::client::CompletedOp;
 use wv_core::harness::{Harness, HarnessBuilder, Op, SiteSpec};
 use wv_core::quorum::QuorumSpec;
 use wv_core::votes::VoteAssignment;
 use wv_net::SiteId;
-use wv_sim::{SampleSet, SimDuration};
+use wv_sim::SimDuration;
+use wv_storage::ObjectId;
 
-use crate::drive::{Driven, Verdict};
+use crate::drive::{drive, mean_ms, Driven, Plan, Verdict};
 use crate::runner;
 use crate::table::{ms, Table};
 use crate::topo::client_star;
@@ -43,6 +45,9 @@ pub struct ReconfigRun {
     pub history: Driven,
 }
 
+/// The pause between ops.
+const SECOND: SimDuration = SimDuration::from_secs(1);
+
 fn build(seed: u64) -> Harness {
     HarnessBuilder::new()
         .seed(seed)
@@ -56,39 +61,33 @@ fn build(seed: u64) -> Harness {
         .expect("legal starting configuration")
 }
 
-fn run_phase(h: &mut Harness, rounds: usize, history: &mut Driven) -> PhaseResult {
-    let suite = h.suite_id();
-    let mut reads = SampleSet::new();
-    let mut writes = SampleSet::new();
-    for i in 0..rounds {
-        let w = h.write(suite, history.carry(format!("phase-{i}").into_bytes()));
-        writes.record(w.expect("write").latency.as_millis_f64());
-        h.advance(SimDuration::from_secs(1));
-        let r = h.read(suite).expect("read");
-        reads.record(r.latency.as_millis_f64());
-        h.advance(SimDuration::from_secs(1));
-    }
+/// `rounds` write-then-read rounds on `suite`.
+fn phase(suite: ObjectId, rounds: usize) -> impl Iterator<Item = Op> {
+    let write = move |i: usize| Op::Write(suite, format!("phase-{i}").into_bytes());
+    (0..rounds).flat_map(move |i| [write(i), Op::Read(suite)])
+}
+
+/// The mean latencies of a phase's ops.
+fn means(ops: &[CompletedOp]) -> PhaseResult {
     PhaseResult {
-        read_ms: reads.mean(),
-        write_ms: writes.mean(),
+        read_ms: mean_ms(ops.iter().skip(1).step_by(2)),
+        write_ms: mean_ms(ops.iter().step_by(2)),
     }
 }
 
 /// Executes the experiment.
 pub fn execute(seed: u64, rounds: usize) -> ReconfigRun {
     let mut h = build(seed);
-    let suite = h.suite_id();
-    let mut history = Driven::default();
-    let before = run_phase(&mut h, rounds, &mut history);
-    // The knob turns: same votes, new quorums, installed under the OLD
-    // write quorum (majority).
-    let rec = h
-        .run(
-            h.default_client(),
-            Op::Reconfigure(suite, VoteAssignment::equal(3), QuorumSpec::new(1, 3)),
-        )
-        .expect("reconfiguration succeeds");
-    let after = run_phase(&mut h, rounds, &mut history);
+    let (c, suite) = (h.default_client(), h.suite_id());
+    // Each op a second after the one before, but the first after the
+    // knob turns: same votes, new quorums, installed under the OLD write
+    // quorum (majority).
+    let knob = Op::Reconfigure(suite, VoteAssignment::equal(3), QuorumSpec::new(1, 3));
+    let mut plan = Plan::default();
+    plan.sequence(c, SECOND, phase(suite, rounds).chain([knob]));
+    plan.sequence(c, SECOND, phase(suite, rounds));
+    let history = drive(&mut h, plan);
+    h.advance(SECOND);
     let generations = SiteId::all(3)
         .map(|s| {
             h.server_at(s)
@@ -97,12 +96,13 @@ pub fn execute(seed: u64, rounds: usize) -> ReconfigRun {
                 .unwrap_or(0)
         })
         .collect();
+    let ops = &history.ops;
     ReconfigRun {
-        before,
-        after,
-        reconfig_ms: rec.latency.as_millis_f64(),
+        before: means(&ops[..2 * rounds]),
+        after: means(&ops[2 * rounds + 1..]),
+        reconfig_ms: ops[2 * rounds].latency().as_millis_f64(),
         generations,
-        history: history.finish(&mut h),
+        history,
     }
 }
 

@@ -15,12 +15,13 @@
 use std::collections::BTreeMap;
 
 use wv_core::client::RetryCause;
-use wv_core::harness::Harness;
+use wv_core::harness::{Harness, Op};
 use wv_sim::audit::AuditRecord;
 use wv_sim::json::Value;
 use wv_sim::trace::{SpanKind, SpanOutcome, SpanRecord, OPEN_END};
 use wv_sim::SimDuration;
 
+use crate::drive::{drive, Plan};
 use crate::{runner, topo};
 
 /// Records ingested from one input document.
@@ -338,15 +339,19 @@ pub fn capture_e1(master_seed: u64, trials: usize, rounds: u32) -> Capture {
     cap
 }
 
+/// `rounds` write-then-read rounds at the default client, each op 2 s
+/// after the one before, and 2 s more after the last.
 fn drive_rounds(h: &mut Harness, rounds: u32) {
-    let suite = h.suite_id();
-    for i in 0..rounds {
-        h.write(suite, format!("inspect-{i}").into_bytes())
-            .expect("write succeeds on a healthy cluster");
-        h.advance(SimDuration::from_secs(2));
-        h.read(suite).expect("read succeeds");
-        h.advance(SimDuration::from_secs(2));
-    }
+    let (c, suite, settle) = (h.default_client(), h.suite_id(), SimDuration::from_secs(2));
+    let write = |i| Op::Write(suite, format!("inspect-{i}").into_bytes());
+    let mut plan = Plan::default();
+    plan.sequence(
+        c,
+        settle,
+        (0..rounds).flat_map(|i| [write(i), Op::Read(suite)]),
+    );
+    drive(h, plan);
+    h.advance(settle);
 }
 
 #[cfg(test)]

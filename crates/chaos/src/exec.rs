@@ -11,8 +11,10 @@
 use std::collections::BTreeMap;
 use std::ops::AddAssign;
 
-use wv_bench::drive::{self, Driven, Plan, REPAIR_INTERVAL};
-use wv_core::client::{ClientOptions, ClientStats, HealthOptions, RetryCause, WeakRepOptions};
+use wv_bench::drive::{self, Driven, Plan, Start, REPAIR_INTERVAL};
+use wv_core::client::{
+    ClientOptions, ClientStats, CompletedOp, HealthOptions, RetryCause, WeakRepOptions,
+};
 use wv_core::harness::{HarnessBuilder, SiteSpec};
 use wv_core::server::ServerStats;
 use wv_core::{Fault, Harness, Op, OpError, OpKind, QuorumSpec, VoteAssignment};
@@ -370,17 +372,21 @@ fn run_schedule_inner(
     // meaningful if the system drained). Suite-major order keeps a
     // one-suite spec's read sequence — and therefore its RNG draws, and
     // the committed E9 seeds' replays — unchanged.
-    let mut suite_finals: Vec<Vec<FinalState>> = Vec::new();
-    if quiesced {
-        for &s in &suites {
-            let mut per_client = Vec::new();
-            for &c in &clients {
-                let result = h.run(c, Op::Read(s)).ok();
-                per_client.push(result.map(|r| (r.version, r.value.to_vec())));
-            }
-            suite_finals.push(per_client);
+    let mut finals = Plan::default();
+    for &s in suites.iter().filter(|_| quiesced) {
+        for &c in &clients {
+            finals.op(Start::After(SimDuration::ZERO), c, Op::Read(s));
         }
     }
+    let mut finals = drive::drive(&mut h, finals).ops;
+    finals.sort_by_key(|o| (o.started, o.finished));
+    let state = |o: &CompletedOp| {
+        let ok = o.outcome.as_ref().ok()?;
+        Some((ok.version, ok.value.as_deref().unwrap_or_default().to_vec()))
+    };
+    let suite_finals: Vec<Vec<FinalState>> = (finals.chunks(clients.len()))
+        .map(|reads| reads.iter().map(state).collect())
+        .collect();
 
     let replica = |site, su| {
         let bytes = h.value_at(site, su).map(|b| b.to_vec()).unwrap_or_default();

@@ -55,7 +55,7 @@
 //! instead of starving).
 
 use bytes::Bytes;
-use wv_net::{Node, NodeCtx, SiteId};
+use wv_net::{NodeCtx, SiteId};
 use wv_sim::audit::{AuditRecord, DecisionKind};
 use wv_sim::trace::{Recorder, SpanKind, SpanOutcome, SpanRecord};
 use wv_sim::{SimDuration, SimTime};
@@ -2373,26 +2373,6 @@ impl ClientNode {
     /// counter from before the crash.
     pub fn handle_recover(&mut self) {
         self.next_counter = self.next_counter.max(self.commits.recover());
-    }
-}
-
-impl Node for ClientNode {
-    type Msg = Msg;
-
-    fn on_message(&mut self, from: SiteId, msg: Msg, ctx: &mut NodeCtx<'_, Msg>) {
-        self.handle(from, msg, ctx);
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_, Msg>) {
-        self.handle_timer(token, ctx);
-    }
-
-    fn on_crash(&mut self) {
-        self.handle_crash();
-    }
-
-    fn on_recover(&mut self, _ctx: &mut NodeCtx<'_, Msg>) {
-        self.handle_recover();
     }
 }
 
